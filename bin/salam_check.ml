@@ -240,7 +240,9 @@ let cmd =
   in
   let suite =
     Arg.(value & opt string "quick"
-         & info [ "suite" ] ~docv:"SUITE" ~doc:"Workload suite for --all: quick or standard.")
+         & info [ "suite" ] ~docv:"SUITE"
+             ~doc:"Workload suite for --all, --modes, --snapshot and --parallel: quick or \
+                   standard.")
   in
   let memory =
     Arg.(value & opt string "spm"

@@ -52,7 +52,13 @@ let config_of memory_kind mode =
         Config.Cache { size; line_bytes = 64; ways; hit_latency = 2 }
     | Check_harness.Dram -> Config.Dram_direct
   in
-  { Config.default with Config.memory; engine = { Engine.default_config with Engine.mode } }
+  (* the engine's invariant checks are read-only, so all three journeys
+     run with them on *)
+  {
+    Config.default with
+    Config.memory;
+    engine = { Engine.default_config with Engine.mode; check = true };
+  }
 
 (* Energy accumulators are float sums: (a +. b) -. a is not exactly b,
    so delta comparisons get a relative tolerance. Everything counted in

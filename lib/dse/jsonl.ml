@@ -71,12 +71,16 @@ let decode line =
                | 't' -> Buffer.add_char b '\t'; advance ()
                | 'u' ->
                    if !pos + 4 >= n then fail "truncated \\u escape";
-                   let hex = String.sub line (!pos + 1) 4 in
-                   let code =
-                     match int_of_string_opt ("0x" ^ hex) with
-                     | Some c -> c
-                     | None -> fail "bad \\u escape"
+                   (* exactly four hex digits: [int_of_string] would also
+                      take OCaml literal syntax such as "0_41" *)
+                   let digit k =
+                     match line.[!pos + 1 + k] with
+                     | '0' .. '9' as c -> Char.code c - Char.code '0'
+                     | 'a' .. 'f' as c -> Char.code c - Char.code 'a' + 10
+                     | 'A' .. 'F' as c -> Char.code c - Char.code 'A' + 10
+                     | _ -> fail "bad \\u escape"
                    in
+                   let code = (digit 0 lsl 12) lor (digit 1 lsl 8) lor (digit 2 lsl 4) lor digit 3 in
                    (* store is ASCII; anything else round-trips as '?' *)
                    Buffer.add_char b (if code < 0x80 then Char.chr code else '?');
                    pos := !pos + 5

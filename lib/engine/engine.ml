@@ -255,14 +255,13 @@ type t = {
       (** [0] = functional-unit pJ, [1] = register-file pJ. A float array
           so the per-issue accumulation stays unboxed — a mutable [float]
           field in this mixed record would box on every assignment. *)
-  (* compiled-mode stall-classification memo: when nothing issued and no
-     import/issue/commit has touched engine state since the last
-     classification, the walk's inputs are unchanged and the cached flags
-     are exact (see [tick]) *)
-  mutable stall_cached : bool;
-  mutable stall_l : bool;
-  mutable stall_s : bool;
-  mutable stall_c : bool;
+  (* stall-classification counters over the Waiting entries, kept current
+     at operand capture, delivery and issue (see [stall_flags]) *)
+  mutable u_load : int;  (** undelivered operand slots produced by a load *)
+  mutable u_comp : int;  (** undelivered operand slots produced by a non-memory op *)
+  mutable r_load : int;  (** loads with every operand delivered *)
+  mutable r_store : int;  (** stores with every operand delivered *)
+  mutable r_fu : int;  (** non-memory FU ops with every operand delivered *)
   mutable tick_thunk : unit -> unit;
       (** the [tick] closure, allocated once — [schedule_tick] runs every
           active cycle *)
@@ -454,10 +453,11 @@ let create kernel clock stats_group ?(config = default_config) ~datapath ~mem ()
     s_busy_integral = Array.make Fu.count 0.0;
     s_issued_by_class = Array.make Fu.count 0;
     s_energy = Array.make 2 0.0;
-    stall_cached = false;
-    stall_l = false;
-    stall_s = false;
-    stall_c = false;
+    u_load = 0;
+    u_comp = 0;
+    r_load = 0;
+    r_store = 0;
+    r_fu = 0;
     tick_thunk = unset_thunk;
     island = 0;
   }
@@ -627,6 +627,114 @@ let try_wake t dyn =
       t.ready_finger <- Some n
     end
 
+(* --- stall classification ----------------------------------------------
+
+   A cycle that issues nothing is a stall, classified for Figs 14-15 by
+   what the Waiting entries wait on. An undelivered operand charges its
+   producer's kind. An entry whose operands have all arrived is held by
+   a structural hazard and charges its own kind; a memory op also
+   charges the kind of every older live memory op that may be ordering
+   it. The flags are an OR over the Waiting entries, so five counters
+   kept current at capture, delivery and issue decide them without a
+   reservation walk. *)
+
+let stall_load = 1 and stall_store = 2 and stall_compute = 4
+
+(* [d] = 1 when [dyn]'s last operand arrives, -1 when it issues *)
+let count_ready t dyn d =
+  if dyn.is_load then t.r_load <- t.r_load + d
+  else if dyn.is_store then t.r_store <- t.r_store + d
+  else match dyn.node.Datapath.fu with Some _ -> t.r_fu <- t.r_fu + d | None -> ()
+
+(* one operand slot starts ([d] = 1) or stops waiting on [producer]; a
+   store defines no register, so it is never a producer *)
+let count_undelivered t producer d =
+  if producer.is_load then t.u_load <- t.u_load + d else t.u_comp <- t.u_comp + d
+
+(* [producer]'s committed value [v] arrives in [consumer]'s operand [slot] *)
+let deliver t producer consumer slot v =
+  consumer.operands.(slot) <- v;
+  consumer.missing <- consumer.missing - 1;
+  count_undelivered t producer (-1);
+  if consumer.missing = 0 then count_ready t consumer 1;
+  if consumer.is_load || consumer.is_store then resolve_addr t consumer;
+  try_wake t consumer
+
+(* Does an operand-complete live memory op of kind [store] sit behind an
+   older live op of the other kind? [live_mem] holds exactly the Waiting
+   memory ops, in program order. *)
+let rec ready_behind_other ~store seen_other = function
+  | None -> false
+  | Some n ->
+      let d = Ilist.value n in
+      if d.is_store <> store then ready_behind_other ~store true (Ilist.next n)
+      else (seen_other && d.missing = 0) || ready_behind_other ~store seen_other (Ilist.next n)
+
+(* A bitmask of [stall_load], [stall_store] and [stall_compute]. The two
+   ordering terms walk [live_mem], and only when the counters have not
+   already decided their flag. *)
+let stall_flags t =
+  let ready_load = t.r_load > 0 and ready_store = t.r_store > 0 in
+  let load =
+    t.u_load > 0 || ready_load
+    || (ready_store && ready_behind_other ~store:true false (Ilist.head t.live_mem))
+  in
+  let store =
+    ready_store || (ready_load && ready_behind_other ~store:false false (Ilist.head t.live_mem))
+  in
+  (if load then stall_load else 0)
+  lor (if store then stall_store else 0)
+  lor if t.u_comp > 0 || t.r_fu > 0 then stall_compute else 0
+
+let rec older_mem_kinds seq acc = function
+  | Some n when (Ilist.value n).seq < seq ->
+      let kind = if (Ilist.value n).is_load then stall_load else stall_store in
+      older_mem_kinds seq (acc lor kind) (Ilist.next n)
+  | Some _ | None -> acc
+
+(* The same classification recomputed from scratch over every Waiting
+   reservation entry, for the check-mode cross-check of the counters. No
+   per-entry allocation; stops once all three flags are set. *)
+let stall_flags_reference t =
+  let flags = ref 0 in
+  Deque.iter_while
+    (fun dyn ->
+      if dyn.st = Waiting then begin
+        for i = 0 to Array.length dyn.producers - 1 do
+          match dyn.producers.(i) with
+          | Some p when Option.is_none dyn.operands.(i) ->
+              flags :=
+                !flags
+                lor
+                if p.is_load then stall_load
+                else if p.is_store then stall_store
+                else stall_compute
+          | Some _ | None -> ()
+        done;
+        if dyn.missing = 0 then
+          if dyn.is_load || dyn.is_store then
+            flags :=
+              older_mem_kinds dyn.seq
+                (!flags lor if dyn.is_load then stall_load else stall_store)
+                (Ilist.head t.live_mem)
+          else if Option.is_some dyn.node.Datapath.fu then flags := !flags lor stall_compute
+      end;
+      !flags <> stall_load lor stall_store lor stall_compute)
+    t.reservation;
+  !flags
+
+let check_stall_flags t flags =
+  let want = stall_flags_reference t in
+  if flags <> want then
+    let show f =
+      Printf.sprintf "load=%b store=%b compute=%b" (f land stall_load <> 0)
+        (f land stall_store <> 0) (f land stall_compute <> 0)
+    in
+    raise
+      (Invariant_violation
+         (Printf.sprintf "@%s: cycle %d: stall counters classify %s, reservation walk %s"
+            t.dp.Datapath.func.Ast.fname t.cur_cycle (show flags) (show want)))
+
 (* Return a retired compiled-mode instance to its node's pool. Safe only
    once the instance is [Done] *and* popped from the reservation: by then
    it has been purged from every reader list (at issue), [last_writer]
@@ -696,6 +804,9 @@ let check_completion t =
   if t.reads_outstanding <> 0 then err "%d reads outstanding at completion" t.reads_outstanding;
   if t.writes_outstanding <> 0 then
     err "%d writes outstanding at completion" t.writes_outstanding;
+  if t.u_load <> 0 || t.u_comp <> 0 || t.r_load <> 0 || t.r_store <> 0 || t.r_fu <> 0 then
+    err "stall counters u_load=%d u_comp=%d r_load=%d r_store=%d r_fu=%d at completion" t.u_load
+      t.u_comp t.r_load t.r_store t.r_fu;
   Array.iteri
     (fun i n ->
       if n <> 0 then err "%d %s ops in flight at completion" n (Fu.to_string (List.nth Fu.all i)))
@@ -769,7 +880,6 @@ and import_block_dynamic t ~label ~pred =
    links, hazards, address resolution) is computed here, in exactly the
    order [make_dyn] computes it. *)
 and import_block_compiled t sc ~label ~pred =
-  t.stall_cached <- false;
   let bs = Schedule.find sc label in
   let room = t.cfg.reservation_slots - t.waiting_count in
   if room < Schedule.block_size bs then t.pending_import <- Some (label, pred)
@@ -871,6 +981,7 @@ and make_dyn_compiled t (row : Schedule.row) =
         | Some producer when producer.st <> Done ->
             dyn.producers.(i) <- Some producer;
             dyn.missing <- dyn.missing + 1;
+            count_undelivered t producer 1;
             dyn.dep_next.(i) <- producer.dep_head;
             dyn.dep_slot.(i) <- producer.dep_head_slot;
             producer.dep_head <- Some dyn;
@@ -919,6 +1030,7 @@ and make_dyn_compiled t (row : Schedule.row) =
     dyn.mem_node <- Some n;
     Ilist.push_back t.live_mem n
   end;
+  if dyn.missing = 0 then count_ready t dyn 1;
   try_wake t dyn;
   dyn
 
@@ -975,6 +1087,7 @@ and make_dyn t (node : Datapath.node) (sources : Ast.value array) =
           | Some producer when producer.st <> Done ->
               dyn.producers.(i) <- Some producer;
               dyn.missing <- dyn.missing + 1;
+              count_undelivered t producer 1;
               producer.dependents <- (dyn, i) :: producer.dependents
           | Some _ | None ->
               t.s_energy.(1) <- t.s_energy.(1) +. reg_read_energy t v.ty;
@@ -1022,6 +1135,7 @@ and make_dyn t (node : Datapath.node) (sources : Ast.value array) =
     dyn.mem_node <- Some n;
     Ilist.push_back t.live_mem n
   end;
+  if dyn.missing = 0 then count_ready t dyn 1;
   try_wake t dyn;
   dyn
 
@@ -1065,18 +1179,17 @@ and eval_compute t dyn : Bits.t option =
   | Ast.Load _ | Ast.Store _ -> assert false
 
 and commit t dyn =
-  t.stall_cached <- false;
   dyn.st <- Done;
   (match t.infos.(dyn.node.Datapath.n_id).si_def with
   | Some dst ->
       let v =
         match dyn.result with
-        | Some v -> Bits.truncate dst.ty v
+        | Some v -> Some (Bits.truncate dst.ty v)
         | None -> invalid_arg "Engine: commit without result"
       in
-      t.regfile.(dst.id) <- Some v;
+      t.regfile.(dst.id) <- v;
       t.s_energy.(1) <- t.s_energy.(1) +. reg_write_energy t dst.ty;
-      dyn.result <- Some v;
+      dyn.result <- v;
       (* wake value dependents; compiled mode walks the intrusive chain
          (same LIFO order as the list), dynamic mode the cons list *)
       (match dyn.row with
@@ -1087,10 +1200,7 @@ and commit t dyn =
                traversal independent of anything try_wake does *)
             let nxt = consumer.dep_next.(slot) in
             let nslot = consumer.dep_slot.(slot) in
-            consumer.operands.(slot) <- Some v;
-            consumer.missing <- consumer.missing - 1;
-            if consumer.is_load || consumer.is_store then resolve_addr t consumer;
-            try_wake t consumer;
+            deliver t dyn consumer slot v;
             match nxt with Some c -> walk c nslot | None -> ()
           in
           (match dyn.dep_head with
@@ -1099,14 +1209,7 @@ and commit t dyn =
               dyn.dep_head <- None;
               walk c slot
           | None -> ())
-      | None ->
-          List.iter
-            (fun (consumer, i) ->
-              consumer.operands.(i) <- Some v;
-              consumer.missing <- consumer.missing - 1;
-              if consumer.is_load || consumer.is_store then resolve_addr t consumer;
-              try_wake t consumer)
-            dyn.dependents);
+      | None -> List.iter (fun (consumer, i) -> deliver t dyn consumer i v) dyn.dependents);
       (match t.last_writer.(dst.id) with
       | Some w when w == dyn -> t.last_writer.(dst.id) <- None
       | Some _ | None -> ())
@@ -1222,8 +1325,8 @@ and issue t dyn =
       Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.tr_comp ~cat:Trace.Engine_issue
         ~detail:(mnemonic dyn.node.Datapath.instr) args
   | None -> ());
-  t.stall_cached <- false;
   dyn.st <- Issued;
+  count_ready t dyn (-1);
   (* issued readers can never constrain a later writer again; dropping
      them now (compiled mode) keeps reader lists free of instances headed
      for the recycling pool. The WAR filter in [make_dyn] would discard
@@ -1314,40 +1417,6 @@ and issue t dyn =
     if latency = 0 then commit t dyn
     else Clock.schedule_cycles t.clock ~cycles:latency (commit_k t dyn)
   end
-
-(* classify what an un-issuable instruction is waiting on, for the stall
-   breakdown of Figs 14-15 *)
-and stall_sources t dyn (loads, stores, computes) =
-  let loads = ref loads and stores = ref stores and computes = ref computes in
-  Array.iteri
-    (fun i producer ->
-      match producer with
-      | Some p when dyn.operands.(i) = None ->
-          if p.is_load then loads := true
-          else if p.is_store then stores := true
-          else computes := true
-      | _ -> ())
-    dyn.producers;
-  if dyn.missing = 0 then begin
-    (* operands ready: stalled on a structural hazard *)
-    if dyn.is_load || dyn.is_store then begin
-      (* blocked by ordering or queue depth *)
-      if dyn.is_load then loads := true else stores := true;
-      let rec scan = function
-        | None -> ()
-        | Some n ->
-            let older = Ilist.value n in
-            if older.seq >= dyn.seq || (!loads && !stores) then ()
-            else begin
-              if older.is_load then loads := true else stores := true;
-              scan (Ilist.next n)
-            end
-      in
-      scan (Ilist.head t.live_mem)
-    end
-    else if dyn.node.Datapath.fu <> None then computes := true
-  end;
-  (!loads, !stores, !computes)
 
 and finalize_cycle t =
   if t.cur_cycle >= 0 && t.cyc_active then begin
@@ -1530,42 +1599,13 @@ and tick t =
     let work_pending = t.waiting_count > 0 || t.inflight_total > 0 in
     if work_pending || !issued_any then begin
       t.cyc_active <- true;
-      if not !issued_any then
-        if t.stall_cached then begin
-          (* compiled mode: nothing issued this pass and no import, issue
-             or commit ran since the walk below last classified — every
-             input it reads (operand/producer state, live memory queue) is
-             unchanged, so the cached flags are exactly what a fresh walk
-             would produce *)
-          if t.stall_l then t.cyc_wait_load <- true;
-          if t.stall_s then t.cyc_wait_store <- true;
-          if t.stall_c then t.cyc_wait_compute <- true
-        end
-        else begin
-          (* nothing issued: classify the stall over every waiting
-             instruction. Only three booleans are accumulated, so the walk
-             stops as soon as all are set. *)
-          let l = ref false and s = ref false and c = ref false in
-          Deque.iter_while
-            (fun dyn ->
-              if dyn.st = Waiting then begin
-                let l', s', c' = stall_sources t dyn (!l, !s, !c) in
-                l := l';
-                s := s';
-                c := c'
-              end;
-              not (!l && !s && !c))
-            t.reservation;
-          if !l then t.cyc_wait_load <- true;
-          if !s then t.cyc_wait_store <- true;
-          if !c then t.cyc_wait_compute <- true;
-          if t.sched != None then begin
-            t.stall_cached <- true;
-            t.stall_l <- !l;
-            t.stall_s <- !s;
-            t.stall_c <- !c
-          end
-        end
+      if not !issued_any then begin
+        let flags = stall_flags t in
+        if t.cfg.check then check_stall_flags t flags;
+        if flags land stall_load <> 0 then t.cyc_wait_load <- true;
+        if flags land stall_store <> 0 then t.cyc_wait_store <- true;
+        if flags land stall_compute <> 0 then t.cyc_wait_compute <- true
+      end
     end;
     if t.waiting_count > 0 || t.inflight_total > 0 || t.pending_import <> None then
       schedule_tick t ~cycles:1
@@ -1597,7 +1637,11 @@ let start t ~args ~on_finish =
        (Printf.sprintf "Engine.start: %s expects %d arguments"
           t.dp.Datapath.func.Ast.fname (List.length params)));
   t.is_running <- true;
-  t.stall_cached <- false;
+  t.u_load <- 0;
+  t.u_comp <- 0;
+  t.r_load <- 0;
+  t.r_store <- 0;
+  t.r_fu <- 0;
   t.ret_committed <- false;
   t.ret_value <- None;
   t.on_finish <- Some on_finish;

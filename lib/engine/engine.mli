@@ -68,10 +68,13 @@ type config = {
   check : bool;
       (** run the timing-invariant checker: per-cycle structural checks
           (per-class issue count and held units never exceed allocated
-          units) plus end-of-run checks (queues drained, in-flight
-          counters zero, stall breakdown sums to stall cycles). Checks
-          are read-only — they never perturb scheduling — and raise
-          {!Invariant_violation} on failure. Off by default. *)
+          units); on every stall cycle, a cross-check of the
+          counter-maintained stall classification against a from-scratch
+          walk of the reservation queue; and end-of-run checks (queues
+          drained, in-flight and stall-classification counters zero,
+          stall breakdown sums to stall cycles). Checks are read-only —
+          they never perturb scheduling — and raise {!Invariant_violation}
+          on failure. Off by default. *)
   mode : mode;  (** scheduling implementation; [Compiled] by default *)
   compiled_min_mean_region_ops : float;
       (** [Compiled] falls back to the dynamic issue internals when the
@@ -87,7 +90,7 @@ val default_config : config
 exception Invariant_violation of string
 (** An internal timing invariant failed (only raised with
     [config.check = true]). The message names the function and the
-    violated property. *)
+    violated property (and the cycle, for per-cycle checks). *)
 
 exception Runtime_error of string
 (** The simulated program faulted (e.g. division by zero). The message

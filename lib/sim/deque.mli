@@ -36,8 +36,9 @@ val iter : ('a -> unit) -> 'a t -> unit
 
 val iter_while : ('a -> bool) -> 'a t -> unit
 (** Front-to-back iteration that stops the first time the callback
-    returns [false] — the early exit the engine's stall classification
-    uses once every stall source has been seen. *)
+    returns [false]. The engine's check-mode walks use it: the stall
+    classification reference stops once every stall source has been
+    seen. *)
 
 val to_list : 'a t -> 'a list
 (** Front-to-back, mainly for tests. *)

@@ -53,20 +53,31 @@ let tuple_of_stats (s : Engine.run_stats) =
 let show (c, d, l, s, a, i, st, s1, s2, s3, s4) =
   Printf.sprintf "(%Ld, %d, %d, %d, %d, %d, %d, %d, %d, %d, %d)" c d l s a i st s1 s2 s3 s4
 
-let check_workload tag (w : W.t) =
+(* Both scheduling implementations must reproduce the one table: the
+   compiled engine is a specialization of the dynamic one, not a
+   different timing model. *)
+let modes = [ Engine.Dynamic; Engine.Compiled ]
+
+let check_workload tag mode (w : W.t) =
   let key = tag ^ "/" ^ w.W.name in
   match List.assoc_opt key expected with
   | None -> Alcotest.failf "%s missing from the expected table — re-capture it" key
   | Some want ->
-      let r = Salam.simulate w in
-      Alcotest.(check bool) (key ^ " correct") true r.Salam.correct;
-      Alcotest.(check string) (key ^ " run_stats") (show want)
+      let config =
+        { Salam.Config.default with Salam.Config.engine = { Engine.default_config with Engine.mode } }
+      in
+      let r = Salam.simulate ~config w in
+      let label = key ^ " (" ^ Engine.mode_to_string mode ^ ")" in
+      Alcotest.(check bool) (label ^ " correct") true r.Salam.correct;
+      Alcotest.(check string) (label ^ " run_stats") (show want)
         (show (tuple_of_stats r.Salam.stats))
 
-let test_quick_suite () = List.iter (check_workload "quick") (Salam_workloads.Suite.quick ())
+let check_suite tag workloads =
+  List.iter (fun mode -> List.iter (check_workload tag mode) workloads) modes
 
-let test_standard_suite () =
-  List.iter (check_workload "standard") (Salam_workloads.Suite.standard ())
+let test_quick_suite () = check_suite "quick" (Salam_workloads.Suite.quick ())
+
+let test_standard_suite () = check_suite "standard" (Salam_workloads.Suite.standard ())
 
 (* simulate_batch must agree with sequential simulate exactly, whatever
    the worker count — results only travel through per-job state. *)

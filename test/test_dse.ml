@@ -107,6 +107,33 @@ let test_jsonl_rejects_garbage () =
   bad "{\"a\": {\"nested\": 1}}";
   bad "not json at all"
 
+(* \u takes exactly four hex digits; OCaml literal syntax ("0_41",
+   "+041") must not sneak through, and the error names the offset *)
+let test_jsonl_unicode_escapes () =
+  (* a one-field line whose string value is a \u escape with [digits] *)
+  let line digits = "{\"s\":\"\\u" ^ digits ^ "\"}" in
+  let decode_str s =
+    match Jsonl.decode s with
+    | Ok [ ("s", Jsonl.Str v) ] -> v
+    | Ok _ -> Alcotest.failf "unexpected fields for %S" s
+    | Error e -> Alcotest.failf "rejected %S: %s" s e
+  in
+  Alcotest.(check string) "0041" "A" (decode_str (line "0041"));
+  Alcotest.(check string) "upper-case hex" "J" (decode_str (line "004A"));
+  Alcotest.(check string) "non-ASCII" "?" (decode_str (line "00e9"));
+  Alcotest.(check string) "control char round-trip" "a\001b"
+    (decode_str (Jsonl.encode [ ("s", Jsonl.Str "a\001b") ]));
+  let rejects s want =
+    match Jsonl.decode s with
+    | Ok _ -> Alcotest.failf "accepted %S" s
+    | Error e -> Alcotest.(check string) s want e
+  in
+  (* the backslash is at offset 6, the 'u' at 7 *)
+  List.iter
+    (fun digits -> rejects (line digits) "bad \\u escape at offset 7")
+    [ "0_41"; "+041"; " 041"; "00g1"; "-001" ];
+  rejects "{\"s\":\"\\u004" "truncated \\u escape at offset 7"
+
 (* --- measurement round-trip --------------------------------------- *)
 
 let simulate_point point =
@@ -375,6 +402,7 @@ let suite =
     Alcotest.test_case "space validity filter" `Quick test_enumerate_validity;
     Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;
     Alcotest.test_case "jsonl rejects garbage" `Quick test_jsonl_rejects_garbage;
+    Alcotest.test_case "jsonl \\u escapes" `Quick test_jsonl_unicode_escapes;
     Alcotest.test_case "measurement line round-trip" `Quick test_measurement_roundtrip;
     Alcotest.test_case "store persists and dedups" `Quick test_store_persist_and_dedup;
     Alcotest.test_case "store repairs truncated tail" `Quick test_store_truncated_tail;

@@ -8,32 +8,39 @@ module W = Salam_workloads.Workload
 
 let check = Alcotest.check
 
-(* run a workload on the engine with an ideal fixed-latency memory *)
-let engine_run ?(config = Engine.default_config) ?(mem_latency = 1) (w : W.t) =
+(* an ideal memory: every access completes after [latency] cycles *)
+let fixed_latency_mem clock backing latency =
+  {
+    Engine.read =
+      (fun ~addr ~ty ~on_value ->
+        let v = Memory.load backing ty addr in
+        Salam_sim.Clock.schedule_cycles clock ~cycles:latency (fun () -> on_value v));
+    Engine.write =
+      (fun ~addr ~ty ~value ~on_done ->
+        Memory.store backing ty addr value;
+        Salam_sim.Clock.schedule_cycles clock ~cycles:latency on_done);
+  }
+
+(* run one invocation of [func] on the engine over [backing] *)
+let run_func ?(config = Engine.default_config) ?(mem_latency = 1) backing func args =
   let kernel = Salam_sim.Kernel.create () in
   let clock = Salam_sim.Clock.create kernel ~freq_mhz:1000.0 in
   let stats = Salam_sim.Stats.group "engine_test" in
+  let datapath = Salam_cdfg.Datapath.build func in
+  let mem = fixed_latency_mem clock backing mem_latency in
+  let engine = Engine.create kernel clock stats ~config ~datapath ~mem () in
+  let finished = ref false in
+  Engine.start engine ~args ~on_finish:(fun _ -> finished := true);
+  ignore (Salam_sim.Kernel.run kernel);
+  if not !finished then Alcotest.fail "engine did not finish";
+  engine
+
+(* run a workload on the engine with an ideal fixed-latency memory *)
+let engine_run ?config ?mem_latency (w : W.t) =
   let backing = Memory.create ~size:(1 lsl 22) in
   let bases = W.alloc_buffers w backing in
   w.W.init (Salam_sim.Rng.create 42L) backing bases;
-  let datapath = Salam_cdfg.Datapath.build (W.compile w) in
-  let mem =
-    {
-      Engine.read =
-        (fun ~addr ~ty ~on_value ->
-          let v = Memory.load backing ty addr in
-          Salam_sim.Clock.schedule_cycles clock ~cycles:mem_latency (fun () -> on_value v));
-      Engine.write =
-        (fun ~addr ~ty ~value ~on_done ->
-          Memory.store backing ty addr value;
-          Salam_sim.Clock.schedule_cycles clock ~cycles:mem_latency on_done);
-    }
-  in
-  let engine = Engine.create kernel clock stats ~config ~datapath ~mem () in
-  let finished = ref false in
-  Engine.start engine ~args:(W.args w ~bases) ~on_finish:(fun _ -> finished := true);
-  ignore (Salam_sim.Kernel.run kernel);
-  if not !finished then Alcotest.fail "engine did not finish";
+  let engine = run_func ?config ?mem_latency backing (W.compile w) (W.args w ~bases) in
   (Engine.stats engine, w.W.check backing bases)
 
 let test_engine_matches_golden () =
@@ -121,18 +128,7 @@ let test_engine_restart () =
   let backing = Memory.create ~size:(1 lsl 20) in
   let bases = W.alloc_buffers w backing in
   let datapath = Salam_cdfg.Datapath.build (W.compile w) in
-  let mem =
-    {
-      Engine.read =
-        (fun ~addr ~ty ~on_value ->
-          let v = Memory.load backing ty addr in
-          Salam_sim.Clock.schedule_cycles clock ~cycles:1 (fun () -> on_value v));
-      Engine.write =
-        (fun ~addr ~ty ~value ~on_done ->
-          Memory.store backing ty addr value;
-          Salam_sim.Clock.schedule_cycles clock ~cycles:1 on_done);
-    }
-  in
+  let mem = fixed_latency_mem clock backing 1 in
   let engine = Engine.create kernel clock stats ~datapath ~mem () in
   let run_once () =
     w.W.init (Salam_sim.Rng.create 7L) backing bases;
@@ -144,6 +140,70 @@ let test_engine_restart () =
   in
   run_once ();
   run_once ()
+
+(* Stall classification's ordering terms. In both kernels an fdiv feeds,
+   through a cast and a gep, the address of the older of two memory ops.
+   For the fdiv's whole latency the younger op has every operand but may
+   not pass the unresolved address, and nothing issues. A store held by
+   an older load is a load stall and a load held by an older store is a
+   store stall, so both kernels charge those cycles to
+   load+store+compute; without the ordering terms they would be "other"
+   and load+compute. Both engine modes must agree, and with [check] on
+   every stall cycle is cross-checked against the reservation walk. *)
+let ordering_kernels =
+  [
+    ( "store behind load",
+      "define void @st_behind_ld(ptr %buf.0, ptr %q.1, double %x.2, double %y.3) {\n\
+       entry:\n\
+       \  %a.4 = fdiv double %x.2, %y.3\n\
+       \  %i.5 = fptosi double %a.4 to i64\n\
+       \  %p.6 = gep ptr %buf.0, 8 x i64 %i.5\n\
+       \  %v.7 = load double, ptr %p.6\n\
+       \  store double %x.2, ptr %q.1\n\
+       \  ret void\n\
+       }" );
+    ( "load behind store",
+      "define void @ld_behind_st(ptr %buf.0, ptr %q.1, double %x.2, double %y.3) {\n\
+       entry:\n\
+       \  %a.4 = fdiv double %x.2, %y.3\n\
+       \  %i.5 = fptosi double %a.4 to i64\n\
+       \  %p.6 = gep ptr %buf.0, 8 x i64 %i.5\n\
+       \  store double %x.2, ptr %p.6\n\
+       \  %v.7 = load double, ptr %q.1\n\
+       \  ret void\n\
+       }" );
+  ]
+
+let test_stall_ordering_terms () =
+  List.iter
+    (fun (name, src) ->
+      let run mode =
+        let backing = Memory.create ~size:4096 in
+        let buf = Memory.alloc backing ~bytes:64 ~align:8 in
+        let q = Memory.alloc backing ~bytes:8 ~align:8 in
+        let config =
+          (* a one-block kernel is below the compiled-mode region
+             threshold; force the specialization so both modes run *)
+          { Engine.default_config with Engine.mode; check = true; compiled_min_mean_region_ops = 0.0 }
+        in
+        let engine =
+          run_func ~config backing (Parser.parse_func src)
+            [ Bits.Int buf; Bits.Int q; Bits.Float 6.0; Bits.Float 2.0 ]
+        in
+        check Alcotest.string (name ^ " effective mode") (Engine.mode_to_string mode)
+          (Engine.mode_to_string (Engine.effective_mode engine));
+        Engine.stats engine
+      in
+      let dynamic = run Engine.Dynamic and compiled = run Engine.Compiled in
+      check Alcotest.bool (name ^ ": modes agree") true (dynamic = compiled);
+      let fdiv = (Salam_hw.Profile.spec Salam_hw.Profile.default_40nm Salam_hw.Fu.Fp_div_dp).Salam_hw.Profile.latency in
+      check Alcotest.bool
+        (Printf.sprintf "%s: %d load+store+compute stall cycles cover the fdiv" name
+           dynamic.Engine.stall_load_store_compute)
+        true
+        (dynamic.Engine.stall_load_store_compute >= fdiv - 1);
+      check Alcotest.int (name ^ ": no load+compute stalls") 0 dynamic.Engine.stall_load_compute)
+    ordering_kernels
 
 (* randomized configurations must never change results, only timing *)
 let qcheck_engine_correct_under_random_configs =
@@ -176,6 +236,7 @@ let suite =
     Alcotest.test_case "memory latency slows" `Quick test_memory_latency_slows_execution;
     Alcotest.test_case "strict ordering slower" `Quick test_strict_ordering_is_slower;
     Alcotest.test_case "stall accounting" `Quick test_stall_accounting_consistent;
+    Alcotest.test_case "stall ordering terms" `Quick test_stall_ordering_terms;
     Alcotest.test_case "issued by class totals" `Quick test_issued_by_class_totals;
     Alcotest.test_case "engine restart" `Quick test_engine_restart;
     QCheck_alcotest.to_alcotest qcheck_engine_correct_under_random_configs;

@@ -3,8 +3,9 @@
    Each scenario builds a small, fully deterministic system, runs it
    under a caller-supplied trace sink and verifies its own functional
    result — a golden trace from a run that computed the wrong answer
-   would lock in a bug. The three scenarios cover the three memory
-   paths the issue calls out: SPM, cache and DMA. *)
+   would lock in a bug. The single-accelerator scenarios cover the three
+   memory paths (SPM, cache and DMA); the two CNN pipelines cover
+   multi-accelerator traffic. *)
 
 open Salam_ir
 open Salam_soc
@@ -148,6 +149,23 @@ let run_ff_vecadd sink =
   let r = Salam.simulate ~invocations:2 ~from ~trace:sink vecadd_ff_workload in
   r.Salam.correct
 
+(* --- multi-accelerator CNN pipelines ------------------------------------- *)
+
+(* The Fig 16 pipelines at the smallest size that still computes the
+   golden tensor (2x2 is the smallest with a non-empty pooled output).
+   Three accelerators, a host and a DMA engine interleave every tick, so
+   together these pin DMA bursts, the cluster crossbar, the MMR/interrupt
+   handshake and the stream FIFOs' ready/valid back-pressure. *)
+module Cnn_pipeline = Salam_scenarios.Cnn_pipeline
+
+let cnn_size = 2
+
+let run_cnn_private_spm sink =
+  (Cnn_pipeline.run_private_spm ~h:cnn_size ~w:cnn_size ~trace:sink ()).Cnn_pipeline.correct
+
+let run_cnn_streams sink =
+  (Cnn_pipeline.run_streams ~h:cnn_size ~w:cnn_size ~trace:sink ()).Cnn_pipeline.correct
+
 (* --- scenario registry --------------------------------------------------- *)
 
 (* (name, sink categories, runner); [None] means the default category
@@ -167,6 +185,8 @@ let scenarios =
       run_vecadd ~memory_kind:Check_harness.Spm );
     ("ff_vecadd", None, run_ff_vecadd);
     ("spm_vecadd_5ns", None, run_vecadd_5ns);
+    ("cnn_private_spm", None, run_cnn_private_spm);
+    ("cnn_streams", None, run_cnn_streams);
   ]
 
 let names = List.map (fun (name, _, _) -> name) scenarios

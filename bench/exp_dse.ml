@@ -24,7 +24,7 @@ let fig4 () =
     "dynSPMr" "dynSPMw" "statFU" "statREG" "statSPM" "total mW";
   let suite = Salam_workloads.Suite.standard () in
   let results =
-    Salam.simulate_batch (List.map (fun w -> (Salam.Config.default, w)) suite)
+    Salam.simulate_jobs (List.map (Salam.job Salam.Config.default) suite)
   in
   List.iter2
     (fun w r ->
@@ -275,11 +275,11 @@ let ablation () =
     List.concat_map
       (fun w ->
         List.map
-          (fun e -> ({ Salam.Config.default with Salam.Config.engine = e }, w))
+          (fun e -> Salam.job { Salam.Config.default with Salam.Config.engine = e } w)
           variants)
       workloads
   in
-  let cycles = List.map (fun r -> r.Salam.cycles) (Salam.simulate_batch jobs) in
+  let cycles = List.map (fun r -> r.Salam.cycles) (Salam.simulate_jobs jobs) in
   List.iteri
     (fun i w ->
       match List.filteri (fun j _ -> j / 4 = i) cycles with

@@ -6,7 +6,7 @@
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig10 table4 ...   # a subset
    Experiment names: table1 table2 table3 table4 fig4 fig10 fig11 fig12
-   fig13 fig14 fig15 fig16 ablation micro speedup ff par ct *)
+   fig13 fig14 fig15 fig16 ablation micro speedup ff ct *)
 
 (* Engine-mode-pinned configs. The bare engine_* micro entries pin the
    fully dynamic scheduler so their numbers stay comparable with the
@@ -100,30 +100,6 @@ let ff_speedup () =
   Printf.printf "ff_gemm16: cold %.1f ms, fast-forward %.1f ms, speedup %.2fx\n\n"
     (1000. *. !cmin) (1000. *. !wmin) (!cmin /. !wmin)
 
-(* Parallel-in-point speedup on the three-accelerator streaming CNN
-   pipeline — the multi-island system island execution targets. The
-   parallel run is bit-identical to the sequential one (parallel oracle);
-   this times the wall-clock side, interleaved min-of-N like the other
-   gates. On a single-core machine the domain pool collapses to the
-   coordinator and the ratio hovers around 1x; CI gates the multi-core
-   number. *)
-let par_speedup () =
-  Bench_util.section "PAR — island-parallel vs sequential (cnn_pipeline streams)";
-  let time ?island_domains () =
-    let t0 = Unix.gettimeofday () in
-    ignore (Salam_scenarios.Cnn_pipeline.run_streams ?island_domains ());
-    Unix.gettimeofday () -. t0
-  in
-  ignore (time ());
-  ignore (time ~island_domains:4 ());
-  let smin = ref infinity and pmin = ref infinity in
-  for _ = 1 to 8 do
-    smin := min !smin (time ());
-    pmin := min !pmin (time ~island_domains:4 ())
-  done;
-  Printf.printf "par_cnn_pipeline: sequential %.1f ms, 4 domains %.1f ms, speedup %.2fx\n\n"
-    (1000. *. !smin) (1000. *. !pmin) (!smin /. !pmin)
-
 let micro () =
   Bench_util.section "MICRO — simulator throughput (Bechamel)";
   let open Bechamel in
@@ -155,8 +131,8 @@ let micro () =
           (Staged.stage (fun () -> ignore (Salam.simulate ~config:dynamic nw)));
         Test.make ~name:"engine_nw16_compiled"
           (Staged.stage (fun () -> ignore (Salam.simulate ~config:compiled nw)));
-        (* the three-accelerator streaming pipeline, sequential kernel:
-           the baseline the island-parallel mode is gated against *)
+        (* the three-accelerator streaming pipeline: DMA, crossbar,
+           stream FIFOs and the MMR/interrupt handshake *)
         Test.make ~name:"engine_cnn_pipeline"
           (Staged.stage (fun () ->
                ignore (Salam_scenarios.Cnn_pipeline.run_streams ~h:16 ~w:16 ())));
@@ -210,7 +186,6 @@ let experiments =
     ("micro", micro);
     ("speedup", speedup);
     ("ff", ff_speedup);
-    ("par", par_speedup);
   ]
 
 let () =

@@ -97,39 +97,6 @@ let run_snapshot ~suite ~memory_kind =
     (List.length reports);
   !failed = 0
 
-let run_parallel ~suite ~memory_kind ~seed =
-  let workloads =
-    match suite with
-    | "quick" -> Salam_workloads.Suite.quick ()
-    | "standard" -> Salam_workloads.Suite.standard ()
-    | other ->
-        Printf.eprintf "unknown suite %s (quick|standard)\n" other;
-        exit 1
-  in
-  let failed = ref 0 in
-  List.iter
-    (fun (w : Salam_workloads.Workload.t) ->
-      match Check_parallel.check_workload ~memory_kind ~seed w with
-      | Ok () -> Printf.printf "PASS %s\n" w.Salam_workloads.Workload.name
-      | Error msg ->
-          incr failed;
-          Printf.printf "FAIL %s: %s\n" w.Salam_workloads.Workload.name msg)
-    workloads;
-  (* the multi-accelerator leg: three-island CNN pipelines *)
-  let scenarios_ok =
-    match Check_parallel.check_scenarios () with
-    | Ok () ->
-        Printf.printf "PASS cnn_pipeline scenarios\n";
-        true
-    | Error msg ->
-        Printf.printf "FAIL cnn_pipeline scenarios: %s\n" msg;
-        false
-  in
-  Printf.printf "%d/%d workloads bit-identical (sequential vs island record/replay)\n"
-    (List.length workloads - !failed)
-    (List.length workloads);
-  !failed = 0 && scenarios_ok
-
 let run_fuzz ~count ~memory_kind ~seed ~plant_bug =
   let mutate = if plant_bug then Some Check_fuzz.plant_float_bug else None in
   Printf.printf "fuzzing %d kernels (seed %Ld%s)...\n%!" count seed
@@ -182,7 +149,7 @@ let resolve_profile hw_db cycle_time =
           Printf.eprintf "%s\n" e;
           exit 1)
 
-let main all modes snapshot parallel fuzz suite memory seed plant_bug engine_mode hw_db
+let main all modes snapshot fuzz suite memory seed plant_bug engine_mode hw_db
     cycle_time =
   match memory_of_string memory with
   | Error msg ->
@@ -213,10 +180,6 @@ let main all modes snapshot parallel fuzz suite memory seed plant_bug engine_mod
             ran := true;
             ok := run_snapshot ~suite ~memory_kind && !ok
           end;
-          if parallel then begin
-            ran := true;
-            ok := run_parallel ~suite ~memory_kind ~seed && !ok
-          end;
           (match fuzz with
           | Some count when count > 0 ->
               ran := true;
@@ -224,7 +187,7 @@ let main all modes snapshot parallel fuzz suite memory seed plant_bug engine_mod
           | Some _ | None -> ());
           if not !ran then begin
             Printf.eprintf
-              "nothing to do: pass --all, --modes, --snapshot, --parallel and/or --fuzz N\n";
+              "nothing to do: pass --all, --modes, --snapshot and/or --fuzz N\n";
             exit 2
           end;
           if not !ok then exit 1)
@@ -241,8 +204,7 @@ let cmd =
   let suite =
     Arg.(value & opt string "quick"
          & info [ "suite" ] ~docv:"SUITE"
-             ~doc:"Workload suite for --all, --modes, --snapshot and --parallel: quick or \
-                   standard.")
+             ~doc:"Workload suite for --all, --modes and --snapshot: quick or standard.")
   in
   let memory =
     Arg.(value & opt string "spm"
@@ -273,14 +235,6 @@ let cmd =
                    uninterrupted runs must be bit-identical past the roadmark (memory, \
                    statistics, trace stream), in both engine modes.")
   in
-  let parallel =
-    Arg.(value & flag
-         & info [ "parallel" ]
-             ~doc:"Run the sequential-vs-parallel oracle: every suite workload under island \
-                   record/replay (record_all, 2 and 4 domains) plus the three-accelerator \
-                   cnn_pipeline scenarios must be bit-identical to the sequential kernel \
-                   (memory, return values, statistics, trace streams).")
-  in
   let engine_mode =
     Arg.(value & opt string "compiled"
          & info [ "engine-mode" ] ~docv:"MODE"
@@ -303,7 +257,7 @@ let cmd =
   Cmd.v
     (Cmd.info "salam_check" ~version:"1.0.0" ~doc)
     Term.(
-      const main $ all $ modes $ snapshot $ parallel $ fuzz $ suite $ memory $ seed
+      const main $ all $ modes $ snapshot $ fuzz $ suite $ memory $ seed
       $ plant_bug $ engine_mode $ hw_db $ cycle_time)
 
 let () = exit (Cmd.eval cmd)

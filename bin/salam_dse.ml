@@ -127,7 +127,7 @@ let print_report ~verbose ~csv ~store report =
 
 let run_sweep ~require_store workload n store_path server mems ports write_ports banks fu
     cache_sizes unrolls junrolls clocks cycle_times hw_db_paths strategy samples rounds seed
-    domains island_domains csv quiet invocations fast_forward =
+    domains csv quiet invocations fast_forward =
   let target = target_of ~workload ~n in
   if workload <> "gemm" && (unrolls <> [ 1 ] || junrolls <> [ 1 ]) then
     die "--unroll/--junroll only apply to the gemm target";
@@ -166,8 +166,6 @@ let run_sweep ~require_store workload n store_path server mems ports write_ports
         die "--server and --store are mutually exclusive (the daemon owns the store)";
       if require_store then die "resume works against a local --store, not --server";
       if domains <> None then die "--domains has no effect with --server (the daemon decides)";
-      if island_domains <> None then
-        die "--island-domains has no effect with --server (the daemon decides)";
       let spec =
         { Salam_served.Protocol.default_spec with workload; gemm_n = n; invocations; fast_forward }
       in
@@ -202,7 +200,7 @@ let run_sweep ~require_store workload n store_path server mems ports write_ports
             None
       in
       let report =
-        Explore.run ?store ?domains ?island_domains ?fast_forward ~invocations ~target
+        Explore.run ?store ?domains ?fast_forward ~invocations ~target
           ~strategy spaces
       in
       print_report ~verbose:(not quiet) ~csv ~store report;
@@ -353,16 +351,12 @@ let rounds_arg =
 let seed_arg =
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"RNG seed for random/pareto.")
 
-let island_domains_arg =
-  Arg.(value & opt (some int) None
-       & info [ "island-domains" ] ~docv:"N"
-           ~doc:"Cap on OCaml domains used $(i,inside) each simulation for per-accelerator \
-                 island blocks (bit-identical for any value; composes with --domains, which \
-                 fans out $(i,across) design points).")
-
 let domains_arg =
   Arg.(value & opt (some int) None
-       & info [ "domains" ] ~docv:"N" ~doc:"Worker domains for simulation batches.")
+       & info [ "domains" ] ~docv:"N"
+           ~doc:"Worker domains that fan a simulation batch out across design points \
+                 (default: $(b,SALAM_DOMAINS), else the core count). Each point runs on one \
+                 sequential event kernel, so results are identical for any value.")
 
 let csv_arg =
   Arg.(value & opt (some string) None
@@ -391,7 +385,7 @@ let sweep_term ~require_store =
     $ workload_arg $ n_arg $ store_arg $ server_arg $ mems_arg $ ports_arg $ write_ports_arg
     $ banks_arg $ fu_arg $ cache_sizes_arg $ unroll_arg $ junroll_arg $ clock_arg
     $ cycle_times_arg $ hw_db_arg
-    $ strategy_arg $ samples_arg $ rounds_arg $ seed_arg $ domains_arg $ island_domains_arg
+    $ strategy_arg $ samples_arg $ rounds_arg $ seed_arg $ domains_arg
     $ csv_arg
     $ quiet_arg $ invocations_arg $ fast_forward_arg)
 

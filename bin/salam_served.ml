@@ -20,7 +20,7 @@ let die fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n" s; exit 1) fmt
 
 (* --- serve --------------------------------------------------------------- *)
 
-let run_serve socket store shards workers island_domains queue trace_path hw_db_paths =
+let run_serve socket store shards workers queue trace_path hw_db_paths =
   (* register every named characterization database before any request
      arrives: a client point names its database by content hash, and
      resolution fails loudly for hashes this process never loaded *)
@@ -39,7 +39,6 @@ let run_serve socket store shards workers island_domains queue trace_path hw_db_
       store_dir = store;
       shards;
       workers = (match workers with Some w -> w | None -> Server.default_config.Server.workers);
-      island_domains;
       queue_capacity = queue;
       trace;
     }
@@ -125,14 +124,8 @@ let shards_arg =
 let workers_arg =
   Arg.(value & opt (some int) None
        & info [ "workers" ] ~docv:"N"
-           ~doc:"Simulation worker domains (default: available cores minus one).")
-
-let island_domains_arg =
-  Arg.(value & opt int 1
-       & info [ "island-domains" ] ~docv:"N"
-           ~doc:"Cap on OCaml domains used $(i,inside) each simulation for per-accelerator \
-                 island blocks (bit-identical for any value; composes with --workers, which \
-                 fans out across jobs).")
+           ~doc:"Simulation worker domains (default: $(b,SALAM_DOMAINS), else the core count, \
+                 minus one).")
 
 let queue_arg =
   Arg.(value & opt int 64
@@ -155,7 +148,7 @@ let serve_cmd =
   let doc = "Run the daemon in the foreground until SIGINT/SIGTERM or a shutdown request." in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(const run_serve $ socket_arg $ store_arg $ shards_arg $ workers_arg
-          $ island_domains_arg $ queue_arg $ trace_arg $ hw_db_arg)
+          $ queue_arg $ trace_arg $ hw_db_arg)
 
 let ping_cmd =
   let doc = "Round-trip a ping and print the latency." in

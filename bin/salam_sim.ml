@@ -63,9 +63,8 @@ let resolve_hw hw_db cycle_time clock_mhz =
       Ok (p, Salam_config.clock_mhz_of_cycle_time ct)
 
 let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks fadd_limit mode
-    invocations fast_forward island_domains hw_db cycle_time =
+    invocations fast_forward hw_db cycle_time =
   if invocations < 1 then Error (`Msg "--invocations must be at least 1")
-  else if island_domains < 1 then Error (`Msg "--island-domains must be at least 1")
   else if
     match fast_forward with Some k -> k < 0 || k >= invocations | None -> false
   then
@@ -108,7 +107,7 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
             (Salam.roadmark_name k) (invocations - k);
           Some snap
     in
-    let r = Salam.simulate ~config ~invocations ~island_domains ?from w in
+    let r = Salam.simulate ~config ~invocations ?from w in
     let s = r.Salam.stats in
     Printf.printf "workload            : %s\n" r.Salam.name;
     Printf.printf "hw profile          : %s\n" r.Salam.hw.Salam_hw.Profile.profile_name;
@@ -187,16 +186,6 @@ let run_cmd =
              post-roadmark epoch; results are bit-identical to an uninterrupted detailed \
              run.")
   in
-  let island_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "island-domains" ] ~docv:"N"
-          ~doc:
-            "Cap on OCaml domains used to pre-execute per-accelerator event blocks in \
-             parallel. Results are bit-identical for any value — single-accelerator runs \
-             like this one gain nothing, but the flag exercises the same code path the \
-             multi-accelerator scenarios speed up.")
-  in
   let hw_db =
     Arg.(
       value & opt (some file) None
@@ -219,7 +208,7 @@ let run_cmd =
     Term.(
       term_result
         (const run_workload $ wname $ clock $ memory $ cache_size $ ports $ write_ports
-       $ banks $ fadd $ engine_mode $ invocations $ fast_forward $ island_domains $ hw_db
+       $ banks $ fadd $ engine_mode $ invocations $ fast_forward $ hw_db
        $ cycle_time))
 
 let () =

@@ -294,8 +294,6 @@ type failure_kind =
   | Oracle of Check_oracle.failure
   | Snapshot of string
       (** a fast-forwarded run diverged from the uninterrupted one *)
-  | Parallel of string
-      (** an island record/replay run diverged from the sequential one *)
 
 type case_failure = {
   cf_case : int;
@@ -313,7 +311,6 @@ let failure_kind_to_string = function
   | Compile_failure msg -> "frontend rejected generated kernel: " ^ msg
   | Oracle f -> Check_oracle.failure_to_string f
   | Snapshot msg -> "snapshot: " ^ msg
-  | Parallel msg -> "parallel: " ^ msg
 
 (* Run one generated kernel through the oracle: the interpreter-vs-engine
    leg first, then — when it agrees — the compiled-vs-dynamic engine leg,
@@ -353,16 +350,8 @@ let run_kernel ?mutate ?(memory_kind = Check_harness.Spm) ?trace ~data_seed kern
                 Check_snapshot.check_fast_forward ~memory_kind ~seed:data_seed ~func:mode_func
                   ~roadmark:1 ~invocations:2 w
               with
-              | Error msg -> Some (Snapshot msg)
-              | Ok () -> (
-                  (* parallel leg: the island record/replay path must be
-                     bit-identical to the sequential kernel on the same
-                     (possibly mutated) function *)
-                  match
-                    Check_parallel.check_workload ~memory_kind ~seed:data_seed ~func:mode_func w
-                  with
-                  | Ok () -> None
-                  | Error msg -> Some (Parallel msg)))))
+              | Ok () -> None
+              | Error msg -> Some (Snapshot msg))))
 
 (* Replay a failing (shrunk) kernel under a bounded ring sink and return
    the tail of the engine-side event stream — the crash-dump context a
@@ -390,8 +379,7 @@ let run ?mutate ?(memory_kind = Check_harness.Spm) ?on_case ~seed ~count () =
           | Compile_failure _, Compile_failure _ -> true
           | Oracle _, Oracle _ -> true
           | Snapshot _, Snapshot _ -> true
-          | Parallel _, Parallel _ -> true
-          | (Compile_failure _ | Oracle _ | Snapshot _ | Parallel _), _ -> false
+          | (Compile_failure _ | Oracle _ | Snapshot _), _ -> false
         in
         let still_fails k =
           match run_kernel ?mutate ~memory_kind ~data_seed k with

@@ -38,9 +38,6 @@ type failure_kind =
   | Snapshot of string
       (** fast-forwarding to a mid-schedule roadmark was not
           bit-identical to the uninterrupted run (see {!Check_snapshot}) *)
-  | Parallel of string
-      (** the island record/replay path was not bit-identical to the
-          sequential kernel (see {!Check_parallel}) *)
 
 type case_failure = {
   cf_case : int;

@@ -22,8 +22,7 @@ let round_pow2 n =
   go 256
 
 let run_engine ?(memory_kind = Spm) ?(seed = 42L)
-    ?(mode = Engine.default_config.Engine.mode) ?func ?trace ?island_domains ?record_all
-    ?profile (w : W.t) =
+    ?(mode = Engine.default_config.Engine.mode) ?func ?trace ?profile (w : W.t) =
   let func = match func with Some f -> f | None -> W.compile w in
   let sys = System.create ?trace () in
   let fabric = Fabric.create sys () in
@@ -69,7 +68,7 @@ let run_engine ?(memory_kind = Spm) ?(seed = 42L)
     ~on_done:(fun r ->
       ret := r;
       finished := true);
-  ignore (System.run ?island_domains ?record_all sys);
+  ignore (System.run sys);
   if not !finished then failwith ("Check_harness: " ^ w.W.name ^ " did not finish");
   let cache_invariant_errors =
     match !cache with Some c -> Salam_mem.Cache.invariant_errors c | None -> []

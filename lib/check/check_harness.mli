@@ -29,8 +29,6 @@ val run_engine :
   ?mode:Salam_engine.Engine.mode ->
   ?func:Salam_ir.Ast.func ->
   ?trace:Salam_obs.Trace.sink ->
-  ?island_domains:int ->
-  ?record_all:bool ->
   ?profile:Salam_hw.Profile.t ->
   Salam_workloads.Workload.t ->
   run

@@ -183,7 +183,7 @@ let check_from ~config ~invocations (w : W.t) (snap : snapshot) =
       snap.snap_invocations invocations
 
 let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?probe ?inspect
-    ?island_domains ?record_all (w : W.t) =
+    (w : W.t) =
   let wall_start = Unix.gettimeofday () in
   if invocations < 1 then invalid_arg "simulate: invocations must be at least 1";
   Option.iter (check_from ~config ~invocations w) from;
@@ -205,7 +205,7 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
   for k = first to invocations do
     let finished = ref false in
     Accelerator.launch acc ~args:(W.args w ~bases) ~on_done:(fun _ -> finished := true);
-    ignore (System.run ?island_domains ?record_all sys);
+    ignore (System.run sys);
     if not !finished then
       failwith (Printf.sprintf "simulate: %s did not finish (invocation %d)" w.W.name k);
     let at_probe = match probe with Some (pk, _) -> pk = k | None -> false in
@@ -468,17 +468,10 @@ type job = {
   job_workload : W.t;
   job_invocations : int;
   job_from : snapshot option;
-  job_island_domains : int;
 }
 
-let job ?(invocations = 1) ?from ?(island_domains = 1) config w =
-  {
-    job_config = config;
-    job_workload = w;
-    job_invocations = invocations;
-    job_from = from;
-    job_island_domains = island_domains;
-  }
+let job ?(invocations = 1) ?from config w =
+  { job_config = config; job_workload = w; job_invocations = invocations; job_from = from }
 
 let simulate_jobs ?domains jobs =
   (* compile every kernel up front: compilation is memoised in a shared
@@ -486,12 +479,8 @@ let simulate_jobs ?domains jobs =
   List.iter (fun j -> ignore (W.compile j.job_workload)) jobs;
   parallel_map ?domains
     (fun j ->
-      simulate ~config:j.job_config ~invocations:j.job_invocations ?from:j.job_from
-        ~island_domains:j.job_island_domains j.job_workload)
+      simulate ~config:j.job_config ~invocations:j.job_invocations ?from:j.job_from j.job_workload)
     jobs
-
-let simulate_batch ?domains jobs =
-  simulate_jobs ?domains (List.map (fun (config, w) -> job config w) jobs)
 
 let fu_occupancy ?allocated result cls =
   let allocated =

@@ -112,8 +112,6 @@ val simulate :
   ?from:snapshot ->
   ?probe:int * (probe -> unit) ->
   ?inspect:(Salam_ir.Memory.t -> unit) ->
-  ?island_domains:int ->
-  ?record_all:bool ->
   Salam_workloads.Workload.t ->
   result
 (** [?trace] installs a system-wide trace sink before any component is
@@ -144,11 +142,7 @@ val simulate :
 
     [?inspect] receives the system backing store after the last
     invocation completes, before the result is assembled — the snapshot
-    oracle uses it to compare final memory images byte for byte.
-
-    [?island_domains] and [?record_all] are forwarded to {!System.run}:
-    parallel pre-execution of per-accelerator event blocks, bit-identical
-    to the sequential run for any value (see that function's doc). *)
+    oracle uses it to compare final memory images byte for byte. *)
 
 val warm_up :
   ?config:Config.t ->
@@ -183,9 +177,11 @@ val load_snapshot : string -> snapshot
     files. *)
 
 val default_domains : unit -> int
-(** Worker count used by {!parallel_map} and {!simulate_batch} when
-    [?domains] is omitted: the [SALAM_DOMAINS] environment variable if
-    set (must be >= 1), otherwise [Domain.recommended_domain_count ()]. *)
+(** Sweep fan-out width: the worker count {!parallel_map} and
+    {!simulate_jobs} use across design points when [?domains] is
+    omitted. The [SALAM_DOMAINS] environment variable if set (must be
+    >= 1), otherwise [Domain.recommended_domain_count ()]. Each
+    simulation itself always runs on one sequential event kernel. *)
 
 val parallel_map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_map f xs] evaluates [f] on every element using a pool of
@@ -200,28 +196,14 @@ type job = {
   job_workload : Salam_workloads.Workload.t;
   job_invocations : int;
   job_from : snapshot option;
-  job_island_domains : int;
 }
 
-val job :
-  ?invocations:int ->
-  ?from:snapshot ->
-  ?island_domains:int ->
-  Config.t ->
-  Salam_workloads.Workload.t ->
-  job
+val job : ?invocations:int -> ?from:snapshot -> Config.t -> Salam_workloads.Workload.t -> job
 (** A batch entry; [?from] makes it a fast-forwarded run. Snapshots are
     immutable values and safe to share across every job in a batch —
-    the interpret-once/simulate-many pattern. [?island_domains]
-    (default 1) applies {!System.run}'s parallel island mode inside the
-    point — useful when the sweep frontier is narrower than the worker
-    pool; results are bit-identical either way. *)
+    the interpret-once/simulate-many pattern. *)
 
 val simulate_jobs : ?domains:int -> job list -> result list
-(** {!simulate_batch} generalized to fast-forwarded runs. *)
-
-val simulate_batch :
-  ?domains:int -> (Config.t * Salam_workloads.Workload.t) list -> result list
 (** Run independent simulations across domains — the design-space-sweep
     fast path. Kernels are compiled (and memoised) sequentially up
     front; each simulation then builds its own private system, so jobs

@@ -64,9 +64,6 @@ type evaluator = {
   store : Store.t option;
   trace : Trace.sink option;
   domains : int option;
-  island_domains : int option;
-      (** forwarded to every [Salam.job]: intra-point island parallelism,
-          bit-identical for any value *)
   target : target;
   invocations : int;
   fast_forward : int option;  (** roadmark: interpreter invocations *)
@@ -186,8 +183,7 @@ let evaluate_local ev points =
           | None -> None
           | Some roadmark -> Some (snapshot_for ev ~config ~roadmark p)
         in
-        Salam.job ~invocations:ev.invocations ?island_domains:ev.island_domains ?from config
-          (ev.target.build p))
+        Salam.job ~invocations:ev.invocations ?from config (ev.target.build p))
       misses
   in
   let fresh =
@@ -230,7 +226,7 @@ let sample rng n xs =
   Salam_sim.Rng.shuffle rng arr;
   Array.to_list (Array.sub arr 0 (min n (Array.length arr)))
 
-let run ?store ?trace ?domains ?island_domains ?fast_forward ?(invocations = 1) ?remote
+let run ?store ?trace ?domains ?fast_forward ?(invocations = 1) ?remote
     ?(tick_domain = 0) ~target ~strategy spaces =
   if invocations < 1 then invalid_arg "Explore.run: invocations must be at least 1";
   (match fast_forward with
@@ -245,7 +241,6 @@ let run ?store ?trace ?domains ?island_domains ?fast_forward ?(invocations = 1) 
       store;
       trace;
       domains;
-      island_domains;
       target;
       invocations;
       fast_forward;

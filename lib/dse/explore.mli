@@ -3,7 +3,7 @@
 
     Every strategy works on the deduplicated enumeration of the given
     spaces. Evaluation batches all store misses through
-    [Salam.simulate_batch], so a cold sweep fans out across OCaml 5
+    [Salam.simulate_jobs], so a cold sweep fans out across OCaml 5
     domains while a warm sweep touches no simulator at all; either way
     the per-point results are bit-identical (the batch API is pinned
     deterministic, and the store round-trips measurements exactly).
@@ -66,7 +66,6 @@ val run :
   ?store:Store.t ->
   ?trace:Salam_obs.Trace.sink ->
   ?domains:int ->
-  ?island_domains:int ->
   ?fast_forward:int ->
   ?invocations:int ->
   ?remote:(Point.t list -> (Measurement.t * string) list) ->
@@ -82,15 +81,12 @@ val run :
     store-warm answer and anything else for a fresh (or deduplicated)
     simulation. Answers are checked against the locally computed
     fingerprints — a mismatched or short reply raises [Failure].
-    [?store], [?domains], [?island_domains] and [?fast_forward] are
-    ignored under [?remote]; the daemon owns all of them.
+    [?store], [?domains] and [?fast_forward] are ignored under
+    [?remote]; the daemon owns all of them.
 
     [?domains] fans the batch out across design points (one domain per
-    point); [?island_domains] parallelises {e inside} each point across
-    its accelerator islands — bit-identical either way, so the two
-    compose freely. Intra-point parallelism only pays off on
-    multi-accelerator targets; the single-accelerator GEMM target gains
-    nothing from it.
+    point); each point runs on one sequential event kernel, so results
+    are bit-identical for any value.
 
     [?tick_domain] (default 0, must fit in 31 bits) namespaces the
     progress-event ticks: every tick is [domain << 32 | n] with [n] the

@@ -265,10 +265,6 @@ type t = {
   mutable tick_thunk : unit -> unit;
       (** the [tick] closure, allocated once — [schedule_tick] runs every
           active cycle *)
-  mutable island : int;
-      (** the owning accelerator's island (see {!Salam_sim.Island}); tick
-          events are pinned to it so the whole engine executes in one
-          island's event stream under parallel runs. 0 = shared. *)
 }
 
 let create kernel clock stats_group ?(config = default_config) ~datapath ~mem () =
@@ -459,7 +455,6 @@ let create kernel clock stats_group ?(config = default_config) ~datapath ~mem ()
     r_store = 0;
     r_fu = 0;
     tick_thunk = unset_thunk;
-    island = 0;
   }
   in
   (match (t.tr, compiled_sc) with
@@ -468,10 +463,6 @@ let create kernel clock stats_group ?(config = default_config) ~datapath ~mem ()
   t
 
 let effective_mode t = match t.sched with Some _ -> Compiled | None -> Dynamic
-
-let island t = t.island
-
-let set_island t i = t.island <- i
 
 let fu_allocated t cls = t.fu_units.(Fu.index cls)
 
@@ -831,9 +822,7 @@ let rec schedule_tick t ~cycles =
   if not t.tick_scheduled then begin
     t.tick_scheduled <- true;
     if t.tick_thunk == unset_thunk then t.tick_thunk <- (fun () -> tick t);
-    (* pinned, not ambient: the pre-run [start] (host code, island 0)
-       must still land the first tick in this engine's event stream *)
-    Clock.schedule_cycles_isl t.clock ~cycles ~island:t.island t.tick_thunk
+    Clock.schedule_cycles t.clock ~cycles t.tick_thunk
   end
 
 and import_block t ~label ~pred =

@@ -182,13 +182,6 @@ val effective_mode : t -> mode
     specialization is active, [Dynamic] when [config.mode = Dynamic] or
     the [compiled_min_mean_region_ops] fallback fired. *)
 
-val island : t -> int
-
-val set_island : t -> int -> unit
-(** Adopt the owning accelerator's island (see {!Salam_sim.Island}):
-    tick events are pinned to it so the engine executes in that island's
-    event stream under parallel runs. 0 (shared) until called. *)
-
 val add_ordered_range : t -> base:int64 -> size:int -> unit
 (** Mark an address window as device/stream memory: accesses that fall
     in any ordered window issue in program order relative to every other

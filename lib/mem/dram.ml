@@ -61,9 +61,7 @@ let create kernel clock stats cfg =
             ("lat", Trace.I (Int64.of_int (max 1 delay)));
           ]
     | None -> ());
-    (* completion re-enters the requester's island *)
-    Clock.schedule_cycles_isl t.clock ~cycles:(max 1 delay)
-      ~island:(Packet.origin pkt) on_complete
+    Clock.schedule_cycles t.clock ~cycles:(max 1 delay) on_complete
   in
   t.port <- Some (Port.make ~name:cfg.name handler);
   t

@@ -1,19 +1,12 @@
 type op = Read | Write
 
-type t = { id : int; op : op; addr : int64; size : int; mutable origin : int }
+type t = { id : int; op : op; addr : int64; size : int }
 
 (* process-global so packet ids stay unique across concurrent
    simulations (domain-parallel sweeps); ids are only used for display *)
 let counter = Atomic.make 0
 
-(* [origin] starts unstamped; the first [Port.send] under a parallel
-   island run stamps it with the requester's island so completion events
-   can be pinned back onto the requester. It stays -1 (and unused) in
-   sequential runs. *)
-let make op ~addr ~size =
-  { id = Atomic.fetch_and_add counter 1 + 1; op; addr; size; origin = -1 }
-
-let origin t = t.origin
+let make op ~addr ~size = { id = Atomic.fetch_and_add counter 1 + 1; op; addr; size }
 
 let is_read t = t.op = Read
 

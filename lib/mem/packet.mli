@@ -9,16 +9,10 @@
 
 type op = Read | Write
 
-type t = { id : int; op : op; addr : int64; size : int; mutable origin : int }
+type t = { id : int; op : op; addr : int64; size : int }
 
 val make : op -> addr:int64 -> size:int -> t
-(** Fresh packet with a unique id and an unstamped origin island. *)
-
-val origin : t -> int
-(** Island of the requester under a parallel island run — stamped by the
-    first {!Port.send}; -1 when the run is sequential. Memory devices
-    pin their completion events to this island so responses re-enter the
-    requester's event stream. *)
+(** Fresh packet with a unique id. *)
 
 val is_read : t -> bool
 

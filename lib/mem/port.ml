@@ -1,44 +1,17 @@
-module Island = Salam_sim.Island
-
 type t = {
   name : string;
   handler : Packet.t -> on_complete:(unit -> unit) -> unit;
   mutable in_flight : int;
-  mutable island : int;
-      (* island owning the device behind this port; 0 = shared *)
 }
 
-let make ~name handler = { name; handler; in_flight = 0; island = 0 }
+let make ~name handler = { name; handler; in_flight = 0 }
 
 let name t = t.name
 
-let island t = t.island
-
-let set_island t island = t.island <- island
-
-(* Under a parallel island run a send is the canonical crossing point:
-   stamp the packet's origin, then either run the handler inline (same
-   island, or no recording in progress), defer it into the recording log
-   (crossing out of a pre-executing island), or run it inline with the
-   ambient island switched (crossing during the sequential walk). The
-   sequential path costs one relaxed atomic load. *)
 let send t pkt ~on_complete =
   t.in_flight <- t.in_flight + 1;
-  let oc () =
-    t.in_flight <- t.in_flight - 1;
-    on_complete ()
-  in
-  if not (Island.enabled ()) then t.handler pkt ~on_complete:oc
-  else begin
-    let c = Island.ctx () in
-    if not c.Island.active then t.handler pkt ~on_complete:oc
-    else begin
-      if pkt.Packet.origin < 0 then pkt.Packet.origin <- c.Island.island;
-      if t.island = c.Island.island then t.handler pkt ~on_complete:oc
-      else if c.Island.recording then
-        Island.log_thunk c ~island:t.island (fun () -> t.handler pkt ~on_complete:oc)
-      else Island.with_island c t.island (fun () -> t.handler pkt ~on_complete:oc)
-    end
-  end
+  t.handler pkt ~on_complete:(fun () ->
+      t.in_flight <- t.in_flight - 1;
+      on_complete ())
 
 let pending t = t.in_flight

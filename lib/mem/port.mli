@@ -13,19 +13,8 @@ val make : name:string -> (Packet.t -> on_complete:(unit -> unit) -> unit) -> t
 val name : t -> string
 
 val send : t -> Packet.t -> on_complete:(unit -> unit) -> unit
-(** Deliver a packet to the device. Under a parallel island run this is
-    the canonical island-crossing point: it stamps the packet's origin
-    island and, when the target lives on another island, either defers
-    the handler into the recording log (during island pre-execution) or
-    runs it with the ambient island switched (during the sequential
-    walk). Sequential runs call the handler directly, as before. *)
-
-val island : t -> int
-(** Island owning the device behind this port (0 = shared, the default). *)
-
-val set_island : t -> int -> unit
-(** Assign the owning island; called by the SoC layer when a private
-    memory is attached to an accelerator. *)
+(** Deliver a packet to the device; [on_complete] runs when its timing
+    model has serviced the request. *)
 
 val pending : t -> int
 (** Requests sent but not yet completed. *)

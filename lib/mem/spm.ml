@@ -99,11 +99,7 @@ let rec service t =
       emit t Trace.Spm_access
         ~detail:(match p.pkt.Packet.op with Packet.Read -> "read" | Packet.Write -> "write")
         p.pkt ~bank;
-      (* the completion re-enters the requester's island: an engine
-         access returns to its accelerator, a DMA burst to the shared
-         island *)
-      Clock.schedule_cycles_isl t.clock ~cycles:t.cfg.latency
-        ~island:(Packet.origin p.pkt) p.on_complete
+      Clock.schedule_cycles t.clock ~cycles:t.cfg.latency p.on_complete
     end
     else begin
       if not p.delayed then begin

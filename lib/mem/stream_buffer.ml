@@ -8,11 +8,8 @@ type t = {
   buf_name : string;
   capacity_bytes : int;
   fifo : char Queue.t;
-  (* the int is the requester's island, captured at push/pop time, so
-     the ready/valid callback re-enters the requester's event stream
-     under a parallel island run (-1 = sequential, ignored) *)
-  pending_pushes : (Bytes.t * int * (unit -> unit)) Queue.t;
-  pending_pops : (int * int * (Bytes.t -> unit)) Queue.t;
+  pending_pushes : (Bytes.t * (unit -> unit)) Queue.t;
+  pending_pops : (int * (Bytes.t -> unit)) Queue.t;
   s_pushes : Stats.scalar;
   s_pops : Stats.scalar;
   s_full_stalls : Stats.scalar;
@@ -58,22 +55,22 @@ let emit t cat ~detail ~size =
 let rec settle t =
   let progress = ref false in
   (match Queue.peek_opt t.pending_pushes with
-  | Some (data, origin, on_accepted)
+  | Some (data, on_accepted)
     when Queue.length t.fifo + Bytes.length data <= t.capacity_bytes ->
       ignore (Queue.pop t.pending_pushes);
       Bytes.iter (fun c -> Queue.add c t.fifo) data;
       Stats.incr t.s_pushes;
       emit t Trace.Stream_push ~detail:"-" ~size:(Bytes.length data);
-      Clock.schedule_cycles_isl t.clock ~cycles:1 ~island:origin on_accepted;
+      Clock.schedule_cycles t.clock ~cycles:1 on_accepted;
       progress := true
   | _ -> ());
   (match Queue.peek_opt t.pending_pops with
-  | Some (size, origin, on_data) when Queue.length t.fifo >= size ->
+  | Some (size, on_data) when Queue.length t.fifo >= size ->
       ignore (Queue.pop t.pending_pops);
       let data = Bytes.init size (fun _ -> Queue.pop t.fifo) in
       Stats.incr t.s_pops;
       emit t Trace.Stream_pop ~detail:"-" ~size;
-      Clock.schedule_cycles_isl t.clock ~cycles:1 ~island:origin (fun () -> on_data data);
+      Clock.schedule_cycles t.clock ~cycles:1 (fun () -> on_data data);
       progress := true
   | _ -> ());
   if !progress then settle t
@@ -88,7 +85,7 @@ let push t data ~on_accepted =
     Stats.incr t.s_full_stalls;
     emit t Trace.Stream_stall ~detail:"full" ~size:(Bytes.length data)
   end;
-  Queue.add (data, Island.origin (), on_accepted) t.pending_pushes;
+  Queue.add (data, on_accepted) t.pending_pushes;
   settle t
 
 let pop t ~size ~on_data =
@@ -97,7 +94,7 @@ let pop t ~size ~on_data =
     Stats.incr t.s_empty_stalls;
     emit t Trace.Stream_stall ~detail:"empty" ~size
   end;
-  Queue.add (size, Island.origin (), on_data) t.pending_pops;
+  Queue.add (size, on_data) t.pending_pops;
   settle t
 
 (* --- checkpointing ----------------------------------------------------- *)

@@ -68,12 +68,8 @@ let rec service t =
                 ("size", Trace.I (Int64.of_int p.pkt.Packet.size));
               ]
         | None -> ());
-        (* the delivery event belongs to the target device's island: a
-           hop into a private scratchpad executes (and records) on that
-           accelerator's domain, a hop to DRAM stays shared *)
-        Clock.schedule_cycles_isl t.clock ~cycles:t.cfg.latency
-          ~island:(Port.island target)
-          (fun () -> Port.send target p.pkt ~on_complete:p.on_complete)
+        Clock.schedule_cycles t.clock ~cycles:t.cfg.latency (fun () ->
+            Port.send target p.pkt ~on_complete:p.on_complete)
     | None ->
         invalid_arg
           (Printf.sprintf "%s: no route for address %Ld" t.cfg.name p.pkt.Packet.addr)

@@ -140,7 +140,6 @@ type sink = {
   buf : event Queue.t;
   mutable next_seq : int;
   mutable n_dropped : int;
-  mutable intercept : (event -> bool) option;
 }
 
 let create ?ring ?(categories = default_categories) () =
@@ -149,33 +148,20 @@ let create ?ring ?(categories = default_categories) () =
   | Some _ | None -> ());
   let cat_on = Array.make n_categories false in
   List.iter (fun c -> cat_on.(category_index c) <- true) categories;
-  { cat_on; ring; buf = Queue.create (); next_seq = 0; n_dropped = 0; intercept = None }
+  { cat_on; ring; buf = Queue.create (); next_seq = 0; n_dropped = 0 }
 
 let wants sink cat = sink.cat_on.(category_index cat)
 
-let set_intercept sink f = sink.intercept <- f
-
-let push sink ev =
-  Queue.add ev sink.buf;
-  sink.next_seq <- sink.next_seq + 1;
-  match sink.ring with
-  | Some cap when Queue.length sink.buf > cap ->
-      ignore (Queue.pop sink.buf);
-      sink.n_dropped <- sink.n_dropped + 1
-  | Some _ | None -> ()
-
 let emit sink ~tick ~comp ~cat ?(detail = "-") args =
   if sink.cat_on.(category_index cat) then begin
-    match sink.intercept with
-    | Some f when f { tick; seq = 0; comp; cat; detail; args } ->
-        (* captured into a recording log; {!deliver} assigns the seq *)
-        ()
-    | Some _ | None ->
-        push sink { tick; seq = sink.next_seq; comp; cat; detail; args }
+    Queue.add { tick; seq = sink.next_seq; comp; cat; detail; args } sink.buf;
+    sink.next_seq <- sink.next_seq + 1;
+    match sink.ring with
+    | Some cap when Queue.length sink.buf > cap ->
+        ignore (Queue.pop sink.buf);
+        sink.n_dropped <- sink.n_dropped + 1
+    | Some _ | None -> ()
   end
-
-let deliver sink ev =
-  if sink.cat_on.(category_index ev.cat) then push sink { ev with seq = sink.next_seq }
 
 let count sink = Queue.length sink.buf
 

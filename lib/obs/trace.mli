@@ -80,20 +80,6 @@ val emit :
   (string * value) list -> unit
 (** [detail] must be a single token (no spaces); it defaults to ["-"]. *)
 
-val set_intercept : sink -> (event -> bool) option -> unit
-(** Install (or clear) an emission intercept. When present, every event
-    that passes the category filter is offered to the closure *before*
-    it receives a sequence number; returning [true] claims the event
-    (the caller buffers it elsewhere and re-injects it with {!deliver}),
-    [false] lets the sink record it normally. Used by the parallel
-    island runtime to keep trace streams bit-identical: events emitted
-    during island pre-execution are captured and delivered later at
-    their sequential position. *)
-
-val deliver : sink -> event -> unit
-(** Record a previously intercepted event, assigning the next sequence
-    number as if it had been emitted at this point. *)
-
 val count : sink -> int
 
 val dropped : sink -> int

@@ -124,8 +124,8 @@ let host_dma s ~src ~dst ~len k =
       Salam_mem.Dma.Block.start s.dma ~src ~dst ~len ~on_done:(fun () ->
           Host.delay_cycles s.host isr_cycles ~k))
 
-let finish ?island_domains ?record_all s h w started =
-  ignore (System.run ?island_domains ?record_all s.sys);
+let finish s h w started =
+  ignore (System.run s.sys);
   if not !started then failwith "cnn scenario did not complete";
   let out = Memory.read_f64_array (System.backing s.sys) s.dram_output (h / 2 * (w / 2)) in
   let expect = Salam_workloads.Cnn.golden_pipeline ~input:s.input ~weights:s.weights ~h ~w in
@@ -153,7 +153,7 @@ let round_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 1024
 
-let run_private_spm ?(h = 32) ?(w = 32) ?island_domains ?record_all ?trace () =
+let run_private_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
   let s = make_setup ?trace h w in
   let conv = mk_acc s "conv" (conv_kernel h w) in
   let relu = mk_acc s "relu" (relu_kernel h w) in
@@ -188,7 +188,7 @@ let run_private_spm ?(h = 32) ?(w = 32) ?island_domains ?record_all ?trace () =
                           run_kernel s pool [ pool_in; pool_out ] (fun () ->
                               host_dma s ~src:pool_out ~dst:s.dram_output ~len:s.out_bytes
                                 (fun () -> done_ := true))))))));
-  let correct = finish ?island_domains ?record_all s h w done_ in
+  let correct = finish s h w done_ in
   {
     scenario = "private-spm+dma";
     total_us = System.elapsed_seconds s.sys *. 1e6;
@@ -196,7 +196,7 @@ let run_private_spm ?(h = 32) ?(w = 32) ?island_domains ?record_all ?trace () =
     stage_cycles = stages [ conv; relu; pool ];
   }
 
-let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains ?record_all ?trace () =
+let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
   let s = make_setup ?trace h w in
   let conv = mk_acc s "conv" (conv_kernel h w) in
   let relu = mk_acc s "relu" (relu_kernel h w) in
@@ -221,7 +221,7 @@ let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains ?record_all ?trace () =
                   run_kernel s pool [ relu_out; pool_out ] (fun () ->
                       host_dma s ~src:pool_out ~dst:s.dram_output ~len:s.out_bytes (fun () ->
                           done_ := true))))));
-  let correct = finish ?island_domains ?record_all s h w done_ in
+  let correct = finish s h w done_ in
   {
     scenario = "shared-spm";
     total_us = System.elapsed_seconds s.sys *. 1e6;
@@ -229,7 +229,7 @@ let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains ?record_all ?trace () =
     stage_cycles = stages [ conv; relu; pool ];
   }
 
-let run_streams ?(h = 32) ?(w = 32) ?island_domains ?record_all ?trace () =
+let run_streams ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
   let s = make_setup ?trace h w in
   (* stream windows are registered as ordered device memory when the
      links are created, so FIFO order matches raster order *)
@@ -267,7 +267,7 @@ let run_streams ?(h = 32) ?(w = 32) ?island_domains ?record_all ?trace () =
                   done_ := true));
           launch_kernel s relu [ c2r_pop; r2p_push ];
           launch_kernel s conv [ conv_in; conv_w; c2r_push ]));
-  let correct = finish ?island_domains ?record_all s h w done_ in
+  let correct = finish s h w done_ in
   {
     scenario = "stream-buffers";
     total_us = System.elapsed_seconds s.sys *. 1e6;
@@ -275,9 +275,5 @@ let run_streams ?(h = 32) ?(w = 32) ?island_domains ?record_all ?trace () =
     stage_cycles = stages [ conv; relu; pool ];
   }
 
-let run_all ?(h = 32) ?(w = 32) ?island_domains ?record_all () =
-  [
-    run_private_spm ~h ~w ?island_domains ?record_all ();
-    run_shared_spm ~h ~w ?island_domains ?record_all ();
-    run_streams ~h ~w ?island_domains ?record_all ();
-  ]
+let run_all ?(h = 32) ?(w = 32) () =
+  [ run_private_spm ~h ~w (); run_shared_spm ~h ~w (); run_streams ~h ~w () ]

@@ -23,24 +23,19 @@ type outcome = {
   stage_cycles : (string * int64) list;  (** per-accelerator busy cycles *)
 }
 
-(** Every entry point takes [?island_domains] / [?record_all], forwarded
-    to [System.run]: the three-accelerator pipelines are exactly the
-    multi-island systems the parallel mode targets, and outcomes are
-    bit-identical for any setting. [?trace] installs a system-wide sink
-    before construction (determinism oracles compare the streams). *)
+(** [?trace] installs a system-wide sink before construction
+    (determinism oracles compare the streams). [?island_domains] is
+    ignored: it exists only so an older benchmark caller that still
+    passes it keeps compiling. *)
 
 val run_private_spm :
-  ?h:int -> ?w:int -> ?island_domains:int -> ?record_all:bool ->
-  ?trace:Salam_obs.Trace.sink -> unit -> outcome
+  ?h:int -> ?w:int -> ?island_domains:int -> ?trace:Salam_obs.Trace.sink -> unit -> outcome
 
 val run_shared_spm :
-  ?h:int -> ?w:int -> ?island_domains:int -> ?record_all:bool ->
-  ?trace:Salam_obs.Trace.sink -> unit -> outcome
+  ?h:int -> ?w:int -> ?island_domains:int -> ?trace:Salam_obs.Trace.sink -> unit -> outcome
 
 val run_streams :
-  ?h:int -> ?w:int -> ?island_domains:int -> ?record_all:bool ->
-  ?trace:Salam_obs.Trace.sink -> unit -> outcome
+  ?h:int -> ?w:int -> ?island_domains:int -> ?trace:Salam_obs.Trace.sink -> unit -> outcome
 
-val run_all :
-  ?h:int -> ?w:int -> ?island_domains:int -> ?record_all:bool -> unit -> outcome list
+val run_all : ?h:int -> ?w:int -> unit -> outcome list
 (** The three scenarios in paper order, same inputs. *)

@@ -29,9 +29,6 @@ type config = {
   store_dir : string option;  (** [None] = in-memory store *)
   shards : int;
   workers : int;
-  island_domains : int;
-      (** intra-job island parallelism, forwarded to [Salam.simulate];
-          bit-identical for any value *)
   queue_capacity : int;
   trace : Trace.sink option;
       (** every request's dse.progress events also land here, in the
@@ -44,7 +41,6 @@ let default_config =
     store_dir = None;
     shards = 8;
     workers = max 1 (Salam.default_domains () - 1);
-    island_domains = 1;
     queue_capacity = 64;
     trace = None;
   }
@@ -224,8 +220,7 @@ let snapshot_for t job roadmark =
 let run_job t job =
   let from = Option.map (snapshot_for t job) job.j_fast_forward in
   let r =
-    Salam.simulate ~config:job.j_config ~invocations:job.j_invocations
-      ~island_domains:t.cfg.island_domains ?from job.j_workload
+    Salam.simulate ~config:job.j_config ~invocations:job.j_invocations ?from job.j_workload
   in
   let m = Measurement.of_result ~workload:job.j_identity ~point:job.j_point r in
   assert (m.Measurement.fp = job.j_fp);

@@ -27,10 +27,6 @@ type config = {
   store_dir : string option;  (** [None] = in-memory store *)
   shards : int;
   workers : int;  (** worker domains; at least 1 *)
-  island_domains : int;
-      (** cap on OCaml domains used {e inside} each simulation for
-          per-accelerator island blocks — composes with [workers], which
-          fans out across jobs; bit-identical for any value *)
   queue_capacity : int;  (** bounded job queue; submitters block when full *)
   trace : Salam_obs.Trace.sink option;
       (** every request's dse.progress events also land here, each
@@ -38,8 +34,8 @@ type config = {
 }
 
 val default_config : config
-(** In-memory store, 8 shards, [default_domains - 1] workers, island
-    domains 1, queue of 64, no trace. [socket_path] is empty and must be
+(** In-memory store, 8 shards, [default_domains - 1] workers, queue of
+    64, no trace. [socket_path] is empty and must be
     set. *)
 
 type t

@@ -27,8 +27,4 @@ let schedule_cycles t ~cycles action =
   assert (cycles >= 0);
   Kernel.schedule_at_i t.kernel ~tick:(next_edge_i t + (cycles * t.period)) action
 
-let schedule_cycles_isl t ~cycles ~island action =
-  assert (cycles >= 0);
-  Kernel.schedule_at_isl t.kernel ~tick:(next_edge_i t + (cycles * t.period)) ~island action
-
 let seconds_of_cycles t cycles = Int64.to_float cycles /. (t.freq_mhz *. 1e6)

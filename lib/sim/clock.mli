@@ -31,8 +31,4 @@ val schedule_cycles : t -> cycles:int -> (unit -> unit) -> unit
     cycles after the next edge at or following the current tick.
     [cycles = 0] means the next edge (or now, if now is an edge). *)
 
-val schedule_cycles_isl : t -> cycles:int -> island:int -> (unit -> unit) -> unit
-(** {!schedule_cycles} with an explicit island pin ([-1] = ambient); see
-    {!Kernel.schedule_at_isl}. *)
-
 val seconds_of_cycles : t -> int64 -> float

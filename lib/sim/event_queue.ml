@@ -2,10 +2,6 @@ type event = {
   tick : int;
   priority : int;
   seq : int;
-  island : int;
-      (* which island executes this event under the parallel run loop;
-         0 = shared, >= 1 = an accelerator island. Ignored (always 0)
-         by the sequential loop. *)
   action : unit -> unit;
 }
 
@@ -17,7 +13,7 @@ type t = {
   mutable now : int;
 }
 
-let dummy = { tick = 0; priority = 0; seq = 0; island = 0; action = ignore }
+let dummy = { tick = 0; priority = 0; seq = 0; action = ignore }
 
 let create () = { heap = Array.make 64 dummy; size = 0; next_seq = 0; now = 0 }
 
@@ -54,12 +50,12 @@ let grow t =
   Array.blit t.heap 0 bigger 0 t.size;
   t.heap <- bigger
 
-let schedule t ~tick ?(priority = 0) ?(island = 0) action =
+let schedule t ~tick ?(priority = 0) action =
   if tick < t.now then
     invalid_arg
       (Printf.sprintf "Event_queue.schedule: tick %d is before now %d" tick t.now);
   if t.size = Array.length t.heap then grow t;
-  let ev = { tick; priority; seq = t.next_seq; island; action } in
+  let ev = { tick; priority; seq = t.next_seq; action } in
   t.next_seq <- t.next_seq + 1;
   t.heap.(t.size) <- ev;
   t.size <- t.size + 1;

@@ -13,18 +13,14 @@ type event = private {
   tick : int;
   priority : int;
   seq : int;
-  island : int;
-      (** executing island under the parallel run loop; 0 = shared *)
   action : unit -> unit;
 }
 
 val create : unit -> t
 
-val schedule : t -> tick:int -> ?priority:int -> ?island:int -> (unit -> unit) -> unit
+val schedule : t -> tick:int -> ?priority:int -> (unit -> unit) -> unit
 (** [schedule q ~tick f] enqueues [f] to run at [tick]. Lower [priority]
-    runs first within a tick (default 0). [island] tags the event for
-    the parallel island loop (default 0, the shared island); the
-    sequential loop ignores it. Scheduling in the past raises
+    runs first within a tick (default 0). Scheduling in the past raises
     [Invalid_argument]. The past is any tick strictly before the tick of
     the most recently popped event. *)
 

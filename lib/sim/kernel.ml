@@ -3,15 +3,9 @@ type t = {
   mutable now : int;  (* native int, mirroring the queue's tick repr *)
   mutable executed : int;
   mutable trace : Salam_obs.Trace.sink option;
-  mutable par : bool;
-      (* a parallel island run is in progress: scheduling consults the
-         domain-local island context. Off (the default), the scheduler
-         hot path costs one predictable branch over the sequential
-         kernel. *)
 }
 
-let create () =
-  { queue = Event_queue.create (); now = 0; executed = 0; trace = None; par = false }
+let create () = { queue = Event_queue.create (); now = 0; executed = 0; trace = None }
 
 let now t = Int64.of_int t.now
 
@@ -21,41 +15,13 @@ let trace t = t.trace
 
 let set_trace t sink = t.trace <- sink
 
-(* Island-aware scheduling. Under a parallel run every event carries the
-   island that must execute it: by default the ambient island of the
-   scheduling context (events an island schedules for itself stay on
-   that island), overridden at the few cross-island response sites via
-   [schedule_at_isl]. During island pre-execution (recording mode) the
-   schedule is deferred into the event's log so replay assigns sequence
-   numbers in exactly the sequential order. *)
-
-let sched_par t ~tick ~priority ~island action =
-  let c = Island.ctx () in
-  let island = if island >= 0 then island else c.Island.island in
-  if c.Island.recording then Island.log_sched c ~tick ~priority ~island action
-  else Event_queue.schedule t.queue ~tick ~priority ~island action
-
 let schedule_at t ~tick ?priority action =
-  let tick = Int64.to_int tick in
-  if t.par then sched_par t ~tick ~priority:(Option.value priority ~default:0) ~island:(-1) action
-  else Event_queue.schedule t.queue ~tick ?priority action
+  Event_queue.schedule t.queue ~tick:(Int64.to_int tick) ?priority action
 
-let schedule_at_i t ~tick ?priority action =
-  if t.par then sched_par t ~tick ~priority:(Option.value priority ~default:0) ~island:(-1) action
-  else Event_queue.schedule t.queue ~tick ?priority action
-
-(* [island >= 0] pins the event to that island; [-1] means "ambient".
-   Explicit pins also apply outside parallel runs (they are free) so
-   events scheduled before [run_islands] starts — an accelerator launch
-   priming its first tick — are tagged correctly. *)
-let schedule_at_isl t ~tick ~island action =
-  if t.par then sched_par t ~tick ~priority:0 ~island action
-  else Event_queue.schedule t.queue ~tick ~island:(max island 0) action
+let schedule_at_i t ~tick ?priority action = Event_queue.schedule t.queue ~tick ?priority action
 
 let schedule_after t ~delay ?priority action =
-  let tick = t.now + Int64.to_int delay in
-  if t.par then sched_par t ~tick ~priority:(Option.value priority ~default:0) ~island:(-1) action
-  else Event_queue.schedule t.queue ~tick ?priority action
+  Event_queue.schedule t.queue ~tick:(t.now + Int64.to_int delay) ?priority action
 
 let step t =
   match Event_queue.pop t.queue with
@@ -81,193 +47,6 @@ let run ?(max_ticks = Int64.max_int) t =
     end
   in
   loop ()
-
-(* --- parallel island run loop ------------------------------------------ *)
-
-(* Deterministic parallel execution of one system: pop the whole
-   same-tick batch, pre-execute each accelerator island's block on its
-   own domain in recording mode, then replay the batch sequentially in
-   original order — shared-island events run inline, pre-executed events
-   drain their logs. Sequence numbers (event and trace) are assigned
-   during the replay walk in exactly the order the sequential kernel
-   would assign them, so the run is bit-identical to [run] for any
-   worker count, including zero.
-
-   Soundness rests on four invariants the component layer maintains:
-   (I1) every event is tagged with the island owning the state it
-   mutates; (I2) an island event touches only island-local state plus
-   its log; (I3) cross-island effects (port sends, shared-memory
-   accesses, interrupts, trace emission) are logged during recording,
-   not applied; (I4) the walk preserves per-island program order. One
-   residual constraint is documented in DESIGN.md: cross-island
-   functional accesses to the same address at the same tick require
-   causal separation (the MMR/interrupt handshake discipline provides
-   it everywhere in the tree). *)
-let run_islands ?(max_ticks = Int64.max_int) ?(record_all = false) t ~pool =
-  let lim =
-    if Int64.compare max_ticks (Int64.of_int (max_int - 1)) >= 0 then max_int - 1
-    else Int64.to_int max_ticks
-  in
-  let c = Island.ctx () in
-  (* batch scratch, reused across ticks *)
-  let cap = ref 256 in
-  let nop () = () in
-  let actions = ref (Array.make !cap nop) in
-  let islands = ref (Array.make !cap 0) in
-  let logs = ref (Array.make !cap ([] : Island.entry list)) in
-  let grow () =
-    let ncap = 2 * !cap in
-    let a = Array.make ncap nop
-    and i = Array.make ncap 0
-    and l = Array.make ncap ([] : Island.entry list) in
-    Array.blit !actions 0 a 0 !cap;
-    Array.blit !islands 0 i 0 !cap;
-    Array.blit !logs 0 l 0 !cap;
-    cap := ncap;
-    actions := a;
-    islands := i;
-    logs := l
-  in
-  let rec collect tick n =
-    if Event_queue.next_tick t.queue <> tick then n
-    else begin
-      if n = !cap then grow ();
-      match Event_queue.pop t.queue with
-      | None -> n
-      | Some ev ->
-          !actions.(n) <- ev.Event_queue.action;
-          !islands.(n) <- ev.Event_queue.island;
-          !logs.(n) <- [];
-          collect tick (n + 1)
-    end
-  in
-  let exec_direct i =
-    c.Island.island <- !islands.(i);
-    t.executed <- t.executed + 1;
-    !actions.(i) ()
-  in
-  let replay i =
-    t.executed <- t.executed + 1;
-    List.iter
-      (fun entry ->
-        match entry with
-        | Island.Sched { tick; priority; island; action } ->
-            Event_queue.schedule t.queue ~tick ~priority ~island action
-        | Island.Emit ev -> (
-            match t.trace with
-            | Some sink -> Salam_obs.Trace.deliver sink ev
-            | None -> ())
-        | Island.Thunk { island; fn } -> Island.with_island c island fn)
-      !logs.(i)
-  in
-  let process n =
-    (* does the batch span more than one accelerator island? *)
-    let max_isl = ref 0 and uniform = ref true in
-    for i = 0 to n - 1 do
-      let isl = !islands.(i) in
-      if isl > !max_isl then max_isl := isl;
-      if isl <> !islands.(0) then uniform := false
-    done;
-    if !uniform && not (record_all && !max_isl > 0) then
-      for i = 0 to n - 1 do
-        exec_direct i
-      done
-    else begin
-      let counts = Array.make (!max_isl + 1) 0 in
-      for i = 0 to n - 1 do
-        let isl = !islands.(i) in
-        counts.(isl) <- counts.(isl) + 1
-      done;
-      let acc_islands = ref 0 in
-      for isl = 1 to !max_isl do
-        if counts.(isl) > 0 then incr acc_islands
-      done;
-      if !acc_islands < 2 && not record_all then
-        for i = 0 to n - 1 do
-          exec_direct i
-        done
-      else begin
-        (* bucket accelerator-island events, preserving batch order *)
-        let idx = Array.init (!max_isl + 1) (fun isl -> Array.make counts.(isl) 0) in
-        let cursor = Array.make (!max_isl + 1) 0 in
-        for i = 0 to n - 1 do
-          let isl = !islands.(i) in
-          if isl > 0 then begin
-            idx.(isl).(cursor.(isl)) <- i;
-            cursor.(isl) <- cursor.(isl) + 1
-          end
-        done;
-        let works = ref [] in
-        for isl = !max_isl downto 1 do
-          if counts.(isl) > 0 then
-            works :=
-              {
-                Island.w_island = isl;
-                w_idx = idx.(isl);
-                w_count = counts.(isl);
-                w_actions = !actions;
-                w_logs = !logs;
-              }
-              :: !works
-        done;
-        (* the coordinator takes the first block (it has to wait for the
-           join anyway); the rest round-robin over the worker slots *)
-        let workers = Island.Pool.workers pool in
-        let dispatched = Array.make (max workers 1) [] in
-        let coordinator = ref [] in
-        List.iteri
-          (fun k w ->
-            if k = 0 || workers = 0 then coordinator := w :: !coordinator
-            else begin
-              let slot = (k - 1) mod workers in
-              dispatched.(slot) <- w :: dispatched.(slot)
-            end)
-          !works;
-        Island.Pool.round pool ~dispatched ~coordinator:!coordinator;
-        (* the sequential walk: original batch order, real seqs *)
-        for i = 0 to n - 1 do
-          if !islands.(i) > 0 then replay i
-          else begin
-            c.Island.island <- 0;
-            t.executed <- t.executed + 1;
-            !actions.(i) ()
-          end
-        done
-      end
-    end
-  in
-  let saved_active = c.Island.active
-  and saved_recording = c.Island.recording
-  and saved_island = c.Island.island in
-  c.Island.active <- true;
-  c.Island.recording <- false;
-  c.Island.island <- 0;
-  t.par <- true;
-  Island.run_begin ();
-  (match t.trace with
-  | Some sink -> Salam_obs.Trace.set_intercept sink (Some Island.trace_intercept)
-  | None -> ());
-  let finish () =
-    (match t.trace with
-    | Some sink -> Salam_obs.Trace.set_intercept sink None
-    | None -> ());
-    Island.run_end ();
-    t.par <- false;
-    c.Island.active <- saved_active;
-    c.Island.recording <- saved_recording;
-    c.Island.island <- saved_island
-  in
-  let rec loop () =
-    let tick = Event_queue.next_tick t.queue in
-    if tick > lim then Int64.of_int t.now
-    else begin
-      t.now <- tick;
-      let n = collect tick 0 in
-      process n;
-      loop ()
-    end
-  in
-  Fun.protect ~finally:finish loop
 
 let idle t = Event_queue.is_empty t.queue
 

@@ -31,15 +31,6 @@ val schedule_at_i : t -> tick:int -> ?priority:int -> (unit -> unit) -> unit
 (** {!schedule_at} with a native-int tick — the allocation-free path
     clock domains use. *)
 
-val schedule_at_isl : t -> tick:int -> island:int -> (unit -> unit) -> unit
-(** {!schedule_at_i} with an explicit island pin for the parallel run
-    loop: [island >= 0] forces the event onto that island, [-1] means
-    "the ambient island of the caller" (the default of the other
-    schedulers). Used at the handful of cross-island response sites —
-    memory completions returning to a requester, crossbar deliveries,
-    MMR acknowledgements. Outside parallel runs the pin is recorded but
-    has no effect. *)
-
 val schedule_after : t -> delay:int64 -> ?priority:int -> (unit -> unit) -> unit
 (** [schedule_after t ~delay f] runs [f] at [now t + delay]. *)
 
@@ -47,17 +38,6 @@ val run : ?max_ticks:int64 -> t -> int64
 (** Drain the event queue, executing events in order. Stops when the
     queue is empty or when the next event lies beyond [max_ticks].
     Returns the tick of the last executed event. *)
-
-val run_islands :
-  ?max_ticks:int64 -> ?record_all:bool -> t -> pool:Island.Pool.t -> int64
-(** Like {!run}, but executes each tick's event batch with accelerator
-    islands pre-executed in parallel on [pool]'s domains and replayed in
-    sequential order — bit-identical to {!run} (same stats, memory and
-    byte-equal trace streams) for any worker count, including zero.
-    Batches touching fewer than two accelerator islands execute inline
-    on the sequential path; [record_all] forces even single-island
-    batches through the record/replay machinery (the oracle's way of
-    exercising it on single-accelerator systems). *)
 
 val idle : t -> bool
 (** True when the event queue is empty — nothing is in flight anywhere

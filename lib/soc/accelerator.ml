@@ -43,12 +43,6 @@ let create system ~name ~clock_mhz ?(profile = Salam_hw.Profile.default_40nm) ?(
     Engine.create (System.kernel system) clock group ~config:engine_config ~datapath
       ~mem:(Comm_interface.mem_iface comm) ()
   in
-  (* one island per accelerator: the engine, its interface and (via
-     {!Cluster}) its private memories form the unit of parallel
-     pre-execution under [System.run ~island_domains] *)
-  let island = System.fresh_island system in
-  Comm_interface.set_island comm island;
-  Engine.set_island engine island;
   let t = { acc_name = name; system; comm; engine; datapath; clock } in
   (* Roadmarks sit at invocation boundaries where SSA registers are dead
      and the engine is stopped, so the section is empty. Restore opens a
@@ -92,8 +86,6 @@ let create system ~name ~clock_mhz ?(profile = Salam_hw.Profile.default_40nm) ?(
   t
 
 let name t = t.acc_name
-
-let island t = Comm_interface.island t.comm
 
 let comm t = t.comm
 

@@ -30,10 +30,6 @@ val create :
 
 val name : t -> string
 
-val island : t -> int
-(** The accelerator's island id (1-based; allocated by [create]) — the
-    unit of parallel pre-execution under [System.run ~island_domains]. *)
-
 val comm : t -> Comm_interface.t
 
 val encode_ret : Salam_ir.Bits.t -> int64

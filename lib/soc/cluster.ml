@@ -42,10 +42,6 @@ let add_private_spm t acc ~size ?(config = fun c -> c) () =
   let name = Accelerator.name acc ^ ".spm" in
   let cfg = config (Spm.default_config ~name ~base ~size) in
   let spm = Spm.create (System.kernel t.sys) (Accelerator.clock acc) (System.stats t.sys) cfg in
-  (* private: the SPM belongs to the accelerator's island, so engine
-     accesses stay island-local (the xbar/fabric mappings below still
-     give other agents a routed — cross-island — path in) *)
-  Port.set_island (Spm.port spm) (Accelerator.island acc);
   Comm_interface.add_route (Accelerator.comm acc) ~base ~size (Spm.port spm);
   Xbar.add_range t.xbar ~base ~size (Spm.port spm);
   Fabric.add_range t.fabric ~base ~size (Spm.port spm);
@@ -69,9 +65,6 @@ let add_private_cache t acc ~size ?(config = fun c -> c) () =
     Cache.create (System.kernel t.sys) (Accelerator.clock acc) (System.stats t.sys) cfg
       ~lower:(Xbar.port t.xbar)
   in
-  (* private: hits and MSHR bookkeeping run on the owner's island; the
-     lower-side fabric port stays shared, so misses cross at Port.send *)
-  Port.set_island (Cache.port cache) (Accelerator.island acc);
   Comm_interface.set_default_route (Accelerator.comm acc) (Cache.port cache);
   System.register_agent t.sys (Cache.checkpoint_agent cache);
   cache

@@ -31,22 +31,9 @@ type t = {
   mutable control_handlers : (int64 -> unit) list;
   mutable irq_handlers : (unit -> unit) list;
   mutable mmr_port : Port.t option;
-  mutable island : int;
-      (** the owning accelerator's island under parallel runs; 0 until
-          {!set_island} *)
   s_loads : Stats.scalar;
   s_stores : Stats.scalar;
 }
-
-(* the recording context, when this call happens during an island
-   pre-execution; the per-access cost outside parallel runs is one
-   relaxed atomic load *)
-let rec_ctx () =
-  if Island.enabled () then begin
-    let c = Island.ctx () in
-    if c.Island.active && c.Island.recording then Some c else None
-  end
-  else None
 
 let create system ~name ~clock ~mmr_words =
   if mmr_words < 3 then invalid_arg "Comm_interface.create: need at least 3 MMR words";
@@ -67,23 +54,16 @@ let create system ~name ~clock ~mmr_words =
       control_handlers = [];
       irq_handlers = [];
       mmr_port = None;
-      island = 0;
       s_loads = Stats.scalar group "loads";
       s_stores = Stats.scalar group "stores";
     }
   in
   (* MMR timing port: one interface-clock cycle per access; control
-     writes fire the start logic after the write completes. Two adjacent
-     events carry the completion: the requester's acknowledgement goes
-     back to the requester's island, the interface-side effects (trace
-     emission, control dispatch into the engine) stay on the
-     accelerator's island — under a parallel run each half lands in the
-     right event stream, and sequentially the pair executes
-     back-to-back, exactly like the former single closure. *)
+     writes fire the start logic after the write completes. *)
   let handler (pkt : Packet.t) ~on_complete =
-    Clock.schedule_cycles_isl clock ~cycles:1 ~island:(Packet.origin pkt) on_complete;
-    if Packet.is_write pkt then
-      Clock.schedule_cycles_isl clock ~cycles:1 ~island:t.island (fun () ->
+    Clock.schedule_cycles clock ~cycles:1 (fun () ->
+        on_complete ();
+        if Packet.is_write pkt then begin
           let word = Int64.to_int (Int64.div (Int64.sub pkt.Packet.addr mmr_base) 8L) in
           (match t.tr with
           | Some tr ->
@@ -97,7 +77,8 @@ let create system ~name ~clock ~mmr_words =
           if word = Layout.control then begin
             let value = Bits.to_int64 (Memory.load (System.backing system) Ty.I64 pkt.Packet.addr) in
             List.iter (fun h -> h value) t.control_handlers
-          end)
+          end
+        end)
   in
   t.mmr_port <- Some (Port.make ~name:(name ^ ".mmr") handler);
   (* MMR contents live in the backing store, so the section is layout
@@ -152,37 +133,17 @@ let write_mmr t word v =
 
 let mmr_port t = match t.mmr_port with Some p -> p | None -> assert false
 
-let island t = t.island
-
-let set_island t i =
-  t.island <- i;
-  Port.set_island (mmr_port t) i
-
 let on_control_write t h = t.control_handlers <- t.control_handlers @ [ h ]
 
 let set_interrupt t h = t.irq_handlers <- t.irq_handlers @ [ h ]
 
-(* Interrupt delivery crosses from the accelerator's island into host
-   code: during island pre-execution the whole dispatch is deferred into
-   the log, and replay (or a direct cross) runs the handlers with the
-   ambient island switched to the shared island so host continuations
-   schedule onto island 0. *)
 let raise_interrupt t =
-  let fire () =
-    (match t.tr with
-    | Some tr ->
-        Trace.emit tr ~tick:(Kernel.now (System.kernel t.system)) ~comp:t.iface_name
-          ~cat:Trace.Interrupt ~detail:"raise" []
-    | None -> ());
-    List.iter (fun h -> h ()) t.irq_handlers
-  in
-  if Island.enabled () then begin
-    let c = Island.ctx () in
-    if not c.Island.active then fire ()
-    else if c.Island.recording then Island.log_thunk c ~island:0 fire
-    else Island.with_island c 0 fire
-  end
-  else fire ()
+  (match t.tr with
+  | Some tr ->
+      Trace.emit tr ~tick:(Kernel.now (System.kernel t.system)) ~comp:t.iface_name
+        ~cat:Trace.Interrupt ~detail:"raise" []
+  | None -> ());
+  List.iter (fun h -> h ()) t.irq_handlers
 
 let add_route t ~base ~size target = t.ranges <- { r_base = base; r_size = size; target } :: t.ranges
 
@@ -222,64 +183,34 @@ let rec find_stream addr = function
   | [] -> None
   | s :: tl -> if in_range ~base:s.s_base ~size:s.s_size addr then Some s else find_stream addr tl
 
-(* Recording rules for island pre-execution, per access:
-
-   - stream hits mutate a shared FIFO (island-0 state), so the whole
-     composite is deferred into the log and replays — single-threaded —
-     at this event's sequential position;
-   - routed accesses whose target port lives on another island (shared
-     SPM, DRAM behind the fabric) are likewise deferred whole, so the
-     functional [Memory.load]/[Memory.store] at issue cannot race the
-     other islands and lands in exact sequential order;
-   - island-local routes (private SPM, private cache) run live: they
-     touch only this island's address range and ports. *)
 let mem_iface t : Salam_engine.Engine.mem_iface =
   let backing = System.backing t.system in
   let read ~addr ~ty ~on_value =
     Stats.incr t.s_loads;
     match find_stream addr t.stream_pops with
     | Some s ->
-        let go () =
-          Stream_buffer.pop s.buffer ~size:(Ty.size_bytes ty) ~on_data:(fun data ->
-              on_value (bits_of_bytes ty data))
-        in
-        (match rec_ctx () with
-        | Some c -> Island.log_thunk c ~island:t.island go
-        | None -> go ())
+        Stream_buffer.pop s.buffer ~size:(Ty.size_bytes ty) ~on_data:(fun data ->
+            on_value (bits_of_bytes ty data))
     | None -> (
         match route t addr with
         | Some port ->
-            let issue () =
-              (* capture the value at issue; the timing response only
-                 releases dependants (see Packet's documentation) *)
-              let value = Memory.load backing ty addr in
-              let pkt = Packet.make Packet.Read ~addr ~size:(Ty.size_bytes ty) in
-              Port.send port pkt ~on_complete:(fun () -> on_value value)
-            in
-            (match rec_ctx () with
-            | Some c when Port.island port <> t.island -> Island.log_thunk c ~island:t.island issue
-            | _ -> issue ())
+            (* capture the value at issue; the timing response only
+               releases dependants (see Packet's documentation) *)
+            let value = Memory.load backing ty addr in
+            let pkt = Packet.make Packet.Read ~addr ~size:(Ty.size_bytes ty) in
+            Port.send port pkt ~on_complete:(fun () -> on_value value)
         | None -> invalid_arg (t.iface_name ^ ": no route for load address " ^ Int64.to_string addr))
   in
   let write ~addr ~ty ~value ~on_done =
     Stats.incr t.s_stores;
     match find_stream addr t.stream_pushes with
-    | Some s ->
-        let go () = Stream_buffer.push s.buffer (bytes_of_bits ty value) ~on_accepted:on_done in
-        (match rec_ctx () with
-        | Some c -> Island.log_thunk c ~island:t.island go
-        | None -> go ())
+    | Some s -> Stream_buffer.push s.buffer (bytes_of_bits ty value) ~on_accepted:on_done
     | None -> (
         match route t addr with
         | Some port ->
-            let issue () =
-              Memory.store backing ty addr value;
-              let pkt = Packet.make Packet.Write ~addr ~size:(Ty.size_bytes ty) in
-              Port.send port pkt ~on_complete:on_done
-            in
-            (match rec_ctx () with
-            | Some c when Port.island port <> t.island -> Island.log_thunk c ~island:t.island issue
-            | _ -> issue ())
+            Memory.store backing ty addr value;
+            let pkt = Packet.make Packet.Write ~addr ~size:(Ty.size_bytes ty) in
+            Port.send port pkt ~on_complete:on_done
         | None ->
             invalid_arg (t.iface_name ^ ": no route for store address " ^ Int64.to_string addr))
   in

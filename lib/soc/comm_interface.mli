@@ -34,14 +34,6 @@ val mmr_port : t -> Salam_mem.Port.t
     the host and other accelerators can program this device. A write
     reaching the control register fires the control callback. *)
 
-val island : t -> int
-
-val set_island : t -> int -> unit
-(** Adopt the owning accelerator's island (see {!Salam_sim.Island}): the
-    MMR port and the interface-side halves of MMR writes and control
-    dispatch then execute in that island's event stream under parallel
-    runs. Called by {!Accelerator.create}; 0 (shared) until then. *)
-
 val on_control_write : t -> (int64 -> unit) -> unit
 (** Called when a timing write lands on word 1 (the control register),
     with the value written. *)

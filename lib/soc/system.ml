@@ -6,7 +6,6 @@ type t = {
   backing : Salam_ir.Memory.t;
   mutable agents : Checkpoint.agent list;  (* registration order, reversed *)
   mutable clock_periods : int list;  (* every period handed out by [clock] *)
-  mutable n_islands : int;  (* accelerator islands handed out by [fresh_island] *)
 }
 
 let register_agent t agent = t.agents <- agent :: t.agents
@@ -48,7 +47,6 @@ let create ?(mem_bytes = 64 * 1024 * 1024) ?trace () =
       backing = Salam_ir.Memory.create ~size:mem_bytes;
       agents = [];
       clock_periods = [];
-      n_islands = 0;
     }
   in
   register_agent t (memory_agent t);
@@ -104,46 +102,6 @@ let restore t ckpt =
 
 let alloc_region t ~bytes = Salam_ir.Memory.alloc t.backing ~bytes ~align:64
 
-let fresh_island t =
-  t.n_islands <- t.n_islands + 1;
-  t.n_islands
-
-let n_islands t = t.n_islands
-
-(* SALAM_DOMAINS=N makes parallel island execution the process-wide
-   default — how CI runs the whole test suite in both modes without
-   threading a flag through every call site. *)
-let env_island_domains =
-  lazy
-    (match Sys.getenv_opt "SALAM_DOMAINS" with
-    | Some s -> (
-        match int_of_string_opt (String.trim s) with
-        | Some n when n >= 1 -> n
-        | Some _ | None -> invalid_arg "SALAM_DOMAINS must be a positive integer")
-    | None -> 1)
-
-let run ?max_ticks ?island_domains ?(record_all = false) t =
-  let island_domains =
-    match island_domains with Some n -> n | None -> Lazy.force env_island_domains
-  in
-  if (island_domains <= 1 && not record_all) || t.n_islands = 0 then
-    Salam_sim.Kernel.run ?max_ticks t.kernel
-  else begin
-    (* the coordinator always takes one island's block itself, so spawn
-       at most [n_islands - 1] spinning workers — and never more than the
-       requested domains or the machine's cores allow. The core cap
-       matters: a spinning worker sharing a core with the coordinator
-       turns every barrier into a scheduler timeslice. *)
-    let workers =
-      max 0
-        (min
-           (min (island_domains - 1) (t.n_islands - 1))
-           (Domain.recommended_domain_count () - 1))
-    in
-    let pool = Salam_sim.Island.Pool.create ~workers in
-    Fun.protect
-      ~finally:(fun () -> Salam_sim.Island.Pool.shutdown pool)
-      (fun () -> Salam_sim.Kernel.run_islands ?max_ticks ~record_all t.kernel ~pool)
-  end
+let run ?max_ticks t = Salam_sim.Kernel.run ?max_ticks t.kernel
 
 let elapsed_seconds t = Int64.to_float (Salam_sim.Kernel.now t.kernel) *. 1e-12

@@ -55,30 +55,12 @@ val restore : t -> Salam_sim.Checkpoint.t -> unit
     epoch. The system must be freshly built or quiescent, and shaped
     identically to the one that captured the checkpoint. *)
 
-val fresh_island : t -> int
-(** Allocate the next accelerator island id (1-based; 0 is the shared
-    island). Called once per accelerator by {!Accelerator.create}. *)
-
-val n_islands : t -> int
-(** Accelerator islands allocated so far. *)
-
-val run : ?max_ticks:int64 -> ?island_domains:int -> ?record_all:bool -> t -> int64
-(** Drain all scheduled events; returns the final tick.
-
-    [island_domains] (default 1) caps the OCaml domains used to
-    pre-execute per-accelerator event blocks in parallel; the result is
-    bit-identical to the sequential run — same final tick, same memory
-    image, same statistics, byte-equal traces — for any value. With
-    [island_domains <= 1] and [record_all = false] (or no accelerator
-    islands) this is exactly {!Salam_sim.Kernel.run}: the parallel
-    machinery is never entered. [record_all] forces even
-    single-accelerator batches through the record/replay path on the
-    current domain — a determinism oracle, not a speedup.
-
-    [island_domains] is a cap, not a demand: worker domains never exceed
-    the accelerator count or the machine's cores. When [island_domains]
-    is omitted, the [SALAM_DOMAINS] environment variable (default 1)
-    supplies it — how CI runs the whole suite in both modes. *)
+val run : ?max_ticks:int64 -> t -> int64
+(** Drain all scheduled events on the sequential event kernel
+    ({!Salam_sim.Kernel.run}); returns the final tick. Every system, with
+    one accelerator or many, runs this way. The [SALAM_DOMAINS]
+    environment variable does not apply here: it only sets how many
+    design points a sweep simulates at once ([Salam.default_domains]). *)
 
 val elapsed_seconds : t -> float
 (** Simulated seconds at the current tick (1 tick = 1 ps). *)

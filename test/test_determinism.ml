@@ -79,12 +79,12 @@ let test_quick_suite () = check_suite "quick" (Salam_workloads.Suite.quick ())
 
 let test_standard_suite () = check_suite "standard" (Salam_workloads.Suite.standard ())
 
-(* simulate_batch must agree with sequential simulate exactly, whatever
+(* simulate_jobs must agree with sequential simulate exactly, whatever
    the worker count — results only travel through per-job state. *)
 let test_batch_matches_sequential () =
   let suite = Salam_workloads.Suite.quick () in
-  let jobs = List.map (fun w -> (Salam.Config.default, w)) suite in
-  let batch = Salam.simulate_batch ~domains:4 jobs in
+  let jobs = List.map (Salam.job Salam.Config.default) suite in
+  let batch = Salam.simulate_jobs ~domains:4 jobs in
   List.iter2
     (fun (w : W.t) r ->
       let key = "quick/" ^ w.W.name in
@@ -125,6 +125,6 @@ let suite =
     Alcotest.test_case "quick suite stats vs seed" `Quick test_quick_suite;
     Alcotest.test_case "standard suite stats vs seed" `Slow test_standard_suite;
     Alcotest.test_case "traced run = untraced run" `Quick test_traced_matches_untraced;
-    Alcotest.test_case "simulate_batch = sequential" `Quick test_batch_matches_sequential;
+    Alcotest.test_case "simulate_jobs = sequential" `Quick test_batch_matches_sequential;
     Alcotest.test_case "parallel_map order/errors" `Quick test_parallel_map_order_and_errors;
   ]

@@ -1,6 +1,6 @@
 (* Tests for the dynamic runtime engine: semantic equivalence with the
-   functional interpreter, conservation invariants, hazard handling and
-   resource constraints. *)
+   functional interpreter, conservation invariants, hazard handling,
+   resource constraints and the compiled-mode fallback heuristic. *)
 
 open Salam_ir
 module Engine = Salam_engine.Engine
@@ -227,6 +227,38 @@ let qcheck_engine_correct_under_random_configs =
       let _, ok2 = engine_run ~config (Salam_workloads.Nw.workload ~len:8 ()) in
       ok && ok2)
 
+(* --- compiled-mode profitability heuristic ------------------------------- *)
+
+(* Below the mean-region-ops threshold the compiled engine's fixed setup
+   cost outruns its steady-state win, so Compiled mode must fall back to
+   the dynamic scheduler (bit-identical either way; only host time
+   differs). bfs is the structural loser — pointer-chasing control flow
+   degenerates its schedule — while unrolled GEMM is the winner. *)
+let effective ~config w =
+  let func = W.compile w in
+  let sys = Salam_soc.System.create () in
+  let acc =
+    Salam_soc.Accelerator.create sys ~name:"h" ~clock_mhz:500.0 ~engine_config:config func
+  in
+  Engine.effective_mode (Salam_soc.Accelerator.engine acc)
+
+let test_compiled_heuristic () =
+  let compiled = { Engine.default_config with Engine.mode = Engine.Compiled } in
+  let bfs = Salam_workloads.Bfs.workload () in
+  let gemm = Salam_workloads.Gemm.workload ~n:16 ~unroll:16 ~junroll:8 () in
+  check Alcotest.bool "branchy kernel falls back to dynamic" true
+    (effective ~config:compiled bfs = Engine.Dynamic);
+  check Alcotest.bool "unrolled gemm stays compiled" true
+    (effective ~config:compiled gemm = Engine.Compiled);
+  (* threshold 0 disables the fallback *)
+  let forced = { compiled with Engine.compiled_min_mean_region_ops = 0.0 } in
+  check Alcotest.bool "zero threshold forces compiled" true
+    (effective ~config:forced bfs = Engine.Compiled);
+  (* dynamic mode never reports compiled *)
+  let dynamic = { Engine.default_config with Engine.mode = Engine.Dynamic } in
+  check Alcotest.bool "dynamic mode is dynamic" true
+    (effective ~config:dynamic gemm = Engine.Dynamic)
+
 let suite =
   [
     Alcotest.test_case "engine matches golden (quick suite)" `Quick test_engine_matches_golden;
@@ -239,5 +271,6 @@ let suite =
     Alcotest.test_case "stall ordering terms" `Quick test_stall_ordering_terms;
     Alcotest.test_case "issued by class totals" `Quick test_issued_by_class_totals;
     Alcotest.test_case "engine restart" `Quick test_engine_restart;
+    Alcotest.test_case "compiled-mode profitability heuristic" `Quick test_compiled_heuristic;
     QCheck_alcotest.to_alcotest qcheck_engine_correct_under_random_configs;
   ]

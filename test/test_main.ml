@@ -18,7 +18,6 @@ let () =
       ("trace", Test_trace.suite);
       ("dma_stream", Test_dma_stream.suite);
       ("determinism", Test_determinism.suite);
-      ("parallel", Test_parallel.suite);
       ("checkpoint", Test_checkpoint.suite);
       ("dse", Test_dse.suite);
       ("store_shard", Test_store_shard.suite);

@@ -1,6 +1,7 @@
 (* Tests for the SoC layer: full-system simulation through the public
-   Salam API, MMR-triggered starts over the interconnect, host drivers
-   and DMA integration. *)
+   Salam API, MMR-triggered starts over the interconnect, host drivers,
+   DMA integration and cluster wiring (stream-link windows, shared-SPM
+   routing). *)
 
 open Salam_ir
 open Salam_soc
@@ -185,6 +186,51 @@ let test_scalar_args_and_return () =
   in
   check (Alcotest.float 1e-9) "0.5 * sum(0..7)" (0.5 *. 28.0) ret
 
+(* --- cluster wiring ----------------------------------------------------- *)
+
+let build_cluster () =
+  let func = W.compile (Salam_workloads.Gemm.workload ~n:8 ()) in
+  let sys = System.create () in
+  let fabric = Fabric.create sys () in
+  let cluster = Cluster.create sys fabric ~name:"c" ~clock_mhz:500.0 () in
+  let acc name = Accelerator.create sys ~name ~clock_mhz:500.0 func in
+  (sys, cluster, acc)
+
+let test_stream_link_ordered_ranges () =
+  let _, cluster, acc = build_cluster () in
+  let p = acc "producer" and c = acc "consumer" in
+  Cluster.add_accelerator cluster p;
+  Cluster.add_accelerator cluster c;
+  let window = 256 in
+  let push_base, pop_base, _buffer =
+    Cluster.add_stream_link cluster ~window_bytes:window ~producer:p ~consumer:c
+      ~capacity_bytes:1024 ()
+  in
+  let ordered a addr = Engine.in_ordered_range (Accelerator.engine a) ~addr in
+  let inside base = Int64.add base (Int64.of_int (window / 2)) in
+  let past base = Int64.add base (Int64.of_int window) in
+  (* each endpoint orders exactly its own window: program-order issue is
+     what keeps FIFO data in raster order *)
+  check Alcotest.bool "producer orders push window" true (ordered p (inside push_base));
+  check Alcotest.bool "producer orders full window start" true (ordered p push_base);
+  check Alcotest.bool "producer window is half-open" false (ordered p (past push_base));
+  check Alcotest.bool "consumer orders pop window" true (ordered c (inside pop_base));
+  check Alcotest.bool "producer does not order pop window" false (ordered p (inside pop_base));
+  check Alcotest.bool "consumer does not order push window" false (ordered c (inside push_base))
+
+(* a store sent into the local crossbar reaches the shared SPM: the
+   routing add_shared_spm sets up, observed end to end *)
+let test_shared_spm_routes_via_xbar () =
+  let sys, cluster, _acc = build_cluster () in
+  let base, spm = Cluster.add_shared_spm cluster ~size:4096 () in
+  let pkt = Salam_mem.Packet.make Salam_mem.Packet.Write ~addr:base ~size:8 in
+  let completed = ref false in
+  Salam_mem.Port.send (Cluster.local_port cluster) pkt ~on_complete:(fun () ->
+      completed := true);
+  ignore (System.run sys);
+  check Alcotest.bool "store completed" true !completed;
+  check Alcotest.int "store landed in the shared SPM" 1 (Salam_mem.Spm.writes spm)
+
 let suite =
   [
     Alcotest.test_case "simulate quick suite (SPM)" `Quick test_simulate_spm_configs;
@@ -197,4 +243,8 @@ let suite =
     Alcotest.test_case "dma feeds accelerator" `Quick test_dma_feeds_accelerator;
     Alcotest.test_case "power/area report" `Quick test_accelerator_power_report;
     Alcotest.test_case "scalar args and return via MMRs" `Quick test_scalar_args_and_return;
+    Alcotest.test_case "stream link registers ordered windows" `Quick
+      test_stream_link_ordered_ranges;
+    Alcotest.test_case "shared SPM reachable through local crossbar" `Quick
+      test_shared_spm_routes_via_xbar;
   ]

@@ -6,7 +6,7 @@
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig10 table4 ...   # a subset
    Experiment names: table1 table2 table3 table4 fig4 fig10 fig11 fig12
-   fig13 fig14 fig15 fig16 ablation micro speedup ff ct *)
+   fig13 fig14 fig15 fig16 ablation micro speedup ff ct alloc *)
 
 (* Engine-mode-pinned configs. The bare engine_* micro entries pin the
    fully dynamic scheduler so their numbers stay comparable with the
@@ -100,6 +100,41 @@ let ff_speedup () =
   Printf.printf "ff_gemm16: cold %.1f ms, fast-forward %.1f ms, speedup %.2fx\n\n"
     (1000. *. !cmin) (1000. *. !wmin) (!cmin /. !wmin)
 
+(* Allocation ledger: minor-heap words and kernel events per dynamic
+   instruction of one [Salam.simulate] call (default config, compiled
+   engine, SPM) on every standard-suite kernel plus the Fig 13 GEMM
+   point. Both are exact counts, not timings, so they do not depend on
+   the machine; CI gates the suite-wide words per instruction. Each
+   kernel runs once untimed first so one-time memoisation stays out of
+   the count. *)
+let alloc () =
+  Bench_util.section "ALLOC — minor words and kernel events per dynamic instruction";
+  let workloads = Salam_workloads.Suite.standard () @ [ Exp_dse.gemm_dse_workload () ] in
+  Printf.printf "%-28s %10s %12s %10s %10s %10s\n" "kernel" "dyn_instr" "minor_words" "words/ins"
+    "events" "events/ins";
+  let total_words = ref 0.0 and total_instr = ref 0 and total_events = ref 0 in
+  List.iter
+    (fun (w : Salam_workloads.Workload.t) ->
+      let func = Salam_workloads.Workload.compile w in
+      ignore (Salam.simulate ~func w);
+      let w0 = Gc.minor_words () in
+      let r = Salam.simulate ~func w in
+      let words = Gc.minor_words () -. w0 in
+      if not r.Salam.correct then failwith (w.Salam_workloads.Workload.name ^ ": wrong result");
+      let instr = r.Salam.stats.Salam_engine.Engine.dynamic_instructions in
+      let per x = x /. float_of_int (max 1 instr) in
+      Printf.printf "%-28s %10d %12.0f %10.1f %10d %10.2f\n" r.Salam.name instr words (per words)
+        r.Salam.kernel_events
+        (per (float_of_int r.Salam.kernel_events));
+      total_words := !total_words +. words;
+      total_instr := !total_instr + instr;
+      total_events := !total_events + r.Salam.kernel_events)
+    workloads;
+  let per x = x /. float_of_int (max 1 !total_instr) in
+  Printf.printf "suite: %d dynamic instructions, %.1f words/instr, %.2f events/instr\n\n"
+    !total_instr (per !total_words)
+    (per (float_of_int !total_events))
+
 let micro () =
   Bench_util.section "MICRO — simulator throughput (Bechamel)";
   let open Bechamel in
@@ -186,6 +221,7 @@ let experiments =
     ("micro", micro);
     ("speedup", speedup);
     ("ff", ff_speedup);
+    ("alloc", alloc);
   ]
 
 let () =

@@ -63,6 +63,7 @@ type result = {
   spm_accesses : (int * int) option;
   cache_hits_misses : (int * int) option;
   wall_seconds : float;
+  kernel_events : int;
   sim_stats : (string * float) list;
 }
 
@@ -283,6 +284,7 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
     spm_accesses;
     cache_hits_misses = cache_hm;
     wall_seconds = Unix.gettimeofday () -. wall_start;
+    kernel_events = Salam_sim.Kernel.events_executed (System.kernel sys);
     sim_stats =
       List.rev
         (Salam_sim.Stats.fold (System.stats sys) ~init:[] ~f:(fun acc ~path v ->

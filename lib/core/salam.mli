@@ -72,6 +72,9 @@ type result = {
   spm_accesses : (int * int) option;  (** reads, writes *)
   cache_hits_misses : (int * int) option;
   wall_seconds : float;  (** host time spent simulating *)
+  kernel_events : int;
+      (** events the system's event kernel executed, over every detailed
+          invocation this call ran *)
   sim_stats : (string * float) list;
       (** the system statistics tree flattened to dotted-path/value
           pairs, in registration order — the source for stats.txt dumps *)

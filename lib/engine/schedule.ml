@@ -25,7 +25,9 @@ module Datapath = Salam_cdfg.Datapath
 module Trace = Salam_obs.Trace
 
 type plan =
-  | Pimm of Bits.t  (** constant operand, already truncated to its type *)
+  | Pimm of Bits.t option
+      (** constant operand, already truncated to its type; always [Some],
+          stored as the option an operand slot holds so capture copies it *)
   | Preg of { var : Ast.var; read_pj : float }
       (** register operand; [read_pj] is the register-file read energy
           charged when the value is captured from a committed writer *)
@@ -85,9 +87,9 @@ let boundary_reason (i : Ast.instr) =
 
 let plan_of_value ~read_pj_per_bit (v : Ast.value) =
   match v with
-  | Ast.Const (Ast.Cint (ty, x)) -> Pimm (Bits.truncate ty (Bits.Int x))
-  | Ast.Const (Ast.Cfloat (ty, x)) -> Pimm (Bits.truncate ty (Bits.Float x))
-  | Ast.Const Ast.Cnull -> Pimm (Bits.Int 0L)
+  | Ast.Const (Ast.Cint (ty, x)) -> Pimm (Some (Bits.truncate ty (Bits.Int x)))
+  | Ast.Const (Ast.Cfloat (ty, x)) -> Pimm (Some (Bits.truncate ty (Bits.Float x)))
+  | Ast.Const Ast.Cnull -> Pimm (Some (Bits.Int 0L))
   | Ast.Var var ->
       Preg { var; read_pj = float_of_int (Ty.bits var.ty) *. read_pj_per_bit }
 
@@ -253,9 +255,7 @@ let compile (dp : Datapath.t) =
   }
 
 let find t label =
-  match Hashtbl.find_opt t.sc_blocks label with
-  | Some bs -> bs
-  | None -> invalid_arg ("Engine: unknown block " ^ label)
+  try Hashtbl.find t.sc_blocks label with Not_found -> invalid_arg ("Engine: unknown block " ^ label)
 
 let block_size bs = bs.bs_size
 

@@ -18,7 +18,9 @@
     dynamic path by construction. *)
 
 type plan =
-  | Pimm of Salam_ir.Bits.t  (** constant operand, already truncated *)
+  | Pimm of Salam_ir.Bits.t option
+      (** constant operand, already truncated; always [Some], stored as
+          the option an operand slot holds so capture copies it *)
   | Preg of { var : Salam_ir.Ast.var; read_pj : float }
       (** register operand; [read_pj] is the register-file read energy
           charged when capturing from a committed writer *)

@@ -9,13 +9,10 @@
 
 type op = Read | Write
 
-type t = { id : int; op : op; addr : int64; size : int }
+type t = { op : op; addr : int64; size : int }
 
 val make : op -> addr:int64 -> size:int -> t
-(** Fresh packet with a unique id. *)
 
 val is_read : t -> bool
 
 val is_write : t -> bool
-
-val pp : Format.formatter -> t -> unit

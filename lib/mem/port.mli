@@ -14,7 +14,5 @@ val name : t -> string
 
 val send : t -> Packet.t -> on_complete:(unit -> unit) -> unit
 (** Deliver a packet to the device; [on_complete] runs when its timing
-    model has serviced the request. *)
-
-val pending : t -> int
-(** Requests sent but not yet completed. *)
+    model has serviced the request. The port adds no per-request state
+    of its own: [on_complete] reaches the device unwrapped. *)

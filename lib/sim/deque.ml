@@ -1,15 +1,16 @@
-type 'a t = {
-  (* ring storage: element [i] of the deque lives at [(head + i) mod cap].
-     Slots outside [head, head+len) hold [None] so retired elements are
-     not kept alive by the buffer. *)
-  mutable buf : 'a option array;
-  mutable head : int;
-  mutable len : int;
-}
+(* Ring storage: element [i] of the deque lives at [(head + i) mod cap].
+   Elements are stored unboxed as [Obj.t], so a push writes the value
+   itself rather than a fresh [Some]. An [Obj.t array] is never a flat
+   float array, so [Obj.repr]/[Obj.obj] round-trip any ['a] — floats
+   included — unchanged. Slots outside [head, head+len) hold [empty] so
+   retired elements are not kept alive by the buffer. *)
+type 'a t = { mutable buf : Obj.t array; mutable head : int; mutable len : int }
+
+let empty = Obj.repr 0
 
 let create ?(capacity = 64) () =
   if capacity < 1 then invalid_arg "Deque.create: capacity must be positive";
-  { buf = Array.make capacity None; head = 0; len = 0 }
+  { buf = Array.make capacity empty; head = 0; len = 0 }
 
 let length t = t.len
 
@@ -17,57 +18,72 @@ let is_empty t = t.len = 0
 
 let grow t =
   let cap = Array.length t.buf in
-  let bigger = Array.make (2 * cap) None in
+  let bigger = Array.make (2 * cap) empty in
   for i = 0 to t.len - 1 do
     bigger.(i) <- t.buf.((t.head + i) mod cap)
   done;
   t.buf <- bigger;
   t.head <- 0
 
-let push_back t x =
+let slot t i = (t.head + i) mod Array.length t.buf
+
+let get_unchecked t i : 'a = Obj.obj t.buf.(slot t i)
+
+let check_index fname t i =
+  if i < 0 || i >= t.len then invalid_arg ("Deque." ^ fname ^ ": index out of bounds")
+
+let get t i =
+  check_index "get" t i;
+  get_unchecked t i
+
+let set t i (x : 'a) =
+  check_index "set" t i;
+  t.buf.(slot t i) <- Obj.repr x
+
+let drop_front t k =
+  if k < 0 || k > t.len then invalid_arg "Deque.drop_front: count out of bounds";
+  for i = 0 to k - 1 do
+    t.buf.(slot t i) <- empty
+  done;
+  t.head <- slot t k;
+  t.len <- t.len - k
+
+let push_back t (x : 'a) =
   if t.len = Array.length t.buf then grow t;
-  t.buf.((t.head + t.len) mod Array.length t.buf) <- Some x;
+  t.buf.((t.head + t.len) mod Array.length t.buf) <- Obj.repr x;
   t.len <- t.len + 1
 
-let push_front t x =
+let push_front t (x : 'a) =
   if t.len = Array.length t.buf then grow t;
   let cap = Array.length t.buf in
   t.head <- (t.head + cap - 1) mod cap;
-  t.buf.(t.head) <- Some x;
+  t.buf.(t.head) <- Obj.repr x;
   t.len <- t.len + 1
 
-let pop_front t =
+let pop_front t : 'a =
   if t.len = 0 then invalid_arg "Deque.pop_front: empty";
   let x = t.buf.(t.head) in
-  t.buf.(t.head) <- None;
+  t.buf.(t.head) <- empty;
   t.head <- (t.head + 1) mod Array.length t.buf;
   t.len <- t.len - 1;
-  match x with Some v -> v | None -> assert false
+  Obj.obj x
 
-let peek_front t =
+let peek_front t : 'a =
   if t.len = 0 then invalid_arg "Deque.peek_front: empty";
-  match t.buf.(t.head) with Some v -> v | None -> assert false
+  get_unchecked t 0
 
-let peek_back t =
+let peek_back t : 'a =
   if t.len = 0 then invalid_arg "Deque.peek_back: empty";
-  match t.buf.((t.head + t.len - 1) mod Array.length t.buf) with
-  | Some v -> v
-  | None -> assert false
+  get_unchecked t (t.len - 1)
 
-let iter f t =
-  let cap = Array.length t.buf in
+let iter (f : 'a -> unit) (t : 'a t) =
   for i = 0 to t.len - 1 do
-    match t.buf.((t.head + i) mod cap) with Some v -> f v | None -> assert false
+    f (get_unchecked t i)
   done
 
-let iter_while f t =
-  let cap = Array.length t.buf in
+let iter_while (f : 'a -> bool) (t : 'a t) =
   let i = ref 0 in
-  let continue_ = ref true in
-  while !continue_ && !i < t.len do
-    (match t.buf.((t.head + !i) mod cap) with
-    | Some v -> continue_ := f v
-    | None -> assert false);
+  while !i < t.len && f (get_unchecked t !i) do
     incr i
   done
 
@@ -77,6 +93,6 @@ let to_list t =
   List.rev !acc
 
 let clear t =
-  Array.fill t.buf 0 (Array.length t.buf) None;
+  Array.fill t.buf 0 (Array.length t.buf) empty;
   t.head <- 0;
   t.len <- 0

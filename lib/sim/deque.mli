@@ -5,7 +5,8 @@
     from the head, and the occupancy check needs a tracked count rather
     than an O(n) [List.length]. The buffer doubles when full and never
     shrinks; indices wrap, so long-running simulations reuse the same
-    storage. *)
+    storage. Elements are stored unboxed, so pushes and pops allocate
+    nothing once the ring has reached its peak size. *)
 
 type 'a t
 
@@ -29,6 +30,19 @@ val peek_front : 'a t -> 'a
 
 val peek_back : 'a t -> 'a
 (** Raises [Invalid_argument] when empty. *)
+
+val get : 'a t -> int -> 'a
+(** [get d i] is the [i]-th element from the front, O(1). Raises
+    [Invalid_argument] unless [0 <= i < length d]. *)
+
+val set : 'a t -> int -> 'a -> unit
+(** Replace the [i]-th element from the front; same bounds as {!get}.
+    With [get] and {!drop_front}, lets a caller compact the deque in
+    place without popping and re-pushing every element. *)
+
+val drop_front : 'a t -> int -> unit
+(** [drop_front d k] removes the first [k] elements. Raises
+    [Invalid_argument] unless [0 <= k <= length d]. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
 (** Front-to-back iteration. The deque must not be mutated during

@@ -1,31 +1,34 @@
 (** Discrete-event priority queue.
 
-    Events are ordered by (tick, priority, insertion sequence); the
-    insertion sequence makes simulation deterministic when several events
-    share a tick and priority. Ticks are abstract time units held in a
-    native [int] — 2^62 picoseconds is over 50 days of simulated time —
-    so the hot schedule/compare/pop path never boxes; clock domains
-    translate cycles into ticks. *)
+    Events are ordered by (tick, insertion sequence); the insertion
+    sequence makes simulation deterministic when several events share a
+    tick, which then run first-in first-out. Ticks are abstract time
+    units held in a native [int] — 2^62 picoseconds is over 50 days of
+    simulated time — and the queue is a binary heap over parallel int
+    and action arrays, so the hot schedule/pop path allocates nothing
+    once the arrays have grown to the simulation's peak occupancy. Clock
+    domains translate cycles into ticks. *)
 
 type t
 
-type event = private {
-  tick : int;
-  priority : int;
-  seq : int;
-  action : unit -> unit;
-}
+type event = private { tick : int; seq : int; action : unit -> unit }
 
 val create : unit -> t
 
-val schedule : t -> tick:int -> ?priority:int -> (unit -> unit) -> unit
-(** [schedule q ~tick f] enqueues [f] to run at [tick]. Lower [priority]
-    runs first within a tick (default 0). Scheduling in the past raises
-    [Invalid_argument]. The past is any tick strictly before the tick of
-    the most recently popped event. *)
+val schedule : t -> tick:int -> (unit -> unit) -> unit
+(** [schedule q ~tick f] enqueues [f] to run at [tick], after every
+    event already scheduled for the same tick. Scheduling in the past
+    raises [Invalid_argument]. The past is any tick strictly before the
+    tick of the most recently popped event. *)
+
+val pop_action : t -> unit -> unit
+(** Remove the next event and return its action; its tick becomes
+    {!last_popped_tick}. Allocates nothing — the kernel's run loop uses
+    this. Raises [Invalid_argument] if the queue is empty. *)
 
 val pop : t -> event option
-(** Remove and return the next event, or [None] if empty. *)
+(** Remove and return the next event, or [None] if empty. Allocates the
+    record; for inspection and tests. *)
 
 val peek_tick : t -> int option
 

@@ -1,8 +1,12 @@
+(* [self] is the node's own [Some n], built once with the node: every
+   link a push, insert or remove writes is an existing option, so the
+   list operations allocate nothing. *)
 type 'a node = {
   v : 'a;
   mutable prev_n : 'a node option;
   mutable next_n : 'a node option;
   mutable is_linked : bool;
+  self : 'a node option;
 }
 
 type 'a t = {
@@ -13,7 +17,11 @@ type 'a t = {
 
 let create () = { head_n = None; tail_n = None; len = 0 }
 
-let node v = { v; prev_n = None; next_n = None; is_linked = false }
+let node v =
+  let rec n = { v; prev_n = None; next_n = None; is_linked = false; self = Some n } in
+  n
+
+let some n = n.self
 
 let value n = n.v
 
@@ -32,9 +40,9 @@ let push_back t n =
   n.next_n <- None;
   n.prev_n <- t.tail_n;
   (match t.tail_n with
-  | Some tl -> tl.next_n <- Some n
-  | None -> t.head_n <- Some n);
-  t.tail_n <- Some n;
+  | Some tl -> tl.next_n <- n.self
+  | None -> t.head_n <- n.self);
+  t.tail_n <- n.self;
   t.len <- t.len + 1
 
 let push_front t n =
@@ -43,21 +51,21 @@ let push_front t n =
   n.prev_n <- None;
   n.next_n <- t.head_n;
   (match t.head_n with
-  | Some hd -> hd.prev_n <- Some n
-  | None -> t.tail_n <- Some n);
-  t.head_n <- Some n;
+  | Some hd -> hd.prev_n <- n.self
+  | None -> t.tail_n <- n.self);
+  t.head_n <- n.self;
   t.len <- t.len + 1
 
 let insert_after t ~anchor n =
   check_unlinked "insert_after" n;
   if not anchor.is_linked then invalid_arg "Ilist.insert_after: anchor not linked";
   n.is_linked <- true;
-  n.prev_n <- Some anchor;
+  n.prev_n <- anchor.self;
   n.next_n <- anchor.next_n;
   (match anchor.next_n with
-  | Some nx -> nx.prev_n <- Some n
-  | None -> t.tail_n <- Some n);
-  anchor.next_n <- Some n;
+  | Some nx -> nx.prev_n <- n.self
+  | None -> t.tail_n <- n.self);
+  anchor.next_n <- n.self;
   t.len <- t.len + 1
 
 let remove t n =

@@ -10,7 +10,10 @@
     early-exit (the engine stops a disambiguation walk at the first
     entry not older than the candidate). Nodes may be unlinked while a
     walk holds them: [next]/[prev] read the node's pointers at call
-    time, so capture the successor before removing a node. *)
+    time, so capture the successor before removing a node.
+
+    Each node carries its own [Some node] from creation, so linking and
+    unlinking allocate nothing. *)
 
 type 'a node
 
@@ -20,6 +23,10 @@ val create : unit -> 'a t
 
 val node : 'a -> 'a node
 (** A fresh unlinked node carrying [value]. *)
+
+val some : 'a node -> 'a node option
+(** [Some node], allocated once when the node was made — for callers
+    that keep node options of their own without allocating. *)
 
 val value : 'a node -> 'a
 

@@ -15,22 +15,22 @@ let trace t = t.trace
 
 let set_trace t sink = t.trace <- sink
 
-let schedule_at t ~tick ?priority action =
-  Event_queue.schedule t.queue ~tick:(Int64.to_int tick) ?priority action
+let schedule_at t ~tick action = Event_queue.schedule t.queue ~tick:(Int64.to_int tick) action
 
-let schedule_at_i t ~tick ?priority action = Event_queue.schedule t.queue ~tick ?priority action
+let schedule_at_i t ~tick action = Event_queue.schedule t.queue ~tick action
 
-let schedule_after t ~delay ?priority action =
-  Event_queue.schedule t.queue ~tick:(t.now + Int64.to_int delay) ?priority action
+let schedule_after t ~delay action =
+  Event_queue.schedule t.queue ~tick:(t.now + Int64.to_int delay) action
 
 let step t =
-  match Event_queue.pop t.queue with
-  | None -> false
-  | Some ev ->
-      t.now <- ev.tick;
-      t.executed <- t.executed + 1;
-      ev.action ();
-      true
+  if Event_queue.is_empty t.queue then false
+  else begin
+    let action = Event_queue.pop_action t.queue in
+    t.now <- Event_queue.last_popped_tick t.queue;
+    t.executed <- t.executed + 1;
+    action ();
+    true
+  end
 
 let run ?(max_ticks = Int64.max_int) t =
   (* clamp below the queue's empty sentinel so the comparison stays exact *)

@@ -25,13 +25,13 @@ val set_trace : t -> Salam_obs.Trace.sink option -> unit
     traced components are constructed — they capture the sink at
     creation time. *)
 
-val schedule_at : t -> tick:int64 -> ?priority:int -> (unit -> unit) -> unit
+val schedule_at : t -> tick:int64 -> (unit -> unit) -> unit
 
-val schedule_at_i : t -> tick:int -> ?priority:int -> (unit -> unit) -> unit
+val schedule_at_i : t -> tick:int -> (unit -> unit) -> unit
 (** {!schedule_at} with a native-int tick — the allocation-free path
     clock domains use. *)
 
-val schedule_after : t -> delay:int64 -> ?priority:int -> (unit -> unit) -> unit
+val schedule_after : t -> delay:int64 -> (unit -> unit) -> unit
 (** [schedule_after t ~delay f] runs [f] at [now t + delay]. *)
 
 val run : ?max_ticks:int64 -> t -> int64

@@ -15,7 +15,7 @@ end
 
 type stream_map = { s_base : int64; s_size : int; buffer : Stream_buffer.t }
 
-type range = { r_base : int64; r_size : int; target : Port.t }
+type range = { r_base : int64; r_size : int; target : Port.t option  (** always [Some] *) }
 
 type t = {
   system : System.t;
@@ -145,7 +145,8 @@ let raise_interrupt t =
   | None -> ());
   List.iter (fun h -> h ()) t.irq_handlers
 
-let add_route t ~base ~size target = t.ranges <- { r_base = base; r_size = size; target } :: t.ranges
+let add_route t ~base ~size target =
+  t.ranges <- { r_base = base; r_size = size; target = Some target } :: t.ranges
 
 let set_default_route t port = t.default <- Some port
 
@@ -158,15 +159,15 @@ let map_stream_pop t ~base ~size buffer =
 let map_stream_push t ~base ~size buffer =
   t.stream_pushes <- { s_base = base; s_size = size; buffer } :: t.stream_pushes
 
-(* closure-free route lookup for the per-access fast path *)
-let rec find_range addr = function
-  | [] -> None
-  | r :: tl -> if in_range ~base:r.r_base ~size:r.r_size addr then Some r else find_range addr tl
+(* allocation-free route lookup for the per-access fast path: every
+   answer is an option built at configuration time *)
+let rec find_route addr default = function
+  | [] -> default
+  | r :: tl ->
+      if in_range ~base:r.r_base ~size:r.r_size addr then r.target
+      else find_route addr default tl
 
-let route t addr =
-  match find_range addr t.ranges with
-  | Some r -> Some r.target
-  | None -> t.default
+let route t addr = find_route addr t.default t.ranges
 
 let bits_of_bytes ty data =
   let scratch = Memory.create ~size:16 in

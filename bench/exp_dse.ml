@@ -14,7 +14,7 @@ module Fu = Salam_hw.Fu
 module Dse = Salam_dse.Explore
 module Space = Salam_dse.Space
 module Point = Salam_dse.Point
-module Store = Salam_dse.Store
+module Store_shard = Salam_dse.Store_shard
 module M = Salam_dse.Measurement
 
 (* Fig 4: the seven power components, normalised per benchmark. *)
@@ -46,7 +46,7 @@ let gemm_target = Dse.gemm_target ~n:16 ()
 let dse_base = { Point.default with Point.unroll = 16; junroll = 8 }
 
 (* one store per bench process: points shared between figures hit *)
-let shared_store = lazy (Store.in_memory ())
+let shared_store = lazy (Store_shard.in_memory ())
 
 let explore spaces =
   Dse.run ~store:(Lazy.force shared_store) ~target:gemm_target ~strategy:Dse.Exhaustive

@@ -50,9 +50,9 @@ let speedup () =
   let dmin, cmin = minpair ~rounds:12 gemm16 in
   Printf.printf "engine_gemm16: dynamic %.1f ms, compiled %.1f ms, speedup %.2fx\n"
     (1000. *. dmin) (1000. *. cmin) (dmin /. cmin);
-  (* regression guard: the profitability heuristic must keep Compiled
-     mode from ever losing meaningfully to dynamic — on winners (gemm16)
-     and on short branchy kernels (nw16) alike *)
+  (* regression guard: Compiled mode must never lose meaningfully to
+     dynamic — on unrolled winners (gemm16) and on short branchy kernels
+     (nw16, bfs) alike *)
   let violations = ref [] in
   List.iter
     (fun (name, w) ->
@@ -60,7 +60,11 @@ let speedup () =
       let ratio = cmin /. dmin in
       Printf.printf "%s: compiled/dynamic ratio %.3f (guard <= 1.05)\n" name ratio;
       if ratio > 1.05 then violations := name :: !violations)
-    [ ("engine_gemm16_guard", gemm16); ("engine_nw16_guard", Salam_workloads.Nw.workload ~len:16 ()) ];
+    [
+      ("engine_gemm16_guard", gemm16);
+      ("engine_nw16_guard", Salam_workloads.Nw.workload ~len:16 ());
+      ("engine_bfs_guard", Salam_workloads.Bfs.workload ());
+    ];
   print_newline ();
   if !violations <> [] then begin
     Printf.eprintf "compiled mode slower than 1.05x dynamic on: %s\n"

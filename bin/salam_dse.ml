@@ -1,12 +1,12 @@
 (* Design-space-exploration CLI.
 
-     dune exec bin/salam_dse.exe -- run --workload gemm --store gemm.jsonl
+     dune exec bin/salam_dse.exe -- run --workload gemm --store gemm.d
      dune exec bin/salam_dse.exe -- run --workload gemm --mem spm,cache \
          --ports 1,2,4,8,16 --fu 0,2,4,8 --cache-size 512,2048,8192
      dune exec bin/salam_dse.exe -- run --workload gemm --strategy pareto --rounds 4
-     dune exec bin/salam_dse.exe -- resume --workload gemm --store gemm.jsonl
-     dune exec bin/salam_dse.exe -- front --store gemm.jsonl --csv front.csv
-     dune exec bin/salam_dse.exe -- explain-config --store gemm.jsonl 8f3a...
+     dune exec bin/salam_dse.exe -- resume --workload gemm --store gemm.d
+     dune exec bin/salam_dse.exe -- front --store gemm.d --csv front.csv
+     dune exec bin/salam_dse.exe -- explain-config --store gemm.d 8f3a...
 
    Exit status: 0 on success; 1 on bad arguments or a missing store;
    2 when any simulated point computed a wrong result. *)
@@ -14,7 +14,7 @@
 open Cmdliner
 module Point = Salam_dse.Point
 module Space = Salam_dse.Space
-module Store = Salam_dse.Store
+module Store_shard = Salam_dse.Store_shard
 module Pareto = Salam_dse.Pareto
 module Explore = Salam_dse.Explore
 module Measurement = Salam_dse.Measurement
@@ -106,6 +106,15 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+(* A new store is a one-shard directory, so [front] and the CSVs list
+   points in insertion order; an existing directory keeps its manifest's
+   layout and a legacy JSONL file opens in place. *)
+let open_store path =
+  let fresh =
+    (not (Sys.file_exists path)) || (Sys.is_directory path && Sys.readdir path = [||])
+  in
+  Store_shard.open_ ?shards:(if fresh then Some 1 else None) path
+
 let print_report ~verbose ~csv ~store report =
   let fmt = Format.std_formatter in
   if verbose then begin
@@ -190,10 +199,10 @@ let run_sweep ~require_store workload n store_path server mems ports write_ports
         | Some path ->
             if require_store && not (Sys.file_exists path) then
               die "resume: store %s does not exist (use `run` to start a sweep)" path;
-            let s = Store.open_ path in
-            if Store.repaired_bytes s > 0 then
+            let s = open_store path in
+            if Store_shard.repaired_bytes s > 0 then
               Printf.eprintf "[dse] store %s: dropped %d bytes of damaged tail, kept %d results\n"
-                path (Store.repaired_bytes s) (Store.size s);
+                path (Store_shard.repaired_bytes s) (Store_shard.size s);
             Some s
         | None ->
             if require_store then die "resume requires --store";
@@ -204,18 +213,18 @@ let run_sweep ~require_store workload n store_path server mems ports write_ports
           ~strategy spaces
       in
       print_report ~verbose:(not quiet) ~csv ~store report;
-      Option.iter Store.close store
+      Option.iter Store_shard.close store
 
 let load_store path =
   if not (Sys.file_exists path) then die "store %s does not exist" path;
-  Store.open_ path
+  open_store path
 
 let run_front store_path workload_filter csv =
   let store = load_store store_path in
   let ms =
     match workload_filter with
-    | None -> Store.entries store
-    | Some w -> List.filter (fun m -> m.Measurement.workload = w) (Store.entries store)
+    | None -> Store_shard.entries store
+    | Some w -> List.filter (fun m -> m.Measurement.workload = w) (Store_shard.entries store)
   in
   if ms = [] then die "store %s has no matching results" store_path;
   let front, dominated = Pareto.partition ms in
@@ -231,7 +240,7 @@ let explain_config store_path fp_hex =
   match Point.fingerprint_of_hex fp_hex with
   | None -> die "%S is not a 16-hex-digit fingerprint" fp_hex
   | Some fp -> (
-      match Store.find store ~fp with
+      match Store_shard.find store ~fp with
       | None -> die "fingerprint %s not found in %s" fp_hex store_path
       | Some m ->
           let p = m.Measurement.point in
@@ -269,8 +278,10 @@ let n_arg =
 
 let store_arg =
   Arg.(value & opt (some string) None
-       & info [ "store" ] ~docv:"FILE"
-           ~doc:"Persistent JSONL result store; re-runs answer from it incrementally.")
+       & info [ "store" ] ~docv:"PATH"
+           ~doc:"Persistent result store; re-runs answer from it incrementally. A missing \
+                 $(docv) is created as a store directory; an existing directory or legacy \
+                 JSONL file is opened as it is.")
 
 let server_arg =
   Arg.(value & opt (some string) None
@@ -402,7 +413,7 @@ let resume_cmd =
 let front_cmd =
   let store =
     Arg.(required & opt (some string) None
-         & info [ "store" ] ~docv:"FILE" ~doc:"Store to read.")
+         & info [ "store" ] ~docv:"PATH" ~doc:"Store to read: a directory or a legacy JSONL file.")
   in
   let workload =
     Arg.(value & opt (some string) None
@@ -414,7 +425,7 @@ let front_cmd =
 let explain_cmd =
   let store =
     Arg.(required & opt (some string) None
-         & info [ "store" ] ~docv:"FILE" ~doc:"Store to read.")
+         & info [ "store" ] ~docv:"PATH" ~doc:"Store to read: a directory or a legacy JSONL file.")
   in
   let fp = Arg.(required & pos 0 (some string) None & info [] ~docv:"FINGERPRINT") in
   let doc = "Decode a stored fingerprint: the point, the elaborated config, the measurement." in

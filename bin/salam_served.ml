@@ -54,7 +54,7 @@ let run_serve socket store shards workers queue trace_path hw_db_paths =
   Printf.printf "[served] listening on %s (%s, %d shards, %d workers, queue %d)\n%!"
     socket
     (match store with Some d -> "store " ^ d | None -> "in-memory store")
-    cfg.Server.shards cfg.Server.workers cfg.Server.queue_capacity;
+    (Server.stats_snapshot t).P.st_shards cfg.Server.workers cfg.Server.queue_capacity;
   Server.wait t;
   let st = Server.stats_snapshot t in
   (match (trace, trace_path) with
@@ -116,10 +116,11 @@ let store_arg =
                  omitted, results live in memory and die with the daemon.")
 
 let shards_arg =
-  Arg.(value & opt int 8
+  Arg.(value & opt (some int) None
        & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard count for a store created by this run; an existing \
-                 store's manifest wins.")
+           ~doc:"Shard count for a store created by this run (default 8). Omitted, \
+                 an existing store's manifest decides; an explicit $(docv) that \
+                 conflicts with it is refused.")
 
 let workers_arg =
   Arg.(value & opt (some int) None

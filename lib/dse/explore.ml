@@ -41,7 +41,7 @@ let summary_line r ~store =
     "[dse] candidates=%d evaluated=%d cache_hits=%d simulated=%d front=%d snapshots=%d store=%s"
     r.candidates r.evaluated r.cache_hits r.simulated (List.length r.front) r.snapshots
     (match store with
-    | Some s -> ( match Store.path s with Some p -> p | None -> "memory")
+    | Some s -> ( match Store_shard.path s with Some p -> p | None -> "memory")
     | None -> "none")
 
 (* two canonical points are neighbours when exactly one knob differs —
@@ -61,7 +61,7 @@ let neighbours (a : Point.t) (b : Point.t) =
   !d = 1
 
 type evaluator = {
-  store : Store.t option;
+  store : Store_shard.t option;
   trace : Trace.sink option;
   domains : int option;
   target : target;
@@ -167,7 +167,7 @@ let evaluate_local ev points =
     List.map
       (fun (p, workload, fp) ->
         match ev.store with
-        | Some s -> (p, workload, fp, Store.find s ~fp)
+        | Some s -> (p, workload, fp, Store_shard.find s ~fp)
         | None -> (p, workload, fp, None))
       keyed
   in
@@ -193,7 +193,7 @@ let evaluate_local ev points =
         (fun (p, workload, fp, _) r ->
           let m = Measurement.of_result ~workload ~point:p r in
           assert (m.Measurement.fp = fp);
-          (match ev.store with Some s -> Store.add s m | None -> ());
+          (match ev.store with Some s -> Store_shard.add s m | None -> ());
           (fp, m))
         misses
         (Salam.simulate_jobs ?domains:ev.domains jobs)

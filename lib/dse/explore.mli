@@ -52,7 +52,7 @@ type report = {
           configuration of that pair *)
 }
 
-val summary_line : report -> store:Store.t option -> string
+val summary_line : report -> store:Store_shard.t option -> string
 (** The machine-readable one-liner printed by CLI/CI:
     ["\[dse\] candidates=.. evaluated=.. cache_hits=.. simulated=.. front=.. snapshots=.. store=.."]. *)
 
@@ -63,7 +63,7 @@ val identity : workload:string -> invocations:int -> fast_forward:int option -> 
     ...)], and the salam_served daemon computes the very same key. *)
 
 val run :
-  ?store:Store.t ->
+  ?store:Store_shard.t ->
   ?trace:Salam_obs.Trace.sink ->
   ?domains:int ->
   ?fast_forward:int ->

@@ -8,7 +8,7 @@
     (cache capacity for an SPM point, port counts for a cache point),
     so two raw points that elaborate to the same hardware always carry
     the same fingerprint; the fingerprint keys the persistent result
-    store ({!Store}). *)
+    store ({!Store_shard}). *)
 
 type memory_kind = Spm | Cache | Dram
 

@@ -94,8 +94,6 @@ let ensure_oc t =
       Some oc
   | None, None -> None
 
-let path t = t.path
-
 let find t ~fp = Hashtbl.find_opt t.index fp
 
 let add t (m : Measurement.t) =

@@ -1,16 +1,7 @@
-(** Persistent result store: one JSONL line per evaluated design point,
-    keyed by the point's fingerprint.
-
-    Opening a store loads every valid line into an in-memory index and
-    *repairs* the file if its tail is damaged (a sweep killed mid-append
-    leaves a truncated last line): the damaged suffix is dropped on
-    disk, every intact measurement survives, and the next sweep simply
-    re-simulates the lost points. Appends are flushed line-by-line so an
-    interrupted run loses at most the measurement being written.
-
-    A store is also the unit of sweep resumability: re-running a sweep
-    against the same store answers every already-measured point from the
-    index, bit-identical to the fresh run that produced it. *)
+(** One JSONL shard file of a {!Store_shard}, private to this library:
+    the in-memory index over the file's lines, the tail repair on open
+    and the flushed appends. The public semantics are documented in
+    {!Store_shard}. *)
 
 type t
 
@@ -21,9 +12,7 @@ val open_ : string -> t
     dropping intact results would be worse than asking the user to look. *)
 
 val in_memory : unit -> t
-(** A store with no backing file — for tests and one-shot sweeps. *)
-
-val path : t -> string option
+(** A shard with no backing file. *)
 
 val find : t -> fp:int64 -> Measurement.t option
 

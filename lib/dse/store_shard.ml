@@ -3,15 +3,16 @@
    truncated-tail repair and bit-identical hit semantics are inherited
    wholesale; a manifest file pins the shard count (and the reshard
    generation, which names the live shard files) so a store is never
-   silently reopened with a different hash layout. Every shard carries
-   its own mutex: concurrent readers and writers of *different* shards
-   never contend, and two writers of the same shard serialize on its
-   lock instead of interleaving bytes in one file. *)
+   silently reopened with a different hash layout. A legacy store — one
+   JSONL file — opens in place as a single shard with no manifest.
+   Every shard carries its own mutex: concurrent readers and writers of
+   *different* shards never contend, and two writers of the same shard
+   serialize on its lock instead of interleaving bytes in one file. *)
 
 type shard = { s_store : Store.t; s_lock : Mutex.t }
 
 type t = {
-  dir : string option;  (** [None] = in-memory *)
+  path : string option;  (** directory or legacy file; [None] = in-memory *)
   gen : int;  (** reshard generation — names the live shard files *)
   shards : shard array;
 }
@@ -74,55 +75,49 @@ let read_manifest dir =
       in
       (n, gen))
 
-let of_stores dir ~gen stores =
-  { dir; gen; shards = Array.map (fun s -> { s_store = s; s_lock = Mutex.create () }) stores }
+let of_stores path ~gen stores =
+  { path; gen; shards = Array.map (fun s -> { s_store = s; s_lock = Mutex.create () }) stores }
 
 let in_memory ?(shards = default_shards) () =
   if shards < 1 then invalid_arg "Store_shard.in_memory: shards must be at least 1";
   of_stores None ~gen:0 (Array.init shards (fun _ -> Store.in_memory ()))
 
-let open_ ?shards dir =
+let is_file path = Sys.file_exists path && not (Sys.is_directory path)
+
+let open_ ?shards path =
   (match shards with
   | Some n when n < 1 -> invalid_arg "Store_shard.open_: shards must be at least 1"
   | Some _ | None -> ());
+  let file = is_file path in
   let n, gen =
-    if Sys.file_exists dir then begin
-      if not (Sys.is_directory dir) then
-        failwith
-          (Printf.sprintf
-             "Store_shard.open_: %s is a file, not a directory (monolithic store? use Store.open_)"
-             dir);
-      if Sys.readdir dir = [||] then begin
-        (* an empty directory is a store waiting to happen (mkdir-then-
-           open is a natural CLI sequence) *)
-        let n = Option.value shards ~default:default_shards in
-        write_manifest dir ~gen:0 n;
-        (n, 0)
-      end
-      else begin
-        let n, gen = read_manifest dir in
-        (match shards with
-        | Some k when k <> n ->
-            failwith
-              (Printf.sprintf
-                 "Store_shard.open_: %s is sharded %d ways but %d were requested — use reshard"
-                 dir n k)
-        | Some _ | None -> ());
-        (n, gen)
-      end
-    end
+    if file then (1, 0)
+    else if Sys.file_exists path && Sys.readdir path <> [||] then read_manifest path
     else begin
+      (* a missing or empty directory is a store waiting to happen
+         (mkdir-then-open is a natural CLI sequence) *)
       let n = Option.value shards ~default:default_shards in
-      Sys.mkdir dir 0o755;
-      write_manifest dir ~gen:0 n;
+      if not (Sys.file_exists path) then Sys.mkdir path 0o755;
+      write_manifest path ~gen:0 n;
       (n, 0)
     end
   in
-  of_stores (Some dir) ~gen (Array.init n (fun i -> Store.open_ (shard_file dir ~gen i)))
+  (match shards with
+  | Some k when k <> n ->
+      failwith
+        (if file then
+           Printf.sprintf "Store_shard.open_: %s is a single-file store but %d shards were requested"
+             path k
+         else
+           Printf.sprintf
+             "Store_shard.open_: %s is sharded %d ways but %d were requested — use reshard" path n
+             k)
+  | Some _ | None -> ());
+  let files = if file then [| path |] else Array.init n (fun i -> shard_file path ~gen i) in
+  of_stores (Some path) ~gen (Array.map Store.open_ files)
 
 let shard_count t = Array.length t.shards
 
-let path t = t.dir
+let path t = t.path
 
 (* fingerprint prefix: the top byte spreads FNV-1a output uniformly, and
    taking it (rather than the low bits) matches the "prefix" a human
@@ -165,6 +160,11 @@ let close t = Array.iteri (fun i _ -> with_shard t i Store.close) t.shards
    ever looks at. At no point does any entry exist only in memory. *)
 let reshard ~shards dir =
   if shards < 1 then invalid_arg "Store_shard.reshard: shards must be at least 1";
+  if is_file dir then
+    failwith
+      (Printf.sprintf
+         "Store_shard.reshard: %s is a single-file store; only directory stores can be resharded"
+         dir);
   let old = open_ dir in
   let old_n = shard_count old in
   let old_gen = old.gen in

@@ -23,7 +23,6 @@ type config = {
   enforce_war : bool;
   check : bool;
   mode : mode;
-  compiled_min_mean_region_ops : float;
 }
 
 let default_config =
@@ -37,10 +36,6 @@ let default_config =
     enforce_war = true;
     check = false;
     mode = Compiled;
-    (* below ~1.65 the schedule has degenerated to pointer-chasing
-       control flow (bfs-like: one or two ops per region), the only
-       shape measured to lose consistently to the dynamic scan *)
-    compiled_min_mean_region_ops = 1.65;
   }
 
 (* Placeholder for [tick_thunk] until the first [schedule_tick]; a
@@ -292,25 +287,8 @@ type t = {
 
 let create kernel clock stats_group ?(config = default_config) ~datapath ~mem () =
   ignore stats_group;
-  (* Schedule specialization pays off only when regions amortize the
-     specialized walk over several ops; on branchy kernels (a couple of
-     ops between terminators and memory boundaries) it is slower than
-     the plain dynamic scan. Compile anyway — the analysis is cheap and
-     its trace summary is emitted either way — but fall back to the
-     dynamic issue internals when the mean region is below the
-     threshold. Both implementations are bit-identical, so the fallback
-     changes wall-clock time only. *)
-  let compiled_sc =
-    match config.mode with Compiled -> Some (Schedule.compile datapath) | Dynamic -> None
-  in
   let sched =
-    match compiled_sc with
-    | Some sc
-      when float_of_int (Schedule.region_ops sc)
-           >= config.compiled_min_mean_region_ops
-              *. float_of_int (max 1 (Schedule.region_count sc)) ->
-        Some sc
-    | _ -> None
+    match config.mode with Compiled -> Some (Schedule.compile datapath) | Dynamic -> None
   in
   let t =
   let block_lists = Hashtbl.create 16 in
@@ -482,12 +460,10 @@ let create kernel clock stats_group ?(config = default_config) ~datapath ~mem ()
     tick_thunk = unset_thunk;
   }
   in
-  (match (t.tr, compiled_sc) with
+  (match (t.tr, sched) with
   | Some tr, Some sc -> Schedule.emit_trace sc tr ~tick:(Kernel.now kernel) ~comp:t.tr_comp
   | _ -> ());
   t
-
-let effective_mode t = match t.sched with Some _ -> Compiled | None -> Dynamic
 
 let fu_allocated t cls = t.fu_units.(Fu.index cls)
 

@@ -39,9 +39,8 @@
       imports walk precompiled rows, and the issue scan merges three
       seq-sorted ready lists (compute / loads / stores) so a full read or
       write queue excludes the whole corresponding list instead of
-      re-examining blocked entries one at a time. Region boundaries —
-      loads, stores, conditional branches, returns — still go through
-      the fully dynamic issue logic (disambiguation walks, queue depths,
+      re-examining blocked entries one at a time. Both modes share the
+      per-instruction issue checks (disambiguation walks, queue depths,
       branch evaluation). *)
 
 (** Scheduling implementation; see the module documentation. *)
@@ -76,13 +75,6 @@ type config = {
           they never perturb scheduling — and raise {!Invariant_violation}
           on failure. Off by default. *)
   mode : mode;  (** scheduling implementation; [Compiled] by default *)
-  compiled_min_mean_region_ops : float;
-      (** [Compiled] falls back to the dynamic issue internals when the
-          compiled schedule's mean ops per region is below this: on
-          branchy kernels the specialized region walk costs more than
-          the dynamic scan it replaces, and the two are bit-identical
-          anyway. The schedule is still compiled and its trace summary
-          still emitted. Set to [0.0] to force specialization. *)
 }
 
 val default_config : config
@@ -176,11 +168,6 @@ val reset : t -> unit
 
 val fu_allocated : t -> Salam_hw.Fu.cls -> int
 (** Instantiated units of a class after applying the config limits. *)
-
-val effective_mode : t -> mode
-(** The issue internals actually in use: [Compiled] when the schedule
-    specialization is active, [Dynamic] when [config.mode = Dynamic] or
-    the [compiled_min_mean_region_ops] fallback fired. *)
 
 val add_ordered_range : t -> base:int64 -> size:int -> unit
 (** Mark an address window as device/stream memory: accesses that fall

@@ -16,9 +16,10 @@
    branches (data-dependent control) and returns. Everything else —
    integer/FP compute, GEP address arithmetic, phis, unconditional
    branches, intrinsic calls with profiled latency — stays inside a
-   region. At run time the engine replays region members through its
-   specialized scan and falls back to the fully dynamic issue logic at
-   each boundary. *)
+   region. The partition is reported, not executed: the engine's
+   compiled scan issues every row, inside a region or on a boundary,
+   through the same checks, and regions only feed the [engine.compile]
+   trace summary. *)
 
 open Salam_ir
 module Datapath = Salam_cdfg.Datapath

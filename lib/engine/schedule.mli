@@ -13,9 +13,9 @@
     responses and data-dependent control are exactly what the engine
     must still arbitrate dynamically); compute, GEPs, phis, intrinsic
     calls and unconditional branches stay inside one. Region structure
-    is reported through opt-in [engine.compile] trace events and drives
-    the engine's specialized issue scan; replay is bit-identical to the
-    dynamic path by construction. *)
+    is only reported, through opt-in [engine.compile] trace events; the
+    engine's issue scan does not consult it. Replay is bit-identical to
+    the dynamic path by construction. *)
 
 type plan =
   | Pimm of Salam_ir.Bits.t option
@@ -79,7 +79,8 @@ val region_ops : t -> int
 val max_region_ops : t -> int
 
 val boundary_counts : t -> (string * int) list
-(** Fallback boundaries by reason, in fixed reason order. *)
+(** Region boundaries by reason (["load"], ["store"], ["cond_br"],
+    ["ret"]), in fixed reason order. *)
 
 val emit_trace : t -> Salam_obs.Trace.sink -> tick:int64 -> comp:string -> unit
 (** Emit one [engine.compile] event per region plus a summary event.

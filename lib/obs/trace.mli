@@ -36,7 +36,7 @@ type category =
           point (detail [hit]/[sim]) and per search round *)
   | Engine_compile
       (** engine schedule-specialization pre-pass: region counts, ops per
-          region and fallback-boundary reasons. Opt-in — excluded from
+          region and region-boundary reasons. Opt-in — excluded from
           {!create}'s default category set because it describes the
           compilation pass rather than simulated timing. *)
 

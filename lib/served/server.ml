@@ -27,7 +27,7 @@ module Trace = Salam_obs.Trace
 type config = {
   socket_path : string;
   store_dir : string option;  (** [None] = in-memory store *)
-  shards : int;
+  shards : int option;
   workers : int;
   queue_capacity : int;
   trace : Trace.sink option;
@@ -39,7 +39,7 @@ let default_config =
   {
     socket_path = "";
     store_dir = None;
-    shards = 8;
+    shards = None;
     workers = max 1 (Salam.default_domains () - 1);
     queue_capacity = 64;
     trace = None;
@@ -612,8 +612,8 @@ let start cfg =
   if cfg.queue_capacity < 1 then invalid_arg "Server.start: queue_capacity must be at least 1";
   let store =
     match cfg.store_dir with
-    | Some dir -> Store_shard.open_ ~shards:cfg.shards dir
-    | None -> Store_shard.in_memory ~shards:cfg.shards ()
+    | Some dir -> Store_shard.open_ ?shards:cfg.shards dir
+    | None -> Store_shard.in_memory ?shards:cfg.shards ()
   in
   (* a stale socket file from a crashed daemon would make bind fail;
      refuse to steal it from a live one *)

@@ -25,7 +25,11 @@
 type config = {
   socket_path : string;
   store_dir : string option;  (** [None] = in-memory store *)
-  shards : int;
+  shards : int option;
+      (** shard count for a store this start creates; [None] lets an
+          existing store's manifest decide and otherwise takes
+          {!Salam_dse.Store_shard.open_}'s default. An explicit count that
+          conflicts with an existing store makes {!start} raise. *)
   workers : int;  (** worker domains; at least 1 *)
   queue_capacity : int;  (** bounded job queue; submitters block when full *)
   trace : Salam_obs.Trace.sink option;
@@ -34,7 +38,7 @@ type config = {
 }
 
 val default_config : config
-(** In-memory store, 8 shards, [default_domains - 1] workers, queue of
+(** In-memory store, default shard count, [default_domains - 1] workers, queue of
     64, no trace. [socket_path] is empty and must be
     set. *)
 

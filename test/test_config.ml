@@ -8,7 +8,7 @@ module C = Salam_config
 module Fu = Salam_hw.Fu
 module Profile = Salam_hw.Profile
 module Point = Salam_dse.Point
-module Store = Salam_dse.Store
+module Store_shard = Salam_dse.Store_shard
 module M = Salam_dse.Measurement
 
 let ok = function
@@ -183,12 +183,12 @@ let test_store_distinct_entries () =
      point land as two separate store entries and answer separately *)
   let p2 = Point.default in
   let p5 = { Point.default with Point.cycle_time_ns = 5.0 } in
-  let store = Store.in_memory () in
-  Store.add store (mk_measurement p2 100L);
-  Store.add store (mk_measurement p5 60L);
-  Alcotest.(check int) "two entries" 2 (Store.size store);
+  let store = Store_shard.in_memory () in
+  Store_shard.add store (mk_measurement p2 100L);
+  Store_shard.add store (mk_measurement p5 60L);
+  Alcotest.(check int) "two entries" 2 (Store_shard.size store);
   let got fp =
-    match Store.find store ~fp with
+    match Store_shard.find store ~fp with
     | Some m -> m.M.cycles
     | None -> Alcotest.fail "entry missing"
   in

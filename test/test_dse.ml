@@ -6,7 +6,7 @@ module Point = Salam_dse.Point
 module Space = Salam_dse.Space
 module Jsonl = Salam_dse.Jsonl
 module M = Salam_dse.Measurement
-module Store = Salam_dse.Store
+module Store_shard = Salam_dse.Store_shard
 module Pareto = Salam_dse.Pareto
 module Dse = Salam_dse.Explore
 
@@ -18,6 +18,8 @@ let tiny_spaces =
       [ Space.Read_ports [ 2; 4 ]; Space.Fu_limit [ 0; 2 ] ];
   ]
 
+(* an empty legacy single-file store: [Store_shard.open_] opens an
+   existing regular file in place *)
 let with_temp_store f =
   let path = Filename.temp_file "salam_dse_test" ".jsonl" in
   Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
@@ -147,56 +149,56 @@ let test_measurement_roundtrip () =
   | Error e -> Alcotest.failf "of_line failed: %s" e
   | Ok m' -> Alcotest.(check bool) "structurally equal" true (m = m')
 
-(* --- store -------------------------------------------------------- *)
+(* --- store: a legacy JSONL file opened in place ---------------------- *)
 
 let test_store_persist_and_dedup () =
   with_temp_store (fun path ->
       let m = simulate_point Point.default in
-      let s = Store.open_ path in
-      Store.add s m;
-      Store.add s m;
-      Alcotest.(check int) "dedup by fingerprint" 1 (Store.size s);
-      Store.close s;
-      let s2 = Store.open_ path in
-      Alcotest.(check int) "reloaded" 1 (Store.size s2);
-      Alcotest.(check int) "clean file" 0 (Store.repaired_bytes s2);
-      (match Store.find s2 ~fp:m.M.fp with
+      let s = Store_shard.open_ path in
+      Store_shard.add s m;
+      Store_shard.add s m;
+      Alcotest.(check int) "dedup by fingerprint" 1 (Store_shard.size s);
+      Store_shard.close s;
+      let s2 = Store_shard.open_ path in
+      Alcotest.(check int) "reloaded" 1 (Store_shard.size s2);
+      Alcotest.(check int) "clean file" 0 (Store_shard.repaired_bytes s2);
+      (match Store_shard.find s2 ~fp:m.M.fp with
       | None -> Alcotest.fail "fingerprint not found after reload"
       | Some m' -> Alcotest.(check bool) "bit-identical after reload" true (m = m'));
-      Store.close s2)
+      Store_shard.close s2)
 
 let test_store_truncated_tail () =
   with_temp_store (fun path ->
       let m1 = simulate_point Point.default in
       let m2 = simulate_point { Point.default with Point.read_ports = 4 } in
-      let s = Store.open_ path in
-      Store.add s m1;
-      Store.add s m2;
-      Store.close s;
+      let s = Store_shard.open_ path in
+      Store_shard.add s m1;
+      Store_shard.add s m2;
+      Store_shard.close s;
       (* chop into the middle of the last line, as a killed append would *)
       let full = In_channel.with_open_bin path In_channel.input_all in
       let cut = String.length full - 17 in
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (String.sub full 0 cut));
-      let s2 = Store.open_ path in
-      Alcotest.(check int) "intact prefix survives" 1 (Store.size s2);
-      Alcotest.(check bool) "damage reported" true (Store.repaired_bytes s2 > 0);
-      (match Store.find s2 ~fp:m1.M.fp with
+      let s2 = Store_shard.open_ path in
+      Alcotest.(check int) "intact prefix survives" 1 (Store_shard.size s2);
+      Alcotest.(check bool) "damage reported" true (Store_shard.repaired_bytes s2 > 0);
+      (match Store_shard.find s2 ~fp:m1.M.fp with
       | Some m' -> Alcotest.(check bool) "first entry intact" true (m1 = m')
       | None -> Alcotest.fail "first entry lost in repair");
       (* the file was rewritten clean: reopening again reports no damage *)
-      Store.close s2;
-      let s3 = Store.open_ path in
-      Alcotest.(check int) "repair is persistent" 0 (Store.repaired_bytes s3);
-      Store.close s3)
+      Store_shard.close s2;
+      let s3 = Store_shard.open_ path in
+      Alcotest.(check int) "repair is persistent" 0 (Store_shard.repaired_bytes s3);
+      Store_shard.close s3)
 
 let test_store_mid_file_corruption_fails () =
   with_temp_store (fun path ->
       let m1 = simulate_point Point.default in
       let m2 = simulate_point { Point.default with Point.read_ports = 4 } in
-      let s = Store.open_ path in
-      Store.add s m1;
-      Store.add s m2;
-      Store.close s;
+      let s = Store_shard.open_ path in
+      Store_shard.add s m1;
+      Store_shard.add s m2;
+      Store_shard.close s;
       let lines =
         In_channel.with_open_bin path In_channel.input_all
         |> String.split_on_char '\n'
@@ -205,11 +207,57 @@ let test_store_mid_file_corruption_fails () =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc "{broken\n";
           List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
-      match Store.open_ path with
+      match Store_shard.open_ path with
       | exception Failure _ -> ()
       | s ->
-          Store.close s;
+          Store_shard.close s;
           Alcotest.fail "mid-file corruption must not be silently repaired")
+
+let test_store_file_not_reshardable () =
+  with_temp_store (fun path ->
+      let s = Store_shard.open_ path in
+      Store_shard.add s (simulate_point Point.default);
+      Store_shard.close s;
+      let before = In_channel.with_open_bin path In_channel.input_all in
+      (match Store_shard.reshard ~shards:4 path with
+      | exception Failure _ -> ()
+      | () -> Alcotest.fail "resharding a single-file store must fail");
+      (match Store_shard.open_ ~shards:4 path with
+      | exception Failure _ -> ()
+      | s ->
+          Store_shard.close s;
+          Alcotest.fail "a single-file store opened as 4 shards");
+      Alcotest.(check string) "file untouched" before
+        (In_channel.with_open_bin path In_channel.input_all))
+
+(* A store written by [salam_dse] when stores were single JSONL files
+   (golden/legacy_store.jsonl, with the [front] and [explain-config]
+   output recorded at the same time) must read back to byte-identical
+   CLI output, and opening it must leave its bytes alone. *)
+let test_legacy_store_cli_output () =
+  let read = In_channel.with_open_bin in
+  let golden name = read (Filename.concat "golden" name) In_channel.input_all in
+  let dse args =
+    let ic = Unix.open_process_args_in "../bin/salam_dse.exe" (Array.of_list ("salam_dse" :: args)) in
+    let out = In_channel.input_all ic in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.failf "salam_dse %s failed" (String.concat " " args));
+    out
+  in
+  let legacy = golden "legacy_store.jsonl" in
+  with_temp_store (fun path ->
+      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc legacy);
+      Alcotest.(check string) "front" (golden "legacy_front.out") (dse [ "front"; "--store"; path ]);
+      let csv = Filename.temp_file "salam_dse_front" ".csv" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove csv)
+        (fun () ->
+          ignore (dse [ "front"; "--store"; path; "--csv"; csv ]);
+          Alcotest.(check string) "front CSV" (golden "legacy_front.csv") (read csv In_channel.input_all));
+      Alcotest.(check string) "explain-config" (golden "legacy_explain.out")
+        (dse [ "explain-config"; "--store"; path; "1b081a430bc3caaa" ]);
+      Alcotest.(check string) "store bytes unchanged" legacy (read path In_channel.input_all))
 
 (* --- pareto ------------------------------------------------------- *)
 
@@ -271,13 +319,13 @@ let test_pareto_dominates () =
 
 let test_cache_hit_bit_identity () =
   with_temp_store (fun path ->
-      let store = Store.open_ path in
+      let store = Store_shard.open_ path in
       let fresh = Dse.run ~store ~target:tiny_target ~strategy:Dse.Exhaustive tiny_spaces in
-      Store.close store;
+      Store_shard.close store;
       Alcotest.(check int) "first run simulates all" fresh.Dse.evaluated fresh.Dse.simulated;
-      let store2 = Store.open_ path in
+      let store2 = Store_shard.open_ path in
       let warm = Dse.run ~store:store2 ~target:tiny_target ~strategy:Dse.Exhaustive tiny_spaces in
-      Store.close store2;
+      Store_shard.close store2;
       Alcotest.(check int) "second run simulates nothing" 0 warm.Dse.simulated;
       Alcotest.(check int) "all hits" fresh.Dse.evaluated warm.Dse.cache_hits;
       Alcotest.(check bool) "cached measurements bit-identical" true
@@ -285,20 +333,20 @@ let test_cache_hit_bit_identity () =
 
 let test_resume_after_truncation () =
   with_temp_store (fun path ->
-      let store = Store.open_ path in
+      let store = Store_shard.open_ path in
       let fresh = Dse.run ~store ~target:tiny_target ~strategy:Dse.Exhaustive tiny_spaces in
-      Store.close store;
+      Store_shard.close store;
       let n = fresh.Dse.evaluated in
       (* kill the tail mid-line: the resumed sweep re-simulates exactly
          the lost point and lands on identical measurements *)
       let full = In_channel.with_open_bin path In_channel.input_all in
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (String.sub full 0 (String.length full - 23)));
-      let store2 = Store.open_ path in
-      Alcotest.(check bool) "tail dropped" true (Store.repaired_bytes store2 > 0);
-      Alcotest.(check int) "one point lost" (n - 1) (Store.size store2);
+      let store2 = Store_shard.open_ path in
+      Alcotest.(check bool) "tail dropped" true (Store_shard.repaired_bytes store2 > 0);
+      Alcotest.(check int) "one point lost" (n - 1) (Store_shard.size store2);
       let resumed = Dse.run ~store:store2 ~target:tiny_target ~strategy:Dse.Exhaustive tiny_spaces in
-      Store.close store2;
+      Store_shard.close store2;
       Alcotest.(check int) "only the lost point re-simulated" 1 resumed.Dse.simulated;
       Alcotest.(check int) "rest from cache" (n - 1) resumed.Dse.cache_hits;
       Alcotest.(check bool) "resume equals fresh" true
@@ -311,14 +359,14 @@ let ff_spaces =
 
 let test_fast_forward_shares_snapshot () =
   with_temp_store (fun path ->
-      let store = Store.open_ path in
+      let store = Store_shard.open_ path in
       let plain = Dse.run ~store ~target:tiny_target ~strategy:Dse.Exhaustive ff_spaces in
       Alcotest.(check int) "plain sweep has no snapshots" 0 plain.Dse.snapshots;
       let ff =
         Dse.run ~store ~invocations:2 ~fast_forward:1 ~target:tiny_target
           ~strategy:Dse.Exhaustive ff_spaces
       in
-      Store.close store;
+      Store_shard.close store;
       Alcotest.(check int) "two design points simulated" 2 ff.Dse.simulated;
       Alcotest.(check int) "one shared warm-up snapshot" 1 ff.Dse.snapshots;
       (* plain results are already in the store, but fast-forwarded
@@ -336,12 +384,12 @@ let test_fast_forward_shares_snapshot () =
         ff.Dse.measurements;
       (* the warm re-run answers wholly from the store: no simulation,
          so no warm-up either *)
-      let store2 = Store.open_ path in
+      let store2 = Store_shard.open_ path in
       let warm =
         Dse.run ~store:store2 ~invocations:2 ~fast_forward:1 ~target:tiny_target
           ~strategy:Dse.Exhaustive ff_spaces
       in
-      Store.close store2;
+      Store_shard.close store2;
       Alcotest.(check int) "warm ff run simulates nothing" 0 warm.Dse.simulated;
       Alcotest.(check int) "warm ff run takes no snapshot" 0 warm.Dse.snapshots;
       Alcotest.(check bool) "ff measurements round-trip the store" true
@@ -407,6 +455,9 @@ let suite =
     Alcotest.test_case "store persists and dedups" `Quick test_store_persist_and_dedup;
     Alcotest.test_case "store repairs truncated tail" `Quick test_store_truncated_tail;
     Alcotest.test_case "store refuses mid-file corruption" `Quick test_store_mid_file_corruption_fails;
+    Alcotest.test_case "store file cannot be resharded" `Quick test_store_file_not_reshardable;
+    Alcotest.test_case "legacy store: same front and explain-config" `Quick
+      test_legacy_store_cli_output;
     Alcotest.test_case "pareto partition" `Quick test_pareto_partition;
     Alcotest.test_case "pareto dominance" `Quick test_pareto_dominates;
     Alcotest.test_case "cache hits bit-identical" `Quick test_cache_hit_bit_identity;

@@ -1,6 +1,6 @@
 (* Tests for the dynamic runtime engine: semantic equivalence with the
    functional interpreter, conservation invariants, hazard handling,
-   resource constraints and the compiled-mode fallback heuristic. *)
+   and resource constraints. *)
 
 open Salam_ir
 module Engine = Salam_engine.Engine
@@ -182,17 +182,11 @@ let test_stall_ordering_terms () =
         let backing = Memory.create ~size:4096 in
         let buf = Memory.alloc backing ~bytes:64 ~align:8 in
         let q = Memory.alloc backing ~bytes:8 ~align:8 in
-        let config =
-          (* a one-block kernel is below the compiled-mode region
-             threshold; force the specialization so both modes run *)
-          { Engine.default_config with Engine.mode; check = true; compiled_min_mean_region_ops = 0.0 }
-        in
+        let config = { Engine.default_config with Engine.mode; check = true } in
         let engine =
           run_func ~config backing (Parser.parse_func src)
             [ Bits.Int buf; Bits.Int q; Bits.Float 6.0; Bits.Float 2.0 ]
         in
-        check Alcotest.string (name ^ " effective mode") (Engine.mode_to_string mode)
-          (Engine.mode_to_string (Engine.effective_mode engine));
         Engine.stats engine
       in
       let dynamic = run Engine.Dynamic and compiled = run Engine.Compiled in
@@ -249,15 +243,11 @@ let test_war_release () =
   let phi_r = 1 and readers = [ 5; 6; 7; 8; 9 ] in
   let issue_ticks mode =
     let sink = Salam_obs.Trace.create ~categories:[ Salam_obs.Trace.Engine_issue ] () in
-    let config =
-      { Engine.default_config with Engine.mode; check = true; compiled_min_mean_region_ops = 0.0 }
-    in
+    let config = { Engine.default_config with Engine.mode; check = true } in
     let engine =
       run_func ~config ~trace:sink (Memory.create ~size:64) func
         [ Bits.Float 3.0; Bits.Float 2.0 ]
     in
-    check Alcotest.string "effective mode" (Engine.mode_to_string mode)
-      (Engine.mode_to_string (Engine.effective_mode engine));
     let ticks = Hashtbl.create 64 in
     List.iter
       (fun (ev : Salam_obs.Trace.event) ->
@@ -317,38 +307,6 @@ let qcheck_engine_correct_under_random_configs =
       let _, ok2 = engine_run ~config (Salam_workloads.Nw.workload ~len:8 ()) in
       ok && ok2)
 
-(* --- compiled-mode profitability heuristic ------------------------------- *)
-
-(* Below the mean-region-ops threshold the compiled engine's fixed setup
-   cost outruns its steady-state win, so Compiled mode must fall back to
-   the dynamic scheduler (bit-identical either way; only host time
-   differs). bfs is the structural loser — pointer-chasing control flow
-   degenerates its schedule — while unrolled GEMM is the winner. *)
-let effective ~config w =
-  let func = W.compile w in
-  let sys = Salam_soc.System.create () in
-  let acc =
-    Salam_soc.Accelerator.create sys ~name:"h" ~clock_mhz:500.0 ~engine_config:config func
-  in
-  Engine.effective_mode (Salam_soc.Accelerator.engine acc)
-
-let test_compiled_heuristic () =
-  let compiled = { Engine.default_config with Engine.mode = Engine.Compiled } in
-  let bfs = Salam_workloads.Bfs.workload () in
-  let gemm = Salam_workloads.Gemm.workload ~n:16 ~unroll:16 ~junroll:8 () in
-  check Alcotest.bool "branchy kernel falls back to dynamic" true
-    (effective ~config:compiled bfs = Engine.Dynamic);
-  check Alcotest.bool "unrolled gemm stays compiled" true
-    (effective ~config:compiled gemm = Engine.Compiled);
-  (* threshold 0 disables the fallback *)
-  let forced = { compiled with Engine.compiled_min_mean_region_ops = 0.0 } in
-  check Alcotest.bool "zero threshold forces compiled" true
-    (effective ~config:forced bfs = Engine.Compiled);
-  (* dynamic mode never reports compiled *)
-  let dynamic = { Engine.default_config with Engine.mode = Engine.Dynamic } in
-  check Alcotest.bool "dynamic mode is dynamic" true
-    (effective ~config:dynamic gemm = Engine.Dynamic)
-
 let suite =
   [
     Alcotest.test_case "engine matches golden (quick suite)" `Quick test_engine_matches_golden;
@@ -362,6 +320,5 @@ let suite =
     Alcotest.test_case "WAR writer waits for every older reader" `Quick test_war_release;
     Alcotest.test_case "issued by class totals" `Quick test_issued_by_class_totals;
     Alcotest.test_case "engine restart" `Quick test_engine_restart;
-    Alcotest.test_case "compiled-mode profitability heuristic" `Quick test_compiled_heuristic;
     QCheck_alcotest.to_alcotest qcheck_engine_correct_under_random_configs;
   ]

@@ -140,13 +140,13 @@ let fresh_socket () =
 
 let tiny_spec = { P.default_spec with P.workload = "gemm"; gemm_n = 8 }
 
-let with_server ?store_dir ?trace ?(workers = 2) f =
+let with_server ?store_dir ?shards ?trace ?(workers = 2) f =
   let socket = fresh_socket () in
   let cfg =
     {
-      Server.default_config with
       Server.socket_path = socket;
       store_dir;
+      shards;
       workers;
       queue_capacity = 16;
       trace;
@@ -244,6 +244,22 @@ let test_persistence_across_restart () =
             M.to_line m))
   in
   with_server ~store_dir:dir (fun socket _ ->
+      Client.with_connection socket (fun c ->
+          let served, m = Client.sim c ~spec:tiny_spec (point 4) in
+          Alcotest.(check string) "warm after restart" "hit" served;
+          Alcotest.(check string) "bit-identical across restart" first (M.to_line m)))
+
+let test_restart_without_shards_keeps_manifest () =
+  (* a store created 2 ways reopens 2 ways when no count is given *)
+  let dir = Filename.temp_file "salam_served_store" "" in
+  Sys.remove dir;
+  let first =
+    with_server ~store_dir:dir ~shards:2 (fun socket _ ->
+        Client.with_connection socket (fun c -> M.to_line (snd (Client.sim c ~spec:tiny_spec (point 4)))))
+  in
+  with_server ~store_dir:dir (fun socket server ->
+      Alcotest.(check int) "manifest's shard count" 2
+        (Server.stats_snapshot server).P.st_shards;
       Client.with_connection socket (fun c ->
           let served, m = Client.sim c ~spec:tiny_spec (point 4) in
           Alcotest.(check string) "warm after restart" "hit" served;
@@ -373,6 +389,8 @@ let suite =
     Alcotest.test_case "shutdown request stops the daemon" `Quick
       test_shutdown_request_stops_daemon;
     Alcotest.test_case "persistence across restart" `Quick test_persistence_across_restart;
+    Alcotest.test_case "restart without shards keeps the manifest" `Quick
+      test_restart_without_shards_keeps_manifest;
     Alcotest.test_case "fast-forward snapshots isolated per roadmark" `Quick
       test_fast_forward_snapshots_isolated_per_roadmark;
     Alcotest.test_case "concurrent clients dedup to one simulation" `Quick

@@ -1,10 +1,9 @@
-(* Tests for the sharded result store: read equivalence with the
-   monolithic store, resharding round-trips, per-shard truncated-tail
+(* Tests for the sharded result store: read equivalence with a legacy
+   single-file store, resharding round-trips, per-shard truncated-tail
    repair, and manifest discipline. *)
 
 module Point = Salam_dse.Point
 module M = Salam_dse.Measurement
-module Store = Salam_dse.Store
 module Shard = Salam_dse.Store_shard
 
 let synthetic ?(workload = "shardtest") tag =
@@ -68,7 +67,7 @@ let with_temp_dir f =
 
 let line_set ms = List.sort compare (List.map M.to_line ms)
 
-(* --- read equivalence with the monolithic store ------------------- *)
+(* --- read equivalence with a legacy single-file store --------------- *)
 
 let qcheck_sharded_equals_monolithic =
   QCheck.Test.make ~name:"sharded store reads like a monolithic one" ~count:30
@@ -79,27 +78,28 @@ let qcheck_sharded_equals_monolithic =
       let ms = List.init n synthetic in
       with_temp_dir (fun dir ->
           let mono_path = Filename.concat dir "mono.jsonl" in
-          let mono = Store.open_ mono_path in
+          close_out (open_out_bin mono_path);
+          let mono = Shard.open_ mono_path in
           let shard_dir = Filename.concat dir "sharded" in
           let sharded = Shard.open_ ~shards shard_dir in
           List.iter
             (fun m ->
-              Store.add mono m;
+              Shard.add mono m;
               Shard.add sharded m)
             ms;
           let equivalent =
             List.for_all
               (fun (m : M.t) ->
-                match (Store.find mono ~fp:m.M.fp, Shard.find sharded ~fp:m.M.fp) with
+                match (Shard.find mono ~fp:m.M.fp, Shard.find sharded ~fp:m.M.fp) with
                 | Some a, Some b -> M.to_line a = M.to_line b
                 | _ -> false)
               ms
-            && Store.size mono = Shard.size sharded
-            && line_set (Store.entries mono) = line_set (Shard.entries sharded)
+            && Shard.size mono = Shard.size sharded
+            && line_set (Shard.entries mono) = line_set (Shard.entries sharded)
           in
           (* ...and equivalence survives a reopen from disk *)
           Shard.close sharded;
-          Store.close mono;
+          Shard.close mono;
           let reopened = Shard.open_ shard_dir in
           let persisted =
             Shard.shard_count reopened = shards
@@ -285,16 +285,26 @@ let test_manifest_conflict_refused () =
       Alcotest.(check int) "manifest wins" 4 (Shard.shard_count s);
       Shard.close s)
 
-let test_open_plain_file_refused () =
+let test_open_plain_file_in_place () =
   let path = Filename.temp_file "salam_shard_test" ".jsonl" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      match Shard.open_ path with
-      | exception Failure _ -> ()
-      | s ->
-          Shard.close s;
-          Alcotest.fail "a plain file is not a sharded store")
+      let a = synthetic 1 and b = synthetic 2 in
+      let s = Shard.open_ path in
+      Alcotest.(check int) "one shard" 1 (Shard.shard_count s);
+      Alcotest.(check (option string)) "path is the file" (Some path) (Shard.path s);
+      Shard.add s b;
+      Shard.add s a;
+      Shard.close s;
+      Alcotest.(check string) "appended to the file itself"
+        (M.to_line b ^ "\n" ^ M.to_line a ^ "\n")
+        (In_channel.with_open_bin path In_channel.input_all);
+      let s = Shard.open_ ~shards:1 path in
+      Alcotest.(check (list string)) "insertion order on reopen"
+        [ M.to_line b; M.to_line a ]
+        (List.map M.to_line (Shard.entries s));
+      Shard.close s)
 
 let test_missing_manifest_refused () =
   with_temp_dir (fun dir ->
@@ -320,6 +330,6 @@ let suite =
     Alcotest.test_case "truncated shard tail repaired" `Quick test_truncated_shard_tail_repaired;
     Alcotest.test_case "mid-shard corruption refused" `Quick test_mid_file_corruption_refused;
     Alcotest.test_case "manifest conflict refused" `Quick test_manifest_conflict_refused;
-    Alcotest.test_case "plain file refused" `Quick test_open_plain_file_refused;
+    Alcotest.test_case "plain file opens in place" `Quick test_open_plain_file_in_place;
     Alcotest.test_case "missing manifest refused" `Quick test_missing_manifest_refused;
   ]

@@ -106,14 +106,9 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-(* A new store is a one-shard directory, so [front] and the CSVs list
-   points in insertion order; an existing directory keeps its manifest's
-   layout and a legacy JSONL file opens in place. *)
-let open_store path =
-  let fresh =
-    (not (Sys.file_exists path)) || (Sys.is_directory path && Sys.readdir path = [||])
-  in
-  Store_shard.open_ ?shards:(if fresh then Some 1 else None) path
+(* a file that is not a store, or a damaged one, is refused with the
+   path and line at fault *)
+let open_store path = try Store_shard.open_ path with Failure e -> die "%s" e
 
 let print_report ~verbose ~csv ~store report =
   let fmt = Format.std_formatter in

@@ -7,7 +7,7 @@
 
    `serve` runs in the foreground until SIGINT/SIGTERM or a client's
    shutdown request, then drains in-flight simulations, flushes the
-   sharded store and removes the socket. Exit status: 0 on success, 1
+   store and removes the socket. Exit status: 0 on success, 1
    on bad arguments or an unreachable daemon. *)
 
 open Cmdliner
@@ -20,7 +20,7 @@ let die fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n" s; exit 1) fmt
 
 (* --- serve --------------------------------------------------------------- *)
 
-let run_serve socket store shards workers queue trace_path hw_db_paths =
+let run_serve socket store workers queue trace_path hw_db_paths =
   (* register every named characterization database before any request
      arrives: a client point names its database by content hash, and
      resolution fails loudly for hashes this process never loaded *)
@@ -37,7 +37,6 @@ let run_serve socket store shards workers queue trace_path hw_db_paths =
     {
       Server.socket_path = socket;
       store_dir = store;
-      shards;
       workers = (match workers with Some w -> w | None -> Server.default_config.Server.workers);
       queue_capacity = queue;
       trace;
@@ -51,10 +50,9 @@ let run_serve socket store shards workers queue trace_path hw_db_paths =
   let stop_on_signal _ = ignore (Thread.create (fun () -> Server.stop t) ()) in
   Sys.set_signal Sys.sigint (Sys.Signal_handle stop_on_signal);
   Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_on_signal);
-  Printf.printf "[served] listening on %s (%s, %d shards, %d workers, queue %d)\n%!"
-    socket
+  Printf.printf "[served] listening on %s (%s, %d workers, queue %d)\n%!" socket
     (match store with Some d -> "store " ^ d | None -> "in-memory store")
-    (Server.stats_snapshot t).P.st_shards cfg.Server.workers cfg.Server.queue_capacity;
+    cfg.Server.workers cfg.Server.queue_capacity;
   Server.wait t;
   let st = Server.stats_snapshot t in
   (match (trace, trace_path) with
@@ -86,9 +84,9 @@ let run_stats socket =
   let s = with_client socket Client.stats in
   Printf.printf
     "requests    %d\nhits        %d\nmisses      %d\ndeduped     %d\nsimulated   %d\n\
-     inflight    %d\nqueue_depth %d\nshards      %d\nstore_size  %d\n"
+     inflight    %d\nqueue_depth %d\nstore_size  %d\n"
     s.P.st_requests s.P.st_hits s.P.st_misses s.P.st_deduped s.P.st_simulated
-    s.P.st_inflight s.P.st_queue_depth s.P.st_shards s.P.st_store_size
+    s.P.st_inflight s.P.st_queue_depth s.P.st_store_size
 
 let run_stop socket =
   with_client socket Client.shutdown;
@@ -112,15 +110,8 @@ let socket_arg =
 let store_arg =
   Arg.(value & opt (some string) None
        & info [ "store" ] ~docv:"DIR"
-           ~doc:"Sharded persistent store directory (created on first use); \
+           ~doc:"Persistent store directory (created on first use); \
                  omitted, results live in memory and die with the daemon.")
-
-let shards_arg =
-  Arg.(value & opt (some int) None
-       & info [ "shards" ] ~docv:"N"
-           ~doc:"Shard count for a store created by this run (default 8). Omitted, \
-                 an existing store's manifest decides; an explicit $(docv) that \
-                 conflicts with it is refused.")
 
 let workers_arg =
   Arg.(value & opt (some int) None
@@ -148,7 +139,7 @@ let hw_db_arg =
 let serve_cmd =
   let doc = "Run the daemon in the foreground until SIGINT/SIGTERM or a shutdown request." in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run_serve $ socket_arg $ store_arg $ shards_arg $ workers_arg
+    Term.(const run_serve $ socket_arg $ store_arg $ workers_arg
           $ queue_arg $ trace_arg $ hw_db_arg)
 
 let ping_cmd =
@@ -164,7 +155,7 @@ let stop_cmd =
   Cmd.v (Cmd.info "stop" ~doc) Term.(const run_stop $ socket_arg)
 
 let cmd =
-  let doc = "persistent DSE simulation server with sharded stores and in-flight dedup" in
+  let doc = "persistent DSE simulation server with a result store and in-flight dedup" in
   Cmd.group (Cmd.info "salam_served" ~version:"1.0.0" ~doc)
     [ serve_cmd; ping_cmd; stats_cmd; stop_cmd ]
 

@@ -1,54 +1,42 @@
-(* A result store split across N JSONL shard files under one directory,
-   keyed by fingerprint prefix. Each shard is a plain {!Store.t}, so the
-   truncated-tail repair and bit-identical hit semantics are inherited
-   wholesale; a manifest file pins the shard count (and the reshard
-   generation, which names the live shard files) so a store is never
-   silently reopened with a different hash layout. A legacy store — one
-   JSONL file — opens in place as a single shard with no manifest.
-   Every shard carries its own mutex: concurrent readers and writers of
-   *different* shards never contend, and two writers of the same shard
-   serialize on its lock instead of interleaving bytes in one file. *)
-
-type shard = { s_store : Store.t; s_lock : Mutex.t }
+(* The result store: one in-memory index, one mutex and one JSONL file
+   that new lines are appended to. The store is a directory holding a
+   manifest and its JSONL files, or a legacy single JSONL file opened in
+   place. Directories written when stores were sharded list N files in
+   their manifest; all of them are read, in index order, into the one
+   index, and new lines go to the first. A lookup does not depend on
+   which file a line sits in, so reading them merged answers exactly
+   what the sharded layout did. *)
 
 type t = {
   path : string option;  (** directory or legacy file; [None] = in-memory *)
-  gen : int;  (** reshard generation — names the live shard files *)
-  shards : shard array;
+  append_to : string option;  (** the file new lines go to *)
+  lock : Mutex.t;  (** guards every field below *)
+  index : (int64, Measurement.t) Hashtbl.t;
+  mutable order : Measurement.t list;  (** newest first *)
+  mutable oc : out_channel option;
+  repaired : int;
 }
 
-let default_shards = 8
 let manifest_magic = "salam-shards 1"
-let manifest_name = "shards.manifest"
-let manifest_path dir = Filename.concat dir manifest_name
+let manifest_path dir = Filename.concat dir "shards.manifest"
 
-(* generation 0 keeps the historical names; each reshard bumps the
-   generation so the new shard files never collide with the live ones —
-   the manifest rename is then the single atomic commit point *)
+(* generation 0 is the only name new stores use; directories resharded
+   by older releases name their files after the generation *)
 let shard_file dir ~gen i =
   if gen = 0 then Filename.concat dir (Printf.sprintf "shard-%02d.jsonl" i)
   else Filename.concat dir (Printf.sprintf "shard-%02d.g%d.jsonl" i gen)
-
-let write_manifest dir ~gen n =
-  let tmp = manifest_path dir ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  Printf.fprintf oc "%s\ncount=%d\n" manifest_magic n;
-  if gen > 0 then Printf.fprintf oc "gen=%d\n" gen;
-  close_out oc;
-  Sys.rename tmp (manifest_path dir)
 
 let read_manifest dir =
   let path = manifest_path dir in
   if not (Sys.file_exists path) then
     failwith
-      (Printf.sprintf "Store_shard.open_: %s exists but has no %s — not a sharded store"
-         dir manifest_name);
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
+      (Printf.sprintf "Store_shard.open_: %s exists but has no shards.manifest — not a store"
+         dir);
+  In_channel.with_open_bin path (fun ic ->
       let bad what = failwith (Printf.sprintf "Store_shard.open_: %s: %s" path what) in
-      let line () = try input_line ic with End_of_file -> bad "truncated manifest" in
+      let line () =
+        match In_channel.input_line ic with Some l -> l | None -> bad "truncated manifest"
+      in
       let magic = line () in
       if magic <> manifest_magic then
         bad (Printf.sprintf "bad magic %S (expected %S)" magic manifest_magic);
@@ -61,11 +49,11 @@ let read_manifest dir =
             | Some _ | None -> bad (Printf.sprintf "bad shard count %S" n))
         | _ -> bad (Printf.sprintf "bad count line %S" count)
       in
-      (* the gen line is optional: pre-reshard stores never wrote one *)
+      (* the gen line is optional: only resharded directories carry one *)
       let gen =
-        match input_line ic with
-        | exception End_of_file -> 0
-        | line -> (
+        match In_channel.input_line ic with
+        | None -> 0
+        | Some line -> (
             match String.split_on_char '=' line with
             | [ "gen"; g ] -> (
                 match int_of_string_opt g with
@@ -75,116 +63,132 @@ let read_manifest dir =
       in
       (n, gen))
 
-let of_stores path ~gen stores =
-  { path; gen; shards = Array.map (fun s -> { s_store = s; s_lock = Mutex.create () }) stores }
+(* Every line a store writes starts with this, so an interrupted append
+   leaves a final fragment that is a prefix of it or starts with it. *)
+let record_start = "{\"fp\":\""
 
-let in_memory ?(shards = default_shards) () =
-  if shards < 1 then invalid_arg "Store_shard.in_memory: shards must be at least 1";
-  of_stores None ~gen:0 (Array.init shards (fun _ -> Store.in_memory ()))
+(* Feed every measurement in [path] to [keep] and return the bytes of
+   damaged tail cut off the file. Only a final line with no '\n' — what
+   an interrupted append leaves — is repaired; any other line that does
+   not parse is refused, so a file that is not a store is never wiped. *)
+let load_file path keep =
+  if not (Sys.file_exists path) then 0
+  else
+    let contents = In_channel.with_open_bin path In_channel.input_all in
+    let len = String.length contents in
+    let corrupt lineno e =
+      failwith (Printf.sprintf "Store_shard.open_: %s: line %d is corrupt (%s)" path lineno e)
+    in
+    let rec go start lineno =
+      match String.index_from_opt contents start '\n' with
+      | Some stop ->
+          (if stop > start then
+             match Measurement.of_line (String.sub contents start (stop - start)) with
+             | Ok m -> keep m
+             | Error e -> corrupt lineno e);
+          go (stop + 1) (lineno + 1)
+      | None when start = len -> 0
+      | None -> (
+          let tail = String.sub contents start (len - start) in
+          match Measurement.of_line tail with
+          | Ok m ->
+              keep m;
+              0
+          | Error e ->
+              if
+                not
+                  (String.starts_with ~prefix:record_start tail
+                  || String.starts_with ~prefix:tail record_start)
+              then corrupt lineno e;
+              Out_channel.with_open_bin path (fun oc ->
+                  Out_channel.output_substring oc contents 0 start);
+              len - start)
+    in
+    go 0 1
 
-let is_file path = Sys.file_exists path && not (Sys.is_directory path)
+(* Index [m] unless its fingerprint is already there: the first line
+   for a fingerprint wins, across files as within one. *)
+let remember t (m : Measurement.t) =
+  let fresh = not (Hashtbl.mem t.index m.Measurement.fp) in
+  if fresh then begin
+    Hashtbl.replace t.index m.Measurement.fp m;
+    t.order <- m :: t.order
+  end;
+  fresh
 
-let open_ ?shards path =
-  (match shards with
-  | Some n when n < 1 -> invalid_arg "Store_shard.open_: shards must be at least 1"
-  | Some _ | None -> ());
-  let file = is_file path in
-  let n, gen =
-    if file then (1, 0)
-    else if Sys.file_exists path && Sys.readdir path <> [||] then read_manifest path
-    else begin
-      (* a missing or empty directory is a store waiting to happen
-         (mkdir-then-open is a natural CLI sequence) *)
-      let n = Option.value shards ~default:default_shards in
-      if not (Sys.file_exists path) then Sys.mkdir path 0o755;
-      write_manifest path ~gen:0 n;
-      (n, 0)
-    end
+let make ?path ?append_to files =
+  let t =
+    { path; append_to; lock = Mutex.create (); index = Hashtbl.create 64; order = []; oc = None;
+      repaired = 0 }
   in
-  (match shards with
-  | Some k when k <> n ->
-      failwith
-        (if file then
-           Printf.sprintf "Store_shard.open_: %s is a single-file store but %d shards were requested"
-             path k
-         else
-           Printf.sprintf
-             "Store_shard.open_: %s is sharded %d ways but %d were requested — use reshard" path n
-             k)
-  | Some _ | None -> ());
-  let files = if file then [| path |] else Array.init n (fun i -> shard_file path ~gen i) in
-  of_stores (Some path) ~gen (Array.map Store.open_ files)
+  let repaired =
+    List.fold_left (fun acc f -> acc + load_file f (fun m -> ignore (remember t m))) 0 files
+  in
+  { t with repaired }
 
-let shard_count t = Array.length t.shards
+let in_memory () = make []
+
+let open_ path =
+  if Sys.file_exists path && not (Sys.is_directory path) then
+    make ~path ~append_to:path [ path ]
+  else begin
+    (* a missing or empty directory is a store waiting to happen
+       (mkdir-then-open is a natural CLI sequence) *)
+    let n, gen =
+      if Sys.file_exists path && Sys.readdir path <> [||] then read_manifest path
+      else begin
+        if not (Sys.file_exists path) then Sys.mkdir path 0o755;
+        Out_channel.with_open_bin (manifest_path path) (fun oc ->
+            Printf.fprintf oc "%s\ncount=1\n" manifest_magic);
+        (1, 0)
+      end
+    in
+    make ~path ~append_to:(shard_file path ~gen 0) (List.init n (shard_file path ~gen))
+  end
 
 let path t = t.path
 
-(* fingerprint prefix: the top byte spreads FNV-1a output uniformly, and
-   taking it (rather than the low bits) matches the "prefix" a human
-   sees in the hex key *)
-let shard_index t fp =
-  Int64.to_int (Int64.shift_right_logical fp 56) mod Array.length t.shards
+(* A complete last line may still lack its '\n' (an append cut just
+   before it, or a hand edit); the next line must not run into it. *)
+let open_append file =
+  let ends_open =
+    Sys.file_exists file
+    && In_channel.with_open_bin file (fun ic ->
+           let len = In_channel.length ic in
+           len > 0L
+           && (In_channel.seek ic (Int64.pred len);
+               In_channel.input_char ic <> Some '\n'))
+  in
+  let oc = open_out_gen [ Open_append; Open_creat; Open_binary ] 0o644 file in
+  if ends_open then output_char oc '\n';
+  oc
 
-let with_shard t i f =
-  let s = t.shards.(i) in
-  Mutex.lock s.s_lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock s.s_lock) (fun () -> f s.s_store)
+let find t ~fp = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.index fp)
 
-let find t ~fp = with_shard t (shard_index t fp) (fun s -> Store.find s ~fp)
+let channel t =
+  match (t.oc, t.append_to) with
+  | None, Some file ->
+      t.oc <- Some (open_append file);
+      t.oc
+  | oc, _ -> oc
 
-let add t (m : Measurement.t) =
-  with_shard t (shard_index t m.Measurement.fp) (fun s -> Store.add s m)
+let add t m =
+  Mutex.protect t.lock (fun () ->
+      if remember t m then
+        Option.iter
+          (fun oc ->
+            output_string oc (Measurement.to_line m);
+            output_char oc '\n';
+            flush oc)
+          (channel t))
 
-let size t =
-  let total = ref 0 in
-  Array.iteri (fun i _ -> total := !total + with_shard t i Store.size) t.shards;
-  !total
+let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.index)
 
-let entries t =
-  List.concat (List.init (Array.length t.shards) (fun i -> with_shard t i Store.entries))
+let entries t = Mutex.protect t.lock (fun () -> List.rev t.order)
 
-let repaired_bytes t =
-  let total = ref 0 in
-  Array.iteri (fun i _ -> total := !total + with_shard t i Store.repaired_bytes) t.shards;
-  !total
+let repaired_bytes t = t.repaired
 
-let close t = Array.iteri (fun i _ -> with_shard t i Store.close) t.shards
-
-(* Crash-safe resharding: the next generation's shard files are written
-   in full beside the live ones (names never collide), then the
-   manifest rename atomically flips the store to the new layout, and
-   only then are the old generation's files removed. A crash before the
-   rename leaves the old store untouched (stale next-gen files are
-   deleted on the next attempt); a crash after it leaves the new store
-   complete, with at worst some orphaned old-gen files that no reader
-   ever looks at. At no point does any entry exist only in memory. *)
-let reshard ~shards dir =
-  if shards < 1 then invalid_arg "Store_shard.reshard: shards must be at least 1";
-  if is_file dir then
-    failwith
-      (Printf.sprintf
-         "Store_shard.reshard: %s is a single-file store; only directory stores can be resharded"
-         dir);
-  let old = open_ dir in
-  let old_n = shard_count old in
-  let old_gen = old.gen in
-  let ms = entries old in
-  close old;
-  if shards <> old_n then begin
-    let gen = old_gen + 1 in
-    (* a previously crashed reshard may have left partial files at this
-       generation; start it from scratch *)
-    for i = 0 to shards - 1 do
-      let f = shard_file dir ~gen i in
-      if Sys.file_exists f then Sys.remove f
-    done;
-    let fresh = of_stores (Some dir) ~gen (Array.init shards (fun i -> Store.open_ (shard_file dir ~gen i))) in
-    List.iter (add fresh) ms;
-    close fresh;
-    (* the commit point: a reader sees the old layout before this
-       rename and the complete new one after it, never a mixture *)
-    write_manifest dir ~gen shards;
-    for i = 0 to old_n - 1 do
-      try Sys.remove (shard_file dir ~gen:old_gen i) with Sys_error _ -> ()
-    done
-  end
+let close t =
+  Mutex.protect t.lock (fun () ->
+      Option.iter close_out t.oc;
+      t.oc <- None)

@@ -1,82 +1,61 @@
 (** The persistent result store: one JSONL line per evaluated design
-    point, keyed by the point's fingerprint and sharded across N files
-    by fingerprint prefix.
+    point, keyed by the point's fingerprint, behind one in-memory index
+    and one mutex.
 
-    Layout on disk: a directory holding [shards.manifest] (magic line,
-    [count=N], and after a reshard a [gen=G] line) and the live
-    generation's shard files — [shard-00.jsonl] … [shard-(N-1).jsonl]
-    for generation 0, [shard-II.gG.jsonl] afterwards. A measurement
-    lands in shard [top_byte(fp) mod N] — concurrent writers of
-    different shards never touch the same file, and writers of the same
-    shard serialize on a per-shard mutex, which makes the whole store
-    safe to use from many threads and domains at once. A legacy store —
-    a single JSONL file, the layout [salam_dse] wrote before stores
-    became directories — opens in place as a one-shard store with no
-    manifest and keeps its bytes.
+    Layout on disk: a directory holding [shards.manifest] (a magic line
+    and [count=1]) and [shard-00.jsonl], created on the first add. Two
+    older layouts still open, and keep their bytes until something is
+    added:
+    - a legacy store — a single JSONL file, the layout [salam_dse] wrote
+      before stores became directories — opens in place;
+    - a directory written when stores were sharded, whose manifest says
+      [count=N] and, after a reshard, [gen=G]. Its N live files
+      ([shard-II.jsonl], or [shard-II.gG.jsonl]) are read in index order
+      into the one index, and new lines go to the first of them.
 
-    Opening loads every valid line into an in-memory index and
-    *repairs* a shard whose tail is damaged (a sweep killed mid-append
-    leaves a truncated last line): the damaged suffix is dropped on
-    disk, every intact measurement survives, and the next sweep simply
-    re-simulates the lost points. A corrupt line followed by valid lines
-    is refused instead, because silently dropping intact results would
-    be worse than asking the user to look. Appends are flushed
-    line-by-line, so an interrupted run loses at most the measurement
-    being written.
+    Opening loads every valid line into the index and *repairs* a file
+    whose last line was cut by an interrupted append (it has no ['\n']):
+    that fragment is dropped on disk, every intact measurement survives,
+    and the next sweep simply re-simulates the lost point. Any other line
+    that does not parse — mid-file corruption, a CRLF file, a file that
+    is not a store — raises [Failure] naming the path and line and leaves
+    the file untouched. Appends are flushed line by line, so an
+    interrupted run loses at most the measurement being written.
 
     A store is also the unit of sweep resumability: re-running a sweep
     against the same store answers every already-measured point from
-    the index, bit-identical to the fresh run that produced it. The
-    shard count never changes what a store answers: the same
-    fingerprints hit, and hits decode to structurally equal
-    measurements. *)
+    the index, bit-identical to the fresh run that produced it. Every
+    operation takes the store's one lock, so a store is safe to share
+    between threads and domains. *)
 
 type t
 
-val open_ : ?shards:int -> string -> t
-(** Open (or create) the store at the given path. On creation — a
-    missing or empty directory — [shards] (default 8) fixes the layout
-    and is written to the manifest; on reopen the manifest wins, and
-    passing a conflicting explicit [shards] raises [Failure] (use
-    {!reshard}). An existing regular file opens in place as a legacy
-    one-shard store; an explicit [shards] other than 1 raises [Failure].
-    A non-empty directory without a manifest or a corrupt manifest
-    raises [Failure]. Damaged tails are repaired and mid-file corruption
-    refused shard by shard, as described above. *)
+val open_ : string -> t
+(** Open (or create) the store at the given path: a missing or empty
+    directory becomes a new store, an existing regular file opens in
+    place, and a directory is read through its manifest. A non-empty
+    directory without a manifest, a corrupt manifest or a corrupt line
+    raises [Failure]. *)
 
-val in_memory : ?shards:int -> unit -> t
-(** A sharded store with no backing files — for tests and one-shot
-    servers. *)
-
-val reshard : shards:int -> string -> unit
-(** Rewrite an existing on-disk store with a different shard count.
-    Every measurement survives; the manifest and shard files are
-    replaced. A no-op when the count already matches. Crash-safe: the
-    next generation of shard files is written in full beside the live
-    ones and the atomic manifest rename is the commit point, so an
-    interruption leaves either the old store or the complete new one —
-    never a partial mixture, and never an entry held only in memory.
-    Raises [Failure] on a legacy single-file store. *)
-
-val shard_count : t -> int
+val in_memory : unit -> t
+(** A store with no backing file — for tests and one-shot servers. *)
 
 val path : t -> string option
 
 val find : t -> fp:int64 -> Measurement.t option
 
 val add : t -> Measurement.t -> unit
-(** Index and append+flush into the owning shard. Re-adding an existing
+(** Index and append+flush one measurement. Re-adding an existing
     fingerprint keeps the first measurement (results are deterministic,
-    so both are equal anyway) and does not grow the file. Thread-safe. *)
+    so both are equal anyway) and does not grow the file. *)
 
 val size : t -> int
 
 val entries : t -> Measurement.t list
-(** Shard-index order, file order within a shard — insertion order only
-    for a one-shard store. *)
+(** In file order: insertion order, and for an old N-file directory its
+    files in index order. *)
 
 val repaired_bytes : t -> int
-(** Total damaged-tail bytes dropped across all shards at open (0 for
-    clean files). *)
+(** Bytes of cut-off last line dropped at open (0 for clean files). *)
 
 val close : t -> unit

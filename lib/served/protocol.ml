@@ -40,7 +40,6 @@ type server_stats = {
   st_simulated : int;
   st_inflight : int;
   st_queue_depth : int;
-  st_shards : int;
   st_store_size : int;
   st_requests : int;
 }
@@ -118,7 +117,6 @@ let encode_response ~id resp =
             ("simulated", i s.st_simulated);
             ("inflight", i s.st_inflight);
             ("queue_depth", i s.st_queue_depth);
-            ("shards", i s.st_shards);
             ("store_size", i s.st_store_size);
             ("requests", i s.st_requests);
           ])
@@ -282,7 +280,6 @@ let decode_response line =
               let* st_simulated = field_int fields "simulated" ~default:0 in
               let* st_inflight = field_int fields "inflight" ~default:0 in
               let* st_queue_depth = field_int fields "queue_depth" ~default:0 in
-              let* st_shards = field_int fields "shards" ~default:0 in
               let* st_store_size = field_int fields "store_size" ~default:0 in
               let* st_requests = field_int fields "requests" ~default:0 in
               Ok
@@ -296,7 +293,6 @@ let decode_response line =
                          st_simulated;
                          st_inflight;
                          st_queue_depth;
-                         st_shards;
                          st_store_size;
                          st_requests;
                        }) )

@@ -55,7 +55,6 @@ type server_stats = {
   st_simulated : int;
   st_inflight : int;
   st_queue_depth : int;
-  st_shards : int;
   st_store_size : int;
   st_requests : int;
 }

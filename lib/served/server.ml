@@ -7,14 +7,14 @@
      never on simulation);
    - a pool of OCaml 5 worker *domains* drains a bounded job queue and
      runs the actual simulations in parallel;
-   - the sharded store serializes per shard, and an in-flight table
-     guarantees that any fingerprint is being simulated at most once at
-     any moment — every concurrent request for it waits on the same
-     pending entry and receives the same measurement.
+   - the store serializes every find and add on its one lock, and an
+     in-flight table guarantees that any fingerprint is being simulated
+     at most once at any moment — every concurrent request for it waits
+     on the same pending entry and receives the same measurement.
 
-   Lock order (outer to inner): state lock -> shard lock; queue lock,
+   Lock order (outer to inner): state lock -> store lock; queue lock,
    per-request lock, per-connection write lock and the trace lock are
-   leaves. Workers take the shard lock (inside Store_shard) strictly
+   leaves. Workers take the store lock (inside Store_shard) strictly
    before the state lock and never hold both. *)
 
 module P = Protocol
@@ -27,7 +27,6 @@ module Trace = Salam_obs.Trace
 type config = {
   socket_path : string;
   store_dir : string option;  (** [None] = in-memory store *)
-  shards : int option;
   workers : int;
   queue_capacity : int;
   trace : Trace.sink option;
@@ -39,7 +38,6 @@ let default_config =
   {
     socket_path = "";
     store_dir = None;
-    shards = None;
     workers = max 1 (Salam.default_domains () - 1);
     queue_capacity = 64;
     trace = None;
@@ -447,7 +445,6 @@ let stats t =
                         let d = Queue.length t.q in
                         Mutex.unlock t.q_lock;
                         d);
-      st_shards = Store_shard.shard_count t.store;
       st_store_size = Store_shard.size t.store;
       st_requests = t.requests;
     }
@@ -507,8 +504,8 @@ let rec stop t =
     (match t.accept_thread with
     | Some th when Thread.id th <> self -> Thread.join th
     | Some _ | None -> ());
-    (* 5. release the store and the socket path: every shard ends on a
-       complete line, so the store reopens clean *)
+    (* 5. release the store and the socket path: the store file ends on
+       a complete line, so it reopens clean *)
     Store_shard.close t.store;
     (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
     (try Sys.remove t.cfg.socket_path with Sys_error _ -> ());
@@ -612,8 +609,8 @@ let start cfg =
   if cfg.queue_capacity < 1 then invalid_arg "Server.start: queue_capacity must be at least 1";
   let store =
     match cfg.store_dir with
-    | Some dir -> Store_shard.open_ ?shards:cfg.shards dir
-    | None -> Store_shard.in_memory ?shards:cfg.shards ()
+    | Some dir -> Store_shard.open_ dir
+    | None -> Store_shard.in_memory ()
   in
   (* a stale socket file from a crashed daemon would make bind fail;
      refuse to steal it from a live one *)

@@ -1,7 +1,7 @@
 (** The salam_served daemon core.
 
-    A started server owns a Unix-domain listening socket, a sharded
-    persistent result store ({!Salam_dse.Store_shard}), an in-flight
+    A started server owns a Unix-domain listening socket, a persistent
+    result store ({!Salam_dse.Store_shard}), an in-flight
     deduplication table and a pool of OCaml 5 worker domains behind a
     bounded job queue. Each accepted connection gets a handler thread
     speaking the {!Protocol} line protocol; handler threads block on IO
@@ -20,16 +20,11 @@
       connections instead of exhausting memory;
     - {!stop} drains: every in-flight simulation completes and answers
       its waiters before the store is closed and the socket removed,
-      and every shard ends on a complete line. *)
+      and the store file ends on a complete line. *)
 
 type config = {
   socket_path : string;
   store_dir : string option;  (** [None] = in-memory store *)
-  shards : int option;
-      (** shard count for a store this start creates; [None] lets an
-          existing store's manifest decide and otherwise takes
-          {!Salam_dse.Store_shard.open_}'s default. An explicit count that
-          conflicts with an existing store makes {!start} raise. *)
   workers : int;  (** worker domains; at least 1 *)
   queue_capacity : int;  (** bounded job queue; submitters block when full *)
   trace : Salam_obs.Trace.sink option;
@@ -38,9 +33,8 @@ type config = {
 }
 
 val default_config : config
-(** In-memory store, default shard count, [default_domains - 1] workers, queue of
-    64, no trace. [socket_path] is empty and must be
-    set. *)
+(** In-memory store, [default_domains - 1] workers, queue of 64, no
+    trace. [socket_path] is empty and must be set. *)
 
 type t
 

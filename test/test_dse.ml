@@ -213,30 +213,16 @@ let test_store_mid_file_corruption_fails () =
           Store_shard.close s;
           Alcotest.fail "mid-file corruption must not be silently repaired")
 
-let test_store_file_not_reshardable () =
-  with_temp_store (fun path ->
-      let s = Store_shard.open_ path in
-      Store_shard.add s (simulate_point Point.default);
-      Store_shard.close s;
-      let before = In_channel.with_open_bin path In_channel.input_all in
-      (match Store_shard.reshard ~shards:4 path with
-      | exception Failure _ -> ()
-      | () -> Alcotest.fail "resharding a single-file store must fail");
-      (match Store_shard.open_ ~shards:4 path with
-      | exception Failure _ -> ()
-      | s ->
-          Store_shard.close s;
-          Alcotest.fail "a single-file store opened as 4 shards");
-      Alcotest.(check string) "file untouched" before
-        (In_channel.with_open_bin path In_channel.input_all))
-
-(* A store written by [salam_dse] when stores were single JSONL files
-   (golden/legacy_store.jsonl, with the [front] and [explain-config]
-   output recorded at the same time) must read back to byte-identical
-   CLI output, and opening it must leave its bytes alone. *)
-let test_legacy_store_cli_output () =
-  let read = In_channel.with_open_bin in
-  let golden name = read (Filename.concat "golden" name) In_channel.input_all in
+(* Stores written by earlier releases, with the [front], [front --csv]
+   and [explain-config] output recorded from those releases' binaries,
+   must read back to byte-identical CLI output, and opening them must
+   leave their bytes alone:
+   - golden/legacy_store.jsonl, from when stores were single JSONL files;
+   - golden/sharded_store.d, a 3-way store from when stores were
+     sharded, after one reshard, so its files carry .g1 names. *)
+let check_recorded_cli_output ~golden_prefix ~fp store =
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let golden name = read (Filename.concat "golden" name) in
   let dse args =
     let ic = Unix.open_process_args_in "../bin/salam_dse.exe" (Array.of_list ("salam_dse" :: args)) in
     let out = In_channel.input_all ic in
@@ -245,19 +231,35 @@ let test_legacy_store_cli_output () =
     | _ -> Alcotest.failf "salam_dse %s failed" (String.concat " " args));
     out
   in
-  let legacy = golden "legacy_store.jsonl" in
+  let bytes () =
+    if Sys.is_directory store then
+      Sys.readdir store |> Array.to_list |> List.sort compare
+      |> List.map (fun f -> (f, read (Filename.concat store f)))
+    else [ (store, read store) ]
+  in
+  let before = bytes () in
+  Alcotest.(check string) "front" (golden (golden_prefix ^ "_front.out"))
+    (dse [ "front"; "--store"; store ]);
+  let csv = Filename.temp_file "salam_dse_front" ".csv" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove csv)
+    (fun () ->
+      ignore (dse [ "front"; "--store"; store; "--csv"; csv ]);
+      Alcotest.(check string) "front CSV" (golden (golden_prefix ^ "_front.csv")) (read csv));
+  Alcotest.(check string) "explain-config" (golden (golden_prefix ^ "_explain.out"))
+    (dse [ "explain-config"; "--store"; store; fp ]);
+  Alcotest.(check bool) "store bytes unchanged" true (before = bytes ())
+
+let test_legacy_store_cli_output () =
+  let legacy = In_channel.with_open_bin "golden/legacy_store.jsonl" In_channel.input_all in
   with_temp_store (fun path ->
       Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc legacy);
-      Alcotest.(check string) "front" (golden "legacy_front.out") (dse [ "front"; "--store"; path ]);
-      let csv = Filename.temp_file "salam_dse_front" ".csv" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove csv)
-        (fun () ->
-          ignore (dse [ "front"; "--store"; path; "--csv"; csv ]);
-          Alcotest.(check string) "front CSV" (golden "legacy_front.csv") (read csv In_channel.input_all));
-      Alcotest.(check string) "explain-config" (golden "legacy_explain.out")
-        (dse [ "explain-config"; "--store"; path; "1b081a430bc3caaa" ]);
-      Alcotest.(check string) "store bytes unchanged" legacy (read path In_channel.input_all))
+      check_recorded_cli_output ~golden_prefix:"legacy" ~fp:"1b081a430bc3caaa" path)
+
+let test_sharded_store_cli_output () =
+  Test_store_shard.with_temp_dir (fun dir ->
+      Test_store_shard.copy_dir "golden/sharded_store.d" dir;
+      check_recorded_cli_output ~golden_prefix:"sharded" ~fp:"e0ec336019570c24" dir)
 
 (* --- pareto ------------------------------------------------------- *)
 
@@ -455,9 +457,10 @@ let suite =
     Alcotest.test_case "store persists and dedups" `Quick test_store_persist_and_dedup;
     Alcotest.test_case "store repairs truncated tail" `Quick test_store_truncated_tail;
     Alcotest.test_case "store refuses mid-file corruption" `Quick test_store_mid_file_corruption_fails;
-    Alcotest.test_case "store file cannot be resharded" `Quick test_store_file_not_reshardable;
     Alcotest.test_case "legacy store: same front and explain-config" `Quick
       test_legacy_store_cli_output;
+    Alcotest.test_case "sharded store: same front and explain-config" `Quick
+      test_sharded_store_cli_output;
     Alcotest.test_case "pareto partition" `Quick test_pareto_partition;
     Alcotest.test_case "pareto dominance" `Quick test_pareto_dominates;
     Alcotest.test_case "cache hits bit-identical" `Quick test_cache_hit_bit_identity;

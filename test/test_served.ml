@@ -74,7 +74,6 @@ let test_response_round_trips () =
       st_simulated = 4;
       st_inflight = 5;
       st_queue_depth = 6;
-      st_shards = 7;
       st_store_size = 8;
       st_requests = 9;
     }
@@ -110,6 +109,29 @@ let test_response_round_trips () =
         (List.sort compare (List.map fst pr.P.pr_args))
   | _ -> Alcotest.fail "progress"
 
+let test_old_daemon_stats_decode () =
+  (* a daemon from when stores were sharded also reports its shard count *)
+  let line =
+    "{\"id\":7,\"type\":\"stats\",\"hits\":1,\"misses\":2,\"deduped\":3,\"simulated\":4,\
+     \"inflight\":5,\"queue_depth\":6,\"shards\":8,\"store_size\":9,\"requests\":10}"
+  in
+  match P.decode_response line with
+  | Ok (7L, `Terminal (P.Stats_reply st)) ->
+      Alcotest.(check (list int)) "every counter decoded"
+        [ 1; 2; 3; 4; 5; 6; 9; 10 ]
+        [
+          st.P.st_hits;
+          st.P.st_misses;
+          st.P.st_deduped;
+          st.P.st_simulated;
+          st.P.st_inflight;
+          st.P.st_queue_depth;
+          st.P.st_store_size;
+          st.P.st_requests;
+        ]
+  | Ok _ -> Alcotest.fail "wrong id or reply"
+  | Error e -> Alcotest.fail ("an older daemon's stats reply must decode: " ^ e)
+
 let test_malformed_requests_rejected () =
   let expect_error ?id line =
     match P.decode_request line with
@@ -140,13 +162,12 @@ let fresh_socket () =
 
 let tiny_spec = { P.default_spec with P.workload = "gemm"; gemm_n = 8 }
 
-let with_server ?store_dir ?shards ?trace ?(workers = 2) f =
+let with_server ?store_dir ?trace ?(workers = 2) f =
   let socket = fresh_socket () in
   let cfg =
     {
       Server.socket_path = socket;
       store_dir;
-      shards;
       workers;
       queue_capacity = 16;
       trace;
@@ -249,21 +270,29 @@ let test_persistence_across_restart () =
           Alcotest.(check string) "warm after restart" "hit" served;
           Alcotest.(check string) "bit-identical across restart" first (M.to_line m)))
 
-let test_restart_without_shards_keeps_manifest () =
-  (* a store created 2 ways reopens 2 ways when no count is given *)
-  let dir = Filename.temp_file "salam_served_store" "" in
-  Sys.remove dir;
-  let first =
-    with_server ~store_dir:dir ~shards:2 (fun socket _ ->
-        Client.with_connection socket (fun c -> M.to_line (snd (Client.sim c ~spec:tiny_spec (point 4)))))
-  in
-  with_server ~store_dir:dir (fun socket server ->
-      Alcotest.(check int) "manifest's shard count" 2
-        (Server.stats_snapshot server).P.st_shards;
-      Client.with_connection socket (fun c ->
-          let served, m = Client.sim c ~spec:tiny_spec (point 4) in
-          Alcotest.(check string) "warm after restart" "hit" served;
-          Alcotest.(check string) "bit-identical across restart" first (M.to_line m)))
+let test_sharded_golden_store_hits () =
+  (* a store from when stores were sharded (3 ways, resharded once)
+     reopens under the daemon and answers every stored point from disk *)
+  Test_store_shard.with_temp_dir (fun dir ->
+      Test_store_shard.copy_dir "golden/sharded_store.d" dir;
+      let store = Salam_dse.Store_shard.open_ dir in
+      let stored = Salam_dse.Store_shard.entries store in
+      Salam_dse.Store_shard.close store;
+      Alcotest.(check int) "every golden line read" 20 (List.length stored);
+      with_server ~store_dir:dir (fun socket server ->
+          Client.with_connection socket (fun c ->
+              let _done_, answers =
+                Client.sweep c ~spec:tiny_spec (List.map (fun m -> m.M.point) stored)
+              in
+              List.iter2
+                (fun (m : M.t) (served, got) ->
+                  Alcotest.(check string) "served from the store" "hit" served;
+                  Alcotest.(check string) "bit-identical to the stored line" (M.to_line m)
+                    (M.to_line got))
+                stored answers);
+          let st = Server.stats_snapshot server in
+          Alcotest.(check int) "nothing simulated" 0 st.P.st_simulated;
+          Alcotest.(check int) "store size" 20 st.P.st_store_size))
 
 let test_fast_forward_snapshots_isolated_per_roadmark () =
   (* The daemon is long-lived and every request carries its own
@@ -382,6 +411,8 @@ let suite =
   [
     Alcotest.test_case "request round-trips" `Quick test_request_round_trips;
     Alcotest.test_case "response round-trips" `Quick test_response_round_trips;
+    Alcotest.test_case "stats reply from an older daemon decodes" `Quick
+      test_old_daemon_stats_decode;
     Alcotest.test_case "malformed requests rejected" `Quick test_malformed_requests_rejected;
     Alcotest.test_case "daemon smoke over a temp socket" `Quick test_daemon_smoke;
     Alcotest.test_case "garbage line keeps connection usable" `Quick
@@ -389,8 +420,8 @@ let suite =
     Alcotest.test_case "shutdown request stops the daemon" `Quick
       test_shutdown_request_stops_daemon;
     Alcotest.test_case "persistence across restart" `Quick test_persistence_across_restart;
-    Alcotest.test_case "restart without shards keeps the manifest" `Quick
-      test_restart_without_shards_keeps_manifest;
+    Alcotest.test_case "old sharded store answers every point as hit" `Quick
+      test_sharded_golden_store_hits;
     Alcotest.test_case "fast-forward snapshots isolated per roadmark" `Quick
       test_fast_forward_snapshots_isolated_per_roadmark;
     Alcotest.test_case "concurrent clients dedup to one simulation" `Quick

@@ -1,6 +1,7 @@
-(* Tests for the sharded result store: read equivalence with a legacy
-   single-file store, resharding round-trips, per-shard truncated-tail
-   repair, and manifest discipline. *)
+(* Tests for the result store: directories written when stores were
+   sharded read like one file, truncated-tail repair and the refusal of
+   anything else, manifest discipline, and concurrent writers on the one
+   lock. *)
 
 module Point = Salam_dse.Point
 module M = Salam_dse.Measurement
@@ -65,9 +66,53 @@ let with_temp_dir f =
     ~finally:(fun () -> if Sys.file_exists dir then rm dir)
     (fun () -> f dir)
 
+let copy_dir src dst =
+  Array.iter
+    (fun f ->
+      let contents = In_channel.with_open_bin (Filename.concat src f) In_channel.input_all in
+      Out_channel.with_open_bin (Filename.concat dst f) (fun oc ->
+          Out_channel.output_string oc contents))
+    (Sys.readdir src)
+
 let line_set ms = List.sort compare (List.map M.to_line ms)
 
-(* --- read equivalence with a legacy single-file store --------------- *)
+(* --- directories written when stores were sharded ----------------- *)
+
+let shard_name ~gen i =
+  if gen = 0 then Printf.sprintf "shard-%02d.jsonl" i else Printf.sprintf "shard-%02d.g%d.jsonl" i gen
+
+let write_file path contents =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc contents)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+(* An N-way directory in the layout sharded releases wrote: a manifest
+   (with a [gen] line after a reshard) and measurement [m] in file
+   [top_byte(m.fp) mod N], in order. *)
+let write_sharded_dir ?(gen = 0) dir ~shards ms =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  let buckets = Array.make shards [] in
+  List.iter
+    (fun (m : M.t) ->
+      let i = Int64.to_int (Int64.shift_right_logical m.M.fp 56) mod shards in
+      buckets.(i) <- m :: buckets.(i))
+    ms;
+  Array.iteri
+    (fun i ms ->
+      if ms <> [] then
+        write_file
+          (Filename.concat dir (shard_name ~gen i))
+          (String.concat "" (List.rev_map (fun m -> M.to_line m ^ "\n") ms)))
+    buckets;
+  write_file
+    (Filename.concat dir "shards.manifest")
+    (Printf.sprintf "salam-shards 1\ncount=%d\n%s" shards
+       (if gen > 0 then Printf.sprintf "gen=%d\n" gen else ""))
 
 let qcheck_sharded_equals_monolithic =
   QCheck.Test.make ~name:"sharded store reads like a monolithic one" ~count:30
@@ -81,12 +126,13 @@ let qcheck_sharded_equals_monolithic =
           close_out (open_out_bin mono_path);
           let mono = Shard.open_ mono_path in
           let shard_dir = Filename.concat dir "sharded" in
-          let sharded = Shard.open_ ~shards shard_dir in
-          List.iter
-            (fun m ->
-              Shard.add mono m;
-              Shard.add sharded m)
-            ms;
+          (* the first half was written sharded, the rest is added now *)
+          let old = List.filteri (fun i _ -> i < n / 2) ms in
+          write_sharded_dir shard_dir ~shards old;
+          let manifest = read_file (Filename.concat shard_dir "shards.manifest") in
+          let sharded = Shard.open_ shard_dir in
+          List.iter (Shard.add mono) ms;
+          List.iter (Shard.add sharded) ms;
           let equivalent =
             List.for_all
               (fun (m : M.t) ->
@@ -102,7 +148,7 @@ let qcheck_sharded_equals_monolithic =
           Shard.close mono;
           let reopened = Shard.open_ shard_dir in
           let persisted =
-            Shard.shard_count reopened = shards
+            read_file (Filename.concat shard_dir "shards.manifest") = manifest
             && List.for_all
                  (fun (m : M.t) ->
                    match Shard.find reopened ~fp:m.M.fp with
@@ -123,88 +169,63 @@ let test_first_add_wins () =
   | Some m -> Alcotest.(check string) "first add wins" (M.to_line a) (M.to_line m)
   | None -> Alcotest.fail "fingerprint vanished");
   Alcotest.(check int) "duplicate not counted" 1 (Shard.size s);
-  Shard.close s
+  Shard.close s;
+  (* across the files of an old sharded directory, the lower index wins *)
+  with_temp_dir (fun dir ->
+      write_file (Filename.concat dir (shard_name ~gen:0 0)) (M.to_line a ^ "\n");
+      write_file (Filename.concat dir (shard_name ~gen:0 1)) (M.to_line clash ^ "\n");
+      write_file (Filename.concat dir "shards.manifest") "salam-shards 1\ncount=2\n";
+      let s = Shard.open_ dir in
+      (match Shard.find s ~fp:a.M.fp with
+      | Some m -> Alcotest.(check string) "first file wins" (M.to_line a) (M.to_line m)
+      | None -> Alcotest.fail "fingerprint vanished");
+      Alcotest.(check int) "duplicate not counted across files" 1 (Shard.size s);
+      Shard.close s)
 
 let test_in_memory_has_no_path () =
-  let s = Shard.in_memory ~shards:3 () in
-  Alcotest.(check int) "shard count" 3 (Shard.shard_count s);
+  let s = Shard.in_memory () in
   Alcotest.(check bool) "no path" true (Shard.path s = None);
   Alcotest.(check int) "empty" 0 (Shard.size s);
   Shard.close s
 
-(* --- resharding --------------------------------------------------- *)
-
-let test_reshard_round_trip () =
+let test_old_sharded_dir_appends_to_first_file () =
   with_temp_dir (fun dir ->
-      let ms = List.init 40 synthetic in
-      let s = Shard.open_ ~shards:4 dir in
-      List.iter (Shard.add s) ms;
-      let before = line_set (Shard.entries s) in
-      Shard.close s;
-      List.iter
-        (fun shards ->
-          Shard.reshard ~shards dir;
-          let s = Shard.open_ dir in
-          Alcotest.(check int)
-            (Printf.sprintf "count after reshard to %d" shards)
-            shards (Shard.shard_count s);
-          Alcotest.(check (list string))
-            (Printf.sprintf "entries after reshard to %d" shards)
-            before
-            (line_set (Shard.entries s));
-          Shard.close s)
-        [ 7; 1; 8 ])
-
-let test_reshard_same_count_is_noop () =
-  with_temp_dir (fun dir ->
-      let s = Shard.open_ ~shards:4 dir in
-      List.iter (Shard.add s) (List.init 10 synthetic);
-      Shard.close s;
-      let mtimes () =
+      let ms = List.init 12 synthetic in
+      write_sharded_dir dir ~gen:2 ~shards:3 ms;
+      let before =
         Sys.readdir dir |> Array.to_list |> List.sort compare
-        |> List.map (fun f -> (f, (Unix.stat (Filename.concat dir f)).Unix.st_mtime))
+        |> List.map (fun f -> (f, read_file (Filename.concat dir f)))
       in
-      let before = mtimes () in
-      Shard.reshard ~shards:4 dir;
-      Alcotest.(check bool) "files untouched" true (before = mtimes ()))
-
-let test_reshard_crash_windows_lose_nothing () =
-  with_temp_dir (fun dir ->
-      let ms = List.init 25 synthetic in
-      let s = Shard.open_ ~shards:4 dir in
-      List.iter (Shard.add s) ms;
-      let before = line_set (Shard.entries s) in
-      Shard.close s;
-      (* emulate a reshard that crashed before the manifest commit: the
-         next generation's files exist, partial or empty *)
-      Out_channel.with_open_text (Filename.concat dir "shard-00.g1.jsonl") (fun oc ->
-          Out_channel.output_string oc "{\"partial");
-      Out_channel.with_open_text (Filename.concat dir "shard-01.g1.jsonl") (fun _ -> ());
-      (* the store still opens at the old layout, with nothing lost *)
       let s = Shard.open_ dir in
-      Alcotest.(check int) "old shard count survives the crash" 4 (Shard.shard_count s);
-      Alcotest.(check (list string)) "no entry lost" before (line_set (Shard.entries s));
+      (* entries run through the files in index order *)
+      let by_file =
+        List.concat_map
+          (fun (f, contents) ->
+            if Filename.check_suffix f ".jsonl" then
+              List.filter (( <> ) "") (String.split_on_char '\n' contents)
+            else [])
+          before
+      in
+      Alcotest.(check (list string)) "entries in file index order" by_file
+        (List.map M.to_line (Shard.entries s));
+      let extra = synthetic 99 in
+      Shard.add s extra;
       Shard.close s;
-      (* ...and retrying the reshard succeeds despite the stale files *)
-      Shard.reshard ~shards:6 dir;
+      let first = Filename.concat dir (shard_name ~gen:2 0) in
+      Alcotest.(check string) "new line appended to the first live file"
+        (List.assoc (shard_name ~gen:2 0) before ^ M.to_line extra ^ "\n")
+        (read_file first);
+      List.iter
+        (fun (f, contents) ->
+          if f <> shard_name ~gen:2 0 then
+            Alcotest.(check string) (f ^ " untouched") contents
+              (read_file (Filename.concat dir f)))
+        before;
       let s = Shard.open_ dir in
-      Alcotest.(check int) "retried reshard committed" 6 (Shard.shard_count s);
-      Alcotest.(check (list string)) "entries after retry" before (line_set (Shard.entries s));
-      Shard.close s;
-      (* an orphaned old-generation file (crash after the commit, before
-         the cleanup removes) is invisible to readers *)
-      Out_channel.with_open_text (Filename.concat dir "shard-03.jsonl") (fun oc ->
-          Out_channel.output_string oc "garbage that is not even json\n");
-      let s = Shard.open_ dir in
-      Alcotest.(check (list string)) "orphan ignored" before (line_set (Shard.entries s));
+      Alcotest.(check int) "every line found on reopen" 13 (Shard.size s);
       Shard.close s)
 
-(* --- per-shard repair --------------------------------------------- *)
-
-let shard_files dir =
-  Sys.readdir dir |> Array.to_list
-  |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
-  |> List.sort compare
+(* --- repair and refusal ------------------------------------------- *)
 
 let truncate_tail path bytes =
   let size = (Unix.stat path).Unix.st_size in
@@ -215,12 +236,11 @@ let truncate_tail path bytes =
 let test_truncated_shard_tail_repaired () =
   with_temp_dir (fun dir ->
       let ms = List.init 30 synthetic in
-      let s = Shard.open_ ~shards:4 dir in
-      List.iter (Shard.add s) ms;
-      Shard.close s;
+      write_sharded_dir dir ~shards:4 ms;
       (* chop a few bytes off the tail of the most populated shard *)
       let victim =
-        shard_files dir
+        Sys.readdir dir |> Array.to_list
+        |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
         |> List.map (fun f -> Filename.concat dir f)
         |> List.sort (fun a b ->
                compare (Unix.stat b).Unix.st_size (Unix.stat a).Unix.st_size)
@@ -249,9 +269,27 @@ let test_truncated_shard_tail_repaired () =
       Alcotest.(check int) "clean reopen" 0 (Shard.repaired_bytes s);
       Shard.close s)
 
+let test_unterminated_complete_line_kept () =
+  (* an append cut just before its '\n' leaves a whole record: it is
+     kept, and the next line starts on a line of its own *)
+  let path = Filename.temp_file "salam_shard_test" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let a = synthetic 1 and b = synthetic 2 in
+      write_file path (M.to_line a);
+      let s = Shard.open_ path in
+      Alcotest.(check int) "nothing repaired" 0 (Shard.repaired_bytes s);
+      Alcotest.(check int) "the record is kept" 1 (Shard.size s);
+      Shard.add s b;
+      Shard.close s;
+      Alcotest.(check string) "appended on a fresh line"
+        (M.to_line a ^ "\n" ^ M.to_line b ^ "\n")
+        (read_file path))
+
 let test_mid_file_corruption_refused () =
   with_temp_dir (fun dir ->
-      let s = Shard.open_ ~shards:1 dir in
+      let s = Shard.open_ dir in
       List.iter (Shard.add s) (List.init 4 synthetic);
       Shard.close s;
       let path = Filename.concat dir "shard-00.jsonl" in
@@ -269,21 +307,39 @@ let test_mid_file_corruption_refused () =
           Shard.close s;
           Alcotest.fail "mid-shard corruption must not be silently repaired")
 
-(* --- manifest discipline ------------------------------------------ *)
+(* Only a final line with no '\n' is an interrupted append. A file whose
+   complete lines do not parse is some other file, or a store mangled
+   in transit; opening it must fail with the path and line, and leave
+   every byte where it was. *)
+let test_not_a_truncated_store_refused () =
+  let legacy = read_file (Filename.concat "golden" "legacy_store.jsonl") in
+  let crlf =
+    String.concat "\r\n" (String.split_on_char '\n' (String.sub legacy 0 (String.length legacy - 1)))
+    ^ "\r\n"
+  in
+  List.iter
+    (fun (name, contents) ->
+      let path = Filename.temp_file "salam_shard_test" name in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          write_file path contents;
+          (match Shard.open_ path with
+          | exception Failure e ->
+              let names s = Alcotest.(check bool) (Printf.sprintf "%S names %s" e s) true in
+              names "the path" (contains e path);
+              names "line 1" (contains e "line 1 ")
+          | s ->
+              Shard.close s;
+              Alcotest.failf "%s opened as a store" name);
+          Alcotest.(check string) (name ^ " bytes unchanged") contents (read_file path)))
+    [
+      ("notes.csv", "point,cycles\ngemm,1973\nspmv,812\n");
+      ("crlf.jsonl", crlf);
+      ("one-line.txt", "not a store, no newline");
+    ]
 
-let test_manifest_conflict_refused () =
-  with_temp_dir (fun dir ->
-      let s = Shard.open_ ~shards:4 dir in
-      Shard.close s;
-      (match Shard.open_ ~shards:8 dir with
-      | exception Failure _ -> ()
-      | s ->
-          Shard.close s;
-          Alcotest.fail "conflicting explicit shard count must be refused");
-      (* implicit reopen adopts the manifest *)
-      let s = Shard.open_ dir in
-      Alcotest.(check int) "manifest wins" 4 (Shard.shard_count s);
-      Shard.close s)
+(* --- manifest discipline ------------------------------------------ *)
 
 let test_open_plain_file_in_place () =
   let path = Filename.temp_file "salam_shard_test" ".jsonl" in
@@ -292,7 +348,6 @@ let test_open_plain_file_in_place () =
     (fun () ->
       let a = synthetic 1 and b = synthetic 2 in
       let s = Shard.open_ path in
-      Alcotest.(check int) "one shard" 1 (Shard.shard_count s);
       Alcotest.(check (option string)) "path is the file" (Some path) (Shard.path s);
       Shard.add s b;
       Shard.add s a;
@@ -300,7 +355,7 @@ let test_open_plain_file_in_place () =
       Alcotest.(check string) "appended to the file itself"
         (M.to_line b ^ "\n" ^ M.to_line a ^ "\n")
         (In_channel.with_open_bin path In_channel.input_all);
-      let s = Shard.open_ ~shards:1 path in
+      let s = Shard.open_ path in
       Alcotest.(check (list string)) "insertion order on reopen"
         [ M.to_line b; M.to_line a ]
         (List.map M.to_line (Shard.entries s));
@@ -318,18 +373,74 @@ let test_missing_manifest_refused () =
           Shard.close s;
           Alcotest.fail "a non-empty directory without a manifest is not a store")
 
+(* --- one lock, many writers --------------------------------------- *)
+
+let test_concurrent_writers () =
+  (* four domains add and find at once: 150 measurements each of their
+     own, and 150 that all four add *)
+  let domains = 4 and per = 150 in
+  let own d = List.init per (fun k -> synthetic ((1000 * (d + 1)) + k)) in
+  let shared = List.init per (fun k -> synthetic (10_000 + k)) in
+  let expected = shared @ List.concat (List.init domains own) in
+  with_temp_dir (fun dir ->
+      let s = Shard.open_ dir in
+      let ready = Atomic.make 0 in
+      let worker d () =
+        (* start together, so the adds really overlap *)
+        Atomic.incr ready;
+        while Atomic.get ready < domains do
+          Domain.cpu_relax ()
+        done;
+        List.iter2
+          (fun mine common ->
+            List.iter
+              (fun (m : M.t) ->
+                Shard.add s m;
+                match Shard.find s ~fp:m.M.fp with
+                | Some got when M.to_line got = M.to_line m -> ()
+                | Some _ | None -> failwith "lost a measurement it just added")
+              [ mine; common ])
+          (own d) shared
+      in
+      List.iter Domain.join (List.init domains (fun d -> Domain.spawn (worker d)));
+      Alcotest.(check int) "distinct count" (List.length expected) (Shard.size s);
+      Shard.close s;
+      let contents = read_file (Filename.concat dir "shard-00.jsonl") in
+      Alcotest.(check bool) "file ends on a complete line" true
+        (String.ends_with ~suffix:"\n" contents);
+      let lines = List.filter (( <> ) "") (String.split_on_char '\n' contents) in
+      Alcotest.(check int) "one line per distinct measurement" (List.length expected)
+        (List.length lines);
+      List.iter
+        (fun l ->
+          match M.of_line l with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "interleaved or torn line (%s): %s" e l)
+        lines;
+      let s = Shard.open_ dir in
+      Alcotest.(check int) "reopen finds the distinct count" (List.length expected) (Shard.size s);
+      List.iter
+        (fun (m : M.t) ->
+          match Shard.find s ~fp:m.M.fp with
+          | Some got -> Alcotest.(check string) "bit-identical hit" (M.to_line m) (M.to_line got)
+          | None -> Alcotest.fail "measurement lost across reopen")
+        expected;
+      Shard.close s)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_sharded_equals_monolithic;
     Alcotest.test_case "first add wins across shards" `Quick test_first_add_wins;
     Alcotest.test_case "in-memory store" `Quick test_in_memory_has_no_path;
-    Alcotest.test_case "reshard 4->7->1->8 round-trip" `Quick test_reshard_round_trip;
-    Alcotest.test_case "reshard to same count is a no-op" `Quick test_reshard_same_count_is_noop;
-    Alcotest.test_case "reshard crash windows lose nothing" `Quick
-      test_reshard_crash_windows_lose_nothing;
+    Alcotest.test_case "old sharded directory appends to its first file" `Quick
+      test_old_sharded_dir_appends_to_first_file;
     Alcotest.test_case "truncated shard tail repaired" `Quick test_truncated_shard_tail_repaired;
+    Alcotest.test_case "unterminated complete last line kept" `Quick
+      test_unterminated_complete_line_kept;
     Alcotest.test_case "mid-shard corruption refused" `Quick test_mid_file_corruption_refused;
-    Alcotest.test_case "manifest conflict refused" `Quick test_manifest_conflict_refused;
+    Alcotest.test_case "file that is not a truncated store refused" `Quick
+      test_not_a_truncated_store_refused;
     Alcotest.test_case "plain file opens in place" `Quick test_open_plain_file_in_place;
     Alcotest.test_case "missing manifest refused" `Quick test_missing_manifest_refused;
+    Alcotest.test_case "four domains add and find on one store" `Quick test_concurrent_writers;
   ]

@@ -104,6 +104,33 @@ let ff_speedup () =
   Printf.printf "ff_gemm16: cold %.1f ms, fast-forward %.1f ms, speedup %.2fx\n\n"
     (1000. *. !cmin) (1000. *. !wmin) (!cmin /. !wmin)
 
+(* Minor-heap words one warm served hit costs in the codec, for the
+   Fig 13 GEMM point's measurement: the client encodes its request, the
+   daemon decodes it and splices its reply from the stored line, and the
+   client decodes that reply. Socket reads and writes are left out. *)
+let served_hit_words () =
+  let module Measurement = Salam_dse.Measurement in
+  let module P = Salam_served.Protocol in
+  let w = Exp_dse.gemm_dse_workload () in
+  let m =
+    Measurement.of_result ~workload:w.Salam_workloads.Workload.name
+      ~point:Salam_dse.Point.default (Salam.simulate w)
+  in
+  let line = Measurement.to_line m in
+  let hit () =
+    let req = P.encode_request ~id:7L (P.Sim (P.default_spec, m.Measurement.point)) in
+    (match P.decode_request req with
+    | Ok (_, P.Sim _) -> ()
+    | Ok _ | Error _ -> failwith "served hit: request does not decode");
+    match P.decode_response (P.splice ~id:7L ~served:"hit" line) with
+    | Ok (_, `Terminal (P.Result { m = m'; _ })) when m' = m -> ()
+    | Ok _ | Error _ -> failwith "served hit: reply does not decode to the measurement"
+  in
+  hit ();
+  let w0 = Gc.minor_words () in
+  hit ();
+  Gc.minor_words () -. w0
+
 (* Allocation ledger: minor-heap words and kernel events per dynamic
    instruction of one [Salam.simulate] call (default config, compiled
    engine, SPM) on every standard-suite kernel plus the Fig 13 GEMM
@@ -135,9 +162,10 @@ let alloc () =
       total_events := !total_events + r.Salam.kernel_events)
     workloads;
   let per x = x /. float_of_int (max 1 !total_instr) in
-  Printf.printf "suite: %d dynamic instructions, %.1f words/instr, %.2f events/instr\n\n"
+  Printf.printf "suite: %d dynamic instructions, %.1f words/instr, %.2f events/instr\n"
     !total_instr (per !total_words)
-    (per (float_of_int !total_events))
+    (per (float_of_int !total_events));
+  Printf.printf "served hit: %.0f words\n\n" (served_hit_words ())
 
 let micro () =
   Bench_util.section "MICRO — simulator throughput (Bechamel)";

@@ -83,152 +83,167 @@ let of_result ~workload ~point (r : Salam.result) =
 
 (* --- JSONL codec -------------------------------------------------------- *)
 
-let to_line m =
-  let p = m.point in
-  let i n = Jsonl.Int (Int64.of_int n) in
-  Jsonl.encode
-    [
-      ("fp", Jsonl.Str (Point.fingerprint_hex m.fp));
-      ("workload", Jsonl.Str m.workload);
-      ("memory", Jsonl.Str (Point.memory_kind_to_string p.Point.memory));
-      ("read_ports", i p.Point.read_ports);
-      ("write_ports", i p.Point.write_ports);
-      ("banks", i p.Point.banks);
-      ("cache_bytes", i p.Point.cache_bytes);
-      ("fu_limit", i p.Point.fu_limit);
-      ("unroll", i p.Point.unroll);
-      ("junroll", i p.Point.junroll);
-      ("clock_mhz", Jsonl.Float p.Point.clock_mhz);
-      ("node_nm", i p.Point.node_nm);
-      ("cycle_time_ns", Jsonl.Float p.Point.cycle_time_ns);
-      ("hw_db", Jsonl.Str p.Point.hw_db);
-      ("cycles", Jsonl.Int m.cycles);
-      ("seconds", Jsonl.Float m.seconds);
-      ("total_mw", Jsonl.Float m.total_mw);
-      ("datapath_mw", Jsonl.Float m.datapath_mw);
-      ("area_um2", Jsonl.Float m.area_um2);
-      ("correct", Jsonl.Bool m.correct);
-      ("active_cycles", i m.active_cycles);
-      ("issue_cycles", i m.issue_cycles);
-      ("stall_cycles", i m.stall_cycles);
-      ("stall_load_only", i m.stall_load_only);
-      ("stall_load_compute", i m.stall_load_compute);
-      ("stall_load_store_compute", i m.stall_load_store_compute);
-      ("stall_other", i m.stall_other);
-      ("cycles_with_load", i m.cycles_with_load);
-      ("cycles_with_store", i m.cycles_with_store);
-      ("cycles_with_load_and_store", i m.cycles_with_load_and_store);
-      ("loads_issued", i m.loads_issued);
-      ("stores_issued", i m.stores_issued);
-      ("issued_fp", i m.issued_fp);
-      ("issued_int", i m.issued_int);
-      ("issued_mem", i m.issued_mem);
-      ("fmul_occupancy", Jsonl.Float m.fmul_occupancy);
-      ("fmul_allocated", i m.fmul_allocated);
-      ("spm_reads", i m.spm_reads);
-      ("spm_writes", i m.spm_writes);
-      ("cache_hits", i m.cache_hits);
-      ("cache_misses", i m.cache_misses);
-    ]
+type kind = Fp | Text | Memory | Int | Int64 | Float | Bool
 
-let of_line line =
-  match Jsonl.decode line with
-  | Error e -> Error e
-  | Ok fields -> (
-      let ( let* ) o f = match o with Some v -> f v | None -> Error "missing field" in
-      let int k = Option.map Int64.to_int (Jsonl.get_int fields k) in
-      let* fp_hex = Jsonl.get_str fields "fp" in
-      let* fp = Point.fingerprint_of_hex fp_hex in
-      let* workload = Jsonl.get_str fields "workload" in
-      let* mem = Jsonl.get_str fields "memory" in
-      let* memory = Point.memory_kind_of_string mem in
-      let* read_ports = int "read_ports" in
-      let* write_ports = int "write_ports" in
-      let* banks = int "banks" in
-      let* cache_bytes = int "cache_bytes" in
-      let* fu_limit = int "fu_limit" in
-      let* unroll = int "unroll" in
-      let* junroll = int "junroll" in
-      let* clock_mhz = Jsonl.get_float fields "clock_mhz" in
-      let* node_nm = int "node_nm" in
-      let* cycle_time_ns = Jsonl.get_float fields "cycle_time_ns" in
-      let* hw_db = Jsonl.get_str fields "hw_db" in
-      let point =
-        {
-          Point.memory;
-          read_ports;
-          write_ports;
-          banks;
-          cache_bytes;
-          fu_limit;
-          unroll;
-          junroll;
-          clock_mhz;
-          node_nm;
-          cycle_time_ns;
-          hw_db;
-        }
-      in
-      let* cycles = Jsonl.get_int fields "cycles" in
-      let* seconds = Jsonl.get_float fields "seconds" in
-      let* total_mw = Jsonl.get_float fields "total_mw" in
-      let* datapath_mw = Jsonl.get_float fields "datapath_mw" in
-      let* area_um2 = Jsonl.get_float fields "area_um2" in
-      let* correct = Jsonl.get_bool fields "correct" in
-      let* active_cycles = int "active_cycles" in
-      let* issue_cycles = int "issue_cycles" in
-      let* stall_cycles = int "stall_cycles" in
-      let* stall_load_only = int "stall_load_only" in
-      let* stall_load_compute = int "stall_load_compute" in
-      let* stall_load_store_compute = int "stall_load_store_compute" in
-      let* stall_other = int "stall_other" in
-      let* cycles_with_load = int "cycles_with_load" in
-      let* cycles_with_store = int "cycles_with_store" in
-      let* cycles_with_load_and_store = int "cycles_with_load_and_store" in
-      let* loads_issued = int "loads_issued" in
-      let* stores_issued = int "stores_issued" in
-      let* issued_fp = int "issued_fp" in
-      let* issued_int = int "issued_int" in
-      let* issued_mem = int "issued_mem" in
-      let* fmul_occupancy = Jsonl.get_float fields "fmul_occupancy" in
-      let* fmul_allocated = int "fmul_allocated" in
-      let* spm_reads = int "spm_reads" in
-      let* spm_writes = int "spm_writes" in
-      let* cache_hits = int "cache_hits" in
-      let* cache_misses = int "cache_misses" in
+let int n = Jsonl.Int (Int64.of_int n)
+
+(* The one field table: every key, in line order, with the kind its
+   value must have and how to read it off a measurement. [to_line]
+   walks it; [of_slots] checks slots against it and then reads them by
+   the same positions. *)
+let fields : (string * kind * (t -> Jsonl.value)) array =
+  [|
+    ("fp", Fp, fun m -> Jsonl.Str (Point.fingerprint_hex m.fp));
+    ("workload", Text, fun m -> Jsonl.Str m.workload);
+    ("memory", Memory, fun m -> Jsonl.Str (Point.memory_kind_to_string m.point.Point.memory));
+    ("read_ports", Int, fun m -> int m.point.Point.read_ports);
+    ("write_ports", Int, fun m -> int m.point.Point.write_ports);
+    ("banks", Int, fun m -> int m.point.Point.banks);
+    ("cache_bytes", Int, fun m -> int m.point.Point.cache_bytes);
+    ("fu_limit", Int, fun m -> int m.point.Point.fu_limit);
+    ("unroll", Int, fun m -> int m.point.Point.unroll);
+    ("junroll", Int, fun m -> int m.point.Point.junroll);
+    ("clock_mhz", Float, fun m -> Jsonl.Float m.point.Point.clock_mhz);
+    ("node_nm", Int, fun m -> int m.point.Point.node_nm);
+    ("cycle_time_ns", Float, fun m -> Jsonl.Float m.point.Point.cycle_time_ns);
+    ("hw_db", Text, fun m -> Jsonl.Str m.point.Point.hw_db);
+    ("cycles", Int64, fun m -> Jsonl.Int m.cycles);
+    ("seconds", Float, fun m -> Jsonl.Float m.seconds);
+    ("total_mw", Float, fun m -> Jsonl.Float m.total_mw);
+    ("datapath_mw", Float, fun m -> Jsonl.Float m.datapath_mw);
+    ("area_um2", Float, fun m -> Jsonl.Float m.area_um2);
+    ("correct", Bool, fun m -> Jsonl.Bool m.correct);
+    ("active_cycles", Int, fun m -> int m.active_cycles);
+    ("issue_cycles", Int, fun m -> int m.issue_cycles);
+    ("stall_cycles", Int, fun m -> int m.stall_cycles);
+    ("stall_load_only", Int, fun m -> int m.stall_load_only);
+    ("stall_load_compute", Int, fun m -> int m.stall_load_compute);
+    ("stall_load_store_compute", Int, fun m -> int m.stall_load_store_compute);
+    ("stall_other", Int, fun m -> int m.stall_other);
+    ("cycles_with_load", Int, fun m -> int m.cycles_with_load);
+    ("cycles_with_store", Int, fun m -> int m.cycles_with_store);
+    ("cycles_with_load_and_store", Int, fun m -> int m.cycles_with_load_and_store);
+    ("loads_issued", Int, fun m -> int m.loads_issued);
+    ("stores_issued", Int, fun m -> int m.stores_issued);
+    ("issued_fp", Int, fun m -> int m.issued_fp);
+    ("issued_int", Int, fun m -> int m.issued_int);
+    ("issued_mem", Int, fun m -> int m.issued_mem);
+    ("fmul_occupancy", Float, fun m -> Jsonl.Float m.fmul_occupancy);
+    ("fmul_allocated", Int, fun m -> int m.fmul_allocated);
+    ("spm_reads", Int, fun m -> int m.spm_reads);
+    ("spm_writes", Int, fun m -> int m.spm_writes);
+    ("cache_hits", Int, fun m -> int m.cache_hits);
+    ("cache_misses", Int, fun m -> int m.cache_misses);
+  |]
+
+let to_line m =
+  let b = Buffer.create 1024 in
+  Array.iteri (fun i (k, _, get) -> Jsonl.add_member b ~first:(i = 0) k (get m)) fields;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+type slots = Jsonl.value option array
+
+let position =
+  let h = Hashtbl.create 64 in
+  Array.iteri (fun i (k, _, _) -> Hashtbl.replace h k i) fields;
+  h
+
+let slots () = Array.make (Array.length fields) None
+
+(* the first value of a key wins, as a lookup by key would find it *)
+let fill slots k v =
+  match Hashtbl.find position k with
+  | i -> if Option.is_none slots.(i) then slots.(i) <- Some v
+  | exception Not_found -> ()
+
+(* why slot [i] cannot be read as its field's kind, if it cannot *)
+let problem slots i =
+  let k, kind, _ = fields.(i) in
+  let bad reason = Printf.sprintf "field %S %s" k reason in
+  match (kind, slots.(i)) with
+  | _, None -> Some (Printf.sprintf "missing field %S" k)
+  | Fp, Some (Jsonl.Str s) when Point.fingerprint_of_hex s <> None -> None
+  | Fp, Some _ -> Some (bad "must be a 16-digit hex fingerprint")
+  | Text, Some (Jsonl.Str _) -> None
+  | Text, Some _ -> Some (bad "must be a string")
+  | Memory, Some (Jsonl.Str s) when Point.memory_kind_of_string s <> None -> None
+  | Memory, Some _ -> Some (bad "must be \"spm\", \"cache\" or \"dram\"")
+  | Int, Some (Jsonl.Int i) when Jsonl.to_int i <> None -> None
+  | Int, Some (Jsonl.Int _) -> Some (bad "is outside the int range")
+  | Int64, Some (Jsonl.Int _) -> None
+  | (Int | Int64), Some _ -> Some (bad "must be an integer")
+  | Float, Some v when Jsonl.to_float v <> None -> None
+  | Float, Some _ -> Some (bad "must be a number")
+  | Bool, Some (Jsonl.Bool _) -> None
+  | Bool, Some _ -> Some (bad "must be a boolean")
+
+let of_slots slots =
+  let rec first_problem i =
+    if i = Array.length fields then None
+    else match problem slots i with Some _ as p -> p | None -> first_problem (i + 1)
+  in
+  match first_problem 0 with
+  | Some e -> Error e
+  | None ->
+      (* every slot holds its kind now, so the reads below cannot fail *)
+      let get i = match slots.(i) with Some v -> v | None -> assert false in
+      let str i = match get i with Jsonl.Str s -> s | _ -> assert false in
+      let int64 i = match get i with Jsonl.Int x -> x | _ -> assert false in
+      let int i = Int64.to_int (int64 i) in
+      let float i = Option.get (Jsonl.to_float (get i)) in
+      let bool i = match get i with Jsonl.Bool v -> v | _ -> assert false in
       Ok
         {
-          fp;
-          workload;
-          point;
-          cycles;
-          seconds;
-          total_mw;
-          datapath_mw;
-          area_um2;
-          correct;
-          active_cycles;
-          issue_cycles;
-          stall_cycles;
-          stall_load_only;
-          stall_load_compute;
-          stall_load_store_compute;
-          stall_other;
-          cycles_with_load;
-          cycles_with_store;
-          cycles_with_load_and_store;
-          loads_issued;
-          stores_issued;
-          issued_fp;
-          issued_int;
-          issued_mem;
-          fmul_occupancy;
-          fmul_allocated;
-          spm_reads;
-          spm_writes;
-          cache_hits;
-          cache_misses;
-        })
+          fp = Option.get (Point.fingerprint_of_hex (str 0));
+          workload = str 1;
+          point =
+            {
+              Point.memory = Option.get (Point.memory_kind_of_string (str 2));
+              read_ports = int 3;
+              write_ports = int 4;
+              banks = int 5;
+              cache_bytes = int 6;
+              fu_limit = int 7;
+              unroll = int 8;
+              junroll = int 9;
+              clock_mhz = float 10;
+              node_nm = int 11;
+              cycle_time_ns = float 12;
+              hw_db = str 13;
+            };
+          cycles = int64 14;
+          seconds = float 15;
+          total_mw = float 16;
+          datapath_mw = float 17;
+          area_um2 = float 18;
+          correct = bool 19;
+          active_cycles = int 20;
+          issue_cycles = int 21;
+          stall_cycles = int 22;
+          stall_load_only = int 23;
+          stall_load_compute = int 24;
+          stall_load_store_compute = int 25;
+          stall_other = int 26;
+          cycles_with_load = int 27;
+          cycles_with_store = int 28;
+          cycles_with_load_and_store = int 29;
+          loads_issued = int 30;
+          stores_issued = int 31;
+          issued_fp = int 32;
+          issued_int = int 33;
+          issued_mem = int 34;
+          fmul_occupancy = float 35;
+          fmul_allocated = int 36;
+          spm_reads = int 37;
+          spm_writes = int 38;
+          cache_hits = int 39;
+          cache_misses = int 40;
+        }
+
+let of_line line =
+  let s = slots () in
+  match Jsonl.iter_fields line (fill s) with Ok () -> of_slots s | Error _ as e -> e
 
 let pp_header fmt () =
   Format.fprintf fmt "%-34s %10s %12s %12s %12s %10s %9s@." "configuration" "cycles"

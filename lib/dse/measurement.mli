@@ -48,9 +48,35 @@ type t = {
 val of_result : workload:string -> point:Point.t -> Salam.result -> t
 
 val to_line : t -> string
-(** One JSONL line (no trailing newline). *)
+(** One JSONL line (no trailing newline): the canonical form, with every
+    field once, in a fixed order, with no spaces. *)
 
 val of_line : string -> (t, string) result
+(** Decode one line in a single pass. Keys may come in any order, with
+    spaces between tokens; unknown keys are ignored and the first value
+    of a repeated key wins. An error names the field and the reason:
+    [missing field "cycles"], [field "cycles" must be an integer],
+    [field "read_ports" is outside the int range]. *)
+
+(** {2 Decoding a measurement riding in a larger object}
+
+    {!of_line} is {!slots}, one {!Jsonl.iter_fields} pass that {!fill}s
+    them, then {!of_slots}. A caller whose line carries other members
+    too (a protocol reply) feeds every member it parses to {!fill}, so
+    the line is still parsed once. *)
+
+type slots
+
+val slots : unit -> slots
+(** One empty slot per measurement field. *)
+
+val fill : slots -> string -> Jsonl.value -> unit
+(** Offer one member: it fills its field's slot unless that is already
+    filled; keys that are not measurement fields are ignored. *)
+
+val of_slots : slots -> (t, string) result
+(** The measurement, or the first field in line order that is missing
+    or of the wrong kind, as {!of_line} reports it. *)
 
 val pp_row : Format.formatter -> t -> unit
 (** One aligned human-readable table row; pair with {!pp_header}. *)

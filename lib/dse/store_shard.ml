@@ -5,14 +5,19 @@
    their manifest; all of them are read, in index order, into the one
    index, and new lines go to the first. A lookup does not depend on
    which file a line sits in, so reading them merged answers exactly
-   what the sharded layout did. *)
+   what the sharded layout did.
+
+   An entry is held as its line, the bytes a hit is answered with:
+   [find_line] hands them out as they are, [find] and [entries] decode
+   them. Opening validates every line and keeps the canonical
+   re-encoding of any line that is not already canonical. *)
 
 type t = {
   path : string option;  (** directory or legacy file; [None] = in-memory *)
   append_to : string option;  (** the file new lines go to *)
   lock : Mutex.t;  (** guards every field below *)
-  index : (int64, Measurement.t) Hashtbl.t;
-  mutable order : Measurement.t list;  (** newest first *)
+  index : (int64, string) Hashtbl.t;  (** fingerprint -> canonical line *)
+  mutable order : string list;  (** newest first *)
   mutable oc : out_channel option;
   repaired : int;
 }
@@ -67,10 +72,11 @@ let read_manifest dir =
    leaves a final fragment that is a prefix of it or starts with it. *)
 let record_start = "{\"fp\":\""
 
-(* Feed every measurement in [path] to [keep] and return the bytes of
-   damaged tail cut off the file. Only a final line with no '\n' — what
-   an interrupted append leaves — is repaired; any other line that does
-   not parse is refused, so a file that is not a store is never wiped. *)
+(* Feed every measurement in [path] to [keep], with its canonical line,
+   and return the bytes of damaged tail cut off the file. Only a final
+   line with no '\n' — what an interrupted append leaves — is repaired;
+   any other line that does not parse is refused, so a file that is not
+   a store is never wiped. *)
 let load_file path keep =
   if not (Sys.file_exists path) then 0
   else
@@ -79,12 +85,19 @@ let load_file path keep =
     let corrupt lineno e =
       failwith (Printf.sprintf "Store_shard.open_: %s: line %d is corrupt (%s)" path lineno e)
     in
+    (* a line kept verbatim must be exactly what [to_line] writes, so a
+       reordered, padded or extra-key line is never handed out as is *)
+    let keep_line line m =
+      let canonical = Measurement.to_line m in
+      keep m (if String.equal canonical line then line else canonical)
+    in
     let rec go start lineno =
       match String.index_from_opt contents start '\n' with
       | Some stop ->
           (if stop > start then
-             match Measurement.of_line (String.sub contents start (stop - start)) with
-             | Ok m -> keep m
+             let line = String.sub contents start (stop - start) in
+             match Measurement.of_line line with
+             | Ok m -> keep_line line m
              | Error e -> corrupt lineno e);
           go (stop + 1) (lineno + 1)
       | None when start = len -> 0
@@ -92,7 +105,7 @@ let load_file path keep =
           let tail = String.sub contents start (len - start) in
           match Measurement.of_line tail with
           | Ok m ->
-              keep m;
+              keep_line tail m;
               0
           | Error e ->
               if
@@ -106,13 +119,13 @@ let load_file path keep =
     in
     go 0 1
 
-(* Index [m] unless its fingerprint is already there: the first line
-   for a fingerprint wins, across files as within one. *)
-let remember t (m : Measurement.t) =
-  let fresh = not (Hashtbl.mem t.index m.Measurement.fp) in
+(* Index [line] under [fp] unless the fingerprint is already there: the
+   first line for a fingerprint wins, across files as within one. *)
+let remember t fp line =
+  let fresh = not (Hashtbl.mem t.index fp) in
   if fresh then begin
-    Hashtbl.replace t.index m.Measurement.fp m;
-    t.order <- m :: t.order
+    Hashtbl.replace t.index fp line;
+    t.order <- line :: t.order
   end;
   fresh
 
@@ -122,7 +135,10 @@ let make ?path ?append_to files =
       repaired = 0 }
   in
   let repaired =
-    List.fold_left (fun acc f -> acc + load_file f (fun m -> ignore (remember t m))) 0 files
+    List.fold_left
+      (fun acc f ->
+        acc + load_file f (fun m line -> ignore (remember t m.Measurement.fp line)))
+      0 files
   in
   { t with repaired }
 
@@ -163,7 +179,16 @@ let open_append file =
   if ends_open then output_char oc '\n';
   oc
 
-let find t ~fp = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.index fp)
+let find_line t ~fp = Mutex.protect t.lock (fun () -> Hashtbl.find_opt t.index fp)
+
+(* a held line was validated at open or written by [to_line], so it
+   decodes *)
+let decode line =
+  match Measurement.of_line line with
+  | Ok m -> m
+  | Error e -> failwith ("Store_shard: held line does not decode: " ^ e)
+
+let find t ~fp = Option.map decode (find_line t ~fp)
 
 let channel t =
   match (t.oc, t.append_to) with
@@ -172,19 +197,25 @@ let channel t =
       t.oc
   | oc, _ -> oc
 
-let add t m =
+let add_line t m =
+  let line = Measurement.to_line m in
   Mutex.protect t.lock (fun () ->
-      if remember t m then
+      if remember t m.Measurement.fp line then begin
         Option.iter
           (fun oc ->
-            output_string oc (Measurement.to_line m);
+            output_string oc line;
             output_char oc '\n';
             flush oc)
-          (channel t))
+          (channel t);
+        line
+      end
+      else Hashtbl.find t.index m.Measurement.fp)
+
+let add t m = ignore (add_line t m)
 
 let size t = Mutex.protect t.lock (fun () -> Hashtbl.length t.index)
 
-let entries t = Mutex.protect t.lock (fun () -> List.rev t.order)
+let entries t = List.map decode (Mutex.protect t.lock (fun () -> List.rev t.order))
 
 let repaired_bytes t = t.repaired
 

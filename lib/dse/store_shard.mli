@@ -1,6 +1,9 @@
 (** The persistent result store: one JSONL line per evaluated design
     point, keyed by the point's fingerprint, behind one in-memory index
-    and one mutex.
+    and one mutex. The index holds each entry as its line: {!find_line}
+    returns those bytes unchanged, which is how the daemon answers a hit
+    without re-encoding it, while {!find} and {!entries} decode them on
+    demand.
 
     Layout on disk: a directory holding [shards.manifest] (a magic line
     and [count=1]) and [shard-00.jsonl], created on the first add. Two
@@ -13,10 +16,14 @@
       ([shard-II.jsonl], or [shard-II.gG.jsonl]) are read in index order
       into the one index, and new lines go to the first of them.
 
-    Opening loads every valid line into the index and *repairs* a file
-    whose last line was cut by an interrupted append (it has no ['\n']):
-    that fragment is dropped on disk, every intact measurement survives,
-    and the next sweep simply re-simulates the lost point. Any other line
+    Opening decodes and validates every line. A line equal to
+    {!Measurement.to_line} of its decoded value is kept as read; any
+    other valid line (reordered keys, spaces, an extra key) is held as
+    that re-encoding in memory, and the file keeps its bytes. Opening
+    also *repairs* a file whose last line was cut by an interrupted
+    append (it has no ['\n']): that fragment is dropped on disk, every
+    intact measurement survives, and the next sweep simply re-simulates
+    the lost point. Any other line
     that does not parse — mid-file corruption, a CRLF file, a file that
     is not a store — raises [Failure] naming the path and line and leaves
     the file untouched. Appends are flushed line by line, so an
@@ -42,17 +49,26 @@ val in_memory : unit -> t
 
 val path : t -> string option
 
+val find_line : t -> fp:int64 -> string option
+(** The canonical line ({!Measurement.to_line}) held for a fingerprint,
+    without decoding it. *)
+
 val find : t -> fp:int64 -> Measurement.t option
+(** {!find_line}, decoded. *)
 
 val add : t -> Measurement.t -> unit
 (** Index and append+flush one measurement. Re-adding an existing
     fingerprint keeps the first measurement (results are deterministic,
     so both are equal anyway) and does not grow the file. *)
 
+val add_line : t -> Measurement.t -> string
+(** {!add}, returning the line now held for the measurement's
+    fingerprint: the one just written, or the first one's on a re-add. *)
+
 val size : t -> int
 
 val entries : t -> Measurement.t list
-(** In file order: insertion order, and for an old N-file directory its
+(** Every held line decoded, in file order: insertion order, and for an old N-file directory its
     files in index order. *)
 
 val repaired_bytes : t -> int

@@ -3,6 +3,11 @@
    store speaks ({!Salam_dse.Jsonl}), so the daemon needs no JSON
    library and every float on the wire round-trips bit-exactly.
 
+   A measurement reply is the store's line with an envelope spliced in
+   front ([splice]): the daemon never encodes a measurement it already
+   holds as bytes, and a client decodes the reply in one pass that fills
+   the envelope and the measurement together.
+
    Requests carry a client-chosen [id]; every line the server sends
    back for that request echoes it, so a client can pipeline. Interim
    lines ([type=progress], [type=point]) precede exactly one terminal
@@ -86,40 +91,46 @@ let encode_request ~id req =
         base "sweep" @ spec_fields spec
         @ [ ("points", Jsonl.Str (String.concat ";" (List.map Point.to_compact ps))) ])
 
-let measurement_fields m =
-  match Jsonl.decode (Measurement.to_line m) with
-  | Ok fields -> fields
-  | Error e ->
-      (* the measurement codec produced it — it cannot fail to parse *)
-      failwith ("Protocol: measurement line does not decode: " ^ e)
+(* The envelope, then the measurement line's own members: its bytes
+   after the opening '{'. *)
+let splice ~id ?index ~served line =
+  if String.length line < 2 || line.[0] <> '{' || line.[1] = '}' then
+    invalid_arg "Protocol.splice: not a measurement line";
+  let b = Buffer.create (String.length line + 64) in
+  Jsonl.add_member b ~first:true "id" (Jsonl.Int id);
+  (match index with
+  | None -> Jsonl.add_member b ~first:false "type" (Jsonl.Str "result")
+  | Some index ->
+      Jsonl.add_member b ~first:false "type" (Jsonl.Str "point");
+      Jsonl.add_member b ~first:false "index" (i index));
+  Jsonl.add_member b ~first:false "served" (Jsonl.Str served);
+  Buffer.add_char b ',';
+  Buffer.add_substring b line 1 (String.length line - 1);
+  Buffer.contents b
 
 let encode_response ~id resp =
-  let base ty = [ ("id", Jsonl.Int id); ("type", Jsonl.Str ty) ] in
-  Jsonl.encode
-    (match resp with
-    | Pong -> base "pong"
-    | Stopping -> base "stopping"
-    | Failed e -> base "error" @ [ ("error", Jsonl.Str e) ]
-    | Result { served; m } ->
-        base "result" @ (("served", Jsonl.Str served) :: measurement_fields m)
-    | Sweep_point { index; served; m } ->
-        base "point"
-        @ (("index", i index) :: ("served", Jsonl.Str served) :: measurement_fields m)
-    | Sweep_done { points; hits; sims; deduped } ->
-        base "done"
-        @ [ ("points", i points); ("hits", i hits); ("sims", i sims); ("deduped", i deduped) ]
-    | Stats_reply s ->
-        base "stats"
-        @ [
-            ("hits", i s.st_hits);
-            ("misses", i s.st_misses);
-            ("deduped", i s.st_deduped);
-            ("simulated", i s.st_simulated);
-            ("inflight", i s.st_inflight);
-            ("queue_depth", i s.st_queue_depth);
-            ("store_size", i s.st_store_size);
-            ("requests", i s.st_requests);
-          ])
+  let base ty rest = Jsonl.encode (("id", Jsonl.Int id) :: ("type", Jsonl.Str ty) :: rest) in
+  match resp with
+  | Pong -> base "pong" []
+  | Stopping -> base "stopping" []
+  | Failed e -> base "error" [ ("error", Jsonl.Str e) ]
+  | Result { served; m } -> splice ~id ~served (Measurement.to_line m)
+  | Sweep_point { index; served; m } -> splice ~id ~index ~served (Measurement.to_line m)
+  | Sweep_done { points; hits; sims; deduped } ->
+      base "done"
+        [ ("points", i points); ("hits", i hits); ("sims", i sims); ("deduped", i deduped) ]
+  | Stats_reply s ->
+      base "stats"
+        [
+          ("hits", i s.st_hits);
+          ("misses", i s.st_misses);
+          ("deduped", i s.st_deduped);
+          ("simulated", i s.st_simulated);
+          ("inflight", i s.st_inflight);
+          ("queue_depth", i s.st_queue_depth);
+          ("store_size", i s.st_store_size);
+          ("requests", i s.st_requests);
+        ]
 
 (* the bridge: a dse.progress trace event, rendered onto the wire with
    the request id it belongs to *)
@@ -155,11 +166,15 @@ let field_str fields k =
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or non-string field %S" k)
 
+let int_value k = function
+  | Jsonl.Int v -> (
+      match Jsonl.to_int v with
+      | Some n -> Ok n
+      | None -> Error (Printf.sprintf "field %S is outside the int range" k))
+  | _ -> Error (Printf.sprintf "field %S must be an integer" k)
+
 let field_int fields k ~default =
-  match List.assoc_opt k fields with
-  | None -> Ok default
-  | Some (Jsonl.Int v) -> Ok (Int64.to_int v)
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" k)
+  match List.assoc_opt k fields with None -> Ok default | Some v -> int_value k v
 
 let req_id fields =
   (* best-effort: error replies echo whatever id was parseable *)
@@ -172,8 +187,7 @@ let decode_spec fields =
   let* fast_forward =
     match List.assoc_opt "fast_forward" fields with
     | None -> Ok None
-    | Some (Jsonl.Int v) -> Ok (Some (Int64.to_int v))
-    | Some _ -> Error "field \"fast_forward\" must be an integer"
+    | Some v -> Result.map Option.some (int_value "fast_forward" v)
   in
   let progress = Jsonl.get_bool fields "progress" = Some true in
   if invocations < 1 then Error "invocations must be at least 1"
@@ -233,15 +247,21 @@ let decode_request line =
 
 let envelope_keys = [ "id"; "type"; "index"; "served"; "tick"; "comp"; "cat"; "detail" ]
 
-(* [Measurement.of_line] looks fields up by key, so the envelope keys
-   riding alongside on result/point lines are harmless — no stripping
-   pass needed *)
-let decode_measurement line = Measurement.of_line line
-
+(* One pass over the line collects its members and fills measurement
+   slots alongside; a result or point reply then builds its measurement
+   from the slots. Envelope keys are not measurement fields, so they
+   never land in a slot. *)
 let decode_response line =
-  match Jsonl.decode line with
+  let slots = Measurement.slots () in
+  let members = ref [] in
+  match
+    Jsonl.iter_fields line (fun k v ->
+        Measurement.fill slots k v;
+        members := (k, v) :: !members)
+  with
   | Error e -> Error (Printf.sprintf "bad response line: %s" e)
-  | Ok fields -> (
+  | Ok () -> (
+      let fields = List.rev !members in
       match Jsonl.get_int fields "id" with
       | None -> Error "response missing integer field \"id\""
       | Some id -> (
@@ -255,7 +275,7 @@ let decode_response line =
               | None -> Error "error response missing \"error\"")
           | Some "result" -> (
               let* served = field_str fields "served" in
-              match decode_measurement line with
+              match Measurement.of_slots slots with
               | Ok m -> Ok (id, `Terminal (Result { served; m }))
               | Error e -> Error ("result: " ^ e))
           | Some "point" -> (
@@ -263,7 +283,7 @@ let decode_response line =
               let* index = field_int fields "index" ~default:(-1) in
               if index < 0 then Error "point response missing \"index\""
               else
-                match decode_measurement line with
+                match Measurement.of_slots slots with
                 | Ok m -> Ok (id, `Interim (Sweep_point { index; served; m }))
                 | Error e -> Error ("point: " ^ e))
           | Some "done" ->

@@ -28,7 +28,12 @@
     line per request. [served] is ["hit"] (store-warm), ["sim"] (this
     request simulated it) or ["dedup"] (another in-flight request
     simulated it). Malformed input yields a loud [error] response, never
-    a crash. *)
+    a crash.
+
+    The measurement fields of a [result] or [point] line are the store's
+    canonical line ({!Salam_dse.Measurement.to_line}) spliced in after
+    the envelope ({!splice}), so the daemon answers a stored point
+    without encoding it, and {!decode_response} parses any line once. *)
 
 type spec = {
   workload : string;  (** "gemm" or a suite workload name *)
@@ -82,6 +87,15 @@ val decode_request : string -> (int64 * request, int64 * string) result
     (else 0), so the error reply can still be routed. *)
 
 val encode_response : id:int64 -> response -> string
+(** [Result] and [Sweep_point] go through {!splice} on
+    {!Salam_dse.Measurement.to_line}. *)
+
+val splice : id:int64 -> ?index:int -> served:string -> string -> string
+(** [splice ~id ?index ~served line] is a [result] reply, or a [point]
+    reply when [index] is given, around a measurement line: the envelope
+    [{"id":…,"type":…,["index":…,]"served":…,] followed by [line]'s
+    bytes after its ['{']. Raises [Invalid_argument] unless [line] is an
+    object with at least one member. *)
 
 val decode_response :
   string ->
@@ -91,7 +105,8 @@ val decode_response :
       | `Interim_progress of progress ],
     string )
   result
-(** [`Interim] is a [Sweep_point]; [`Terminal] ends the request. *)
+(** [`Interim] is a [Sweep_point]; [`Terminal] ends the request. The
+    line is parsed once; a measurement in it is built from that pass. *)
 
 val progress_line : id:int64 -> Salam_obs.Trace.event -> string
 (** The dse.progress-to-wire bridge: render a trace event as one

@@ -10,7 +10,10 @@
    - the store serializes every find and add on its one lock, and an
      in-flight table guarantees that any fingerprint is being simulated
      at most once at any moment — every concurrent request for it waits
-     on the same pending entry and receives the same measurement.
+     on the same pending entry and receives the same measurement;
+   - answers are the store's lines: a hit replies with the line it finds
+     and a simulation with the line the store adds, each spliced behind
+     its envelope, so no measurement is re-encoded on the way out.
 
    Lock order (outer to inner): state lock -> store lock; queue lock,
    per-request lock, per-connection write lock and the trace lock are
@@ -54,7 +57,9 @@ type job = {
   j_snap_key : string;
 }
 
-type pending = { mutable waiters : ((Measurement.t, string) result -> unit) list }
+(* a simulated measurement reaches its waiters with the line the store
+   holds for it *)
+type pending = { mutable waiters : ((Measurement.t * string, string) result -> unit) list }
 
 type conn = {
   c_fd : Unix.file_descr;
@@ -164,6 +169,16 @@ let point_args fp (m : Measurement.t) =
     ("total_mw", Trace.F m.Measurement.total_mw);
   ]
 
+(* whether anything sees this request's progress events: a hit decodes
+   its stored line for them only then *)
+let observed ctx = ctx.r_progress || Option.is_some ctx.r_server.cfg.trace
+
+let hit_args fp line =
+  match Measurement.of_line line with
+  | Ok m -> point_args fp m
+  (* unreachable: the store holds only lines that decode *)
+  | Error _ -> [ ("fp", Trace.S (Point.fingerprint_hex fp)) ]
+
 (* --- the bounded job queue ---------------------------------------------- *)
 
 exception Rejected of string
@@ -227,7 +242,7 @@ let run_job t job =
 let complete t job result =
   (* store first, then retire the pending entry: any thread that misses
      the inflight table afterwards is guaranteed to hit the store *)
-  (match result with Ok m -> Store_shard.add t.store m | Error _ -> ());
+  let result = Result.map (fun m -> (m, Store_shard.add_line t.store m)) result in
   Mutex.lock t.lock;
   t.simulated <- t.simulated + 1;
   let waiters =
@@ -277,9 +292,9 @@ let memory_kind_name (p : Point.t) = Point.memory_kind_to_string p.Point.memory
 
 (* Resolve one point: answer from the store, join an in-flight
    simulation, or become the owner of a fresh one. [k] fires exactly
-   once with the served tag and the measurement (possibly on a worker
-   domain); the returned job, if any, must be enqueued by the caller
-   outside the state lock. *)
+   once with the served tag and the measurement's stored line (possibly
+   on a worker domain); the returned job, if any, must be enqueued by
+   the caller outside the state lock. *)
 let resolve t ctx (spec : P.spec) target p k =
   let p = Point.canonical p in
   let workload = (target : Explore.target).Explore.workload_id p in
@@ -295,18 +310,18 @@ let resolve t ctx (spec : P.spec) target p k =
     None
   end
   else
-    match Store_shard.find t.store ~fp with
-    | Some m ->
+    match Store_shard.find_line t.store ~fp with
+    | Some line ->
         t.hits <- t.hits + 1;
         Mutex.unlock t.lock;
-        emit_progress ctx ~detail:"hit" (point_args fp m);
-        k (Ok ("hit", m));
+        if observed ctx then emit_progress ctx ~detail:"hit" (hit_args fp line);
+        k (Ok ("hit", line));
         None
     | None -> (
         let deliver served = function
-          | Ok m ->
+          | Ok (m, line) ->
               emit_progress ctx ~detail:"sim" (point_args fp m);
-              k (Ok (served, m))
+              k (Ok (served, line))
           | Error e -> k (Error e)
         in
         match Hashtbl.find_opt t.inflight fp with
@@ -390,6 +405,9 @@ let eval_points t ctx spec target points =
 
 let respond ctx resp = write_line ctx.r_conn (P.encode_response ~id:ctx.r_id resp)
 
+let respond_line ctx ?index ~served line =
+  write_line ctx.r_conn (P.splice ~id:ctx.r_id ?index ~served line)
+
 let handle_eval t ctx spec points ~reply =
   match target_of spec with
   | Error e -> respond ctx (P.Failed e)
@@ -405,7 +423,7 @@ let handle_eval t ctx spec points ~reply =
 let handle_sim t ctx spec p =
   handle_eval t ctx spec [ p ] ~reply:(fun results ->
       match results with
-      | [ Ok (served, m) ] -> respond ctx (P.Result { served; m })
+      | [ Ok (served, line) ] -> respond_line ctx ~served line
       | [ Error e ] -> respond ctx (P.Failed e)
       | _ -> respond ctx (P.Failed "internal: sim answered wrong arity"))
 
@@ -420,12 +438,12 @@ let handle_sweep t ctx spec points =
           List.iteri
             (fun index r ->
               match r with
-              | Ok (served, m) ->
+              | Ok (served, line) ->
                   (match served with
                   | "hit" -> incr hits
                   | "dedup" -> incr deduped
                   | _ -> incr sims);
-                  respond ctx (P.Sweep_point { index; served; m })
+                  respond_line ctx ~index ~served line
               | Error _ -> ())
             results;
           respond ctx

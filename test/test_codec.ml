@@ -1,0 +1,468 @@
+(* Tests for the measurement line codec: the single-pass slot decoder
+   against the association-list decoder it replaced, JSON's number
+   grammar, integers outside OCaml's int range, errors that name the
+   field, and golden stores held byte for byte. *)
+
+module Point = Salam_dse.Point
+module Jsonl = Salam_dse.Jsonl
+module M = Salam_dse.Measurement
+module Shard = Salam_dse.Store_shard
+
+(* --- the oracle ----------------------------------------------------- *)
+
+(* [Measurement.of_line] as it was before the slot decoder: parse the
+   line into an association list, then look every field up by key. Kept
+   here only to check the decoder that replaced it. *)
+let oracle_of_line line =
+  let get_float fields k =
+    match List.assoc_opt k fields with
+    | Some (Jsonl.Float f) -> Some f
+    | Some (Jsonl.Int i) -> Some (Int64.to_float i)
+    | Some (Jsonl.Str s) -> float_of_string_opt s
+    | _ -> None
+  in
+  match Jsonl.decode line with
+  | Error e -> Error e
+  | Ok fields -> (
+      let ( let* ) o f = match o with Some v -> f v | None -> Error "missing field" in
+      let int k = Option.map Int64.to_int (Jsonl.get_int fields k) in
+      let* fp_hex = Jsonl.get_str fields "fp" in
+      let* fp = Point.fingerprint_of_hex fp_hex in
+      let* workload = Jsonl.get_str fields "workload" in
+      let* mem = Jsonl.get_str fields "memory" in
+      let* memory = Point.memory_kind_of_string mem in
+      let* read_ports = int "read_ports" in
+      let* write_ports = int "write_ports" in
+      let* banks = int "banks" in
+      let* cache_bytes = int "cache_bytes" in
+      let* fu_limit = int "fu_limit" in
+      let* unroll = int "unroll" in
+      let* junroll = int "junroll" in
+      let* clock_mhz = get_float fields "clock_mhz" in
+      let* node_nm = int "node_nm" in
+      let* cycle_time_ns = get_float fields "cycle_time_ns" in
+      let* hw_db = Jsonl.get_str fields "hw_db" in
+      let point =
+        {
+          Point.memory;
+          read_ports;
+          write_ports;
+          banks;
+          cache_bytes;
+          fu_limit;
+          unroll;
+          junroll;
+          clock_mhz;
+          node_nm;
+          cycle_time_ns;
+          hw_db;
+        }
+      in
+      let* cycles = Jsonl.get_int fields "cycles" in
+      let* seconds = get_float fields "seconds" in
+      let* total_mw = get_float fields "total_mw" in
+      let* datapath_mw = get_float fields "datapath_mw" in
+      let* area_um2 = get_float fields "area_um2" in
+      let* correct = Jsonl.get_bool fields "correct" in
+      let* active_cycles = int "active_cycles" in
+      let* issue_cycles = int "issue_cycles" in
+      let* stall_cycles = int "stall_cycles" in
+      let* stall_load_only = int "stall_load_only" in
+      let* stall_load_compute = int "stall_load_compute" in
+      let* stall_load_store_compute = int "stall_load_store_compute" in
+      let* stall_other = int "stall_other" in
+      let* cycles_with_load = int "cycles_with_load" in
+      let* cycles_with_store = int "cycles_with_store" in
+      let* cycles_with_load_and_store = int "cycles_with_load_and_store" in
+      let* loads_issued = int "loads_issued" in
+      let* stores_issued = int "stores_issued" in
+      let* issued_fp = int "issued_fp" in
+      let* issued_int = int "issued_int" in
+      let* issued_mem = int "issued_mem" in
+      let* fmul_occupancy = get_float fields "fmul_occupancy" in
+      let* fmul_allocated = int "fmul_allocated" in
+      let* spm_reads = int "spm_reads" in
+      let* spm_writes = int "spm_writes" in
+      let* cache_hits = int "cache_hits" in
+      let* cache_misses = int "cache_misses" in
+      Ok
+        {
+          M.fp;
+          workload;
+          point;
+          cycles;
+          seconds;
+          total_mw;
+          datapath_mw;
+          area_um2;
+          correct;
+          active_cycles;
+          issue_cycles;
+          stall_cycles;
+          stall_load_only;
+          stall_load_compute;
+          stall_load_store_compute;
+          stall_other;
+          cycles_with_load;
+          cycles_with_store;
+          cycles_with_load_and_store;
+          loads_issued;
+          stores_issued;
+          issued_fp;
+          issued_int;
+          issued_mem;
+          fmul_occupancy;
+          fmul_allocated;
+          spm_reads;
+          spm_writes;
+          cache_hits;
+          cache_misses;
+        })
+
+(* --- generators ----------------------------------------------------- *)
+
+let gen_float =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, float);
+        (1, oneofl [ Float.nan; Float.neg Float.nan; Float.infinity; Float.neg_infinity ]);
+        (1, oneofl [ 0.0; -0.0; 1.0; 4.9e-324; Float.max_float ]);
+      ])
+
+let gen_int = QCheck.Gen.(frequency [ (3, int); (1, int_range (-5) 5) ])
+
+(* quotes, backslashes and control characters, among any other byte *)
+let gen_text =
+  QCheck.Gen.(
+    string_size ~gen:(frequency [ (4, char); (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\001'; '\031' ]) ])
+      (int_range 0 12))
+
+let gen_measurement : M.t QCheck.Gen.t =
+ fun st ->
+  let int () = gen_int st and float () = gen_float st in
+  let point =
+    {
+      Point.memory = QCheck.Gen.oneofl [ Point.Spm; Point.Cache; Point.Dram ] st;
+      read_ports = int ();
+      write_ports = int ();
+      banks = int ();
+      cache_bytes = int ();
+      fu_limit = int ();
+      unroll = int ();
+      junroll = int ();
+      clock_mhz = float ();
+      node_nm = int ();
+      cycle_time_ns = float ();
+      hw_db = gen_text st;
+    }
+  in
+  {
+    M.fp = QCheck.Gen.ui64 st;
+    workload = gen_text st;
+    point;
+    cycles = Int64.of_int (int ());
+    seconds = float ();
+    total_mw = float ();
+    datapath_mw = float ();
+    area_um2 = float ();
+    correct = QCheck.Gen.bool st;
+    active_cycles = int ();
+    issue_cycles = int ();
+    stall_cycles = int ();
+    stall_load_only = int ();
+    stall_load_compute = int ();
+    stall_load_store_compute = int ();
+    stall_other = int ();
+    cycles_with_load = int ();
+    cycles_with_store = int ();
+    cycles_with_load_and_store = int ();
+    loads_issued = int ();
+    stores_issued = int ();
+    issued_fp = int ();
+    issued_int = int ();
+    issued_mem = int ();
+    fmul_occupancy = float ();
+    fmul_allocated = int ();
+    spm_reads = int ();
+    spm_writes = int ();
+    cache_hits = int ();
+    cache_misses = int ();
+  }
+
+let gen_value =
+  QCheck.Gen.(
+    oneof
+      [
+        map (fun i -> Jsonl.Int (Int64.of_int i)) gen_int;
+        map (fun f -> Jsonl.Float f) gen_float;
+        map (fun b -> Jsonl.Bool b) bool;
+        map (fun s -> Jsonl.Str s) gen_text;
+      ])
+
+(* a key's and a value's text as the encoder writes them, cut out of
+   one-member objects {"k":true} and {"":v} *)
+let key_text k =
+  let s = Jsonl.encode [ (k, Jsonl.Bool true) ] in
+  String.sub s 1 (String.length s - 7)
+
+let value_text v =
+  let s = Jsonl.encode [ ("", v) ] in
+  String.sub s 4 (String.length s - 5)
+
+let members_of line =
+  match Jsonl.decode line with
+  | Ok fields -> fields
+  | Error e -> failwith ("canonical line does not decode: " ^ e)
+
+(* A valid but non-canonical rendering of a measurement line: members
+   shuffled, unknown keys and repeated keys (any value, any position)
+   inserted, a member sometimes dropped, and spaces around every token. *)
+let gen_mutated m : string QCheck.Gen.t =
+ fun st ->
+  let fields = members_of (M.to_line m) in
+  let keys = List.map fst fields in
+  let extra =
+    List.init (QCheck.Gen.int_range 0 3 st) (fun i ->
+        (Printf.sprintf "x_extra%d" i, gen_value st))
+  in
+  let repeats =
+    List.init (QCheck.Gen.int_range 0 3 st) (fun _ -> (QCheck.Gen.oneofl keys st, gen_value st))
+  in
+  let members = QCheck.Gen.shuffle_l (fields @ extra @ repeats) st in
+  let members =
+    if QCheck.Gen.int_range 0 9 st = 0 then
+      let drop = QCheck.Gen.oneofl keys st in
+      List.filter (fun (k, _) -> k <> drop) members
+    else members
+  in
+  let ws () = QCheck.Gen.oneofl [ ""; " "; "\t"; "  " ] st in
+  let texts =
+    List.map
+      (fun (k, v) -> ws () ^ key_text k ^ ws () ^ ":" ^ ws () ^ value_text v ^ ws ())
+      members
+  in
+  ws () ^ "{" ^ String.concat "," texts ^ "}" ^ ws ()
+
+let same a b = compare a b = 0
+
+let show_result = function Ok m -> "Ok " ^ M.to_line m | Error e -> "Error " ^ e
+
+let qcheck_canonical_round_trip =
+  QCheck.Test.make ~name:"canonical lines decode like the oracle and round-trip byte for byte"
+    ~count:300
+    (QCheck.make ~print:M.to_line gen_measurement)
+    (fun m ->
+      let line = M.to_line m in
+      match (M.of_line line, oracle_of_line line) with
+      | Ok got, Ok want ->
+          same got m && same got want && String.equal (M.to_line got) line
+      | got, want ->
+          QCheck.Test.fail_reportf "decoder %s, oracle %s" (show_result got) (show_result want))
+
+let qcheck_mutated_lines_agree =
+  QCheck.Test.make ~name:"mutated lines decode like the oracle" ~count:500
+    (QCheck.make ~print:snd
+       QCheck.Gen.(gen_measurement >>= fun m -> map (fun l -> (m, l)) (gen_mutated m)))
+    (fun (_, line) ->
+      match (M.of_line line, oracle_of_line line) with
+      | Ok got, Ok want -> same got want
+      | Error _, Error _ -> true
+      | got, want ->
+          QCheck.Test.fail_reportf "decoder %s, oracle %s" (show_result got) (show_result want))
+
+(* --- hand-written lines --------------------------------------------- *)
+
+let sample = Test_store_shard.synthetic 3
+
+(* [line] with member [key]'s value text replaced by [text] (numeric and
+   boolean members only: their text holds no ',') *)
+let set_member line key text =
+  let tag = Printf.sprintf "\"%s\":" key in
+  let n = String.length tag in
+  let rec find i = if String.sub line i n = tag then i else find (i + 1) in
+  let start = find 0 + n in
+  let stop =
+    let rec go j = if line.[j] = ',' || line.[j] = '}' then j else go (j + 1) in
+    go start
+  in
+  String.sub line 0 start ^ text ^ String.sub line stop (String.length line - stop)
+
+let drop_member line key =
+  let fields = List.filter (fun (k, _) -> k <> key) (members_of line) in
+  Jsonl.encode fields
+
+let rejects ?(prefix = false) ~what line want =
+  match M.of_line line with
+  | Ok _ -> Alcotest.failf "%s: accepted %s" what line
+  | Error e when prefix -> Alcotest.(check bool) (what ^ ": " ^ e) true (String.starts_with ~prefix:want e)
+  | Error e -> Alcotest.(check string) what want e
+
+let test_number_grammar () =
+  let bad tok =
+    match Jsonl.decode (Printf.sprintf "{\"x\":%s}" tok) with
+    | Ok _ -> Alcotest.failf "accepted the number %s" tok
+    | Error e ->
+        Alcotest.(check string) tok (Printf.sprintf "bad number %S at offset %d" tok (5 + String.length tok)) e
+  in
+  List.iter bad [ "1_0.5"; "0x1p3"; "nan"; "inf"; "007"; "1."; ".5"; "+1"; "1e"; "-"; "1e+" ];
+  let good tok want =
+    match Jsonl.decode (Printf.sprintf "{\"x\":%s}" tok) with
+    | Ok [ ("x", got) ] -> Alcotest.(check bool) tok true (got = want)
+    | Ok _ | Error _ -> Alcotest.failf "rejected the number %s" tok
+  in
+  good "0" (Jsonl.Int 0L);
+  good "-42" (Jsonl.Int (-42L));
+  good "1e-3" (Jsonl.Float 1e-3);
+  good "-1.5E+2" (Jsonl.Float (-150.));
+  good "0.5" (Jsonl.Float 0.5);
+  match Jsonl.decode "{\"x\":-0}" with
+  | Ok [ ("x", Jsonl.Float f) ] ->
+      Alcotest.(check bool) "-0 keeps its sign" true (f = 0.0 && Float.sign_bit f)
+  | Ok _ | Error _ -> Alcotest.fail "-0 must decode as a negative-zero float"
+
+let test_number_grammar_in_lines () =
+  let line = M.to_line sample in
+  let refused tok =
+    match M.of_line (set_member line "seconds" tok) with
+    | Ok m -> Alcotest.failf "\"seconds\":%s decoded as %h" tok m.M.seconds
+    | Error e ->
+        Alcotest.(check bool) (tok ^ " named") true
+          (Test_store_shard.contains e (Printf.sprintf "bad number %S" tok))
+  in
+  List.iter refused [ "1_0.5"; "0x1p3"; "nan" ];
+  (* the "%h" strings the encoder writes for non-finite floats decode *)
+  List.iter
+    (fun (text, want) ->
+      match M.of_line (set_member line "seconds" text) with
+      | Ok m -> Alcotest.(check bool) text true (compare m.M.seconds want = 0)
+      | Error e -> Alcotest.failf "%s refused: %s" text e)
+    [
+      ("\"nan\"", Float.nan);
+      ("\"infinity\"", Float.infinity);
+      ("\"-infinity\"", Float.neg_infinity);
+    ];
+  List.iter
+    (fun f ->
+      let m = { sample with M.seconds = f; total_mw = f } in
+      match M.of_line (M.to_line m) with
+      | Ok got -> Alcotest.(check string) "non-finite round trip" (M.to_line m) (M.to_line got)
+      | Error e -> Alcotest.failf "%h did not round-trip: %s" f e)
+    [ Float.nan; Float.infinity; Float.neg_infinity; -0.0 ]
+
+let test_out_of_range_integers_refused () =
+  let line = M.to_line sample in
+  List.iter
+    (fun tok ->
+      rejects ~what:tok (set_member line "read_ports" tok)
+        "field \"read_ports\" is outside the int range")
+    [ "9223372036854775807"; "4611686018427387904"; "-4611686018427387905" ];
+  (match M.of_line (set_member line "read_ports" (string_of_int max_int)) with
+  | Ok m -> Alcotest.(check int) "max_int still fits" max_int m.M.point.Point.read_ports
+  | Error e -> Alcotest.failf "max_int refused: %s" e);
+  (* cycles is an int64 field: its whole range decodes *)
+  (match M.of_line (set_member line "cycles" "9223372036854775807") with
+  | Ok m -> Alcotest.(check int64) "int64 field" Int64.max_int m.M.cycles
+  | Error e -> Alcotest.failf "int64 cycles refused: %s" e);
+  rejects ~prefix:true ~what:"beyond int64" (set_member line "cycles" "9223372036854775808")
+    "integer out of range at offset "
+
+let test_located_errors () =
+  let line = M.to_line sample in
+  rejects ~what:"string where an integer goes" (set_member line "cycles" "\"1973\"")
+    "field \"cycles\" must be an integer";
+  rejects ~what:"absent" (drop_member line "cycles") "missing field \"cycles\"";
+  rejects ~what:"number where a boolean goes" (set_member line "correct" "1")
+    "field \"correct\" must be a boolean";
+  rejects ~what:"boolean where a float goes" (set_member line "seconds" "true")
+    "field \"seconds\" must be a number";
+  rejects ~what:"unknown memory kind"
+    (Jsonl.encode
+       (List.map
+          (fun (k, v) -> if k = "memory" then (k, Jsonl.Str "flash") else (k, v))
+          (members_of line)))
+    "field \"memory\" must be \"spm\", \"cache\" or \"dram\"";
+  (* the first field in line order that is wrong is the one named *)
+  rejects ~what:"two wrong fields" (drop_member (set_member line "banks" "true") "cycles")
+    "field \"banks\" must be an integer"
+
+(* the message reaches the store's "line N is corrupt (...)" *)
+let test_store_names_the_field () =
+  let check ~what line want =
+    let path = Filename.temp_file "salam_codec_test" ".jsonl" in
+    Fun.protect
+      ~finally:(fun () -> Sys.remove path)
+      (fun () ->
+        let good = M.to_line (Test_store_shard.synthetic 4) in
+        let contents = good ^ "\n" ^ line ^ "\n" in
+        Test_store_shard.write_file path contents;
+        (match Shard.open_ path with
+        | s ->
+            Shard.close s;
+            Alcotest.failf "%s: store opened" what
+        | exception Failure e ->
+            Alcotest.(check bool) (what ^ ": " ^ e) true
+              (Test_store_shard.contains e (Printf.sprintf "line 2 is corrupt (%s)" want)));
+        Alcotest.(check string) (what ^ ": file untouched") contents
+          (Test_store_shard.read_file path))
+  in
+  let line = M.to_line sample in
+  check ~what:"missing" (drop_member line "cycles") "missing field \"cycles\"";
+  check ~what:"out of range"
+    (set_member line "read_ports" "9223372036854775807")
+    "field \"read_ports\" is outside the int range"
+
+(* Every golden store opens with each of its lines held verbatim (the
+   encoder that wrote them is the canonical form) and its bytes
+   unchanged. *)
+let test_golden_stores_held_verbatim () =
+  let check ~what store files =
+    let before = List.map Test_store_shard.read_file files in
+    let s = Shard.open_ store in
+    let seen = Hashtbl.create 64 in
+    List.iter
+      (fun contents ->
+        List.iter
+          (fun l ->
+            match M.of_line l with
+            | Error e -> Alcotest.failf "%s: golden line does not decode: %s" what e
+            | Ok m ->
+                if not (Hashtbl.mem seen m.M.fp) then begin
+                  Hashtbl.add seen m.M.fp ();
+                  Alcotest.(check (option string)) (what ^ ": line held as read") (Some l)
+                    (Shard.find_line s ~fp:m.M.fp)
+                end)
+          (List.filter (( <> ) "") (String.split_on_char '\n' contents)))
+      before;
+    Alcotest.(check int) (what ^ ": every fingerprint") (Hashtbl.length seen) (Shard.size s);
+    Shard.close s;
+    List.iter2
+      (fun f b -> Alcotest.(check string) (what ^ ": bytes unchanged") b (Test_store_shard.read_file f))
+      files before
+  in
+  Test_store_shard.with_temp_dir (fun dir ->
+      let legacy = Filename.concat dir "legacy_store.jsonl" in
+      Test_store_shard.write_file legacy (Test_store_shard.read_file "golden/legacy_store.jsonl");
+      check ~what:"legacy" legacy [ legacy ]);
+  Test_store_shard.with_temp_dir (fun dir ->
+      Test_store_shard.copy_dir "golden/sharded_store.d" dir;
+      let files =
+        List.sort compare (Array.to_list (Sys.readdir dir))
+        |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
+        |> List.map (Filename.concat dir)
+      in
+      check ~what:"sharded" dir files)
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest qcheck_canonical_round_trip;
+    QCheck_alcotest.to_alcotest qcheck_mutated_lines_agree;
+    Alcotest.test_case "number tokens follow the JSON grammar" `Quick test_number_grammar;
+    Alcotest.test_case "OCaml-only numbers refused in a store line" `Quick
+      test_number_grammar_in_lines;
+    Alcotest.test_case "integers outside the int range refused" `Quick
+      test_out_of_range_integers_refused;
+    Alcotest.test_case "decode errors name the field" `Quick test_located_errors;
+    Alcotest.test_case "store open names the field" `Quick test_store_names_the_field;
+    Alcotest.test_case "golden stores held verbatim" `Quick test_golden_stores_held_verbatim;
+  ]

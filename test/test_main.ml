@@ -21,6 +21,7 @@ let () =
       ("checkpoint", Test_checkpoint.suite);
       ("dse", Test_dse.suite);
       ("store_shard", Test_store_shard.suite);
+      ("codec", Test_codec.suite);
       ("served", Test_served.suite);
       ("config", Test_config.suite);
     ]

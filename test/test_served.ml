@@ -153,6 +153,27 @@ let test_malformed_requests_rejected () =
   expect_error ~id:7L
     (P.encode_request ~id:7L (P.Sim ({ spec with P.fast_forward = Some 9 }, point 2)))
 
+let test_out_of_range_request_integers () =
+  let names line field =
+    let want = Printf.sprintf "field %S is outside the int range" field in
+    match P.decode_request line with
+    | Ok _ -> Alcotest.fail ("accepted " ^ line)
+    | Error (id, e) ->
+        Alcotest.(check int64) "id recovered" 4L id;
+        Alcotest.(check bool) (e ^ " names " ^ field) true (Test_store_shard.contains e want)
+  in
+  let sim member =
+    Printf.sprintf "{\"id\":4,\"op\":\"sim\",\"workload\":\"gemm\",%s,\"point\":%S}" member
+      (Point.to_compact (point 2))
+  in
+  names (sim "\"gemm_n\":4611686018427387904") "gemm_n";
+  names (sim "\"invocations\":9223372036854775807") "invocations";
+  names (sim "\"fast_forward\":-4611686018427387905") "fast_forward";
+  match P.decode_response "{\"id\":7,\"type\":\"done\",\"points\":9223372036854775807}" with
+  | Ok _ -> Alcotest.fail "a done reply with an out-of-range count decoded"
+  | Error e ->
+      Alcotest.(check string) "reply field named" "field \"points\" is outside the int range" e
+
 (* --- a real daemon on a temp socket ------------------------------- *)
 
 let fresh_socket () =
@@ -330,6 +351,130 @@ let test_fast_forward_snapshots_isolated_per_roadmark () =
                 (local roadmark) (M.to_line m))
             [ 1; 2 ]))
 
+(* --- hits answered from the stored bytes ---------------------------- *)
+
+(* a measurement stored under the fingerprint the daemon computes for
+   [p] requested with [tiny_spec] *)
+let stored_for p =
+  let target = E.gemm_target ~n:tiny_spec.P.gemm_n () in
+  let p = Point.canonical p in
+  let workload = target.E.workload_id p in
+  let id =
+    E.identity ~workload ~invocations:tiny_spec.P.invocations
+      ~fast_forward:tiny_spec.P.fast_forward
+  in
+  { (synthetic 9) with M.fp = Point.fingerprint ~workload:id p; workload = id; point = p }
+
+(* send [req] on a raw connection and return the reply lines up to the
+   terminal one, as the daemon wrote them *)
+let raw_replies socket ~id req =
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  Fun.protect
+    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+    (fun () ->
+      let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+      output_string oc (P.encode_request ~id req ^ "\n");
+      flush oc;
+      let rec read acc =
+        let line = input_line ic in
+        match P.decode_response line with
+        | Ok (_, `Terminal _) -> List.rev (line :: acc)
+        | Ok _ -> read (line :: acc)
+        | Error e -> Alcotest.failf "undecodable reply %s: %s" line e
+      in
+      read [])
+
+let with_store_file contents f =
+  let path = Filename.temp_file "salam_served_store" ".jsonl" in
+  Test_store_shard.write_file path contents;
+  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+
+let test_hit_reply_is_envelope_and_stored_bytes () =
+  let m = stored_for (point 2) in
+  let line = M.to_line m in
+  with_store_file (line ^ "\n") (fun store ->
+      with_server ~store_dir:store (fun socket server ->
+          Alcotest.(check (list string)) "result reply"
+            [ "{\"id\":5,\"type\":\"result\",\"served\":\"hit\"," ^ String.sub line 1 (String.length line - 1) ]
+            (raw_replies socket ~id:5L (P.Sim (tiny_spec, point 2)));
+          Alcotest.(check (list string)) "sweep replies"
+            [
+              "{\"id\":6,\"type\":\"point\",\"index\":0,\"served\":\"hit\","
+              ^ String.sub line 1 (String.length line - 1);
+              P.encode_response ~id:6L (P.Sweep_done { points = 1; hits = 1; sims = 0; deduped = 0 });
+            ]
+            (raw_replies socket ~id:6L (P.Sweep (tiny_spec, [ point 2 ])));
+          Alcotest.(check int) "nothing simulated" 0 (Server.stats_snapshot server).P.st_simulated))
+
+let test_non_canonical_line_answered_canonically () =
+  let m = stored_for (point 4) in
+  (* the same measurement with its keys reversed, an extra key and
+     spaces around every token *)
+  let members =
+    match Salam_dse.Jsonl.decode (M.to_line m) with
+    | Ok fields -> List.rev (("note", Salam_dse.Jsonl.Str "extra") :: fields)
+    | Error e -> Alcotest.fail e
+  in
+  let spaced =
+    "{ "
+    ^ String.concat " , "
+        (List.map
+           (fun (k, v) -> Test_codec.key_text k ^ " : " ^ Test_codec.value_text v)
+           members)
+    ^ " }"
+  in
+  with_store_file (spaced ^ "\n") (fun store ->
+      with_server ~store_dir:store (fun socket server ->
+          match raw_replies socket ~id:5L (P.Sim (tiny_spec, point 4)) with
+          | [ reply ] ->
+              Alcotest.(check string) "the reply carries to_line m"
+                (P.splice ~id:5L ~served:"hit" (M.to_line m))
+                reply;
+              Alcotest.(check bool) "no extra key echoed" false
+                (Test_store_shard.contains reply "note");
+              Alcotest.(check int) "answered as a hit" 1
+                (Server.stats_snapshot server).P.st_hits
+          | replies -> Alcotest.failf "expected one reply, got %d" (List.length replies));
+      Alcotest.(check string) "store file untouched" (spaced ^ "\n")
+        (Test_store_shard.read_file store))
+
+(* a reply whose measurement does not decode reaches the caller with the
+   field named *)
+let test_client_names_the_bad_field () =
+  let socket = fresh_socket () in
+  let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind listener (Unix.ADDR_UNIX socket);
+  Unix.listen listener 1;
+  let reply =
+    P.splice ~id:1L ~served:"hit" (Test_codec.drop_member (M.to_line (synthetic 7)) "cycles")
+  in
+  let fake =
+    Thread.create
+      (fun () ->
+        let fd, _ = Unix.accept listener in
+        let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
+        ignore (input_line ic);
+        output_string oc (reply ^ "\n");
+        flush oc;
+        (try ignore (input_line ic) with End_of_file | Sys_error _ -> ());
+        Unix.close fd)
+      ()
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Thread.join fake;
+      Unix.close listener;
+      Sys.remove socket)
+    (fun () ->
+      Client.with_connection socket (fun c ->
+          match Client.sim c ~spec:tiny_spec (point 2) with
+          | _ -> Alcotest.fail "a reply without cycles decoded"
+          | exception Client.Protocol_error e ->
+              Alcotest.(check bool) e true
+                (Test_store_shard.contains e
+                   "undecodable response: result: missing field \"cycles\"")))
+
 (* --- the dedup guarantee under concurrent clients ----------------- *)
 
 let test_concurrent_clients_dedup () =
@@ -414,6 +559,8 @@ let suite =
     Alcotest.test_case "stats reply from an older daemon decodes" `Quick
       test_old_daemon_stats_decode;
     Alcotest.test_case "malformed requests rejected" `Quick test_malformed_requests_rejected;
+    Alcotest.test_case "integers outside the int range refused" `Quick
+      test_out_of_range_request_integers;
     Alcotest.test_case "daemon smoke over a temp socket" `Quick test_daemon_smoke;
     Alcotest.test_case "garbage line keeps connection usable" `Quick
       test_garbage_line_keeps_connection_usable;
@@ -422,6 +569,11 @@ let suite =
     Alcotest.test_case "persistence across restart" `Quick test_persistence_across_restart;
     Alcotest.test_case "old sharded store answers every point as hit" `Quick
       test_sharded_golden_store_hits;
+    Alcotest.test_case "hit reply is the envelope and the stored bytes" `Quick
+      test_hit_reply_is_envelope_and_stored_bytes;
+    Alcotest.test_case "non-canonical stored line answered canonically" `Quick
+      test_non_canonical_line_answered_canonically;
+    Alcotest.test_case "client names the bad field" `Quick test_client_names_the_bad_field;
     Alcotest.test_case "fast-forward snapshots isolated per roadmark" `Quick
       test_fast_forward_snapshots_isolated_per_roadmark;
     Alcotest.test_case "concurrent clients dedup to one simulation" `Quick

@@ -43,65 +43,6 @@ let trace_of (w : W.t) =
   in
   (file, events)
 
-(* Machine-readable mirror of benchmark results, for tracking across
-   commits. Several experiments write here (micro throughput, the
-   cycle-time sweep), so writes merge: entries already in the file and
-   not being replaced survive a partial rerun. *)
-let bench_json_path = "BENCH_engine.json"
-
-let read_bench_json () =
-  if not (Sys.file_exists bench_json_path) then []
-  else begin
-    let ic = open_in bench_json_path in
-    let entries = ref [] in
-    (try
-       while true do
-         (* entry lines look like:   "name": 12345,  *)
-         let line = input_line ic in
-         match (String.index_opt line '"', String.rindex_opt line ':') with
-         | Some q1, Some colon when q1 < colon -> (
-             match String.index_from_opt line (q1 + 1) '"' with
-             | Some q2 when q2 < colon -> (
-                 let name = String.sub line (q1 + 1) (q2 - q1 - 1) in
-                 let v =
-                   String.trim
-                     (String.sub line (colon + 1) (String.length line - colon - 1))
-                 in
-                 let v =
-                   if String.length v > 0 && v.[String.length v - 1] = ',' then
-                     String.sub v 0 (String.length v - 1)
-                   else v
-                 in
-                 match float_of_string_opt v with
-                 | Some f -> entries := (name, f) :: !entries
-                 | None -> ())
-             | _ -> ())
-         | _ -> ()
-       done
-     with End_of_file -> ());
-    close_in ic;
-    List.rev !entries
-  end
-
-let update_bench_json entries =
-  let keep =
-    List.filter (fun (k, _) -> not (List.mem_assoc k entries)) (read_bench_json ())
-  in
-  let all =
-    List.sort (fun (a, _) (b, _) -> String.compare a b) (keep @ entries)
-  in
-  let oc = open_out bench_json_path in
-  output_string oc "{\n";
-  List.iteri
-    (fun i (name, v) ->
-      Printf.fprintf oc "  %S: %.0f%s\n" name v
-        (if i = List.length all - 1 then "" else ","))
-    all;
-  output_string oc "}\n";
-  close_out oc;
-  Printf.printf "[%d result(s) merged into %s]\n" (List.length entries)
-    bench_json_path
-
 let short_name (w : W.t) =
   (* strip size suffixes for display: "gemm_ncubed_n16_u2" -> "gemm_ncubed" *)
   match String.index_opt w.W.name '_' with

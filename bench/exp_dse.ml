@@ -186,7 +186,7 @@ let fig15 () =
    operator latencies (in cycles), so total cycle counts must be
    monotone non-increasing in cycle time — a violated row means the
    derived tables and the engine disagree, and the sweep exits 1.
-   Results land in BENCH_engine.json as ct/gemm16_<ct>ns = cycles. *)
+   test_config pins the per-row cycle counts. *)
 let ct_sweep () =
   let cts = Salam_config.cycle_times Salam_config.builtin in
   section
@@ -225,28 +225,7 @@ let ct_sweep () =
          end;
          m.M.cycles)
        Int64.max_int runs);
-  update_bench_json
-    (List.map
-       (fun (m : M.t) ->
-         ( Printf.sprintf "ct/gemm16_%gns" m.M.point.Point.cycle_time_ns,
-           Int64.to_float m.M.cycles ))
-       runs);
   print_newline ()
-
-(* The cold-sweep path of the DSE subsystem, for the micro bench: a tiny
-   GEMM space enumerated, simulated (no store) and Pareto-extracted. *)
-let dse_front_cold () =
-  let base = { Point.default with Point.unroll = 1; junroll = 1 } in
-  let report =
-    Dse.run ~domains:1
-      ~target:(Dse.gemm_target ~n:8 ())
-      ~strategy:Dse.Exhaustive
-      [
-        Space.create ~base ~derive:Space.spm_balanced
-          [ Space.Read_ports [ 2; 4 ]; Space.Fu_limit [ 0 ] ];
-      ]
-  in
-  report.Dse.front
 
 (* Ablation of the engine's design choices (DESIGN.md): the hazard rules
    and memory disambiguation that realise the paper's scheduling

@@ -1,17 +1,19 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
    evaluation (Sec. IV), plus an ablation of the engine's design choices
-   and Bechamel micro-benchmarks of the simulator itself.
+   and the simulator's own speed and allocation gates. Timed gates race
+   two paths interleaved in one process; the allocation ledger counts
+   exactly. Cross-commit timing lives in the layered ledger under
+   benchmark/.
 
    Usage:
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig10 table4 ...   # a subset
    Experiment names: table1 table2 table3 table4 fig4 fig10 fig11 fig12
-   fig13 fig14 fig15 fig16 ablation micro speedup ff ct alloc *)
+   fig13 fig14 fig15 fig16 ablation speedup ff ct alloc. An unknown name
+   runs nothing and exits 2. *)
 
-(* Engine-mode-pinned configs. The bare engine_* micro entries pin the
-   fully dynamic scheduler so their numbers stay comparable with the
-   committed baseline; the *_compiled twins run the schedule-
-   specialization replay. *)
+(* Engine-mode-pinned configs: the fully dynamic scheduler and the
+   schedule-specialization replay. *)
 let with_mode mode =
   {
     Salam.Config.default with
@@ -26,8 +28,7 @@ let compiled_config = with_mode Salam_engine.Engine.Compiled
 (* Compiled-vs-dynamic speedup on the Fig 13 gemm16 DSE point, the
    workload that stresses the scheduler hardest. Interleaved min-of-N
    wall timing: alternating the two modes within one process cancels
-   machine-load drift that two independent OLS fits cannot, so this —
-   not the Bechamel twins — is what CI gates on. *)
+   machine-load drift, so CI gates on these ratios. *)
 let speedup () =
   Bench_util.section "SPEEDUP — compiled vs dynamic engine (gemm16)";
   let gemm16 = Exp_dse.gemm_dse_workload () in
@@ -51,8 +52,8 @@ let speedup () =
   Printf.printf "engine_gemm16: dynamic %.1f ms, compiled %.1f ms, speedup %.2fx\n"
     (1000. *. dmin) (1000. *. cmin) (dmin /. cmin);
   (* regression guard: Compiled mode must never lose meaningfully to
-     dynamic — on unrolled winners (gemm16) and on short branchy kernels
-     (nw16, bfs) alike *)
+     dynamic on short branchy kernels either (gemm16 is covered by the
+     speedup floor above) *)
   let violations = ref [] in
   List.iter
     (fun (name, w) ->
@@ -61,7 +62,6 @@ let speedup () =
       Printf.printf "%s: compiled/dynamic ratio %.3f (guard <= 1.05)\n" name ratio;
       if ratio > 1.05 then violations := name :: !violations)
     [
-      ("engine_gemm16_guard", gemm16);
       ("engine_nw16_guard", Salam_workloads.Nw.workload ~len:16 ());
       ("engine_bfs_guard", Salam_workloads.Bfs.workload ());
     ];
@@ -167,73 +167,6 @@ let alloc () =
     (per (float_of_int !total_events));
   Printf.printf "served hit: %.0f words\n\n" (served_hit_words ())
 
-let micro () =
-  Bench_util.section "MICRO — simulator throughput (Bechamel)";
-  let open Bechamel in
-  let gemm = Salam_workloads.Gemm.workload ~n:8 () in
-  let gemm16 = Exp_dse.gemm_dse_workload () in
-  let nw = Salam_workloads.Nw.workload ~len:16 () in
-  let dynamic = dynamic_config in
-  let compiled = compiled_config in
-  let tests =
-    Test.make_grouped ~name:"salam"
-      [
-        Test.make ~name:"engine_gemm8"
-          (Staged.stage (fun () -> ignore (Salam.simulate ~config:dynamic gemm)));
-        (* the Fig 13 DSE point: a 16x16 GEMM unrolled 16x8, the largest
-           single-block workload — stresses the reservation and wake-up
-           structures hardest *)
-        Test.make ~name:"engine_gemm16"
-          (Staged.stage (fun () -> ignore (Salam.simulate ~config:dynamic gemm16)));
-        Test.make ~name:"engine_gemm16_compiled"
-          (Staged.stage (fun () -> ignore (Salam.simulate ~config:compiled gemm16)));
-        (* fast-forward restore: the one remaining detailed invocation
-           of a 3-invocation schedule, forked from a pre-taken
-           roadmark-2 snapshot *)
-        (let ff_snap = Salam.warm_up ~config:dynamic ~invocations:2 gemm16 in
-         Test.make ~name:"engine_gemm16_ff"
-           (Staged.stage (fun () ->
-                ignore (Salam.simulate ~config:dynamic ~invocations:3 ~from:ff_snap gemm16))));
-        Test.make ~name:"engine_nw16"
-          (Staged.stage (fun () -> ignore (Salam.simulate ~config:dynamic nw)));
-        Test.make ~name:"engine_nw16_compiled"
-          (Staged.stage (fun () -> ignore (Salam.simulate ~config:compiled nw)));
-        (* the three-accelerator streaming pipeline: DMA, crossbar,
-           stream FIFOs and the MMR/interrupt handshake *)
-        Test.make ~name:"engine_cnn_pipeline"
-          (Staged.stage (fun () ->
-               ignore (Salam_scenarios.Cnn_pipeline.run_streams ~h:16 ~w:16 ())));
-        (* a whole cold DSE sweep: enumerate a tiny GEMM space, simulate
-           it storeless and extract the Pareto front *)
-        Test.make ~name:"dse_gemm_front"
-          (Staged.stage (fun () -> ignore (Exp_dse.dse_front_cold ())));
-        Test.make ~name:"interp_gemm8"
-          (Staged.stage (fun () -> ignore (Salam_workloads.Workload.run_functional gemm)));
-        Test.make ~name:"compile_gemm8"
-          (Staged.stage (fun () ->
-               ignore (Salam_frontend.Compile.kernel gemm.Salam_workloads.Workload.kernel)));
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let raw = Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  Printf.printf "%-28s %16s\n" "benchmark" "ns/run";
-  let entries = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ ns ] ->
-          Printf.printf "%-28s %16.0f\n" name ns;
-          entries := (name, ns) :: !entries
-      | _ -> Printf.printf "%-28s %16s\n" name "n/a")
-    results;
-  Bench_util.update_bench_json
-    (List.sort (fun (a, _) (b, _) -> String.compare a b) !entries);
-  print_newline ()
-
 let experiments =
   [
     ("table1", Exp_motivation.table1);
@@ -250,7 +183,6 @@ let experiments =
     ("fig16", Exp_multi.fig16);
     ("ablation", Exp_dse.ablation);
     ("ct", Exp_dse.ct_sweep);
-    ("micro", micro);
     ("speedup", speedup);
     ("ff", ff_speedup);
     ("alloc", alloc);
@@ -259,17 +191,15 @@ let experiments =
 let () =
   let requested =
     match Array.to_list Sys.argv with
-    | _ :: ([ _ ] as names) when names <> [ "all" ] -> names
     | _ :: (_ :: _ as names) when names <> [ "all" ] -> names
     | _ -> List.map fst experiments
   in
+  (match List.filter (fun name -> not (List.mem_assoc name experiments)) requested with
+  | [] -> ()
+  | unknown ->
+      Printf.eprintf "unknown experiment %s (available: %s)\n" (String.concat " " unknown)
+        (String.concat " " (List.map fst experiments));
+      exit 2);
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun name ->
-      match List.assoc_opt name experiments with
-      | Some f -> f ()
-      | None ->
-          Printf.eprintf "unknown experiment %s (available: %s)\n" name
-            (String.concat " " (List.map fst experiments)))
-    requested;
+  List.iter (fun name -> (List.assoc name experiments) ()) requested;
   Printf.printf "\n[bench completed in %.1fs]\n" (Unix.gettimeofday () -. t0)

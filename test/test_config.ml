@@ -129,6 +129,33 @@ let test_derived_latency_monotone () =
            max_int lats))
     Fu.all
 
+(* The cycle-time sweep of bench/main.exe -- ct, pinned: the Fig 13
+   gemm16 point (u16/j8, SPM) under every row of the shipped database.
+   A timing change at any row fails here, the way golden traces do. *)
+let test_gemm16_cycles_per_row () =
+  let module Dse = Salam_dse.Explore in
+  let module Space = Salam_dse.Space in
+  let base = { Point.default with Point.unroll = 16; junroll = 8 } in
+  let report =
+    Dse.run ~domains:1
+      ~target:(Dse.gemm_target ~n:16 ())
+      ~strategy:Dse.Exhaustive
+      [
+        Space.create ~base ~derive:Space.spm_balanced
+          [ Space.Cycle_time_ns (C.cycle_times C.builtin) ];
+      ]
+  in
+  let got =
+    List.sort compare
+      (List.map
+         (fun (m : M.t) -> (m.M.point.Point.cycle_time_ns, m.M.cycles))
+         report.Dse.measurements)
+  in
+  Alcotest.(check (list (pair (float 0.0) int64)))
+    "gemm16 cycles per cycle-time row"
+    [ (1., 6265L); (2., 4773L); (3., 4337L); (4., 4337L); (5., 4337L); (6., 4187L); (10., 4187L) ]
+    got
+
 (* --- hardware identity in points and stores ------------------------ *)
 
 let test_fingerprint_distinct_profiles () =
@@ -265,6 +292,7 @@ let suite =
     Alcotest.test_case "strict parser rejections" `Quick test_rejections;
     Alcotest.test_case "lookup and resolve errors" `Quick test_lookup_errors;
     Alcotest.test_case "derived latencies monotone" `Quick test_derived_latency_monotone;
+    Alcotest.test_case "gemm16 cycles per cycle-time row" `Quick test_gemm16_cycles_per_row;
     Alcotest.test_case "profiles split fingerprints" `Quick test_fingerprint_distinct_profiles;
     Alcotest.test_case "distinct store entries per profile" `Quick test_store_distinct_entries;
     Alcotest.test_case "point codec carries hw identity" `Quick test_point_codec_hw_fields;

@@ -89,16 +89,19 @@ exception Runtime_error of string
     locates the fault: function, basic block and instruction. *)
 
 (** How the engine reaches memory; implemented by the communications
-    interface. Reads deliver the loaded value; writes acknowledge when
-    the timing model completes. *)
+    interface. Values travel as raw payloads ({!Salam_ir.Bits.Payload})
+    in the engine's value slots, so nothing is boxed on the way: a read
+    leaves the loaded value's payload in the 8 bytes of [dst] at [at]
+    before it calls [on_done], when the timing model completes; a write
+    takes its value's payload from the 8 bytes of [src] at [at] when it
+    is called, and calls [on_done] when the timing model completes.
+    {!Salam_ir.Memory.load_into} and {!Salam_ir.Memory.store_from} move
+    such payloads. *)
 type mem_iface = {
-  read : addr:int64 -> ty:Salam_ir.Ty.t -> on_value:(Salam_ir.Bits.t -> unit) -> unit;
+  read :
+    addr:int64 -> ty:Salam_ir.Ty.t -> dst:Bytes.t -> at:int -> on_done:(unit -> unit) -> unit;
   write :
-    addr:int64 ->
-    ty:Salam_ir.Ty.t ->
-    value:Salam_ir.Bits.t ->
-    on_done:(unit -> unit) ->
-    unit;
+    addr:int64 -> ty:Salam_ir.Ty.t -> src:Bytes.t -> at:int -> on_done:(unit -> unit) -> unit;
 }
 
 type t

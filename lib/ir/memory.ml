@@ -39,27 +39,49 @@ let check t addr len =
   if a < 0 || a + len > Bytes.length t.data then grow_or_fail t a len addr;
   a
 
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+
+(* Loads and stores are defined once, over the raw payload of the value
+   (see {!Bits.Payload}); the boxed [load]/[store] wrap them. *)
+let[@inline] payload_at t (ty : Ty.t) a =
+  match ty with
+  | I1 | I8 -> Int64.of_int (Char.code (Bytes.get t.data a))
+  | I16 -> Int64.of_int (Bytes.get_uint16_le t.data a)
+  | I32 -> Int64.of_int32 (Bytes.get_int32_le t.data a)
+  | I64 | Ptr | F64 -> Bytes.get_int64_le t.data a
+  | F32 -> Int64.bits_of_float (Int32.float_of_bits (Bytes.get_int32_le t.data a))
+  | Void -> invalid_arg "Memory.load: void"
+
+let[@inline] store_payload_at t (ty : Ty.t) a p =
+  match ty with
+  | I1 | I8 -> Bytes.set t.data a (Char.unsafe_chr (Int64.to_int p land 0xff))
+  | I16 -> Bytes.set_uint16_le t.data a (Int64.to_int p land 0xffff)
+  | I32 -> Bytes.set_int32_le t.data a (Int64.to_int32 p)
+  | I64 | Ptr | F64 -> Bytes.set_int64_le t.data a p
+  | F32 -> Bytes.set_int32_le t.data a (Int32.bits_of_float (Int64.float_of_bits p))
+  | Void -> invalid_arg "Memory.store: value does not match type"
+
 let load t ty addr =
   let a = check t addr (Ty.size_bytes ty) in
-  match ty with
-  | Ty.I1 | Ty.I8 -> Bits.Int (Int64.of_int (Char.code (Bytes.get t.data a)))
-  | Ty.I16 -> Bits.Int (Int64.of_int (Bytes.get_uint16_le t.data a))
-  | Ty.I32 -> Bits.Int (Int64.of_int32 (Bytes.get_int32_le t.data a))
-  | Ty.I64 | Ty.Ptr -> Bits.Int (Bytes.get_int64_le t.data a)
-  | Ty.F32 -> Bits.Float (Int32.float_of_bits (Bytes.get_int32_le t.data a))
-  | Ty.F64 -> Bits.Float (Int64.float_of_bits (Bytes.get_int64_le t.data a))
-  | Ty.Void -> invalid_arg "Memory.load: void"
+  Bits.of_payload ty (payload_at t ty a)
+
+let load_into t ty addr dst at =
+  let a = check t addr (Ty.size_bytes ty) in
+  set64 dst at (payload_at t ty a)
 
 let store t ty addr v =
   let a = check t addr (Ty.size_bytes ty) in
-  match (ty, Bits.truncate ty v) with
-  | (Ty.I1 | Ty.I8), Bits.Int i -> Bytes.set t.data a (Char.chr (Int64.to_int i land 0xff))
-  | Ty.I16, Bits.Int i -> Bytes.set_uint16_le t.data a (Int64.to_int i land 0xffff)
-  | Ty.I32, Bits.Int i -> Bytes.set_int32_le t.data a (Int64.to_int32 i)
-  | (Ty.I64 | Ty.Ptr), Bits.Int i -> Bytes.set_int64_le t.data a i
-  | Ty.F32, Bits.Float f -> Bytes.set_int32_le t.data a (Int32.bits_of_float f)
-  | Ty.F64, Bits.Float f -> Bytes.set_int64_le t.data a (Int64.bits_of_float f)
+  match (ty, v) with
+  | (Ty.I1 | Ty.I8 | Ty.I16 | Ty.I32 | Ty.I64 | Ty.Ptr), Bits.Int _ | (Ty.F32 | Ty.F64), Bits.Float _
+    ->
+      store_payload_at t ty a (Bits.payload v)
   | _ -> invalid_arg "Memory.store: value does not match type"
+
+let store_from t ty addr src at =
+  let a = check t addr (Ty.size_bytes ty) in
+  store_payload_at t ty a (get64 src at)
 
 (* A snapshot is a value: immutable string payload so it can cross
    domain boundaries safely. [s_data] is the physical prefix only; bytes

@@ -57,6 +57,17 @@ val snapshot_equal : snapshot -> snapshot -> bool
 val load : t -> Ty.t -> int64 -> Bits.t
 
 val store : t -> Ty.t -> int64 -> Bits.t -> unit
+(** Raises [Invalid_argument] when the value's kind (integer or float)
+    does not match the type. *)
+
+val load_into : t -> Ty.t -> int64 -> Bytes.t -> int -> unit
+(** [load_into m ty addr dst at] is {!load} writing the value's payload
+    ({!Bits.payload}) to the 8 bytes of [dst] at [at], in native byte
+    order, instead of boxing it: the engine's memory path. *)
+
+val store_from : t -> Ty.t -> int64 -> Bytes.t -> int -> unit
+(** {!store} of the value whose payload is the 8 bytes of [src] at
+    [at]. *)
 
 val load_bytes : t -> int64 -> int -> bytes
 

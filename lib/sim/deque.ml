@@ -1,16 +1,21 @@
-(* Ring storage: element [i] of the deque lives at [(head + i) mod cap].
+(* Ring storage: element [i] of the deque lives at [(head + i) land mask],
+   where the capacity is a power of two and [mask] is the capacity minus
+   one, so indexing is a mask rather than a division.
    Elements are stored unboxed as [Obj.t], so a push writes the value
    itself rather than a fresh [Some]. An [Obj.t array] is never a flat
    float array, so [Obj.repr]/[Obj.obj] round-trip any ['a] — floats
    included — unchanged. Slots outside [head, head+len) hold [empty] so
    retired elements are not kept alive by the buffer. *)
-type 'a t = { mutable buf : Obj.t array; mutable head : int; mutable len : int }
+type 'a t = { mutable buf : Obj.t array; mutable mask : int; mutable head : int; mutable len : int }
 
 let empty = Obj.repr 0
 
+let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (2 * k)
+
 let create ?(capacity = 64) () =
   if capacity < 1 then invalid_arg "Deque.create: capacity must be positive";
-  { buf = Array.make capacity empty; head = 0; len = 0 }
+  let cap = pow2_at_least capacity 1 in
+  { buf = Array.make cap empty; mask = cap - 1; head = 0; len = 0 }
 
 let length t = t.len
 
@@ -20,14 +25,15 @@ let grow t =
   let cap = Array.length t.buf in
   let bigger = Array.make (2 * cap) empty in
   for i = 0 to t.len - 1 do
-    bigger.(i) <- t.buf.((t.head + i) mod cap)
+    bigger.(i) <- t.buf.((t.head + i) land t.mask)
   done;
   t.buf <- bigger;
+  t.mask <- (2 * cap) - 1;
   t.head <- 0
 
-let slot t i = (t.head + i) mod Array.length t.buf
+let[@inline] slot t i = (t.head + i) land t.mask
 
-let get_unchecked t i : 'a = Obj.obj t.buf.(slot t i)
+let[@inline] get_unchecked t i : 'a = Obj.obj t.buf.(slot t i)
 
 let check_index fname t i =
   if i < 0 || i >= t.len then invalid_arg ("Deque." ^ fname ^ ": index out of bounds")
@@ -50,13 +56,12 @@ let drop_front t k =
 
 let push_back t (x : 'a) =
   if t.len = Array.length t.buf then grow t;
-  t.buf.((t.head + t.len) mod Array.length t.buf) <- Obj.repr x;
+  t.buf.(slot t t.len) <- Obj.repr x;
   t.len <- t.len + 1
 
 let push_front t (x : 'a) =
   if t.len = Array.length t.buf then grow t;
-  let cap = Array.length t.buf in
-  t.head <- (t.head + cap - 1) mod cap;
+  t.head <- (t.head - 1) land t.mask;
   t.buf.(t.head) <- Obj.repr x;
   t.len <- t.len + 1
 
@@ -64,7 +69,7 @@ let pop_front t : 'a =
   if t.len = 0 then invalid_arg "Deque.pop_front: empty";
   let x = t.buf.(t.head) in
   t.buf.(t.head) <- empty;
-  t.head <- (t.head + 1) mod Array.length t.buf;
+  t.head <- (t.head + 1) land t.mask;
   t.len <- t.len - 1;
   Obj.obj x
 

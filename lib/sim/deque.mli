@@ -6,13 +6,17 @@
     than an O(n) [List.length]. The buffer doubles when full and never
     shrinks; indices wrap, so long-running simulations reuse the same
     storage. Elements are stored unboxed, so pushes and pops allocate
-    nothing once the ring has reached its peak size. *)
+    nothing once the ring has reached its peak size. The capacity is
+    always a power of two, so an index is masked into the ring rather
+    than divided: the SPM's arbitration reads the queue with {!get} every
+    cycle. *)
 
 type 'a t
 
 val create : ?capacity:int -> unit -> 'a t
-(** Fresh empty deque. [capacity] is the initial ring size (default 64);
-    it grows on demand. *)
+(** Fresh empty deque. [capacity] (default 64) is the initial ring size,
+    rounded up to a power of two; it grows on demand. Raises
+    [Invalid_argument] unless it is positive. *)
 
 val length : 'a t -> int
 

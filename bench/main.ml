@@ -131,6 +131,21 @@ let served_hit_words () =
   hit ();
   Gc.minor_words () -. w0
 
+(* Minor-heap words of one simulation of [w] with no trace sink, and
+   with a sink attached that records no category. The two must be
+   equal: every emission site tests [Trace.wants] before it builds its
+   payload, so a sink that is off costs what no sink costs. *)
+let sink_off_words (w : Salam_workloads.Workload.t) =
+  let func = Salam_workloads.Workload.compile w in
+  let words trace =
+    ignore (Salam.simulate ?trace ~func w);
+    let w0 = Gc.minor_words () in
+    ignore (Salam.simulate ?trace ~func w);
+    Gc.minor_words () -. w0
+  in
+  let none = words None in
+  (none, words (Some (Salam_obs.Trace.create ~categories:[] ())))
+
 (* Allocation ledger: minor-heap words and kernel events per dynamic
    instruction of one [Salam.simulate] call (default config, compiled
    engine, SPM) on every standard-suite kernel plus the Fig 13 GEMM
@@ -165,6 +180,10 @@ let alloc () =
   Printf.printf "suite: %d dynamic instructions, %.1f words/instr, %.2f events/instr\n"
     !total_instr (per !total_words)
     (per (float_of_int !total_events));
+  let gemm16 = Exp_dse.gemm_dse_workload () in
+  let none, off = sink_off_words gemm16 in
+  Printf.printf "sink attached but off: %.0f words, no sink: %.0f words (%s)\n" off none
+    gemm16.Salam_workloads.Workload.name;
   Printf.printf "served hit: %.0f words\n\n" (served_hit_words ())
 
 let experiments =

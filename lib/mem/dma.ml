@@ -73,7 +73,7 @@ module Block = struct
         let src_addr = Int64.add src (Int64.of_int off) in
         let dst_addr = Int64.add dst (Int64.of_int off) in
         (match t.tr with
-        | Some tr ->
+        | Some tr when Trace.wants tr Trace.Dma_burst_start ->
             Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name
               ~cat:Trace.Dma_burst_start ~detail:"burst"
               [
@@ -81,7 +81,7 @@ module Block = struct
                 ("dst", Trace.I dst_addr);
                 ("size", Trace.I (Int64.of_int burst));
               ]
-        | None -> ());
+        | Some _ | None -> ());
         let read_pkt = Packet.make Packet.Read ~addr:src_addr ~size:burst in
         Port.send t.mem_port read_pkt ~on_complete:(fun () ->
             (* functional copy happens between the read completing and
@@ -93,7 +93,7 @@ module Block = struct
                 Stats.add t.s_bytes (float_of_int burst);
                 incr completed;
                 (match t.tr with
-                | Some tr ->
+                | Some tr when Trace.wants tr Trace.Dma_burst_end ->
                     Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name
                       ~cat:Trace.Dma_burst_end ~detail:"burst"
                       [
@@ -102,7 +102,7 @@ module Block = struct
                         ("done", Trace.I (Int64.of_int !completed));
                         ("total", Trace.I (Int64.of_int total_bursts));
                       ]
-                | None -> ());
+                | Some _ | None -> ());
                 if !completed = total_bursts then begin
                   t.active <- false;
                   on_done ()
@@ -146,11 +146,11 @@ module Stream = struct
 
   let emit_chunk t ~detail ~addr ~chunk =
     match t.tr with
-    | Some tr ->
+    | Some tr when Trace.wants tr Trace.Dma_burst_start ->
         Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.stream_name
           ~cat:Trace.Dma_burst_start ~detail
           [ ("addr", Trace.I addr); ("size", Trace.I (Int64.of_int chunk)) ]
-    | None -> ()
+    | Some _ | None -> ()
 
   let bytes_moved t = int_of_float (Stats.value t.s_bytes)
 

@@ -51,7 +51,7 @@ let create kernel clock stats cfg =
     let done_cycle = Int64.add finish (Int64.of_int cfg.access_latency) in
     let delay = Int64.to_int (Int64.sub done_cycle now) in
     (match t.tr with
-    | Some tr ->
+    | Some tr when Trace.wants tr Trace.Dram_access ->
         Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name
           ~cat:Trace.Dram_access
           ~detail:(match pkt.op with Packet.Read -> "read" | Packet.Write -> "write")
@@ -60,7 +60,7 @@ let create kernel clock stats cfg =
             ("size", Trace.I (Int64.of_int pkt.size));
             ("lat", Trace.I (Int64.of_int (max 1 delay)));
           ]
-    | None -> ());
+    | Some _ | None -> ());
     Clock.schedule_cycles t.clock ~cycles:(max 1 delay) on_complete
   in
   t.port <- Some (Port.make ~name:cfg.name handler);

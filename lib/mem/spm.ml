@@ -68,14 +68,14 @@ let bank_of t addr =
 
 let emit t cat ~detail (pkt : Packet.t) ~bank =
   match t.tr with
-  | Some tr ->
+  | Some tr when Trace.wants tr cat ->
       Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name ~cat ~detail
         [
           ("addr", Trace.I pkt.Packet.addr);
           ("size", Trace.I (Int64.of_int pkt.Packet.size));
           ("bank", Trace.I (Int64.of_int bank));
         ]
-  | None -> ()
+  | Some _ | None -> ()
 
 (* A request that cannot be serviced this cycle; [fresh] ones, waiting
    their first cycle, count as a conflict once. *)

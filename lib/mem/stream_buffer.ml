@@ -42,13 +42,13 @@ let occupancy t = Queue.length t.fifo
 
 let emit t cat ~detail ~size =
   match t.tr with
-  | Some tr ->
+  | Some tr when Trace.wants tr cat ->
       Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.buf_name ~cat ~detail
         [
           ("size", Trace.I (Int64.of_int size));
           ("occ", Trace.I (Int64.of_int (Queue.length t.fifo)));
         ]
-  | None -> ()
+  | Some _ | None -> ()
 
 (* Move as many queued pushes and pops as possible; every state change
    can unblock the other side, so iterate to quiescence. *)

@@ -59,7 +59,7 @@ let rec service t =
     match route t p.pkt.Packet.addr with
     | Some target ->
         (match t.tr with
-        | Some tr ->
+        | Some tr when Trace.wants tr Trace.Xbar_route ->
             Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name
               ~cat:Trace.Xbar_route
               ~detail:(Port.name target)
@@ -67,7 +67,7 @@ let rec service t =
                 ("addr", Trace.I p.pkt.Packet.addr);
                 ("size", Trace.I (Int64.of_int p.pkt.Packet.size));
               ]
-        | None -> ());
+        | Some _ | None -> ());
         Clock.schedule_cycles t.clock ~cycles:t.cfg.latency (fun () ->
             Port.send target p.pkt ~on_complete:p.on_complete)
     | None ->
@@ -76,11 +76,11 @@ let rec service t =
   done;
   if not (Queue.is_empty t.queue) then begin
     (match t.tr with
-    | Some tr ->
+    | Some tr when Trace.wants tr Trace.Xbar_contention ->
         Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name
           ~cat:Trace.Xbar_contention ~detail:"width"
           [ ("queued", Trace.I (Int64.of_int (Queue.length t.queue))) ]
-    | None -> ());
+    | Some _ | None -> ());
     t.service_scheduled <- true;
     Clock.schedule_cycles t.clock ~cycles:1 (fun () -> service t)
   end

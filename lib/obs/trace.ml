@@ -3,7 +3,9 @@
    Components hold a [sink option] captured at construction time; with
    tracing disabled that field is [None] and every emission site is a
    single always-not-taken branch, so the hot loop stays
-   branch-predictable. With tracing enabled, each event is a compact
+   branch-predictable. A site tests [wants] before it builds its
+   payload, so a sink that records none of its categories allocates
+   nothing there either. With tracing enabled, each event is a compact
    (tick, component, category, detail, payload) record appended to an
    in-memory buffer — optionally a bounded ring, for always-on capture
    such as the fuzzer's crash dumps.

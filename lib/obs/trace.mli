@@ -1,8 +1,10 @@
 (** Structured, zero-cost-when-off tracing for the timing stack.
 
     Components capture a [sink option] at construction; emission sites
-    are guarded by that option, so a disabled trace costs one
-    always-not-taken branch per site. Events carry (tick, component,
+    test that option and then {!wants} before they build a payload, so
+    a disabled trace costs one always-not-taken branch per site, and an
+    attached sink that records none of a site's categories costs no
+    allocation either. Events carry (tick, component,
     category, detail, payload) and can be rendered three ways: a
     canonical deterministic text format (one line per event, stable
     ordering at equal ticks — the golden-test format), Chrome

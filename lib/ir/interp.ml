@@ -41,7 +41,18 @@ let last_count = ref 0
 
 let instructions_executed () = !last_count
 
-type frame = { env : (int, Bits.t) Hashtbl.t }
+(* Registers are numbered densely per function (the builder and mem2reg
+   count them), so a frame is an array indexed by register id. *)
+type frame = { env : Bits.t option array }
+
+let frame_size (f : func) =
+  let m = ref 0 in
+  let see (v : var) = if v.id >= !m then m := v.id + 1 in
+  List.iter see f.params;
+  iter_instrs f (fun _ i ->
+      (match defined_var i with Some v -> see v | None -> ());
+      List.iter see (used_vars i));
+  !m
 
 let run ?(fuel = 100_000_000) ?(intrinsics = default_intrinsics) ?on_exec mem (m : modul)
     ~entry ~args =
@@ -70,24 +81,33 @@ let run ?(fuel = 100_000_000) ?(intrinsics = default_intrinsics) ?on_exec mem (m
             init);
       Hashtbl.replace globals g.gname addr)
     m.globals;
+  let sizes = ref [] in
+  let size_of f =
+    match List.assq_opt f !sizes with
+    | Some n -> n
+    | None ->
+        let n = frame_size f in
+        sizes := (f, n) :: !sizes;
+        n
+  in
   let rec exec_function depth (f : func) (actuals : Bits.t list) =
     if depth > 256 then raise (Trap "call stack overflow");
-    let frame = { env = Hashtbl.create 64 } in
+    let frame = { env = Array.make (size_of f) None } in
     (try
-       List.iter2 (fun p v -> Hashtbl.replace frame.env p.id (Bits.truncate p.ty v)) f.params
+       List.iter2 (fun p v -> frame.env.(p.id) <- Some (Bits.truncate p.ty v)) f.params
          actuals
      with Invalid_argument _ ->
        raise (Trap (Printf.sprintf "%s: arity mismatch" f.fname)));
     let eval = function
       | Var v -> (
-          match Hashtbl.find_opt frame.env v.id with
+          match frame.env.(v.id) with
           | Some x -> x
           | None -> raise (Trap (Printf.sprintf "%s: read of unset register %s.%d" f.fname v.vname v.id)))
       | Const (Cint (ty, i)) -> Bits.truncate ty (Bits.Int i)
       | Const (Cfloat (ty, x)) -> Bits.truncate ty (Bits.Float x)
       | Const Cnull -> Bits.Int 0L
     in
-    let assign (v : var) x = Hashtbl.replace frame.env v.id (Bits.truncate v.ty x) in
+    let assign (v : var) x = frame.env.(v.id) <- Some (Bits.truncate v.ty x) in
     let notify ?operands block instr result =
       match on_exec with
       | None -> ()

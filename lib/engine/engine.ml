@@ -141,8 +141,10 @@ type dyn = {
           slots (dynamic mode) *)
   mutable retired : bool;  (** popped from the reservation while still in flight *)
   k_commit : unit -> unit;
-      (** [commit] of this instance: the continuation of latency events
-          and memory responses *)
+      (** [commit] of this instance: the continuation of memory
+          responses *)
+  mutable wheel_next : int;
+      (** next instance in its completion-wheel bucket (see [t.wheel_head]) *)
   (* value dependents as an intrusive chain: the producer's
      [dep_head]/[dep_head_slot] name the first (consumer, slot) link;
      each consumer chains onward through its own [dep_next]/[dep_slot]
@@ -238,6 +240,13 @@ type t = {
   scratch_issued : int array;
       (** per-tick issue counts by [Fu.index]; cleared at each tick, so
           FU caps hold per tick rather than per cycle (ROADMAP) *)
+  wheel_head : int array;
+  wheel_tail : int array;
+      (** the completion wheel: multi-cycle FU ops in flight, bucket
+          [c mod Array.length wheel_head] holding those that commit at
+          cycle [c], a FIFO in issue order linked through [wheel_next].
+          One bucket per cycle of the longest node latency, plus one, so
+          a bucket is drained before it can be reused (see [tick]). *)
   mutable reads_outstanding : int;
   mutable writes_outstanding : int;
   mutable inflight_total : int;
@@ -383,6 +392,11 @@ let create kernel clock stats_group ?(config = default_config) ~datapath ~mem ()
     else config
   in
   let n_nodes = Array.length datapath.Datapath.nodes in
+  let longest_latency =
+    Array.fold_left
+      (fun m (n : Datapath.node) -> max m n.Datapath.latency)
+      0 datapath.Datapath.nodes
+  in
   {
     kernel;
     clock;
@@ -427,6 +441,8 @@ let create kernel clock stats_group ?(config = default_config) ~datapath ~mem ()
     fu_held = Array.make Fu.count 0;
     in_flight = Array.make Fu.count 0;
     scratch_issued = Array.make Fu.count 0;
+    wheel_head = Array.make (longest_latency + 1) nil;
+    wheel_tail = Array.make (longest_latency + 1) nil;
     reads_outstanding = 0;
     writes_outstanding = 0;
     inflight_total = 0;
@@ -981,6 +997,9 @@ let check_completion t =
   if !waiting <> 0 then err "reservation queue holds %d waiting entries at completion" !waiting;
   if t.waiting_count <> 0 then err "waiting_count = %d at completion" t.waiting_count;
   if t.inflight_total <> 0 then err "%d operations still in flight at completion" t.inflight_total;
+  let rec bucket_length n s = if s = nil then n else bucket_length (n + 1) (inst t s).wheel_next in
+  let on_wheel = Array.fold_left bucket_length 0 t.wheel_head in
+  if on_wheel <> 0 then err "%d operations still on the completion wheel at completion" on_wheel;
   if t.reads_outstanding <> 0 then err "%d reads outstanding at completion" t.reads_outstanding;
   if t.writes_outstanding <> 0 then
     err "%d writes outstanding at completion" t.writes_outstanding;
@@ -1144,6 +1163,7 @@ and fresh_dyn t (node : Datapath.node) ~n_ops =
       pool_next = nil;
       retired = false;
       k_commit = (fun () -> commit t dyn);
+      wheel_next = nil;
       dep_head = nil;
       dep_head_slot = 0;
       dep_next = Array.make n_ops nil;
@@ -1387,8 +1407,32 @@ and issue t dyn =
         ~detail:(mnemonic dyn.node.Datapath.instr)
         [ ("seq", Trace.I (Int64.of_int dyn.seq)); ("lat", Trace.I (Int64.of_int latency)) ];
     if latency = 0 then commit t dyn
-    else Clock.schedule_cycles t.clock ~cycles:latency dyn.k_commit
+    else begin
+      let b = (t.cur_cycle + latency) mod Array.length t.wheel_head in
+      let tl = t.wheel_tail.(b) in
+      if tl = nil then t.wheel_head.(b) <- dyn.id else (inst t tl).wheel_next <- dyn.id;
+      t.wheel_tail.(b) <- dyn.id
+    end
   end
+
+(* Commit, in issue order, every op on the wheel that completes in
+   [cycle]. The onward link is read before [commit], which may recycle
+   the instance; a commit never issues, so nothing joins the bucket. *)
+and drain_wheel t cycle =
+  let b = cycle mod Array.length t.wheel_head in
+  let s = t.wheel_head.(b) in
+  if s <> nil then begin
+    t.wheel_head.(b) <- nil;
+    t.wheel_tail.(b) <- nil;
+    commit_chain t s
+  end
+
+and commit_chain t s =
+  let d = inst t s in
+  let nx = d.wheel_next in
+  d.wheel_next <- nil;
+  commit t d;
+  if nx <> nil then commit_chain t nx
 
 and finalize_cycle t =
   if t.cur_cycle >= 0 && t.cyc_active then begin
@@ -1515,10 +1559,16 @@ and scan_compiled t =
   t.scanning <- false;
   !issued_any
 
+(* The wheel drains first, while [tick_scheduled] still holds: the
+   commits run where their kernel events used to (each was queued
+   before the tick of its cycle), their [schedule_tick ~cycles:0] finds
+   this tick pending, and [finalize_cycle] sees the previous cycle's
+   in-flight counts already released. *)
 and tick t =
+  let now_cycle = Clock.current_cycle_i t.clock in
+  drain_wheel t now_cycle;
   t.tick_scheduled <- false;
   if t.is_running then begin
-    let now_cycle = Clock.current_cycle_i t.clock in
     if now_cycle <> t.cur_cycle then begin
       finalize_cycle t;
       t.cur_cycle <- now_cycle

@@ -169,6 +169,14 @@ val reset : t -> unit
     restored engine is indistinguishable from a freshly created one.
     Raises [Invalid_argument] while the engine is running. *)
 
+val check_completion : t -> unit
+(** The end-of-run invariants of [config.check]: queues drained (the
+    completion wheel included), in-flight and stall-classification
+    counters zero, stall breakdown summing to stall cycles. A checked
+    run calls this when it finishes; it is exposed so a test can probe
+    an engine stopped mid-run. Raises {!Invariant_violation} naming
+    every failed property. *)
+
 val fu_allocated : t -> Salam_hw.Fu.cls -> int
 (** Instantiated units of a class after applying the config limits. *)
 

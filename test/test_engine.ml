@@ -22,12 +22,13 @@ let fixed_latency_mem clock backing latency =
   }
 
 (* run one invocation of [func] on the engine over [backing] *)
-let run_func ?(config = Engine.default_config) ?(mem_latency = 1) ?trace backing func args =
+let run_func ?(config = Engine.default_config) ?(mem_latency = 1) ?trace ?profile
+    ?(freq_mhz = 1000.0) backing func args =
   let kernel = Salam_sim.Kernel.create () in
   Salam_sim.Kernel.set_trace kernel trace;
-  let clock = Salam_sim.Clock.create kernel ~freq_mhz:1000.0 in
+  let clock = Salam_sim.Clock.create kernel ~freq_mhz in
   let stats = Salam_sim.Stats.group "engine_test" in
-  let datapath = Salam_cdfg.Datapath.build func in
+  let datapath = Salam_cdfg.Datapath.build ?profile func in
   let mem = fixed_latency_mem clock backing mem_latency in
   let engine = Engine.create kernel clock stats ~config ~datapath ~mem () in
   let finished = ref false in
@@ -285,6 +286,134 @@ let test_war_release () =
     (Hashtbl.length ticks = Hashtbl.length cticks
     && Hashtbl.fold (fun s t ok -> ok && Hashtbl.find_opt cticks s = Some t) ticks true)
 
+(* Multi-cycle FU ops commit from the engine's completion wheel, one
+   bucket per cycle of the longest latency plus one. Each iteration
+   issues a loop-carried fdiv (the longest-latency class) next to
+   1-cycle integer ops and a pipelined fmul/fadd, so the run spans many
+   turns of the wheel with buckets of mixed latency. Every op with
+   [lat > 0] must write back exactly [lat] cycles after it executes, in
+   both modes, under the default profile and the 5 ns row of the
+   hardware database. *)
+let wheel_kernel =
+  "define void @wheel(double %x.0, double %y.1) {\n\
+   entry:\n\
+   \  br label %loop\n\
+   loop:\n\
+   \  %i.2 = phi i64 [ 0, %entry ], [ %n.8, %loop ]\n\
+   \  %q.3 = phi double [ %x.0, %entry ], [ %d.4, %loop ]\n\
+   \  %d.4 = fdiv double %q.3, %y.1\n\
+   \  %m.5 = fmul double %q.3, %y.1\n\
+   \  %a.6 = fadd double %m.5, %x.0\n\
+   \  %j.7 = mul i64 %i.2, 3\n\
+   \  %n.8 = add i64 %i.2, 1\n\
+   \  %k.9 = icmp slt i64 %n.8, 12\n\
+   \  br i1 %k.9, label %loop, label %exit\n\
+   exit:\n\
+   \  ret void\n\
+   }"
+
+let test_commit_latency_across_wheel_wrap () =
+  let module Trace = Salam_obs.Trace in
+  let func = Parser.parse_func wheel_kernel in
+  let profile_5ns =
+    match Salam_config.profile ~node:40 ~cycle_time_ns:5.0 with
+    | Ok p -> p
+    | Error e -> Alcotest.failf "5ns profile: %s" e
+  in
+  List.iter
+    (fun (pname, profile, freq_mhz) ->
+      let dp = Salam_cdfg.Datapath.build ~profile func in
+      let longest =
+        Array.fold_left
+          (fun m n -> max m n.Salam_cdfg.Datapath.latency)
+          0 dp.Salam_cdfg.Datapath.nodes
+      in
+      let fdiv = (Salam_hw.Profile.spec profile Salam_hw.Fu.Fp_div_dp).Salam_hw.Profile.latency in
+      check Alcotest.int (pname ^ ": fdiv is the longest latency") longest fdiv;
+      List.iter
+        (fun mode ->
+          let what = Printf.sprintf "%s, %s" pname (Engine.mode_to_string mode) in
+          let sink =
+            Trace.create ~categories:[ Trace.Engine_execute; Trace.Engine_writeback ] ()
+          in
+          let config = { Engine.default_config with Engine.mode; check = true } in
+          ignore
+            (run_func ~config ~trace:sink ~profile ~freq_mhz (Memory.create ~size:64) func
+               [ Bits.Float 3.0; Bits.Float 2.0 ]);
+          let period = Int64.of_float (Float.round (1e6 /. freq_mhz)) in
+          let seq_of (e : Trace.event) =
+            match List.assoc_opt "seq" e.Trace.args with
+            | Some (Trace.I s) -> s
+            | Some _ | None -> Alcotest.failf "%s: event without seq" what
+          in
+          let wb = Hashtbl.create 256 in
+          let events = Trace.events sink in
+          List.iter
+            (fun (e : Trace.event) ->
+              if e.Trace.cat = Trace.Engine_writeback then
+                Hashtbl.replace wb (seq_of e) e.Trace.tick)
+            events;
+          let multi = ref 0 and last = ref 0L in
+          List.iter
+            (fun (e : Trace.event) ->
+              match (e.Trace.cat, List.assoc_opt "lat" e.Trace.args) with
+              | Trace.Engine_execute, Some (Trace.I lat) when lat > 0L -> (
+                  incr multi;
+                  let s = seq_of e in
+                  let want = Int64.add e.Trace.tick (Int64.mul lat period) in
+                  match Hashtbl.find_opt wb s with
+                  | Some got ->
+                      if got <> want then
+                        Alcotest.failf
+                          "%s: seq %Ld (%s, lat %Ld) executed at %Ld, wrote back at %Ld, want %Ld"
+                          what s e.Trace.detail lat e.Trace.tick got want;
+                      last := max !last got
+                  | None -> Alcotest.failf "%s: seq %Ld never wrote back" what s)
+              | _ -> ())
+            events;
+          check Alcotest.bool (what ^ ": multi-cycle ops ran") true (!multi > 12);
+          check Alcotest.bool
+            (Printf.sprintf "%s: run spans several turns of the %d-bucket wheel" what (longest + 1))
+            true
+            (Int64.div !last period > Int64.of_int (4 * (longest + 1))))
+        [ Engine.Dynamic; Engine.Compiled ])
+    [ ("default", Salam_hw.Profile.default_40nm, 1000.0); ("5ns", profile_5ns, 200.0) ]
+
+(* Check mode's end-of-run invariants report an op left on the
+   completion wheel. The engine is stopped while its fdiv is in flight,
+   so the check must trip; once the run completes it must pass. *)
+let test_check_reports_wheel_slot () =
+  let func =
+    Parser.parse_func
+      "define void @stuck(double %x.0, double %y.1) {\n\
+       entry:\n\
+       \  %a.2 = fdiv double %x.0, %y.1\n\
+       \  ret void\n\
+       }"
+  in
+  let kernel = Salam_sim.Kernel.create () in
+  let clock = Salam_sim.Clock.create kernel ~freq_mhz:1000.0 in
+  let backing = Memory.create ~size:64 in
+  let engine =
+    Engine.create kernel clock (Salam_sim.Stats.group "wheel_check")
+      ~config:{ Engine.default_config with Engine.check = true }
+      ~datapath:(Salam_cdfg.Datapath.build func) ~mem:(fixed_latency_mem clock backing 1) ()
+  in
+  let finished = ref false in
+  Engine.start engine
+    ~args:[ Bits.Float 3.0; Bits.Float 2.0 ]
+    ~on_finish:(fun _ -> finished := true);
+  ignore (Salam_sim.Kernel.run ~max_ticks:2000L kernel);
+  check Alcotest.bool "stopped mid-run" false !finished;
+  (match Engine.check_completion engine with
+  | () -> Alcotest.fail "check passed with an fdiv on the completion wheel"
+  | exception Engine.Invariant_violation msg ->
+      if not (Test_store_shard.contains msg "1 operations still on the completion wheel") then
+        Alcotest.failf "violation does not name the wheel: %s" msg);
+  ignore (Salam_sim.Kernel.run kernel);
+  check Alcotest.bool "finished" true !finished;
+  Engine.check_completion engine
+
 (* randomized configurations must never change results, only timing *)
 let qcheck_engine_correct_under_random_configs =
   QCheck.Test.make ~name:"engine correct under random configs" ~count:25
@@ -370,5 +499,9 @@ let suite =
     Alcotest.test_case "FU issue per cycle within allocation (trace)" `Quick
       test_fu_issue_per_cycle_within_allocation;
     Alcotest.test_case "engine restart" `Quick test_engine_restart;
+    Alcotest.test_case "commit latency across completion-wheel wrap" `Quick
+      test_commit_latency_across_wheel_wrap;
+    Alcotest.test_case "check mode reports ops left on the completion wheel" `Quick
+      test_check_reports_wheel_slot;
     QCheck_alcotest.to_alcotest qcheck_engine_correct_under_random_configs;
   ]

@@ -146,13 +146,24 @@ let sink_off_words (w : Salam_workloads.Workload.t) =
   let none = words None in
   (none, words (Some (Salam_obs.Trace.create ~categories:[] ())))
 
+(* Minor-heap words of compiling [kernels] afresh through
+   [Compile.kernel] (not the per-process cache), and the IR
+   instructions they compile to. *)
+let frontend_words kernels =
+  let w0 = Gc.minor_words () in
+  let funcs = List.map Salam_frontend.Compile.kernel kernels in
+  let words = Gc.minor_words () -. w0 in
+  (List.fold_left (fun acc f -> acc + Salam_ir.Ast.instr_count f) 0 funcs, words)
+
 (* Allocation ledger: minor-heap words and kernel events per dynamic
    instruction of one [Salam.simulate] call (default config, compiled
    engine, SPM) on every standard-suite kernel plus the Fig 13 GEMM
-   point. Both are exact counts, not timings, so they do not depend on
-   the machine; CI gates the suite-wide words per instruction. Each
-   kernel runs once untimed first so one-time memoisation stays out of
-   the count. *)
+   point, and the front end's words per compiled IR instruction over
+   those kernels and the three 32x32 CNN stages. All are exact counts,
+   not timings, so they do not depend on the machine; CI gates the
+   suite-wide words per instruction and the front end's. Each kernel
+   runs once untimed first so one-time memoisation stays out of the
+   count. *)
 let alloc () =
   Bench_util.section "ALLOC — minor words and kernel events per dynamic instruction";
   let workloads = Salam_workloads.Suite.standard () @ [ Exp_dse.gemm_dse_workload () ] in
@@ -184,7 +195,23 @@ let alloc () =
   let none, off = sink_off_words gemm16 in
   Printf.printf "sink attached but off: %.0f words, no sink: %.0f words (%s)\n" off none
     gemm16.Salam_workloads.Workload.name;
-  Printf.printf "served hit: %.0f words\n\n" (served_hit_words ())
+  Printf.printf "served hit: %.0f words\n" (served_hit_words ());
+  let cnn =
+    Salam_workloads.Cnn.
+      [
+        conv ~h:32 ~w:32 ~unroll:3 ~pixel_unroll:8 ();
+        relu ~h:32 ~w:32 ~unroll:4 ();
+        pool ~h:32 ~w:32 ();
+      ]
+  in
+  let instrs, words =
+    frontend_words
+      (List.map
+         (fun (w : Salam_workloads.Workload.t) -> w.Salam_workloads.Workload.kernel)
+         (workloads @ cnn))
+  in
+  Printf.printf "frontend: %d IR instructions, %.0f words/instr\n\n" instrs
+    (words /. float_of_int (max 1 instrs))
 
 let experiments =
   [

@@ -224,6 +224,10 @@ type t = {
       (** Waiting (imported, not yet issued) memory ops in program order.
           Issued ops can never conflict, so they leave at issue time —
           ordering walks only ever traverse genuine candidates. *)
+  live_stores : Slot_list.t;
+      (** the stores of [live_mem], in program order: all a non-device
+          load's ordering walk needs, since it never conflicts with a
+          load *)
   last_writer : int array;  (** indexed by register id; [nil] once committed *)
   last_instance : int array;  (** indexed by static node id *)
   readers_waiting : int array;
@@ -426,6 +430,7 @@ let create kernel clock stats_group ?(config = default_config) ~datapath ~mem ()
     scan_l = nil;
     scan_s = nil;
     live_mem = Slot_list.create ();
+    live_stores = Slot_list.create ();
     last_writer = Array.make nregs nil;
     last_instance = Array.make n_nodes nil;
     readers_waiting = Array.make nregs 0;
@@ -933,17 +938,31 @@ let conflict t dyn older =
     a < Int64.add b (Int64.of_int dyn.mem_size) && b < Int64.add a (Int64.of_int older.mem_size)
   else true (* unresolved address: conservative *)
 
-(* live_mem is kept in program (seq) order: stop at the first entry that
-   is not older than [dyn] *)
-let rec ordering_clear t dyn s =
+(* [live] ([live_mem] or [live_stores]) is kept in program (seq) order:
+   stop at the first entry that is not older than [dyn] *)
+let rec ordering_clear t live dyn s =
   if s = nil then true
   else
     let older = inst t s in
     if older.seq >= dyn.seq then true
     else if conflict t dyn older then false
-    else ordering_clear t dyn (Slot_list.next t.live_mem s)
+    else ordering_clear t live dyn (Slot_list.next live s)
 
-let memory_ordering_ok t dyn = ordering_clear t dyn (Slot_list.head t.live_mem)
+let ordering_clear_all t dyn = ordering_clear t t.live_mem dyn (Slot_list.head t.live_mem)
+
+(* A non-device load conflicts with no load, so it walks only the older
+   stores; check mode compares that answer with the full walk. *)
+let memory_ordering_ok t dyn =
+  if dyn.is_load && not dyn.is_device then begin
+    let ok = ordering_clear t t.live_stores dyn (Slot_list.head t.live_stores) in
+    if t.cfg.check && ok <> ordering_clear_all t dyn then
+      raise
+        (Invariant_violation
+           (Printf.sprintf "@%s: cycle %d: load ordering %b over the older stores, %b over all"
+              t.dp.Datapath.func.Ast.fname t.cur_cycle ok (not ok)));
+    ok
+  end
+  else ordering_clear_all t dyn
 
 (* --- timing invariants (active when [config.check]) -------------------- *)
 
@@ -988,6 +1007,8 @@ let check_completion t =
     err "ready store queue holds %d entries at completion" (Slot_list.length t.ready_s);
   if not (Slot_list.is_empty t.live_mem) then
     err "live memory queue holds %d entries at completion" (Slot_list.length t.live_mem);
+  if not (Slot_list.is_empty t.live_stores) then
+    err "live store queue holds %d entries at completion" (Slot_list.length t.live_stores);
   let waiting = ref 0 in
   Slot_ring.iter_while
     (fun s ->
@@ -1175,7 +1196,9 @@ and fresh_dyn t (node : Datapath.node) ~n_ops =
     let bigger = Array.make cap dyn in
     Array.blit t.insts 0 bigger 0 id;
     t.insts <- bigger;
-    List.iter (fun l -> Slot_list.reserve l cap) [ t.ready; t.ready_l; t.ready_s; t.live_mem ]
+    List.iter
+      (fun l -> Slot_list.reserve l cap)
+      [ t.ready; t.ready_l; t.ready_s; t.live_mem; t.live_stores ]
   end;
   t.insts.(id) <- dyn;
   if id = t.n_insts then t.n_insts <- id + 1;
@@ -1272,9 +1295,10 @@ and make_dyn t (node : Datapath.node) (sources : Ast.value array) =
   try_wake t dyn;
   dyn
 
-(* memory ops join [live_mem] at import *)
+(* memory ops join [live_mem], and stores [live_stores], at import *)
 and link_live_mem t dyn =
-  if dyn.is_load || dyn.is_store then Slot_list.push_back t.live_mem dyn.id
+  if dyn.is_load || dyn.is_store then Slot_list.push_back t.live_mem dyn.id;
+  if dyn.is_store then Slot_list.push_back t.live_stores dyn.id
 
 and commit t dyn =
   dyn.st <- Done;
@@ -1361,8 +1385,9 @@ and issue t dyn =
   count_ready t dyn (-1);
   t.waiting_count <- t.waiting_count - 1;
   t.inflight_total <- t.inflight_total + 1;
-  (* a memory op leaves [live_mem] *)
+  (* a memory op leaves [live_mem], a store [live_stores] too *)
   if dyn.is_load || dyn.is_store then Slot_list.remove t.live_mem dyn.id;
+  if dyn.is_store then Slot_list.remove t.live_stores dyn.id;
   (* release WAW/WAR hazards held on this instruction *)
   release_hazards t dyn;
   if dyn.is_load then begin

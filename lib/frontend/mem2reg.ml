@@ -66,16 +66,14 @@ let run (f : func) =
        (block, alloca) -> phi destination var. *)
     let phi_sites : (int * int, var) Hashtbl.t = Hashtbl.create 32 in
     let phi_incoming : (int * int, (value * string) list ref) Hashtbl.t = Hashtbl.create 32 in
+    let names = Hashtbl.create 16 in
+    iter_instrs f (fun _ instr ->
+        match instr with
+        | Alloca { dst; _ } when Hashtbl.mem slots dst.id -> Hashtbl.replace names dst.id dst.vname
+        | _ -> ());
     Hashtbl.iter
       (fun alloca_id elem_ty ->
-        let name =
-          let found = ref "slot" in
-          iter_instrs f (fun _ instr ->
-              match instr with
-              | Alloca { dst; _ } when dst.id = alloca_id -> found := dst.vname
-              | _ -> ());
-          !found
-        in
+        let name = Option.value ~default:"slot" (Hashtbl.find_opt names alloca_id) in
         let worklist = Queue.create () in
         List.iter
           (fun bi -> Queue.add bi worklist)
@@ -98,6 +96,11 @@ let run (f : func) =
             (Cfg.dominance_frontier cfg bi)
         done)
       slots;
+    (* the phi sites of each block, as (alloca, phi destination) *)
+    let block_sites = Array.make nblocks [] in
+    Hashtbl.iter
+      (fun (bi, alloca_id) dst -> block_sites.(bi) <- (alloca_id, dst) :: block_sites.(bi))
+      phi_sites;
     (* Renaming. [rewrites] maps a deleted load's dst to its replacement
        value; replacements always dominate the load, so applying the map
        globally is sound. *)
@@ -130,10 +133,7 @@ let run (f : func) =
         pushed := alloca_id :: !pushed
       in
       (* phis for this block count as definitions *)
-      Hashtbl.iter
-        (fun (site_bi, alloca_id) (dst : var) ->
-          if site_bi = bi then push alloca_id (Var dst))
-        phi_sites;
+      List.iter (fun (alloca_id, dst) -> push alloca_id (Var dst)) block_sites.(bi);
       let new_instrs =
         List.filter_map
           (fun instr ->
@@ -152,13 +152,11 @@ let run (f : func) =
       (* feed phi inputs of CFG successors *)
       List.iter
         (fun succ ->
-          Hashtbl.iter
-            (fun (site_bi, alloca_id) (_ : var) ->
-              if site_bi = succ then begin
-                let inc = Hashtbl.find phi_incoming (succ, alloca_id) in
-                inc := (top alloca_id, b.label) :: !inc
-              end)
-            phi_sites)
+          List.iter
+            (fun (alloca_id, _) ->
+              let inc = Hashtbl.find phi_incoming (succ, alloca_id) in
+              inc := (top alloca_id, b.label) :: !inc)
+            block_sites.(succ))
         (Cfg.succs cfg bi);
       List.iter rename dom_children.(bi);
       List.iter
@@ -170,22 +168,16 @@ let run (f : func) =
         !pushed
     in
     if nblocks > 0 then rename 0;
-    (* Materialise phis at block heads and apply the rewrite map. *)
-    List.iteri
-      (fun bi b ->
-        let phis =
-          Hashtbl.fold
-            (fun (site_bi, alloca_id) dst acc ->
-              if site_bi = bi then begin
-                let incoming = !(Hashtbl.find phi_incoming (bi, alloca_id)) in
-                let incoming = List.map (fun (v, l) -> (resolve v, l)) incoming in
-                Phi { dst; incoming = List.rev incoming } :: acc
-              end
-              else acc)
-            phi_sites []
-        in
-        b.instrs <- phis @ b.instrs)
-      f.blocks;
+    (* Materialise phis at block heads and apply the rewrite map. A
+       block's phis come in the reverse of [phi_sites]' iteration order. *)
+    let phis = Array.make nblocks [] in
+    Hashtbl.iter
+      (fun (bi, alloca_id) dst ->
+        let incoming = !(Hashtbl.find phi_incoming (bi, alloca_id)) in
+        let incoming = List.map (fun (v, l) -> (resolve v, l)) incoming in
+        phis.(bi) <- Phi { dst; incoming = List.rev incoming } :: phis.(bi))
+      phi_sites;
+    List.iteri (fun bi b -> b.instrs <- phis.(bi) @ b.instrs) f.blocks;
     Subst.apply rewrites f;
     Hashtbl.length slots
   end

@@ -142,40 +142,51 @@ let dead_code (f : func) =
   !removed
 
 (* Structural key for block-local value numbering; only pure,
-   memory-independent instructions participate. *)
-let cse_key instr : string option =
-  let val_key = function
-    | Var v -> Printf.sprintf "v%d" v.id
-    | Const (Cint (ty, i)) -> Printf.sprintf "i%s:%Ld" (Ty.to_string ty) i
-    | Const (Cfloat (ty, x)) -> Printf.sprintf "f%s:%h" (Ty.to_string ty) x
-    | Const Cnull -> "null"
-  in
+   memory-independent instructions participate. Registers compare by id
+   and constants by type and bits, so 0.0 and -0.0 stay apart. *)
+type operand_key = Kvar of int | Kint of Ty.t * int64 | Kfloat of Ty.t * int64 | Knull
+
+type cse_key =
+  | Kbinop of binop * Ty.t * operand_key * operand_key
+  | Kicmp of icmp * operand_key * operand_key
+  | Kfcmp of fcmp * operand_key * operand_key
+  | Kcast of cast * Ty.t * operand_key
+  | Kselect of operand_key * operand_key * operand_key
+  | Kgep of operand_key * (int * operand_key) list
+
+let operand_key = function
+  | Var v -> Kvar v.id
+  | Const (Cint (ty, i)) -> Kint (ty, i)
+  | Const (Cfloat (ty, x)) -> Kfloat (ty, Int64.bits_of_float x)
+  | Const Cnull -> Knull
+
+let cse_key instr =
+  let k = operand_key in
   match instr with
-  | Binop { op; lhs; rhs; dst } ->
-      Some
-        (Printf.sprintf "b:%s:%s:%s:%s" (binop_to_string op) (Ty.to_string dst.ty)
-           (val_key lhs) (val_key rhs))
-  | Icmp { pred; lhs; rhs; _ } ->
-      Some (Printf.sprintf "ic:%s:%s:%s" (icmp_to_string pred) (val_key lhs) (val_key rhs))
-  | Fcmp { pred; lhs; rhs; _ } ->
-      Some (Printf.sprintf "fc:%s:%s:%s" (fcmp_to_string pred) (val_key lhs) (val_key rhs))
-  | Cast { op; src; dst } ->
-      Some (Printf.sprintf "c:%s:%s:%s" (cast_to_string op) (Ty.to_string dst.ty) (val_key src))
-  | Select { cond; if_true; if_false; _ } ->
-      Some (Printf.sprintf "s:%s:%s:%s" (val_key cond) (val_key if_true) (val_key if_false))
-  | Gep { base; offsets; _ } ->
-      Some
-        (Printf.sprintf "g:%s:%s" (val_key base)
-           (String.concat ","
-              (List.map (fun (s, v) -> Printf.sprintf "%d*%s" s (val_key v)) offsets)))
+  | Binop { op; lhs; rhs; dst } -> Some (Kbinop (op, dst.ty, k lhs, k rhs))
+  | Icmp { pred; lhs; rhs; _ } -> Some (Kicmp (pred, k lhs, k rhs))
+  | Fcmp { pred; lhs; rhs; _ } -> Some (Kfcmp (pred, k lhs, k rhs))
+  | Cast { op; src; dst } -> Some (Kcast (op, dst.ty, k src))
+  | Select { cond; if_true; if_false; _ } -> Some (Kselect (k cond, k if_true, k if_false))
+  | Gep { base; offsets; _ } -> Some (Kgep (k base, List.map (fun (s, v) -> (s, k v)) offsets))
   | Load _ | Store _ | Phi _ | Alloca _ | Call _ | Br _ | Cond_br _ | Ret _ -> None
+
+(* The generic hash stops after ten values, short of a gep's offset
+   registers; these limits reach every field of a key. *)
+module Key_tbl = Hashtbl.Make (struct
+  type t = cse_key
+
+  let equal = ( = )
+
+  let hash = Hashtbl.hash_param 64 256
+end)
 
 let common_subexpr (f : func) =
   let removed = ref 0 in
   let subst = Subst.create () in
   List.iter
     (fun b ->
-      let seen = Hashtbl.create 16 in
+      let seen = Key_tbl.create 16 in
       b.instrs <-
         List.filter_map
           (fun instr ->
@@ -183,13 +194,13 @@ let common_subexpr (f : func) =
             match cse_key instr with
             | None -> Some instr
             | Some key -> (
-                match (Hashtbl.find_opt seen key, defined_var instr) with
+                match (Key_tbl.find_opt seen key, defined_var instr) with
                 | Some prior, Some dst ->
                     Subst.add subst dst (Var prior);
                     incr removed;
                     None
                 | None, Some dst ->
-                    Hashtbl.replace seen key dst;
+                    Key_tbl.replace seen key dst;
                     Some instr
                 | _, None -> Some instr))
           b.instrs)

@@ -1,12 +1,19 @@
 open Ast
 
+(* The current block's instructions are held newest-first in [pending]
+   and written back to the block, in order, when the builder leaves it
+   ([add_block], [set_block]) or [finish]es; appending to [b.instrs]
+   directly would make emission quadratic in block length. Nothing
+   reads a block's [instrs] while it is current. *)
 type t = {
   fname : string;
   ret_ty : Ty.t;
   f_params : var list;
   mutable next_id : int;
   mutable blocks : block list; (* reverse order *)
+  labels : (string, block) Hashtbl.t;
   mutable current : block option;
+  mutable pending : instr list; (* the current block's, newest first *)
 }
 
 let create ~name ~ret_ty ~params =
@@ -19,7 +26,16 @@ let create ~name ~ret_ty ~params =
         { id; vname; ty })
       params
   in
-  { fname = name; ret_ty; f_params; next_id = !next; blocks = []; current = None }
+  {
+    fname = name;
+    ret_ty;
+    f_params;
+    next_id = !next;
+    blocks = [];
+    labels = Hashtbl.create 16;
+    current = None;
+    pending = [];
+  }
 
 let params t = t.f_params
 
@@ -28,16 +44,23 @@ let fresh t vname ty =
   t.next_id <- t.next_id + 1;
   { id; vname; ty }
 
+let flush t = match t.current with Some b -> b.instrs <- List.rev t.pending | None -> ()
+
+let enter t b =
+  flush t;
+  t.current <- Some b;
+  t.pending <- List.rev b.instrs
+
 let add_block t label =
-  if List.exists (fun b -> b.label = label) t.blocks then
-    invalid_arg ("Builder.add_block: duplicate label " ^ label);
+  if Hashtbl.mem t.labels label then invalid_arg ("Builder.add_block: duplicate label " ^ label);
   let b = { label; instrs = [] } in
+  Hashtbl.replace t.labels label b;
   t.blocks <- b :: t.blocks;
-  t.current <- Some b
+  enter t b
 
 let set_block t label =
-  match List.find_opt (fun b -> b.label = label) t.blocks with
-  | Some b -> t.current <- Some b
+  match Hashtbl.find_opt t.labels label with
+  | Some b -> enter t b
   | None -> invalid_arg ("Builder.set_block: unknown label " ^ label)
 
 let current_label t =
@@ -47,7 +70,7 @@ let current_label t =
 
 let emit t instr =
   match t.current with
-  | Some b -> b.instrs <- b.instrs @ [ instr ]
+  | Some _ -> t.pending <- instr :: t.pending
   | None -> invalid_arg "Builder.emit: no current block"
 
 let binop t ?(name = "t") op lhs rhs =
@@ -115,6 +138,7 @@ let cond_br t cond if_true if_false = emit t (Cond_br { cond; if_true; if_false 
 let ret t v = emit t (Ret v)
 
 let finish t =
+  flush t;
   { fname = t.fname; params = t.f_params; ret_ty = t.ret_ty; blocks = List.rev t.blocks }
 
 let ci32 i = Const (Cint (Ty.I32, Int64.of_int i))

@@ -132,7 +132,7 @@ let finish s h w started =
   Array.for_all2 (fun a b -> abs_float (a -. b) <= 1e-9 *. (1.0 +. abs_float b)) out expect
 
 let mk_acc s name ?(engine_config = Engine.default_config) kern =
-  let func = Salam_frontend.Compile.kernel kern in
+  let func = Salam_workloads.Workload.compile_kernel kern in
   let acc = Accelerator.create s.sys ~name ~clock_mhz:acc_clock ~engine_config func in
   Cluster.add_accelerator s.cluster acc;
   acc

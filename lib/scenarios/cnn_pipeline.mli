@@ -14,7 +14,9 @@
       controller is involved between stages.
 
     Each run checks the final tensor in DRAM against the golden CNN
-    pipeline. *)
+    pipeline. The kernels are compiled once per process, through
+    {!Salam_workloads.Workload.compile_kernel}, and shared by every
+    later run. *)
 
 type outcome = {
   scenario : string;

@@ -1,7 +1,11 @@
-(* The value lives behind a [float ref] — a single-field float record is
-   flat, so updates mutate in place. A [mutable v : float] directly in
-   this mixed record would box a fresh float on every [incr]. *)
-type scalar = { s_name : string; v : float ref }
+(* The value lives in its own all-float record, which OCaml stores
+   flat, so an update writes the float in place and allocates nothing.
+   A [mutable v : float] directly in this mixed record would box a
+   fresh float on every [incr], and so would a [float ref]: ['a ref] is
+   a polymorphic record, never a flat float one. *)
+type cell = { mutable f : float }
+
+type scalar = { s_name : string; v : cell }
 
 type distribution = {
   d_name : string;
@@ -27,17 +31,17 @@ let group ?parent name =
   g
 
 let scalar g name =
-  let s = { s_name = name; v = ref 0.0 } in
+  let s = { s_name = name; v = { f = 0.0 } } in
   g.scalars <- s :: g.scalars;
   s
 
-let incr s = s.v := !(s.v) +. 1.0
+let incr s = s.v.f <- s.v.f +. 1.0
 
-let add s x = s.v := !(s.v) +. x
+let add s x = s.v.f <- s.v.f +. x
 
-let set s x = s.v := x
+let set s x = s.v.f <- x
 
-let value s = !(s.v)
+let value s = s.v.f
 
 let distribution g name =
   let d = { d_name = name; count = 0; total = 0.0; min_v = infinity; max_v = neg_infinity } in
@@ -61,7 +65,7 @@ let dist_min d = if d.count = 0 then 0.0 else d.min_v
 let dist_total d = d.total
 
 let rec reset_group g =
-  List.iter (fun s -> s.v := 0.0) g.scalars;
+  List.iter (fun s -> s.v.f <- 0.0) g.scalars;
   List.iter
     (fun d ->
       d.count <- 0;
@@ -87,7 +91,7 @@ let fold g ~init ~f =
     let scoped name = if prefix = "" then name else prefix ^ "." ^ name in
     let acc =
       List.fold_left
-        (fun acc s -> f acc ~path:(scoped s.s_name) !(s.v))
+        (fun acc s -> f acc ~path:(scoped s.s_name) s.v.f)
         acc (List.rev g.scalars)
     in
     let acc =
@@ -109,7 +113,7 @@ let find g path =
   let rec go g = function
     | [] -> None
     | [ last ] ->
-        List.find_opt (fun s -> s.s_name = last) g.scalars |> Option.map (fun s -> !(s.v))
+        List.find_opt (fun s -> s.s_name = last) g.scalars |> Option.map (fun s -> s.v.f)
     | child :: rest -> (
         match List.find_opt (fun c -> c.g_name = child) g.children with
         | Some c -> go c rest
@@ -128,7 +132,7 @@ let pp ppf g =
   let rec go prefix g =
     let scoped name = if prefix = "" then name else prefix ^ "." ^ name in
     List.iter
-      (fun s -> Format.fprintf ppf "%s = %g@." (scoped s.s_name) !(s.v))
+      (fun s -> Format.fprintf ppf "%s = %g@." (scoped s.s_name) s.v.f)
       (List.rev g.scalars);
     List.iter
       (fun d ->

@@ -10,22 +10,25 @@ type t = {
 }
 
 (* The compile cache is shared by every simulation in the process,
-   including domain-parallel sweeps; guard it so concurrent [compile]
-   calls stay safe. Compilation is deterministic, so losing a race and
+   including domain-parallel sweeps; guard it so concurrent compiles
+   stay safe. Compilation is deterministic, so losing a race and
    compiling the same kernel twice would only waste work — but we hold
-   the lock across the compile to keep it single-shot. *)
+   the lock across the compile to keep it single-shot. Every workload
+   is named after its kernel, so the kernel name is the key. *)
 let cache : (string, Ast.func) Hashtbl.t = Hashtbl.create 16
 
 let cache_lock = Mutex.create ()
 
-let compile t =
+let compile_kernel (k : Salam_frontend.Lang.kernel) =
   Mutex.protect cache_lock (fun () ->
-      match Hashtbl.find_opt cache t.name with
+      match Hashtbl.find_opt cache k.kname with
       | Some f -> f
       | None ->
-          let f = Salam_frontend.Compile.kernel t.kernel in
-          Hashtbl.replace cache t.name f;
+          let f = Salam_frontend.Compile.kernel k in
+          Hashtbl.replace cache k.kname f;
           f)
+
+let compile t = compile_kernel t.kernel
 
 let modul t = { Ast.funcs = [ compile t ]; globals = [] }
 

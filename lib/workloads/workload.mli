@@ -19,8 +19,14 @@ type t = {
       (** compare outputs against the golden model *)
 }
 
+val compile_kernel : Salam_frontend.Lang.kernel -> Salam_ir.Ast.func
+(** Compile a kernel once per process: the result is memoised by kernel
+    name, so two kernels must share a name only if they are the same
+    kernel. Every caller gets the same function, which it must not
+    mutate. Safe to call from several domains. *)
+
 val compile : t -> Salam_ir.Ast.func
-(** Compile the kernel (memoised per workload record). *)
+(** [compile_kernel] of the workload's kernel. *)
 
 val modul : t -> Salam_ir.Ast.modul
 

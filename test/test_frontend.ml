@@ -95,6 +95,61 @@ let test_cse_removes_duplicates () =
       match instr with Ast.Binop { op = Ast.Mul; _ } -> incr muls | _ -> ());
   check Alcotest.int "one multiply after CSE" 1 !muls
 
+(* The value-numbering key sees operands by register id and constants
+   by type and bits: identical geps and identical [fadd x, 0.0] merge
+   into the first, while [fadd x, -0.0] and casts that differ only in
+   their destination type stay apart. *)
+let test_cse_key () =
+  let b =
+    Builder.create ~name:"keys" ~ret_ty:Ty.F64
+      ~params:[ ("base", Ty.Ptr); ("k", Ty.I32); ("x", Ty.F64) ]
+  in
+  let base, k, x =
+    match Builder.params b with [ p; k; x ] -> Ast.(Var p, Var k, Var x) | _ -> assert false
+  in
+  Builder.add_block b "entry";
+  ignore (Builder.gep b ~name:"p1" base [ (8, k) ]);
+  let p2 = Builder.gep b ~name:"p2" base [ (8, k) ] in
+  let v = Builder.load b ~name:"v" Ty.F64 p2 in
+  ignore (Builder.binop b ~name:"a1" Ast.Fadd x (Builder.cf64 0.0));
+  let a2 = Builder.binop b ~name:"a2" Ast.Fadd x (Builder.cf64 0.0) in
+  let a3 = Builder.binop b ~name:"a3" Ast.Fadd x (Builder.cf64 (-0.0)) in
+  ignore (Builder.cast b ~name:"c1" Ast.Sitofp k Ty.F32);
+  let c2 = Builder.cast b ~name:"c2" Ast.Sitofp k Ty.F64 in
+  let s = Builder.binop b ~name:"s" Ast.Fadd a2 a3 in
+  let s = Builder.binop b ~name:"s2" Ast.Fadd s v in
+  let s = Builder.binop b ~name:"s3" Ast.Fadd s c2 in
+  Builder.ret b (Some s);
+  let f = Builder.finish b in
+  check Alcotest.int "two merged" 2 (Passes.common_subexpr f);
+  let var_name = function Ast.Var v -> v.Ast.vname | Ast.Const _ -> "const" in
+  let shown =
+    List.map
+      (fun instr ->
+        match instr with
+        | Ast.Load { dst; addr } -> dst.Ast.vname ^ " <- " ^ var_name addr
+        | Ast.Binop { dst; lhs; rhs; _ } ->
+            dst.Ast.vname ^ " <- " ^ var_name lhs ^ " " ^ var_name rhs
+        | i -> ( match Ast.defined_var i with Some d -> d.Ast.vname | None -> "ret"))
+      (Ast.entry_block f).Ast.instrs
+  in
+  check
+    Alcotest.(list string)
+    "survivors and rewritten uses"
+    [
+      "p1";
+      "v <- p1";
+      "a1 <- x const";
+      "a3 <- x const";
+      "c1";
+      "c2";
+      "s <- a1 a3";
+      "s2 <- s v";
+      "s3 <- s2 c2";
+      "ret";
+    ]
+    shown
+
 let test_unroll_preserves_semantics () =
   List.iter
     (fun unroll ->
@@ -193,6 +248,7 @@ let suite =
     Alcotest.test_case "mem2reg promotes all scalars" `Quick test_mem2reg_promotes_all_scalars;
     Alcotest.test_case "constant folding" `Quick test_constant_folding;
     Alcotest.test_case "local CSE" `Quick test_cse_removes_duplicates;
+    Alcotest.test_case "CSE key: geps, signed zero, cast types" `Quick test_cse_key;
     Alcotest.test_case "unroll preserves semantics" `Quick test_unroll_preserves_semantics;
     Alcotest.test_case "full unroll eliminates loop" `Quick test_full_unroll_eliminates_loop;
     Alcotest.test_case "unroll reduces dynamic control" `Quick test_unroll_reduces_dynamic_control;

@@ -412,6 +412,45 @@ let build_add_function () =
 let test_builder_verifies () =
   check Alcotest.int "no problems" 0 (List.length (Verify.func (build_add_function ())))
 
+(* Each block holds its instructions in emission order, also after the
+   builder returns to an earlier block; labels stay unique. *)
+let test_builder_emission_order () =
+  let b = Builder.create ~name:"order" ~ret_ty:Ty.I32 ~params:[ ("x", Ty.I32) ] in
+  let x = match Builder.params b with [ x ] -> Ast.Var x | _ -> assert false in
+  Builder.add_block b "entry";
+  let t1 = Builder.binop b ~name:"t1" Ast.Add x (Builder.ci32 1) in
+  let t2 = Builder.binop b ~name:"t2" Ast.Mul t1 (Builder.ci32 2) in
+  Builder.add_block b "exit";
+  let t3 = Builder.binop b ~name:"t3" Ast.Sub t2 x in
+  Builder.set_block b "entry";
+  check Alcotest.string "current block" "entry" (Builder.current_label b);
+  ignore (Builder.binop b ~name:"t4" Ast.Xor t2 x);
+  Builder.br b "exit";
+  Builder.set_block b "exit";
+  Builder.ret b (Some t3);
+  let f = Builder.finish b in
+  let names (blk : Ast.block) =
+    List.map
+      (fun i ->
+        match (Ast.defined_var i, i) with
+        | Some v, _ -> v.Ast.vname
+        | None, Ast.Br l -> "br " ^ l
+        | None, _ -> "ret")
+      blk.Ast.instrs
+  in
+  check
+    Alcotest.(list (pair string (list string)))
+    "blocks in order, instructions in emission order"
+    [ ("entry", [ "t1"; "t2"; "t4"; "br exit" ]); ("exit", [ "t3"; "ret" ]) ]
+    (List.map (fun (blk : Ast.block) -> (blk.Ast.label, names blk)) f.Ast.blocks);
+  check Alcotest.int "verifies" 0 (List.length (Verify.func f));
+  Alcotest.check_raises "duplicate label"
+    (Invalid_argument "Builder.add_block: duplicate label exit") (fun () ->
+      Builder.add_block b "exit");
+  Alcotest.check_raises "unknown label"
+    (Invalid_argument "Builder.set_block: unknown label nowhere") (fun () ->
+      Builder.set_block b "nowhere")
+
 let test_verify_catches_missing_terminator () =
   let b = Builder.create ~name:"bad" ~ret_ty:Ty.Void ~params:[] in
   Builder.add_block b "entry";
@@ -707,6 +746,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_payload_cast;
     QCheck_alcotest.to_alcotest qcheck_payload_truncate;
     Alcotest.test_case "builder output verifies" `Quick test_builder_verifies;
+    Alcotest.test_case "builder emission order across blocks" `Quick test_builder_emission_order;
     Alcotest.test_case "verify missing terminator" `Quick test_verify_catches_missing_terminator;
     Alcotest.test_case "verify type mismatch" `Quick test_verify_catches_type_mismatch;
     Alcotest.test_case "verify use before def" `Quick test_verify_catches_use_before_def;

@@ -26,6 +26,20 @@ let test_stage_cycles_reported () =
     (fun (_, cycles) -> check Alcotest.bool "stage ran" true (Int64.compare cycles 0L > 0))
     o.Cnn_pipeline.stage_cycles
 
+(* The scenarios share one compiled function per kernel across runs, so
+   a run that mutated it would change the next run's outcome. *)
+let test_rerun_same_outcome () =
+  List.iter
+    (fun (name, run) ->
+      let first : Cnn_pipeline.outcome = run () in
+      check Alcotest.bool (name ^ " correct") true first.Cnn_pipeline.correct;
+      check Alcotest.bool (name ^ " second run equal") true (run () = first))
+    [
+      ("private_spm", fun () -> Cnn_pipeline.run_private_spm ~h:8 ~w:8 ());
+      ("shared_spm", fun () -> Cnn_pipeline.run_shared_spm ~h:8 ~w:8 ());
+      ("streams", fun () -> Cnn_pipeline.run_streams ~h:8 ~w:8 ());
+    ]
+
 (* a stream DMA feeding an accelerator's pop window from DRAM, and a
    second one draining its push window back to DRAM: the remaining
    stream-integration path (Fig 16c's data movers) *)
@@ -87,4 +101,5 @@ let suite =
     Alcotest.test_case "scenarios correct and ordered" `Slow test_all_scenarios_correct_and_ordered;
     Alcotest.test_case "stage cycles reported" `Slow test_stage_cycles_reported;
     Alcotest.test_case "stream DMA end-to-end" `Quick test_stream_dma_feeds_accelerator;
+    Alcotest.test_case "scenario reruns give equal outcomes" `Quick test_rerun_same_outcome;
   ]

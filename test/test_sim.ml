@@ -474,6 +474,21 @@ let test_stats_tree () =
   Stats.reset_group root;
   check (Alcotest.float 1e-9) "reset" 0.0 (Stats.value s)
 
+(* A scalar's value lives in a flat float record, so an update writes
+   it in place and allocates nothing. *)
+let test_stats_scalar_allocation_free () =
+  let s = Stats.scalar (Stats.group "g") "n" in
+  let cycle n =
+    for _ = 1 to n do
+      Stats.incr s;
+      Stats.add s 0.5
+    done
+  in
+  cycle 100;
+  check Alcotest.int "minor words over 10k incr/add calls" 0
+    (minor_words_during (fun () -> cycle 5_000));
+  check (Alcotest.float 1e-9) "value" 7650.0 (Stats.value s)
+
 let test_stats_distribution () =
   let g = Stats.group "g" in
   let d = Stats.distribution g "lat" in
@@ -564,6 +579,8 @@ let suite =
     Alcotest.test_case "clock edge alignment" `Quick test_clock_alignment;
     Alcotest.test_case "clock cycle_of_tick" `Quick test_clock_cycle_of_tick;
     Alcotest.test_case "stats tree" `Quick test_stats_tree;
+    Alcotest.test_case "stats scalar updates allocation-free" `Quick
+      test_stats_scalar_allocation_free;
     Alcotest.test_case "stats distribution" `Quick test_stats_distribution;
     Alcotest.test_case "stats fold/find round trip" `Quick test_stats_fold_find_roundtrip;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;

@@ -9,14 +9,10 @@
    invariant violation or fuzz failure. *)
 
 open Cmdliner
+module Engine = Salam_engine.Engine
+module Point = Salam_dse.Point
 
-let memory_of_string = function
-  | "spm" -> Ok Check_harness.Spm
-  | "cache" -> Ok (Check_harness.Cache { size = 4096; ways = 4 })
-  | "dram" -> Ok Check_harness.Dram
-  | other -> Error (Printf.sprintf "unknown memory kind %s (spm|cache|dram)" other)
-
-let run_all ~suite ~memory_kind ~seed ~mode ?profile () =
+let run_all ~suite ~config =
   let workloads =
     match suite with
     | "quick" -> Salam_workloads.Suite.quick ()
@@ -25,7 +21,7 @@ let run_all ~suite ~memory_kind ~seed ~mode ?profile () =
         Printf.eprintf "unknown suite %s (quick|standard)\n" other;
         exit 1
   in
-  let reports = Check_oracle.check_all ~memory_kind ~seed ~mode ?profile workloads in
+  let reports = Check_oracle.check_all ~config workloads in
   let failed = ref 0 in
   List.iter
     (fun (r : Check_oracle.report) ->
@@ -39,10 +35,10 @@ let run_all ~suite ~memory_kind ~seed ~mode ?profile () =
   Printf.printf "%d/%d workloads agree (interpreter vs %s engine, invariants on)\n"
     (List.length reports - !failed)
     (List.length reports)
-    (Salam_engine.Engine.mode_to_string mode);
+    (Engine.mode_to_string config.Salam.Config.engine.Engine.mode);
   !failed = 0
 
-let run_modes ~suite ~memory_kind ~seed ?profile () =
+let run_modes ~suite ~config =
   let workloads =
     match suite with
     | "quick" -> Salam_workloads.Suite.quick ()
@@ -54,7 +50,7 @@ let run_modes ~suite ~memory_kind ~seed ?profile () =
   let failed = ref 0 in
   List.iter
     (fun (w : Salam_workloads.Workload.t) ->
-      match Check_oracle.check_modes ~memory_kind ~seed ?profile w with
+      match Check_oracle.check_modes ~config w with
       | Ok () -> Printf.printf "PASS %s\n" w.Salam_workloads.Workload.name
       | Error f ->
           incr failed;
@@ -66,7 +62,7 @@ let run_modes ~suite ~memory_kind ~seed ?profile () =
     (List.length workloads);
   !failed = 0
 
-let run_snapshot ~suite ~memory_kind =
+let run_snapshot ~suite ~config =
   let workloads =
     match suite with
     | "quick" -> Salam_workloads.Suite.quick ()
@@ -78,11 +74,7 @@ let run_snapshot ~suite ~memory_kind =
   (* one cnn_pipeline stage rides along: convolution exercises the
      fast-forward path on a workload the DSE sweeps care about *)
   let workloads = workloads @ [ Salam_workloads.Cnn.conv () ] in
-  let reports =
-    Check_snapshot.check_all ~memory_kinds:[ memory_kind ]
-      ~modes:[ Salam_engine.Engine.Dynamic; Salam_engine.Engine.Compiled ]
-      workloads
-  in
+  let reports = Check_snapshot.check_all ~config workloads in
   let failed = ref 0 in
   List.iter
     (fun (r : Check_snapshot.report) ->
@@ -97,11 +89,11 @@ let run_snapshot ~suite ~memory_kind =
     (List.length reports);
   !failed = 0
 
-let run_fuzz ~count ~memory_kind ~seed ~plant_bug =
+let run_fuzz ~count ~config ~seed ~plant_bug =
   let mutate = if plant_bug then Some Check_fuzz.plant_float_bug else None in
   Printf.printf "fuzzing %d kernels (seed %Ld%s)...\n%!" count seed
     (if plant_bug then ", planted float bug" else "");
-  let failures = Check_fuzz.run ?mutate ~memory_kind ~seed ~count () in
+  let failures = Check_fuzz.run ?mutate ~config ~seed ~count () in
   List.iter
     (fun (f : Check_fuzz.case_failure) ->
       Printf.printf "FAIL case %d: %s\nshrunk kernel:\n%s\n" f.Check_fuzz.cf_case
@@ -124,73 +116,62 @@ let run_fuzz ~count ~memory_kind ~seed ~plant_bug =
     failures = []
   end
 
-(* the --hw-db/--cycle-time leg: oracle a loadable, possibly non-default
-   characterization. The interpreter side is profile-free, so a pass
-   means the engine's timing under that table still computes the right
-   answer in both scheduling modes. *)
-let resolve_profile hw_db cycle_time =
-  match (hw_db, cycle_time) with
-  | None, None -> None
-  | _ ->
-      let db =
-        match hw_db with
-        | None -> Salam_config.builtin
-        | Some path -> (
-            match Salam_config.load path with
-            | Ok db -> db
-            | Error e ->
-                Printf.eprintf "%s\n" e;
-                exit 1)
-      in
-      let ct = Option.value cycle_time ~default:2.0 in
-      (match Salam_config.db_profile db ~cycle_time_ns:ct with
-      | Ok p -> Some p
-      | Error e ->
-          Printf.eprintf "%s\n" e;
-          exit 1)
-
+(* Every leg runs the one configuration the flags name, elaborated as a
+   design point: --hw-db/--cycle-time select the characterization (and a
+   cycle time pins the clock), so the oracles vouch for exactly what
+   salam_sim and salam_dse would simulate. *)
 let main all modes snapshot fuzz suite memory seed plant_bug engine_mode hw_db
     cycle_time =
-  match memory_of_string memory with
-  | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1
-  | Ok memory_kind -> (
-      match Salam_engine.Engine.mode_of_string engine_mode with
-      | None ->
-          Printf.eprintf "unknown engine mode %s (dynamic|compiled)\n" engine_mode;
-          exit 1
-      | Some mode ->
-          let profile = resolve_profile hw_db cycle_time in
-          (match profile with
-          | Some p ->
-              Printf.printf "hardware profile: %s\n" p.Salam_hw.Profile.profile_name
-          | None -> ());
-          let ran = ref false in
-          let ok = ref true in
-          if all then begin
-            ran := true;
-            ok := run_all ~suite ~memory_kind ~seed ~mode ?profile () && !ok
-          end;
-          if modes then begin
-            ran := true;
-            ok := run_modes ~suite ~memory_kind ~seed ?profile () && !ok
-          end;
-          if snapshot then begin
-            ran := true;
-            ok := run_snapshot ~suite ~memory_kind && !ok
-          end;
-          (match fuzz with
-          | Some count when count > 0 ->
-              ran := true;
-              ok := run_fuzz ~count ~memory_kind ~seed ~plant_bug && !ok
-          | Some _ | None -> ());
-          if not !ran then begin
-            Printf.eprintf
-              "nothing to do: pass --all, --modes, --snapshot and/or --fuzz N\n";
-            exit 2
-          end;
-          if not !ok then exit 1)
+  let fail msg =
+    Printf.eprintf "%s\n" msg;
+    exit 1
+  in
+  let memory =
+    match Point.memory_kind_of_string memory with
+    | Some m -> m
+    | None -> fail (Printf.sprintf "unknown memory kind %s (spm|cache|dram)" memory)
+  in
+  let mode =
+    match Engine.mode_of_string engine_mode with
+    | Some m -> m
+    | None -> fail (Printf.sprintf "unknown engine mode %s (dynamic|compiled)" engine_mode)
+  in
+  let point = { Point.default with Point.memory; cache_bytes = 4096 } in
+  let point =
+    match Point.with_hw ?db_path:hw_db ?cycle_time_ns:cycle_time point with
+    | Ok p -> p
+    | Error e -> fail e
+  in
+  let config = { (Point.to_config point) with Salam.Config.seed } in
+  if hw_db <> None || cycle_time <> None then
+    Printf.printf "hardware profile: %s\n" config.Salam.Config.hw.Salam_hw.Profile.profile_name;
+  let ran = ref false in
+  let ok = ref true in
+  if all then begin
+    ran := true;
+    let config =
+      { config with Salam.Config.engine = { config.Salam.Config.engine with Engine.mode } }
+    in
+    ok := run_all ~suite ~config && !ok
+  end;
+  if modes then begin
+    ran := true;
+    ok := run_modes ~suite ~config && !ok
+  end;
+  if snapshot then begin
+    ran := true;
+    ok := run_snapshot ~suite ~config && !ok
+  end;
+  (match fuzz with
+  | Some count when count > 0 ->
+      ran := true;
+      ok := run_fuzz ~count ~config ~seed ~plant_bug && !ok
+  | Some _ | None -> ());
+  if not !ran then begin
+    Printf.eprintf "nothing to do: pass --all, --modes, --snapshot and/or --fuzz N\n";
+    exit 2
+  end;
+  if not !ok then exit 1
 
 let cmd =
   let all =
@@ -244,14 +225,16 @@ let cmd =
   let hw_db =
     Arg.(value & opt (some file) None
          & info [ "hw-db" ] ~docv:"FILE"
-             ~doc:"Run the --all/--modes oracles under a characterization loaded from a \
-                   salam_config database (its 2 ns row unless --cycle-time names another).")
+             ~doc:"Run every leg (--all, --modes, --snapshot, --fuzz) under a \
+                   characterization loaded from a salam_config database (its 2 ns row unless \
+                   --cycle-time names another).")
   in
   let cycle_time =
     Arg.(value & opt (some float) None
          & info [ "cycle-time" ] ~docv:"NS"
-             ~doc:"Characterized cycle time for the oracle runs; must be declared in the \
-                   database (the built-in one when --hw-db is omitted).")
+             ~doc:"Characterized cycle time for every leg; must be declared in the database \
+                   (the built-in one when --hw-db is omitted). Also pins the clock to the \
+                   matching frequency (1000/NS MHz), as salam_sim and salam_dse do.")
   in
   let doc = "differential validation: interpreter-vs-engine oracle, kernel fuzzer" in
   Cmd.v

@@ -11,6 +11,7 @@
 
 open Cmdliner
 module Engine = Salam_engine.Engine
+module Point = Salam_dse.Point
 module W = Salam_workloads.Workload
 
 let workloads () = Salam_workloads.Suite.standard ()
@@ -39,28 +40,10 @@ let workload_conv =
   let print ppf (w : W.t) = Format.pp_print_string ppf w.W.name in
   Arg.conv (parse, print)
 
-let memory_conv = Arg.enum [ ("spm", `Spm); ("cache", `Cache); ("dram", `Dram) ]
+let memory_conv =
+  Arg.enum (List.map (fun k -> (Point.memory_kind_to_string k, k)) [ Point.Spm; Cache; Dram ])
 
 let mode_conv = Arg.enum [ ("dynamic", Engine.Dynamic); ("compiled", Engine.Compiled) ]
-
-(* --hw-db / --cycle-time select a hardware characterization from a
-   loadable database. A cycle time pins the clock to the matching
-   frequency (a profile characterized at 5 ns is meaningless at 500 MHz),
-   overriding --clock. *)
-let resolve_hw hw_db cycle_time clock_mhz =
-  let ( let* ) r f = match r with Ok v -> f v | Error e -> Error (`Msg e) in
-  let* db = match hw_db with None -> Ok Salam_config.builtin | Some p -> Salam_config.load p in
-  match cycle_time with
-  | None ->
-      (* keep the compiled-in default profile when neither flag is given:
-         byte-compatible with every pre-database invocation *)
-      if hw_db = None then Ok (Salam_hw.Profile.default_40nm, clock_mhz)
-      else
-        let* p = Salam_config.db_profile db ~cycle_time_ns:2.0 in
-        Ok (p, clock_mhz)
-  | Some ct ->
-      let* p = Salam_config.db_profile db ~cycle_time_ns:ct in
-      Ok (p, Salam_config.clock_mhz_of_cycle_time ct)
 
 let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks fadd_limit mode
     invocations fast_forward hw_db cycle_time =
@@ -73,30 +56,24 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
         (Printf.sprintf "--fast-forward must name a roadmark inside the schedule: 0 <= K < %d"
            invocations))
   else begin
-    match resolve_hw hw_db cycle_time clock_mhz with
-    | Error _ as e -> e
-    | Ok (hw, clock_mhz) ->
-    let memory =
-      match memory with
-      | `Spm -> Salam.Config.Spm { read_ports = ports; write_ports; banks; latency = 1 }
-      | `Cache ->
-          Salam.Config.Cache { size = cache_size; line_bytes = 64; ways = 4; hit_latency = 2 }
-      | `Dram -> Salam.Config.Dram_direct
-    in
-    let fu_limits =
-      if fadd_limit > 0 then
-        [ (Salam_hw.Fu.Fp_add_dp, fadd_limit); (Salam_hw.Fu.Fp_mul_dp, fadd_limit) ]
-      else []
-    in
-    let config =
+    let point =
       {
-        Salam.Config.default with
-        Salam.Config.clock_mhz;
-        memory;
-        fu_limits;
-        engine = { Engine.default_config with Engine.fu_limits; Engine.mode };
-        hw;
+        Point.default with
+        Point.memory;
+        read_ports = ports;
+        write_ports;
+        banks;
+        cache_bytes = cache_size;
+        fu_limit = fadd_limit;
+        clock_mhz;
       }
+    in
+    match Point.with_hw ?db_path:hw_db ?cycle_time_ns:cycle_time point with
+    | Error e -> Error (`Msg e)
+    | Ok point ->
+    let config = Point.to_config point in
+    let config =
+      { config with Salam.Config.engine = { config.Salam.Config.engine with Engine.mode } }
     in
     let from =
       match fast_forward with
@@ -114,7 +91,7 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
     if invocations > 1 then Printf.printf "invocations         : %d\n" invocations;
     Printf.printf "correct             : %b\n" r.Salam.correct;
     Printf.printf "cycles              : %Ld (%.3f us at %.0f MHz)\n" r.Salam.cycles
-      (r.Salam.seconds *. 1e6) clock_mhz;
+      (r.Salam.seconds *. 1e6) config.Salam.Config.clock_mhz;
     Printf.printf "dynamic instructions: %d\n" s.Engine.dynamic_instructions;
     Printf.printf "loads / stores      : %d / %d\n" s.Engine.loads_issued s.Engine.stores_issued;
     Printf.printf "stall cycles        : %d of %d active\n" s.Engine.stall_cycles
@@ -140,7 +117,7 @@ let run_cmd =
     Arg.(value & opt float 500.0 & info [ "clock" ] ~docv:"MHZ" ~doc:"Accelerator clock.")
   in
   let memory =
-    Arg.(value & opt memory_conv `Spm
+    Arg.(value & opt memory_conv Point.Spm
          & info [ "memory" ] ~docv:"KIND" ~doc:"Memory attachment: $(b,spm), $(b,cache) or \
                                                $(b,dram).")
   in

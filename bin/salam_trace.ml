@@ -12,6 +12,7 @@
 open Cmdliner
 module Trace = Salam_obs.Trace
 module Engine = Salam_engine.Engine
+module Point = Salam_dse.Point
 
 let with_out path f =
   match path with
@@ -61,17 +62,15 @@ let run_trace workload memory cache_size format out categories component from_ti
           exit 1
       | Ok cats ->
           let memory =
-            match memory with
-            | "spm" -> Salam.Config.Spm { read_ports = 2; write_ports = 1; banks = 2; latency = 1 }
-            | "cache" ->
-                Salam.Config.Cache
-                  { size = cache_size; line_bytes = 64; ways = 4; hit_latency = 2 }
-            | "dram" -> Salam.Config.Dram_direct
-            | other ->
-                Printf.eprintf "unknown memory kind %s (spm|cache|dram)\n" other;
+            match Point.memory_kind_of_string memory with
+            | Some m -> m
+            | None ->
+                Printf.eprintf "unknown memory kind %s (spm|cache|dram)\n" memory;
                 exit 1
           in
-          let config = { Salam.Config.default with Salam.Config.memory } in
+          let config =
+            Point.to_config { Point.default with Point.memory; cache_bytes = cache_size }
+          in
           let sink = Trace.create ?categories:cats () in
           let r = Salam.simulate ~config ~trace:sink w in
           let filter =

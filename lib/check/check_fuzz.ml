@@ -317,7 +317,8 @@ let failure_kind_to_string = function
    which must also be bit-identical. Compilation happens twice on
    purpose: [Ast.func] is mutable, so the engine side (and any planted
    mutation) must get its own copy. *)
-let run_kernel ?mutate ?(memory_kind = Check_harness.Spm) ?trace ~data_seed kernel =
+let run_kernel ?mutate ?(config = Salam.Config.default) ?trace ~data_seed kernel =
+  let config = { config with Salam.Config.seed = data_seed } in
   match Compile.kernel kernel with
   | exception Compile.Error msg -> Some (Compile_failure msg)
   | exception Lower.Error msg -> Some (Compile_failure msg)
@@ -327,7 +328,7 @@ let run_kernel ?mutate ?(memory_kind = Check_harness.Spm) ?trace ~data_seed kern
       in
       let w = workload_of_kernel kernel.Lang.kname kernel in
       match
-        Check_oracle.check_workload ~memory_kind ~seed:data_seed ~func ?engine_func ?trace w
+        Check_oracle.check_workload ~config ~func ?engine_func ?trace w
       with
       | Error f -> Some (Oracle f)
       | Ok () -> (
@@ -338,7 +339,7 @@ let run_kernel ?mutate ?(memory_kind = Check_harness.Spm) ?trace ~data_seed kern
             match engine_func with Some f -> f | None -> func
           in
           match
-            Check_oracle.check_modes ~memory_kind ~seed:data_seed ~func:mode_func ?trace w
+            Check_oracle.check_modes ~config ~func:mode_func ?trace w
           with
           | Error f -> Some (Oracle f)
           | Ok () -> (
@@ -347,8 +348,8 @@ let run_kernel ?mutate ?(memory_kind = Check_harness.Spm) ?trace ~data_seed kern
                  mutated) function — the leg is self-consistent, so a
                  planted functional bug stays the interp leg's catch. *)
               match
-                Check_snapshot.check_fast_forward ~memory_kind ~seed:data_seed ~func:mode_func
-                  ~roadmark:1 ~invocations:2 w
+                Check_snapshot.check_fast_forward ~config ~func:mode_func ~roadmark:1
+                  ~invocations:2 w
               with
               | Ok () -> None
               | Error msg -> Some (Snapshot msg))))
@@ -356,19 +357,19 @@ let run_kernel ?mutate ?(memory_kind = Check_harness.Spm) ?trace ~data_seed kern
 (* Replay a failing (shrunk) kernel under a bounded ring sink and return
    the tail of the engine-side event stream — the crash-dump context a
    report prints alongside the counterexample. *)
-let capture_trace ?mutate ~memory_kind ~data_seed kernel =
+let capture_trace ?mutate ?config ~data_seed kernel =
   let sink = Salam_obs.Trace.create ~ring:trace_ring_capacity () in
-  (match run_kernel ?mutate ~memory_kind ~trace:sink ~data_seed kernel with
+  (match run_kernel ?mutate ?config ~trace:sink ~data_seed kernel with
   | Some _ | None -> ());
   Salam_obs.Trace.to_lines sink
 
-let run ?mutate ?(memory_kind = Check_harness.Spm) ?on_case ~seed ~count () =
+let run ?mutate ?config ?on_case ~seed ~count () =
   let failures = ref [] in
   for case = 0 to count - 1 do
     (match on_case with Some f -> f case | None -> ());
     let kernel = gen_kernel ~seed ~case in
     let data_seed = Int64.add seed (Int64.of_int case) in
-    match run_kernel ?mutate ~memory_kind ~data_seed kernel with
+    match run_kernel ?mutate ?config ~data_seed kernel with
     | None -> ()
     | Some failure ->
         (* a shrink candidate must reproduce the same kind of failure:
@@ -382,12 +383,12 @@ let run ?mutate ?(memory_kind = Check_harness.Spm) ?on_case ~seed ~count () =
           | (Compile_failure _ | Oracle _ | Snapshot _), _ -> false
         in
         let still_fails k =
-          match run_kernel ?mutate ~memory_kind ~data_seed k with
+          match run_kernel ?mutate ?config ~data_seed k with
           | Some f -> same_kind f
           | None -> false
         in
         let shrunk = shrink ~max_attempts:200 ~still_fails kernel in
-        let cf_trace = capture_trace ?mutate ~memory_kind ~data_seed shrunk in
+        let cf_trace = capture_trace ?mutate ?config ~data_seed shrunk in
         failures :=
           {
             cf_case = case;

@@ -56,18 +56,20 @@ val failure_kind_to_string : failure_kind -> string
 
 val run_kernel :
   ?mutate:(Salam_ir.Ast.func -> Salam_ir.Ast.func) ->
-  ?memory_kind:Check_harness.memory_kind ->
+  ?config:Salam.Config.t ->
   ?trace:Salam_obs.Trace.sink ->
   data_seed:int64 ->
   Salam_frontend.Lang.kernel ->
   failure_kind option
 (** One kernel through compile + oracle; [None] when both sides agree.
-    [mutate] rewrites a private copy of the compiled function for the
-    engine side only; [trace] installs a sink on the engine-side run. *)
+    Every leg simulates [?config] (default {!Salam.Config.default}) with
+    its seed replaced by [data_seed]. [mutate] rewrites a private copy
+    of the compiled function for the engine side only; [trace] installs
+    a sink on the engine-side run. *)
 
 val run :
   ?mutate:(Salam_ir.Ast.func -> Salam_ir.Ast.func) ->
-  ?memory_kind:Check_harness.memory_kind ->
+  ?config:Salam.Config.t ->
   ?on_case:(int -> unit) ->
   seed:int64 ->
   count:int ->

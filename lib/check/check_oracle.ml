@@ -25,7 +25,6 @@ type failure =
       (** compiled-vs-dynamic: stats, return value or trace streams differ *)
   | Interp_golden_failed
   | Engine_golden_failed
-  | Cache_invariants of string list
   | Harness_error of string
 
 type report = { r_workload : string; r_result : (unit, failure) result }
@@ -51,7 +50,6 @@ let failure_to_string = function
   | Mode_mismatch msg -> "compiled-vs-dynamic: " ^ msg
   | Interp_golden_failed -> "interpreter output fails the workload's golden model"
   | Engine_golden_failed -> "engine output fails the workload's golden model"
-  | Cache_invariants errs -> "cache invariants violated: " ^ String.concat "; " errs
   | Harness_error msg -> msg
 
 (* Interpreter-side run, recording per-store provenance through the
@@ -143,28 +141,24 @@ let first_divergence (w : W.t) ~interp_mem ~interp_bases ~engine_mem ~engine_bas
   in
   buffers 0 w.W.buffers
 
-let check_workload ?(memory_kind = Check_harness.Spm) ?(seed = 42L) ?mode ?func ?engine_func
-    ?trace ?profile (w : W.t) =
+let check_workload ?(config = Salam.Config.default) ?func ?engine_func ?trace (w : W.t) =
   (* [engine_func] substitutes a different function on the engine side
      only — how the fuzzer's planted-bug mode makes the two sides
-     genuinely disagree. [profile] changes only the engine's timing
-     model; the functional interpreter is profile-free, which is exactly
-     why the oracle can vouch for a non-default characterization. *)
+     genuinely disagree. The config's clock and hardware profile change
+     only the engine's timing model; the functional interpreter is
+     timing-free, which is exactly why the oracle can vouch for a
+     non-default characterization. *)
   let engine_func = match engine_func with Some f -> Some f | None -> func in
   match
-    let interp_mem, interp_bases, _iret, stores = run_interp ~seed ?func w in
-    let er =
-      Check_harness.run_engine ~memory_kind ~seed ?mode ?func:engine_func ?trace ?profile w
-    in
+    let interp_mem, interp_bases, _iret, stores = run_interp ~seed:config.Salam.Config.seed ?func w in
+    let er = Check_harness.run_engine ~config ?func:engine_func ?trace w in
     match
       first_divergence w ~interp_mem ~interp_bases ~engine_mem:er.Check_harness.memory
         ~engine_bases:er.Check_harness.bases ~stores
     with
     | Some d -> Error (Divergence d)
     | None ->
-        if er.Check_harness.cache_invariant_errors <> [] then
-          Error (Cache_invariants er.Check_harness.cache_invariant_errors)
-        else if not (w.W.check interp_mem interp_bases) then Error Interp_golden_failed
+        if not (w.W.check interp_mem interp_bases) then Error Interp_golden_failed
         else if not (w.W.check er.Check_harness.memory er.Check_harness.bases) then
           Error Engine_golden_failed
         else Ok ()
@@ -183,22 +177,18 @@ let check_workload ?(memory_kind = Check_harness.Spm) ?(seed = 42L) ?mode ?func 
    the same trace event stream. Store provenance for a divergent byte
    still comes from an interpreter run: both engine modes are suspect,
    the functional semantics are not. *)
-let check_modes ?(memory_kind = Check_harness.Spm) ?(seed = 42L) ?func ?trace ?profile
-    (w : W.t) =
+let check_modes ?(config = Salam.Config.default) ?func ?trace (w : W.t) =
   let module Engine = Salam_engine.Engine in
   let module Trace = Salam_obs.Trace in
+  let in_mode mode =
+    { config with Salam.Config.engine = { config.Salam.Config.engine with Engine.mode } }
+  in
   match
-    let _, _, _, stores = run_interp ~seed ?func w in
+    let _, _, _, stores = run_interp ~seed:config.Salam.Config.seed ?func w in
     let tr_dyn = Trace.create () in
     let tr_cmp = match trace with Some tr -> tr | None -> Trace.create () in
-    let dr =
-      Check_harness.run_engine ~memory_kind ~seed ~mode:Engine.Dynamic ?func ~trace:tr_dyn
-        ?profile w
-    in
-    let cr =
-      Check_harness.run_engine ~memory_kind ~seed ~mode:Engine.Compiled ?func ~trace:tr_cmp
-        ?profile w
-    in
+    let dr = Check_harness.run_engine ~config:(in_mode Engine.Dynamic) ?func ~trace:tr_dyn w in
+    let cr = Check_harness.run_engine ~config:(in_mode Engine.Compiled) ?func ~trace:tr_cmp w in
     match
       first_divergence w ~interp_mem:dr.Check_harness.memory
         ~interp_bases:dr.Check_harness.bases ~engine_mem:cr.Check_harness.memory
@@ -238,8 +228,7 @@ let check_modes ?(memory_kind = Check_harness.Spm) ?(seed = 42L) ?func ?trace ?p
       Error (Harness_error ("engine runtime error: " ^ msg))
   | exception Failure msg -> Error (Harness_error msg)
 
-let check_all ?memory_kind ?seed ?mode ?profile workloads =
+let check_all ?config workloads =
   List.map
-    (fun (w : W.t) ->
-      { r_workload = w.W.name; r_result = check_workload ?memory_kind ?seed ?mode ?profile w })
+    (fun (w : W.t) -> { r_workload = w.W.name; r_result = check_workload ?config w })
     workloads

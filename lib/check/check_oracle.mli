@@ -36,8 +36,8 @@ type failure =
           trace event streams differ *)
   | Interp_golden_failed
   | Engine_golden_failed
-  | Cache_invariants of string list
-  | Harness_error of string  (** trap, invariant violation, or located fault *)
+  | Harness_error of string
+      (** trap, engine or cache invariant violation, or located fault *)
 
 type report = { r_workload : string; r_result : (unit, failure) result }
 
@@ -51,47 +51,37 @@ val run_interp :
 (** Functional run with store provenance (newest store first). *)
 
 val check_workload :
-  ?memory_kind:Check_harness.memory_kind ->
-  ?seed:int64 ->
-  ?mode:Salam_engine.Engine.mode ->
+  ?config:Salam.Config.t ->
   ?func:Salam_ir.Ast.func ->
   ?engine_func:Salam_ir.Ast.func ->
   ?trace:Salam_obs.Trace.sink ->
-  ?profile:Salam_hw.Profile.t ->
   Salam_workloads.Workload.t ->
   (unit, failure) result
-(** Run both sides from identical initial memory and compare: buffers
-    word-for-word, then cache invariants, then both sides against the
-    workload's golden model. [?mode] selects the engine-side scheduling
-    implementation; [?func] substitutes a pre-compiled function
-    on both sides (used by the fuzzer); [?engine_func] overrides the
-    engine side only (used to plant bugs that the oracle must catch);
-    [?trace] installs a trace sink on the engine-side system;
-    [?profile] runs the engine side under a non-default hardware
-    characterization — the interpreter is profile-free, so the oracle
-    vouches for any loadable database row. *)
+(** Run both sides from identical initial memory (the interpreter seeded
+    with [config.seed]) and compare: buffers word-for-word, then both
+    sides against the workload's golden model. The engine side is
+    {!Check_harness.run_engine} under [?config] (default
+    {!Salam.Config.default}): its memory attachment, engine mode, clock
+    and hardware profile. The interpreter is timing-free, so the oracle
+    vouches for any loadable database row. [?func] substitutes a
+    pre-compiled function on both sides (used by the fuzzer);
+    [?engine_func] overrides the engine side only (used to plant bugs
+    that the oracle must catch); [?trace] installs a trace sink on the
+    engine-side system. *)
 
 val check_modes :
-  ?memory_kind:Check_harness.memory_kind ->
-  ?seed:int64 ->
+  ?config:Salam.Config.t ->
   ?func:Salam_ir.Ast.func ->
   ?trace:Salam_obs.Trace.sink ->
-  ?profile:Salam_hw.Profile.t ->
   Salam_workloads.Workload.t ->
   (unit, failure) result
-(** Compiled-vs-dynamic differential: run the engine in both scheduling
-    modes from identical initial memory and require bit-identical
-    results — store contents word-for-word (divergences carry
-    interpreter store provenance, like {!check_workload}), return value,
-    full run statistics including the cycle count, and the default-
-    category trace event streams. [?trace] additionally installs the
-    given sink on the compiled-mode run. [?profile] applies the same
-    non-default hardware characterization to both modes. *)
+(** Compiled-vs-dynamic differential: run [?config] with the engine in
+    each scheduling mode from identical initial memory and require
+    bit-identical results — store contents word-for-word (divergences
+    carry interpreter store provenance, like {!check_workload}), return
+    value, full run statistics including the cycle count, and the
+    default-category trace event streams. [?trace] additionally installs
+    the given sink on the compiled-mode run. *)
 
 val check_all :
-  ?memory_kind:Check_harness.memory_kind ->
-  ?seed:int64 ->
-  ?mode:Salam_engine.Engine.mode ->
-  ?profile:Salam_hw.Profile.t ->
-  Salam_workloads.Workload.t list ->
-  report list
+  ?config:Salam.Config.t -> Salam_workloads.Workload.t list -> report list

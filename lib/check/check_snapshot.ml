@@ -32,33 +32,12 @@ module Config = Salam.Config
 
 type report = {
   r_workload : string;
-  r_memory : Check_harness.memory_kind;
+  r_memory : string;
   r_mode : Engine.mode;
   r_roadmark : int;
   r_invocations : int;
   r_result : (unit, string) result;
 }
-
-let memory_kind_label = function
-  | Check_harness.Spm -> "spm"
-  | Check_harness.Cache _ -> "cache"
-  | Check_harness.Dram -> "dram"
-
-let config_of memory_kind mode =
-  let memory =
-    match memory_kind with
-    | Check_harness.Spm -> Config.default.Config.memory
-    | Check_harness.Cache { size; ways } ->
-        Config.Cache { size; line_bytes = 64; ways; hit_latency = 2 }
-    | Check_harness.Dram -> Config.Dram_direct
-  in
-  (* the engine's invariant checks are read-only, so all three journeys
-     run with them on *)
-  {
-    Config.default with
-    Config.memory;
-    engine = { Engine.default_config with Engine.mode; check = true };
-  }
 
 (* Energy accumulators are float sums: (a +. b) -. a is not exactly b,
    so delta comparisons get a relative tolerance. Everything counted in
@@ -190,14 +169,14 @@ let idempotent ~seed ?func ~invocations (w : W.t) =
   done;
   w.W.check mem bases
 
-let check_fast_forward ?(memory_kind = Check_harness.Spm)
-    ?(mode = Engine.default_config.Engine.mode) ?seed ?func ?(roadmark = 1) ?(invocations = 2)
+let check_fast_forward ?(config = Config.default) ?func ?(roadmark = 1) ?(invocations = 2)
     (w : W.t) =
   if roadmark < 1 || roadmark >= invocations then
     invalid_arg "check_fast_forward: need 1 <= roadmark < invocations";
-  let config = config_of memory_kind mode in
+  (* the engine's and cache's invariant checks are read-only, so all
+     three journeys run with them on *)
   let config =
-    match seed with Some s -> { config with Config.seed = s } | None -> config
+    { config with Config.engine = { config.Config.engine with Engine.check = true } }
   in
   match
     let errs = ref [] in
@@ -284,31 +263,29 @@ let check_fast_forward ?(memory_kind = Check_harness.Spm)
   | exception Failure msg -> Error msg
   | exception Invalid_argument msg -> Error ("invalid argument: " ^ msg)
 
-let check_workload ?memory_kind ?mode ?func ?roadmark ?invocations (w : W.t) =
-  let memory_kind = Option.value memory_kind ~default:Check_harness.Spm in
-  let mode = Option.value mode ~default:Engine.default_config.Engine.mode in
-  let roadmark = Option.value roadmark ~default:1 in
-  let invocations = Option.value invocations ~default:2 in
+let check_workload ?(config = Config.default) ?func ?(roadmark = 1) ?(invocations = 2)
+    (w : W.t) =
   {
     r_workload = w.W.name;
-    r_memory = memory_kind;
-    r_mode = mode;
+    r_memory = Config.memory_name config;
+    r_mode = config.Config.engine.Engine.mode;
     r_roadmark = roadmark;
     r_invocations = invocations;
-    r_result = check_fast_forward ~memory_kind ~mode ?func ~roadmark ~invocations w;
+    r_result = check_fast_forward ~config ?func ~roadmark ~invocations w;
   }
 
-let check_all ?(memory_kinds = [ Check_harness.Spm ]) ?(modes = [ Engine.Dynamic; Engine.Compiled ])
+let check_all ?(config = Config.default) ?(modes = [ Engine.Dynamic; Engine.Compiled ])
     ?roadmark ?invocations workloads =
   List.concat_map
     (fun w ->
-      List.concat_map
-        (fun memory_kind ->
-          List.map (fun mode -> check_workload ~memory_kind ~mode ?roadmark ?invocations w) modes)
-        memory_kinds)
+      List.map
+        (fun mode ->
+          let config = { config with Config.engine = { config.Config.engine with Engine.mode } } in
+          check_workload ~config ?roadmark ?invocations w)
+        modes)
     workloads
 
 let report_to_string r =
-  Printf.sprintf "%-14s %-5s %-8s ff@%d/%d %s" r.r_workload (memory_kind_label r.r_memory)
+  Printf.sprintf "%-14s %-5s %-8s ff@%d/%d %s" r.r_workload r.r_memory
     (Engine.mode_to_string r.r_mode) r.r_roadmark r.r_invocations
     (match r.r_result with Ok () -> "ok" | Error msg -> "FAIL: " ^ msg)

@@ -14,41 +14,30 @@
 
 type report = {
   r_workload : string;
-  r_memory : Check_harness.memory_kind;
+  r_memory : string;  (** {!Salam.Config.memory_name} of the config *)
   r_mode : Salam_engine.Engine.mode;
   r_roadmark : int;  (** invocation count covered by the snapshot *)
   r_invocations : int;  (** total schedule length *)
   r_result : (unit, string) result;
 }
 
-val memory_kind_label : Check_harness.memory_kind -> string
-(** ["spm"], ["cache"] or ["dram"]. *)
-
-val config_of : Check_harness.memory_kind -> Salam_engine.Engine.mode -> Salam.Config.t
-(** The {!Salam.Config.t} the oracle simulates under — the default
-    configuration with the memory attachment and engine mode swapped
-    in. *)
-
 val check_fast_forward :
-  ?memory_kind:Check_harness.memory_kind ->
-  ?mode:Salam_engine.Engine.mode ->
-  ?seed:int64 ->
+  ?config:Salam.Config.t ->
   ?func:Salam_ir.Ast.func ->
   ?roadmark:int ->
   ?invocations:int ->
   Salam_workloads.Workload.t ->
   (unit, string) result
-(** Run all legs for one point. Defaults: SPM, the engine's default
-    mode, the default dataset seed, [roadmark = 1], [invocations = 2].
-    [?func] substitutes an
+(** Run all legs for one point: every journey simulates [?config]
+    (default {!Salam.Config.default}) with [engine.check] forced on.
+    Defaults: [roadmark = 1], [invocations = 2]. [?func] substitutes an
     already-compiled kernel, bypassing the name-keyed compile cache —
     required for generated fuzz kernels. Raises [Invalid_argument]
     unless [1 <= roadmark < invocations]; every failure of the checked
     system itself is reported as [Error]. *)
 
 val check_workload :
-  ?memory_kind:Check_harness.memory_kind ->
-  ?mode:Salam_engine.Engine.mode ->
+  ?config:Salam.Config.t ->
   ?func:Salam_ir.Ast.func ->
   ?roadmark:int ->
   ?invocations:int ->
@@ -56,13 +45,13 @@ val check_workload :
   report
 
 val check_all :
-  ?memory_kinds:Check_harness.memory_kind list ->
+  ?config:Salam.Config.t ->
   ?modes:Salam_engine.Engine.mode list ->
   ?roadmark:int ->
   ?invocations:int ->
   Salam_workloads.Workload.t list ->
   report list
-(** The full matrix: every workload under every memory kind (default
-    SPM only) and every engine mode (default both). *)
+(** The matrix: every workload under [?config] in every engine mode
+    (default both), the mode replacing the config's. *)
 
 val report_to_string : report -> string

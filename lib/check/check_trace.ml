@@ -67,25 +67,19 @@ let vecadd_workload : W.t =
           (Array.map2 (fun x y -> (x, y)) a_init b_init));
   }
 
-let run_vecadd ~memory_kind sink =
-  let r = Check_harness.run_engine ~memory_kind ~trace:sink vecadd_workload in
+let run_vecadd config sink =
+  let r = Check_harness.run_engine ~config ~trace:sink vecadd_workload in
   vecadd_workload.W.check r.Check_harness.memory r.Check_harness.bases
 
 (* Same SPM scenario under the built-in database's 5 ns characterization:
    the golden file pins the non-default latencies (and with them the
    whole event stream), so a silent change to the loadable table or the
-   profile plumbing fails the trace suite, not just the unit tests. *)
+   profile plumbing fails the trace suite, not just the unit tests. The
+   clock stays at the default 500 MHz. *)
 let run_vecadd_5ns sink =
-  let profile =
-    match Salam_config.profile ~node:40 ~cycle_time_ns:5.0 with
-    | Ok p -> p
-    | Error e -> failwith ("Check_trace: " ^ e)
-  in
-  let r =
-    Check_harness.run_engine ~memory_kind:Check_harness.Spm ~profile ~trace:sink
-      vecadd_workload
-  in
-  vecadd_workload.W.check r.Check_harness.memory r.Check_harness.bases
+  match Salam_config.profile ~node:40 ~cycle_time_ns:5.0 with
+  | Ok hw -> run_vecadd { Salam.Config.default with Salam.Config.hw } sink
+  | Error e -> failwith ("Check_trace: " ^ e)
 
 (* --- DMA copy through a shared SPM -------------------------------------- *)
 
@@ -175,14 +169,19 @@ let run_cnn_streams sink =
    timing stream. *)
 let scenarios =
   [
-    ("spm_vecadd", None, run_vecadd ~memory_kind:Check_harness.Spm);
+    ("spm_vecadd", None, run_vecadd Salam.Config.default);
     ( "cache_vecadd",
       None,
-      run_vecadd ~memory_kind:(Check_harness.Cache { size = 1024; ways = 2 }) );
+      run_vecadd
+        {
+          Salam.Config.default with
+          Salam.Config.memory =
+            Salam.Config.Cache { size = 1024; line_bytes = 64; ways = 2; hit_latency = 2 };
+        } );
     ("dma_copy", None, run_dma);
     ( "engine_compile_vecadd",
       Some (Trace.Engine_compile :: Trace.default_categories),
-      run_vecadd ~memory_kind:Check_harness.Spm );
+      run_vecadd Salam.Config.default );
     ("ff_vecadd", None, run_ff_vecadd);
     ("spm_vecadd_5ns", None, run_vecadd_5ns);
     ("cnn_private_spm", None, run_cnn_private_spm);

@@ -29,6 +29,9 @@ module Config = struct
       hw = Salam_hw.Profile.default_40nm;
     }
 
+  let memory_name t =
+    match t.memory with Spm _ -> "spm" | Cache _ -> "cache" | Dram_direct -> "dram"
+
   let with_spm_ports t ~read ~write =
     match t.memory with
     | Spm s -> { t with memory = Spm { s with read_ports = read; write_ports = write } }
@@ -55,6 +58,8 @@ type result = {
   cycles : int64;
   seconds : float;
   correct : bool;
+  ret : Salam_ir.Bits.t option;
+  bases : int64 array;
   stats : Engine.run_stats;
   power : power_breakdown;
   area_um2 : float;
@@ -72,11 +77,6 @@ let round_pow2 n =
   go 256
 
 (* --- fast-forward machinery -------------------------------------------- *)
-
-let memory_kind_name = function
-  | Config.Spm _ -> "spm"
-  | Config.Cache _ -> "cache"
-  | Config.Dram_direct -> "dram"
 
 let roadmark_name k = if k = 0 then "start" else Printf.sprintf "after-invocation-%d" k
 
@@ -175,7 +175,7 @@ let check_from ~config ~invocations (w : W.t) (snap : snapshot) =
   let fail fmt = Printf.ksprintf invalid_arg fmt in
   if snap.snap_workload <> w.W.name then
     fail "simulate: snapshot is for workload %s, not %s" snap.snap_workload w.W.name;
-  let kind = memory_kind_name config.Config.memory in
+  let kind = Config.memory_name config in
   if snap.snap_memory <> kind then
     fail "simulate: snapshot was taken on a %s memory attachment, this config uses %s"
       snap.snap_memory kind;
@@ -203,9 +203,12 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
         System.restore sys snap.snap_ckpt;
         snap.snap_invocations + 1
   in
+  let ret = ref None in
   for k = first to invocations do
     let finished = ref false in
-    Accelerator.launch acc ~args:(W.args w ~bases) ~on_done:(fun _ -> finished := true);
+    Accelerator.launch acc ~args:(W.args w ~bases) ~on_done:(fun r ->
+        ret := r;
+        finished := true);
     ignore (System.run sys);
     if not !finished then
       failwith (Printf.sprintf "simulate: %s did not finish (invocation %d)" w.W.name k);
@@ -225,9 +228,16 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
       | _ -> ()
     end
   done;
+  (match b.b_cache with
+  | Some c when config.Config.engine.Engine.check -> (
+      match Salam_mem.Cache.invariant_errors c with
+      | [] -> ()
+      | errs ->
+          raise
+            (Engine.Invariant_violation
+               ("cache invariants violated: " ^ String.concat "; " errs)))
+  | Some _ | None -> ());
   (match inspect with Some f -> f (System.backing sys) | None -> ());
-  let spm = ref b.b_spm in
-  let cache = ref b.b_cache in
   let correct = w.W.check (System.backing sys) bases in
   let stats = Accelerator.stats acc in
   let seconds =
@@ -236,7 +246,7 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
   let acc_power = Accelerator.power acc ~elapsed_seconds:seconds in
   let to_mw pj = if seconds <= 0.0 then 0.0 else pj *. 1e-12 /. seconds *. 1e3 in
   let spm_read_mw, spm_write_mw, spm_leak, spm_area, spm_accesses =
-    match !spm with
+    match b.b_spm with
     | Some s ->
         let cfg = Salam_mem.Spm.config s in
         let cacti =
@@ -257,7 +267,7 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
     | None -> (0.0, 0.0, 0.0, 0.0, None)
   in
   let cache_hm, cache_leak, cache_area =
-    match !cache with
+    match b.b_cache with
     | Some c -> (Some (Salam_mem.Cache.hits c, Salam_mem.Cache.misses c),
                  Salam_mem.Cache.leakage_mw c, Salam_mem.Cache.area_um2 c)
     | None -> (None, 0.0, 0.0)
@@ -267,6 +277,8 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
     cycles = stats.Engine.cycles;
     seconds;
     correct;
+    ret = !ret;
+    bases;
     stats;
     power =
       {
@@ -285,10 +297,7 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
     cache_hits_misses = cache_hm;
     wall_seconds = Unix.gettimeofday () -. wall_start;
     kernel_events = Salam_sim.Kernel.events_executed (System.kernel sys);
-    sim_stats =
-      List.rev
-        (Salam_sim.Stats.fold (System.stats sys) ~init:[] ~f:(fun acc ~path v ->
-             (path, v) :: acc));
+    sim_stats = sim_stats_of b;
   }
 
 (* --- snapshots: interpreter warm-up and detailed capture --------------- *)
@@ -308,7 +317,7 @@ let mirror_mmr_end_state acc ret =
 let make_snapshot ~config ~invocations (w : W.t) b =
   {
     snap_workload = w.W.name;
-    snap_memory = memory_kind_name config.Config.memory;
+    snap_memory = Config.memory_name config;
     snap_invocations = invocations;
     snap_bases = b.b_bases;
     snap_ckpt = System.checkpoint b.b_sys ~roadmark:(roadmark_name invocations);

@@ -25,6 +25,9 @@ module Config : sig
     clock_mhz : float;
     memory : memory;
     fu_limits : (Salam_hw.Fu.cls * int) list;
+        (** per-class unit caps (a non-positive cap is ignored) applied
+            by the static CDFG elaboration; the engine schedules on the
+            capped inventory *)
     engine : Salam_engine.Engine.config;
     seed : int64;
     hw : Salam_hw.Profile.t;
@@ -36,6 +39,9 @@ module Config : sig
   val default : t
   (** 500 MHz, SPM with 2 read / 1 write ports, unconstrained units,
       the compiled-in 40 nm profile at 2 ns. *)
+
+  val memory_name : t -> string
+  (** ["spm"], ["cache"] or ["dram"]: the memory attachment's kind. *)
 
   val with_spm_ports : t -> read:int -> write:int -> t
 end
@@ -59,6 +65,8 @@ type result = {
   cycles : int64;
   seconds : float;  (** simulated time *)
   correct : bool;
+  ret : Salam_ir.Bits.t option;  (** the last invocation's return value *)
+  bases : int64 array;  (** buffer base addresses, in buffer order *)
   stats : Salam_engine.Engine.run_stats;
   power : power_breakdown;
   area_um2 : float;  (** datapath + local memory *)
@@ -144,8 +152,17 @@ val simulate :
     of an uninterrupted run.
 
     [?inspect] receives the system backing store after the last
-    invocation completes, before the result is assembled — the snapshot
-    oracle uses it to compare final memory images byte for byte. *)
+    invocation completes, before the result is assembled — the
+    differential oracles use it to compare final memory images byte for
+    byte.
+
+    With [config.engine.check] on, the engine checks its timing
+    invariants as it runs (see {!Salam_engine.Engine.config}) and, for a
+    cache attachment, [simulate] checks {!Salam_mem.Cache.invariant_errors}
+    once the last invocation completes. Either failure raises
+    {!Salam_engine.Engine.Invariant_violation}; a cache violation names
+    the cache. Check mode is read-only: cycles, statistics and traces
+    match an unchecked run. *)
 
 val warm_up :
   ?config:Config.t ->

@@ -95,13 +95,8 @@ let identity ~workload ~invocations ~fast_forward =
 let measured_id ev workload =
   identity ~workload ~invocations:ev.invocations ~fast_forward:ev.fast_forward
 
-let memory_kind_name = function
-  | Salam.Config.Spm _ -> "spm"
-  | Salam.Config.Cache _ -> "cache"
-  | Salam.Config.Dram_direct -> "dram"
-
 let snapshot_for ev ~config ~roadmark p =
-  let key = ev.target.workload_id p ^ "|" ^ memory_kind_name config.Salam.Config.memory in
+  let key = ev.target.workload_id p ^ "|" ^ Salam.Config.memory_name config in
   match Hashtbl.find_opt ev.snapshots key with
   | Some s -> s
   | None ->

@@ -1,5 +1,4 @@
 module Fu = Salam_hw.Fu
-module Engine = Salam_engine.Engine
 
 type memory_kind = Spm | Cache | Dram
 
@@ -62,6 +61,24 @@ let compare a b = Stdlib.compare (canonical a) (canonical b)
 let resolve_profile p =
   Salam_config.resolve ~hw_db:p.hw_db ~node:p.node_nm ~cycle_time_ns:p.cycle_time_ns
 
+let with_hw ?db_path ?cycle_time_ns p =
+  let ( let* ) = Result.bind in
+  let* p =
+    match db_path with
+    | None -> Ok p
+    | Some path ->
+        let* db = Salam_config.load path in
+        Ok { p with hw_db = Salam_config.register db; node_nm = Salam_config.node_nm db }
+  in
+  let p =
+    match cycle_time_ns with
+    | None -> p
+    | Some ct ->
+        { p with cycle_time_ns = ct; clock_mhz = Salam_config.clock_mhz_of_cycle_time ct }
+  in
+  let* _ = resolve_profile p in
+  Ok p
+
 let to_config p =
   let hw =
     match resolve_profile p with
@@ -92,7 +109,6 @@ let to_config p =
     Salam.Config.clock_mhz = p.clock_mhz;
     memory;
     fu_limits;
-    engine = { Engine.default_config with Engine.fu_limits };
     hw;
   }
 

@@ -46,6 +46,15 @@ val resolve_profile : t -> (Salam_hw.Profile.t, string) result
     Loud [Error] when the named database is not loaded in this process
     or lacks the requested characterization. *)
 
+val with_hw : ?db_path:string -> ?cycle_time_ns:float -> t -> (t, string) result
+(** The CLIs' [--hw-db FILE] / [--cycle-time NS] flags applied to a
+    point: load and register the database at [db_path] (its node becomes
+    the point's), then select [cycle_time_ns], pinning [clock_mhz] to the
+    matching frequency (a profile characterized at 5 ns is meaningless
+    at 500 MHz). Without [cycle_time_ns] the point keeps its cycle time
+    and clock. Loud [Error] when the file does not load or the
+    characterization does not resolve (see {!resolve_profile}). *)
+
 val canonical : t -> t
 (** Zero the fields the memory kind ignores (see above). Idempotent. *)
 
@@ -54,8 +63,8 @@ val compare : t -> t -> int
 
 val to_config : t -> Salam.Config.t
 (** Elaborate the point into a simulation configuration. A positive
-    [fu_limit] caps FADD and FMUL (double precision) in both the static
-    allocation and the engine; cache points use 64-byte lines, 4 ways
+    [fu_limit] caps FADD and FMUL (double precision) in the static
+    allocation the engine schedules on; cache points use 64-byte lines, 4 ways
     and 2-cycle hits, as the paper's Fig 13 sweep does. The hardware
     profile comes from {!resolve_profile}; raises [Invalid_argument]
     when that fails (validate points with {!resolve_profile} first

@@ -14,7 +14,6 @@ let mode_of_string = function
   | _ -> None
 
 type config = {
-  fu_limits : (Fu.cls * int) list;
   read_queue_depth : int;
   write_queue_depth : int;
   reservation_slots : int;
@@ -27,7 +26,6 @@ type config = {
 
 let default_config =
   {
-    fu_limits = [];
     read_queue_depth = 64;
     write_queue_depth = 64;
     reservation_slots = 256;
@@ -377,15 +375,7 @@ let create kernel clock stats_group ?(config = default_config) ~datapath ~mem ()
     Array.of_list (List.map (Profile.spec datapath.Datapath.profile) Fu.all)
   in
   let fu_units = Array.make Fu.count 0 in
-  Fu.Map.iter
-    (fun cls count ->
-      let capped =
-        match List.assoc_opt cls config.fu_limits with
-        | Some limit when limit > 0 -> min limit count
-        | Some _ | None -> count
-      in
-      fu_units.(Fu.index cls) <- capped)
-    datapath.Datapath.fu_alloc;
+  Fu.Map.iter (fun cls count -> fu_units.(Fu.index cls) <- count) datapath.Datapath.fu_alloc;
   (* a block larger than the reservation queue could never be imported *)
   let largest_block =
     Hashtbl.fold (fun _ nodes acc -> max acc (Array.length nodes)) block_nodes 0

@@ -51,8 +51,6 @@ val mode_to_string : mode -> string
 val mode_of_string : string -> mode option
 
 type config = {
-  fu_limits : (Salam_hw.Fu.cls * int) list;
-      (** per-class unit counts; classes not listed follow the 1:1 map *)
   read_queue_depth : int;  (** outstanding loads *)
   write_queue_depth : int;  (** outstanding stores *)
   reservation_slots : int;  (** max dynamic instructions queued *)
@@ -146,6 +144,8 @@ val create :
   mem:mem_iface ->
   unit ->
   t
+(** Functional-unit counts come from [datapath.fu_alloc]: the static
+    elaboration alone fixes the inventory the engine schedules on. *)
 
 val start : t -> args:Salam_ir.Bits.t list -> on_finish:(Salam_ir.Bits.t option -> unit) -> unit
 (** Begin execution of the datapath's function with the given arguments
@@ -178,7 +178,9 @@ val check_completion : t -> unit
     every failed property. *)
 
 val fu_allocated : t -> Salam_hw.Fu.cls -> int
-(** Instantiated units of a class after applying the config limits. *)
+(** Instantiated units of a class: the datapath's [fu_alloc] entry.
+    Unit counts come from the static elaboration alone; cap them with
+    [Datapath.build ~limits]. *)
 
 val add_ordered_range : t -> base:int64 -> size:int -> unit
 (** Mark an address window as device/stream memory: accesses that fall

@@ -300,10 +300,6 @@ let estimate_cycles ?(config = default_config) (f : Ast.func) ~counts =
           List.fold_left (fun acc m -> acc +. (2.0 *. weight (Cfg.block cfg m))) 0.0 own_blocks
         in
         let ii = List.fold_left max 1.0 [ res_ii; mem_ii; rec_ii; war; control_ii ] in
-        if Sys.getenv_opt "SALAM_HLS_DEBUG" <> None then
-          Format.eprintf
-            "loop@%s trips=%d inv=%d res=%.1f mem=%.1f rec=%.1f war=%.1f ctl=%.1f -> II=%.1f@."
-            header_label trips invocations res_ii mem_ii rec_ii war control_ii ii;
         (* pipeline fill: the first iteration of each invocation pays
            the part of the body depth the steady-state II hides; later
            iterations overlap it *)

@@ -8,6 +8,14 @@ module Engine = Salam_engine.Engine
 
 let check = Alcotest.check
 
+(* the default configuration under another memory attachment *)
+let with_memory memory = { Salam.Config.default with Salam.Config.memory }
+
+let cache_config ~size ~ways =
+  with_memory (Salam.Config.Cache { size; line_bytes = 64; ways; hit_latency = 2 })
+
+let dram_config = with_memory Salam.Config.Dram_direct
+
 (* --- oracle ----------------------------------------------------------- *)
 
 let test_oracle_quick_suite () =
@@ -24,11 +32,11 @@ let test_oracle_cache_and_dram () =
      exercises [Cache.invariant_errors] at quiescence *)
   let w = List.hd (Salam_workloads.Suite.quick ()) in
   List.iter
-    (fun kind ->
-      match Check_oracle.check_workload ~memory_kind:kind w with
+    (fun config ->
+      match Check_oracle.check_workload ~config w with
       | Ok () -> ()
       | Error f -> Alcotest.failf "%s: %s" w.W.name (Check_oracle.failure_to_string f))
-    [ Check_harness.Cache { size = 4096; ways = 4 }; Check_harness.Dram ]
+    [ cache_config ~size:4096 ~ways:4; dram_config ]
 
 let test_oracle_catches_planted_bug () =
   (* a hand-built kernel with one fadd; flipping it on the engine side
@@ -157,8 +165,8 @@ let test_invariant_checker_runs_clean () =
      invariant violation raises out of run_engine *)
   let w = List.hd (Salam_workloads.Suite.quick ()) in
   List.iter
-    (fun kind -> ignore (Check_harness.run_engine ~memory_kind:kind w))
-    [ Check_harness.Spm; Check_harness.Cache { size = 2048; ways = 2 }; Check_harness.Dram ]
+    (fun config -> ignore (Check_harness.run_engine ~config w))
+    [ Salam.Config.default; cache_config ~size:2048 ~ways:2; dram_config ]
 
 let suite =
   [

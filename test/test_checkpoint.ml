@@ -78,12 +78,12 @@ let test_ff_oracle_gemm_spm () =
 let test_ff_oracle_matrix () =
   (* every memory attachment x both engine modes, snapshot mid-schedule *)
   let reports =
-    Check_snapshot.check_all
-      ~memory_kinds:
-        [ Check_harness.Spm; Check_harness.Cache { size = 2048; ways = 2 }; Check_harness.Dram ]
-      ~modes:[ Engine.Dynamic; Engine.Compiled ]
-      ~roadmark:2 ~invocations:3
-      [ Salam_workloads.Gemm.workload ~n:8 () ]
+    List.concat_map
+      (fun config ->
+        Check_snapshot.check_all ~config ~modes:[ Engine.Dynamic; Engine.Compiled ]
+          ~roadmark:2 ~invocations:3
+          [ Salam_workloads.Gemm.workload ~n:8 () ])
+      [ Salam.Config.default; Test_check.cache_config ~size:2048 ~ways:2; Test_check.dram_config ]
   in
   check int "six points" 6 (List.length reports);
   List.iter

@@ -272,17 +272,66 @@ let gemm () =
   | Some w -> w
   | None -> Alcotest.fail "gemm workload missing"
 
-let profile_5ns () = ok (C.profile ~node:40 ~cycle_time_ns:5.0)
+(* the 5 ns characterization at the default 500 MHz clock *)
+let config_5ns () =
+  { Salam.Config.default with Salam.Config.hw = ok (C.profile ~node:40 ~cycle_time_ns:5.0) }
 
 let test_oracle_5ns () =
-  match Check_oracle.check_workload ~profile:(profile_5ns ()) (gemm ()) with
+  match Check_oracle.check_workload ~config:(config_5ns ()) (gemm ()) with
   | Ok () -> ()
   | Error f -> Alcotest.failf "interp-vs-engine at 5ns: %s" (Check_oracle.failure_to_string f)
 
 let test_modes_5ns () =
-  match Check_oracle.check_modes ~profile:(profile_5ns ()) (gemm ()) with
+  match Check_oracle.check_modes ~config:(config_5ns ()) (gemm ()) with
   | Ok () -> ()
   | Error f -> Alcotest.failf "compiled-vs-dynamic at 5ns: %s" (Check_oracle.failure_to_string f)
+
+(* salam_sim elaborates its flags through [Point.to_config]: the CLI's
+   cycles and total power equal a library run of the matching point,
+   whose clock the 5 ns cycle time pins to 200 MHz. *)
+let test_salam_sim_cli_matches_point () =
+  let sim args =
+    let ic =
+      Unix.open_process_args_in "../bin/salam_sim.exe" (Array.of_list ("salam_sim" :: args))
+    in
+    let out = In_channel.input_all ic in
+    (match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.failf "salam_sim %s failed" (String.concat " " args));
+    String.split_on_char '\n' out
+  in
+  let field lines key =
+    match List.find_opt (fun l -> String.starts_with ~prefix:key l) lines with
+    | Some l ->
+        let v = String.trim (List.nth (String.split_on_char ':' l) 1) in
+        List.hd (String.split_on_char ' ' v)
+    | None -> Alcotest.failf "salam_sim printed no %S line" key
+  in
+  List.iter
+    (fun memory ->
+      let name = Point.memory_kind_to_string memory in
+      let lines =
+        sim [ "run"; "gemm"; "--memory"; name; "--fp-units"; "2"; "--cycle-time"; "5" ]
+      in
+      let p =
+        {
+          Point.default with
+          Point.memory;
+          banks = 4;
+          cache_bytes = 4096;
+          fu_limit = 2;
+          cycle_time_ns = 5.0;
+          clock_mhz = 200.0;
+        }
+      in
+      let r = Salam.simulate ~config:(Point.to_config p) (gemm ()) in
+      Alcotest.(check string) (name ^ " correct") "true" (field lines "correct");
+      Alcotest.(check string) (name ^ " cycles") (Int64.to_string r.Salam.cycles)
+        (field lines "cycles");
+      Alcotest.(check string) (name ^ " total power")
+        (Printf.sprintf "%.3f" (Salam.total_mw r.Salam.power))
+        (field lines "total power"))
+    [ Point.Spm; Point.Cache; Point.Dram ]
 
 let suite =
   [
@@ -301,4 +350,5 @@ let suite =
     Alcotest.test_case "to_config resolves the profile" `Quick test_to_config_resolves;
     Alcotest.test_case "oracle at 5ns" `Quick test_oracle_5ns;
     Alcotest.test_case "mode oracle at 5ns" `Quick test_modes_5ns;
+    Alcotest.test_case "salam_sim CLI = Point.to_config" `Quick test_salam_sim_cli_matches_point;
   ]

@@ -93,11 +93,18 @@ let test_batch_matches_sequential () =
         (show (tuple_of_stats r.Salam.stats)))
     suite batch
 
-(* Tracing must be pure observation: running with a sink installed may
-   not perturb a single cycle or stall of any workload. The quick suite
-   re-runs under an all-categories sink and must reproduce the expected
-   table bit for bit. *)
+(* Tracing and check mode must be pure observation: running with a sink
+   installed, or with the engine's invariant checker on (as every
+   differential oracle runs), may not perturb a single cycle or stall of
+   any workload. The quick suite re-runs both ways and must reproduce
+   the expected table bit for bit. *)
 let test_traced_matches_untraced () =
+  let checked =
+    {
+      Salam.Config.default with
+      Salam.Config.engine = { Engine.default_config with Engine.check = true };
+    }
+  in
   List.iter
     (fun (w : W.t) ->
       let key = "quick/" ^ w.W.name in
@@ -108,7 +115,11 @@ let test_traced_matches_untraced () =
       Alcotest.(check string) (key ^ " traced run_stats") (show want)
         (show (tuple_of_stats r.Salam.stats));
       Alcotest.(check bool) (key ^ " sink saw events") true
-        (Salam_obs.Trace.count sink > 0))
+        (Salam_obs.Trace.count sink > 0);
+      let r = Salam.simulate ~config:checked w in
+      Alcotest.(check bool) (key ^ " checked correct") true r.Salam.correct;
+      Alcotest.(check string) (key ^ " checked run_stats") (show want)
+        (show (tuple_of_stats r.Salam.stats)))
     (Salam_workloads.Suite.quick ())
 
 let test_parallel_map_order_and_errors () =

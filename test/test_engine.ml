@@ -22,13 +22,13 @@ let fixed_latency_mem clock backing latency =
   }
 
 (* run one invocation of [func] on the engine over [backing] *)
-let run_func ?(config = Engine.default_config) ?(mem_latency = 1) ?trace ?profile
+let run_func ?(config = Engine.default_config) ?limits ?(mem_latency = 1) ?trace ?profile
     ?(freq_mhz = 1000.0) backing func args =
   let kernel = Salam_sim.Kernel.create () in
   Salam_sim.Kernel.set_trace kernel trace;
   let clock = Salam_sim.Clock.create kernel ~freq_mhz in
   let stats = Salam_sim.Stats.group "engine_test" in
-  let datapath = Salam_cdfg.Datapath.build ?profile func in
+  let datapath = Salam_cdfg.Datapath.build ?profile ?limits func in
   let mem = fixed_latency_mem clock backing mem_latency in
   let engine = Engine.create kernel clock stats ~config ~datapath ~mem () in
   let finished = ref false in
@@ -38,11 +38,11 @@ let run_func ?(config = Engine.default_config) ?(mem_latency = 1) ?trace ?profil
   engine
 
 (* run a workload on the engine with an ideal fixed-latency memory *)
-let engine_run ?config ?mem_latency (w : W.t) =
+let engine_run ?config ?limits ?mem_latency (w : W.t) =
   let backing = Memory.create ~size:(1 lsl 22) in
   let bases = W.alloc_buffers w backing in
   w.W.init (Salam_sim.Rng.create 42L) backing bases;
-  let engine = run_func ?config ?mem_latency backing (W.compile w) (W.args w ~bases) in
+  let engine = run_func ?config ?limits ?mem_latency backing (W.compile w) (W.args w ~bases) in
   (Engine.stats engine, w.W.check backing bases)
 
 let test_engine_matches_golden () =
@@ -75,13 +75,8 @@ let test_engine_load_store_counts () =
 let test_fu_limits_slow_but_stay_correct () =
   let w = Salam_workloads.Gemm.workload ~n:8 () in
   let free_stats, ok1 = engine_run w in
-  let limited =
-    {
-      Engine.default_config with
-      Engine.fu_limits = [ (Salam_hw.Fu.Fp_mul_dp, 1); (Salam_hw.Fu.Fp_add_dp, 1) ];
-    }
-  in
-  let tight_stats, ok2 = engine_run ~config:limited w in
+  let limits = [ (Salam_hw.Fu.Fp_mul_dp, 1); (Salam_hw.Fu.Fp_add_dp, 1) ] in
+  let tight_stats, ok2 = engine_run ~limits w in
   check Alcotest.bool "correct unconstrained" true ok1;
   check Alcotest.bool "correct constrained" true ok2;
   check Alcotest.bool "constraints never speed things up" true
@@ -419,25 +414,24 @@ let qcheck_engine_correct_under_random_configs =
   QCheck.Test.make ~name:"engine correct under random configs" ~count:25
     QCheck.(quad (int_range 1 8) (int_range 1 4) (int_range 0 4) bool)
     (fun (read_ports, write_ports, fu_cap, disambiguate) ->
-      let fu_limits =
+      let limits =
         if fu_cap = 0 then []
         else [ (Salam_hw.Fu.Fp_add_dp, fu_cap); (Salam_hw.Fu.Fp_mul_dp, fu_cap) ]
       in
       let config =
         {
           Engine.default_config with
-          Engine.fu_limits;
           disambiguate_memory = disambiguate;
           read_queue_depth = 4 * read_ports;
           write_queue_depth = 4 * write_ports;
         }
       in
-      let _, ok = engine_run ~config (Salam_workloads.Gemm.workload ~n:4 ()) in
-      let _, ok2 = engine_run ~config (Salam_workloads.Nw.workload ~len:8 ()) in
+      let _, ok = engine_run ~config ~limits (Salam_workloads.Gemm.workload ~n:4 ()) in
+      let _, ok2 = engine_run ~config ~limits (Salam_workloads.Nw.workload ~len:8 ()) in
       ok && ok2)
 
 (* FU caps hold per tick, not per cycle (ROADMAP): one cycle can run
-   several ticks. With no [fu_limits] every class has a unit per static
+   several ticks. With no FU limits every class has a unit per static
    op, so no class may issue more ops in one cycle than it has units
    even so. Counted from the issue trace, in both engine modes, so a
    rewrite of the issue scan cannot change it unseen. Every tick of a

@@ -113,19 +113,19 @@ let test_error_parity () =
    workload under every memory attachment. *)
 let test_modes_bit_identical () =
   List.iter
-    (fun (kname, kind) ->
+    (fun (kname, config) ->
       List.iter
         (fun (w : W.t) ->
-          match Check_oracle.check_modes ~memory_kind:kind w with
+          match Check_oracle.check_modes ~config w with
           | Ok () -> ()
           | Error f ->
               Alcotest.failf "%s under %s: %s" w.W.name kname
                 (Check_oracle.failure_to_string f))
         (Salam_workloads.Suite.quick ()))
     [
-      ("spm", Check_harness.Spm);
-      ("cache", Check_harness.Cache { size = 1024; ways = 2 });
-      ("dram", Check_harness.Dram);
+      ("spm", Salam.Config.default);
+      ("cache", Test_check.cache_config ~size:1024 ~ways:2);
+      ("dram", Test_check.dram_config);
     ]
 
 let suite =

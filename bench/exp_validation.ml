@@ -88,7 +88,7 @@ let run_system (w : W.t) =
   let fabric_mhz = 200.0 in
   let func = W.compile w in
   let sys = System.create () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"c" ~clock_mhz:fabric_mhz () in
   let acc = Accelerator.create sys ~name:w.W.name ~clock_mhz:fabric_mhz func in
   Cluster.add_accelerator cluster acc;

@@ -115,23 +115,15 @@ let diff_engine_stats ~errs (u : Engine.run_stats) (p : Engine.run_stats) (f : E
   flt "dynamic_reg_energy_pj" u.Engine.dynamic_reg_energy_pj p.Engine.dynamic_reg_energy_pj
     f.Engine.dynamic_reg_energy_pj
 
-(* Derived histogram statistics (.mean/.min/.max) are not additive over
-   epochs — a delta of means is meaningless — so only the counter paths
-   participate in the delta comparison. *)
-let derived_path path =
-  List.exists (fun suf -> Filename.check_suffix path suf) [ ".mean"; ".min"; ".max" ]
-
 let diff_sim_stats ~errs u_end probe f =
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
   let lookup path xs = match List.assoc_opt path xs with Some v -> v | None -> 0.0 in
   List.iter
     (fun (path, uv) ->
-      if not (derived_path path) then begin
-        let du = uv -. lookup path probe in
-        let fv = lookup path f in
-        if not (approx du fv) then
-          err "system stat %s: uninterrupted delta %g, fast-forwarded %g" path du fv
-      end)
+      let du = uv -. lookup path probe in
+      let fv = lookup path f in
+      if not (approx du fv) then
+        err "system stat %s: uninterrupted delta %g, fast-forwarded %g" path du fv)
     u_end;
   (* a path F has but U lacks would mean the topologies differ *)
   List.iter

@@ -91,7 +91,7 @@ let dma_offset = 512
 
 let run_dma sink =
   let sys = System.create ~trace:sink () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"dmaT" ~clock_mhz:500.0 () in
   let base, _spm = Cluster.add_shared_spm cluster ~size:1024 () in
   let dma = Cluster.add_dma cluster () in

@@ -111,7 +111,7 @@ type built = {
 let build ~config ?trace ?func (w : W.t) =
   let func = match func with Some f -> f | None -> W.compile w in
   let sys = System.create ?trace () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"cluster0" ~clock_mhz:config.Config.clock_mhz () in
   let acc =
     Accelerator.create sys ~name:w.W.name ~clock_mhz:config.Config.clock_mhz
@@ -248,21 +248,12 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
   let spm_read_mw, spm_write_mw, spm_leak, spm_area, spm_accesses =
     match b.b_spm with
     | Some s ->
-        let cfg = Salam_mem.Spm.config s in
-        let cacti =
-          Salam_hw.Cacti_lite.evaluate
-            {
-              Salam_hw.Cacti_lite.capacity_bytes = cfg.Salam_mem.Spm.size;
-              word_bits = cfg.Salam_mem.Spm.word_bytes * 8;
-              read_ports = cfg.Salam_mem.Spm.read_ports;
-              write_ports = cfg.Salam_mem.Spm.write_ports;
-            }
-        in
+        let cacti = Salam_mem.Spm.cacti s in
         let reads = Salam_mem.Spm.reads s and writes = Salam_mem.Spm.writes s in
         ( to_mw (float_of_int reads *. cacti.Salam_hw.Cacti_lite.read_energy_pj),
           to_mw (float_of_int writes *. cacti.Salam_hw.Cacti_lite.write_energy_pj),
-          Salam_mem.Spm.leakage_mw s,
-          Salam_mem.Spm.area_um2 s,
+          cacti.Salam_hw.Cacti_lite.leakage_mw,
+          cacti.Salam_hw.Cacti_lite.area_um2,
           Some (reads, writes) )
     | None -> (0.0, 0.0, 0.0, 0.0, None)
   in

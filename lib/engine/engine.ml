@@ -309,8 +309,7 @@ type t = {
           active cycle *)
 }
 
-let create kernel clock stats_group ?(config = default_config) ~datapath ~mem () =
-  ignore stats_group;
+let create kernel clock ?(config = default_config) ~datapath ~mem () =
   let sched =
     match config.mode with Compiled -> Some (Schedule.compile datapath) | Dynamic -> None
   in

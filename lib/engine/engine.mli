@@ -138,7 +138,6 @@ type run_stats = {
 val create :
   Salam_sim.Kernel.t ->
   Salam_sim.Clock.t ->
-  Salam_sim.Stats.group ->
   ?config:config ->
   datapath:Salam_cdfg.Datapath.t ->
   mem:mem_iface ->

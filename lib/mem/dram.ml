@@ -20,9 +20,6 @@ type t = {
   mutable port : Port.t option;
 }
 
-let default_config ~name ~base ~size =
-  { name; base; size; access_latency = 30; bus_bytes = 8 }
-
 let create kernel clock stats cfg =
   let group = Stats.group ~parent:stats cfg.name in
   let t =
@@ -105,5 +102,3 @@ let checkpoint_agent t =
   }
 
 let bytes_read t = int_of_float (Stats.value t.s_bytes_read)
-
-let bytes_written t = int_of_float (Stats.value t.s_bytes_written)

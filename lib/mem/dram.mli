@@ -16,8 +16,6 @@ type config = {
 
 type t
 
-val default_config : name:string -> base:int64 -> size:int -> config
-
 val create : Salam_sim.Kernel.t -> Salam_sim.Clock.t -> Salam_sim.Stats.group -> config -> t
 
 val port : t -> Port.t
@@ -27,5 +25,3 @@ val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
     timing state, required drained at capture and reset on restore. *)
 
 val bytes_read : t -> int
-
-val bytes_written : t -> int

@@ -4,6 +4,4 @@ type t = { op : op; addr : int64; size : int }
 
 let make op ~addr ~size = { op; addr; size }
 
-let is_read t = t.op = Read
-
 let is_write t = t.op = Write

@@ -13,6 +13,4 @@ type t = { op : op; addr : int64; size : int }
 
 val make : op -> addr:int64 -> size:int -> t
 
-val is_read : t -> bool
-
 val is_write : t -> bool

@@ -15,18 +15,27 @@ type config = {
   partitioning : partitioning;
 }
 
-type pending = { pkt : Packet.t; on_complete : unit -> unit; bank : int }
-
 (* Placeholder for [service_thunk] until the first [schedule_service]; a
-   top-level closure so the lazy-init check is a stable pointer compare. *)
+   top-level closure so the lazy-init check is a stable pointer compare.
+   It also fills the completion table's unused slots. *)
 let unset_thunk () = ()
+
+(* Fills the packet table's unused slots. *)
+let no_packet = Packet.make Packet.Read ~addr:0L ~size:0
+
+let initial_slots = 16
 
 type t = {
   kernel : Kernel.t;
   clock : Clock.t;
   tr : Trace.sink option;  (** captured at [create]; [None] = tracing off *)
   cfg : config;
-  queue : pending Deque.t;  (** arrival order *)
+  queue : Slot_ring.t;  (** request slots, in arrival order *)
+  mutable req_pkt : Packet.t array;  (** by slot *)
+  mutable req_done : (unit -> unit) array;  (** by slot *)
+  mutable req_bank : int array;  (** by slot *)
+  mutable free : int array;  (** stack of unused slots *)
+  mutable n_free : int;
   mutable fresh : int;
       (** arrivals since the last arbitration pass: the queue's suffix
           not yet delayed (every survivor of a pass has been) *)
@@ -77,12 +86,40 @@ let emit t cat ~detail (pkt : Packet.t) ~bank =
         ]
   | Some _ | None -> ()
 
+(* A request lives in a slot of the per-slot tables from arrival to
+   service; a free slot keeps its last packet and completion until it
+   is reused, so queueing a request allocates nothing once the tables
+   have grown to the peak queue depth. The tables are only grown with
+   every slot in use, so the new slots become the free stack. *)
+let grow_slots t =
+  let n = Array.length t.req_bank in
+  let extend a fill =
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.req_pkt <- extend t.req_pkt no_packet;
+  t.req_done <- extend t.req_done unset_thunk;
+  t.req_bank <- extend t.req_bank 0;
+  t.free <- Array.init (2 * n) (fun i -> (2 * n) - 1 - i);
+  t.n_free <- n
+
+let alloc_slot t =
+  if t.n_free = 0 then grow_slots t;
+  t.n_free <- t.n_free - 1;
+  t.free.(t.n_free)
+
+let release_slot t s =
+  t.free.(t.n_free) <- s;
+  t.n_free <- t.n_free + 1
+
 (* A request that cannot be serviced this cycle; [fresh] ones, waiting
    their first cycle, count as a conflict once. *)
-let delay t p ~fresh ~bank_busy =
+let delay t s ~fresh ~bank_busy =
   if fresh then begin
     Stats.incr t.s_conflicts;
-    emit t Trace.Spm_conflict ~detail:(if bank_busy then "bank" else "port") p.pkt ~bank:p.bank
+    emit t Trace.Spm_conflict ~detail:(if bank_busy then "bank" else "port") t.req_pkt.(s)
+      ~bank:t.req_bank.(s)
   end
 
 (* One arbitration pass, in arrival order, at most one access per bank
@@ -96,7 +133,7 @@ let delay t p ~fresh ~bank_busy =
 let rec service t =
   t.service_scheduled <- false;
   let q = t.queue in
-  let n = Deque.length q in
+  let n = Slot_ring.length q in
   let first_fresh = n - t.fresh in
   t.fresh <- 0;
   let reads_left = ref t.cfg.read_ports in
@@ -115,18 +152,19 @@ let rec service t =
     !free_banks > 0
     && ((!reads_left > 0 && !reads_ahead > 0) || (!writes_left > 0 && !writes_ahead > 0))
   do
-    let p = Deque.get q !i in
-    (match p.pkt.Packet.op with
+    let s = Slot_ring.get q !i in
+    let pkt = t.req_pkt.(s) in
+    (match pkt.Packet.op with
     | Packet.Read -> decr reads_ahead
     | Packet.Write -> decr writes_ahead);
-    let bank = p.bank in
+    let bank = t.req_bank.(s) in
     let port_ok =
-      match p.pkt.Packet.op with Packet.Read -> !reads_left > 0 | Packet.Write -> !writes_left > 0
+      match pkt.Packet.op with Packet.Read -> !reads_left > 0 | Packet.Write -> !writes_left > 0
     in
     if port_ok && not banks_busy.(bank) then begin
       banks_busy.(bank) <- true;
       decr free_banks;
-      (match p.pkt.Packet.op with
+      (match pkt.Packet.op with
       | Packet.Read ->
           decr reads_left;
           t.queued_reads <- t.queued_reads - 1;
@@ -136,29 +174,30 @@ let rec service t =
           t.queued_writes <- t.queued_writes - 1;
           Stats.incr t.s_writes);
       emit t Trace.Spm_access
-        ~detail:(match p.pkt.Packet.op with Packet.Read -> "read" | Packet.Write -> "write")
-        p.pkt ~bank;
-      Clock.schedule_cycles t.clock ~cycles:t.cfg.latency p.on_complete
+        ~detail:(match pkt.Packet.op with Packet.Read -> "read" | Packet.Write -> "write")
+        pkt ~bank;
+      Clock.schedule_cycles t.clock ~cycles:t.cfg.latency t.req_done.(s);
+      release_slot t s
     end
     else begin
-      delay t p ~fresh:(!i >= first_fresh) ~bank_busy:banks_busy.(bank);
-      Deque.set q !kept p;
+      delay t s ~fresh:(!i >= first_fresh) ~bank_busy:banks_busy.(bank);
+      Slot_ring.set q !kept s;
       incr kept
     end;
     incr i
   done;
   for j = max !i first_fresh to n - 1 do
-    let p = Deque.get q j in
-    delay t p ~fresh:true ~bank_busy:banks_busy.(p.bank)
+    let s = Slot_ring.get q j in
+    delay t s ~fresh:true ~bank_busy:banks_busy.(t.req_bank.(s))
   done;
   let serviced = !i - !kept in
   if serviced > 0 then begin
     for j = !kept - 1 downto 0 do
-      Deque.set q (j + serviced) (Deque.get q j)
+      Slot_ring.set q (j + serviced) (Slot_ring.get q j)
     done;
-    Deque.drop_front q serviced
+    Slot_ring.drop_front q serviced
   end;
-  if not (Deque.is_empty q) then schedule_service t ~cycles:1
+  if not (Slot_ring.is_empty q) then schedule_service t ~cycles:1
 
 and schedule_service t ~cycles =
   if not t.service_scheduled then begin
@@ -186,7 +225,12 @@ let create kernel clock stats cfg =
       clock;
       tr = Kernel.trace kernel;
       cfg;
-      queue = Deque.create ();
+      queue = Slot_ring.create ~capacity:initial_slots ();
+      req_pkt = Array.make initial_slots no_packet;
+      req_done = Array.make initial_slots unset_thunk;
+      req_bank = Array.make initial_slots 0;
+      free = Array.init initial_slots (fun i -> initial_slots - 1 - i);
+      n_free = initial_slots;
       fresh = 0;
       queued_reads = 0;
       queued_writes = 0;
@@ -207,7 +251,11 @@ let create kernel clock stats cfg =
       invalid_arg
         (Printf.sprintf "%s: access %Ld+%d outside [%Ld, %Ld)" cfg.name pkt.Packet.addr
            pkt.Packet.size cfg.base limit);
-    Deque.push_back t.queue { pkt; on_complete; bank = bank_of t pkt.Packet.addr };
+    let s = alloc_slot t in
+    t.req_pkt.(s) <- pkt;
+    t.req_done.(s) <- on_complete;
+    t.req_bank.(s) <- bank_of t pkt.Packet.addr;
+    Slot_ring.push_back t.queue s;
     t.fresh <- t.fresh + 1;
     (match pkt.Packet.op with
     | Packet.Read -> t.queued_reads <- t.queued_reads + 1
@@ -218,8 +266,6 @@ let create kernel clock stats cfg =
   t
 
 let port t = match t.port with Some p -> p | None -> assert false
-
-let config t = t.cfg
 
 let reads t = int_of_float (Stats.value t.s_reads)
 
@@ -234,11 +280,11 @@ let bank_conflicts t = int_of_float (Stats.value t.s_conflicts)
    banks, latency) are deliberately absent: one snapshot must serve many
    DSE points that differ only in timing configuration. *)
 let quiesce t ~what =
-  if not (Deque.is_empty t.queue) then
+  if not (Slot_ring.is_empty t.queue) then
     raise
       (Checkpoint.Invalid
          (Printf.sprintf "%s: %s with %d request(s) in flight" t.cfg.name what
-            (Deque.length t.queue)))
+            (Slot_ring.length t.queue)))
 
 let checkpoint_agent t =
   {
@@ -265,10 +311,4 @@ let checkpoint_agent t =
         expect "size" (Int64.of_int t.cfg.size));
   }
 
-let energy_pj t =
-  (Stats.value t.s_reads *. t.cacti.Salam_hw.Cacti_lite.read_energy_pj)
-  +. (Stats.value t.s_writes *. t.cacti.Salam_hw.Cacti_lite.write_energy_pj)
-
-let leakage_mw t = t.cacti.Salam_hw.Cacti_lite.leakage_mw
-
-let area_um2 t = t.cacti.Salam_hw.Cacti_lite.area_um2
+let cacti t = t.cacti

@@ -6,7 +6,10 @@
     per bank; bank mapping is cyclic or blocked, matching the
     partitioning knob in gem5-SALAM's device configs. Requests that
     cannot be serviced stall in the request queue (this is what produces
-    the port-sweep behaviour of Figures 14-15). *)
+    the port-sweep behaviour of Figures 14-15). The queue is a
+    {!Salam_sim.Slot_ring} of request slots whose packet, completion and
+    bank sit in per-slot tables, so a request allocates nothing once the
+    tables have grown to the peak queue depth. *)
 
 type partitioning = Cyclic | Blocked
 
@@ -30,8 +33,6 @@ val create : Salam_sim.Kernel.t -> Salam_sim.Clock.t -> Salam_sim.Stats.group ->
 
 val port : t -> Port.t
 
-val config : t -> config
-
 val reads : t -> int
 
 val writes : t -> int
@@ -44,9 +45,7 @@ val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
     section carries layout identity only (base, size) — restore
     validates it and both directions require an empty request queue. *)
 
-val energy_pj : t -> float
-(** Access energy so far, from the {!Salam_hw.Cacti_lite} model. *)
-
-val leakage_mw : t -> float
-
-val area_um2 : t -> float
+val cacti : t -> Salam_hw.Cacti_lite.result
+(** The SRAM model of this configuration (capacity, word width, read
+    and write ports), evaluated once at {!create}: per-access energy,
+    leakage and area for power reports. *)

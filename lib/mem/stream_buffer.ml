@@ -34,10 +34,6 @@ let create kernel clock stats ~name ~capacity_bytes =
     s_empty_stalls = Stats.scalar group "empty_stalls";
   }
 
-let name t = t.buf_name
-
-let capacity t = t.capacity_bytes
-
 let occupancy t = Queue.length t.fifo
 
 let emit t cat ~detail ~size =
@@ -130,10 +126,6 @@ let checkpoint_agent t =
         Queue.clear t.fifo;
         String.iter (fun c -> Queue.add c t.fifo) data);
   }
-
-let pushes t = int_of_float (Stats.value t.s_pushes)
-
-let pops t = int_of_float (Stats.value t.s_pops)
 
 let full_stalls t = int_of_float (Stats.value t.s_full_stalls)
 

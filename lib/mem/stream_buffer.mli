@@ -18,10 +18,6 @@ val create :
   capacity_bytes:int ->
   t
 
-val name : t -> string
-
-val capacity : t -> int
-
 val occupancy : t -> int
 
 val push : t -> Bytes.t -> on_accepted:(unit -> unit) -> unit
@@ -39,10 +35,6 @@ val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
     verbatim; pending push/pop handshakes must have drained in both
     directions. Restore refuses a payload larger than this FIFO's
     capacity. *)
-
-val pushes : t -> int
-
-val pops : t -> int
 
 val full_stalls : t -> int
 (** Pushes that had to wait for space. *)

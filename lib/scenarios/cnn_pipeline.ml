@@ -79,7 +79,7 @@ type setup = {
 
 let make_setup ?trace h w =
   let sys = System.create ?trace () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"cnn" ~clock_mhz:acc_clock ~xbar_width:16 () in
   let host = Host.create sys ~clock_mhz:host_clock ~port:(Fabric.port fabric) in
   let dma =

@@ -8,8 +8,6 @@ let create kernel ~freq_mhz =
 
 let period_ticks t = t.period64
 
-let freq_mhz t = t.freq_mhz
-
 let cycle_of_tick t tick = Int64.of_int (Int64.to_int tick / t.period)
 
 let current_cycle_i t = Kernel.now_i t.kernel / t.period
@@ -20,8 +18,6 @@ let next_edge_i t =
   let now = Kernel.now_i t.kernel in
   let rem = now mod t.period in
   if rem = 0 then now else now + (t.period - rem)
-
-let next_edge t = Int64.of_int (next_edge_i t)
 
 let schedule_cycles t ~cycles action =
   assert (cycles >= 0);

@@ -13,8 +13,6 @@ val create : Kernel.t -> freq_mhz:float -> t
 
 val period_ticks : t -> int64
 
-val freq_mhz : t -> float
-
 val cycle_of_tick : t -> int64 -> int64
 (** Cycle index containing the given tick. *)
 
@@ -22,9 +20,6 @@ val current_cycle : t -> int64
 
 val current_cycle_i : t -> int
 (** {!current_cycle} as a native int — no boxing; for hot paths. *)
-
-val next_edge : t -> int64
-(** First tick [>= now] that lies on a clock edge of this domain. *)
 
 val schedule_cycles : t -> cycles:int -> (unit -> unit) -> unit
 (** [schedule_cycles t ~cycles f] runs [f] on the clock edge [cycles]

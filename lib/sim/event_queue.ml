@@ -134,12 +134,8 @@ let pop t =
     Some { tick = t.now; seq; action }
   end
 
-let peek_tick t = if t.size = 0 then None else Some t.ticks.(0)
-
 let next_tick t = if t.size = 0 then max_int else t.ticks.(0)
 
 let is_empty t = t.size = 0
-
-let size t = t.size
 
 let last_popped_tick t = t.now

@@ -30,16 +30,11 @@ val pop : t -> event option
 (** Remove and return the next event, or [None] if empty. Allocates the
     record; for inspection and tests. *)
 
-val peek_tick : t -> int option
-
 val next_tick : t -> int
-(** Tick of the next event, or [max_int] if the queue is empty —
-    [peek_tick] without the option allocation, for the kernel's run
-    loop. *)
+(** Tick of the next event, or [max_int] if the queue is empty; no
+    option is allocated, for the kernel's run loop. *)
 
 val is_empty : t -> bool
-
-val size : t -> int
 
 val last_popped_tick : t -> int
 (** Tick of the most recently popped event; 0 before any pop. *)

@@ -19,34 +19,19 @@ let schedule_at t ~tick action = Event_queue.schedule t.queue ~tick:(Int64.to_in
 
 let schedule_at_i t ~tick action = Event_queue.schedule t.queue ~tick action
 
-let schedule_after t ~delay action =
-  Event_queue.schedule t.queue ~tick:(t.now + Int64.to_int delay) action
-
-let step t =
-  if Event_queue.is_empty t.queue then false
-  else begin
-    let action = Event_queue.pop_action t.queue in
-    t.now <- Event_queue.last_popped_tick t.queue;
-    t.executed <- t.executed + 1;
-    action ();
-    true
-  end
-
 let run ?(max_ticks = Int64.max_int) t =
   (* clamp below the queue's empty sentinel so the comparison stays exact *)
   let lim =
     if Int64.compare max_ticks (Int64.of_int (max_int - 1)) >= 0 then max_int - 1
     else Int64.to_int max_ticks
   in
-  let rec loop () =
-    let tick = Event_queue.next_tick t.queue in
-    if tick > lim then Int64.of_int t.now
-    else begin
-      ignore (step t);
-      loop ()
-    end
-  in
-  loop ()
+  while Event_queue.next_tick t.queue <= lim do
+    let action = Event_queue.pop_action t.queue in
+    t.now <- Event_queue.last_popped_tick t.queue;
+    t.executed <- t.executed + 1;
+    action ()
+  done;
+  Int64.of_int t.now
 
 let idle t = Event_queue.is_empty t.queue
 
@@ -56,13 +41,5 @@ let advance_to t ~tick =
     invalid_arg "Kernel.advance_to: event queue is not empty";
   if tick < t.now then invalid_arg "Kernel.advance_to: cannot move time backwards";
   t.now <- tick
-
-let run_until t done_ =
-  let rec loop () =
-    if done_ () then Int64.of_int t.now
-    else if step t then loop ()
-    else Int64.of_int t.now
-  in
-  loop ()
 
 let events_executed t = t.executed

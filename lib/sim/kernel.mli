@@ -31,9 +31,6 @@ val schedule_at_i : t -> tick:int -> (unit -> unit) -> unit
 (** {!schedule_at} with a native-int tick — the allocation-free path
     clock domains use. *)
 
-val schedule_after : t -> delay:int64 -> (unit -> unit) -> unit
-(** [schedule_after t ~delay f] runs [f] at [now t + delay]. *)
-
 val run : ?max_ticks:int64 -> t -> int64
 (** Drain the event queue, executing events in order. Stops when the
     queue is empty or when the next event lies beyond [max_ticks].
@@ -48,10 +45,6 @@ val advance_to : t -> tick:int64 -> unit
     legal while {!idle} and forward in time; raises [Invalid_argument]
     otherwise. Used to align kernel-invocation boundaries to clock
     hyperperiod multiples and to restore checkpoints. *)
-
-val run_until : t -> (unit -> bool) -> int64
-(** [run_until t done_] executes events until [done_ ()] becomes true
-    (checked after every event) or the queue drains. *)
 
 val events_executed : t -> int
 (** Total number of events executed so far; a cheap progress/cost

@@ -13,8 +13,6 @@ let int64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
 
-let split t = create (int64 t)
-
 let int t bound =
   assert (bound > 0);
   (* shift by 2 so the result fits OCaml's 63-bit int without wrapping *)

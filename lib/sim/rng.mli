@@ -10,10 +10,6 @@ val create : int64 -> t
 (** [create seed] makes an independent generator. Equal seeds yield equal
     streams. *)
 
-val split : t -> t
-(** [split t] derives a new generator whose stream is independent of
-    subsequent draws from [t]. *)
-
 val int64 : t -> int64
 (** Next raw 64-bit draw. *)
 

@@ -39,6 +39,19 @@ let peek_front r =
   if r.len = 0 then invalid_arg "Slot_ring.peek_front: empty";
   r.buf.(r.head)
 
+let get r i =
+  if i < 0 || i >= r.len then invalid_arg "Slot_ring.get: index out of range";
+  r.buf.((r.head + i) land r.mask)
+
+let set r i x =
+  if i < 0 || i >= r.len then invalid_arg "Slot_ring.set: index out of range";
+  r.buf.((r.head + i) land r.mask) <- x
+
+let drop_front r k =
+  if k < 0 || k > r.len then invalid_arg "Slot_ring.drop_front: count out of range";
+  r.head <- (r.head + k) land r.mask;
+  r.len <- r.len - k
+
 let iter_while f r =
   let i = ref 0 in
   while !i < r.len && f r.buf.((r.head + !i) land r.mask) do

@@ -1,15 +1,13 @@
 (** Statistics infrastructure.
 
-    Every simulated device registers named statistics into a group;
-    groups nest, mirroring gem5's stats tree. Scalars count events,
-    distributions track per-cycle quantities (queue occupancy, parallel
-    issues), and formulas derive ratios at dump time. *)
+    Every simulated device registers named scalar counters into a
+    group; groups nest, mirroring gem5's stats tree. Scalars are the
+    only kind of statistic: quantities derived from them (ratios,
+    per-cycle rates) are computed where they are reported. *)
 
 type group
 
 type scalar
-
-type distribution
 
 val group : ?parent:group -> string -> group
 
@@ -20,40 +18,13 @@ val incr : scalar -> unit
 
 val add : scalar -> float -> unit
 
-val set : scalar -> float -> unit
-
 val value : scalar -> float
-
-val distribution : group -> string -> distribution
-
-val sample : distribution -> float -> unit
-
-val dist_count : distribution -> int
-
-val dist_mean : distribution -> float
-(** Mean of samples; 0 when empty. *)
-
-val dist_max : distribution -> float
-
-val dist_min : distribution -> float
-
-val dist_total : distribution -> float
 
 val reset_group : group -> unit
 (** Reset every statistic in the group and its children to zero. *)
 
 val fold : group -> init:'a -> f:('a -> path:string -> float -> 'a) -> 'a
-(** Fold over every statistic in the subtree. Paths are dotted and
-    relative to [g] ([g]'s own name is not a component), e.g.
-    ["subgroup.name"] — the same scheme {!find} resolves, so every path
-    this emits can be looked up again. Distributions contribute derived
-    entries [name.count], [name.total], [name.mean], [name.min] and
-    [name.max]. *)
-
-val find : group -> string -> float option
-(** [find g path] looks a statistic up by dotted path relative to [g]:
-    a scalar, or a distribution field ([....count], [....total],
-    [....mean], [....min], [....max]). *)
-
-val pp : Format.formatter -> group -> unit
-(** Dump all statistics in the subtree, one per line. *)
+(** Fold over every scalar in the subtree, in registration order: a
+    group's own scalars, then each child group's subtree. Paths are
+    dotted and relative to [g] ([g]'s own name is not a component),
+    e.g. ["subgroup.name"]. *)

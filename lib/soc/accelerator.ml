@@ -5,7 +5,6 @@ module Datapath = Salam_cdfg.Datapath
 
 type t = {
   acc_name : string;
-  system : System.t;
   comm : Comm_interface.t;
   engine : Engine.t;
   datapath : Datapath.t;
@@ -32,18 +31,27 @@ let encode_ret v =
   | Bits.Int i -> i
   | Bits.Float f -> Int64.bits_of_float f
 
+let launch t ~args ~on_done =
+  Comm_interface.write_mmr t.comm Comm_interface.Layout.status 1L;
+  Engine.start t.engine ~args ~on_finish:(fun ret ->
+      (match ret with
+      | Some v -> Comm_interface.write_mmr t.comm Comm_interface.Layout.ret_value (encode_ret v)
+      | None -> ());
+      Comm_interface.write_mmr t.comm Comm_interface.Layout.status 2L;
+      Comm_interface.raise_interrupt t.comm;
+      on_done ret)
+
 let create system ~name ~clock_mhz ?(profile = Salam_hw.Profile.default_40nm) ?(fu_limits = [])
     ?(engine_config = Engine.default_config) (func : Ast.func) =
   let clock = System.clock system ~mhz:clock_mhz in
   let datapath = Datapath.build ~profile ~limits:fu_limits func in
   let n_args = List.length func.Ast.params in
   let comm = Comm_interface.create system ~name ~clock ~mmr_words:(3 + max 1 n_args) in
-  let group = Stats.group ~parent:(System.stats system) (name ^ ".engine") in
   let engine =
-    Engine.create (System.kernel system) clock group ~config:engine_config ~datapath
+    Engine.create (System.kernel system) clock ~config:engine_config ~datapath
       ~mem:(Comm_interface.mem_iface comm) ()
   in
-  let t = { acc_name = name; system; comm; engine; datapath; clock } in
+  let t = { acc_name = name; comm; engine; datapath; clock } in
   (* Roadmarks sit at invocation boundaries where SSA registers are dead
      and the engine is stopped, so the section is empty. Restore opens a
      fresh statistics epoch: the engine's counters are flat fields
@@ -75,13 +83,7 @@ let create system ~name ~clock_mhz ?(profile = Salam_hw.Profile.default_40nm) ?(
             (fun i p -> decode_arg p (Comm_interface.read_mmr comm (Comm_interface.Layout.arg i)))
             func.Ast.params
         in
-        Comm_interface.write_mmr comm Comm_interface.Layout.status 1L;
-        Engine.start engine ~args ~on_finish:(fun ret ->
-            (match ret with
-            | Some v -> Comm_interface.write_mmr comm Comm_interface.Layout.ret_value (encode_ret v)
-            | None -> ());
-            Comm_interface.write_mmr comm Comm_interface.Layout.status 2L;
-            Comm_interface.raise_interrupt comm)
+        launch t ~args ~on_done:ignore
       end);
   t
 
@@ -94,18 +96,6 @@ let engine t = t.engine
 let datapath t = t.datapath
 
 let clock t = t.clock
-
-let launch t ~args ~on_done =
-  Comm_interface.write_mmr t.comm Comm_interface.Layout.status 1L;
-  Engine.start t.engine ~args ~on_finish:(fun ret ->
-      (match ret with
-      | Some v -> Comm_interface.write_mmr t.comm Comm_interface.Layout.ret_value (encode_ret v)
-      | None -> ());
-      Comm_interface.write_mmr t.comm Comm_interface.Layout.status 2L;
-      Comm_interface.raise_interrupt t.comm;
-      on_done ret)
-
-let busy t = Engine.running t.engine
 
 let add_ordered_range t ~base ~size = Engine.add_ordered_range t.engine ~base ~size
 

@@ -48,8 +48,6 @@ val launch : t -> args:Salam_ir.Bits.t list -> on_done:(Salam_ir.Bits.t option -
     completion stores the return value (if any) in the return-value MMR,
     sets status to done, raises the interrupt and calls [on_done]. *)
 
-val busy : t -> bool
-
 val add_ordered_range : t -> base:int64 -> size:int -> unit
 (** Mark a window (stream FIFO mapping) as strictly-ordered device
     memory for this accelerator's engine. *)

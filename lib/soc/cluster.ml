@@ -20,8 +20,6 @@ let create sys fabric ~name ~clock_mhz ?(xbar_width = 4) () =
   System.register_agent sys (Xbar.checkpoint_agent xbar);
   { sys; fabric; cluster_name = name; clock; xbar; members = []; counters = 0 }
 
-let system t = t.sys
-
 let local_port t = Xbar.port t.xbar
 
 let fresh t prefix =

@@ -14,8 +14,6 @@ val create :
 (** [xbar_width] is the local crossbar's packets-per-cycle arbitration
     width (default 4). *)
 
-val system : t -> System.t
-
 val local_port : t -> Salam_mem.Port.t
 
 val add_accelerator : t -> Accelerator.t -> unit

@@ -20,7 +20,6 @@ type range = { r_base : int64; r_size : int; target : Port.t option  (** always 
 type t = {
   system : System.t;
   iface_name : string;
-  clock : Clock.t;
   tr : Trace.sink option;  (** captured at [create]; [None] = tracing off *)
   mmr_base : int64;
   mmr_words : int;
@@ -43,7 +42,6 @@ let create system ~name ~clock ~mmr_words =
     {
       system;
       iface_name = name;
-      clock;
       tr = Kernel.trace (System.kernel system);
       mmr_base;
       mmr_words;
@@ -107,10 +105,6 @@ let create system ~name ~clock ~mmr_words =
           expect "mmr_words" (Int64.of_int mmr_words));
     };
   t
-
-let name t = t.iface_name
-
-let clock t = t.clock
 
 let mmr_base t = t.mmr_base
 
@@ -219,7 +213,3 @@ let mem_iface t : Salam_engine.Engine.mem_iface =
             invalid_arg (t.iface_name ^ ": no route for store address " ^ Int64.to_string addr))
   in
   { Salam_engine.Engine.read; write }
-
-let loads t = int_of_float (Stats.value t.s_loads)
-
-let stores t = int_of_float (Stats.value t.s_stores)

@@ -16,10 +16,6 @@ val create :
 (** Allocates an MMR region of [mmr_words] 64-bit registers in the
     backing store. *)
 
-val name : t -> string
-
-val clock : t -> Salam_sim.Clock.t
-
 val mmr_base : t -> int64
 
 val mmr_size : t -> int
@@ -55,10 +51,6 @@ val map_stream_pop : t -> base:int64 -> size:int -> Salam_mem.Stream_buffer.t ->
 val map_stream_push : t -> base:int64 -> size:int -> Salam_mem.Stream_buffer.t -> unit
 
 val mem_iface : t -> Salam_engine.Engine.mem_iface
-
-val loads : t -> int
-
-val stores : t -> int
 
 (** Standard MMR word layout used by {!Accelerator} and the drivers. *)
 module Layout : sig

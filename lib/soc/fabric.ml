@@ -1,10 +1,10 @@
 open Salam_mem
 
-type t = { xbar : Xbar.t; dram : Dram.t; clock : Salam_sim.Clock.t }
+type t = { xbar : Xbar.t }
 
-let create system ?(clock_mhz = 800.0) ?(dram_latency = 30) ?(dram_bus_bytes = 8)
-    ?(xbar_latency = 1) ?(xbar_width = 4) () =
-  let clock = System.clock system ~mhz:clock_mhz in
+(* the fixed backbone stated in fabric.mli *)
+let create system =
+  let clock = System.clock system ~mhz:800.0 in
   let kernel = System.kernel system in
   let stats = System.stats system in
   let dram =
@@ -13,23 +13,19 @@ let create system ?(clock_mhz = 800.0) ?(dram_latency = 30) ?(dram_bus_bytes = 8
         Dram.name = "dram";
         base = 0L;
         size = Salam_ir.Memory.size (System.backing system);
-        access_latency = dram_latency;
-        bus_bytes = dram_bus_bytes;
+        access_latency = 30;
+        bus_bytes = 8;
       }
   in
   let xbar =
     Xbar.create kernel clock stats
-      { Xbar.name = "global_xbar"; latency = xbar_latency; width = xbar_width }
+      { Xbar.name = "global_xbar"; latency = 1; width = 4 }
   in
   Xbar.set_default xbar (Dram.port dram);
   System.register_agent system (Dram.checkpoint_agent dram);
   System.register_agent system (Xbar.checkpoint_agent xbar);
-  { xbar; dram; clock }
+  { xbar }
 
 let port t = Xbar.port t.xbar
 
 let add_range t ~base ~size target = Xbar.add_range t.xbar ~base ~size target
-
-let dram t = t.dram
-
-let clock t = t.clock

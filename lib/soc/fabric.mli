@@ -8,21 +8,13 @@
 
 type t
 
-val create :
-  System.t ->
-  ?clock_mhz:float ->
-  ?dram_latency:int ->
-  ?dram_bus_bytes:int ->
-  ?xbar_latency:int ->
-  ?xbar_width:int ->
-  unit ->
-  t
+val create : System.t -> t
+(** The backbone is fixed: an 800 MHz clock domain shared by a DRAM
+    named ["dram"] (30-cycle access latency, 8 bytes per cycle, backing
+    the whole of the system's memory) and a crossbar named
+    ["global_xbar"] (1-cycle latency, 4 packets per cycle). *)
 
 val port : t -> Salam_mem.Port.t
 (** Into the global crossbar. *)
 
 val add_range : t -> base:int64 -> size:int -> Salam_mem.Port.t -> unit
-
-val dram : t -> Salam_mem.Dram.t
-
-val clock : t -> Salam_sim.Clock.t

@@ -6,20 +6,12 @@ type t = { system : System.t; clock : Clock.t; port : Port.t }
 
 let create system ~clock_mhz ~port = { system; clock = System.clock system ~mhz:clock_mhz; port }
 
-let clock t = t.clock
-
 let write_u64 t ~addr ~value ~k =
   Memory.store (System.backing t.system) Ty.I64 addr (Bits.Int value);
   let pkt = Packet.make Packet.Write ~addr ~size:8 in
   (* one host cycle to issue, then the interconnect's timing *)
   Clock.schedule_cycles t.clock ~cycles:1 (fun () ->
       Port.send t.port pkt ~on_complete:k)
-
-let read_u64 t ~addr ~k =
-  let pkt = Packet.make Packet.Read ~addr ~size:8 in
-  Clock.schedule_cycles t.clock ~cycles:1 (fun () ->
-      Port.send t.port pkt ~on_complete:(fun () ->
-          k (Bits.to_int64 (Memory.load (System.backing t.system) Ty.I64 addr))))
 
 let delay_cycles t n ~k = Clock.schedule_cycles t.clock ~cycles:(max 0 n) k
 
@@ -73,10 +65,3 @@ let run_kernel t comm ~args ~k =
   write_args t comm ~args ~k:(fun () ->
       wait_irq comm ~k;
       start_device t comm ~k:(fun () -> ()))
-
-let seq steps ~k =
-  let rec go = function
-    | [] -> k ()
-    | step :: rest -> step (fun () -> go rest)
-  in
-  go steps

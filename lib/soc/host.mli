@@ -13,12 +13,8 @@ val create : System.t -> clock_mhz:float -> port:Salam_mem.Port.t -> t
 (** [port] is the host's window into the memory system (usually the
     global crossbar). *)
 
-val clock : t -> Salam_sim.Clock.t
-
 val write_u64 : t -> addr:int64 -> value:int64 -> k:(unit -> unit) -> unit
 (** Timed uncached store (functional effect at issue). *)
-
-val read_u64 : t -> addr:int64 -> k:(int64 -> unit) -> unit
 
 val delay_cycles : t -> int -> k:(unit -> unit) -> unit
 
@@ -39,6 +35,3 @@ val wait_irq : Comm_interface.t -> k:(unit -> unit) -> unit
 val run_kernel :
   t -> Comm_interface.t -> args:int64 list -> k:(unit -> unit) -> unit
 (** [write_args] + [start_device] + [wait_irq]. *)
-
-val seq : (( unit -> unit) -> unit) list -> k:(unit -> unit) -> unit
-(** Run CPS steps in order. *)

@@ -61,7 +61,7 @@ let test_burst_split () =
 let test_completion_interrupt () =
   let sink = Trace.create () in
   let sys = System.create ~trace:sink () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"irqT" ~clock_mhz:1000.0 () in
   let base, _spm = Cluster.add_shared_spm cluster ~size:512 () in
   let dma = Cluster.add_dma cluster () in

@@ -27,10 +27,9 @@ let run_func ?(config = Engine.default_config) ?limits ?(mem_latency = 1) ?trace
   let kernel = Salam_sim.Kernel.create () in
   Salam_sim.Kernel.set_trace kernel trace;
   let clock = Salam_sim.Clock.create kernel ~freq_mhz in
-  let stats = Salam_sim.Stats.group "engine_test" in
   let datapath = Salam_cdfg.Datapath.build ?profile ?limits func in
   let mem = fixed_latency_mem clock backing mem_latency in
-  let engine = Engine.create kernel clock stats ~config ~datapath ~mem () in
+  let engine = Engine.create kernel clock ~config ~datapath ~mem () in
   let finished = ref false in
   Engine.start engine ~args ~on_finish:(fun _ -> finished := true);
   ignore (Salam_sim.Kernel.run kernel);
@@ -121,12 +120,11 @@ let test_engine_restart () =
   let w = Salam_workloads.Nw.workload ~len:8 () in
   let kernel = Salam_sim.Kernel.create () in
   let clock = Salam_sim.Clock.create kernel ~freq_mhz:1000.0 in
-  let stats = Salam_sim.Stats.group "restart" in
   let backing = Memory.create ~size:(1 lsl 20) in
   let bases = W.alloc_buffers w backing in
   let datapath = Salam_cdfg.Datapath.build (W.compile w) in
   let mem = fixed_latency_mem clock backing 1 in
-  let engine = Engine.create kernel clock stats ~datapath ~mem () in
+  let engine = Engine.create kernel clock ~datapath ~mem () in
   let run_once () =
     w.W.init (Salam_sim.Rng.create 7L) backing bases;
     let fin = ref false in
@@ -390,7 +388,7 @@ let test_check_reports_wheel_slot () =
   let clock = Salam_sim.Clock.create kernel ~freq_mhz:1000.0 in
   let backing = Memory.create ~size:64 in
   let engine =
-    Engine.create kernel clock (Salam_sim.Stats.group "wheel_check")
+    Engine.create kernel clock
       ~config:{ Engine.default_config with Engine.check = true }
       ~datapath:(Salam_cdfg.Datapath.build func) ~mem:(fixed_latency_mem clock backing 1) ()
   in

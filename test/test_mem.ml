@@ -78,6 +78,43 @@ let test_spm_rejects_out_of_range () =
     (Invalid_argument "spm: access 0+8 outside [4096, 4160)") (fun () ->
       send (Spm.port spm) (Packet.make Packet.Read ~addr:0L ~size:8) ignore)
 
+(* A queued request lives in a slot of the SPM's per-slot tables, so
+   once they have grown a burst costs the minor heap the same whatever
+   its size: nothing is allocated per request. *)
+let test_spm_requests_allocation_free () =
+  let kernel, clock, stats = fresh () in
+  let spm =
+    Spm.create kernel clock stats
+      { (Spm.default_config ~name:"spm" ~base:0L ~size:4096) with Spm.banks = 4 }
+  in
+  let port = Spm.port spm in
+  let pkts =
+    Array.init 64 (fun k ->
+        Packet.make
+          (if k mod 4 = 3 then Packet.Write else Packet.Read)
+          ~addr:(Int64.of_int (k * 8)) ~size:8)
+  in
+  let served = ref 0 in
+  let on_complete () = incr served in
+  let burst n =
+    for k = 0 to n - 1 do
+      Port.send port pkts.(k) ~on_complete
+    done;
+    ignore (Kernel.run kernel)
+  in
+  let words_for_bursts n =
+    let before = Gc.minor_words () in
+    for _ = 1 to 100 do
+      burst n
+    done;
+    int_of_float (Gc.minor_words () -. before)
+  in
+  burst 64;
+  let small = words_for_bursts 16 in
+  let large = words_for_bursts 64 in
+  check Alcotest.int "minor words: 100 bursts of 64 vs 100 bursts of 16" small large;
+  check Alcotest.int "every request served" (64 + (100 * 16) + (100 * 64)) !served
+
 (* --- DRAM ------------------------------------------------------------- *)
 
 let test_dram_bandwidth_serialises () =
@@ -318,6 +355,7 @@ let suite =
     Alcotest.test_case "spm port throughput" `Quick test_spm_port_throughput;
     Alcotest.test_case "spm bank conflicts" `Quick test_spm_bank_conflicts;
     Alcotest.test_case "spm bounds" `Quick test_spm_rejects_out_of_range;
+    Alcotest.test_case "spm requests allocation-free" `Quick test_spm_requests_allocation_free;
     Alcotest.test_case "dram bandwidth" `Quick test_dram_bandwidth_serialises;
     Alcotest.test_case "cache miss then hit" `Quick test_cache_miss_then_hit;
     Alcotest.test_case "cache eviction/writeback/flush" `Quick test_cache_eviction_and_writeback;

@@ -57,7 +57,7 @@ let test_stream_dma_feeds_accelerator () =
   in
   let func = Salam_frontend.Compile.kernel kern in
   let sys = System.create () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"c" ~clock_mhz:500.0 () in
   let acc = Accelerator.create sys ~name:"dbl" ~clock_mhz:500.0 func in
   Cluster.add_accelerator cluster acc;

@@ -1,5 +1,5 @@
 (* Tests for the simulation kernel substrate: event queue, kernel,
-   clocks, statistics and deterministic RNG. *)
+   clocks, rings, statistics and deterministic RNG. *)
 
 open Salam_sim
 
@@ -178,70 +178,6 @@ let test_slot_list_allocation_free () =
     (minor_words_during (fun () -> cycle 10_000));
   check (Alcotest.list Alcotest.int) "list intact" [ anchor ] (Slot_list.to_list l)
 
-let test_deque_allocation_free () =
-  let d = Deque.create ~capacity:4 () in
-  let boxed = ref 0 and other = ref 1 in
-  let cycle n =
-    for _ = 1 to n do
-      Deque.push_back d boxed;
-      Deque.push_front d other;
-      ignore (Deque.pop_front d);
-      ignore (Deque.pop_front d)
-    done
-  in
-  for _ = 1 to 16 do
-    Deque.push_back d other
-  done;
-  cycle 100;
-  check Alcotest.int "minor words over 10k push/pop cycles" 0
-    (minor_words_during (fun () -> cycle 10_000));
-  check Alcotest.int "population unchanged" 16 (Deque.length d)
-
-let test_deque_fifo () =
-  let d = Deque.create ~capacity:2 () in
-  check Alcotest.bool "fresh is empty" true (Deque.is_empty d);
-  List.iter (Deque.push_back d) [ 1; 2; 3; 4; 5 ];
-  check Alcotest.int "length" 5 (Deque.length d);
-  check Alcotest.int "peek_front" 1 (Deque.peek_front d);
-  check Alcotest.int "peek_back" 5 (Deque.peek_back d);
-  check (Alcotest.list Alcotest.int) "to_list" [ 1; 2; 3; 4; 5 ] (Deque.to_list d);
-  check Alcotest.int "pop 1" 1 (Deque.pop_front d);
-  Deque.push_front d 0;
-  check Alcotest.int "pop pushed front" 0 (Deque.pop_front d);
-  check (Alcotest.list Alcotest.int) "rest in order" [ 2; 3; 4; 5 ] (Deque.to_list d);
-  Deque.clear d;
-  check Alcotest.bool "cleared" true (Deque.is_empty d);
-  Alcotest.check_raises "pop empty" (Invalid_argument "Deque.pop_front: empty") (fun () ->
-      ignore (Deque.pop_front d))
-
-let test_deque_wraparound () =
-  (* interleave pushes and pops so the head index laps the ring several
-     times, across a growth from the initial capacity *)
-  let d = Deque.create ~capacity:4 () in
-  let model = Queue.create () in
-  for i = 1 to 200 do
-    Deque.push_back d i;
-    Queue.push i model;
-    if i mod 3 = 0 then begin
-      let got = Deque.pop_front d and want = Queue.pop model in
-      check Alcotest.int (Printf.sprintf "pop at %d" i) want got
-    end
-  done;
-  check (Alcotest.list Alcotest.int) "tail contents"
-    (List.of_seq (Queue.to_seq model))
-    (Deque.to_list d)
-
-let test_deque_iter_while () =
-  let d = Deque.create () in
-  List.iter (Deque.push_back d) [ 1; 2; 3; 4; 5 ];
-  let seen = ref [] in
-  Deque.iter_while
-    (fun x ->
-      seen := x :: !seen;
-      x < 3)
-    d;
-  check (Alcotest.list Alcotest.int) "stops after first false" [ 1; 2; 3 ] (List.rev !seen)
-
 let test_slot_list_basic () =
   let l = Slot_list.create () in
   Slot_list.reserve l 6;
@@ -352,84 +288,77 @@ let qcheck_slot_list_model =
       && Slot_list.length l = List.length !model)
 
 let qcheck_slot_ring_model =
-  (* true = push_back of a fresh value, false = pop_front; compare
-     against a Queue reference model, from the smallest ring *)
+  (* push_back of a fresh value, pop_front, or the SPM's in-place
+     compaction: visit a prefix, keep the marked elements of it in
+     order at the front, shift them over the rest and drop the front.
+     Compared against a list model, from the smallest ring. *)
   QCheck.Test.make ~name:"slot_ring matches queue model" ~count:300
-    QCheck.(list bool)
+    QCheck.(list (triple (int_bound 2) small_nat (int_bound 0xffff)))
     (fun ops ->
       let r = Slot_ring.create ~capacity:1 () in
-      let model = Queue.create () in
+      let model = ref [] (* front first *) in
       let counter = ref 0 in
       List.for_all
-        (fun push ->
-          if push then begin
-            incr counter;
-            Slot_ring.push_back r !counter;
-            Queue.push !counter model;
-            true
-          end
-          else if Queue.is_empty model then Slot_ring.is_empty r
-          else Slot_ring.peek_front r = Queue.peek model && Slot_ring.pop_front r = Queue.pop model)
+        (fun (op, prefix, mask) ->
+          match op with
+          | 0 ->
+              incr counter;
+              Slot_ring.push_back r !counter;
+              model := !model @ [ !counter ];
+              true
+          | 1 -> (
+              match !model with
+              | [] -> Slot_ring.is_empty r
+              | front :: rest ->
+                  model := rest;
+                  Slot_ring.peek_front r = front && Slot_ring.pop_front r = front)
+          | _ ->
+              let visited = prefix mod (Slot_ring.length r + 1) in
+              let keep i = (mask lsr (i mod 16)) land 1 = 1 in
+              let kept = ref 0 in
+              for i = 0 to visited - 1 do
+                if keep i then begin
+                  Slot_ring.set r !kept (Slot_ring.get r i);
+                  incr kept
+                end
+              done;
+              let dropped = visited - !kept in
+              for j = !kept - 1 downto 0 do
+                Slot_ring.set r (j + dropped) (Slot_ring.get r j)
+              done;
+              Slot_ring.drop_front r dropped;
+              model := List.filteri (fun i _ -> i >= visited || keep i) !model;
+              Slot_ring.length r = List.length !model)
         ops
-      && Slot_ring.to_list r = List.of_seq (Queue.to_seq model)
-      && Slot_ring.length r = Queue.length model)
+      && Slot_ring.to_list r = !model)
 
 (* A ring whose head has moved off slot 0 grows: the elements come out
    in order, through the mask of the larger ring. [capacity:3] rounds
    up to 4. *)
-let wraparound_after_growth ~name ~create ~push ~pop ~to_list =
-  let r = create 3 in
-  List.iter (push r) [ 1; 2; 3 ];
-  check Alcotest.int (name ^ ": pop") 1 (pop r);
-  check Alcotest.int (name ^ ": pop") 2 (pop r);
-  (* head at slot 2: these wrap to slots 3, 0, 1, then fill and grow *)
-  List.iter (push r) [ 4; 5; 6; 7; 8; 9; 10 ];
-  check (Alcotest.list Alcotest.int) (name ^ ": contents after growth") [ 3; 4; 5; 6; 7; 8; 9; 10 ]
-    (to_list r);
-  for i = 11 to 30 do
-    push r i;
-    ignore (pop r)
-  done;
-  check (Alcotest.list Alcotest.int) (name ^ ": contents after laps")
-    (List.init 8 (fun i -> 23 + i))
-    (to_list r)
-
 let test_ring_wraparound_after_growth () =
-  wraparound_after_growth ~name:"deque"
-    ~create:(fun capacity -> Deque.create ~capacity ())
-    ~push:Deque.push_back ~pop:Deque.pop_front ~to_list:Deque.to_list;
-  wraparound_after_growth ~name:"slot_ring"
-    ~create:(fun capacity -> Slot_ring.create ~capacity ())
-    ~push:Slot_ring.push_back ~pop:Slot_ring.pop_front ~to_list:Slot_ring.to_list
-
-let qcheck_deque_model =
-  (* true = push_back of a fresh value, false = pop_front; compare
-     against a Queue reference model *)
-  QCheck.Test.make ~name:"deque matches queue model" ~count:300
-    QCheck.(list bool)
-    (fun ops ->
-      let d = Deque.create ~capacity:1 () in
-      let model = Queue.create () in
-      let counter = ref 0 in
-      List.for_all
-        (fun push ->
-          if push then begin
-            incr counter;
-            Deque.push_back d !counter;
-            Queue.push !counter model;
-            true
-          end
-          else if Queue.is_empty model then Deque.is_empty d
-          else Deque.pop_front d = Queue.pop model)
-        ops
-      && Deque.to_list d = List.of_seq (Queue.to_seq model))
+  let r = Slot_ring.create ~capacity:3 () in
+  List.iter (Slot_ring.push_back r) [ 1; 2; 3 ];
+  check Alcotest.int "pop" 1 (Slot_ring.pop_front r);
+  check Alcotest.int "pop" 2 (Slot_ring.pop_front r);
+  (* head at slot 2: these wrap to slots 3, 0, 1, then fill and grow *)
+  List.iter (Slot_ring.push_back r) [ 4; 5; 6; 7; 8; 9; 10 ];
+  check (Alcotest.list Alcotest.int) "contents after growth" [ 3; 4; 5; 6; 7; 8; 9; 10 ]
+    (Slot_ring.to_list r);
+  for i = 11 to 30 do
+    Slot_ring.push_back r i;
+    ignore (Slot_ring.pop_front r)
+  done;
+  check (Alcotest.list Alcotest.int) "contents after laps"
+    (List.init 8 (fun i -> 23 + i))
+    (Slot_ring.to_list r)
 
 let test_kernel_schedule_after () =
   let k = Kernel.create () in
   let order = ref [] in
   Kernel.schedule_at k ~tick:10L (fun () ->
       order := "first" :: !order;
-      Kernel.schedule_after k ~delay:5L (fun () -> order := "second" :: !order));
+      Kernel.schedule_at k ~tick:(Int64.add (Kernel.now k) 5L) (fun () ->
+          order := "second" :: !order));
   let final = Kernel.run k in
   check Alcotest.int64 "final tick" 15L final;
   check (Alcotest.list Alcotest.string) "order" [ "first"; "second" ] (List.rev !order)
@@ -467,8 +396,6 @@ let test_stats_tree () =
   Stats.incr s;
   Stats.add s 2.5;
   check (Alcotest.float 1e-9) "value" 3.5 (Stats.value s);
-  check (Alcotest.option (Alcotest.float 1e-9)) "find by path" (Some 3.5)
-    (Stats.find root "child.counter");
   let total = Stats.fold root ~init:0.0 ~f:(fun acc ~path:_ v -> acc +. v) in
   check (Alcotest.float 1e-9) "fold" 3.5 total;
   Stats.reset_group root;
@@ -489,48 +416,26 @@ let test_stats_scalar_allocation_free () =
     (minor_words_during (fun () -> cycle 5_000));
   check (Alcotest.float 1e-9) "value" 7650.0 (Stats.value s)
 
-let test_stats_distribution () =
-  let g = Stats.group "g" in
-  let d = Stats.distribution g "lat" in
-  List.iter (fun x -> Stats.sample d x) [ 1.0; 2.0; 3.0 ];
-  check Alcotest.int "count" 3 (Stats.dist_count d);
-  check (Alcotest.float 1e-9) "mean" 2.0 (Stats.dist_mean d);
-  check (Alcotest.float 1e-9) "min" 1.0 (Stats.dist_min d);
-  check (Alcotest.float 1e-9) "max" 3.0 (Stats.dist_max d)
-
-(* Every path fold emits must be resolvable by find with the same value:
-   fold used to prefix the root's own name (which find never matched) and
-   skipped distributions entirely. *)
-let test_stats_fold_find_roundtrip () =
+(* Fold paths are dotted and relative to the root, and come in
+   registration order: a group's own scalars (even one registered after
+   its children), then each child's subtree. *)
+let test_stats_fold_paths () =
   let root = Stats.group "root" in
   let a = Stats.scalar root "a" in
-  Stats.add a 1.5;
   let child = Stats.group ~parent:root "child" in
   let b = Stats.scalar child "b" in
-  Stats.add b 2.0;
   let grand = Stats.group ~parent:child "grand" in
   let c = Stats.scalar grand "c" in
-  Stats.add c 4.0;
-  let d = Stats.distribution child "lat" in
-  List.iter (fun x -> Stats.sample d x) [ 1.0; 3.0 ];
-  let paths = ref [] in
-  let total =
-    Stats.fold root ~init:0.0 ~f:(fun acc ~path v ->
-        paths := path :: !paths;
-        (match Stats.find root path with
-        | Some v' -> check (Alcotest.float 1e-9) ("find " ^ path) v v'
-        | None -> Alcotest.fail (Printf.sprintf "fold emitted %s but find missed it" path));
-        acc +. v)
-  in
-  (* scalars 1.5 + 2 + 4, distribution fields count=2 total=4 mean=2
-     min=1 max=3 *)
-  check (Alcotest.float 1e-9) "fold total" 19.5 total;
-  let mem p = List.mem p !paths in
-  check Alcotest.bool "nested scalar path" true (mem "child.grand.c");
-  check Alcotest.bool "distribution mean folded" true (mem "child.lat.mean");
-  check (Alcotest.option (Alcotest.float 1e-9)) "dist field via find" (Some 3.0)
-    (Stats.find root "child.lat.max");
-  check (Alcotest.option (Alcotest.float 1e-9)) "missing path" None (Stats.find root "child.nope")
+  let other = Stats.group ~parent:root "other" in
+  let d = Stats.scalar other "d" in
+  let late = Stats.scalar root "late" in
+  List.iter2 Stats.add [ a; b; c; d; late ] [ 1.5; 2.0; 4.0; 8.0; 16.0 ];
+  let folded = Stats.fold root ~init:[] ~f:(fun acc ~path v -> (path, v) :: acc) in
+  check
+    Alcotest.(list (pair string (float 1e-9)))
+    "paths in registration order"
+    [ ("a", 1.5); ("late", 16.0); ("child.b", 2.0); ("child.grand.c", 4.0); ("other.d", 8.0) ]
+    (List.rev folded)
 
 let test_rng_determinism () =
   let a = Rng.create 7L and b = Rng.create 7L in
@@ -564,14 +469,9 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_event_queue_model;
     Alcotest.test_case "event queue allocation-free" `Quick test_event_queue_allocation_free;
     Alcotest.test_case "slot_list allocation-free" `Quick test_slot_list_allocation_free;
-    Alcotest.test_case "deque allocation-free" `Quick test_deque_allocation_free;
-    Alcotest.test_case "deque fifo" `Quick test_deque_fifo;
-    Alcotest.test_case "deque wraparound/growth" `Quick test_deque_wraparound;
-    Alcotest.test_case "deque iter_while" `Quick test_deque_iter_while;
     Alcotest.test_case "slot_list push/remove" `Quick test_slot_list_basic;
     Alcotest.test_case "slot_list sorted_insert/walks" `Quick test_slot_list_sorted_insert_and_walk;
     QCheck_alcotest.to_alcotest qcheck_slot_list_model;
-    QCheck_alcotest.to_alcotest qcheck_deque_model;
     QCheck_alcotest.to_alcotest qcheck_slot_ring_model;
     Alcotest.test_case "ring wraparound after growth" `Quick test_ring_wraparound_after_growth;
     Alcotest.test_case "kernel schedule_after" `Quick test_kernel_schedule_after;
@@ -581,8 +481,7 @@ let suite =
     Alcotest.test_case "stats tree" `Quick test_stats_tree;
     Alcotest.test_case "stats scalar updates allocation-free" `Quick
       test_stats_scalar_allocation_free;
-    Alcotest.test_case "stats distribution" `Quick test_stats_distribution;
-    Alcotest.test_case "stats fold/find round trip" `Quick test_stats_fold_find_roundtrip;
+    Alcotest.test_case "stats fold paths" `Quick test_stats_fold_paths;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     QCheck_alcotest.to_alcotest qcheck_rng_int_bounds;
     Alcotest.test_case "rng shuffle permutes" `Quick test_rng_shuffle_permutation;

@@ -70,7 +70,7 @@ let test_mmr_start_flow () =
   let w = Salam_workloads.Nw.workload ~len:8 () in
   let func = W.compile w in
   let sys = System.create () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"c" ~clock_mhz:500.0 () in
   let acc = Accelerator.create sys ~name:"nw" ~clock_mhz:500.0 func in
   Cluster.add_accelerator cluster acc;
@@ -99,7 +99,7 @@ let test_mmr_start_flow () =
 
 let test_host_memcpy () =
   let sys = System.create () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let host = Host.create sys ~clock_mhz:1000.0 ~port:(Fabric.port fabric) in
   let src = System.alloc_region sys ~bytes:256 in
   let dst = System.alloc_region sys ~bytes:256 in
@@ -117,7 +117,7 @@ let test_dma_feeds_accelerator () =
   let w = Salam_workloads.Gemm.workload ~n:4 () in
   let func = W.compile w in
   let sys = System.create () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"c" ~clock_mhz:500.0 () in
   let acc = Accelerator.create sys ~name:"gemm" ~clock_mhz:500.0 func in
   Cluster.add_accelerator cluster acc;
@@ -166,7 +166,7 @@ let test_scalar_args_and_return () =
   in
   let func = Salam_frontend.Compile.kernel kern in
   let sys = System.create () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"c" ~clock_mhz:500.0 () in
   let acc = Accelerator.create sys ~name:"axpy" ~clock_mhz:500.0 func in
   Cluster.add_accelerator cluster acc;
@@ -191,7 +191,7 @@ let test_scalar_args_and_return () =
 let build_cluster () =
   let func = W.compile (Salam_workloads.Gemm.workload ~n:8 ()) in
   let sys = System.create () in
-  let fabric = Fabric.create sys () in
+  let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"c" ~clock_mhz:500.0 () in
   let acc name = Accelerator.create sys ~name ~clock_mhz:500.0 func in
   (sys, cluster, acc)

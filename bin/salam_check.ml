@@ -12,15 +12,21 @@ open Cmdliner
 module Engine = Salam_engine.Engine
 module Point = Salam_dse.Point
 
+type suite = Quick | Standard
+
+let suite_conv = Arg.enum [ ("quick", Quick); ("standard", Standard) ]
+
+let workloads = function
+  | Quick -> Salam_workloads.Suite.quick ()
+  | Standard -> Salam_workloads.Suite.standard ()
+
+let memory_conv =
+  Arg.enum (List.map (fun k -> (Point.memory_kind_to_string k, k)) [ Point.Spm; Cache; Dram ])
+
+let mode_conv = Arg.enum [ ("dynamic", Engine.Dynamic); ("compiled", Engine.Compiled) ]
+
 let run_all ~suite ~config =
-  let workloads =
-    match suite with
-    | "quick" -> Salam_workloads.Suite.quick ()
-    | "standard" -> Salam_workloads.Suite.standard ()
-    | other ->
-        Printf.eprintf "unknown suite %s (quick|standard)\n" other;
-        exit 1
-  in
+  let workloads = workloads suite in
   let reports = Check_oracle.check_all ~config workloads in
   let failed = ref 0 in
   List.iter
@@ -39,14 +45,7 @@ let run_all ~suite ~config =
   !failed = 0
 
 let run_modes ~suite ~config =
-  let workloads =
-    match suite with
-    | "quick" -> Salam_workloads.Suite.quick ()
-    | "standard" -> Salam_workloads.Suite.standard ()
-    | other ->
-        Printf.eprintf "unknown suite %s (quick|standard)\n" other;
-        exit 1
-  in
+  let workloads = workloads suite in
   let failed = ref 0 in
   List.iter
     (fun (w : Salam_workloads.Workload.t) ->
@@ -63,14 +62,7 @@ let run_modes ~suite ~config =
   !failed = 0
 
 let run_snapshot ~suite ~config =
-  let workloads =
-    match suite with
-    | "quick" -> Salam_workloads.Suite.quick ()
-    | "standard" -> Salam_workloads.Suite.standard ()
-    | other ->
-        Printf.eprintf "unknown suite %s (quick|standard)\n" other;
-        exit 1
-  in
+  let workloads = workloads suite in
   (* one cnn_pipeline stage rides along: convolution exercises the
      fast-forward path on a workload the DSE sweeps care about *)
   let workloads = workloads @ [ Salam_workloads.Cnn.conv () ] in
@@ -120,21 +112,10 @@ let run_fuzz ~count ~config ~seed ~plant_bug =
    design point: --hw-db/--cycle-time select the characterization (and a
    cycle time pins the clock), so the oracles vouch for exactly what
    salam_sim and salam_dse would simulate. *)
-let main all modes snapshot fuzz suite memory seed plant_bug engine_mode hw_db
-    cycle_time =
+let main all modes snapshot fuzz suite memory seed plant_bug mode hw_db cycle_time =
   let fail msg =
     Printf.eprintf "%s\n" msg;
     exit 1
-  in
-  let memory =
-    match Point.memory_kind_of_string memory with
-    | Some m -> m
-    | None -> fail (Printf.sprintf "unknown memory kind %s (spm|cache|dram)" memory)
-  in
-  let mode =
-    match Engine.mode_of_string engine_mode with
-    | Some m -> m
-    | None -> fail (Printf.sprintf "unknown engine mode %s (dynamic|compiled)" engine_mode)
   in
   let point = { Point.default with Point.memory; cache_bytes = 4096 } in
   let point =
@@ -183,13 +164,15 @@ let cmd =
          & info [ "fuzz" ] ~docv:"N" ~doc:"Fuzz $(docv) random kernels against the oracle.")
   in
   let suite =
-    Arg.(value & opt string "quick"
+    Arg.(value & opt suite_conv Quick
          & info [ "suite" ] ~docv:"SUITE"
-             ~doc:"Workload suite for --all, --modes and --snapshot: quick or standard.")
+             ~doc:"Workload suite for --all, --modes and --snapshot: $(b,quick) or \
+                   $(b,standard).")
   in
   let memory =
-    Arg.(value & opt string "spm"
-         & info [ "memory" ] ~docv:"KIND" ~doc:"Memory attachment: spm, cache or dram.")
+    Arg.(value & opt memory_conv Point.Spm
+         & info [ "memory" ] ~docv:"KIND"
+             ~doc:"Memory attachment: $(b,spm), $(b,cache) or $(b,dram).")
   in
   let seed =
     Arg.(value & opt int64 42L
@@ -217,10 +200,10 @@ let cmd =
                    statistics, trace stream), in both engine modes.")
   in
   let engine_mode =
-    Arg.(value & opt string "compiled"
+    Arg.(value & opt mode_conv Engine.Compiled
          & info [ "engine-mode" ] ~docv:"MODE"
-             ~doc:"Engine scheduling implementation for the --all oracle leg: dynamic or \
-                   compiled.")
+             ~doc:"Engine scheduling implementation for the --all oracle leg: $(b,dynamic) \
+                   or $(b,compiled).")
   in
   let hw_db =
     Arg.(value & opt (some file) None

@@ -133,13 +133,29 @@ let golden_check dir =
             Printf.printf "FAIL %-14s %s\n" name (Trace.divergence_to_string d)
       end)
     Check_trace.names;
-  if !failures = 0 then 0
+  (* a golden file no scenario produces would otherwise never be checked *)
+  let orphans =
+    List.filter
+      (fun f ->
+        Filename.check_suffix f ".trace"
+        && not (List.mem (Filename.chop_suffix f ".trace") Check_trace.names))
+      (List.sort compare (Array.to_list (Sys.readdir dir)))
+  in
+  List.iter
+    (fun f ->
+      Printf.printf "FAIL %-14s golden file %s has no scenario (delete it)\n"
+        (Filename.chop_suffix f ".trace") (Filename.concat dir f))
+    orphans;
+  let failures = !failures + List.length orphans in
+  if failures = 0 then 0
   else begin
     Printf.printf
-      "%d scenario(s) diverge from their golden traces.\n\
+      "%d golden trace(s) fail: a scenario diverges or has no file, or a file has no \
+       scenario.\n\
        If the timing change is intended, re-bless with:\n\
-      \  dune exec bin/salam_trace.exe -- bless --dir %s\n"
-      !failures dir;
+      \  dune exec bin/salam_trace.exe -- bless --dir %s\n\
+       and delete any golden file whose scenario is gone.\n"
+      failures dir;
     1
   end
 
@@ -212,7 +228,10 @@ let dir_arg =
        & info [ "dir" ] ~docv:"DIR" ~doc:"Directory holding the golden .trace files.")
 
 let golden_check_cmd =
-  let doc = "Re-run every golden scenario and diff against its blessed trace." in
+  let doc =
+    "Re-run every golden scenario and diff against its blessed trace; a .trace file \
+     with no scenario also fails."
+  in
   Cmd.v (Cmd.info "golden-check" ~doc) Term.(const (fun d -> Stdlib.exit (golden_check d)) $ dir_arg)
 
 let bless_cmd =

@@ -211,9 +211,8 @@ let check_modes ?(config = Salam.Config.default) ?func ?trace (w : W.t) =
              dynamic stream, and replay callers only want the event tail *)
           Ok ()
         else begin
-          (* the sinks only record default categories, so the opt-in
-             engine.compile events of the compiled run cannot produce a
-             spurious mismatch here *)
+          (* every category describes simulated behaviour, so the two
+             modes must agree line for line *)
           match Trace.first_divergence (Trace.to_lines tr_dyn) (Trace.to_lines tr_cmp) with
           | Some d ->
               Error (Mode_mismatch ("trace streams diverge: " ^ Trace.divergence_to_string d))

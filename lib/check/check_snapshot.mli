@@ -8,9 +8,8 @@
     memory, exactly matching post-roadmark statistics (end-of-run minus
     roadmark probe; counters exact, energy floats within relative
     tolerance), an exactly matching post-roadmark trace stream at the
-    same absolute ticks, byte-equal roadmark memory between the warm-up
-    and capture checkpoints, and a lossless disk round-trip of the
-    snapshot. *)
+    same absolute ticks, and byte-equal roadmark memory between the
+    warm-up and capture checkpoints. *)
 
 type report = {
   r_workload : string;

@@ -162,39 +162,30 @@ let run_cnn_streams sink =
 
 (* --- scenario registry --------------------------------------------------- *)
 
-(* (name, sink categories, runner); [None] means the default category
-   set. The [engine_compile] scenario opts in to the schedule-
-   specialization pre-pass events, locking the region partition (counts,
-   per-region ops, boundary reasons) into the golden suite alongside the
-   timing stream. *)
 let scenarios =
   [
-    ("spm_vecadd", None, run_vecadd Salam.Config.default);
+    ("spm_vecadd", run_vecadd Salam.Config.default);
     ( "cache_vecadd",
-      None,
       run_vecadd
         {
           Salam.Config.default with
           Salam.Config.memory =
             Salam.Config.Cache { size = 1024; line_bytes = 64; ways = 2; hit_latency = 2 };
         } );
-    ("dma_copy", None, run_dma);
-    ( "engine_compile_vecadd",
-      Some (Trace.Engine_compile :: Trace.default_categories),
-      run_vecadd Salam.Config.default );
-    ("ff_vecadd", None, run_ff_vecadd);
-    ("spm_vecadd_5ns", None, run_vecadd_5ns);
-    ("cnn_private_spm", None, run_cnn_private_spm);
-    ("cnn_streams", None, run_cnn_streams);
+    ("dma_copy", run_dma);
+    ("ff_vecadd", run_ff_vecadd);
+    ("spm_vecadd_5ns", run_vecadd_5ns);
+    ("cnn_private_spm", run_cnn_private_spm);
+    ("cnn_streams", run_cnn_streams);
   ]
 
-let names = List.map (fun (name, _, _) -> name) scenarios
+let names = List.map fst scenarios
 
 let capture name =
-  match List.find_opt (fun (n, _, _) -> n = name) scenarios with
+  match List.assoc_opt name scenarios with
   | None -> invalid_arg ("Check_trace.capture: unknown scenario " ^ name)
-  | Some (_, categories, run) ->
-      let sink = Trace.create ?categories () in
+  | Some run ->
+      let sink = Trace.create () in
       if not (run sink) then
         failwith ("Check_trace.capture: scenario " ^ name ^ " computed a wrong result");
       Trace.to_text sink

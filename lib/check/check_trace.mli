@@ -14,17 +14,13 @@
 val vecadd_workload : Salam_workloads.Workload.t
 (** 4-element f64 vector add with exact-in-binary inputs. *)
 
-val scenarios :
-  (string * Salam_obs.Trace.category list option * (Salam_obs.Trace.sink -> bool)) list
-(** Name, sink categories ([None] = default set) and runner. The runner
-    executes the scenario with the sink installed and returns whether the
-    functional result was correct. The [engine_compile_vecadd] scenario
-    opts in to {!Salam_obs.Trace.Engine_compile}, pinning the engine's
-    region partition in the golden suite. *)
+val scenarios : (string * (Salam_obs.Trace.sink -> bool)) list
+(** Name and runner. The runner executes the scenario with the sink
+    installed and returns whether the functional result was correct. *)
 
 val names : string list
 
 val capture : string -> string
-(** Run a scenario under a fresh sink with the scenario's categories and
+(** Run a scenario under a fresh sink recording every category and
     return the canonical text trace. Raises [Invalid_argument] on an
     unknown name and [Failure] if the scenario computes a wrong result. *)

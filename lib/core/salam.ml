@@ -355,73 +355,6 @@ let capture ?(config = Config.default) ?trace ?func ~invocations (w : W.t) =
   done;
   make_snapshot ~config ~invocations w b
 
-(* --- snapshot persistence ---------------------------------------------- *)
-
-(* On disk, the workload-level metadata rides as one extra checkpoint
-   section; it is stripped on load so [System.restore]'s strict
-   section/agent matching never sees it. *)
-let meta_section = "salam.meta"
-
-let save_snapshot snap path =
-  let meta =
-    {
-      Salam_sim.Checkpoint.sec_name = meta_section;
-      fields =
-        [
-          ("workload", Salam_sim.Checkpoint.Str snap.snap_workload);
-          ("memory", Salam_sim.Checkpoint.Str snap.snap_memory);
-          ("invocations", Salam_sim.Checkpoint.Int (Int64.of_int snap.snap_invocations));
-          ( "bases",
-            Salam_sim.Checkpoint.Str
-              (String.concat "," (List.map Int64.to_string (Array.to_list snap.snap_bases))) );
-        ];
-    }
-  in
-  let ckpt = snap.snap_ckpt in
-  Salam_sim.Checkpoint.save
-    { ckpt with Salam_sim.Checkpoint.sections = meta :: ckpt.Salam_sim.Checkpoint.sections }
-    path
-
-let load_snapshot path =
-  let ckpt = Salam_sim.Checkpoint.load path in
-  let meta =
-    match Salam_sim.Checkpoint.section ckpt meta_section with
-    | Some s -> s
-    | None ->
-        raise
-          (Salam_sim.Checkpoint.Invalid
-             (path ^ ": not a salam snapshot (missing " ^ meta_section ^ " section)"))
-  in
-  let bases_str = Salam_sim.Checkpoint.find_str meta "bases" in
-  let bases =
-    if bases_str = "" then [||]
-    else
-      Array.of_list
-        (List.map
-           (fun s ->
-             match Int64.of_string_opt s with
-             | Some v -> v
-             | None ->
-                 raise
-                   (Salam_sim.Checkpoint.Invalid
-                      (path ^ ": malformed buffer base " ^ String.escaped s)))
-           (String.split_on_char ',' bases_str))
-  in
-  {
-    snap_workload = Salam_sim.Checkpoint.find_str meta "workload";
-    snap_memory = Salam_sim.Checkpoint.find_str meta "memory";
-    snap_invocations = Int64.to_int (Salam_sim.Checkpoint.find_int meta "invocations");
-    snap_bases = bases;
-    snap_ckpt =
-      {
-        ckpt with
-        Salam_sim.Checkpoint.sections =
-          List.filter
-            (fun s -> s.Salam_sim.Checkpoint.sec_name <> meta_section)
-            ckpt.Salam_sim.Checkpoint.sections;
-      };
-  }
-
 (* --- domain-parallel sweeps ------------------------------------------- *)
 
 let default_domains () =

@@ -100,7 +100,8 @@ type snapshot = {
     invocations. Restores only into an identically shaped system (same
     workload, same memory kind); timing knobs (ports, banks, cache
     geometry, clock, FU limits, engine mode) may differ, which is what
-    lets one snapshot seed many design points. *)
+    lets one snapshot seed many design points. Snapshots live in memory
+    only; there is no file format. *)
 
 type probe = {
   pr_tick : int64;  (** the aligned boundary tick *)
@@ -189,15 +190,6 @@ val capture :
   snapshot
 (** Reach the same roadmark through the detailed engine. Slower than
     {!warm_up}; exists to validate round-trips and warm-up fidelity. *)
-
-val save_snapshot : snapshot -> string -> unit
-(** Persist to the versioned checkpoint format (see
-    {!Salam_sim.Checkpoint}); workload metadata rides as an extra
-    section stripped again on load. *)
-
-val load_snapshot : string -> snapshot
-(** Raises {!Salam_sim.Checkpoint.Invalid} on malformed or foreign
-    files. *)
 
 val default_domains : unit -> int
 (** Sweep fan-out width: the worker count {!parallel_map} and

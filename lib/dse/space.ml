@@ -29,14 +29,6 @@ let axis_name = function
   | Node _ -> "node_nm"
   | Hw_db _ -> "hw_db"
 
-let axis_values = function
-  | Memory ms -> List.map Point.memory_kind_to_string ms
-  | Read_ports vs | Write_ports vs | Banks vs | Cache_bytes vs | Fu_limit vs
-  | Unroll vs | Junroll vs | Node vs ->
-      List.map string_of_int vs
-  | Clock_mhz vs | Cycle_time_ns vs -> List.map (Printf.sprintf "%g") vs
-  | Hw_db vs -> vs
-
 let axis_length = function
   | Memory l -> List.length l
   | Read_ports l | Write_ports l | Banks l | Cache_bytes l | Fu_limit l | Unroll l
@@ -84,8 +76,6 @@ let create ?(base = Point.default) ?(derive = Fun.id) ?(valid = []) axes =
   { base; axes; derive; valid }
 
 let axes t = t.axes
-
-let raw_size t = List.fold_left (fun acc a -> acc * axis_length a) 1 t.axes
 
 let dedup points =
   let seen = Hashtbl.create 64 in

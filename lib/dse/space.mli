@@ -33,9 +33,6 @@ type axis =
 
 val axis_name : axis -> string
 
-val axis_values : axis -> string list
-(** Values rendered for display. *)
-
 type t
 
 val create :
@@ -48,9 +45,6 @@ val create :
     use it for dependent knobs. [valid] predicates all must hold. *)
 
 val axes : t -> axis list
-
-val raw_size : t -> int
-(** Product of axis lengths, before derivation/validity/dedup. *)
 
 val enumerate : t -> Point.t list
 (** Cartesian product in axis declaration order (last axis varies

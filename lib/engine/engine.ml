@@ -8,11 +8,6 @@ type mode = Dynamic | Compiled
 
 let mode_to_string = function Dynamic -> "dynamic" | Compiled -> "compiled"
 
-let mode_of_string = function
-  | "dynamic" -> Some Dynamic
-  | "compiled" -> Some Compiled
-  | _ -> None
-
 type config = {
   read_queue_depth : int;
   write_queue_depth : int;
@@ -313,7 +308,6 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
   let sched =
     match config.mode with Compiled -> Some (Schedule.compile datapath) | Dynamic -> None
   in
-  let t =
   let block_lists = Hashtbl.create 16 in
   Array.iter
     (fun (n : Datapath.node) ->
@@ -486,12 +480,6 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
     r_fu = 0;
     tick_thunk = unset_thunk;
   }
-  in
-  (match (t.tr, sched) with
-  | Some tr, Some sc when Trace.wants tr Trace.Engine_compile ->
-      Schedule.emit_trace sc tr ~tick:(Kernel.now kernel) ~comp:t.tr_comp
-  | _ -> ());
-  t
 
 let fu_allocated t cls = t.fu_units.(Fu.index cls)
 
@@ -1701,10 +1689,10 @@ let stats t =
     dynamic_reg_energy_pj = t.s_energy.(1);
   }
 
-(* Open a fresh statistics epoch. The flat mutable fields above are NOT
-   members of the Stats tree (see [create]: the group is ignored), so
-   [Stats.reset_group] alone cannot clear them — a checkpoint restore
-   must call this or warm-up runs would be double-counted. *)
+(* Open a fresh statistics epoch. The engine registers nothing in the
+   system's Stats tree: its counters are the flat mutable fields above,
+   which [Stats.reset_group] never sees, so a checkpoint restore must
+   call this (through [reset]) or warm-up runs would be double-counted. *)
 let reset_stats t =
   t.s_cycles <- 0L;
   t.s_dyn <- 0;

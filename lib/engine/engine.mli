@@ -48,8 +48,6 @@ type mode = Dynamic | Compiled
 
 val mode_to_string : mode -> string
 
-val mode_of_string : string -> mode option
-
 type config = {
   read_queue_depth : int;  (** outstanding loads *)
   write_queue_depth : int;  (** outstanding stores *)
@@ -159,9 +157,9 @@ val stats : t -> run_stats
 
 val reset_stats : t -> unit
 (** Zero every accumulated statistic, opening a fresh epoch. The
-    engine's counters are flat mutable fields outside the [Stats] tree,
-    so [Stats.reset_group] does not reach them; checkpoint restore calls
-    this to keep warm-up work out of the measured run. *)
+    engine registers nothing in the system's [Stats] tree, so
+    [Stats.reset_group] does not reach its counters; checkpoint restore
+    calls this to keep warm-up work out of the measured run. *)
 
 val reset : t -> unit
 (** {!reset_stats} plus clearing the architectural register file, so a

@@ -145,8 +145,4 @@ let ci32 i = Const (Cint (Ty.I32, Int64.of_int i))
 
 let ci64 i = Const (Cint (Ty.I64, Int64.of_int i))
 
-let cf32 f = Const (Cfloat (Ty.F32, Int32.float_of_bits (Int32.bits_of_float f)))
-
 let cf64 f = Const (Cfloat (Ty.F64, f))
-
-let cbool b = Const (Cint (Ty.I1, if b then 1L else 0L))

@@ -60,8 +60,4 @@ val ci32 : int -> Ast.value
 
 val ci64 : int -> Ast.value
 
-val cf32 : float -> Ast.value
-
 val cf64 : float -> Ast.value
-
-val cbool : bool -> Ast.value

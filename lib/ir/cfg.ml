@@ -3,7 +3,6 @@ type t = {
   index : (string, int) Hashtbl.t;
   succs : int list array;
   preds : int list array;
-  rpo : int list;
   rpo_number : int array; (* -1 for unreachable *)
   idom : int array; (* -1 for entry/unreachable *)
   frontier : int list array;
@@ -23,8 +22,6 @@ let block t i = t.blocks.(i)
 let succs t i = t.succs.(i)
 
 let preds t i = t.preds.(i)
-
-let reverse_postorder t = t.rpo
 
 let reachable t i = t.rpo_number.(i) >= 0
 
@@ -135,7 +132,7 @@ let build (f : Ast.func) =
   List.iteri (fun ord i -> rpo_number.(i) <- ord) rpo;
   let idom = compute_idom n preds rpo rpo_number in
   let frontier = compute_frontier n preds idom rpo_number in
-  { blocks; index; succs; preds; rpo; rpo_number; idom; frontier }
+  { blocks; index; succs; preds; rpo_number; idom; frontier }
 
 let dominates t a b =
   if a = b then true

@@ -20,9 +20,6 @@ val succs : t -> int -> int list
 
 val preds : t -> int -> int list
 
-val reverse_postorder : t -> int list
-(** Reverse postorder over blocks reachable from entry. *)
-
 val reachable : t -> int -> bool
 
 val idom : t -> int -> int option

@@ -147,16 +147,6 @@ let read_i32_array t addr n =
 let write_i32_array t addr a =
   Array.iteri (fun i v -> store t Ty.I32 (offset addr i 4) (Bits.Int (Int64.of_int v))) a
 
-let read_i64_array t addr n = Array.init n (fun i -> Bits.to_int64 (load t Ty.I64 (offset addr i 8)))
-
-let write_i64_array t addr a =
-  Array.iteri (fun i v -> store t Ty.I64 (offset addr i 8) (Bits.Int v)) a
-
-let read_f32_array t addr n = Array.init n (fun i -> Bits.to_float (load t Ty.F32 (offset addr i 4)))
-
-let write_f32_array t addr a =
-  Array.iteri (fun i v -> store t Ty.F32 (offset addr i 4) (Bits.Float v)) a
-
 let read_f64_array t addr n = Array.init n (fun i -> Bits.to_float (load t Ty.F64 (offset addr i 8)))
 
 let write_f64_array t addr a =

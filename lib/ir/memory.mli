@@ -79,14 +79,6 @@ val read_i32_array : t -> int64 -> int -> int array
 
 val write_i32_array : t -> int64 -> int array -> unit
 
-val read_i64_array : t -> int64 -> int -> int64 array
-
-val write_i64_array : t -> int64 -> int64 array -> unit
-
-val read_f32_array : t -> int64 -> int -> float array
-
-val write_f32_array : t -> int64 -> float array -> unit
-
 val read_f64_array : t -> int64 -> int -> float array
 
 val write_f64_array : t -> int64 -> float array -> unit

@@ -36,7 +36,6 @@ type category =
   | Interrupt
   | Dram_access
   | Dse_progress
-  | Engine_compile
 
 let all_categories =
   [
@@ -62,13 +61,7 @@ let all_categories =
     Interrupt;
     Dram_access;
     Dse_progress;
-    Engine_compile;
   ]
-
-(* [Engine_compile] describes the static schedule-specialization pass, not
-   the simulated timing, so it is opt-in: recording it by default would
-   perturb every golden trace captured before the pass existed. *)
-let default_categories = List.filter (fun c -> c <> Engine_compile) all_categories
 
 let category_index = function
   | Engine_issue -> 0
@@ -93,7 +86,6 @@ let category_index = function
   | Interrupt -> 19
   | Dram_access -> 20
   | Dse_progress -> 21
-  | Engine_compile -> 22
 
 let n_categories = List.length all_categories
 
@@ -120,7 +112,6 @@ let category_to_string = function
   | Interrupt -> "soc.irq"
   | Dram_access -> "dram.access"
   | Dse_progress -> "dse.progress"
-  | Engine_compile -> "engine.compile"
 
 let category_of_string s =
   List.find_opt (fun c -> category_to_string c = s) all_categories
@@ -144,7 +135,7 @@ type sink = {
   mutable n_dropped : int;
 }
 
-let create ?ring ?(categories = default_categories) () =
+let create ?ring ?(categories = all_categories) () =
   (match ring with
   | Some cap when cap <= 0 -> invalid_arg "Trace.create: ring capacity must be positive"
   | Some _ | None -> ());

@@ -36,17 +36,10 @@ type category =
   | Dse_progress
       (** design-space-exploration progress: one event per evaluated
           point (detail [hit]/[sim]) and per search round *)
-  | Engine_compile
-      (** engine schedule-specialization pre-pass: region counts, ops per
-          region and region-boundary reasons. Opt-in — excluded from
-          {!create}'s default category set because it describes the
-          compilation pass rather than simulated timing. *)
 
 val all_categories : category list
-
-val default_categories : category list
-(** {!all_categories} minus the opt-in ones ({!Engine_compile}) — the
-    set {!create} records when [categories] is omitted. *)
+(** Every category — the set {!create} records when [categories] is
+    omitted. *)
 
 val category_to_string : category -> string
 (** Stable dotted name, e.g. ["cache.miss"] — used in the text format
@@ -70,8 +63,8 @@ type sink
 val create : ?ring:int -> ?categories:category list -> unit -> sink
 (** [ring] bounds the buffer to the last N events (older ones are
     dropped and counted); default unbounded. [categories] restricts
-    which categories are recorded at all (default:
-    {!default_categories}). *)
+    which categories are recorded at all (default: every one,
+    {!all_categories}). *)
 
 val wants : sink -> category -> bool
 (** Whether the sink records this category — lets emission sites skip

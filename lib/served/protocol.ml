@@ -139,12 +139,6 @@ let trace_value_to_jsonl = function
   | Trace.F v -> Jsonl.Float v
   | Trace.S v -> Jsonl.Str v
 
-let jsonl_value_to_trace = function
-  | Jsonl.Int v -> Trace.I v
-  | Jsonl.Float v -> Trace.F v
-  | Jsonl.Str v -> Trace.S v
-  | Jsonl.Bool b -> Trace.S (if b then "true" else "false")
-
 let progress_line ~id (e : Trace.event) =
   Jsonl.encode
     ([

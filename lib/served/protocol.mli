@@ -111,5 +111,3 @@ val decode_response :
 val progress_line : id:int64 -> Salam_obs.Trace.event -> string
 (** The dse.progress-to-wire bridge: render a trace event as one
     protocol line for the request that owns it. *)
-
-val jsonl_value_to_trace : Salam_dse.Jsonl.value -> Salam_obs.Trace.value

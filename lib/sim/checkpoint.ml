@@ -8,15 +8,14 @@
    quiescence at capture points instead and reconstruct cold timing
    state on restore.
 
-   The on-disk format is versioned text with length-prefixed binary
-   payloads, validated loudly on load (same philosophy as the DSE
-   store: a corrupt or foreign file must never be half-applied). *)
+   Checkpoints live in memory only: a fast-forwarded run restores the
+   snapshot its warm-up produced in the same process. *)
 
 exception Invalid of string
 
 let invalid fmt = Printf.ksprintf (fun s -> raise (Invalid s)) fmt
 
-type value = Int of int64 | Str of string | Blob of string
+type value = Int of int64 | Blob of string
 
 type section = { sec_name : string; fields : (string * value) list }
 
@@ -32,19 +31,12 @@ let find section name =
 let find_int section name =
   match find section name with
   | Int i -> i
-  | Str _ | Blob _ ->
-      invalid "checkpoint section %s: field %s is not an int" section.sec_name name
-
-let find_str section name =
-  match find section name with
-  | Str s -> s
-  | Int _ | Blob _ ->
-      invalid "checkpoint section %s: field %s is not a string" section.sec_name name
+  | Blob _ -> invalid "checkpoint section %s: field %s is not an int" section.sec_name name
 
 let find_blob section name =
   match find section name with
   | Blob b -> b
-  | Int _ | Str _ ->
+  | Int _ ->
       invalid "checkpoint section %s: field %s is not a blob" section.sec_name name
 
 let section t name = List.find_opt (fun s -> s.sec_name = name) t.sections
@@ -94,130 +86,3 @@ let restore_all t agents =
             s.sec_name
       | Some a -> a.restore s)
     t.sections
-
-(* --- serialization ----------------------------------------------------- *)
-
-let magic = "salam-checkpoint"
-
-let version = 1
-
-let serialize t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf (Printf.sprintf "%s %d\n" magic version);
-  Buffer.add_string buf (Printf.sprintf "roadmark %d\n" (String.length t.roadmark));
-  Buffer.add_string buf t.roadmark;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "tick %Ld\n" t.tick);
-  Buffer.add_string buf (Printf.sprintf "sections %d\n" (List.length t.sections));
-  List.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "section %s %d\n" s.sec_name (List.length s.fields));
-      List.iter
-        (fun (name, v) ->
-          match v with
-          | Int i -> Buffer.add_string buf (Printf.sprintf "field %s int %Ld\n" name i)
-          | Str str ->
-              Buffer.add_string buf
-                (Printf.sprintf "field %s str %d\n" name (String.length str));
-              Buffer.add_string buf str;
-              Buffer.add_char buf '\n'
-          | Blob b ->
-              Buffer.add_string buf
-                (Printf.sprintf "field %s blob %d\n" name (String.length b));
-              Buffer.add_string buf b;
-              Buffer.add_char buf '\n')
-        s.fields)
-    t.sections;
-  Buffer.contents buf
-
-(* Cursor-based parser over the serialized string. Payload bytes are
-   length-prefixed so they may contain newlines. *)
-type cursor = { text : string; mutable pos : int }
-
-let read_line c =
-  if c.pos >= String.length c.text then invalid "checkpoint: truncated file";
-  match String.index_from_opt c.text c.pos '\n' with
-  | None -> invalid "checkpoint: truncated file (unterminated line)"
-  | Some nl ->
-      let line = String.sub c.text c.pos (nl - c.pos) in
-      c.pos <- nl + 1;
-      line
-
-let read_payload c len =
-  if len < 0 || c.pos + len + 1 > String.length c.text then
-    invalid "checkpoint: truncated payload (%d bytes expected)" len;
-  let s = String.sub c.text c.pos len in
-  c.pos <- c.pos + len;
-  if c.text.[c.pos] <> '\n' then invalid "checkpoint: payload not newline-terminated";
-  c.pos <- c.pos + 1;
-  s
-
-let parse_int what s =
-  match int_of_string_opt s with
-  | Some i -> i
-  | None -> invalid "checkpoint: malformed %s %S" what s
-
-let deserialize text =
-  let c = { text; pos = 0 } in
-  (match String.split_on_char ' ' (read_line c) with
-  | [ m; v ] when m = magic ->
-      let v = parse_int "version" v in
-      if v <> version then
-        invalid "checkpoint: unsupported version %d (this build reads version %d)" v version
-  | _ -> invalid "checkpoint: bad magic (not a salam checkpoint file)");
-  let roadmark =
-    match String.split_on_char ' ' (read_line c) with
-    | [ "roadmark"; len ] -> read_payload c (parse_int "roadmark length" len)
-    | _ -> invalid "checkpoint: expected roadmark header"
-  in
-  let tick =
-    match String.split_on_char ' ' (read_line c) with
-    | [ "tick"; t ] -> (
-        match Int64.of_string_opt t with
-        | Some t -> t
-        | None -> invalid "checkpoint: malformed tick %S" t)
-    | _ -> invalid "checkpoint: expected tick header"
-  in
-  let n_sections =
-    match String.split_on_char ' ' (read_line c) with
-    | [ "sections"; n ] -> parse_int "section count" n
-    | _ -> invalid "checkpoint: expected section count"
-  in
-  let read_field () =
-    match String.split_on_char ' ' (read_line c) with
-    | [ "field"; name; "int"; i ] -> (
-        match Int64.of_string_opt i with
-        | Some i -> (name, Int i)
-        | None -> invalid "checkpoint: malformed int field %s=%S" name i)
-    | [ "field"; name; "str"; len ] ->
-        (name, Str (read_payload c (parse_int "string length" len)))
-    | [ "field"; name; "blob"; len ] ->
-        (name, Blob (read_payload c (parse_int "blob length" len)))
-    | _ -> invalid "checkpoint: expected field header"
-  in
-  let read_section () =
-    match String.split_on_char ' ' (read_line c) with
-    | [ "section"; name; n ] ->
-        let n = parse_int "field count" n in
-        { sec_name = name; fields = List.init n (fun _ -> read_field ()) }
-    | _ -> invalid "checkpoint: expected section header"
-  in
-  let sections = List.init n_sections (fun _ -> read_section ()) in
-  if c.pos <> String.length text then invalid "checkpoint: trailing garbage after sections";
-  { roadmark; tick; sections }
-
-let save t path =
-  let oc = open_out_bin path in
-  output_string oc (serialize t);
-  close_out oc
-
-let load path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> invalid "checkpoint: cannot open %s: %s" path msg
-  in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  deserialize text

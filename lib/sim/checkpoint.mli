@@ -5,7 +5,8 @@
     Each component contributes one named {!section} via an {!agent};
     restore is strict and bidirectional: every section must find its
     component and vice versa, or the whole restore is refused with
-    {!Invalid}.
+    {!Invalid}. Checkpoints are in-memory values only; there is no
+    file format.
 
     Deliberately excluded from checkpoints (see DESIGN.md):
     - timing-derived state (cache tags/LRU, in-flight request queues) —
@@ -17,19 +18,16 @@
       where SSA registers are dead. *)
 
 exception Invalid of string
-(** Raised on malformed files, version/shape mismatches, and missing or
-    mistyped fields. A failed restore never leaves the system
-    half-restored. *)
+(** Raised on shape mismatches and on missing or mistyped fields. A
+    failed restore never leaves the system half-restored. *)
 
-type value = Int of int64 | Str of string | Blob of string
+type value = Int of int64 | Blob of string
 
 type section = { sec_name : string; fields : (string * value) list }
 
 type t = { roadmark : string; tick : int64; sections : section list }
 
 val find_int : section -> string -> int64
-
-val find_str : section -> string -> string
 
 val find_blob : section -> string -> string
 
@@ -44,14 +42,3 @@ type agent = {
 val capture_all : roadmark:string -> tick:int64 -> agent list -> t
 
 val restore_all : t -> agent list -> unit
-
-val serialize : t -> string
-(** Versioned text format with length-prefixed binary payloads. *)
-
-val deserialize : string -> t
-(** Inverse of {!serialize}; validates magic, version, counts and
-    payload framing loudly. *)
-
-val save : t -> string -> unit
-
-val load : string -> t

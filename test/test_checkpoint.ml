@@ -1,57 +1,13 @@
-(* Checkpoint format and fast-forward bit-identity tests. *)
+(* Checkpoint restore matching and fast-forward bit-identity tests. *)
 
 open Alcotest
 module Ckpt = Salam_sim.Checkpoint
 module Engine = Salam_engine.Engine
 
-let sample_ckpt () =
-  {
-    Ckpt.roadmark = "after-invocation-2";
-    tick = 123456789L;
-    sections =
-      [
-        {
-          Ckpt.sec_name = "memory";
-          fields =
-            [
-              ("size", Ckpt.Int 4096L);
-              ("brk", Ckpt.Int 128L);
-              (* binary payload with newlines and NULs: the format must
-                 carry it losslessly *)
-              ("data", Ckpt.Blob "\x00\x01\nraw\r\n\xff bytes\x00");
-            ];
-        };
-        { Ckpt.sec_name = "cluster0.spm"; fields = [ ("base", Ckpt.Int 0x10000L) ] };
-        { Ckpt.sec_name = "gemm.engine"; fields = [ ("note", Ckpt.Str "hello world") ] };
-      ];
-  }
-
-let test_serialize_round_trip () =
-  let c = sample_ckpt () in
-  let c' = Ckpt.deserialize (Ckpt.serialize c) in
-  check bool "round-trips structurally" true (c = c');
-  (* and through a file *)
-  let path = Filename.temp_file "salam_test_ckpt" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Ckpt.save c path;
-      check bool "file round-trip" true (c = Ckpt.load path))
-
 let expect_invalid name f =
   match f () with
   | _ -> fail (name ^ ": expected Checkpoint.Invalid")
   | exception Ckpt.Invalid _ -> ()
-
-let test_deserialize_rejects_corruption () =
-  let good = Ckpt.serialize (sample_ckpt ()) in
-  expect_invalid "bad magic" (fun () -> Ckpt.deserialize ("not a checkpoint\n" ^ good));
-  expect_invalid "future version" (fun () ->
-      Ckpt.deserialize "salam-checkpoint 99\nroadmark 5 start\ntick 0\n");
-  expect_invalid "truncated" (fun () ->
-      Ckpt.deserialize (String.sub good 0 (String.length good - 10)));
-  expect_invalid "trailing garbage" (fun () -> Ckpt.deserialize (good ^ "extra\n"));
-  expect_invalid "empty" (fun () -> Ckpt.deserialize "")
 
 let test_restore_matching_is_bidirectional () =
   let agent name =
@@ -149,25 +105,12 @@ let test_snapshot_reusable_across_design_points () =
         (Int64.compare slow.Salam.cycles fast.Salam.cycles > 0)
   | _ -> fail "expected two results"
 
-let test_load_snapshot_rejects_foreign_file () =
-  let path = Filename.temp_file "salam_test_ckpt" ".ckpt" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      (* a structurally valid checkpoint that is not a salam snapshot
-         (no metadata section) *)
-      Ckpt.save (sample_ckpt ()) path;
-      expect_invalid "no metadata" (fun () -> ignore (Salam.load_snapshot path)))
-
 let suite =
   [
-    test_case "serialize round-trip" `Quick test_serialize_round_trip;
-    test_case "deserialize rejects corruption" `Quick test_deserialize_rejects_corruption;
     test_case "restore matching is bidirectional" `Quick test_restore_matching_is_bidirectional;
     test_case "ff oracle gemm spm" `Quick test_ff_oracle_gemm_spm;
     test_case "ff oracle full matrix" `Slow test_ff_oracle_matrix;
     test_case "warm-up at start matches cold run" `Quick test_warm_up_zero_matches_cold_run;
     test_case "shape mismatches rejected" `Quick test_snapshot_shape_mismatches_rejected;
     test_case "one snapshot, many design points" `Quick test_snapshot_reusable_across_design_points;
-    test_case "load rejects foreign file" `Quick test_load_snapshot_rejects_foreign_file;
   ]

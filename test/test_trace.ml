@@ -39,7 +39,16 @@ let test_category_gating () =
   check Alcotest.bool "ignores cache.hit" false (Trace.wants sink Trace.Cache_hit);
   Trace.emit sink ~tick:0L ~comp:"c" ~cat:Trace.Cache_hit [];
   Trace.emit sink ~tick:0L ~comp:"c" ~cat:Trace.Cache_miss [];
-  check Alcotest.int "only the wanted category recorded" 1 (Trace.count sink)
+  check Alcotest.int "only the wanted category recorded" 1 (Trace.count sink);
+  (* without [~categories] a sink records every category *)
+  let all = Trace.create () in
+  List.iter
+    (fun c ->
+      check Alcotest.bool ("default wants " ^ Trace.category_to_string c) true (Trace.wants all c);
+      Trace.emit all ~tick:0L ~comp:"c" ~cat:c [])
+    Trace.all_categories;
+  check Alcotest.int "default records one of each" (List.length Trace.all_categories)
+    (Trace.count all)
 
 let test_canonical_order () =
   let sink = Trace.create () in
@@ -186,6 +195,22 @@ let check_golden name () =
         \  dune exec bin/salam_trace.exe -- bless --dir test/golden" name
         (Trace.divergence_to_string d)
 
+(* Every golden trace belongs to a scenario: a file left behind by a
+   deleted scenario would otherwise go unchecked. *)
+let test_golden_files_match_scenarios () =
+  let files =
+    List.filter_map
+      (fun f ->
+        if Filename.check_suffix f ".trace" then Some (Filename.chop_suffix f ".trace")
+        else None)
+      (Array.to_list (Sys.readdir "golden"))
+  in
+  check
+    Alcotest.(list string)
+    "golden/*.trace = scenario names"
+    (List.sort compare Check_trace.names)
+    (List.sort compare files)
+
 let golden_cases =
   List.map
     (fun name -> Alcotest.test_case ("golden " ^ name) `Quick (check_golden name))
@@ -201,5 +226,6 @@ let suite =
     Alcotest.test_case "first_divergence" `Quick test_first_divergence;
     Alcotest.test_case "chrome json shape" `Quick test_chrome_json_shape;
     Alcotest.test_case "stats.txt format" `Quick test_stats_txt;
+    Alcotest.test_case "golden files match scenarios" `Quick test_golden_files_match_scenarios;
   ]
   @ golden_cases

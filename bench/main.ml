@@ -77,7 +77,8 @@ let speedup () =
    to the roadmark after invocation 2 plus the one remaining detailed
    invocation. The two are bit-identical (snapshot oracle); this times
    the wall-clock side of the trade, interleaved min-of-N like the
-   engine-mode gate above. *)
+   engine-mode gate above. The second line rates the interpreter alone:
+   one detailed invocation against half of a two-invocation warm-up. *)
 let ff_speedup () =
   Bench_util.section "FF — fast-forward warm-start vs cold detailed (gemm16)";
   let gemm16 = Exp_dse.gemm_dse_workload () in
@@ -101,8 +102,27 @@ let ff_speedup () =
     cmin := min !cmin (cold ());
     wmin := min !wmin (warm ())
   done;
-  Printf.printf "ff_gemm16: cold %.1f ms, fast-forward %.1f ms, speedup %.2fx\n\n"
-    (1000. *. !cmin) (1000. *. !wmin) (!cmin /. !wmin)
+  Printf.printf "ff_gemm16: cold %.1f ms, fast-forward %.1f ms, speedup %.2fx\n"
+    (1000. *. !cmin) (1000. *. !wmin) (!cmin /. !wmin);
+  let detailed () =
+    let t0 = Unix.gettimeofday () in
+    ignore (Salam.simulate ~config gemm16);
+    Unix.gettimeofday () -. t0
+  in
+  let warm_up () =
+    let t0 = Unix.gettimeofday () in
+    ignore (Salam.warm_up ~config ~invocations:2 gemm16);
+    (Unix.gettimeofday () -. t0) /. 2.
+  in
+  ignore (detailed ());
+  ignore (warm_up ());
+  let dmin = ref infinity and umin = ref infinity in
+  for _ = 1 to 8 do
+    dmin := min !dmin (detailed ());
+    umin := min !umin (warm_up ())
+  done;
+  Printf.printf "warm_up_gemm16: detailed %.2f ms, warm-up %.2f ms per invocation, ratio %.2fx\n\n"
+    (1000. *. !dmin) (1000. *. !umin) (!dmin /. !umin)
 
 (* Minor-heap words one warm served hit costs in the codec, for the
    Fig 13 GEMM point's measurement: the client encodes its request, the

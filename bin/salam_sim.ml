@@ -158,7 +158,7 @@ let run_cmd =
       & info [ "fast-forward" ] ~docv:"K"
           ~doc:
             "Reach the roadmark after invocation $(docv) through the functional interpreter \
-             (about 4-5x faster per invocation than detailed simulation), snapshot, and run only \
+             (5-19x faster per invocation than detailed simulation), snapshot, and run only \
              the remaining invocations in the detailed engine. Statistics then cover the \
              post-roadmark epoch; results are bit-identical to an uninterrupted detailed \
              run.")

@@ -172,10 +172,11 @@ val warm_up :
   Salam_workloads.Workload.t ->
   snapshot
 (** Reach the roadmark through the functional interpreter — no events,
-    no timing — and checkpoint. A one-invocation warm-up is about 4–5x
+    no timing — and checkpoint. A one-invocation warm-up is 5–19x
     faster than one {!simulate} invocation of the same function
-    (medians of 21 interleaved runs on a 2-vCPU x86-64 VM: 4.0–4.9x on
-    gemm16 u16/j8, 4.6–4.9x on md_grid). The resulting state is
+    (medians of 21 interleaved runs on a 2-vCPU x86-64 VM: 5.3–6.2x on
+    gemm16 u16/j8, where building the system is most of the warm-up;
+    16.8–18.6x on md_grid). The resulting state is
     bit-identical to {!capture}'s (enforced by the snapshot oracle):
     memory contents, allocation brk, and MMR end-state all mirror a
     detailed run's. [invocations = 0] snapshots the freshly initialized

@@ -95,15 +95,31 @@ let identity ~workload ~invocations ~fast_forward =
 let measured_id ev workload =
   identity ~workload ~invocations:ev.invocations ~fast_forward:ev.fast_forward
 
-let snapshot_for ev ~config ~roadmark p =
-  let key = ev.target.workload_id p ^ "|" ^ Salam.Config.memory_name config in
-  match Hashtbl.find_opt ev.snapshots key with
-  | Some s -> s
-  | None ->
-      let s = Salam.warm_up ~config ~invocations:roadmark (ev.target.build p) in
+let snapshot_key ev ~config p = ev.target.workload_id p ^ "|" ^ Salam.Config.memory_name config
+
+(* warm up, across the sweep's domains, each snapshot the (config, point)
+   pairs need and the table lacks: one per key, from the first pair
+   that needs it *)
+let warm_up_missing ev ~roadmark configured =
+  let missing =
+    List.fold_left
+      (fun acc (config, p) ->
+        let key = snapshot_key ev ~config p in
+        if Hashtbl.mem ev.snapshots key || List.mem_assoc key acc then acc
+        else (key, (config, p)) :: acc)
+      [] configured
+    |> List.rev
+  in
+  let snapshots =
+    Salam.parallel_map ?domains:ev.domains
+      (fun (_, (config, p)) -> Salam.warm_up ~config ~invocations:roadmark (ev.target.build p))
+      missing
+  in
+  List.iter2
+    (fun (key, _) s ->
       ev.warmed <- ev.warmed + 1;
-      Hashtbl.add ev.snapshots key s;
-      s
+      Hashtbl.add ev.snapshots key s)
+    missing snapshots
 
 let emit_progress ev ~detail args =
   match ev.trace with
@@ -167,19 +183,23 @@ let evaluate_local ev points =
       keyed
   in
   let misses = List.filter (fun (_, _, _, m) -> m = None) cached in
-  (* warm-ups run sequentially here (memoised per workload/memory-kind
-     key); the parallel phase below then shares the immutable snapshots *)
+  let configured = List.map (fun (p, _, _, _) -> (Point.to_config p, p)) misses in
+  (* the warm-ups run first, across the domains (memoised per
+     workload/memory-kind key); the simulations below then share the
+     immutable snapshots *)
+  (match ev.fast_forward with
+  | Some roadmark -> warm_up_missing ev ~roadmark configured
+  | None -> ());
   let jobs =
     List.map
-      (fun (p, _, _, _) ->
-        let config = Point.to_config p in
+      (fun (config, p) ->
         let from =
           match ev.fast_forward with
           | None -> None
-          | Some roadmark -> Some (snapshot_for ev ~config ~roadmark p)
+          | Some _ -> Some (Hashtbl.find ev.snapshots (snapshot_key ev ~config p))
         in
         Salam.job ~invocations:ev.invocations ?from config (ev.target.build p))
-      misses
+      configured
   in
   let fresh =
     if jobs = [] then []

@@ -1,10 +1,8 @@
 open Salam_ir
 open Ast
 
-let const_of_bits ty (b : Bits.t) : value =
-  match b with
-  | Bits.Int i -> Const (Cint (ty, i))
-  | Bits.Float x -> Const (Cfloat (ty, x))
+let const_of_payload ty p : value =
+  if Ty.is_float ty then Const (Cfloat (ty, Int64.float_of_bits p)) else Const (Cint (ty, p))
 
 let as_const = function
   | Const (Cint (_, i)) -> Some (Bits.Int i)
@@ -20,7 +18,8 @@ let fold_instr instr : value option =
   | Binop { dst; op; lhs; rhs } -> begin
       match (as_const lhs, as_const rhs) with
       | Some a, Some b -> (
-          try Some (const_of_bits dst.ty (Bits.eval_binop op dst.ty a b))
+          let a = Bits.payload_as dst.ty a and b = Bits.payload_as dst.ty b in
+          try Some (const_of_payload dst.ty (Bits.Payload.binop op dst.ty a b))
           with Division_by_zero -> None)
       | _ ->
           if Ty.is_integer dst.ty then begin
@@ -42,18 +41,28 @@ let fold_instr instr : value option =
     end
   | Icmp { pred; lhs; rhs; _ } -> begin
       match (as_const lhs, as_const rhs) with
-      | Some a, Some b -> Some (const_of_bits Ty.I1 (Bits.eval_icmp pred (value_ty lhs) a b))
+      | Some a, Some b ->
+          let ty = value_ty lhs in
+          Some
+            (const_of_payload Ty.I1
+               (Bits.Payload.icmp pred ty (Bits.payload_as ty a) (Bits.payload_as ty b)))
       | _ -> None
     end
   | Fcmp { pred; lhs; rhs; _ } -> begin
       match (as_const lhs, as_const rhs) with
-      | Some a, Some b -> Some (const_of_bits Ty.I1 (Bits.eval_fcmp pred a b))
+      | Some a, Some b ->
+          let ty = value_ty lhs in
+          Some
+            (const_of_payload Ty.I1
+               (Bits.Payload.fcmp pred (Bits.payload_as ty a) (Bits.payload_as ty b)))
       | _ -> None
     end
   | Cast { dst; op; src } -> begin
       match as_const src with
       | Some v ->
-          Some (const_of_bits dst.ty (Bits.eval_cast op ~src_ty:(value_ty src) ~dst_ty:dst.ty v))
+          Some
+            (const_of_payload dst.ty
+               (Bits.Payload.cast op ~src_ty:(value_ty src) ~dst_ty:dst.ty (Bits.payload v)))
       | None -> None
     end
   | Select { cond; if_true; if_false; _ } -> begin

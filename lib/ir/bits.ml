@@ -2,13 +2,13 @@ type t = Int of int64 | Float of float
 
 (* The arithmetic is defined once, over raw 64-bit payloads: integers as
    their int64, floats (f32 included, held at its rounded value) as the
-   IEEE-754 image of the double. The engine keeps values in that form;
-   the boxed functions below convert at their edges and call it. Every
-   function here is [@inline]: a payload that crosses a call boundary is
-   boxed, one inlined into its caller stays in a register. For the same
-   reason an intermediate result that is a [match] or an [if] is bound
-   with [let] before it is passed on: the compiler unboxes an int64 [let]
-   but not the parameter binding that inlining makes. *)
+   IEEE-754 image of the double. The engine and the interpreter keep
+   values in that form; the boxed functions below convert to and from
+   it. Every function here is [@inline]: a payload that crosses a call
+   boundary is boxed, one inlined into its caller stays in a register.
+   For the same reason an intermediate result that is a [match] or an
+   [if] is bound with [let] before it is passed on: the compiler unboxes
+   an int64 [let] but not the parameter binding that inlining makes. *)
 module Payload = struct
   let[@inline] mask ty i =
     match Ty.bits ty with
@@ -157,6 +157,10 @@ let[@inline] of_payload ty p = if Ty.is_float ty then Float (Int64.float_of_bits
 
 let to_bool = function Int i -> not (Int64.equal i 0L) | Float f -> f <> 0.0
 
+let to_float = function Float f -> f | Int i -> Int64.to_float i
+
+let payload_as ty v = if Ty.is_float ty then Int64.bits_of_float (to_float v) else payload v
+
 let signed = Payload.signed
 
 (* A value that already fits its type (memory loads, re-truncated
@@ -175,27 +179,6 @@ let truncate ty v =
 let to_int64 = function
   | Int i -> i
   | Float _ -> invalid_arg "Bits.to_int64: float value"
-
-let to_float = function Float f -> f | Int i -> Int64.to_float i
-
-let eval_binop op ty a b =
-  match (a, b) with
-  | Int ia, Int ib when not (Ty.is_float ty) -> Int (Payload.binop op ty ia ib)
-  | _ when Ty.is_float ty ->
-      Float
-        (Int64.float_of_bits
-           (Payload.binop op ty (Int64.bits_of_float (to_float a))
-              (Int64.bits_of_float (to_float b))))
-  | _ -> invalid_arg "Bits.eval_binop: operand/type mismatch"
-
-let eval_icmp pred ty a b = Int (Payload.icmp pred ty (to_int64 a) (to_int64 b))
-
-let eval_fcmp pred a b =
-  Int
-    (Payload.fcmp pred (Int64.bits_of_float (to_float a)) (Int64.bits_of_float (to_float b)))
-
-let eval_cast op ~src_ty ~dst_ty v =
-  of_payload dst_ty (Payload.cast op ~src_ty ~dst_ty (payload v))
 
 let equal a b =
   match (a, b) with

@@ -7,13 +7,13 @@
 
 type t = Int of int64 | Float of float
 
-(** The arithmetic over raw 64-bit payloads, which the boxed functions
-    below wrap. An integer's payload is its [int64]; a float's (an [F32]
-    included, held at its rounded value) is the IEEE-754 image of the
-    double, as {!payload} computes it. Each operation takes the types
-    the instruction states, so a payload carries no tag. The simulation
-    engine keeps its values in this form; every function is inlined
-    into its caller, so a payload never boxes on the way. *)
+(** The arithmetic, defined once over raw 64-bit payloads. An integer's
+    payload is its [int64]; a float's (an [F32] included, held at its
+    rounded value) is the IEEE-754 image of the double, as {!payload}
+    computes it. Each operation takes the types the instruction states,
+    so a payload carries no tag. The simulation engine, the interpreter
+    and the constant folder compute in this form; every function is
+    inlined into its caller, so a payload never boxes on the way. *)
 module Payload : sig
   val signed : Ty.t -> int64 -> int64
   (** Sign-extended view of a stored integer of the given width. *)
@@ -42,6 +42,11 @@ val payload : t -> int64
 val of_payload : Ty.t -> int64 -> t
 (** The boxed value of a payload of the given type. *)
 
+val payload_as : Ty.t -> t -> int64
+(** The payload an operation of the given type computes on: {!payload},
+    except that a float type reads an [Int] by its numeric value, as
+    {!to_float} does. *)
+
 val to_bool : t -> bool
 (** Nonzero test. *)
 
@@ -52,15 +57,6 @@ val truncate : Ty.t -> t -> t
 val signed : Ty.t -> int64 -> int64
 (** Sign-extended view of a stored integer of the given width;
     {!Payload.signed}. *)
-
-val eval_binop : Ast.binop -> Ty.t -> t -> t -> t
-(** Integer division/remainder by zero raises [Division_by_zero]. *)
-
-val eval_icmp : Ast.icmp -> Ty.t -> t -> t -> t
-
-val eval_fcmp : Ast.fcmp -> t -> t -> t
-
-val eval_cast : Ast.cast -> src_ty:Ty.t -> dst_ty:Ty.t -> t -> t
 
 val equal : t -> t -> bool
 

@@ -2,7 +2,12 @@
 
     This is the golden semantic reference: the timing engine, the
     trace-based baseline and the tests all check against it. Execution is
-    sequential and instantaneous — no timing model.
+    sequential and instantaneous — no timing model. A run resolves each
+    function it enters once (blocks into an array, labels into indices,
+    phis into per-edge moves, constants into slots) and then computes on
+    raw payloads ({!Bits.Payload}); values are boxed only where this
+    interface shows a {!Bits.t}. A run keeps no state outside itself, so
+    runs on different domains do not interact.
 
     Calls to functions not defined in the module are resolved through the
     intrinsic table; {!default_intrinsics} provides the math routines
@@ -39,6 +44,3 @@ val run :
     the total number of executed instructions (default 100 million).
     [on_exec] fires after every executed instruction and is how the
     trace-based baseline captures its dynamic trace. *)
-
-val instructions_executed : unit -> int
-(** Number of instructions executed by the most recent [run]. *)

@@ -32,8 +32,7 @@ let test_trace_roundtrip () =
 
 let test_trace_excludes_control () =
   let w = Salam_workloads.Nw.workload ~len:8 () in
-  ignore (W.run_functional w);
-  let interp_count = Interp.instructions_executed () in
+  let interp_count = Test_engine.dynamic_instructions w in
   let _, events = gen_trace w in
   check Alcotest.bool "control flow filtered from the trace" true (events < interp_count)
 

@@ -397,6 +397,28 @@ let test_fast_forward_shares_snapshot () =
       Alcotest.(check bool) "ff measurements round-trip the store" true
         (ff.Dse.measurements = warm.Dse.measurements))
 
+(* the warm-ups of a batch run across the sweep's domains: two kernels
+   over two memory kinds give the same measurements and the same
+   snapshot count on one domain as on two *)
+let test_fast_forward_domains () =
+  let common = [ Space.Unroll [ 1; 2 ] ] in
+  let spaces =
+    [
+      Space.create ~derive:Space.spm_balanced
+        (Space.Memory [ Point.Spm ] :: Space.Read_ports [ 2; 4 ] :: common);
+      Space.create (Space.Memory [ Point.Dram ] :: common);
+    ]
+  in
+  let sweep domains =
+    Dse.run ~domains ~invocations:2 ~fast_forward:1 ~target:tiny_target ~strategy:Dse.Exhaustive
+      spaces
+  in
+  let one = sweep 1 and two = sweep 2 in
+  Alcotest.(check int) "one warm-up per kernel and memory kind" 4 one.Dse.snapshots;
+  Alcotest.(check int) "same snapshot count" one.Dse.snapshots two.Dse.snapshots;
+  Alcotest.(check int) "every point simulated" 6 two.Dse.simulated;
+  Alcotest.(check bool) "same measurements" true (one.Dse.measurements = two.Dse.measurements)
+
 let test_fast_forward_validation () =
   Alcotest.check_raises "invocations < 1"
     (Invalid_argument "Explore.run: invocations must be at least 1") (fun () ->
@@ -466,6 +488,7 @@ let suite =
     Alcotest.test_case "cache hits bit-identical" `Quick test_cache_hit_bit_identity;
     Alcotest.test_case "resume after truncated store" `Quick test_resume_after_truncation;
     Alcotest.test_case "fast-forward shares one snapshot" `Quick test_fast_forward_shares_snapshot;
+    Alcotest.test_case "fast-forward warm-ups across domains" `Quick test_fast_forward_domains;
     Alcotest.test_case "fast-forward argument validation" `Quick test_fast_forward_validation;
     Alcotest.test_case "tick domains de-interleave shared traces" `Quick
       test_tick_domains_deinterleave;

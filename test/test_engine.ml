@@ -51,13 +51,25 @@ let test_engine_matches_golden () =
       check Alcotest.bool ("engine result " ^ w.W.name) true correct)
     (Salam_workloads.Suite.quick ())
 
+(* dynamic instruction count of one interpreter run of [w] on the
+   dataset [W.run_functional] uses: one event per executed instruction *)
+let dynamic_instructions (w : W.t) =
+  let mem = Memory.create ~size:(max (1 lsl 22) (4 * W.total_buffer_bytes w)) in
+  let bases = W.alloc_buffers w mem in
+  w.W.init (Salam_sim.Rng.create 42L) mem bases;
+  let n = ref 0 in
+  ignore
+    (Interp.run
+       ~on_exec:(fun _ -> incr n)
+       mem (W.modul w) ~entry:w.W.kernel.Salam_frontend.Lang.kname ~args:(W.args w ~bases));
+  !n
+
 let test_engine_instruction_conservation () =
   (* the engine must execute exactly the instructions the interpreter
      executes *)
   List.iter
     (fun w ->
-      ignore (W.run_functional w);
-      let interp_count = Interp.instructions_executed () in
+      let interp_count = dynamic_instructions w in
       let stats, _ = engine_run w in
       check Alcotest.int
         ("dynamic instruction count " ^ w.W.name)

@@ -174,9 +174,7 @@ let test_full_unroll_eliminates_loop () =
 
 let test_unroll_reduces_dynamic_control () =
   let count_instrs unroll =
-    let w = Salam_workloads.Gemm.workload ~n:8 ~unroll () in
-    ignore (Salam_workloads.Workload.run_functional w);
-    Interp.instructions_executed ()
+    Test_engine.dynamic_instructions (Salam_workloads.Gemm.workload ~n:8 ~unroll ())
   in
   check Alcotest.bool "unrolling shrinks the dynamic instruction count" true
     (count_instrs 4 < count_instrs 1)

@@ -25,43 +25,42 @@ let test_ty_sizes () =
 (* --- bits ----------------------------------------------------------- *)
 
 let test_bits_masking () =
-  let r = Bits.eval_binop Ast.Add Ty.I8 (Bits.Int 200L) (Bits.Int 100L) in
-  check Alcotest.int64 "i8 wraps" 44L (Bits.to_int64 r)
+  check Alcotest.int64 "i8 wraps" 44L (Bits.Payload.binop Ast.Add Ty.I8 200L 100L)
 
 let test_bits_signed_unsigned_compare () =
-  let minus_one = Bits.truncate Ty.I32 (Bits.Int (-1L)) in
-  let one = Bits.Int 1L in
-  check Alcotest.bool "slt: -1 < 1" true
-    (Bits.to_bool (Bits.eval_icmp Ast.Islt Ty.I32 minus_one one));
-  check Alcotest.bool "ult: 0xffffffff > 1" true
-    (Bits.to_bool (Bits.eval_icmp Ast.Iugt Ty.I32 minus_one one))
+  let minus_one = Bits.Payload.truncate Ty.I32 (-1L) in
+  check Alcotest.int64 "slt: -1 < 1" 1L (Bits.Payload.icmp Ast.Islt Ty.I32 minus_one 1L);
+  check Alcotest.int64 "ult: 0xffffffff > 1" 1L (Bits.Payload.icmp Ast.Iugt Ty.I32 minus_one 1L)
 
 let test_bits_f32_rounding () =
-  let a = Bits.Float 0.1 and b = Bits.Float 0.2 in
-  let f32 = Bits.eval_binop Ast.Fadd Ty.F32 a b in
-  let f64 = Bits.eval_binop Ast.Fadd Ty.F64 a b in
+  let a = Int64.bits_of_float 0.1 and b = Int64.bits_of_float 0.2 in
+  let f32 = Bits.Payload.binop Ast.Fadd Ty.F32 a b in
+  let f64 = Bits.Payload.binop Ast.Fadd Ty.F64 a b in
   check Alcotest.bool "f32 add rounds differently from f64"
     true
-    (Bits.to_float f32 <> Bits.to_float f64)
+    (Int64.float_of_bits f32 <> Int64.float_of_bits f64)
 
 let test_bits_division_by_zero () =
   Alcotest.check_raises "sdiv by zero" Division_by_zero (fun () ->
-      ignore (Bits.eval_binop Ast.Sdiv Ty.I32 (Bits.Int 5L) (Bits.Int 0L)))
+      ignore (Bits.Payload.binop Ast.Sdiv Ty.I32 5L 0L))
+
+(* a cast of a boxed value, computed on its payload *)
+let cast op ~src_ty ~dst_ty v =
+  Bits.of_payload dst_ty (Bits.Payload.cast op ~src_ty ~dst_ty (Bits.payload v))
 
 let test_bits_casts () =
-  let v = Bits.eval_cast Ast.Sext ~src_ty:Ty.I8 ~dst_ty:Ty.I32 (Bits.Int 0xFFL) in
+  let v = cast Ast.Sext ~src_ty:Ty.I8 ~dst_ty:Ty.I32 (Bits.Int 0xFFL) in
   check Alcotest.int64 "sext i8 -1" (Bits.to_int64 (Bits.truncate Ty.I32 (Bits.Int (-1L)))) (Bits.to_int64 v);
-  let z = Bits.eval_cast Ast.Zext ~src_ty:Ty.I8 ~dst_ty:Ty.I32 (Bits.Int 0xFFL) in
+  let z = cast Ast.Zext ~src_ty:Ty.I8 ~dst_ty:Ty.I32 (Bits.Int 0xFFL) in
   check Alcotest.int64 "zext i8 255" 255L (Bits.to_int64 z);
-  let f = Bits.eval_cast Ast.Sitofp ~src_ty:Ty.I32 ~dst_ty:Ty.F64 (Bits.Int (-3L)) in
+  let f = cast Ast.Sitofp ~src_ty:Ty.I32 ~dst_ty:Ty.F64 (Bits.Int (-3L)) in
   check (Alcotest.float 1e-9) "sitofp" (-3.0) (Bits.to_float f);
-  let i = Bits.eval_cast Ast.Fptosi ~src_ty:Ty.F64 ~dst_ty:Ty.I32 (Bits.Float 7.9) in
+  let i = cast Ast.Fptosi ~src_ty:Ty.F64 ~dst_ty:Ty.I32 (Bits.Float 7.9) in
   check Alcotest.int64 "fptosi truncates" 7L (Bits.to_int64 i)
 
 (* One case per cast operator, with destination types chosen to expose
    any operator that ignores [dst_ty]. *)
 let test_bits_every_cast () =
-  let cast op ~src_ty ~dst_ty v = Bits.eval_cast op ~src_ty ~dst_ty v in
   (* trunc: keeps only dst bits *)
   check Alcotest.int64 "trunc i32->i8" 0x34L
     (Bits.to_int64 (cast Ast.Trunc ~src_ty:Ty.I32 ~dst_ty:Ty.I8 (Bits.Int 0x1234L)));
@@ -116,9 +115,7 @@ let qcheck_bits_add_commutes =
   QCheck.Test.make ~name:"integer add commutes under masking" ~count:500
     QCheck.(pair int64 int64)
     (fun (a, b) ->
-      let x = Bits.eval_binop Ast.Add Ty.I16 (Bits.Int a) (Bits.Int b) in
-      let y = Bits.eval_binop Ast.Add Ty.I16 (Bits.Int b) (Bits.Int a) in
-      Bits.equal x y)
+      Int64.equal (Bits.Payload.binop Ast.Add Ty.I16 a b) (Bits.Payload.binop Ast.Add Ty.I16 b a))
 
 let qcheck_bits_trunc_idempotent =
   QCheck.Test.make ~name:"truncate is idempotent" ~count:500 QCheck.int64 (fun a ->
@@ -127,11 +124,11 @@ let qcheck_bits_trunc_idempotent =
 
 (* --- payload arithmetic against the boxed reference ------------------
 
-   [Bits.Payload] is the one definition of the arithmetic; the boxed
-   [Bits.eval_*] wrap it. [Boxed_ref] is the boxed implementation as it
-   stood before that rewrite, kept here as the reference: for every
-   type, the payload functions and the boxed wrappers must agree with
-   it bit for bit, exceptions included. *)
+   [Bits.Payload] is the one definition of the arithmetic. [Boxed_ref]
+   is the boxed implementation as it stood before that rewrite, kept
+   here as the reference: for every type, the payload functions (and
+   the boxed [Bits.truncate]) must agree with it bit for bit,
+   exceptions included. *)
 module Boxed_ref = struct
   open Bits
 
@@ -188,14 +185,14 @@ module Boxed_ref = struct
     | Frem -> Float.rem a b
     | _ -> invalid_arg "Bits: integer binop on floats"
 
-  let eval_binop op ty a b =
+  let binop op ty a b =
     if Ty.is_float ty then truncate ty (Float (float_binop op (to_float a) (to_float b)))
     else
       match (a, b) with
       | Int ia, Int ib -> truncate ty (Int (int_binop op ty ia ib))
-      | _ -> invalid_arg "Bits.eval_binop: operand/type mismatch"
+      | _ -> invalid_arg "Boxed_ref.binop: operand/type mismatch"
 
-  let eval_icmp pred ty a b =
+  let icmp pred ty a b =
     let a = to_int64 a and b = to_int64 b in
     let sa = signed ty a and sb = signed ty b in
     let ua = mask ty a and ub = mask ty b in
@@ -212,7 +209,7 @@ module Boxed_ref = struct
       | Iugt -> Int64.unsigned_compare ua ub > 0
       | Iuge -> Int64.unsigned_compare ua ub >= 0)
 
-  let eval_fcmp pred a b =
+  let fcmp pred a b =
     let a = to_float a and b = to_float b in
     of_bool
       (match (pred : Ast.fcmp) with
@@ -223,7 +220,7 @@ module Boxed_ref = struct
       | Fogt -> a > b
       | Foge -> a >= b)
 
-  let eval_cast op ~src_ty ~dst_ty v =
+  let cast op ~src_ty ~dst_ty v =
     match (op : Ast.cast) with
     | Trunc -> truncate dst_ty (Int (to_int64 v))
     | Zext -> Int (mask src_ty (to_int64 v))
@@ -298,16 +295,17 @@ let outcome f = match f () with v -> Ok v | exception e -> Error (Printexc.to_st
 
 let show_outcome = function Ok p -> Printf.sprintf "%Lx" p | Error e -> e
 
-(* the reference, the payload function and the boxed wrapper agree bit
-   for bit; [payload_of] maps an outcome to its payload *)
-let agree name ~reference ~payload ~boxed =
+(* the reference, the payload function and the boxed function, if there
+   is one, agree bit for bit *)
+let agree ?boxed name ~reference ~payload =
   let r = outcome (fun () -> Bits.payload (reference ())) in
   let p = outcome payload in
-  let b = outcome (fun () -> Bits.payload (boxed ())) in
-  if r = p && r = b then true
+  let b = Option.map (fun boxed -> outcome (fun () -> Bits.payload (boxed ()))) boxed in
+  if r = p && Option.fold ~none:true ~some:(( = ) r) b then true
   else
-    QCheck.Test.fail_reportf "%s: reference %s, payload %s, boxed %s" name (show_outcome r)
-      (show_outcome p) (show_outcome b)
+    QCheck.Test.fail_reportf "%s: reference %s, payload %s%s" name (show_outcome r)
+      (show_outcome p)
+      (Option.fold ~none:"" ~some:(fun b -> ", boxed " ^ show_outcome b) b)
 
 let int_ops =
   Ast.[ Add; Sub; Mul; Sdiv; Udiv; Srem; Urem; Shl; Lshr; Ashr; And; Or; Xor ]
@@ -327,9 +325,8 @@ let qcheck_payload_binop =
            (Bits.to_string b)))
     (fun (op, ty, a, b) ->
       agree "binop"
-        ~reference:(fun () -> Boxed_ref.eval_binop op ty a b)
-        ~payload:(fun () -> Bits.Payload.binop op ty (Bits.payload a) (Bits.payload b))
-        ~boxed:(fun () -> Bits.eval_binop op ty a b))
+        ~reference:(fun () -> Boxed_ref.binop op ty a b)
+        ~payload:(fun () -> Bits.Payload.binop op ty (Bits.payload a) (Bits.payload b)))
 
 let qcheck_payload_compare =
   let icmps = Ast.[ Ieq; Ine; Islt; Isle; Isgt; Isge; Iult; Iule; Iugt; Iuge ] in
@@ -347,15 +344,13 @@ let qcheck_payload_compare =
       if Ty.is_float ty then
         let pred = List.nth fcmps (k mod List.length fcmps) in
         agree "fcmp"
-          ~reference:(fun () -> Boxed_ref.eval_fcmp pred a b)
+          ~reference:(fun () -> Boxed_ref.fcmp pred a b)
           ~payload:(fun () -> Bits.Payload.fcmp pred (Bits.payload a) (Bits.payload b))
-          ~boxed:(fun () -> Bits.eval_fcmp pred a b)
       else
         let pred = List.nth icmps k in
         agree "icmp"
-          ~reference:(fun () -> Boxed_ref.eval_icmp pred ty a b)
-          ~payload:(fun () -> Bits.Payload.icmp pred ty (Bits.payload a) (Bits.payload b))
-          ~boxed:(fun () -> Bits.eval_icmp pred ty a b))
+          ~reference:(fun () -> Boxed_ref.icmp pred ty a b)
+          ~payload:(fun () -> Bits.Payload.icmp pred ty (Bits.payload a) (Bits.payload b)))
 
 let qcheck_payload_cast =
   (* each operator with a source of the kind it reads and a destination
@@ -381,9 +376,8 @@ let qcheck_payload_cast =
            (Bits.to_string v)))
     (fun (op, src_ty, dst_ty, v) ->
       agree "cast"
-        ~reference:(fun () -> Boxed_ref.eval_cast op ~src_ty ~dst_ty v)
-        ~payload:(fun () -> Bits.Payload.cast op ~src_ty ~dst_ty (Bits.payload v))
-        ~boxed:(fun () -> Bits.eval_cast op ~src_ty ~dst_ty v))
+        ~reference:(fun () -> Boxed_ref.cast op ~src_ty ~dst_ty v)
+        ~payload:(fun () -> Bits.Payload.cast op ~src_ty ~dst_ty (Bits.payload v)))
 
 let qcheck_payload_truncate =
   let gen =
@@ -727,6 +721,84 @@ let test_interp_globals () =
   | Some (Bits.Int r) -> check Alcotest.int64 "tab[0] + tab[3]" 50L r
   | _ -> Alcotest.fail "expected integer"
 
+(* Edge cases of the interpreter's checks, on hand-written (unverified)
+   modules: each must fail loudly with the same message every time. *)
+let run_src ?fuel ?on_exec src ~entry ~args =
+  Interp.run ?fuel ?on_exec (Memory.create ~size:4096) (Parser.parse_modul src) ~entry ~args
+
+let check_trap name expected src ~entry ~args =
+  Alcotest.check_raises name (Interp.Trap expected) (fun () -> ignore (run_src src ~entry ~args))
+
+let test_interp_unset_register () =
+  check_trap "unset register" "f: read of unset register z.2"
+    "define i32 @f(i32 %x.0) {\n\
+     entry:\n\
+    \  %y.1 = add i32 %x.0, %z.2\n\
+    \  ret i32 %y.1\n\
+     later:\n\
+    \  %z.2 = add i32 %x.0, 1\n\
+    \  ret i32 %z.2\n\
+     }"
+    ~entry:"f" ~args:[ Bits.Int 1L ]
+
+let test_interp_phi_missing_edge () =
+  check_trap "phi without an incoming for the edge taken"
+    "phi in next has no incoming for predecessor entry"
+    "define i32 @f() {\n\
+     entry:\n\
+    \  br label %next\n\
+     next:\n\
+    \  %p.0 = phi i32 [ 1, %other ]\n\
+    \  ret i32 %p.0\n\
+     other:\n\
+    \  br label %next\n\
+     }"
+    ~entry:"f" ~args:[]
+
+let test_interp_null_store () =
+  check_trap "null store" "null pointer store"
+    "define void @f() {\nentry:\n  store i32 1, ptr null\n  ret void\n}" ~entry:"f" ~args:[]
+
+let test_interp_stack_overflow () =
+  check_trap "unbounded recursion" "call stack overflow"
+    "define void @f() {\nentry:\n  call void @f()\n  ret void\n}" ~entry:"f" ~args:[]
+
+(* [fuel] bounds executed instructions exactly: phis and terminators
+   count, a program of N instructions runs on N and stops on N - 1 *)
+let test_interp_fuel_exact () =
+  let f = Salam_frontend.Compile.kernel (factorial_func ()) in
+  let m = { Ast.funcs = [ f ]; globals = [] } in
+  let run ?on_exec fuel =
+    Interp.run ?on_exec ~fuel (Memory.create ~size:1024) m ~entry:"fact" ~args:[ Bits.Int 6L ]
+  in
+  let n = ref 0 in
+  ignore (run ~on_exec:(fun _ -> incr n) 1_000_000);
+  check Alcotest.bool "loop runs more than a block" true (!n > 20);
+  (match run !n with
+  | Some (Bits.Int r) -> check Alcotest.int64 "fuel N completes" 720L r
+  | _ -> Alcotest.fail "expected an integer result");
+  Alcotest.check_raises "fuel N - 1 runs out" Interp.Out_of_fuel (fun () ->
+      ignore (run (!n - 1)))
+
+(* an f32 register holds its value rounded to single precision, whatever
+   produced it: a parameter, an arithmetic result or an intrinsic's f64 *)
+let test_interp_f32_rounding () =
+  let round x = Int32.float_of_bits (Int32.bits_of_float x) in
+  let src =
+    "define float @f(float %x.0) {\n\
+     entry:\n\
+    \  %y.1 = fadd float %x.0, 0.2\n\
+    \  %s.2 = call float @sqrt(float %y.1)\n\
+    \  ret float %s.2\n\
+     }"
+  in
+  let y = round (round 0.1 +. round 0.2) in
+  match run_src src ~entry:"f" ~args:[ Bits.Float 0.1 ] with
+  | Some (Bits.Float r) ->
+      check (Alcotest.float 0.0) "sqrt result rounded to f32" (round (sqrt y)) r;
+      check Alcotest.bool "differs from the f64 result" true (r <> sqrt y)
+  | _ -> Alcotest.fail "expected a float"
+
 let suite =
   [
     Alcotest.test_case "ty roundtrip" `Quick test_ty_roundtrip;
@@ -765,4 +837,10 @@ let suite =
     Alcotest.test_case "interp division trap" `Quick test_interp_division_trap;
     Alcotest.test_case "interp intrinsics" `Quick test_interp_intrinsics;
     Alcotest.test_case "interp globals" `Quick test_interp_globals;
+    Alcotest.test_case "interp unset register" `Quick test_interp_unset_register;
+    Alcotest.test_case "interp phi missing edge" `Quick test_interp_phi_missing_edge;
+    Alcotest.test_case "interp null store" `Quick test_interp_null_store;
+    Alcotest.test_case "interp call stack overflow" `Quick test_interp_stack_overflow;
+    Alcotest.test_case "interp fuel is exact" `Quick test_interp_fuel_exact;
+    Alcotest.test_case "interp f32 rounding" `Quick test_interp_f32_rounding;
   ]

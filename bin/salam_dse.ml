@@ -241,7 +241,12 @@ let explain_config store_path fp_hex =
           let p = m.Measurement.point in
           Printf.printf "fingerprint   %s\nworkload      %s\npoint         %s\n"
             fp_hex m.Measurement.workload (Point.to_string p);
-          List.iter (fun (k, v) -> Printf.printf "  %-12s %s\n" k v) (Point.to_fields p);
+          List.iter
+            (fun kv ->
+              let i = String.index kv '=' in
+              Printf.printf "  %-12s %s\n" (String.sub kv 0 i)
+                (String.sub kv (i + 1) (String.length kv - i - 1)))
+            (String.split_on_char ',' (Point.to_compact p));
           let config = Point.to_config p in
           (match config.Salam.Config.memory with
           | Salam.Config.Spm { read_ports; write_ports; banks; latency } ->

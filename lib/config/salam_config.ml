@@ -462,20 +462,41 @@ let registered () =
   Mutex.unlock registry_lock;
   List.sort compare dbs
 
+(* Profiles resolved so far, by (database hash, node, cycle time). A
+   registered table never changes and its hash names its content, so a
+   resolution that succeeded once holds for the life of the process; a
+   served daemon resolves every request's point, hit or miss. Failures
+   are not kept: the database may be registered later. Guarded by
+   [registry_lock]. *)
+let resolved : (string * int * float, Profile.t) Hashtbl.t = Hashtbl.create 16
+
 (* Full identity resolution: database by hash, node checked, cycle time
    looked up. This is what [Point.to_config] goes through. *)
 let resolve ~hw_db ~node ~cycle_time_ns =
-  match find_db hw_db with
-  | None ->
-      Error
-        (Printf.sprintf
-           "unknown hardware database %s (not loaded in this process; pass --hw-db)" hw_db)
-  | Some db ->
-      if db.db_node_nm <> node then
-        Error
-          (Printf.sprintf "database %s is characterized at %d nm, not %d nm" db.db_name
-             db.db_node_nm node)
-      else db_profile db ~cycle_time_ns
+  let key = (hw_db, node, cycle_time_ns) in
+  Mutex.lock registry_lock;
+  let known = Hashtbl.find_opt resolved key in
+  Mutex.unlock registry_lock;
+  match known with
+  | Some profile -> Ok profile
+  | None -> (
+      match find_db hw_db with
+      | None ->
+          Error
+            (Printf.sprintf
+               "unknown hardware database %s (not loaded in this process; pass --hw-db)" hw_db)
+      | Some db when db.db_node_nm <> node ->
+          Error
+            (Printf.sprintf "database %s is characterized at %d nm, not %d nm" db.db_name
+               db.db_node_nm node)
+      | Some db -> (
+          match db_profile db ~cycle_time_ns with
+          | Ok profile ->
+              Mutex.lock registry_lock;
+              Hashtbl.replace resolved key profile;
+              Mutex.unlock registry_lock;
+              Ok profile
+          | Error _ as e -> e))
 
 (* Convenience lookup by (node, cycle time) across every registered
    database, deterministic by (name, hash) order. *)

@@ -17,26 +17,27 @@ val add_member : Buffer.t -> first:bool -> string -> value -> unit
 val encode : (string * value) list -> string
 (** One JSON object on one line (no trailing newline). *)
 
-val iter_fields : string -> (string -> value -> unit) -> (unit, string) result
-(** Parse one line in a single pass, calling [f key value] on each
-    member in line order, duplicates included. Strings without escapes
-    are sliced out of the line. Number tokens must follow JSON's number
-    grammar: a bare integer is an [Int] (out of int64 range is an
-    error, and ["-0"] is [Float (-0.)] so its sign survives), anything
-    else a [Float]. Nested objects and arrays, [null] and OCaml-only
-    literals (["1_0"], ["0x1p3"], bare [nan]) are errors naming the
-    offset. [f] may already have seen the members before a syntax
-    error. *)
+val iter_fields :
+  string -> (string -> int -> int -> value -> unit) -> (unit, string) result
+(** Parse one line in a single pass, calling [f src off len value] on
+    each member in line order, duplicates included. The member's key is
+    the [len] bytes of [src] from [off]: [src] is the line itself, so no
+    key is copied, unless the key has escapes, when it is the unescaped
+    key alone. Compare keys with {!key_is}. String values without
+    escapes are sliced out of the line. Number tokens must follow
+    JSON's number grammar: a bare integer is an [Int], read in place
+    (out of int64 range is an error, and ["-0"] is [Float (-0.)] so its
+    sign survives), anything else a [Float]. Nested objects and arrays,
+    [null] and OCaml-only literals (["1_0"], ["0x1p3"], bare [nan]) are
+    errors naming the offset. [f] may already have seen the members
+    before a syntax error. *)
 
-val decode : string -> ((string * value) list, string) result
-(** {!iter_fields} collected into a list, in line order. *)
+val key_is : string -> int -> int -> string -> bool
+(** [key_is src off len k]: the key [f] was handed is [k]. *)
 
-val get_int : (string * value) list -> string -> int64 option
-(** The first member named [k], if it is an [Int]; likewise below. *)
-
-val get_bool : (string * value) list -> string -> bool option
-
-val get_str : (string * value) list -> string -> string option
+val find_key : string array -> string -> int -> int -> int
+(** [find_key keys src off len]: the position in [keys] of the key [f]
+    was handed, or [-1]. *)
 
 val to_float : value -> float option
 (** A float member: a [Float], an integral [Int], or one of the ["%h"]

@@ -89,8 +89,7 @@ let int n = Jsonl.Int (Int64.of_int n)
 
 (* The one field table: every key, in line order, with the kind its
    value must have and how to read it off a measurement. [to_line]
-   walks it; [of_slots] checks slots against it and then reads them by
-   the same positions. *)
+   walks it; decoding fills typed slots by the same positions. *)
 let fields : (string * kind * (t -> Jsonl.value)) array =
   [|
     ("fp", Fp, fun m -> Jsonl.Str (Point.fingerprint_hex m.fp));
@@ -142,64 +141,176 @@ let to_line m =
   Buffer.add_char b '}';
   Buffer.contents b
 
-type slots = Jsonl.value option array
+(* --- typed slots ---------------------------------------------------- *)
 
-let position =
-  let h = Hashtbl.create 64 in
-  Array.iteri (fun i (k, _, _) -> Hashtbl.replace h k i) fields;
-  h
+(* Decoding fills one slot per field, each typed by its field's kind:
+   [Int] fields in [ints], [Float] fields in [floats], [Text] fields in
+   [texts] (at [sub.(i)], the field's place among its kind), the other
+   kinds in a field of their own. [state.[i]] says whether field [i] is
+   still empty, holds its kind, or holds a value that cannot be read as
+   its kind. *)
+type slots = {
+  mutable next : int;  (** the field a canonical line names next *)
+  state : Bytes.t;
+  ints : int array;
+  floats : float array;
+  texts : string array;
+  mutable fp : int64;
+  mutable memory : Point.memory_kind;
+  mutable cycles : int64;
+  mutable correct : bool;
+}
 
-let slots () = Array.make (Array.length fields) None
+let n_fields = Array.length fields
+let empty = '\000'
+let held = '\001'
+let wrong_kind = 'w'
+let out_of_range = 'r'
+
+let name i =
+  let k, _, _ = fields.(i) in
+  k
+
+(* how many fields before field [i] are of [kind] *)
+let count_before i kind =
+  let n = ref 0 in
+  for j = 0 to i - 1 do
+    let _, k, _ = fields.(j) in
+    if k = kind then incr n
+  done;
+  !n
+
+let sub = Array.mapi (fun i (_, kind, _) -> count_before i kind) fields
+let n_ints = count_before n_fields Int
+let n_floats = count_before n_fields Float
+let n_texts = count_before n_fields Text
+
+(* fields by key length: a key out of canonical order is looked up
+   among the few fields its length allows *)
+let by_length =
+  let longest = Array.fold_left (fun m (k, _, _) -> max m (String.length k)) 0 fields in
+  Array.init (longest + 1) (fun len ->
+      Array.of_seq
+        (Seq.filter (fun i -> String.length (name i) = len) (Seq.init n_fields Fun.id)))
+
+let slots () =
+  {
+    next = 0;
+    state = Bytes.make n_fields empty;
+    ints = Array.make n_ints 0;
+    floats = Array.make n_floats 0.0;
+    texts = Array.make n_texts "";
+    fp = 0L;
+    memory = Point.Spm;
+    cycles = 0L;
+    correct = false;
+  }
+
+(* the field a key names, or -1: the one a canonical line names next is
+   tried before any lookup *)
+let field_of s src off len =
+  if s.next < n_fields && Jsonl.key_is src off len (name s.next) then s.next
+  else if len >= Array.length by_length then -1
+  else
+    let bucket = by_length.(len) in
+    let j = ref 0 in
+    while !j < Array.length bucket && not (Jsonl.key_is src off len (name bucket.(!j))) do
+      incr j
+    done;
+    if !j < Array.length bucket then bucket.(!j) else -1
+
+(* fill empty slot [i] from [v], or record why [v] is not its kind *)
+let hold s i (v : Jsonl.value) =
+  let _, kind, _ = fields.(i) in
+  let state =
+    match (kind, v) with
+    | Fp, Jsonl.Str x -> (
+        match Point.fingerprint_of_hex x with
+        | Some fp ->
+            s.fp <- fp;
+            held
+        | None -> wrong_kind)
+    | Text, Jsonl.Str x ->
+        s.texts.(sub.(i)) <- x;
+        held
+    | Memory, Jsonl.Str x -> (
+        match Point.memory_kind_of_string x with
+        | Some m ->
+            s.memory <- m;
+            held
+        | None -> wrong_kind)
+    | Int, Jsonl.Int x ->
+        let n = Int64.to_int x in
+        if Int64.of_int n = x then (
+          s.ints.(sub.(i)) <- n;
+          held)
+        else out_of_range
+    | Int64, Jsonl.Int x ->
+        s.cycles <- x;
+        held
+    | Float, Jsonl.Float f ->
+        s.floats.(sub.(i)) <- f;
+        held
+    | Float, v -> (
+        match Jsonl.to_float v with
+        | Some f ->
+            s.floats.(sub.(i)) <- f;
+            held
+        | None -> wrong_kind)
+    | Bool, Jsonl.Bool b ->
+        s.correct <- b;
+        held
+    | (Fp | Text | Memory | Int | Int64 | Bool), _ -> wrong_kind
+  in
+  Bytes.unsafe_set s.state i state
 
 (* the first value of a key wins, as a lookup by key would find it *)
-let fill slots k v =
-  match Hashtbl.find position k with
-  | i -> if Option.is_none slots.(i) then slots.(i) <- Some v
-  | exception Not_found -> ()
+let fill s src off len v =
+  let i = field_of s src off len in
+  i >= 0
+  && begin
+       s.next <- i + 1;
+       if Bytes.unsafe_get s.state i = empty then hold s i v;
+       true
+     end
 
-(* why slot [i] cannot be read as its field's kind, if it cannot *)
-let problem slots i =
-  let k, kind, _ = fields.(i) in
-  let bad reason = Printf.sprintf "field %S %s" k reason in
-  match (kind, slots.(i)) with
-  | _, None -> Some (Printf.sprintf "missing field %S" k)
-  | Fp, Some (Jsonl.Str s) when Point.fingerprint_of_hex s <> None -> None
-  | Fp, Some _ -> Some (bad "must be a 16-digit hex fingerprint")
-  | Text, Some (Jsonl.Str _) -> None
-  | Text, Some _ -> Some (bad "must be a string")
-  | Memory, Some (Jsonl.Str s) when Point.memory_kind_of_string s <> None -> None
-  | Memory, Some _ -> Some (bad "must be \"spm\", \"cache\" or \"dram\"")
-  | Int, Some (Jsonl.Int i) when Jsonl.to_int i <> None -> None
-  | Int, Some (Jsonl.Int _) -> Some (bad "is outside the int range")
-  | Int64, Some (Jsonl.Int _) -> None
-  | (Int | Int64), Some _ -> Some (bad "must be an integer")
-  | Float, Some v when Jsonl.to_float v <> None -> None
-  | Float, Some _ -> Some (bad "must be a number")
-  | Bool, Some (Jsonl.Bool _) -> None
-  | Bool, Some _ -> Some (bad "must be a boolean")
+(* why field [i] cannot be read, if it cannot *)
+let problem s i =
+  let c = Bytes.get s.state i in
+  if c = held then None
+  else
+    let k, kind, _ = fields.(i) in
+    let bad reason = Some (Printf.sprintf "field %S %s" k reason) in
+    if c = empty then Some (Printf.sprintf "missing field %S" k)
+    else if c = out_of_range then bad "is outside the int range"
+    else
+      match kind with
+      | Fp -> bad "must be a 16-digit hex fingerprint"
+      | Text -> bad "must be a string"
+      | Memory -> bad "must be \"spm\", \"cache\" or \"dram\""
+      | Int | Int64 -> bad "must be an integer"
+      | Float -> bad "must be a number"
+      | Bool -> bad "must be a boolean"
 
-let of_slots slots =
+let of_slots s =
   let rec first_problem i =
-    if i = Array.length fields then None
-    else match problem slots i with Some _ as p -> p | None -> first_problem (i + 1)
+    if i = n_fields then None
+    else match problem s i with Some _ as p -> p | None -> first_problem (i + 1)
   in
   match first_problem 0 with
   | Some e -> Error e
   | None ->
-      (* every slot holds its kind now, so the reads below cannot fail *)
-      let get i = match slots.(i) with Some v -> v | None -> assert false in
-      let str i = match get i with Jsonl.Str s -> s | _ -> assert false in
-      let int64 i = match get i with Jsonl.Int x -> x | _ -> assert false in
-      let int i = Int64.to_int (int64 i) in
-      let float i = Option.get (Jsonl.to_float (get i)) in
-      let bool i = match get i with Jsonl.Bool v -> v | _ -> assert false in
+      (* every slot holds its kind now: read them by field position *)
+      let int i = s.ints.(sub.(i)) in
+      let float i = s.floats.(sub.(i)) in
+      let text i = s.texts.(sub.(i)) in
       Ok
         {
-          fp = Option.get (Point.fingerprint_of_hex (str 0));
-          workload = str 1;
+          fp = s.fp;
+          workload = text 1;
           point =
             {
-              Point.memory = Option.get (Point.memory_kind_of_string (str 2));
+              Point.memory = s.memory;
               read_ports = int 3;
               write_ports = int 4;
               banks = int 5;
@@ -210,14 +321,14 @@ let of_slots slots =
               clock_mhz = float 10;
               node_nm = int 11;
               cycle_time_ns = float 12;
-              hw_db = str 13;
+              hw_db = text 13;
             };
-          cycles = int64 14;
+          cycles = s.cycles;
           seconds = float 15;
           total_mw = float 16;
           datapath_mw = float 17;
           area_um2 = float 18;
-          correct = bool 19;
+          correct = s.correct;
           active_cycles = int 20;
           issue_cycles = int 21;
           stall_cycles = int 22;
@@ -243,7 +354,9 @@ let of_slots slots =
 
 let of_line line =
   let s = slots () in
-  match Jsonl.iter_fields line (fill s) with Ok () -> of_slots s | Error _ as e -> e
+  match Jsonl.iter_fields line (fun src off len v -> ignore (fill s src off len v)) with
+  | Ok () -> of_slots s
+  | Error _ as e -> e
 
 let pp_header fmt () =
   Format.fprintf fmt "%-34s %10s %12s %12s %12s %10s %9s@." "configuration" "cycles"

@@ -62,17 +62,21 @@ val of_line : string -> (t, string) result
 
     {!of_line} is {!slots}, one {!Jsonl.iter_fields} pass that {!fill}s
     them, then {!of_slots}. A caller whose line carries other members
-    too (a protocol reply) feeds every member it parses to {!fill}, so
-    the line is still parsed once. *)
+    too (a protocol reply) offers every member it parses to {!fill}
+    first, so the line is still parsed once. *)
 
 type slots
+(** One slot per measurement field, typed by the field's kind. *)
 
 val slots : unit -> slots
-(** One empty slot per measurement field. *)
+(** All empty. *)
 
-val fill : slots -> string -> Jsonl.value -> unit
-(** Offer one member: it fills its field's slot unless that is already
-    filled; keys that are not measurement fields are ignored. *)
+val fill : slots -> string -> int -> int -> Jsonl.value -> bool
+(** [fill s src off len v] offers one member as {!Jsonl.iter_fields}
+    hands it over. The field the canonical order names next is checked
+    before any lookup. A field's slot takes the value unless it already
+    has one (the first value of a key wins). [false] when the key is not
+    a measurement field. *)
 
 val of_slots : slots -> (t, string) result
 (** The measurement, or the first field in line order that is missing

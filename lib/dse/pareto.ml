@@ -1,5 +1,6 @@
 type objectives = { time_s : float; power_mw : float; area_um2 : float }
 
+(* (simulated seconds, total mW, area um2) *)
 let objectives (m : Measurement.t) =
   {
     time_s = m.Measurement.seconds;

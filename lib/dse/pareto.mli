@@ -7,9 +7,6 @@
 
 type objectives = { time_s : float; power_mw : float; area_um2 : float }
 
-val objectives : Measurement.t -> objectives
-(** (simulated seconds, total mW, area um2). *)
-
 val dominates : objectives -> objectives -> bool
 
 val partition : Measurement.t list -> Measurement.t list * Measurement.t list

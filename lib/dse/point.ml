@@ -49,8 +49,11 @@ let default =
    single design *)
 let canonical p =
   match p.memory with
+  | Spm when p.cache_bytes = 0 -> p
   | Spm -> { p with cache_bytes = 0 }
+  | Cache when p.read_ports = 0 && p.write_ports = 0 && p.banks = 0 -> p
   | Cache -> { p with read_ports = 0; write_ports = 0; banks = 0 }
+  | Dram when p.read_ports = 0 && p.write_ports = 0 && p.banks = 0 && p.cache_bytes = 0 -> p
   | Dram -> { p with read_ports = 0; write_ports = 0; banks = 0; cache_bytes = 0 }
 
 let compare a b = Stdlib.compare (canonical a) (canonical b)
@@ -112,95 +115,219 @@ let to_config p =
     hw;
   }
 
-(* sorted by key: the fingerprint must not depend on the order axes were
-   declared in, and record-field order is an implementation detail *)
-let to_fields p =
-  let p = canonical p in
-  [
-    ("banks", string_of_int p.banks);
-    ("cache_bytes", string_of_int p.cache_bytes);
-    ("clock_mhz", Printf.sprintf "%h" p.clock_mhz);
-    ("cycle_time_ns", Printf.sprintf "%h" p.cycle_time_ns);
-    ("fu_limit", string_of_int p.fu_limit);
-    ("hw_db", p.hw_db);
-    ("junroll", string_of_int p.junroll);
-    ("memory", memory_kind_to_string p.memory);
-    ("node_nm", string_of_int p.node_nm);
-    ("read_ports", string_of_int p.read_ports);
-    ("unroll", string_of_int p.unroll);
-    ("write_ports", string_of_int p.write_ports);
-  ]
+(* --- the canonical serialization ------------------------------------- *)
 
-let of_fields fields =
-  let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e in
-  let get k =
-    match List.assoc_opt k fields with
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "point: missing field %s" k)
-  in
-  let int k =
-    let* v = get k in
-    match int_of_string_opt v with
-    | Some i -> Ok i
-    | None -> Error (Printf.sprintf "point: field %s: %S is not an integer" k v)
-  in
-  let* mem = get "memory" in
-  let* memory =
-    match memory_kind_of_string mem with
-    | Some m -> Ok m
-    | None -> Error (Printf.sprintf "point: field memory: %S is not spm, cache or dram" mem)
-  in
-  let* read_ports = int "read_ports" in
-  let* write_ports = int "write_ports" in
-  let* banks = int "banks" in
-  let* cache_bytes = int "cache_bytes" in
-  let* fu_limit = int "fu_limit" in
-  let* unroll = int "unroll" in
-  let* junroll = int "junroll" in
-  let float k =
-    let* v = get k in
-    (* [%h] renders, and [float_of_string] parses, hex floats exactly *)
-    match float_of_string_opt v with
-    | Some f -> Ok f
-    | None -> Error (Printf.sprintf "point: field %s: %S is not a number" k v)
-  in
-  let* clock_mhz = float "clock_mhz" in
-  let* cycle_time_ns = float "cycle_time_ns" in
-  let* node_nm = int "node_nm" in
-  let* hw_db = get "hw_db" in
-  Ok
-    (canonical
-       {
-         memory;
-         read_ports;
-         write_ports;
-         banks;
-         cache_bytes;
-         fu_limit;
-         unroll;
-         junroll;
-         clock_mhz;
-         node_nm;
-         cycle_time_ns;
-         hw_db;
-       })
+(* the decimal digits of [n <= 0], most significant first: min_int has
+   no positive counterpart *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+(* [string_of_int n], written straight into [b] *)
+let add_int b n =
+  if n < 0 then (
+    Buffer.add_char b '-';
+    add_neg_digits b n)
+  else add_neg_digits b (-n)
+
+let hex_digit d = Char.unsafe_chr (if d < 10 then 48 + d else 87 + d)
+
+(* What [Printf.sprintf "%h" f] writes, without the format machinery:
+   ["0x1.f4p+8"], ["-0x0p+0"], ["0x0.0000000000001p-1022"]. *)
+let add_hex_float b f =
+  if not (Float.is_finite f) then Buffer.add_string b (Printf.sprintf "%h" f)
+  else begin
+    let bits = Int64.bits_of_float f in
+    if bits < 0L then Buffer.add_char b '-';
+    let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+    let mant = Int64.to_int bits land 0xf_ffff_ffff_ffff in
+    Buffer.add_string b (if biased = 0 then "0x0" else "0x1");
+    if mant <> 0 then begin
+      Buffer.add_char b '.';
+      let rest = ref mant and shift = ref 48 in
+      while !rest <> 0 do
+        Buffer.add_char b (hex_digit ((!rest lsr !shift) land 0xf));
+        rest := !rest land ((1 lsl !shift) - 1);
+        shift := !shift - 4
+      done
+    end;
+    let exp = if biased = 0 then if mant = 0 then 0 else -1022 else biased - 1023 in
+    Buffer.add_string b (if exp < 0 then "p" else "p+");
+    add_int b exp
+  end
+
+type kind = Int of (t -> int) | Float of (t -> float) | Text of (t -> string)
+
+(* Every field sorted by key: the fingerprint must not depend on the
+   order axes were declared in, and record-field order is an
+   implementation detail. Floats are written exactly ([%h]). *)
+let fields =
+  [|
+    ("banks", Int (fun p -> p.banks));
+    ("cache_bytes", Int (fun p -> p.cache_bytes));
+    ("clock_mhz", Float (fun p -> p.clock_mhz));
+    ("cycle_time_ns", Float (fun p -> p.cycle_time_ns));
+    ("fu_limit", Int (fun p -> p.fu_limit));
+    ("hw_db", Text (fun p -> p.hw_db));
+    ("junroll", Int (fun p -> p.junroll));
+    ("memory", Text (fun p -> memory_kind_to_string p.memory));
+    ("node_nm", Int (fun p -> p.node_nm));
+    ("read_ports", Int (fun p -> p.read_ports));
+    ("unroll", Int (fun p -> p.unroll));
+    ("write_ports", Int (fun p -> p.write_ports));
+  |]
+
+let n_fields = Array.length fields
+let keys = Array.map fst fields
+
+(* [k=v] per field of the canonical point, each followed by [term] or,
+   without it, separated by [','] *)
+let add_fields ?term b p =
+  let p = canonical p in
+  Array.iteri
+    (fun i (k, kind) ->
+      (match term with None when i > 0 -> Buffer.add_char b ',' | _ -> ());
+      Buffer.add_string b k;
+      Buffer.add_char b '=';
+      (match kind with
+      | Int get -> add_int b (get p)
+      | Float get -> add_hex_float b (get p)
+      | Text get -> Buffer.add_string b (get p));
+      match term with Some c -> Buffer.add_char b c | None -> ())
+    fields
 
 let to_compact p =
-  String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) (to_fields p))
+  let b = Buffer.create 192 in
+  add_fields b p;
+  Buffer.contents b
+
+exception Not_decimal
+
+(* [s.[off .. off+len-1]] read as the decimal [add_int] writes. Raises
+   [Not_decimal] on anything else: a sign other than a leading '-', a
+   leading zero, "-0" or a value outside the int range. *)
+let canonical_int s off len =
+  let neg = len > 0 && s.[off] = '-' in
+  let first = if neg then off + 1 else off and stop = off + len in
+  if first = stop || (s.[first] = '0' && (stop > first + 1 || neg)) then raise Not_decimal;
+  (* accumulated negatively so that min_int fits *)
+  let acc = ref 0 in
+  for j = first to stop - 1 do
+    let d = Char.code s.[j] - 48 in
+    if d < 0 || d > 9 || !acc < (min_int + d) / 10 then raise Not_decimal;
+    acc := (!acc * 10) - d
+  done;
+  if neg then !acc else if !acc = min_int then raise Not_decimal else - !acc
+
+(* what [add_hex_float] writes, read back; its two NaN spellings read as
+   the NaNs the store's codec reads them as *)
+let hex_float = function
+  | "nan" -> Some Float.nan
+  | "-nan" -> Some (Float.neg Float.nan)
+  | v -> float_of_string_opt v
+
+(* the first [c] in [s] from [start] on, or [stop] *)
+let find s start stop c =
+  let j = ref start in
+  while !j < stop && s.[!j] <> c do
+    incr j
+  done;
+  !j
+
+let bad_value s i off len what =
+  Some (Printf.sprintf "field %s: %S is not %s" (fst fields.(i)) (String.sub s off len) what)
+
+(* positions in [fields]; a missing field is named in this order *)
+let memory_at = 7
+let required = [ memory_at; 9; 11; 0; 1; 4; 10; 6; 2; 3; 8; 5 ]
 
 let of_compact s =
-  let kvs = String.split_on_char ',' s in
-  let rec parse acc = function
-    | [] -> of_fields (List.rev acc)
-    | kv :: rest -> (
-        match String.index_opt kv '=' with
-        | Some i ->
-            parse
-              ((String.sub kv 0 i, String.sub kv (i + 1) (String.length kv - i - 1)) :: acc)
-              rest
-        | None -> Error (Printf.sprintf "point: %S is not a key=value pair" kv))
+  let n = String.length s in
+  let ints = Array.make n_fields 0 in
+  let floats = Array.make n_fields 0.0 in
+  let texts = Array.make n_fields "" in
+  let spelled = Buffer.create 32 in
+  (* the [k=v] pairs from [start] on; [seen] has a bit per field given *)
+  let rec pairs start seen =
+    let stop = find s start n ',' in
+    let eq = find s start stop '=' in
+    let eq = if eq = stop then -1 else eq in
+    let i = if eq < 0 then -1 else Jsonl.find_key keys s start (eq - start) in
+    let voff = eq + 1 in
+    let vlen = stop - voff in
+    let error =
+      if eq < 0 then
+        Some (Printf.sprintf "%S is not a key=value pair" (String.sub s start (stop - start)))
+      else if i < 0 then Some ("unknown field " ^ String.sub s start (eq - start))
+      else if seen land (1 lsl i) <> 0 then
+        Some (Printf.sprintf "field %s is given twice" (fst fields.(i)))
+      else
+        let bad what = bad_value s i voff vlen what in
+        match snd fields.(i) with
+        | Int _ -> (
+            match canonical_int s voff vlen with
+            | v ->
+                ints.(i) <- v;
+                None
+            | exception Not_decimal -> bad "an integer")
+        | Float _ -> (
+            match hex_float (String.sub s voff vlen) with
+            | None -> bad "a number"
+            | Some f ->
+                (* only the spelling [to_compact] writes: one point, one form *)
+                Buffer.clear spelled;
+                add_hex_float spelled f;
+                if Jsonl.key_is s voff vlen (Buffer.contents spelled) then (
+                  floats.(i) <- f;
+                  None)
+                else bad "written as %h")
+        | Text _ ->
+            texts.(i) <- String.sub s voff vlen;
+            if i <> memory_at || memory_kind_of_string texts.(i) <> None then None
+            else bad "spm, cache or dram"
+    in
+    match error with
+    | Some e -> Error ("point: " ^ e)
+    | None ->
+        let seen = seen lor (1 lsl i) in
+        if stop = n then Ok seen else pairs (stop + 1) seen
   in
-  parse [] kvs
+  match pairs 0 0 with
+  | Error _ as e -> e
+  | Ok seen -> (
+      match List.find_opt (fun i -> seen land (1 lsl i) = 0) required with
+      | Some i -> Error ("point: missing field " ^ fst fields.(i))
+      | None ->
+          let p =
+            {
+              memory = Option.get (memory_kind_of_string texts.(memory_at));
+              read_ports = ints.(9);
+              write_ports = ints.(11);
+              banks = ints.(0);
+              cache_bytes = ints.(1);
+              fu_limit = ints.(4);
+              unroll = ints.(10);
+              junroll = ints.(6);
+              clock_mhz = floats.(2);
+              node_nm = ints.(8);
+              cycle_time_ns = floats.(3);
+              hw_db = texts.(5);
+            }
+          in
+          let q = canonical p in
+          if q == p then Ok p
+          else
+            (* a knob the memory kind ignores must be 0, as [to_compact]
+               writes it: two spellings would be two answers for one design *)
+            let k =
+              if p.banks <> q.banks then "banks"
+              else if p.cache_bytes <> q.cache_bytes then "cache_bytes"
+              else if p.read_ports <> q.read_ports then "read_ports"
+              else "write_ports"
+            in
+            Error
+              (Printf.sprintf "point: field %s must be 0 for a %s point" k
+                 (memory_kind_to_string p.memory)))
 
 let to_string p =
   let mem =
@@ -227,20 +354,18 @@ let to_string p =
 let fnv_offset = 0xcbf29ce484222325L
 let fnv_prime = 0x100000001b3L
 
-let fnv_string h s =
-  let h = ref h in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) fnv_prime)
-    s;
-  !h
-
+(* FNV-1a over the workload identity, a NUL, and [k=v;] per canonical
+   field *)
 let fingerprint ~workload p =
-  let h = fnv_string fnv_offset workload in
-  let h = fnv_string h "\x00" in
-  List.fold_left
-    (fun h (k, v) -> fnv_string (fnv_string (fnv_string h k) "=") (v ^ ";"))
-    h (to_fields p)
+  let b = Buffer.create (String.length workload + 192) in
+  Buffer.add_string b workload;
+  Buffer.add_char b '\x00';
+  add_fields ~term:';' b p;
+  let h = ref fnv_offset in
+  for i = 0 to Buffer.length b - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth b i)))) fnv_prime
+  done;
+  !h
 
 let fingerprint_hex fp = Printf.sprintf "%016Lx" fp
 

@@ -70,30 +70,28 @@ val to_config : t -> Salam.Config.t
     when that fails (validate points with {!resolve_profile} first
     where an exception is unacceptable). *)
 
-val to_fields : t -> (string * string) list
-(** Canonical serialization: (key, value) pairs sorted by key, floats
-    rendered exactly ([%h]). The fingerprint hashes exactly these. *)
-
-val of_fields : (string * string) list -> (t, string) result
-(** Inverse of {!to_fields} (order-insensitive; extra keys ignored).
-    The result is canonical. Loud [Error] naming the offending field. *)
-
 val to_compact : t -> string
-(** One-token wire form: the canonical fields as ["k=v"] pairs joined
-    with commas, e.g. ["banks=4,cache_bytes=0,...,write_ports=1"] — the
-    {!Salam_served} protocol's point encoding. *)
+(** One-token wire form of the canonical point: ["k=v"] pairs sorted by
+    key and joined with commas, floats written exactly ([%h]), e.g.
+    ["banks=4,cache_bytes=0,...,write_ports=1"] — the {!Salam_served}
+    protocol's point encoding. *)
 
 val of_compact : string -> (t, string) result
-(** Inverse of {!to_compact}; loud [Error] on malformed input. *)
+(** Inverse of {!to_compact}, in any key order. Loud [Error] naming the
+    key on an unknown or repeated key, a missing one, a value not
+    spelled as {!to_compact} writes it (integers in plain decimal,
+    floats as [%h]), or a knob the memory kind ignores that is not 0:
+    every accepted string names exactly one point. *)
 
 val to_string : t -> string
 (** One-line human-readable form, e.g. ["spm rd=8 wr=4 banks=16 fu=1:1
     u=16 j=8 500MHz"]. *)
 
 val fingerprint : workload:string -> t -> int64
-(** FNV-1a 64-bit hash over the workload identity and the canonical
-    field serialization. Independent of axis declaration order by
-    construction (fields are sorted by name). *)
+(** FNV-1a 64-bit hash over the workload identity, a NUL byte and
+    ["k=v;"] per field of the canonical point, sorted by key as in
+    {!to_compact}. Independent of axis declaration order by
+    construction. *)
 
 val fingerprint_hex : int64 -> string
 (** Fixed-width lowercase hex (16 chars), the store's key format. *)

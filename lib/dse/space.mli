@@ -31,8 +31,6 @@ type axis =
           the databases must be registered in-process before points are
           simulated *)
 
-val axis_name : axis -> string
-
 type t
 
 val create :

@@ -69,34 +69,37 @@ type progress = {
 
 let i n = Jsonl.Int (Int64.of_int n)
 
-let spec_fields spec =
-  [
-    ("workload", Jsonl.Str spec.workload);
-    ("gemm_n", i spec.gemm_n);
-    ("invocations", i spec.invocations);
-  ]
-  @ (match spec.fast_forward with Some k -> [ ("fast_forward", i k) ] | None -> [])
-  @ if spec.progress then [ ("progress", Jsonl.Bool true) ] else []
-
 let encode_request ~id req =
-  let base op = [ ("id", Jsonl.Int id); ("op", Jsonl.Str op) ] in
-  Jsonl.encode
-    (match req with
-    | Ping -> base "ping"
-    | Stats -> base "stats"
-    | Shutdown -> base "shutdown"
-    | Sim (spec, p) ->
-        base "sim" @ spec_fields spec @ [ ("point", Jsonl.Str (Point.to_compact p)) ]
-    | Sweep (spec, ps) ->
-        base "sweep" @ spec_fields spec
-        @ [ ("points", Jsonl.Str (String.concat ";" (List.map Point.to_compact ps))) ])
+  let b = Buffer.create 256 in
+  let add k v = Jsonl.add_member b ~first:false k v in
+  let with_spec op spec =
+    add "op" (Jsonl.Str op);
+    add "workload" (Jsonl.Str spec.workload);
+    add "gemm_n" (i spec.gemm_n);
+    add "invocations" (i spec.invocations);
+    Option.iter (fun k -> add "fast_forward" (i k)) spec.fast_forward;
+    if spec.progress then add "progress" (Jsonl.Bool true)
+  in
+  Jsonl.add_member b ~first:true "id" (Jsonl.Int id);
+  (match req with
+  | Ping -> add "op" (Jsonl.Str "ping")
+  | Stats -> add "op" (Jsonl.Str "stats")
+  | Shutdown -> add "op" (Jsonl.Str "shutdown")
+  | Sim (spec, p) ->
+      with_spec "sim" spec;
+      add "point" (Jsonl.Str (Point.to_compact p))
+  | Sweep (spec, ps) ->
+      with_spec "sweep" spec;
+      add "points" (Jsonl.Str (String.concat ";" (List.map Point.to_compact ps))));
+  Buffer.add_char b '}';
+  Buffer.contents b
 
 (* The envelope, then the measurement line's own members: its bytes
-   after the opening '{'. *)
+   after the opening '{', copied once into the reply. *)
 let splice ~id ?index ~served line =
   if String.length line < 2 || line.[0] <> '{' || line.[1] = '}' then
     invalid_arg "Protocol.splice: not a measurement line";
-  let b = Buffer.create (String.length line + 64) in
+  let b = Buffer.create 64 in
   Jsonl.add_member b ~first:true "id" (Jsonl.Int id);
   (match index with
   | None -> Jsonl.add_member b ~first:false "type" (Jsonl.Str "result")
@@ -105,8 +108,11 @@ let splice ~id ?index ~served line =
       Jsonl.add_member b ~first:false "index" (i index));
   Jsonl.add_member b ~first:false "served" (Jsonl.Str served);
   Buffer.add_char b ',';
-  Buffer.add_substring b line 1 (String.length line - 1);
-  Buffer.contents b
+  let head = Buffer.length b and tail = String.length line - 1 in
+  let reply = Bytes.create (head + tail) in
+  Buffer.blit b 0 reply 0 head;
+  Bytes.blit_string line 1 reply head tail;
+  Bytes.unsafe_to_string reply
 
 let encode_response ~id resp =
   let base ty rest = Jsonl.encode (("id", Jsonl.Int id) :: ("type", Jsonl.Str ty) :: rest) in
@@ -155,8 +161,24 @@ let progress_line ~id (e : Trace.event) =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-let field_str fields k =
-  match Jsonl.get_str fields k with
+(* A line's envelope is read into one slot per key it may carry. The
+   first value of a key wins, as a lookup by key would find it, and
+   other keys are left to the caller. *)
+type envelope = { keys : string array; slots : Jsonl.value option array }
+
+let envelope keys = { keys; slots = Array.make (Array.length keys) None }
+
+(* an envelope key's slot takes the value unless it already has one *)
+let take env src off len v =
+  let i = Jsonl.find_key env.keys src off len in
+  if i >= 0 && Option.is_none env.slots.(i) then env.slots.(i) <- Some v
+
+let get env k = env.slots.(Jsonl.find_key env.keys k 0 (String.length k))
+let str env k = match get env k with Some (Jsonl.Str v) -> Some v | _ -> None
+let int64 env k = match get env k with Some (Jsonl.Int v) -> Some v | _ -> None
+
+let field_str env k =
+  match str env k with
   | Some v -> Ok v
   | None -> Error (Printf.sprintf "missing or non-string field %S" k)
 
@@ -167,23 +189,23 @@ let int_value k = function
       | None -> Error (Printf.sprintf "field %S is outside the int range" k))
   | _ -> Error (Printf.sprintf "field %S must be an integer" k)
 
-let field_int fields k ~default =
-  match List.assoc_opt k fields with None -> Ok default | Some v -> int_value k v
+let field_int env k ~default = match get env k with None -> Ok default | Some v -> int_value k v
 
-let req_id fields =
-  (* best-effort: error replies echo whatever id was parseable *)
-  match Jsonl.get_int fields "id" with Some id -> id | None -> 0L
+let request_keys =
+  [|
+    "id"; "op"; "workload"; "gemm_n"; "invocations"; "fast_forward"; "progress"; "point"; "points";
+  |]
 
-let decode_spec fields =
-  let* workload = field_str fields "workload" in
-  let* gemm_n = field_int fields "gemm_n" ~default:default_spec.gemm_n in
-  let* invocations = field_int fields "invocations" ~default:1 in
+let decode_spec env =
+  let* workload = field_str env "workload" in
+  let* gemm_n = field_int env "gemm_n" ~default:default_spec.gemm_n in
+  let* invocations = field_int env "invocations" ~default:1 in
   let* fast_forward =
-    match List.assoc_opt "fast_forward" fields with
+    match get env "fast_forward" with
     | None -> Ok None
     | Some v -> Result.map Option.some (int_value "fast_forward" v)
   in
-  let progress = Jsonl.get_bool fields "progress" = Some true in
+  let progress = get env "progress" = Some (Jsonl.Bool true) in
   if invocations < 1 then Error "invocations must be at least 1"
   else if gemm_n < 1 then Error "gemm_n must be at least 1"
   else
@@ -206,23 +228,24 @@ let decode_points s =
   | toks -> go [] toks
 
 let decode_request line =
-  match Jsonl.decode line with
+  let env = envelope request_keys in
+  match Jsonl.iter_fields line (take env) with
   | Error e -> Error (0L, Printf.sprintf "bad request line: %s" e)
-  | Ok fields -> (
-      let id = req_id fields in
-      let fail e = Error (id, e) in
-      match Jsonl.get_int fields "id" with
-      | None -> fail "missing integer field \"id\""
+  | Ok () -> (
+      (* an error reply echoes the id when one was parseable, else 0 *)
+      match int64 env "id" with
+      | None -> Error (0L, "missing integer field \"id\"")
       | Some id -> (
-          match Jsonl.get_str fields "op" with
+          let fail e = Error (id, e) in
+          match str env "op" with
           | None -> fail "missing string field \"op\""
           | Some "ping" -> Ok (id, Ping)
           | Some "stats" -> Ok (id, Stats)
           | Some "shutdown" -> Ok (id, Shutdown)
           | Some "sim" -> (
               match
-                let* spec = decode_spec fields in
-                let* compact = field_str fields "point" in
+                let* spec = decode_spec env in
+                let* compact = field_str env "point" in
                 let* p = Point.of_compact compact in
                 Ok (Sim (spec, p))
               with
@@ -230,8 +253,8 @@ let decode_request line =
               | Error e -> fail ("sim: " ^ e))
           | Some "sweep" -> (
               match
-                let* spec = decode_spec fields in
-                let* s = field_str fields "points" in
+                let* spec = decode_spec env in
+                let* s = field_str env "points" in
                 let* ps = decode_points s in
                 Ok (Sweep (spec, ps))
               with
@@ -239,63 +262,79 @@ let decode_request line =
               | Error e -> fail ("sweep: " ^ e))
           | Some op -> fail (Printf.sprintf "unknown op %S (ping|sim|sweep|stats|shutdown)" op)))
 
+let response_keys =
+  [|
+    "id"; "type"; "served"; "index"; "error"; "points"; "hits"; "sims"; "deduped"; "misses";
+    "simulated"; "inflight"; "queue_depth"; "store_size"; "requests"; "tick"; "comp"; "detail";
+  |]
+
 let envelope_keys = [ "id"; "type"; "index"; "served"; "tick"; "comp"; "cat"; "detail" ]
 
-(* One pass over the line collects its members and fills measurement
-   slots alongside; a result or point reply then builds its measurement
-   from the slots. Envelope keys are not measurement fields, so they
-   never land in a slot. *)
+(* a progress line's free-form members: every member outside the
+   envelope, in line order (a second pass over a line the first one
+   parsed, so it cannot fail) *)
+let progress_args line =
+  let args = ref [] in
+  ignore
+    (Jsonl.iter_fields line (fun src off len v ->
+         let k = String.sub src off len in
+         if not (List.mem k envelope_keys) then args := (k, v) :: !args));
+  List.rev !args
+
+(* One pass over the line offers each member to the measurement slots
+   first and keeps the envelope's; a result or point reply then builds
+   its measurement from the slots, with no member list. Envelope keys
+   are not measurement fields, so they never land in a measurement
+   slot. *)
 let decode_response line =
-  let slots = Measurement.slots () in
-  let members = ref [] in
+  let ms = Measurement.slots () in
+  let env = envelope response_keys in
   match
-    Jsonl.iter_fields line (fun k v ->
-        Measurement.fill slots k v;
-        members := (k, v) :: !members)
+    Jsonl.iter_fields line (fun src off len v ->
+        if not (Measurement.fill ms src off len v) then take env src off len v)
   with
   | Error e -> Error (Printf.sprintf "bad response line: %s" e)
   | Ok () -> (
-      let fields = List.rev !members in
-      match Jsonl.get_int fields "id" with
+      match int64 env "id" with
       | None -> Error "response missing integer field \"id\""
       | Some id -> (
-          match Jsonl.get_str fields "type" with
+          match str env "type" with
           | None -> Error "response missing string field \"type\""
           | Some "pong" -> Ok (id, `Terminal Pong)
           | Some "stopping" -> Ok (id, `Terminal Stopping)
           | Some "error" -> (
-              match Jsonl.get_str fields "error" with
+              match str env "error" with
               | Some e -> Ok (id, `Terminal (Failed e))
               | None -> Error "error response missing \"error\"")
           | Some "result" -> (
-              let* served = field_str fields "served" in
-              match Measurement.of_slots slots with
+              let* served = field_str env "served" in
+              match Measurement.of_slots ms with
               | Ok m -> Ok (id, `Terminal (Result { served; m }))
               | Error e -> Error ("result: " ^ e))
           | Some "point" -> (
-              let* served = field_str fields "served" in
-              let* index = field_int fields "index" ~default:(-1) in
+              let* served = field_str env "served" in
+              let* index = field_int env "index" ~default:(-1) in
               if index < 0 then Error "point response missing \"index\""
               else
-                match Measurement.of_slots slots with
+                match Measurement.of_slots ms with
                 | Ok m -> Ok (id, `Interim (Sweep_point { index; served; m }))
                 | Error e -> Error ("point: " ^ e))
           | Some "done" ->
-              let* points = field_int fields "points" ~default:(-1) in
-              let* hits = field_int fields "hits" ~default:0 in
-              let* sims = field_int fields "sims" ~default:0 in
-              let* deduped = field_int fields "deduped" ~default:0 in
+              let* points = field_int env "points" ~default:(-1) in
+              let* hits = field_int env "hits" ~default:0 in
+              let* sims = field_int env "sims" ~default:0 in
+              let* deduped = field_int env "deduped" ~default:0 in
               if points < 0 then Error "done response missing \"points\""
               else Ok (id, `Terminal (Sweep_done { points; hits; sims; deduped }))
           | Some "stats" ->
-              let* st_hits = field_int fields "hits" ~default:0 in
-              let* st_misses = field_int fields "misses" ~default:0 in
-              let* st_deduped = field_int fields "deduped" ~default:0 in
-              let* st_simulated = field_int fields "simulated" ~default:0 in
-              let* st_inflight = field_int fields "inflight" ~default:0 in
-              let* st_queue_depth = field_int fields "queue_depth" ~default:0 in
-              let* st_store_size = field_int fields "store_size" ~default:0 in
-              let* st_requests = field_int fields "requests" ~default:0 in
+              let* st_hits = field_int env "hits" ~default:0 in
+              let* st_misses = field_int env "misses" ~default:0 in
+              let* st_deduped = field_int env "deduped" ~default:0 in
+              let* st_simulated = field_int env "simulated" ~default:0 in
+              let* st_inflight = field_int env "inflight" ~default:0 in
+              let* st_queue_depth = field_int env "queue_depth" ~default:0 in
+              let* st_store_size = field_int env "store_size" ~default:0 in
+              let* st_requests = field_int env "requests" ~default:0 in
               Ok
                 ( id,
                   `Terminal
@@ -312,14 +351,14 @@ let decode_response line =
                        }) )
           | Some "progress" ->
               let* tick =
-                match Jsonl.get_int fields "tick" with
+                match int64 env "tick" with
                 | Some t -> Ok t
                 | None -> Error "progress missing \"tick\""
               in
-              let* pr_comp = field_str fields "comp" in
-              let* pr_detail = field_str fields "detail" in
-              let pr_args =
-                List.filter (fun (k, _) -> not (List.mem k envelope_keys)) fields
-              in
-              Ok (id, `Interim_progress { pr_tick = tick; pr_comp; pr_detail; pr_args })
+              let* pr_comp = field_str env "comp" in
+              let* pr_detail = field_str env "detail" in
+              Ok
+                ( id,
+                  `Interim_progress
+                    { pr_tick = tick; pr_comp; pr_detail; pr_args = progress_args line } )
           | Some ty -> Error (Printf.sprintf "unknown response type %S" ty)))

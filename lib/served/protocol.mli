@@ -84,7 +84,9 @@ val encode_request : id:int64 -> request -> string
 
 val decode_request : string -> (int64 * request, int64 * string) result
 (** [Error (id, msg)] carries the request id when one was parseable
-    (else 0), so the error reply can still be routed. *)
+    (else 0), so the error reply can still be routed. Points are read
+    by {!Salam_dse.Point.of_compact}, which refuses any text that does
+    not name exactly one point. *)
 
 val encode_response : id:int64 -> response -> string
 (** [Result] and [Sweep_point] go through {!splice} on
@@ -106,7 +108,9 @@ val decode_response :
     string )
   result
 (** [`Interim] is a [Sweep_point]; [`Terminal] ends the request. The
-    line is parsed once; a measurement in it is built from that pass. *)
+    line is parsed once: each member is offered to the measurement's
+    typed slots first, then to the envelope's, with no member list. A
+    [progress] line reads its free-form members in a second pass. *)
 
 val progress_line : id:int64 -> Salam_obs.Trace.event -> string
 (** The dse.progress-to-wire bridge: render a trace event as one

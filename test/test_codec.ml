@@ -1,10 +1,29 @@
-(* Tests for the measurement line codec: the single-pass slot decoder
-   against the association-list decoder it replaced, JSON's number
-   grammar, integers outside OCaml's int range, errors that name the
-   field, and golden stores held byte for byte. *)
+(* Tests for the line codecs: the single-pass slot decoder against the
+   association-list decoder it replaced, JSON's number grammar, integers
+   outside OCaml's int range, errors that name the field, golden stores
+   held byte for byte, and bit-exact round trips of measurements,
+   request lines and compact points whose cut or bit-flipped bytes are
+   refused or decode to what they say. *)
 
 module Point = Salam_dse.Point
-module Jsonl = Salam_dse.Jsonl
+
+(* The library's codec, plus the member-list decoder and lookups it
+   used to have: the oracle and the generators below read lines this
+   way, and the other codec tests use it as their reference. *)
+module Jsonl = struct
+  include Salam_dse.Jsonl
+
+  let decode line =
+    let fields = ref [] in
+    match iter_fields line (fun src off len v -> fields := (String.sub src off len, v) :: !fields) with
+    | Ok () -> Ok (List.rev !fields)
+    | Error _ as e -> e
+
+  let get_int fields k = match List.assoc_opt k fields with Some (Int i) -> Some i | _ -> None
+  let get_bool fields k = match List.assoc_opt k fields with Some (Bool b) -> Some b | _ -> None
+  let get_str fields k = match List.assoc_opt k fields with Some (Str s) -> Some s | _ -> None
+end
+
 module M = Salam_dse.Measurement
 module Shard = Salam_dse.Store_shard
 
@@ -453,6 +472,266 @@ let test_golden_stores_held_verbatim () =
       in
       check ~what:"sharded" dir files)
 
+(* --- bit-exact round trips and mutated bytes ------------------------ *)
+
+module P = Salam_served.Protocol
+
+(* bit for bit: floats compared by their bits, NaN payloads included *)
+let bit_equal a b =
+  let bytes x = Marshal.to_string x [ Marshal.No_sharing ] in
+  String.equal (bytes a) (bytes b)
+
+(* the floats the codec must carry exactly: signed zeros, the two NaNs
+   the encoder's "nan"/"-nan" spellings decode to, infinities,
+   subnormals, the extremes and any other bit pattern that is not a NaN *)
+let gen_extreme_float =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              0.0; -0.0; Float.nan; Float.neg Float.nan; Float.infinity; Float.neg_infinity;
+              4.9e-324; -4.9e-324; 2.2250738585072009e-308; Float.min_float; Float.max_float;
+              -.Float.max_float; Float.epsilon; 0.1; 1. /. 3.;
+            ] );
+        ( 3,
+          map
+            (fun bits ->
+              let f = Int64.float_of_bits bits in
+              if Float.is_nan f then Float.nan else f)
+            ui64 );
+        (2, float);
+      ])
+
+let gen_extreme_int = QCheck.Gen.(frequency [ (1, oneofl [ 0; -1; max_int; min_int ]); (3, int) ])
+
+let gen_extreme_measurement : M.t QCheck.Gen.t =
+ fun st ->
+  let m = gen_measurement st in
+  let int () = gen_extreme_int st and float () = gen_extreme_float st in
+  {
+    m with
+    M.point =
+      { m.M.point with Point.read_ports = int (); clock_mhz = float (); cycle_time_ns = float () };
+    cycles =
+      QCheck.Gen.(frequency [ (1, oneofl [ Int64.min_int; Int64.max_int; 0L ]); (3, ui64) ]) st;
+    seconds = float ();
+    total_mw = float ();
+    datapath_mw = float ();
+    area_um2 = float ();
+    active_cycles = int ();
+    fmul_occupancy = float ();
+    cache_misses = int ();
+  }
+
+let qcheck_bit_exact_round_trip =
+  QCheck.Test.make ~name:"of_line (to_line m) = Ok m, bit for bit" ~count:500
+    (QCheck.make ~print:M.to_line gen_extreme_measurement)
+    (fun m ->
+      match M.of_line (M.to_line m) with
+      | Ok got -> bit_equal got m || QCheck.Test.fail_reportf "decoded %s" (M.to_line got)
+      | Error e -> QCheck.Test.fail_reportf "refused its own line: %s" e)
+
+(* [line] cut short at every offset, and [flips] copies with one random
+   bit flipped *)
+let cuts line = List.init (String.length line) (String.sub line 0)
+
+let flipped st line =
+  let b = Bytes.of_string line in
+  let i = QCheck.Gen.int_bound (String.length line - 1) st in
+  Bytes.set b i (Char.chr (Char.code line.[i] lxor (1 lsl QCheck.Gen.int_bound 7 st)));
+  Bytes.to_string b
+
+let gen_flips n line st = List.init n (fun _ -> flipped st line)
+
+let at_offset e = Test_store_shard.contains e " at offset "
+
+(* A measurement decoded from mutated bytes must be what those bytes
+   say: its own line decodes back to it, bit for bit, and the reference
+   decoder reads the same measurement out of the mutated bytes. When
+   the mutated bytes are canonical, its line is those bytes. *)
+let what_the_bytes_say line m =
+  let again = M.to_line m in
+  (match M.of_line again with
+  | Ok m' when bit_equal m m' -> ()
+  | Ok _ | Error _ -> QCheck.Test.fail_reportf "%s does not re-decode to itself" again);
+  match oracle_of_line line with
+  (* the reference reads "nan" with another payload *)
+  | Ok want when same want m -> true
+  | Ok want -> QCheck.Test.fail_reportf "the reference reads %s" (M.to_line want)
+  | Error e -> QCheck.Test.fail_reportf "the reference refuses it: %s" e
+
+let gen_line_and_flips =
+  QCheck.Gen.(
+    gen_extreme_measurement >>= fun m ->
+    let line = M.to_line m in
+    map (fun f -> (line, f)) (gen_flips 40 line))
+
+let qcheck_mutated_store_lines =
+  QCheck.Test.make ~name:"cut or bit-flipped store lines: an error or what the bytes say"
+    ~count:60
+    (QCheck.make ~print:fst gen_line_and_flips)
+    (fun (line, flips) ->
+      List.for_all
+        (fun l ->
+          match M.of_line l with
+          | Ok m -> QCheck.Test.fail_reportf "the cut %S decoded as %s" l (M.to_line m)
+          | Error e -> at_offset e || QCheck.Test.fail_reportf "the cut %S: %s" l e)
+        (cuts line)
+      && List.for_all
+           (fun l -> match M.of_line l with Ok m -> what_the_bytes_say l m | Error _ -> true)
+           flips)
+
+let qcheck_mutated_reply_lines =
+  QCheck.Test.make ~name:"cut or bit-flipped reply lines: an error or what the bytes say"
+    ~count:60
+    (QCheck.make ~print:fst
+       QCheck.Gen.(
+         gen_extreme_measurement >>= fun m ->
+         let reply = P.splice ~id:7L ~served:"hit" (M.to_line m) in
+         map (fun f -> (reply, f)) (gen_flips 40 reply)))
+    (fun (reply, flips) ->
+      List.for_all
+        (fun l ->
+          match P.decode_response l with
+          | Ok _ -> QCheck.Test.fail_reportf "the cut %S decoded" l
+          | Error e -> at_offset e || QCheck.Test.fail_reportf "the cut %S: %s" l e)
+        (cuts reply)
+      && List.for_all
+           (fun l ->
+             match P.decode_response l with
+             | Ok (id, `Terminal (P.Result { served; m })) ->
+                 let fields = members_of l in
+                 Jsonl.get_int fields "id" = Some id
+                 && Jsonl.get_str fields "served" = Some served
+                 && what_the_bytes_say l m
+             | Ok _ -> QCheck.Test.fail_reportf "%S decoded as another reply" l
+             | Error _ -> true)
+           flips)
+
+(* --- request lines and compact points ------------------------------- *)
+
+let gen_point : Point.t QCheck.Gen.t =
+ fun st ->
+  let int () = gen_extreme_int st and float () = gen_extreme_float st in
+  Point.canonical
+    {
+      Point.memory = QCheck.Gen.oneofl [ Point.Spm; Point.Cache; Point.Dram ] st;
+      read_ports = int ();
+      write_ports = int ();
+      banks = int ();
+      cache_bytes = int ();
+      fu_limit = int ();
+      unroll = int ();
+      junroll = int ();
+      clock_mhz = float ();
+      node_nm = int ();
+      cycle_time_ns = float ();
+      hw_db = QCheck.Gen.oneofl [ Salam_config.builtin_hash; "5f3c9a7e21d04b68"; "x" ] st;
+    }
+
+let gen_request : P.request QCheck.Gen.t =
+ fun st ->
+  let spec () =
+    let invocations = QCheck.Gen.int_range 1 4 st in
+    {
+      P.workload = QCheck.Gen.oneofl [ "gemm"; "bfs_queue"; "md_knn_64x16" ] st;
+      gemm_n = QCheck.Gen.int_range 1 64 st;
+      invocations;
+      fast_forward =
+        (if QCheck.Gen.bool st then None else Some (QCheck.Gen.int_bound (invocations - 1) st));
+      progress = QCheck.Gen.bool st;
+    }
+  in
+  match QCheck.Gen.int_bound 4 st with
+  | 0 -> P.Ping
+  | 1 -> P.Stats
+  | 2 -> P.Shutdown
+  | 3 -> P.Sim (spec (), gen_point st)
+  | _ -> P.Sweep (spec (), QCheck.Gen.list_size (QCheck.Gen.int_range 1 3) gen_point st)
+
+let gen_id = QCheck.Gen.(frequency [ (1, oneofl [ 0L; Int64.min_int; Int64.max_int ]); (3, ui64) ])
+
+let qcheck_request_round_trip =
+  QCheck.Test.make ~name:"decode_request (encode_request r) = Ok r, bit for bit" ~count:500
+    (QCheck.make
+       ~print:(fun (id, r) -> P.encode_request ~id r)
+       QCheck.Gen.(pair gen_id gen_request))
+    (fun (id, r) ->
+      match P.decode_request (P.encode_request ~id r) with
+      | Ok got -> bit_equal got (id, r) || QCheck.Test.fail_report "decoded another request"
+      | Error (_, e) -> QCheck.Test.fail_reportf "refused its own line: %s" e)
+
+(* the point text a request line carries, as its first "point" or
+   "points" member *)
+let point_text fields =
+  match (Jsonl.get_str fields "point", Jsonl.get_str fields "points") with
+  | Some s, _ | None, Some s -> Some s
+  | None, None -> None
+
+let qcheck_mutated_request_lines =
+  QCheck.Test.make ~name:"cut or bit-flipped request lines: an error or what the bytes say"
+    ~count:150
+    (QCheck.make ~print:fst
+       QCheck.Gen.(
+         pair gen_id gen_request >>= fun (id, r) ->
+         let line = P.encode_request ~id r in
+         map (fun f -> (line, f)) (gen_flips 30 line)))
+    (fun (line, flips) ->
+      List.for_all
+        (fun l ->
+          match P.decode_request l with
+          | Ok _ -> QCheck.Test.fail_reportf "the cut %S decoded" l
+          | Error (_, e) -> at_offset e || QCheck.Test.fail_reportf "the cut %S: %s" l e)
+        (cuts line)
+      && List.for_all
+           (fun l ->
+             match P.decode_request l with
+             | Error _ -> true
+             | Ok (id, r) -> (
+                 let fields = members_of l in
+                 Jsonl.get_int fields "id" = Some id
+                 && (match P.decode_request (P.encode_request ~id r) with
+                    | Ok again -> bit_equal again (id, r)
+                    | Error _ -> false)
+                 &&
+                 match r with
+                 | P.Sim (_, p) -> point_text fields = Some (Point.to_compact p)
+                 | P.Sweep (_, ps) ->
+                     point_text fields = Some (String.concat ";" (List.map Point.to_compact ps))
+                 | P.Ping | P.Stats | P.Shutdown -> true))
+           flips)
+
+let qcheck_compact_round_trip =
+  QCheck.Test.make ~name:"of_compact (to_compact p) = Ok p, bit for bit" ~count:500
+    (QCheck.make ~print:Point.to_compact gen_point)
+    (fun p ->
+      match Point.of_compact (Point.to_compact p) with
+      | Ok got -> bit_equal got p || QCheck.Test.fail_reportf "decoded %s" (Point.to_compact got)
+      | Error e -> QCheck.Test.fail_reportf "refused its own text: %s" e)
+
+(* Every accepted compact text is the one [to_compact] writes for the
+   point it names, so a cut or flipped text is refused or names exactly
+   the point its bytes spell. *)
+let qcheck_mutated_compact_points =
+  QCheck.Test.make ~name:"cut or bit-flipped compact points: an error or the point the bytes spell"
+    ~count:200
+    (QCheck.make ~print:fst
+       QCheck.Gen.(
+         gen_point >>= fun p ->
+         let s = Point.to_compact p in
+         map (fun f -> (s, f)) (gen_flips 30 s)))
+    (fun (s, flips) ->
+      List.for_all
+        (fun t ->
+          match Point.of_compact t with
+          | Ok p ->
+              String.equal (Point.to_compact p) t
+              || QCheck.Test.fail_reportf "%S decoded as %s" t (Point.to_compact p)
+          | Error _ -> true)
+        (cuts s @ flips))
+
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_canonical_round_trip;
@@ -465,4 +744,11 @@ let suite =
     Alcotest.test_case "decode errors name the field" `Quick test_located_errors;
     Alcotest.test_case "store open names the field" `Quick test_store_names_the_field;
     Alcotest.test_case "golden stores held verbatim" `Quick test_golden_stores_held_verbatim;
+    QCheck_alcotest.to_alcotest qcheck_bit_exact_round_trip;
+    QCheck_alcotest.to_alcotest qcheck_mutated_store_lines;
+    QCheck_alcotest.to_alcotest qcheck_mutated_reply_lines;
+    QCheck_alcotest.to_alcotest qcheck_request_round_trip;
+    QCheck_alcotest.to_alcotest qcheck_mutated_request_lines;
+    QCheck_alcotest.to_alcotest qcheck_compact_round_trip;
+    QCheck_alcotest.to_alcotest qcheck_mutated_compact_points;
   ]

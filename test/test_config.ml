@@ -233,14 +233,19 @@ let test_point_codec_hw_fields () =
   (match Point.of_compact (Point.to_compact p) with
   | Ok p' -> Alcotest.(check bool) "compact round-trip" true (Point.compare p p' = 0)
   | Error e -> Alcotest.failf "of_compact: %s" e);
-  (* a pre-database field list (no hw identity) is a loud error, not a
+  (* a pre-database point (no hw identity) is a loud error, not a
      silent default *)
   let legacy =
-    List.filter
-      (fun (k, _) -> k <> "hw_db" && k <> "node_nm" && k <> "cycle_time_ns")
-      (Point.to_fields p)
+    String.concat ","
+      (List.filter
+         (fun kv ->
+           not
+             (List.exists
+                (fun k -> String.starts_with ~prefix:(k ^ "=") kv)
+                [ "hw_db"; "node_nm"; "cycle_time_ns" ]))
+         (String.split_on_char ',' (Point.to_compact p)))
   in
-  match Point.of_fields legacy with
+  match Point.of_compact legacy with
   | Ok _ -> Alcotest.fail "legacy fields should not decode"
   | Error _ -> ()
 

@@ -4,7 +4,7 @@
 
 module Point = Salam_dse.Point
 module Space = Salam_dse.Space
-module Jsonl = Salam_dse.Jsonl
+module Jsonl = Test_codec.Jsonl
 module M = Salam_dse.Measurement
 module Store_shard = Salam_dse.Store_shard
 module Pareto = Salam_dse.Pareto
@@ -65,6 +65,30 @@ let test_fingerprint_hex () =
   let hex = Point.fingerprint_hex fp in
   Alcotest.(check int) "16 chars" 16 (String.length hex);
   Alcotest.(check (option int64)) "round-trip" (Some fp) (Point.fingerprint_of_hex hex)
+
+(* Fingerprints key every store on disk: these are the values the
+   list-based serialization they were first computed with gives. *)
+let test_fingerprints_pinned () =
+  let pin name workload p want =
+    Alcotest.(check string) name want (Point.fingerprint_hex (Point.fingerprint ~workload p))
+  in
+  let gemm = "gemm_ncubed_n16_u16_j8" in
+  pin "spm" gemm
+    { Point.default with Point.read_ports = 8; write_ports = 4; banks = 16; fu_limit = 4; unroll = 16; junroll = 8 }
+    "32a11d1fed8615d4";
+  pin "cache" gemm
+    { Point.default with Point.memory = Point.Cache; cache_bytes = 4096; fu_limit = 2 }
+    "592ce26deeb6582b";
+  pin "dram" "stencil2d_32x32" { Point.default with Point.memory = Point.Dram } "45bb1b8008fcc91d";
+  pin "another hardware database" "gemm_ncubed_n16_u1_j1"
+    { Point.default with Point.hw_db = "5f3c9a7e21d04b68"; node_nm = 28 }
+    "88716555560f51ae";
+  pin "non-integer clock" "gemm_ncubed_n16_u1_j1#inv3#ff2"
+    { Point.default with Point.clock_mhz = 333.3; cycle_time_ns = 3.0 }
+    "56e051953838a81f";
+  pin "5 ns row" "md_knn_64x16"
+    { Point.default with Point.clock_mhz = 200.0; cycle_time_ns = 5.0 }
+    "ebdcef15e04a14cf"
 
 (* --- enumeration -------------------------------------------------- *)
 
@@ -470,6 +494,7 @@ let suite =
     Alcotest.test_case "fingerprint ignores axis order" `Quick test_fingerprint_axis_order;
     Alcotest.test_case "fingerprint canonicalisation" `Quick test_fingerprint_canonical;
     Alcotest.test_case "fingerprint hex round-trip" `Quick test_fingerprint_hex;
+    Alcotest.test_case "fingerprints pinned" `Quick test_fingerprints_pinned;
     Alcotest.test_case "space union dedup" `Quick test_enumerate_dedup;
     Alcotest.test_case "space validity filter" `Quick test_enumerate_validity;
     Alcotest.test_case "jsonl round-trip" `Quick test_jsonl_roundtrip;

@@ -153,6 +153,42 @@ let test_malformed_requests_rejected () =
   expect_error ~id:7L
     (P.encode_request ~id:7L (P.Sim ({ spec with P.fast_forward = Some 9 }, point 2)))
 
+(* A compact point names exactly one design: an unknown key, a key
+   given twice, a value not spelled as [to_compact] writes it, or a knob
+   the memory kind ignores set to anything but 0 is refused, naming the
+   key, both by the codec and over the wire. *)
+let test_ambiguous_points_rejected () =
+  let canonical = Point.to_compact (point 2) in
+  let cache = Point.to_compact (Point.canonical { Point.default with Point.memory = Point.Cache }) in
+  (* [text] with [key]'s value replaced by [value] *)
+  let replace text key value =
+    String.concat ","
+      (List.map
+         (fun kv -> if String.starts_with ~prefix:(key ^ "=") kv then key ^ "=" ^ value else kv)
+         (String.split_on_char ',' text))
+  in
+  List.iter
+    (fun (text, key) ->
+      (match Point.of_compact text with
+      | Ok p -> Alcotest.failf "%s accepted as %s" text (Point.to_compact p)
+      | Error e -> Alcotest.(check bool) (e ^ " names " ^ key) true (Test_store_shard.contains e key));
+      match
+        P.decode_request
+          (Printf.sprintf "{\"id\":9,\"op\":\"sim\",\"workload\":\"gemm\",\"point\":%S}" text)
+      with
+      | Ok _ -> Alcotest.failf "request for %s accepted" text
+      | Error (id, e) ->
+          Alcotest.(check int64) "id recovered" 9L id;
+          Alcotest.(check bool) (e ^ " names " ^ key) true (Test_store_shard.contains e key))
+    [
+      (canonical ^ ",bogus=7", "bogus");
+      ("read_ports=9," ^ canonical, "read_ports");
+      (replace canonical "read_ports" "02", "read_ports");
+      (replace canonical "clock_mhz" "500", "clock_mhz");
+      (replace canonical "clock_mhz" "0X1.F4P+8", "clock_mhz");
+      (replace cache "read_ports" "2", "read_ports");
+    ]
+
 let test_out_of_range_request_integers () =
   let names line field =
     let want = Printf.sprintf "field %S is outside the int range" field in
@@ -412,7 +448,7 @@ let test_non_canonical_line_answered_canonically () =
   (* the same measurement with its keys reversed, an extra key and
      spaces around every token *)
   let members =
-    match Salam_dse.Jsonl.decode (M.to_line m) with
+    match Test_codec.Jsonl.decode (M.to_line m) with
     | Ok fields -> List.rev (("note", Salam_dse.Jsonl.Str "extra") :: fields)
     | Error e -> Alcotest.fail e
   in
@@ -559,6 +595,7 @@ let suite =
     Alcotest.test_case "stats reply from an older daemon decodes" `Quick
       test_old_daemon_stats_decode;
     Alcotest.test_case "malformed requests rejected" `Quick test_malformed_requests_rejected;
+    Alcotest.test_case "ambiguous compact points rejected" `Quick test_ambiguous_points_rejected;
     Alcotest.test_case "integers outside the int range refused" `Quick
       test_out_of_range_request_integers;
     Alcotest.test_case "daemon smoke over a temp socket" `Quick test_daemon_smoke;

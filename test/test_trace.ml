@@ -211,6 +211,25 @@ let test_golden_files_match_scenarios () =
     (List.sort compare Check_trace.names)
     (List.sort compare files)
 
+(* Every golden figure has a diff rule: golden/figures/dune diffs each
+   bench/main.exe target's stdout against its .out file, and a .out file
+   with no rule would otherwise go unchecked. *)
+let test_golden_figures_have_rules () =
+  let dir = Filename.concat "golden" "figures" in
+  let rules =
+    In_channel.with_open_bin (Filename.concat dir "dune") In_channel.input_all
+  in
+  let orphans =
+    List.filter
+      (fun f ->
+        Filename.check_suffix f ".out"
+        &&
+        let name = Filename.chop_suffix f ".out" in
+        count_substring rules (Printf.sprintf "(diff %s.out %s.gen)" name name) <> 1)
+      (Array.to_list (Sys.readdir dir))
+  in
+  check Alcotest.(list string) "golden/figures/*.out without a diff rule" [] orphans
+
 let golden_cases =
   List.map
     (fun name -> Alcotest.test_case ("golden " ^ name) `Quick (check_golden name))
@@ -227,5 +246,6 @@ let suite =
     Alcotest.test_case "chrome json shape" `Quick test_chrome_json_shape;
     Alcotest.test_case "stats.txt format" `Quick test_stats_txt;
     Alcotest.test_case "golden files match scenarios" `Quick test_golden_files_match_scenarios;
+    Alcotest.test_case "golden figures have diff rules" `Quick test_golden_figures_have_rules;
   ]
   @ golden_cases

@@ -126,9 +126,9 @@ let ff_speedup () =
 
 (* Minor-heap words one warm served hit costs, for the Fig 13 GEMM
    point's measurement: the client encodes its request; the daemon
-   decodes it, resolves the point's hardware profile, fingerprints it
-   and splices its reply from the stored line; the client decodes that
-   reply. Socket reads and writes are left out. *)
+   decodes it, checks the point (knob ranges and hardware profile),
+   fingerprints it and splices its reply from the stored line; the
+   client decodes that reply. Socket reads and writes are left out. *)
 let served_hit_words () =
   let module Measurement = Salam_dse.Measurement in
   let module Point = Salam_dse.Point in
@@ -139,12 +139,13 @@ let served_hit_words () =
       (Salam.simulate w)
   in
   let line = Measurement.to_line m in
+  let target = Exp_dse.gemm_target in
   let hit () =
     let req = P.encode_request ~id:7L (P.Sim (P.default_spec, m.Measurement.point)) in
     (match P.decode_request req with
     | Ok (_, P.Sim (_, p)) ->
-        if Result.is_error (Point.resolve_profile p) then
-          failwith "served hit: the point's profile does not resolve";
+        if Result.is_error (Salam_dse.Explore.check target p) then
+          failwith "served hit: the point fails the daemon's check";
         if Point.fingerprint ~workload:m.Measurement.workload p <> m.Measurement.fp then
           failwith "served hit: the request's point has another fingerprint"
     | Ok _ | Error _ -> failwith "served hit: request does not decode");

@@ -11,6 +11,8 @@ module Rng = Salam_sim.Rng
    are also trap-free by construction: any trap is a finding. *)
 let n_elems = 16
 
+(* A generated kernel as a workload with deterministic input data and a
+   vacuous golden model (the oracle is the interpreter). *)
 let workload_of_kernel name (k : Lang.kernel) : W.t =
   {
     W.name;
@@ -108,7 +110,6 @@ let rec gen_stmt ctx depth =
           Lang.index;
           from_ = Lang.Int_lit 0L;
           to_ = Lang.Int_lit (Int64.of_int trips);
-          step = 1;
           unroll;
           body;
         }
@@ -190,8 +191,8 @@ let rec pp_stmt ppf (s : Lang.stmt) =
       Format.fprintf ppf "@[<v 2>if %a {@,%a@]@,}" pp_expr c pp_block t;
       if e <> [] then Format.fprintf ppf "@[<v 2> else {@,%a@]@,}" pp_block e
   | Lang.For fl ->
-      Format.fprintf ppf "@[<v 2>for %s in [%a, %a) step %d unroll %d {@,%a@]@,}" fl.Lang.index
-        pp_expr fl.Lang.from_ pp_expr fl.Lang.to_ fl.Lang.step fl.Lang.unroll pp_block
+      Format.fprintf ppf "@[<v 2>for %s in [%a, %a) unroll %d {@,%a@]@,}" fl.Lang.index
+        pp_expr fl.Lang.from_ pp_expr fl.Lang.to_ fl.Lang.unroll pp_block
         fl.Lang.body
   | Lang.While (c, b) -> Format.fprintf ppf "@[<v 2>while %a {@,%a@]@,}" pp_expr c pp_block b
   | Lang.Expr_stmt e -> Format.fprintf ppf "@[<h>%a;@]" pp_expr e
@@ -363,10 +364,9 @@ let capture_trace ?mutate ?config ~data_seed kernel =
   | Some _ | None -> ());
   Salam_obs.Trace.to_lines sink
 
-let run ?mutate ?config ?on_case ~seed ~count () =
+let run ?mutate ?config ~seed ~count () =
   let failures = ref [] in
   for case = 0 to count - 1 do
-    (match on_case with Some f -> f case | None -> ());
     let kernel = gen_kernel ~seed ~case in
     let data_seed = Int64.add seed (Int64.of_int case) in
     match run_kernel ?mutate ?config ~data_seed kernel with

@@ -18,17 +18,11 @@ val n_elems : int
 val gen_kernel : seed:int64 -> case:int -> Salam_frontend.Lang.kernel
 (** Deterministic kernel for (seed, case). *)
 
-val workload_of_kernel : string -> Salam_frontend.Lang.kernel -> Salam_workloads.Workload.t
-(** Wrap a generated kernel as a workload with deterministic input data
-    and a vacuous golden model (the oracle is the interpreter). *)
-
 val plant_float_bug : Salam_ir.Ast.func -> Salam_ir.Ast.func
 (** Flip the first [fadd] to [fsub] (else the first [fmul] to [fadd]),
     in place. Used to verify the fuzzer actually detects a miscomputing
     engine: only float arithmetic is flipped, never the integer or
     control instructions that feed loop bounds and addresses. *)
-
-val pp_kernel : Format.formatter -> Salam_frontend.Lang.kernel -> unit
 
 val kernel_to_string : Salam_frontend.Lang.kernel -> string
 
@@ -45,12 +39,10 @@ type case_failure = {
   cf_shrunk : Salam_frontend.Lang.kernel;
   cf_failure : failure_kind;
   cf_trace : string list;
-      (** the last {!trace_ring_capacity} engine-side trace events from
+      (** the last 32 engine-side trace events from
           replaying the shrunk counterexample under a ring sink — a
           crash dump for the failure report *)
 }
-
-val trace_ring_capacity : int
 
 val failure_kind_to_string : failure_kind -> string
 
@@ -70,7 +62,6 @@ val run_kernel :
 val run :
   ?mutate:(Salam_ir.Ast.func -> Salam_ir.Ast.func) ->
   ?config:Salam.Config.t ->
-  ?on_case:(int -> unit) ->
   seed:int64 ->
   count:int ->
   unit ->

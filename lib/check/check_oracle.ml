@@ -56,7 +56,7 @@ let failure_to_string = function
    [on_exec] hook: for every executed store we keep the block, the
    printed instruction and the resolved address/size, newest first, so a
    divergent byte can be traced to the last store that wrote it. *)
-let run_interp ?(seed = 42L) ?func (w : W.t) =
+let run_interp ~seed ?func (w : W.t) =
   let func = match func with Some f -> f | None -> W.compile w in
   let mem = Memory.create ~size:(max (1 lsl 22) (4 * W.total_buffer_bytes w)) in
   let bases = W.alloc_buffers w mem in

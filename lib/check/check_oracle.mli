@@ -43,13 +43,6 @@ type report = { r_workload : string; r_result : (unit, failure) result }
 
 val failure_to_string : failure -> string
 
-val run_interp :
-  ?seed:int64 ->
-  ?func:Salam_ir.Ast.func ->
-  Salam_workloads.Workload.t ->
-  Salam_ir.Memory.t * int64 array * Salam_ir.Bits.t option * provenance list
-(** Functional run with store provenance (newest store first). *)
-
 val check_workload :
   ?config:Salam.Config.t ->
   ?func:Salam_ir.Ast.func ->

@@ -417,12 +417,8 @@ let simulate_jobs ?domains jobs =
       simulate ~config:j.job_config ~invocations:j.job_invocations ?from:j.job_from j.job_workload)
     jobs
 
-let fu_occupancy ?allocated result cls =
-  let allocated =
-    match allocated with
-    | Some n -> n
-    | None -> ( match List.assoc_opt cls result.fu_allocated with Some n -> n | None -> 0)
-  in
+let fu_occupancy result cls =
+  let allocated = match List.assoc_opt cls result.fu_allocated with Some n -> n | None -> 0 in
   if allocated <= 0 then 0.0
   else
     match List.assoc_opt cls result.stats.Engine.fu_busy_integral with

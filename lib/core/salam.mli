@@ -227,8 +227,7 @@ val simulate_jobs : ?domains:int -> job list -> result list
     deterministic: per-job cycle counts and statistics are identical to
     calling {!simulate} sequentially. *)
 
-val fu_occupancy : ?allocated:int -> result -> Salam_hw.Fu.cls -> float
-(** Mean fraction of the class's units busy per active cycle.
-    [allocated] overrides the denominator; by default it is the class's
-    entry in [result.fu_allocated] — the inventory the static CDFG
-    actually instantiated — so callers no longer have to guess it. *)
+val fu_occupancy : result -> Salam_hw.Fu.cls -> float
+(** Mean fraction of the class's units busy per active cycle, over the
+    class's entry in [result.fu_allocated]: the inventory the static
+    CDFG actually instantiated. *)

@@ -33,7 +33,6 @@ and for_loop = {
   index : string;
   from_ : expr;
   to_ : expr;
-  step : int;
   unroll : int;
   body : stmt list;
 }
@@ -81,8 +80,7 @@ let ( =: ) a b = Cmp (Eq, a, b)
 
 let ( <>: ) a b = Cmp (Ne, a, b)
 
-let for_ ?(unroll = 1) ?(step = 1) index from_ to_ body =
-  For { index; from_; to_; step; unroll; body }
+let for_ ?(unroll = 1) index from_ to_ body = For { index; from_; to_; unroll; body }
 
 let if_ cond then_ else_ = If (cond, then_, else_)
 

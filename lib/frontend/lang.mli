@@ -46,7 +46,6 @@ and for_loop = {
   index : string;
   from_ : expr;
   to_ : expr;  (** exclusive upper bound *)
-  step : int;
   unroll : int;  (** 1 = no unrolling *)
   body : stmt list;
 }
@@ -101,7 +100,7 @@ val ( =: ) : expr -> expr -> expr
 
 val ( <>: ) : expr -> expr -> expr
 
-val for_ : ?unroll:int -> ?step:int -> string -> expr -> expr -> stmt list -> stmt
+val for_ : ?unroll:int -> string -> expr -> expr -> stmt list -> stmt
 
 val if_ : expr -> stmt list -> stmt list -> stmt
 

@@ -308,29 +308,24 @@ let rec lower_stmt env ret_ty (st : L.stmt) : unit =
         env.vars <- saved
       end;
       if merge_reachable then Builder.add_block b merge_label
-  | L.For { index; from_; to_; step; unroll; body }
+  | L.For { index; from_; to_; unroll; body }
     when (match (from_, to_) with
          | L.Int_lit lo, L.Int_lit hi ->
-             let trips =
-               (Int64.to_int hi - Int64.to_int lo + step - 1) / max 1 step
-             in
-             step > 0 && trips >= 0 && trips <= max 1 unroll && trips <= 64
+             let trips = Int64.to_int hi - Int64.to_int lo in
+             trips >= 0 && trips <= max 1 unroll && trips <= 64
          | _ -> false) ->
       (* static trip count within the unroll factor: eliminate the loop
          entirely, as clang's full unrolling does *)
       let lo = match from_ with L.Int_lit l -> Int64.to_int l | _ -> assert false in
       let hi = match to_ with L.Int_lit h -> Int64.to_int h | _ -> assert false in
-      let iter = ref lo in
-      while !iter < hi do
-        let body_c = List.map (subst_stmt index (L.Int_lit (Int64.of_int !iter))) body in
+      for iter = lo to hi - 1 do
+        let body_c = List.map (subst_stmt index (L.Int_lit (Int64.of_int iter))) body in
         let inner = env.vars in
         lower_stmts env ret_ty body_c;
-        env.vars <- inner;
-        iter := !iter + step
+        env.vars <- inner
       done
-  | L.For { index; from_; to_; step; unroll; body } ->
+  | L.For { index; from_; to_; unroll; body } ->
       let unroll = max 1 unroll in
-      if step <= 0 then err "for %s: step must be positive" index;
       let slot = Builder.alloca b ~name:(index ^ "_slot") Ty.I32 1 in
       let saved = env.vars in
       env.vars <- (index, Slot (slot, Ty.I32)) :: env.vars;
@@ -353,7 +348,7 @@ let rec lower_stmt env ret_ty (st : L.stmt) : unit =
         let body_c =
           if copy = 0 then body
           else
-            let offset = L.Binop (L.Add, L.Var index, L.Int_lit (Int64.of_int (copy * step))) in
+            let offset = L.Binop (L.Add, L.Var index, L.Int_lit (Int64.of_int copy)) in
             List.map (subst_stmt index offset) body
         in
         let inner = env.vars in
@@ -361,9 +356,7 @@ let rec lower_stmt env ret_ty (st : L.stmt) : unit =
         env.vars <- inner
       done;
       let iv2 = Builder.load b ~name:index Ty.I32 slot in
-      let inc =
-        Builder.binop b Ast.Add iv2 (Ast.Const (Ast.Cint (Ty.I32, Int64.of_int (unroll * step))))
-      in
+      let inc = Builder.binop b Ast.Add iv2 (Ast.Const (Ast.Cint (Ty.I32, Int64.of_int unroll))) in
       Builder.store b ~src:inc ~addr:slot;
       Builder.br b header;
       Builder.add_block b exit_label;

@@ -84,6 +84,9 @@ let remove_phi_edge (f : func) ~target ~from_label =
             | _ -> instr)
           b.instrs
 
+(* Fold constant binops/compares/casts/selects, simplify algebraic
+   identities (x+0, x*1, x*0, x-x) and conditional branches whose
+   condition is constant. *)
 let constant_fold (f : func) =
   let changed = ref 0 in
   let subst = Subst.create () in
@@ -131,6 +134,8 @@ let has_side_effects = function
   | Store _ | Call _ | Br _ | Cond_br _ | Ret _ -> true
   | Binop _ | Icmp _ | Fcmp _ | Cast _ | Select _ | Load _ | Gep _ | Phi _ | Alloca _ -> false
 
+(* Remove pure instructions (including loads) whose results are never
+   used. *)
 let dead_code (f : func) =
   let used = Hashtbl.create 64 in
   iter_instrs f (fun _ instr ->
@@ -217,6 +222,8 @@ let common_subexpr (f : func) =
   Subst.apply subst f;
   !removed
 
+(* Remove unreachable blocks and merge blocks with a unique
+   unconditional predecessor. *)
 let simplify_cfg (f : func) =
   let changed = ref 0 in
   (* 1. drop unreachable blocks and stale phi edges *)

@@ -5,21 +5,8 @@
     artefacts. All passes mutate the function in place and return a
     change count so the driver can iterate to a fixed point. *)
 
-val constant_fold : Salam_ir.Ast.func -> int
-(** Fold constant binops/compares/casts/selects, simplify algebraic
-    identities (x+0, x*1, x*0, x-x) and conditional branches whose
-    condition is constant. *)
-
-val dead_code : Salam_ir.Ast.func -> int
-(** Remove pure instructions (including loads) whose results are never
-    used. *)
-
 val common_subexpr : Salam_ir.Ast.func -> int
 (** Block-local value numbering over pure instructions. *)
-
-val simplify_cfg : Salam_ir.Ast.func -> int
-(** Remove unreachable blocks and merge blocks with a unique
-    unconditional predecessor. *)
 
 val run_all : Salam_ir.Ast.func -> unit
 (** Iterate all passes to a fixed point (bounded). *)

@@ -66,11 +66,9 @@ let spec t cls =
   | Some s -> s
   | None -> invalid_arg ("Profile.spec: no spec for " ^ Fu.to_string cls)
 
-let with_spec t cls s = { t with specs = Fu.Map.add cls s t.specs }
-
 let with_latency t cls latency =
   let s = spec t cls in
-  with_spec t cls { s with latency }
+  { t with specs = Fu.Map.add cls { s with latency } t.specs }
 
 let instr_latency t instr =
   match Fu.of_instr instr with

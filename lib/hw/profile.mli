@@ -34,8 +34,6 @@ val equal : t -> t -> bool
 
 val spec : t -> Fu.cls -> fu_spec
 
-val with_spec : t -> Fu.cls -> fu_spec -> t
-
 val with_latency : t -> Fu.cls -> int -> t
 
 val instr_latency : t -> Salam_ir.Ast.instr -> int

@@ -21,7 +21,7 @@ let binary name f = function
   | [ a; b ] -> Bits.Float (f (Bits.to_float a) (Bits.to_float b))
   | _ -> raise (Trap (name ^ ": expected two arguments"))
 
-let default_intrinsics =
+let intrinsics =
   [
     ("sqrt", unary "sqrt" sqrt);
     ("fabs", unary "fabs" Float.abs);
@@ -113,7 +113,7 @@ let iter_vars (f : func) g =
       Option.iter g (defined_var i);
       List.iter g (used_vars i))
 
-let resolve ~intrinsics (m : modul) (f : func) =
+let resolve (m : modul) (f : func) =
   let nregs = ref 0 in
   iter_vars f (fun v -> if v.id >= !nregs then nregs := v.id + 1);
   (* a slot per constant operand: cheaper to copy than to share *)
@@ -263,8 +263,7 @@ let box fr = function
   | Var v -> Bits.of_payload v.ty (read fr v.id)
   | Const c -> const_value c
 
-let run ?(fuel = 100_000_000) ?(intrinsics = default_intrinsics) ?on_exec mem (m : modul)
-    ~entry ~args =
+let run ?(fuel = 100_000_000) ?on_exec mem (m : modul) ~entry ~args =
   let fuel_left = ref fuel in
   let[@inline] spend () =
     if !fuel_left <= 0 then raise Out_of_fuel;
@@ -293,7 +292,7 @@ let run ?(fuel = 100_000_000) ?(intrinsics = default_intrinsics) ?on_exec mem (m
     match List.assq_opt f !resolved with
     | Some rf -> rf
     | None ->
-        let rf = resolve ~intrinsics m f in
+        let rf = resolve m f in
         resolved := (f, rf) :: !resolved;
         rf
   in

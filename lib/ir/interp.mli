@@ -10,9 +10,8 @@
     runs on different domains do not interact.
 
     Calls to functions not defined in the module are resolved through the
-    intrinsic table; {!default_intrinsics} provides the math routines
-    MachSuite kernels use ([sqrt], [fabs], [exp], [sin], [cos], [fmin],
-    [fmax], [floor]). *)
+    intrinsic table {!intrinsics}: the math routines MachSuite kernels
+    use ([sqrt], [fabs], [exp], [sin], [cos], [fmin], [fmax], [floor]). *)
 
 exception Out_of_fuel
 
@@ -29,11 +28,10 @@ type event = {
 
 type intrinsics = (string * (Bits.t list -> Bits.t)) list
 
-val default_intrinsics : intrinsics
+val intrinsics : intrinsics
 
 val run :
   ?fuel:int ->
-  ?intrinsics:intrinsics ->
   ?on_exec:(event -> unit) ->
   Memory.t ->
   Ast.modul ->

@@ -17,6 +17,7 @@ let value ppf = function
   | Var v -> var ppf v
   | Const c -> const ppf c
 
+(* e.g. [i32 %n.4] *)
 let typed_value ppf v = Format.fprintf ppf "%a %a" Ty.pp (value_ty v) value v
 
 let label ppf l = Format.fprintf ppf "%%%s" l

@@ -285,14 +285,10 @@ let hits t = int_of_float (Stats.value t.s_hits)
 
 let misses t = int_of_float (Stats.value t.s_misses)
 
-let writebacks t = int_of_float (Stats.value t.s_writebacks)
-
-let fragments t = int_of_float (Stats.value t.s_fragments)
-
 let invariant_errors t =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  let h = hits t and m = misses t and f = fragments t in
+  let h = hits t and m = misses t and f = int_of_float (Stats.value t.s_fragments) in
   if h + m <> f then
     err "%s: hits (%d) + misses (%d) <> fragments accepted (%d)" t.cfg.name h m f;
   if not (Queue.is_empty t.queue) then

@@ -38,13 +38,6 @@ val hits : t -> int
 
 val misses : t -> int
 
-val writebacks : t -> int
-
-val fragments : t -> int
-(** Line-sized fragments accepted at the upper port. Every fragment is
-    eventually classified as exactly one hit or miss, so at quiescence
-    [hits t + misses t = fragments t]. *)
-
 val invariant_errors : t -> string list
 (** Consistency checks meant for the end of a simulation: accounting
     ([hits + misses = fragments]), no request still queued, no MSHR

@@ -55,7 +55,6 @@ module Block = struct
           t.active <- false);
     }
 
-  let bytes_moved t = int_of_float (Stats.value t.s_bytes)
 
   let start t ~src ~dst ~len ~on_done =
     if t.active then invalid_arg (t.cfg.name ^ ": transfer already in progress");
@@ -152,7 +151,6 @@ module Stream = struct
           [ ("addr", Trace.I addr); ("size", Trace.I (Int64.of_int chunk)) ]
     | Some _ | None -> ()
 
-  let bytes_moved t = int_of_float (Stats.value t.s_bytes)
 
   let stream_in t ~buffer ~src ~len ~on_done =
     if len <= 0 then invalid_arg (t.stream_name ^ ": length must be positive");

@@ -37,8 +37,6 @@ module Block : sig
   val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
   (** Empty section; capture and restore both require no transfer in
       progress. *)
-
-  val bytes_moved : t -> int
 end
 
 module Stream : sig
@@ -62,6 +60,4 @@ module Stream : sig
   val stream_out :
     t -> buffer:Stream_buffer.t -> dst:int64 -> len:int -> on_done:(unit -> unit) -> unit
   (** FIFO -> memory. *)
-
-  val bytes_moved : t -> int
 end

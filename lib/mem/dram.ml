@@ -100,5 +100,3 @@ let checkpoint_agent t =
         expect "size" (Int64.of_int t.cfg.size);
         t.busy_until_cycle <- 0L);
   }
-
-let bytes_read t = int_of_float (Stats.value t.s_bytes_read)

@@ -23,5 +23,3 @@ val port : t -> Port.t
 val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
 (** Section carries address-range identity only; the busy-until cycle is
     timing state, required drained at capture and reset on restore. *)
-
-val bytes_read : t -> int

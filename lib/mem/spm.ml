@@ -271,8 +271,6 @@ let reads t = int_of_float (Stats.value t.s_reads)
 
 let writes t = int_of_float (Stats.value t.s_writes)
 
-let bank_conflicts t = int_of_float (Stats.value t.s_conflicts)
-
 (* --- checkpointing ----------------------------------------------------- *)
 
 (* The SPM holds no data — contents live in the shared backing memory —

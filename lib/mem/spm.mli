@@ -37,9 +37,6 @@ val reads : t -> int
 
 val writes : t -> int
 
-val bank_conflicts : t -> int
-(** Accesses delayed at least one cycle by bank or port contention. *)
-
 val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
 (** The SPM holds no data (contents live in the backing memory), so its
     section carries layout identity only (base, size) — restore

@@ -126,7 +126,3 @@ let checkpoint_agent t =
         Queue.clear t.fifo;
         String.iter (fun c -> Queue.add c t.fifo) data);
   }
-
-let full_stalls t = int_of_float (Stats.value t.s_full_stalls)
-
-let empty_stalls t = int_of_float (Stats.value t.s_empty_stalls)

@@ -35,8 +35,3 @@ val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
     verbatim; pending push/pop handshakes must have drained in both
     directions. Restore refuses a payload larger than this FIFO's
     capacity. *)
-
-val full_stalls : t -> int
-(** Pushes that had to wait for space. *)
-
-val empty_stalls : t -> int

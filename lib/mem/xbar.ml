@@ -132,5 +132,3 @@ let checkpoint_agent t =
         []);
     restore = (fun _sec -> quiesce "checkpoint restore");
   }
-
-let packets_routed t = int_of_float (Stats.value t.s_routed)

@@ -23,5 +23,3 @@ val port : t -> Port.t
 val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
 (** Empty section; capture and restore both require the packet queue
     drained. *)
-
-val packets_routed : t -> int

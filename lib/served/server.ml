@@ -46,17 +46,6 @@ let default_config =
     trace = None;
   }
 
-type job = {
-  j_fp : int64;
-  j_point : Point.t;
-  j_identity : string;  (** measured fingerprint identity *)
-  j_config : Salam.Config.t;
-  j_workload : Salam_workloads.Workload.t;
-  j_invocations : int;
-  j_fast_forward : int option;
-  j_snap_key : string;
-}
-
 (* a simulated measurement reaches its waiters with the line the store
    holds for it *)
 type pending = { mutable waiters : ((Measurement.t * string, string) result -> unit) list }
@@ -77,7 +66,7 @@ type t = {
   lock : Mutex.t;  (** inflight, counters, conns, stopping, req_seq *)
   drained : Condition.t;  (** signaled whenever inflight goes empty *)
   inflight : (int64, pending) Hashtbl.t;
-  q : job Queue.t;
+  q : Explore.job Queue.t;
   q_lock : Mutex.t;
   q_not_empty : Condition.t;
   q_not_full : Condition.t;
@@ -209,35 +198,26 @@ let dequeue t =
 (* --- workers ------------------------------------------------------------ *)
 
 (* interpret-once/simulate-many, server edition: the warm-up snapshot is
-   memoised per (workload identity, memory kind, roadmark) under a lock
-   held across the warm-up, so concurrent cold requests trigger exactly
-   one interpreter pass — the same single-shot discipline as the
-   workload compile cache. Unlike a per-run [Explore] evaluator, whose
-   fast-forward is fixed for its lifetime, the daemon serves each
-   request at its own roadmark, so the roadmark must be part of the key:
-   a snapshot warmed for one roadmark is simply wrong for another. *)
-let snapshot_for t job roadmark =
+   memoised per key (workload identity, memory kind, roadmark) under a
+   lock held across the warm-up, so concurrent cold requests trigger
+   exactly one interpreter pass — the same single-shot discipline as the
+   workload compile cache. *)
+let snapshot_for t key warm_up =
   Mutex.lock t.snap_lock;
   Fun.protect
     ~finally:(fun () -> Mutex.unlock t.snap_lock)
     (fun () ->
-      match Hashtbl.find_opt t.snapshots job.j_snap_key with
+      match Hashtbl.find_opt t.snapshots key with
       | Some s -> s
       | None ->
-          let s =
-            Salam.warm_up ~config:job.j_config ~invocations:roadmark job.j_workload
-          in
-          Hashtbl.add t.snapshots job.j_snap_key s;
+          let s = warm_up () in
+          Hashtbl.add t.snapshots key s;
           s)
 
 let run_job t job =
-  let from = Option.map (snapshot_for t job) job.j_fast_forward in
-  let r =
-    Salam.simulate ~config:job.j_config ~invocations:job.j_invocations ?from job.j_workload
-  in
-  let m = Measurement.of_result ~workload:job.j_identity ~point:job.j_point r in
-  assert (m.Measurement.fp = job.j_fp);
-  m
+  match Explore.measure ~domains:1 ~snapshot:(snapshot_for t) [ job ] with
+  | [ m ] -> m
+  | _ -> assert false
 
 let complete t job result =
   (* store first, then retire the pending entry: any thread that misses
@@ -246,9 +226,9 @@ let complete t job result =
   Mutex.lock t.lock;
   t.simulated <- t.simulated + 1;
   let waiters =
-    match Hashtbl.find_opt t.inflight job.j_fp with
+    match Hashtbl.find_opt t.inflight (Explore.job_fp job) with
     | Some p ->
-        Hashtbl.remove t.inflight job.j_fp;
+        Hashtbl.remove t.inflight (Explore.job_fp job);
         List.rev p.waiters
     | None -> []
   in
@@ -273,36 +253,27 @@ let worker_loop t () =
 
 (* --- request resolution ------------------------------------------------- *)
 
-let target_of (spec : P.spec) =
-  if spec.P.workload = "gemm" then Ok (Explore.gemm_target ~n:spec.P.gemm_n ())
-  else Explore.suite_target spec.P.workload
+let plan_of (spec : P.spec) =
+  let target =
+    if spec.P.workload = "gemm" then Ok (Explore.gemm_target ~n:spec.P.gemm_n ())
+    else Explore.suite_target spec.P.workload
+  in
+  Result.map
+    (fun target ->
+      {
+        Explore.target;
+        invocations = spec.P.invocations;
+        fast_forward = spec.P.fast_forward;
+      })
+    target
 
-let validate_point (spec : P.spec) (p : Point.t) =
-  if spec.P.workload <> "gemm" && (p.Point.unroll <> 1 || p.Point.junroll <> 1) then
-    Error
-      (Printf.sprintf "unroll/junroll only apply to the gemm target (got u=%d j=%d)"
-         p.Point.unroll p.Point.junroll)
-  else
-    (* reject unresolvable hardware identities before any simulation or
-       store lookup: a point naming a database this server has not
-       loaded must fail loudly, not be answered under a different table *)
-    match Point.resolve_profile p with Ok _ -> Ok () | Error e -> Error e
-
-let memory_kind_name (p : Point.t) = Point.memory_kind_to_string p.Point.memory
-
-(* Resolve one point: answer from the store, join an in-flight
+(* Resolve one canonical point: answer from the store, join an in-flight
    simulation, or become the owner of a fresh one. [k] fires exactly
    once with the served tag and the measurement's stored line (possibly
    on a worker domain); the returned job, if any, must be enqueued by
    the caller outside the state lock. *)
-let resolve t ctx (spec : P.spec) target p k =
-  let p = Point.canonical p in
-  let workload = (target : Explore.target).Explore.workload_id p in
-  let id =
-    Explore.identity ~workload ~invocations:spec.P.invocations
-      ~fast_forward:spec.P.fast_forward
-  in
-  let fp = Point.fingerprint ~workload:id p in
+let resolve t ctx plan p k =
+  let fp = Explore.fingerprint plan p in
   Mutex.lock t.lock;
   if t.stopping then begin
     Mutex.unlock t.lock;
@@ -336,26 +307,11 @@ let resolve t ctx (spec : P.spec) target p k =
             t.misses <- t.misses + 1;
             Mutex.unlock t.lock;
             emit_progress ctx ~detail:"miss" [ ("fp", Trace.S (Point.fingerprint_hex fp)) ];
-            Some
-              {
-                j_fp = fp;
-                j_point = p;
-                j_identity = id;
-                j_config = Point.to_config p;
-                j_workload = target.Explore.build p;
-                j_invocations = spec.P.invocations;
-                j_fast_forward = spec.P.fast_forward;
-                j_snap_key =
-                  (workload ^ "|" ^ memory_kind_name p
-                  ^
-                  match spec.P.fast_forward with
-                  | Some k -> "|ff" ^ string_of_int k
-                  | None -> "");
-              })
+            Some (Explore.job plan p))
 
 (* resolve a whole batch, then block the handler thread until every
    point has an answer; replies stream back in point order *)
-let eval_points t ctx spec target points =
+let eval_points t ctx plan points =
   let n = List.length points in
   let slots = Array.make n None in
   let remaining = ref n in
@@ -369,7 +325,7 @@ let eval_points t ctx spec target points =
     Mutex.unlock lock
   in
   let jobs =
-    List.mapi (fun i p -> resolve t ctx spec target p (fill i)) points
+    List.mapi (fun i p -> resolve t ctx plan p (fill i)) points
     |> List.filter_map Fun.id
   in
   (* enqueue owned jobs after all resolutions: the inflight entries
@@ -408,17 +364,23 @@ let respond ctx resp = write_line ctx.r_conn (P.encode_response ~id:ctx.r_id res
 let respond_line ctx ?index ~served line =
   write_line ctx.r_conn (P.splice ~id:ctx.r_id ?index ~served line)
 
+(* every point passes [Explore.check] before any store lookup or
+   simulation, or the whole request fails naming the first bad one *)
 let handle_eval t ctx spec points ~reply =
-  match target_of spec with
+  match plan_of spec with
   | Error e -> respond ctx (P.Failed e)
-  | Ok target -> (
+  | Ok plan -> (
+      let points = List.map Point.canonical points in
       match
-        List.fold_left
-          (fun acc p -> match acc with Ok () -> validate_point spec p | e -> e)
-          (Ok ()) points
+        List.find_map
+          (fun p ->
+            match Explore.check plan.Explore.target p with
+            | Ok () -> None
+            | Error (_, e) -> Some e)
+          points
       with
-      | Error e -> respond ctx (P.Failed e)
-      | Ok () -> reply (eval_points t ctx spec target points))
+      | Some e -> respond ctx (P.Failed e)
+      | None -> reply (eval_points t ctx plan points))
 
 let handle_sim t ctx spec p =
   handle_eval t ctx spec [ p ] ~reply:(fun results ->

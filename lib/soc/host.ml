@@ -6,6 +6,7 @@ type t = { system : System.t; clock : Clock.t; port : Port.t }
 
 let create system ~clock_mhz ~port = { system; clock = System.clock system ~mhz:clock_mhz; port }
 
+(* Timed uncached store (functional effect at issue). *)
 let write_u64 t ~addr ~value ~k =
   Memory.store (System.backing t.system) Ty.I64 addr (Bits.Int value);
   let pkt = Packet.make Packet.Write ~addr ~size:8 in

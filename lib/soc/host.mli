@@ -13,9 +13,6 @@ val create : System.t -> clock_mhz:float -> port:Salam_mem.Port.t -> t
 (** [port] is the host's window into the memory system (usually the
     global crossbar). *)
 
-val write_u64 : t -> addr:int64 -> value:int64 -> k:(unit -> unit) -> unit
-(** Timed uncached store (functional effect at issue). *)
-
 val delay_cycles : t -> int -> k:(unit -> unit) -> unit
 
 val memcpy : t -> dst:int64 -> src:int64 -> len:int -> k:(unit -> unit) -> unit
@@ -29,9 +26,7 @@ val start_device : t -> Comm_interface.t -> k:(unit -> unit) -> unit
 (** Write 1 to the control register. The device starts when the timing
     write lands. *)
 
-val wait_irq : Comm_interface.t -> k:(unit -> unit) -> unit
-(** Resume when the device next raises its interrupt. *)
-
 val run_kernel :
   t -> Comm_interface.t -> args:int64 list -> k:(unit -> unit) -> unit
-(** [write_args] + [start_device] + [wait_irq]. *)
+(** [write_args] + [start_device], then resume when the device next
+    raises its interrupt. *)

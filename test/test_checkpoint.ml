@@ -36,8 +36,7 @@ let test_ff_oracle_matrix () =
   let reports =
     List.concat_map
       (fun config ->
-        Check_snapshot.check_all ~config ~modes:[ Engine.Dynamic; Engine.Compiled ]
-          ~roadmark:2 ~invocations:3
+        Check_snapshot.check_all ~config ~roadmark:2 ~invocations:3
           [ Salam_workloads.Gemm.workload ~n:8 () ])
       [ Salam.Config.default; Test_check.cache_config ~size:2048 ~ways:2; Test_check.dram_config ]
   in

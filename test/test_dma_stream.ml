@@ -10,6 +10,8 @@ module Trace = Salam_obs.Trace
 
 let check = Alcotest.check
 
+let stat = Test_mem.stat
+
 let fresh ?trace () =
   let kernel = Kernel.create () in
   Kernel.set_trace kernel trace;
@@ -48,7 +50,7 @@ let test_burst_split () =
   Dma.Block.start dma ~src:1024L ~dst:8192L ~len:160 ~on_done:(fun () -> finished := true);
   ignore (Kernel.run kernel);
   check Alcotest.bool "done" true !finished;
-  check Alcotest.int "bytes moved" 160 (Dma.Block.bytes_moved dma);
+  check Alcotest.int "bytes moved" 160 (stat stats "dma.bytes_moved");
   check Alcotest.bool "data copied" true
     (Bytes.equal payload (Salam_ir.Memory.load_bytes backing 8192L 160));
   (* 160 bytes with 64-byte bursts: 64 + 64 + 32, visible in the trace *)
@@ -98,7 +100,7 @@ let test_backpressure_full () =
   Stream_buffer.push sb (Bytes.make 4 'y') ~on_accepted:(fun () -> incr accepted);
   ignore (Kernel.run kernel);
   check Alcotest.int "second push blocked while full" 1 !accepted;
-  check Alcotest.bool "full stalls counted" true (Stream_buffer.full_stalls sb > 0);
+  check Alcotest.bool "full stalls counted" true (stat stats "fifo.full_stalls" > 0);
   check Alcotest.bool "full stall traced" true
     (List.exists
        (fun (e : Trace.event) -> e.Trace.detail = "full")
@@ -119,7 +121,7 @@ let test_backpressure_empty () =
   Stream_buffer.pop sb ~size:2 ~on_data:(fun d -> got := Some (Bytes.to_string d));
   ignore (Kernel.run kernel);
   check Alcotest.bool "pop blocked while empty" true (!got = None);
-  check Alcotest.bool "empty stalls counted" true (Stream_buffer.empty_stalls sb > 0);
+  check Alcotest.bool "empty stalls counted" true (stat stats "fifo.empty_stalls" > 0);
   check Alcotest.bool "empty stall traced" true
     (List.exists
        (fun (e : Trace.event) -> e.Trace.detail = "empty")
@@ -154,8 +156,8 @@ let test_stream_dma_roundtrip () =
   ignore (Kernel.run kernel);
   check Alcotest.bool "stream-in finished" true !in_done;
   check Alcotest.bool "stream-out finished" true !out_done;
-  check Alcotest.int "reader moved 48 bytes" 48 (Dma.Stream.bytes_moved reader);
-  check Alcotest.int "writer moved 48 bytes" 48 (Dma.Stream.bytes_moved writer);
+  check Alcotest.int "reader moved 48 bytes" 48 (stat stats "sdma_in.bytes_moved");
+  check Alcotest.int "writer moved 48 bytes" 48 (stat stats "sdma_out.bytes_moved");
   check Alcotest.bool "payload arrived intact" true
     (Bytes.equal payload (Salam_ir.Memory.load_bytes backing 4096L 48));
   (* 48 bytes at 16-byte chunks: three traced chunks each way *)

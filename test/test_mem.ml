@@ -14,6 +14,15 @@ let fresh () =
 
 let send port pkt done_ = Port.send port pkt ~on_complete:done_
 
+(* A device counter, read from the stats tree it registers into:
+   [path] is relative to [stats], e.g. ["spm.bank_conflicts"]. *)
+let stat stats path =
+  match
+    Stats.fold stats ~init:None ~f:(fun acc ~path:p v -> if p = path then Some v else acc)
+  with
+  | Some v -> int_of_float v
+  | None -> Alcotest.failf "no statistic %s" path
+
 (* --- SPM -------------------------------------------------------------- *)
 
 let test_spm_latency () =
@@ -69,7 +78,7 @@ let test_spm_bank_conflicts () =
     send (Spm.port spm) (Packet.make Packet.Read ~addr:(Int64.of_int (k * 16)) ~size:8) ignore
   done;
   ignore (Kernel.run kernel);
-  check Alcotest.bool "conflicts detected" true (Spm.bank_conflicts spm > 0)
+  check Alcotest.bool "conflicts detected" true (stat stats "spm.bank_conflicts" > 0)
 
 let test_spm_rejects_out_of_range () =
   let kernel, clock, stats = fresh () in
@@ -135,7 +144,7 @@ let test_dram_bandwidth_serialises () =
   (match sorted with
   | a :: b :: _ -> check Alcotest.int64 "8-cycle channel occupancy" 8L (Int64.sub b a)
   | _ -> Alcotest.fail "expected completions");
-  check Alcotest.int "bytes accounted" 256 (Dram.bytes_read dram)
+  check Alcotest.int "bytes accounted" 256 (stat stats "dram.bytes_read")
 
 (* --- cache ------------------------------------------------------------ *)
 
@@ -182,7 +191,7 @@ let test_cache_eviction_and_writeback () =
   touch 0 (fun () -> finished := true);
   ignore (Kernel.run kernel);
   check Alcotest.bool "completed" true !finished;
-  check Alcotest.bool "dirty lines written back" true (Cache.writebacks cache > 0);
+  check Alcotest.bool "dirty lines written back" true (stat stats "l1.writebacks" > 0);
   Cache.flush cache;
   send (Cache.port cache) (Packet.make Packet.Read ~addr:(line 4) ~size:8) ignore;
   ignore (Kernel.run kernel);
@@ -225,7 +234,7 @@ let test_cache_same_set_double_miss () =
   check Alcotest.bool "re-read completed" true !reread_hit;
   check Alcotest.int "exactly two misses" 2 (Cache.misses cache);
   check Alcotest.int "re-read of first line hits" 1 (Cache.hits cache);
-  check Alcotest.int "fragments = hits + misses" 3 (Cache.fragments cache);
+  check Alcotest.int "fragments = hits + misses" 3 (stat stats "l1.fragments");
   check (Alcotest.list Alcotest.string) "quiescent invariants" [] (Cache.invariant_errors cache)
 
 (* Every way of a set reserved by in-flight fills: a third miss to the
@@ -268,7 +277,7 @@ let test_xbar_routing_and_default () =
   ignore (Kernel.run kernel);
   check Alcotest.int "ranged" 1 !hits_a;
   check Alcotest.int "default" 1 !hits_d;
-  check Alcotest.int "both routed" 2 (Xbar.packets_routed xbar)
+  check Alcotest.int "both routed" 2 (stat stats "x.packets_routed")
 
 let test_xbar_rejects_overlap () =
   let kernel, clock, stats = fresh () in
@@ -300,7 +309,7 @@ let test_block_dma_copies () =
   check Alcotest.bool "done" true !finished;
   check Alcotest.bool "data copied" true
     (Bytes.equal payload (Salam_ir.Memory.load_bytes backing 8192L 200));
-  check Alcotest.int "bytes moved" 200 (Dma.Block.bytes_moved dma);
+  check Alcotest.int "bytes moved" 200 (stat stats "dma.bytes_moved");
   Alcotest.check_raises "second transfer while busy is the caller's bug"
     (Invalid_argument "dma: transfer length must be positive") (fun () ->
       Dma.Block.start dma ~src:0L ~dst:0L ~len:0 ~on_done:ignore)
@@ -327,7 +336,7 @@ let test_stream_blocking_full_and_empty () =
   Stream_buffer.push sb (Bytes.make 4 'y') ~on_accepted:(fun () -> incr accepted);
   ignore (Kernel.run kernel);
   check Alcotest.int "second push blocked while full" 1 !accepted;
-  check Alcotest.bool "full stall counted" true (Stream_buffer.full_stalls sb > 0);
+  check Alcotest.bool "full stall counted" true (stat stats "fifo.full_stalls" > 0);
   (* draining unblocks the producer *)
   Stream_buffer.pop sb ~size:4 ~on_data:(fun _ -> ());
   ignore (Kernel.run kernel);

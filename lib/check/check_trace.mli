@@ -14,10 +14,6 @@
 val vecadd_workload : Salam_workloads.Workload.t
 (** 4-element f64 vector add with exact-in-binary inputs. *)
 
-val scenarios : (string * (Salam_obs.Trace.sink -> bool)) list
-(** Name and runner. The runner executes the scenario with the sink
-    installed and returns whether the functional result was correct. *)
-
 val names : string list
 
 val capture : string -> string

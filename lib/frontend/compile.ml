@@ -14,5 +14,3 @@ let kernel (k : Lang.kernel) =
       in
       raise (Error (Printf.sprintf "kernel %s compiled to invalid IR:\n%s\n%s" k.kname msg (Pp.func_to_string f))));
   f
-
-let modul kernels = { Ast.funcs = List.map kernel kernels; globals = [] }

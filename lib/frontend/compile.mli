@@ -9,6 +9,3 @@ val kernel : Lang.kernel -> Salam_ir.Ast.func
 (** Compile one kernel to verified, optimised IR. Raises [Error] with
     the verifier's diagnostics if the produced IR is malformed (which
     indicates a front-end bug or an ill-typed kernel). *)
-
-val modul : Lang.kernel list -> Salam_ir.Ast.modul
-(** Compile kernels into one module. *)

@@ -11,8 +11,6 @@ val create : unit -> t
 
 val add : t -> Ast.var -> Ast.value -> unit
 
-val is_empty : t -> bool
-
 val resolve : t -> Ast.value -> Ast.value
 (** Follow the chain; identity for unmapped values and constants. *)
 

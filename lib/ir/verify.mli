@@ -13,8 +13,6 @@ type problem = { in_func : string; in_block : string; message : string }
 
 val func : Ast.func -> problem list
 
-val modul : Ast.modul -> problem list
-
 val check_exn : Ast.modul -> unit
 (** Raises [Failure] with all problems pretty-printed if any. *)
 

@@ -94,14 +94,10 @@ type filter = {
 
 val no_filter : filter
 
-val matches : filter -> event -> bool
-
 val filtered : ?filter:filter -> sink -> event list
 
-val line : event -> string
-(** One canonical text line: [tick comp category detail k=v ...]. *)
-
 val to_lines : ?filter:filter -> sink -> string list
+(** One canonical text line per event: [tick comp category detail k=v ...]. *)
 
 val to_text : ?filter:filter -> sink -> string
 

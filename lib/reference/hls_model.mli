@@ -25,8 +25,6 @@ type config = {
   write_ports : int;
 }
 
-val default_config : config
-
 val block_counts :
   Salam_ir.Memory.t ->
   Salam_ir.Ast.modul ->

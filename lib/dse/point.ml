@@ -82,6 +82,12 @@ let with_hw ?db_path ?cycle_time_ns p =
   let* _ = resolve_profile p in
   Ok p
 
+let cache_line_bytes = 64
+
+let cache_ways = 4
+
+let cache_set_bytes = cache_line_bytes * cache_ways
+
 let to_config p =
   let hw =
     match resolve_profile p with
@@ -104,7 +110,12 @@ let to_config p =
           }
     | Cache ->
         Salam.Config.Cache
-          { size = p.cache_bytes; line_bytes = 64; ways = 4; hit_latency = 2 }
+          {
+            size = p.cache_bytes;
+            line_bytes = cache_line_bytes;
+            ways = cache_ways;
+            hit_latency = 2;
+          }
     | Dram -> Salam.Config.Dram_direct
   in
   {

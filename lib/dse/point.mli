@@ -61,6 +61,10 @@ val canonical : t -> t
 val compare : t -> t -> int
 (** Total order on canonical forms. *)
 
+val cache_set_bytes : int
+(** Bytes in one set of the caches {!to_config} builds (64-byte lines, 4
+    ways): a cache point's capacity must be a positive multiple. *)
+
 val to_config : t -> Salam.Config.t
 (** Elaborate the point into a simulation configuration. A positive
     [fu_limit] caps FADD and FMUL (double precision) in the static

@@ -185,11 +185,12 @@ let frontend_words kernels =
 (* Allocation ledger: minor-heap words and kernel events per dynamic
    instruction of one [Salam.simulate] call (default config, compiled
    engine, SPM) on every standard-suite kernel plus the Fig 13 GEMM
-   point, and the front end's words per compiled IR instruction over
-   those kernels and the three 32x32 CNN stages. All are exact counts,
-   not timings, so they do not depend on the machine; CI gates the
-   suite-wide words per instruction and the front end's. Each kernel
-   runs once untimed first so one-time memoisation stays out of the
+   point; the same for one round of the three Fig 16 CNN integrations
+   and for the Fig 13 point on a cache and on DRAM; and the front end's
+   words per compiled IR instruction over the suite kernels and the
+   three 32x32 CNN stages. All are exact counts, not timings, so they
+   do not depend on the machine; CI gates each of them. Each workload
+   runs once uncounted first so one-time memoisation stays out of the
    count. *)
 let alloc () =
   Bench_util.section "ALLOC — minor words and kernel events per dynamic instruction";
@@ -218,7 +219,41 @@ let alloc () =
   Printf.printf "suite: %d dynamic instructions, %.1f words/instr, %.2f events/instr\n"
     !total_instr (per !total_words)
     (per (float_of_int !total_events));
+  (* the memory path beyond the SPM: one round of the three Fig 16
+     integrations (DMA, crossbars, shared SPM, stream buffers), and the
+     Fig 13 point on a 2 KiB cache and straight to DRAM *)
+  let line name ~instr ~words ~events =
+    let per x = x /. float_of_int (max 1 instr) in
+    Printf.printf "%s: %d dynamic instructions, %.2f words/instr, %.2f events/instr\n" name instr
+      (per words) (per (float_of_int events))
+  in
+  let module C = Salam_scenarios.Cnn_pipeline in
+  let cnn_round () = [ C.run_private_spm (); C.run_shared_spm (); C.run_streams () ] in
+  ignore (cnn_round ());
+  let w0 = Gc.minor_words () in
+  let outcomes = cnn_round () in
+  let words = Gc.minor_words () -. w0 in
+  List.iter (fun (o : C.outcome) -> if not o.C.correct then failwith (o.C.scenario ^ ": wrong result")) outcomes;
+  let sum f = List.fold_left (fun n o -> n + f o) 0 outcomes in
+  line "cnn round" ~instr:(sum (fun o -> o.C.dynamic_instructions)) ~words
+    ~events:(sum (fun o -> o.C.kernel_events));
   let gemm16 = Exp_dse.gemm_dse_workload () in
+  let func = Salam_workloads.Workload.compile gemm16 in
+  List.iter
+    (fun (name, memory) ->
+      let config = { Salam.Config.default with Salam.Config.memory } in
+      ignore (Salam.simulate ~config ~func gemm16);
+      let w0 = Gc.minor_words () in
+      let r = Salam.simulate ~config ~func gemm16 in
+      let words = Gc.minor_words () -. w0 in
+      if not r.Salam.correct then failwith (name ^ ": wrong result");
+      line name ~instr:r.Salam.stats.Salam_engine.Engine.dynamic_instructions ~words
+        ~events:r.Salam.kernel_events)
+    [
+      ( "fig13 cache",
+        Salam.Config.Cache { size = 2048; line_bytes = 64; ways = 4; hit_latency = 2 } );
+      ("fig13 dram", Salam.Config.Dram_direct);
+    ];
   let none, off = sink_off_words gemm16 in
   Printf.printf "sink attached but off: %.0f words, no sink: %.0f words (%s)\n" off none
     gemm16.Salam_workloads.Workload.name;

@@ -42,14 +42,24 @@ let run_serve socket store workers queue trace_path hw_db_paths =
       trace;
     }
   in
+  (* SIGINT and SIGTERM are blocked before the server starts its threads
+     and domains, which inherit the mask, and taken by one thread in
+     [Thread.wait_signal]. An OCaml signal handler runs only once some
+     thread reaches a safe point, which an idle daemon (every thread
+     blocked in accept or Condition.wait) never does. *)
+  let signals = [ Sys.sigint; Sys.sigterm ] in
+  ignore (Thread.sigmask Unix.SIG_BLOCK signals);
   let t =
     match Server.start cfg with
     | t -> t
     | exception (Failure e | Invalid_argument e) -> die "%s" e
   in
-  let stop_on_signal _ = ignore (Thread.create (fun () -> Server.stop t) ()) in
-  Sys.set_signal Sys.sigint (Sys.Signal_handle stop_on_signal);
-  Sys.set_signal Sys.sigterm (Sys.Signal_handle stop_on_signal);
+  ignore
+    (Thread.create
+       (fun () ->
+         ignore (Thread.wait_signal signals);
+         Server.stop t)
+       ());
   Printf.printf "[served] listening on %s (%s, %d workers, queue %d)\n%!" socket
     (match store with Some d -> "store " ^ d | None -> "in-memory store")
     cfg.Server.workers cfg.Server.queue_capacity;

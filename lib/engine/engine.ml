@@ -37,13 +37,16 @@ let default_config =
    site). *)
 let unset_thunk () = ()
 
+(* likewise for [k_commit] *)
+let unset_k (_ : int) = ()
+
 exception Invariant_violation of string
 
 exception Runtime_error of string
 
 type mem_iface = {
-  read : addr:int64 -> ty:Ty.t -> dst:Bytes.t -> at:int -> on_done:(unit -> unit) -> unit;
-  write : addr:int64 -> ty:Ty.t -> src:Bytes.t -> at:int -> on_done:(unit -> unit) -> unit;
+  read : addr:int -> ty:Ty.t -> dst:Bytes.t -> at:int -> k:(int -> unit) -> tag:int -> unit;
+  write : addr:int -> ty:Ty.t -> src:Bytes.t -> at:int -> k:(int -> unit) -> tag:int -> unit;
 }
 
 type run_stats = {
@@ -74,6 +77,10 @@ type run_stats = {
 
 type dstate = Waiting | Issued | Done
 
+(* an import waiting for reservation room: a compiled edge, or (dynamic
+   mode) a (label, pred) pair *)
+type pending = No_import | Pending_edge of Schedule.edge | Pending_label of string * string
+
 let nil = Slot_list.nil
 
 (* Raw 64-bit value slots (see {!Bits.Payload}). The primitives compile
@@ -82,6 +89,23 @@ let nil = Slot_list.nil
 external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
 
 external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* Static per-node facts, precomputed once at [create] and indexed by the
+   dense [n_id]: importing a block re-derives none of this per dynamic
+   instance. *)
+type sinfo = {
+  si_sources : Ast.value array;  (** operand sources (phis resolve per-pred) *)
+  si_def : Ast.var option;
+  si_mem_size : int;
+  si_mem_ty : Ty.t;
+  si_is_load : bool;
+  si_is_store : bool;
+  si_has_result : bool;  (** writes a result slot: traced as [val] at writeback *)
+  si_res : int;  (** [8 * n_ops]: the result slot's offset in an instance's [vals] *)
+  si_fu_ix : int;  (** [Fu.index] of the node's class, or -1 *)
+  si_def_reg : int;  (** the register it defines, or -1 *)
+  si_def_ty : Ty.t;  (** that register's type (Void for none) *)
+}
 
 (* A dynamic instruction. Scheduling is wake-up driven: [missing] counts
    value operands still in flight and [hazards] counts pending WAW/WAR
@@ -117,6 +141,7 @@ type dyn = {
   mutable addr_known : bool;
   mem_size : int;
   mem_ty : Ty.t;  (** Void for non-memory ops *)
+  info : sinfo;  (** the node's static facts *)
   is_load : bool;
   is_store : bool;
   mutable is_device : bool;  (** lies in an ordered (stream) range *)
@@ -133,11 +158,10 @@ type dyn = {
       (** free-list link: the node's pool (compiled mode) or the free
           slots (dynamic mode) *)
   mutable retired : bool;  (** popped from the reservation while still in flight *)
-  k_commit : unit -> unit;
-      (** [commit] of this instance: the continuation of memory
-          responses *)
   mutable wheel_next : int;
       (** next instance in its completion-wheel bucket (see [t.wheel_head]) *)
+  mutable ix_prev : int;
+  mutable ix_next : int;  (** links in an ordering-index bucket (see [t.ix_head]) *)
   (* value dependents as an intrusive chain: the producer's
      [dep_head]/[dep_head_slot] name the first (consumer, slot) link;
      each consumer chains onward through its own [dep_next]/[dep_slot]
@@ -152,24 +176,20 @@ type dyn = {
 
 let[@inline] n_ops d = Array.length d.producers
 
-let[@inline] res_off d = 8 * n_ops d
+let[@inline] res_off d = d.info.si_res
 
 let[@inline] addr_off d = 8 * (n_ops d + 1)
 
 let[@inline] operand d i = get64 d.vals (8 * i)
 
-(* Static per-node facts, precomputed once at [create] and indexed by the
-   dense [n_id]: importing a block re-derives none of this per dynamic
-   instance. *)
-type sinfo = {
-  si_sources : Ast.value array;  (** operand sources (phis resolve per-pred) *)
-  si_def : Ast.var option;
-  si_mem_size : int;
-  si_mem_ty : Ty.t;
-  si_is_load : bool;
-  si_is_store : bool;
-  si_has_result : bool;  (** writes a result slot: traced as [val] at writeback *)
-}
+let[@inline] addr_of d = Int64.to_int (get64 d.vals (addr_off d))
+
+(* ordering-index buckets: a power of two, indexed by 8-byte word; small
+   enough that the two bucket arrays of an engine are minor-heap blocks *)
+let ix_buckets = 128
+
+let[@inline] bucket_of addr = (addr lsr 3) land (ix_buckets - 1)
+
 
 type t = {
   kernel : Kernel.t;
@@ -183,6 +203,10 @@ type t = {
   block_nodes : (string, Datapath.node array) Hashtbl.t;
   infos : sinfo array;  (** indexed by [Datapath.n_id] *)
   specs : Profile.fu_spec array;  (** indexed by [Fu.index] *)
+  fu_fp : bool array;  (** indexed by [Fu.index]: a floating-point class *)
+  write_pj : float array;
+      (** by [Datapath.n_id]: the register-file write energy of the
+          node's result, charged at commit *)
   fu_units : int array;  (** indexed by [Fu.index] *)
   regs : Bytes.t;  (** register file: the payload of register [id] at byte [8 * id] *)
   mutable insts : dyn array;  (** the instance table, by slot; [n_insts] in use *)
@@ -217,10 +241,20 @@ type t = {
       (** Waiting (imported, not yet issued) memory ops in program order.
           Issued ops can never conflict, so they leave at issue time —
           ordering walks only ever traverse genuine candidates. *)
-  live_stores : Slot_list.t;
-      (** the stores of [live_mem], in program order: all a non-device
-          load's ordering walk needs, since it never conflicts with a
-          load *)
+  (* The ordering index over [live_mem] (see [index_live]). A live op
+     with an unknown address is on the unresolved chain of its kind; a
+     resolved one in the bucket of the 8-byte word its address lies in,
+     among the loads' or the stores' buckets, unless it crosses a word,
+     when it is only counted in [straddling]. All chains link through
+     [ix_prev]/[ix_next]. *)
+  unres_head : int array;
+  unres_tail : int array;
+      (** the unresolved chains, loads at 0 and stores at 1, in program
+          order *)
+  mutable straddling : int;
+  ix_loads : int array;
+  ix_stores : int array;  (** word buckets, unordered chains *)
+  live_device : Slot_list.t;  (** live device ops, in program order *)
   last_writer : int array;  (** indexed by register id; [nil] once committed *)
   last_instance : int array;  (** indexed by static node id *)
   readers_waiting : int array;
@@ -248,7 +282,11 @@ type t = {
   mutable writes_outstanding : int;
   mutable inflight_total : int;
   mutable next_seq : int;
-  mutable pending_import : (string * string) option;  (** (label, pred) waiting for slots *)
+  mutable pending_import : pending;
+  phi_prev : int array;
+  phi_inst : int array;
+      (** scratch for an import's leading phis: each one's WAW predecessor
+          and new instance, between operand capture and registration *)
   mutable is_running : bool;
   mutable ret_committed : bool;
   mutable ret_value : Bits.t option;
@@ -302,6 +340,9 @@ type t = {
   mutable tick_thunk : unit -> unit;
       (** the [tick] closure, allocated once — [schedule_tick] runs every
           active cycle *)
+  mutable k_commit : int -> unit;
+      (** [commit] of the instance in a slot: the completion handler of
+          every memory request, whose tag is the instance's slot *)
 }
 
 let create kernel clock ?(config = default_config) ~datapath ~mem () =
@@ -348,6 +389,11 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
             | Ast.Gep _ | Ast.Phi _ | Ast.Call _ ->
                 true
             | Ast.Store _ | Ast.Alloca _ | Ast.Br _ | Ast.Cond_br _ | Ast.Ret _ -> false);
+          si_res =
+            8 * (match instr with Ast.Phi _ -> 1 | _ -> List.length (Ast.used_values instr));
+          si_fu_ix = (match n.Datapath.fu with Some cls -> Fu.index cls | None -> -1);
+          si_def_reg = (match Ast.defined_var instr with Some v -> v.Ast.id | None -> -1);
+          si_def_ty = (match Ast.defined_var instr with Some v -> v.Ast.ty | None -> Ty.Void);
         })
       datapath.Datapath.nodes
   in
@@ -396,6 +442,15 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
     block_nodes;
     infos;
     specs;
+    fu_fp = Array.of_list (List.map Fu.is_fp Fu.all);
+    write_pj =
+      Array.map
+        (fun (n : Datapath.node) ->
+          match Ast.defined_var n.Datapath.instr with
+          | Some v ->
+              float_of_int (Ty.bits v.Ast.ty) *. datapath.Datapath.profile.Profile.reg_write_pj_per_bit
+          | None -> 0.0)
+        datapath.Datapath.nodes;
     fu_units;
     regs = Bytes.make (8 * nregs) '\000';
     insts = [||];
@@ -413,7 +468,12 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
     scan_l = nil;
     scan_s = nil;
     live_mem = Slot_list.create ();
-    live_stores = Slot_list.create ();
+    unres_head = Array.make 2 nil;
+    unres_tail = Array.make 2 nil;
+    straddling = 0;
+    ix_loads = Array.make ix_buckets nil;
+    ix_stores = Array.make ix_buckets nil;
+    live_device = Slot_list.create ();
     last_writer = Array.make nregs nil;
     last_instance = Array.make n_nodes nil;
     readers_waiting = Array.make nregs 0;
@@ -435,7 +495,9 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
     writes_outstanding = 0;
     inflight_total = 0;
     next_seq = 0;
-    pending_import = None;
+    pending_import = No_import;
+    phi_prev = Array.make (largest_block + 1) nil;
+    phi_inst = Array.make (largest_block + 1) nil;
     is_running = false;
     ret_committed = false;
     ret_value = None;
@@ -479,6 +541,7 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
     r_store = 0;
     r_fu = 0;
     tick_thunk = unset_thunk;
+    k_commit = unset_k;
   }
 
 
@@ -525,9 +588,6 @@ let mnemonic (i : Ast.instr) =
 
 let reg_read_energy t (ty : Ty.t) =
   float_of_int (Ty.bits ty) *. (profile t).Profile.reg_read_pj_per_bit
-
-let reg_write_energy t (ty : Ty.t) =
-  float_of_int (Ty.bits ty) *. (profile t).Profile.reg_write_pj_per_bit
 
 (* Resolve the address of a memory operation as soon as its address
    operand is available — a store's data value may arrive much later,
@@ -609,12 +669,72 @@ let stall_load = 1 and stall_store = 2 and stall_compute = 4
 let count_ready t dyn d =
   if dyn.is_load then t.r_load <- t.r_load + d
   else if dyn.is_store then t.r_store <- t.r_store + d
-  else match dyn.node.Datapath.fu with Some _ -> t.r_fu <- t.r_fu + d | None -> ()
+  else if dyn.info.si_fu_ix >= 0 then t.r_fu <- t.r_fu + d
 
 (* one operand slot starts ([d] = 1) or stops waiting on [producer]; a
    store defines no register, so it is never a producer *)
 let count_undelivered t producer d =
   if producer.is_load then t.u_load <- t.u_load + d else t.u_comp <- t.u_comp + d
+
+(* --- the ordering index --------------------------------------------------
+
+   Issue asks whether an older live memory op may conflict (see
+   [conflict]). The index answers without walking [live_mem]: an older
+   op with an unknown address heads an unresolved chain, an older device
+   op heads [live_device], and an older op whose bytes overlap lies in
+   the bucket of one of the words the access touches (an access is at
+   most 8 bytes, so only an op crossing a word could reach in from the
+   word before; while any such op is live, and without address
+   disambiguation, the reference walk answers instead). *)
+
+let straddles d = (addr_of d land 7) + d.mem_size > 8
+
+let[@inline] kind d = if d.is_store then 1 else 0
+
+(* [d]'s address has become known while it is live *)
+let index_resolved t d =
+  if d.is_device then Slot_list.sorted_insert t.live_device ~key:d.seq d.id;
+  if straddles d then t.straddling <- t.straddling + 1
+  else begin
+    let heads = if d.is_store then t.ix_stores else t.ix_loads in
+    let b = bucket_of (addr_of d) in
+    let h = heads.(b) in
+    d.ix_prev <- nil;
+    d.ix_next <- h;
+    if h <> nil then (inst t h).ix_prev <- d.id;
+    heads.(b) <- d.id
+  end
+
+(* a memory op joins [live_mem], and the index, at import *)
+let index_live t d =
+  Slot_list.push_back t.live_mem d.id;
+  if d.addr_known then index_resolved t d
+  else begin
+    let k = kind d in
+    let tl = t.unres_tail.(k) in
+    d.ix_prev <- tl;
+    d.ix_next <- nil;
+    if tl <> nil then (inst t tl).ix_next <- d.id else t.unres_head.(k) <- d.id;
+    t.unres_tail.(k) <- d.id
+  end
+
+let unindex_resolving t d =
+  let k = kind d in
+  let p = d.ix_prev and n = d.ix_next in
+  if p <> nil then (inst t p).ix_next <- n else t.unres_head.(k) <- n;
+  if n <> nil then (inst t n).ix_prev <- p else t.unres_tail.(k) <- p
+
+(* a memory op leaves the index at issue, when its address is known *)
+let unindex_issued t d =
+  Slot_list.remove t.live_mem d.id;
+  if d.is_device then Slot_list.remove t.live_device d.id;
+  if straddles d then t.straddling <- t.straddling - 1
+  else begin
+    let p = d.ix_prev and n = d.ix_next in
+    if p <> nil then (inst t p).ix_next <- n
+    else (if d.is_store then t.ix_stores else t.ix_loads).(bucket_of (addr_of d)) <- n;
+    if n <> nil then (inst t n).ix_prev <- p
+  end
 
 (* [producer]'s committed result arrives in [consumer]'s operand [slot] *)
 let deliver t producer consumer slot =
@@ -623,7 +743,13 @@ let deliver t producer consumer slot =
   consumer.missing <- consumer.missing - 1;
   count_undelivered t producer (-1);
   if consumer.missing = 0 then count_ready t consumer 1;
-  if consumer.is_load || consumer.is_store then resolve_addr t consumer;
+  if (consumer.is_load || consumer.is_store) && not consumer.addr_known then begin
+    resolve_addr t consumer;
+    if consumer.addr_known then begin
+      unindex_resolving t consumer;
+      index_resolved t consumer
+    end
+  end;
   try_wake t consumer
 
 (* Does an operand-complete live memory op of kind [store] sit behind an
@@ -914,31 +1040,66 @@ let conflict t dyn older =
     a < Int64.add b (Int64.of_int dyn.mem_size) && b < Int64.add a (Int64.of_int older.mem_size)
   else true (* unresolved address: conservative *)
 
-(* [live] ([live_mem] or [live_stores]) is kept in program (seq) order:
-   stop at the first entry that is not older than [dyn] *)
-let rec ordering_clear t live dyn s =
+(* The reference walk: [live_mem] is kept in program (seq) order, so it
+   stops at the first entry that is not older than [dyn]. *)
+let rec ordering_clear t dyn s =
   if s = nil then true
   else
     let older = inst t s in
     if older.seq >= dyn.seq then true
     else if conflict t dyn older then false
-    else ordering_clear t live dyn (Slot_list.next live s)
+    else ordering_clear t dyn (Slot_list.next t.live_mem s)
 
-let ordering_clear_all t dyn = ordering_clear t t.live_mem dyn (Slot_list.head t.live_mem)
+let[@inline] older_head t l dyn =
+  let h = Slot_list.head l in
+  h <> nil && (inst t h).seq < dyn.seq
 
-(* A non-device load conflicts with no load, so it walks only the older
-   stores; check mode compares that answer with the full walk. *)
+(* an unresolved op of kind [k] older than [dyn] *)
+let[@inline] older_unresolved t k dyn =
+  let h = t.unres_head.(k) in
+  h <> nil && (inst t h).seq < dyn.seq
+
+(* an op of the bucket chain from [s], older than [dyn], overlapping
+   [a, a + dyn.mem_size) *)
+let rec bucket_overlap t dyn a s =
+  s <> nil
+  &&
+  let o = inst t s in
+  (o.seq < dyn.seq
+  &&
+  let b = addr_of o in
+  b < a + dyn.mem_size && a < b + o.mem_size)
+  || bucket_overlap t dyn a o.ix_next
+
+let in_buckets t dyn a heads =
+  let w0 = bucket_of a and w1 = bucket_of (a + dyn.mem_size - 1) in
+  bucket_overlap t dyn a heads.(w0) || (w1 <> w0 && bucket_overlap t dyn a heads.(w1))
+
+let overlaps_older t dyn =
+  let a = addr_of dyn in
+  in_buckets t dyn a t.ix_stores || (dyn.is_store && in_buckets t dyn a t.ix_loads)
+
+(* [conflict] over every older live op, from the index; [dyn]'s own
+   address is known (its operands have all arrived) *)
+let ordering_clear_indexed t dyn =
+  if t.straddling > 0 || not t.cfg.disambiguate_memory then
+    ordering_clear t dyn (Slot_list.head t.live_mem)
+  else if dyn.is_device then
+    not (older_head t t.live_device dyn || older_unresolved t 0 dyn || older_unresolved t 1 dyn)
+  else if dyn.is_load then not (older_unresolved t 1 dyn || overlaps_older t dyn)
+  else not (older_unresolved t 0 dyn || older_unresolved t 1 dyn || overlaps_older t dyn)
+
+(* check mode compares the index's answer with the walk *)
 let memory_ordering_ok t dyn =
-  if dyn.is_load && not dyn.is_device then begin
-    let ok = ordering_clear t t.live_stores dyn (Slot_list.head t.live_stores) in
-    if t.cfg.check && ok <> ordering_clear_all t dyn then
-      raise
-        (Invariant_violation
-           (Printf.sprintf "@%s: cycle %d: load ordering %b over the older stores, %b over all"
-              t.dp.Datapath.func.Ast.fname t.cur_cycle ok (not ok)));
-    ok
-  end
-  else ordering_clear_all t dyn
+  let ok = ordering_clear_indexed t dyn in
+  if t.cfg.check && ok <> ordering_clear t dyn (Slot_list.head t.live_mem) then
+    raise
+      (Invariant_violation
+         (Printf.sprintf "@%s: cycle %d: %s ordering %b from the index, %b from the walk"
+            t.dp.Datapath.func.Ast.fname t.cur_cycle
+            (if dyn.is_load then "load" else "store")
+            ok (not ok)));
+  ok
 
 (* --- timing invariants (active when [config.check]) -------------------- *)
 
@@ -983,8 +1144,13 @@ let check_completion t =
     err "ready store queue holds %d entries at completion" (Slot_list.length t.ready_s);
   if not (Slot_list.is_empty t.live_mem) then
     err "live memory queue holds %d entries at completion" (Slot_list.length t.live_mem);
-  if not (Slot_list.is_empty t.live_stores) then
-    err "live store queue holds %d entries at completion" (Slot_list.length t.live_stores);
+  if
+    not
+      (Array.for_all (fun h -> h = nil) t.unres_head
+      && t.straddling = 0 && Slot_list.is_empty t.live_device
+      && Array.for_all (fun h -> h = nil) t.ix_loads
+      && Array.for_all (fun h -> h = nil) t.ix_stores)
+  then err "ordering index not empty at completion";
   let waiting = ref 0 in
   Slot_ring.iter_while
     (fun s ->
@@ -1034,9 +1200,7 @@ let note_issue t dyn =
   t.cyc_issued <- true;
   if dyn.is_load then t.cyc_load <- true;
   if dyn.is_store then t.cyc_store <- true;
-  match dyn.node.Datapath.fu with
-  | Some cls when Fu.is_fp cls -> t.cyc_fp <- true
-  | Some _ | None -> ()
+  if dyn.info.si_fu_ix >= 0 && t.fu_fp.(dyn.info.si_fu_ix) then t.cyc_fp <- true
 
 (* The node's previous instance while it is still Waiting, else [nil].
    Read before [acquire]: the pooled instance about to be reused may
@@ -1068,65 +1232,102 @@ let rec schedule_tick t ~cycles =
   end
 
 and import_block t ~label ~pred =
-  match t.sched with
-  | Some sc -> import_block_compiled t sc ~label ~pred
-  | None -> import_block_dynamic t ~label ~pred
-
-and import_block_dynamic t ~label ~pred =
   let nodes =
     try Hashtbl.find t.block_nodes label
     with Not_found -> invalid_arg ("Engine: unknown block " ^ label)
   in
   let room = t.cfg.reservation_slots - t.waiting_count in
-  if room < Array.length nodes then t.pending_import <- Some (label, pred)
+  if room < Array.length nodes then t.pending_import <- Pending_label (label, pred)
   else begin
-    t.pending_import <- None;
-    Array.iter
-      (fun (node : Datapath.node) ->
-        let dyn =
-          match node.Datapath.instr with
-          | Ast.Phi { dst = _; incoming } ->
-              (* resolve against the edge taken; a phi is pure wiring *)
-              let value =
-                match List.find_opt (fun (_, l) -> l = pred) incoming with
-                | Some (v, _) -> v
-                | None ->
-                    invalid_arg
-                      (Printf.sprintf "Engine: phi in %s lacks incoming for %s" label pred)
-              in
-              make_dyn t node [| value |]
-          | _ -> make_dyn t node t.infos.(node.Datapath.n_id).si_sources
-        in
+    t.pending_import <- No_import;
+    (* LLVM phis are parallel copies: every leading phi captures its
+       operand before any registers its destination *)
+    let phis = ref 0 and phi_sources = ref [] in
+    while
+      !phis < Array.length nodes
+      && match nodes.(!phis).Datapath.instr with Ast.Phi _ -> true | _ -> false
+    do
+      let node = nodes.(!phis) in
+      let value =
+        match node.Datapath.instr with
+        | Ast.Phi { incoming; _ } -> (
+            (* resolve against the edge taken; a phi is pure wiring *)
+            match List.find_opt (fun (_, l) -> l = pred) incoming with
+            | Some (v, _) -> v
+            | None ->
+                invalid_arg (Printf.sprintf "Engine: phi in %s lacks incoming for %s" label pred))
+        | _ -> assert false
+      in
+      let sources = [| value |] in
+      t.phi_prev.(!phis) <- waw_prev t node.Datapath.n_id;
+      t.phi_inst.(!phis) <- (capture_dyn t node sources).id;
+      phi_sources := sources :: !phi_sources;
+      incr phis
+    done;
+    List.iteri
+      (fun i sources ->
+        let dyn = finish_dyn t (inst t t.phi_inst.(i)) t.phi_prev.(i) sources in
         Slot_ring.push_back t.reservation dyn.id;
         t.waiting_count <- t.waiting_count + 1)
-      nodes;
-    schedule_tick t ~cycles:0
-  end
-
-(* Compiled import: replay the block's precompiled row array. Decisions
-   the dynamic path re-derives per instance — phi incoming search,
-   constant truncation, reader-registration operand matching — were made
-   once by [Schedule.compile]; only the genuinely dynamic state (producer
-   links, hazards, address resolution) is computed here, in exactly the
-   order [make_dyn] computes it. *)
-and import_block_compiled t sc ~label ~pred =
-  let bs = Schedule.find sc label in
-  let room = t.cfg.reservation_slots - t.waiting_count in
-  if room < Schedule.block_size bs then t.pending_import <- Some (label, pred)
-  else begin
-    t.pending_import <- None;
-    let rows = Schedule.rows bs ~pred in
-    for i = 0 to Array.length rows - 1 do
-      Slot_ring.push_back t.reservation (make_dyn_compiled t rows.(i)).id;
+      (List.rev !phi_sources);
+    for i = !phis to Array.length nodes - 1 do
+      let node = nodes.(i) in
+      let sources = t.infos.(node.Datapath.n_id).si_sources in
+      let prev = waw_prev t node.Datapath.n_id in
+      let dyn = finish_dyn t (capture_dyn t node sources) prev sources in
+      Slot_ring.push_back t.reservation dyn.id;
       t.waiting_count <- t.waiting_count + 1
     done;
     schedule_tick t ~cycles:0
   end
 
+(* Compiled import: replay the edge's precompiled row array. Decisions
+   the dynamic path re-derives per instance — block lookup, phi
+   incoming search, constant truncation, reader-registration operand
+   matching — were made once by [Schedule.compile]; only the genuinely
+   dynamic state (producer links, hazards, address resolution) is
+   computed here, in exactly the order [import_block] computes it. *)
+and import_edge t e =
+  let room = t.cfg.reservation_slots - t.waiting_count in
+  if room < Schedule.edge_size e then begin
+    match t.pending_import with
+    | Pending_edge p when p == e -> ()
+    | _ -> t.pending_import <- Pending_edge e
+  end
+  else begin
+    t.pending_import <- No_import;
+    let rows = Schedule.edge_rows e in
+    let phis = Schedule.edge_phis e in
+    for i = 0 to phis - 1 do
+      t.phi_prev.(i) <- waw_prev t rows.(i).Schedule.r_node.Datapath.n_id;
+      t.phi_inst.(i) <- (capture_compiled t rows.(i)).id
+    done;
+    for i = 0 to phis - 1 do
+      let dyn = finish_compiled t (inst t t.phi_inst.(i)) t.phi_prev.(i) rows.(i) in
+      Slot_ring.push_back t.reservation dyn.id;
+      t.waiting_count <- t.waiting_count + 1
+    done;
+    for i = phis to Array.length rows - 1 do
+      let row = rows.(i) in
+      let prev = waw_prev t row.Schedule.r_node.Datapath.n_id in
+      let dyn = finish_compiled t (capture_compiled t row) prev row in
+      Slot_ring.push_back t.reservation dyn.id;
+      t.waiting_count <- t.waiting_count + 1
+    done;
+    schedule_tick t ~cycles:0
+  end
+
+and import_pending t =
+  match t.pending_import with
+  | No_import -> ()
+  | Pending_edge e -> import_edge t e
+  | Pending_label (label, pred) -> import_block t ~label ~pred
+
 (* A new instance in a free slot of the table, or a new one; [n_ops]
    value operands. *)
 and fresh_dyn t (node : Datapath.node) ~n_ops =
   let info = t.infos.(node.Datapath.n_id) in
+  assert (8 * n_ops = info.si_res);
   let id = t.free_slots in
   let id =
     if id = nil then t.n_insts
@@ -1135,7 +1336,7 @@ and fresh_dyn t (node : Datapath.node) ~n_ops =
       id
     end
   in
-  let rec dyn =
+  let dyn =
     {
       id;
       seq = 0;
@@ -1150,6 +1351,7 @@ and fresh_dyn t (node : Datapath.node) ~n_ops =
       addr_known = false;
       mem_size = info.si_mem_size;
       mem_ty = info.si_mem_ty;
+      info;
       is_load = info.si_is_load;
       is_store = info.si_is_store;
       is_device = false;
@@ -1159,8 +1361,9 @@ and fresh_dyn t (node : Datapath.node) ~n_ops =
       war_older = 0;
       pool_next = nil;
       retired = false;
-      k_commit = (fun () -> commit t dyn);
       wheel_next = nil;
+      ix_prev = nil;
+      ix_next = nil;
       dep_head = nil;
       dep_head_slot = 0;
       dep_next = Array.make n_ops nil;
@@ -1174,7 +1377,13 @@ and fresh_dyn t (node : Datapath.node) ~n_ops =
     t.insts <- bigger;
     List.iter
       (fun l -> Slot_list.reserve l cap)
-      [ t.ready; t.ready_l; t.ready_s; t.live_mem; t.live_stores ]
+      [
+        t.ready;
+        t.ready_l;
+        t.ready_s;
+        t.live_mem;
+        t.live_device;
+      ]
   end;
   t.insts.(id) <- dyn;
   if id = t.n_insts then t.n_insts <- id + 1;
@@ -1208,11 +1417,13 @@ and acquire t (node : Datapath.node) ~n_ops =
   t.s_dyn <- t.s_dyn + 1;
   dyn
 
-and make_dyn_compiled t (row : Schedule.row) =
-  let node = row.Schedule.r_node in
-  let prev = waw_prev t node.Datapath.n_id in
+(* An import makes each instance in two steps: [capture_*] takes a new
+   instance and captures its operands, [finish_*] registers its hazards
+   and readers and links it into the wake-up lists. An instance's
+   [waw_prev] is read before its capture. *)
+and capture_compiled t (row : Schedule.row) =
   let plans = row.Schedule.r_plans in
-  let dyn = acquire t node ~n_ops:(Array.length plans) in
+  let dyn = acquire t row.Schedule.r_node ~n_ops:(Array.length plans) in
   (* operand capture from the precompiled plans; same order and energy
      accounting as the dynamic path *)
   for i = 0 to Array.length plans - 1 do
@@ -1222,6 +1433,9 @@ and make_dyn_compiled t (row : Schedule.row) =
         dyn.producers.(i) <- nil
     | Schedule.Preg { var; read_pj } -> capture_reg t dyn i var read_pj
   done;
+  dyn
+
+and finish_compiled t dyn prev (row : Schedule.row) =
   resolve_addr t dyn;
   register_hazards t dyn prev row.Schedule.r_def;
   let rds = row.Schedule.r_readers in
@@ -1233,9 +1447,7 @@ and make_dyn_compiled t (row : Schedule.row) =
   try_wake t dyn;
   dyn
 
-and make_dyn t (node : Datapath.node) (sources : Ast.value array) =
-  let info = t.infos.(node.Datapath.n_id) in
-  let prev = waw_prev t node.Datapath.n_id in
+and capture_dyn t (node : Datapath.node) (sources : Ast.value array) =
   let dyn = acquire t node ~n_ops:(Array.length sources) in
   (* operand capture: constants now, committed registers from the
      register file, in-flight producers via dependency links *)
@@ -1252,6 +1464,10 @@ and make_dyn t (node : Datapath.node) (sources : Ast.value array) =
         dyn.producers.(i) <- nil
     | Ast.Var v -> capture_reg t dyn i v (reg_read_energy t v.ty)
   done;
+  dyn
+
+and finish_dyn t dyn prev (sources : Ast.value array) =
+  let info = t.infos.(dyn.node.Datapath.n_id) in
   resolve_addr t dyn;
   (* hazards: previous instance of the same static instruction must have
      issued (WAW) and older readers of the destination must have issued
@@ -1271,51 +1487,55 @@ and make_dyn t (node : Datapath.node) (sources : Ast.value array) =
   try_wake t dyn;
   dyn
 
-(* memory ops join [live_mem], and stores [live_stores], at import *)
-and link_live_mem t dyn =
-  if dyn.is_load || dyn.is_store then Slot_list.push_back t.live_mem dyn.id;
-  if dyn.is_store then Slot_list.push_back t.live_stores dyn.id
+(* memory ops join [live_mem] and the ordering index at import *)
+and link_live_mem t dyn = if dyn.is_load || dyn.is_store then index_live t dyn
 
 and commit t dyn =
   dyn.st <- Done;
-  let info = t.infos.(dyn.node.Datapath.n_id) in
-  (match info.si_def with
-  | Some dst ->
-      let r = res_off dyn in
-      let v = Bits.Payload.truncate dst.ty (get64 dyn.vals r) in
-      set64 dyn.vals r v;
-      set64 t.regs (8 * dst.id) v;
-      t.s_energy.(1) <- t.s_energy.(1) +. reg_write_energy t dst.ty;
-      let c = dyn.dep_head in
-      if c <> nil then begin
-        dyn.dep_head <- nil;
-        deliver_chain t dyn c dyn.dep_head_slot
-      end;
-      if t.last_writer.(dst.id) = dyn.id then t.last_writer.(dst.id) <- nil
-  | None -> ());
+  let dst = dyn.info.si_def_reg in
+  if dst >= 0 then begin
+    let r = res_off dyn in
+    let v = Bits.Payload.truncate dyn.info.si_def_ty (get64 dyn.vals r) in
+    set64 dyn.vals r v;
+    set64 t.regs (8 * dst) v;
+    t.s_energy.(1) <- t.s_energy.(1) +. t.write_pj.(dyn.node.Datapath.n_id);
+    let c = dyn.dep_head in
+    if c <> nil then begin
+      dyn.dep_head <- nil;
+      deliver_chain t dyn c dyn.dep_head_slot
+    end;
+    if t.last_writer.(dst) = dyn.id then t.last_writer.(dst) <- nil
+  end;
   if traces t Trace.Engine_writeback then
     emit t ~tick:(Kernel.now t.kernel) ~cat:Trace.Engine_writeback
       ~detail:(mnemonic dyn.node.Datapath.instr)
       (("seq", Trace.I (Int64.of_int dyn.seq))
-      :: (if info.si_has_result then [ ("val", Trace.I (get64 dyn.vals (res_off dyn))) ] else []));
+      ::
+      (if t.infos.(dyn.node.Datapath.n_id).si_has_result then [ ("val", Trace.I (get64 dyn.vals (res_off dyn))) ]
+       else []));
   (* release functional unit state *)
-  (match dyn.node.Datapath.fu with
-  | Some cls ->
-      let i = Fu.index cls in
-      t.in_flight.(i) <- t.in_flight.(i) - 1;
-      if not t.specs.(i).Profile.pipelined then t.fu_held.(i) <- t.fu_held.(i) - 1
-  | None -> ());
+  (let i = dyn.info.si_fu_ix in
+   if i >= 0 then begin
+     t.in_flight.(i) <- t.in_flight.(i) - 1;
+     if not t.specs.(i).Profile.pipelined then t.fu_held.(i) <- t.fu_held.(i) - 1
+   end);
   if dyn.is_load || dyn.is_store then
     if dyn.is_load then t.reads_outstanding <- t.reads_outstanding - 1
     else t.writes_outstanding <- t.writes_outstanding - 1;
   t.inflight_total <- t.inflight_total - 1;
   (* control flow *)
   (match dyn.node.Datapath.instr with
-  | Ast.Br target -> import_block t ~label:target ~pred:dyn.node.Datapath.block
-  | Ast.Cond_br { if_true; if_false; _ } ->
-      import_block t
-        ~label:(if dyn.taken then if_true else if_false)
-        ~pred:dyn.node.Datapath.block
+  | Ast.Br target -> (
+      match t.sched with
+      | Some sc -> import_edge t (Schedule.successors sc dyn.node).(0)
+      | None -> import_block t ~label:target ~pred:dyn.node.Datapath.block)
+  | Ast.Cond_br { if_true; if_false; _ } -> (
+      match t.sched with
+      | Some sc -> import_edge t (Schedule.successors sc dyn.node).(if dyn.taken then 0 else 1)
+      | None ->
+          import_block t
+            ~label:(if dyn.taken then if_true else if_false)
+            ~pred:dyn.node.Datapath.block)
   | Ast.Ret _ -> t.ret_committed <- true
   | _ -> ());
   schedule_tick t ~cycles:0;
@@ -1329,15 +1549,14 @@ and can_issue t dyn =
   else if dyn.is_store then
     t.writes_outstanding < t.cfg.write_queue_depth && memory_ordering_ok t dyn
   else
-    match dyn.node.Datapath.fu with
-    | None -> true
-    | Some cls ->
-        let i = Fu.index cls in
-        let used =
-          if t.specs.(i).Profile.pipelined then t.scratch_issued.(i)
-          else t.fu_held.(i) + t.scratch_issued.(i)
-        in
-        used < t.fu_units.(i)
+    let i = dyn.info.si_fu_ix in
+    i < 0
+    ||
+    let used =
+      if t.specs.(i).Profile.pipelined then t.scratch_issued.(i)
+      else t.fu_held.(i) + t.scratch_issued.(i)
+    in
+    used < t.fu_units.(i)
 
 and issue t dyn =
   if traces t Trace.Engine_issue then begin
@@ -1361,9 +1580,7 @@ and issue t dyn =
   count_ready t dyn (-1);
   t.waiting_count <- t.waiting_count - 1;
   t.inflight_total <- t.inflight_total + 1;
-  (* a memory op leaves [live_mem], a store [live_stores] too *)
-  if dyn.is_load || dyn.is_store then Slot_list.remove t.live_mem dyn.id;
-  if dyn.is_store then Slot_list.remove t.live_stores dyn.id;
+  if dyn.is_load || dyn.is_store then unindex_issued t dyn;
   (* release WAW/WAR hazards held on this instruction *)
   release_hazards t dyn;
   if dyn.is_load then begin
@@ -1371,30 +1588,30 @@ and issue t dyn =
     t.s_loads <- t.s_loads + 1;
     t.s_issued_mem <- t.s_issued_mem + 1;
     assert dyn.addr_known;
-    t.mem.read ~addr:(get64 dyn.vals (addr_off dyn)) ~ty:dyn.mem_ty ~dst:dyn.vals
-      ~at:(res_off dyn) ~on_done:dyn.k_commit
+    t.mem.read ~addr:(Int64.to_int (get64 dyn.vals (addr_off dyn))) ~ty:dyn.mem_ty ~dst:dyn.vals
+      ~at:(res_off dyn) ~k:t.k_commit ~tag:dyn.id
   end
   else if dyn.is_store then begin
     t.writes_outstanding <- t.writes_outstanding + 1;
     t.s_stores <- t.s_stores + 1;
     t.s_issued_mem <- t.s_issued_mem + 1;
     assert dyn.addr_known;
-    t.mem.write ~addr:(get64 dyn.vals (addr_off dyn)) ~ty:dyn.mem_ty ~src:dyn.vals ~at:0
-      ~on_done:dyn.k_commit
+    t.mem.write ~addr:(Int64.to_int (get64 dyn.vals (addr_off dyn))) ~ty:dyn.mem_ty ~src:dyn.vals
+      ~at:0 ~k:t.k_commit ~tag:dyn.id
   end
   else begin
-    (match dyn.node.Datapath.fu with
-    | Some cls ->
-        let i = Fu.index cls in
-        t.scratch_issued.(i) <- t.scratch_issued.(i) + 1;
-        t.s_issued_by_class.(i) <- t.s_issued_by_class.(i) + 1;
-        t.in_flight.(i) <- t.in_flight.(i) + 1;
-        let spec = t.specs.(i) in
-        if not spec.Profile.pipelined then t.fu_held.(i) <- t.fu_held.(i) + 1;
-        t.s_energy.(0) <- t.s_energy.(0) +. spec.Profile.dynamic_pj;
-        if Fu.is_fp cls then t.s_issued_fp <- t.s_issued_fp + 1
-        else t.s_issued_int <- t.s_issued_int + 1
-    | None -> t.s_issued_other <- t.s_issued_other + 1);
+    (let i = dyn.info.si_fu_ix in
+     if i >= 0 then begin
+       t.scratch_issued.(i) <- t.scratch_issued.(i) + 1;
+       t.s_issued_by_class.(i) <- t.s_issued_by_class.(i) + 1;
+       t.in_flight.(i) <- t.in_flight.(i) + 1;
+       let spec = t.specs.(i) in
+       if not spec.Profile.pipelined then t.fu_held.(i) <- t.fu_held.(i) + 1;
+       t.s_energy.(0) <- t.s_energy.(0) +. spec.Profile.dynamic_pj;
+       if t.fu_fp.(i) then t.s_issued_fp <- t.s_issued_fp + 1
+       else t.s_issued_int <- t.s_issued_int + 1
+     end
+     else t.s_issued_other <- t.s_issued_other + 1);
     (try eval_compute t dyn
      with Division_by_zero ->
        raise
@@ -1589,9 +1806,7 @@ and tick t =
     done;
     let issued_any = if t.sched != None then scan_compiled t else scan_dynamic t in
     if t.cfg.check then check_cycle t;
-    (match t.pending_import with
-    | Some (label, pred) -> import_block t ~label ~pred
-    | None -> ());
+    import_pending t;
     let work_pending = t.waiting_count > 0 || t.inflight_total > 0 in
     if work_pending || issued_any then begin
       t.cyc_active <- true;
@@ -1603,7 +1818,7 @@ and tick t =
         if flags land stall_compute <> 0 then t.cyc_wait_compute <- true
       end
     end;
-    if t.waiting_count > 0 || t.inflight_total > 0 || t.pending_import != None then
+    if t.waiting_count > 0 || t.inflight_total > 0 || t.pending_import != No_import then
       schedule_tick t ~cycles:1
     else if t.ret_committed then begin
       finalize_cycle t;
@@ -1632,6 +1847,7 @@ let start t ~args ~on_finish =
      invalid_arg
        (Printf.sprintf "Engine.start: %s expects %d arguments"
           t.dp.Datapath.func.Ast.fname (List.length params)));
+  if t.k_commit == unset_k then t.k_commit <- (fun id -> commit t (inst t id));
   t.is_running <- true;
   t.u_load <- 0;
   t.u_comp <- 0;
@@ -1648,8 +1864,9 @@ let start t ~args ~on_finish =
   t.next_seq <- 0;
   Array.fill t.last_writer 0 (Array.length t.last_writer) nil;
   Array.fill t.last_instance 0 (Array.length t.last_instance) nil;
-  let entry = (Ast.entry_block t.dp.Datapath.func).Ast.label in
-  import_block t ~label:entry ~pred:"<entry>"
+  match t.sched with
+  | Some sc -> import_edge t (Schedule.entry sc)
+  | None -> import_block t ~label:(Ast.entry_block t.dp.Datapath.func).Ast.label ~pred:"<entry>"
 
 let stats t =
   {

@@ -29,9 +29,9 @@ type row = {
 
 type variant =
   | Rows of row array
-  | Missing_phi of string
-      (** importing along this predecessor is malformed; the payload is
-          the exact error the dynamic path would raise *)
+  | Invalid of string
+      (** importing along this edge is malformed; the payload is the
+          exact error the dynamic path would raise *)
 
 type block_schedule = {
   bs_label : string;
@@ -40,12 +40,25 @@ type block_schedule = {
   bs_variants : (string * variant) array;
       (** keyed by predecessor label; a single [("*", v)] entry when the
           block has no phis and compiles identically for every pred *)
-  mutable bs_last : (string * variant) option;
-      (** memo of the last [rows] lookup — loop back-edges re-import the
-          same (block, pred) pair thousands of times in a row *)
 }
 
-type t = (string, block_schedule) Hashtbl.t
+type edge = {
+  e_size : int;
+  e_rows : variant;
+  e_phis : int;
+      (** leading phi rows whose operands must all be captured before
+          any of them registers its destination (some phi reads an
+          earlier phi of the block); 0 when capture order cannot
+          matter *)
+}
+
+type t = {
+  blocks : (string, block_schedule) Hashtbl.t;
+  succs : edge array array;
+      (** by [Datapath.n_id]: a [Br]'s edge, a [Cond_br]'s true and
+          false edges, nothing for other nodes *)
+  entry_edge : edge;
+}
 
 let plan_of_value ~read_pj_per_bit (v : Ast.value) =
   match v with
@@ -54,6 +67,53 @@ let plan_of_value ~read_pj_per_bit (v : Ast.value) =
   | Ast.Const Ast.Cnull -> Pimm 0L
   | Ast.Var var ->
       Preg { var; read_pj = float_of_int (Ty.bits var.ty) *. read_pj_per_bit }
+
+(* the rows of [bs] along the edge from [pred] *)
+let variant bs ~pred =
+  if not bs.bs_has_phi then snd bs.bs_variants.(0)
+  else
+    let vs = bs.bs_variants in
+    let rec find i =
+      if i >= Array.length vs then
+        (* not a CFG edge: the dynamic path's per-phi search would miss *)
+        Invalid (Printf.sprintf "Engine: phi in %s lacks incoming for %s" bs.bs_label pred)
+      else
+        let p, v = vs.(i) in
+        if p = pred then v else find (i + 1)
+    in
+    find 0
+
+(* LLVM phis are parallel copies: each reads its operand as it was on
+   entry to the block. When a phi reads the destination of an earlier
+   phi of the same block, the leading phi rows must capture every
+   operand before any registers its destination; their count, else 0. *)
+let parallel_phis = function
+  | Invalid _ -> 0
+  | Rows rows ->
+      let n = ref 0 in
+      let is_phi i = match rows.(i).r_node.Datapath.instr with Ast.Phi _ -> true | _ -> false in
+      while !n < Array.length rows && is_phi !n do
+        incr n
+      done;
+      let defines j (v : Ast.var) =
+        match rows.(j).r_def with Some d -> d.Ast.id = v.Ast.id | None -> false
+      in
+      let reads_earlier i =
+        Array.exists
+          (function
+            | Preg { var; _ } -> List.exists (fun j -> defines j var) (List.init i Fun.id)
+            | Pimm _ -> false)
+          rows.(i).r_plans
+      in
+      let rec any i = i < !n && (reads_earlier i || any (i + 1)) in
+      if any 0 then !n else 0
+
+let edge_of blocks label ~pred =
+  match Hashtbl.find_opt blocks label with
+  | None -> { e_size = 0; e_rows = Invalid ("Engine: unknown block " ^ label); e_phis = 0 }
+  | Some bs ->
+      let rows = variant bs ~pred in
+      { e_size = bs.bs_size; e_rows = rows; e_phis = parallel_phis rows }
 
 let compile (dp : Datapath.t) =
   let profile = dp.Datapath.profile in
@@ -114,7 +174,7 @@ let compile (dp : Datapath.t) =
               | instr -> mk_row n (Array.of_list (Ast.used_values instr)))
             nodes
         in
-        match !missing with Some msg -> Missing_phi msg | None -> Rows rows
+        match !missing with Some msg -> Invalid msg | None -> Rows rows
       in
       let variants =
         if not has_phi then [| ("*", rows_for_pred "*") |]
@@ -132,41 +192,30 @@ let compile (dp : Datapath.t) =
         end
       in
       Hashtbl.replace blocks label
-        {
-          bs_label = label;
-          bs_size = Array.length nodes;
-          bs_has_phi = has_phi;
-          bs_variants = variants;
-          bs_last = None;
-        })
+        { bs_label = label; bs_size = Array.length nodes; bs_has_phi = has_phi; bs_variants = variants })
     by_block;
-  blocks
-
-let find t label =
-  try Hashtbl.find t label with Not_found -> invalid_arg ("Engine: unknown block " ^ label)
-
-let block_size bs = bs.bs_size
-
-let rows bs ~pred =
-  let variant =
-    if not bs.bs_has_phi then snd bs.bs_variants.(0)
-    else
-      match bs.bs_last with
-      | Some (p, v) when p == pred || p = pred -> v
-      | _ ->
-          let vs = bs.bs_variants in
-          let n = Array.length vs in
-          let rec find i =
-            if i >= n then
-              (* not a CFG edge: the dynamic path's per-phi search would miss *)
-              Missing_phi
-                (Printf.sprintf "Engine: phi in %s lacks incoming for %s" bs.bs_label pred)
-            else
-              let p, v = vs.(i) in
-              if p = pred then v else find (i + 1)
-          in
-          let v = find 0 in
-          bs.bs_last <- Some (pred, v);
-          v
+  let edge label ~pred = edge_of blocks label ~pred in
+  let succs =
+    Array.map
+      (fun (n : Datapath.node) ->
+        match n.Datapath.instr with
+        | Ast.Br target -> [| edge target ~pred:n.Datapath.block |]
+        | Ast.Cond_br { if_true; if_false; _ } ->
+            [| edge if_true ~pred:n.Datapath.block; edge if_false ~pred:n.Datapath.block |]
+        | _ -> [||])
+      dp.Datapath.nodes
   in
-  match variant with Rows r -> r | Missing_phi msg -> invalid_arg msg
+  let entry = (Ast.entry_block dp.Datapath.func).Ast.label in
+  { blocks; succs; entry_edge = edge entry ~pred:"<entry>" }
+
+let edge t ~label ~pred = edge_of t.blocks label ~pred
+
+let successors t (n : Datapath.node) = t.succs.(n.Datapath.n_id)
+
+let entry t = t.entry_edge
+
+let edge_size e = e.e_size
+
+let edge_rows e = match e.e_rows with Rows r -> r | Invalid msg -> invalid_arg msg
+
+let edge_phis e = e.e_phis

@@ -23,20 +23,37 @@ type row = {
           kept — the WAR reader registrations this instance performs *)
 }
 
-type block_schedule
+type edge
+(** An import along one CFG edge, resolved at {!compile}: the target
+    block's rows for that predecessor. *)
 
 type t
 
 val compile : Salam_cdfg.Datapath.t -> t
 
-val find : t -> string -> block_schedule
-(** Raises [Invalid_argument] with the same message as the dynamic
-    import path for an unknown block label. *)
+val edge : t -> label:string -> pred:string -> edge
+(** The import of block [label] along the edge from [pred]. {!compile}
+    resolves every edge of the CFG (and the entry) this way once; the
+    engine never looks a label up while it runs. *)
 
-val block_size : block_schedule -> int
-(** Rows per variant — the reservation-room requirement of an import. *)
+val successors : t -> Salam_cdfg.Datapath.node -> edge array
+(** A [Br] node's edge; a [Cond_br] node's true then false edges; empty
+    for any other node. *)
 
-val rows : block_schedule -> pred:string -> row array
-(** Replay template for an import along [pred]. Raises
-    [Invalid_argument] with the dynamic path's exact message when a phi
-    lacks an incoming for [pred]. *)
+val entry : t -> edge
+(** The entry block along the synthetic ["<entry>"] edge. *)
+
+val edge_size : edge -> int
+(** Rows of the import: its reservation-room requirement. *)
+
+val edge_rows : edge -> row array
+(** Raises [Invalid_argument] with the dynamic path's exact message when
+    the edge is malformed (unknown block, or a phi without an incoming
+    value for the predecessor). *)
+
+val edge_phis : edge -> int
+(** The number of leading phi rows whose operands must all be captured
+    before any of them registers its destination — LLVM phis are
+    parallel copies, so a phi that reads an earlier phi of its block
+    reads that phi's old value. 0 when no phi of the block reads
+    another, so capture order cannot matter. *)

@@ -50,8 +50,6 @@ let to_string = function
   | Fp_div_dp -> "fp_div_dp"
   | Fp_special -> "fp_special"
 
-let compare = Stdlib.compare
-
 (* dense index for array-backed per-class state in hot loops *)
 let index = function
   | Int_adder -> 0
@@ -70,6 +68,10 @@ let index = function
   | Fp_special -> 13
 
 let count = 14
+
+(* constructor order, as [Stdlib.compare] orders constant constructors,
+   without its generic walk *)
+let compare a b = Int.compare (index a) (index b)
 
 let is_fp = function
   | Fp_add_sp | Fp_add_dp | Fp_mul_sp | Fp_mul_dp | Fp_div_sp | Fp_div_dp

@@ -69,7 +69,7 @@ type global = { gname : string; gty : Ty.t; elements : int; init : const array o
 
 type modul = { mutable funcs : func list; mutable globals : global list }
 
-let value_ty = function
+let[@inline] value_ty = function
   | Var v -> v.ty
   | Const (Cint (ty, _)) -> ty
   | Const (Cfloat (ty, _)) -> ty

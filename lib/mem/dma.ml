@@ -12,25 +12,118 @@ module Block = struct
     backing : Salam_ir.Memory.t;
     mem_port : Port.t;
     mutable active : bool;
+    (* the transfer in progress *)
+    mutable src : int;
+    mutable dst : int;
+    mutable len : int;
+    mutable next_offset : int;
+    mutable completed : int;
+    mutable total_bursts : int;
+    mutable on_done : unit -> unit;
+    (* bursts in flight, by slot: a slot is reused for the next burst
+       once its write completes *)
+    b_src : int array;
+    b_dst : int array;
+    b_size : int array;
+    mutable read_done : int -> unit;
+    mutable write_done : int -> unit;
+    mutable prime : unit -> unit;
     s_bytes : Stats.scalar;
     s_transfers : Stats.scalar;
   }
 
   let default_config ~name = { name; burst_bytes = 64; max_in_flight = 4 }
 
+  (* the next burst of the transfer into slot [b], if any is left *)
+  let issue_next t b =
+    if t.next_offset < t.len then begin
+      let off = t.next_offset in
+      let burst = min t.cfg.burst_bytes (t.len - off) in
+      t.next_offset <- off + burst;
+      let src = t.src + off and dst = t.dst + off in
+      t.b_src.(b) <- src;
+      t.b_dst.(b) <- dst;
+      t.b_size.(b) <- burst;
+      (match t.tr with
+      | Some tr when Trace.wants tr Trace.Dma_burst_start ->
+          Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name ~cat:Trace.Dma_burst_start
+            ~detail:"burst"
+            [
+              ("src", Trace.I (Int64.of_int src));
+              ("dst", Trace.I (Int64.of_int dst));
+              ("size", Trace.I (Int64.of_int burst));
+            ]
+      | Some _ | None -> ());
+      Port.send t.mem_port Packet.Read ~addr:src ~size:burst t.read_done b
+    end
+
+  (* the functional copy happens between the read completing and the
+     write being issued *)
+  let read_done t b =
+    let burst = t.b_size.(b) in
+    Salam_ir.Memory.blit t.backing ~src:t.b_src.(b) ~dst:t.b_dst.(b) ~len:burst;
+    Port.send t.mem_port Packet.Write ~addr:t.b_dst.(b) ~size:burst t.write_done b
+
+  let write_done t b =
+    let burst = t.b_size.(b) in
+    Stats.add t.s_bytes (float_of_int burst);
+    t.completed <- t.completed + 1;
+    (match t.tr with
+    | Some tr when Trace.wants tr Trace.Dma_burst_end ->
+        Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name ~cat:Trace.Dma_burst_end
+          ~detail:"burst"
+          [
+            ("dst", Trace.I (Int64.of_int t.b_dst.(b)));
+            ("size", Trace.I (Int64.of_int burst));
+            ("done", Trace.I (Int64.of_int t.completed));
+            ("total", Trace.I (Int64.of_int t.total_bursts));
+          ]
+    | Some _ | None -> ());
+    if t.completed = t.total_bursts then begin
+      t.active <- false;
+      t.on_done ()
+    end
+    else issue_next t b
+
+  (* prime the pipeline with up to [max_in_flight] bursts *)
+  let prime t =
+    for b = 0 to min t.cfg.max_in_flight t.total_bursts - 1 do
+      issue_next t b
+    done
+
   let create kernel clock stats cfg ~backing ~port =
     let group = Stats.group ~parent:stats cfg.name in
-    {
-      kernel;
-      clock;
-      tr = Kernel.trace kernel;
-      cfg;
-      backing;
-      mem_port = port;
-      active = false;
-      s_bytes = Stats.scalar group "bytes_moved";
-      s_transfers = Stats.scalar group "transfers";
-    }
+    let n = max 1 cfg.max_in_flight in
+    let t =
+      {
+        kernel;
+        clock;
+        tr = Kernel.trace kernel;
+        cfg;
+        backing;
+        mem_port = port;
+        active = false;
+        src = 0;
+        dst = 0;
+        len = 0;
+        next_offset = 0;
+        completed = 0;
+        total_bursts = 0;
+        on_done = ignore;
+        b_src = Array.make n 0;
+        b_dst = Array.make n 0;
+        b_size = Array.make n 0;
+        read_done = Port.no_completion;
+        write_done = Port.no_completion;
+        prime = ignore;
+        s_bytes = Stats.scalar group "bytes_moved";
+        s_transfers = Stats.scalar group "transfers";
+      }
+    in
+    t.read_done <- read_done t;
+    t.write_done <- write_done t;
+    t.prime <- (fun () -> prime t);
+    t
 
   let busy t = t.active
 
@@ -61,60 +154,14 @@ module Block = struct
     if len <= 0 then invalid_arg (t.cfg.name ^ ": transfer length must be positive");
     t.active <- true;
     Stats.incr t.s_transfers;
-    let next_offset = ref 0 in
-    let completed = ref 0 in
-    let total_bursts = (len + t.cfg.burst_bytes - 1) / t.cfg.burst_bytes in
-    let rec issue_next () =
-      if !next_offset < len then begin
-        let off = !next_offset in
-        let burst = min t.cfg.burst_bytes (len - off) in
-        next_offset := off + burst;
-        let src_addr = Int64.add src (Int64.of_int off) in
-        let dst_addr = Int64.add dst (Int64.of_int off) in
-        (match t.tr with
-        | Some tr when Trace.wants tr Trace.Dma_burst_start ->
-            Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name
-              ~cat:Trace.Dma_burst_start ~detail:"burst"
-              [
-                ("src", Trace.I src_addr);
-                ("dst", Trace.I dst_addr);
-                ("size", Trace.I (Int64.of_int burst));
-              ]
-        | Some _ | None -> ());
-        let read_pkt = Packet.make Packet.Read ~addr:src_addr ~size:burst in
-        Port.send t.mem_port read_pkt ~on_complete:(fun () ->
-            (* functional copy happens between the read completing and
-               the write being issued *)
-            let data = Salam_ir.Memory.load_bytes t.backing src_addr burst in
-            Salam_ir.Memory.store_bytes t.backing dst_addr data;
-            let write_pkt = Packet.make Packet.Write ~addr:dst_addr ~size:burst in
-            Port.send t.mem_port write_pkt ~on_complete:(fun () ->
-                Stats.add t.s_bytes (float_of_int burst);
-                incr completed;
-                (match t.tr with
-                | Some tr when Trace.wants tr Trace.Dma_burst_end ->
-                    Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name
-                      ~cat:Trace.Dma_burst_end ~detail:"burst"
-                      [
-                        ("dst", Trace.I dst_addr);
-                        ("size", Trace.I (Int64.of_int burst));
-                        ("done", Trace.I (Int64.of_int !completed));
-                        ("total", Trace.I (Int64.of_int total_bursts));
-                      ]
-                | Some _ | None -> ());
-                if !completed = total_bursts then begin
-                  t.active <- false;
-                  on_done ()
-                end
-                else issue_next ()))
-      end
-    in
-    (* prime the pipeline with up to max_in_flight bursts *)
-    let initial = min t.cfg.max_in_flight total_bursts in
-    Clock.schedule_cycles t.clock ~cycles:1 (fun () ->
-        for _ = 1 to initial do
-          issue_next ()
-        done)
+    t.src <- Int64.to_int src;
+    t.dst <- Int64.to_int dst;
+    t.len <- len;
+    t.next_offset <- 0;
+    t.completed <- 0;
+    t.total_bursts <- (len + t.cfg.burst_bytes - 1) / t.cfg.burst_bytes;
+    t.on_done <- on_done;
+    Clock.schedule_cycles t.clock ~cycles:1 t.prime
 end
 
 module Stream = struct
@@ -152,45 +199,53 @@ module Stream = struct
     | Some _ | None -> ()
 
 
+  (* One chunk at a time, through a buffer of the call's own; the
+     closures are built once per call, not per chunk. *)
   let stream_in t ~buffer ~src ~len ~on_done =
     if len <= 0 then invalid_arg (t.stream_name ^ ": length must be positive");
-    let offset = ref 0 in
+    let src = Int64.to_int src in
+    let data = Bytes.create t.chunk_bytes in
+    let offset = ref 0 and addr = ref 0 and chunk = ref 0 in
     let rec next () =
       if !offset >= len then on_done ()
       else begin
         let off = !offset in
-        let chunk = min t.chunk_bytes (len - off) in
-        offset := off + chunk;
-        let addr = Int64.add src (Int64.of_int off) in
-        emit_chunk t ~detail:"in" ~addr ~chunk;
-        let pkt = Packet.make Packet.Read ~addr ~size:chunk in
-        Port.send t.mem_port pkt ~on_complete:(fun () ->
-            let data = Salam_ir.Memory.load_bytes t.backing addr chunk in
-            Stream_buffer.push buffer data ~on_accepted:(fun () ->
-                Stats.add t.s_bytes (float_of_int chunk);
-                next ()))
+        chunk := min t.chunk_bytes (len - off);
+        offset := off + !chunk;
+        addr := src + off;
+        emit_chunk t ~detail:"in" ~addr:(Int64.of_int !addr) ~chunk:!chunk;
+        Port.send t.mem_port Packet.Read ~addr:!addr ~size:!chunk read 0
       end
+    and read _ =
+      Salam_ir.Memory.blit_to_bytes t.backing ~src:!addr data 0 !chunk;
+      Stream_buffer.push buffer data 0 !chunk accepted 0
+    and accepted _ =
+      Stats.add t.s_bytes (float_of_int !chunk);
+      next ()
     in
     Clock.schedule_cycles t.clock ~cycles:1 next
 
   let stream_out t ~buffer ~dst ~len ~on_done =
     if len <= 0 then invalid_arg (t.stream_name ^ ": length must be positive");
-    let offset = ref 0 in
+    let dst = Int64.to_int dst in
+    let data = Bytes.create t.chunk_bytes in
+    let offset = ref 0 and addr = ref 0 and chunk = ref 0 in
     let rec next () =
       if !offset >= len then on_done ()
       else begin
         let off = !offset in
-        let chunk = min t.chunk_bytes (len - off) in
-        offset := off + chunk;
-        let addr = Int64.add dst (Int64.of_int off) in
-        emit_chunk t ~detail:"out" ~addr ~chunk;
-        Stream_buffer.pop buffer ~size:chunk ~on_data:(fun data ->
-            Salam_ir.Memory.store_bytes t.backing addr data;
-            let pkt = Packet.make Packet.Write ~addr ~size:chunk in
-            Port.send t.mem_port pkt ~on_complete:(fun () ->
-                Stats.add t.s_bytes (float_of_int chunk);
-                next ()))
+        chunk := min t.chunk_bytes (len - off);
+        offset := off + !chunk;
+        addr := dst + off;
+        emit_chunk t ~detail:"out" ~addr:(Int64.of_int !addr) ~chunk:!chunk;
+        Stream_buffer.pop buffer ~size:!chunk data 0 popped 0
       end
+    and popped _ =
+      Salam_ir.Memory.blit_from_bytes t.backing data 0 ~dst:!addr !chunk;
+      Port.send t.mem_port Packet.Write ~addr:!addr ~size:!chunk written 0
+    and written _ =
+      Stats.add t.s_bytes (float_of_int !chunk);
+      next ()
     in
     Clock.schedule_cycles t.clock ~cycles:1 next
 end

@@ -14,7 +14,10 @@ type t = {
   clock : Clock.t;
   tr : Trace.sink option;  (** captured at [create]; [None] = tracing off *)
   cfg : config;
-  mutable busy_until_cycle : int64;
+  mutable busy_until_cycle : int;
+  done_q : Completion_queue.t;
+      (** completions; due cycles strictly increase with arrival, since
+          each request ends its transfer after the previous one's *)
   s_bytes_read : Stats.scalar;
   s_bytes_written : Stats.scalar;
   mutable port : Port.t option;
@@ -28,37 +31,37 @@ let create kernel clock stats cfg =
       clock;
       tr = Kernel.trace kernel;
       cfg;
-      busy_until_cycle = 0L;
+      busy_until_cycle = 0;
+      done_q = Completion_queue.create clock;
       s_bytes_read = Stats.scalar group "bytes_read";
       s_bytes_written = Stats.scalar group "bytes_written";
       port = None;
     }
   in
-  let handler (pkt : Packet.t) ~on_complete =
-    (match pkt.op with
-    | Packet.Read -> Stats.add t.s_bytes_read (float_of_int pkt.size)
-    | Packet.Write -> Stats.add t.s_bytes_written (float_of_int pkt.size));
+  let handler op ~addr ~size k tag =
+    (match op with
+    | Packet.Read -> Stats.add t.s_bytes_read (float_of_int size)
+    | Packet.Write -> Stats.add t.s_bytes_written (float_of_int size));
     (* the channel frees after the burst transfer; the requester sees
        transfer plus the fixed access latency *)
-    let now = Clock.current_cycle t.clock in
-    let start = if Int64.compare t.busy_until_cycle now > 0 then t.busy_until_cycle else now in
-    let transfer = (pkt.size + cfg.bus_bytes - 1) / cfg.bus_bytes in
-    let finish = Int64.add start (Int64.of_int (max 1 transfer)) in
+    let now = Clock.current_cycle_i t.clock in
+    let start = if t.busy_until_cycle > now then t.busy_until_cycle else now in
+    let transfer = (size + cfg.bus_bytes - 1) / cfg.bus_bytes in
+    let finish = start + if transfer > 1 then transfer else 1 in
     t.busy_until_cycle <- finish;
-    let done_cycle = Int64.add finish (Int64.of_int cfg.access_latency) in
-    let delay = Int64.to_int (Int64.sub done_cycle now) in
+    let delay = finish + cfg.access_latency - now in
+    let delay = if delay > 1 then delay else 1 in
     (match t.tr with
     | Some tr when Trace.wants tr Trace.Dram_access ->
         Trace.emit tr ~tick:(Kernel.now t.kernel) ~comp:t.cfg.name
-          ~cat:Trace.Dram_access
-          ~detail:(match pkt.op with Packet.Read -> "read" | Packet.Write -> "write")
+          ~cat:Trace.Dram_access ~detail:(Packet.op_name op)
           [
-            ("addr", Trace.I pkt.Packet.addr);
-            ("size", Trace.I (Int64.of_int pkt.size));
-            ("lat", Trace.I (Int64.of_int (max 1 delay)));
+            ("addr", Trace.I (Int64.of_int addr));
+            ("size", Trace.I (Int64.of_int size));
+            ("lat", Trace.I (Int64.of_int delay));
           ]
     | Some _ | None -> ());
-    Clock.schedule_cycles t.clock ~cycles:(max 1 delay) on_complete
+    Completion_queue.after t.done_q ~cycles:delay k tag
   in
   t.port <- Some (Port.make ~name:cfg.name handler);
   t
@@ -72,11 +75,11 @@ let port t = match t.port with Some p -> p | None -> assert false
    only ever compares it against the current cycle. *)
 let checkpoint_agent t =
   let quiesce what =
-    let now = Clock.current_cycle t.clock in
-    if Int64.compare t.busy_until_cycle now > 0 then
+    let now = Clock.current_cycle_i t.clock in
+    if t.busy_until_cycle > now then
       raise
         (Checkpoint.Invalid
-           (Printf.sprintf "%s: %s with the channel busy until cycle %Ld (now %Ld)" t.cfg.name
+           (Printf.sprintf "%s: %s with the channel busy until cycle %d (now %d)" t.cfg.name
               what t.busy_until_cycle now))
   in
   {
@@ -98,5 +101,5 @@ let checkpoint_agent t =
         in
         expect "base" t.cfg.base;
         expect "size" (Int64.of_int t.cfg.size);
-        t.busy_until_cycle <- 0L);
+        t.busy_until_cycle <- 0);
   }

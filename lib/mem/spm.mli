@@ -6,10 +6,13 @@
     per bank; bank mapping is cyclic or blocked, matching the
     partitioning knob in gem5-SALAM's device configs. Requests that
     cannot be serviced stall in the request queue (this is what produces
-    the port-sweep behaviour of Figures 14-15). The queue is a
-    {!Salam_sim.Slot_ring} of request slots whose packet, completion and
-    bank sit in per-slot tables, so a request allocates nothing once the
-    tables have grown to the peak queue depth. *)
+    the port-sweep behaviour of Figures 14-15). Each cycle's pass
+    services, oldest first, the requests an arrival-order scan would:
+    one per free bank while a port of its kind is left. Requests wait in
+    per-(bank, kind) FIFOs of request slots ({!Req_table}), so a pass
+    costs O(banks) and a request allocates nothing once the tables have
+    grown to the peak queue depth. A request that arrived since the
+    last pass and is left queued counts as one bank conflict. *)
 
 type partitioning = Cyclic | Blocked
 

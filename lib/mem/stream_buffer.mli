@@ -20,15 +20,17 @@ val create :
 
 val occupancy : t -> int
 
-val push : t -> Bytes.t -> on_accepted:(unit -> unit) -> unit
-(** Deliver [data] into the FIFO. [on_accepted] fires (after at least
-    one cycle) once space is available and the data is enqueued. Pushes
+val push : t -> Bytes.t -> int -> int -> (int -> unit) -> int -> unit
+(** [push t src off len k tag] offers the [len] bytes of [src] at [off],
+    copied at once, for the FIFO. [k tag] is called (after at least one
+    cycle) once space is available and the bytes are enqueued. Pushes
     are accepted in arrival order. *)
 
-val pop : t -> size:int -> on_data:(Bytes.t -> unit) -> unit
-(** Take exactly [size] bytes. [on_data] fires once that many bytes are
-    available. Pops are served in arrival order. [size] must not exceed
-    capacity. *)
+val pop : t -> size:int -> Bytes.t -> int -> (int -> unit) -> int -> unit
+(** [pop t ~size dst off k tag] takes exactly [size] bytes, once that
+    many are available, into [dst] at [off]; [k tag] is called one cycle
+    later. [dst] must stay reserved for the pop until then. Pops are
+    served in arrival order. [size] must not exceed capacity. *)
 
 val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
 (** FIFO payload bytes are architectural state and are captured

@@ -8,12 +8,17 @@ type outcome = {
   total_us : float;
   correct : bool;
   stage_cycles : (string * int64) list;
+  dynamic_instructions : int;
+  kernel_events : int;
 }
 
 let stages accs =
   List.map
     (fun acc -> (Accelerator.name acc, (Accelerator.stats acc).Engine.cycles))
     accs
+
+let dynamic_instructions accs =
+  List.fold_left (fun n acc -> n + (Accelerator.stats acc).Engine.dynamic_instructions) 0 accs
 
 let acc_clock = 500.0
 
@@ -194,6 +199,8 @@ let run_private_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
     total_us = System.elapsed_seconds s.sys *. 1e6;
     correct;
     stage_cycles = stages [ conv; relu; pool ];
+    dynamic_instructions = dynamic_instructions [ conv; relu; pool ];
+    kernel_events = Salam_sim.Kernel.events_executed (System.kernel s.sys);
   }
 
 let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
@@ -227,6 +234,8 @@ let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
     total_us = System.elapsed_seconds s.sys *. 1e6;
     correct;
     stage_cycles = stages [ conv; relu; pool ];
+    dynamic_instructions = dynamic_instructions [ conv; relu; pool ];
+    kernel_events = Salam_sim.Kernel.events_executed (System.kernel s.sys);
   }
 
 let run_streams ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
@@ -273,6 +282,8 @@ let run_streams ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
     total_us = System.elapsed_seconds s.sys *. 1e6;
     correct;
     stage_cycles = stages [ conv; relu; pool ];
+    dynamic_instructions = dynamic_instructions [ conv; relu; pool ];
+    kernel_events = Salam_sim.Kernel.events_executed (System.kernel s.sys);
   }
 
 let run_all ?(h = 32) ?(w = 32) () =

@@ -23,6 +23,8 @@ type outcome = {
   total_us : float;  (** end-to-end, first DMA to last DMA completion *)
   correct : bool;
   stage_cycles : (string * int64) list;  (** per-accelerator busy cycles *)
+  dynamic_instructions : int;  (** over the three accelerators *)
+  kernel_events : int;  (** events the system's kernel executed *)
 }
 
 (** [?trace] installs a system-wide sink before construction

@@ -14,13 +14,17 @@ let current_cycle_i t = Kernel.now_i t.kernel / t.period
 
 let current_cycle t = Int64.of_int (current_cycle_i t)
 
-let next_edge_i t =
+let[@inline] next_edge_i t =
   let now = Kernel.now_i t.kernel in
   let rem = now mod t.period in
   if rem = 0 then now else now + (t.period - rem)
 
-let schedule_cycles t ~cycles action =
+let[@inline] edge_tick_i t ~cycles =
   assert (cycles >= 0);
-  Kernel.schedule_at_i t.kernel ~tick:(next_edge_i t + (cycles * t.period)) action
+  next_edge_i t + (cycles * t.period)
+
+let schedule_cycles t ~cycles action = Kernel.schedule_at_i t.kernel ~tick:(edge_tick_i t ~cycles) action
+
+let kernel t = t.kernel
 
 let seconds_of_cycles t cycles = Int64.to_float cycles /. (t.freq_mhz *. 1e6)

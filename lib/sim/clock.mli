@@ -26,4 +26,10 @@ val schedule_cycles : t -> cycles:int -> (unit -> unit) -> unit
     cycles after the next edge at or following the current tick.
     [cycles = 0] means the next edge (or now, if now is an edge). *)
 
+val edge_tick_i : t -> cycles:int -> int
+(** The tick at which {!schedule_cycles} with the same [cycles] would
+    run an action. *)
+
+val kernel : t -> Kernel.t
+
 val seconds_of_cycles : t -> int64 -> float

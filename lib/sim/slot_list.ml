@@ -44,10 +44,10 @@ let[@inline] head l = l.head
 
 let[@inline] next l s = l.next_a.(s)
 
-let check_unlinked fname l s =
+let[@inline] check_unlinked fname l s =
   if linked l s then invalid_arg ("Slot_list." ^ fname ^ ": slot already linked")
 
-let push_back l s =
+let[@inline] push_back l s =
   check_unlinked "push_back" l s;
   l.next_a.(s) <- nil;
   l.prev_a.(s) <- l.tail;
@@ -63,7 +63,7 @@ let push_front l s =
   l.head <- s;
   l.len <- l.len + 1
 
-let insert_after l ~anchor s =
+let[@inline] insert_after l ~anchor s =
   check_unlinked "insert_after" l s;
   if not (linked l anchor) then invalid_arg "Slot_list.insert_after: anchor not linked";
   let nx = l.next_a.(anchor) in
@@ -73,7 +73,7 @@ let insert_after l ~anchor s =
   l.next_a.(anchor) <- s;
   l.len <- l.len + 1
 
-let remove l s =
+let[@inline] remove l s =
   if not (linked l s) then invalid_arg "Slot_list.remove: slot not linked";
   let p = l.prev_a.(s) and nx = l.next_a.(s) in
   if p <> nil then l.next_a.(p) <- nx else l.head <- nx;

@@ -9,9 +9,9 @@ let create ?(capacity = 64) () =
   let cap = pow2_at_least capacity 1 in
   { buf = Array.make cap 0; mask = cap - 1; head = 0; len = 0 }
 
-let length r = r.len
+let[@inline] length r = r.len
 
-let is_empty r = r.len = 0
+let[@inline] is_empty r = r.len = 0
 
 let grow r =
   let cap = Array.length r.buf in
@@ -23,27 +23,27 @@ let grow r =
   r.mask <- (2 * cap) - 1;
   r.head <- 0
 
-let push_back r x =
+let[@inline] push_back r x =
   if r.len = Array.length r.buf then grow r;
   r.buf.((r.head + r.len) land r.mask) <- x;
   r.len <- r.len + 1
 
-let pop_front r =
+let[@inline] pop_front r =
   if r.len = 0 then invalid_arg "Slot_ring.pop_front: empty";
   let x = r.buf.(r.head) in
   r.head <- (r.head + 1) land r.mask;
   r.len <- r.len - 1;
   x
 
-let peek_front r =
+let[@inline] peek_front r =
   if r.len = 0 then invalid_arg "Slot_ring.peek_front: empty";
   r.buf.(r.head)
 
-let get r i =
+let[@inline] get r i =
   if i < 0 || i >= r.len then invalid_arg "Slot_ring.get: index out of range";
   r.buf.((r.head + i) land r.mask)
 
-let set r i x =
+let[@inline] set r i x =
   if i < 0 || i >= r.len then invalid_arg "Slot_ring.set: index out of range";
   r.buf.((r.head + i) land r.mask) <- x
 

@@ -9,10 +9,9 @@ let create system ~clock_mhz ~port = { system; clock = System.clock system ~mhz:
 (* Timed uncached store (functional effect at issue). *)
 let write_u64 t ~addr ~value ~k =
   Memory.store (System.backing t.system) Ty.I64 addr (Bits.Int value);
-  let pkt = Packet.make Packet.Write ~addr ~size:8 in
   (* one host cycle to issue, then the interconnect's timing *)
   Clock.schedule_cycles t.clock ~cycles:1 (fun () ->
-      Port.send t.port pkt ~on_complete:k)
+      Port.send_fn t.port Packet.Write ~addr:(Int64.to_int addr) ~size:8 k)
 
 let delay_cycles t n ~k = Clock.schedule_cycles t.clock ~cycles:(max 0 n) k
 
@@ -25,13 +24,12 @@ let memcpy t ~dst ~src ~len ~k =
       let n = min chunk (len - offset) in
       let src_addr = Int64.add src (Int64.of_int offset) in
       let dst_addr = Int64.add dst (Int64.of_int offset) in
-      let rd = Packet.make Packet.Read ~addr:src_addr ~size:n in
       Clock.schedule_cycles t.clock ~cycles:1 (fun () ->
-          Port.send t.port rd ~on_complete:(fun () ->
+          Port.send_fn t.port Packet.Read ~addr:(Int64.to_int src_addr) ~size:n (fun () ->
               Memory.store_bytes backing dst_addr (Memory.load_bytes backing src_addr n);
-              let wr = Packet.make Packet.Write ~addr:dst_addr ~size:n in
               Clock.schedule_cycles t.clock ~cycles:1 (fun () ->
-                  Port.send t.port wr ~on_complete:(fun () -> step (offset + n)))))
+                  Port.send_fn t.port Packet.Write ~addr:(Int64.to_int dst_addr) ~size:n (fun () ->
+                      step (offset + n)))))
     end
   in
   step 0

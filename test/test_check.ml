@@ -168,6 +168,54 @@ let test_invariant_checker_runs_clean () =
     (fun config -> ignore (Check_harness.run_engine ~config w))
     [ Salam.Config.default; cache_config ~size:2048 ~ways:2; dram_config ]
 
+(* LLVM phis are parallel copies. The loop header below holds
+   [%t1 = phi [5, %entry], [%k0, %for.body]] right after [%k0]'s own
+   phi, so on the back edge [%t1] must read the [%k0] of the iteration
+   that just ended, not the one the header's first phi is defining
+   (fuzz seed 11, case 223, shrunk). The interpreter writes a[3..5];
+   an engine that links [%t1] to the new [%k0] also wrote a[2]. *)
+let test_phi_reads_earlier_phi () =
+  let open Lang in
+  let k =
+    kernel "phi_reads_earlier_phi"
+      ~params:
+        [ array "a" Salam_ir.Ty.F64 [ Check_fuzz.n_elems ]; array "b" Salam_ir.Ty.I32 [ Check_fuzz.n_elems ] ]
+      [
+        decl Salam_ir.Ty.F64 "x" (f 1.0);
+        decl Salam_ir.Ty.F64 "y" (f 2.0);
+        decl Salam_ir.Ty.I32 "t0" (i 3);
+        decl Salam_ir.Ty.I32 "t1" (i 5);
+        for_ "k0" (i 0) (i 8) [ assign "t1" (v "k0") ];
+        for_ "k1" (i 0) (i 6)
+          [ if_ ((i 13 -: v "t1") <=: (v "t0" +: v "k1")) [ store "a" [ v "k1" ] (v "x") ] [] ];
+      ]
+  in
+  let w =
+    {
+      W.name = "phi_reads_earlier_phi";
+      kernel = k;
+      buffers = [ ("a", Check_fuzz.n_elems * 8); ("b", Check_fuzz.n_elems * 4) ];
+      scalar_args = [];
+      init = (fun _ _ _ -> ());
+      check =
+        (fun mem bases ->
+          let a = Salam_ir.Memory.read_f64_array mem bases.(0) 6 in
+          a = [| 0.; 0.; 0.; 1.; 1.; 1. |]);
+    }
+  in
+  check Alcotest.bool "interpreter writes a[3..5]" true (W.run_functional w);
+  List.iter
+    (fun mode ->
+      let config =
+        { Salam.Config.default with Salam.Config.engine = { Engine.default_config with mode } }
+      in
+      match Check_oracle.check_workload ~config w with
+      | Ok () -> ()
+      | Error f ->
+          Alcotest.failf "%s engine: %s" (Engine.mode_to_string mode)
+            (Check_oracle.failure_to_string f))
+    [ Engine.Compiled; Engine.Dynamic ]
+
 let suite =
   [
     Alcotest.test_case "oracle agrees on quick suite" `Slow test_oracle_quick_suite;
@@ -178,4 +226,5 @@ let suite =
     Alcotest.test_case "fuzz finds planted bug" `Slow test_fuzz_finds_planted_bug;
     Alcotest.test_case "engine locates division fault" `Quick test_engine_located_division_fault;
     Alcotest.test_case "invariant checker runs clean" `Quick test_invariant_checker_runs_clean;
+    Alcotest.test_case "phi reads an earlier phi's old value" `Quick test_phi_reads_earlier_phi;
   ]

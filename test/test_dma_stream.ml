@@ -12,6 +12,10 @@ let check = Alcotest.check
 
 let stat = Test_mem.stat
 
+let push = Test_mem.push
+
+let pop = Test_mem.pop
+
 let fresh ?trace () =
   let kernel = Kernel.create () in
   Kernel.set_trace kernel trace;
@@ -96,8 +100,8 @@ let test_backpressure_full () =
   let kernel, clock, stats = fresh ~trace:sink () in
   let sb = Stream_buffer.create kernel clock stats ~name:"fifo" ~capacity_bytes:4 in
   let accepted = ref 0 in
-  Stream_buffer.push sb (Bytes.make 4 'x') ~on_accepted:(fun () -> incr accepted);
-  Stream_buffer.push sb (Bytes.make 4 'y') ~on_accepted:(fun () -> incr accepted);
+  push sb (Bytes.make 4 'x') ~on_accepted:(fun () -> incr accepted);
+  push sb (Bytes.make 4 'y') ~on_accepted:(fun () -> incr accepted);
   ignore (Kernel.run kernel);
   check Alcotest.int "second push blocked while full" 1 !accepted;
   check Alcotest.bool "full stalls counted" true (stat stats "fifo.full_stalls" > 0);
@@ -107,7 +111,7 @@ let test_backpressure_full () =
        (of_cat sink Trace.Stream_stall));
   (* draining unblocks the producer and the payload survives intact *)
   let got = ref "" in
-  Stream_buffer.pop sb ~size:4 ~on_data:(fun d -> got := Bytes.to_string d);
+  pop sb ~size:4 ~on_data:(fun d -> got := Bytes.to_string d);
   ignore (Kernel.run kernel);
   check Alcotest.int "push accepted after drain" 2 !accepted;
   check Alcotest.string "fifo order preserved" "xxxx" !got;
@@ -118,7 +122,7 @@ let test_backpressure_empty () =
   let kernel, clock, stats = fresh ~trace:sink () in
   let sb = Stream_buffer.create kernel clock stats ~name:"fifo" ~capacity_bytes:16 in
   let got = ref None in
-  Stream_buffer.pop sb ~size:2 ~on_data:(fun d -> got := Some (Bytes.to_string d));
+  pop sb ~size:2 ~on_data:(fun d -> got := Some (Bytes.to_string d));
   ignore (Kernel.run kernel);
   check Alcotest.bool "pop blocked while empty" true (!got = None);
   check Alcotest.bool "empty stalls counted" true (stat stats "fifo.empty_stalls" > 0);
@@ -126,7 +130,7 @@ let test_backpressure_empty () =
     (List.exists
        (fun (e : Trace.event) -> e.Trace.detail = "empty")
        (of_cat sink Trace.Stream_stall));
-  Stream_buffer.push sb (Bytes.of_string "hi") ~on_accepted:ignore;
+  push sb (Bytes.of_string "hi") ~on_accepted:ignore;
   ignore (Kernel.run kernel);
   check (Alcotest.option Alcotest.string) "pop served once data arrives" (Some "hi") !got
 

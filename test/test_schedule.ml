@@ -10,21 +10,20 @@ let check = Alcotest.check
 let compile_workload (w : W.t) =
   Schedule.compile (Salam_cdfg.Datapath.build (W.compile w))
 
-(* The compiled lookup paths fail exactly like the dynamic import path:
-   same exception, same message. *)
+(* A malformed edge fails exactly like the dynamic import path when it
+   is taken: same exception, same message. *)
 let test_error_parity () =
   let t = compile_workload Check_trace.vecadd_workload in
   (try
-     ignore (Schedule.find t "nosuch");
+     ignore (Schedule.edge_rows (Schedule.edge t ~label:"nosuch" ~pred:"entry"));
      Alcotest.fail "expected Invalid_argument for an unknown block"
    with Invalid_argument msg ->
      check Alcotest.string "unknown-block message" "Engine: unknown block nosuch" msg);
   (* the loop header has a phi: a non-edge predecessor must raise the
      dynamic path's message *)
-  let header = Schedule.find t "for.cond1" in
-  ignore (Schedule.rows header ~pred:"entry");
+  ignore (Schedule.edge_rows (Schedule.edge t ~label:"for.cond1" ~pred:"entry"));
   try
-    ignore (Schedule.rows header ~pred:"bogus");
+    ignore (Schedule.edge_rows (Schedule.edge t ~label:"for.cond1" ~pred:"bogus"));
     Alcotest.fail "expected Invalid_argument for a non-edge predecessor"
   with Invalid_argument msg ->
     check Alcotest.string "missing-phi message"

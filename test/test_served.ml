@@ -660,6 +660,49 @@ let test_duplicate_points_in_one_sweep_dedup () =
           Alcotest.(check int) "one simulation" 1 st.P.st_simulated;
           Alcotest.(check int) "two deduped" 2 st.P.st_deduped))
 
+(* The built daemon, idle, stops on SIGTERM: it exits within 2 s with
+   status 0 and removes its socket. A signal handler alone never ran
+   while every thread sat in accept or Condition.wait. *)
+let test_sigterm_stops_idle_daemon () =
+  let path = Filename.temp_file "salam_served_sig" ".sock" in
+  Sys.remove path;
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid =
+    Unix.create_process "../bin/salam_served.exe"
+      [| "salam_served"; "serve"; "--socket"; path |]
+      Unix.stdin devnull devnull
+  in
+  Unix.close devnull;
+  let within seconds cond =
+    let deadline = Unix.gettimeofday () +. seconds in
+    let rec go () = cond () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.01; go ())) in
+    go ()
+  in
+  let kill_hard () =
+    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+    ignore (Unix.waitpid [] pid)
+  in
+  if not (within 10. (fun () -> Sys.file_exists path)) then begin
+    kill_hard ();
+    Alcotest.fail "the daemon never bound its socket"
+  end;
+  (* let every thread settle into its blocking wait *)
+  Unix.sleepf 0.2;
+  Unix.kill pid Sys.sigterm;
+  let status = ref None in
+  let exited =
+    within 2. (fun () ->
+        match Unix.waitpid [ Unix.WNOHANG ] pid with
+        | 0, _ -> false
+        | _, st ->
+            status := Some st;
+            true)
+  in
+  if not exited then kill_hard ();
+  Alcotest.(check bool) "exits within 2 s of SIGTERM" true exited;
+  Alcotest.(check bool) "exit status 0" true (!status = Some (Unix.WEXITED 0));
+  Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
+
 let suite =
   [
     Alcotest.test_case "request round-trips" `Quick test_request_round_trips;
@@ -693,4 +736,5 @@ let suite =
       test_client_disconnect_mid_sweep;
     Alcotest.test_case "duplicate points in one sweep dedup" `Quick
       test_duplicate_points_in_one_sweep_dedup;
+    Alcotest.test_case "idle daemon stops on SIGTERM" `Quick test_sigterm_stops_idle_daemon;
   ]

@@ -223,10 +223,9 @@ let test_stream_link_ordered_ranges () =
 let test_shared_spm_routes_via_xbar () =
   let sys, cluster, _acc = build_cluster () in
   let base, spm = Cluster.add_shared_spm cluster ~size:4096 () in
-  let pkt = Salam_mem.Packet.make Salam_mem.Packet.Write ~addr:base ~size:8 in
   let completed = ref false in
-  Salam_mem.Port.send (Cluster.local_port cluster) pkt ~on_complete:(fun () ->
-      completed := true);
+  Salam_mem.Port.send_fn (Cluster.local_port cluster) Salam_mem.Packet.Write
+    ~addr:(Int64.to_int base) ~size:8 (fun () -> completed := true);
   ignore (System.run sys);
   check Alcotest.bool "store completed" true !completed;
   check Alcotest.int "store landed in the shared SPM" 1 (Salam_mem.Spm.writes spm)

@@ -10,9 +10,8 @@ type t = {
   mutable ticks : int array;
   mutable seqs : int array;
   mutable slots : int array;
-  mutable actions : (unit -> unit) array;  (** by slot *)
-  mutable free : int array;  (** stack of unused slots *)
-  mutable n_free : int;
+  pool : Slot_pool.t;
+  mutable actions : (unit -> unit) array;  (** by slot of [pool] *)
   mutable size : int;
   mutable next_seq : int;
   mutable now : int;
@@ -27,29 +26,20 @@ let create () =
     ticks = Array.make initial_capacity 0;
     seqs = Array.make initial_capacity 0;
     slots = Array.make initial_capacity 0;
+    pool = Slot_pool.create ~capacity:initial_capacity ();
     actions = Array.make initial_capacity no_action;
-    free = Array.init initial_capacity (fun i -> initial_capacity - 1 - i);
-    n_free = initial_capacity;
     size = 0;
     next_seq = 0;
     now = 0;
   }
 
-(* only called with every slot in use: the new slots become the free
-   stack *)
-let grow t =
-  let cap = Array.length t.ticks in
-  let extend a fill =
-    let b = Array.make (2 * cap) fill in
-    Array.blit a 0 b 0 cap;
-    b
-  in
-  t.ticks <- extend t.ticks 0;
-  t.seqs <- extend t.seqs 0;
-  t.slots <- extend t.slots 0;
-  t.actions <- extend t.actions no_action;
-  t.free <- Array.init (2 * cap) (fun i -> (2 * cap) - 1 - i);
-  t.n_free <- cap
+(* the pool grew: the heap holds at most one entry per slot *)
+let widen t =
+  let p = t.pool in
+  t.ticks <- Slot_pool.fit p t.ticks 0;
+  t.seqs <- Slot_pool.fit p t.seqs 0;
+  t.slots <- Slot_pool.fit p t.slots 0;
+  t.actions <- Slot_pool.fit p t.actions no_action
 
 (* Both sifts move a hole instead of swapping: the entry being placed is
    written once, at its final position. *)
@@ -105,9 +95,8 @@ let schedule t ~tick action =
   if tick < t.now then
     invalid_arg
       (Printf.sprintf "Event_queue.schedule: tick %d is before now %d" tick t.now);
-  if t.n_free = 0 then grow t;
-  t.n_free <- t.n_free - 1;
-  let slot = t.free.(t.n_free) in
+  let slot = Slot_pool.take t.pool in
+  if slot >= Array.length t.actions then widen t;
   (* the slot freed last is reused first, often for the same closure *)
   if t.actions.(slot) != action then t.actions.(slot) <- action;
   let seq = t.next_seq in
@@ -122,8 +111,7 @@ let pop_action t =
   let last = t.size - 1 in
   t.size <- last;
   if last > 0 then sift_down t t.ticks.(last) t.seqs.(last) t.slots.(last);
-  t.free.(t.n_free) <- slot;
-  t.n_free <- t.n_free + 1;
+  Slot_pool.release t.pool slot;
   t.actions.(slot)
 
 let pop t =

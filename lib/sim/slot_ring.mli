@@ -2,9 +2,9 @@
 
     The simulator's one ring structure. The engine's reservation queue
     holds instance slots in program order: imports append at the back,
-    retirement pops from the front. The SPM's request queue holds
-    request slots in arrival order and compacts itself in place each
-    arbitration pass with {!get}, {!set} and {!drop_front}. The buffer
+    retirement pops from the front. The cache's lookup queue holds
+    fragment slots in arrival order and compacts itself in place each
+    pass with {!get}, {!set} and {!drop_front}. The buffer
     is an [int array], so a push is a plain store with no write
     barrier, and an index is masked into the ring rather than divided.
     The capacity doubles when full and never shrinks. *)

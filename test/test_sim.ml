@@ -287,8 +287,57 @@ let qcheck_slot_list_model =
       && Slot_list.to_list l = List.map snd !model
       && Slot_list.length l = List.length !model)
 
+let qcheck_slot_pool_model =
+  (* take, or release the [i]th held slot: a taken slot is never one
+     already held, lies below the capacity, and is the one released
+     last when any is free; per-slot arrays widened with [fit] keep
+     their entries *)
+  QCheck.Test.make ~name:"slot_pool hands out distinct slots, last released first" ~count:300
+    QCheck.(list (pair bool small_nat))
+    (fun ops ->
+      let p = Slot_pool.create ~capacity:1 () in
+      let owner = ref (Slot_pool.fit p [||] (-1)) in
+      let held = ref [] and released = ref [] and ok = ref true in
+      List.iteri
+        (fun n (take, i) ->
+          if take || !held = [] then begin
+            let s = Slot_pool.take p in
+            if s >= Array.length !owner then owner := Slot_pool.fit p !owner (-1);
+            (match !released with
+            | r :: rest ->
+                if s <> r then ok := false;
+                released := rest
+            | [] -> ());
+            if List.mem_assoc s !held || s >= Slot_pool.capacity p then ok := false;
+            !owner.(s) <- n;
+            held := (s, n) :: !held
+          end
+          else begin
+            let s, _ = List.nth !held (i mod List.length !held) in
+            held := List.filter (fun (h, _) -> h <> s) !held;
+            Slot_pool.release p s;
+            released := s :: !released
+          end)
+        ops;
+      !ok
+      && Array.length !owner = Slot_pool.capacity p
+      && List.for_all (fun (s, n) -> !owner.(s) = n) !held)
+
+let test_slot_pool_allocation_free () =
+  let p = Slot_pool.create () in
+  let cycle n =
+    for _ = 1 to n do
+      let a = Slot_pool.take p in
+      let b = Slot_pool.take p in
+      Slot_pool.release p a;
+      Slot_pool.release p b
+    done
+  in
+  cycle 10;
+  Alcotest.(check int) "no words once grown" 0 (minor_words_during (fun () -> cycle 5_000))
+
 let qcheck_slot_ring_model =
-  (* push_back of a fresh value, pop_front, or the SPM's in-place
+  (* push_back of a fresh value, pop_front, or the cache's in-place
      compaction: visit a prefix, keep the marked elements of it in
      order at the front, shift them over the rest and drop the front.
      Compared against a list model, from the smallest ring. *)
@@ -469,6 +518,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_event_queue_model;
     Alcotest.test_case "event queue allocation-free" `Quick test_event_queue_allocation_free;
     Alcotest.test_case "slot_list allocation-free" `Quick test_slot_list_allocation_free;
+    QCheck_alcotest.to_alcotest qcheck_slot_pool_model;
+    Alcotest.test_case "slot_pool allocation-free" `Quick test_slot_pool_allocation_free;
     Alcotest.test_case "slot_list push/remove" `Quick test_slot_list_basic;
     Alcotest.test_case "slot_list sorted_insert/walks" `Quick test_slot_list_sorted_insert_and_walk;
     QCheck_alcotest.to_alcotest qcheck_slot_list_model;

@@ -7,11 +7,13 @@
      dune exec bin/salam_sim.exe -- run gemm --invocations 4 --fast-forward 3
 
    Exit status: 0 on success, 2 when the simulated output fails the
-   workload's golden model; argument errors are Cmdliner's. *)
+   workload's golden model, 1 when a knob is out of range (the message
+   names its flag); other argument errors are Cmdliner's. *)
 
 open Cmdliner
 module Engine = Salam_engine.Engine
 module Point = Salam_dse.Point
+module Explore = Salam_dse.Explore
 module W = Salam_workloads.Workload
 
 let workloads () = Salam_workloads.Suite.standard ()
@@ -45,6 +47,16 @@ let memory_conv =
 
 let mode_conv = Arg.enum [ ("dynamic", Engine.Dynamic); ("compiled", Engine.Compiled) ]
 
+(* the flag that sets each knob [Explore.check] can refuse *)
+let flag_of_key = function
+  | "read_ports" -> "--ports"
+  | "write_ports" -> "--write-ports"
+  | "banks" -> "--banks"
+  | "cache_bytes" -> "--cache-size"
+  | "fu_limit" -> "--fp-units"
+  | "clock_mhz" -> "--clock"
+  | _ -> "--hw-db/--cycle-time"
+
 let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks fadd_limit mode
     invocations fast_forward hw_db cycle_time =
   if invocations < 1 then Error (`Msg "--invocations must be at least 1")
@@ -71,6 +83,15 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
     match Point.with_hw ?db_path:hw_db ?cycle_time_ns:cycle_time point with
     | Error e -> Error (`Msg e)
     | Ok point ->
+    (* the range check salam_dse runs, before anything is built *)
+    match Explore.suite_target w.W.name with
+    | Error e -> Error (`Msg e)
+    | Ok target ->
+    match Explore.check target point with
+    | Error (key, e) ->
+        Printf.eprintf "%s: %s\n" (flag_of_key key) e;
+        Ok 1
+    | Ok () ->
     let config = Point.to_config point in
     let config =
       { config with Salam.Config.engine = { config.Salam.Config.engine with Engine.mode } }

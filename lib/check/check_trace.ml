@@ -66,18 +66,19 @@ let vecadd_workload : W.t =
           (Array.map2 (fun x y -> (x, y)) a_init b_init));
   }
 
-let run_vecadd config sink =
-  let r = Check_harness.run_engine ~config ~trace:sink vecadd_workload in
-  vecadd_workload.W.check r.Check_harness.memory r.Check_harness.bases
+let run_vecadd config ~check sink =
+  let engine = { config.Salam.Config.engine with Salam_engine.Engine.check } in
+  (Salam.simulate ~config:{ config with Salam.Config.engine } ~trace:sink vecadd_workload)
+    .Salam.correct
 
 (* Same SPM scenario under the built-in database's 5 ns characterization:
    the golden file pins the non-default latencies (and with them the
    whole event stream), so a silent change to the loadable table or the
    profile plumbing fails the trace suite, not just the unit tests. The
    clock stays at the default 500 MHz. *)
-let run_vecadd_5ns sink =
+let run_vecadd_5ns ~check sink =
   match Salam_config.profile ~node:40 ~cycle_time_ns:5.0 with
-  | Ok hw -> run_vecadd { Salam.Config.default with Salam.Config.hw } sink
+  | Ok hw -> run_vecadd { Salam.Config.default with Salam.Config.hw } ~check sink
   | Error e -> failwith ("Check_trace: " ^ e)
 
 (* --- DMA copy through a shared SPM -------------------------------------- *)
@@ -88,7 +89,7 @@ let dma_len = 160
 
 let dma_offset = 512
 
-let run_dma sink =
+let run_dma ~check:_ sink =
   let sys = System.create ~trace:sink () in
   let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"dmaT" ~clock_mhz:500.0 () in
@@ -137,7 +138,7 @@ let vecadd_ff_workload : W.t =
         !ok);
   }
 
-let run_ff_vecadd sink =
+let run_ff_vecadd ~check:_ sink =
   let from = Salam.capture ~invocations:1 vecadd_ff_workload in
   let r = Salam.simulate ~invocations:2 ~from ~trace:sink vecadd_ff_workload in
   r.Salam.correct
@@ -153,16 +154,17 @@ module Cnn_pipeline = Salam_scenarios.Cnn_pipeline
 
 let cnn_size = 2
 
-let run_cnn_private_spm sink =
+let run_cnn_private_spm ~check:_ sink =
   (Cnn_pipeline.run_private_spm ~h:cnn_size ~w:cnn_size ~trace:sink ()).Cnn_pipeline.correct
 
-let run_cnn_streams sink =
+let run_cnn_streams ~check:_ sink =
   (Cnn_pipeline.run_streams ~h:cnn_size ~w:cnn_size ~trace:sink ()).Cnn_pipeline.correct
 
 (* --- scenario registry --------------------------------------------------- *)
 
 (* name and runner: the runner executes the scenario with the sink
-   installed and returns whether the functional result was correct *)
+   installed and returns whether the functional result was correct;
+   [check] sets the engine's check mode where a scenario turns it on *)
 let scenarios =
   [
     ("spm_vecadd", run_vecadd Salam.Config.default);
@@ -182,11 +184,20 @@ let scenarios =
 
 let names = List.map fst scenarios
 
-let capture name =
+let capture ?(sleeping = false) name =
   match List.assoc_opt name scenarios with
   | None -> invalid_arg ("Check_trace.capture: unknown scenario " ^ name)
   | Some run ->
-      let sink = Trace.create () in
-      if not (run sink) then
+      let sink =
+        if sleeping then
+          Trace.create
+            ~categories:
+              (List.filter
+                 (fun c -> not (List.mem c Salam_engine.Engine.per_cycle_categories))
+                 Trace.all_categories)
+            ()
+        else Trace.create ()
+      in
+      if not (run ~check:(not sleeping) sink) then
         failwith ("Check_trace.capture: scenario " ^ name ^ " computed a wrong result");
       Trace.to_text sink

@@ -16,7 +16,12 @@ val vecadd_workload : Salam_workloads.Workload.t
 
 val names : string list
 
-val capture : string -> string
+val capture : ?sleeping:bool -> string -> string
 (** Run a scenario under a fresh sink recording every category and
-    return the canonical text trace. Raises [Invalid_argument] on an
-    unknown name and [Failure] if the scenario computes a wrong result. *)
+    return the canonical text trace; the single-engine vecadd scenarios
+    run with the engine's check mode on. With [sleeping], the sink
+    records every category but
+    {!Salam_engine.Engine.per_cycle_categories} and check mode stays
+    off, so the engines sleep through their quiet cycles. Raises
+    [Invalid_argument] on an unknown name and [Failure] if the scenario
+    computes a wrong result. *)

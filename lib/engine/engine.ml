@@ -31,10 +31,9 @@ let default_config =
     mode = Compiled;
   }
 
-(* Placeholder for [tick_thunk] until the first [schedule_tick]; a
-   top-level closure so the lazy-init check is a stable pointer compare
-   ([ignore] is a primitive and eta-expands to a fresh closure per use
-   site). *)
+(* Placeholder for [tick_thunk] until the first [start]; a top-level
+   closure ([ignore] is a primitive and eta-expands to a fresh closure
+   per use site). *)
 let unset_thunk () = ()
 
 (* likewise for [k_commit] *)
@@ -269,15 +268,21 @@ type t = {
   fu_held : int array;  (** unpipelined units held until commit, by [Fu.index] *)
   in_flight : int array;  (** issued-not-committed compute, by [Fu.index] *)
   scratch_issued : int array;
-      (** per-tick issue counts by [Fu.index]; cleared at each tick, so
-          FU caps hold per tick rather than per cycle (ROADMAP) *)
+      (** per-tick issue counts by [Fu.index]; cleared at each tick that
+          follows an issue, so FU caps hold per tick rather than per
+          cycle (ROADMAP) *)
+  mutable scratch_dirty : bool;  (** [scratch_issued] holds a non-zero count *)
+  mutable cap_refused : bool;
+      (** this tick's scan refused an FU op by its cap after the class
+          issued: a repeat tick, its counts cleared, could issue it *)
   wheel_head : int array;
   wheel_tail : int array;
       (** the completion wheel: multi-cycle FU ops in flight, bucket
-          [c mod Array.length wheel_head] holding those that commit at
-          cycle [c], a FIFO in issue order linked through [wheel_next].
-          One bucket per cycle of the longest node latency, plus one, so
-          a bucket is drained before it can be reused (see [tick]). *)
+          [c land wheel_mask] holding those that commit at cycle [c], a
+          FIFO in issue order linked through [wheel_next]. More buckets
+          than the longest node latency, a power of two, so a bucket is
+          drained before it can be reused (see [tick]). *)
+  wheel_mask : int;
   mutable reads_outstanding : int;
   mutable writes_outstanding : int;
   mutable inflight_total : int;
@@ -292,6 +297,27 @@ type t = {
   mutable ret_value : Bits.t option;
   mutable on_finish : (Bits.t option -> unit) option;
   mutable tick_scheduled : bool;
+      (** a tick is pending: queued, reserved (inside a tick) or asleep *)
+  (* Virtual ticks (see [sleep]). A [schedule_tick] inside a tick only
+     reserves the tick's insertion number; at the end of the tick the
+     engine queues it, or, if it provably changes nothing, leaves it to
+     the kernel as the head of a chain of virtual ticks. *)
+  sleeper : Kernel.sleeper;
+  period : int;  (** the clock period in ticks *)
+  may_sleep : bool;
+      (** check mode is off and no sink records [Engine_stall] or
+          [Fu_occupancy], the lines a quiet cycle emits *)
+  mutable in_tick : bool;
+  mutable tick_cycle : int;  (** the cycle of the tick running *)
+  mutable next_cycle : int;  (** the cycle of the pending tick *)
+  mutable res_seq : int;  (** its reserved insertion number, inside a tick *)
+  mutable imported : bool;  (** a block was imported after the tick's scan *)
+  mutable asleep : bool;
+  mutable sleep_flags : int;  (** the stall flags every slept-through tick computes *)
+  mutable wake_cycle : int;  (** the next non-empty wheel bucket's cycle, or [max_int] *)
+  mutable shadow : int;
+      (** check mode: the stall flags of the next tick, predicted quiet,
+          or -1 *)
   mutable start_cycle : int;
   (* per-cycle accumulation, finalised when the clock advances (several
      tick events can run within one cycle due to zero-latency commits) *)
@@ -345,32 +371,67 @@ type t = {
           every memory request, whose tag is the instance's slot *)
 }
 
+let per_cycle_categories = [ Trace.Engine_stall; Trace.Fu_occupancy ]
+
+(* no closure: a sink that records nothing costs what no sink costs *)
+let rec wants_any sink = function
+  | [] -> false
+  | cat :: tl -> Trace.wants sink cat || wants_any sink tl
+
+(* the smallest power of two above [n] *)
+let pow2_above n =
+  let rec go p = if p > n then p else go (2 * p) in
+  go 1
+
 let create kernel clock ?(config = default_config) ~datapath ~mem () =
   let sched =
     match config.mode with Compiled -> Some (Schedule.compile datapath) | Dynamic -> None
   in
-  let block_lists = Hashtbl.create 16 in
-  Array.iter
-    (fun (n : Datapath.node) ->
-      let existing = Option.value ~default:[] (Hashtbl.find_opt block_lists n.block) in
-      Hashtbl.replace block_lists n.block (n :: existing))
-    datapath.Datapath.nodes;
-  (* arrays, so [import_block]'s room check is O(1) — it re-runs every
-     tick while an import waits for reservation slots *)
+  let nodes = datapath.Datapath.nodes in
+  let n_nodes = Array.length nodes in
+  (* nodes are numbered in program order, so each block is one run of
+     them; arrays, so [import_block]'s room check is O(1) — it re-runs
+     every tick while an import waits for reservation slots *)
   let block_nodes = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun k v -> Hashtbl.replace block_nodes k (Array.of_list (List.rev v)))
-    block_lists;
+  let largest_block = ref 0 in
+  let run = ref 0 in
+  for i = 1 to n_nodes do
+    if i = n_nodes || nodes.(i).Datapath.block <> nodes.(!run).Datapath.block then begin
+      Hashtbl.replace block_nodes nodes.(!run).Datapath.block (Array.sub nodes !run (i - !run));
+      largest_block := max !largest_block (i - !run);
+      run := i
+    end
+  done;
+  let largest_block = !largest_block in
+  (* register ids are dense per function (builder + mem2reg counters), so
+     the register file and dependency tables are flat arrays *)
+  let nregs = ref 0 in
+  let see (v : Ast.var) = if v.id >= !nregs then nregs := v.id + 1 in
+  List.iter see datapath.Datapath.func.Ast.params;
+  let write_pj = Array.make n_nodes 0.0 in
+  let reg_write_pj = datapath.Datapath.profile.Profile.reg_write_pj_per_bit in
   let infos =
     Array.map
       (fun (n : Datapath.node) ->
         let instr = n.Datapath.instr in
+        let def = Ast.defined_var instr in
+        let ops = Ast.operands instr in
+        for i = 0 to Array.length ops - 1 do
+          match ops.(i) with Ast.Var v -> see v | Ast.Const _ -> ()
+        done;
+        let is_phi = match instr with Ast.Phi _ -> true | _ -> false in
+        let def_reg, def_ty =
+          match def with
+          | Some v ->
+              see v;
+              write_pj.(n.Datapath.n_id) <- float_of_int (Ty.bits v.Ast.ty) *. reg_write_pj;
+              (v.Ast.id, v.Ast.ty)
+          | None -> (-1, Ty.Void)
+        in
         {
-          si_sources =
-            (match instr with
-            | Ast.Phi _ -> [||]
-            | _ -> Array.of_list (Ast.used_values instr));
-          si_def = Ast.defined_var instr;
+          (* a phi's operand resolves per predecessor at import *)
+          si_sources = (if is_phi then [||] else ops);
+          si_def = def;
           si_mem_size =
             (match instr with
             | Ast.Load { dst; _ } -> Ty.size_bytes dst.ty
@@ -389,68 +450,44 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
             | Ast.Gep _ | Ast.Phi _ | Ast.Call _ ->
                 true
             | Ast.Store _ | Ast.Alloca _ | Ast.Br _ | Ast.Cond_br _ | Ast.Ret _ -> false);
-          si_res =
-            8 * (match instr with Ast.Phi _ -> 1 | _ -> List.length (Ast.used_values instr));
+          si_res = 8 * (if is_phi then 1 else Array.length ops);
           si_fu_ix = (match n.Datapath.fu with Some cls -> Fu.index cls | None -> -1);
-          si_def_reg = (match Ast.defined_var instr with Some v -> v.Ast.id | None -> -1);
-          si_def_ty = (match Ast.defined_var instr with Some v -> v.Ast.ty | None -> Ty.Void);
+          si_def_reg = def_reg;
+          si_def_ty = def_ty;
         })
-      datapath.Datapath.nodes
+      nodes
   in
-  (* register ids are dense per function (builder + mem2reg counters), so
-     the register file and dependency tables are flat arrays *)
-  let nregs =
-    let m = ref 0 in
-    let see (v : Ast.var) = if v.id >= !m then m := v.id + 1 in
-    List.iter see datapath.Datapath.func.Ast.params;
-    Array.iter
-      (fun (n : Datapath.node) ->
-        (match Ast.defined_var n.Datapath.instr with Some v -> see v | None -> ());
-        List.iter see (Ast.used_vars n.Datapath.instr))
-      datapath.Datapath.nodes;
-    !m
-  in
+  let nregs = !nregs in
   let specs =
     Array.of_list (List.map (Profile.spec datapath.Datapath.profile) Fu.all)
   in
   let fu_units = Array.make Fu.count 0 in
   Fu.Map.iter (fun cls count -> fu_units.(Fu.index cls) <- count) datapath.Datapath.fu_alloc;
   (* a block larger than the reservation queue could never be imported *)
-  let largest_block =
-    Hashtbl.fold (fun _ nodes acc -> max acc (Array.length nodes)) block_nodes 0
-  in
   let config =
     if config.reservation_slots < largest_block + 8 then
       { config with reservation_slots = largest_block + 8 }
     else config
   in
-  let n_nodes = Array.length datapath.Datapath.nodes in
-  let longest_latency =
-    Array.fold_left
-      (fun m (n : Datapath.node) -> max m n.Datapath.latency)
-      0 datapath.Datapath.nodes
+  let wheel =
+    pow2_above (Array.fold_left (fun m (n : Datapath.node) -> max m n.Datapath.latency) 0 nodes)
   in
+  let tr = Kernel.trace kernel in
+  let period = Int64.to_int (Clock.period_ticks clock) in
   {
     kernel;
     clock;
     dp = datapath;
     cfg = config;
     mem;
-    tr = Kernel.trace kernel;
+    tr;
     tr_comp = "engine." ^ datapath.Datapath.func.Ast.fname;
     intrinsics = Interp.intrinsics;
     block_nodes;
     infos;
     specs;
     fu_fp = Array.of_list (List.map Fu.is_fp Fu.all);
-    write_pj =
-      Array.map
-        (fun (n : Datapath.node) ->
-          match Ast.defined_var n.Datapath.instr with
-          | Some v ->
-              float_of_int (Ty.bits v.Ast.ty) *. datapath.Datapath.profile.Profile.reg_write_pj_per_bit
-          | None -> 0.0)
-        datapath.Datapath.nodes;
+    write_pj;
     fu_units;
     regs = Bytes.make (8 * nregs) '\000';
     insts = [||];
@@ -489,8 +526,11 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
     fu_held = Array.make Fu.count 0;
     in_flight = Array.make Fu.count 0;
     scratch_issued = Array.make Fu.count 0;
-    wheel_head = Array.make (longest_latency + 1) nil;
-    wheel_tail = Array.make (longest_latency + 1) nil;
+    scratch_dirty = false;
+    cap_refused = false;
+    wheel_head = Array.make wheel nil;
+    wheel_tail = Array.make wheel nil;
+    wheel_mask = wheel - 1;
     reads_outstanding = 0;
     writes_outstanding = 0;
     inflight_total = 0;
@@ -503,6 +543,23 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
     ret_value = None;
     on_finish = None;
     tick_scheduled = false;
+    sleeper = Kernel.add_sleeper kernel ~period;
+    period;
+    may_sleep =
+      (not config.check)
+      &&
+      (match tr with
+      | Some s -> not (wants_any s per_cycle_categories)
+      | None -> true);
+    in_tick = false;
+    tick_cycle = 0;
+    next_cycle = 0;
+    res_seq = 0;
+    imported = false;
+    asleep = false;
+    sleep_flags = 0;
+    wake_cycle = max_int;
+    shadow = -1;
     start_cycle = 0;
     cur_cycle = -1;
     cyc_active = false;
@@ -1224,11 +1281,21 @@ let register_hazards t dyn prev (def : Ast.var option) =
       t.last_writer.(dst.Ast.id) <- dyn.id
   | None -> ()
 
+(* Inside a tick, time is the tick's clock edge: the pending tick's
+   insertion number is taken now, where inserting it would have taken it,
+   and [end_tick] decides whether it is queued or sleeps. *)
 let rec schedule_tick t ~cycles =
   if not t.tick_scheduled then begin
     t.tick_scheduled <- true;
-    if t.tick_thunk == unset_thunk then t.tick_thunk <- (fun () -> tick t);
-    Clock.schedule_cycles t.clock ~cycles t.tick_thunk
+    if t.in_tick then begin
+      t.next_cycle <- t.tick_cycle + cycles;
+      t.res_seq <- Kernel.reserve_seq t.kernel
+    end
+    else begin
+      let tick = Clock.edge_tick_i t.clock ~cycles in
+      t.next_cycle <- tick / t.period;
+      Kernel.schedule_at_i t.kernel ~tick t.tick_thunk
+    end
   end
 
 and import_block t ~label ~pred =
@@ -1278,6 +1345,7 @@ and import_block t ~label ~pred =
       Slot_ring.push_back t.reservation dyn.id;
       t.waiting_count <- t.waiting_count + 1
     done;
+    t.imported <- true;
     schedule_tick t ~cycles:0
   end
 
@@ -1314,6 +1382,7 @@ and import_edge t e =
       Slot_ring.push_back t.reservation dyn.id;
       t.waiting_count <- t.waiting_count + 1
     done;
+    t.imported <- true;
     schedule_tick t ~cycles:0
   end
 
@@ -1557,6 +1626,9 @@ and can_issue t dyn =
       else t.fu_held.(i) + t.scratch_issued.(i)
     in
     used < t.fu_units.(i)
+    ||
+    (if t.scratch_issued.(i) > 0 then t.cap_refused <- true;
+     false)
 
 and issue t dyn =
   if traces t Trace.Engine_issue then begin
@@ -1603,6 +1675,7 @@ and issue t dyn =
     (let i = dyn.info.si_fu_ix in
      if i >= 0 then begin
        t.scratch_issued.(i) <- t.scratch_issued.(i) + 1;
+       t.scratch_dirty <- true;
        t.s_issued_by_class.(i) <- t.s_issued_by_class.(i) + 1;
        t.in_flight.(i) <- t.in_flight.(i) + 1;
        let spec = t.specs.(i) in
@@ -1626,7 +1699,13 @@ and issue t dyn =
         [ ("seq", Trace.I (Int64.of_int dyn.seq)); ("lat", Trace.I (Int64.of_int latency)) ];
     if latency = 0 then commit t dyn
     else begin
-      let b = (t.cur_cycle + latency) mod Array.length t.wheel_head in
+      (* it is in flight at the close of each cycle before the one it
+         commits in: latency - 1 of them, all active, since every cycle
+         with work in flight is *)
+      let i = dyn.info.si_fu_ix in
+      if i >= 0 && latency > 1 then
+        t.s_busy_integral.(i) <- t.s_busy_integral.(i) +. float_of_int (latency - 1);
+      let b = (t.cur_cycle + latency) land t.wheel_mask in
       let tl = t.wheel_tail.(b) in
       if tl = nil then t.wheel_head.(b) <- dyn.id else (inst t tl).wheel_next <- dyn.id;
       t.wheel_tail.(b) <- dyn.id
@@ -1637,13 +1716,15 @@ and issue t dyn =
    [cycle]. The onward link is read before [commit], which may recycle
    the instance; a commit never issues, so nothing joins the bucket. *)
 and drain_wheel t cycle =
-  let b = cycle mod Array.length t.wheel_head in
+  let b = cycle land t.wheel_mask in
   let s = t.wheel_head.(b) in
-  if s <> nil then begin
-    t.wheel_head.(b) <- nil;
-    t.wheel_tail.(b) <- nil;
-    commit_chain t s
-  end
+  s <> nil
+  && begin
+       t.wheel_head.(b) <- nil;
+       t.wheel_tail.(b) <- nil;
+       commit_chain t s;
+       true
+     end
 
 and commit_chain t s =
   let d = inst t s in
@@ -1652,26 +1733,24 @@ and commit_chain t s =
   commit t d;
   if nx <> nil then commit_chain t nx
 
+(* [n] stall cycles, of the class the wait flags give *)
+and charge_stalls t n =
+  t.s_stall <- t.s_stall + n;
+  match (t.cyc_wait_load, t.cyc_wait_store, t.cyc_wait_compute) with
+  | true, false, false -> t.s_stall_load <- t.s_stall_load + n
+  | true, false, true -> t.s_stall_load_compute <- t.s_stall_load_compute + n
+  | true, true, true -> t.s_stall_lsc <- t.s_stall_lsc + n
+  | _ -> t.s_stall_other <- t.s_stall_other + n
+
+(* The FU busy integral is charged at issue (see [issue]). *)
 and finalize_cycle t =
   if t.cur_cycle >= 0 && t.cyc_active then begin
     t.s_active <- t.s_active + 1;
-    if t.cyc_issued then t.s_issue_cycles <- t.s_issue_cycles + 1
-    else begin
-      t.s_stall <- t.s_stall + 1;
-      match (t.cyc_wait_load, t.cyc_wait_store, t.cyc_wait_compute) with
-      | true, false, false -> t.s_stall_load <- t.s_stall_load + 1
-      | true, false, true -> t.s_stall_load_compute <- t.s_stall_load_compute + 1
-      | true, true, true -> t.s_stall_lsc <- t.s_stall_lsc + 1
-      | _ -> t.s_stall_other <- t.s_stall_other + 1
-    end;
+    if t.cyc_issued then t.s_issue_cycles <- t.s_issue_cycles + 1 else charge_stalls t 1;
     if t.cyc_load then t.s_cyc_load <- t.s_cyc_load + 1;
     if t.cyc_store then t.s_cyc_store <- t.s_cyc_store + 1;
     if t.cyc_load && t.cyc_store then t.s_cyc_both <- t.s_cyc_both + 1;
     if t.cyc_fp then t.s_cyc_fp <- t.s_cyc_fp + 1;
-    for i = 0 to Fu.count - 1 do
-      let n = t.in_flight.(i) in
-      if n > 0 then t.s_busy_integral.(i) <- t.s_busy_integral.(i) +. float_of_int n
-    done;
     (* the cycle is finalised after time has moved on; stamp its events
        with the cycle-start tick, the canonical sort restores order *)
     if (not t.cyc_issued) && traces t Trace.Engine_stall then begin
@@ -1777,47 +1856,161 @@ and scan_compiled t =
   t.scanning <- false;
   !issued_any
 
+(* retire issued/committed entries from the reservation head: a fully
+   committed instance returns to its pool, an in-flight one is recycled
+   by its own commit *)
+and retire t =
+  while
+    (not (Slot_ring.is_empty t.reservation))
+    && (inst t (Slot_ring.peek_front t.reservation)).st <> Waiting
+  do
+    let dyn = inst t (Slot_ring.pop_front t.reservation) in
+    if dyn.st = Done then recycle t dyn else dyn.retired <- true
+  done
+
+and set_wait_flags t flags =
+  if flags land stall_load <> 0 then t.cyc_wait_load <- true;
+  if flags land stall_store <> 0 then t.cyc_wait_store <- true;
+  if flags land stall_compute <> 0 then t.cyc_wait_compute <- true
+
+(* --- virtual ticks -------------------------------------------------------
+
+   After a tick's scan every ready op has failed [can_issue], and only a
+   commit changes that: it delivers operands, releases units, queue
+   slots and ordering blockers, or imports a block. So the next tick
+   changes nothing but the cycle accounting when no commit can come
+   before it: its wheel bucket is empty, no import landed after the scan
+   (those entries are unscanned), and no op was refused by an FU cap
+   after its class issued (the next tick clears the per-tick counts).
+   Such a tick, and every tick after it until the next non-empty wheel
+   bucket, is left to the kernel as a virtual tick (see
+   {!Kernel.sleep}). Each would have finalised the previous cycle as an
+   active stall cycle of the class [stall_flags] gives now, and retired
+   the reservation head, so [settle] does that in one step when the
+   engine wakes: at the wake tick, or when a memory completion arrives
+   first ([wake]). *)
+
+(* [vcycle] is the cycle of the tick that turns real; the virtual ticks
+   at cycles [next_cycle] to [vcycle - 1] have passed *)
+and settle t vcycle =
+  t.asleep <- false;
+  if vcycle > t.next_cycle then begin
+    let last = vcycle - 1 in
+    if last > t.cur_cycle then begin
+      finalize_cycle t;
+      t.cyc_active <- true;
+      set_wait_flags t t.sleep_flags;
+      let quiet = last - t.cur_cycle - 1 in
+      t.s_active <- t.s_active + quiet;
+      charge_stalls t quiet;
+      t.cur_cycle <- last
+    end
+    else begin
+      t.cyc_active <- true;
+      set_wait_flags t t.sleep_flags
+    end;
+    (* as the first virtual tick did; only the order in which retired
+       instances return to their pools depends on it *)
+    retire t
+  end
+
+(* a completion arrives while the engine sleeps *)
+and wake t =
+  let tick = Kernel.wake t.kernel t.sleeper in
+  let vcycle = tick / t.period in
+  settle t vcycle;
+  t.next_cycle <- vcycle
+
+(* the first cycle after [cycle] whose wheel bucket is non-empty, or
+   [max_int] if the wheel is empty *)
+and next_busy_bucket t cycle =
+  let c = ref (cycle + 1) and last = cycle + t.wheel_mask in
+  while !c <= last && t.wheel_head.(!c land t.wheel_mask) = nil do
+    incr c
+  done;
+  if !c > last then max_int else !c
+
+(* The pending tick is quiet: nothing can issue in it, and only a
+   commit, at the latest from its wheel bucket, can change that. *)
+and quiet_next t =
+  t.is_running
+  && (t.waiting_count > 0 || t.inflight_total > 0)
+  && (not t.imported) && (not t.cap_refused)
+  && t.wheel_head.(t.next_cycle land t.wheel_mask) = nil
+
+and end_tick t flags =
+  let quiet = quiet_next t in
+  if quiet && t.may_sleep then begin
+    t.asleep <- true;
+    t.sleep_flags <- (if flags >= 0 then flags else stall_flags t);
+    t.wake_cycle <- next_busy_bucket t t.next_cycle;
+    Kernel.sleep t.kernel t.sleeper ~tick:(t.next_cycle * t.period) ~seq:t.res_seq
+      ~wake:(if t.wake_cycle = max_int then max_int else t.wake_cycle * t.period)
+      t.tick_thunk
+  end
+  else begin
+    if t.cfg.check && quiet then t.shadow <- (if flags >= 0 then flags else stall_flags t);
+    Kernel.schedule_reserved t.kernel ~tick:(t.next_cycle * t.period) ~seq:t.res_seq
+      t.tick_thunk
+  end
+
+(* Check mode keeps every tick: one predicted quiet must issue nothing,
+   import nothing, commit nothing from the wheel and classify its stall
+   as predicted. *)
+and check_shadow t ~drained ~issued_any ~flags =
+  let want = t.shadow in
+  t.shadow <- -1;
+  let flags = if flags >= 0 || issued_any then flags else stall_flags t in
+  if drained || issued_any || t.imported || flags <> want then
+    raise
+      (Invariant_violation
+         (Printf.sprintf
+            "@%s: cycle %d: a tick predicted quiet drained the wheel=%b, issued=%b, \
+             imported=%b, stall flags %d (predicted %d)"
+            t.dp.Datapath.func.Ast.fname t.tick_cycle drained issued_any t.imported flags want))
+
 (* The wheel drains first, while [tick_scheduled] still holds: the
    commits run where their kernel events used to (each was queued
    before the tick of its cycle), their [schedule_tick ~cycles:0] finds
    this tick pending, and [finalize_cycle] sees the previous cycle's
-   in-flight counts already released. *)
+   in-flight counts already released. A tick woken at its wake tick
+   first settles the virtual ticks before it. *)
 and tick t =
-  let now_cycle = Clock.current_cycle_i t.clock in
-  drain_wheel t now_cycle;
+  if t.asleep then begin
+    settle t t.wake_cycle;
+    t.next_cycle <- t.wake_cycle
+  end;
+  let now_cycle = t.next_cycle in
+  t.tick_cycle <- now_cycle;
+  let drained = drain_wheel t now_cycle in
   t.tick_scheduled <- false;
+  t.in_tick <- true;
+  let flags = ref (-1) in
   if t.is_running then begin
     if now_cycle <> t.cur_cycle then begin
       finalize_cycle t;
       t.cur_cycle <- now_cycle
     end;
-    (* retire issued/committed entries from the reservation head: a
-       fully committed instance returns to its pool, an in-flight one is
-       recycled by its own commit *)
-    while
-      (not (Slot_ring.is_empty t.reservation))
-      && (inst t (Slot_ring.peek_front t.reservation)).st <> Waiting
-    do
-      let dyn = inst t (Slot_ring.pop_front t.reservation) in
-      if dyn.st = Done then recycle t dyn else dyn.retired <- true
-    done;
-    for i = 0 to Fu.count - 1 do
-      t.scratch_issued.(i) <- 0
-    done;
+    retire t;
+    if t.scratch_dirty then begin
+      Array.fill t.scratch_issued 0 Fu.count 0;
+      t.scratch_dirty <- false
+    end;
+    t.cap_refused <- false;
     let issued_any = if t.sched != None then scan_compiled t else scan_dynamic t in
     if t.cfg.check then check_cycle t;
+    t.imported <- false;
     import_pending t;
     let work_pending = t.waiting_count > 0 || t.inflight_total > 0 in
     if work_pending || issued_any then begin
       t.cyc_active <- true;
       if not issued_any then begin
-        let flags = stall_flags t in
-        if t.cfg.check then check_stall_flags t flags;
-        if flags land stall_load <> 0 then t.cyc_wait_load <- true;
-        if flags land stall_store <> 0 then t.cyc_wait_store <- true;
-        if flags land stall_compute <> 0 then t.cyc_wait_compute <- true
+        flags := stall_flags t;
+        if t.cfg.check then check_stall_flags t !flags;
+        set_wait_flags t !flags
       end
     end;
+    if t.shadow >= 0 then check_shadow t ~drained ~issued_any ~flags:!flags;
     if t.waiting_count > 0 || t.inflight_total > 0 || t.pending_import != No_import then
       schedule_tick t ~cycles:1
     else if t.ret_committed then begin
@@ -1825,8 +2018,7 @@ and tick t =
       t.cur_cycle <- -1;
       t.is_running <- false;
       t.ret_committed <- false;
-      t.s_cycles <-
-        Int64.add t.s_cycles (Int64.of_int (Clock.current_cycle_i t.clock - t.start_cycle));
+      t.s_cycles <- Int64.add t.s_cycles (Int64.of_int (now_cycle - t.start_cycle));
       if t.cfg.check then check_completion t;
       match t.on_finish with
       | Some k ->
@@ -1834,7 +2026,9 @@ and tick t =
           k t.ret_value
       | None -> ()
     end
-  end
+  end;
+  t.in_tick <- false;
+  if t.tick_scheduled then end_tick t !flags
 
 let start t ~args ~on_finish =
   if t.is_running then invalid_arg "Engine.start: already running";
@@ -1847,7 +2041,14 @@ let start t ~args ~on_finish =
      invalid_arg
        (Printf.sprintf "Engine.start: %s expects %d arguments"
           t.dp.Datapath.func.Ast.fname (List.length params)));
-  if t.k_commit == unset_k then t.k_commit <- (fun id -> commit t (inst t id));
+  if t.k_commit == unset_k then begin
+    t.tick_thunk <- (fun () -> tick t);
+    t.k_commit <-
+      (fun id ->
+        if t.asleep then wake t;
+        t.shadow <- -1;
+        commit t (inst t id))
+  end;
   t.is_running <- true;
   t.u_load <- 0;
   t.u_comp <- 0;

@@ -135,6 +135,12 @@ type run_stats = {
   dynamic_reg_energy_pj : float;
 }
 
+val per_cycle_categories : Salam_obs.Trace.category list
+(** [Engine_stall] and [Fu_occupancy]: the trace lines an engine emits
+    for every active cycle, quiet or not. An unchecked engine sleeps
+    through the ticks it can prove quiet (see {!create}) unless its
+    kernel's sink records one of these. *)
+
 val create :
   Salam_sim.Kernel.t ->
   Salam_sim.Clock.t ->
@@ -144,7 +150,17 @@ val create :
   unit ->
   t
 (** Functional-unit counts come from [datapath.fu_alloc]: the static
-    elaboration alone fixes the inventory the engine schedules on. *)
+    elaboration alone fixes the inventory the engine schedules on.
+
+    The engine ticks once per cycle while it has work, and again within
+    a cycle after a zero-latency commit. A tick that provably issues,
+    imports and commits nothing is left to the kernel as a virtual tick
+    ({!Salam_sim.Kernel.sleep}), and the skipped cycles are charged when
+    the next wheel commit or memory completion wakes the engine; every
+    statistic and every other event is as with real ticks. With
+    [config.check], or a sink recording {!per_cycle_categories}, every
+    tick is real; check mode then asserts each one it predicted quiet
+    was. *)
 
 val start : t -> args:Salam_ir.Bits.t list -> on_finish:(Salam_ir.Bits.t option -> unit) -> unit
 (** Begin execution of the datapath's function with the given arguments

@@ -171,7 +171,7 @@ let compile (dp : Datapath.t) =
                           Some
                             (Printf.sprintf "Engine: phi in %s lacks incoming for %s" label pred);
                       mk_row n [||])
-              | instr -> mk_row n (Array.of_list (Ast.used_values instr)))
+              | instr -> mk_row n (Ast.operands instr))
             nodes
         in
         match !missing with Some msg -> Invalid msg | None -> Rows rows

@@ -103,6 +103,25 @@ let used_values = function
   | Cond_br { cond; _ } -> [ cond ]
   | Ret v -> ( match v with Some v -> [ v ] | None -> [])
 
+let operands = function
+  | Binop { lhs; rhs; _ } | Icmp { lhs; rhs; _ } | Fcmp { lhs; rhs; _ } -> [| lhs; rhs |]
+  | Cast { src; _ } -> [| src |]
+  | Select { cond; if_true; if_false; _ } -> [| cond; if_true; if_false |]
+  | Load { addr; _ } -> [| addr |]
+  | Store { src; addr } -> [| src; addr |]
+  | Gep { base; offsets; _ } ->
+      let a = Array.make (1 + List.length offsets) base in
+      List.iteri (fun i (_, v) -> a.(i + 1) <- v) offsets;
+      a
+  | Phi { incoming; _ } ->
+      let a = Array.make (List.length incoming) (Const Cnull) in
+      List.iteri (fun i (v, _) -> a.(i) <- v) incoming;
+      a
+  | Call { args; _ } -> Array.of_list args
+  | Cond_br { cond; _ } -> [| cond |]
+  | Ret (Some v) -> [| v |]
+  | Alloca _ | Br _ | Ret None -> [||]
+
 let used_vars instr =
   List.filter_map (function Var v -> Some v | Const _ -> None) (used_values instr)
 

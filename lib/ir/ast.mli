@@ -88,6 +88,9 @@ val defined_var : instr -> var option
 val used_values : instr -> value list
 (** Operand values read by the instruction (phi incoming included). *)
 
+val operands : instr -> value array
+(** {!used_values} as a fresh array, built without the list. *)
+
 val used_vars : instr -> var list
 (** Registers among {!used_values}. *)
 

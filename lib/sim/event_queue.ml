@@ -91,7 +91,12 @@ let sift_down t tick seq slot =
   seqs.(!i) <- seq;
   slots.(!i) <- slot
 
-let schedule t ~tick action =
+let reserve t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let schedule_reserved t ~tick ~seq action =
   if tick < t.now then
     invalid_arg
       (Printf.sprintf "Event_queue.schedule: tick %d is before now %d" tick t.now);
@@ -99,10 +104,10 @@ let schedule t ~tick action =
   if slot >= Array.length t.actions then widen t;
   (* the slot freed last is reused first, often for the same closure *)
   if t.actions.(slot) != action then t.actions.(slot) <- action;
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
   t.size <- t.size + 1;
   sift_up t (t.size - 1) tick seq slot
+
+let schedule t ~tick action = schedule_reserved t ~tick ~seq:(reserve t) action
 
 let pop_action t =
   if t.size = 0 then invalid_arg "Event_queue.pop_action: empty";
@@ -123,6 +128,8 @@ let pop t =
   end
 
 let next_tick t = if t.size = 0 then max_int else t.ticks.(0)
+
+let next_seq t = if t.size = 0 then max_int else t.seqs.(0)
 
 let is_empty t = t.size = 0
 

@@ -21,6 +21,17 @@ val schedule : t -> tick:int -> (unit -> unit) -> unit
     raises [Invalid_argument]. The past is any tick strictly before the
     tick of the most recently popped event. *)
 
+val reserve : t -> int
+(** Take the insertion number the next {!schedule} would use, without
+    inserting anything: an event later inserted under it with
+    {!schedule_reserved} sorts exactly where it would have sorted had it
+    been scheduled now. *)
+
+val schedule_reserved : t -> tick:int -> seq:int -> (unit -> unit) -> unit
+(** [schedule_reserved q ~tick ~seq f] enqueues [f] under an insertion
+    number taken earlier by {!reserve}. Each reserved number is inserted
+    at most once. Raises [Invalid_argument] for a tick in the past. *)
+
 val pop_action : t -> unit -> unit
 (** Remove the next event and return its action; its tick becomes
     {!last_popped_tick}. Allocates nothing — the kernel's run loop uses
@@ -33,6 +44,11 @@ val pop : t -> event option
 val next_tick : t -> int
 (** Tick of the next event, or [max_int] if the queue is empty; no
     option is allocated, for the kernel's run loop. *)
+
+val next_seq : t -> int
+(** Insertion number of the next event, or [max_int] if the queue is
+    empty; with {!next_tick}, the position a reserved event is ordered
+    against. *)
 
 val is_empty : t -> bool
 

@@ -31,14 +31,54 @@ val schedule_at_i : t -> tick:int -> (unit -> unit) -> unit
 (** {!schedule_at} with a native-int tick — the allocation-free path
     clock domains use. *)
 
+val reserve_seq : t -> int
+(** {!Event_queue.reserve} on the kernel's queue. *)
+
+val schedule_reserved : t -> tick:int -> seq:int -> (unit -> unit) -> unit
+(** {!Event_queue.schedule_reserved} on the kernel's queue. *)
+
+(** {2 Sleepers}
+
+    A clocked component whose next ticks provably change nothing can
+    sleep instead of queueing them. While it sleeps, the kernel stands
+    in for its chain of ticks: before each event it passes every
+    virtual tick that sorts before it, reserving the successor's
+    insertion number exactly when the chained event would have, so
+    every other event runs in the same (tick, seq) order as with the
+    real ticks. At its wake tick, or when {!wake} is called, the
+    virtual tick becomes a real event at its position. *)
+
+type sleeper
+
+val add_sleeper : t -> period:int -> sleeper
+(** Register a component whose ticks chain every [period] ticks.
+    Allocates once; sleeping and waking allocate nothing. *)
+
+val sleep : t -> sleeper -> tick:int -> seq:int -> wake:int -> (unit -> unit) -> unit
+(** [sleep k s ~tick ~seq ~wake action] puts the sleeper's next tick,
+    [action] at [tick] under the insertion number [seq] (from
+    {!reserve_seq}), to sleep. Its chain turns real on the first tick at
+    [wake] ([max_int] for never; only {!wake} ends that sleep). Raises
+    [Invalid_argument] if it is already asleep. *)
+
+val wake : t -> sleeper -> int
+(** Turn the sleeper's virtual tick into a real event at its current
+    position and return that tick. Called from an event, every virtual
+    tick before that event has been passed, so the position is where
+    the chained tick would be pending. Raises [Invalid_argument] if it
+    is not asleep. *)
+
 val run : ?max_ticks:int64 -> t -> int64
-(** Drain the event queue, executing events in order. Stops when the
-    queue is empty or when the next event lies beyond [max_ticks].
-    Returns the tick of the last executed event. *)
+(** Drain the event queue, executing events in order and passing the
+    virtual ticks of sleepers. Stops when the next event lies beyond
+    [max_ticks], or when the queue is empty and no sleeper has a wake
+    tick (a component asleep without one waits on an answer that can no
+    longer come). Returns the tick of the last executed event. *)
 
 val idle : t -> bool
-(** True when the event queue is empty — nothing is in flight anywhere
-    in the system. Checkpoints may only be captured while idle. *)
+(** True when the event queue is empty and no component sleeps —
+    nothing is in flight anywhere in the system. Checkpoints may only be
+    captured while idle. *)
 
 val advance_to : t -> tick:int64 -> unit
 (** Jump current time forward to [tick] without executing anything. Only
@@ -48,4 +88,5 @@ val advance_to : t -> tick:int64 -> unit
 
 val events_executed : t -> int
 (** Total number of events executed so far; a cheap progress/cost
-    metric used by the simulator-speed benchmarks. *)
+    metric used by the simulator-speed benchmarks. Passed virtual ticks
+    are not events and are not counted. *)

@@ -3,11 +3,14 @@ open Salam_ir
 module Engine = Salam_engine.Engine
 module Datapath = Salam_cdfg.Datapath
 
+(* The datapath and the engine are elaborated at first use, normally the
+   first launch: a system that is only warmed up through the interpreter
+   and checkpointed never builds them. *)
 type t = {
   acc_name : string;
   comm : Comm_interface.t;
-  engine : Engine.t;
-  datapath : Datapath.t;
+  engine : Engine.t Lazy.t;
+  datapath : Datapath.t Lazy.t;
   clock : Clock.t;
 }
 
@@ -33,7 +36,7 @@ let encode_ret v =
 
 let launch t ~args ~on_done =
   Comm_interface.write_mmr t.comm Comm_interface.Layout.status 1L;
-  Engine.start t.engine ~args ~on_finish:(fun ret ->
+  Engine.start (Lazy.force t.engine) ~args ~on_finish:(fun ret ->
       (match ret with
       | Some v -> Comm_interface.write_mmr t.comm Comm_interface.Layout.ret_value (encode_ret v)
       | None -> ());
@@ -44,13 +47,16 @@ let launch t ~args ~on_done =
 let create system ~name ~clock_mhz ?(profile = Salam_hw.Profile.default_40nm) ?(fu_limits = [])
     ?(engine_config = Engine.default_config) (func : Ast.func) =
   let clock = System.clock system ~mhz:clock_mhz in
-  let datapath = Datapath.build ~profile ~limits:fu_limits func in
+  let datapath = lazy (Datapath.build ~profile ~limits:fu_limits func) in
   let n_args = List.length func.Ast.params in
   let comm = Comm_interface.create system ~name ~clock ~mmr_words:(3 + max 1 n_args) in
   let engine =
-    Engine.create (System.kernel system) clock ~config:engine_config ~datapath
-      ~mem:(Comm_interface.mem_iface comm) ()
+    lazy
+      (Engine.create (System.kernel system) clock ~config:engine_config
+         ~datapath:(Lazy.force datapath) ~mem:(Comm_interface.mem_iface comm) ())
   in
+  (* an engine not yet built is stopped, with fresh statistics *)
+  let built () = Lazy.is_val engine in
   let t = { acc_name = name; comm; engine; datapath; clock } in
   (* Roadmarks sit at invocation boundaries where SSA registers are dead
      and the engine is stopped, so the section is empty. Restore opens a
@@ -62,22 +68,25 @@ let create system ~name ~clock_mhz ?(profile = Salam_hw.Profile.default_40nm) ?(
       Salam_sim.Checkpoint.agent_name = name ^ ".engine";
       capture =
         (fun () ->
-          if Engine.running engine then
+          if built () && Engine.running (Lazy.force engine) then
             raise
               (Salam_sim.Checkpoint.Invalid
                  (name ^ ".engine: checkpoint capture while the engine is running"));
           []);
       restore =
         (fun _sec ->
-          if Engine.running engine then
-            raise
-              (Salam_sim.Checkpoint.Invalid
-                 (name ^ ".engine: checkpoint restore while the engine is running"));
-          Engine.reset engine);
+          if built () then begin
+            let engine = Lazy.force engine in
+            if Engine.running engine then
+              raise
+                (Salam_sim.Checkpoint.Invalid
+                   (name ^ ".engine: checkpoint restore while the engine is running"));
+            Engine.reset engine
+          end);
     };
   (* control-register starts: decode the argument MMRs and launch *)
   Comm_interface.on_control_write comm (fun value ->
-      if Int64.logand value 1L = 1L && not (Engine.running engine) then begin
+      if Int64.logand value 1L = 1L && not (Engine.running (Lazy.force engine)) then begin
         let args =
           List.mapi
             (fun i p -> decode_arg p (Comm_interface.read_mmr comm (Comm_interface.Layout.arg i)))
@@ -91,27 +100,28 @@ let name t = t.acc_name
 
 let comm t = t.comm
 
-let engine t = t.engine
+let engine t = Lazy.force t.engine
 
-let datapath t = t.datapath
+let datapath t = Lazy.force t.datapath
 
 let clock t = t.clock
 
-let add_ordered_range t ~base ~size = Engine.add_ordered_range t.engine ~base ~size
+let add_ordered_range t ~base ~size = Engine.add_ordered_range (engine t) ~base ~size
 
-let stats t = Engine.stats t.engine
+let stats t = Engine.stats (engine t)
 
 let power t ~elapsed_seconds =
-  let stats = Engine.stats t.engine in
-  let profile = t.datapath.Datapath.profile in
+  let stats = Engine.stats (engine t) in
+  let datapath = datapath t in
+  let profile = datapath.Datapath.profile in
   let fu_leak =
     Salam_hw.Fu.Map.fold
       (fun cls count acc ->
         acc +. (float_of_int count *. (Salam_hw.Profile.spec profile cls).Salam_hw.Profile.leakage_mw))
-      t.datapath.Datapath.fu_alloc 0.0
+      datapath.Datapath.fu_alloc 0.0
   in
   let reg_leak =
-    float_of_int t.datapath.Datapath.register_bits *. profile.Salam_hw.Profile.reg_leak_mw_per_bit
+    float_of_int datapath.Datapath.register_bits *. profile.Salam_hw.Profile.reg_leak_mw_per_bit
   in
   let to_mw pj = if elapsed_seconds <= 0.0 then 0.0 else pj *. 1e-12 /. elapsed_seconds *. 1e3 in
   {
@@ -119,5 +129,5 @@ let power t ~elapsed_seconds =
     static_reg_mw = reg_leak;
     dynamic_fu_mw = to_mw stats.Engine.dynamic_fu_energy_pj;
     dynamic_reg_mw = to_mw stats.Engine.dynamic_reg_energy_pj;
-    area_um2 = Datapath.static_area_um2 t.datapath;
+    area_um2 = Datapath.static_area_um2 datapath;
   }

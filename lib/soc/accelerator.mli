@@ -1,9 +1,11 @@
 (** Accelerator = compute unit (runtime engine) + communications
     interface.
 
-    Construction elaborates the kernel's static datapath, instantiates
-    the engine on its own clock domain and wires it to a fresh
-    communications interface. Memory attachments (private SPM, cache,
+    Construction wires a fresh communications interface on the
+    accelerator's own clock domain; the kernel's static datapath and the
+    engine that runs on it are elaborated at first use (normally the
+    first launch), so a system only warmed up through the interpreter
+    never builds them. Memory attachments (private SPM, cache,
     cluster crossbar, stream maps) are added afterwards through
     {!comm} — interfaces are interchangeable without touching the
     engine, the decoupling the paper emphasises.

@@ -122,6 +122,61 @@ let test_traced_matches_untraced () =
         (show (tuple_of_stats r.Salam.stats)))
     (Salam_workloads.Suite.quick ())
 
+(* Unchecked engines sleep through the ticks they can prove quiet;
+   check mode keeps every tick real (and asserts, tick by tick, that
+   each one an unchecked engine would have slept through is quiet). The
+   two must agree on every cycle and statistic: the suites under each
+   memory, in both engine modes, with the FU inventory 1:1 and with
+   every class capped at one unit, over two invocations (so the second
+   starts from the first's state). *)
+let test_sleeping_matches_ticking () =
+  let memories =
+    List.map
+      (fun memory ->
+        Salam_dse.Point.to_config
+          { Salam_dse.Point.default with Salam_dse.Point.memory; cache_bytes = 2048 })
+      [ Salam_dse.Point.Spm; Salam_dse.Point.Cache; Salam_dse.Point.Dram ]
+  in
+  let capped = List.map (fun cls -> (cls, 1)) Salam_hw.Fu.all in
+  let configs =
+    List.concat_map
+      (fun (c : Salam.Config.t) ->
+        List.concat_map
+          (fun mode ->
+            List.map
+              (fun fu_limits ->
+                { c with Salam.Config.fu_limits; engine = { c.Salam.Config.engine with Engine.mode } })
+              [ []; capped ])
+          modes)
+      memories
+  in
+  let workloads = Salam_workloads.Suite.quick () @ Salam_workloads.Suite.standard () in
+  let pairs = List.concat_map (fun c -> List.map (fun w -> (c, w)) workloads) configs in
+  let jobs check =
+    List.map
+      (fun ((c : Salam.Config.t), w) ->
+        Salam.job ~invocations:2
+          { c with Salam.Config.engine = { c.Salam.Config.engine with Engine.check } }
+          w)
+      pairs
+  in
+  let sleeping = Salam.simulate_jobs (jobs false) and ticking = Salam.simulate_jobs (jobs true) in
+  List.iter2
+    (fun ((c : Salam.Config.t), (w : W.t)) (a, b) ->
+      let label =
+        Printf.sprintf "%s %s %s%s" w.W.name
+          (Salam.Config.memory_name c)
+          (Engine.mode_to_string c.Salam.Config.engine.Engine.mode)
+          (if c.Salam.Config.fu_limits = [] then "" else " capped")
+      in
+      (* a second in-place invocation (fft) need not match the golden
+         model, so [correct] is compared, not asserted *)
+      Alcotest.(check bool) (label ^ " correct") b.Salam.correct a.Salam.correct;
+      Alcotest.(check int64) (label ^ " cycles") b.Salam.cycles a.Salam.cycles;
+      Alcotest.(check bool) (label ^ " run_stats") true (a.Salam.stats = b.Salam.stats);
+      Alcotest.(check bool) (label ^ " stats tree") true (a.Salam.sim_stats = b.Salam.sim_stats))
+    pairs (List.combine sleeping ticking)
+
 let test_parallel_map_order_and_errors () =
   Alcotest.(check (list int))
     "order preserved" [ 1; 4; 9; 16; 25 ]
@@ -136,6 +191,7 @@ let suite =
     Alcotest.test_case "quick suite stats vs seed" `Quick test_quick_suite;
     Alcotest.test_case "standard suite stats vs seed" `Slow test_standard_suite;
     Alcotest.test_case "traced run = untraced run" `Quick test_traced_matches_untraced;
+    Alcotest.test_case "sleeping engines = ticking engines" `Slow test_sleeping_matches_ticking;
     Alcotest.test_case "simulate_jobs = sequential" `Quick test_batch_matches_sequential;
     Alcotest.test_case "parallel_map order/errors" `Quick test_parallel_map_order_and_errors;
   ]

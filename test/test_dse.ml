@@ -565,6 +565,35 @@ let test_cli_refuses_out_of_range_flags () =
   refused "--cache-size" (unrolled @ [ "--mem"; "cache"; "--cache-size"; "100" ]);
   refused "--clock" (unrolled @ [ "--clock"; "0" ])
 
+(* salam_sim runs the same range check before it builds anything: a
+   knob salam_dse refuses ends in a message naming salam_sim's flag and
+   exit 1, not in an exception escaping to Cmdliner (exit 125). *)
+let test_sim_cli_refuses_out_of_range_flags () =
+  let refused flag args =
+    let argv = "salam_sim" :: "run" :: "gemm" :: args in
+    let ((out, _, err) as proc) =
+      Unix.open_process_args_full "../bin/salam_sim.exe" (Array.of_list argv)
+        (Unix.environment ())
+    in
+    let stdout = In_channel.input_all out in
+    let stderr = In_channel.input_all err in
+    let cmd = String.concat " " argv in
+    Alcotest.(check bool) (cmd ^ " exits 1") true (Unix.close_process_full proc = Unix.WEXITED 1);
+    Alcotest.(check string) (cmd ^ " prints no result") "" stdout;
+    let starts_with prefix =
+      String.length stderr >= String.length prefix
+      && String.sub stderr 0 (String.length prefix) = prefix
+    in
+    Alcotest.(check bool) (Printf.sprintf "%S names %s" stderr flag) true (starts_with (flag ^ ": "))
+  in
+  refused "--clock" [ "--clock"; "0" ];
+  refused "--ports" [ "--ports"; "0" ];
+  refused "--write-ports" [ "--write-ports"; "0" ];
+  refused "--banks" [ "--banks"; "0" ];
+  refused "--cache-size" [ "--memory"; "cache"; "--cache-size"; "100" ];
+  refused "--cache-size" [ "--memory"; "cache"; "--cache-size"; "0" ];
+  refused "--fp-units" [ "--fp-units=-1" ]
+
 (* The daemon's workers and a local sweep measure through the same
    step: one job measured alone equals the sweep's measurement, and two
    timing configurations of one kernel share one snapshot key. *)
@@ -636,6 +665,8 @@ let suite =
     Alcotest.test_case "point check names the knob" `Quick test_check_names_the_knob;
     Alcotest.test_case "salam_dse names a refused flag" `Quick
       test_cli_refuses_out_of_range_flags;
+    Alcotest.test_case "salam_sim names a refused flag" `Quick
+      test_sim_cli_refuses_out_of_range_flags;
     Alcotest.test_case "one measure step for sweep and daemon" `Quick test_measure_step_shared;
     Alcotest.test_case "random strategy deterministic" `Quick test_random_strategy_deterministic;
   ]

@@ -419,6 +419,32 @@ let test_check_reports_wheel_slot () =
   check Alcotest.bool "finished" true !finished;
   Engine.check_completion engine
 
+(* A memory that never answers leaves the engine waiting forever. With
+   every tick real it would tick forever too; asleep with no wake tick,
+   it lets the run end, and the caller sees that it did not finish. *)
+let test_stuck_engine_does_not_finish () =
+  let w = Salam_workloads.Gemm.workload ~n:4 () in
+  let backing = Memory.create ~size:(1 lsl 16) in
+  let bases = W.alloc_buffers w backing in
+  w.W.init (Salam_sim.Rng.create 42L) backing bases;
+  let kernel = Salam_sim.Kernel.create () in
+  let clock = Salam_sim.Clock.create kernel ~freq_mhz:1000.0 in
+  let silent =
+    {
+      Engine.read = (fun ~addr:_ ~ty:_ ~dst:_ ~at:_ ~k:_ ~tag:_ -> ());
+      Engine.write = (fun ~addr:_ ~ty:_ ~src:_ ~at:_ ~k:_ ~tag:_ -> ());
+    }
+  in
+  let engine =
+    Engine.create kernel clock ~datapath:(Salam_cdfg.Datapath.build (W.compile w)) ~mem:silent ()
+  in
+  let finished = ref false in
+  Engine.start engine ~args:(W.args w ~bases) ~on_finish:(fun _ -> finished := true);
+  ignore (Salam_sim.Kernel.run kernel);
+  check Alcotest.bool "did not finish" false !finished;
+  check Alcotest.bool "still running, waiting on memory" true (Engine.running engine);
+  check Alcotest.bool "asleep, so the kernel is not idle" false (Salam_sim.Kernel.idle kernel)
+
 (* randomized configurations must never change results, only timing *)
 let qcheck_engine_correct_under_random_configs =
   QCheck.Test.make ~name:"engine correct under random configs" ~count:25
@@ -507,5 +533,7 @@ let suite =
       test_commit_latency_across_wheel_wrap;
     Alcotest.test_case "check mode reports ops left on the completion wheel" `Quick
       test_check_reports_wheel_slot;
+    Alcotest.test_case "stuck engine ends the run unfinished" `Quick
+      test_stuck_engine_does_not_finish;
     QCheck_alcotest.to_alcotest qcheck_engine_correct_under_random_configs;
   ]

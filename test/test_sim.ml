@@ -421,6 +421,95 @@ let test_kernel_max_ticks () =
   ignore (Kernel.run k);
   check Alcotest.bool "event runs after horizon lifted" true !ran
 
+(* Sleepers against the chains they stand for. Each schedule runs twice
+   over random events that spawn more events and now and then end a
+   sleep early: once with every sleeper's quiet ticks as real no-op
+   events, chained one period apart until the wake tick (or an early
+   wake), and once with [Kernel.sleep]. Every other event, and every
+   real sleeper tick, must run in the same order at the same tick. *)
+let sleeper_log ~virtual_ticks ~seed ~periods =
+  let k = Kernel.create () in
+  let n = Array.length periods in
+  let log = ref [] in
+  let rng_of id = Random.State.make [| seed; id |] in
+  let next_label = ref 0 and budget = ref 120 in
+  let asleep = Array.make n false and woken = Array.make n false in
+  let rounds = Array.make n 4 in
+  let sl = Array.map (fun period -> Kernel.add_sleeper k ~period) periods in
+  let rec event label () =
+    let now = Kernel.now_i k in
+    log := (label, now) :: !log;
+    let r = rng_of label in
+    for _ = 1 to Random.State.int r 3 do
+      if !budget > 0 then begin
+        decr budget;
+        let l = !next_label in
+        incr next_label;
+        Kernel.schedule_at_i k ~tick:(now + Random.State.int r 9) (event l)
+      end
+    done;
+    if Random.State.int r 4 = 0 then begin
+      let i = Random.State.int r n in
+      if asleep.(i) then begin
+        asleep.(i) <- false;
+        if virtual_ticks then ignore (Kernel.wake k sl.(i)) else woken.(i) <- true
+      end
+    end
+  and sleeper_tick i () =
+    asleep.(i) <- false;
+    let now = Kernel.now_i k in
+    log := (-1 - i, now) :: !log;
+    if rounds.(i) > 0 then begin
+      rounds.(i) <- rounds.(i) - 1;
+      let p = periods.(i) in
+      (* 0: no wake tick, only an event ends the sleep *)
+      let quiet = Random.State.int (rng_of (1_000_000 + (10 * i) + rounds.(i))) 6 in
+      let wake = if quiet = 0 then max_int else now + (quiet * p) in
+      asleep.(i) <- true;
+      if virtual_ticks then
+        Kernel.sleep k sl.(i) ~tick:(now + p) ~seq:(Kernel.reserve_seq k) ~wake (sleeper_tick i)
+      else Kernel.schedule_at_i k ~tick:(now + p) (chain i wake)
+    end
+  and chain i wake () =
+    let now = Kernel.now_i k in
+    if woken.(i) || now = wake then begin
+      woken.(i) <- false;
+      sleeper_tick i ()
+    end
+    else Kernel.schedule_at_i k ~tick:(now + periods.(i)) (chain i wake)
+  in
+  let r = rng_of (-1) in
+  for _ = 1 to 4 do
+    let l = !next_label in
+    incr next_label;
+    Kernel.schedule_at_i k ~tick:(Random.State.int r 10) (event l)
+  done;
+  Array.iteri (fun i _ -> Kernel.schedule_at_i k ~tick:(Random.State.int r 10) (sleeper_tick i)) periods;
+  (* a chain with no wake tick never ends; the horizon stops it *)
+  ignore (Kernel.run ~max_ticks:3000L k);
+  List.rev !log
+
+let qcheck_sleepers_keep_queue_order =
+  QCheck.Test.make ~name:"virtual ticks keep every other event's (tick, seq) order" ~count:300
+    QCheck.(pair int (list_of_size Gen.(1 -- 3) (int_range 1 4)))
+    (fun (seed, periods) ->
+      let periods = Array.of_list periods in
+      sleeper_log ~virtual_ticks:true ~seed ~periods
+      = sleeper_log ~virtual_ticks:false ~seed ~periods)
+
+let test_kernel_idle_while_asleep () =
+  let k = Kernel.create () in
+  let s = Kernel.add_sleeper k ~period:10 in
+  check Alcotest.bool "idle before" true (Kernel.idle k);
+  Kernel.sleep k s ~tick:10 ~seq:(Kernel.reserve_seq k) ~wake:max_int ignore;
+  check Alcotest.bool "not idle while asleep" false (Kernel.idle k);
+  (* nothing queued and no wake tick: the run ends with it asleep *)
+  ignore (Kernel.run k);
+  check Alcotest.bool "still asleep after the run" false (Kernel.idle k);
+  check Alcotest.int "wake turns the virtual tick real where it stands" 10 (Kernel.wake k s);
+  ignore (Kernel.run k);
+  check Alcotest.bool "idle once it ran" true (Kernel.idle k)
+
 let test_clock_alignment () =
   let k = Kernel.create () in
   let clk = Clock.create k ~freq_mhz:500.0 in
@@ -527,6 +616,8 @@ let suite =
     Alcotest.test_case "ring wraparound after growth" `Quick test_ring_wraparound_after_growth;
     Alcotest.test_case "kernel schedule_after" `Quick test_kernel_schedule_after;
     Alcotest.test_case "kernel max_ticks" `Quick test_kernel_max_ticks;
+    QCheck_alcotest.to_alcotest qcheck_sleepers_keep_queue_order;
+    Alcotest.test_case "kernel idle while a sleeper sleeps" `Quick test_kernel_idle_while_asleep;
     Alcotest.test_case "clock edge alignment" `Quick test_clock_alignment;
     Alcotest.test_case "clock cycle_of_tick" `Quick test_clock_cycle_of_tick;
     Alcotest.test_case "stats tree" `Quick test_stats_tree;

@@ -195,6 +195,30 @@ let check_golden name () =
         \  dune exec bin/salam_trace.exe -- bless --dir test/golden" name
         (Trace.divergence_to_string d)
 
+(* With check mode off and neither stall nor occupancy lines recorded,
+   the engines sleep through their quiet cycles instead of ticking them;
+   every other line of the trace must be as blessed, at the same tick
+   and in the same order. *)
+let check_golden_sleeping name () =
+  let kept line =
+    match String.split_on_char ' ' line with
+    | _ :: _ :: cat :: _ ->
+        not
+          (List.exists
+             (fun c -> Trace.category_to_string c = cat)
+             Salam_engine.Engine.per_cycle_categories)
+    | _ -> true
+  in
+  let golden = List.filter kept (read_lines (Filename.concat "golden" (name ^ ".trace"))) in
+  let current =
+    String.split_on_char '\n' (String.trim (Check_trace.capture ~sleeping:true name))
+  in
+  match Trace.first_divergence golden current with
+  | None -> check Alcotest.bool "filtered trace is non-empty" true (List.length golden > 0)
+  | Some d ->
+      Alcotest.failf "%s without stall and occupancy lines diverges: %s" name
+        (Trace.divergence_to_string d)
+
 (* Every golden trace belongs to a scenario: a file left behind by a
    deleted scenario would otherwise go unchecked. *)
 let test_golden_files_match_scenarios () =
@@ -231,8 +255,13 @@ let test_golden_figures_have_rules () =
   check Alcotest.(list string) "golden/figures/*.out without a diff rule" [] orphans
 
 let golden_cases =
-  List.map
-    (fun name -> Alcotest.test_case ("golden " ^ name) `Quick (check_golden name))
+  List.concat_map
+    (fun name ->
+      [
+        Alcotest.test_case ("golden " ^ name) `Quick (check_golden name);
+        Alcotest.test_case ("golden " ^ name ^ ", engines sleeping") `Quick
+          (check_golden_sleeping name);
+      ])
     Check_trace.names
 
 let suite =

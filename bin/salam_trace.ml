@@ -11,8 +11,8 @@
 
 open Cmdliner
 module Trace = Salam_obs.Trace
-module Engine = Salam_engine.Engine
 module Point = Salam_dse.Point
+module Explore = Salam_dse.Explore
 
 let with_out path f =
   match path with
@@ -33,61 +33,40 @@ let parse_categories = function
       in
       go [] names
 
-(* engine counters are a record, not part of the system stats tree;
-   flatten them next to the folded tree so one stats.txt has both *)
-let engine_pairs (s : Engine.run_stats) =
-  [
-    ("engine.cycles", Int64.to_float s.Engine.cycles);
-    ("engine.dynamic_instructions", float_of_int s.Engine.dynamic_instructions);
-    ("engine.loads_issued", float_of_int s.Engine.loads_issued);
-    ("engine.stores_issued", float_of_int s.Engine.stores_issued);
-    ("engine.active_cycles", float_of_int s.Engine.active_cycles);
-    ("engine.issue_cycles", float_of_int s.Engine.issue_cycles);
-    ("engine.stall_cycles", float_of_int s.Engine.stall_cycles);
-    ("engine.stall_load_only", float_of_int s.Engine.stall_load_only);
-    ("engine.stall_load_compute", float_of_int s.Engine.stall_load_compute);
-    ("engine.stall_load_store_compute", float_of_int s.Engine.stall_load_store_compute);
-    ("engine.stall_other", float_of_int s.Engine.stall_other);
-  ]
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
 
 let run_trace workload memory cache_size format out categories component from_tick to_tick =
-  match Salam_workloads.Suite.by_name workload with
-  | None ->
-      Printf.eprintf "unknown workload %s; try `salam_sim list`\n" workload;
-      exit 1
-  | Some w -> (
-      match parse_categories categories with
-      | Error msg ->
-          Printf.eprintf "%s\n" msg;
-          exit 1
-      | Ok cats ->
-          let memory =
-            match Point.memory_kind_of_string memory with
-            | Some m -> m
-            | None ->
-                Printf.eprintf "unknown memory kind %s (spm|cache|dram)\n" memory;
-                exit 1
-          in
-          let config =
-            Point.to_config { Point.default with Point.memory; cache_bytes = cache_size }
-          in
-          let sink = Trace.create ?categories:cats () in
-          let r = Salam.simulate ~config ~trace:sink w in
-          let filter =
-            { Trace.no_filter with Trace.f_comp = component; f_from = from_tick; f_to = to_tick }
-          in
-          (match format with
-          | "text" -> with_out out (fun oc -> Trace.write_text oc ~filter sink)
-          | "json" -> with_out out (fun oc -> Trace.write_chrome_json oc (Trace.filtered ~filter sink))
-          | "stats" ->
-              with_out out (fun oc ->
-                  Trace.write_stats_txt oc (engine_pairs r.Salam.stats @ r.Salam.sim_stats))
-          | other ->
-              Printf.eprintf "unknown format %s (text|json|stats)\n" other;
-              exit 1);
-          Printf.eprintf "%s: %d events recorded, correct=%b\n" w.Salam_workloads.Workload.name
-            (Trace.count sink) r.Salam.correct;
-          if not r.Salam.correct then exit 2)
+  let cats = match parse_categories categories with Ok c -> c | Error msg -> fail "%s" msg in
+  let memory =
+    match Point.memory_kind_of_string memory with
+    | Some m -> m
+    | None -> fail "unknown memory kind %s (spm|cache|dram)" memory
+  in
+  let point = { Point.default with Point.memory; cache_bytes = cache_size } in
+  let target =
+    match Explore.suite_target workload with
+    | Ok t -> t
+    | Error e -> fail "%s; try `salam_sim list`" e
+  in
+  (* the range check salam_dse runs, before anything is built; the cache
+     size is the only knob this command sets *)
+  (match Explore.check target point with
+  | Ok () -> ()
+  | Error (key, e) -> fail "%s: %s" (if key = "cache_bytes" then "--cache-size" else key) e);
+  let w = target.Explore.build point in
+  let sink = Trace.create ?categories:cats () in
+  let r = Salam.simulate ~config:(Point.to_config point) ~trace:sink w in
+  let filter =
+    { Trace.no_filter with Trace.f_comp = component; f_from = from_tick; f_to = to_tick }
+  in
+  with_out out (fun oc ->
+      match format with
+      | `Text -> Trace.write_text oc ~filter sink
+      | `Json -> Trace.write_chrome_json oc (Trace.filtered ~filter sink)
+      | `Stats -> Trace.write_stats_txt oc r.Salam.sim_stats);
+  Printf.eprintf "%s: %d events recorded, correct=%b\n" w.Salam_workloads.Workload.name
+    (Trace.count sink) r.Salam.correct;
+  if not r.Salam.correct then exit 2
 
 let read_lines path =
   let ic = open_in path in
@@ -185,9 +164,12 @@ let run_cmd =
          & info [ "cache-size" ] ~docv:"BYTES" ~doc:"Cache capacity for --mem cache.")
   in
   let format =
-    Arg.(value & opt string "text"
+    Arg.(value
+         & opt (enum [ ("text", `Text); ("json", `Json); ("stats", `Stats) ]) `Text
          & info [ "format" ] ~docv:"FMT"
-             ~doc:"Output format: canonical text, Chrome trace-event json, or stats.")
+             ~doc:
+               "Output format: canonical $(b,text), Chrome trace-event $(b,json), or a \
+                gem5-style stats.txt of the whole statistics tree ($(b,stats)).")
   in
   let out =
     Arg.(value & opt (some string) None

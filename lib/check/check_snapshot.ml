@@ -38,81 +38,11 @@ type report = {
   r_result : (unit, string) result;
 }
 
-(* Energy accumulators are float sums: (a +. b) -. a is not exactly b,
-   so delta comparisons get a relative tolerance. Everything counted in
-   integers must match exactly. *)
+(* Energy accumulators and busy integrals are float sums: (a +. b) -. a
+   is not exactly b, so delta comparisons get a relative tolerance. For
+   values under 10^8 the tolerance is below 1, so the integer counters
+   (every engine counter included) are still compared exactly. *)
 let approx a b = abs_float (a -. b) <= 1e-9 *. (1.0 +. max (abs_float a) (abs_float b))
-
-let assoc0_f cls xs = match List.assoc_opt cls xs with Some v -> v | None -> 0.0
-
-let assoc0_i cls xs = match List.assoc_opt cls xs with Some v -> v | None -> 0
-
-(* Compare F's post-roadmark engine statistics against U's end-of-run
-   totals minus the probe's roadmark totals, field by field. *)
-let diff_engine_stats ~errs (u : Engine.run_stats) (p : Engine.run_stats) (f : Engine.run_stats) =
-  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  let int name u p f =
-    if u - p <> f then err "engine %s: uninterrupted delta %d, fast-forwarded %d" name (u - p) f
-  in
-  if not (Int64.equal (Int64.sub u.Engine.cycles p.Engine.cycles) f.Engine.cycles) then
-    err "engine cycles: uninterrupted delta %Ld, fast-forwarded %Ld"
-      (Int64.sub u.Engine.cycles p.Engine.cycles)
-      f.Engine.cycles;
-  int "dynamic_instructions" u.Engine.dynamic_instructions p.Engine.dynamic_instructions
-    f.Engine.dynamic_instructions;
-  int "loads_issued" u.Engine.loads_issued p.Engine.loads_issued f.Engine.loads_issued;
-  int "stores_issued" u.Engine.stores_issued p.Engine.stores_issued f.Engine.stores_issued;
-  int "active_cycles" u.Engine.active_cycles p.Engine.active_cycles f.Engine.active_cycles;
-  int "issue_cycles" u.Engine.issue_cycles p.Engine.issue_cycles f.Engine.issue_cycles;
-  int "stall_cycles" u.Engine.stall_cycles p.Engine.stall_cycles f.Engine.stall_cycles;
-  int "stall_load_only" u.Engine.stall_load_only p.Engine.stall_load_only f.Engine.stall_load_only;
-  int "stall_load_compute" u.Engine.stall_load_compute p.Engine.stall_load_compute
-    f.Engine.stall_load_compute;
-  int "stall_load_store_compute" u.Engine.stall_load_store_compute
-    p.Engine.stall_load_store_compute f.Engine.stall_load_store_compute;
-  int "stall_other" u.Engine.stall_other p.Engine.stall_other f.Engine.stall_other;
-  int "cycles_with_load" u.Engine.cycles_with_load p.Engine.cycles_with_load
-    f.Engine.cycles_with_load;
-  int "cycles_with_store" u.Engine.cycles_with_store p.Engine.cycles_with_store
-    f.Engine.cycles_with_store;
-  int "cycles_with_load_and_store" u.Engine.cycles_with_load_and_store
-    p.Engine.cycles_with_load_and_store f.Engine.cycles_with_load_and_store;
-  int "cycles_with_fp" u.Engine.cycles_with_fp p.Engine.cycles_with_fp f.Engine.cycles_with_fp;
-  int "issued_fp" u.Engine.issued_fp p.Engine.issued_fp f.Engine.issued_fp;
-  int "issued_int" u.Engine.issued_int p.Engine.issued_int f.Engine.issued_int;
-  int "issued_mem" u.Engine.issued_mem p.Engine.issued_mem f.Engine.issued_mem;
-  int "issued_other" u.Engine.issued_other p.Engine.issued_other f.Engine.issued_other;
-  let classes =
-    List.sort_uniq compare
-      (List.map fst u.Engine.issued_by_class
-      @ List.map fst f.Engine.issued_by_class
-      @ List.map fst u.Engine.fu_busy_integral
-      @ List.map fst f.Engine.fu_busy_integral)
-  in
-  List.iter
-    (fun cls ->
-      let name = Salam_hw.Fu.to_string cls in
-      let du =
-        assoc0_i cls u.Engine.issued_by_class - assoc0_i cls p.Engine.issued_by_class
-      in
-      let df = assoc0_i cls f.Engine.issued_by_class in
-      if du <> df then
-        err "engine issued_by_class[%s]: uninterrupted delta %d, fast-forwarded %d" name du df;
-      let bu =
-        assoc0_f cls u.Engine.fu_busy_integral -. assoc0_f cls p.Engine.fu_busy_integral
-      in
-      let bf = assoc0_f cls f.Engine.fu_busy_integral in
-      if not (approx bu bf) then
-        err "engine fu_busy_integral[%s]: uninterrupted delta %g, fast-forwarded %g" name bu bf)
-    classes;
-  let flt name u p f =
-    if not (approx (u -. p) f) then
-      err "engine %s: uninterrupted delta %g, fast-forwarded %g" name (u -. p) f
-  in
-  flt "dynamic_fu_energy_pj" u.Engine.dynamic_fu_energy_pj p.Engine.dynamic_fu_energy_pj
-    f.Engine.dynamic_fu_energy_pj;
-  flt "dynamic_reg_energy_pj" u.Engine.dynamic_reg_energy_pj p.Engine.dynamic_reg_energy_pj
-    f.Engine.dynamic_reg_energy_pj
 
 let diff_sim_stats ~errs u_end probe f =
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
@@ -214,13 +144,10 @@ let check_fast_forward ?(config = Config.default) ?func ?(roadmark = 1) ?(invoca
       err "final memory differs: uninterrupted vs capture round-trip";
     if not (Memory.snapshot_equal mem_f mem_w) then
       err "final memory differs: capture round-trip vs interpreter warm-up";
-    (* post-roadmark statistics *)
-    diff_engine_stats ~errs r_u.Salam.stats p.Salam.pr_stats r_f.Salam.stats;
+    (* post-roadmark statistics, the engine's counters included *)
     diff_sim_stats ~errs r_u.Salam.sim_stats p.Salam.pr_sim_stats r_f.Salam.sim_stats;
     (* the two restored runs start from bit-identical state and must be
        indistinguishable from each other, floats included *)
-    if r_f.Salam.stats <> r_w.Salam.stats then
-      err "capture-restored and warm-up-restored engine statistics differ";
     if r_f.Salam.sim_stats <> r_w.Salam.sim_stats then
       err "capture-restored and warm-up-restored system statistics differ";
     (* trace: F runs at the same absolute ticks as U past the roadmark,

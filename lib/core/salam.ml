@@ -90,7 +90,6 @@ type snapshot = {
 
 type probe = {
   pr_tick : int64;
-  pr_stats : Engine.run_stats;
   pr_sim_stats : (string * float) list;
   pr_trace_events : int;
 }
@@ -220,7 +219,6 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
           f
             {
               pr_tick = tick;
-              pr_stats = Accelerator.stats acc;
               pr_sim_stats = sim_stats_of b;
               pr_trace_events =
                 (match trace with Some s -> Salam_obs.Trace.count s | None -> 0);

@@ -105,7 +105,6 @@ type snapshot = {
 
 type probe = {
   pr_tick : int64;  (** the aligned boundary tick *)
-  pr_stats : Salam_engine.Engine.run_stats;
   pr_sim_stats : (string * float) list;
   pr_trace_events : int;  (** events emitted up to the boundary *)
 }

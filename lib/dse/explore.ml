@@ -1,5 +1,3 @@
-module Trace = Salam_obs.Trace
-
 type target = {
   workload_id : Point.t -> string;
   build : Point.t -> Salam_workloads.Workload.t;
@@ -202,7 +200,6 @@ let measure ?domains ~snapshot jobs =
 
 type evaluator = {
   store : Store_shard.t option;
-  trace : Trace.sink option;
   domains : int option;
   plan : plan;
   remote : (Point.t list -> (Measurement.t * string) list) option;
@@ -213,7 +210,6 @@ type evaluator = {
   mutable warmed : int;
   mutable hits : int;
   mutable sims : int;
-  mutable ticks : int64;  (** progress-event tick = evaluation order *)
   mutable acc : Measurement.t list;  (** newest first *)
   evaluated : (int64, unit) Hashtbl.t;
 }
@@ -238,22 +234,9 @@ let warm_up_missing ev ~roadmark jobs =
       Hashtbl.add ev.snapshots key s)
     missing snapshots
 
-let emit_progress ev ~detail args =
-  match ev.trace with
-  | Some tr ->
-      ev.ticks <- Int64.add ev.ticks 1L;
-      Trace.emit tr ~tick:ev.ticks ~comp:"dse" ~cat:Trace.Dse_progress ~detail args
-  | None -> ()
-
-let record ev ~detail ~fp m =
+let record ev ~fp m =
   Hashtbl.replace ev.evaluated fp ();
   ev.acc <- m :: ev.acc;
-  emit_progress ev ~detail
-    [
-      ("fp", Trace.S (Point.fingerprint_hex fp));
-      ("cycles", Trace.I m.Measurement.cycles);
-      ("total_mw", Trace.F m.Measurement.total_mw);
-    ];
   m
 
 (* evaluate a batch of points through the remote daemon: the server does
@@ -273,9 +256,8 @@ let evaluate_remote ev eval points =
           (Printf.sprintf "Explore: server answered fingerprint %s for requested %s"
              (Point.fingerprint_hex m.Measurement.fp)
              (Point.fingerprint_hex fp));
-      let detail = if served = "hit" then "hit" else "sim" in
-      if detail = "hit" then ev.hits <- ev.hits + 1 else ev.sims <- ev.sims + 1;
-      record ev ~detail ~fp m)
+      if served = "hit" then ev.hits <- ev.hits + 1 else ev.sims <- ev.sims + 1;
+      record ev ~fp m)
     points answers
 
 (* evaluate a batch of points: store lookups first, then one
@@ -305,16 +287,16 @@ let evaluate_local ev points =
   in
   List.map
     (fun (_, fp, cached_m) ->
-      let m, detail =
+      let m =
         match cached_m with
         | Some m ->
             ev.hits <- ev.hits + 1;
-            (m, "hit")
+            m
         | None ->
             ev.sims <- ev.sims + 1;
-            (List.assoc fp fresh, "sim")
+            List.assoc fp fresh
       in
-      record ev ~detail ~fp m)
+      record ev ~fp m)
     cached
 
 let evaluate ev points =
@@ -329,7 +311,7 @@ let sample rng n xs =
   Salam_sim.Rng.shuffle rng arr;
   Array.to_list (Array.sub arr 0 (min n (Array.length arr)))
 
-let run ?store ?trace ?domains ?fast_forward ?(invocations = 1) ?remote ~target ~strategy
+let run ?store ?domains ?fast_forward ?(invocations = 1) ?remote ~target ~strategy
     spaces =
   if invocations < 1 then invalid_arg "Explore.run: invocations must be at least 1";
   (match fast_forward with
@@ -346,7 +328,6 @@ let run ?store ?trace ?domains ?fast_forward ?(invocations = 1) ?remote ~target 
   let ev =
     {
       store;
-      trace;
       domains;
       plan = { target; invocations; fast_forward };
       remote;
@@ -354,7 +335,6 @@ let run ?store ?trace ?domains ?fast_forward ?(invocations = 1) ?remote ~target 
       warmed = 0;
       hits = 0;
       sims = 0;
-      ticks = 0L;
       acc = [];
       evaluated = Hashtbl.create 64;
     }
@@ -378,12 +358,6 @@ let run ?store ?trace ?domains ?fast_forward ?(invocations = 1) ?remote ~target 
               && List.exists (fun (f : Measurement.t) -> neighbours f.Measurement.point p) front)
             all
         in
-        emit_progress ev ~detail:"round"
-          [
-            ("round", Trace.I (Int64.of_int !round));
-            ("front", Trace.I (Int64.of_int (List.length front)));
-            ("mutations", Trace.I (Int64.of_int (List.length candidates)));
-          ];
         if candidates = [] then continue_ := false else ignore (evaluate ev candidates)
       done);
   let measurements = List.rev ev.acc in

@@ -6,10 +6,7 @@
     [Salam.simulate_jobs], so a cold sweep fans out across OCaml 5
     domains while a warm sweep touches no simulator at all; either way
     the per-point results are bit-identical (the batch API is pinned
-    deterministic, and the store round-trips measurements exactly).
-    Progress is emitted on an optional {!Salam_obs.Trace} sink under the
-    [Dse_progress] category: one event per point (detail [hit] or
-    [sim]) and one per search round, ticked by evaluation order. *)
+    deterministic, and the store round-trips measurements exactly). *)
 
 type target = {
   workload_id : Point.t -> string;
@@ -131,7 +128,6 @@ val measure :
 
 val run :
   ?store:Store_shard.t ->
-  ?trace:Salam_obs.Trace.sink ->
   ?domains:int ->
   ?fast_forward:int ->
   ?invocations:int ->
@@ -152,8 +148,7 @@ val run :
 
     [?domains] fans the batch out across design points (one domain per
     point); each point runs on one sequential event kernel, so results
-    are bit-identical for any value. Progress events are ticked by
-    evaluation order.
+    are bit-identical for any value.
 
     [?invocations] (default 1) runs each design point's kernel that many
     times back-to-back. [?fast_forward k] reaches the roadmark after

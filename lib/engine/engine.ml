@@ -330,32 +330,31 @@ type t = {
   mutable cyc_wait_load : bool;
   mutable cyc_wait_store : bool;
   mutable cyc_wait_compute : bool;
-  (* accumulated statistics *)
-  mutable s_cycles : int64;
-  mutable s_dyn : int;
-  mutable s_loads : int;
-  mutable s_stores : int;
-  mutable s_active : int;
-  mutable s_issue_cycles : int;
-  mutable s_stall : int;
-  mutable s_stall_load : int;
-  mutable s_stall_load_compute : int;
-  mutable s_stall_lsc : int;
-  mutable s_stall_other : int;
-  mutable s_cyc_load : int;
-  mutable s_cyc_store : int;
-  mutable s_cyc_both : int;
-  mutable s_cyc_fp : int;
-  mutable s_issued_fp : int;
-  mutable s_issued_int : int;
-  mutable s_issued_mem : int;
-  mutable s_issued_other : int;
-  s_busy_integral : float array;  (** by [Fu.index] *)
-  s_issued_by_class : int array;  (** by [Fu.index] *)
-  s_energy : float array;
-      (** [0] = functional-unit pJ, [1] = register-file pJ. A float array
-          so the per-issue accumulation stays unboxed — a mutable [float]
-          field in this mixed record would box on every assignment. *)
+  (* accumulated statistics: scalars in the [Stats] group given to
+     [create], named after the [run_stats] fields they feed *)
+  s_cycles : Stats.scalar;
+  s_dyn : Stats.scalar;
+  s_loads : Stats.scalar;
+  s_stores : Stats.scalar;
+  s_active : Stats.scalar;
+  s_issue_cycles : Stats.scalar;
+  s_stall : Stats.scalar;
+  s_stall_load : Stats.scalar;
+  s_stall_load_compute : Stats.scalar;
+  s_stall_lsc : Stats.scalar;
+  s_stall_other : Stats.scalar;
+  s_cyc_load : Stats.scalar;
+  s_cyc_store : Stats.scalar;
+  s_cyc_both : Stats.scalar;
+  s_cyc_fp : Stats.scalar;
+  s_issued_fp : Stats.scalar;
+  s_issued_int : Stats.scalar;
+  s_issued_mem : Stats.scalar;
+  s_issued_other : Stats.scalar;
+  s_fu_energy : Stats.scalar;  (** pJ *)
+  s_reg_energy : Stats.scalar;  (** pJ *)
+  s_issued_by_class : Stats.scalar array;  (** by [Fu.index] *)
+  s_busy_integral : Stats.scalar array;  (** by [Fu.index] *)
   (* stall-classification counters over the Waiting entries, kept current
      at operand capture, delivery and issue (see [stall_flags]) *)
   mutable u_load : int;  (** undelivered operand slots produced by a load *)
@@ -383,7 +382,7 @@ let pow2_above n =
   let rec go p = if p > n then p else go (2 * p) in
   go 1
 
-let create kernel clock ?(config = default_config) ~datapath ~mem () =
+let create kernel clock ?(config = default_config) ~stats ~datapath ~mem () =
   let sched =
     match config.mode with Compiled -> Some (Schedule.compile datapath) | Dynamic -> None
   in
@@ -474,6 +473,35 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
   in
   let tr = Kernel.trace kernel in
   let period = Int64.to_int (Clock.period_ticks clock) in
+  (* registered in sequence: the group folds in registration order *)
+  let stat = Stats.scalar stats in
+  let s_cycles = stat "cycles" in
+  let s_dyn = stat "dynamic_instructions" in
+  let s_loads = stat "loads_issued" in
+  let s_stores = stat "stores_issued" in
+  let s_active = stat "active_cycles" in
+  let s_issue_cycles = stat "issue_cycles" in
+  let s_stall = stat "stall_cycles" in
+  let s_stall_load = stat "stall_load_only" in
+  let s_stall_load_compute = stat "stall_load_compute" in
+  let s_stall_lsc = stat "stall_load_store_compute" in
+  let s_stall_other = stat "stall_other" in
+  let s_cyc_load = stat "cycles_with_load" in
+  let s_cyc_store = stat "cycles_with_store" in
+  let s_cyc_both = stat "cycles_with_load_and_store" in
+  let s_cyc_fp = stat "cycles_with_fp" in
+  let s_issued_fp = stat "issued_fp" in
+  let s_issued_int = stat "issued_int" in
+  let s_issued_mem = stat "issued_mem" in
+  let s_issued_other = stat "issued_other" in
+  let s_fu_energy = stat "dynamic_fu_energy_pj" in
+  let s_reg_energy = stat "dynamic_reg_energy_pj" in
+  let per_class name =
+    let g = Stats.group ~parent:stats name in
+    Array.map (fun cls -> Stats.scalar g (Fu.to_string cls)) (Array.of_list Fu.all)
+  in
+  let s_issued_by_class = per_class "issued_by_class" in
+  let s_busy_integral = per_class "fu_busy_integral" in
   {
     kernel;
     clock;
@@ -570,28 +598,29 @@ let create kernel clock ?(config = default_config) ~datapath ~mem () =
     cyc_wait_load = false;
     cyc_wait_store = false;
     cyc_wait_compute = false;
-    s_cycles = 0L;
-    s_dyn = 0;
-    s_loads = 0;
-    s_stores = 0;
-    s_active = 0;
-    s_issue_cycles = 0;
-    s_stall = 0;
-    s_stall_load = 0;
-    s_stall_load_compute = 0;
-    s_stall_lsc = 0;
-    s_stall_other = 0;
-    s_cyc_load = 0;
-    s_cyc_store = 0;
-    s_cyc_both = 0;
-    s_cyc_fp = 0;
-    s_issued_fp = 0;
-    s_issued_int = 0;
-    s_issued_mem = 0;
-    s_issued_other = 0;
-    s_busy_integral = Array.make Fu.count 0.0;
-    s_issued_by_class = Array.make Fu.count 0;
-    s_energy = Array.make 2 0.0;
+    s_cycles;
+    s_dyn;
+    s_loads;
+    s_stores;
+    s_active;
+    s_issue_cycles;
+    s_stall;
+    s_stall_load;
+    s_stall_load_compute;
+    s_stall_lsc;
+    s_stall_other;
+    s_cyc_load;
+    s_cyc_store;
+    s_cyc_both;
+    s_cyc_fp;
+    s_issued_fp;
+    s_issued_int;
+    s_issued_mem;
+    s_issued_other;
+    s_fu_energy;
+    s_reg_energy;
+    s_issued_by_class;
+    s_busy_integral;
     u_load = 0;
     u_comp = 0;
     r_load = 0;
@@ -926,7 +955,7 @@ let capture_reg t dyn i (v : Ast.var) read_pj =
   let w = t.last_writer.(v.id) in
   if w <> nil && (inst t w).st <> Done then link_producer t dyn i (inst t w)
   else begin
-    t.s_energy.(1) <- t.s_energy.(1) +. read_pj;
+    Stats.add t.s_reg_energy read_pj;
     set64 dyn.vals (8 * i) (get64 t.regs (8 * v.id));
     dyn.producers.(i) <- nil
   end
@@ -1238,11 +1267,17 @@ let check_completion t =
     (fun i n ->
       if n <> 0 then err "%d %s units held at completion" n (Fu.to_string (List.nth Fu.all i)))
     t.fu_held;
-  if t.s_active <> t.s_issue_cycles + t.s_stall then
-    err "active cycles (%d) <> issue (%d) + stall (%d)" t.s_active t.s_issue_cycles t.s_stall;
-  if t.s_stall <> t.s_stall_load + t.s_stall_load_compute + t.s_stall_lsc + t.s_stall_other then
-    err "stall breakdown (%d+%d+%d+%d) does not sum to stall cycles (%d)" t.s_stall_load
-      t.s_stall_load_compute t.s_stall_lsc t.s_stall_other t.s_stall;
+  let v = Stats.value in
+  if v t.s_active <> v t.s_issue_cycles +. v t.s_stall then
+    err "active cycles (%.0f) <> issue (%.0f) + stall (%.0f)" (v t.s_active)
+      (v t.s_issue_cycles) (v t.s_stall);
+  if
+    v t.s_stall
+    <> v t.s_stall_load +. v t.s_stall_load_compute +. v t.s_stall_lsc +. v t.s_stall_other
+  then
+    err "stall breakdown (%.0f+%.0f+%.0f+%.0f) does not sum to stall cycles (%.0f)"
+      (v t.s_stall_load) (v t.s_stall_load_compute) (v t.s_stall_lsc) (v t.s_stall_other)
+      (v t.s_stall);
   match List.rev !errs with
   | [] -> ()
   | errs ->
@@ -1483,7 +1518,7 @@ and acquire t (node : Datapath.node) ~n_ops =
   in
   dyn.seq <- t.next_seq;
   t.next_seq <- t.next_seq + 1;
-  t.s_dyn <- t.s_dyn + 1;
+  Stats.incr t.s_dyn;
   dyn
 
 (* An import makes each instance in two steps: [capture_*] takes a new
@@ -1567,7 +1602,7 @@ and commit t dyn =
     let v = Bits.Payload.truncate dyn.info.si_def_ty (get64 dyn.vals r) in
     set64 dyn.vals r v;
     set64 t.regs (8 * dst) v;
-    t.s_energy.(1) <- t.s_energy.(1) +. t.write_pj.(dyn.node.Datapath.n_id);
+    Stats.add t.s_reg_energy t.write_pj.(dyn.node.Datapath.n_id);
     let c = dyn.dep_head in
     if c <> nil then begin
       dyn.dep_head <- nil;
@@ -1657,16 +1692,16 @@ and issue t dyn =
   release_hazards t dyn;
   if dyn.is_load then begin
     t.reads_outstanding <- t.reads_outstanding + 1;
-    t.s_loads <- t.s_loads + 1;
-    t.s_issued_mem <- t.s_issued_mem + 1;
+    Stats.incr t.s_loads;
+    Stats.incr t.s_issued_mem;
     assert dyn.addr_known;
     t.mem.read ~addr:(Int64.to_int (get64 dyn.vals (addr_off dyn))) ~ty:dyn.mem_ty ~dst:dyn.vals
       ~at:(res_off dyn) ~k:t.k_commit ~tag:dyn.id
   end
   else if dyn.is_store then begin
     t.writes_outstanding <- t.writes_outstanding + 1;
-    t.s_stores <- t.s_stores + 1;
-    t.s_issued_mem <- t.s_issued_mem + 1;
+    Stats.incr t.s_stores;
+    Stats.incr t.s_issued_mem;
     assert dyn.addr_known;
     t.mem.write ~addr:(Int64.to_int (get64 dyn.vals (addr_off dyn))) ~ty:dyn.mem_ty ~src:dyn.vals
       ~at:0 ~k:t.k_commit ~tag:dyn.id
@@ -1676,15 +1711,15 @@ and issue t dyn =
      if i >= 0 then begin
        t.scratch_issued.(i) <- t.scratch_issued.(i) + 1;
        t.scratch_dirty <- true;
-       t.s_issued_by_class.(i) <- t.s_issued_by_class.(i) + 1;
+       Stats.incr t.s_issued_by_class.(i);
        t.in_flight.(i) <- t.in_flight.(i) + 1;
        let spec = t.specs.(i) in
        if not spec.Profile.pipelined then t.fu_held.(i) <- t.fu_held.(i) + 1;
-       t.s_energy.(0) <- t.s_energy.(0) +. spec.Profile.dynamic_pj;
-       if t.fu_fp.(i) then t.s_issued_fp <- t.s_issued_fp + 1
-       else t.s_issued_int <- t.s_issued_int + 1
+       Stats.add t.s_fu_energy spec.Profile.dynamic_pj;
+       if t.fu_fp.(i) then Stats.incr t.s_issued_fp
+       else Stats.incr t.s_issued_int
      end
-     else t.s_issued_other <- t.s_issued_other + 1);
+     else Stats.incr t.s_issued_other);
     (try eval_compute t dyn
      with Division_by_zero ->
        raise
@@ -1704,7 +1739,7 @@ and issue t dyn =
          with work in flight is *)
       let i = dyn.info.si_fu_ix in
       if i >= 0 && latency > 1 then
-        t.s_busy_integral.(i) <- t.s_busy_integral.(i) +. float_of_int (latency - 1);
+        Stats.add t.s_busy_integral.(i) (float_of_int (latency - 1));
       let b = (t.cur_cycle + latency) land t.wheel_mask in
       let tl = t.wheel_tail.(b) in
       if tl = nil then t.wheel_head.(b) <- dyn.id else (inst t tl).wheel_next <- dyn.id;
@@ -1735,22 +1770,25 @@ and commit_chain t s =
 
 (* [n] stall cycles, of the class the wait flags give *)
 and charge_stalls t n =
-  t.s_stall <- t.s_stall + n;
-  match (t.cyc_wait_load, t.cyc_wait_store, t.cyc_wait_compute) with
-  | true, false, false -> t.s_stall_load <- t.s_stall_load + n
-  | true, false, true -> t.s_stall_load_compute <- t.s_stall_load_compute + n
-  | true, true, true -> t.s_stall_lsc <- t.s_stall_lsc + n
-  | _ -> t.s_stall_other <- t.s_stall_other + n
+  let n = float_of_int n in
+  Stats.add t.s_stall n;
+  Stats.add
+    (match (t.cyc_wait_load, t.cyc_wait_store, t.cyc_wait_compute) with
+    | true, false, false -> t.s_stall_load
+    | true, false, true -> t.s_stall_load_compute
+    | true, true, true -> t.s_stall_lsc
+    | _ -> t.s_stall_other)
+    n
 
 (* The FU busy integral is charged at issue (see [issue]). *)
 and finalize_cycle t =
   if t.cur_cycle >= 0 && t.cyc_active then begin
-    t.s_active <- t.s_active + 1;
-    if t.cyc_issued then t.s_issue_cycles <- t.s_issue_cycles + 1 else charge_stalls t 1;
-    if t.cyc_load then t.s_cyc_load <- t.s_cyc_load + 1;
-    if t.cyc_store then t.s_cyc_store <- t.s_cyc_store + 1;
-    if t.cyc_load && t.cyc_store then t.s_cyc_both <- t.s_cyc_both + 1;
-    if t.cyc_fp then t.s_cyc_fp <- t.s_cyc_fp + 1;
+    Stats.incr t.s_active;
+    if t.cyc_issued then Stats.incr t.s_issue_cycles else charge_stalls t 1;
+    if t.cyc_load then Stats.incr t.s_cyc_load;
+    if t.cyc_store then Stats.incr t.s_cyc_store;
+    if t.cyc_load && t.cyc_store then Stats.incr t.s_cyc_both;
+    if t.cyc_fp then Stats.incr t.s_cyc_fp;
     (* the cycle is finalised after time has moved on; stamp its events
        with the cycle-start tick, the canonical sort restores order *)
     if (not t.cyc_issued) && traces t Trace.Engine_stall then begin
@@ -1901,7 +1939,7 @@ and settle t vcycle =
       t.cyc_active <- true;
       set_wait_flags t t.sleep_flags;
       let quiet = last - t.cur_cycle - 1 in
-      t.s_active <- t.s_active + quiet;
+      Stats.add t.s_active (float_of_int quiet);
       charge_stalls t quiet;
       t.cur_cycle <- last
     end
@@ -2018,7 +2056,7 @@ and tick t =
       t.cur_cycle <- -1;
       t.is_running <- false;
       t.ret_committed <- false;
-      t.s_cycles <- Int64.add t.s_cycles (Int64.of_int (now_cycle - t.start_cycle));
+      Stats.add t.s_cycles (float_of_int (now_cycle - t.start_cycle));
       if t.cfg.check then check_completion t;
       match t.on_finish with
       | Some k ->
@@ -2070,73 +2108,42 @@ let start t ~args ~on_finish =
   | None -> import_block t ~label:(Ast.entry_block t.dp.Datapath.func).Ast.label ~pred:"<entry>"
 
 let stats t =
+  let int s = int_of_float (Stats.value s) in
+  let per_class of_value scalars =
+    List.filter_map
+      (fun cls ->
+        let v = Stats.value scalars.(Fu.index cls) in
+        if v > 0.0 then Some (cls, of_value v) else None)
+      Fu.all
+  in
   {
-    cycles = t.s_cycles;
-    dynamic_instructions = t.s_dyn;
-    loads_issued = t.s_loads;
-    stores_issued = t.s_stores;
-    active_cycles = t.s_active;
-    issue_cycles = t.s_issue_cycles;
-    stall_cycles = t.s_stall;
-    stall_load_only = t.s_stall_load;
-    stall_load_compute = t.s_stall_load_compute;
-    stall_load_store_compute = t.s_stall_lsc;
-    stall_other = t.s_stall_other;
-    cycles_with_load = t.s_cyc_load;
-    cycles_with_store = t.s_cyc_store;
-    cycles_with_load_and_store = t.s_cyc_both;
-    cycles_with_fp = t.s_cyc_fp;
-    issued_fp = t.s_issued_fp;
-    issued_int = t.s_issued_int;
-    issued_mem = t.s_issued_mem;
-    issued_other = t.s_issued_other;
-    fu_busy_integral =
-      List.filter_map
-        (fun cls ->
-          let v = t.s_busy_integral.(Fu.index cls) in
-          if v > 0.0 then Some (cls, v) else None)
-        Fu.all;
-    issued_by_class =
-      List.filter_map
-        (fun cls ->
-          let v = t.s_issued_by_class.(Fu.index cls) in
-          if v > 0 then Some (cls, v) else None)
-        Fu.all;
-    dynamic_fu_energy_pj = t.s_energy.(0);
-    dynamic_reg_energy_pj = t.s_energy.(1);
+    cycles = Int64.of_float (Stats.value t.s_cycles);
+    dynamic_instructions = int t.s_dyn;
+    loads_issued = int t.s_loads;
+    stores_issued = int t.s_stores;
+    active_cycles = int t.s_active;
+    issue_cycles = int t.s_issue_cycles;
+    stall_cycles = int t.s_stall;
+    stall_load_only = int t.s_stall_load;
+    stall_load_compute = int t.s_stall_load_compute;
+    stall_load_store_compute = int t.s_stall_lsc;
+    stall_other = int t.s_stall_other;
+    cycles_with_load = int t.s_cyc_load;
+    cycles_with_store = int t.s_cyc_store;
+    cycles_with_load_and_store = int t.s_cyc_both;
+    cycles_with_fp = int t.s_cyc_fp;
+    issued_fp = int t.s_issued_fp;
+    issued_int = int t.s_issued_int;
+    issued_mem = int t.s_issued_mem;
+    issued_other = int t.s_issued_other;
+    fu_busy_integral = per_class Fun.id t.s_busy_integral;
+    issued_by_class = per_class int_of_float t.s_issued_by_class;
+    dynamic_fu_energy_pj = Stats.value t.s_fu_energy;
+    dynamic_reg_energy_pj = Stats.value t.s_reg_energy;
   }
-
-(* Open a fresh statistics epoch. The engine registers nothing in the
-   system's Stats tree: its counters are the flat mutable fields above,
-   which [Stats.reset_group] never sees, so a checkpoint restore must
-   call this (through [reset]) or warm-up runs would be double-counted. *)
-let reset_stats t =
-  t.s_cycles <- 0L;
-  t.s_dyn <- 0;
-  t.s_loads <- 0;
-  t.s_stores <- 0;
-  t.s_active <- 0;
-  t.s_issue_cycles <- 0;
-  t.s_stall <- 0;
-  t.s_stall_load <- 0;
-  t.s_stall_load_compute <- 0;
-  t.s_stall_lsc <- 0;
-  t.s_stall_other <- 0;
-  t.s_cyc_load <- 0;
-  t.s_cyc_store <- 0;
-  t.s_cyc_both <- 0;
-  t.s_cyc_fp <- 0;
-  t.s_issued_fp <- 0;
-  t.s_issued_int <- 0;
-  t.s_issued_mem <- 0;
-  t.s_issued_other <- 0;
-  Array.fill t.s_busy_integral 0 (Array.length t.s_busy_integral) 0.0;
-  Array.fill t.s_issued_by_class 0 (Array.length t.s_issued_by_class) 0;
-  Array.fill t.s_energy 0 (Array.length t.s_energy) 0.0
 
 let reset t =
   if t.is_running then invalid_arg "Engine.reset: engine is running";
-  reset_stats t;
   (* SSA registers are dead at invocation boundaries; [start] clears the
      writer/instance/reader maps itself. Clearing the regfile here keeps
      a restored engine bit-identical to a freshly created one. *)

@@ -145,12 +145,20 @@ val create :
   Salam_sim.Kernel.t ->
   Salam_sim.Clock.t ->
   ?config:config ->
+  stats:Salam_sim.Stats.group ->
   datapath:Salam_cdfg.Datapath.t ->
   mem:mem_iface ->
   unit ->
   t
 (** Functional-unit counts come from [datapath.fu_alloc]: the static
     elaboration alone fixes the inventory the engine schedules on.
+
+    Every counter of {!run_stats} is a scalar registered in [stats],
+    named after its field; the per-class ones sit in the child groups
+    [issued_by_class] and [fu_busy_integral], one scalar per
+    {!Salam_hw.Fu.cls} named by {!Salam_hw.Fu.to_string}. Resetting the
+    group ([Stats.reset_group], as a checkpoint restore does) opens a
+    fresh statistics epoch.
 
     The engine ticks once per cycle while it has work, and again within
     a cycle after a zero-latency commit. A tick that provably issues,
@@ -170,17 +178,15 @@ val start : t -> args:Salam_ir.Bits.t list -> on_finish:(Salam_ir.Bits.t option 
 val running : t -> bool
 
 val stats : t -> run_stats
-(** Statistics accumulated since [create] or the last {!reset}
-    (across restarts). *)
+(** The counters of the [stats] group given to {!create}: everything
+    accumulated since then or since the group was last reset (across
+    restarts). *)
 
 val reset : t -> unit
-(** Zero every accumulated statistic, opening a fresh epoch, and clear
-    the architectural register file, so a restored engine is
-    indistinguishable from a freshly created one. The engine registers
-    nothing in the system's [Stats] tree, so [Stats.reset_group] does
-    not reach its counters; checkpoint restore calls this to keep
-    warm-up work out of the measured run. Raises [Invalid_argument]
-    while the engine is running. *)
+(** Clear the architectural register file, so a restored engine is
+    indistinguishable from a freshly created one; checkpoint restore
+    calls this. Raises [Invalid_argument] while the engine is
+    running. *)
 
 val check_completion : t -> unit
 (** The end-of-run invariants of [config.check]: queues drained (the

@@ -50,19 +50,19 @@ let create system ~name ~clock_mhz ?(profile = Salam_hw.Profile.default_40nm) ?(
   let datapath = lazy (Datapath.build ~profile ~limits:fu_limits func) in
   let n_args = List.length func.Ast.params in
   let comm = Comm_interface.create system ~name ~clock ~mmr_words:(3 + max 1 n_args) in
+  (* registered now, so the tree's shape does not depend on when (or
+     whether) the engine is elaborated *)
+  let stats = Salam_sim.Stats.group ~parent:(System.stats system) (name ^ ".engine") in
   let engine =
     lazy
-      (Engine.create (System.kernel system) clock ~config:engine_config
+      (Engine.create (System.kernel system) clock ~config:engine_config ~stats
          ~datapath:(Lazy.force datapath) ~mem:(Comm_interface.mem_iface comm) ())
   in
   (* an engine not yet built is stopped, with fresh statistics *)
   let built () = Lazy.is_val engine in
   let t = { acc_name = name; comm; engine; datapath; clock } in
   (* Roadmarks sit at invocation boundaries where SSA registers are dead
-     and the engine is stopped, so the section is empty. Restore opens a
-     fresh statistics epoch: the engine's counters are flat fields
-     outside the Stats tree, which System.restore's reset cannot reach —
-     without this, warm-up work would be double-counted. *)
+     and the engine is stopped, so the section is empty. *)
   System.register_agent system
     {
       Salam_sim.Checkpoint.agent_name = name ^ ".engine";

@@ -96,9 +96,7 @@ let restore t ckpt =
   require_idle t "restore";
   Checkpoint.restore_all ckpt (List.rev t.agents);
   Salam_sim.Kernel.advance_to t.kernel ~tick:ckpt.Checkpoint.tick;
-  (* fresh statistics epoch: nothing before the roadmark is counted.
-     Engine counters live outside this tree; the accelerator's agent
-     resets them in its own restore. *)
+  (* fresh statistics epoch: nothing before the roadmark is counted *)
   Salam_sim.Stats.reset_group t.stats
 
 let alloc_region t ~bytes = Salam_ir.Memory.alloc t.backing ~bytes ~align:64

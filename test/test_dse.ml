@@ -565,26 +565,34 @@ let test_cli_refuses_out_of_range_flags () =
   refused "--cache-size" (unrolled @ [ "--mem"; "cache"; "--cache-size"; "100" ]);
   refused "--clock" (unrolled @ [ "--clock"; "0" ])
 
-(* salam_sim runs the same range check before it builds anything: a
-   knob salam_dse refuses ends in a message naming salam_sim's flag and
-   exit 1, not in an exception escaping to Cmdliner (exit 125). *)
+(* Run a built binary with [argv]; its exit status, stdout and stderr. *)
+let run_cli exe argv =
+  let ((out, _, err) as proc) =
+    Unix.open_process_args_full exe (Array.of_list argv) (Unix.environment ())
+  in
+  let stdout = In_channel.input_all out in
+  let stderr = In_channel.input_all err in
+  (Unix.close_process_full proc, stdout, stderr)
+
+let starts_with prefix s =
+  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
+
+(* A refused knob ends in exit 1, no output and a message opening with
+   the flag's name, not in an exception escaping to Cmdliner (exit 125). *)
+let check_refused exe argv flag =
+  let status, stdout, stderr = run_cli exe argv in
+  let cmd = String.concat " " argv in
+  Alcotest.(check bool) (cmd ^ " exits 1") true (status = Unix.WEXITED 1);
+  Alcotest.(check string) (cmd ^ " prints no result") "" stdout;
+  Alcotest.(check bool)
+    (Printf.sprintf "%S names %s" stderr flag)
+    true
+    (starts_with (flag ^ ": ") stderr)
+
+(* salam_sim runs the same range check before it builds anything *)
 let test_sim_cli_refuses_out_of_range_flags () =
   let refused flag args =
-    let argv = "salam_sim" :: "run" :: "gemm" :: args in
-    let ((out, _, err) as proc) =
-      Unix.open_process_args_full "../bin/salam_sim.exe" (Array.of_list argv)
-        (Unix.environment ())
-    in
-    let stdout = In_channel.input_all out in
-    let stderr = In_channel.input_all err in
-    let cmd = String.concat " " argv in
-    Alcotest.(check bool) (cmd ^ " exits 1") true (Unix.close_process_full proc = Unix.WEXITED 1);
-    Alcotest.(check string) (cmd ^ " prints no result") "" stdout;
-    let starts_with prefix =
-      String.length stderr >= String.length prefix
-      && String.sub stderr 0 (String.length prefix) = prefix
-    in
-    Alcotest.(check bool) (Printf.sprintf "%S names %s" stderr flag) true (starts_with (flag ^ ": "))
+    check_refused "../bin/salam_sim.exe" ("salam_sim" :: "run" :: "gemm" :: args) flag
   in
   refused "--clock" [ "--clock"; "0" ];
   refused "--ports" [ "--ports"; "0" ];
@@ -593,6 +601,22 @@ let test_sim_cli_refuses_out_of_range_flags () =
   refused "--cache-size" [ "--memory"; "cache"; "--cache-size"; "100" ];
   refused "--cache-size" [ "--memory"; "cache"; "--cache-size"; "0" ];
   refused "--fp-units" [ "--fp-units=-1" ]
+
+(* and so does salam_trace; an unknown --format is a usage error
+   (Cmdliner's exit 124) before anything is simulated *)
+let test_trace_cli_refuses_out_of_range_flags () =
+  let exe = "../bin/salam_trace.exe" in
+  let argv args = "salam_trace" :: "run" :: "--workload" :: "gemm" :: args in
+  check_refused exe (argv [ "--mem"; "cache"; "--cache-size"; "100" ]) "--cache-size";
+  check_refused exe (argv [ "--mem"; "cache"; "--cache-size"; "0" ]) "--cache-size";
+  let status, stdout, stderr = run_cli exe (argv [ "--format"; "xml" ]) in
+  Alcotest.(check bool) "--format xml exits 124" true (status = Unix.WEXITED 124);
+  Alcotest.(check string) "--format xml prints no trace" "" stdout;
+  Alcotest.(check bool)
+    (Printf.sprintf "%S names --format and simulated nothing" stderr)
+    true
+    (Test_store_shard.contains stderr "--format"
+    && not (Test_store_shard.contains stderr "events recorded"))
 
 (* The daemon's workers and a local sweep measure through the same
    step: one job measured alone equals the sweep's measurement, and two
@@ -667,6 +691,8 @@ let suite =
       test_cli_refuses_out_of_range_flags;
     Alcotest.test_case "salam_sim names a refused flag" `Quick
       test_sim_cli_refuses_out_of_range_flags;
+    Alcotest.test_case "salam_trace names a refused flag" `Quick
+      test_trace_cli_refuses_out_of_range_flags;
     Alcotest.test_case "one measure step for sweep and daemon" `Quick test_measure_step_shared;
     Alcotest.test_case "random strategy deterministic" `Quick test_random_strategy_deterministic;
   ]

@@ -29,7 +29,8 @@ let run_func ?(config = Engine.default_config) ?limits ?(mem_latency = 1) ?trace
   let clock = Salam_sim.Clock.create kernel ~freq_mhz in
   let datapath = Salam_cdfg.Datapath.build ?profile ?limits func in
   let mem = fixed_latency_mem clock backing mem_latency in
-  let engine = Engine.create kernel clock ~config ~datapath ~mem () in
+  let stats = Salam_sim.Stats.group "engine" in
+  let engine = Engine.create kernel clock ~config ~stats ~datapath ~mem () in
   let finished = ref false in
   Engine.start engine ~args ~on_finish:(fun _ -> finished := true);
   ignore (Salam_sim.Kernel.run kernel);
@@ -136,7 +137,8 @@ let test_engine_restart () =
   let bases = W.alloc_buffers w backing in
   let datapath = Salam_cdfg.Datapath.build (W.compile w) in
   let mem = fixed_latency_mem clock backing 1 in
-  let engine = Engine.create kernel clock ~datapath ~mem () in
+  let stats = Salam_sim.Stats.group "engine" in
+  let engine = Engine.create kernel clock ~stats ~datapath ~mem () in
   let run_once () =
     w.W.init (Salam_sim.Rng.create 7L) backing bases;
     let fin = ref false in
@@ -402,6 +404,7 @@ let test_check_reports_wheel_slot () =
   let engine =
     Engine.create kernel clock
       ~config:{ Engine.default_config with Engine.check = true }
+      ~stats:(Salam_sim.Stats.group "engine")
       ~datapath:(Salam_cdfg.Datapath.build func) ~mem:(fixed_latency_mem clock backing 1) ()
   in
   let finished = ref false in
@@ -436,7 +439,8 @@ let test_stuck_engine_does_not_finish () =
     }
   in
   let engine =
-    Engine.create kernel clock ~datapath:(Salam_cdfg.Datapath.build (W.compile w)) ~mem:silent ()
+    Engine.create kernel clock ~stats:(Salam_sim.Stats.group "engine")
+      ~datapath:(Salam_cdfg.Datapath.build (W.compile w)) ~mem:silent ()
   in
   let finished = ref false in
   Engine.start engine ~args:(W.args w ~bases) ~on_finish:(fun _ -> finished := true);

@@ -8,25 +8,24 @@
    - [U], uninterrupted: all invocations in the detailed engine, with a
      probe recording statistics and the trace high-water mark at the
      roadmark boundary.
-   - [F], capture round-trip: [k] detailed invocations, checkpoint at
+   - [F], capture round-trip: [k] detailed invocations, snapshot at
      the boundary ({!Salam.capture}), restore into a freshly built
      system and run the remainder.
    - [W], interpreter warm-up: [k] functional invocations
-     ({!Salam.warm_up}), checkpoint, restore, run the remainder.
+     ({!Salam.warm_up}), snapshot, restore, run the remainder.
 
    Bit-identity demands: final memory images byte-equal across all
    three; F's post-roadmark statistics equal to U's end-minus-probe
    deltas (exact for counters, relative tolerance for energy floats,
    whose accumulation is not associative); F's trace stream exactly
    equal to U's post-roadmark suffix at the same absolute ticks; W's
-   run exactly equal to F's; and the warm-up checkpoint's memory
-   section byte-equal to the capture checkpoint's. *)
+   run exactly equal to F's; and the warm-up snapshot's memory image
+   byte-equal to the capture snapshot's. *)
 
 module W = Salam_workloads.Workload
 module Engine = Salam_engine.Engine
 module Memory = Salam_ir.Memory
 module Trace = Salam_obs.Trace
-module Ckpt = Salam_sim.Checkpoint
 module Config = Salam.Config
 
 type report = {
@@ -62,15 +61,6 @@ let diff_sim_stats ~errs u_end probe f =
     f
 
 let rec drop n = function _ :: tl when n > 0 -> drop (n - 1) tl | l -> l
-
-let mem_section_snapshot label ckpt =
-  match Ckpt.section ckpt "memory" with
-  | Some s ->
-      Memory.snapshot_of_parts
-        ~size:(Int64.to_int (Ckpt.find_int s "size"))
-        ~brk:(Int64.to_int (Ckpt.find_int s "brk"))
-        ~data:(Ckpt.find_blob s "data")
-  | None -> failwith (label ^ ": checkpoint has no memory section")
 
 (* Whether running the kernel [invocations] times back-to-back on one
    buffer set still satisfies the golden model — false for in-place
@@ -156,17 +146,14 @@ let check_fast_forward ?(config = Config.default) ?func ?(roadmark = 1) ?(invoca
     (match Trace.first_divergence u_suffix (Trace.to_lines tr_f) with
     | Some d -> err "trace streams diverge: %s" (Trace.divergence_to_string d)
     | None -> ());
-    (* warm-up fidelity at the checkpoint level: the interpreter and the
-       detailed engine must reach byte-identical memory (the checkpoints
+    (* warm-up fidelity at the roadmark: the interpreter and the
+       detailed engine must reach byte-identical memory (the snapshots
        as a whole differ only in tick) *)
-    let cap_mem = mem_section_snapshot "capture" capture_snap.Salam.snap_ckpt in
-    let warm_mem = mem_section_snapshot "warm-up" warm_snap.Salam.snap_ckpt in
-    if not (Memory.snapshot_equal cap_mem warm_mem) then
+    if not (Memory.snapshot_equal capture_snap.Salam.snap_image warm_snap.Salam.snap_image) then
       err "roadmark memory differs: detailed capture vs interpreter warm-up";
     match List.rev !errs with [] -> Ok () | es -> Error (String.concat "; " es)
   with
   | result -> result
-  | exception Ckpt.Invalid msg -> Error ("invalid checkpoint: " ^ msg)
   | exception Salam_ir.Interp.Trap msg -> Error ("interpreter trap: " ^ msg)
   | exception Engine.Invariant_violation msg -> Error ("engine invariant violation: " ^ msg)
   | exception Engine.Runtime_error msg -> Error ("engine runtime error: " ^ msg)

@@ -9,7 +9,7 @@
     roadmark probe; counters exact, energy floats within relative
     tolerance), an exactly matching post-roadmark trace stream at the
     same absolute ticks, and byte-equal roadmark memory between the
-    warm-up and capture checkpoints. *)
+    warm-up and capture snapshots. *)
 
 type report = {
   r_workload : string;

@@ -118,7 +118,7 @@ let run_dma ~check:_ sink =
 
 (* --- fast-forwarded vecadd ---------------------------------------------- *)
 
-(* Two invocations with the first covered by a checkpoint at the
+(* Two invocations with the first covered by a snapshot at the
    roadmark: the traced stream is the post-roadmark epoch only, at the
    same absolute ticks an uninterrupted run would emit — the golden file
    pins both the restore path and the roadmark alignment. The second

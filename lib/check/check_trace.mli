@@ -5,7 +5,7 @@
     memory path of the timing stack — a scratchpad vector add, the same
     kernel behind a private cache, a DMA block copy through a shared
     SPM, and a fast-forwarded vector add restored from a roadmark
-    checkpoint (pinning the restore path and roadmark alignment).
+    snapshot (pinning the restore path and roadmark alignment).
     [capture] runs a scenario under a fresh sink and returns the
     canonical text trace; the golden files under [test/golden/] are
     blessed copies of exactly this output, so any engine or memory

@@ -85,7 +85,8 @@ type snapshot = {
   snap_memory : string;  (* "spm" | "cache" | "dram" *)
   snap_invocations : int;
   snap_bases : int64 array;
-  snap_ckpt : Salam_sim.Checkpoint.t;
+  snap_image : Salam_ir.Memory.snapshot;
+  snap_tick : int64;
 }
 
 type probe = {
@@ -199,7 +200,7 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
           invalid_arg
             ("simulate: snapshot buffer layout does not match this system (workload shape \
               changed?): " ^ w.W.name);
-        System.restore sys snap.snap_ckpt;
+        System.restore sys snap.snap_image ~tick:snap.snap_tick;
         snap.snap_invocations + 1
   in
   let ret = ref None in
@@ -304,21 +305,23 @@ let mirror_mmr_end_state acc ret =
   Comm_interface.write_mmr comm Comm_interface.Layout.status 2L
 
 let make_snapshot ~config ~invocations (w : W.t) b =
+  let image, tick = System.snapshot b.b_sys in
   {
     snap_workload = w.W.name;
     snap_memory = Config.memory_name config;
     snap_invocations = invocations;
     snap_bases = b.b_bases;
-    snap_ckpt = System.checkpoint b.b_sys ~roadmark:(roadmark_name invocations);
+    snap_image = image;
+    snap_tick = tick;
   }
 
 (* Fast path to a roadmark: run [invocations] complete kernel
    invocations through the functional interpreter (no events, no timing)
-   on an identically built system, then checkpoint. The checkpoint's
-   tick stays 0, which is hyperperiod-aligned by construction — the
-   restored run's clock phases match an uninterrupted detailed run's at
-   any aligned boundary. [invocations = 0] checkpoints the initialized
-   state ("start"). *)
+   on an identically built system, then snapshot its memory. The
+   snapshot's tick stays 0, which is hyperperiod-aligned by construction
+   — the restored run's clock phases match an uninterrupted detailed
+   run's at any aligned boundary. [invocations = 0] snapshots the
+   initialized state ("start"). *)
 let warm_up ?(config = Config.default) ?func ~invocations (w : W.t) =
   if invocations < 0 then invalid_arg "warm_up: invocations must be non-negative";
   let func = match func with Some f -> f | None -> W.compile w in
@@ -331,7 +334,7 @@ let warm_up ?(config = Config.default) ?func ~invocations (w : W.t) =
   make_snapshot ~config ~invocations w b
 
 (* Detailed-engine path to the same roadmark: run [invocations] timed
-   invocations and checkpoint at the aligned boundary after the last.
+   invocations and snapshot at the aligned boundary after the last.
    Exists so the oracle can prove capture/restore round-trips and that
    the interpreter warm-up reaches a bit-identical state. *)
 let capture ?(config = Config.default) ?trace ?func ~invocations (w : W.t) =

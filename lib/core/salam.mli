@@ -93,15 +93,21 @@ type snapshot = {
   snap_memory : string;  (** "spm", "cache" or "dram" *)
   snap_invocations : int;  (** complete invocations the snapshot covers *)
   snap_bases : int64 array;
-  snap_ckpt : Salam_sim.Checkpoint.t;
+  snap_image : Salam_ir.Memory.snapshot;
+      (** the backing memory: buffers, MMRs and allocation brk *)
+  snap_tick : int64;  (** the tick the restored system resumes at *)
 }
 (** Architectural state of the standard single-accelerator system at a
     roadmark — the boundary after [snap_invocations] complete kernel
-    invocations. Restores only into an identically shaped system (same
-    workload, same memory kind); timing knobs (ports, banks, cache
-    geometry, clock, FU limits, engine mode) may differ, which is what
-    lets one snapshot seed many design points. Snapshots live in memory
-    only; there is no file format. *)
+    invocations: one memory image and a tick. Nothing else needs
+    saving: a snapshot is taken only on an idle kernel (every device
+    drained) and restored only into a freshly built system (cold
+    caches, free channels, zero statistics). Restores only into an
+    identically shaped system (same workload, same memory kind, same
+    buffer bases); timing knobs (ports, banks, cache geometry, clock,
+    FU limits, engine mode) may differ, which is what lets one snapshot
+    seed many design points. Snapshots live in memory only; there is no
+    file format. *)
 
 type probe = {
   pr_tick : int64;  (** the aligned boundary tick *)
@@ -171,8 +177,9 @@ val warm_up :
   Salam_workloads.Workload.t ->
   snapshot
 (** Reach the roadmark through the functional interpreter — no events,
-    no timing — and checkpoint. A one-invocation warm-up is 5–19x
-    faster than one {!simulate} invocation of the same function
+    no timing — and snapshot the backing memory at tick 0. A
+    one-invocation warm-up is 5–19x faster than one {!simulate}
+    invocation of the same function
     (medians of 21 interleaved runs on a 2-vCPU x86-64 VM: 5.3–6.2x on
     gemm16 u16/j8, where building the system is most of the warm-up;
     16.8–18.6x on md_grid). The resulting state is

@@ -2141,10 +2141,3 @@ let stats t =
     dynamic_fu_energy_pj = Stats.value t.s_fu_energy;
     dynamic_reg_energy_pj = Stats.value t.s_reg_energy;
   }
-
-let reset t =
-  if t.is_running then invalid_arg "Engine.reset: engine is running";
-  (* SSA registers are dead at invocation boundaries; [start] clears the
-     writer/instance/reader maps itself. Clearing the regfile here keeps
-     a restored engine bit-identical to a freshly created one. *)
-  Bytes.fill t.regs 0 (Bytes.length t.regs) '\000'

@@ -157,8 +157,7 @@ val create :
     named after its field; the per-class ones sit in the child groups
     [issued_by_class] and [fu_busy_integral], one scalar per
     {!Salam_hw.Fu.cls} named by {!Salam_hw.Fu.to_string}. Resetting the
-    group ([Stats.reset_group], as a checkpoint restore does) opens a
-    fresh statistics epoch.
+    group ([Stats.reset_group]) opens a fresh statistics epoch.
 
     The engine ticks once per cycle while it has work, and again within
     a cycle after a zero-latency commit. A tick that provably issues,
@@ -181,12 +180,6 @@ val stats : t -> run_stats
 (** The counters of the [stats] group given to {!create}: everything
     accumulated since then or since the group was last reset (across
     restarts). *)
-
-val reset : t -> unit
-(** Clear the architectural register file, so a restored engine is
-    indistinguishable from a freshly created one; checkpoint restore
-    calls this. Raises [Invalid_argument] while the engine is
-    running. *)
 
 val check_completion : t -> unit
 (** The end-of-run invariants of [config.check]: queues drained (the

@@ -117,18 +117,7 @@ type snapshot = { s_data : string; s_brk : int; s_size : int }
 
 let snapshot t = { s_data = Bytes.to_string t.data; s_brk = t.brk; s_size = t.limit }
 
-let snapshot_size s = s.s_size
-
 let snapshot_brk s = s.s_brk
-
-let snapshot_data s = s.s_data
-
-let snapshot_of_parts ~size ~brk ~data =
-  if brk < 0 || brk > size then
-    invalid_arg (Printf.sprintf "Memory.snapshot_of_parts: brk %d outside [0, %d]" brk size);
-  if String.length data > size then
-    invalid_arg "Memory.snapshot_of_parts: data longer than logical size";
-  { s_data = data; s_brk = brk; s_size = size }
 
 (* Contents equality, zero-extended: the physical prefixes may differ in
    length between two snapshots of logically identical memories. *)

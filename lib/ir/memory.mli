@@ -27,8 +27,8 @@ val snapshot : t -> snapshot
 (** Capture contents of the physically allocated prefix (bytes past it
     are implicitly zero), the logical size, and [brk]. The differential
     validation harness uses this to replay runs on identical initial
-    memory; the checkpoint subsystem uses it to fast-forward detailed
-    simulations from a warm state. *)
+    memory; a fast-forwarded simulation restores one taken at a
+    roadmark. *)
 
 val restore : t -> snapshot -> unit
 (** Overwrite contents and allocation state with a snapshot. Bytes past
@@ -38,16 +38,7 @@ val restore : t -> snapshot -> unit
     differently sized memory would silently corrupt subsequent
     allocations. *)
 
-val snapshot_size : snapshot -> int
-
 val snapshot_brk : snapshot -> int
-
-val snapshot_data : snapshot -> string
-(** The physical prefix; bytes past it are implicitly zero. *)
-
-val snapshot_of_parts : size:int -> brk:int -> data:string -> snapshot
-(** Rebuild a snapshot from serialized parts; validates [brk] and data
-    length against [size]. *)
 
 val snapshot_equal : snapshot -> snapshot -> bool
 (** Contents equality, zero-extended: two snapshots whose physical

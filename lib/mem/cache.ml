@@ -390,39 +390,6 @@ let flush t =
         set)
     t.lines
 
-(* --- checkpointing ----------------------------------------------------- *)
-
-(* Tags, LRU ordering and dirty bits are timing-derived state, not
-   architectural: every store writes the backing memory immediately, so
-   a flush loses no data. Snapshots therefore carry nothing for the
-   cache — capture requires quiescence and restore simply goes cold.
-   The cache geometry is a DSE axis, so no identity fields either. *)
-let quiesce t ~what =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Checkpoint.Invalid s)) fmt in
-  if not (Slot_ring.is_empty t.queue) then
-    fail "%s: %s with %d request(s) queued" t.cfg.name what (Slot_ring.length t.queue);
-  if t.n_mshrs > 0 then fail "%s: %s with %d MSHR(s) outstanding" t.cfg.name what t.n_mshrs;
-  Array.iteri
-    (fun si set ->
-      Array.iter
-        (fun l ->
-          if l.reserved then fail "%s: %s with set %d way still reserved" t.cfg.name what si)
-        set)
-    t.lines
-
-let checkpoint_agent t =
-  {
-    Checkpoint.agent_name = t.cfg.name;
-    capture =
-      (fun () ->
-        quiesce t ~what:"checkpoint capture";
-        []);
-    restore =
-      (fun _sec ->
-        quiesce t ~what:"checkpoint restore";
-        flush t);
-  }
-
 let energy_pj t =
   let accesses = Stats.value t.s_hits +. Stats.value t.s_misses in
   accesses *. t.cacti.Salam_hw.Cacti_lite.read_energy_pj

@@ -48,14 +48,6 @@ val flush : t -> unit
 (** Invalidate everything (drop dirty lines silently — data is always in
     the backing store); used between host/accelerator hand-offs. *)
 
-val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
-(** Tags, LRU order and dirty bits are timing-derived, not
-    architectural, so the cache's section is empty: capture requires
-    quiescence (no queued requests, MSHRs or reserved ways) and restore
-    is a {!flush} — the cache comes back cold. No identity fields
-    either; the geometry is a DSE axis and one snapshot must serve
-    differently sized caches. *)
-
 val energy_pj : t -> float
 
 val leakage_mw : t -> float

@@ -127,28 +127,6 @@ module Block = struct
 
   let busy t = t.active
 
-  (* A mid-transfer DMA has bursts in flight that no checkpoint can
-     represent; both capture and restore require the engine idle. *)
-  let checkpoint_agent t =
-    let quiesce what =
-      if t.active then
-        raise
-          (Checkpoint.Invalid
-             (Printf.sprintf "%s: %s with a transfer in progress" t.cfg.name what))
-    in
-    {
-      Checkpoint.agent_name = t.cfg.name;
-      capture =
-        (fun () ->
-          quiesce "checkpoint capture";
-          []);
-      restore =
-        (fun _sec ->
-          quiesce "checkpoint restore";
-          t.active <- false);
-    }
-
-
   let start t ~src ~dst ~len ~on_done =
     if t.active then invalid_arg (t.cfg.name ^ ": transfer already in progress");
     if len <= 0 then invalid_arg (t.cfg.name ^ ": transfer length must be positive");

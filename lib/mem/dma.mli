@@ -33,10 +33,6 @@ module Block : sig
       active. Data is copied burst-by-burst through [backing]. *)
 
   val busy : t -> bool
-
-  val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
-  (** Empty section; capture and restore both require no transfer in
-      progress. *)
 end
 
 module Stream : sig

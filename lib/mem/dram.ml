@@ -67,39 +67,3 @@ let create kernel clock stats cfg =
   t
 
 let port t = match t.port with Some p -> p | None -> assert false
-
-(* The DRAM holds no data (the backing memory does); [busy_until_cycle]
-   is the only mutable state and it is timing-derived. Quiescence means
-   the channel has drained; restore resets it to "free since forever",
-   which is indistinguishable from any past cycle because the handler
-   only ever compares it against the current cycle. *)
-let checkpoint_agent t =
-  let quiesce what =
-    let now = Clock.current_cycle_i t.clock in
-    if t.busy_until_cycle > now then
-      raise
-        (Checkpoint.Invalid
-           (Printf.sprintf "%s: %s with the channel busy until cycle %d (now %d)" t.cfg.name
-              what t.busy_until_cycle now))
-  in
-  {
-    Checkpoint.agent_name = t.cfg.name;
-    capture =
-      (fun () ->
-        quiesce "checkpoint capture";
-        [ ("base", Checkpoint.Int t.cfg.base); ("size", Checkpoint.Int (Int64.of_int t.cfg.size)) ]);
-    restore =
-      (fun sec ->
-        quiesce "checkpoint restore";
-        let expect field actual =
-          let got = Checkpoint.find_int sec field in
-          if got <> actual then
-            raise
-              (Checkpoint.Invalid
-                 (Printf.sprintf "%s: snapshot %s %Ld does not match this system's %Ld"
-                    t.cfg.name field got actual))
-        in
-        expect "base" t.cfg.base;
-        expect "size" (Int64.of_int t.cfg.size);
-        t.busy_until_cycle <- 0);
-  }

@@ -19,7 +19,3 @@ type t
 val create : Salam_sim.Kernel.t -> Salam_sim.Clock.t -> Salam_sim.Stats.group -> config -> t
 
 val port : t -> Port.t
-
-val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
-(** Section carries address-range identity only; the busy-until cycle is
-    timing state, required drained at capture and reset on restore. *)

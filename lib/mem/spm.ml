@@ -351,41 +351,4 @@ let reads t = int_of_float (Stats.value t.s_reads)
 
 let writes t = int_of_float (Stats.value t.s_writes)
 
-(* --- checkpointing ----------------------------------------------------- *)
-
-(* The SPM holds no data — contents live in the shared backing memory —
-   so its section records layout identity only. Timing knobs (ports,
-   banks, latency) are deliberately absent: one snapshot must serve many
-   DSE points that differ only in timing configuration. *)
-let quiesce t ~what =
-  if t.queued > 0 then
-    raise
-      (Checkpoint.Invalid
-         (Printf.sprintf "%s: %s with %d request(s) in flight" t.cfg.name what t.queued))
-
-let checkpoint_agent t =
-  {
-    Checkpoint.agent_name = t.cfg.name;
-    capture =
-      (fun () ->
-        quiesce t ~what:"checkpoint capture";
-        [
-          ("base", Checkpoint.Int t.cfg.base);
-          ("size", Checkpoint.Int (Int64.of_int t.cfg.size));
-        ]);
-    restore =
-      (fun sec ->
-        quiesce t ~what:"checkpoint restore";
-        let expect field actual =
-          let got = Checkpoint.find_int sec field in
-          if got <> actual then
-            raise
-              (Checkpoint.Invalid
-                 (Printf.sprintf "%s: snapshot %s %Ld does not match this system's %Ld"
-                    t.cfg.name field got actual))
-        in
-        expect "base" t.cfg.base;
-        expect "size" (Int64.of_int t.cfg.size));
-  }
-
 let cacti t = t.cacti

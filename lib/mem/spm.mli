@@ -40,11 +40,6 @@ val reads : t -> int
 
 val writes : t -> int
 
-val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
-(** The SPM holds no data (contents live in the backing memory), so its
-    section carries layout identity only (base, size) — restore
-    validates it and both directions require an empty request queue. *)
-
 val cacti : t -> Salam_hw.Cacti_lite.result
 (** The SRAM model of this configuration (capacity, word width, read
     and write ports), evaluated once at {!create}: per-access energy,

@@ -181,38 +181,3 @@ let pop t ~size dst off k tag =
   t.pop_tag.(s) <- tag;
   Slot_ring.push_back t.pops s;
   settle t
-
-(* --- checkpointing ----------------------------------------------------- *)
-
-(* The FIFO carries real payload bytes — the one component besides the
-   backing memory whose checkpoint section holds data. Pending handshake
-   halves are in-flight timing state and must have drained. *)
-let quiesce t ~what =
-  let fail fmt = Printf.ksprintf (fun s -> raise (Checkpoint.Invalid s)) fmt in
-  if not (Slot_ring.is_empty t.pushes) then
-    fail "%s: %s with %d push(es) pending" t.buf_name what (Slot_ring.length t.pushes);
-  if not (Slot_ring.is_empty t.pops) then
-    fail "%s: %s with %d pop(s) pending" t.buf_name what (Slot_ring.length t.pops)
-
-let checkpoint_agent t =
-  {
-    Checkpoint.agent_name = t.buf_name;
-    capture =
-      (fun () ->
-        quiesce t ~what:"checkpoint capture";
-        let data = Bytes.create t.occ in
-        ring_blit t ~into_ring:false data 0 t.head t.occ;
-        [ ("data", Checkpoint.Blob (Bytes.to_string data)) ]);
-    restore =
-      (fun sec ->
-        quiesce t ~what:"checkpoint restore";
-        let data = Checkpoint.find_blob sec "data" in
-        if String.length data > t.capacity_bytes then
-          raise
-            (Checkpoint.Invalid
-               (Printf.sprintf "%s: snapshot holds %d bytes but FIFO capacity is %d" t.buf_name
-                  (String.length data) t.capacity_bytes));
-        t.head <- 0;
-        t.occ <- String.length data;
-        Bytes.blit_string data 0 t.ring 0 t.occ);
-  }

@@ -31,9 +31,3 @@ val pop : t -> size:int -> Bytes.t -> int -> (int -> unit) -> int -> unit
     many are available, into [dst] at [off]; [k tag] is called one cycle
     later. [dst] must stay reserved for the pop until then. Pops are
     served in arrival order. [size] must not exceed capacity. *)
-
-val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
-(** FIFO payload bytes are architectural state and are captured
-    verbatim; pending push/pop handshakes must have drained in both
-    directions. Restore refuses a payload larger than this FIFO's
-    capacity. *)

@@ -120,23 +120,3 @@ let create kernel clock stats cfg =
   t
 
 let port t = match t.port with Some p -> p | None -> assert false
-
-(* Pure interconnect: the route table is construction-time configuration
-   and the queue is in-flight timing state, so the section is empty and
-   both directions just require the queue drained. *)
-let checkpoint_agent t =
-  let quiesce what =
-    if not (Slot_ring.is_empty t.queue) then
-      raise
-        (Checkpoint.Invalid
-           (Printf.sprintf "%s: %s with %d packet(s) queued" t.cfg.name what
-              (Slot_ring.length t.queue)))
-  in
-  {
-    Checkpoint.agent_name = t.cfg.name;
-    capture =
-      (fun () ->
-        quiesce "checkpoint capture";
-        []);
-    restore = (fun _sec -> quiesce "checkpoint restore");
-  }

@@ -19,7 +19,3 @@ val set_default : t -> Port.t -> unit
     path towards DRAM). *)
 
 val port : t -> Port.t
-
-val checkpoint_agent : t -> Salam_sim.Checkpoint.agent
-(** Empty section; capture and restore both require the packet queue
-    drained. *)

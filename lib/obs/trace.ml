@@ -332,12 +332,15 @@ let write_chrome_json oc evs =
 
 (* --- gem5-style stats.txt sink ----------------------------------------- *)
 
+(* paths padded to gem5's 50 columns, or to the longest path in the
+   dump, so every value stays in one column *)
 let write_stats_txt oc pairs =
+  let width = List.fold_left (fun w (k, _) -> max w (String.length k)) 50 pairs in
   output_string oc "---------- Begin Simulation Statistics ----------\n";
   List.iter
     (fun (k, v) ->
-      if Float.is_integer v && Float.abs v < 1e15 then Printf.fprintf oc "%-50s %20.0f\n" k v
-      else Printf.fprintf oc "%-50s %20.6f\n" k v)
+      if Float.is_integer v && Float.abs v < 1e15 then Printf.fprintf oc "%-*s %20.0f\n" width k v
+      else Printf.fprintf oc "%-*s %20.6f\n" width k v)
     pairs;
   output_string oc "---------- End Simulation Statistics   ----------\n"
 

@@ -108,7 +108,9 @@ val write_chrome_json : out_channel -> event list -> unit
     B/E spans, FU occupancy as counter tracks, the rest as instants. *)
 
 val write_stats_txt : out_channel -> (string * float) list -> unit
-(** gem5-style stats dump from folded [(path, value)] pairs. *)
+(** gem5-style stats dump from folded [(path, value)] pairs. Paths are
+    padded to 50 columns, or to the longest path in the dump, so the
+    values line up in one right-aligned column. *)
 
 type divergence = { at_line : int; left : string option; right : string option }
 

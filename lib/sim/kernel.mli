@@ -77,14 +77,17 @@ val run : ?max_ticks:int64 -> t -> int64
 
 val idle : t -> bool
 (** True when the event queue is empty and no component sleeps —
-    nothing is in flight anywhere in the system. Checkpoints may only be
-    captured while idle. *)
+    nothing is in flight anywhere in the system. Every queued device
+    request holds a scheduled event or a sleeper, so an idle kernel
+    means every device has drained: a system snapshot is taken only
+    while idle, and restored only into an idle system that has executed
+    no event. *)
 
 val advance_to : t -> tick:int64 -> unit
 (** Jump current time forward to [tick] without executing anything. Only
     legal while {!idle} and forward in time; raises [Invalid_argument]
     otherwise. Used to align kernel-invocation boundaries to clock
-    hyperperiod multiples and to restore checkpoints. *)
+    hyperperiod multiples and to restore snapshots. *)
 
 val events_executed : t -> int
 (** Total number of events executed so far; a cheap progress/cost

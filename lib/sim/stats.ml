@@ -1,15 +1,18 @@
-(* The value lives in its own all-float record, which OCaml stores
-   flat, so an update writes the float in place and allocates nothing.
-   A [mutable v : float] directly in this mixed record would box a
-   fresh float on every [incr], and so would a [float ref]: ['a ref] is
-   a polymorphic record, never a flat float one. *)
-type cell = { mutable f : float }
-
-type scalar = { s_name : string; v : cell }
+(* A scalar is an all-float record, which OCaml stores flat, so an
+   update writes the float in place and allocates nothing, with no
+   load but the scalar itself. A [mutable v : float] in a mixed record
+   would box a fresh float on every [incr], and so would a
+   [float ref]: ['a ref] is a polymorphic record, never a flat float
+   one. The name lives with the group, which only [fold] reads. *)
+type scalar = { mutable f : float }
 
 (* Registration lists are kept newest-first so [group]/[scalar] are
    O(1); iteration points reverse them back to registration order. *)
-type group = { g_name : string; mutable scalars : scalar list; mutable children : group list }
+type group = {
+  g_name : string;
+  mutable scalars : (string * scalar) list;
+  mutable children : group list;
+}
 
 let group ?parent name =
   let g = { g_name = name; scalars = []; children = [] } in
@@ -17,18 +20,18 @@ let group ?parent name =
   g
 
 let scalar g name =
-  let s = { s_name = name; v = { f = 0.0 } } in
-  g.scalars <- s :: g.scalars;
+  let s = { f = 0.0 } in
+  g.scalars <- (name, s) :: g.scalars;
   s
 
-let incr s = s.v.f <- s.v.f +. 1.0
+let incr s = s.f <- s.f +. 1.0
 
-let add s x = s.v.f <- s.v.f +. x
+let add s x = s.f <- s.f +. x
 
-let value s = s.v.f
+let value s = s.f
 
 let rec reset_group g =
-  List.iter (fun s -> s.v.f <- 0.0) g.scalars;
+  List.iter (fun (_, s) -> s.f <- 0.0) g.scalars;
   List.iter reset_group g.children
 
 let fold g ~init ~f =
@@ -36,7 +39,7 @@ let fold g ~init ~f =
     let scoped name = if prefix = "" then name else prefix ^ "." ^ name in
     let acc =
       List.fold_left
-        (fun acc s -> f acc ~path:(scoped s.s_name) s.v.f)
+        (fun acc (name, s) -> f acc ~path:(scoped name) s.f)
         acc (List.rev g.scalars)
     in
     List.fold_left

@@ -5,7 +5,9 @@ module Datapath = Salam_cdfg.Datapath
 
 (* The datapath and the engine are elaborated at first use, normally the
    first launch: a system that is only warmed up through the interpreter
-   and checkpointed never builds them. *)
+   and snapshotted never builds them, and a system restored from a
+   snapshot builds them fresh at its first launch, so no engine state
+   needs restoring. *)
 type t = {
   acc_name : string;
   comm : Comm_interface.t;
@@ -58,32 +60,7 @@ let create system ~name ~clock_mhz ?(profile = Salam_hw.Profile.default_40nm) ?(
       (Engine.create (System.kernel system) clock ~config:engine_config ~stats
          ~datapath:(Lazy.force datapath) ~mem:(Comm_interface.mem_iface comm) ())
   in
-  (* an engine not yet built is stopped, with fresh statistics *)
-  let built () = Lazy.is_val engine in
   let t = { acc_name = name; comm; engine; datapath; clock } in
-  (* Roadmarks sit at invocation boundaries where SSA registers are dead
-     and the engine is stopped, so the section is empty. *)
-  System.register_agent system
-    {
-      Salam_sim.Checkpoint.agent_name = name ^ ".engine";
-      capture =
-        (fun () ->
-          if built () && Engine.running (Lazy.force engine) then
-            raise
-              (Salam_sim.Checkpoint.Invalid
-                 (name ^ ".engine: checkpoint capture while the engine is running"));
-          []);
-      restore =
-        (fun _sec ->
-          if built () then begin
-            let engine = Lazy.force engine in
-            if Engine.running engine then
-              raise
-                (Salam_sim.Checkpoint.Invalid
-                   (name ^ ".engine: checkpoint restore while the engine is running"));
-            Engine.reset engine
-          end);
-    };
   (* control-register starts: decode the argument MMRs and launch *)
   Comm_interface.on_control_write comm (fun value ->
       if Int64.logand value 1L = 1L && not (Engine.running (Lazy.force engine)) then begin

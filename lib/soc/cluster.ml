@@ -17,7 +17,6 @@ let create sys fabric ~name ~clock_mhz ?(xbar_width = 4) () =
       { Xbar.name = name ^ ".local_xbar"; latency = 1; width = xbar_width }
   in
   Xbar.set_default xbar (Fabric.port fabric);
-  System.register_agent sys (Xbar.checkpoint_agent xbar);
   { sys; fabric; cluster_name = name; clock; xbar; members = []; counters = 0 }
 
 let local_port t = Xbar.port t.xbar
@@ -43,7 +42,6 @@ let add_private_spm t acc ~size ?(config = fun c -> c) () =
   Comm_interface.add_route (Accelerator.comm acc) ~base ~size (Spm.port spm);
   Xbar.add_range t.xbar ~base ~size (Spm.port spm);
   Fabric.add_range t.fabric ~base ~size (Spm.port spm);
-  System.register_agent t.sys (Spm.checkpoint_agent spm);
   (base, spm)
 
 let add_shared_spm t ~size ?(config = fun c -> c) () =
@@ -53,7 +51,6 @@ let add_shared_spm t ~size ?(config = fun c -> c) () =
   let spm = Spm.create (System.kernel t.sys) t.clock (System.stats t.sys) cfg in
   Xbar.add_range t.xbar ~base ~size (Spm.port spm);
   Fabric.add_range t.fabric ~base ~size (Spm.port spm);
-  System.register_agent t.sys (Spm.checkpoint_agent spm);
   (base, spm)
 
 let add_private_cache t acc ~size ?(config = fun c -> c) () =
@@ -64,19 +61,14 @@ let add_private_cache t acc ~size ?(config = fun c -> c) () =
       ~lower:(Xbar.port t.xbar)
   in
   Comm_interface.set_default_route (Accelerator.comm acc) (Cache.port cache);
-  System.register_agent t.sys (Cache.checkpoint_agent cache);
   cache
 
 let add_dma t ?config () =
   let cfg =
     match config with Some c -> c | None -> Dma.Block.default_config ~name:(fresh t "dma")
   in
-  let dma =
-    Dma.Block.create (System.kernel t.sys) t.clock (System.stats t.sys) cfg
-      ~backing:(System.backing t.sys) ~port:(Xbar.port t.xbar)
-  in
-  System.register_agent t.sys (Dma.Block.checkpoint_agent dma);
-  dma
+  Dma.Block.create (System.kernel t.sys) t.clock (System.stats t.sys) cfg
+    ~backing:(System.backing t.sys) ~port:(Xbar.port t.xbar)
 
 let add_stream_link t ?(window_bytes = 4096) ~producer ~consumer ~capacity_bytes () =
   let window = window_bytes in
@@ -87,7 +79,6 @@ let add_stream_link t ?(window_bytes = 4096) ~producer ~consumer ~capacity_bytes
     Stream_buffer.create (System.kernel t.sys) t.clock (System.stats t.sys) ~name
       ~capacity_bytes
   in
-  System.register_agent t.sys (Stream_buffer.checkpoint_agent buffer);
   Comm_interface.map_stream_push (Accelerator.comm producer) ~base:push_base ~size:window buffer;
   Comm_interface.map_stream_pop (Accelerator.comm consumer) ~base:pop_base ~size:window buffer;
   (* FIFO correctness requires program-order issue within the windows *)

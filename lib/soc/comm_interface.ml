@@ -104,31 +104,6 @@ let create system ~name ~clock ~mmr_words =
     Completion_queue.after t.mmr_done ~cycles:1 mmr_access s
   in
   t.mmr_port <- Some (Port.make ~name:(name ^ ".mmr") handler);
-  (* MMR contents live in the backing store, so the section is layout
-     identity only: a snapshot restored into an interface whose MMRs sit
-     elsewhere would leave the engine reading stale control words. *)
-  System.register_agent system
-    {
-      Salam_sim.Checkpoint.agent_name = name;
-      capture =
-        (fun () ->
-          [
-            ("mmr_base", Salam_sim.Checkpoint.Int mmr_base);
-            ("mmr_words", Salam_sim.Checkpoint.Int (Int64.of_int mmr_words));
-          ]);
-      restore =
-        (fun sec ->
-          let expect field actual =
-            let got = Salam_sim.Checkpoint.find_int sec field in
-            if got <> actual then
-              raise
-                (Salam_sim.Checkpoint.Invalid
-                   (Printf.sprintf "%s: snapshot %s %Ld does not match this system's %Ld" name
-                      field got actual))
-          in
-          expect "mmr_base" mmr_base;
-          expect "mmr_words" (Int64.of_int mmr_words));
-    };
   t
 
 let mmr_base t = t.mmr_base

@@ -22,8 +22,6 @@ let create system =
       { Xbar.name = "global_xbar"; latency = 1; width = 4 }
   in
   Xbar.set_default xbar (Dram.port dram);
-  System.register_agent system (Dram.checkpoint_agent dram);
-  System.register_agent system (Xbar.checkpoint_agent xbar);
   { xbar }
 
 let port t = Xbar.port t.xbar

@@ -1,56 +1,20 @@
-module Checkpoint = Salam_sim.Checkpoint
-
 type t = {
   kernel : Salam_sim.Kernel.t;
   stats : Salam_sim.Stats.group;
   backing : Salam_ir.Memory.t;
-  mutable agents : Checkpoint.agent list;  (* registration order, reversed *)
   mutable clock_periods : int list;  (* every period handed out by [clock] *)
 }
-
-let register_agent t agent = t.agents <- agent :: t.agents
-
-(* The backing store is the bulk of any checkpoint: all data in the
-   system lives here (the timing devices are latency filters). *)
-let memory_agent t =
-  {
-    Checkpoint.agent_name = "memory";
-    capture =
-      (fun () ->
-        let snap = Salam_ir.Memory.snapshot t.backing in
-        [
-          ("size", Checkpoint.Int (Int64.of_int (Salam_ir.Memory.snapshot_size snap)));
-          ("brk", Checkpoint.Int (Int64.of_int (Salam_ir.Memory.snapshot_brk snap)));
-          ("data", Checkpoint.Blob (Salam_ir.Memory.snapshot_data snap));
-        ]);
-    restore =
-      (fun sec ->
-        let size = Int64.to_int (Checkpoint.find_int sec "size") in
-        let brk = Int64.to_int (Checkpoint.find_int sec "brk") in
-        let data = Checkpoint.find_blob sec "data" in
-        let snap =
-          try Salam_ir.Memory.snapshot_of_parts ~size ~brk ~data
-          with Invalid_argument msg -> raise (Checkpoint.Invalid msg)
-        in
-        try Salam_ir.Memory.restore t.backing snap
-        with Invalid_argument msg -> raise (Checkpoint.Invalid msg));
-  }
 
 let create ?trace () =
   let kernel = Salam_sim.Kernel.create () in
   (* installed before any component exists, so every captured sink is live *)
   Salam_sim.Kernel.set_trace kernel trace;
-  let t =
-    {
-      kernel;
-      stats = Salam_sim.Stats.group "system";
-      backing = Salam_ir.Memory.create ~size:(64 * 1024 * 1024);
-      agents = [];
-      clock_periods = [];
-    }
-  in
-  register_agent t (memory_agent t);
-  t
+  {
+    kernel;
+    stats = Salam_sim.Stats.group "system";
+    backing = Salam_ir.Memory.create ~size:(64 * 1024 * 1024);
+    clock_periods = [];
+  }
 
 let kernel t = t.kernel
 
@@ -82,22 +46,21 @@ let align t =
   Salam_sim.Kernel.advance_to t.kernel ~tick:(Int64.of_int target);
   Int64.of_int target
 
-let require_idle t what =
+(* Every queued request, MSHR fill, crossbar packet and DRAM completion
+   holds a scheduled event or a sleeper, so an idle kernel means every
+   device has drained and the backing memory is the whole state. *)
+let snapshot t =
   if not (Salam_sim.Kernel.idle t.kernel) then
-    raise
-      (Checkpoint.Invalid
-         (Printf.sprintf "System.%s: events still scheduled — the system is not quiescent" what))
+    invalid_arg "System.snapshot: events still scheduled — the system is not quiescent";
+  (Salam_ir.Memory.snapshot t.backing, Salam_sim.Kernel.now t.kernel)
 
-let checkpoint t ~roadmark =
-  require_idle t "checkpoint";
-  Checkpoint.capture_all ~roadmark ~tick:(Salam_sim.Kernel.now t.kernel) (List.rev t.agents)
-
-let restore t ckpt =
-  require_idle t "restore";
-  Checkpoint.restore_all ckpt (List.rev t.agents);
-  Salam_sim.Kernel.advance_to t.kernel ~tick:ckpt.Checkpoint.tick;
-  (* fresh statistics epoch: nothing before the roadmark is counted *)
-  Salam_sim.Stats.reset_group t.stats
+(* Only a freshly built system holds no timing state (cold caches, free
+   channels, zero statistics), so that is the only one restored into. *)
+let restore t image ~tick =
+  if not (Salam_sim.Kernel.idle t.kernel) || Salam_sim.Kernel.events_executed t.kernel > 0 then
+    invalid_arg "System.restore: the system has already run — restore needs a freshly built one";
+  Salam_ir.Memory.restore t.backing image;
+  Salam_sim.Kernel.advance_to t.kernel ~tick
 
 let alloc_region t ~bytes = Salam_ir.Memory.alloc t.backing ~bytes ~align:64
 

@@ -25,11 +25,6 @@ val clock : t -> mhz:float -> Salam_sim.Clock.t
 val alloc_region : t -> bytes:int -> int64
 (** 64-byte-aligned region of the backing store. *)
 
-val register_agent : t -> Salam_sim.Checkpoint.agent -> unit
-(** Add a component's checkpoint agent. Components register themselves
-    at construction; the backing memory's agent is pre-registered by
-    {!create}. Agent names must be unique per system. *)
-
 val align : t -> int64
 (** Advance the idle kernel to the next hyperperiod multiple (the least
     common multiple of every clock period created so far) and return
@@ -37,18 +32,23 @@ val align : t -> int64
     system and an uninterrupted one agree on every clock's phase. Raises
     [Invalid_argument] if events are still scheduled. *)
 
-val checkpoint : t -> roadmark:string -> Salam_sim.Checkpoint.t
-(** Capture every registered agent's architectural state at the current
-    tick. The system must be quiescent (event queue empty); raises
-    {!Salam_sim.Checkpoint.Invalid} otherwise, as do agents whose
-    components still hold in-flight state. *)
+val snapshot : t -> Salam_ir.Memory.snapshot * int64
+(** The architectural state at the current tick: the backing memory
+    image (buffers, MMRs, allocation brk) and the tick. Raises
+    [Invalid_argument] unless the kernel is {!Salam_sim.Kernel.idle}.
+    Every in-flight request, MSHR fill, crossbar packet or DRAM
+    completion holds a scheduled event, so an idle kernel means every
+    device has drained and the image is the whole state. *)
 
-val restore : t -> Salam_sim.Checkpoint.t -> unit
-(** Restore a checkpoint into this system: strict section/agent
-    matching, then jump time to the checkpoint's tick and reset the
-    statistics tree so the run's stats cover exactly the post-restore
-    epoch. The system must be freshly built or quiescent, and shaped
-    identically to the one that captured the checkpoint. *)
+val restore : t -> Salam_ir.Memory.snapshot -> tick:int64 -> unit
+(** Restore an image into this system and jump time to [tick]. Only a
+    freshly built system is accepted — idle, no event executed yet —
+    so its caches are cold, its channels free and its statistics zero,
+    and the run's stats cover exactly the post-restore epoch. Raises
+    [Invalid_argument] otherwise, or if the image's size differs from
+    the backing memory's. The system must be built the same way as the
+    one that took the image: regions come from one bump allocator in
+    build order, so equal buffer bases pin the address map. *)
 
 val run : ?max_ticks:int64 -> t -> int64
 (** Drain all scheduled events on the sequential event kernel

@@ -1,25 +1,34 @@
-(* Checkpoint restore matching and fast-forward bit-identity tests. *)
+(* Snapshot guards and fast-forward bit-identity tests. *)
 
 open Alcotest
-module Ckpt = Salam_sim.Checkpoint
 module Engine = Salam_engine.Engine
+module Kernel = Salam_sim.Kernel
+module System = Salam_soc.System
 
-let expect_invalid name f =
+let expect_invalid_arg name f =
   match f () with
-  | _ -> fail (name ^ ": expected Checkpoint.Invalid")
-  | exception Ckpt.Invalid _ -> ()
+  | _ -> fail (name ^ ": expected Invalid_argument")
+  | exception Invalid_argument _ -> ()
 
-let test_restore_matching_is_bidirectional () =
-  let agent name =
-    { Ckpt.agent_name = name; capture = (fun () -> []); restore = (fun _ -> ()) }
-  in
-  let ckpt = Ckpt.capture_all ~roadmark:"start" ~tick:0L [ agent "a"; agent "b" ] in
-  (* an agent the snapshot does not cover *)
-  expect_invalid "extra agent" (fun () ->
-      Ckpt.restore_all ckpt [ agent "a"; agent "b"; agent "c" ]);
-  (* a section no agent claims *)
-  expect_invalid "missing agent" (fun () -> Ckpt.restore_all ckpt [ agent "a" ]);
-  Ckpt.restore_all ckpt [ agent "a"; agent "b" ]
+(* Every in-flight request holds a scheduled event, so a queued event is
+   what an undrained device looks like to [System.snapshot]. *)
+let test_snapshot_refuses_queued_event () =
+  let sys = System.create () in
+  let kernel = System.kernel sys in
+  Kernel.schedule_at kernel ~tick:1000L ignore;
+  expect_invalid_arg "event queued" (fun () -> System.snapshot sys);
+  ignore (System.run sys);
+  let _, tick = System.snapshot sys in
+  check int64 "drained: the snapshot takes the current tick" 1000L tick
+
+let test_restore_refuses_a_system_that_ran () =
+  let image, tick = System.snapshot (System.create ()) in
+  let ran = System.create () in
+  Kernel.schedule_at (System.kernel ran) ~tick:1000L ignore;
+  expect_invalid_arg "event queued" (fun () -> System.restore ran image ~tick);
+  ignore (System.run ran);
+  expect_invalid_arg "event executed" (fun () -> System.restore ran image ~tick);
+  System.restore (System.create ()) image ~tick
 
 (* --- fast-forward bit-identity ----------------------------------------- *)
 
@@ -54,7 +63,7 @@ let test_warm_up_zero_matches_cold_run () =
   let w = Salam_workloads.Gemm.workload ~n:8 () in
   let cold = Salam.simulate w in
   let snap = Salam.warm_up ~invocations:0 w in
-  check string "roadmark name" "start" snap.Salam.snap_ckpt.Ckpt.roadmark;
+  check string "roadmark name" "start" (Salam.roadmark_name snap.Salam.snap_invocations);
   let restored = Salam.simulate ~from:snap ~invocations:1 w in
   check bool "correct" true restored.Salam.correct;
   check int64 "cycles" cold.Salam.cycles restored.Salam.cycles;
@@ -64,11 +73,6 @@ let test_warm_up_zero_matches_cold_run () =
 let test_snapshot_shape_mismatches_rejected () =
   let w = Salam_workloads.Gemm.workload ~n:8 () in
   let snap = Salam.warm_up ~invocations:1 w in
-  let expect_invalid_arg name f =
-    match f () with
-    | _ -> fail (name ^ ": expected Invalid_argument")
-    | exception Invalid_argument _ -> ()
-  in
   expect_invalid_arg "different workload" (fun () ->
       Salam.simulate ~from:snap ~invocations:2 (Salam_workloads.Gemm.workload ~n:4 ()));
   expect_invalid_arg "different memory kind" (fun () ->
@@ -155,10 +159,10 @@ let tree_entries (w : Salam_workloads.Workload.t) sim_stats =
     sim_stats
 
 (* The engine's counters live in the system's statistics tree and
-   nowhere else: [run_stats] reads every one of them back, and the
-   restore's one tree reset leaves a fast-forwarded run counting only
-   the post-roadmark epoch (the uninterrupted run's end minus its
-   roadmark probe), though [Engine.reset] touches no counter. *)
+   nowhere else: [run_stats] reads every one of them back, and a
+   restore into a freshly built system leaves a fast-forwarded run
+   counting only the post-roadmark epoch (the uninterrupted run's end
+   minus its roadmark probe). *)
 let test_engine_stats_one_source () =
   let label (w : Salam_workloads.Workload.t) config what =
     Printf.sprintf "%s %s %s %s" w.Salam_workloads.Workload.name
@@ -226,7 +230,8 @@ let test_engine_stats_one_source () =
 
 let suite =
   [
-    test_case "restore matching is bidirectional" `Quick test_restore_matching_is_bidirectional;
+    test_case "snapshot refuses a queued event" `Quick test_snapshot_refuses_queued_event;
+    test_case "restore refuses a system that ran" `Quick test_restore_refuses_a_system_that_ran;
     test_case "ff oracle gemm spm" `Quick test_ff_oracle_gemm_spm;
     test_case "ff oracle full matrix" `Slow test_ff_oracle_matrix;
     test_case "warm-up at start matches cold run" `Quick test_warm_up_zero_matches_cold_run;

@@ -145,12 +145,20 @@ let test_chrome_json_shape () =
     (count_substring json "{" = count_substring json "}")
 
 let test_stats_txt () =
+  let long_path = "gemm_n8_u4_j2.engine.fu_busy_integral.float_multiplier" in
+  assert (String.length long_path > 50);
   let path = Filename.temp_file "salam_stats" ".txt" in
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let oc = open_out path in
-      Trace.write_stats_txt oc [ ("engine.cycles", 42.0); ("cache.misses", 7.0) ];
+      Trace.write_stats_txt oc
+        [
+          ("engine.cycles", 42.0);
+          ("cache.misses", 7.0);
+          (long_path, 1234.0);
+          ("engine.dynamic_fu_energy_pj", 0.5);
+        ];
       close_out oc;
       let ic = open_in path in
       let body =
@@ -161,7 +169,20 @@ let test_stats_txt () =
       check Alcotest.bool "gem5-style header" true
         (count_substring body "Begin Simulation Statistics" = 1);
       check Alcotest.bool "both stats present" true
-        (count_substring body "engine.cycles" = 1 && count_substring body "cache.misses" = 1))
+        (count_substring body "engine.cycles" = 1 && count_substring body "cache.misses" = 1);
+      (* every value ends in the same column, the long path's included *)
+      let stat_lines =
+        List.filter
+          (fun l -> l <> "" && not (String.starts_with ~prefix:"----------" l))
+          (String.split_on_char '\n' body)
+      in
+      check Alcotest.int "four stat lines" 4 (List.length stat_lines);
+      List.iter
+        (fun l ->
+          check Alcotest.int ("value column of " ^ l)
+            (String.length long_path + 1 + 20)
+            (String.length l))
+        stat_lines)
 
 (* --- golden-trace regression -------------------------------------------- *)
 

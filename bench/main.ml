@@ -186,7 +186,8 @@ let frontend_words kernels =
    instruction of one [Salam.simulate] call (default config, compiled
    engine, SPM) on every standard-suite kernel plus the Fig 13 GEMM
    point; the same for one round of the three Fig 16 CNN integrations
-   and for the Fig 13 point on a cache and on DRAM; and the front end's
+   and for the Fig 13 point on a cache and on DRAM; the bytes of the Fig
+   13 point's warm-up snapshot on each memory kind; and the front end's
    words per compiled IR instruction over the suite kernels and the
    three 32x32 CNN stages. All are exact counts, not timings, so they
    do not depend on the machine; CI gates each of them. Each workload
@@ -239,9 +240,11 @@ let alloc () =
     ~events:(sum (fun o -> o.C.kernel_events));
   let gemm16 = Exp_dse.gemm_dse_workload () in
   let func = Salam_workloads.Workload.compile gemm16 in
+  let config memory = { Salam.Config.default with Salam.Config.memory } in
+  let cache = Salam.Config.Cache { size = 2048; line_bytes = 64; ways = 4; hit_latency = 2 } in
   List.iter
     (fun (name, memory) ->
-      let config = { Salam.Config.default with Salam.Config.memory } in
+      let config = config memory in
       ignore (Salam.simulate ~config ~func gemm16);
       let w0 = Gc.minor_words () in
       let r = Salam.simulate ~config ~func gemm16 in
@@ -249,11 +252,16 @@ let alloc () =
       if not r.Salam.correct then failwith (name ^ ": wrong result");
       line name ~instr:r.Salam.stats.Salam_engine.Engine.dynamic_instructions ~words
         ~events:r.Salam.kernel_events)
-    [
-      ( "fig13 cache",
-        Salam.Config.Cache { size = 2048; line_bytes = 64; ways = 4; hit_latency = 2 } );
-      ("fig13 dram", Salam.Config.Dram_direct);
-    ];
+    [ ("fig13 cache", cache); ("fig13 dram", Salam.Config.Dram_direct) ];
+  (* what a sweep holds per fast-forward roadmark: the bytes of the Fig 13
+     point's memory image after a 2-invocation warm-up *)
+  let snapshot_bytes memory =
+    let snap = Salam.warm_up ~config:(config memory) ~func ~invocations:2 gemm16 in
+    Salam_ir.Memory.snapshot_bytes snap.Salam.snap_image
+  in
+  Printf.printf "fig13 warm-up snapshot: spm %d, cache %d, dram %d bytes\n"
+    (snapshot_bytes Salam.Config.default.Salam.Config.memory)
+    (snapshot_bytes cache) (snapshot_bytes Salam.Config.Dram_direct);
   let none, off = sink_off_words gemm16 in
   Printf.printf "sink attached but off: %.0f words, no sink: %.0f words (%s)\n" off none
     gemm16.Salam_workloads.Workload.name;

@@ -156,8 +156,9 @@ val create :
     Every counter of {!run_stats} is a scalar registered in [stats],
     named after its field; the per-class ones sit in the child groups
     [issued_by_class] and [fu_busy_integral], one scalar per
-    {!Salam_hw.Fu.cls} named by {!Salam_hw.Fu.to_string}. Resetting the
-    group ([Stats.reset_group]) opens a fresh statistics epoch.
+    {!Salam_hw.Fu.cls} named by {!Salam_hw.Fu.to_string}. Every counter
+    starts at zero: [System.restore] only accepts a freshly built
+    system, so a restored run's statistics cover only its own epoch.
 
     The engine ticks once per cycle while it has work, and again within
     a cycle after a zero-latency commit. A tick that provably issues,

@@ -83,6 +83,21 @@ let variant bs ~pred =
     in
     find 0
 
+let is_phi_row r = match r.r_node.Datapath.instr with Ast.Phi _ -> true | _ -> false
+
+let defines r (v : Ast.var) = match r.r_def with Some d -> d.Ast.id = v.Ast.id | None -> false
+
+(* some row of [rows] before [i] defines [v] *)
+let rec defined_before rows i v = i > 0 && (defines rows.(i - 1) v || defined_before rows (i - 1) v)
+
+(* some register operand of row [i] from its [k]th on is defined by an
+   earlier row *)
+let rec reads_earlier rows i k =
+  let plans = rows.(i).r_plans in
+  k < Array.length plans
+  && ((match plans.(k) with Preg { var; _ } -> defined_before rows i var | Pimm _ -> false)
+     || reads_earlier rows i (k + 1))
+
 (* LLVM phis are parallel copies: each reads its operand as it was on
    entry to the block. When a phi reads the destination of an earlier
    phi of the same block, the leading phi rows must capture every
@@ -91,21 +106,10 @@ let parallel_phis = function
   | Invalid _ -> 0
   | Rows rows ->
       let n = ref 0 in
-      let is_phi i = match rows.(i).r_node.Datapath.instr with Ast.Phi _ -> true | _ -> false in
-      while !n < Array.length rows && is_phi !n do
+      while !n < Array.length rows && is_phi_row rows.(!n) do
         incr n
       done;
-      let defines j (v : Ast.var) =
-        match rows.(j).r_def with Some d -> d.Ast.id = v.Ast.id | None -> false
-      in
-      let reads_earlier i =
-        Array.exists
-          (function
-            | Preg { var; _ } -> List.exists (fun j -> defines j var) (List.init i Fun.id)
-            | Pimm _ -> false)
-          rows.(i).r_plans
-      in
-      let rec any i = i < !n && (reads_earlier i || any (i + 1)) in
+      let rec any i = i < !n && (reads_earlier rows i 0 || any (i + 1)) in
       if any 0 then !n else 0
 
 let edge_of blocks label ~pred =
@@ -115,85 +119,97 @@ let edge_of blocks label ~pred =
       let rows = variant bs ~pred in
       { e_size = bs.bs_size; e_rows = rows; e_phis = parallel_phis rows }
 
+let rec is_param (params : Ast.var list) (v : Ast.var) =
+  match params with [] -> false | p :: ps -> p.Ast.id = v.Ast.id || is_param ps v
+
+let no_var = { Ast.id = -1; vname = ""; ty = Ty.I1 }
+
+(* The row of [n] reading [sources]: one plan per source, and the
+   non-parameter registers among them as its readers. *)
+let row_of ~read_pj_per_bit ~params (n : Datapath.node) (sources : Ast.value array) =
+  let len = Array.length sources in
+  let plans = if len = 0 then [||] else Array.make len (Pimm 0L) in
+  let k = ref 0 in
+  for i = 0 to len - 1 do
+    plans.(i) <- plan_of_value ~read_pj_per_bit sources.(i);
+    match sources.(i) with Ast.Var v when not (is_param params v) -> incr k | _ -> ()
+  done;
+  let readers = if !k = 0 then [||] else Array.make !k no_var in
+  k := 0;
+  for i = 0 to len - 1 do
+    match sources.(i) with
+    | Ast.Var v when not (is_param params v) ->
+        readers.(!k) <- v;
+        incr k
+    | _ -> ()
+  done;
+  { r_node = n; r_plans = plans; r_def = Ast.defined_var n.Datapath.instr; r_readers = readers }
+
+let rec incoming_from pred = function
+  | [] -> None
+  | (v, l) :: rest -> if l = pred then Some v else incoming_from pred rest
+
 let compile (dp : Datapath.t) =
-  let profile = dp.Datapath.profile in
-  let read_pj_per_bit = profile.Salam_hw.Profile.reg_read_pj_per_bit in
-  let is_param =
-    let m = Hashtbl.create 8 in
-    List.iter (fun (p : Ast.var) -> Hashtbl.replace m p.Ast.id ()) dp.Datapath.func.Ast.params;
-    fun (v : Ast.var) -> Hashtbl.mem m v.Ast.id
+  let read_pj_per_bit = dp.Datapath.profile.Salam_hw.Profile.reg_read_pj_per_bit in
+  let params = dp.Datapath.func.Ast.params in
+  let nodes = dp.Datapath.nodes in
+  let cfg = dp.Datapath.cfg in
+  let entry = (Ast.entry_block dp.Datapath.func).Ast.label in
+  let row_of = row_of ~read_pj_per_bit ~params in
+  (* the schedule of the block whose nodes are [nodes.(lo .. hi - 1)] *)
+  let block_schedule label lo hi =
+    let size = hi - lo in
+    let has_phi = ref false in
+    (* rows of non-phi nodes are the same along every edge: built once;
+       phi rows are filled per predecessor *)
+    let base =
+      Array.init size (fun i ->
+          let n = nodes.(lo + i) in
+          match n.Datapath.instr with
+          | Ast.Phi _ ->
+              has_phi := true;
+              row_of n [||]
+          | instr -> row_of n (Ast.operands instr))
+    in
+    let rows_for_pred pred =
+      let rows = Array.copy base in
+      let missing = ref false in
+      for i = 0 to size - 1 do
+        match rows.(i).r_node.Datapath.instr with
+        | Ast.Phi { incoming; _ } -> (
+            match incoming_from pred incoming with
+            | Some v -> rows.(i) <- row_of rows.(i).r_node [| v |]
+            | None -> missing := true)
+        | _ -> ()
+      done;
+      if !missing then Invalid (Printf.sprintf "Engine: phi in %s lacks incoming for %s" label pred)
+      else Rows rows
+    in
+    let variants =
+      if not !has_phi then [| ("*", Rows base) |]
+      else begin
+        (* one variant per CFG predecessor; the entry block is also
+           importable along the synthetic "<entry>" edge *)
+        let idx = Salam_ir.Cfg.index_of_label cfg label in
+        let preds = List.map (Salam_ir.Cfg.label_of_index cfg) (Salam_ir.Cfg.preds cfg idx) in
+        let preds = if label = entry then "<entry>" :: preds else preds in
+        Array.of_list (List.map (fun p -> (p, rows_for_pred p)) preds)
+      end
+    in
+    { bs_label = label; bs_size = size; bs_has_phi = !has_phi; bs_variants = variants }
   in
-  (* group nodes per block, newest first *)
-  let by_block = Hashtbl.create 16 in
-  Array.iter
-    (fun (n : Datapath.node) ->
-      let ns = Option.value ~default:[] (Hashtbl.find_opt by_block n.Datapath.block) in
-      Hashtbl.replace by_block n.Datapath.block (n :: ns))
-    dp.Datapath.nodes;
+  (* a block's nodes are contiguous in [nodes], which is in program order *)
   let blocks = Hashtbl.create 16 in
-  Hashtbl.iter
-    (fun label rev_nodes ->
-      let nodes = Array.of_list (List.rev rev_nodes) in
-      (* row template shared by every variant; phi rows are filled per pred *)
-      let mk_row (n : Datapath.node) (sources : Ast.value array) =
-        let instr = n.Datapath.instr in
-        let readers =
-          Array.of_list
-            (List.filter_map
-               (function Ast.Var v when not (is_param v) -> Some v | _ -> None)
-               (Array.to_list sources))
-        in
-        {
-          r_node = n;
-          r_plans = Array.map (plan_of_value ~read_pj_per_bit) sources;
-          r_def = Ast.defined_var instr;
-          r_readers = readers;
-        }
-      in
-      let has_phi =
-        Array.exists
-          (fun (n : Datapath.node) ->
-            match n.Datapath.instr with Ast.Phi _ -> true | _ -> false)
-          nodes
-      in
-      let rows_for_pred pred =
-        let missing = ref None in
-        let rows =
-          Array.map
-            (fun (n : Datapath.node) ->
-              match n.Datapath.instr with
-              | Ast.Phi { incoming; _ } -> (
-                  match List.find_opt (fun (_, l) -> l = pred) incoming with
-                  | Some (v, _) -> mk_row n [| v |]
-                  | None ->
-                      if !missing = None then
-                        missing :=
-                          Some
-                            (Printf.sprintf "Engine: phi in %s lacks incoming for %s" label pred);
-                      mk_row n [||])
-              | instr -> mk_row n (Ast.operands instr))
-            nodes
-        in
-        match !missing with Some msg -> Invalid msg | None -> Rows rows
-      in
-      let variants =
-        if not has_phi then [| ("*", rows_for_pred "*") |]
-        else begin
-          (* one variant per CFG predecessor; the entry block is also
-             importable along the synthetic "<entry>" edge *)
-          let cfg = dp.Datapath.cfg in
-          let idx = Salam_ir.Cfg.index_of_label cfg label in
-          let preds =
-            List.map (Salam_ir.Cfg.label_of_index cfg) (Salam_ir.Cfg.preds cfg idx)
-          in
-          let entry = (Ast.entry_block dp.Datapath.func).Ast.label in
-          let preds = if label = entry then "<entry>" :: preds else preds in
-          Array.of_list (List.map (fun p -> (p, rows_for_pred p)) preds)
-        end
-      in
-      Hashtbl.replace blocks label
-        { bs_label = label; bs_size = Array.length nodes; bs_has_phi = has_phi; bs_variants = variants })
-    by_block;
+  let lo = ref 0 in
+  while !lo < Array.length nodes do
+    let label = nodes.(!lo).Datapath.block in
+    let hi = ref (!lo + 1) in
+    while !hi < Array.length nodes && nodes.(!hi).Datapath.block = label do
+      incr hi
+    done;
+    Hashtbl.replace blocks label (block_schedule label !lo !hi);
+    lo := !hi
+  done;
   let edge label ~pred = edge_of blocks label ~pred in
   let succs =
     Array.map
@@ -203,9 +219,8 @@ let compile (dp : Datapath.t) =
         | Ast.Cond_br { if_true; if_false; _ } ->
             [| edge if_true ~pred:n.Datapath.block; edge if_false ~pred:n.Datapath.block |]
         | _ -> [||])
-      dp.Datapath.nodes
+      nodes
   in
-  let entry = (Ast.entry_block dp.Datapath.func).Ast.label in
   { blocks; succs; entry_edge = edge entry ~pred:"<entry>" }
 
 let edge t ~label ~pred = edge_of t.blocks label ~pred

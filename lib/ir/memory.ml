@@ -7,7 +7,7 @@
 
 type t = { mutable data : Bytes.t; mutable limit : int; mutable brk : int }
 
-let initial_capacity = 64 * 1024
+let initial_capacity = 4 * 1024
 
 let create ~size = { data = Bytes.make (min size initial_capacity) '\000'; limit = size; brk = 8 }
 
@@ -111,26 +111,33 @@ let blit_from_bytes t src off ~dst len =
   Bytes.blit src off t.data dst len
 
 (* A snapshot is a value: immutable string payload so it can cross
-   domain boundaries safely. [s_data] is the physical prefix only; bytes
-   past it were implicitly zero when the snapshot was taken. *)
+   domain boundaries safely. [s_data] runs up to the last non-zero byte
+   of the physical prefix; every byte past it was zero when the
+   snapshot was taken. *)
 type snapshot = { s_data : string; s_brk : int; s_size : int }
 
-let snapshot t = { s_data = Bytes.to_string t.data; s_brk = t.brk; s_size = t.limit }
+(* one past the last non-zero byte of [b] *)
+let used_length b =
+  let n = ref (Bytes.length b) in
+  while !n >= 8 && Int64.equal (get64 b (!n - 8)) 0L do
+    n := !n - 8
+  done;
+  while !n > 0 && Bytes.get b (!n - 1) = '\000' do
+    decr n
+  done;
+  !n
+
+let snapshot t =
+  { s_data = Bytes.sub_string t.data 0 (used_length t.data); s_brk = t.brk; s_size = t.limit }
+
+let snapshot_bytes s = String.length s.s_data
 
 let snapshot_brk s = s.s_brk
 
-(* Contents equality, zero-extended: the physical prefixes may differ in
-   length between two snapshots of logically identical memories. *)
+(* Every snapshot stops at its last non-zero byte, so equal contents
+   are equal strings. *)
 let snapshot_equal a b =
-  a.s_size = b.s_size && a.s_brk = b.s_brk
-  &&
-  let la = String.length a.s_data and lb = String.length b.s_data in
-  let shorter, longer = if la <= lb then (a.s_data, b.s_data) else (b.s_data, a.s_data) in
-  let ls = String.length shorter in
-  String.sub longer 0 ls = shorter
-  &&
-  let rec all_zero i = i >= String.length longer || (longer.[i] = '\000' && all_zero (i + 1)) in
-  all_zero ls
+  a.s_size = b.s_size && a.s_brk = b.s_brk && String.equal a.s_data b.s_data
 
 let restore t snap =
   if snap.s_size <> t.limit then
@@ -138,7 +145,7 @@ let restore t snap =
   let len = String.length snap.s_data in
   if len > Bytes.length t.data then grow_or_fail t 0 len 0L;
   Bytes.blit_string snap.s_data 0 t.data 0 len;
-  (* the snapshot's physical prefix may be shorter than ours; everything
+  (* the snapshot may be shorter than our physical prefix; everything
      past it was zero when the snapshot was taken *)
   Bytes.fill t.data len (Bytes.length t.data - len) '\000';
   t.brk <- snap.s_brk

@@ -24,26 +24,28 @@ type snapshot
     state ([brk]). Safe to share across domains. *)
 
 val snapshot : t -> snapshot
-(** Capture contents of the physically allocated prefix (bytes past it
-    are implicitly zero), the logical size, and [brk]. The differential
-    validation harness uses this to replay runs on identical initial
-    memory; a fast-forwarded simulation restores one taken at a
-    roadmark. *)
+(** Capture the contents up to the last non-zero byte (every byte past
+    it is zero, so it is not stored), the logical size, and [brk]. The
+    differential validation harness uses this to replay runs on
+    identical initial memory; a fast-forwarded simulation restores one
+    taken at a roadmark. *)
 
 val restore : t -> snapshot -> unit
 (** Overwrite contents and allocation state with a snapshot. Bytes past
-    the snapshot's physical prefix are zeroed (they were implicitly zero
-    when it was taken). Raises [Invalid_argument] unless the snapshot's
-    logical size matches this memory's exactly — restoring into a
-    differently sized memory would silently corrupt subsequent
-    allocations. *)
+    the snapshot's stored ones are zeroed (they were zero when it was
+    taken). Raises [Invalid_argument] unless the snapshot's logical size
+    matches this memory's exactly — restoring into a differently sized
+    memory would silently corrupt subsequent allocations. *)
+
+val snapshot_bytes : snapshot -> int
+(** Contents bytes the snapshot stores: the offset one past its last
+    non-zero byte. *)
 
 val snapshot_brk : snapshot -> int
 
 val snapshot_equal : snapshot -> snapshot -> bool
-(** Contents equality, zero-extended: two snapshots whose physical
-    prefixes differ in length compare equal when the extra tail is all
-    zero and size/brk agree. *)
+(** Contents equality: the logical size, [brk] and every byte agree
+    (however far each memory's physical prefix had grown). *)
 
 val load : t -> Ty.t -> int64 -> Bits.t
 

@@ -30,10 +30,6 @@ let add s x = s.f <- s.f +. x
 
 let value s = s.f
 
-let rec reset_group g =
-  List.iter (fun (_, s) -> s.f <- 0.0) g.scalars;
-  List.iter reset_group g.children
-
 let fold g ~init ~f =
   let rec go acc prefix g =
     let scoped name = if prefix = "" then name else prefix ^ "." ^ name in

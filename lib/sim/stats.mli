@@ -20,9 +20,6 @@ val add : scalar -> float -> unit
 
 val value : scalar -> float
 
-val reset_group : group -> unit
-(** Reset every statistic in the group and its children to zero. *)
-
 val fold : group -> init:'a -> f:('a -> path:string -> float -> 'a) -> 'a
 (** Fold over every scalar in the subtree, in registration order: a
     group's own scalars, then each child group's subtree. Paths are

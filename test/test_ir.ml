@@ -630,6 +630,39 @@ let test_memory_snapshot_brk () =
   check Alcotest.bool "snapshot_equal detects difference" false
     (Memory.snapshot_equal snap (Memory.snapshot grown))
 
+(* A snapshot stores the contents up to the last non-zero byte: a memory
+   holding only zeros stores none, and restores to zeros. *)
+let test_memory_snapshot_all_zero () =
+  let mem = Memory.create ~size:(1 lsl 16) in
+  Memory.fill mem 0L (1 lsl 16) '\000';
+  let snap = Memory.snapshot mem in
+  check Alcotest.int "an all-zero snapshot stores no bytes" 0 (Memory.snapshot_bytes snap);
+  let used = Memory.create ~size:(1 lsl 16) in
+  Memory.fill used 0L (1 lsl 16) '\xff';
+  Memory.restore used snap;
+  check Alcotest.bool "restores to zeros" true
+    (Bytes.for_all (( = ) '\000') (Memory.load_bytes used 0L (1 lsl 16)));
+  check Alcotest.bool "equal to a fresh memory's snapshot" true
+    (Memory.snapshot_equal snap (Memory.snapshot (Memory.create ~size:(1 lsl 16))))
+
+(* Restoring a short snapshot into a memory whose physical prefix has
+   grown further zeroes every byte past the stored ones. *)
+let test_memory_snapshot_short_restore () =
+  let size = 1 lsl 16 in
+  let mem = Memory.create ~size in
+  Memory.store mem Ty.I32 96L (Bits.Int 0x01020304L);
+  let snap = Memory.snapshot mem in
+  check Alcotest.int "stored up to the last non-zero byte" 100 (Memory.snapshot_bytes snap);
+  let long = Memory.create ~size in
+  Memory.fill long 0L size '\x5a';
+  Memory.restore long snap;
+  check Alcotest.int64 "stored word restored" 0x01020304L
+    (Bits.to_int64 (Memory.load long Ty.I32 96L));
+  check Alcotest.bool "zeros past the stored bytes" true
+    (Bytes.for_all (( = ) '\000') (Memory.load_bytes long 100L (size - 100)));
+  check Alcotest.bool "zeros before them" true
+    (Bytes.for_all (( = ) '\000') (Memory.load_bytes long 0L 96))
+
 (* --- interpreter ------------------------------------------------------ *)
 
 let factorial_func () =
@@ -811,6 +844,9 @@ let suite =
     Alcotest.test_case "bits every cast op" `Quick test_bits_every_cast;
     Alcotest.test_case "memory snapshot/restore" `Quick test_memory_snapshot_restore;
     Alcotest.test_case "memory snapshot brk" `Quick test_memory_snapshot_brk;
+    Alcotest.test_case "memory snapshot of zeros is empty" `Quick test_memory_snapshot_all_zero;
+    Alcotest.test_case "memory short snapshot zeroes the rest" `Quick
+      test_memory_snapshot_short_restore;
     QCheck_alcotest.to_alcotest qcheck_bits_add_commutes;
     QCheck_alcotest.to_alcotest qcheck_bits_trunc_idempotent;
     QCheck_alcotest.to_alcotest qcheck_payload_binop;

@@ -49,9 +49,25 @@ let test_modes_bit_identical () =
       ("dram", Test_check.dram_config);
     ]
 
+(* The pre-pass allocates little more than the schedule it keeps: on the
+   Fig 13 gemm (u16/j8, 708 nodes) it keeps about 13k words, and
+   compiling it may allocate at most 20,000. *)
+let test_compile_words () =
+  let w = Salam_workloads.Gemm.workload ~n:16 ~unroll:16 ~junroll:8 () in
+  let dp = Salam_cdfg.Datapath.build (W.compile w) in
+  ignore (Schedule.compile dp);
+  let w0 = Gc.minor_words () in
+  let t = Schedule.compile dp in
+  let words = Gc.minor_words () -. w0 in
+  ignore (Sys.opaque_identity t);
+  if words > 20_000. then
+    Alcotest.failf "Schedule.compile of %s allocated %.0f minor words, above 20,000" w.W.name
+      words
+
 let suite =
   [
     Alcotest.test_case "import error parity" `Quick test_error_parity;
+    Alcotest.test_case "compile allocates what it keeps" `Quick test_compile_words;
     Alcotest.test_case "modes bit-identical (quick suite x memories)" `Slow
       test_modes_bit_identical;
   ]

@@ -535,9 +535,7 @@ let test_stats_tree () =
   Stats.add s 2.5;
   check (Alcotest.float 1e-9) "value" 3.5 (Stats.value s);
   let total = Stats.fold root ~init:0.0 ~f:(fun acc ~path:_ v -> acc +. v) in
-  check (Alcotest.float 1e-9) "fold" 3.5 total;
-  Stats.reset_group root;
-  check (Alcotest.float 1e-9) "reset" 0.0 (Stats.value s)
+  check (Alcotest.float 1e-9) "fold" 3.5 total
 
 (* A scalar's value lives in a flat float record, so an update writes
    it in place and allocates nothing. *)

@@ -218,6 +218,16 @@ let run_sweep ~require_store workload n store_path server mems ports write_ports
       in
       print_report ~verbose:(not quiet) ~csv ~store:None report
   | None ->
+      (* the sweep's fan-out width, read once here so a bad SALAM_DOMAINS
+         is refused before the store is opened or anything simulates *)
+      let domains =
+        match domains with
+        | Some _ -> domains
+        | None -> (
+            match Salam.default_domains () with
+            | n -> Some n
+            | exception Invalid_argument e -> die "%s" e)
+      in
       let store =
         match store_path with
         | Some path ->

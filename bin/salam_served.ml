@@ -21,6 +21,16 @@ let die fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n" s; exit 1) fmt
 (* --- serve --------------------------------------------------------------- *)
 
 let run_serve socket store workers queue trace_path hw_db_paths =
+  (* the fan-out default reads SALAM_DOMAINS: a bad value is refused
+     here, before anything is loaded or bound *)
+  let workers =
+    match workers with
+    | Some w -> w
+    | None -> (
+        match Server.default_config () with
+        | c -> c.Server.workers
+        | exception Invalid_argument e -> die "%s" e)
+  in
   (* register every named characterization database before any request
      arrives: a client point names its database by content hash, and
      resolution fails loudly for hashes this process never loaded *)
@@ -37,7 +47,7 @@ let run_serve socket store workers queue trace_path hw_db_paths =
     {
       Server.socket_path = socket;
       store_dir = store;
-      workers = (match workers with Some w -> w | None -> Server.default_config.Server.workers);
+      workers;
       queue_capacity = queue;
       trace;
     }

@@ -53,18 +53,32 @@ let clock_mhz_of_cycle_time ct = 1000.0 /. ct
 
 (* --- canonical text rendering ------------------------------------------- *)
 
+(* the C formatter behind [string_of_float] and [Printf]'s [%g]: the
+   same bytes as [Printf.sprintf "%.*g" p], without building the format
+   on every call *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* [g_formats.(p)] is "%.<p>g" *)
+let g_formats = Array.init 18 (fun p -> "%." ^ string_of_int p ^ "g")
+
 (* shortest decimal that round-trips: human-readable where possible
-   ("0.0035", "480"), never lossy *)
+   ("0.0035", "480"), never lossy — the shortest [%.<p>g], p in 1..17,
+   that reads back to [f]. A normal float's search starts at 15: a
+   decimal of at most 15 significant digits survives a normal double
+   (DBL_DIG), so when some p <= 15 reads back, [%.15g] prints that same
+   decimal ([%g] drops trailing zeros, and its notation differs from
+   [%.<p>g]'s only for integers below 1e15, which take [%.0f]).
+   Subnormals hold fewer digits and search from 1. *)
 let render_float f =
-  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  if Float.is_integer f && Float.abs f < 1e15 then format_float "%.0f" f
   else begin
     let rec go p =
-      if p > 17 then Printf.sprintf "%.17g" f
+      if p > 17 then format_float g_formats.(17) f
       else
-        let s = Printf.sprintf "%.*g" p f in
+        let s = format_float g_formats.(p) f in
         if float_of_string s = f then s else go (p + 1)
     in
-    go 1
+    go (if Float.classify_float f = FP_normal then 15 else 1)
   end
 
 let fu_record_line cls ct (s : Profile.fu_spec) =
@@ -122,11 +136,12 @@ let render t =
    fingerprints use. The hex form is the database's identity everywhere:
    point fields, store entries, the registry. *)
 let hash t =
+  let text = render t in
   let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    (render t);
+  for i = 0 to String.length text - 1 do
+    let c = Int64.of_int (Char.code text.[i]) in
+    h := Int64.mul (Int64.logxor !h c) 0x100000001b3L
+  done;
   Printf.sprintf "%016Lx" !h
 
 (* --- strict parser ------------------------------------------------------- *)
@@ -441,14 +456,19 @@ let builtin_hash = hash builtin
 let registry : (string, t) Hashtbl.t = Hashtbl.create 8
 let registry_lock = Mutex.create ()
 
-let register db =
-  let h = hash db in
+let add_db h db =
   Mutex.lock registry_lock;
   if not (Hashtbl.mem registry h) then Hashtbl.add registry h db;
-  Mutex.unlock registry_lock;
+  Mutex.unlock registry_lock
+
+let register db =
+  let h = hash db in
+  add_db h db;
   h
 
-let () = ignore (register builtin)
+(* under the hash computed above: the built-in table is rendered once
+   per process, not once more to register it *)
+let () = add_db builtin_hash builtin
 
 let find_db h =
   Mutex.lock registry_lock;

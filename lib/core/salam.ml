@@ -359,7 +359,8 @@ let default_domains () =
   | Some s -> (
       match int_of_string_opt (String.trim s) with
       | Some n when n >= 1 -> n
-      | Some _ | None -> invalid_arg "SALAM_DOMAINS must be a positive integer")
+      | Some _ | None ->
+          invalid_arg (Printf.sprintf "SALAM_DOMAINS: %S is not a positive integer" s))
   | None -> Domain.recommended_domain_count ()
 
 let parallel_map ?domains f xs =

@@ -203,7 +203,16 @@ val default_domains : unit -> int
     {!simulate_jobs} use across design points when [?domains] is
     omitted. The [SALAM_DOMAINS] environment variable if set (must be
     >= 1), otherwise [Domain.recommended_domain_count ()]. Each
-    simulation itself always runs on one sequential event kernel. *)
+    simulation itself always runs on one sequential event kernel.
+
+    The variable is read on each call, never at module initialisation:
+    a sweep reads it when it starts ([salam_dse run] and [resume] before
+    opening the store, [salam_served serve] before binding its socket,
+    each only when no explicit width is given). A set value that is
+    not a positive integer raises
+    [Invalid_argument "SALAM_DOMAINS: \"<value>\" is not a positive
+    integer"]; both CLIs print that message and exit 1 before
+    simulating, and [--version] and [--help] never read it. *)
 
 val parallel_map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [parallel_map f xs] evaluates [f] on every element using a pool of

@@ -37,7 +37,7 @@ type config = {
           request's own tick domain *)
 }
 
-let default_config =
+let default_config () =
   {
     socket_path = "";
     store_dir = None;

@@ -32,9 +32,12 @@ type config = {
           request in its own tick domain ([request seq << 32 | n]) *)
 }
 
-val default_config : config
+val default_config : unit -> config
 (** In-memory store, [default_domains - 1] workers, queue of 64, no
-    trace. [socket_path] is empty and must be set. *)
+    trace. [socket_path] is empty and must be set. Reads
+    [SALAM_DOMAINS] when called, so raises [Invalid_argument] naming
+    the variable and its value when it is set but not a positive
+    integer. *)
 
 type t
 

@@ -57,6 +57,86 @@ let test_shipped_byte_identity () =
   let db = ok (C.load path) in
   Alcotest.(check string) "shipped hash is the builtin hash" C.builtin_hash (C.hash db)
 
+(* The canonical renderer's float search as it was first written, kept
+   here as the reference the faster [render_float] must equal byte for
+   byte: the database's hash is taken over these bytes. *)
+let reference_render_float f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.0f" f
+  else begin
+    let rec go p =
+      if p > 17 then Printf.sprintf "%.17g" f
+      else
+        let s = Printf.sprintf "%.*g" p f in
+        if float_of_string s = f then s else go (p + 1)
+    in
+    go 1
+  end
+
+(* random bit patterns cover every exponent and mostly need 17 digits;
+   the rest aim at the edges: subnormals, signed zeros, infinities,
+   nans, the integer cut-off, and short decimals with their neighbours
+   (a normal float's search starts at 15 digits and must still find
+   "0.0035") *)
+let gen_render_float =
+  let open QCheck.Gen in
+  let sign = map (fun neg -> if neg then -1.0 else 1.0) bool in
+  oneof
+    [
+      map Int64.float_of_bits ui64;
+      map2
+        (fun s bits -> s *. Int64.float_of_bits (Int64.logand bits 0x000F_FFFF_FFFF_FFFFL))
+        sign ui64;
+      oneofl [ 0.0; -0.0; infinity; neg_infinity; nan; -.nan; Float.min_float; Float.max_float ];
+      map2 (fun s d -> s *. (1e15 +. float_of_int d)) sign (int_range (-64) 64);
+      map2 (fun s d -> s *. (1e15 +. (float_of_int d /. 8.0))) sign (int_range (-64) 64);
+      map3
+        (fun s (m, e) step ->
+          let f = s *. float_of_string (Printf.sprintf "%de%d" m e) in
+          match step with 0 -> f | 1 -> Float.succ f | _ -> Float.pred f)
+        sign
+        (pair (int_range 1 99_999) (int_range (-320) 300))
+        (int_range 0 2);
+    ]
+
+let qcheck_render_float_reference =
+  QCheck.Test.make ~name:"render_float = the sprintf \"%.*g\" search" ~count:2000
+    (QCheck.make ~print:(fun f -> Printf.sprintf "%h" f) gen_render_float)
+    (fun f ->
+      let got = C.render_float f and want = reference_render_float f in
+      String.equal got want
+      || QCheck.Test.fail_reportf "render_float %h = %S, reference %S" f got want)
+
+(* every number the shipped table carries, field values and cycle times *)
+let test_render_float_shipped () =
+  let text = In_channel.with_open_bin "../share/salam-40nm.db" In_channel.input_all in
+  let floats =
+    String.split_on_char '\n' text
+    |> List.concat_map (String.split_on_char ' ')
+    |> List.filter_map (fun tok ->
+           let v =
+             match String.index_opt tok '=' with
+             | Some i -> String.sub tok (i + 1) (String.length tok - i - 1)
+             | None -> tok
+           in
+           float_of_string_opt v)
+  in
+  Alcotest.(check bool) "the table carries floats" true (List.length floats > 500);
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "render_float %h" f) (reference_render_float f)
+        (C.render_float f))
+    floats
+
+(* the built-in table is registered under the hash computed at start-up,
+   and that hash is its content's *)
+let test_builtin_registered_once () =
+  Alcotest.(check string) "hash builtin = builtin_hash" (C.hash C.builtin) C.builtin_hash;
+  (match C.find_db C.builtin_hash with
+  | Some db -> Alcotest.(check bool) "find_db builtin_hash is builtin" true (db == C.builtin)
+  | None -> Alcotest.fail "find_db builtin_hash found nothing");
+  Alcotest.(check int) "registered lists builtin once" 1
+    (List.length (List.filter (fun (h, _) -> h = C.builtin_hash) (C.registered ())))
+
 let test_default_profile_identity () =
   (* the 2 ns row of the shipped database IS the compiled-in profile *)
   let p = ok (C.db_profile C.builtin ~cycle_time_ns:2.0) in
@@ -338,10 +418,47 @@ let test_salam_sim_cli_matches_point () =
         (field lines "total power"))
     [ Point.Spm; Point.Cache; Point.Dram ]
 
+(* Process start is one render and hash of the built-in table plus
+   module initialisation: no CLI's [--version] collects or allocates
+   past 75,000 words (the highest reads 59k; rendering the table a
+   second time would read about 93k). The numbers are the runtime's own
+   exit report. *)
+let test_cli_startup_no_collection () =
+  List.iter
+    (fun name ->
+      let status, _, report =
+        Test_dse.run_cli ~env:[ "OCAMLRUNPARAM=v=0x400" ]
+          (Printf.sprintf "../bin/%s.exe" name)
+          [ name; "--version" ]
+      in
+      Alcotest.(check bool) (name ^ " --version exits 0") true (status = Unix.WEXITED 0);
+      let counter key =
+        let prefix = key ^ ": " in
+        match
+          List.find_opt (String.starts_with ~prefix) (String.split_on_char '\n' report)
+        with
+        | Some l ->
+            int_of_string
+              (String.trim
+                 (String.sub l (String.length prefix) (String.length l - String.length prefix)))
+        | None -> Alcotest.failf "%s printed no %s in %S" name key report
+      in
+      Alcotest.(check int) (name ^ " minor collections") 0 (counter "minor_collections");
+      Alcotest.(check int) (name ^ " major collections") 0 (counter "major_collections");
+      let words = counter "allocated_words" in
+      if words > 75_000 then
+        Alcotest.failf "%s allocated %d words before exiting (ceiling 75,000)" name words)
+    [ "salam_sim"; "salam_check"; "salam_trace"; "salam_dse"; "salam_served"; "salam_config" ]
+
 let suite =
   [
     Alcotest.test_case "render/parse round-trip" `Quick test_round_trip;
     Alcotest.test_case "shipped database byte-identical" `Quick test_shipped_byte_identity;
+    QCheck_alcotest.to_alcotest qcheck_render_float_reference;
+    Alcotest.test_case "render_float = reference on the shipped table" `Quick
+      test_render_float_shipped;
+    Alcotest.test_case "builtin registered once under builtin_hash" `Quick
+      test_builtin_registered_once;
     Alcotest.test_case "2ns row = compiled-in profile" `Quick test_default_profile_identity;
     Alcotest.test_case "strict parser rejections" `Quick test_rejections;
     Alcotest.test_case "lookup and resolve errors" `Quick test_lookup_errors;
@@ -356,4 +473,5 @@ let suite =
     Alcotest.test_case "oracle at 5ns" `Quick test_oracle_5ns;
     Alcotest.test_case "mode oracle at 5ns" `Quick test_modes_5ns;
     Alcotest.test_case "salam_sim CLI = Point.to_config" `Quick test_salam_sim_cli_matches_point;
+    Alcotest.test_case "CLI start-up runs no collection" `Quick test_cli_startup_no_collection;
   ]

@@ -566,9 +566,16 @@ let test_cli_refuses_out_of_range_flags () =
   refused "--clock" (unrolled @ [ "--clock"; "0" ])
 
 (* Run a built binary with [argv]; its exit status, stdout and stderr. *)
-let run_cli exe argv =
+let run_cli ?(env = []) exe argv =
+  (* each [NAME=value] of [env] replaces the variable of that name *)
+  let name v = List.hd (String.split_on_char '=' v) in
+  let inherited =
+    List.filter
+      (fun v -> not (List.exists (fun e -> name e = name v) env))
+      (Array.to_list (Unix.environment ()))
+  in
   let ((out, _, err) as proc) =
-    Unix.open_process_args_full exe (Array.of_list argv) (Unix.environment ())
+    Unix.open_process_args_full exe (Array.of_list argv) (Array.of_list (env @ inherited))
   in
   let stdout = In_channel.input_all out in
   let stderr = In_channel.input_all err in
@@ -579,8 +586,8 @@ let starts_with prefix s =
 
 (* A refused knob ends in exit 1, no output and a message opening with
    the flag's name, not in an exception escaping to Cmdliner (exit 125). *)
-let check_refused exe argv flag =
-  let status, stdout, stderr = run_cli exe argv in
+let check_refused ?env exe argv flag =
+  let status, stdout, stderr = run_cli ?env exe argv in
   let cmd = String.concat " " argv in
   Alcotest.(check bool) (cmd ^ " exits 1") true (status = Unix.WEXITED 1);
   Alcotest.(check string) (cmd ^ " prints no result") "" stdout;
@@ -617,6 +624,35 @@ let test_trace_cli_refuses_out_of_range_flags () =
     true
     (Test_store_shard.contains stderr "--format"
     && not (Test_store_shard.contains stderr "events recorded"))
+
+(* SALAM_DOMAINS is read when a sweep starts, not when the program
+   loads: a bad value is refused like a flag, naming the variable and
+   its value, and --version and --help never read it. *)
+let check_bad_domains exe argv =
+  List.iter
+    (fun value ->
+      let env = [ "SALAM_DOMAINS=" ^ value ] in
+      check_refused ~env exe argv "SALAM_DOMAINS";
+      let _, _, stderr = run_cli ~env exe argv in
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names the value %S" stderr value)
+        true
+        (Test_store_shard.contains stderr (Printf.sprintf "%S" value));
+      List.iter
+        (fun flag ->
+          let status, _, _ = run_cli ~env exe [ Filename.basename exe; flag ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "SALAM_DOMAINS=%s %s exits 0" value flag)
+            true (status = Unix.WEXITED 0))
+        [ "--version"; "--help=plain" ])
+    [ "0"; "-3"; "lots" ]
+
+let test_cli_refuses_bad_domains () =
+  check_bad_domains "../bin/salam_dse.exe"
+    [
+      "salam_dse"; "run"; "--workload"; "gemm"; "--gemm-n"; "8"; "--unroll"; "2"; "--junroll";
+      "2";
+    ]
 
 (* The daemon's workers and a local sweep measure through the same
    step: one job measured alone equals the sweep's measurement, and two
@@ -693,6 +729,8 @@ let suite =
       test_sim_cli_refuses_out_of_range_flags;
     Alcotest.test_case "salam_trace names a refused flag" `Quick
       test_trace_cli_refuses_out_of_range_flags;
+    Alcotest.test_case "salam_dse refuses a bad SALAM_DOMAINS" `Quick
+      test_cli_refuses_bad_domains;
     Alcotest.test_case "one measure step for sweep and daemon" `Quick test_measure_step_shared;
     Alcotest.test_case "random strategy deterministic" `Quick test_random_strategy_deterministic;
   ]

@@ -300,7 +300,7 @@ let test_garbage_line_keeps_connection_usable () =
 
 let test_shutdown_request_stops_daemon () =
   let socket = fresh_socket () in
-  let cfg = { Server.default_config with Server.socket_path = socket; workers = 1 } in
+  let cfg = { (Server.default_config ()) with Server.socket_path = socket; workers = 1 } in
   let t = Server.start cfg in
   Client.with_connection socket (fun c -> Client.shutdown c);
   Server.wait t;
@@ -703,6 +703,15 @@ let test_sigterm_stops_idle_daemon () =
   Alcotest.(check bool) "exit status 0" true (!status = Some (Unix.WEXITED 0));
   Alcotest.(check bool) "socket removed" false (Sys.file_exists path)
 
+(* The daemon reads SALAM_DOMAINS when it starts serving: a bad value
+   exits 1 naming the variable, before the socket is bound. *)
+let test_bad_domains_refused () =
+  let path = Filename.temp_file "salam_served_domains" ".sock" in
+  Sys.remove path;
+  Test_dse.check_bad_domains "../bin/salam_served.exe"
+    [ "salam_served"; "serve"; "--socket"; path ];
+  Alcotest.(check bool) "no socket bound" false (Sys.file_exists path)
+
 let suite =
   [
     Alcotest.test_case "request round-trips" `Quick test_request_round_trips;
@@ -737,4 +746,5 @@ let suite =
     Alcotest.test_case "duplicate points in one sweep dedup" `Quick
       test_duplicate_points_in_one_sweep_dedup;
     Alcotest.test_case "idle daemon stops on SIGTERM" `Quick test_sigterm_stops_idle_daemon;
+    Alcotest.test_case "bad SALAM_DOMAINS refused at serve" `Quick test_bad_domains_refused;
   ]

@@ -316,6 +316,13 @@ let () =
       Printf.eprintf "unknown experiment %s (available: %s)\n" (String.concat " " unknown)
         (String.concat " " (List.map fst experiments));
       exit 2);
+  (* the sweeps' fan-out reads SALAM_DOMAINS: a bad value is refused
+     here, before any experiment runs *)
+  (match Salam.default_domains () with
+  | _ -> ()
+  | exception Invalid_argument e ->
+      prerr_endline e;
+      exit 1);
   let t0 = Unix.gettimeofday () in
   List.iter (fun name -> (List.assoc name experiments) ()) requested;
   (* on stderr: the figures on stdout stay byte-identical run to run *)

@@ -198,9 +198,7 @@ let run_sweep ~require_store workload n store_path server mems ports write_ports
         die "--server and --store are mutually exclusive (the daemon owns the store)";
       if require_store then die "resume works against a local --store, not --server";
       if domains <> None then die "--domains has no effect with --server (the daemon decides)";
-      let spec =
-        { Salam_served.Protocol.default_spec with workload; gemm_n = n; invocations; fast_forward }
-      in
+      let spec = { Salam_served.Protocol.workload; gemm_n = n; invocations; fast_forward } in
       let run () =
         Salam_served.Client.with_connection socket (fun client ->
             let remote points =

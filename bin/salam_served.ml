@@ -14,13 +14,12 @@ open Cmdliner
 module Server = Salam_served.Server
 module Client = Salam_served.Client
 module P = Salam_served.Protocol
-module Trace = Salam_obs.Trace
 
 let die fmt = Printf.ksprintf (fun s -> Printf.eprintf "%s\n" s; exit 1) fmt
 
 (* --- serve --------------------------------------------------------------- *)
 
-let run_serve socket store workers queue trace_path hw_db_paths =
+let run_serve socket store workers hw_db_paths =
   (* the fan-out default reads SALAM_DOMAINS: a bad value is refused
      here, before anything is loaded or bound *)
   let workers =
@@ -42,16 +41,7 @@ let run_serve socket store workers queue trace_path hw_db_paths =
           Printf.printf "[served] hw-db %s: %s (%s)\n%!" path (Salam_config.name db) h
       | Error e -> die "%s" e)
     hw_db_paths;
-  let trace = Option.map (fun _ -> Trace.create ~categories:[ Trace.Dse_progress ] ()) trace_path in
-  let cfg =
-    {
-      Server.socket_path = socket;
-      store_dir = store;
-      workers;
-      queue_capacity = queue;
-      trace;
-    }
-  in
+  let cfg = { Server.socket_path = socket; store_dir = store; workers } in
   (* SIGINT and SIGTERM are blocked before the server starts its threads
      and domains, which inherit the mask, and taken by one thread in
      [Thread.wait_signal]. An OCaml signal handler runs only once some
@@ -70,18 +60,11 @@ let run_serve socket store workers queue trace_path hw_db_paths =
          ignore (Thread.wait_signal signals);
          Server.stop t)
        ());
-  Printf.printf "[served] listening on %s (%s, %d workers, queue %d)\n%!" socket
+  Printf.printf "[served] listening on %s (%s, %d workers)\n%!" socket
     (match store with Some d -> "store " ^ d | None -> "in-memory store")
-    cfg.Server.workers cfg.Server.queue_capacity;
+    workers;
   Server.wait t;
   let st = Server.stats_snapshot t in
-  (match (trace, trace_path) with
-  | Some sink, Some path ->
-      let oc = open_out path in
-      Trace.write_text oc sink;
-      close_out oc;
-      Printf.printf "[served] wrote %d progress events to %s\n" (Trace.count sink) path
-  | _ -> ());
   Printf.printf
     "[served] stopped: requests=%d hits=%d misses=%d deduped=%d simulated=%d store=%d\n"
     st.P.st_requests st.P.st_hits st.P.st_misses st.P.st_deduped st.P.st_simulated
@@ -139,16 +122,6 @@ let workers_arg =
            ~doc:"Simulation worker domains (default: $(b,SALAM_DOMAINS), else the core count, \
                  minus one).")
 
-let queue_arg =
-  Arg.(value & opt int 64
-       & info [ "queue" ] ~docv:"N" ~doc:"Bounded job-queue capacity.")
-
-let trace_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace" ] ~docv:"FILE"
-           ~doc:"Record every request's dse.progress events and write them to \
-                 $(docv) at shutdown.")
-
 let hw_db_arg =
   Arg.(value & opt_all file []
        & info [ "hw-db" ] ~docv:"FILE"
@@ -159,8 +132,7 @@ let hw_db_arg =
 let serve_cmd =
   let doc = "Run the daemon in the foreground until SIGINT/SIGTERM or a shutdown request." in
   Cmd.v (Cmd.info "serve" ~doc)
-    Term.(const run_serve $ socket_arg $ store_arg $ workers_arg
-          $ queue_arg $ trace_arg $ hw_db_arg)
+    Term.(const run_serve $ socket_arg $ store_arg $ workers_arg $ hw_db_arg)
 
 let ping_cmd =
   let doc = "Round-trip a ping and print the latency." in

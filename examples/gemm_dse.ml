@@ -11,6 +11,13 @@ module Point = Salam_dse.Point
 module M = Salam_dse.Measurement
 
 let () =
+  (* the sweep's fan-out reads SALAM_DOMAINS: a bad value is refused
+     before anything is printed *)
+  (match Salam.default_domains () with
+  | _ -> ()
+  | exception Invalid_argument e ->
+      prerr_endline e;
+      exit 1);
   Printf.printf "GEMM 16x16, k-loop fully unrolled, j-loop unrolled 8x — port/FU sweep\n\n";
   (* the sweep is a union of two rectangles: a read-port sweep with
      unconstrained units, and an FU sweep at 8 read ports *)

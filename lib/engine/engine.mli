@@ -179,8 +179,7 @@ val running : t -> bool
 
 val stats : t -> run_stats
 (** The counters of the [stats] group given to {!create}: everything
-    accumulated since then or since the group was last reset (across
-    restarts). *)
+    accumulated since {!create}, across restarts. *)
 
 val check_completion : t -> unit
 (** The end-of-run invariants of [config.check]: queues drained (the

@@ -35,7 +35,6 @@ type category =
   | Mmr_write
   | Interrupt
   | Dram_access
-  | Dse_progress
 
 let all_categories =
   [
@@ -60,7 +59,6 @@ let all_categories =
     Mmr_write;
     Interrupt;
     Dram_access;
-    Dse_progress;
   ]
 
 let category_index = function
@@ -85,7 +83,6 @@ let category_index = function
   | Mmr_write -> 18
   | Interrupt -> 19
   | Dram_access -> 20
-  | Dse_progress -> 21
 
 let n_categories = List.length all_categories
 
@@ -111,7 +108,6 @@ let category_to_string = function
   | Mmr_write -> "soc.mmr"
   | Interrupt -> "soc.irq"
   | Dram_access -> "dram.access"
-  | Dse_progress -> "dse.progress"
 
 let category_of_string s =
   List.find_opt (fun c -> category_to_string c = s) all_categories

@@ -33,9 +33,6 @@ type category =
   | Mmr_write
   | Interrupt
   | Dram_access
-  | Dse_progress
-      (** design-space-exploration progress: one event per evaluated
-          point (detail [hit]/[sim]) and per search round *)
 
 val all_categories : category list
 (** Every category — the set {!create} records when [categories] is

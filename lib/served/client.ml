@@ -1,10 +1,10 @@
 (* A synchronous client for the salam_served daemon.
 
    One request at a time per client value: send a line, then read
-   response lines until the terminal one for our id arrives, handing
-   interim progress lines to the caller's callback as they stream in.
-   Not thread-safe — give each thread its own client (connections are
-   cheap; the daemon multiplexes). *)
+   response lines until the terminal one for our id arrives, keeping a
+   sweep's point lines as they stream in. Not thread-safe — give each
+   thread its own client (connections are cheap; the daemon
+   multiplexes). *)
 
 module P = Protocol
 module Point = Salam_dse.Point
@@ -50,7 +50,7 @@ let with_connection path f =
 
 (* send one request, collect every line up to (and including) the
    terminal one; interim points accumulate in order of arrival *)
-let roundtrip t ?(on_progress = fun _ -> ()) req =
+let roundtrip t req =
   if t.closed then fail "client is closed";
   let id = t.next_id in
   t.next_id <- Int64.add t.next_id 1L;
@@ -66,9 +66,6 @@ let roundtrip t ?(on_progress = fun _ -> ()) req =
         | Error e -> fail "undecodable response: %s (line: %s)" e line
         | Ok (rid, _) when rid <> id ->
             fail "response for request %Ld while awaiting %Ld" rid id
-        | Ok (_, `Interim_progress pr) ->
-            on_progress pr;
-            await ()
         | Ok (_, `Interim resp) ->
             (match resp with
             | P.Sweep_point _ -> points := resp :: !points
@@ -97,15 +94,15 @@ let shutdown t =
   | P.Failed e, _ -> fail "shutdown: %s" e
   | _ -> fail "shutdown: unexpected terminal response"
 
-let sim t ?on_progress ?(spec = P.default_spec) point =
-  match roundtrip t ?on_progress (P.Sim (spec, point)) with
+let sim t ?(spec = P.default_spec) point =
+  match roundtrip t (P.Sim (spec, point)) with
   | P.Result { served; m }, _ -> (served, m)
   | P.Failed e, _ -> fail "sim: %s" e
   | _ -> fail "sim: unexpected terminal response"
 
-let sweep t ?on_progress ?(spec = P.default_spec) points =
+let sweep t ?(spec = P.default_spec) points =
   let n = List.length points in
-  match roundtrip t ?on_progress (P.Sweep (spec, points)) with
+  match roundtrip t (P.Sweep (spec, points)) with
   | P.Failed e, _ -> fail "sweep: %s" e
   | P.Sweep_done { points = np; hits; sims; deduped }, interim ->
       let slots = Array.make n None in

@@ -1,8 +1,7 @@
 (** A synchronous salam_served client.
 
     One request at a time per client: send, then read until the
-    terminal response, streaming interim progress lines into
-    [?on_progress]. Not thread-safe — open one client per thread
+    terminal response. Not thread-safe — open one client per thread
     (connections are cheap; the daemon multiplexes).
 
     Every wire or protocol failure raises {!Protocol_error} with a
@@ -29,18 +28,12 @@ val shutdown : t -> unit
 (** Ask the daemon to stop; returns once it acknowledges ([stopping]).
     The daemon finishes in-flight work before exiting. *)
 
-val sim :
-  t ->
-  ?on_progress:(Protocol.progress -> unit) ->
-  ?spec:Protocol.spec ->
-  Salam_dse.Point.t ->
-  string * Salam_dse.Measurement.t
+val sim : t -> ?spec:Protocol.spec -> Salam_dse.Point.t -> string * Salam_dse.Measurement.t
 (** Evaluate one point; returns [(served, measurement)] where [served]
     is ["hit"], ["sim"] or ["dedup"]. *)
 
 val sweep :
   t ->
-  ?on_progress:(Protocol.progress -> unit) ->
   ?spec:Protocol.spec ->
   Salam_dse.Point.t list ->
   Protocol.response * (string * Salam_dse.Measurement.t) list

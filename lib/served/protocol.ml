@@ -9,27 +9,24 @@
    the envelope and the measurement together.
 
    Requests carry a client-chosen [id]; every line the server sends
-   back for that request echoes it, so a client can pipeline. Interim
-   lines ([type=progress], [type=point]) precede exactly one terminal
-   line per request ([type=result|done|pong|stats|stopping|error]).
+   back for that request echoes it, so a client can pipeline. A sweep's
+   [type=point] lines precede exactly one terminal line per request
+   ([type=result|done|pong|stats|stopping|error]).
    Malformed input is answered loudly with [type=error] and never
    crashes the daemon. *)
 
 module Jsonl = Salam_dse.Jsonl
 module Point = Salam_dse.Point
 module Measurement = Salam_dse.Measurement
-module Trace = Salam_obs.Trace
 
 type spec = {
   workload : string;  (** "gemm" or a suite workload name *)
   gemm_n : int;
   invocations : int;
   fast_forward : int option;
-  progress : bool;  (** stream per-point dse.progress events *)
 }
 
-let default_spec =
-  { workload = "gemm"; gemm_n = 16; invocations = 1; fast_forward = None; progress = false }
+let default_spec = { workload = "gemm"; gemm_n = 16; invocations = 1; fast_forward = None }
 
 type request =
   | Ping
@@ -58,13 +55,6 @@ type response =
   | Stopping
   | Failed of string
 
-type progress = {
-  pr_tick : int64;
-  pr_comp : string;
-  pr_detail : string;
-  pr_args : (string * Jsonl.value) list;
-}
-
 (* --- encoding ----------------------------------------------------------- *)
 
 let i n = Jsonl.Int (Int64.of_int n)
@@ -77,8 +67,7 @@ let encode_request ~id req =
     add "workload" (Jsonl.Str spec.workload);
     add "gemm_n" (i spec.gemm_n);
     add "invocations" (i spec.invocations);
-    Option.iter (fun k -> add "fast_forward" (i k)) spec.fast_forward;
-    if spec.progress then add "progress" (Jsonl.Bool true)
+    Option.iter (fun k -> add "fast_forward" (i k)) spec.fast_forward
   in
   Jsonl.add_member b ~first:true "id" (Jsonl.Int id);
   (match req with
@@ -138,25 +127,6 @@ let encode_response ~id resp =
           ("requests", i s.st_requests);
         ]
 
-(* the bridge: a dse.progress trace event, rendered onto the wire with
-   the request id it belongs to *)
-let trace_value_to_jsonl = function
-  | Trace.I v -> Jsonl.Int v
-  | Trace.F v -> Jsonl.Float v
-  | Trace.S v -> Jsonl.Str v
-
-let progress_line ~id (e : Trace.event) =
-  Jsonl.encode
-    ([
-       ("id", Jsonl.Int id);
-       ("type", Jsonl.Str "progress");
-       ("tick", Jsonl.Int e.Trace.tick);
-       ("comp", Jsonl.Str e.Trace.comp);
-       ("cat", Jsonl.Str (Trace.category_to_string e.Trace.cat));
-       ("detail", Jsonl.Str e.Trace.detail);
-     ]
-    @ List.map (fun (k, v) -> (k, trace_value_to_jsonl v)) e.Trace.args)
-
 (* --- decoding ----------------------------------------------------------- *)
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
@@ -193,7 +163,7 @@ let field_int env k ~default = match get env k with None -> Ok default | Some v 
 
 let request_keys =
   [|
-    "id"; "op"; "workload"; "gemm_n"; "invocations"; "fast_forward"; "progress"; "point"; "points";
+    "id"; "op"; "workload"; "gemm_n"; "invocations"; "fast_forward"; "point"; "points";
   |]
 
 let decode_spec env =
@@ -205,7 +175,6 @@ let decode_spec env =
     | None -> Ok None
     | Some v -> Result.map Option.some (int_value "fast_forward" v)
   in
-  let progress = get env "progress" = Some (Jsonl.Bool true) in
   if invocations < 1 then Error "invocations must be at least 1"
   else if gemm_n < 1 then Error "gemm_n must be at least 1"
   else
@@ -213,7 +182,7 @@ let decode_spec env =
     | Some k when k < 0 || k >= invocations ->
         Error
           (Printf.sprintf "fast_forward must satisfy 0 <= %d < invocations (%d)" k invocations)
-    | _ -> Ok { workload; gemm_n; invocations; fast_forward; progress }
+    | _ -> Ok { workload; gemm_n; invocations; fast_forward }
 
 let decode_points s =
   let rec go acc = function
@@ -265,21 +234,8 @@ let decode_request line =
 let response_keys =
   [|
     "id"; "type"; "served"; "index"; "error"; "points"; "hits"; "sims"; "deduped"; "misses";
-    "simulated"; "inflight"; "queue_depth"; "store_size"; "requests"; "tick"; "comp"; "detail";
+    "simulated"; "inflight"; "queue_depth"; "store_size"; "requests";
   |]
-
-let envelope_keys = [ "id"; "type"; "index"; "served"; "tick"; "comp"; "cat"; "detail" ]
-
-(* a progress line's free-form members: every member outside the
-   envelope, in line order (a second pass over a line the first one
-   parsed, so it cannot fail) *)
-let progress_args line =
-  let args = ref [] in
-  ignore
-    (Jsonl.iter_fields line (fun src off len v ->
-         let k = String.sub src off len in
-         if not (List.mem k envelope_keys) then args := (k, v) :: !args));
-  List.rev !args
 
 (* One pass over the line offers each member to the measurement slots
    first and keeps the envelope's; a result or point reply then builds
@@ -349,16 +305,4 @@ let decode_response line =
                          st_store_size;
                          st_requests;
                        }) )
-          | Some "progress" ->
-              let* tick =
-                match int64 env "tick" with
-                | Some t -> Ok t
-                | None -> Error "progress missing \"tick\""
-              in
-              let* pr_comp = field_str env "comp" in
-              let* pr_detail = field_str env "detail" in
-              Ok
-                ( id,
-                  `Interim_progress
-                    { pr_tick = tick; pr_comp; pr_detail; pr_args = progress_args line } )
           | Some ty -> Error (Printf.sprintf "unknown response type %S" ty)))

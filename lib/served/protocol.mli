@@ -12,23 +12,21 @@
               | {"id":N, "op":"sim",   <spec>, "point":"k=v,..."}
               | {"id":N, "op":"sweep", <spec>, "points":"k=v,...;k=v,..."}
     spec     := "workload":S [,"gemm_n":N] [,"invocations":N]
-                [,"fast_forward":N] [,"progress":true]
+                [,"fast_forward":N]
     response := {"id":N, "type":"pong"|"stopping"}
               | {"id":N, "type":"error", "error":S}
               | {"id":N, "type":"result", "served":S, <measurement fields>}
               | {"id":N, "type":"point", "index":N, "served":S, <measurement fields>}
               | {"id":N, "type":"done", "points":N, "hits":N, "sims":N, "deduped":N}
               | {"id":N, "type":"stats", "hits":N, ...}
-              | {"id":N, "type":"progress", "tick":N, "comp":S, "cat":S,
-                 "detail":S, ...}
     v}
 
     Requests carry a client-chosen [id]; every response line echoes it.
-    Interim lines ([progress], [point]) precede exactly one terminal
-    line per request. [served] is ["hit"] (store-warm), ["sim"] (this
-    request simulated it) or ["dedup"] (another in-flight request
-    simulated it). Malformed input yields a loud [error] response, never
-    a crash.
+    A sweep's [point] lines precede exactly one terminal line per
+    request; a request member outside the grammar is ignored. [served]
+    is ["hit"] (store-warm), ["sim"] (this request simulated it) or
+    ["dedup"] (another in-flight request simulated it). Malformed input
+    yields a loud [error] response, never a crash.
 
     The measurement fields of a [result] or [point] line are the store's
     canonical line ({!Salam_dse.Measurement.to_line}) spliced in after
@@ -40,11 +38,10 @@ type spec = {
   gemm_n : int;
   invocations : int;
   fast_forward : int option;
-  progress : bool;  (** stream per-point dse.progress events *)
 }
 
 val default_spec : spec
-(** gemm, n=16, one invocation, no fast-forward, no progress. *)
+(** gemm, n=16, one invocation, no fast-forward. *)
 
 type request =
   | Ping
@@ -73,13 +70,6 @@ type response =
   | Stopping
   | Failed of string
 
-type progress = {
-  pr_tick : int64;  (** request tick domain << 32 | per-request order *)
-  pr_comp : string;
-  pr_detail : string;  (** [hit], [miss], [wait] or [sim] *)
-  pr_args : (string * Salam_dse.Jsonl.value) list;
-}
-
 val encode_request : id:int64 -> request -> string
 
 val decode_request : string -> (int64 * request, int64 * string) result
@@ -100,18 +90,7 @@ val splice : id:int64 -> ?index:int -> served:string -> string -> string
     object with at least one member. *)
 
 val decode_response :
-  string ->
-  ( int64
-    * [ `Terminal of response
-      | `Interim of response
-      | `Interim_progress of progress ],
-    string )
-  result
+  string -> (int64 * [ `Terminal of response | `Interim of response ], string) result
 (** [`Interim] is a [Sweep_point]; [`Terminal] ends the request. The
     line is parsed once: each member is offered to the measurement's
-    typed slots first, then to the envelope's, with no member list. A
-    [progress] line reads its free-form members in a second pass. *)
-
-val progress_line : id:int64 -> Salam_obs.Trace.event -> string
-(** The dse.progress-to-wire bridge: render a trace event as one
-    protocol line for the request that owns it. *)
+    typed slots first, then to the envelope's, with no member list. *)

@@ -15,40 +15,31 @@
      and a simulation with the line the store adds, each spliced behind
      its envelope, so no measurement is re-encoded on the way out.
 
-   Lock order (outer to inner): state lock -> store lock; queue lock,
-   per-request lock, per-connection write lock and the trace lock are
-   leaves. Workers take the store lock (inside Store_shard) strictly
-   before the state lock and never hold both. *)
+   Lock order (outer to inner): state lock -> store lock; queue lock
+   and per-connection write lock are leaves. Workers take the store
+   lock (inside Store_shard) strictly before the state lock and never
+   hold both. *)
 
 module P = Protocol
 module Point = Salam_dse.Point
-module Measurement = Salam_dse.Measurement
 module Store_shard = Salam_dse.Store_shard
 module Explore = Salam_dse.Explore
-module Trace = Salam_obs.Trace
 
 type config = {
   socket_path : string;
   store_dir : string option;  (** [None] = in-memory store *)
   workers : int;
-  queue_capacity : int;
-  trace : Trace.sink option;
-      (** every request's dse.progress events also land here, in the
-          request's own tick domain *)
 }
 
 let default_config () =
-  {
-    socket_path = "";
-    store_dir = None;
-    workers = max 1 (Salam.default_domains () - 1);
-    queue_capacity = 64;
-    trace = None;
-  }
+  { socket_path = ""; store_dir = None; workers = max 1 (Salam.default_domains () - 1) }
+
+(* submitters block once this many jobs wait for a worker *)
+let queue_slots = 64
 
 (* a simulated measurement reaches its waiters with the line the store
    holds for it *)
-type pending = { mutable waiters : ((Measurement.t * string, string) result -> unit) list }
+type pending = { mutable waiters : ((string, string) result -> unit) list }
 
 type conn = {
   c_fd : Unix.file_descr;
@@ -63,7 +54,7 @@ type conn = {
 type t = {
   cfg : config;
   store : Store_shard.t;
-  lock : Mutex.t;  (** inflight, counters, conns, stopping, req_seq *)
+  lock : Mutex.t;  (** inflight, counters, conns, stopping *)
   drained : Condition.t;  (** signaled whenever inflight goes empty *)
   inflight : (int64, pending) Hashtbl.t;
   q : Explore.job Queue.t;
@@ -80,28 +71,18 @@ type t = {
   mutable stopped : bool;
   finished : Condition.t;  (** signaled once fully stopped *)
   mutable conns : conn list;
-  mutable req_seq : int;
   listen_fd : Unix.file_descr;
   mutable accept_thread : Thread.t option;
   mutable worker_domains : unit Domain.t list;
-  trace_lock : Mutex.t;
   snapshots : (string, Salam.snapshot) Hashtbl.t;
   snap_lock : Mutex.t;
 }
 
 (* --- per-request context ------------------------------------------------ *)
 
-(* One tick domain per server-side request: its progress events carry
-   ticks [seq << 32 | n], so many concurrent requests merged into one
-   trace sink stay deterministically separable (sort by tick). *)
 type request_ctx = {
-  r_server : t;
   r_conn : conn;
   r_id : int64;  (** client-chosen wire id *)
-  r_tick_base : int64;
-  r_lock : Mutex.t;
-  mutable r_tick : int64;
-  r_progress : bool;
 }
 
 let write_line conn line =
@@ -115,58 +96,11 @@ let write_line conn line =
         flush conn.c_oc
       with Sys_error _ -> () (* client went away; the reader will notice *))
 
-let fresh_ctx t conn ~id ~progress =
+let fresh_ctx t conn ~id =
   Mutex.lock t.lock;
-  t.req_seq <- t.req_seq + 1;
-  let seq = t.req_seq in
   t.requests <- t.requests + 1;
   Mutex.unlock t.lock;
-  {
-    r_server = t;
-    r_conn = conn;
-    r_id = id;
-    r_tick_base = Int64.shift_left (Int64.of_int seq) 32;
-    r_lock = Mutex.create ();
-    r_tick = 0L;
-    r_progress = progress;
-  }
-
-(* the dse.progress bridge: one event, emitted both into the server's
-   trace sink (request tick domain) and — when the client subscribed —
-   onto the wire *)
-let emit_progress ctx ~detail args =
-  let t = ctx.r_server in
-  Mutex.lock ctx.r_lock;
-  ctx.r_tick <- Int64.add ctx.r_tick 1L;
-  let tick = Int64.logor ctx.r_tick_base ctx.r_tick in
-  Mutex.unlock ctx.r_lock;
-  let event =
-    { Trace.tick; seq = 0; comp = "served"; cat = Trace.Dse_progress; detail; args }
-  in
-  (match t.cfg.trace with
-  | Some sink ->
-      Mutex.lock t.trace_lock;
-      Trace.emit sink ~tick ~comp:"served" ~cat:Trace.Dse_progress ~detail args;
-      Mutex.unlock t.trace_lock
-  | None -> ());
-  if ctx.r_progress then write_line ctx.r_conn (P.progress_line ~id:ctx.r_id event)
-
-let point_args fp (m : Measurement.t) =
-  [
-    ("fp", Trace.S (Point.fingerprint_hex fp));
-    ("cycles", Trace.I m.Measurement.cycles);
-    ("total_mw", Trace.F m.Measurement.total_mw);
-  ]
-
-(* whether anything sees this request's progress events: a hit decodes
-   its stored line for them only then *)
-let observed ctx = ctx.r_progress || Option.is_some ctx.r_server.cfg.trace
-
-let hit_args fp line =
-  match Measurement.of_line line with
-  | Ok m -> point_args fp m
-  (* unreachable: the store holds only lines that decode *)
-  | Error _ -> [ ("fp", Trace.S (Point.fingerprint_hex fp)) ]
+  { r_conn = conn; r_id = id }
 
 (* --- the bounded job queue ---------------------------------------------- *)
 
@@ -174,7 +108,7 @@ exception Rejected of string
 
 let enqueue t job =
   Mutex.lock t.q_lock;
-  while Queue.length t.q >= t.cfg.queue_capacity && not t.q_closed do
+  while Queue.length t.q >= queue_slots && not t.q_closed do
     Condition.wait t.q_not_full t.q_lock
   done;
   if t.q_closed then begin
@@ -222,7 +156,7 @@ let run_job t job =
 let complete t job result =
   (* store first, then retire the pending entry: any thread that misses
      the inflight table afterwards is guaranteed to hit the store *)
-  let result = Result.map (fun m -> (m, Store_shard.add_line t.store m)) result in
+  let result = Result.map (Store_shard.add_line t.store) result in
   Mutex.lock t.lock;
   t.simulated <- t.simulated + 1;
   let waiters =
@@ -272,7 +206,7 @@ let plan_of (spec : P.spec) =
    once with the served tag and the measurement's stored line (possibly
    on a worker domain); the returned job, if any, must be enqueued by
    the caller outside the state lock. *)
-let resolve t ctx plan p k =
+let resolve t plan p k =
   let fp = Explore.fingerprint plan p in
   Mutex.lock t.lock;
   if t.stopping then begin
@@ -285,33 +219,25 @@ let resolve t ctx plan p k =
     | Some line ->
         t.hits <- t.hits + 1;
         Mutex.unlock t.lock;
-        if observed ctx then emit_progress ctx ~detail:"hit" (hit_args fp line);
         k (Ok ("hit", line));
         None
     | None -> (
-        let deliver served = function
-          | Ok (m, line) ->
-              emit_progress ctx ~detail:"sim" (point_args fp m);
-              k (Ok (served, line))
-          | Error e -> k (Error e)
-        in
+        let deliver served r = k (Result.map (fun line -> (served, line)) r) in
         match Hashtbl.find_opt t.inflight fp with
         | Some pend ->
             pend.waiters <- deliver "dedup" :: pend.waiters;
             t.deduped <- t.deduped + 1;
             Mutex.unlock t.lock;
-            emit_progress ctx ~detail:"wait" [ ("fp", Trace.S (Point.fingerprint_hex fp)) ];
             None
         | None ->
             Hashtbl.add t.inflight fp { waiters = [ deliver "sim" ] };
             t.misses <- t.misses + 1;
             Mutex.unlock t.lock;
-            emit_progress ctx ~detail:"miss" [ ("fp", Trace.S (Point.fingerprint_hex fp)) ];
             Some (Explore.job plan p))
 
 (* resolve a whole batch, then block the handler thread until every
    point has an answer; replies stream back in point order *)
-let eval_points t ctx plan points =
+let eval_points t plan points =
   let n = List.length points in
   let slots = Array.make n None in
   let remaining = ref n in
@@ -325,7 +251,7 @@ let eval_points t ctx plan points =
     Mutex.unlock lock
   in
   let jobs =
-    List.mapi (fun i p -> resolve t ctx plan p (fill i)) points
+    List.mapi (fun i p -> resolve t plan p (fill i)) points
     |> List.filter_map Fun.id
   in
   (* enqueue owned jobs after all resolutions: the inflight entries
@@ -380,7 +306,7 @@ let handle_eval t ctx spec points ~reply =
           points
       with
       | Some e -> respond ctx (P.Failed e)
-      | None -> reply (eval_points t ctx plan points))
+      | None -> reply (eval_points t plan points))
 
 let handle_sim t ctx spec p =
   handle_eval t ctx spec [ p ] ~reply:(fun results ->
@@ -503,27 +429,24 @@ and handle_request t conn line =
   | Ok (id, req) -> (
       match req with
       | P.Ping ->
-          let ctx = fresh_ctx t conn ~id ~progress:false in
-          respond ctx P.Pong;
+          respond (fresh_ctx t conn ~id) P.Pong;
           `Continue
       | P.Stats ->
-          let ctx = fresh_ctx t conn ~id ~progress:false in
+          (* counted before the snapshot: the reply includes itself *)
+          let ctx = fresh_ctx t conn ~id in
           respond ctx (P.Stats_reply (stats t));
           `Continue
       | P.Shutdown ->
-          let ctx = fresh_ctx t conn ~id ~progress:false in
-          respond ctx P.Stopping;
+          respond (fresh_ctx t conn ~id) P.Stopping;
           (* a fresh thread runs the stop so this handler can exit and
              be joined like any other *)
           ignore (Thread.create (fun () -> stop t) ());
           `Close
       | P.Sim (spec, p) ->
-          let ctx = fresh_ctx t conn ~id ~progress:spec.P.progress in
-          handle_sim t ctx spec p;
+          handle_sim t (fresh_ctx t conn ~id) spec p;
           `Continue
       | P.Sweep (spec, points) ->
-          let ctx = fresh_ctx t conn ~id ~progress:spec.P.progress in
-          handle_sweep t ctx spec points;
+          handle_sweep t (fresh_ctx t conn ~id) spec points;
           `Continue)
 
 and handler_loop t conn =
@@ -586,7 +509,6 @@ let start cfg =
      not kill the daemon *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   if cfg.workers < 1 then invalid_arg "Server.start: workers must be at least 1";
-  if cfg.queue_capacity < 1 then invalid_arg "Server.start: queue_capacity must be at least 1";
   let store =
     match cfg.store_dir with
     | Some dir -> Store_shard.open_ dir
@@ -637,11 +559,9 @@ let start cfg =
       stopped = false;
       finished = Condition.create ();
       conns = [];
-      req_seq = 0;
       listen_fd;
       accept_thread = None;
       worker_domains = [];
-      trace_lock = Mutex.create ();
       snapshots = Hashtbl.create 8;
       snap_lock = Mutex.create ();
     }

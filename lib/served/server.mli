@@ -3,7 +3,7 @@
     A started server owns a Unix-domain listening socket, a persistent
     result store ({!Salam_dse.Store_shard}), an in-flight
     deduplication table and a pool of OCaml 5 worker domains behind a
-    bounded job queue. Each accepted connection gets a handler thread
+    job queue of 64 slots. Each accepted connection gets a handler thread
     speaking the {!Protocol} line protocol; handler threads block on IO
     and on answers, never on simulation.
 
@@ -12,12 +12,15 @@
       to the measurement that was stored (served tag ["hit"]);
     - a cold fingerprint is simulated {e at most once} at any moment,
       however many clients ask for it concurrently — the first request
-      becomes the owner (one [miss] progress event), the rest wait on
-      the same pending entry (tag ["dedup"]) and receive the same
-      measurement value;
-    - store misses queue onto the worker pool through a bounded queue,
-      so a flood of cold sweeps exerts backpressure on the submitting
-      connections instead of exhausting memory;
+      becomes the owner (tag ["sim"], counted as a miss), the rest wait
+      on the same pending entry (tag ["dedup"]) and receive the same
+      measurement line;
+    - every request line gets exactly one terminal reply, after the
+      [point] lines of a sweep; hits, misses, dedups and simulations are
+      counted and read back by a [stats] request;
+    - store misses queue onto the worker pool; a submitter blocks while
+      64 jobs wait, so a flood of cold sweeps exerts backpressure on the
+      submitting connections instead of exhausting memory;
     - {!stop} drains: every in-flight simulation completes and answers
       its waiters before the store is closed and the socket removed,
       and the store file ends on a complete line. *)
@@ -26,15 +29,10 @@ type config = {
   socket_path : string;
   store_dir : string option;  (** [None] = in-memory store *)
   workers : int;  (** worker domains; at least 1 *)
-  queue_capacity : int;  (** bounded job queue; submitters block when full *)
-  trace : Salam_obs.Trace.sink option;
-      (** every request's dse.progress events also land here, each
-          request in its own tick domain ([request seq << 32 | n]) *)
 }
 
 val default_config : unit -> config
-(** In-memory store, [default_domains - 1] workers, queue of 64, no
-    trace. [socket_path] is empty and must be set. Reads
+(** In-memory store, [default_domains - 1] workers. [socket_path] is empty and must be set. Reads
     [SALAM_DOMAINS] when called, so raises [Invalid_argument] naming
     the variable and its value when it is set but not a positive
     integer. *)
@@ -46,7 +44,7 @@ val start : config -> t
     domains and the accept thread, and return immediately. Raises
     [Failure] when the socket path hosts a live daemon (a stale socket
     file from a crashed one is reclaimed), [Invalid_argument] on an
-    empty socket path or non-positive workers/queue capacity. *)
+    empty socket path or non-positive workers. *)
 
 val stop : t -> unit
 (** Graceful shutdown: stop accepting, drain in-flight simulations,

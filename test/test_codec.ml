@@ -663,7 +663,6 @@ let gen_request : P.request QCheck.Gen.t =
       invocations;
       fast_forward =
         (if QCheck.Gen.bool st then None else Some (QCheck.Gen.int_bound (invocations - 1) st));
-      progress = QCheck.Gen.bool st;
     }
   in
   match QCheck.Gen.int_bound 4 st with

@@ -8,14 +8,13 @@ module Client = Salam_served.Client
 module Point = Salam_dse.Point
 module M = Salam_dse.Measurement
 module E = Salam_dse.Explore
-module Trace = Salam_obs.Trace
 
 let synthetic = Test_store_shard.synthetic
 
 (* --- protocol round-trips ----------------------------------------- *)
 
 let spec =
-  { P.default_spec with P.workload = "gemm"; gemm_n = 8; invocations = 2; fast_forward = Some 1 }
+  { P.workload = "gemm"; gemm_n = 8; invocations = 2; fast_forward = Some 1 }
 
 let point ports =
   Point.canonical { Point.default with Point.read_ports = ports; write_ports = 1; banks = 2 }
@@ -83,31 +82,12 @@ let test_response_round_trips () =
   | _ -> Alcotest.fail "stats");
   (* interim lines *)
   let m2 = synthetic 6 in
-  (match P.decode_response (P.encode_response ~id:7L (P.Sweep_point { index = 2; served = "dedup"; m = m2 })) with
+  match P.decode_response (P.encode_response ~id:7L (P.Sweep_point { index = 2; served = "dedup"; m = m2 })) with
   | Ok (7L, `Interim (P.Sweep_point { index; served; m = got })) ->
       Alcotest.(check int) "index" 2 index;
       Alcotest.(check string) "served" "dedup" served;
       Alcotest.(check string) "measurement" (M.to_line m2) (M.to_line got)
-  | _ -> Alcotest.fail "sweep point");
-  let ev =
-    {
-      Trace.tick = Int64.logor (Int64.shift_left 3L 32) 9L;
-      seq = 0;
-      comp = "served";
-      cat = Trace.Dse_progress;
-      detail = "miss";
-      args = [ ("fp", Trace.S "00ff"); ("cycles", Trace.I 17L); ("mw", Trace.F 1.5) ];
-    }
-  in
-  match P.decode_response (P.progress_line ~id:7L ev) with
-  | Ok (7L, `Interim_progress pr) ->
-      Alcotest.(check int64) "tick carries the domain" ev.Trace.tick pr.P.pr_tick;
-      Alcotest.(check string) "comp" "served" pr.P.pr_comp;
-      Alcotest.(check string) "detail" "miss" pr.P.pr_detail;
-      Alcotest.(check (list string)) "args survive (envelope stripped)"
-        [ "cycles"; "fp"; "mw" ]
-        (List.sort compare (List.map fst pr.P.pr_args))
-  | _ -> Alcotest.fail "progress"
+  | _ -> Alcotest.fail "sweep point"
 
 let test_old_daemon_stats_decode () =
   (* a daemon from when stores were sharded also reports its shard count *)
@@ -219,17 +199,9 @@ let fresh_socket () =
 
 let tiny_spec = { P.default_spec with P.workload = "gemm"; gemm_n = 8 }
 
-let with_server ?store_dir ?trace ?(workers = 2) f =
+let with_server ?store_dir ?(workers = 2) f =
   let socket = fresh_socket () in
-  let cfg =
-    {
-      Server.socket_path = socket;
-      store_dir;
-      workers;
-      queue_capacity = 16;
-      trace;
-    }
-  in
+  let cfg = { Server.socket_path = socket; store_dir; workers } in
   let t = Server.start cfg in
   Fun.protect
     ~finally:(fun () ->
@@ -260,20 +232,9 @@ let test_daemon_smoke () =
           Alcotest.(check int) "one simulation" 1 st.P.st_simulated;
           Alcotest.(check int) "one miss" 1 st.P.st_misses;
           Alcotest.(check int) "the rest were hits" (1 + reps) st.P.st_hits;
+          Alcotest.(check int) "every request counted, this one included" (4 + reps)
+            st.P.st_requests;
           Alcotest.(check int) "nothing in flight" 0 st.P.st_inflight);
-      (* progress streaming: a subscribed sweep sees one event per point *)
-      Client.with_connection socket (fun c ->
-          let seen = ref [] in
-          let spec = { tiny_spec with P.progress = true } in
-          let _done_, answers =
-            Client.sweep c ~spec
-              ~on_progress:(fun pr -> seen := pr.P.pr_detail :: !seen)
-              [ point 2; point 4 ]
-          in
-          Alcotest.(check int) "two answers" 2 (List.length answers);
-          Alcotest.(check bool) "hit event streamed" true (List.mem "hit" !seen);
-          Alcotest.(check bool) "miss event streamed" true (List.mem "miss" !seen);
-          Alcotest.(check bool) "completion event streamed" true (List.mem "sim" !seen));
       ignore server)
 
 let test_garbage_line_keeps_connection_usable () =
@@ -401,25 +362,31 @@ let stored_for p =
   in
   { (synthetic 9) with M.fp = Point.fingerprint ~workload:id p; workload = id; point = p }
 
-(* send [req] on a raw connection and return the reply lines up to the
-   terminal one, as the daemon wrote them *)
-let raw_replies socket ~id req =
+(* send each request line in turn on one raw connection and return, for
+   each, its reply lines up to the terminal one, as the daemon wrote
+   them *)
+let raw_exchange socket lines =
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.connect fd (Unix.ADDR_UNIX socket);
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
     (fun () ->
       let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
-      output_string oc (P.encode_request ~id req ^ "\n");
-      flush oc;
-      let rec read acc =
-        let line = input_line ic in
-        match P.decode_response line with
-        | Ok (_, `Terminal _) -> List.rev (line :: acc)
-        | Ok _ -> read (line :: acc)
-        | Error e -> Alcotest.failf "undecodable reply %s: %s" line e
-      in
-      read [])
+      List.map
+        (fun request ->
+          output_string oc (request ^ "\n");
+          flush oc;
+          let rec read acc =
+            let line = input_line ic in
+            match P.decode_response line with
+            | Ok (_, `Terminal _) -> List.rev (line :: acc)
+            | Ok _ -> read (line :: acc)
+            | Error e -> Alcotest.failf "undecodable reply %s: %s" line e
+          in
+          read [])
+        lines)
+
+let raw_replies socket ~id req = List.concat (raw_exchange socket [ P.encode_request ~id req ])
 
 let with_store_file contents f =
   let path = Filename.temp_file "salam_served_store" ".jsonl" in
@@ -442,6 +409,33 @@ let test_hit_reply_is_envelope_and_stored_bytes () =
             ]
             (raw_replies socket ~id:6L (P.Sweep (tiny_spec, [ point 2 ])));
           Alcotest.(check int) "nothing simulated" 0 (Server.stats_snapshot server).P.st_simulated))
+
+(* An older client may still ask for a progress stream with
+   ["progress":true]. The daemon ignores the member: the request gets one
+   reply line, the same bytes as without it, and the next request on the
+   connection is answered next. *)
+let test_progress_member_ignored () =
+  let line = M.to_line (stored_for (point 2)) in
+  let plain = P.encode_request ~id:5L (P.Sim (tiny_spec, point 2)) in
+  let subscribed =
+    match String.split_on_char '}' plain with
+    | [ body; "" ] -> body ^ ",\"progress\":true}"
+    | _ -> Alcotest.failf "unexpected request line %s" plain
+  in
+  with_store_file (line ^ "\n") (fun store ->
+      with_server ~store_dir:store (fun socket _ ->
+          match
+            raw_exchange socket [ subscribed; plain; P.encode_request ~id:6L P.Ping ]
+          with
+          | [ [ old_reply ]; [ reply ]; [ pong ] ] ->
+              Alcotest.(check string) "byte-identical to the plain request's reply" reply old_reply;
+              Alcotest.(check string) "the reply is the stored hit"
+                (P.splice ~id:5L ~served:"hit" line) reply;
+              Alcotest.(check string) "the connection's next reply is the pong"
+                (P.encode_response ~id:6L P.Pong) pong
+          | replies ->
+              Alcotest.failf "expected one line per request, got %s"
+                (String.concat "/" (List.map (fun r -> string_of_int (List.length r)) replies))))
 
 let test_non_canonical_line_answered_canonically () =
   let m = stored_for (point 4) in
@@ -516,13 +510,12 @@ let test_client_names_the_bad_field () =
 let test_concurrent_clients_dedup () =
   (* K clients race the same cold sweep; the daemon must run exactly one
      simulation per unique fingerprint and answer everyone
-     bit-identically. The trace sink is the witness: the owner of a cold
-     fingerprint emits exactly one [miss] event. *)
+     bit-identically. The served tags are the witness: across the K
+     replies, each point is tagged [sim] exactly once, by its owner. *)
   let k = 6 in
   let points = [ point 1; point 2; point 8 ] in
   let unique = List.length points in
-  let sink = Trace.create ~categories:[ Trace.Dse_progress ] () in
-  with_server ~trace:sink ~workers:2 (fun socket server ->
+  with_server ~workers:2 (fun socket server ->
       let answers = Array.make k [] in
       let errors = Array.make k None in
       let threads =
@@ -558,20 +551,17 @@ let test_concurrent_clients_dedup () =
       Alcotest.(check int) "one miss per unique point" unique st.P.st_misses;
       Alcotest.(check int) "every other answer shared" ((k - 1) * unique)
         (st.P.st_hits + st.P.st_deduped);
-      let misses_by_fp = Hashtbl.create 8 in
-      List.iter
-        (fun (e : Trace.event) ->
-          if e.Trace.detail = "miss" then
-            match List.assoc_opt "fp" e.Trace.args with
-            | Some (Trace.S fp) ->
-                Hashtbl.replace misses_by_fp fp (1 + Option.value ~default:0 (Hashtbl.find_opt misses_by_fp fp))
-            | _ -> Alcotest.fail "miss event without fp")
-        (Trace.events sink);
-      Alcotest.(check int) "distinct missed fingerprints" unique (Hashtbl.length misses_by_fp);
-      Hashtbl.iter
-        (fun fp n ->
-          Alcotest.(check int) (Printf.sprintf "fp %s missed exactly once" fp) 1 n)
-        misses_by_fp)
+      List.iteri
+        (fun i p ->
+          let owners =
+            Array.fold_left
+              (fun n a -> if fst (List.nth a i) = "sim" then n + 1 else n)
+              0 answers
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s tagged sim exactly once" (Point.to_compact p))
+            1 owners)
+        points)
 
 (* Out-of-range points are refused by the daemon before its store
    lookup, naming the key and the value: nothing is counted as a hit or
@@ -732,6 +722,8 @@ let suite =
       test_sharded_golden_store_hits;
     Alcotest.test_case "hit reply is the envelope and the stored bytes" `Quick
       test_hit_reply_is_envelope_and_stored_bytes;
+    Alcotest.test_case "an older client's progress member is ignored" `Quick
+      test_progress_member_ignored;
     Alcotest.test_case "non-canonical stored line answered canonically" `Quick
       test_non_canonical_line_answered_canonically;
     Alcotest.test_case "client names the bad field" `Quick test_client_names_the_bad_field;

@@ -105,18 +105,6 @@ let spaces_of ~mems ~ports ~write_ports ~banks ~fu ~cache_sizes ~unrolls ~junrol
       | Point.Dram -> Space.create (Space.Memory [ Point.Dram ] :: common))
     mems
 
-(* the flag that sets each knob [Explore.check] can refuse *)
-let flag_of_key = function
-  | "read_ports" -> "--ports"
-  | "write_ports" -> "--write-ports"
-  | "banks" -> "--banks"
-  | "cache_bytes" -> "--cache-size"
-  | "fu_limit" -> "--fu"
-  | "unroll" -> "--unroll"
-  | "junroll" -> "--junroll"
-  | "clock_mhz" -> "--clock"
-  | _ -> "--hw-db/--cycle-time"
-
 let write_file path contents =
   let oc = open_out path in
   output_string oc contents;
@@ -210,7 +198,7 @@ let run_sweep ~require_store workload n store_path server mems ports write_ports
       let report =
         match run () with
         | report -> report
-        | exception Explore.Invalid_point (key, e) -> die "%s: %s" (flag_of_key key) e
+        | exception Explore.Invalid_point (key, e) -> die "%s: %s" (Explore.flag_of_key key) e
         | exception Salam_served.Client.Protocol_error e -> die "served: %s" e
         | exception Failure e -> die "served: %s" e
       in
@@ -245,7 +233,7 @@ let run_sweep ~require_store workload n store_path server mems ports write_ports
           Explore.run ?store ?domains ?fast_forward ~invocations ~target ~strategy spaces
         with
         | report -> report
-        | exception Explore.Invalid_point (key, e) -> die "%s: %s" (flag_of_key key) e
+        | exception Explore.Invalid_point (key, e) -> die "%s: %s" (Explore.flag_of_key key) e
       in
       print_report ~verbose:(not quiet) ~csv ~store report;
       Option.iter Store_shard.close store

@@ -1,17 +1,24 @@
 (* Command-line front end: run any suite workload on a configurable
-   system and print the simulation results.
+   system, print the simulation results and, with --trace, write the
+   run's event trace or stats.txt.
 
      dune exec bin/salam_sim.exe -- list
      dune exec bin/salam_sim.exe -- run gemm --ports 8 --clock 500
      dune exec bin/salam_sim.exe -- run stencil2d --memory cache --cache-size 4096
      dune exec bin/salam_sim.exe -- run gemm --invocations 4 --fast-forward 3
+     dune exec bin/salam_sim.exe -- run gemm --fu 1 --trace gemm.json --format json
+     dune exec bin/salam_sim.exe -- run fft --trace stats.txt --format stats
+     dune exec bin/salam_sim.exe -- run nw --memory cache --trace nw.trace \
+       --category cache.miss --from-tick 100000
 
    Exit status: 0 on success, 2 when the simulated output fails the
-   workload's golden model, 1 when a knob is out of range (the message
-   names its flag); other argument errors are Cmdliner's. *)
+   workload's golden model, 1 when a knob is out of range, a trace flag
+   comes without --trace or the trace file cannot be opened (the
+   message names its flag); other argument errors are Cmdliner's. *)
 
 open Cmdliner
 module Engine = Salam_engine.Engine
+module Trace = Salam_obs.Trace
 module Point = Salam_dse.Point
 module Explore = Salam_dse.Explore
 module W = Salam_workloads.Workload
@@ -47,18 +54,29 @@ let memory_conv =
 
 let mode_conv = Arg.enum [ ("dynamic", Engine.Dynamic); ("compiled", Engine.Compiled) ]
 
-(* the flag that sets each knob [Explore.check] can refuse *)
-let flag_of_key = function
-  | "read_ports" -> "--ports"
-  | "write_ports" -> "--write-ports"
-  | "banks" -> "--banks"
-  | "cache_bytes" -> "--cache-size"
-  | "fu_limit" -> "--fp-units"
-  | "clock_mhz" -> "--clock"
-  | _ -> "--hw-db/--cycle-time"
+let format_conv = Arg.enum [ ("text", `Text); ("json", `Json); ("stats", `Stats) ]
 
-let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks fadd_limit mode
-    invocations fast_forward hw_db cycle_time =
+let category_conv =
+  Arg.enum (List.map (fun c -> (Trace.category_to_string c, c)) Trace.all_categories)
+
+let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks fu_limit mode
+    invocations fast_forward hw_db cycle_time trace format categories component from_tick
+    to_tick =
+  (* the flags that only shape the --trace file *)
+  let trace_flags =
+    [
+      ("--format", format <> None);
+      ("--category", categories <> []);
+      ("--component", component <> None);
+      ("--from-tick", from_tick <> None);
+      ("--to-tick", to_tick <> None);
+    ]
+  in
+  match List.find_opt snd trace_flags with
+  | Some (flag, _) when trace = None ->
+      Printf.eprintf "%s: applies only with --trace FILE\n" flag;
+      Ok 1
+  | _ ->
   if invocations < 1 then Error (`Msg "--invocations must be at least 1")
   else if
     match fast_forward with Some k -> k < 0 || k >= invocations | None -> false
@@ -76,7 +94,7 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
         write_ports;
         banks;
         cache_bytes = cache_size;
-        fu_limit = fadd_limit;
+        fu_limit;
         clock_mhz;
       }
     in
@@ -89,9 +107,23 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
     | Ok target ->
     match Explore.check target point with
     | Error (key, e) ->
-        Printf.eprintf "%s: %s\n" (flag_of_key key) e;
+        Printf.eprintf "%s: %s\n" (Explore.flag_of_key key) e;
         Ok 1
     | Ok () ->
+    (* an unwritable trace path is refused before anything is built *)
+    match Option.map open_out trace with
+    | exception Sys_error e ->
+        Printf.eprintf "--trace: %s\n" e;
+        Ok 1
+    | out ->
+    let format = Option.value format ~default:`Text in
+    (* a stats.txt dump reads the statistics tree and records no events *)
+    let sink =
+      match (out, format) with
+      | None, _ | _, `Stats -> None
+      | Some _, (`Text | `Json) ->
+          Some (Trace.create ?categories:(if categories = [] then None else Some categories) ())
+    in
     let config = Point.to_config point in
     let config =
       { config with Salam.Config.engine = { config.Salam.Config.engine with Engine.mode } }
@@ -105,7 +137,7 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
             (Salam.roadmark_name k) (invocations - k);
           Some snap
     in
-    let r = Salam.simulate ~config ~invocations ?from w in
+    let r = Salam.simulate ~config ?trace:sink ~invocations ?from w in
     let s = r.Salam.stats in
     Printf.printf "workload            : %s\n" r.Salam.name;
     Printf.printf "hw profile          : %s\n" r.Salam.hw.Salam_hw.Profile.profile_name;
@@ -125,7 +157,19 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
     (match r.Salam.cache_hits_misses with
     | Some (h, m) -> Printf.printf "cache hits / misses : %d / %d\n" h m
     | None -> ());
+    Option.iter (fun sink -> Printf.printf "trace events        : %d\n" (Trace.count sink)) sink;
     Printf.printf "host wall time      : %.3f s\n" r.Salam.wall_seconds;
+    Option.iter
+      (fun oc ->
+        let filter =
+          { Trace.no_filter with Trace.f_comp = component; f_from = from_tick; f_to = to_tick }
+        in
+        (match (sink, format) with
+        | None, _ -> Trace.write_stats_txt oc r.Salam.sim_stats
+        | Some sink, `Json -> Trace.write_chrome_json oc (Trace.filtered ~filter sink)
+        | Some sink, _ -> Trace.write_text oc ~filter sink);
+        close_out oc)
+      out;
     (* statistics cover the post-roadmark epoch only; correctness covers
        the whole schedule's final buffers *)
     Ok (if r.Salam.correct then 0 else 2)
@@ -152,11 +196,10 @@ let run_cmd =
     Arg.(value & opt int 1 & info [ "write-ports" ] ~docv:"N" ~doc:"SPM write ports.")
   in
   let banks = Arg.(value & opt int 4 & info [ "banks" ] ~docv:"N" ~doc:"SPM banks.") in
-  let fadd =
+  let fu =
     Arg.(
       value & opt int 0
-      & info [ "fp-units" ] ~docv:"N"
-          ~doc:"Cap double-precision FADD/FMUL units (0 = 1:1 map).")
+      & info [ "fu" ] ~docv:"N" ~doc:"Cap double-precision FADD/FMUL units (0 = 1:1 map).")
   in
   let engine_mode =
     Arg.(
@@ -202,12 +245,51 @@ let run_cmd =
              database; also pins the clock to the matching frequency, overriding \
              $(b,--clock).")
   in
+  let trace =
+    Arg.(
+      value & opt (some string) None
+      & info [ "trace" ] ~docv:"FILE"
+          ~doc:
+            "Write the run's trace to $(docv), opened before anything is simulated. With \
+             $(b,--fast-forward) it covers the detailed epoch after the roadmark.")
+  in
+  let format =
+    Arg.(
+      value & opt (some format_conv) None
+      & info [ "format" ] ~docv:"FMT"
+          ~doc:
+            "Trace format: canonical $(b,text) (the default), Chrome trace-event $(b,json), \
+             or a gem5-style stats.txt of the whole statistics tree ($(b,stats)), which \
+             records no events.")
+  in
+  let categories =
+    Arg.(
+      value & opt_all category_conv []
+      & info [ "category" ] ~docv:"CAT"
+          ~doc:"Record only this category (repeatable), e.g. cache.miss, engine.issue.")
+  in
+  let component =
+    Arg.(
+      value & opt (some string) None
+      & info [ "component" ] ~docv:"SUBSTR"
+          ~doc:"Keep only events whose component name contains $(docv).")
+  in
+  let from_tick =
+    Arg.(
+      value & opt (some int64) None
+      & info [ "from-tick" ] ~docv:"TICK" ~doc:"Drop events before $(docv).")
+  in
+  let to_tick =
+    Arg.(
+      value & opt (some int64) None
+      & info [ "to-tick" ] ~docv:"TICK" ~doc:"Drop events after $(docv).")
+  in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       term_result
         (const run_workload $ wname $ clock $ memory $ cache_size $ ports $ write_ports
-       $ banks $ fadd $ engine_mode $ invocations $ fast_forward $ hw_db
-       $ cycle_time))
+       $ banks $ fu $ engine_mode $ invocations $ fast_forward $ hw_db $ cycle_time $ trace
+       $ format $ categories $ component $ from_tick $ to_tick))
 
 let () =
   let doc = "gem5-SALAM reproduction: LLVM-based accelerator simulation" in

@@ -77,6 +77,19 @@ let check target (p : Point.t) =
             | Ok _ -> Ok ()
             | Error e -> Error ("hw_db", e)))
 
+(* the CLI flag that sets each knob [check] can refuse, spelled as
+   salam_dse and salam_sim both take it *)
+let flag_of_key = function
+  | "read_ports" -> "--ports"
+  | "write_ports" -> "--write-ports"
+  | "banks" -> "--banks"
+  | "cache_bytes" -> "--cache-size"
+  | "fu_limit" -> "--fu"
+  | "unroll" -> "--unroll"
+  | "junroll" -> "--junroll"
+  | "clock_mhz" -> "--clock"
+  | _ -> "--hw-db/--cycle-time"
+
 exception Invalid_point of string * string
 
 type strategy =

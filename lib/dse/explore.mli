@@ -45,6 +45,12 @@ val check : target -> Point.t -> (unit, string * string) result
     {!Point.to_compact} key ([hw_db] for an identity that does not
     resolve); [message] names the key and its value. *)
 
+val flag_of_key : string -> string
+(** The command-line flag that sets the knob {!check} names by [key]:
+    ["fu_limit"] is [--fu], ["cache_bytes"] is [--cache-size], and so on;
+    [hw_db] maps to [--hw-db/--cycle-time]. salam_dse and salam_sim
+    spell every knob this way. *)
+
 exception Invalid_point of string * string
 (** [Invalid_point (key, message)]: {!run} refused a point of its
     space, as {!check} reports it. *)

@@ -371,9 +371,11 @@ let test_modes_5ns () =
   | Ok () -> ()
   | Error f -> Alcotest.failf "compiled-vs-dynamic at 5ns: %s" (Check_oracle.failure_to_string f)
 
-(* salam_sim elaborates its flags through [Point.to_config]: the CLI's
-   cycles and total power equal a library run of the matching point,
-   whose clock the 5 ns cycle time pins to 200 MHz. *)
+(* salam_sim elaborates its flags through [Point.to_config] and traces
+   through its one [Salam.simulate] call. On each memory kind the CLI's
+   cycles, total power and stats.txt equal an untraced library run of
+   the matching point, whose clock the 5 ns cycle time pins to 200 MHz,
+   and its text trace and event count equal a traced one. *)
 let test_salam_sim_cli_matches_point () =
   let sim args =
     let ic =
@@ -392,12 +394,22 @@ let test_salam_sim_cli_matches_point () =
         List.hd (String.split_on_char ' ' v)
     | None -> Alcotest.failf "salam_sim printed no %S line" key
   in
+  let file = Filename.temp_file "salam_sim" ".trace" in
+  let read () = In_channel.with_open_bin file In_channel.input_all in
+  let library write =
+    Out_channel.with_open_bin file write;
+    read ()
+  in
   List.iter
     (fun memory ->
       let name = Point.memory_kind_to_string memory in
-      let lines =
-        sim [ "run"; "gemm"; "--memory"; name; "--fp-units"; "2"; "--cycle-time"; "5" ]
+      let args =
+        [ "run"; "gemm"; "--memory"; name; "--fu"; "2"; "--cycle-time"; "5"; "--trace"; file ]
       in
+      let lines = sim (args @ [ "--format"; "stats" ]) in
+      let stats_txt = read () in
+      let traced = sim (args @ [ "--format"; "text" ]) in
+      let trace_txt = read () in
       let p =
         {
           Point.default with
@@ -409,18 +421,30 @@ let test_salam_sim_cli_matches_point () =
           clock_mhz = 200.0;
         }
       in
-      let r = Salam.simulate ~config:(Point.to_config p) (gemm ()) in
+      let config = Point.to_config p in
+      let r = Salam.simulate ~config (gemm ()) in
       Alcotest.(check string) (name ^ " correct") "true" (field lines "correct");
       Alcotest.(check string) (name ^ " cycles") (Int64.to_string r.Salam.cycles)
         (field lines "cycles");
       Alcotest.(check string) (name ^ " total power")
         (Printf.sprintf "%.3f" (Salam.total_mw r.Salam.power))
-        (field lines "total power"))
-    [ Point.Spm; Point.Cache; Point.Dram ]
+        (field lines "total power");
+      Alcotest.(check bool) (name ^ " stats.txt = library") true
+        (stats_txt = library (fun oc -> Salam_obs.Trace.write_stats_txt oc r.Salam.sim_stats));
+      let sink = Salam_obs.Trace.create () in
+      ignore (Salam.simulate ~config ~trace:sink (gemm ()));
+      Alcotest.(check string) (name ^ " trace events")
+        (string_of_int (Salam_obs.Trace.count sink))
+        (field traced "trace events");
+      Alcotest.(check bool) (name ^ " text trace = library") true
+        (trace_txt = library (fun oc -> Salam_obs.Trace.write_text oc sink)))
+    [ Point.Spm; Point.Cache; Point.Dram ];
+  Sys.remove file
 
 (* Process start is one render and hash of the built-in table plus
    module initialisation: no CLI's [--version] collects or allocates
-   past 75,000 words (the highest reads 59k; rendering the table a
+   past 75,000 words (the highest, salam_sim with its trace-category
+   table, reads 60.5k; rendering the table a
    second time would read about 93k). The numbers are the runtime's own
    exit report. *)
 let test_cli_startup_no_collection () =

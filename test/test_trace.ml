@@ -256,6 +256,23 @@ let test_golden_files_match_scenarios () =
     (List.sort compare Check_trace.names)
     (List.sort compare files)
 
+(* golden-check and bless refuse a --dir that does not exist as a usage
+   error naming it, before any scenario runs or any file is written *)
+let test_missing_golden_dir_refused () =
+  let missing = Filename.concat (Filename.get_temp_dir_name ()) "salam-no-such-golden-dir" in
+  List.iter
+    (fun cmd ->
+      let status, stdout, stderr =
+        Test_dse.run_cli "../bin/salam_trace.exe" [ "salam_trace"; cmd; "--dir"; missing ]
+      in
+      check Alcotest.bool (cmd ^ " exits 124") true (status = Unix.WEXITED 124);
+      check Alcotest.string (cmd ^ " prints nothing") "" stdout;
+      check Alcotest.bool
+        (Printf.sprintf "%S names --dir and %s" stderr missing)
+        true
+        (Test_store_shard.contains stderr "--dir" && Test_store_shard.contains stderr missing))
+    [ "golden-check"; "bless" ]
+
 (* Every golden figure has a diff rule: golden/figures/dune diffs each
    bench/main.exe target's stdout against its .out file, and a .out file
    with no rule would otherwise go unchecked. *)
@@ -297,5 +314,7 @@ let suite =
     Alcotest.test_case "stats.txt format" `Quick test_stats_txt;
     Alcotest.test_case "golden files match scenarios" `Quick test_golden_files_match_scenarios;
     Alcotest.test_case "golden figures have diff rules" `Quick test_golden_figures_have_rules;
+    Alcotest.test_case "golden-check and bless refuse a missing --dir" `Quick
+      test_missing_golden_dir_refused;
   ]
   @ golden_cases

@@ -345,7 +345,12 @@ let banks_arg =
 
 let fu_arg =
   list_arg ~name:"fu" ~docv:"LIST" ~default:[ 0; 2; 4; 8 ]
-    ~doc:"FADD/FMUL unit-count axis; 0 means the unconstrained 1:1 map." (ints "fu")
+    ~doc:
+      "FADD/FMUL unit-count axis; 0 means the unconstrained 1:1 map. Only the loosest cap \
+       of points that differ in nothing else is simulated: a tighter cap its run never \
+       reached (never more units of the class busy at once) is answered from that run, \
+       byte-identical to simulating it."
+    (ints "fu")
 
 let cache_sizes_arg =
   list_arg ~name:"cache-size" ~docv:"LIST" ~default:[ 512; 2048; 8192 ]

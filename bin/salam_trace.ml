@@ -7,7 +7,8 @@
      dune exec bin/salam_trace.exe -- bless --dir test/golden
 
    Exit status: 0 on success; 1 on trace divergence or a failed check;
-   a --dir that is not a directory is a usage error (Cmdliner's 124). *)
+   a --dir that is not a directory, given or the default, is a usage
+   error (Cmdliner's 124). *)
 
 open Cmdliner
 module Trace = Salam_obs.Trace
@@ -100,9 +101,23 @@ let diff_cmd =
   let doc = "Compare two canonical text traces; report the first divergent event." in
   Cmd.v (Cmd.info "diff" ~doc) Term.(const (fun a b -> Stdlib.exit (diff_traces a b)) $ a $ b)
 
+(* Cmdliner checks a given value only, so the default goes through the
+   same conv here: missing, it is the same usage error (124) naming it *)
 let dir_arg =
-  Arg.(value & opt dir "test/golden"
-       & info [ "dir" ] ~docv:"DIR" ~doc:"Directory holding the golden .trace files.")
+  let default = "test/golden" in
+  let given =
+    Arg.(value & opt (some dir) None
+         & info [ "dir" ] ~docv:"DIR" ~absent:default
+             ~doc:"Directory holding the golden .trace files.")
+  in
+  let resolve = function
+    | Some d -> Ok d
+    | None ->
+        Result.map_error
+          (fun (`Msg m) -> `Msg (Printf.sprintf "option '--dir' (default): %s" m))
+          (Arg.conv_parser Arg.dir default)
+  in
+  Term.(term_result ~usage:true (const resolve $ given))
 
 let golden_check_cmd =
   let doc =

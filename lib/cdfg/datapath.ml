@@ -84,13 +84,14 @@ let static_area_um2 t =
   in
   fu_area +. (float_of_int t.register_bits *. t.profile.reg_area_um2_per_bit)
 
-let static_leakage_mw t =
-  let fu_leak =
-    Fu.Map.fold
-      (fun cls count acc -> acc +. (float_of_int count *. (Profile.spec t.profile cls).leakage_mw))
-      t.fu_alloc 0.0
-  in
-  fu_leak +. (float_of_int t.register_bits *. t.profile.reg_leak_mw_per_bit)
+let fu_leakage_mw t =
+  Fu.Map.fold
+    (fun cls count acc -> acc +. (float_of_int count *. (Profile.spec t.profile cls).leakage_mw))
+    t.fu_alloc 0.0
+
+let reg_leakage_mw t = float_of_int t.register_bits *. t.profile.reg_leak_mw_per_bit
+
+let static_leakage_mw t = fu_leakage_mw t +. reg_leakage_mw t
 
 let pp_summary ppf t =
   Format.fprintf ppf "datapath %s: %d instructions, %d register bits@." t.func.fname

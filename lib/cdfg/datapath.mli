@@ -51,6 +51,13 @@ val static_area_um2 : t -> float
 (** Datapath area: functional units + register netlist (memories are
     accounted by their own models). *)
 
+val fu_leakage_mw : t -> float
+(** Leakage of the instantiated functional units. *)
+
+val reg_leakage_mw : t -> float
+(** Leakage of the register netlist; independent of [limits]. *)
+
 val static_leakage_mw : t -> float
+(** [fu_leakage_mw t +. reg_leakage_mw t]. *)
 
 val pp_summary : Format.formatter -> t -> unit

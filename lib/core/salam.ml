@@ -64,6 +64,8 @@ type result = {
   power : power_breakdown;
   area_um2 : float;
   fu_allocated : (Salam_hw.Fu.cls * int) list;
+  fu_peak : (Salam_hw.Fu.cls * int) list;
+  memory_area_um2 : float;
   hw : Salam_hw.Profile.t;  (** the profile this run elaborated under *)
   spm_accesses : (int * int) option;
   cache_hits_misses : (int * int) option;
@@ -183,6 +185,23 @@ let check_from ~config ~invocations (w : W.t) (snap : snapshot) =
     fail "simulate: snapshot already covers %d invocation(s), %d requested"
       snap.snap_invocations invocations
 
+(* The result terms the functional-unit allocation decides, and the only
+   ones: the instantiated units, their leakage and the datapath's area
+   (units plus registers). [simulate] and [derive] both take them from
+   here. *)
+type allocation = {
+  al_units : (Salam_hw.Fu.cls * int) list;
+  al_fu_mw : float;
+  al_area_um2 : float;
+}
+
+let allocation dp =
+  {
+    al_units = Salam_hw.Fu.Map.bindings dp.Salam_cdfg.Datapath.fu_alloc;
+    al_fu_mw = Salam_cdfg.Datapath.fu_leakage_mw dp;
+    al_area_um2 = Salam_cdfg.Datapath.static_area_um2 dp;
+  }
+
 let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?probe ?inspect
     (w : W.t) =
   let wall_start = Unix.gettimeofday () in
@@ -262,6 +281,10 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
                  Salam_mem.Cache.leakage_mw c, Salam_mem.Cache.area_um2 c)
     | None -> (None, 0.0, 0.0)
   in
+  let a = allocation (Accelerator.datapath acc) in
+  let engine = Accelerator.engine acc in
+  (* one of the two is 0: the sum is exactly the one that is not *)
+  let memory_area_um2 = spm_area +. cache_area in
   {
     name = w.W.name;
     cycles = stats.Engine.cycles;
@@ -276,12 +299,18 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
         dynamic_reg_mw = acc_power.Accelerator.dynamic_reg_mw;
         dynamic_spm_read_mw = spm_read_mw;
         dynamic_spm_write_mw = spm_write_mw;
-        static_fu_mw = acc_power.Accelerator.static_fu_mw;
+        static_fu_mw = a.al_fu_mw;
         static_reg_mw = acc_power.Accelerator.static_reg_mw;
         static_spm_mw = spm_leak +. cache_leak;
       };
-    area_um2 = acc_power.Accelerator.area_um2 +. spm_area +. cache_area;
-    fu_allocated = Salam_hw.Fu.Map.bindings (Accelerator.datapath acc).Salam_cdfg.Datapath.fu_alloc;
+    area_um2 = a.al_area_um2 +. memory_area_um2;
+    fu_allocated = a.al_units;
+    fu_peak =
+      List.filter_map
+        (fun cls ->
+          match Engine.fu_peak engine cls with 0 -> None | n -> Some (cls, n))
+        Salam_hw.Fu.all;
+    memory_area_um2;
     hw = config.Config.hw;
     spm_accesses;
     cache_hits_misses = cache_hm;
@@ -289,6 +318,42 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
     kernel_events = Salam_sim.Kernel.events_executed (System.kernel sys);
     sim_stats = sim_stats_of b;
   }
+
+(* A run under a tighter allocation, answered from a looser run's
+   counters. Let loose >= tight for each class (the run's allocation
+   against [config]'s). The allocation reaches the engine only through
+   [units_in_use t i < units] before an FU issue, so the two runs stay
+   identical as long as each such compare comes out the same:
+   - an issue that succeeded in the loose run had used + 1 <= peak <=
+     tight, so it succeeds under the tight allocation too;
+   - a refusal in the loose run had used >= loose >= tight, so it is
+     refused too; [cap_refused], and with it every sleep decision, is
+     therefore identical;
+   - nothing else reads the allocation during a run.
+   Only the allocation's own terms change. [config] must differ from the
+   loose run's config in [fu_limits] only. *)
+let derive ~config (w : W.t) r =
+  let wall_start = Unix.gettimeofday () in
+  let dp =
+    Salam_cdfg.Datapath.build ~profile:config.Config.hw ~limits:config.Config.fu_limits
+      (W.compile w)
+  in
+  let a = allocation dp in
+  let units list cls = Option.value ~default:0 (List.assoc_opt cls list) in
+  if
+    List.for_all
+      (fun (cls, tight) -> units r.fu_peak cls <= tight && tight <= units r.fu_allocated cls)
+      a.al_units
+  then
+    Some
+      {
+        r with
+        power = { r.power with static_fu_mw = a.al_fu_mw };
+        area_um2 = a.al_area_um2 +. r.memory_area_um2;
+        fu_allocated = a.al_units;
+        wall_seconds = Unix.gettimeofday () -. wall_start;
+      }
+  else None
 
 (* --- snapshots: interpreter warm-up and detailed capture --------------- *)
 

@@ -74,6 +74,12 @@ type result = {
       (** functional units instantiated per class by the static CDFG
           elaboration (after [Config.fu_limits]), sorted by class — the
           denominator {!fu_occupancy} uses by default *)
+  fu_peak : (Salam_hw.Fu.cls * int) list;
+      (** per class that issued, sorted by class: the most units any one
+          issue found in use, itself included
+          ({!Salam_engine.Engine.fu_peak}) — the allocation the run
+          needed, and the witness {!derive} checks *)
+  memory_area_um2 : float;  (** the local memory's part of [area_um2] *)
   hw : Salam_hw.Profile.t;
       (** the profile this run elaborated under — occupancy and power
           derivations must use it, never a compiled-in default *)
@@ -169,6 +175,21 @@ val simulate :
     {!Salam_engine.Engine.Invariant_violation}; a cache violation names
     the cache. Check mode is read-only: cycles, statistics and traces
     match an unchecked run. *)
+
+val derive : config:Config.t -> Salam_workloads.Workload.t -> result -> result option
+(** [derive ~config w r] answers [simulate ~config w] (with the
+    invocations and snapshot [r] ran under) from [r], a run of [w] whose
+    config differs from [config] in [fu_limits] only, without
+    simulating. It re-elaborates the datapath under [config.fu_limits]
+    and returns [Some] when, for every class, [r]'s peak
+    ([fu_peak]) is at most the new allocation and the new allocation at
+    most [r]'s: the engine then makes every issue decision as [r]'s run
+    did, so cycles, statistics and every counter are [r]'s and only
+    the allocation's terms change ([fu_allocated], [static_fu_mw] and
+    the datapath part of [area_um2]). The result equals that
+    simulation's in every field but [wall_seconds], which is the
+    derivation's own host time. [None] when a cap would bind: simulate
+    that config. *)
 
 val warm_up :
   ?config:Config.t ->

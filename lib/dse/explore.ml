@@ -104,14 +104,17 @@ type report = {
   evaluated : int;
   cache_hits : int;
   simulated : int;
+  derived : int;
   candidates : int;
   snapshots : int;
 }
 
 let summary_line r ~store =
   Printf.sprintf
-    "[dse] candidates=%d evaluated=%d cache_hits=%d simulated=%d front=%d snapshots=%d store=%s"
+    "[dse] candidates=%d evaluated=%d cache_hits=%d simulated=%d front=%d snapshots=%d \
+     derived=%d store=%s"
     r.candidates r.evaluated r.cache_hits r.simulated (List.length r.front) r.snapshots
+    r.derived
     (match store with
     | Some s -> ( match Store_shard.path s with Some p -> p | None -> "memory")
     | None -> "none")
@@ -187,27 +190,61 @@ let job_fp j = j.j_fp
 
 let warm_up j ~roadmark = Salam.warm_up ~config:j.j_config ~invocations:roadmark j.j_workload
 
+let sim_job ~snapshot j =
+  let from =
+    Option.map
+      (fun roadmark -> snapshot j.j_snap_key (fun () -> warm_up j ~roadmark))
+      j.j_fast_forward
+  in
+  Salam.job ~invocations:j.j_invocations ?from j.j_config j.j_workload
+
+(* Jobs that differ only in their FU cap form a group: one run of the
+   group's loosest member (no cap, else the largest) answers every
+   tighter cap it never reached ({!Salam.derive}, which holds the
+   exactness argument). The loosest members run as one batch across the
+   domains, the members a cap would bind as a second. *)
 let measure ?domains ~snapshot jobs =
-  if jobs = [] then []
-  else
-    let sim_jobs =
-      List.map
-        (fun j ->
-          let from =
-            Option.map
-              (fun roadmark -> snapshot j.j_snap_key (fun () -> warm_up j ~roadmark))
-              j.j_fast_forward
-          in
-          Salam.job ~invocations:j.j_invocations ?from j.j_config j.j_workload)
-        jobs
-    in
-    List.map2
-      (fun j r ->
-        let m = Measurement.of_result ~workload:j.j_identity ~point:j.j_point r in
+  let simulate = function
+    | [] -> []
+    | js -> Salam.simulate_jobs ?domains (List.map (sim_job ~snapshot) js)
+  in
+  let group j = (j.j_identity, { j.j_point with Point.fu_limit = 0 }) in
+  let loosest = Hashtbl.create 16 in
+  List.iter
+    (fun j ->
+      let cap = j.j_point.Point.fu_limit in
+      match Hashtbl.find_opt loosest (group j) with
+      | Some l when l.j_point.Point.fu_limit = 0 || (cap <> 0 && cap <= l.j_point.Point.fu_limit)
+        ->
+          ()
+      | Some _ | None -> Hashtbl.replace loosest (group j) j)
+    jobs;
+  let leaders = List.filter (fun j -> Hashtbl.find loosest (group j) == j) jobs in
+  let runs = Hashtbl.create 16 in
+  let keep js rs = List.iter2 (fun j r -> Hashtbl.replace runs j.j_fp r) js rs in
+  keep leaders (simulate leaders);
+  let derived = ref 0 in
+  List.iter
+    (fun j ->
+      if not (Hashtbl.mem runs j.j_fp) then
+        let leader = Hashtbl.find runs (Hashtbl.find loosest (group j)).j_fp in
+        match Salam.derive ~config:j.j_config j.j_workload leader with
+        | Some r ->
+            incr derived;
+            Hashtbl.replace runs j.j_fp r
+        | None -> ())
+    jobs;
+  let refused = List.filter (fun j -> not (Hashtbl.mem runs j.j_fp)) jobs in
+  keep refused (simulate refused);
+  ( List.map
+      (fun j ->
+        let m =
+          Measurement.of_result ~workload:j.j_identity ~point:j.j_point (Hashtbl.find runs j.j_fp)
+        in
         assert (m.Measurement.fp = j.j_fp);
         m)
-      jobs
-      (Salam.simulate_jobs ?domains sim_jobs)
+      jobs,
+    !derived )
 
 (* --- the sweep evaluator ------------------------------------------------ *)
 
@@ -223,6 +260,7 @@ type evaluator = {
   mutable warmed : int;
   mutable hits : int;
   mutable sims : int;
+  mutable derived : int;
   mutable acc : Measurement.t list;  (** newest first *)
   evaluated : (int64, unit) Hashtbl.t;
 }
@@ -291,12 +329,16 @@ let evaluate_local ev points =
   (* the warm-ups run first, across the domains (memoised per snapshot
      key); the simulations below then share the immutable snapshots *)
   Option.iter (fun roadmark -> warm_up_missing ev ~roadmark jobs) ev.plan.fast_forward;
+  let measured, derived =
+    measure ?domains:ev.domains ~snapshot:(fun key _ -> Hashtbl.find ev.snapshots key) jobs
+  in
+  ev.derived <- ev.derived + derived;
   let fresh =
     List.map
       (fun m ->
         (match ev.store with Some s -> Store_shard.add s m | None -> ());
         (m.Measurement.fp, m))
-      (measure ?domains:ev.domains ~snapshot:(fun key _ -> Hashtbl.find ev.snapshots key) jobs)
+      measured
   in
   List.map
     (fun (_, fp, cached_m) ->
@@ -348,6 +390,7 @@ let run ?store ?domains ?fast_forward ?(invocations = 1) ?remote ~target ~strate
       warmed = 0;
       hits = 0;
       sims = 0;
+      derived = 0;
       acc = [];
       evaluated = Hashtbl.create 64;
     }
@@ -382,6 +425,7 @@ let run ?store ?domains ?fast_forward ?(invocations = 1) ?remote ~target ~strate
     evaluated = ev.hits + ev.sims;
     cache_hits = ev.hits;
     simulated = ev.sims;
+    derived = ev.derived;
     candidates = List.length all;
     snapshots = ev.warmed;
   }

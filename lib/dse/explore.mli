@@ -72,6 +72,10 @@ type report = {
   evaluated : int;  (** distinct points evaluated = hits + simulated *)
   cache_hits : int;
   simulated : int;
+      (** points measured in this process: run, or derived from a run *)
+  derived : int;
+      (** of [simulated], the points answered from the run of a looser
+          FU cap without simulating ({!measure}) *)
   candidates : int;  (** size of the deduplicated enumeration *)
   snapshots : int;
       (** warm-up snapshots taken under [?fast_forward] — one per
@@ -81,7 +85,7 @@ type report = {
 
 val summary_line : report -> store:Store_shard.t option -> string
 (** The machine-readable one-liner printed by CLI/CI:
-    ["\[dse\] candidates=.. evaluated=.. cache_hits=.. simulated=.. front=.. snapshots=.. store=.."]. *)
+    ["\[dse\] candidates=.. evaluated=.. cache_hits=.. simulated=.. front=.. snapshots=.. derived=.. store=.."]. *)
 
 val identity : workload:string -> invocations:int -> fast_forward:int option -> string
 (** The measured fingerprint identity: the workload id, suffixed
@@ -123,14 +127,24 @@ val measure :
   ?domains:int ->
   snapshot:(string -> (unit -> Salam.snapshot) -> Salam.snapshot) ->
   job list ->
-  Measurement.t list
-(** Simulate [jobs] as one {!Salam.simulate_jobs} batch across
-    [?domains] and turn each result into its measurement, checked to
-    carry the job's fingerprint; results come back in job order. Under
-    fast-forward a job starts from [snapshot key warm_up]: the snapshot
-    memoised under [key], or [warm_up ()] when there is none yet. The
-    key names the workload identity, memory kind and roadmark, all a
-    snapshot is shaped by, so every timing knob shares one warm-up. *)
+  Measurement.t list * int
+(** Measure [jobs] and turn each result into its measurement, checked
+    to carry the job's fingerprint; measurements come back in job order,
+    with the number of them that were derived rather than simulated.
+
+    Jobs that differ only in their FU cap ([Point.fu_limit]) form a
+    group. The loosest member of each group (no cap, else the largest)
+    runs, all of them as one {!Salam.simulate_jobs} batch across
+    [?domains]. Every other member is answered from its group's run by
+    {!Salam.derive} when the run never had more units of a capped class
+    busy than the member allocates: the measurement is byte-identical to
+    simulating it. The members a cap would bind run as a second batch.
+
+    Under fast-forward a job starts from [snapshot key warm_up]: the
+    snapshot memoised under [key], or [warm_up ()] when there is none
+    yet. The key names the workload identity, memory kind and roadmark,
+    all a snapshot is shaped by, so every timing knob shares one
+    warm-up. *)
 
 val run :
   ?store:Store_shard.t ->

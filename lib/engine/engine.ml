@@ -272,6 +272,9 @@ type t = {
           follows an issue, so FU caps hold per tick rather than per
           cycle (ROADMAP) *)
   mutable scratch_dirty : bool;  (** [scratch_issued] holds a non-zero count *)
+  fu_peak : int array;
+      (** by [Fu.index]: the most units of the class in use at any FU
+          issue, that issue included ({!units_in_use} + 1) *)
   mutable cap_refused : bool;
       (** this tick's scan refused an FU op by its cap after the class
           issued: a repeat tick, its counts cleared, could issue it *)
@@ -555,6 +558,7 @@ let create kernel clock ?(config = default_config) ~stats ~datapath ~mem () =
     in_flight = Array.make Fu.count 0;
     scratch_issued = Array.make Fu.count 0;
     scratch_dirty = false;
+    fu_peak = Array.make Fu.count 0;
     cap_refused = false;
     wheel_head = Array.make wheel nil;
     wheel_tail = Array.make wheel nil;
@@ -1316,6 +1320,14 @@ let register_hazards t dyn prev (def : Ast.var option) =
       t.last_writer.(dst.Ast.id) <- dyn.id
   | None -> ()
 
+(* Units of class [i] an FU issue this tick would find taken: the ops
+   issued this tick, plus, for an unpipelined class, the units held
+   until commit. The one place the allocation reaches the engine
+   compares against this ([can_issue]); [issue] records its peak. *)
+let[@inline] units_in_use t i =
+  if t.specs.(i).Profile.pipelined then t.scratch_issued.(i)
+  else t.fu_held.(i) + t.scratch_issued.(i)
+
 (* Inside a tick, time is the tick's clock edge: the pending tick's
    insertion number is taken now, where inserting it would have taken it,
    and [end_tick] decides whether it is queued or sleeps. *)
@@ -1655,12 +1667,7 @@ and can_issue t dyn =
   else
     let i = dyn.info.si_fu_ix in
     i < 0
-    ||
-    let used =
-      if t.specs.(i).Profile.pipelined then t.scratch_issued.(i)
-      else t.fu_held.(i) + t.scratch_issued.(i)
-    in
-    used < t.fu_units.(i)
+    || units_in_use t i < t.fu_units.(i)
     ||
     (if t.scratch_issued.(i) > 0 then t.cap_refused <- true;
      false)
@@ -1709,6 +1716,8 @@ and issue t dyn =
   else begin
     (let i = dyn.info.si_fu_ix in
      if i >= 0 then begin
+       let used = units_in_use t i + 1 in
+       if used > t.fu_peak.(i) then t.fu_peak.(i) <- used;
        t.scratch_issued.(i) <- t.scratch_issued.(i) + 1;
        t.scratch_dirty <- true;
        Stats.incr t.s_issued_by_class.(i);
@@ -2106,6 +2115,8 @@ let start t ~args ~on_finish =
   match t.sched with
   | Some sc -> import_edge t (Schedule.entry sc)
   | None -> import_block t ~label:(Ast.entry_block t.dp.Datapath.func).Ast.label ~pred:"<entry>"
+
+let fu_peak t cls = t.fu_peak.(Fu.index cls)
 
 let stats t =
   let int s = int_of_float (Stats.value s) in

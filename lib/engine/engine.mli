@@ -181,6 +181,14 @@ val stats : t -> run_stats
 (** The counters of the [stats] group given to {!create}: everything
     accumulated since {!create}, across restarts. *)
 
+val fu_peak : t -> Salam_hw.Fu.cls -> int
+(** The most units of the class any one FU issue found in use, itself
+    included, since {!create}: the largest allocation the run's issue
+    decisions ever needed. The allocation reaches the engine only
+    through the unit-count compare before an FU issue, so a run whose
+    allocation of every class lies between this and the run's own makes
+    the same decisions. 0 for a class that never issued. *)
+
 val check_completion : t -> unit
 (** The end-of-run invariants of [config.check]: queues drained (the
     completion wheel included), in-flight and stall-classification

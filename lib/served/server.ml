@@ -150,7 +150,7 @@ let snapshot_for t key warm_up =
 
 let run_job t job =
   match Explore.measure ~domains:1 ~snapshot:(snapshot_for t) [ job ] with
-  | [ m ] -> m
+  | [ m ], _ -> m
   | _ -> assert false
 
 let complete t job result =

@@ -17,11 +17,9 @@ type t = {
 }
 
 type power_report = {
-  static_fu_mw : float;
   static_reg_mw : float;
   dynamic_fu_mw : float;
   dynamic_reg_mw : float;
-  area_um2 : float;
 }
 
 let decode_arg (p : Ast.var) raw =
@@ -89,22 +87,9 @@ let stats t = Engine.stats (engine t)
 
 let power t ~elapsed_seconds =
   let stats = Engine.stats (engine t) in
-  let datapath = datapath t in
-  let profile = datapath.Datapath.profile in
-  let fu_leak =
-    Salam_hw.Fu.Map.fold
-      (fun cls count acc ->
-        acc +. (float_of_int count *. (Salam_hw.Profile.spec profile cls).Salam_hw.Profile.leakage_mw))
-      datapath.Datapath.fu_alloc 0.0
-  in
-  let reg_leak =
-    float_of_int datapath.Datapath.register_bits *. profile.Salam_hw.Profile.reg_leak_mw_per_bit
-  in
   let to_mw pj = if elapsed_seconds <= 0.0 then 0.0 else pj *. 1e-12 /. elapsed_seconds *. 1e3 in
   {
-    static_fu_mw = fu_leak;
-    static_reg_mw = reg_leak;
+    static_reg_mw = Datapath.reg_leakage_mw (datapath t);
     dynamic_fu_mw = to_mw stats.Engine.dynamic_fu_energy_pj;
     dynamic_reg_mw = to_mw stats.Engine.dynamic_reg_energy_pj;
-    area_um2 = Datapath.static_area_um2 datapath;
   }

@@ -59,13 +59,15 @@ val stats : t -> Salam_engine.Engine.run_stats
 (** {2 Power and area} *)
 
 type power_report = {
-  static_fu_mw : float;
   static_reg_mw : float;
   dynamic_fu_mw : float;
   dynamic_reg_mw : float;
-  area_um2 : float;
 }
 
 val power : t -> elapsed_seconds:float -> power_report
-(** Average power over the elapsed window: leakage from the static
-    datapath, dynamic from the engine's energy counters. *)
+(** The power terms that do not depend on the functional-unit
+    allocation, averaged over the elapsed window: register leakage from
+    the static datapath, dynamic power from the engine's energy
+    counters. The allocation's leakage and area are
+    {!Salam_cdfg.Datapath.fu_leakage_mw} and
+    {!Salam_cdfg.Datapath.static_area_um2} of {!datapath}. *)

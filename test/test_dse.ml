@@ -685,14 +685,102 @@ let test_measure_step_shared () =
   Alcotest.(check (list int64)) "a job carries the lookup fingerprint"
     (List.map (Dse.fingerprint plan) points)
     (List.map Dse.job_fp jobs);
-  let measured = List.concat_map (fun j -> Dse.measure ~domains:1 ~snapshot [ j ]) jobs in
+  let measured = List.concat_map (fun j -> fst (Dse.measure ~domains:1 ~snapshot [ j ])) jobs in
   Alcotest.(check (list string)) "one job at a time = the sweep"
     (List.map M.to_line swept.Dse.measurements)
     (List.map M.to_line measured);
   Alcotest.(check int) "asked once per job" 2 (List.length !keys);
   Alcotest.(check int) "one snapshot key for both timing configs" 1 (Hashtbl.length memo);
   Alcotest.(check int) "no job, no simulation" 0
-    (List.length (Dse.measure ~snapshot:(fun _ _ -> Alcotest.fail "no snapshot wanted") []))
+    (List.length (fst (Dse.measure ~snapshot:(fun _ _ -> Alcotest.fail "no snapshot wanted") [])))
+
+(* The derivation oracle: a measurement answered from a looser FU cap's
+   run is byte for byte the one a fresh simulation of its point gives,
+   on SPM, cache and DRAM, in both engine modes, plain and
+   fast-forwarded. Every ordered pair of caps is tried, not only the
+   loose-to-tight ones the sweep asks for, so a derivation towards a
+   looser cap must be refused or exact too. The grid holds both
+   outcomes: caps the run never reached (derived) and caps that bind or
+   loosen (refused). The sweep itself must then derive some points and
+   match fresh runs on all of them. *)
+let test_derivation_oracle () =
+  let caps = [ 0; 1; 2; 4; 8 ] in
+  let point memory fu =
+    Point.canonical
+      { Point.default with Point.memory; cache_bytes = 1024; unroll = 2; junroll = 2; fu_limit = fu }
+  in
+  let derived = ref 0 and refused = ref 0 in
+  let schedules = [ (1, None); (2, Some 1) ] in
+  List.iter
+    (fun mode ->
+      List.iter
+        (fun (invocations, fast_forward) ->
+          List.iter
+            (fun memory ->
+              let w = tiny_target.Dse.build (point memory 0) in
+              let workload =
+                Dse.identity ~workload:(tiny_target.Dse.workload_id (point memory 0)) ~invocations
+                  ~fast_forward
+              in
+              let config fu =
+                {
+                  (Point.to_config (point memory fu)) with
+                  Salam.Config.engine = { Salam_engine.Engine.default_config with mode };
+                }
+              in
+              let from =
+                Option.map (fun k -> Salam.warm_up ~config:(config 0) ~invocations:k w) fast_forward
+              in
+              let line fu r = M.to_line (M.of_result ~workload ~point:(point memory fu) r) in
+              let runs =
+                List.map (fun fu -> (fu, Salam.simulate ~config:(config fu) ~invocations ?from w)) caps
+              in
+              List.iter
+                (fun (from_fu, run) ->
+                  List.iter
+                    (fun (fu, fresh) ->
+                      if fu <> from_fu then
+                        match Salam.derive ~config:(config fu) w run with
+                        | Some r ->
+                            incr derived;
+                            Alcotest.(check string)
+                              (Printf.sprintf "fu=%d from fu=%d, %s" fu from_fu workload)
+                              (line fu fresh) (line fu r)
+                        | None -> incr refused)
+                    runs)
+                runs)
+            [ Point.Spm; Point.Cache; Point.Dram ])
+        schedules)
+    [ Salam_engine.Engine.Compiled; Salam_engine.Engine.Dynamic ];
+  Alcotest.(check bool) (Printf.sprintf "%d derived" !derived) true (!derived > 0);
+  Alcotest.(check bool) (Printf.sprintf "%d refused" !refused) true (!refused > 0);
+  List.iter
+    (fun (invocations, fast_forward) ->
+      let report =
+        Dse.run ~invocations ?fast_forward ~target:tiny_target ~strategy:Dse.Exhaustive
+          (List.map
+             (fun memory ->
+               Space.create ~base:(point memory 0)
+                 [ Space.Memory [ memory ]; Space.Fu_limit caps ])
+             [ Point.Spm; Point.Cache; Point.Dram ])
+      in
+      let plan = { Dse.target = tiny_target; invocations; fast_forward } in
+      Alcotest.(check bool)
+        (Printf.sprintf "sweep derived %d of %d" report.Dse.derived report.Dse.simulated)
+        true
+        (report.Dse.derived > 0 && report.Dse.derived < report.Dse.simulated - 3);
+      List.iter
+        (fun m ->
+          let fresh, _ =
+            Dse.measure ~domains:1
+              ~snapshot:(fun _ warm_up -> warm_up ())
+              [ Dse.job plan m.M.point ]
+          in
+          Alcotest.(check (list string))
+            (Point.to_string m.M.point)
+            [ M.to_line m ] (List.map M.to_line fresh))
+        report.Dse.measurements)
+    schedules
 
 let test_random_strategy_deterministic () =
   let strategy = Dse.Random { samples = 2; seed = 7L } in
@@ -736,5 +824,6 @@ let suite =
     Alcotest.test_case "salam_dse refuses a bad SALAM_DOMAINS" `Quick
       test_cli_refuses_bad_domains;
     Alcotest.test_case "one measure step for sweep and daemon" `Quick test_measure_step_shared;
+    Alcotest.test_case "derived = simulated, byte for byte" `Quick test_derivation_oracle;
     Alcotest.test_case "random strategy deterministic" `Quick test_random_strategy_deterministic;
   ]

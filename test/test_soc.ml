@@ -151,6 +151,52 @@ let test_accelerator_power_report () =
   check Alcotest.bool "area includes datapath and memory" true (r.Salam.area_um2 > 0.0);
   check Alcotest.bool "wall time measured" true (r.Salam.wall_seconds > 0.0)
 
+(* Salam.derive against simulation: over the quick suite with random
+   caps on integer and FP classes, deriving the capped run from the
+   uncapped one either declines or gives the capped simulation's result
+   in every field but the host time. The seed is fixed so the draw holds
+   both outcomes. *)
+let test_derive_matches_simulate () =
+  let quick = Array.of_list (Salam_workloads.Suite.quick ()) in
+  let uncapped = Array.map (fun w -> lazy (Salam.simulate w)) quick in
+  let classes =
+    Salam_hw.Fu.
+      [
+        Int_adder; Int_multiplier; Shifter; Bitwise; Mux; Converter; Fp_add_dp; Fp_mul_dp;
+        Fp_div_dp; Fp_add_sp; Fp_mul_sp;
+      ]
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (int_bound (Array.length quick - 1))
+        (map (List.filter_map Fun.id)
+           (flatten_l
+              (List.map
+                 (fun cls -> opt (map (fun n -> (cls, n)) (oneofl [ 1; 2; 3; 4; 8; 64 ])))
+                 classes))))
+  in
+  let print (i, limits) =
+    Printf.sprintf "%s with %s" quick.(i).W.name
+      (String.concat ", "
+         (List.map (fun (cls, n) -> Printf.sprintf "%s=%d" (Salam_hw.Fu.to_string cls) n) limits))
+  in
+  let derived = ref 0 and declined = ref 0 in
+  QCheck.Test.check_exn ~rand:(Random.State.make [| 42 |])
+    (QCheck.Test.make ~name:"derive of the uncapped run = simulate of the capped one" ~count:100
+       (QCheck.make ~print gen) (fun (i, fu_limits) ->
+         let config = { Salam.Config.default with Salam.Config.fu_limits } in
+         match Salam.derive ~config quick.(i) (Lazy.force uncapped.(i)) with
+         | None ->
+             incr declined;
+             true
+         | Some d ->
+             incr derived;
+             let s = Salam.simulate ~config quick.(i) in
+             compare { d with Salam.wall_seconds = 0. } { s with Salam.wall_seconds = 0. } = 0));
+  check Alcotest.bool (Printf.sprintf "%d derived" !derived) true (!derived > 0);
+  check Alcotest.bool (Printf.sprintf "%d declined" !declined) true (!declined > 0)
+
 (* scalar arguments and return values travel through the MMR encode /
    decode path *)
 let test_scalar_args_and_return () =
@@ -241,6 +287,8 @@ let suite =
     Alcotest.test_case "host memcpy" `Quick test_host_memcpy;
     Alcotest.test_case "dma feeds accelerator" `Quick test_dma_feeds_accelerator;
     Alcotest.test_case "power/area report" `Quick test_accelerator_power_report;
+    Alcotest.test_case "derive = simulate under caps that never bind" `Quick
+      test_derive_matches_simulate;
     Alcotest.test_case "scalar args and return via MMRs" `Quick test_scalar_args_and_return;
     Alcotest.test_case "stream link registers ordered windows" `Quick
       test_stream_link_ordered_ranges;

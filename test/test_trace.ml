@@ -273,6 +273,31 @@ let test_missing_golden_dir_refused () =
         (Test_store_shard.contains stderr "--dir" && Test_store_shard.contains stderr missing))
     [ "golden-check"; "bless" ]
 
+(* run from a directory with no test/golden, the default --dir is
+   refused the same way (124, naming it), and bless writes nothing *)
+let test_default_golden_dir_refused () =
+  let exe = Filename.concat (Sys.getcwd ()) "../bin/salam_trace.exe" in
+  let here = Sys.getcwd () in
+  let dir = Filename.temp_dir "salam-trace-default-dir" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir here;
+      Sys.rmdir dir)
+    (fun () ->
+      Sys.chdir dir;
+      List.iter
+        (fun cmd ->
+          let status, stdout, stderr = Test_dse.run_cli exe [ "salam_trace"; cmd ] in
+          check Alcotest.bool (cmd ^ " exits 124") true (status = Unix.WEXITED 124);
+          check Alcotest.string (cmd ^ " prints nothing") "" stdout;
+          check Alcotest.bool
+            (Printf.sprintf "%S names --dir and test/golden" stderr)
+            true
+            (Test_store_shard.contains stderr "--dir"
+            && Test_store_shard.contains stderr "test/golden"))
+        [ "golden-check"; "bless" ];
+      check Alcotest.(array string) "nothing written" [||] (Sys.readdir dir))
+
 (* Every golden figure has a diff rule: golden/figures/dune diffs each
    bench/main.exe target's stdout against its .out file, and a .out file
    with no rule would otherwise go unchecked. *)
@@ -314,6 +339,8 @@ let suite =
     Alcotest.test_case "stats.txt format" `Quick test_stats_txt;
     Alcotest.test_case "golden files match scenarios" `Quick test_golden_files_match_scenarios;
     Alcotest.test_case "golden figures have diff rules" `Quick test_golden_figures_have_rules;
+    Alcotest.test_case "golden-check and bless refuse a missing default --dir" `Quick
+      test_default_golden_dir_refused;
     Alcotest.test_case "golden-check and bless refuse a missing --dir" `Quick
       test_missing_golden_dir_refused;
   ]

@@ -125,10 +125,11 @@ let ff_speedup () =
     (1000. *. !dmin) (1000. *. !umin) (!dmin /. !umin)
 
 (* Minor-heap words one warm served hit costs, for the Fig 13 GEMM
-   point's measurement: the client encodes its request; the daemon
-   decodes it, checks the point (knob ranges and hardware profile),
-   fingerprints it and splices its reply from the stored line; the
-   client decodes that reply. Socket reads and writes are left out. *)
+   point's measurement, in total and per part: the client encodes its
+   request; the daemon decodes it, checks the point (knob ranges and
+   hardware profile), fingerprints it and splices its reply from the
+   stored line; the client decodes that reply. Socket reads and writes
+   are left out. *)
 let served_hit_words () =
   let module Measurement = Salam_dse.Measurement in
   let module Point = Salam_dse.Point in
@@ -140,23 +141,50 @@ let served_hit_words () =
   in
   let line = Measurement.to_line m in
   let target = Exp_dse.gemm_target in
-  let hit () =
-    let req = P.encode_request ~id:7L (P.Sim (P.default_spec, m.Measurement.point)) in
-    (match P.decode_request req with
-    | Ok (_, P.Sim (_, p)) ->
-        if Result.is_error (Salam_dse.Explore.check target p) then
-          failwith "served hit: the point fails the daemon's check";
-        if Point.fingerprint ~workload:m.Measurement.workload p <> m.Measurement.fp then
-          failwith "served hit: the request's point has another fingerprint"
-    | Ok _ | Error _ -> failwith "served hit: request does not decode");
-    match P.decode_response (P.splice ~id:7L ~served:"hit" line) with
+  let encode () = P.encode_request ~id:7L (P.Sim (P.default_spec, m.Measurement.point)) in
+  let decode req =
+    match P.decode_request req with
+    | Ok (_, P.Sim (_, p)) -> p
+    | Ok _ | Error _ -> failwith "served hit: request does not decode"
+  in
+  let check p =
+    if Result.is_error (Salam_dse.Explore.check target p) then
+      failwith "served hit: the point fails the daemon's check"
+  in
+  let fingerprint p =
+    if Point.fingerprint ~workload:m.Measurement.workload p <> m.Measurement.fp then
+      failwith "served hit: the request's point has another fingerprint"
+  in
+  let splice () = P.splice ~id:7L ~served:"hit" line in
+  let decode_reply reply =
+    match P.decode_response reply with
     | Ok (_, `Terminal (P.Result { m = m'; _ })) when m' = m -> ()
     | Ok _ | Error _ -> failwith "served hit: reply does not decode to the measurement"
   in
+  (* each part counted on its own, after one uncounted hit *)
+  let words f x =
+    let w0 = Gc.minor_words () in
+    let y = f x in
+    (y, Gc.minor_words () -. w0)
+  in
+  let hit () =
+    let p = decode (encode ()) in
+    check p;
+    fingerprint p;
+    decode_reply (splice ())
+  in
   hit ();
-  let w0 = Gc.minor_words () in
-  hit ();
-  Gc.minor_words () -. w0
+  let req, encode_w = words encode () in
+  let p, decode_w = words decode req in
+  let (), check_w = words check p in
+  let (), fingerprint_w = words fingerprint p in
+  let reply, splice_w = words splice () in
+  let (), reply_w = words decode_reply reply in
+  let (), total = words hit () in
+  Printf.printf
+    "served hit: %.0f words (client encode %.0f, daemon decode %.0f, check %.0f, fingerprint %.0f, \
+     splice %.0f, client decode %.0f)\n"
+    total encode_w decode_w check_w fingerprint_w splice_w reply_w
 
 (* Minor-heap words of one simulation of [w] with no trace sink, and
    with a sink attached that records no category. The two must be
@@ -265,7 +293,7 @@ let alloc () =
   let none, off = sink_off_words gemm16 in
   Printf.printf "sink attached but off: %.0f words, no sink: %.0f words (%s)\n" off none
     gemm16.Salam_workloads.Workload.name;
-  Printf.printf "served hit: %.0f words\n" (served_hit_words ());
+  served_hit_words ();
   let cnn =
     Salam_workloads.Cnn.
       [

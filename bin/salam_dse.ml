@@ -321,9 +321,22 @@ let server_arg =
 let list_arg ~name ~docv ~doc ~default c =
   Arg.value (Arg.opt c default (Arg.info [ name ] ~docv ~doc))
 
-let ints name = Arg.conv ((fun s -> Ok (split_ints name s)), fun fmt _ -> Format.fprintf fmt "<ints>")
-let floats name = Arg.conv ((fun s -> Ok (split_floats name s)), fun fmt _ -> Format.fprintf fmt "<floats>")
-let mems_conv = Arg.conv ((fun s -> Ok (split_mems s)), fun fmt _ -> Format.fprintf fmt "<mems>")
+(* a list printed as its parser reads it, so help shows the defaults *)
+let comma_list pp =
+  Format.pp_print_list ~pp_sep:(fun fmt () -> Format.pp_print_char fmt ',') pp
+
+(* the shortest of %.15g and %.17g that reads back as the same float *)
+let pp_float fmt f =
+  let s = Printf.sprintf "%.15g" f in
+  Format.pp_print_string fmt (if float_of_string s = f then s else Printf.sprintf "%.17g" f)
+
+let ints name = Arg.conv ((fun s -> Ok (split_ints name s)), comma_list Format.pp_print_int)
+let floats name = Arg.conv ((fun s -> Ok (split_floats name s)), comma_list pp_float)
+
+let mems_conv =
+  Arg.conv
+    ( (fun s -> Ok (split_mems s)),
+      comma_list (fun fmt m -> Format.pp_print_string fmt (Point.memory_kind_to_string m)) )
 
 let mems_arg =
   Arg.(value & opt mems_conv [ Point.Spm ]

@@ -8,7 +8,17 @@ let gemm_target ?(n = 16) () =
   {
     workload_id =
       (fun (p : Point.t) ->
-        Printf.sprintf "gemm_ncubed_n%d_u%d_j%d" n p.Point.unroll p.Point.junroll);
+        (* runs for every point the daemon fingerprints: [^] with
+           [string_of_int] costs [Explore.fingerprint] 0.62 us against
+           0.41 us this way *)
+        let b = Buffer.create 32 in
+        Buffer.add_string b "gemm_ncubed_n";
+        Jsonl.add_int b n;
+        Buffer.add_string b "_u";
+        Jsonl.add_int b p.Point.unroll;
+        Buffer.add_string b "_j";
+        Jsonl.add_int b p.Point.junroll;
+        Buffer.contents b);
     build =
       (fun (p : Point.t) ->
         Salam_workloads.Gemm.workload ~n ~unroll:p.Point.unroll ~junroll:p.Point.junroll ());
@@ -139,10 +149,8 @@ let neighbours (a : Point.t) (b : Point.t) =
    epoch than plain ones, so they get their own fingerprint identity —
    a store can hold both without collision. *)
 let identity ~workload ~invocations ~fast_forward =
-  let id =
-    if invocations = 1 then workload else Printf.sprintf "%s#inv%d" workload invocations
-  in
-  match fast_forward with None -> id | Some k -> Printf.sprintf "%s#ff%d" id k
+  let id = if invocations = 1 then workload else workload ^ "#inv" ^ string_of_int invocations in
+  match fast_forward with None -> id | Some k -> id ^ "#ff" ^ string_of_int k
 
 (* --- the measure step --------------------------------------------------- *)
 

@@ -25,10 +25,28 @@ let add_escaped b s =
         | c -> Buffer.add_char b c)
       s
 
+(* the decimal digits of [n <= 0], most significant first: min_int has
+   no positive counterpart *)
+let rec add_neg_digits b n =
+  if n <= -10 then add_neg_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+
+let add_int b n =
+  if n < 0 then (
+    Buffer.add_char b '-';
+    add_neg_digits b n)
+  else add_neg_digits b (-n)
+
+(* what [Printf.sprintf "%.17g"] writes for a finite float, without the
+   format interpreter *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let add_value b = function
-  | Int i -> Buffer.add_string b (Int64.to_string i)
+  | Int i ->
+      let n = Int64.to_int i in
+      if Int64.of_int n = i then add_int b n else Buffer.add_string b (Int64.to_string i)
   | Float f ->
-      if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.17g" f)
+      if Float.is_finite f then Buffer.add_string b (format_float "%.17g" f)
       else (
         Buffer.add_char b '"';
         Buffer.add_string b (Printf.sprintf "%h" f);
@@ -39,10 +57,13 @@ let add_value b = function
       add_escaped b s;
       Buffer.add_char b '"'
 
-let add_member b ~first k v =
+let add_key b ~first k =
   Buffer.add_string b (if first then "{\"" else ",\"");
   add_escaped b k;
-  Buffer.add_string b "\":";
+  Buffer.add_string b "\":"
+
+let add_member b ~first k v =
+  add_key b ~first k;
   add_value b v
 
 let encode fields =
@@ -57,62 +78,74 @@ let encode fields =
 
 (* --- parser ------------------------------------------------------------- *)
 
+type kind = Integer | Number | True | False | String
+
 exception Bad of string
 
-(* the end of the run of digits in [line] from [i], before [stop] *)
-let digits_end line i stop =
-  let j = ref i in
-  while !j < stop && String.unsafe_get line !j >= '0' && String.unsafe_get line !j <= '9' do
+(* [line.[start .. stop-1]], a bare integer (an optional '-', then
+   digits), is at most [limit]'s magnitude: [limit] holds the 19 digits
+   of the largest magnitude allowed, [neg_limit] those of the most
+   negative value. Digit strings of one length compare as numbers. *)
+let within line start stop ~limit ~neg_limit =
+  let neg = line.[start] = '-' in
+  let first = if neg then start + 1 else start in
+  let n = stop - first in
+  n < 19
+  || n = 19
+     &&
+     let bound = if neg then neg_limit else limit in
+     let i = ref 0 in
+     while !i < 19 && String.unsafe_get line (first + !i) = String.unsafe_get bound !i do
+       incr i
+     done;
+     !i = 19 || String.unsafe_get line (first + !i) < String.unsafe_get bound !i
+
+let fits_int64 line start stop =
+  within line start stop ~limit:"9223372036854775807" ~neg_limit:"9223372036854775808"
+
+(* [line.[j]], or a delimiter past the end *)
+let[@inline] byte line j = if j < String.length line then String.unsafe_get line j else ','
+let[@inline] is_digit c = c >= '0' && c <= '9'
+
+(* JSON's number grammar from [line.[start]] up to a delimiter (',',
+   '}', a space, a tab or the end of the line): an optional '-', then 0
+   or digits without a leading 0, an optional fraction ('.' and digits)
+   and an optional exponent ('e' or 'E', an optional sign, digits). The
+   token's end [stop] for a bare integer, [-stop - 2] for any other
+   number, and [-1] when the bytes up to the delimiter are not a number:
+   OCaml's own literal syntax (underscores, hex, "nan", "inf") is not. *)
+let fast_number line start =
+  let j = ref (if byte line start = '-' then start + 1 else start) in
+  let i = !j in
+  while is_digit (byte line !j) do
     incr j
   done;
-  !j
-
-(* JSON's number grammar over [line]'s bytes [start, stop): an optional
-   '-', then 0 or digits without a leading 0, an optional fraction ('.'
-   and digits) and an optional exponent ('e' or 'E', an optional sign,
-   digits). [`Int] for a bare integer, [`Float] for any other number.
-   OCaml's own literal syntax (underscores, hex, "nan", "inf") is
-   [`Bad]. *)
-let number_kind line start stop =
-  let i = if start < stop && line.[start] = '-' then start + 1 else start in
-  let int_end = digits_end line i stop in
-  if int_end = i || (line.[i] = '0' && int_end > i + 1) then `Bad
-  else
-    let frac_end =
-      if int_end < stop && line.[int_end] = '.' then
-        let j = digits_end line (int_end + 1) stop in
-        if j = int_end + 1 then -1 else j
-      else int_end
-    in
-    if frac_end < 0 then `Bad
+  if !j = i || (byte line i = '0' && !j > i + 1) then -1
+  else begin
+    let int_end = !j in
+    if byte line !j = '.' then begin
+      incr j;
+      let f = !j in
+      while is_digit (byte line !j) do
+        incr j
+      done;
+      if !j = f then j := -1
+    end;
+    if !j >= 0 && (byte line !j = 'e' || byte line !j = 'E') then begin
+      incr j;
+      if byte line !j = '+' || byte line !j = '-' then incr j;
+      let e = !j in
+      while is_digit (byte line !j) do
+        incr j
+      done;
+      if !j = e then j := -1
+    end;
+    if !j < 0 then -1
     else
-      let exp_end =
-        if frac_end < stop && (line.[frac_end] = 'e' || line.[frac_end] = 'E') then
-          let s = frac_end + 1 in
-          let s = if s < stop && (line.[s] = '+' || line.[s] = '-') then s + 1 else s in
-          let j = digits_end line s stop in
-          if j = s then -1 else j
-        else frac_end
-      in
-      if exp_end <> stop then `Bad else if exp_end = int_end then `Int else `Float
-
-exception Out_of_range
-
-(* The bare integer [line.[start .. stop-1]] (already checked against
-   the grammar), accumulated negatively so that [Int64.min_int] fits.
-   Raises [Out_of_range] outside the int64 range. *)
-let int64_of_digits line start stop =
-  let neg = line.[start] = '-' in
-  let acc = ref 0L in
-  for j = (if neg then start + 1 else start) to stop - 1 do
-    let d = Int64.of_int (Char.code line.[j] - Char.code '0') in
-    (* acc * 10 - d >= min_int *)
-    if !acc < Int64.div (Int64.add Int64.min_int d) 10L then raise Out_of_range;
-    acc := Int64.sub (Int64.mul !acc 10L) d
-  done;
-  if neg then !acc
-  else if !acc = Int64.min_int then raise Out_of_range
-  else Int64.neg !acc
+      match byte line !j with
+      | ',' | '}' | ' ' | '\t' -> if !j = int_end then !j else - !j - 2
+      | _ -> -1
+  end
 
 let key_is src off len k =
   len = String.length k
@@ -135,8 +168,7 @@ let find_key keys src off len =
   if !i < Array.length keys then !i else -1
 
 (* The scanner: the line, the offset it has reached, and the last
-   string it read — [len] bytes of [src] from [off], where [src] is the
-   line itself unless the string had escapes. *)
+   string with escapes it read — [len] bytes of [src] from [off]. *)
 type scanner = {
   line : string;
   mutable pos : int;
@@ -147,21 +179,22 @@ type scanner = {
 
 let fail sc msg = raise (Bad (Printf.sprintf "%s at offset %d" msg sc.pos))
 
-(* the scanning loops run on a local index and store it once *)
-let skip_ws sc =
-  let line = sc.line in
-  let j = ref sc.pos in
-  while
-    !j < String.length line
-    && match String.unsafe_get line !j with ' ' | '\t' -> true | _ -> false
-  do
-    incr j
-  done;
-  sc.pos <- !j
+(* the first byte of [line] from [j] on that is not a space or a tab *)
+let rec skip_spaces line j =
+  if j < String.length line && (String.unsafe_get line j = ' ' || String.unsafe_get line j = '\t')
+  then skip_spaces line (j + 1)
+  else j
+
+(* most tokens have no space before them *)
+let[@inline] skip line j =
+  if j < String.length line && (String.unsafe_get line j = ' ' || String.unsafe_get line j = '\t')
+  then skip_spaces line (j + 1)
+  else j
 
 let expect sc c =
-  skip_ws sc;
-  if sc.pos < String.length sc.line && sc.line.[sc.pos] = c then sc.pos <- sc.pos + 1
+  sc.pos <- skip sc.line sc.pos;
+  if sc.pos < String.length sc.line && String.unsafe_get sc.line sc.pos = c then
+    sc.pos <- sc.pos + 1
   else fail sc (Printf.sprintf "expected '%c'" c)
 
 (* the rest of a string that has escapes, unescaped into [b] *)
@@ -208,43 +241,41 @@ let rec escaped sc b =
         sc.pos <- sc.pos + 1;
         escaped sc b
 
-(* a string: one with no escapes is left in the line, where it is *)
-let scan_string sc =
-  expect sc '"';
-  let line = sc.line and n = String.length sc.line in
-  let start = sc.pos in
-  let j = ref start in
+(* the end of the plain bytes of a string from [j] on: its closing
+   quote, a backslash, or the end of the line *)
+let plain_end line j =
+  let n = String.length line in
+  let j = ref j in
   while !j < n && String.unsafe_get line !j <> '"' && String.unsafe_get line !j <> '\\' do
     incr j
   done;
-  sc.pos <- !j;
-  if sc.pos >= n then fail sc "unterminated string"
-  else if line.[sc.pos] = '"' then (
-    sc.pos <- sc.pos + 1;
-    sc.src <- line;
-    sc.off <- start;
-    sc.len <- sc.pos - 1 - start)
-  else
-    let b = Buffer.create (2 * (sc.pos - start) + 16) in
-    Buffer.add_substring b line start (sc.pos - start);
-    escaped sc b;
-    sc.src <- Buffer.contents b;
-    sc.off <- 0;
-    sc.len <- String.length sc.src
+  !j
 
-let parse_scalar sc =
-  skip_ws sc;
+(* A string whose bytes start at [start] and whose plain bytes end at
+   [stop] without a closing quote: its unescaped bytes are left in
+   [sc.src], and [sc.pos] after it. *)
+let scan_escaped sc start stop =
+  sc.pos <- stop;
+  if stop >= String.length sc.line then fail sc "unterminated string";
+  let b = Buffer.create (2 * (stop - start) + 16) in
+  Buffer.add_substring b sc.line start (stop - start);
+  escaped sc b;
+  sc.src <- Buffer.contents b;
+  sc.off <- 0;
+  sc.len <- String.length sc.src
+
+(* A value at [p] that is neither a string nor a number: [true],
+   [false], or an error naming what is there. [sc.pos] is left after
+   it. *)
+let scan_literal sc p =
   let line = sc.line and n = String.length sc.line in
-  if sc.pos >= n then fail sc "empty value"
+  sc.pos <- p;
+  if p >= n then fail sc "empty value"
   else
-    match line.[sc.pos] with
-    | '"' ->
-        scan_string sc;
-        Str (if sc.src == line then String.sub line sc.off sc.len else sc.src)
+    match String.unsafe_get line p with
     | '{' | '[' -> fail sc "nested values are not supported"
-    | _ -> (
-        let start = sc.pos in
-        let j = ref start in
+    | _ ->
+        let j = ref p in
         while
           !j < n
           && match String.unsafe_get line !j with ',' | '}' | ' ' | '\t' -> false | _ -> true
@@ -252,62 +283,124 @@ let parse_scalar sc =
           incr j
         done;
         sc.pos <- !j;
-        let len = sc.pos - start in
+        let len = !j - p in
         if len = 0 then fail sc "empty value"
-        else
-          match line.[start] with
-          | 't' when key_is line start len "true" -> Bool true
-          | 'f' when key_is line start len "false" -> Bool false
-          | 'n' when key_is line start len "null" -> fail sc "null is not supported"
-          (* an int64 has no negative zero; keep the float's sign *)
-          | '-' when key_is line start len "-0" -> Float (-0.0)
-          | _ -> (
-              match number_kind line start sc.pos with
-              | `Int -> (
-                  match int64_of_digits line start sc.pos with
-                  | i -> Int i
-                  | exception Out_of_range -> fail sc "integer out of range")
-              | `Float -> Float (float_of_string (String.sub line start len))
-              | `Bad -> fail sc (Printf.sprintf "bad number %S" (String.sub line start len))))
+        else if key_is line p len "true" then True
+        else if key_is line p len "false" then False
+        else if key_is line p len "null" then fail sc "null is not supported"
+        else fail sc (Printf.sprintf "bad number %S" (String.sub line p len))
 
 let iter_fields line f =
   let sc = { line; pos = 0; src = line; off = 0; len = 0 } in
   let n = String.length line in
   try
     expect sc '{';
-    skip_ws sc;
+    sc.pos <- skip line sc.pos;
     if sc.pos < n && line.[sc.pos] = '}' then sc.pos <- sc.pos + 1
     else begin
       let more = ref true in
       while !more do
-        skip_ws sc;
-        scan_string sc;
-        let src = sc.src and off = sc.off and len = sc.len in
-        expect sc ':';
-        f src off len (parse_scalar sc);
-        skip_ws sc;
-        if sc.pos < n && line.[sc.pos] = ',' then sc.pos <- sc.pos + 1
-        else if sc.pos < n && line.[sc.pos] = '}' then (
-          sc.pos <- sc.pos + 1;
+        (* the key, left in the line unless it has escapes *)
+        let p = skip line sc.pos in
+        if not (p < n && line.[p] = '"') then (
+          sc.pos <- p;
+          fail sc "expected '\"'");
+        let q = plain_end line (p + 1) in
+        let ksrc = ref line and koff = ref (p + 1) and klen = ref (q - p - 1) in
+        if q < n && line.[q] = '"' then sc.pos <- q + 1
+        else (
+          scan_escaped sc (p + 1) q;
+          ksrc := sc.src;
+          koff := 0;
+          klen := sc.len);
+        let p = skip line sc.pos in
+        if p < n && line.[p] = ':' then sc.pos <- p + 1
+        else (
+          sc.pos <- p;
+          expect sc ':');
+        (* the value *)
+        let p = skip line sc.pos in
+        let c = byte line p in
+        let vsrc = ref line and voff = ref p and vlen = ref 0 in
+        let kind =
+          if c = '"' then (
+            let q = plain_end line (p + 1) in
+            if q < n && line.[q] = '"' then (
+              voff := p + 1;
+              vlen := q - p - 1;
+              sc.pos <- q + 1)
+            else (
+              scan_escaped sc (p + 1) q;
+              vsrc := sc.src;
+              voff := 0;
+              vlen := sc.len);
+            String)
+          else
+            let e = if c = '-' || is_digit c then fast_number line p else -1 in
+            if e = -1 then (
+              let kind = scan_literal sc p in
+              vlen := sc.pos - p;
+              kind)
+            else
+              let stop = if e >= 0 then e else -e - 2 in
+              vlen := stop - p;
+              sc.pos <- stop;
+              (* an int64 has no negative zero; a float keeps the sign *)
+              if e < 0 || key_is line p (stop - p) "-0" then Number
+              else if fits_int64 line p stop then Integer
+              else fail sc "integer out of range"
+        in
+        f !ksrc !koff !klen kind !vsrc !voff !vlen;
+        let p = skip line sc.pos in
+        sc.pos <- p;
+        if p < n && line.[p] = ',' then sc.pos <- p + 1
+        else if p < n && line.[p] = '}' then (
+          sc.pos <- p + 1;
           more := false)
         else fail sc "expected ',' or '}'"
       done
     end;
-    skip_ws sc;
+    sc.pos <- skip line sc.pos;
     if sc.pos <> n then fail sc "trailing garbage" else Ok ()
   with Bad msg -> Error msg
 
-let to_float = function
-  | Float f -> Some f
-  | Int i -> Some (Int64.to_float i)
-  (* the "%h" spellings [encode] writes for non-finite floats *)
-  | Str "nan" -> Some Float.nan
-  | Str "-nan" -> Some (Float.neg Float.nan)
-  | Str "infinity" -> Some Float.infinity
-  | Str "-infinity" -> Some Float.neg_infinity
-  | Str _ | Bool _ -> None
+(* --- reading a member's value ------------------------------------------- *)
 
-let to_int i =
-  if i >= Int64.of_int min_int && i <= Int64.of_int max_int
-  then Some (Int64.to_int i)
-  else None
+exception Out_of_range
+
+(* An [Integer] token (so already within the int64 range), accumulated
+   negatively so that the most negative value fits. *)
+let int64_at src off len =
+  let neg = src.[off] = '-' in
+  let acc = ref 0L in
+  for j = (if neg then off + 1 else off) to off + len - 1 do
+    acc := Int64.sub (Int64.mul !acc 10L) (Int64.of_int (Char.code (String.unsafe_get src j) - 48))
+  done;
+  if neg then !acc else Int64.neg !acc
+
+let int_at src off len =
+  if
+    len >= 19
+    && not (within src off (off + len) ~limit:"4611686018427387903" ~neg_limit:"4611686018427387904")
+  then raise Out_of_range;
+  let neg = src.[off] = '-' in
+  let acc = ref 0 in
+  for j = (if neg then off + 1 else off) to off + len - 1 do
+    acc := (!acc * 10) - (Char.code (String.unsafe_get src j) - 48)
+  done;
+  if neg then !acc else - !acc
+
+exception Not_a_float
+
+let float_at kind src off len =
+  match kind with
+  | Number -> float_of_string (String.sub src off len)
+  | Integer -> Int64.to_float (int64_at src off len)
+  (* the "%h" spellings [encode] writes for non-finite floats *)
+  | String ->
+      if key_is src off len "nan" then Float.nan
+      else if key_is src off len "-nan" then Float.neg Float.nan
+      else if key_is src off len "infinity" then Float.infinity
+      else if key_is src off len "-infinity" then Float.neg_infinity
+      else raise Not_a_float
+  | True | False -> raise Not_a_float

@@ -219,58 +219,56 @@ let field_of s src off len =
     done;
     if !j < Array.length bucket then bucket.(!j) else -1
 
-(* fill empty slot [i] from [v], or record why [v] is not its kind *)
-let hold s i (v : Jsonl.value) =
-  let _, kind, _ = fields.(i) in
+(* fill empty slot [i] from the token, or record why it is not of the
+   field's kind: numbers are read straight from the line into the slot *)
+let hold s i kind src off len =
+  let _, field_kind, _ = fields.(i) in
   let state =
-    match (kind, v) with
-    | Fp, Jsonl.Str x -> (
-        match Point.fingerprint_of_hex x with
+    match (field_kind, kind) with
+    | Fp, Jsonl.String -> (
+        match Point.fingerprint_at src off len with
         | Some fp ->
             s.fp <- fp;
             held
         | None -> wrong_kind)
-    | Text, Jsonl.Str x ->
-        s.texts.(sub.(i)) <- x;
+    | Text, Jsonl.String ->
+        s.texts.(sub.(i)) <- String.sub src off len;
         held
-    | Memory, Jsonl.Str x -> (
-        match Point.memory_kind_of_string x with
+    | Memory, Jsonl.String -> (
+        match Point.memory_kind_at src off len with
         | Some m ->
             s.memory <- m;
             held
         | None -> wrong_kind)
-    | Int, Jsonl.Int x ->
-        let n = Int64.to_int x in
-        if Int64.of_int n = x then (
-          s.ints.(sub.(i)) <- n;
-          held)
-        else out_of_range
-    | Int64, Jsonl.Int x ->
-        s.cycles <- x;
+    | Int, Jsonl.Integer -> (
+        match Jsonl.int_at src off len with
+        | n ->
+            s.ints.(sub.(i)) <- n;
+            held
+        | exception Jsonl.Out_of_range -> out_of_range)
+    | Int64, Jsonl.Integer ->
+        s.cycles <- Jsonl.int64_at src off len;
         held
-    | Float, Jsonl.Float f ->
-        s.floats.(sub.(i)) <- f;
-        held
-    | Float, v -> (
-        match Jsonl.to_float v with
-        | Some f ->
+    | Float, _ -> (
+        match Jsonl.float_at kind src off len with
+        | f ->
             s.floats.(sub.(i)) <- f;
             held
-        | None -> wrong_kind)
-    | Bool, Jsonl.Bool b ->
-        s.correct <- b;
+        | exception Jsonl.Not_a_float -> wrong_kind)
+    | Bool, (Jsonl.True | Jsonl.False) ->
+        s.correct <- kind = Jsonl.True;
         held
     | (Fp | Text | Memory | Int | Int64 | Bool), _ -> wrong_kind
   in
   Bytes.unsafe_set s.state i state
 
 (* the first value of a key wins, as a lookup by key would find it *)
-let fill s src off len v =
-  let i = field_of s src off len in
+let fill s ksrc koff klen kind src off len =
+  let i = field_of s ksrc koff klen in
   i >= 0
   && begin
        s.next <- i + 1;
-       if Bytes.unsafe_get s.state i = empty then hold s i v;
+       if Bytes.unsafe_get s.state i = empty then hold s i kind src off len;
        true
      end
 
@@ -354,7 +352,10 @@ let of_slots s =
 
 let of_line line =
   let s = slots () in
-  match Jsonl.iter_fields line (fun src off len v -> ignore (fill s src off len v)) with
+  match
+    Jsonl.iter_fields line (fun ksrc koff klen kind src off len ->
+        ignore (fill s ksrc koff klen kind src off len))
+  with
   | Ok () -> of_slots s
   | Error _ as e -> e
 

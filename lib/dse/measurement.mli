@@ -71,12 +71,13 @@ type slots
 val slots : unit -> slots
 (** All empty. *)
 
-val fill : slots -> string -> int -> int -> Jsonl.value -> bool
-(** [fill s src off len v] offers one member as {!Jsonl.iter_fields}
-    hands it over. The field the canonical order names next is checked
-    before any lookup. A field's slot takes the value unless it already
-    has one (the first value of a key wins). [false] when the key is not
-    a measurement field. *)
+val fill : slots -> string -> int -> int -> Jsonl.kind -> string -> int -> int -> bool
+(** [fill s ksrc koff klen kind src off len] offers one member as
+    {!Jsonl.iter_fields} hands it over. The field the canonical order
+    names next is checked before any lookup. A field's slot takes the
+    value, read straight from its token, unless it already has one (the
+    first value of a key wins). [false] when the key is not a
+    measurement field. *)
 
 val of_slots : slots -> (t, string) result
 (** The measurement, or the first field in line order that is missing

@@ -4,11 +4,13 @@ type memory_kind = Spm | Cache | Dram
 
 let memory_kind_to_string = function Spm -> "spm" | Cache -> "cache" | Dram -> "dram"
 
-let memory_kind_of_string = function
-  | "spm" -> Some Spm
-  | "cache" -> Some Cache
-  | "dram" -> Some Dram
-  | _ -> None
+let memory_kind_at s off len =
+  if Jsonl.key_is s off len "spm" then Some Spm
+  else if Jsonl.key_is s off len "cache" then Some Cache
+  else if Jsonl.key_is s off len "dram" then Some Dram
+  else None
+
+let memory_kind_of_string s = memory_kind_at s 0 (String.length s)
 
 type t = {
   memory : memory_kind;
@@ -128,43 +130,68 @@ let to_config p =
 
 (* --- the canonical serialization ------------------------------------- *)
 
+let fnv_offset = 0xcbf29ce484222325L
+let fnv_prime = 0x100000001b3L
+
+(* Where the canonical text goes: a buffer, or straight into a running
+   FNV-1a hash, its 64-bit state held in 8 bytes so that feeding it a
+   byte allocates nothing. *)
+type sink = To_buffer of Buffer.t | To_hash of Bytes.t
+
+let add_char sink c =
+  match sink with
+  | To_buffer b -> Buffer.add_char b c
+  | To_hash h ->
+      Bytes.set_int64_ne h 0
+        (Int64.mul (Int64.logxor (Bytes.get_int64_ne h 0) (Int64.of_int (Char.code c))) fnv_prime)
+
+let add_string sink s =
+  match sink with
+  | To_buffer b -> Buffer.add_string b s
+  | To_hash h ->
+      let x = ref (Bytes.get_int64_ne h 0) in
+      for i = 0 to String.length s - 1 do
+        x := Int64.mul (Int64.logxor !x (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
+      done;
+      Bytes.set_int64_ne h 0 !x
+
 (* the decimal digits of [n <= 0], most significant first: min_int has
    no positive counterpart *)
-let rec add_neg_digits b n =
-  if n <= -10 then add_neg_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+let rec add_neg_digits sink n =
+  if n <= -10 then add_neg_digits sink (n / 10);
+  add_char sink (Char.unsafe_chr (48 - (n mod 10)))
 
-(* [string_of_int n], written straight into [b] *)
-let add_int b n =
+(* [string_of_int n], written straight into [sink] *)
+let add_int sink n =
   if n < 0 then (
-    Buffer.add_char b '-';
-    add_neg_digits b n)
-  else add_neg_digits b (-n)
+    add_char sink '-';
+    add_neg_digits sink n)
+  else add_neg_digits sink (-n)
 
 let hex_digit d = Char.unsafe_chr (if d < 10 then 48 + d else 87 + d)
 
 (* What [Printf.sprintf "%h" f] writes, without the format machinery:
    ["0x1.f4p+8"], ["-0x0p+0"], ["0x0.0000000000001p-1022"]. *)
-let add_hex_float b f =
-  if not (Float.is_finite f) then Buffer.add_string b (Printf.sprintf "%h" f)
+let add_hex_float sink f =
+  if not (Float.is_finite f) then add_string sink (Printf.sprintf "%h" f)
   else begin
     let bits = Int64.bits_of_float f in
-    if bits < 0L then Buffer.add_char b '-';
+    if bits < 0L then add_char sink '-';
     let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
     let mant = Int64.to_int bits land 0xf_ffff_ffff_ffff in
-    Buffer.add_string b (if biased = 0 then "0x0" else "0x1");
+    add_string sink (if biased = 0 then "0x0" else "0x1");
     if mant <> 0 then begin
-      Buffer.add_char b '.';
+      add_char sink '.';
       let rest = ref mant and shift = ref 48 in
       while !rest <> 0 do
-        Buffer.add_char b (hex_digit ((!rest lsr !shift) land 0xf));
+        add_char sink (hex_digit ((!rest lsr !shift) land 0xf));
         rest := !rest land ((1 lsl !shift) - 1);
         shift := !shift - 4
       done
     end;
     let exp = if biased = 0 then if mant = 0 then 0 else -1022 else biased - 1023 in
-    Buffer.add_string b (if exp < 0 then "p" else "p+");
-    add_int b exp
+    add_string sink (if exp < 0 then "p" else "p+");
+    add_int sink exp
   end
 
 type kind = Int of (t -> int) | Float of (t -> float) | Text of (t -> string)
@@ -193,49 +220,100 @@ let keys = Array.map fst fields
 
 (* [k=v] per field of the canonical point, each followed by [term] or,
    without it, separated by [','] *)
-let add_fields ?term b p =
+let add_fields ?term sink p =
   let p = canonical p in
-  Array.iteri
-    (fun i (k, kind) ->
-      (match term with None when i > 0 -> Buffer.add_char b ',' | _ -> ());
-      Buffer.add_string b k;
-      Buffer.add_char b '=';
-      (match kind with
-      | Int get -> add_int b (get p)
-      | Float get -> add_hex_float b (get p)
-      | Text get -> Buffer.add_string b (get p));
-      match term with Some c -> Buffer.add_char b c | None -> ())
-    fields
+  for i = 0 to n_fields - 1 do
+    let k, kind = fields.(i) in
+    (match term with None when i > 0 -> add_char sink ',' | _ -> ());
+    add_string sink k;
+    add_char sink '=';
+    (match kind with
+    | Int get -> add_int sink (get p)
+    | Float get -> add_hex_float sink (get p)
+    | Text get -> add_string sink (get p));
+    match term with Some c -> add_char sink c | None -> ()
+  done
+
+let add_compact b p = add_fields (To_buffer b) p
 
 let to_compact p =
   let b = Buffer.create 192 in
-  add_fields b p;
+  add_compact b p;
   Buffer.contents b
 
-exception Not_decimal
+exception Not_canonical
 
 (* [s.[off .. off+len-1]] read as the decimal [add_int] writes. Raises
-   [Not_decimal] on anything else: a sign other than a leading '-', a
+   [Not_canonical] on anything else: a sign other than a leading '-', a
    leading zero, "-0" or a value outside the int range. *)
 let canonical_int s off len =
   let neg = len > 0 && s.[off] = '-' in
   let first = if neg then off + 1 else off and stop = off + len in
-  if first = stop || (s.[first] = '0' && (stop > first + 1 || neg)) then raise Not_decimal;
+  if first = stop || (s.[first] = '0' && (stop > first + 1 || neg)) then raise Not_canonical;
   (* accumulated negatively so that min_int fits *)
   let acc = ref 0 in
   for j = first to stop - 1 do
     let d = Char.code s.[j] - 48 in
-    if d < 0 || d > 9 || !acc < (min_int + d) / 10 then raise Not_decimal;
+    if d < 0 || d > 9 || !acc < (min_int + d) / 10 then raise Not_canonical;
     acc := (!acc * 10) - d
   done;
-  if neg then !acc else if !acc = min_int then raise Not_decimal else - !acc
+  if neg then !acc else if !acc = min_int then raise Not_canonical else - !acc
 
-(* what [add_hex_float] writes, read back; its two NaN spellings read as
-   the NaNs the store's codec reads them as *)
-let hex_float = function
-  | "nan" -> Some Float.nan
-  | "-nan" -> Some (Float.neg Float.nan)
-  | v -> float_of_string_opt v
+(* a lowercase hex digit's value, or -1 *)
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | _ -> -1
+
+(* [s.[off .. off+len-1]] read as the one spelling [add_hex_float]
+   writes for a float, checked against the bytes as they are read; its
+   two NaN spellings read as the NaNs the store's codec reads them as.
+   Raises [Not_canonical] on any other text. *)
+let hex_float_at s off len =
+  if Jsonl.key_is s off len "nan" then Float.nan
+  else if Jsonl.key_is s off len "-nan" then Float.neg Float.nan
+  else if Jsonl.key_is s off len "infinity" then Float.infinity
+  else if Jsonl.key_is s off len "-infinity" then Float.neg_infinity
+  else begin
+    let stop = off + len in
+    let at i = if i < stop then String.unsafe_get s i else '\000' in
+    let neg = at off = '-' in
+    let i = if neg then off + 1 else off in
+    let lead = at (i + 2) in
+    if at i <> '0' || at (i + 1) <> 'x' || (lead <> '0' && lead <> '1') then raise Not_canonical;
+    let i = ref (i + 3) and mant = ref 0 and digits = ref 0 in
+    if at !i = '.' then begin
+      incr i;
+      while hex_value (at !i) >= 0 do
+        mant := (!mant lsl 4) lor hex_value (at !i);
+        incr digits;
+        incr i
+      done;
+      (* one to thirteen digits, the last not a zero *)
+      if !digits = 0 || !digits > 13 || at (!i - 1) = '0' then raise Not_canonical
+    end;
+    if at !i <> 'p' || (at (!i + 1) <> '+' && at (!i + 1) <> '-') then raise Not_canonical;
+    let exp_neg = at (!i + 1) = '-' and first = !i + 2 in
+    let j = ref first and e = ref 0 in
+    while !j - first < 5 && at !j >= '0' && at !j <= '9' do
+      e := (!e * 10) + Char.code (at !j) - 48;
+      incr j
+    done;
+    (* the exponent in plain decimal, to the end: no leading zero, and
+       a negative one is never 0 *)
+    if !j <> stop || !j = first || (at first = '0' && (!j > first + 1 || exp_neg)) then
+      raise Not_canonical;
+    let e = if exp_neg then - !e else !e in
+    let mant = !mant lsl (4 * (13 - !digits)) in
+    let biased =
+      if lead = '1' then
+        if e < -1022 || e > 1023 then raise Not_canonical else e + 1023
+      else if e <> if mant = 0 then 0 else -1022 then raise Not_canonical
+      else 0
+    in
+    let bits = Int64.logor (Int64.shift_left (Int64.of_int biased) 52) (Int64.of_int mant) in
+    Int64.float_of_bits (if neg then Int64.logor bits Int64.min_int else bits)
+  end
 
 (* the first [c] in [s] from [start] on, or [stop] *)
 let find s start stop c =
@@ -250,20 +328,27 @@ let bad_value s i off len what =
 
 (* positions in [fields]; a missing field is named in this order *)
 let memory_at = 7
+let hw_db_at = 5
 let required = [ memory_at; 9; 11; 0; 1; 4; 10; 6; 2; 3; 8; 5 ]
 
-let of_compact s =
-  let n = String.length s in
+let of_compact_sub s off len =
+  let n = off + len in
   let ints = Array.make n_fields 0 in
   let floats = Array.make n_fields 0.0 in
-  let texts = Array.make n_fields "" in
-  let spelled = Buffer.create 32 in
-  (* the [k=v] pairs from [start] on; [seen] has a bit per field given *)
-  let rec pairs start seen =
+  let memory = ref Spm and hw_db = ref "" in
+  (* the [k=v] pairs from [start] on; [seen] has a bit per field given,
+     and the field after [prev] is tried first, as [to_compact] orders
+     them *)
+  let rec pairs start prev seen =
     let stop = find s start n ',' in
     let eq = find s start stop '=' in
     let eq = if eq = stop then -1 else eq in
-    let i = if eq < 0 then -1 else Jsonl.find_key keys s start (eq - start) in
+    let i =
+      if eq < 0 then -1
+      else if prev + 1 < n_fields && Jsonl.key_is s start (eq - start) keys.(prev + 1) then
+        prev + 1
+      else Jsonl.find_key keys s start (eq - start)
+    in
     let voff = eq + 1 in
     let vlen = stop - voff in
     let error =
@@ -280,30 +365,33 @@ let of_compact s =
             | v ->
                 ints.(i) <- v;
                 None
-            | exception Not_decimal -> bad "an integer")
+            | exception Not_canonical -> bad "an integer")
         | Float _ -> (
-            match hex_float (String.sub s voff vlen) with
-            | None -> bad "a number"
-            | Some f ->
-                (* only the spelling [to_compact] writes: one point, one form *)
-                Buffer.clear spelled;
-                add_hex_float spelled f;
-                if Jsonl.key_is s voff vlen (Buffer.contents spelled) then (
-                  floats.(i) <- f;
-                  None)
+            (* only the spelling [to_compact] writes: one point, one form *)
+            match hex_float_at s voff vlen with
+            | f ->
+                floats.(i) <- f;
+                None
+            | exception Not_canonical ->
+                if float_of_string_opt (String.sub s voff vlen) = None then bad "a number"
                 else bad "written as %h")
-        | Text _ ->
-            texts.(i) <- String.sub s voff vlen;
-            if i <> memory_at || memory_kind_of_string texts.(i) <> None then None
-            else bad "spm, cache or dram"
+        | Text _ when i = hw_db_at ->
+            hw_db := String.sub s voff vlen;
+            None
+        | Text _ -> (
+            match memory_kind_at s voff vlen with
+            | Some m ->
+                memory := m;
+                None
+            | None -> bad "spm, cache or dram")
     in
     match error with
     | Some e -> Error ("point: " ^ e)
     | None ->
         let seen = seen lor (1 lsl i) in
-        if stop = n then Ok seen else pairs (stop + 1) seen
+        if stop = n then Ok seen else pairs (stop + 1) i seen
   in
-  match pairs 0 0 with
+  match pairs off (-1) 0 with
   | Error _ as e -> e
   | Ok seen -> (
       match List.find_opt (fun i -> seen land (1 lsl i) = 0) required with
@@ -311,7 +399,7 @@ let of_compact s =
       | None ->
           let p =
             {
-              memory = Option.get (memory_kind_of_string texts.(memory_at));
+              memory = !memory;
               read_ports = ints.(9);
               write_ports = ints.(11);
               banks = ints.(0);
@@ -322,7 +410,7 @@ let of_compact s =
               clock_mhz = floats.(2);
               node_nm = ints.(8);
               cycle_time_ns = floats.(3);
-              hw_db = texts.(5);
+              hw_db = !hw_db;
             }
           in
           let q = canonical p in
@@ -339,6 +427,8 @@ let of_compact s =
             Error
               (Printf.sprintf "point: field %s must be 0 for a %s point" k
                  (memory_kind_to_string p.memory)))
+
+let of_compact s = of_compact_sub s 0 (String.length s)
 
 let to_string p =
   let mem =
@@ -362,28 +452,40 @@ let to_string p =
 
 (* --- FNV-1a 64-bit ----------------------------------------------------- *)
 
-let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
 (* FNV-1a over the workload identity, a NUL, and [k=v;] per canonical
-   field *)
+   field, fed to the hash as it is written *)
 let fingerprint ~workload p =
-  let b = Buffer.create (String.length workload + 192) in
-  Buffer.add_string b workload;
-  Buffer.add_char b '\x00';
-  add_fields ~term:';' b p;
-  let h = ref fnv_offset in
-  for i = 0 to Buffer.length b - 1 do
-    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code (Buffer.nth b i)))) fnv_prime
-  done;
-  !h
+  let h = Bytes.create 8 in
+  Bytes.set_int64_ne h 0 fnv_offset;
+  let sink = To_hash h in
+  add_string sink workload;
+  add_char sink '\x00';
+  add_fields ~term:';' sink p;
+  Bytes.get_int64_ne h 0
 
 let fingerprint_hex fp = Printf.sprintf "%016Lx" fp
 
-let fingerprint_of_hex s =
-  if String.length s <> 16 then None
+(* the language [Int64.of_string ("0x" ^ s)] reads for a 16-byte [s]: a
+   hex digit of either case, then hex digits or underscores; 16 hex
+   digits never overflow, read unsigned modulo 2^64 *)
+let fingerprint_at s off len =
+  let digit = function
+    | '0' .. '9' as c -> Char.code c - 48
+    | 'a' .. 'f' as c -> Char.code c - 87
+    | 'A' .. 'F' as c -> Char.code c - 55
+    | _ -> -1
+  in
+  if len <> 16 || digit s.[off] < 0 then None
   else
-    (* Int64.of_string overflows to negative for hashes with the top bit
-       set, which is exactly what we want: 0x-prefixed parsing is
-       unsigned modulo 2^64 *)
-    try Some (Int64.of_string ("0x" ^ s)) with Failure _ -> None
+    let h = ref 0L and ok = ref true in
+    for j = off to off + 15 do
+      match String.unsafe_get s j with
+      | '_' -> ()
+      | c ->
+          let d = digit c in
+          if d < 0 then ok := false
+          else h := Int64.logor (Int64.shift_left !h 4) (Int64.of_int d)
+    done;
+    if !ok then Some !h else None
+
+let fingerprint_of_hex s = fingerprint_at s 0 (String.length s)

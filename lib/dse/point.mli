@@ -16,6 +16,10 @@ val memory_kind_to_string : memory_kind -> string
 
 val memory_kind_of_string : string -> memory_kind option
 
+val memory_kind_at : string -> int -> int -> memory_kind option
+(** [memory_kind_at s off len]: {!memory_kind_of_string} of the [len]
+    bytes of [s] from [off], read in place. *)
+
 type t = {
   memory : memory_kind;
   read_ports : int;  (** SPM read ports; ignored for cache/DRAM *)
@@ -80,12 +84,19 @@ val to_compact : t -> string
     ["banks=4,cache_bytes=0,...,write_ports=1"] — the {!Salam_served}
     protocol's point encoding. *)
 
+val add_compact : Buffer.t -> t -> unit
+(** [to_compact p], written straight into the buffer. *)
+
 val of_compact : string -> (t, string) result
 (** Inverse of {!to_compact}, in any key order. Loud [Error] naming the
     key on an unknown or repeated key, a missing one, a value not
     spelled as {!to_compact} writes it (integers in plain decimal,
     floats as [%h]), or a knob the memory kind ignores that is not 0:
     every accepted string names exactly one point. *)
+
+val of_compact_sub : string -> int -> int -> (t, string) result
+(** [of_compact_sub s off len]: {!of_compact} of the [len] bytes of [s]
+    from [off], read in place. *)
 
 val to_string : t -> string
 (** One-line human-readable form, e.g. ["spm rd=8 wr=4 banks=16 fu=1:1
@@ -95,9 +106,17 @@ val fingerprint : workload:string -> t -> int64
 (** FNV-1a 64-bit hash over the workload identity, a NUL byte and
     ["k=v;"] per field of the canonical point, sorted by key as in
     {!to_compact}. Independent of axis declaration order by
-    construction. *)
+    construction. The bytes are fed to the hash as they are written:
+    no text is built. *)
 
 val fingerprint_hex : int64 -> string
 (** Fixed-width lowercase hex (16 chars), the store's key format. *)
 
 val fingerprint_of_hex : string -> int64 option
+(** The 16-character text {!fingerprint_hex} writes, read back. Also
+    reads what [Int64.of_string ("0x" ^ s)] does for 16 characters:
+    upper-case digits, and underscores after the first digit. *)
+
+val fingerprint_at : string -> int -> int -> int64 option
+(** [fingerprint_at s off len]: {!fingerprint_of_hex} of the [len] bytes
+    of [s] from [off], read in place. *)

@@ -64,6 +64,8 @@ let roundtrip t req =
     | line -> (
         match P.decode_response line with
         | Error e -> fail "undecodable response: %s (line: %s)" e line
+        (* a line the daemon could not read is answered with id 0 *)
+        | Ok (0L, `Terminal (P.Failed e)) -> fail "request refused: %s" e
         | Ok (rid, _) when rid <> id ->
             fail "response for request %Ld while awaiting %Ld" rid id
         | Ok (_, `Interim resp) ->
@@ -100,7 +102,8 @@ let sim t ?(spec = P.default_spec) point =
   | P.Failed e, _ -> fail "sim: %s" e
   | _ -> fail "sim: unexpected terminal response"
 
-let sweep t ?(spec = P.default_spec) points =
+(* one sweep request: its answers in request order *)
+let sweep_batch t spec points =
   let n = List.length points in
   match roundtrip t (P.Sweep (spec, points)) with
   | P.Failed e, _ -> fail "sweep: %s" e
@@ -123,5 +126,19 @@ let sweep t ?(spec = P.default_spec) points =
                | None -> fail "sweep: no answer for point %d" i)
              slots)
       in
-      (P.Sweep_done { points = np; hits; sims; deduped }, answers)
+      ((np, hits, sims, deduped), answers)
   | _ -> fail "sweep: unexpected terminal response"
+
+(* a sweep longer than the daemon reads in one line goes as several
+   requests, one after another; their counters add up *)
+let sweep t ?(spec = P.default_spec) points =
+  let totals, answers =
+    List.fold_left
+      (fun ((np, hits, sims, deduped), answers) batch ->
+        let (np', hits', sims', deduped'), a = sweep_batch t spec batch in
+        ((np + np', hits + hits', sims + sims', deduped + deduped'), List.rev_append a answers))
+      ((0, 0, 0, 0), [])
+      (P.sweep_batches ~max_line:P.max_line spec points)
+  in
+  let np, hits, sims, deduped = totals in
+  (P.Sweep_done { points = np; hits; sims; deduped }, List.rev answers)

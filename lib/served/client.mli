@@ -39,4 +39,8 @@ val sweep :
   Protocol.response * (string * Salam_dse.Measurement.t) list
 (** Evaluate a batch; answers come back in request order regardless of
     completion order. The first component is the [Sweep_done] terminal
-    (points/hits/sims/deduped counters). *)
+    (points/hits/sims/deduped counters). A batch whose request line
+    would pass {!Protocol.max_line} is sent as several [sweep] requests
+    ({!Protocol.sweep_batches}), one after another, and their counters
+    summed: a point repeated across them is a hit in the later one, not
+    a dedup. *)

@@ -59,6 +59,23 @@ type response =
 
 let i n = Jsonl.Int (Int64.of_int n)
 
+(* compact points, separated by ';', written straight into the request;
+   a point whose [hw_db] needs escaping sends them through the string
+   encoder *)
+let add_points b k ps =
+  if List.exists (fun p -> Jsonl.has_escapes p.Point.hw_db) ps then
+    Jsonl.add_member b ~first:false k (Jsonl.Str (String.concat ";" (List.map Point.to_compact ps)))
+  else begin
+    Jsonl.add_key b ~first:false k;
+    Buffer.add_char b '"';
+    List.iteri
+      (fun j p ->
+        if j > 0 then Buffer.add_char b ';';
+        Point.add_compact b p)
+      ps;
+    Buffer.add_char b '"'
+  end
+
 let encode_request ~id req =
   let b = Buffer.create 256 in
   let add k v = Jsonl.add_member b ~first:false k v in
@@ -76,12 +93,32 @@ let encode_request ~id req =
   | Shutdown -> add "op" (Jsonl.Str "shutdown")
   | Sim (spec, p) ->
       with_spec "sim" spec;
-      add "point" (Jsonl.Str (Point.to_compact p))
+      add_points b "point" [ p ]
   | Sweep (spec, ps) ->
       with_spec "sweep" spec;
-      add "points" (Jsonl.Str (String.concat ";" (List.map Point.to_compact ps))));
+      add_points b "points" ps);
   Buffer.add_char b '}';
   Buffer.contents b
+
+(* The longest request line the daemon reads, newline excluded: 8 MiB,
+   about 40,000 compact points of some 200 bytes. A longer line is
+   refused and its connection closed, so a client that never sends a
+   newline costs the daemon at most this much memory. *)
+let max_line = 8 lsl 20
+
+(* halve a run of points until its sweep line fits, whatever its id:
+   an id is at most 20 bytes, as [Int64.min_int] spells it *)
+let sweep_batches ~max_line spec points =
+  let fits ps = String.length (encode_request ~id:Int64.min_int (Sweep (spec, ps))) <= max_line in
+  let rec cut ps rest =
+    match ps with
+    | [] | [ _ ] -> ps :: rest
+    | _ when fits ps -> ps :: rest
+    | _ ->
+        let half = List.length ps / 2 in
+        cut (List.filteri (fun j _ -> j < half) ps) (cut (List.filteri (fun j _ -> j >= half) ps) rest)
+  in
+  cut points []
 
 (* The envelope, then the measurement line's own members: its bytes
    after the opening '{', copied once into the reply. *)
@@ -131,32 +168,46 @@ let encode_response ~id resp =
 
 let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
 
-(* A line's envelope is read into one slot per key it may carry. The
-   first value of a key wins, as a lookup by key would find it, and
+(* A line's envelope keeps, per key it may carry, where the member's
+   value lies in the line; a value is only read when it is asked for.
+   The first value of a key wins, as a lookup by key would find it, and
    other keys are left to the caller. *)
-type envelope = { keys : string array; slots : Jsonl.value option array }
+type extent = { kind : Jsonl.kind; src : string; off : int; len : int }
+
+type envelope = { keys : string array; slots : extent option array }
 
 let envelope keys = { keys; slots = Array.make (Array.length keys) None }
 
-(* an envelope key's slot takes the value unless it already has one *)
-let take env src off len v =
-  let i = Jsonl.find_key env.keys src off len in
-  if i >= 0 && Option.is_none env.slots.(i) then env.slots.(i) <- Some v
+(* an envelope key's slot takes the member unless it already has one *)
+let take env ksrc koff klen kind src off len =
+  let i = Jsonl.find_key env.keys ksrc koff klen in
+  if i >= 0 && Option.is_none env.slots.(i) then env.slots.(i) <- Some { kind; src; off; len }
 
 let get env k = env.slots.(Jsonl.find_key env.keys k 0 (String.length k))
-let str env k = match get env k with Some (Jsonl.Str v) -> Some v | _ -> None
-let int64 env k = match get env k with Some (Jsonl.Int v) -> Some v | _ -> None
 
-let field_str env k =
-  match str env k with
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "missing or non-string field %S" k)
+let str env k =
+  match get env k with
+  | Some { kind = Jsonl.String; src; off; len } -> Some (String.sub src off len)
+  | _ -> None
+
+let int64 env k =
+  match get env k with
+  | Some { kind = Jsonl.Integer; src; off; len } -> Some (Jsonl.int64_at src off len)
+  | _ -> None
+
+(* a string member, left where it lies *)
+let string_extent env k =
+  match get env k with
+  | Some ({ kind = Jsonl.String; _ } as e) -> Ok e
+  | Some _ | None -> Error (Printf.sprintf "missing or non-string field %S" k)
+
+let field_str env k = Result.map (fun e -> String.sub e.src e.off e.len) (string_extent env k)
 
 let int_value k = function
-  | Jsonl.Int v -> (
-      match Jsonl.to_int v with
-      | Some n -> Ok n
-      | None -> Error (Printf.sprintf "field %S is outside the int range" k))
+  | { kind = Jsonl.Integer; src; off; len } -> (
+      match Jsonl.int_at src off len with
+      | n -> Ok n
+      | exception Jsonl.Out_of_range -> Error (Printf.sprintf "field %S is outside the int range" k))
   | _ -> Error (Printf.sprintf "field %S must be an integer" k)
 
 let field_int env k ~default = match get env k with None -> Ok default | Some v -> int_value k v
@@ -184,17 +235,23 @@ let decode_spec env =
           (Printf.sprintf "fast_forward must satisfy 0 <= %d < invocations (%d)" k invocations)
     | _ -> Ok { workload; gemm_n; invocations; fast_forward }
 
-let decode_points s =
-  let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | tok :: rest -> (
-        match Point.of_compact tok with
-        | Ok p -> go (p :: acc) rest
-        | Error e -> Error e)
-  in
-  match String.split_on_char ';' s with
-  | [ "" ] -> Error "empty point list"
-  | toks -> go [] toks
+(* the points of a "points" member: compact points separated by ';',
+   each read in place *)
+let decode_points env =
+  let* { src; off; len; _ } = string_extent env "points" in
+  if len = 0 then Error "empty point list"
+  else
+    let stop = off + len in
+    let rec go acc start =
+      let j = ref start in
+      while !j < stop && src.[!j] <> ';' do
+        incr j
+      done;
+      match Point.of_compact_sub src start (!j - start) with
+      | Error e -> Error e
+      | Ok p -> if !j = stop then Ok (List.rev (p :: acc)) else go (p :: acc) (!j + 1)
+    in
+    go [] off
 
 let decode_request line =
   let env = envelope request_keys in
@@ -214,8 +271,8 @@ let decode_request line =
           | Some "sim" -> (
               match
                 let* spec = decode_spec env in
-                let* compact = field_str env "point" in
-                let* p = Point.of_compact compact in
+                let* { src; off; len; _ } = string_extent env "point" in
+                let* p = Point.of_compact_sub src off len in
                 Ok (Sim (spec, p))
               with
               | Ok req -> Ok (id, req)
@@ -223,8 +280,7 @@ let decode_request line =
           | Some "sweep" -> (
               match
                 let* spec = decode_spec env in
-                let* s = field_str env "points" in
-                let* ps = decode_points s in
+                let* ps = decode_points env in
                 Ok (Sweep (spec, ps))
               with
               | Ok req -> Ok (id, req)
@@ -246,8 +302,9 @@ let decode_response line =
   let ms = Measurement.slots () in
   let env = envelope response_keys in
   match
-    Jsonl.iter_fields line (fun src off len v ->
-        if not (Measurement.fill ms src off len v) then take env src off len v)
+    Jsonl.iter_fields line (fun ksrc koff klen kind src off len ->
+        if not (Measurement.fill ms ksrc koff klen kind src off len) then
+          take env ksrc koff klen kind src off len)
   with
   | Error e -> Error (Printf.sprintf "bad response line: %s" e)
   | Ok () -> (

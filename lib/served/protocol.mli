@@ -72,6 +72,17 @@ type response =
 
 val encode_request : id:int64 -> request -> string
 
+val max_line : int
+(** The longest request line the daemon reads, newline excluded:
+    8 MiB. *)
+
+val sweep_batches :
+  max_line:int -> spec -> Salam_dse.Point.t list -> Salam_dse.Point.t list list
+(** [points] cut, in order, into runs whose [Sweep] request line is at
+    most [max_line] bytes for any id ({!Client.sweep} passes
+    {!max_line}); a point whose line alone is longer is a run of its
+    own. An empty list is one empty run. *)
+
 val decode_request : string -> (int64 * request, int64 * string) result
 (** [Error (id, msg)] carries the request id when one was parseable
     (else 0), so the error reply can still be routed. Points are read

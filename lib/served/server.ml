@@ -54,7 +54,7 @@ type conn = {
 type t = {
   cfg : config;
   store : Store_shard.t;
-  lock : Mutex.t;  (** inflight, counters, conns, stopping *)
+  lock : Mutex.t;  (** inflight, misses, deduped, simulated, conns; held to set stopping *)
   drained : Condition.t;  (** signaled whenever inflight goes empty *)
   inflight : (int64, pending) Hashtbl.t;
   q : Explore.job Queue.t;
@@ -62,12 +62,12 @@ type t = {
   q_not_empty : Condition.t;
   q_not_full : Condition.t;
   mutable q_closed : bool;
-  mutable hits : int;
+  hits : int Atomic.t;  (** a hit takes no lock but the store's *)
   mutable misses : int;
   mutable deduped : int;
   mutable simulated : int;
-  mutable requests : int;
-  mutable stopping : bool;
+  requests : int Atomic.t;
+  stopping : bool Atomic.t;
   mutable stopped : bool;
   finished : Condition.t;  (** signaled once fully stopped *)
   mutable conns : conn list;
@@ -97,9 +97,7 @@ let write_line conn line =
       with Sys_error _ -> () (* client went away; the reader will notice *))
 
 let fresh_ctx t conn ~id =
-  Mutex.lock t.lock;
-  t.requests <- t.requests + 1;
-  Mutex.unlock t.lock;
+  Atomic.incr t.requests;
   { r_conn = conn; r_id = id }
 
 (* --- the bounded job queue ---------------------------------------------- *)
@@ -201,15 +199,25 @@ let plan_of (spec : P.spec) =
       })
     target
 
-(* Resolve one canonical point: answer from the store, join an in-flight
-   simulation, or become the owner of a fresh one. [k] fires exactly
-   once with the served tag and the measurement's stored line (possibly
-   on a worker domain); the returned job, if any, must be enqueued by
-   the caller outside the state lock. *)
-let resolve t plan p k =
-  let fp = Explore.fingerprint plan p in
+(* A point the store holds is answered under the store lock alone. *)
+let hit t fp =
+  if Atomic.get t.stopping then Some (Error "server is shutting down")
+  else
+    match Store_shard.find_line t.store ~fp with
+    | Some line ->
+        Atomic.incr t.hits;
+        Some (Ok ("hit", line))
+    | None -> None
+
+(* Resolve one canonical point the store did not hold: answer from the
+   store after all (a worker may have stored it since), join an
+   in-flight simulation, or become the owner of a fresh one. [k] fires
+   exactly once with the served tag and the measurement's stored line
+   (possibly on a worker domain); the returned job, if any, must be
+   enqueued by the caller outside the state lock. *)
+let resolve t plan p fp k =
   Mutex.lock t.lock;
-  if t.stopping then begin
+  if Atomic.get t.stopping then begin
     Mutex.unlock t.lock;
     k (Error "server is shutting down");
     None
@@ -217,7 +225,7 @@ let resolve t plan p k =
   else
     match Store_shard.find_line t.store ~fp with
     | Some line ->
-        t.hits <- t.hits + 1;
+        Atomic.incr t.hits;
         Mutex.unlock t.lock;
         k (Ok ("hit", line));
         None
@@ -235,53 +243,63 @@ let resolve t plan p k =
             Mutex.unlock t.lock;
             Some (Explore.job plan p))
 
-(* resolve a whole batch, then block the handler thread until every
-   point has an answer; replies stream back in point order *)
+(* Answer a whole batch: hits straight from the store; only when a point
+   is pending does the handler thread set up a rendezvous, resolve the
+   rest and block until every point has an answer. Replies stream back
+   in point order. *)
 let eval_points t plan points =
-  let n = List.length points in
-  let slots = Array.make n None in
-  let remaining = ref n in
-  let lock = Mutex.create () in
-  let all_done = Condition.create () in
-  let fill i r =
+  let fps = List.map (Explore.fingerprint plan) points in
+  let answers = List.map (hit t) fps in
+  if List.for_all Option.is_some answers then List.map Option.get answers
+  else begin
+    let slots = Array.of_list answers in
+    let remaining = ref (List.length (List.filter Option.is_none answers)) in
+    let lock = Mutex.create () in
+    let all_done = Condition.create () in
+    let fill i r =
+      Mutex.lock lock;
+      slots.(i) <- Some r;
+      decr remaining;
+      if !remaining = 0 then Condition.broadcast all_done;
+      Mutex.unlock lock
+    in
+    let jobs =
+      List.concat
+        (List.mapi
+           (fun i ((p, fp), answer) ->
+             if Option.is_some answer then []
+             else Option.to_list (resolve t plan p fp (fill i)))
+           (List.combine (List.combine points fps) answers))
+    in
+    (* enqueue owned jobs after all resolutions: the inflight entries
+       already exist, so concurrent requests dedup against them even
+       while this thread blocks on a full queue *)
+    let rec enqueue_all = function
+      | [] -> ()
+      | job :: rest -> (
+          match enqueue t job with
+          | () -> enqueue_all rest
+          | exception Rejected e ->
+              (* retire only the jobs that never made it into the queue,
+                 so the drain cannot wait on jobs nobody will run; the
+                 already-enqueued prefix will complete normally, and
+                 error-completing it here would hand waiters deduped onto
+                 those jobs a spurious failure *)
+              List.iter (fun j -> complete t j (Error e)) (job :: rest))
+    in
+    enqueue_all jobs;
     Mutex.lock lock;
-    slots.(i) <- Some r;
-    decr remaining;
-    if !remaining = 0 then Condition.broadcast all_done;
-    Mutex.unlock lock
-  in
-  let jobs =
-    List.mapi (fun i p -> resolve t plan p (fill i)) points
-    |> List.filter_map Fun.id
-  in
-  (* enqueue owned jobs after all resolutions: the inflight entries
-     already exist, so concurrent requests dedup against them even
-     while this thread blocks on a full queue *)
-  let rec enqueue_all = function
-    | [] -> ()
-    | job :: rest -> (
-        match enqueue t job with
-        | () -> enqueue_all rest
-        | exception Rejected e ->
-            (* retire only the jobs that never made it into the queue,
-               so the drain cannot wait on jobs nobody will run; the
-               already-enqueued prefix will complete normally, and
-               error-completing it here would hand waiters deduped onto
-               those jobs a spurious failure *)
-            List.iter (fun j -> complete t j (Error e)) (job :: rest))
-  in
-  enqueue_all jobs;
-  Mutex.lock lock;
-  while !remaining > 0 do
-    Condition.wait all_done lock
-  done;
-  Mutex.unlock lock;
-  Array.to_list
-    (Array.map
-       (function
-         | Some r -> r
-         | None -> Error "internal: unresolved point slot")
-       slots)
+    while !remaining > 0 do
+      Condition.wait all_done lock
+    done;
+    Mutex.unlock lock;
+    Array.to_list
+      (Array.map
+         (function
+           | Some r -> r
+           | None -> Error "internal: unresolved point slot")
+         slots)
+  end
 
 (* --- request handling --------------------------------------------------- *)
 
@@ -342,7 +360,7 @@ let stats t =
   Mutex.lock t.lock;
   let st =
     {
-      P.st_hits = t.hits;
+      P.st_hits = Atomic.get t.hits;
       st_misses = t.misses;
       st_deduped = t.deduped;
       st_simulated = t.simulated;
@@ -352,19 +370,84 @@ let stats t =
                         Mutex.unlock t.q_lock;
                         d);
       st_store_size = Store_shard.size t.store;
-      st_requests = t.requests;
+      st_requests = Atomic.get t.requests;
     }
   in
   Mutex.unlock t.lock;
   st
 
+(* --- reading request lines ---------------------------------------------- *)
+
+(* A connection's input: the bytes read from its socket and not yet
+   consumed are [buf.[start .. stop-1]]. *)
+type reader = {
+  r_fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+}
+
+(* a connection's read buffer, grown while a longer line comes in *)
+let reader_size = 4096
+
+(* The next line without its newline (a last line may lack one), [`Eof],
+   or [`Too_long] once more than [P.max_line] bytes have come without a
+   newline. The pending bytes from [from] on hold no newline yet. *)
+let rec next_line r ~from =
+  let nl = ref from in
+  while !nl < r.stop && Bytes.get r.buf !nl <> '\n' do
+    incr nl
+  done;
+  if !nl < r.stop then begin
+    let line = Bytes.sub_string r.buf r.start (!nl - r.start) in
+    r.start <- !nl + 1;
+    (* a long line's buffer is not kept once its bytes are consumed *)
+    if r.start = r.stop && Bytes.length r.buf > reader_size then begin
+      r.buf <- Bytes.create reader_size;
+      r.start <- 0;
+      r.stop <- 0
+    end;
+    `Line line
+  end
+  else
+    let pending = r.stop - r.start in
+    if pending > P.max_line then `Too_long
+    else begin
+      (* room to read into: move the pending bytes to the front, and
+         grow the buffer when they fill it, up to [P.max_line + 1] *)
+      if r.stop = Bytes.length r.buf then begin
+        let size = Bytes.length r.buf in
+        let buf =
+          if pending < size then r.buf else Bytes.create (min (2 * size) (P.max_line + 1))
+        in
+        Bytes.blit r.buf r.start buf 0 pending;
+        r.buf <- buf;
+        r.start <- 0;
+        r.stop <- pending
+      end;
+      match Unix.read r.r_fd r.buf r.stop (Bytes.length r.buf - r.stop) with
+      | 0 ->
+          if pending = 0 then `Eof
+          else begin
+            let line = Bytes.sub_string r.buf r.start pending in
+            r.start <- r.stop;
+            `Line line
+          end
+      | k ->
+          r.stop <- r.stop + k;
+          next_line r ~from:(r.stop - k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_line r ~from:r.stop
+      | exception Unix.Unix_error _ -> `Eof
+    end
+
 (* --- connection lifecycle ----------------------------------------------- *)
 
 let rec stop t =
   let proceed =
+    (* set under the state lock: a miss that saw the flag clear has
+       its in-flight entry in place before the drain below looks *)
     Mutex.lock t.lock;
-    let p = not t.stopping in
-    if p then t.stopping <- true;
+    let p = Atomic.compare_and_set t.stopping false true in
     Mutex.unlock t.lock;
     p
   in
@@ -450,11 +533,15 @@ and handle_request t conn line =
           `Continue)
 
 and handler_loop t conn =
-  let ic = Unix.in_channel_of_descr conn.c_fd in
+  let r = { r_fd = conn.c_fd; buf = Bytes.create reader_size; start = 0; stop = 0 } in
   let rec go () =
-    match input_line ic with
-    | exception (End_of_file | Sys_error _) -> ()
-    | line -> ( match handle_request t conn line with `Continue -> go () | `Close -> ())
+    match next_line r ~from:r.start with
+    | `Eof -> ()
+    | `Too_long ->
+        write_line conn
+          (P.encode_response ~id:0L
+             (P.Failed (Printf.sprintf "request line longer than %d bytes" P.max_line)))
+    | `Line line -> ( match handle_request t conn line with `Continue -> go () | `Close -> ())
   in
   go ();
   (try flush conn.c_oc with Sys_error _ -> ());
@@ -495,11 +582,7 @@ and accept_loop t =
   in
   go ()
 
-and is_stopping t =
-  Mutex.lock t.lock;
-  let s = t.stopping in
-  Mutex.unlock t.lock;
-  s
+and is_stopping t = Atomic.get t.stopping
 
 (* --- lifecycle ---------------------------------------------------------- *)
 
@@ -550,12 +633,12 @@ let start cfg =
       q_not_empty = Condition.create ();
       q_not_full = Condition.create ();
       q_closed = false;
-      hits = 0;
+      hits = Atomic.make 0;
       misses = 0;
       deduped = 0;
       simulated = 0;
-      requests = 0;
-      stopping = false;
+      requests = Atomic.make 0;
+      stopping = Atomic.make false;
       stopped = false;
       finished = Condition.create ();
       conns = [];

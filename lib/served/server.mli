@@ -21,6 +21,9 @@
     - store misses queue onto the worker pool; a submitter blocks while
       64 jobs wait, so a flood of cold sweeps exerts backpressure on the
       submitting connections instead of exhausting memory;
+    - a request line longer than {!Protocol.max_line} bytes is refused with an
+      error reply naming the bound, and its connection closed; other
+      clients are served on;
     - {!stop} drains: every in-flight simulation completes and answers
       its waiters before the store is closed and the socket removed,
       and the store file ends on a complete line. *)

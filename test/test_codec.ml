@@ -13,9 +13,20 @@ module Point = Salam_dse.Point
 module Jsonl = struct
   include Salam_dse.Jsonl
 
+  let value kind src off len =
+    match kind with
+    | Integer -> Int (int64_at src off len)
+    | Number -> Float (float_of_string (String.sub src off len))
+    | True -> Bool true
+    | False -> Bool false
+    | String -> Str (String.sub src off len)
+
   let decode line =
     let fields = ref [] in
-    match iter_fields line (fun src off len v -> fields := (String.sub src off len, v) :: !fields) with
+    match
+      iter_fields line (fun ksrc koff klen kind src off len ->
+          fields := (String.sub ksrc koff klen, value kind src off len) :: !fields)
+    with
     | Ok () -> Ok (List.rev !fields)
     | Error _ as e -> e
 
@@ -25,6 +36,7 @@ module Jsonl = struct
 end
 
 module M = Salam_dse.Measurement
+module P = Salam_served.Protocol
 module Shard = Salam_dse.Store_shard
 
 (* --- the oracle ----------------------------------------------------- *)
@@ -241,8 +253,9 @@ let members_of line =
 
 (* A valid but non-canonical rendering of a measurement line: members
    shuffled, unknown keys and repeated keys (any value, any position)
-   inserted, a member sometimes dropped, and spaces around every token. *)
-let gen_mutated m : string QCheck.Gen.t =
+   inserted, a member sometimes dropped, and spaces around every token.
+   [envelope] members, when given, are shuffled in among them. *)
+let gen_mutated ?(envelope = []) m : string QCheck.Gen.t =
  fun st ->
   let fields = members_of (M.to_line m) in
   let keys = List.map fst fields in
@@ -253,7 +266,7 @@ let gen_mutated m : string QCheck.Gen.t =
   let repeats =
     List.init (QCheck.Gen.int_range 0 3 st) (fun _ -> (QCheck.Gen.oneofl keys st, gen_value st))
   in
-  let members = QCheck.Gen.shuffle_l (fields @ extra @ repeats) st in
+  let members = QCheck.Gen.shuffle_l (fields @ extra @ repeats @ envelope) st in
   let members =
     if QCheck.Gen.int_range 0 9 st = 0 then
       let drop = QCheck.Gen.oneofl keys st in
@@ -284,16 +297,52 @@ let qcheck_canonical_round_trip =
       | got, want ->
           QCheck.Test.fail_reportf "decoder %s, oracle %s" (show_result got) (show_result want))
 
+(* a result reply's envelope members, and sometimes a second value (any
+   value) for one of its keys *)
+let gen_envelope st =
+  let base =
+    [
+      ("id", Jsonl.Int (QCheck.Gen.ui64 st));
+      ("type", Jsonl.Str "result");
+      ("served", Jsonl.Str (QCheck.Gen.oneofl [ "hit"; "sim"; "dedup" ] st));
+    ]
+  in
+  base
+  @ List.init (QCheck.Gen.int_range 0 2 st) (fun _ ->
+        (QCheck.Gen.oneofl [ "id"; "type"; "served" ] st, gen_value st))
+
+(* Mutated store lines, and mutated reply lines with the envelope's
+   members before, between and after the measurement's: the reply
+   decoder reads the measurement the oracle reads and the first value of
+   each envelope key, or refuses what either refuses. *)
 let qcheck_mutated_lines_agree =
   QCheck.Test.make ~name:"mutated lines decode like the oracle" ~count:500
-    (QCheck.make ~print:snd
-       QCheck.Gen.(gen_measurement >>= fun m -> map (fun l -> (m, l)) (gen_mutated m)))
-    (fun (_, line) ->
-      match (M.of_line line, oracle_of_line line) with
+    (QCheck.make ~print:(fun (l, r) -> l ^ "\n" ^ r)
+       QCheck.Gen.(
+         gen_measurement >>= fun m ->
+         pair (gen_mutated m) (gen_envelope >>= fun envelope -> gen_mutated ~envelope m)))
+    (fun (line, reply) ->
+      (match (M.of_line line, oracle_of_line line) with
       | Ok got, Ok want -> same got want
       | Error _, Error _ -> true
       | got, want ->
           QCheck.Test.fail_reportf "decoder %s, oracle %s" (show_result got) (show_result want))
+      &&
+      let fields = members_of reply in
+      let envelope_ok =
+        Jsonl.get_int fields "id" <> None
+        && Jsonl.get_str fields "type" = Some "result"
+        && Jsonl.get_str fields "served" <> None
+      in
+      match (P.decode_response reply, oracle_of_line reply) with
+      | Ok (id, `Terminal (P.Result { served; m })), Ok want ->
+          (same m want && envelope_ok
+          && Jsonl.get_int fields "id" = Some id
+          && Jsonl.get_str fields "served" = Some served)
+          || QCheck.Test.fail_reportf "reply decoded as %s" (M.to_line m)
+      | Ok _, _ -> QCheck.Test.fail_report "reply decoded, but not as the oracle reads it"
+      | Error _, Ok _ -> (not envelope_ok) || QCheck.Test.fail_report "a good reply refused"
+      | Error _, Error _ -> true)
 
 (* --- hand-written lines --------------------------------------------- *)
 
@@ -495,8 +544,6 @@ let test_golden_stores_held_verbatim () =
       check ~what:"sharded" dir files)
 
 (* --- bit-exact round trips and mutated bytes ------------------------ *)
-
-module P = Salam_served.Protocol
 
 (* bit for bit: floats compared by their bits, NaN payloads included *)
 let bit_equal a b =
@@ -724,6 +771,65 @@ let qcheck_mutated_request_lines =
                  | P.Ping | P.Stats | P.Shutdown -> true))
            flips)
 
+(* FNV-1a over [s], byte by byte: the fingerprint's definition *)
+let fnv_reference s =
+  let h = ref 0xcbf29ce484222325L in
+  String.iter
+    (fun c -> h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
+    s;
+  !h
+
+let qcheck_request_point_fingerprint =
+  QCheck.Test.make
+    ~name:"decode_request (encode_request p) keeps the point and its fingerprint" ~count:300
+    (QCheck.make ~print:Point.to_compact gen_point)
+    (fun p ->
+      let invocations = 1 + (p.Point.read_ports land 3 mod 3) in
+      let fast_forward = if p.Point.banks land 1 = 0 then None else Some (invocations - 1) in
+      let n = 16 in
+      let plan =
+        { Salam_dse.Explore.target = Salam_dse.Explore.gemm_target ~n (); invocations; fast_forward }
+      in
+      let spec = { P.default_spec with P.gemm_n = n; invocations; fast_forward } in
+      match P.decode_request (P.encode_request ~id:3L (P.Sim (spec, p))) with
+      | Ok (3L, P.Sim (spec', p')) ->
+          (* the text the fingerprint hashes, built independently *)
+          let identity =
+            Printf.sprintf "gemm_ncubed_n%d_u%d_j%d" n p.Point.unroll p.Point.junroll
+            ^ (if invocations = 1 then "" else Printf.sprintf "#inv%d" invocations)
+            ^ match fast_forward with None -> "" | Some k -> Printf.sprintf "#ff%d" k
+          in
+          let text =
+            identity ^ "\000"
+            ^ String.concat "" (List.map (fun kv -> kv ^ ";") (String.split_on_char ',' (Point.to_compact p)))
+          in
+          let fp = Salam_dse.Explore.fingerprint plan p in
+          (bit_equal p' p && spec' = spec
+          && Salam_dse.Explore.fingerprint plan p' = fp
+          && fp = fnv_reference text)
+          || QCheck.Test.fail_reportf "decoded %s, fingerprint %Lx" (Point.to_compact p') fp
+      | Ok _ -> QCheck.Test.fail_report "decoded another request"
+      | Error (_, e) -> QCheck.Test.fail_reportf "refused its own line: %s" e)
+
+(* The store's 16-character fingerprint text is read as
+   [Int64.of_string ("0x" ^ s)] reads it: either case, underscores after
+   the first digit. *)
+let qcheck_fingerprint_hex_language =
+  QCheck.Test.make ~name:"fingerprint_of_hex reads what Int64.of_string reads" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S")
+       QCheck.Gen.(
+         string_size
+           ~gen:(frequency [ (8, oneofl (String.to_seq "0123456789abcdefABCDEF" |> List.of_seq)); (1, oneofl [ '_'; 'x'; '-'; '+'; 'g'; ' ' ]) ])
+           (frequency [ (8, return 16); (1, int_range 0 20) ])))
+    (fun s ->
+      let want =
+        if String.length s <> 16 then None
+        else try Some (Int64.of_string ("0x" ^ s)) with Failure _ -> None
+      in
+      Point.fingerprint_of_hex s = want
+      || QCheck.Test.fail_reportf "read as %s"
+           (match Point.fingerprint_of_hex s with Some h -> Printf.sprintf "%Lx" h | None -> "nothing"))
+
 let qcheck_compact_round_trip =
   QCheck.Test.make ~name:"of_compact (to_compact p) = Ok p, bit for bit" ~count:500
     (QCheck.make ~print:Point.to_compact gen_point)
@@ -772,6 +878,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_mutated_reply_lines;
     QCheck_alcotest.to_alcotest qcheck_request_round_trip;
     QCheck_alcotest.to_alcotest qcheck_mutated_request_lines;
+    QCheck_alcotest.to_alcotest qcheck_request_point_fingerprint;
+    QCheck_alcotest.to_alcotest qcheck_fingerprint_hex_language;
     QCheck_alcotest.to_alcotest qcheck_compact_round_trip;
     QCheck_alcotest.to_alcotest qcheck_mutated_compact_points;
   ]

@@ -660,6 +660,22 @@ let test_cli_refuses_bad_domains () =
       "2";
     ]
 
+(* run --help shows each list flag's default as the list its parser
+   reads, not a placeholder *)
+let test_cli_help_shows_list_defaults () =
+  let status, stdout, _ = run_cli "../bin/salam_dse.exe" [ "salam_dse"; "run"; "--help=plain" ] in
+  Alcotest.(check bool) "--help=plain exits 0" true (status = Unix.WEXITED 0);
+  List.iter
+    (fun shown ->
+      Alcotest.(check bool) shown true (Test_store_shard.contains stdout shown))
+    [
+      "--fu=LIST (absent=0,2,4,8)";
+      "--ports=LIST (absent=1,2,4,8,16)";
+      "--cache-size=LIST (absent=512,2048,8192)";
+      "--clock=LIST (absent=500)";
+      "--mem=KINDS (absent=spm)";
+    ]
+
 (* The daemon's workers and a local sweep measure through the same
    step: one job measured alone equals the sweep's measurement, and two
    timing configurations of one kernel share one snapshot key. *)
@@ -823,6 +839,8 @@ let suite =
       test_sim_cli_refuses_out_of_range_flags;
     Alcotest.test_case "salam_dse refuses a bad SALAM_DOMAINS" `Quick
       test_cli_refuses_bad_domains;
+    Alcotest.test_case "salam_dse run --help shows list defaults" `Quick
+      test_cli_help_shows_list_defaults;
     Alcotest.test_case "one measure step for sweep and daemon" `Quick test_measure_step_shared;
     Alcotest.test_case "derived = simulated, byte for byte" `Quick test_derivation_oracle;
     Alcotest.test_case "random strategy deterministic" `Quick test_random_strategy_deterministic;

@@ -410,6 +410,90 @@ let test_hit_reply_is_envelope_and_stored_bytes () =
             (raw_replies socket ~id:6L (P.Sweep (tiny_spec, [ point 2 ])));
           Alcotest.(check int) "nothing simulated" 0 (Server.stats_snapshot server).P.st_simulated))
 
+(* A client that sends more than the line bound without a newline gets
+   an error reply naming the bound and is hung up on; another client is
+   served meanwhile. *)
+let test_overlong_line_refused () =
+  let line = M.to_line (stored_for (point 2)) in
+  with_store_file (line ^ "\n") (fun store ->
+      with_server ~store_dir:store (fun socket _ ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX socket);
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              let chunk = Bytes.make 65536 'x' in
+              let rec send left =
+                if left > 0 then send (left - Unix.write fd chunk 0 (min left 65536))
+              in
+              send (P.max_line + 1);
+              (* a daemon that waits for the newline fails the test, not hangs it *)
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.0;
+              let ic = Unix.in_channel_of_descr fd in
+              (match P.decode_response (input_line ic) with
+              | Ok (0L, `Terminal (P.Failed e)) ->
+                  Alcotest.(check string) "the bound named" "request line longer than 8388608 bytes" e
+              | _ -> Alcotest.fail "an over-long line must yield a type=error reply");
+              match input_line ic with
+              | exception End_of_file -> ()
+              | l -> Alcotest.failf "the connection stayed open: %s" l);
+          Client.with_connection socket (fun c ->
+              let served, m = Client.sim c ~spec:tiny_spec (point 2) in
+              Alcotest.(check string) "another client hits" "hit" served;
+              Alcotest.(check string) "its stored line" line (M.to_line m))))
+
+(* [sweep_batches] keeps every point, in order, and cuts only where a
+   run's line would pass the bound. *)
+let test_sweep_batches () =
+  let points = List.init 40 (fun j -> point (1 lsl (j mod 5))) in
+  let width ps = String.length (P.encode_request ~id:Int64.min_int (P.Sweep (tiny_spec, ps))) in
+  let whole = width points in
+  List.iter
+    (fun (max_line, expected) ->
+      let batches = P.sweep_batches ~max_line tiny_spec points in
+      Alcotest.(check (list int))
+        (Printf.sprintf "every point in order (bound %d)" max_line)
+        (List.map (fun _ -> 0) points)
+        (List.map2 Point.compare (List.concat batches) points);
+      List.iter
+        (fun b ->
+          if List.length b > 1 && width b > max_line then
+            Alcotest.failf "a run of %d points is %d bytes, over %d" (List.length b) (width b)
+              max_line)
+        batches;
+      Alcotest.(check int) (Printf.sprintf "runs (bound %d)" max_line) expected (List.length batches))
+    [ (P.max_line, 1); (whole, 1); (whole - 1, 2); (whole / 3, 4); (0, 40) ];
+  Alcotest.(check int) "an empty sweep is one empty run" 1
+    (List.length (P.sweep_batches ~max_line:P.max_line tiny_spec []))
+
+(* A sweep whose one line the daemon would refuse goes as several
+   requests: every point is answered, in order, and counted once. *)
+let test_long_sweep_split () =
+  let stored = stored_for (point 2) in
+  let line = M.to_line stored in
+  let n = (P.max_line / (String.length (Point.to_compact (point 2)) + 1)) + 1 in
+  let points = List.init n (fun j -> if j = n / 2 then point 4 else point 2) in
+  Alcotest.(check bool)
+    "one line would pass the bound" true
+    (String.length (P.encode_request ~id:1L (P.Sweep (tiny_spec, points))) > P.max_line);
+  with_store_file (line ^ "\n") (fun store ->
+      with_server ~store_dir:store (fun socket server ->
+          Client.with_connection socket (fun c ->
+              match Client.sweep c ~spec:tiny_spec points with
+              | P.Sweep_done { points = np; hits; sims; deduped }, answers ->
+                  Alcotest.(check (list int))
+                    "points, hits, sims, dedups" [ n; n - 1; 1; 0 ] [ np; hits; sims; deduped ];
+                  Alcotest.(check int) "every point answered" n (List.length answers);
+                  List.iteri
+                    (fun j (served, m) ->
+                      if j = n / 2 then Alcotest.(check string) "the cold point simulated" "sim" served
+                      else if served <> "hit" || m.M.fp <> stored.M.fp then
+                        Alcotest.failf "point %d answered %s with %s" j served
+                          (Point.fingerprint_hex m.M.fp))
+                    answers;
+                  Alcotest.(check int) "one simulation" 1 (Server.stats_snapshot server).P.st_simulated
+              | _ -> Alcotest.fail "a sweep ends in done")))
+
 (* An older client may still ask for a progress stream with
    ["progress":true]. The daemon ignores the member: the request gets one
    reply line, the same bytes as without it, and the next request on the
@@ -727,6 +811,10 @@ let suite =
     Alcotest.test_case "non-canonical stored line answered canonically" `Quick
       test_non_canonical_line_answered_canonically;
     Alcotest.test_case "client names the bad field" `Quick test_client_names_the_bad_field;
+    Alcotest.test_case "over-long request line refused, others served" `Quick
+      test_overlong_line_refused;
+    Alcotest.test_case "sweep cut into runs that fit a line" `Quick test_sweep_batches;
+    Alcotest.test_case "sweep longer than a line answered in order" `Quick test_long_sweep_split;
     Alcotest.test_case "fast-forward snapshots isolated per roadmark" `Quick
       test_fast_forward_snapshots_isolated_per_roadmark;
     Alcotest.test_case "concurrent clients dedup to one simulation" `Quick

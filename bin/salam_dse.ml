@@ -308,8 +308,8 @@ let store_arg =
   Arg.(value & opt (some string) None
        & info [ "store" ] ~docv:"PATH"
            ~doc:"Persistent result store; re-runs answer from it incrementally. A missing \
-                 $(docv) is created as a store directory; an existing directory or legacy \
-                 JSONL file is opened as it is.")
+                 or empty $(docv) is created as a store directory; an existing store \
+                 directory is opened as it is.")
 
 let server_arg =
   Arg.(value & opt (some string) None
@@ -465,7 +465,7 @@ let resume_cmd =
 let front_cmd =
   let store =
     Arg.(required & opt (some string) None
-         & info [ "store" ] ~docv:"PATH" ~doc:"Store to read: a directory or a legacy JSONL file.")
+         & info [ "store" ] ~docv:"PATH" ~doc:"Store directory to read.")
   in
   let workload =
     Arg.(value & opt (some string) None
@@ -477,7 +477,7 @@ let front_cmd =
 let explain_cmd =
   let store =
     Arg.(required & opt (some string) None
-         & info [ "store" ] ~docv:"PATH" ~doc:"Store to read: a directory or a legacy JSONL file.")
+         & info [ "store" ] ~docv:"PATH" ~doc:"Store directory to read.")
   in
   let fp = Arg.(required & pos 0 (some string) None & info [] ~docv:"FINGERPRINT") in
   let doc = "Decode a stored fingerprint: the point, the elaborated config, the measurement." in

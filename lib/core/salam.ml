@@ -78,6 +78,8 @@ let round_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 256
 
+let model_epoch = 1
+
 (* --- fast-forward machinery -------------------------------------------- *)
 
 let roadmark_name k = if k = 0 then "start" else Printf.sprintf "after-invocation-%d" k

@@ -124,6 +124,13 @@ type probe = {
     snapshot oracle subtracts it from end-of-run totals to compare
     against a fast-forwarded run's post-roadmark statistics. *)
 
+val model_epoch : int
+(** The timing model's version. Every design-point fingerprint hashes
+    it first, so a stored answer keys to the model that measured it;
+    bump it with any change that moves a simulated figure (1: FU caps
+    hold per cycle, not per tick). A figure golden re-blessed without a
+    bump fails the "figure goldens pinned to the model epoch" test. *)
+
 val roadmark_name : int -> string
 (** ["start"] for 0, ["after-invocation-k"] otherwise. *)
 

@@ -452,12 +452,16 @@ let to_string p =
 
 (* --- FNV-1a 64-bit ----------------------------------------------------- *)
 
-(* FNV-1a over the workload identity, a NUL, and [k=v;] per canonical
-   field, fed to the hash as it is written *)
+(* FNV-1a over [epoch=N] for the model epoch, a NUL, the workload
+   identity, a NUL, and [k=v;] per canonical field, fed to the hash as
+   it is written *)
 let fingerprint ~workload p =
   let h = Bytes.create 8 in
   Bytes.set_int64_ne h 0 fnv_offset;
   let sink = To_hash h in
+  add_string sink "epoch=";
+  add_int sink Salam.model_epoch;
+  add_char sink '\x00';
   add_string sink workload;
   add_char sink '\x00';
   add_fields ~term:';' sink p;

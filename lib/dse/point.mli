@@ -103,7 +103,8 @@ val to_string : t -> string
     u=16 j=8 500MHz"]. *)
 
 val fingerprint : workload:string -> t -> int64
-(** FNV-1a 64-bit hash over the workload identity, a NUL byte and
+(** FNV-1a 64-bit hash over ["epoch=N"] for {!Salam.model_epoch}, a
+    NUL byte, the workload identity, a NUL byte and
     ["k=v;"] per field of the canonical point, sorted by key as in
     {!to_compact}. Independent of axis declaration order by
     construction. The bytes are fed to the hash as they are written:

@@ -1,11 +1,6 @@
 (* The result store: one in-memory index, one mutex and one JSONL file
-   that new lines are appended to. The store is a directory holding a
-   manifest and its JSONL files, or a legacy single JSONL file opened in
-   place. Directories written when stores were sharded list N files in
-   their manifest; all of them are read, in index order, into the one
-   index, and new lines go to the first. A lookup does not depend on
-   which file a line sits in, so reading them merged answers exactly
-   what the sharded layout did.
+   that new lines are appended to. On disk a store is a directory
+   holding a manifest and that file; nothing else opens.
 
    An entry is held as its line, the bytes a hit is answered with:
    [find_line] hands them out as they are, [find] and [entries] decode
@@ -13,8 +8,7 @@
    re-encoding of any line that is not already canonical. *)
 
 type t = {
-  path : string option;  (** directory or legacy file; [None] = in-memory *)
-  append_to : string option;  (** the file new lines go to *)
+  path : string option;  (** the store directory; [None] = in-memory *)
   lock : Mutex.t;  (** guards every field below *)
   index : (int64, string) Hashtbl.t;  (** fingerprint -> canonical line *)
   mutable order : string list;  (** newest first *)
@@ -22,62 +16,60 @@ type t = {
   repaired : int;
 }
 
-let manifest_magic = "salam-shards 1"
+let manifest = "salam-shards 1\ncount=1\n"
 let manifest_path dir = Filename.concat dir "shards.manifest"
+let lines_path dir = Filename.concat dir "shard-00.jsonl"
 
-(* generation 0 is the only name new stores use; directories resharded
-   by older releases name their files after the generation *)
-let shard_file dir ~gen i =
-  if gen = 0 then Filename.concat dir (Printf.sprintf "shard-%02d.jsonl" i)
-  else Filename.concat dir (Printf.sprintf "shard-%02d.g%d.jsonl" i gen)
+(* Single-file stores and N-shard directories hold lines from before
+   model epoch 1: no fingerprint of theirs can be asked for now, so they
+   are refused rather than opened to miss on every lookup. *)
+let refuse_layout path found =
+  failwith
+    (Printf.sprintf
+       "Store_shard.open_: %s is %s: the layout of a store that predates model epoch %d (a \
+        store is now a directory whose shards.manifest reads %S), so every lookup in it would \
+        miss; it is refused and left untouched"
+       path found Salam.model_epoch manifest)
 
-let read_manifest dir =
-  let path = manifest_path dir in
-  if not (Sys.file_exists path) then
-    failwith
-      (Printf.sprintf "Store_shard.open_: %s exists but has no shards.manifest — not a store"
-         dir);
-  In_channel.with_open_bin path (fun ic ->
-      let bad what = failwith (Printf.sprintf "Store_shard.open_: %s: %s" path what) in
-      let line () =
-        match In_channel.input_line ic with Some l -> l | None -> bad "truncated manifest"
-      in
-      let magic = line () in
-      if magic <> manifest_magic then
-        bad (Printf.sprintf "bad magic %S (expected %S)" magic manifest_magic);
-      let count = line () in
-      let n =
-        match String.split_on_char '=' count with
-        | [ "count"; n ] -> (
-            match int_of_string_opt n with
-            | Some n when n >= 1 -> n
-            | Some _ | None -> bad (Printf.sprintf "bad shard count %S" n))
-        | _ -> bad (Printf.sprintf "bad count line %S" count)
-      in
-      (* the gen line is optional: only resharded directories carry one *)
-      let gen =
-        match In_channel.input_line ic with
-        | None -> 0
-        | Some line -> (
-            match String.split_on_char '=' line with
-            | [ "gen"; g ] -> (
-                match int_of_string_opt g with
-                | Some g when g >= 0 -> g
-                | Some _ | None -> bad (Printf.sprintf "bad gen %S" g))
-            | _ -> bad (Printf.sprintf "bad gen line %S" line))
-      in
-      (n, gen))
+(* a missing or empty directory is a store waiting to happen
+   (mkdir-then-open is a natural CLI sequence) *)
+let check_layout path =
+  if not (Sys.file_exists path) then Sys.mkdir path 0o755;
+  if not (Sys.is_directory path) then refuse_layout path "a single file"
+  else if Sys.readdir path = [||] then
+    Out_channel.with_open_bin (manifest_path path) (fun oc -> output_string oc manifest)
+  else if not (Sys.file_exists (manifest_path path)) then
+    failwith ("Store_shard.open_: " ^ path ^ " exists but has no shards.manifest — not a store")
+  else
+    let found = In_channel.with_open_bin (manifest_path path) In_channel.input_all in
+    if found <> manifest then
+      refuse_layout path (Printf.sprintf "a directory whose shards.manifest reads %S" found)
+
+(* Index [line] under [fp] unless the fingerprint is already there: the
+   first line for a fingerprint wins. *)
+let remember t fp line =
+  let fresh = not (Hashtbl.mem t.index fp) in
+  if fresh then begin
+    Hashtbl.replace t.index fp line;
+    t.order <- line :: t.order
+  end;
+  fresh
+
+let make path =
+  { path; lock = Mutex.create (); index = Hashtbl.create 64; order = []; oc = None; repaired = 0 }
+
+let in_memory () = make None
 
 (* Every line a store writes starts with this, so an interrupted append
    leaves a final fragment that is a prefix of it or starts with it. *)
 let record_start = "{\"fp\":\""
 
-(* Feed every measurement in [path] to [keep], with its canonical line,
-   and return the bytes of damaged tail cut off the file. Only a final
+(* Index every measurement in [path] in [t], by its canonical line, and
+   return the bytes of damaged tail cut off the file. Only a final
    line with no '\n' — what an interrupted append leaves — is repaired;
    any other line that does not parse is refused, so a file that is not
    a store is never wiped. *)
-let load_file path keep =
+let load_file t path =
   if not (Sys.file_exists path) then 0
   else
     let contents = In_channel.with_open_bin path In_channel.input_all in
@@ -89,7 +81,7 @@ let load_file path keep =
        reordered, padded or extra-key line is never handed out as is *)
     let keep_line line m =
       let canonical = Measurement.to_line m in
-      keep m (if String.equal canonical line then line else canonical)
+      ignore (remember t m.Measurement.fp (if String.equal canonical line then line else canonical))
     in
     let rec go start lineno =
       match String.index_from_opt contents start '\n' with
@@ -119,48 +111,10 @@ let load_file path keep =
     in
     go 0 1
 
-(* Index [line] under [fp] unless the fingerprint is already there: the
-   first line for a fingerprint wins, across files as within one. *)
-let remember t fp line =
-  let fresh = not (Hashtbl.mem t.index fp) in
-  if fresh then begin
-    Hashtbl.replace t.index fp line;
-    t.order <- line :: t.order
-  end;
-  fresh
-
-let make ?path ?append_to files =
-  let t =
-    { path; append_to; lock = Mutex.create (); index = Hashtbl.create 64; order = []; oc = None;
-      repaired = 0 }
-  in
-  let repaired =
-    List.fold_left
-      (fun acc f ->
-        acc + load_file f (fun m line -> ignore (remember t m.Measurement.fp line)))
-      0 files
-  in
-  { t with repaired }
-
-let in_memory () = make []
-
 let open_ path =
-  if Sys.file_exists path && not (Sys.is_directory path) then
-    make ~path ~append_to:path [ path ]
-  else begin
-    (* a missing or empty directory is a store waiting to happen
-       (mkdir-then-open is a natural CLI sequence) *)
-    let n, gen =
-      if Sys.file_exists path && Sys.readdir path <> [||] then read_manifest path
-      else begin
-        if not (Sys.file_exists path) then Sys.mkdir path 0o755;
-        Out_channel.with_open_bin (manifest_path path) (fun oc ->
-            Printf.fprintf oc "%s\ncount=1\n" manifest_magic);
-        (1, 0)
-      end
-    in
-    make ~path ~append_to:(shard_file path ~gen 0) (List.init n (shard_file path ~gen))
-  end
+  check_layout path;
+  let t = make (Some path) in
+  { t with repaired = load_file t (lines_path path) }
 
 let path t = t.path
 
@@ -191,9 +145,9 @@ let decode line =
 let find t ~fp = Option.map decode (find_line t ~fp)
 
 let channel t =
-  match (t.oc, t.append_to) with
-  | None, Some file ->
-      t.oc <- Some (open_append file);
+  match (t.oc, t.path) with
+  | None, Some dir ->
+      t.oc <- Some (open_append (lines_path dir));
       t.oc
   | oc, _ -> oc
 

@@ -5,16 +5,14 @@
     without re-encoding it, while {!find} and {!entries} decode them on
     demand.
 
-    Layout on disk: a directory holding [shards.manifest] (a magic line
-    and [count=1]) and [shard-00.jsonl], created on the first add. Two
-    older layouts still open, and keep their bytes until something is
-    added:
-    - a legacy store — a single JSONL file, the layout [salam_dse] wrote
-      before stores became directories — opens in place;
-    - a directory written when stores were sharded, whose manifest says
-      [count=N] and, after a reshard, [gen=G]. Its N live files
-      ([shard-II.jsonl], or [shard-II.gG.jsonl]) are read in index order
-      into the one index, and new lines go to the first of them.
+    Layout on disk: a directory holding [shards.manifest] (exactly
+    ["salam-shards 1\ncount=1\n"], written when the store is created)
+    and [shard-00.jsonl], created on the first add. Nothing else opens:
+    a single JSONL file or a directory whose manifest says anything else
+    (an N-shard [count=N], a [gen=G]) is a store from before
+    {!Salam.model_epoch} 1, whose lines no lookup could hit, and is
+    refused with [Failure] naming the path and what was found; its bytes
+    are left untouched.
 
     Opening decodes and validates every line. A line equal to
     {!Measurement.to_line} of its decoded value is kept as read; any
@@ -23,11 +21,11 @@
     also *repairs* a file whose last line was cut by an interrupted
     append (it has no ['\n']): that fragment is dropped on disk, every
     intact measurement survives, and the next sweep simply re-simulates
-    the lost point. Any other line
-    that does not parse — mid-file corruption, a CRLF file, a file that
-    is not a store — raises [Failure] naming the path and line and leaves
-    the file untouched. Appends are flushed line by line, so an
-    interrupted run loses at most the measurement being written.
+    the lost point. Any other line that does not parse — mid-file
+    corruption, a CRLF file, a file that is not a store — raises
+    [Failure] naming the path and line and leaves the file untouched.
+    Appends are flushed line by line, so an interrupted run loses at
+    most the measurement being written.
 
     A store is also the unit of sweep resumability: re-running a sweep
     against the same store answers every already-measured point from
@@ -38,11 +36,10 @@
 type t
 
 val open_ : string -> t
-(** Open (or create) the store at the given path: a missing or empty
-    directory becomes a new store, an existing regular file opens in
-    place, and a directory is read through its manifest. A non-empty
-    directory without a manifest, a corrupt manifest or a corrupt line
-    raises [Failure]. *)
+(** Open (or create) the store directory at the given path: a missing
+    or empty directory becomes a new store. A regular file, a non-empty
+    directory without the one manifest, or a corrupt line raises
+    [Failure]. *)
 
 val in_memory : unit -> t
 (** A store with no backing file — for tests and one-shot servers. *)
@@ -68,8 +65,7 @@ val add_line : t -> Measurement.t -> string
 val size : t -> int
 
 val entries : t -> Measurement.t list
-(** Every held line decoded, in file order: insertion order, and for an old N-file directory its
-    files in index order. *)
+(** Every held line decoded, in file order (insertion order). *)
 
 val repaired_bytes : t -> int
 (** Bytes of cut-off last line dropped at open (0 for clean files). *)

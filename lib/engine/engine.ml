@@ -268,16 +268,17 @@ type t = {
   fu_held : int array;  (** unpipelined units held until commit, by [Fu.index] *)
   in_flight : int array;  (** issued-not-committed compute, by [Fu.index] *)
   scratch_issued : int array;
-      (** per-tick issue counts by [Fu.index]; cleared at each tick that
-          follows an issue, so FU caps hold per tick rather than per
-          cycle (ROADMAP) *)
+      (** per-cycle issue counts by [Fu.index]; cleared by the first
+          tick of each cycle, so FU caps hold across every tick a cycle
+          runs *)
   mutable scratch_dirty : bool;  (** [scratch_issued] holds a non-zero count *)
   fu_peak : int array;
       (** by [Fu.index]: the most units of the class in use at any FU
           issue, that issue included ({!units_in_use} + 1) *)
   mutable cap_refused : bool;
       (** this tick's scan refused an FU op by its cap after the class
-          issued: a repeat tick, its counts cleared, could issue it *)
+          issued: the next cycle's tick, its counts cleared, could issue
+          it *)
   wheel_head : int array;
   wheel_tail : int array;
       (** the completion wheel: multi-cycle FU ops in flight, bucket
@@ -1193,13 +1194,13 @@ let memory_ordering_ok t dyn =
 
 (* --- timing invariants (active when [config.check]) -------------------- *)
 
-(* Per-tick structural invariant: a class can never issue more
-   operations in one tick than it has units, nor hold more unpipelined
+(* Per-cycle structural invariant: a class can never issue more
+   operations in one cycle than it has units, nor hold more unpipelined
    units. Violations mean the issue scan's structural-hazard accounting
-   has drifted. The issue counts restart at every tick, and one cycle
-   can run several ticks (a zero-latency commit, or a memory completion
-   after the cycle's first tick, reschedules [tick] at the same tick), so
-   FU caps hold per tick, not per cycle (ROADMAP). *)
+   has drifted. One cycle can run several ticks (a zero-latency commit,
+   or a memory completion after the cycle's first tick, reschedules
+   [tick] at the same tick); the issue counts restart only with the
+   cycle, so the check holds over all of them. *)
 let check_cycle t =
   Array.iteri
     (fun i units ->
@@ -1207,7 +1208,7 @@ let check_cycle t =
         if t.scratch_issued.(i) > units then
           raise
             (Invariant_violation
-               (Printf.sprintf "@%s: issued %d %s ops in one tick with %d unit(s)"
+               (Printf.sprintf "@%s: issued %d %s ops in one cycle with %d unit(s)"
                   t.dp.Datapath.func.Ast.fname t.scratch_issued.(i)
                   (Fu.to_string (List.nth Fu.all i))
                   units));
@@ -1321,7 +1322,7 @@ let register_hazards t dyn prev (def : Ast.var option) =
   | None -> ()
 
 (* Units of class [i] an FU issue this tick would find taken: the ops
-   issued this tick, plus, for an unpipelined class, the units held
+   issued this cycle, plus, for an unpipelined class, the units held
    until commit. The one place the allocation reaches the engine
    compares against this ([can_issue]); [issue] records its peak. *)
 let[@inline] units_in_use t i =
@@ -1928,7 +1929,7 @@ and set_wait_flags t flags =
    changes nothing but the cycle accounting when no commit can come
    before it: its wheel bucket is empty, no import landed after the scan
    (those entries are unscanned), and no op was refused by an FU cap
-   after its class issued (the next tick clears the per-tick counts).
+   after its class issued (the next cycle's tick clears the counts).
    Such a tick, and every tick after it until the next non-empty wheel
    bucket, is left to the kernel as a virtual tick (see
    {!Kernel.sleep}). Each would have finalised the previous cycle as an
@@ -2036,13 +2037,13 @@ and tick t =
   if t.is_running then begin
     if now_cycle <> t.cur_cycle then begin
       finalize_cycle t;
-      t.cur_cycle <- now_cycle
+      t.cur_cycle <- now_cycle;
+      if t.scratch_dirty then begin
+        Array.fill t.scratch_issued 0 Fu.count 0;
+        t.scratch_dirty <- false
+      end
     end;
     retire t;
-    if t.scratch_dirty then begin
-      Array.fill t.scratch_issued 0 Fu.count 0;
-      t.scratch_dirty <- false
-    end;
     t.cap_refused <- false;
     let issued_any = if t.sched != None then scan_compiled t else scan_dynamic t in
     if t.cfg.check then check_cycle t;

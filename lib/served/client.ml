@@ -12,7 +12,7 @@ module Measurement = Salam_dse.Measurement
 
 type t = {
   fd : Unix.file_descr;
-  ic : in_channel;
+  r : P.reader;
   oc : out_channel;
   mutable next_id : int64;
   mutable closed : bool;
@@ -31,7 +31,7 @@ let connect path =
       fail "cannot connect to %s: %s" path (Unix.error_message e));
   {
     fd;
-    ic = Unix.in_channel_of_descr fd;
+    r = P.reader fd;
     oc = Unix.out_channel_of_descr fd;
     next_id = 1L;
     closed = false;
@@ -59,9 +59,10 @@ let roundtrip t req =
   flush t.oc;
   let points = ref [] in
   let rec await () =
-    match input_line t.ic with
-    | exception End_of_file -> fail "server hung up mid-request"
-    | line -> (
+    match P.next_line t.r with
+    | `Eof -> fail "server hung up mid-request"
+    | `Too_long -> fail "reply line longer than %d bytes" P.max_line
+    | `Line line -> (
         match P.decode_response line with
         | Error e -> fail "undecodable response: %s (line: %s)" e line
         (* a line the daemon could not read is answered with id 0 *)

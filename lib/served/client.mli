@@ -5,7 +5,8 @@
     (connections are cheap; the daemon multiplexes).
 
     Every wire or protocol failure raises {!Protocol_error} with a
-    message naming what went wrong; a [type=error] reply from the
+    message naming what went wrong (a reply line longer than
+    {!Protocol.max_line} names the bound); a [type=error] reply from the
     daemon is re-raised the same way. *)
 
 type t

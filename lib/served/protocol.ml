@@ -100,11 +100,96 @@ let encode_request ~id req =
   Buffer.add_char b '}';
   Buffer.contents b
 
-(* The longest request line the daemon reads, newline excluded: 8 MiB,
-   about 40,000 compact points of some 200 bytes. A longer line is
-   refused and its connection closed, so a client that never sends a
-   newline costs the daemon at most this much memory. *)
+(* The longest line either end reads, newline excluded: 8 MiB, about
+   40,000 compact points of some 200 bytes. A longer line is refused and
+   its connection closed, so a peer that never sends a newline costs the
+   reader at most this much memory. *)
 let max_line = 8 lsl 20
+
+(* --- reading lines ------------------------------------------------------ *)
+
+(* A connection's input: the bytes read from its socket and not yet
+   consumed are [buf.[start .. stop-1]]. *)
+type reader = {
+  fd : Unix.file_descr;
+  mutable buf : Bytes.t;
+  mutable start : int;
+  mutable stop : int;
+}
+
+(* a connection's read buffer, grown while a longer line comes in *)
+let reader_size = 4096
+
+let reader fd = { fd; buf = Bytes.create reader_size; start = 0; stop = 0 }
+
+(* The first newline in [buf.[i .. stop-1]], or [stop]. Eight bytes at a
+   time while no byte of the word is one: a word [x] holds a zero byte
+   exactly when [(x - 0x01..01) land (lnot x) land 0x80..80] is not
+   zero. A byte loop takes about 1 us on an 884-byte reply, five times
+   this, and made the client slower than [input_line]. *)
+let find_newline buf i stop =
+  let i = ref i in
+  while
+    !i + 8 <= stop
+    &&
+    let x = Int64.logxor (Bytes.get_int64_le buf !i) 0x0a0a0a0a0a0a0a0aL in
+    Int64.logand (Int64.logand (Int64.sub x 0x0101010101010101L) (Int64.lognot x))
+      0x8080808080808080L
+    = 0L
+  do
+    i := !i + 8
+  done;
+  while !i < stop && Bytes.get buf !i <> '\n' do
+    incr i
+  done;
+  !i
+
+(* The pending bytes from [from] on hold no newline yet. *)
+let rec scan r ~from =
+  let nl = find_newline r.buf from r.stop in
+  if nl < r.stop then begin
+    let line = Bytes.sub_string r.buf r.start (nl - r.start) in
+    r.start <- nl + 1;
+    (* a long line's buffer is not kept once its bytes are consumed *)
+    if r.start = r.stop && Bytes.length r.buf > reader_size then begin
+      r.buf <- Bytes.create reader_size;
+      r.start <- 0;
+      r.stop <- 0
+    end;
+    `Line line
+  end
+  else
+    let pending = r.stop - r.start in
+    if pending > max_line then `Too_long
+    else begin
+      (* room to read into: move the pending bytes to the front, and
+         grow the buffer when they fill it, up to [max_line + 1] *)
+      if r.stop = Bytes.length r.buf then begin
+        let size = Bytes.length r.buf in
+        let buf =
+          if pending < size then r.buf else Bytes.create (min (2 * size) (max_line + 1))
+        in
+        Bytes.blit r.buf r.start buf 0 pending;
+        r.buf <- buf;
+        r.start <- 0;
+        r.stop <- pending
+      end;
+      match Unix.read r.fd r.buf r.stop (Bytes.length r.buf - r.stop) with
+      | 0 ->
+          if pending = 0 then `Eof
+          else begin
+            let line = Bytes.sub_string r.buf r.start pending in
+            r.start <- r.stop;
+            `Line line
+          end
+      | k ->
+          r.stop <- r.stop + k;
+          scan r ~from:(r.stop - k)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> scan r ~from:r.stop
+      | exception Unix.Unix_error _ -> `Eof
+    end
+
+let next_line r = scan r ~from:r.start
 
 (* halve a run of points until its sweep line fits, whatever its id:
    an id is at most 20 bytes, as [Int64.min_int] spells it *)

@@ -73,8 +73,18 @@ type response =
 val encode_request : id:int64 -> request -> string
 
 val max_line : int
-(** The longest request line the daemon reads, newline excluded:
-    8 MiB. *)
+(** The longest line either end reads, newline excluded: 8 MiB. *)
+
+type reader
+(** A connection's buffered input, read straight from its descriptor. *)
+
+val reader : Unix.file_descr -> reader
+
+val next_line : reader -> [ `Line of string | `Eof | `Too_long ]
+(** The next line without its newline (a last line may lack one),
+    [`Eof] at end of input or on a read error, or [`Too_long] once more
+    than {!max_line} bytes have come without a newline. Both ends read
+    through it: the daemon its requests, {!Client} its replies. *)
 
 val sweep_batches :
   max_line:int -> spec -> Salam_dse.Point.t list -> Salam_dse.Point.t list list

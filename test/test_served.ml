@@ -288,30 +288,6 @@ let test_persistence_across_restart () =
           Alcotest.(check string) "warm after restart" "hit" served;
           Alcotest.(check string) "bit-identical across restart" first (M.to_line m)))
 
-let test_sharded_golden_store_hits () =
-  (* a store from when stores were sharded (3 ways, resharded once)
-     reopens under the daemon and answers every stored point from disk *)
-  Test_store_shard.with_temp_dir (fun dir ->
-      Test_store_shard.copy_dir "golden/sharded_store.d" dir;
-      let store = Salam_dse.Store_shard.open_ dir in
-      let stored = Salam_dse.Store_shard.entries store in
-      Salam_dse.Store_shard.close store;
-      Alcotest.(check int) "every golden line read" 20 (List.length stored);
-      with_server ~store_dir:dir (fun socket server ->
-          Client.with_connection socket (fun c ->
-              let _done_, answers =
-                Client.sweep c ~spec:tiny_spec (List.map (fun m -> m.M.point) stored)
-              in
-              List.iter2
-                (fun (m : M.t) (served, got) ->
-                  Alcotest.(check string) "served from the store" "hit" served;
-                  Alcotest.(check string) "bit-identical to the stored line" (M.to_line m)
-                    (M.to_line got))
-                stored answers);
-          let st = Server.stats_snapshot server in
-          Alcotest.(check int) "nothing simulated" 0 st.P.st_simulated;
-          Alcotest.(check int) "store size" 20 st.P.st_store_size))
-
 let test_fast_forward_snapshots_isolated_per_roadmark () =
   (* The daemon is long-lived and every request carries its own
      fast-forward roadmark, so the warm-up snapshot cache must key on
@@ -388,15 +364,16 @@ let raw_exchange socket lines =
 
 let raw_replies socket ~id req = List.concat (raw_exchange socket [ P.encode_request ~id req ])
 
-let with_store_file contents f =
-  let path = Filename.temp_file "salam_served_store" ".jsonl" in
-  Test_store_shard.write_file path contents;
-  Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
+(* a store directory whose one file holds [contents] *)
+let with_store contents f =
+  Test_store_shard.with_temp_dir (fun dir ->
+      Test_store_shard.write_store dir contents;
+      f dir)
 
 let test_hit_reply_is_envelope_and_stored_bytes () =
   let m = stored_for (point 2) in
   let line = M.to_line m in
-  with_store_file (line ^ "\n") (fun store ->
+  with_store (line ^ "\n") (fun store ->
       with_server ~store_dir:store (fun socket server ->
           Alcotest.(check (list string)) "result reply"
             [ "{\"id\":5,\"type\":\"result\",\"served\":\"hit\"," ^ String.sub line 1 (String.length line - 1) ]
@@ -415,7 +392,7 @@ let test_hit_reply_is_envelope_and_stored_bytes () =
    served meanwhile. *)
 let test_overlong_line_refused () =
   let line = M.to_line (stored_for (point 2)) in
-  with_store_file (line ^ "\n") (fun store ->
+  with_store (line ^ "\n") (fun store ->
       with_server ~store_dir:store (fun socket _ ->
           let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
           Unix.connect fd (Unix.ADDR_UNIX socket);
@@ -476,7 +453,7 @@ let test_long_sweep_split () =
   Alcotest.(check bool)
     "one line would pass the bound" true
     (String.length (P.encode_request ~id:1L (P.Sweep (tiny_spec, points))) > P.max_line);
-  with_store_file (line ^ "\n") (fun store ->
+  with_store (line ^ "\n") (fun store ->
       with_server ~store_dir:store (fun socket server ->
           Client.with_connection socket (fun c ->
               match Client.sweep c ~spec:tiny_spec points with
@@ -506,7 +483,7 @@ let test_progress_member_ignored () =
     | [ body; "" ] -> body ^ ",\"progress\":true}"
     | _ -> Alcotest.failf "unexpected request line %s" plain
   in
-  with_store_file (line ^ "\n") (fun store ->
+  with_store (line ^ "\n") (fun store ->
       with_server ~store_dir:store (fun socket _ ->
           match
             raw_exchange socket [ subscribed; plain; P.encode_request ~id:6L P.Ping ]
@@ -538,7 +515,7 @@ let test_non_canonical_line_answered_canonically () =
            members)
     ^ " }"
   in
-  with_store_file (spaced ^ "\n") (fun store ->
+  with_store (spaced ^ "\n") (fun store ->
       with_server ~store_dir:store (fun socket server ->
           match raw_replies socket ~id:5L (P.Sim (tiny_spec, point 4)) with
           | [ reply ] ->
@@ -551,26 +528,25 @@ let test_non_canonical_line_answered_canonically () =
                 (Server.stats_snapshot server).P.st_hits
           | replies -> Alcotest.failf "expected one reply, got %d" (List.length replies));
       Alcotest.(check string) "store file untouched" (spaced ^ "\n")
-        (Test_store_shard.read_file store))
+        (Test_store_shard.read_file (Test_store_shard.lines_of store)))
 
-(* a reply whose measurement does not decode reaches the caller with the
-   field named *)
-let test_client_names_the_bad_field () =
+(* A listener standing in for the daemon: it reads one request line,
+   writes [reply] as it is, ends its output and waits for the client to
+   hang up. *)
+let with_fake_daemon reply f =
   let socket = fresh_socket () in
   let listener = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   Unix.bind listener (Unix.ADDR_UNIX socket);
   Unix.listen listener 1;
-  let reply =
-    P.splice ~id:1L ~served:"hit" (Test_codec.drop_member (M.to_line (synthetic 7)) "cycles")
-  in
   let fake =
     Thread.create
       (fun () ->
         let fd, _ = Unix.accept listener in
         let ic = Unix.in_channel_of_descr fd and oc = Unix.out_channel_of_descr fd in
         ignore (input_line ic);
-        output_string oc (reply ^ "\n");
+        output_string oc reply;
         flush oc;
+        Unix.shutdown fd Unix.SHUTDOWN_SEND;
         (try ignore (input_line ic) with End_of_file | Sys_error _ -> ());
         Unix.close fd)
       ()
@@ -580,14 +556,58 @@ let test_client_names_the_bad_field () =
       Thread.join fake;
       Unix.close listener;
       Sys.remove socket)
-    (fun () ->
-      Client.with_connection socket (fun c ->
-          match Client.sim c ~spec:tiny_spec (point 2) with
-          | _ -> Alcotest.fail "a reply without cycles decoded"
-          | exception Client.Protocol_error e ->
-              Alcotest.(check bool) e true
-                (Test_store_shard.contains e
-                   "undecodable response: result: missing field \"cycles\"")))
+    (fun () -> Client.with_connection socket f)
+
+(* a reply whose measurement does not decode reaches the caller with the
+   field named *)
+let test_client_names_the_bad_field () =
+  let reply =
+    P.splice ~id:1L ~served:"hit" (Test_codec.drop_member (M.to_line (synthetic 7)) "cycles")
+  in
+  with_fake_daemon (reply ^ "\n") (fun c ->
+      match Client.sim c ~spec:tiny_spec (point 2) with
+      | _ -> Alcotest.fail "a reply without cycles decoded"
+      | exception Client.Protocol_error e ->
+          Alcotest.(check bool) e true
+            (Test_store_shard.contains e "undecodable response: result: missing field \"cycles\""))
+
+(* [Protocol.next_line] splits any byte stream as [String.split_on_char]
+   does (a last line may lack its newline), bytes next to '\n' and high
+   bytes included, wherever the word-at-a-time scan starts *)
+let qcheck_next_line_splits_like_split_on_char =
+  QCheck.Test.make ~name:"next_line splits like split_on_char" ~count:300
+    QCheck.(
+      make ~print:(Printf.sprintf "%S")
+        Gen.(string_size ~gen:(oneofl [ '\n'; '\t'; '\011'; 'x'; '\138'; '\255' ]) (0 -- 200)))
+    (fun text ->
+      let rd, wr = Unix.pipe () in
+      ignore (Unix.write_substring wr text 0 (String.length text));
+      Unix.close wr;
+      let r = P.reader rd in
+      let rec lines acc =
+        match P.next_line r with
+        | `Line l -> lines (l :: acc)
+        | `Eof -> List.rev acc
+        | `Too_long -> QCheck.Test.fail_report "too long"
+      in
+      let got = lines [] in
+      Unix.close rd;
+      let want =
+        match List.rev (String.split_on_char '\n' text) with
+        | "" :: rest -> List.rev rest
+        | all -> List.rev all
+      in
+      got = want || QCheck.Test.fail_reportf "read %d lines, want %d" (List.length got) (List.length want))
+
+(* the client reads replies as the daemon reads requests: a line that
+   passes the bound without a newline is refused, naming the bound *)
+let test_client_refuses_overlong_reply () =
+  with_fake_daemon (String.make (P.max_line + 1) 'x') (fun c ->
+      match Client.ping c with
+      | () -> Alcotest.fail "an over-long reply was read"
+      | exception Client.Protocol_error e ->
+          Alcotest.(check bool) e true
+            (Test_store_shard.contains e (Printf.sprintf "longer than %d bytes" P.max_line)))
 
 (* --- the dedup guarantee under concurrent clients ----------------- *)
 
@@ -802,8 +822,6 @@ let suite =
     Alcotest.test_case "shutdown request stops the daemon" `Quick
       test_shutdown_request_stops_daemon;
     Alcotest.test_case "persistence across restart" `Quick test_persistence_across_restart;
-    Alcotest.test_case "old sharded store answers every point as hit" `Quick
-      test_sharded_golden_store_hits;
     Alcotest.test_case "hit reply is the envelope and the stored bytes" `Quick
       test_hit_reply_is_envelope_and_stored_bytes;
     Alcotest.test_case "an older client's progress member is ignored" `Quick
@@ -811,6 +829,9 @@ let suite =
     Alcotest.test_case "non-canonical stored line answered canonically" `Quick
       test_non_canonical_line_answered_canonically;
     Alcotest.test_case "client names the bad field" `Quick test_client_names_the_bad_field;
+    Alcotest.test_case "client refuses an over-long reply line" `Quick
+      test_client_refuses_overlong_reply;
+    QCheck_alcotest.to_alcotest qcheck_next_line_splits_like_split_on_char;
     Alcotest.test_case "over-long request line refused, others served" `Quick
       test_overlong_line_refused;
     Alcotest.test_case "sweep cut into runs that fit a line" `Quick test_sweep_batches;

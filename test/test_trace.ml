@@ -317,6 +317,33 @@ let test_golden_figures_have_rules () =
   in
   check Alcotest.(list string) "golden/figures/*.out without a diff rule" [] orphans
 
+(* The figures' digest at each model epoch. Stored answers are keyed to
+   the epoch ([Salam.model_epoch], hashed into every fingerprint), so a
+   model change that moves a figure must bump it; re-blessing a figure
+   without a bump fails here. A bump adds its row. *)
+let figure_digests = [ (1, "219fb9ca9fbb620ddd6dea5c1cfa1d65") ]
+
+let test_golden_figures_pinned_to_epoch () =
+  let dir = Filename.concat "golden" "figures" in
+  let outs =
+    List.sort compare
+      (List.filter (fun f -> Filename.check_suffix f ".out") (Array.to_list (Sys.readdir dir)))
+  in
+  let digest =
+    Digest.to_hex
+      (Digest.string
+         (String.concat ""
+            (List.map
+               (fun f ->
+                 f ^ "\000" ^ In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+               outs)))
+  in
+  check
+    Alcotest.(option string)
+    (Printf.sprintf "digest of golden/figures/*.out at model epoch %d" Salam.model_epoch)
+    (List.assoc_opt Salam.model_epoch figure_digests)
+    (Some digest)
+
 let golden_cases =
   List.concat_map
     (fun name ->
@@ -339,6 +366,8 @@ let suite =
     Alcotest.test_case "stats.txt format" `Quick test_stats_txt;
     Alcotest.test_case "golden files match scenarios" `Quick test_golden_files_match_scenarios;
     Alcotest.test_case "golden figures have diff rules" `Quick test_golden_figures_have_rules;
+    Alcotest.test_case "figure goldens pinned to the model epoch" `Quick
+      test_golden_figures_pinned_to_epoch;
     Alcotest.test_case "golden-check and bless refuse a missing default --dir" `Quick
       test_default_golden_dir_refused;
     Alcotest.test_case "golden-check and bless refuse a missing --dir" `Quick

@@ -80,8 +80,6 @@ let encode fields =
 
 type kind = Integer | Number | True | False | String
 
-exception Bad of string
-
 (* [line.[start .. stop-1]], a bare integer (an optional '-', then
    digits), is at most [limit]'s magnitude: [limit] holds the 19 digits
    of the largest magnitude allowed, [neg_limit] those of the most
@@ -167,17 +165,45 @@ let find_key keys src off len =
   done;
   if !i < Array.length keys then !i else -1
 
-(* The scanner: the line, the offset it has reached, and the last
-   string with escapes it read — [len] bytes of [src] from [off]. *)
-type scanner = {
+(* The cursor: the line, the offset it has reached, whether the object
+   is open or closed, and the last member read — its key the [klen]
+   bytes of [ksrc] from [koff], its value the [len] bytes of [src] from
+   [off], a token of [kind]. [ksrc] and [src] are the line unless the
+   key or the string value had escapes. *)
+type cursor = {
   line : string;
   mutable pos : int;
+  mutable opened : bool;
+  mutable closed : bool;
+  mutable ksrc : string;
+  mutable koff : int;
+  mutable klen : int;
+  mutable kind : kind;
   mutable src : string;
   mutable off : int;
   mutable len : int;
+  mutable int : int;
 }
 
-let fail sc msg = raise (Bad (Printf.sprintf "%s at offset %d" msg sc.pos))
+exception Syntax of string
+
+let cursor line =
+  {
+    line;
+    pos = 0;
+    opened = false;
+    closed = false;
+    ksrc = line;
+    koff = 0;
+    klen = 0;
+    kind = True;
+    src = line;
+    off = 0;
+    len = 0;
+    int = 0;
+  }
+
+let fail sc msg = raise (Syntax (Printf.sprintf "%s at offset %d" msg sc.pos))
 
 (* the first byte of [line] from [j] on that is not a space or a tab *)
 let rec skip_spaces line j =
@@ -241,28 +267,44 @@ let rec escaped sc b =
         sc.pos <- sc.pos + 1;
         escaped sc b
 
-(* the end of the plain bytes of a string from [j] on: its closing
-   quote, a backslash, or the end of the line *)
+(* The end of the plain bytes of a string from [j] on: its closing
+   quote, a backslash, or the end of the line. Eight bytes at a time
+   while none of them is either: a word [x] holds a zero byte exactly
+   when [(x - 0x01..01) land (lnot x) land 0x80..80] is not zero, and
+   [x lxor 0x22..22] has one where [x] has a quote ([0x5c]: a
+   backslash). *)
 let plain_end line j =
   let n = String.length line in
   let j = ref j in
+  while
+    !j + 8 <= n
+    &&
+    let x = String.get_int64_le line !j in
+    let q = Int64.logxor x 0x2222222222222222L and b = Int64.logxor x 0x5c5c5c5c5c5c5c5cL in
+    Int64.logand
+      (Int64.logor
+         (Int64.logand (Int64.sub q 0x0101010101010101L) (Int64.lognot q))
+         (Int64.logand (Int64.sub b 0x0101010101010101L) (Int64.lognot b)))
+      0x8080808080808080L
+    = 0L
+  do
+    j := !j + 8
+  done;
   while !j < n && String.unsafe_get line !j <> '"' && String.unsafe_get line !j <> '\\' do
     incr j
   done;
   !j
 
 (* A string whose bytes start at [start] and whose plain bytes end at
-   [stop] without a closing quote: its unescaped bytes are left in
-   [sc.src], and [sc.pos] after it. *)
-let scan_escaped sc start stop =
+   [stop] without a closing quote, unescaped: [sc.pos] is left after
+   it. *)
+let unescape sc start stop =
   sc.pos <- stop;
   if stop >= String.length sc.line then fail sc "unterminated string";
   let b = Buffer.create (2 * (stop - start) + 16) in
   Buffer.add_substring b sc.line start (stop - start);
   escaped sc b;
-  sc.src <- Buffer.contents b;
-  sc.off <- 0;
-  sc.len <- String.length sc.src
+  Buffer.contents b
 
 (* A value at [p] that is neither a string nor a number: [true],
    [false], or an error naming what is there. [sc.pos] is left after
@@ -290,79 +332,136 @@ let scan_literal sc p =
         else if key_is line p len "null" then fail sc "null is not supported"
         else fail sc (Printf.sprintf "bad number %S" (String.sub line p len))
 
-let iter_fields line f =
-  let sc = { line; pos = 0; src = line; off = 0; len = 0 } in
-  let n = String.length line in
-  try
+(* [sc.src] is the line again; a physical test first spares the write
+   barrier on the common path *)
+let[@inline] from_line sc = if sc.src != sc.line then sc.src <- sc.line
+
+let value sc =
+  let line = sc.line and n = String.length sc.line in
+  let p = skip line sc.pos in
+  let ch = byte line p in
+  if ch = '"' then (
+    let q = plain_end line (p + 1) in
+    if q < n && String.unsafe_get line q = '"' then (
+      from_line sc;
+      sc.off <- p + 1;
+      sc.len <- q - p - 1;
+      sc.pos <- q + 1)
+    else (
+      let s = unescape sc (p + 1) q in
+      sc.src <- s;
+      sc.off <- 0;
+      sc.len <- String.length s);
+    sc.kind <- String)
+  else
+    let e = if ch = '-' || is_digit ch then fast_number line p else -1 in
+    from_line sc;
+    sc.off <- p;
+    if e = -1 then (
+      sc.kind <- scan_literal sc p;
+      sc.len <- sc.pos - p)
+    else
+      let stop = if e >= 0 then e else -e - 2 in
+      sc.len <- stop - p;
+      sc.pos <- stop;
+      (* an int64 has no negative zero; a float keeps the sign *)
+      if e < 0 || key_is line p (stop - p) "-0" then sc.kind <- Number
+      else if fits_int64 line p stop then sc.kind <- Integer
+      else fail sc "integer out of range"
+
+(* the key of a member whose separator has been read, then its ':' and
+   its value *)
+let key_and_value sc =
+  let line = sc.line and n = String.length sc.line in
+  let p = skip line sc.pos in
+  if not (p < n && line.[p] = '"') then (
+    sc.pos <- p;
+    fail sc "expected '\"'");
+  let q = plain_end line (p + 1) in
+  if q < n && line.[q] = '"' then (
+    if sc.ksrc != line then sc.ksrc <- line;
+    sc.koff <- p + 1;
+    sc.klen <- q - p - 1;
+    sc.pos <- q + 1)
+  else (
+    let k = unescape sc (p + 1) q in
+    sc.ksrc <- k;
+    sc.koff <- 0;
+    sc.klen <- String.length k);
+  let p = skip line sc.pos in
+  if p < n && line.[p] = ':' then sc.pos <- p + 1
+  else (
+    sc.pos <- p;
+    expect sc ':');
+  value sc
+
+(* the closing '}' read: nothing but spaces may follow *)
+let close sc =
+  sc.closed <- true;
+  sc.pos <- skip sc.line sc.pos;
+  if sc.pos <> String.length sc.line then fail sc "trailing garbage"
+
+let member sc =
+  let line = sc.line and n = String.length sc.line in
+  if sc.closed then false
+  else if not sc.opened then begin
     expect sc '{';
+    sc.opened <- true;
     sc.pos <- skip line sc.pos;
-    if sc.pos < n && line.[sc.pos] = '}' then sc.pos <- sc.pos + 1
-    else begin
-      let more = ref true in
-      while !more do
-        (* the key, left in the line unless it has escapes *)
-        let p = skip line sc.pos in
-        if not (p < n && line.[p] = '"') then (
-          sc.pos <- p;
-          fail sc "expected '\"'");
-        let q = plain_end line (p + 1) in
-        let ksrc = ref line and koff = ref (p + 1) and klen = ref (q - p - 1) in
-        if q < n && line.[q] = '"' then sc.pos <- q + 1
-        else (
-          scan_escaped sc (p + 1) q;
-          ksrc := sc.src;
-          koff := 0;
-          klen := sc.len);
-        let p = skip line sc.pos in
-        if p < n && line.[p] = ':' then sc.pos <- p + 1
-        else (
-          sc.pos <- p;
-          expect sc ':');
-        (* the value *)
-        let p = skip line sc.pos in
-        let c = byte line p in
-        let vsrc = ref line and voff = ref p and vlen = ref 0 in
-        let kind =
-          if c = '"' then (
-            let q = plain_end line (p + 1) in
-            if q < n && line.[q] = '"' then (
-              voff := p + 1;
-              vlen := q - p - 1;
-              sc.pos <- q + 1)
-            else (
-              scan_escaped sc (p + 1) q;
-              vsrc := sc.src;
-              voff := 0;
-              vlen := sc.len);
-            String)
-          else
-            let e = if c = '-' || is_digit c then fast_number line p else -1 in
-            if e = -1 then (
-              let kind = scan_literal sc p in
-              vlen := sc.pos - p;
-              kind)
-            else
-              let stop = if e >= 0 then e else -e - 2 in
-              vlen := stop - p;
-              sc.pos <- stop;
-              (* an int64 has no negative zero; a float keeps the sign *)
-              if e < 0 || key_is line p (stop - p) "-0" then Number
-              else if fits_int64 line p stop then Integer
-              else fail sc "integer out of range"
-        in
-        f !ksrc !koff !klen kind !vsrc !voff !vlen;
-        let p = skip line sc.pos in
-        sc.pos <- p;
-        if p < n && line.[p] = ',' then sc.pos <- p + 1
-        else if p < n && line.[p] = '}' then (
-          sc.pos <- p + 1;
-          more := false)
-        else fail sc "expected ',' or '}'"
-      done
-    end;
-    sc.pos <- skip line sc.pos;
-    if sc.pos <> n then fail sc "trailing garbage" else Ok ()
-  with Bad msg -> Error msg
+    if sc.pos < n && line.[sc.pos] = '}' then (
+      sc.pos <- sc.pos + 1;
+      close sc;
+      false)
+    else (
+      key_and_value sc;
+      true)
+  end
+  else begin
+    let p = skip line sc.pos in
+    sc.pos <- p;
+    if p < n && line.[p] = ',' then (
+      sc.pos <- p + 1;
+      key_and_value sc;
+      true)
+    else if p < n && line.[p] = '}' then (
+      sc.pos <- p + 1;
+      close sc;
+      false)
+    else fail sc "expected ',' or '}'"
+  end
+
+let head sc h =
+  let line = sc.line and p = sc.pos and k = String.length h in
+  p + k < String.length line
+  && String.unsafe_get line p = (if sc.opened then ',' else '{')
+  && key_is line (p + 1) k h
+  && begin
+       sc.pos <- p + 1 + k;
+       sc.opened <- true;
+       true
+     end
+
+let plain_int sc =
+  let line = sc.line and n = String.length sc.line in
+  let neg = sc.pos < n && String.unsafe_get line sc.pos = '-' in
+  let first = if neg then sc.pos + 1 else sc.pos in
+  let j = ref first and acc = ref 0 in
+  while !j < n && is_digit (String.unsafe_get line !j) do
+    acc := (!acc * 10) + Char.code (String.unsafe_get line !j) - 48;
+    incr j
+  done;
+  let digits = !j - first in
+  digits > 0 && digits <= 18
+  && (digits = 1 || String.unsafe_get line first <> '0')
+  && !j < n
+  && (String.unsafe_get line !j = ',' || String.unsafe_get line !j = '}')
+  (* "-0" is a [Number]: a float keeps its sign *)
+  && (not (neg && !acc = 0))
+  && begin
+       sc.pos <- !j;
+       sc.int <- (if neg then - !acc else !acc);
+       true
+     end
 
 (* --- reading a member's value ------------------------------------------- *)
 

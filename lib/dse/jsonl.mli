@@ -34,31 +34,75 @@ type kind =
   | False
   | String
 
-val iter_fields :
-  string ->
-  (string -> int -> int -> kind -> string -> int -> int -> unit) ->
-  (unit, string) result
-(** Parse one line in a single pass, calling [f ksrc koff klen kind src
-    off len] on each member in line order, duplicates included. Nothing
-    is copied or converted: the member's key is the [klen] bytes of
-    [ksrc] from [koff], and its value the [len] bytes of [src] from
-    [off], the token of [kind] (a string's bytes between its quotes).
-    [ksrc] and [src] are the line itself, unless that string has
-    escapes, when it is the unescaped string alone. Compare keys with
-    {!key_is} and read values with {!int_at}, {!int64_at} and
-    {!float_at}. Number tokens must follow JSON's number grammar: a bare
-    integer is an [Integer] (out of int64 range is an error), anything
-    else, ["-0"] included so its sign survives, a [Number]. Nested
-    objects and arrays, [null] and OCaml-only literals (["1_0"],
-    ["0x1p3"], bare [nan]) are errors naming the offset. [f] may already
-    have seen the members before a syntax error. *)
+(** {2 Reading a line}
+
+    A {!cursor} walks one line member by member, in a single pass.
+    {!member} reads the next member whatever its form; a decoder that
+    knows the canonical order checks the member it expects with {!head}
+    and reads its value with {!value}, and falls back to {!member} when
+    the line is not where that order puts it. Both leave the member's
+    value in the same fields, and a syntax error raises {!Syntax} with
+    the same message and offset whichever read it.
+
+    Nothing is copied or converted: compare keys with {!key_is} and read
+    values with {!int_at}, {!int64_at} and {!float_at}. Number tokens
+    must follow JSON's number grammar: a bare integer is an [Integer]
+    (out of int64 range is an error), anything else, ["-0"] included so
+    its sign survives, a [Number]. Nested objects and arrays, [null] and
+    OCaml-only literals (["1_0"], ["0x1p3"], bare [nan]) are errors
+    naming the offset. *)
+
+type cursor = private {
+  line : string;
+  mutable pos : int;  (** the offset reached *)
+  mutable opened : bool;  (** the ['{'] has been read *)
+  mutable closed : bool;  (** the ['}'] has been read, and the line ends there *)
+  mutable ksrc : string;
+  mutable koff : int;
+  mutable klen : int;  (** the last member's key: [klen] bytes of [ksrc] from [koff] *)
+  mutable kind : kind;
+  mutable src : string;
+  mutable off : int;
+  mutable len : int;
+      (** the last value: the token of [kind], [len] bytes of [src] from
+          [off] (a string's bytes between its quotes). [ksrc] and [src]
+          are the line itself unless that string had escapes, when they
+          are the unescaped string alone. *)
+  mutable int : int;  (** the last integer {!plain_int} read *)
+}
+
+exception Syntax of string
+(** A syntax error, with the offset it was found at. *)
+
+val cursor : string -> cursor
+(** At the start of the line. *)
+
+val member : cursor -> bool
+(** Read the next member, spaces and escapes allowed, duplicates
+    included: [false] once the object has closed (and nothing but spaces
+    follows it). *)
+
+val head : cursor -> string -> bool
+(** [head c h]: the next member starts with exactly [h], written as
+    ["\"key\":"], right after its ['{'] or [','] with no space
+    between. Then that much is read, and {!value} reads the member's
+    value; else nothing is read. *)
+
+val value : cursor -> unit
+(** The value after a {!head}. *)
+
+val plain_int : cursor -> bool
+(** After a {!head}: the value is a bare integer of at most 18 digits,
+    not ["-0"], that [','] or ['}'] ends. Then it is read into [int] and
+    the cursor left after it; else nothing is read, and {!value} reads
+    the value as it would have. *)
 
 val key_is : string -> int -> int -> string -> bool
 (** [key_is src off len k]: the [len] bytes of [src] from [off] are [k]. *)
 
 val find_key : string array -> string -> int -> int -> int
-(** [find_key keys src off len]: the position in [keys] of the key [f]
-    was handed, or [-1]. *)
+(** [find_key keys src off len]: the position in [keys] of the [len]
+    bytes of [src] from [off], or [-1]. *)
 
 exception Out_of_range
 

@@ -52,36 +52,22 @@ val to_line : t -> string
     field once, in a fixed order, with no spaces. *)
 
 val of_line : string -> (t, string) result
-(** Decode one line in a single pass. Keys may come in any order, with
-    spaces between tokens; unknown keys are ignored and the first value
-    of a repeated key wins. An error names the field and the reason:
-    [missing field "cycles"], [field "cycles" must be an integer],
-    [field "read_ports" is outside the int range]. *)
+(** Decode one line. Keys may come in any order, with spaces between
+    tokens; unknown keys are ignored and the first value of a repeated
+    key wins. An error names the field and the reason: [missing field
+    "cycles"], [field "cycles" must be an integer], [field "read_ports"
+    is outside the int range]; a syntax error anywhere in the line wins
+    over them. A canonical line is read in one positional pass: each
+    field's head is checked where canonical order puts it and its value
+    read by its kind; a member anywhere else is read whole and looked up
+    by key. *)
 
-(** {2 Decoding a measurement riding in a larger object}
-
-    {!of_line} is {!slots}, one {!Jsonl.iter_fields} pass that {!fill}s
-    them, then {!of_slots}. A caller whose line carries other members
-    too (a protocol reply) offers every member it parses to {!fill}
-    first, so the line is still parsed once. *)
-
-type slots
-(** One slot per measurement field, typed by the field's kind. *)
-
-val slots : unit -> slots
-(** All empty. *)
-
-val fill : slots -> string -> int -> int -> Jsonl.kind -> string -> int -> int -> bool
-(** [fill s ksrc koff klen kind src off len] offers one member as
-    {!Jsonl.iter_fields} hands it over. The field the canonical order
-    names next is checked before any lookup. A field's slot takes the
-    value, read straight from its token, unless it already has one (the
-    first value of a key wins). [false] when the key is not a
-    measurement field. *)
-
-val of_slots : slots -> (t, string) result
-(** The measurement, or the first field in line order that is missing
-    or of the wrong kind, as {!of_line} reports it. *)
+val of_cursor : ?other:(Jsonl.cursor -> unit) -> Jsonl.cursor -> (t, string) result
+(** {!of_line} of the members from the cursor to the end of the object,
+    for a line that carries other members too (a protocol reply reads
+    its envelope first, then hands the rest over in place). Each member
+    that is not a measurement field is handed to [other] as the cursor
+    reads it. Raises {!Jsonl.Syntax} on a syntax error. *)
 
 val pp_row : Format.formatter -> t -> unit
 (** One aligned human-readable table row; pair with {!pp_header}. *)

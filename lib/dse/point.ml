@@ -250,11 +250,13 @@ let canonical_int s off len =
   let neg = len > 0 && s.[off] = '-' in
   let first = if neg then off + 1 else off and stop = off + len in
   if first = stop || (s.[first] = '0' && (stop > first + 1 || neg)) then raise Not_canonical;
-  (* accumulated negatively so that min_int fits *)
+  (* accumulated negatively so that min_int fits; 18 digits cannot
+     overflow, so only a longer number pays for the check *)
+  let long = stop - first > 18 in
   let acc = ref 0 in
   for j = first to stop - 1 do
     let d = Char.code s.[j] - 48 in
-    if d < 0 || d > 9 || !acc < (min_int + d) / 10 then raise Not_canonical;
+    if d < 0 || d > 9 || (long && !acc < (min_int + d) / 10) then raise Not_canonical;
     acc := (!acc * 10) - d
   done;
   if neg then !acc else if !acc = min_int then raise Not_canonical else - !acc
@@ -331,102 +333,111 @@ let memory_at = 7
 let hw_db_at = 5
 let required = [ memory_at; 9; 11; 0; 1; 4; 10; 6; 2; 3; 8; 5 ]
 
+let all_fields = (1 lsl n_fields) - 1
+
 let of_compact_sub s off len =
   let n = off + len in
-  let ints = Array.make n_fields 0 in
-  let floats = Array.make n_fields 0.0 in
+  (* literals, built in place without a call into the runtime *)
+  let ints = [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |] in
+  let floats = [| 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0.; 0. |] in
   let memory = ref Spm and hw_db = ref "" in
   (* the [k=v] pairs from [start] on; [seen] has a bit per field given,
      and the field after [prev] is tried first, as [to_compact] orders
      them *)
-  let rec pairs start prev seen =
-    let stop = find s start n ',' in
-    let eq = find s start stop '=' in
-    let eq = if eq = stop then -1 else eq in
-    let i =
-      if eq < 0 then -1
-      else if prev + 1 < n_fields && Jsonl.key_is s start (eq - start) keys.(prev + 1) then
-        prev + 1
-      else Jsonl.find_key keys s start (eq - start)
+  let start = ref off and prev = ref (-1) and seen = ref 0 and error = ref None in
+  while !start >= 0 do
+    let next = !prev + 1 in
+    let klen = if next < n_fields then String.length keys.(next) else 0 in
+    let i, eq, stop =
+      if
+        next < n_fields
+        && !start + klen < n
+        && s.[!start + klen] = '='
+        && Jsonl.key_is s !start klen keys.(next)
+      then (next, !start + klen, find s (!start + klen + 1) n ',')
+      else
+        let stop = find s !start n ',' in
+        let eq = find s !start stop '=' in
+        if eq = stop then (-1, -1, stop) else (Jsonl.find_key keys s !start (eq - !start), eq, stop)
     in
     let voff = eq + 1 in
     let vlen = stop - voff in
-    let error =
-      if eq < 0 then
-        Some (Printf.sprintf "%S is not a key=value pair" (String.sub s start (stop - start)))
-      else if i < 0 then Some ("unknown field " ^ String.sub s start (eq - start))
-      else if seen land (1 lsl i) <> 0 then
-        Some (Printf.sprintf "field %s is given twice" (fst fields.(i)))
+    error :=
+      (if eq < 0 then
+         Some (Printf.sprintf "%S is not a key=value pair" (String.sub s !start (stop - !start)))
+       else if i < 0 then Some ("unknown field " ^ String.sub s !start (eq - !start))
+       else if !seen land (1 lsl i) <> 0 then
+         Some (Printf.sprintf "field %s is given twice" (fst fields.(i)))
+       else
+         match snd fields.(i) with
+         | Int _ -> (
+             match canonical_int s voff vlen with
+             | v ->
+                 ints.(i) <- v;
+                 None
+             | exception Not_canonical -> bad_value s i voff vlen "an integer")
+         | Float _ -> (
+             (* only the spelling [to_compact] writes: one point, one form *)
+             match hex_float_at s voff vlen with
+             | f ->
+                 floats.(i) <- f;
+                 None
+             | exception Not_canonical ->
+                 bad_value s i voff vlen
+                   (if float_of_string_opt (String.sub s voff vlen) = None then "a number"
+                    else "written as %h"))
+         | Text _ when i = hw_db_at ->
+             hw_db := String.sub s voff vlen;
+             None
+         | Text _ -> (
+             match memory_kind_at s voff vlen with
+             | Some m ->
+                 memory := m;
+                 None
+             | None -> bad_value s i voff vlen "spm, cache or dram"));
+    if Option.is_some !error then start := -1
+    else begin
+      seen := !seen lor (1 lsl i);
+      prev := i;
+      start := if stop = n then -1 else stop + 1
+    end
+  done;
+  match !error with
+  | Some e -> Error ("point: " ^ e)
+  | None when !seen <> all_fields ->
+      let i = List.find (fun i -> !seen land (1 lsl i) = 0) required in
+      Error ("point: missing field " ^ fst fields.(i))
+  | None ->
+      let p =
+        {
+          memory = !memory;
+          read_ports = ints.(9);
+          write_ports = ints.(11);
+          banks = ints.(0);
+          cache_bytes = ints.(1);
+          fu_limit = ints.(4);
+          unroll = ints.(10);
+          junroll = ints.(6);
+          clock_mhz = floats.(2);
+          node_nm = ints.(8);
+          cycle_time_ns = floats.(3);
+          hw_db = !hw_db;
+        }
+      in
+      let q = canonical p in
+      if q == p then Ok p
       else
-        let bad what = bad_value s i voff vlen what in
-        match snd fields.(i) with
-        | Int _ -> (
-            match canonical_int s voff vlen with
-            | v ->
-                ints.(i) <- v;
-                None
-            | exception Not_canonical -> bad "an integer")
-        | Float _ -> (
-            (* only the spelling [to_compact] writes: one point, one form *)
-            match hex_float_at s voff vlen with
-            | f ->
-                floats.(i) <- f;
-                None
-            | exception Not_canonical ->
-                if float_of_string_opt (String.sub s voff vlen) = None then bad "a number"
-                else bad "written as %h")
-        | Text _ when i = hw_db_at ->
-            hw_db := String.sub s voff vlen;
-            None
-        | Text _ -> (
-            match memory_kind_at s voff vlen with
-            | Some m ->
-                memory := m;
-                None
-            | None -> bad "spm, cache or dram")
-    in
-    match error with
-    | Some e -> Error ("point: " ^ e)
-    | None ->
-        let seen = seen lor (1 lsl i) in
-        if stop = n then Ok seen else pairs (stop + 1) i seen
-  in
-  match pairs off (-1) 0 with
-  | Error _ as e -> e
-  | Ok seen -> (
-      match List.find_opt (fun i -> seen land (1 lsl i) = 0) required with
-      | Some i -> Error ("point: missing field " ^ fst fields.(i))
-      | None ->
-          let p =
-            {
-              memory = !memory;
-              read_ports = ints.(9);
-              write_ports = ints.(11);
-              banks = ints.(0);
-              cache_bytes = ints.(1);
-              fu_limit = ints.(4);
-              unroll = ints.(10);
-              junroll = ints.(6);
-              clock_mhz = floats.(2);
-              node_nm = ints.(8);
-              cycle_time_ns = floats.(3);
-              hw_db = !hw_db;
-            }
-          in
-          let q = canonical p in
-          if q == p then Ok p
-          else
-            (* a knob the memory kind ignores must be 0, as [to_compact]
-               writes it: two spellings would be two answers for one design *)
-            let k =
-              if p.banks <> q.banks then "banks"
-              else if p.cache_bytes <> q.cache_bytes then "cache_bytes"
-              else if p.read_ports <> q.read_ports then "read_ports"
-              else "write_ports"
-            in
-            Error
-              (Printf.sprintf "point: field %s must be 0 for a %s point" k
-                 (memory_kind_to_string p.memory)))
+        (* a knob the memory kind ignores must be 0, as [to_compact]
+           writes it: two spellings would be two answers for one design *)
+        let k =
+          if p.banks <> q.banks then "banks"
+          else if p.cache_bytes <> q.cache_bytes then "cache_bytes"
+          else if p.read_ports <> q.read_ports then "read_ports"
+          else "write_ports"
+        in
+        Error
+          (Printf.sprintf "point: field %s must be 0 for a %s point" k
+             (memory_kind_to_string p.memory))
 
 let of_compact s = of_compact_sub s 0 (String.length s)
 

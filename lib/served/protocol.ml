@@ -5,8 +5,9 @@
 
    A measurement reply is the store's line with an envelope spliced in
    front ([splice]): the daemon never encodes a measurement it already
-   holds as bytes, and a client decodes the reply in one pass that fills
-   the envelope and the measurement together.
+   holds as bytes, and a client reads the envelope by position and hands
+   the rest of the line, in place, to the measurement's positional
+   pass.
 
    Requests carry a client-chosen [id]; every line the server sends
    back for that request echoes it, so a client can pipeline. A sweep's
@@ -263,53 +264,102 @@ type envelope = { keys : string array; slots : extent option array }
 
 let envelope keys = { keys; slots = Array.make (Array.length keys) None }
 
-(* an envelope key's slot takes the member unless it already has one *)
-let take env ksrc koff klen kind src off len =
-  let i = Jsonl.find_key env.keys ksrc koff klen in
-  if i >= 0 && Option.is_none env.slots.(i) then env.slots.(i) <- Some { kind; src; off; len }
+(* key [i]'s slot takes the cursor's member unless it already has one *)
+let hold env i (c : Jsonl.cursor) =
+  if Option.is_none env.slots.(i) then
+    env.slots.(i) <- Some { kind = c.kind; src = c.src; off = c.off; len = c.len }
 
-let get env k = env.slots.(Jsonl.find_key env.keys k 0 (String.length k))
+let take env (c : Jsonl.cursor) =
+  let i = Jsonl.find_key env.keys c.ksrc c.koff c.klen in
+  if i >= 0 then hold env i c
 
-let str env k =
-  match get env k with
+let heads keys = Array.map (fun k -> "\"" ^ k ^ "\":") keys
+
+(* The members a canonical line starts with, read by position: each
+   next member whose head is that of one of the first [upto] keys, in
+   [keys] order after the last one read, is read in place (a key
+   canonical lines may leave out is passed over). The first member that
+   is not ends it, and is left to {!take}. *)
+let read_heads env heads ~upto c =
+  let k = ref 0 in
+  while !k < upto do
+    let j = ref !k in
+    while !j < upto && not (Jsonl.head c heads.(!j)) do
+      incr j
+    done;
+    if !j < upto then begin
+      Jsonl.value c;
+      hold env !j c
+    end;
+    k := !j + 1
+  done
+
+(* Members are named by their place in the envelope's keys; an error
+   names the key. *)
+let name env i = env.keys.(i)
+
+(* string member [i] is [v], compared where it lies *)
+let is env i v =
+  match env.slots.(i) with
+  | Some { kind = Jsonl.String; src; off; len } -> Jsonl.key_is src off len v
+  | _ -> false
+
+let str env i =
+  match env.slots.(i) with
   | Some { kind = Jsonl.String; src; off; len } -> Some (String.sub src off len)
   | _ -> None
 
-let int64 env k =
-  match get env k with
+let int64 env i =
+  match env.slots.(i) with
   | Some { kind = Jsonl.Integer; src; off; len } -> Some (Jsonl.int64_at src off len)
   | _ -> None
 
 (* a string member, left where it lies *)
-let string_extent env k =
-  match get env k with
+let string_extent env i =
+  match env.slots.(i) with
   | Some ({ kind = Jsonl.String; _ } as e) -> Ok e
-  | Some _ | None -> Error (Printf.sprintf "missing or non-string field %S" k)
+  | Some _ | None -> Error (Printf.sprintf "missing or non-string field %S" (name env i))
 
-let field_str env k = Result.map (fun e -> String.sub e.src e.off e.len) (string_extent env k)
+let field_str env i = Result.map (fun e -> String.sub e.src e.off e.len) (string_extent env i)
 
-let int_value k = function
-  | { kind = Jsonl.Integer; src; off; len } -> (
+let field_int env i ~default =
+  match env.slots.(i) with
+  | None -> Ok default
+  | Some { kind = Jsonl.Integer; src; off; len } -> (
       match Jsonl.int_at src off len with
       | n -> Ok n
-      | exception Jsonl.Out_of_range -> Error (Printf.sprintf "field %S is outside the int range" k))
-  | _ -> Error (Printf.sprintf "field %S must be an integer" k)
+      | exception Jsonl.Out_of_range ->
+          Error (Printf.sprintf "field %S is outside the int range" (name env i)))
+  | Some _ -> Error (Printf.sprintf "field %S must be an integer" (name env i))
 
-let field_int env k ~default = match get env k with None -> Ok default | Some v -> int_value k v
-
+(* in the order [encode_request] writes them *)
 let request_keys =
   [|
     "id"; "op"; "workload"; "gemm_n"; "invocations"; "fast_forward"; "point"; "points";
   |]
 
+let request_heads = heads request_keys
+
+(* request members by their place in [request_keys] *)
+module Rq = struct
+  let id = 0
+  let op = 1
+  let workload = 2
+  let gemm_n = 3
+  let invocations = 4
+  let fast_forward = 5
+  let point = 6
+  let points = 7
+end
+
 let decode_spec env =
-  let* workload = field_str env "workload" in
-  let* gemm_n = field_int env "gemm_n" ~default:default_spec.gemm_n in
-  let* invocations = field_int env "invocations" ~default:1 in
+  let* workload = field_str env Rq.workload in
+  let* gemm_n = field_int env Rq.gemm_n ~default:default_spec.gemm_n in
+  let* invocations = field_int env Rq.invocations ~default:1 in
   let* fast_forward =
-    match get env "fast_forward" with
+    match env.slots.(Rq.fast_forward) with
     | None -> Ok None
-    | Some v -> Result.map Option.some (int_value "fast_forward" v)
+    | Some _ -> Result.map Option.some (field_int env Rq.fast_forward ~default:0)
   in
   if invocations < 1 then Error "invocations must be at least 1"
   else if gemm_n < 1 then Error "gemm_n must be at least 1"
@@ -323,7 +373,7 @@ let decode_spec env =
 (* the points of a "points" member: compact points separated by ';',
    each read in place *)
 let decode_points env =
-  let* { src; off; len; _ } = string_extent env "points" in
+  let* { src; off; len; _ } = string_extent env Rq.points in
   if len = 0 then Error "empty point list"
   else
     let stop = off + len in
@@ -340,111 +390,144 @@ let decode_points env =
 
 let decode_request line =
   let env = envelope request_keys in
-  match Jsonl.iter_fields line (take env) with
-  | Error e -> Error (0L, Printf.sprintf "bad request line: %s" e)
-  | Ok () -> (
+  let c = Jsonl.cursor line in
+  match
+    read_heads env request_heads ~upto:(Array.length request_keys) c;
+    while Jsonl.member c do
+      take env c
+    done
+  with
+  | exception Jsonl.Syntax e -> Error (0L, Printf.sprintf "bad request line: %s" e)
+  | () -> (
       (* an error reply echoes the id when one was parseable, else 0 *)
-      match int64 env "id" with
+      match int64 env Rq.id with
       | None -> Error (0L, "missing integer field \"id\"")
       | Some id -> (
           let fail e = Error (id, e) in
-          match str env "op" with
-          | None -> fail "missing string field \"op\""
-          | Some "ping" -> Ok (id, Ping)
-          | Some "stats" -> Ok (id, Stats)
-          | Some "shutdown" -> Ok (id, Shutdown)
-          | Some "sim" -> (
-              match
-                let* spec = decode_spec env in
-                let* { src; off; len; _ } = string_extent env "point" in
-                let* p = Point.of_compact_sub src off len in
-                Ok (Sim (spec, p))
-              with
-              | Ok req -> Ok (id, req)
-              | Error e -> fail ("sim: " ^ e))
-          | Some "sweep" -> (
-              match
-                let* spec = decode_spec env in
-                let* ps = decode_points env in
-                Ok (Sweep (spec, ps))
-              with
-              | Ok req -> Ok (id, req)
-              | Error e -> fail ("sweep: " ^ e))
-          | Some op -> fail (Printf.sprintf "unknown op %S (ping|sim|sweep|stats|shutdown)" op)))
+          let op = Rq.op in
+          if is env op "sim" then
+            match
+              let* spec = decode_spec env in
+              let* { src; off; len; _ } = string_extent env Rq.point in
+              let* p = Point.of_compact_sub src off len in
+              Ok (Sim (spec, p))
+            with
+            | Ok req -> Ok (id, req)
+            | Error e -> fail ("sim: " ^ e)
+          else if is env op "sweep" then
+            match
+              let* spec = decode_spec env in
+              let* ps = decode_points env in
+              Ok (Sweep (spec, ps))
+            with
+            | Ok req -> Ok (id, req)
+            | Error e -> fail ("sweep: " ^ e)
+          else if is env op "ping" then Ok (id, Ping)
+          else if is env op "stats" then Ok (id, Stats)
+          else if is env op "shutdown" then Ok (id, Shutdown)
+          else
+            match str env op with
+            | None -> fail "missing string field \"op\""
+            | Some op -> fail (Printf.sprintf "unknown op %S (ping|sim|sweep|stats|shutdown)" op)))
 
+(* a measurement reply's envelope first, in the order [splice] writes
+   it *)
 let response_keys =
   [|
-    "id"; "type"; "served"; "index"; "error"; "points"; "hits"; "sims"; "deduped"; "misses";
+    "id"; "type"; "index"; "served"; "error"; "points"; "hits"; "sims"; "deduped"; "misses";
     "simulated"; "inflight"; "queue_depth"; "store_size"; "requests";
   |]
 
-(* One pass over the line offers each member to the measurement slots
-   first and keeps the envelope's; a result or point reply then builds
-   its measurement from the slots, with no member list. Envelope keys
-   are not measurement fields, so they never land in a measurement
-   slot. *)
+let response_heads = heads response_keys
+
+(* reply members by their place in [response_keys] *)
+module Rs = struct
+  let id = 0
+  let type_ = 1
+  let index = 2
+  let served = 3
+  let error = 4
+  let points = 5
+  let hits = 6
+  let sims = 7
+  let deduped = 8
+  let misses = 9
+  let simulated = 10
+  let inflight = 11
+  let queue_depth = 12
+  let store_size = 13
+  let requests = 14
+end
+
+(* The envelope's members a reply starts with are read by position;
+   the measurement's positional pass then reads the rest in place and
+   hands the envelope's other members back. Envelope keys are not
+   measurement fields, so neither takes the other's members. A reply
+   that carries no measurement reads as one with every field
+   missing. *)
 let decode_response line =
-  let ms = Measurement.slots () in
   let env = envelope response_keys in
+  let c = Jsonl.cursor line in
   match
-    Jsonl.iter_fields line (fun ksrc koff klen kind src off len ->
-        if not (Measurement.fill ms ksrc koff klen kind src off len) then
-          take env ksrc koff klen kind src off len)
+    read_heads env response_heads ~upto:(Rs.served + 1) c;
+    Measurement.of_cursor ~other:(take env) c
   with
-  | Error e -> Error (Printf.sprintf "bad response line: %s" e)
-  | Ok () -> (
-      match int64 env "id" with
+  | exception Jsonl.Syntax e -> Error (Printf.sprintf "bad response line: %s" e)
+  | measurement -> (
+      match int64 env Rs.id with
       | None -> Error "response missing integer field \"id\""
       | Some id -> (
-          match str env "type" with
-          | None -> Error "response missing string field \"type\""
-          | Some "pong" -> Ok (id, `Terminal Pong)
-          | Some "stopping" -> Ok (id, `Terminal Stopping)
-          | Some "error" -> (
-              match str env "error" with
-              | Some e -> Ok (id, `Terminal (Failed e))
-              | None -> Error "error response missing \"error\"")
-          | Some "result" -> (
-              let* served = field_str env "served" in
-              match Measurement.of_slots ms with
-              | Ok m -> Ok (id, `Terminal (Result { served; m }))
-              | Error e -> Error ("result: " ^ e))
-          | Some "point" -> (
-              let* served = field_str env "served" in
-              let* index = field_int env "index" ~default:(-1) in
-              if index < 0 then Error "point response missing \"index\""
-              else
-                match Measurement.of_slots ms with
-                | Ok m -> Ok (id, `Interim (Sweep_point { index; served; m }))
-                | Error e -> Error ("point: " ^ e))
-          | Some "done" ->
-              let* points = field_int env "points" ~default:(-1) in
-              let* hits = field_int env "hits" ~default:0 in
-              let* sims = field_int env "sims" ~default:0 in
-              let* deduped = field_int env "deduped" ~default:0 in
-              if points < 0 then Error "done response missing \"points\""
-              else Ok (id, `Terminal (Sweep_done { points; hits; sims; deduped }))
-          | Some "stats" ->
-              let* st_hits = field_int env "hits" ~default:0 in
-              let* st_misses = field_int env "misses" ~default:0 in
-              let* st_deduped = field_int env "deduped" ~default:0 in
-              let* st_simulated = field_int env "simulated" ~default:0 in
-              let* st_inflight = field_int env "inflight" ~default:0 in
-              let* st_queue_depth = field_int env "queue_depth" ~default:0 in
-              let* st_store_size = field_int env "store_size" ~default:0 in
-              let* st_requests = field_int env "requests" ~default:0 in
-              Ok
-                ( id,
-                  `Terminal
-                    (Stats_reply
-                       {
-                         st_hits;
-                         st_misses;
-                         st_deduped;
-                         st_simulated;
-                         st_inflight;
-                         st_queue_depth;
-                         st_store_size;
-                         st_requests;
-                       }) )
-          | Some ty -> Error (Printf.sprintf "unknown response type %S" ty)))
+          let ty = Rs.type_ in
+          if is env ty "result" then
+            let* served = field_str env Rs.served in
+            match measurement with
+            | Ok m -> Ok (id, `Terminal (Result { served; m }))
+            | Error e -> Error ("result: " ^ e)
+          else if is env ty "point" then
+            let* served = field_str env Rs.served in
+            let* index = field_int env Rs.index ~default:(-1) in
+            if index < 0 then Error "point response missing \"index\""
+            else
+              match measurement with
+              | Ok m -> Ok (id, `Interim (Sweep_point { index; served; m }))
+              | Error e -> Error ("point: " ^ e)
+          else if is env ty "pong" then Ok (id, `Terminal Pong)
+          else if is env ty "stopping" then Ok (id, `Terminal Stopping)
+          else if is env ty "error" then
+            match str env Rs.error with
+            | Some e -> Ok (id, `Terminal (Failed e))
+            | None -> Error "error response missing \"error\""
+          else if is env ty "done" then
+            let* points = field_int env Rs.points ~default:(-1) in
+            let* hits = field_int env Rs.hits ~default:0 in
+            let* sims = field_int env Rs.sims ~default:0 in
+            let* deduped = field_int env Rs.deduped ~default:0 in
+            if points < 0 then Error "done response missing \"points\""
+            else Ok (id, `Terminal (Sweep_done { points; hits; sims; deduped }))
+          else if is env ty "stats" then
+            let* st_hits = field_int env Rs.hits ~default:0 in
+            let* st_misses = field_int env Rs.misses ~default:0 in
+            let* st_deduped = field_int env Rs.deduped ~default:0 in
+            let* st_simulated = field_int env Rs.simulated ~default:0 in
+            let* st_inflight = field_int env Rs.inflight ~default:0 in
+            let* st_queue_depth = field_int env Rs.queue_depth ~default:0 in
+            let* st_store_size = field_int env Rs.store_size ~default:0 in
+            let* st_requests = field_int env Rs.requests ~default:0 in
+            Ok
+              ( id,
+                `Terminal
+                  (Stats_reply
+                     {
+                       st_hits;
+                       st_misses;
+                       st_deduped;
+                       st_simulated;
+                       st_inflight;
+                       st_queue_depth;
+                       st_store_size;
+                       st_requests;
+                     }) )
+          else
+            match str env ty with
+            | None -> Error "response missing string field \"type\""
+            | Some ty -> Error (Printf.sprintf "unknown response type %S" ty)))

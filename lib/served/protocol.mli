@@ -31,7 +31,10 @@
     The measurement fields of a [result] or [point] line are the store's
     canonical line ({!Salam_dse.Measurement.to_line}) spliced in after
     the envelope ({!splice}), so the daemon answers a stored point
-    without encoding it, and {!decode_response} parses any line once. *)
+    without encoding it, and {!decode_response} parses any line once.
+    Both decoders read members where canonical order puts them and fall
+    back to a lookup by key, member by member, so a line in any order
+    reads the same. *)
 
 type spec = {
   workload : string;  (** "gemm" or a suite workload name *)
@@ -113,5 +116,7 @@ val splice : id:int64 -> ?index:int -> served:string -> string -> string
 val decode_response :
   string -> (int64 * [ `Terminal of response | `Interim of response ], string) result
 (** [`Interim] is a [Sweep_point]; [`Terminal] ends the request. The
-    line is parsed once: each member is offered to the measurement's
-    typed slots first, then to the envelope's, with no member list. *)
+    line is parsed once: the envelope [splice] writes is read by
+    position, and the rest of the line by
+    {!Salam_dse.Measurement.of_cursor}, which hands the envelope back
+    any of its members it meets; no member list is built. *)

@@ -1,18 +1,20 @@
-(* Tests for the line codecs: the single-pass slot decoder against the
-   association-list decoder it replaced, JSON's number grammar, integers
-   outside OCaml's int range, errors that name the field, and bit-exact
-   round trips of measurements, request lines and compact points whose
-   cut or bit-flipped bytes are refused or decode to what they say. *)
+(* Tests for the line codecs: the positional decoders against the
+   association-list decoders they replaced, JSON's number grammar,
+   integers outside OCaml's int range, errors that name the field, and
+   bit-exact round trips of measurements, request lines and compact
+   points whose cut, bit-flipped or reordered bytes are refused or
+   decode to what they say. *)
 
 module Point = Salam_dse.Point
 
-(* The library's codec, plus the member-list decoder and lookups it
-   used to have: the oracle and the generators below read lines this
-   way, and the other codec tests use it as their reference. *)
+(* The library's codec, plus a member-list decoder on its generic
+   reader ([member]) and lookups: the oracles and the generators below
+   read lines this way, and the other codec tests use it as their
+   reference. *)
 module Jsonl = struct
   include Salam_dse.Jsonl
 
-  let value kind src off len =
+  let value_of kind src off len =
     match kind with
     | Integer -> Int (int64_at src off len)
     | Number -> Float (float_of_string (String.sub src off len))
@@ -20,14 +22,17 @@ module Jsonl = struct
     | False -> Bool false
     | String -> Str (String.sub src off len)
 
+  (* every member, in line order, by the cursor's generic reader *)
   let decode line =
+    let c = cursor line in
     let fields = ref [] in
     match
-      iter_fields line (fun ksrc koff klen kind src off len ->
-          fields := (String.sub ksrc koff klen, value kind src off len) :: !fields)
+      while member c do
+        fields := (String.sub c.ksrc c.koff c.klen, value_of c.kind c.src c.off c.len) :: !fields
+      done
     with
-    | Ok () -> Ok (List.rev !fields)
-    | Error _ as e -> e
+    | () -> Ok (List.rev !fields)
+    | exception Syntax e -> Error e
 
   let get_int fields k = match List.assoc_opt k fields with Some (Int i) -> Some i | _ -> None
   let get_bool fields k = match List.assoc_opt k fields with Some (Bool b) -> Some b | _ -> None
@@ -40,119 +45,241 @@ module Shard = Salam_dse.Store_shard
 
 (* --- the oracle ----------------------------------------------------- *)
 
-(* [Measurement.of_line] as it was before the slot decoder: parse the
-   line into an association list, then look every field up by key. Kept
-   here only to check the decoder that replaced it. *)
+(* [Measurement.of_line] as it was before the positional decoder:
+   parse the line into an association list, then look every field up by
+   key, in canonical order, naming the first that is missing or of the
+   wrong kind with the decoder's words. Kept here only to check the
+   decoder that replaced it. *)
 let oracle_of_line line =
-  (* a float field holds a number, or one of the four strings the
-     encoder writes for a non-finite float; any other string is refused *)
-  let get_float fields k =
-    match List.assoc_opt k fields with
-    | Some (Jsonl.Float f) -> Some f
-    | Some (Jsonl.Int i) -> Some (Int64.to_float i)
-    | Some (Jsonl.Str "nan") -> Some Float.nan
-    | Some (Jsonl.Str "-nan") -> Some (Float.neg Float.nan)
-    | Some (Jsonl.Str "infinity") -> Some Float.infinity
-    | Some (Jsonl.Str "-infinity") -> Some Float.neg_infinity
-    | _ -> None
-  in
   match Jsonl.decode line with
   | Error e -> Error e
   | Ok fields -> (
-      let ( let* ) o f = match o with Some v -> f v | None -> Error "missing field" in
-      let int k = Option.map Int64.to_int (Jsonl.get_int fields k) in
-      let* fp_hex = Jsonl.get_str fields "fp" in
-      let* fp = Point.fingerprint_of_hex fp_hex in
-      let* workload = Jsonl.get_str fields "workload" in
-      let* mem = Jsonl.get_str fields "memory" in
-      let* memory = Point.memory_kind_of_string mem in
-      let* read_ports = int "read_ports" in
-      let* write_ports = int "write_ports" in
-      let* banks = int "banks" in
-      let* cache_bytes = int "cache_bytes" in
-      let* fu_limit = int "fu_limit" in
-      let* unroll = int "unroll" in
-      let* junroll = int "junroll" in
-      let* clock_mhz = get_float fields "clock_mhz" in
-      let* node_nm = int "node_nm" in
-      let* cycle_time_ns = get_float fields "cycle_time_ns" in
-      let* hw_db = Jsonl.get_str fields "hw_db" in
-      let point =
-        {
-          Point.memory;
-          read_ports;
-          write_ports;
-          banks;
-          cache_bytes;
-          fu_limit;
-          unroll;
-          junroll;
-          clock_mhz;
-          node_nm;
-          cycle_time_ns;
-          hw_db;
-        }
+      let exception Field of string in
+      let get k =
+        match List.assoc_opt k fields with
+        | Some v -> v
+        | None -> raise (Field (Printf.sprintf "missing field %S" k))
       in
-      let* cycles = Jsonl.get_int fields "cycles" in
-      let* seconds = get_float fields "seconds" in
-      let* total_mw = get_float fields "total_mw" in
-      let* datapath_mw = get_float fields "datapath_mw" in
-      let* area_um2 = get_float fields "area_um2" in
-      let* correct = Jsonl.get_bool fields "correct" in
-      let* active_cycles = int "active_cycles" in
-      let* issue_cycles = int "issue_cycles" in
-      let* stall_cycles = int "stall_cycles" in
-      let* stall_load_only = int "stall_load_only" in
-      let* stall_load_compute = int "stall_load_compute" in
-      let* stall_load_store_compute = int "stall_load_store_compute" in
-      let* stall_other = int "stall_other" in
-      let* cycles_with_load = int "cycles_with_load" in
-      let* cycles_with_store = int "cycles_with_store" in
-      let* cycles_with_load_and_store = int "cycles_with_load_and_store" in
-      let* loads_issued = int "loads_issued" in
-      let* stores_issued = int "stores_issued" in
-      let* issued_fp = int "issued_fp" in
-      let* issued_int = int "issued_int" in
-      let* issued_mem = int "issued_mem" in
-      let* fmul_occupancy = get_float fields "fmul_occupancy" in
-      let* fmul_allocated = int "fmul_allocated" in
-      let* spm_reads = int "spm_reads" in
-      let* spm_writes = int "spm_writes" in
-      let* cache_hits = int "cache_hits" in
-      let* cache_misses = int "cache_misses" in
-      Ok
-        {
-          M.fp;
-          workload;
-          point;
-          cycles;
-          seconds;
-          total_mw;
-          datapath_mw;
-          area_um2;
-          correct;
-          active_cycles;
-          issue_cycles;
-          stall_cycles;
-          stall_load_only;
-          stall_load_compute;
-          stall_load_store_compute;
-          stall_other;
-          cycles_with_load;
-          cycles_with_store;
-          cycles_with_load_and_store;
-          loads_issued;
-          stores_issued;
-          issued_fp;
-          issued_int;
-          issued_mem;
-          fmul_occupancy;
-          fmul_allocated;
-          spm_reads;
-          spm_writes;
-          cache_hits;
-          cache_misses;
-        })
+      let bad k reason = raise (Field (Printf.sprintf "field %S %s" k reason)) in
+      let int k =
+        match get k with
+        | Jsonl.Int i when Int64.of_int (Int64.to_int i) = i -> Int64.to_int i
+        | Jsonl.Int _ -> bad k "is outside the int range"
+        | _ -> bad k "must be an integer"
+      in
+      let int64 k = match get k with Jsonl.Int i -> i | _ -> bad k "must be an integer" in
+      (* a float field holds a number, or one of the four strings the
+         encoder writes for a non-finite float; any other string is refused *)
+      let float k =
+        match get k with
+        | Jsonl.Float f -> f
+        | Jsonl.Int i -> Int64.to_float i
+        | Jsonl.Str "nan" -> Float.nan
+        | Jsonl.Str "-nan" -> Float.neg Float.nan
+        | Jsonl.Str "infinity" -> Float.infinity
+        | Jsonl.Str "-infinity" -> Float.neg_infinity
+        | _ -> bad k "must be a number"
+      in
+      let str k = match get k with Jsonl.Str s -> s | _ -> bad k "must be a string" in
+      let bool k = match get k with Jsonl.Bool b -> b | _ -> bad k "must be a boolean" in
+      try
+        let fp =
+          match get "fp" with
+          | Jsonl.Str s when Point.fingerprint_of_hex s <> None ->
+              Option.get (Point.fingerprint_of_hex s)
+          | _ -> bad "fp" "must be a 16-digit hex fingerprint"
+        in
+        let workload = str "workload" in
+        let memory =
+          match get "memory" with
+          | Jsonl.Str s when Point.memory_kind_of_string s <> None ->
+              Option.get (Point.memory_kind_of_string s)
+          | _ -> bad "memory" "must be \"spm\", \"cache\" or \"dram\""
+        in
+        let read_ports = int "read_ports" in
+        let write_ports = int "write_ports" in
+        let banks = int "banks" in
+        let cache_bytes = int "cache_bytes" in
+        let fu_limit = int "fu_limit" in
+        let unroll = int "unroll" in
+        let junroll = int "junroll" in
+        let clock_mhz = float "clock_mhz" in
+        let node_nm = int "node_nm" in
+        let cycle_time_ns = float "cycle_time_ns" in
+        let hw_db = str "hw_db" in
+        let point =
+          {
+            Point.memory;
+            read_ports;
+            write_ports;
+            banks;
+            cache_bytes;
+            fu_limit;
+            unroll;
+            junroll;
+            clock_mhz;
+            node_nm;
+            cycle_time_ns;
+            hw_db;
+          }
+        in
+        let cycles = int64 "cycles" in
+        let seconds = float "seconds" in
+        let total_mw = float "total_mw" in
+        let datapath_mw = float "datapath_mw" in
+        let area_um2 = float "area_um2" in
+        let correct = bool "correct" in
+        let active_cycles = int "active_cycles" in
+        let issue_cycles = int "issue_cycles" in
+        let stall_cycles = int "stall_cycles" in
+        let stall_load_only = int "stall_load_only" in
+        let stall_load_compute = int "stall_load_compute" in
+        let stall_load_store_compute = int "stall_load_store_compute" in
+        let stall_other = int "stall_other" in
+        let cycles_with_load = int "cycles_with_load" in
+        let cycles_with_store = int "cycles_with_store" in
+        let cycles_with_load_and_store = int "cycles_with_load_and_store" in
+        let loads_issued = int "loads_issued" in
+        let stores_issued = int "stores_issued" in
+        let issued_fp = int "issued_fp" in
+        let issued_int = int "issued_int" in
+        let issued_mem = int "issued_mem" in
+        let fmul_occupancy = float "fmul_occupancy" in
+        let fmul_allocated = int "fmul_allocated" in
+        let spm_reads = int "spm_reads" in
+        let spm_writes = int "spm_writes" in
+        let cache_hits = int "cache_hits" in
+        let cache_misses = int "cache_misses" in
+        Ok
+          {
+            M.fp;
+            workload;
+            point;
+            cycles;
+            seconds;
+            total_mw;
+            datapath_mw;
+            area_um2;
+            correct;
+            active_cycles;
+            issue_cycles;
+            stall_cycles;
+            stall_load_only;
+            stall_load_compute;
+            stall_load_store_compute;
+            stall_other;
+            cycles_with_load;
+            cycles_with_store;
+            cycles_with_load_and_store;
+            loads_issued;
+            stores_issued;
+            issued_fp;
+            issued_int;
+            issued_mem;
+            fmul_occupancy;
+            fmul_allocated;
+            spm_reads;
+            spm_writes;
+            cache_hits;
+            cache_misses;
+          }
+      with Field e -> Error e)
+
+(* What [Protocol.decode_response] answers for a line whose first
+   "type" value is "result" or names no reply type, read off the member
+   list as above; [None] for the other reply types. *)
+let oracle_of_reply line =
+  match Jsonl.decode line with
+  | Error e -> Some (Error ("bad response line: " ^ e))
+  | Ok fields -> (
+      match Jsonl.get_int fields "id" with
+      | None -> Some (Error "response missing integer field \"id\"")
+      | Some id -> (
+          match Jsonl.get_str fields "type" with
+          | None -> Some (Error "response missing string field \"type\"")
+          | Some "result" -> (
+              match Jsonl.get_str fields "served" with
+              | None -> Some (Error "missing or non-string field \"served\"")
+              | Some served -> (
+                  match oracle_of_line line with
+                  | Ok m -> Some (Ok (id, served, m))
+                  | Error e -> Some (Error ("result: " ^ e))))
+          | Some ("pong" | "stopping" | "error" | "point" | "done" | "stats") -> None
+          | Some ty -> Some (Error (Printf.sprintf "unknown response type %S" ty))))
+
+(* What [Protocol.decode_request] answers, read off the member list:
+   the first value of each key, a sim's point and a sweep's points read
+   by [Point.of_compact]. *)
+let oracle_of_request line =
+  let ( let* ) = Result.bind in
+  match Jsonl.decode line with
+  | Error e -> Error (0L, "bad request line: " ^ e)
+  | Ok fields -> (
+      match Jsonl.get_int fields "id" with
+      | None -> Error (0L, "missing integer field \"id\"")
+      | Some id -> (
+          let int k ~default =
+            match List.assoc_opt k fields with
+            | None -> Ok default
+            | Some (Jsonl.Int i) when Int64.of_int (Int64.to_int i) = i -> Ok (Int64.to_int i)
+            | Some (Jsonl.Int _) -> Error (Printf.sprintf "field %S is outside the int range" k)
+            | Some _ -> Error (Printf.sprintf "field %S must be an integer" k)
+          in
+          let str k =
+            match Jsonl.get_str fields k with
+            | Some s -> Ok s
+            | None -> Error (Printf.sprintf "missing or non-string field %S" k)
+          in
+          let spec () =
+            let* workload = str "workload" in
+            let* gemm_n = int "gemm_n" ~default:16 in
+            let* invocations = int "invocations" ~default:1 in
+            let* fast_forward =
+              if List.mem_assoc "fast_forward" fields then
+                Result.map Option.some (int "fast_forward" ~default:0)
+              else Ok None
+            in
+            if invocations < 1 then Error "invocations must be at least 1"
+            else if gemm_n < 1 then Error "gemm_n must be at least 1"
+            else
+              match fast_forward with
+              | Some k when k < 0 || k >= invocations ->
+                  Error
+                    (Printf.sprintf "fast_forward must satisfy 0 <= %d < invocations (%d)" k
+                       invocations)
+              | _ -> Ok { P.workload; gemm_n; invocations; fast_forward }
+          in
+          let with_op op r =
+            match r with Ok req -> Ok (id, req) | Error e -> Error (id, op ^ ": " ^ e)
+          in
+          match Jsonl.get_str fields "op" with
+          | None -> Error (id, "missing string field \"op\"")
+          | Some "ping" -> Ok (id, P.Ping)
+          | Some "stats" -> Ok (id, P.Stats)
+          | Some "shutdown" -> Ok (id, P.Shutdown)
+          | Some "sim" ->
+              with_op "sim"
+                (let* spec = spec () in
+                 let* text = str "point" in
+                 let* p = Point.of_compact text in
+                 Ok (P.Sim (spec, p)))
+          | Some "sweep" ->
+              with_op "sweep"
+                (let* spec = spec () in
+                 let* text = str "points" in
+                 if text = "" then Error "empty point list"
+                 else
+                   let* ps =
+                     List.fold_left
+                       (fun acc t ->
+                         let* ps = acc in
+                         let* p = Point.of_compact t in
+                         Ok (p :: ps))
+                       (Ok []) (String.split_on_char ';' text)
+                   in
+                   Ok (P.Sweep (spec, List.rev ps)))
+          | Some op ->
+              Error (id, Printf.sprintf "unknown op %S (ping|sim|sweep|stats|shutdown)" op)))
 
 (* --- generators ----------------------------------------------------- *)
 
@@ -282,6 +409,82 @@ let gen_mutated ?(envelope = []) m : string QCheck.Gen.t =
 
 let same a b = compare a b = 0
 
+(* [l] with [x] inserted before its [i]-th element, or without it *)
+let insert_at l i x = List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
+let remove_at l i = List.filteri (fun j _ -> j <> i) l
+
+(* [s] as a JSON string with its [i]-th byte written as a \u escape *)
+let escape_one s i =
+  let inner t =
+    let q = value_text (Jsonl.Str t) in
+    String.sub q 1 (String.length q - 2)
+  in
+  Printf.sprintf "\"%s\\u%04x%s\"" (inner (String.sub s 0 i)) (Char.code s.[i])
+    (inner (String.sub s (i + 1) (String.length s - i - 1)))
+
+(* One change aimed at the decoder's per-member fallback, the rest of a
+   canonical [line] left as it is: one member moved out of canonical
+   order; spaces around one member's ':' and ','; an escape inside one
+   of the string members [escapable] names (in its key when its value
+   has no ASCII byte); a second value for a key, before or after its
+   canonical place; an unknown extra key; or, for a reply, "served"
+   placed before "type". *)
+let gen_targeted ?(reply = false) ~escapable line : string QCheck.Gen.t =
+ fun st ->
+  let fields = members_of line in
+  let n = List.length fields in
+  let text (k, v) = key_text k ^ ":" ^ value_text v in
+  let texts = List.map text fields in
+  let index_of k = Option.get (List.find_index (fun (k', _) -> k' = k) fields) in
+  let texts =
+    match QCheck.Gen.int_bound (if reply then 5 else 4) st with
+    | 0 ->
+        let a = QCheck.Gen.int_bound (n - 1) st in
+        insert_at (remove_at texts a) (QCheck.Gen.int_bound (n - 1) st) (List.nth texts a)
+    | 1 ->
+        let j = QCheck.Gen.int_bound (n - 1) st in
+        let ws () = QCheck.Gen.oneofl [ " "; "\t"; "  " ] st in
+        let k, v = List.nth fields j in
+        List.mapi
+          (fun i t ->
+            if i = j then ws () ^ key_text k ^ ws () ^ ":" ^ ws () ^ value_text v ^ ws () else t)
+          texts
+    | 2 -> (
+        match List.filter (fun k -> List.mem_assoc k fields) escapable with
+        | [] -> texts
+        | ks ->
+            let k = QCheck.Gen.oneofl ks st in
+            let j = index_of k in
+            let ascii s =
+              List.filter (fun i -> Char.code s.[i] < 0x80) (List.init (String.length s) Fun.id)
+            in
+            let t =
+              match List.assoc k fields with
+              | Jsonl.Str s when ascii s <> [] ->
+                  key_text k ^ ":" ^ escape_one s (QCheck.Gen.oneofl (ascii s) st)
+              | v ->
+                  escape_one k (QCheck.Gen.int_bound (String.length k - 1) st) ^ ":" ^ value_text v
+            in
+            List.mapi (fun i t' -> if i = j then t else t') texts)
+    | 3 ->
+        let j = QCheck.Gen.int_bound (n - 1) st in
+        let k, v = List.nth fields j in
+        let v = if QCheck.Gen.bool st then v else gen_value st in
+        let at =
+          if QCheck.Gen.bool st then QCheck.Gen.int_bound j st
+          else j + 1 + QCheck.Gen.int_bound (n - 1 - j) st
+        in
+        insert_at texts at (text (k, v))
+    | 4 -> insert_at texts (QCheck.Gen.int_bound n st) (text ("x_extra", gen_value st))
+    | _ ->
+        let served = index_of "served" in
+        insert_at (remove_at texts served) (index_of "type") (List.nth texts served)
+  in
+  "{" ^ String.concat "," texts ^ "}"
+
+let measurement_escapable = [ "workload"; "hw_db" ]
+
+
 let show_result = function Ok m -> "Ok " ^ M.to_line m | Error e -> "Error " ^ e
 
 let qcheck_canonical_round_trip =
@@ -311,37 +514,42 @@ let gen_envelope st =
         (QCheck.Gen.oneofl [ "id"; "type"; "served" ] st, gen_value st))
 
 (* Mutated store lines, and mutated reply lines with the envelope's
-   members before, between and after the measurement's: the reply
-   decoder reads the measurement the oracle reads and the first value of
-   each envelope key, or refuses what either refuses. *)
+   members before, between and after the measurement's, or lines with
+   one targeted change: the decoders give the oracle's exact value or
+   its exact error text. *)
 let qcheck_mutated_lines_agree =
   QCheck.Test.make ~name:"mutated lines decode like the oracle" ~count:500
     (QCheck.make ~print:(fun (l, r) -> l ^ "\n" ^ r)
        QCheck.Gen.(
          gen_measurement >>= fun m ->
-         pair (gen_mutated m) (gen_envelope >>= fun envelope -> gen_mutated ~envelope m)))
+         let line = M.to_line m in
+         let reply st =
+           P.splice ~id:(ui64 st) ~served:(oneofl [ "hit"; "sim"; "dedup" ] st) line
+         in
+         pair
+           (oneof [ gen_mutated m; gen_targeted ~escapable:measurement_escapable line ])
+           (oneof
+              [
+                (gen_envelope >>= fun envelope -> gen_mutated ~envelope m);
+                (reply >>= fun r -> gen_targeted ~reply:true ~escapable:measurement_escapable r);
+              ])))
     (fun (line, reply) ->
       (match (M.of_line line, oracle_of_line line) with
       | Ok got, Ok want -> same got want
-      | Error _, Error _ -> true
+      | Error got, Error want ->
+          got = want || QCheck.Test.fail_reportf "decoder %S, oracle %S" got want
       | got, want ->
           QCheck.Test.fail_reportf "decoder %s, oracle %s" (show_result got) (show_result want))
       &&
-      let fields = members_of reply in
-      let envelope_ok =
-        Jsonl.get_int fields "id" <> None
-        && Jsonl.get_str fields "type" = Some "result"
-        && Jsonl.get_str fields "served" <> None
-      in
-      match (P.decode_response reply, oracle_of_line reply) with
-      | Ok (id, `Terminal (P.Result { served; m })), Ok want ->
-          (same m want && envelope_ok
-          && Jsonl.get_int fields "id" = Some id
-          && Jsonl.get_str fields "served" = Some served)
-          || QCheck.Test.fail_reportf "reply decoded as %s" (M.to_line m)
-      | Ok _, _ -> QCheck.Test.fail_report "reply decoded, but not as the oracle reads it"
-      | Error _, Ok _ -> (not envelope_ok) || QCheck.Test.fail_report "a good reply refused"
-      | Error _, Error _ -> true)
+      match (P.decode_response reply, oracle_of_reply reply) with
+      | _, None -> true
+      | Ok (id, `Terminal (P.Result { served; m })), Some (Ok (id', served', want)) ->
+          (id = id' && served = served' && same m want)
+          || QCheck.Test.fail_reportf "reply decoded as %Ld %s %s" id served (M.to_line m)
+      | Error got, Some (Error want) ->
+          got = want || QCheck.Test.fail_reportf "reply refused with %S, oracle %S" got want
+      | Ok _, Some _ -> QCheck.Test.fail_report "reply decoded, but not as the oracle reads it"
+      | Error e, Some (Ok _) -> QCheck.Test.fail_reportf "a good reply refused: %s" e)
 
 (* --- hand-written lines --------------------------------------------- *)
 
@@ -608,14 +816,18 @@ let qcheck_mutated_store_lines =
            (fun l -> match M.of_line l with Ok m -> what_the_bytes_say l m | Error _ -> true)
            flips)
 
+(* a reply spliced around a measurement's line, canonical or with one
+   targeted change *)
+let gen_reply st =
+  let reply = P.splice ~id:7L ~served:"hit" (M.to_line (gen_extreme_measurement st)) in
+  if QCheck.Gen.bool st then reply
+  else gen_targeted ~reply:true ~escapable:measurement_escapable reply st
+
 let qcheck_mutated_reply_lines =
   QCheck.Test.make ~name:"cut or bit-flipped reply lines: an error or what the bytes say"
     ~count:60
     (QCheck.make ~print:fst
-       QCheck.Gen.(
-         gen_extreme_measurement >>= fun m ->
-         let reply = P.splice ~id:7L ~served:"hit" (M.to_line m) in
-         map (fun f -> (reply, f)) (gen_flips 40 reply)))
+       QCheck.Gen.(gen_reply >>= fun reply -> map (fun f -> (reply, f)) (gen_flips 40 reply)))
     (fun (reply, flips) ->
       List.for_all
         (fun l ->
@@ -625,7 +837,17 @@ let qcheck_mutated_reply_lines =
         (cuts reply)
       && List.for_all
            (fun l ->
-             match P.decode_response l with
+             let got = P.decode_response l in
+             (match (got, oracle_of_reply l) with
+             | _, None -> true
+             | Ok (id, `Terminal (P.Result { served; m })), Some (Ok (id', served', m')) ->
+                 (id = id' && served = served' && same m m')
+                 || QCheck.Test.fail_reportf "%S decoded as %s" l (M.to_line m)
+             | Error e, Some (Error e') ->
+                 e = e' || QCheck.Test.fail_reportf "%S refused with %S, oracle %S" l e e'
+             | _, Some _ -> QCheck.Test.fail_reportf "%S: the decoder and the oracle disagree" l)
+             &&
+             match got with
              | Ok (id, `Terminal (P.Result { served; m })) ->
                  let fields = members_of l in
                  Jsonl.get_int fields "id" = Some id
@@ -694,14 +916,17 @@ let point_text fields =
   | Some s, _ | None, Some s -> Some s
   | None, None -> None
 
+(* a request line as the client writes it, or with one targeted change *)
+let gen_request_line st =
+  let line = P.encode_request ~id:(gen_id st) (gen_request st) in
+  if QCheck.Gen.bool st then line
+  else gen_targeted ~escapable:[ "workload"; "point"; "points"; "op" ] line st
+
 let qcheck_mutated_request_lines =
   QCheck.Test.make ~name:"cut or bit-flipped request lines: an error or what the bytes say"
     ~count:150
     (QCheck.make ~print:fst
-       QCheck.Gen.(
-         pair gen_id gen_request >>= fun (id, r) ->
-         let line = P.encode_request ~id r in
-         map (fun f -> (line, f)) (gen_flips 30 line)))
+       QCheck.Gen.(gen_request_line >>= fun line -> map (fun f -> (line, f)) (gen_flips 30 line)))
     (fun (line, flips) ->
       List.for_all
         (fun l ->
@@ -711,7 +936,15 @@ let qcheck_mutated_request_lines =
         (cuts line)
       && List.for_all
            (fun l ->
-             match P.decode_request l with
+             let got = P.decode_request l in
+             (match (got, oracle_of_request l) with
+             | Ok a, Ok b -> same a b || QCheck.Test.fail_reportf "%S: not the oracle's request" l
+             | Error a, Error b ->
+                 same a b
+                 || QCheck.Test.fail_reportf "%S refused with %S, oracle %S" l (snd a) (snd b)
+             | _ -> QCheck.Test.fail_reportf "%S: the decoder and the oracle disagree" l)
+             &&
+             match got with
              | Error _ -> true
              | Ok (id, r) -> (
                  let fields = members_of l in
@@ -725,7 +958,7 @@ let qcheck_mutated_request_lines =
                  | P.Sweep (_, ps) ->
                      point_text fields = Some (String.concat ";" (List.map Point.to_compact ps))
                  | P.Ping | P.Stats | P.Shutdown -> true))
-           flips)
+           (line :: flips))
 
 (* FNV-1a over [s], byte by byte: the fingerprint's definition *)
 let fnv_reference s =

@@ -24,4 +24,5 @@ let () =
       ("codec", Test_codec.suite);
       ("served", Test_served.suite);
       ("config", Test_config.suite);
+      ("figures", Test_figures.suite);
     ]

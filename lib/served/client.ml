@@ -13,7 +13,7 @@ module Measurement = Salam_dse.Measurement
 type t = {
   fd : Unix.file_descr;
   r : P.reader;
-  oc : out_channel;
+  w : P.writer;
   mutable next_id : int64;
   mutable closed : bool;
 }
@@ -32,7 +32,7 @@ let connect path =
   {
     fd;
     r = P.reader fd;
-    oc = Unix.out_channel_of_descr fd;
+    w = P.writer fd;
     next_id = 1L;
     closed = false;
   }
@@ -40,7 +40,6 @@ let connect path =
 let close t =
   if not t.closed then begin
     t.closed <- true;
-    (try flush t.oc with Sys_error _ -> ());
     try Unix.close t.fd with Unix.Unix_error _ -> ()
   end
 
@@ -49,22 +48,24 @@ let with_connection path f =
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
 (* send one request, collect every line up to (and including) the
-   terminal one; interim points accumulate in order of arrival *)
+   terminal one; interim points accumulate in order of arrival. Each
+   reply is decoded where it lies in the reader's buffer. *)
 let roundtrip t req =
   if t.closed then fail "client is closed";
   let id = t.next_id in
   t.next_id <- Int64.add t.next_id 1L;
-  output_string t.oc (P.encode_request ~id req);
-  output_char t.oc '\n';
-  flush t.oc;
+  (match P.send_request t.w ~id req with
+  | () -> ()
+  | exception Unix.Unix_error (e, _, _) -> fail "cannot send request: %s" (Unix.error_message e));
   let points = ref [] in
   let rec await () =
-    match P.next_line t.r with
+    match P.next t.r with
     | `Eof -> fail "server hung up mid-request"
     | `Too_long -> fail "reply line longer than %d bytes" P.max_line
-    | `Line line -> (
-        match P.decode_response line with
-        | Error e -> fail "undecodable response: %s (line: %s)" e line
+    | `Line -> (
+        let src = P.line_src t.r and off = P.line_off t.r and len = P.line_len t.r in
+        match P.decode_response_sub src off len with
+        | Error e -> fail "undecodable response: %s (line: %s)" e (String.sub src off len)
         (* a line the daemon could not read is answered with id 0 *)
         | Ok (0L, `Terminal (P.Failed e)) -> fail "request refused: %s" e
         | Ok (rid, _) when rid <> id ->

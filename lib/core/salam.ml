@@ -78,7 +78,7 @@ let round_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 256
 
-let model_epoch = 1
+let model_epoch = 2
 
 (* --- fast-forward machinery -------------------------------------------- *)
 

@@ -128,8 +128,10 @@ val model_epoch : int
 (** The timing model's version. Every design-point fingerprint hashes
     it first, so a stored answer keys to the model that measured it;
     bump it with any change that moves a simulated figure (1: FU caps
-    hold per cycle, not per tick). A figure golden re-blessed without a
-    bump fails the "figure goldens pinned to the model epoch" test. *)
+    hold per cycle, not per tick; 2: an unpipelined op issued this cycle
+    counts once against its class's cap). A figure golden re-blessed
+    without a bump fails the "figure goldens pinned to the model epoch"
+    test. *)
 
 val roadmark_name : int -> string
 (** ["start"] for 0, ["after-invocation-k"] otherwise. *)

@@ -26,10 +26,10 @@ let lines_path dir = Filename.concat dir "shard-00.jsonl"
 let refuse_layout path found =
   failwith
     (Printf.sprintf
-       "Store_shard.open_: %s is %s: the layout of a store that predates model epoch %d (a \
+       "Store_shard.open_: %s is %s: the layout of a store that predates model epoch 1 (a \
         store is now a directory whose shards.manifest reads %S), so every lookup in it would \
         miss; it is refused and left untouched"
-       path found Salam.model_epoch manifest)
+       path found manifest)
 
 (* a missing or empty directory is a store waiting to happen
    (mkdir-then-open is a natural CLI sequence) *)

@@ -1322,12 +1322,14 @@ let register_hazards t dyn prev (def : Ast.var option) =
   | None -> ()
 
 (* Units of class [i] an FU issue this tick would find taken: the ops
-   issued this cycle, plus, for an unpipelined class, the units held
-   until commit. The one place the allocation reaches the engine
-   compares against this ([can_issue]); [issue] records its peak. *)
+   issued this cycle, or, for an unpipelined class, the units held until
+   commit when they are more ([issue] counts an unpipelined op in both
+   from its issue on, so adding them would count it twice). The one
+   place the allocation reaches the engine compares against this
+   ([can_issue]); [issue] records its peak. *)
 let[@inline] units_in_use t i =
   if t.specs.(i).Profile.pipelined then t.scratch_issued.(i)
-  else t.fu_held.(i) + t.scratch_issued.(i)
+  else Int.max t.fu_held.(i) t.scratch_issued.(i)
 
 (* Inside a tick, time is the tick's clock edge: the pending tick's
    insertion number is taken now, where inserting it would have taken it,

@@ -69,20 +69,20 @@ let test_fingerprints_pinned () =
   let gemm = "gemm_ncubed_n16_u16_j8" in
   pin "spm" gemm
     { Point.default with Point.read_ports = 8; write_ports = 4; banks = 16; fu_limit = 4; unroll = 16; junroll = 8 }
-    "e60e959b484a3681";
+    "61419e2429b077b6";
   pin "cache" gemm
     { Point.default with Point.memory = Point.Cache; cache_bytes = 4096; fu_limit = 2 }
-    "bcc38fc0e47c8628";
-  pin "dram" "stencil2d_32x32" { Point.default with Point.memory = Point.Dram } "a246fc772ae0e560";
+    "b7158a1921633c95";
+  pin "dram" "stencil2d_32x32" { Point.default with Point.memory = Point.Dram } "8f6d0473b7d94d5b";
   pin "another hardware database" "gemm_ncubed_n16_u1_j1"
     { Point.default with Point.hw_db = "5f3c9a7e21d04b68"; node_nm = 28 }
-    "d627b754ead18859";
+    "d41789674c19b2d0";
   pin "non-integer clock" "gemm_ncubed_n16_u1_j1#inv3#ff2"
     { Point.default with Point.clock_mhz = 333.3; cycle_time_ns = 3.0 }
-    "63a4f02830ae633c";
+    "b274b7190d193dad";
   pin "5 ns row" "md_knn_64x16"
     { Point.default with Point.clock_mhz = 200.0; cycle_time_ns = 5.0 }
-    "ad363331383848e0"
+    "8ff4d5bb2b15aad9"
 
 (* --- enumeration -------------------------------------------------- *)
 

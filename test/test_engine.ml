@@ -534,14 +534,13 @@ let test_fu_issue_per_cycle_within_allocation () =
         limit_sets)
     [ Engine.Compiled; Engine.Dynamic ]
 
-(* Known gap: [units_in_use] of an unpipelined class adds this cycle's
-   issues to [fu_held], which already counts them until commit, so an
-   op issued this cycle is counted twice against the cap and a class
-   with 2 units issues one op per cycle. Two independent fdivs on 2
-   fp_div_dp units should issue together (Sec. III-B: an op issues when
-   a unit is free); today they issue one cycle apart. The fix moves
-   capped results, so it comes with a model epoch bump and must flip
-   this test. *)
+(* An unpipelined op issued this cycle holds its unit until commit and
+   counts once against its class's cap (model epoch 2): two independent
+   fdivs on 2 fp_div_dp units issue together (Sec. III-B: an op issues
+   when a unit is free), and on 1 unit the second issues as the first
+   commits. Before epoch 2
+   [units_in_use] added this cycle's issues to the held units, which
+   already counted them, so 2 units issued one op per cycle. *)
 let two_fdivs =
   "define void @two_fdivs(double %x.0, double %y.1) {\n\
    entry:\n\
@@ -550,7 +549,7 @@ let two_fdivs =
    \  ret void\n\
    }"
 
-let test_known_gap_unpipelined_issue_counted_twice () =
+let test_unpipelined_issue_counted_once () =
   let module Trace = Salam_obs.Trace in
   let period =
     Salam_sim.Clock.period_ticks
@@ -558,28 +557,39 @@ let test_known_gap_unpipelined_issue_counted_twice () =
   in
   List.iter
     (fun mode ->
-      let sink = Trace.create ~categories:[ Trace.Engine_issue ] () in
-      let config = { Engine.default_config with Engine.mode; check = true } in
-      ignore
-        (run_func ~config
-           ~limits:[ (Salam_hw.Fu.Fp_div_dp, 2) ]
-           ~trace:sink (Memory.create ~size:64) (Parser.parse_func two_fdivs)
-           [ Bits.Float 3.0; Bits.Float 2.0 ]);
-      let fdiv_ticks =
-        List.filter_map
-          (fun (e : Trace.event) ->
-            match List.assoc_opt "fu" e.Trace.args with
-            | Some (Trace.S "fp_div_dp") -> Some e.Trace.tick
-            | Some _ | None -> None)
-          (Trace.events sink)
-      in
-      match List.sort Int64.compare fdiv_ticks with
-      | [ first; second ] ->
-          check Alcotest.int64
-            (Engine.mode_to_string mode
-           ^ ": with 2 units the second fdiv still issues a cycle after the first")
-            period (Int64.sub second first)
-      | ticks -> Alcotest.failf "%d fdiv issues, not 2" (List.length ticks))
+      List.iter
+        (fun (units, gap) ->
+          let sink = Trace.create ~categories:[ Trace.Engine_issue ] () in
+          let config = { Engine.default_config with Engine.mode; check = true } in
+          ignore
+            (run_func ~config
+               ~limits:[ (Salam_hw.Fu.Fp_div_dp, units) ]
+               ~trace:sink (Memory.create ~size:64) (Parser.parse_func two_fdivs)
+               [ Bits.Float 3.0; Bits.Float 2.0 ]);
+          let fdiv_ticks =
+            List.filter_map
+              (fun (e : Trace.event) ->
+                match List.assoc_opt "fu" e.Trace.args with
+                | Some (Trace.S "fp_div_dp") -> Some e.Trace.tick
+                | Some _ | None -> None)
+              (Trace.events sink)
+          in
+          match List.sort Int64.compare fdiv_ticks with
+          | [ first; second ] ->
+              check Alcotest.int64
+                (Printf.sprintf "%s: ticks between the two fdivs on %d unit(s)"
+                   (Engine.mode_to_string mode) units)
+                gap (Int64.sub second first)
+          | ticks -> Alcotest.failf "%d fdiv issues, not 2" (List.length ticks))
+        [
+          (2, 0L);
+          (* on one unit the second waits for the first to commit *)
+          ( 1,
+            Int64.mul period
+              (Int64.of_int
+                 (Salam_hw.Profile.spec Salam_hw.Profile.default_40nm Salam_hw.Fu.Fp_div_dp)
+                   .Salam_hw.Profile.latency) );
+        ])
     [ Engine.Compiled; Engine.Dynamic ]
 
 let suite =
@@ -596,8 +606,8 @@ let suite =
     Alcotest.test_case "issued by class totals" `Quick test_issued_by_class_totals;
     Alcotest.test_case "FU issue per cycle within allocation (trace)" `Quick
       test_fu_issue_per_cycle_within_allocation;
-    Alcotest.test_case "known gap: an unpipelined issue counts twice in its cycle" `Quick
-      test_known_gap_unpipelined_issue_counted_twice;
+    Alcotest.test_case "an unpipelined issue counts once against its cap" `Quick
+      test_unpipelined_issue_counted_once;
     Alcotest.test_case "engine restart" `Quick test_engine_restart;
     Alcotest.test_case "commit latency across completion-wheel wrap" `Quick
       test_commit_latency_across_wheel_wrap;

@@ -66,10 +66,12 @@ let vecadd_workload : W.t =
           (Array.map2 (fun x y -> (x, y)) a_init b_init));
   }
 
+(* [config] with the engine's check mode set to [check] *)
+let with_check check config =
+  { config with Salam.Config.engine = { config.Salam.Config.engine with Salam_engine.Engine.check } }
+
 let run_vecadd config ~check sink =
-  let engine = { config.Salam.Config.engine with Salam_engine.Engine.check } in
-  (Salam.simulate ~config:{ config with Salam.Config.engine } ~trace:sink vecadd_workload)
-    .Salam.correct
+  (Salam.simulate ~config:(with_check check config) ~trace:sink vecadd_workload).Salam.correct
 
 (* Same SPM scenario under the built-in database's 5 ns characterization:
    the golden file pins the non-default latencies (and with them the
@@ -89,7 +91,9 @@ let dma_len = 160
 
 let dma_offset = 512
 
-let run_dma ~check:_ sink =
+(* the copy has no engine; in check mode the block engine must also be
+   idle once the system has run dry, as an engine must be quiescent *)
+let run_dma ~check sink =
   let sys = System.create ~trace:sink () in
   let fabric = Fabric.create sys in
   let cluster = Cluster.create sys fabric ~name:"dmaT" ~clock_mhz:500.0 () in
@@ -107,6 +111,7 @@ let run_dma ~check:_ sink =
       finished := true);
   ignore (System.run sys);
   !finished
+  && ((not check) || not (Salam_mem.Dma.Block.busy dma))
   && (let ok = ref true in
       for i = 0 to dma_len - 1 do
         let at off =
@@ -138,9 +143,10 @@ let vecadd_ff_workload : W.t =
         !ok);
   }
 
-let run_ff_vecadd ~check:_ sink =
-  let from = Salam.capture ~invocations:1 vecadd_ff_workload in
-  let r = Salam.simulate ~invocations:2 ~from ~trace:sink vecadd_ff_workload in
+let run_ff_vecadd ~check sink =
+  let config = with_check check Salam.Config.default in
+  let from = Salam.capture ~config ~invocations:1 vecadd_ff_workload in
+  let r = Salam.simulate ~config ~invocations:2 ~from ~trace:sink vecadd_ff_workload in
   r.Salam.correct
 
 (* --- multi-accelerator CNN pipelines ------------------------------------- *)
@@ -154,11 +160,17 @@ module Cnn_pipeline = Salam_scenarios.Cnn_pipeline
 
 let cnn_size = 2
 
-let run_cnn_private_spm ~check:_ sink =
-  (Cnn_pipeline.run_private_spm ~h:cnn_size ~w:cnn_size ~trace:sink ()).Cnn_pipeline.correct
+let engine_config check = (with_check check Salam.Config.default).Salam.Config.engine
 
-let run_cnn_streams ~check:_ sink =
-  (Cnn_pipeline.run_streams ~h:cnn_size ~w:cnn_size ~trace:sink ()).Cnn_pipeline.correct
+let run_cnn_private_spm ~check sink =
+  (Cnn_pipeline.run_private_spm ~h:cnn_size ~w:cnn_size ~engine_config:(engine_config check)
+     ~trace:sink ())
+    .Cnn_pipeline.correct
+
+let run_cnn_streams ~check sink =
+  (Cnn_pipeline.run_streams ~h:cnn_size ~w:cnn_size ~engine_config:(engine_config check)
+     ~trace:sink ())
+    .Cnn_pipeline.correct
 
 (* --- scenario registry --------------------------------------------------- *)
 

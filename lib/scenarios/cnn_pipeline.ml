@@ -136,7 +136,7 @@ let finish s h w started =
   let expect = Salam_workloads.Cnn.golden_pipeline ~input:s.input ~weights:s.weights ~h ~w in
   Array.for_all2 (fun a b -> abs_float (a -. b) <= 1e-9 *. (1.0 +. abs_float b)) out expect
 
-let mk_acc s name ?(engine_config = Engine.default_config) kern =
+let mk_acc s name ~engine_config kern =
   let func = Salam_workloads.Workload.compile_kernel kern in
   let acc = Accelerator.create s.sys ~name ~clock_mhz:acc_clock ~engine_config func in
   Cluster.add_accelerator s.cluster acc;
@@ -158,11 +158,12 @@ let round_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 1024
 
-let run_private_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
+let run_private_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?(engine_config = Engine.default_config) ?trace
+    () =
   let s = make_setup ?trace h w in
-  let conv = mk_acc s "conv" (conv_kernel h w) in
-  let relu = mk_acc s "relu" (relu_kernel h w) in
-  let pool = mk_acc s "pool" (pool_kernel h w) in
+  let conv = mk_acc s "conv" ~engine_config (conv_kernel h w) in
+  let relu = mk_acc s "relu" ~engine_config (relu_kernel h w) in
+  let pool = mk_acc s "pool" ~engine_config (pool_kernel h w) in
   let conv_out_bytes = h * w * 8 in
   let conv_size = round_pow2 (s.in_bytes + 128 + conv_out_bytes) in
   let stage_size = round_pow2 (2 * conv_out_bytes) in
@@ -203,11 +204,12 @@ let run_private_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
     kernel_events = Salam_sim.Kernel.events_executed (System.kernel s.sys);
   }
 
-let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
+let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?(engine_config = Engine.default_config) ?trace
+    () =
   let s = make_setup ?trace h w in
-  let conv = mk_acc s "conv" (conv_kernel h w) in
-  let relu = mk_acc s "relu" (relu_kernel h w) in
-  let pool = mk_acc s "pool" (pool_kernel h w) in
+  let conv = mk_acc s "conv" ~engine_config (conv_kernel h w) in
+  let relu = mk_acc s "relu" ~engine_config (relu_kernel h w) in
+  let pool = mk_acc s "pool" ~engine_config (pool_kernel h w) in
   let base, _ =
     Cluster.add_shared_spm s.cluster
       ~size:(round_pow2 (s.in_bytes + 128 + (3 * h * w * 8) + s.out_bytes))
@@ -238,13 +240,14 @@ let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
     kernel_events = Salam_sim.Kernel.events_executed (System.kernel s.sys);
   }
 
-let run_streams ?(h = 32) ?(w = 32) ?island_domains:_ ?trace () =
+let run_streams ?(h = 32) ?(w = 32) ?island_domains:_ ?(engine_config = Engine.default_config) ?trace
+    () =
   let s = make_setup ?trace h w in
   (* stream windows are registered as ordered device memory when the
      links are created, so FIFO order matches raster order *)
-  let conv = mk_acc s "conv" (conv_kernel h w) in
-  let relu = mk_acc s "relu" (relu_kernel h w) in
-  let pool = mk_acc s "pool" (pool_stream_kernel h w) in
+  let conv = mk_acc s "conv" ~engine_config (conv_kernel h w) in
+  let relu = mk_acc s "relu" ~engine_config (relu_kernel h w) in
+  let pool = mk_acc s "pool" ~engine_config (pool_stream_kernel h w) in
   let conv_spm, _ =
     Cluster.add_private_spm s.cluster conv
       ~size:(round_pow2 (s.in_bytes + 256)) ~config:spm_ports ()

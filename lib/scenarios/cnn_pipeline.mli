@@ -27,19 +27,39 @@ type outcome = {
   kernel_events : int;  (** events the system's kernel executed *)
 }
 
-(** [?trace] installs a system-wide sink before construction
-    (determinism oracles compare the streams). [?island_domains] is
-    ignored: it exists only so an older benchmark caller that still
-    passes it keeps compiling. *)
+(** [?engine_config] is every accelerator's engine configuration
+    (default {!Salam_engine.Engine.default_config}: compiled mode, check
+    mode off), as [Salam.simulate] takes its config's. [?trace] installs
+    a system-wide sink before construction (determinism oracles compare
+    the streams). [?island_domains] is ignored: it exists only so an
+    older benchmark caller that still passes it keeps compiling. *)
 
 val run_private_spm :
-  ?h:int -> ?w:int -> ?island_domains:int -> ?trace:Salam_obs.Trace.sink -> unit -> outcome
+  ?h:int ->
+  ?w:int ->
+  ?island_domains:int ->
+  ?engine_config:Salam_engine.Engine.config ->
+  ?trace:Salam_obs.Trace.sink ->
+  unit ->
+  outcome
 
 val run_shared_spm :
-  ?h:int -> ?w:int -> ?island_domains:int -> ?trace:Salam_obs.Trace.sink -> unit -> outcome
+  ?h:int ->
+  ?w:int ->
+  ?island_domains:int ->
+  ?engine_config:Salam_engine.Engine.config ->
+  ?trace:Salam_obs.Trace.sink ->
+  unit ->
+  outcome
 
 val run_streams :
-  ?h:int -> ?w:int -> ?island_domains:int -> ?trace:Salam_obs.Trace.sink -> unit -> outcome
+  ?h:int ->
+  ?w:int ->
+  ?island_domains:int ->
+  ?engine_config:Salam_engine.Engine.config ->
+  ?trace:Salam_obs.Trace.sink ->
+  unit ->
+  outcome
 
 val run_all : ?h:int -> ?w:int -> unit -> outcome list
 (** The three scenarios in paper order, same inputs. *)

@@ -96,10 +96,42 @@ let test_stream_dma_feeds_accelerator () =
   check Alcotest.bool "values doubled through two FIFOs" true
     (Array.for_all2 (fun got x -> abs_float (got -. (2.0 *. x)) < 1e-12) out data)
 
+(* Check mode (every cycle's FU caps, end-of-run quiescence and stall
+   accounting) holds on all three scenarios in both engine modes, and
+   neither the mode nor the checks move an outcome: every run equals the
+   default one (compiled, check off) in time, per-stage cycles and
+   instructions. *)
+let test_check_mode_both_modes () =
+  let module Engine = Salam_engine.Engine in
+  List.iter
+    (fun (name, run) ->
+      let base : Cnn_pipeline.outcome = run Engine.default_config in
+      check Alcotest.bool (name ^ " correct") true base.Cnn_pipeline.correct;
+      List.iter
+        (fun mode ->
+          let o : Cnn_pipeline.outcome = run { Engine.default_config with Engine.mode; check = true } in
+          let what = Printf.sprintf "%s, %s mode, check on: " name (Engine.mode_to_string mode) in
+          check Alcotest.bool (what ^ "correct") true o.Cnn_pipeline.correct;
+          check (Alcotest.float 0.) (what ^ "total_us") base.Cnn_pipeline.total_us
+            o.Cnn_pipeline.total_us;
+          check
+            Alcotest.(list (pair string int64))
+            (what ^ "stage_cycles") base.Cnn_pipeline.stage_cycles o.Cnn_pipeline.stage_cycles;
+          check Alcotest.int (what ^ "dynamic instructions") base.Cnn_pipeline.dynamic_instructions
+            o.Cnn_pipeline.dynamic_instructions)
+        [ Engine.Compiled; Engine.Dynamic ])
+    [
+      ("private_spm", fun engine_config -> Cnn_pipeline.run_private_spm ~h:8 ~w:8 ~engine_config ());
+      ("shared_spm", fun engine_config -> Cnn_pipeline.run_shared_spm ~h:8 ~w:8 ~engine_config ());
+      ("streams", fun engine_config -> Cnn_pipeline.run_streams ~h:8 ~w:8 ~engine_config ());
+    ]
+
 let suite =
   [
     Alcotest.test_case "scenarios correct and ordered" `Slow test_all_scenarios_correct_and_ordered;
     Alcotest.test_case "stage cycles reported" `Slow test_stage_cycles_reported;
     Alcotest.test_case "stream DMA end-to-end" `Quick test_stream_dma_feeds_accelerator;
     Alcotest.test_case "scenario reruns give equal outcomes" `Quick test_rerun_same_outcome;
+    Alcotest.test_case "scenarios under check mode, both engine modes" `Quick
+      test_check_mode_both_modes;
   ]

@@ -173,7 +173,7 @@ let served_hit_words () =
   in
   let recall req =
     match Server.recall memo req 0 (String.length req) with
-    | Some { Server.r_id = 7L; sweep = false; fps = [ fp' ] } when fp' = fp -> ()
+    | Some { Server.r_id = 7L; fp = fp' } when fp' = fp -> ()
     | Some _ | None -> failwith "served hit: the memo does not hold the request"
   in
   let splice () = P.splice_to out ~id:7L ~served:"hit" line in

@@ -383,8 +383,8 @@ let db_profile t ~cycle_time_ns =
    copied verbatim — loading the shipped table at the default operating
    point is bit-identical to the compiled-in constants by construction.
    The other cycle times derive deterministically from it: latencies
-   rescale by the frequency ratio exactly as [Profile.scale_latencies]
-   does, and area/leakage/energy follow the usual synthesis trade —
+   scale by the frequency ratio, rounded up to at least one cycle, and
+   area/leakage/energy follow the usual synthesis trade —
    faster cells are bigger and leakier, relaxed timing lets the tools
    shrink the netlist. *)
 let seed_cycle_times = [ 1.0; 2.0; 3.0; 4.0; 5.0; 6.0; 10.0 ]

@@ -77,12 +77,3 @@ let instr_latency t instr =
       match instr with
       | Salam_ir.Ast.Cast _ | Salam_ir.Ast.Gep _ | Salam_ir.Ast.Phi _ -> 0 (* pure wiring *)
       | _ -> 1 (* control evaluation *))
-
-let scale_latencies t factor =
-  {
-    t with
-    specs =
-      Fu.Map.map
-        (fun s -> { s with latency = max 1 (int_of_float (ceil (float_of_int s.latency *. factor))) })
-        t.specs;
-  }

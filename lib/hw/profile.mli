@@ -40,7 +40,3 @@ val instr_latency : t -> Salam_ir.Ast.instr -> int
 (** Latency of an instruction under this profile: its functional unit's
     latency, or the zero-hardware default (1 cycle for control and phi,
     0 for pure wiring like bitcasts). *)
-
-val scale_latencies : t -> float -> t
-(** Multiply all functional-unit latencies (rounding up); used for
-    frequency-scaling studies. *)

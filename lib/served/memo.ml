@@ -1,10 +1,9 @@
 (* A bounded map from keys, byte strings that lie in a larger string (a
    line in a reader's buffer), to 64-bit values. A key is one range of
-   bytes or a pair of them. It is hashed and compared where it lies,
-   and copied only when it is added: into one arena of key bytes, next
-   to flat arrays of hashes, extents and values addressed by an
-   open-addressing table, so an entry is its key's bytes and a few
-   words.
+   bytes. It is hashed and compared where it lies, and copied only when
+   it is added: into one arena of key bytes, next to flat arrays of
+   hashes, extents and values addressed by an open-addressing table, so
+   an entry is its key's bytes and a few words.
 
    The arena lives outside the OCaml heap, in a Bigarray: the major GC
    never scans it and its heap does not grow by it. The same arena as
@@ -26,7 +25,6 @@ type t = {
   mutable hashes : int array;
   mutable offs : int array;  (** where each entry's key starts in [arena] *)
   mutable lens : int array;
-  mutable firsts : int array;  (** the length of a pair's first range *)
   mutable values : Bytes.t;  (** eight bytes an entry *)
   mutable arena : arena;
   mutable used : int;  (** bytes of [arena] taken *)
@@ -41,7 +39,6 @@ let create () =
     hashes = [||];
     offs = [||];
     lens = [||];
-    firsts = [||];
     values = Bytes.empty;
     arena = arena 0;
     used = 0;
@@ -65,8 +62,8 @@ let mix h src off len =
   done;
   !h
 
-let hash src off1 len1 off2 len2 =
-  let h = mix (mix (0x4bf29ce484222325 lxor len1) src off1 len1) src off2 len2 in
+let hash src off len =
+  let h = mix (0x4bf29ce484222325 lxor len) src off len in
   h lxor (h lsr 31)
 
 (* the [len] bytes of [src] from [off] are those of [a] from [aoff] *)
@@ -86,27 +83,19 @@ let put a at src off len =
   done
 
 (* The slot of the key, or of the free slot where it would go. *)
-let probe t h src off1 len1 off2 len2 =
+let probe t h src off len =
   let mask = Array.length t.slots - 1 in
   let rec go s =
     let e = t.slots.(s) - 1 in
-    if
-      e < 0
-      || t.hashes.(e) = h
-         && t.lens.(e) = len1 + len2
-         && t.firsts.(e) = len1
-         && same src off1 t.arena t.offs.(e) len1
-         && same src off2 t.arena (t.offs.(e) + len1) len2
+    if e < 0 || (t.hashes.(e) = h && t.lens.(e) = len && same src off t.arena t.offs.(e) len)
     then s
     else go ((s + 1) land mask)
   in
   go (h land mask)
 
-let find2 t src off1 len1 off2 len2 =
-  if t.size = 0 then -1
-  else t.slots.(probe t (hash src off1 len1 off2 len2) src off1 len1 off2 len2) - 1
+let find t src off len =
+  if t.size = 0 then -1 else t.slots.(probe t (hash src off len) src off len) - 1
 
-let find t src off len = find2 t src off len 0 0
 let value t e = Bytes.get_int64_le t.values (8 * e)
 
 let clear t =
@@ -121,7 +110,6 @@ let resize t n =
   t.hashes <- copy t.hashes;
   t.offs <- copy t.offs;
   t.lens <- copy t.lens;
-  t.firsts <- copy t.firsts;
   let values = Bytes.create (8 * n) in
   Bytes.blit t.values 0 values 0 (8 * t.size);
   t.values <- values;
@@ -137,12 +125,11 @@ let resize t n =
 
 (* a full table starts again empty; a key longer than [max_key] is not
    kept *)
-let add2 t src off1 len1 off2 len2 v =
-  let len = len1 + len2 in
+let add t src off len v =
   if len <= max_key then begin
     if Array.length t.slots = 0 then resize t 64;
-    let h = hash src off1 len1 off2 len2 in
-    if t.slots.(probe t h src off1 len1 off2 len2) = 0 then begin
+    let h = hash src off len in
+    if t.slots.(probe t h src off len) = 0 then begin
       if t.size = capacity then clear t
       else if t.size = Array.length t.hashes then resize t (2 * t.size);
       if t.used + len > Bigarray.Array1.dim t.arena then begin
@@ -151,17 +138,13 @@ let add2 t src off1 len1 off2 len2 v =
         t.arena <- a
       end;
       let e = t.size in
-      put t.arena t.used src off1 len1;
-      put t.arena (t.used + len1) src off2 len2;
+      put t.arena t.used src off len;
       t.hashes.(e) <- h;
       t.offs.(e) <- t.used;
       t.lens.(e) <- len;
-      t.firsts.(e) <- len1;
       Bytes.set_int64_le t.values (8 * e) v;
       t.used <- t.used + len;
       t.size <- e + 1;
-      t.slots.(probe t h src off1 len1 off2 len2) <- e + 1
+      t.slots.(probe t h src off len) <- e + 1
     end
   end
-
-let add t src off len v = add2 t src off len 0 0 v

@@ -75,9 +75,6 @@ type response =
 
 val encode_request : id:int64 -> request -> string
 
-val encode_request_into : Buffer.t -> id:int64 -> request -> unit
-(** {!encode_request}'s bytes, appended to the buffer. *)
-
 val max_line : int
 (** The longest line either end reads, newline excluded: 8 MiB. *)
 

@@ -198,6 +198,9 @@ let plan_of (spec : P.spec) =
       })
     target
 
+(* a [sim] line the memo holds: its id and its point's fingerprint *)
+type recalled = { r_id : int64; fp : int64 }
+
 type resolved = { plan : Explore.plan; point : Point.t; fp : int64 }
 
 type request =
@@ -226,14 +229,14 @@ let resolve_points spec points =
       | Some e -> Error e
       | None -> Ok (List.map (fun p -> { plan; point = p; fp = Explore.fingerprint plan p }) points))
 
-(* The memo a connection keeps of the requests it has resolved. A
-   request line in canonical form, [{"id":N,"op":…], decodes to the same
-   request whatever its id, so it is keyed by its bytes after the id
-   member: a [sim] line by all of them, each point of a [sweep] line by
-   its spec's bytes and the point's own. A key maps to the point's
-   fingerprint. Only points that passed [Explore.check] are kept, so a
-   refused point is refused afresh every time (a database loaded since
-   may let it through). *)
+(* The memo a connection keeps of the [sim] requests it has resolved. A
+   request line in canonical form, [{"id":N,"op":"sim",…], decodes to the
+   same request whatever its id, so it is keyed by its bytes after the
+   id member and maps to the point's fingerprint. Only points that
+   passed [Explore.check] are kept, so a refused point is refused afresh
+   every time (a database loaded since may let it through). A [sweep]
+   always takes the full path: a client sends each of a sweep's points
+   once, so the memo would never hold all of them. *)
 type memo = Memo.t
 
 let memo = Memo.create
@@ -241,7 +244,6 @@ let memo_size = Memo.size
 
 let id_head = "{\"id\":"
 let sim_head = ",\"op\":\"sim\","
-let sweep_head = ",\"op\":\"sweep\","
 
 (* Where the id member of a line that starts [{"id":N,] ends, N a bare
    integer of at most 18 digits as [encode_request] writes it (so the
@@ -274,84 +276,19 @@ let id_of src off ~upto =
   done;
   Int64.of_int (if neg then - !n else !n)
 
-(* A [sweep] line in exactly the members [encode_request] writes: its
-   spec ends at [spec_end], and its points are the [points_len] bytes
-   from [points_off], with no escapes. [None] for a line that is not
-   so. *)
-let sweep_layout src off len =
-  let c = Jsonl.cursor_sub src off len in
-  let next h = Jsonl.head c h && (Jsonl.value c; true) in
-  match
-    next "\"id\":" && next "\"op\":" && next "\"workload\":" && next "\"gemm_n\":"
-    && next "\"invocations\":"
-    && (ignore (next "\"fast_forward\":"); true)
-  with
-  | exception Jsonl.Syntax _ -> None
-  | false -> None
-  | true -> (
-      let spec_end = c.Jsonl.pos in
-      match
-        next "\"points\":" && c.Jsonl.kind = Jsonl.String && c.Jsonl.src == src
-        && not (Jsonl.member c)
-      with
-      | exception Jsonl.Syntax _ -> None
-      | false -> None
-      | true -> Some (spec_end, c.Jsonl.off, c.Jsonl.len))
-
-(* the points of a sweep: [f] on each one's offset and length *)
-let iter_points src off len f =
-  let stop = off + len in
-  let rec go start =
-    let j = ref start in
-    while !j < stop && String.unsafe_get src !j <> ';' do
-      incr j
-    done;
-    f start (!j - start);
-    if !j < stop then go (!j + 1)
-  in
-  go off
-
-type recalled = { r_id : int64; sweep : bool; fps : int64 list }
-
 let recall memo src off len =
   let key = after_id src off len in
-  if key < 0 then None
-  else if Jsonl.key_is src key (String.length sim_head) sim_head then
+  if key < 0 || not (Jsonl.key_is src key (String.length sim_head) sim_head) then None
+  else
     let e = Memo.find memo src key (off + len - key) in
-    if e < 0 then None
-    else Some { r_id = id_of src off ~upto:key; sweep = false; fps = [ Memo.value memo e ] }
-  else if Jsonl.key_is src key (String.length sweep_head) sweep_head then
-    match sweep_layout src off len with
-    | None -> None
-    | Some (spec_end, points_off, points_len) ->
-        let fps = ref [] and all = ref true in
-        iter_points src points_off points_len (fun poff plen ->
-            if !all then
-              let e = Memo.find2 memo src key (spec_end - key) poff plen in
-              if e < 0 then all := false else fps := Memo.value memo e :: !fps);
-        if !all then Some { r_id = id_of src off ~upto:key; sweep = true; fps = List.rev !fps }
-        else None
-  else None
+    if e < 0 then None else Some { r_id = id_of src off ~upto:key; fp = Memo.value memo e }
 
-let remember memo src off len req =
-  let key = after_id src off len in
-  if key >= 0 then
-    match req with
-    | Sim r ->
-        if Jsonl.key_is src key (String.length sim_head) sim_head then
-          Memo.add memo src key (off + len - key) r.fp
-    | Sweep rs when List.length rs <= Memo.capacity -> (
-        match sweep_layout src off len with
-        | None -> ()
-        | Some (spec_end, points_off, points_len) ->
-            let rs = ref rs in
-            iter_points src points_off points_len (fun poff plen ->
-                match !rs with
-                | r :: rest ->
-                    Memo.add2 memo src key (spec_end - key) poff plen r.fp;
-                    rs := rest
-                | [] -> ()))
-    | Sweep _ | Ping | Stats | Shutdown | Refused _ -> ()
+let remember memo src off len = function
+  | Sim r ->
+      let key = after_id src off len in
+      if key >= 0 && Jsonl.key_is src key (String.length sim_head) sim_head then
+        Memo.add memo src key (off + len - key) r.fp
+  | Sweep _ | Ping | Stats | Shutdown | Refused _ -> ()
 
 let resolve_line memo src off len =
   match P.decode_request_sub src off len with
@@ -513,20 +450,19 @@ let handle_sim t ctx r = reply_sim ctx (List.hd (eval_points t [ r ]))
 
 let handle_sweep t ctx rs = reply_sweep ctx (eval_points t rs)
 
-(* The stored lines of a line the memo holds, when the store holds every
-   one of them; else the line takes the full path. *)
+(* The stored line of a [sim] line the memo holds, when the store holds
+   it; else the line takes the full path. *)
 let recall_stored t memo src off len =
   match recall memo src off len with
   | None -> None
   | Some r ->
       if Atomic.get t.stopping then None
       else
-        let lines = List.map (fun fp -> Store_shard.find_line t.store ~fp) r.fps in
-        if List.for_all Option.is_some lines then begin
-          List.iter (fun _ -> Atomic.incr t.hits) lines;
-          Some (r, List.map (fun l -> Ok ("hit", Option.get l)) lines)
-        end
-        else None
+        match Store_shard.find_line t.store ~fp:r.fp with
+        | Some line ->
+            Atomic.incr t.hits;
+            Some (r, line)
+        | None -> None
 
 let stats t =
   Mutex.lock t.lock;
@@ -614,9 +550,8 @@ let rec stop t =
 
 and handle_request t conn memo src off len =
   match recall_stored t memo src off len with
-  | Some (r, answers) ->
-      let ctx = fresh_ctx t conn ~id:r.r_id in
-      if r.sweep then reply_sweep ctx answers else reply_sim ctx (List.hd answers);
+  | Some (r, line) ->
+      reply_sim (fresh_ctx t conn ~id:r.r_id) (Ok ("hit", line));
       `Continue
   | None -> handle_resolved t conn (resolve_line memo src off len)
 

@@ -67,8 +67,8 @@ val stats_snapshot : t -> Protocol.server_stats
     What a connection's handler does with each request line before it
     looks at the store: decode it, make its points canonical, pass them
     through [Explore.check] and fingerprint them. Each connection keeps
-    a {!memo} of the lines it has resolved, so a repeat whose points the
-    store holds skips all of that. *)
+    a {!memo} of the [sim] lines it has resolved, so a repeat whose
+    point the store holds skips all of that. *)
 
 type resolved = {
   plan : Salam_dse.Explore.plan;
@@ -85,11 +85,10 @@ type request =
   | Refused of string  (** a sim or sweep whose spec or a point fails the check *)
 
 type memo
-(** A connection's resolved points ({!Memo}), keyed by request bytes
-    after the id member: a [sim] line in canonical form
-    ([{"id":N,"op":"sim",…}]) by all of them, each point of a canonical
-    [sweep] line by its spec's bytes and its compact point's. A key maps
-    to the point's fingerprint. Only points that resolved are kept. *)
+(** A connection's resolved points ({!Memo}): a [sim] line in canonical
+    form ([{"id":N,"op":"sim",…}]) keyed by its bytes after the id
+    member, mapped to the point's fingerprint. Only points that resolved
+    are kept; a [sweep] line is never kept. *)
 
 val memo : unit -> memo
 
@@ -100,19 +99,17 @@ val resolve_line :
   memo -> string -> int -> int -> (int64 * request, int64 * string) result
 (** [resolve_line memo s off len] resolves the request line that is the
     [len] bytes of [s] from [off] by {!Protocol.decode_request_sub} and
-    the check, and adds the points that resolved to the memo. [Error
+    the check, and adds a [sim] point that resolved to the memo. [Error
     (id, msg)] is a line that does not decode, as
     {!Protocol.decode_request} answers it. *)
 
 type recalled = {
   r_id : int64;
-  sweep : bool;
-  fps : int64 list;
+  fp : int64;
 }
 
 val recall : memo -> string -> int -> int -> recalled option
-(** The id and fingerprints (the one point of a [sim], each point of a
-    [sweep] in order) of a request line whose bytes after its id the
-    memo holds, every point of it; [None] for any other line, which
-    takes the full path. The handler answers a recalled line from the
-    store when it holds every point, else by the full path. *)
+(** The id and fingerprint of a [sim] line whose bytes after its id the
+    memo holds; [None] for any other line, which takes the full path.
+    The handler answers a recalled line from the store when it holds
+    the point, else by the full path. *)

@@ -44,19 +44,6 @@ let test_round_trip () =
   Alcotest.(check string) "render(parse(render)) is identity" text (C.render db);
   Alcotest.(check string) "hash stable" C.builtin_hash (C.hash db)
 
-let test_shipped_byte_identity () =
-  (* the repository's share/salam-40nm.db is exactly `salam_config emit` *)
-  let path = "../share/salam-40nm.db" in
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  Alcotest.(check string) "shipped file is the canonical render" (C.render C.builtin) text;
-  let db = ok (C.load path) in
-  Alcotest.(check string) "shipped hash is the builtin hash" C.builtin_hash (C.hash db)
-
 (* The canonical renderer's float search as it was first written, kept
    here as the reference the faster [render_float] must equal byte for
    byte: the database's hash is taken over these bytes. *)
@@ -477,7 +464,6 @@ let test_cli_startup_no_collection () =
 let suite =
   [
     Alcotest.test_case "render/parse round-trip" `Quick test_round_trip;
-    Alcotest.test_case "shipped database byte-identical" `Quick test_shipped_byte_identity;
     QCheck_alcotest.to_alcotest qcheck_render_float_reference;
     Alcotest.test_case "render_float = reference on the shipped table" `Quick
       test_render_float_shipped;

@@ -434,7 +434,7 @@ let test_memo_keys () =
   Alcotest.(check bool)
     "a repeat under another id recalled with its fingerprint" true
     (recall memo (sim_line ~id:77L (point 2))
-    = Some { Server.r_id = 77L; sweep = false; fps = [ fp ] });
+    = Some { Server.r_id = 77L; fp });
   (* one byte changed in the spec or in the point misses, and resolves
      to its own fingerprint *)
   List.iter
@@ -444,20 +444,16 @@ let test_memo_keys () =
       Alcotest.(check bool) (what ^ ": missed") true (recall memo b = None);
       Alcotest.(check bool) (what ^ ": another fingerprint") true (resolved_fp memo b <> fp))
     [ ("spec", "\"gemm_n\":8", "\"gemm_n\":9"); ("point", "read_ports=2", "read_ports=3") ];
-  (* a sweep is recalled when the memo holds every point under its spec *)
+  (* a sweep is never recalled, nor does it make a sim recalled: each
+     takes the full path *)
   let ps = [ point 2; point 4 ] in
   let sweep = P.encode_request ~id:8L (P.Sweep (tiny_spec, ps)) in
-  Alcotest.(check bool) "sweep not recalled before" true (recall memo sweep = None);
-  let fps =
-    match resolve memo sweep with
-    | Ok (8L, Server.Sweep rs) -> List.map (fun r -> r.Server.fp) rs
-    | _ -> Alcotest.fail "sweep not resolved"
-  in
-  Alcotest.(check bool) "sweep recalled" true
-    (recall memo sweep = Some { Server.r_id = 8L; sweep = true; fps });
-  Alcotest.(check bool)
-    "a sweep with a point the memo lacks is not" true
-    (recall memo (P.encode_request ~id:8L (P.Sweep (tiny_spec, point 8 :: ps))) = None);
+  let size = Server.memo_size memo in
+  (match resolve memo sweep with
+  | Ok (8L, Server.Sweep [ _; _ ]) -> ()
+  | _ -> Alcotest.fail "sweep not resolved");
+  Alcotest.(check int) "a sweep keeps nothing" size (Server.memo_size memo);
+  Alcotest.(check bool) "sweep not recalled" true (recall memo sweep = None);
   Alcotest.(check bool)
     "a sim is not recalled from a sweep's point" true
     (recall memo (sim_line (point 4)) = None)
@@ -495,7 +491,7 @@ let test_memo_bounded () =
     (recall memo (sim_line (List.nth ps Salam_served.Memo.capacity)) <> None)
 
 (* Every key added is found with its value, amid other bytes; a key one
-   byte off is not, nor a pair that cuts the same bytes elsewhere. *)
+   byte off is not. *)
 let qcheck_memo_finds_what_it_holds =
   let module Memo = Salam_served.Memo in
   QCheck.Test.make ~name:"memo finds each key in place, and nothing one byte off" ~count:200
@@ -505,26 +501,19 @@ let qcheck_memo_finds_what_it_holds =
     (fun keys ->
       let keys = List.sort_uniq compare keys in
       let memo = Memo.create () in
-      let cut k = String.length k / 2 in
-      (* each key twice: alone, and as the pair of its halves *)
       List.iteri
-        (fun i k ->
-          let n = String.length k in
-          Memo.add memo ("<<" ^ k ^ ">>") 2 n (Int64.of_int i);
-          Memo.add2 memo (k ^ "|" ^ k) 0 (cut k) (n + 1 + cut k) (n - cut k) (Int64.of_int (-i)))
+        (fun i k -> Memo.add memo ("<<" ^ k ^ ">>") 2 (String.length k) (Int64.of_int i))
         keys;
       let off_by_one k =
         String.mapi (fun j c -> if j = 0 then Char.chr ((Char.code c + 1) land 0x7f) else c) k
       in
-      2 * List.length keys = Memo.size memo
+      List.length keys = Memo.size memo
       && List.for_all2
            (fun i k ->
              let n = String.length k and k' = off_by_one k in
-             let alone = Memo.find memo k 0 n and pair = Memo.find2 memo (k ^ k) 0 (cut k) (n + cut k) (n - cut k) in
-             alone >= 0
-             && Memo.value memo alone = Int64.of_int i
-             && pair >= 0
-             && Memo.value memo pair = Int64.of_int (-i)
+             let e = Memo.find memo k 0 n in
+             e >= 0
+             && Memo.value memo e = Int64.of_int i
              && (List.mem k' keys || Memo.find memo k' 0 n < 0))
            (List.init (List.length keys) Fun.id)
            keys)

@@ -12,12 +12,13 @@ let gemm_target ?(n = 16) () =
            [string_of_int] costs [Explore.fingerprint] 0.62 us against
            0.41 us this way *)
         let b = Buffer.create 32 in
-        Buffer.add_string b "gemm_ncubed_n";
-        Jsonl.add_int b n;
-        Buffer.add_string b "_u";
-        Jsonl.add_int b p.Point.unroll;
-        Buffer.add_string b "_j";
-        Jsonl.add_int b p.Point.junroll;
+        let s = Jsonl.To_buffer b in
+        Jsonl.add_string s "gemm_ncubed_n";
+        Jsonl.add_int s n;
+        Jsonl.add_string s "_u";
+        Jsonl.add_int s p.Point.unroll;
+        Jsonl.add_string s "_j";
+        Jsonl.add_int s p.Point.junroll;
         Buffer.contents b);
     build =
       (fun (p : Point.t) ->

@@ -1,5 +1,32 @@
 type value = Int of int64 | Float of float | Bool of bool | Str of string
 
+(* --- writing ------------------------------------------------------------ *)
+
+let fnv_prime = 0x100000001b3L
+
+(* Where written text goes: a buffer, or straight into a running FNV-1a
+   hash, its 64-bit state held in 8 bytes so that feeding it a byte
+   allocates nothing. *)
+type sink = To_buffer of Buffer.t | To_hash of Bytes.t
+
+let hash_char h c =
+  Bytes.set_int64_ne h 0
+    (Int64.mul (Int64.logxor (Bytes.get_int64_ne h 0) (Int64.of_int (Char.code c))) fnv_prime)
+
+let hash_string h s =
+  let x = ref (Bytes.get_int64_ne h 0) in
+  for i = 0 to String.length s - 1 do
+    x := Int64.mul (Int64.logxor !x (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
+  done;
+  Bytes.set_int64_ne h 0 !x
+
+(* the buffer's write inlined where it is called *)
+let[@inline] add_char sink c =
+  match sink with To_buffer b -> Buffer.add_char b c | To_hash h -> hash_char h c
+
+let[@inline] add_string sink s =
+  match sink with To_buffer b -> Buffer.add_string b s | To_hash h -> hash_string h s
+
 let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
 
 (* [String.exists needs_escape], without its closure *)
@@ -10,69 +37,98 @@ let has_escapes s =
   done;
   !i < String.length s
 
-let add_escaped b s =
-  if not (has_escapes s) then Buffer.add_string b s
+let add_escaped sink s =
+  if not (has_escapes s) then add_string sink s
   else
     String.iter
       (fun c ->
         match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\r' -> Buffer.add_string b "\\r"
-        | '\t' -> Buffer.add_string b "\\t"
-        | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
+        | '"' -> add_string sink "\\\""
+        | '\\' -> add_string sink "\\\\"
+        | '\n' -> add_string sink "\\n"
+        | '\r' -> add_string sink "\\r"
+        | '\t' -> add_string sink "\\t"
+        | c when Char.code c < 0x20 -> add_string sink (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> add_char sink c)
       s
 
 (* the decimal digits of [n <= 0], most significant first: min_int has
    no positive counterpart *)
-let rec add_neg_digits b n =
-  if n <= -10 then add_neg_digits b (n / 10);
-  Buffer.add_char b (Char.unsafe_chr (48 - (n mod 10)))
+let rec add_neg_digits sink n =
+  if n <= -10 then add_neg_digits sink (n / 10);
+  add_char sink (Char.unsafe_chr (48 - (n mod 10)))
 
-let add_int b n =
+let add_int sink n =
   if n < 0 then (
-    Buffer.add_char b '-';
-    add_neg_digits b n)
-  else add_neg_digits b (-n)
+    add_char sink '-';
+    add_neg_digits sink n)
+  else add_neg_digits sink (-n)
 
-(* what [Printf.sprintf "%.17g"] writes for a finite float, without the
-   format interpreter *)
-external format_float : string -> float -> string = "caml_format_float"
+(* What ["%h"] writes for the non-finite floats, and the floats each
+   reads back as: NaN (whatever its payload) and the infinities, by
+   sign. *)
+let non_finite_text = [| "nan"; "-nan"; "infinity"; "-infinity" |]
+let non_finite = [| Float.nan; Float.neg Float.nan; Float.infinity; Float.neg_infinity |]
 
-let add_value b = function
+let hex_digit d = Char.unsafe_chr (if d < 10 then 48 + d else 87 + d)
+
+(* What [Printf.sprintf "%h" f] writes, without the format machinery:
+   ["0x1.f4p+8"], ["-0x0p+0"], ["0x0.0000000000001p-1022"]. *)
+let add_hex_float sink f =
+  if not (Float.is_finite f) then
+    add_string sink
+      non_finite_text.((if Float.is_nan f then 0 else 2) + Bool.to_int (Float.sign_bit f))
+  else begin
+    let bits = Int64.bits_of_float f in
+    if bits < 0L then add_char sink '-';
+    let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
+    let mant = Int64.to_int bits land 0xf_ffff_ffff_ffff in
+    add_string sink (if biased = 0 then "0x0" else "0x1");
+    if mant <> 0 then begin
+      add_char sink '.';
+      let rest = ref mant and shift = ref 48 in
+      while !rest <> 0 do
+        add_char sink (hex_digit ((!rest lsr !shift) land 0xf));
+        rest := !rest land ((1 lsl !shift) - 1);
+        shift := !shift - 4
+      done
+    end;
+    let exp = if biased = 0 then if mant = 0 then 0 else -1022 else biased - 1023 in
+    add_string sink (if exp < 0 then "p" else "p+");
+    add_int sink exp
+  end
+
+let add_value sink = function
   | Int i ->
       let n = Int64.to_int i in
-      if Int64.of_int n = i then add_int b n else Buffer.add_string b (Int64.to_string i)
+      if Int64.of_int n = i then add_int sink n else add_string sink (Int64.to_string i)
   | Float f ->
-      if Float.is_finite f then Buffer.add_string b (format_float "%.17g" f)
-      else (
-        Buffer.add_char b '"';
-        Buffer.add_string b (Printf.sprintf "%h" f);
-        Buffer.add_char b '"')
-  | Bool v -> Buffer.add_string b (if v then "true" else "false")
+      add_char sink '"';
+      add_hex_float sink f;
+      add_char sink '"'
+  | Bool v -> add_string sink (if v then "true" else "false")
   | Str s ->
-      Buffer.add_char b '"';
-      add_escaped b s;
-      Buffer.add_char b '"'
+      add_char sink '"';
+      add_escaped sink s;
+      add_char sink '"'
 
-let add_key b ~first k =
-  Buffer.add_string b (if first then "{\"" else ",\"");
-  add_escaped b k;
-  Buffer.add_string b "\":"
+let add_key sink ~first k =
+  add_string sink (if first then "{\"" else ",\"");
+  add_escaped sink k;
+  add_string sink "\":"
 
-let add_member b ~first k v =
-  add_key b ~first k;
-  add_value b v
+let add_member sink ~first k v =
+  add_key sink ~first k;
+  add_value sink v
 
 let encode fields =
   let b = Buffer.create 256 in
+  let sink = To_buffer b in
   (match fields with
-  | [] -> Buffer.add_char b '{'
+  | [] -> add_char sink '{'
   | (k, v) :: rest ->
-      add_member b ~first:true k v;
-      List.iter (fun (k, v) -> add_member b ~first:false k v) rest);
+      add_member sink ~first:true k v;
+      List.iter (fun (k, v) -> add_member sink ~first:false k v) rest);
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -494,170 +550,73 @@ let int_at src off len =
   done;
   if neg then !acc else - !acc
 
-(* --- exact decimal reads --------------------------------------------------- *)
+(* --- floats ---------------------------------------------------------------- *)
 
-(* The high word of the unsigned 128-bit product [a * b] (its low word
-   is [Int64.mul a b]). *)
-let[@inline] umulh a b =
-  let open Int64 in
-  let a0 = logand a 0xFFFFFFFFL and a1 = shift_right_logical a 32 in
-  let b0 = logand b 0xFFFFFFFFL and b1 = shift_right_logical b 32 in
-  let p01 = mul a0 b1 and p10 = mul a1 b0 in
-  let mid =
-    add
-      (add (shift_right_logical (mul a0 b0) 32) (logand p01 0xFFFFFFFFL))
-      (logand p10 0xFFFFFFFFL)
-  in
-  add
-    (add (mul a1 b1) (shift_right_logical p01 32))
-    (add (shift_right_logical p10 32) (shift_right_logical mid 32))
+(* each byte's value as a lowercase hex digit, else 16 *)
+let hex_values =
+  String.init 256 (fun i ->
+      Char.unsafe_chr
+        (match Char.unsafe_chr i with '0' .. '9' -> i - 48 | 'a' .. 'f' -> i - 87 | _ -> 16))
 
-(* unsigned [a < b] *)
-let[@inline] ult a b = Int64.compare (Int64.add a Int64.min_int) (Int64.add b Int64.min_int) < 0
-
-let[@inline] leading_zeros w =
-  let n = ref 0 and w = ref w in
-  while Int64.compare !w 0L > 0 do
-    w := Int64.shift_left !w 1;
-    incr n
-  done;
-  !n
-
-(* 10^0 .. 10^22, each exact as a double *)
-let exact_pow10 =
-  [|
-    1e0; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15; 1e16;
-    1e17; 1e18; 1e19; 1e20; 1e21; 1e22;
-  |]
-
-(* [w * 10^q] rounded to the nearest double, ties to even, for
-   [0 < w < 2^64] (unsigned): Eisel-Lemire, as Go's strconv writes it
-   after Wuffs. It multiplies the normalised [w] by the first 128 bits
-   of 10^q ([Pow10], rounded down); the true product lies within a unit
-   of the last place of that, so it decides the rounding unless the
-   bits below the 54 it keeps are all ones or a tie. It returns [nan]
-   when it cannot decide: for such a case, a result outside the normal
-   range, or [q] past the table. *)
-let[@inline] eisel_lemire w q =
-  if q < Pow10.min_exp10 || q > Pow10.max_exp10 then Float.nan
-  else
-    let clz = leading_zeros w in
-    let w = Int64.shift_left w clz in
-    let i = 2 * (q - Pow10.min_exp10) in
-    let p_hi = Array.unsafe_get Pow10.mantissas i in
-    let x_hi = ref (umulh w p_hi) and x_lo = ref (Int64.mul w p_hi) in
-    let undecided = ref false in
-    (* the low word of 10^q's mantissa matters only when it could carry *)
-    if Int64.logand !x_hi 0x1FFL = 0x1FFL && ult (Int64.add !x_lo w) w then begin
-      let p_lo = Array.unsafe_get Pow10.mantissas (i + 1) in
-      let y_hi = umulh w p_lo and y_lo = Int64.mul w p_lo in
-      let lo = Int64.add !x_lo y_hi in
-      if ult lo !x_lo then x_hi := Int64.succ !x_hi;
-      x_lo := lo;
-      undecided :=
-        Int64.logand !x_hi 0x1FFL = 0x1FFL && Int64.add lo 1L = 0L && ult (Int64.add y_lo w) w
-    end;
-    let msb = Int64.to_int (Int64.shift_right_logical !x_hi 63) in
-    let mant = Int64.shift_right_logical !x_hi (msb + 9) in
-    let exp2 = ((217706 * q) asr 16) + 64 + 1023 - clz - (1 lxor msb) in
-    if
-      !undecided
-      (* halfway between two doubles *)
-      || (!x_lo = 0L && Int64.logand !x_hi 0x1FFL = 0L && Int64.logand mant 3L = 1L)
-    then Float.nan
-    else
-      let mant = Int64.shift_right_logical (Int64.add mant (Int64.logand mant 1L)) 1 in
-      let carry = Int64.to_int (Int64.shift_right_logical mant 53) in
-      let mant = Int64.shift_right_logical mant carry and exp2 = exp2 + carry in
-      (* subnormal, infinite or NaN: left to the runtime *)
-      if exp2 <= 0 || exp2 >= 0x7FF then Float.nan
-      else
-        Int64.float_of_bits
-          (Int64.logor (Int64.shift_left (Int64.of_int exp2) 52)
-             (Int64.logand mant 0x000FFFFFFFFFFFFFL))
-
-(* The eight bytes of [x], first byte lowest, are all digits. *)
-let[@inline] eight_digits x =
-  Int64.logand x 0xF0F0F0F0F0F0F0F0L = 0x3030303030303030L
-  && Int64.logand (Int64.add x 0x0606060606060606L) 0xF0F0F0F0F0F0F0F0L = 0x3030303030303030L
-
-(* ... and the number they spell, most significant first *)
-let[@inline] eight_digits_value x =
-  let open Int64 in
-  let x = sub x 0x3030303030303030L in
-  let x = shift_right_logical (mul x 2561L) 8 in
-  let x = shift_right_logical (mul (logand x 0x00FF00FF00FF00FFL) 6553601L) 16 in
-  shift_right_logical (mul (logand x 0x0000FFFF0000FFFFL) 42949672960001L) 32
-
-(* A [Number] token ([len] bytes of [src] from [off], JSON's grammar)
-   read where it lies: its significant digits, at most 19, as one
-   unsigned integer [w] and its value as [w * 10^q]. Exact with one
-   floating-point operation when [w] and 10^|q| both are doubles
-   (Clinger), else by {!eisel_lemire}. [nan] when neither decides: more
-   than 19 significant digits, or a case {!eisel_lemire} leaves. *)
-let decimal_at src off len =
-  let stop = off + len in
-  let neg = len > 0 && String.unsafe_get src off = '-' in
-  let j = ref (if neg then off + 1 else off) in
-  let w = ref 0L and digits = ref 0 and q = ref 0 and fraction = ref false in
-  while
-    !j < stop
-    && (is_digit (String.unsafe_get src !j) || (String.unsafe_get src !j = '.' && not !fraction))
-  do
-    let c = String.unsafe_get src !j in
-    if !digits > 0 && !j + 8 <= stop && eight_digits (String.get_int64_le src !j) then begin
-      w := Int64.add (Int64.mul !w 100_000_000L) (eight_digits_value (String.get_int64_le src !j));
-      digits := !digits + 8;
-      if !fraction then q := !q - 8;
-      j := !j + 7
-    end
-    else if c = '.' then fraction := true
-    else begin
-      (* leading zeros are not significant *)
-      if c <> '0' || !digits > 0 then begin
-        w := Int64.add (Int64.mul !w 10L) (Int64.of_int (Char.code c - 48));
-        incr digits
-      end;
-      if !fraction then decr q
-    end;
-    incr j
-  done;
-  if !j < stop then begin
-    (* 'e' or 'E', an optional sign, digits; a magnitude past the
-       table's reach is held at 100000 *)
-    incr j;
-    let eneg = !j < stop && String.unsafe_get src !j = '-' in
-    if eneg || (!j < stop && String.unsafe_get src !j = '+') then incr j;
-    let e = ref 0 in
-    while !j < stop do
-      if !e < 100_000 then e := (!e * 10) + Char.code (String.unsafe_get src !j) - 48;
-      incr j
-    done;
-    q := if eneg then !q - !e else !q + !e
-  end;
-  let f =
-    if !digits = 0 then 0.0
-    else if !digits > 19 then Float.nan
-    else if (not (ult 0x20000000000000L !w)) && !q >= -22 && !q <= 22 then
-      if !q >= 0 then Int64.to_float !w *. Array.unsafe_get exact_pow10 !q
-      else Int64.to_float !w /. Array.unsafe_get exact_pow10 (- !q)
-    else eisel_lemire !w !q
-  in
-  if neg then Float.neg f else f
+let[@inline] hex_value c = Char.code (String.unsafe_get hex_values (Char.code c))
 
 exception Not_a_float
 
+(* The one spelling [add_hex_float] writes for a float, checked against
+   the bytes as they are read: the sign, ["0x0"] or ["0x1"], one to
+   thirteen lowercase digits after a ['.'], the last not a zero, and
+   ['p'], a sign and the exponent in plain decimal. *)
+let hex_float_at s off len =
+  let stop = off + len in
+  let neg = byte s stop off = '-' in
+  let i = if neg then off + 1 else off in
+  if byte s stop i <> '0' then begin
+    let k = find_key non_finite_text s off len in
+    if k < 0 then raise Not_a_float else Array.unsafe_get non_finite k
+  end
+  else begin
+    let lead = byte s stop (i + 2) in
+    if byte s stop (i + 1) <> 'x' || (lead <> '0' && lead <> '1') then raise Not_a_float;
+    let i = ref (i + 3) and mant = ref 0 in
+    if byte s stop !i = '.' then begin
+      let first = !i + 1 in
+      i := first;
+      while hex_value (byte s stop !i) < 16 do
+        mant := (!mant lsl 4) lor hex_value (byte s stop !i);
+        incr i
+      done;
+      let digits = !i - first in
+      if digits = 0 || digits > 13 || byte s stop (!i - 1) = '0' then raise Not_a_float;
+      mant := !mant lsl (4 * (13 - digits))
+    end;
+    let sign = byte s stop (!i + 1) in
+    if byte s stop !i <> 'p' || (sign <> '+' && sign <> '-') then raise Not_a_float;
+    let first = !i + 2 in
+    let j = ref first and e = ref 0 in
+    while !j - first < 5 && is_digit (byte s stop !j) do
+      e := (!e * 10) + Char.code (String.unsafe_get s !j) - 48;
+      incr j
+    done;
+    (* no leading zero, and a negative exponent is never 0 *)
+    if
+      !j <> stop || !j = first
+      || (String.unsafe_get s first = '0' && (!j > first + 1 || sign = '-'))
+    then raise Not_a_float;
+    let e = if sign = '-' then - !e else !e in
+    let biased =
+      if lead = '1' then if e < -1022 || e > 1023 then raise Not_a_float else e + 1023
+      else if e <> (if !mant = 0 then 0 else -1022) then raise Not_a_float
+      else 0
+    in
+    let bits = Int64.logor (Int64.shift_left (Int64.of_int biased) 52) (Int64.of_int !mant) in
+    Int64.float_of_bits (if neg then Int64.logor bits Int64.min_int else bits)
+  end
+
 let float_at kind src off len =
   match kind with
-  | Number ->
-      let f = decimal_at src off len in
-      if Float.is_nan f then float_of_string (String.sub src off len) else f
+  | String -> hex_float_at src off len
+  (* the decimal spelling stores wrote before: the same value, read by
+     the runtime *)
+  | Number -> float_of_string (String.sub src off len)
   | Integer -> Int64.to_float (int64_at src off len)
-  (* the "%h" spellings [encode] writes for non-finite floats *)
-  | String ->
-      if key_is src off len "nan" then Float.nan
-      else if key_is src off len "-nan" then Float.neg Float.nan
-      else if key_is src off len "infinity" then Float.infinity
-      else if key_is src off len "-infinity" then Float.neg_infinity
-      else raise Not_a_float
   | True | False -> raise Not_a_float

@@ -3,26 +3,40 @@
     The sealed toolchain has no JSON library, and the store only needs
     flat objects of scalars — so this codec supports exactly that: one
     object per line, values limited to strings, 64-bit integers, floats
-    and booleans. Floats are rendered with 17 significant digits, which
-    round-trips IEEE doubles exactly — the store's bit-identity
-    guarantee rests on it. Non-finite floats, which JSON cannot spell as
-    numbers, are written as their ["%h"] strings. *)
+    and booleans. A float is written in one spelling, its exact ["%h"]
+    text in a JSON string (["\"0x1.08cfc38866a79p-18\""], ["\"nan\""]),
+    which {!hex_float_at} reads back bit for bit: the store's
+    bit-identity guarantee rests on it. Compact points and fingerprints
+    ({!Point}) write floats with the same {!add_hex_float}. *)
 
 type value = Int of int64 | Float of float | Bool of bool | Str of string
 
-val add_member : Buffer.t -> first:bool -> string -> value -> unit
+type sink = To_buffer of Buffer.t | To_hash of Bytes.t
+(** Where written text goes: a buffer, or straight into a running
+    FNV-1a 64-bit hash whose state is the 8 bytes (feeding it a byte
+    allocates nothing). *)
+
+val add_char : sink -> char -> unit
+
+val add_string : sink -> string -> unit
+
+val add_int : sink -> int -> unit
+(** [string_of_int n], written straight into the sink. *)
+
+val add_hex_float : sink -> float -> unit
+(** [Printf.sprintf "%h" f], written straight into the sink: the one
+    spelling of a float, in a line and in a compact point. *)
+
+val add_member : sink -> first:bool -> string -> value -> unit
 (** Append one ["key":value] member: opened with ['{'] when [first],
     else preceded by [',']. Close the object with ['}'] yourself. *)
 
-val add_key : Buffer.t -> first:bool -> string -> unit
+val add_key : sink -> first:bool -> string -> unit
 (** {!add_member}'s ["key":] alone: write the value yourself. *)
 
 val has_escapes : string -> bool
 (** The string holds a byte the encoder escapes (['"'], ['\\'] or a
     control character). *)
-
-val add_int : Buffer.t -> int -> unit
-(** [string_of_int n], written straight into the buffer. *)
 
 val encode : (string * value) list -> string
 (** One JSON object on one line (no trailing newline). *)
@@ -120,20 +134,17 @@ val int_at : string -> int -> int -> int
 val int64_at : string -> int -> int -> int64
 (** An [Integer] token. *)
 
-val decimal_at : string -> int -> int -> float
-(** [decimal_at src off len]: a [Number] token read where it lies,
-    exactly as [float_of_string] reads it, or [nan] when the fast path
-    cannot decide: more than 19 significant digits, a result that is
-    subnormal or out of range, or a product too close to a rounding
-    boundary (Eisel-Lemire over {!Pow10}'s table). {!float_at} falls
-    back to [float_of_string] on [nan]. *)
-
 exception Not_a_float
 
+val hex_float_at : string -> int -> int -> float
+(** [hex_float_at s off len]: the [len] bytes of [s] from [off] read as
+    the one spelling {!add_hex_float} writes, bit for bit (["nan"] and
+    ["-nan"] read as [Float.nan] and its negation). Raises
+    {!Not_a_float} on any other text: uppercase, a trailing zero digit,
+    more than 13 digits, an exponent without its sign or out of range. *)
+
 val float_at : kind -> string -> int -> int -> float
-(** A float member: a [Number], an [Integer] (as [Int64.to_float]), or
-    one of the ["%h"] strings the encoder writes for non-finite floats
-    (["nan"], ["-nan"], ["infinity"], ["-infinity"]). Raises
-    {!Not_a_float} on any other token. A [Number] is read in place by
-    {!decimal_at}, and copied for [float_of_string] only when that
-    cannot decide, so the result is the same bit for bit. *)
+(** A float member: a [String] read by {!hex_float_at}. A [Number] or an
+    [Integer], the decimal spelling stores wrote before floats were
+    hex, is read by [float_of_string] or [Int64.to_float]: the same
+    value. Raises {!Not_a_float} on any other token. *)

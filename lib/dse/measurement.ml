@@ -137,7 +137,8 @@ let fields : (string * kind * (t -> Jsonl.value)) array =
 
 let to_line m =
   let b = Buffer.create 1024 in
-  Array.iteri (fun i (k, _, get) -> Jsonl.add_member b ~first:(i = 0) k (get m)) fields;
+  let sink = Jsonl.To_buffer b in
+  Array.iteri (fun i (k, _, get) -> Jsonl.add_member sink ~first:(i = 0) k (get m)) fields;
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -293,9 +294,7 @@ let get_int64 r i =
   if here r i then if Jsonl.plain_int r.c then Int64.of_int r.c.int else at_cursor r i int64_of
   else elsewhere r i int64_of
 
-let get_float r i =
-  if here r i then if Jsonl.plain_int r.c then Float.of_int r.c.int else at_cursor r i float_of
-  else elsewhere r i float_of
+let get_float r i = if here r i then at_cursor r i float_of else elsewhere r i float_of
 
 let get_text r i = if here r i then at_cursor r i text_of else elsewhere r i text_of
 let get_bool r i = if here r i then at_cursor r i bool_of else elsewhere r i bool_of

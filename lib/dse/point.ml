@@ -131,68 +131,6 @@ let to_config p =
 (* --- the canonical serialization ------------------------------------- *)
 
 let fnv_offset = 0xcbf29ce484222325L
-let fnv_prime = 0x100000001b3L
-
-(* Where the canonical text goes: a buffer, or straight into a running
-   FNV-1a hash, its 64-bit state held in 8 bytes so that feeding it a
-   byte allocates nothing. *)
-type sink = To_buffer of Buffer.t | To_hash of Bytes.t
-
-let add_char sink c =
-  match sink with
-  | To_buffer b -> Buffer.add_char b c
-  | To_hash h ->
-      Bytes.set_int64_ne h 0
-        (Int64.mul (Int64.logxor (Bytes.get_int64_ne h 0) (Int64.of_int (Char.code c))) fnv_prime)
-
-let add_string sink s =
-  match sink with
-  | To_buffer b -> Buffer.add_string b s
-  | To_hash h ->
-      let x = ref (Bytes.get_int64_ne h 0) in
-      for i = 0 to String.length s - 1 do
-        x := Int64.mul (Int64.logxor !x (Int64.of_int (Char.code (String.unsafe_get s i)))) fnv_prime
-      done;
-      Bytes.set_int64_ne h 0 !x
-
-(* the decimal digits of [n <= 0], most significant first: min_int has
-   no positive counterpart *)
-let rec add_neg_digits sink n =
-  if n <= -10 then add_neg_digits sink (n / 10);
-  add_char sink (Char.unsafe_chr (48 - (n mod 10)))
-
-(* [string_of_int n], written straight into [sink] *)
-let add_int sink n =
-  if n < 0 then (
-    add_char sink '-';
-    add_neg_digits sink n)
-  else add_neg_digits sink (-n)
-
-let hex_digit d = Char.unsafe_chr (if d < 10 then 48 + d else 87 + d)
-
-(* What [Printf.sprintf "%h" f] writes, without the format machinery:
-   ["0x1.f4p+8"], ["-0x0p+0"], ["0x0.0000000000001p-1022"]. *)
-let add_hex_float sink f =
-  if not (Float.is_finite f) then add_string sink (Printf.sprintf "%h" f)
-  else begin
-    let bits = Int64.bits_of_float f in
-    if bits < 0L then add_char sink '-';
-    let biased = Int64.to_int (Int64.shift_right_logical bits 52) land 0x7ff in
-    let mant = Int64.to_int bits land 0xf_ffff_ffff_ffff in
-    add_string sink (if biased = 0 then "0x0" else "0x1");
-    if mant <> 0 then begin
-      add_char sink '.';
-      let rest = ref mant and shift = ref 48 in
-      while !rest <> 0 do
-        add_char sink (hex_digit ((!rest lsr !shift) land 0xf));
-        rest := !rest land ((1 lsl !shift) - 1);
-        shift := !shift - 4
-      done
-    end;
-    let exp = if biased = 0 then if mant = 0 then 0 else -1022 else biased - 1023 in
-    add_string sink (if exp < 0 then "p" else "p+");
-    add_int sink exp
-  end
 
 type kind = Int of (t -> int) | Float of (t -> float) | Text of (t -> string)
 
@@ -224,26 +162,26 @@ let add_fields ?term sink p =
   let p = canonical p in
   for i = 0 to n_fields - 1 do
     let k, kind = fields.(i) in
-    (match term with None when i > 0 -> add_char sink ',' | _ -> ());
-    add_string sink k;
-    add_char sink '=';
+    (match term with None when i > 0 -> Jsonl.add_char sink ',' | _ -> ());
+    Jsonl.add_string sink k;
+    Jsonl.add_char sink '=';
     (match kind with
-    | Int get -> add_int sink (get p)
-    | Float get -> add_hex_float sink (get p)
-    | Text get -> add_string sink (get p));
-    match term with Some c -> add_char sink c | None -> ()
+    | Int get -> Jsonl.add_int sink (get p)
+    | Float get -> Jsonl.add_hex_float sink (get p)
+    | Text get -> Jsonl.add_string sink (get p));
+    match term with Some c -> Jsonl.add_char sink c | None -> ()
   done
 
-let add_compact b p = add_fields (To_buffer b) p
+let add_compact sink p = add_fields sink p
 
 let to_compact p =
   let b = Buffer.create 192 in
-  add_compact b p;
+  add_compact (Jsonl.To_buffer b) p;
   Buffer.contents b
 
 exception Not_canonical
 
-(* [s.[off .. off+len-1]] read as the decimal [add_int] writes. Raises
+(* [s.[off .. off+len-1]] read as the decimal [Jsonl.add_int] writes. Raises
    [Not_canonical] on anything else: a sign other than a leading '-', a
    leading zero, "-0" or a value outside the int range. *)
 let canonical_int s off len =
@@ -260,62 +198,6 @@ let canonical_int s off len =
     acc := (!acc * 10) - d
   done;
   if neg then !acc else if !acc = min_int then raise Not_canonical else - !acc
-
-(* a lowercase hex digit's value, or -1 *)
-let hex_value = function
-  | '0' .. '9' as c -> Char.code c - 48
-  | 'a' .. 'f' as c -> Char.code c - 87
-  | _ -> -1
-
-(* [s.[off .. off+len-1]] read as the one spelling [add_hex_float]
-   writes for a float, checked against the bytes as they are read; its
-   two NaN spellings read as the NaNs the store's codec reads them as.
-   Raises [Not_canonical] on any other text. *)
-let hex_float_at s off len =
-  if Jsonl.key_is s off len "nan" then Float.nan
-  else if Jsonl.key_is s off len "-nan" then Float.neg Float.nan
-  else if Jsonl.key_is s off len "infinity" then Float.infinity
-  else if Jsonl.key_is s off len "-infinity" then Float.neg_infinity
-  else begin
-    let stop = off + len in
-    let at i = if i < stop then String.unsafe_get s i else '\000' in
-    let neg = at off = '-' in
-    let i = if neg then off + 1 else off in
-    let lead = at (i + 2) in
-    if at i <> '0' || at (i + 1) <> 'x' || (lead <> '0' && lead <> '1') then raise Not_canonical;
-    let i = ref (i + 3) and mant = ref 0 and digits = ref 0 in
-    if at !i = '.' then begin
-      incr i;
-      while hex_value (at !i) >= 0 do
-        mant := (!mant lsl 4) lor hex_value (at !i);
-        incr digits;
-        incr i
-      done;
-      (* one to thirteen digits, the last not a zero *)
-      if !digits = 0 || !digits > 13 || at (!i - 1) = '0' then raise Not_canonical
-    end;
-    if at !i <> 'p' || (at (!i + 1) <> '+' && at (!i + 1) <> '-') then raise Not_canonical;
-    let exp_neg = at (!i + 1) = '-' and first = !i + 2 in
-    let j = ref first and e = ref 0 in
-    while !j - first < 5 && at !j >= '0' && at !j <= '9' do
-      e := (!e * 10) + Char.code (at !j) - 48;
-      incr j
-    done;
-    (* the exponent in plain decimal, to the end: no leading zero, and
-       a negative one is never 0 *)
-    if !j <> stop || !j = first || (at first = '0' && (!j > first + 1 || exp_neg)) then
-      raise Not_canonical;
-    let e = if exp_neg then - !e else !e in
-    let mant = !mant lsl (4 * (13 - !digits)) in
-    let biased =
-      if lead = '1' then
-        if e < -1022 || e > 1023 then raise Not_canonical else e + 1023
-      else if e <> if mant = 0 then 0 else -1022 then raise Not_canonical
-      else 0
-    in
-    let bits = Int64.logor (Int64.shift_left (Int64.of_int biased) 52) (Int64.of_int mant) in
-    Int64.float_of_bits (if neg then Int64.logor bits Int64.min_int else bits)
-  end
 
 (* the first [c] in [s] from [start] on, or [stop] *)
 let find s start stop c =
@@ -378,11 +260,11 @@ let of_compact_sub s off len =
              | exception Not_canonical -> bad_value s i voff vlen "an integer")
          | Float _ -> (
              (* only the spelling [to_compact] writes: one point, one form *)
-             match hex_float_at s voff vlen with
+             match Jsonl.hex_float_at s voff vlen with
              | f ->
                  floats.(i) <- f;
                  None
-             | exception Not_canonical ->
+             | exception Jsonl.Not_a_float ->
                  bad_value s i voff vlen
                    (if float_of_string_opt (String.sub s voff vlen) = None then "a number"
                     else "written as %h"))
@@ -469,12 +351,12 @@ let to_string p =
 let fingerprint ~workload p =
   let h = Bytes.create 8 in
   Bytes.set_int64_ne h 0 fnv_offset;
-  let sink = To_hash h in
-  add_string sink "epoch=";
-  add_int sink Salam.model_epoch;
-  add_char sink '\x00';
-  add_string sink workload;
-  add_char sink '\x00';
+  let sink = Jsonl.To_hash h in
+  Jsonl.add_string sink "epoch=";
+  Jsonl.add_int sink Salam.model_epoch;
+  Jsonl.add_char sink '\x00';
+  Jsonl.add_string sink workload;
+  Jsonl.add_char sink '\x00';
   add_fields ~term:';' sink p;
   Bytes.get_int64_ne h 0
 

@@ -84,8 +84,8 @@ val to_compact : t -> string
     ["banks=4,cache_bytes=0,...,write_ports=1"] — the {!Salam_served}
     protocol's point encoding. *)
 
-val add_compact : Buffer.t -> t -> unit
-(** [to_compact p], written straight into the buffer. *)
+val add_compact : Jsonl.sink -> t -> unit
+(** [to_compact p], written straight into the sink. *)
 
 val of_compact : string -> (t, string) result
 (** Inverse of {!to_compact}, in any key order. Loud [Error] naming the

@@ -63,22 +63,22 @@ let i n = Jsonl.Int (Int64.of_int n)
 (* compact points, separated by ';', written straight into the request;
    a point whose [hw_db] needs escaping sends them through the string
    encoder *)
-let add_points b k ps =
+let add_points s k ps =
   if List.exists (fun p -> Jsonl.has_escapes p.Point.hw_db) ps then
-    Jsonl.add_member b ~first:false k (Jsonl.Str (String.concat ";" (List.map Point.to_compact ps)))
+    Jsonl.add_member s ~first:false k (Jsonl.Str (String.concat ";" (List.map Point.to_compact ps)))
   else begin
-    Jsonl.add_key b ~first:false k;
-    Buffer.add_char b '"';
+    Jsonl.add_key s ~first:false k;
+    Jsonl.add_char s '"';
     List.iteri
       (fun j p ->
-        if j > 0 then Buffer.add_char b ';';
-        Point.add_compact b p)
+        if j > 0 then Jsonl.add_char s ';';
+        Point.add_compact s p)
       ps;
-    Buffer.add_char b '"'
+    Jsonl.add_char s '"'
   end
 
-let encode_request_into b ~id req =
-  let add k v = Jsonl.add_member b ~first:false k v in
+let encode_request_into s ~id req =
+  let add k v = Jsonl.add_member s ~first:false k v in
   let with_spec op spec =
     add "op" (Jsonl.Str op);
     add "workload" (Jsonl.Str spec.workload);
@@ -86,22 +86,22 @@ let encode_request_into b ~id req =
     add "invocations" (i spec.invocations);
     Option.iter (fun k -> add "fast_forward" (i k)) spec.fast_forward
   in
-  Jsonl.add_member b ~first:true "id" (Jsonl.Int id);
+  Jsonl.add_member s ~first:true "id" (Jsonl.Int id);
   (match req with
   | Ping -> add "op" (Jsonl.Str "ping")
   | Stats -> add "op" (Jsonl.Str "stats")
   | Shutdown -> add "op" (Jsonl.Str "shutdown")
   | Sim (spec, p) ->
       with_spec "sim" spec;
-      add_points b "point" [ p ]
+      add_points s "point" [ p ]
   | Sweep (spec, ps) ->
       with_spec "sweep" spec;
-      add_points b "points" ps);
-  Buffer.add_char b '}'
+      add_points s "points" ps);
+  Jsonl.add_char s '}'
 
 let encode_request ~id req =
   let b = Buffer.create 256 in
-  encode_request_into b ~id req;
+  encode_request_into (Jsonl.To_buffer b) ~id req;
   Buffer.contents b
 
 (* The longest line either end reads, newline excluded: 8 MiB, about
@@ -210,18 +210,22 @@ let line_len r = r.line_len
 (* --- writing lines ------------------------------------------------------ *)
 
 (* A connection's output: a message is put together in [msg] (a line's
-   head), then made ready as the first [ready] bytes of [out], the whole
-   line with its newline, and sent with one write. *)
+   head), written through [sink], then made ready as the first [ready]
+   bytes of [out], the whole line with its newline, and sent with one
+   write. *)
 type writer = {
   wfd : Unix.file_descr;
   msg : Buffer.t;
+  sink : Jsonl.sink;  (** [To_buffer msg] *)
   mutable out : Bytes.t;
   mutable ready : int;
 }
 
 let writer_size = 4096
 
-let writer fd = { wfd = fd; msg = Buffer.create 256; out = Bytes.create writer_size; ready = 0 }
+let writer fd =
+  let msg = Buffer.create 256 in
+  { wfd = fd; msg; sink = Jsonl.To_buffer msg; out = Bytes.create writer_size; ready = 0 }
 
 (* a partial write goes on where it stopped *)
 let rec write_all fd b off len =
@@ -251,7 +255,7 @@ let flush w =
 
 let request_to w ~id req =
   Buffer.clear w.msg;
-  encode_request_into w.msg ~id req;
+  encode_request_into w.sink ~id req;
   stage w "" 0 0
 
 let send_request w ~id req =
@@ -279,21 +283,21 @@ let sweep_batches ~max_line spec points =
 
 (* The envelope, then the measurement line's own members: its bytes
    after the opening '{'. *)
-let envelope_into b ~id ?index ~served line =
+let envelope_into s ~id ?index ~served line =
   if String.length line < 2 || line.[0] <> '{' || line.[1] = '}' then
     invalid_arg "Protocol.splice: not a measurement line";
-  Jsonl.add_member b ~first:true "id" (Jsonl.Int id);
+  Jsonl.add_member s ~first:true "id" (Jsonl.Int id);
   (match index with
-  | None -> Jsonl.add_member b ~first:false "type" (Jsonl.Str "result")
+  | None -> Jsonl.add_member s ~first:false "type" (Jsonl.Str "result")
   | Some index ->
-      Jsonl.add_member b ~first:false "type" (Jsonl.Str "point");
-      Jsonl.add_member b ~first:false "index" (i index));
-  Jsonl.add_member b ~first:false "served" (Jsonl.Str served);
-  Buffer.add_char b ','
+      Jsonl.add_member s ~first:false "type" (Jsonl.Str "point");
+      Jsonl.add_member s ~first:false "index" (i index));
+  Jsonl.add_member s ~first:false "served" (Jsonl.Str served);
+  Jsonl.add_char s ','
 
 let splice ~id ?index ~served line =
   let b = Buffer.create 64 in
-  envelope_into b ~id ?index ~served line;
+  envelope_into (Jsonl.To_buffer b) ~id ?index ~served line;
   let head = Buffer.length b and tail = String.length line - 1 in
   let reply = Bytes.create (head + tail) in
   Buffer.blit b 0 reply 0 head;
@@ -303,7 +307,7 @@ let splice ~id ?index ~served line =
 (* the reply is copied once, from the stored line into [w]'s output *)
 let splice_to w ~id ?index ~served line =
   Buffer.clear w.msg;
-  envelope_into w.msg ~id ?index ~served line;
+  envelope_into w.sink ~id ?index ~served line;
   stage w line 1 (String.length line - 1)
 
 let send_splice w ~id ?index ~served line =

@@ -34,6 +34,13 @@ module Jsonl = struct
     | () -> Ok (List.rev !fields)
     | exception Syntax e -> Error e
 
+  (* a float's "%h" text, read by the runtime and checked to render back
+     the same: the library's own reader is not used *)
+  let hex_text s =
+    match float_of_string_opt s with
+    | Some f when String.equal (Printf.sprintf "%h" f) s -> Some f
+    | Some _ | None -> None
+
   let get_int fields k = match List.assoc_opt k fields with Some (Int i) -> Some i | _ -> None
   let get_bool fields k = match List.assoc_opt k fields with Some (Bool b) -> Some b | _ -> None
   let get_str fields k = match List.assoc_opt k fields with Some (Str s) -> Some s | _ -> None
@@ -68,16 +75,14 @@ let oracle_of_line line =
         | _ -> bad k "must be an integer"
       in
       let int64 k = match get k with Jsonl.Int i -> i | _ -> bad k "must be an integer" in
-      (* a float field holds a number, or one of the four strings the
-         encoder writes for a non-finite float; any other string is refused *)
+      (* a float field holds a float's "%h" text, or a number (the
+         decimal spelling older stores hold); any other value is refused *)
       let float k =
         match get k with
+        | Jsonl.Str s -> (
+            match Jsonl.hex_text s with Some f -> f | None -> bad k "must be a number")
         | Jsonl.Float f -> f
         | Jsonl.Int i -> Int64.to_float i
-        | Jsonl.Str "nan" -> Float.nan
-        | Jsonl.Str "-nan" -> Float.neg Float.nan
-        | Jsonl.Str "infinity" -> Float.infinity
-        | Jsonl.Str "-infinity" -> Float.neg_infinity
         | _ -> bad k "must be a number"
       in
       let str k = match get k with Jsonl.Str s -> s | _ -> bad k "must be a string" in
@@ -556,8 +561,8 @@ let qcheck_mutated_lines_agree =
 let sample = Test_store_shard.synthetic 3
 
 (* The case that once set the property above apart (QCHECK_SEED
-   184354554): a float field holding a numeric string, which the store
-   format never writes, is refused by the decoder and the oracle. *)
+   184354554): a float field holding a numeric string that is not a
+   float's "%h" text is refused by the decoder and the oracle. *)
 let test_string_float_refused_by_both () =
   let line =
     Jsonl.encode
@@ -1048,204 +1053,82 @@ let qcheck_mutated_compact_points =
           | Error _ -> true)
         (cuts s @ flips))
 
-(* --- exact float reads ----------------------------------------------- *)
+(* --- the one float spelling ------------------------------------------- *)
 
-(* [s] read by the codec as a float member, bit for bit what
-   [float_of_string] reads *)
-let reads_like_runtime s =
-  let got = Jsonl.float_at Jsonl.Number s 0 (String.length s) in
-  Int64.equal (Int64.bits_of_float got) (Int64.bits_of_float (float_of_string s))
-  || QCheck.Test.fail_reportf "%S reads as %h, float_of_string %h" s got (float_of_string s)
-
-(* C's %g may spell a float as "inf" or "nan", which no Number token is *)
-let is_number s = String.for_all (fun c -> String.contains "0123456789.-+eE" c) s
-
-let gen_float_bits =
+(* any bit pattern: subnormals, both zeros, the infinities and NaNs of
+   either sign and any payload *)
+let gen_any_float =
   QCheck.Gen.(
-    map2
-      (fun neg bits ->
-        let x = Int64.float_of_bits (Int64.logand bits Int64.max_int) in
-        if neg then Float.neg x else x)
-      bool ui64)
+    frequency
+      [
+        ( 1,
+          oneofl
+            [
+              0.0; -0.0; Float.infinity; Float.neg_infinity; Float.nan; Float.neg Float.nan;
+              4.9e-324; -4.9e-324; Float.min_float; Float.max_float;
+            ] );
+        (6, map Int64.float_of_bits ui64);
+        (* subnormals *)
+        (2, map (fun m -> Int64.float_of_bits (Int64.logand m 0x800f_ffff_ffff_ffffL)) ui64);
+      ])
 
-(* %.17g, %.15g and %g of random bit patterns, subnormals included *)
-let gen_formatted_float =
-  QCheck.Gen.(
-    map2
-      (fun x fmt ->
-        match fmt with
-        | 0 -> Printf.sprintf "%.17g" x
-        | 1 -> Printf.sprintf "%.15g" x
-        | _ -> Printf.sprintf "%g" x)
-      (frequency
-         [ (4, gen_float_bits); (1, map (fun m -> Int64.float_of_bits (Int64.of_int m)) nat) ])
-      (int_bound 2))
+(* the writer's bytes are Printf's "%h" in a JSON string, and the
+   reader gives back the float (a NaN as a NaN of its sign) *)
+let qcheck_float_spelling =
+  QCheck.Test.make ~name:"a float member is its %h text in a JSON string" ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%h") gen_any_float)
+    (fun f ->
+      let text = Printf.sprintf "%h" f in
+      let line = Jsonl.encode [ ("x", Jsonl.Float f) ] in
+      let back = Jsonl.hex_float_at text 0 (String.length text) in
+      (String.equal line (Printf.sprintf "{\"x\":\"%s\"}" text)
+      || QCheck.Test.fail_reportf "written as %s" line)
+      && (if Float.is_nan f then Float.is_nan back && Float.sign_bit back = Float.sign_bit f
+          else Int64.equal (Int64.bits_of_float back) (Int64.bits_of_float f))
+      || QCheck.Test.fail_reportf "read back as %h" back)
 
-(* up to 20 significant digits, a fraction at any place and an
-   exponent, in JSON's number grammar *)
-let gen_digit_string =
-  QCheck.Gen.(
-    int_range 1 20 >>= fun n ->
-    string_size ~gen:(char_range '0' '9') (return n) >>= fun digits ->
-    let digits = if digits.[0] = '0' && n > 1 then "1" ^ String.sub digits 1 (n - 1) else digits in
-    int_bound n >>= fun point ->
-    opt (int_range (-400) 400) >>= fun exp ->
-    bool >>= fun neg ->
-    let mantissa =
-      if point = 0 || point = n then digits
-      else String.sub digits 0 point ^ "." ^ String.sub digits point (n - point)
-    in
-    return
-      ((if neg then "-" else "")
-      ^ mantissa
-      ^ match exp with None -> "" | Some e -> "e" ^ string_of_int e))
-
-let float_edge_cases =
-  [
-    "0"; "-0"; "0.0"; "-0.0"; "0e5"; "1"; "-1"; "1.7976931348623157e308"; "1.7976931348623158e308";
-    "1.7976931348623159e308"; "2.2250738585072014e-308"; "2.2250738585072011e-308";
-    "4.9406564584124654e-324"; "2.4703282292062327e-324"; "2.4703282292062328e-324"; "1e-400";
-    "1e400"; "9007199254740993"; "9007199254740992"; "9007199254740991"; "4503599627370496.5";
-    "4503599627370497.5"; "0.1"; "0.3"; "1e23"; "8.98846567431158e307"; "123456789012345678901";
-    "0.000000000000000000000000000001"; "1.00000000000000011102230246251565404236316680908203125";
-    "1.00000000000000011102230246251565404236316680908203124";
-    "1.00000000000000011102230246251565404236316680908203126"; "7.2057594037927933e16";
-    "5e-324"; "1e-323"; "18446744073709551615"; "18446744073709551616"; "9999999999999999999";
-  ]
-
-let test_float_edge_cases () =
-  List.iter (fun s -> ignore (reads_like_runtime s)) float_edge_cases;
-  (* each normal double's halfway point to the next, spelled exactly *)
+(* a float field holding hex text that is not the one spelling is
+   refused, by the decoder and the oracle alike *)
+let test_non_canonical_hex_refused () =
+  let line = M.to_line sample in
   List.iter
-    (fun x ->
-      let s = Printf.sprintf "%.40e" ((x +. Float.succ x) /. 2.) in
-      ignore (reads_like_runtime s))
-    [ 1.0; 0.1; 1e22; 3.0e-5; 123456.789 ]
-
-let qcheck_formatted_floats =
-  QCheck.Test.make ~name:"float reads = float_of_string on %.17g, %.15g and %g spellings"
-    ~count:100_000
-    (QCheck.make ~print:Fun.id gen_formatted_float)
-    (fun s -> (not (is_number s)) || reads_like_runtime s)
-
-let qcheck_digit_strings =
-  QCheck.Test.make ~name:"float reads = float_of_string on digit strings with exponents"
-    ~count:100_000
-    (QCheck.make ~print:Fun.id gen_digit_string)
-    reads_like_runtime
-
-(* the reader decides in place (without [float_of_string]) every
-   17-digit spelling of a normal double but a handful *)
-let test_fast_path_decides () =
-  let rng = Random.State.make [| 49 |] in
-  let decided = ref 0 and normal = ref 0 in
-  for _ = 1 to 10_000 do
-    let x = QCheck.Gen.generate1 ~rand:rng gen_float_bits in
-    let s = Printf.sprintf "%.17g" x in
-    if Float.classify_float x = FP_normal then begin
-      incr normal;
-      if not (Float.is_nan (Jsonl.decimal_at s 0 (String.length s))) then incr decided
-    end
-  done;
-  Alcotest.(check bool)
-    (Printf.sprintf "%d of %d normal doubles decided in place" !decided !normal)
-    true
-    (100 * !decided >= 99 * !normal)
-
-(* naturals as little-endian arrays of 24-bit limbs: just enough to
-   state the table's entries exactly *)
-module Nat = struct
-  let base = 1 lsl 24
-
-  let trim a =
-    let n = ref (Array.length a) in
-    while !n > 0 && a.(!n - 1) = 0 do
-      decr n
-    done;
-    Array.sub a 0 !n
-
-  let pow2 k =
-    let a = Array.make ((k / 24) + 1) 0 in
-    a.(k / 24) <- 1 lsl (k mod 24);
-    a
-
-  let mul_small a m =
-    let r = Array.make (Array.length a + 2) 0 and carry = ref 0 in
-    Array.iteri
-      (fun i x ->
-        let v = (x * m) + !carry in
-        r.(i) <- v land (base - 1);
-        carry := v lsr 24)
-      a;
-    r.(Array.length a) <- !carry land (base - 1);
-    r.(Array.length a + 1) <- !carry lsr 24;
-    trim r
-
-  let div_small a d =
-    let r = Array.make (Array.length a) 0 and rem = ref 0 in
-    for i = Array.length a - 1 downto 0 do
-      let v = (!rem lsl 24) lor a.(i) in
-      r.(i) <- v / d;
-      rem := v mod d
-    done;
-    trim r
-
-  let bits a =
-    let a = trim a in
-    let n = Array.length a in
-    if n = 0 then 0
-    else
-      let top = a.(n - 1) and b = ref 0 in
-      while top lsr !b > 0 do
-        incr b
-      done;
-      ((n - 1) * 24) + !b
-
-  let bit a i = if i < 0 || i / 24 >= Array.length a then 0 else (a.(i / 24) lsr (i mod 24)) land 1
-
-  (* the first 128 bits of [a], rounded down, as (high, low) words *)
-  let top128 a =
-    let n = bits a in
-    let word from =
-      let w = ref 0L in
-      for i = from + 63 downto from do
-        w := Int64.logor (Int64.shift_left !w 1) (Int64.of_int (bit a (n - 128 + i)))
-      done;
-      !w
-    in
-    (word 64, word 0)
-
-  let pow10 q =
-    let x = ref [| 1 |] in
-    for _ = 1 to q do
-      x := mul_small !x 10
-    done;
-    !x
-end
-
-(* entry q: the first 128 bits of 10^q, rounded down; for q < 0 that
-   is floor(2^k / 10^-q) for k large enough, as repeated floor
-   divisions by 10 give it *)
-let test_pow10_table () =
-  let open Salam_dse in
-  Alcotest.(check int)
-    "entries" (2 * (Pow10.max_exp10 - Pow10.min_exp10 + 1)) (Array.length Pow10.mantissas);
-  for q = Pow10.min_exp10 to Pow10.max_exp10 do
-    let want =
-      if q >= 0 then Nat.top128 (Nat.pow10 q)
-      else begin
-        let x = ref (Nat.pow2 (Nat.bits (Nat.pow10 (-q)) + 129)) in
-        for _ = 1 to -q do
-          x := Nat.div_small !x 10
-        done;
-        Nat.top128 !x
-      end
-    in
-    let i = 2 * (q - Pow10.min_exp10) in
-    Alcotest.(check (pair int64 int64))
-      (Printf.sprintf "1e%d" q) want
-      (Pow10.mantissas.(i), Pow10.mantissas.(i + 1))
-  done
+    (fun text ->
+      let line = set_member line "seconds" (Printf.sprintf "\"%s\"" text) in
+      rejects ~what:text line "field \"seconds\" must be a number";
+      match oracle_of_line line with
+      | Ok _ -> Alcotest.failf "the oracle read %S" text
+      | Error e ->
+          Alcotest.(check string) ("oracle: " ^ text) "field \"seconds\" must be a number" e)
+    [
+      (* a trailing zero digit *)
+      "0x1.80p+1";
+      "0x1.0p+0";
+      (* uppercase *)
+      "0X1.8p+1";
+      "0x1.8P+1";
+      "0x1.Ap+1";
+      "NAN";
+      (* no exponent sign, or none at all *)
+      "0x1p3";
+      "0x1.8";
+      (* 14 digits *)
+      "0x1.00000000000001p+0";
+      (* exponents out of range, or spelled twice *)
+      "0x1p+1024";
+      "0x1p-1023";
+      "0x0.8p+0";
+      "0x0p-1022";
+      "0x1p+01";
+      "0x1p-0";
+      "0x1p+123456";
+      (* a sign, a space or a number that is not hex *)
+      "+0x1p+0";
+      " 0x1p+0";
+      "0x1p+0 ";
+      "1.5";
+      "";
+      "-";
+    ]
 
 (* --- lines read where they lie ------------------------------------- *)
 
@@ -1288,10 +1171,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_fingerprint_hex_language;
     QCheck_alcotest.to_alcotest qcheck_compact_round_trip;
     QCheck_alcotest.to_alcotest qcheck_mutated_compact_points;
-    Alcotest.test_case "float reads: edge cases and halfway points" `Quick test_float_edge_cases;
-    qcheck_rand 17 qcheck_formatted_floats;
-    qcheck_rand 18 qcheck_digit_strings;
-    Alcotest.test_case "float reads decide 17-digit doubles in place" `Quick test_fast_path_decides;
-    Alcotest.test_case "power-of-ten table = its definition" `Quick test_pow10_table;
+    qcheck_rand 17 qcheck_float_spelling;
+    Alcotest.test_case "non-canonical hex floats refused" `Quick test_non_canonical_hex_refused;
     qcheck_rand 19 qcheck_sub_decoders;
   ]

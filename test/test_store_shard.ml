@@ -327,8 +327,69 @@ let test_concurrent_writers () =
         expected;
       Shard.close s)
 
+(* [line] as stores wrote it before floats were hex: each finite
+   float's "%h" string as the bare number "%.17g" writes ("500" for
+   500.0, "-0" for -0.0); the non-finite floats' strings are kept *)
+let decimal_line line =
+  let module Jsonl = Salam_dse.Jsonl in
+  let c = Jsonl.cursor line and b = Buffer.create 1024 in
+  while Jsonl.member c do
+    Buffer.add_string b (if Buffer.length b = 0 then "{\"" else ",\"");
+    Buffer.add_substring b c.ksrc c.koff c.klen;
+    Buffer.add_string b "\":";
+    let text = String.sub c.src c.off c.len in
+    match (c.kind, float_of_string_opt text) with
+    | Jsonl.String, Some f when Float.is_finite f && Printf.sprintf "%h" f = text ->
+        Buffer.add_string b (Printf.sprintf "%.17g" f)
+    | Jsonl.String, _ -> Printf.bprintf b "\"%s\"" text
+    | _ -> Buffer.add_string b text
+  done;
+  Buffer.add_char b '}';
+  Buffer.contents b
+
+(* A store written in the decimal spelling opens without a change to
+   its file, and answers every lookup with the measurement it was
+   written from, bit for bit, handing out the line in hex. *)
+let test_decimal_store_answers () =
+  let bits (m : M.t) = Marshal.to_string m [ Marshal.No_sharing ] in
+  let m1 =
+    let m = synthetic 1 in
+    let point = { m.M.point with Point.clock_mhz = 500.0 } in
+    {
+      m with
+      M.point;
+      fp = Point.fingerprint ~workload:"legacy" point;
+      total_mw = -0.0;
+      seconds = 1.0 /. 3.0;
+    }
+  in
+  let m2 = { (synthetic 2) with M.area_um2 = 4.9e-324; datapath_mw = 0.1 +. 0.2 } in
+  let m3 = { (synthetic 3) with M.fmul_occupancy = Float.nan; seconds = Float.infinity } in
+  let ms = [ m1; m2; m3 ] in
+  let contents = String.concat "" (List.map (fun m -> decimal_line (M.to_line m) ^ "\n") ms) in
+  List.iter
+    (fun spelled -> Alcotest.(check bool) spelled true (contains contents spelled))
+    [ "\"clock_mhz\":500,"; "\"total_mw\":-0,"; "\"seconds\":0.33333333333333331,"; "\"nan\"" ];
+  with_temp_dir (fun dir ->
+      write_store dir contents;
+      let s = Shard.open_ dir in
+      Alcotest.(check int) "all lines kept" 3 (Shard.size s);
+      Alcotest.(check int) "nothing repaired" 0 (Shard.repaired_bytes s);
+      List.iter
+        (fun (m : M.t) ->
+          (match Shard.find s ~fp:m.M.fp with
+          | Some got -> Alcotest.(check bool) "find: bit for bit" true (bits got = bits m)
+          | None -> Alcotest.fail "a decimal line does not answer");
+          Alcotest.(check (option string)) "find_line: the hex line" (Some (M.to_line m))
+            (Shard.find_line s ~fp:m.M.fp))
+        ms;
+      Shard.close s;
+      Alcotest.(check string) "file unchanged" contents (read_file (lines_of dir)))
+
 let suite =
   [
+    Alcotest.test_case "a decimal-spelled store answers in hex, bytes untouched" `Quick
+      test_decimal_store_answers;
     Alcotest.test_case "duplicate fingerprint keeps the first add" `Quick test_first_add_wins;
     Alcotest.test_case "in-memory store" `Quick test_in_memory_has_no_path;
     Alcotest.test_case "truncated shard tail repaired" `Quick test_truncated_shard_tail_repaired;

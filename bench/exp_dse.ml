@@ -33,8 +33,8 @@ let fig4 () =
       let f x = pct (x /. total) in
       Printf.printf "%-24s %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %6.1f%% %9.2f\n"
         (short_name w) (f p.Salam.dynamic_fu_mw) (f p.Salam.dynamic_reg_mw)
-        (f p.Salam.dynamic_spm_read_mw) (f p.Salam.dynamic_spm_write_mw)
-        (f p.Salam.static_fu_mw) (f p.Salam.static_reg_mw) (f p.Salam.static_spm_mw) total)
+        (f p.Salam.dynamic_mem_read_mw) (f p.Salam.dynamic_mem_write_mw)
+        (f p.Salam.static_fu_mw) (f p.Salam.static_reg_mw) (f p.Salam.static_mem_mw) total)
     suite results;
   print_newline ()
 

@@ -36,11 +36,7 @@ let fig11 () =
     List.map
       (fun w ->
         let r = Salam.simulate w in
-        let p = r.Salam.power in
-        let salam_mw =
-          p.Salam.dynamic_fu_mw +. p.Salam.dynamic_reg_mw +. p.Salam.static_fu_mw
-          +. p.Salam.static_reg_mw
-        in
+        let salam_mw = Salam.datapath_mw r.Salam.power in
         let dp = Datapath.build (W.compile w) in
         let asic_mw =
           Salam_reference.Asic_model.power_mw dp ~stats:r.Salam.stats ~seconds:r.Salam.seconds

@@ -150,6 +150,8 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
     Printf.printf "stall cycles        : %d of %d active\n" s.Engine.stall_cycles
       s.Engine.active_cycles;
     Printf.printf "total power         : %.3f mW\n" (Salam.total_mw r.Salam.power);
+    Printf.printf "memory dyn r/w mW   : %.3f / %.3f\n" r.Salam.power.Salam.dynamic_mem_read_mw
+      r.Salam.power.Salam.dynamic_mem_write_mw;
     Printf.printf "area                : %.0f um^2\n" r.Salam.area_um2;
     (match r.Salam.spm_accesses with
     | Some (reads, writes) -> Printf.printf "SPM reads / writes  : %d / %d\n" reads writes
@@ -162,7 +164,7 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
     Option.iter
       (fun oc ->
         let filter =
-          { Trace.no_filter with Trace.f_comp = component; f_from = from_tick; f_to = to_tick }
+          { Trace.f_comp = component; f_from = from_tick; f_to = to_tick }
         in
         (match (sink, format) with
         | None, _ -> Trace.write_stats_txt oc r.Salam.sim_stats

@@ -1,6 +1,7 @@
 open Salam_soc
 module Engine = Salam_engine.Engine
 module W = Salam_workloads.Workload
+module Cacti = Salam_hw.Cacti_lite
 
 module Config = struct
   type memory =
@@ -31,27 +32,25 @@ module Config = struct
 
   let memory_name t =
     match t.memory with Spm _ -> "spm" | Cache _ -> "cache" | Dram_direct -> "dram"
-
-  let with_spm_ports t ~read ~write =
-    match t.memory with
-    | Spm s -> { t with memory = Spm { s with read_ports = read; write_ports = write } }
-    | Cache _ | Dram_direct ->
-        invalid_arg "Config.with_spm_ports: configuration does not use an SPM"
 end
 
 type power_breakdown = {
   dynamic_fu_mw : float;
   dynamic_reg_mw : float;
-  dynamic_spm_read_mw : float;
-  dynamic_spm_write_mw : float;
+  dynamic_mem_read_mw : float;
+  dynamic_mem_write_mw : float;
   static_fu_mw : float;
   static_reg_mw : float;
-  static_spm_mw : float;
+  static_mem_mw : float;
 }
 
 let total_mw p =
-  p.dynamic_fu_mw +. p.dynamic_reg_mw +. p.dynamic_spm_read_mw +. p.dynamic_spm_write_mw
-  +. p.static_fu_mw +. p.static_reg_mw +. p.static_spm_mw
+  p.dynamic_fu_mw +. p.dynamic_reg_mw +. p.dynamic_mem_read_mw +. p.dynamic_mem_write_mw
+  +. p.static_fu_mw +. p.static_reg_mw +. p.static_mem_mw
+
+let datapath_mw p = p.dynamic_fu_mw +. p.dynamic_reg_mw +. p.static_fu_mw +. p.static_reg_mw
+
+type mem_report = { cacti : Cacti.result; reads : int; writes : int }
 
 type result = {
   name : string;
@@ -65,7 +64,7 @@ type result = {
   area_um2 : float;
   fu_allocated : (Salam_hw.Fu.cls * int) list;
   fu_peak : (Salam_hw.Fu.cls * int) list;
-  memory_area_um2 : float;
+  mem_report : mem_report option;
   hw : Salam_hw.Profile.t;  (** the profile this run elaborated under *)
   spm_accesses : (int * int) option;
   cache_hits_misses : (int * int) option;
@@ -78,7 +77,7 @@ let round_pow2 n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 256
 
-let model_epoch = 2
+let model_epoch = 3
 
 (* --- fast-forward machinery -------------------------------------------- *)
 
@@ -204,6 +203,50 @@ let allocation dp =
     al_area_um2 = Salam_cdfg.Datapath.static_area_um2 dp;
   }
 
+(* The one power computation, for [simulate] and [derive]: the seven
+   terms and the area, from the allocation, the run's energy counters,
+   the register leakage and the local memory's report. *)
+let power a (s : Engine.run_stats) ~reg_leak_mw mem ~seconds =
+  let to_mw pj = if seconds <= 0.0 then 0.0 else pj *. 1e-12 /. seconds *. 1e3 in
+  let mem_term f = match mem with Some m -> f m | None -> 0.0 in
+  ( {
+      dynamic_fu_mw = to_mw s.Engine.dynamic_fu_energy_pj;
+      dynamic_reg_mw = to_mw s.Engine.dynamic_reg_energy_pj;
+      dynamic_mem_read_mw = mem_term (fun m -> to_mw (float_of_int m.reads *. m.cacti.read_energy_pj));
+      dynamic_mem_write_mw =
+        mem_term (fun m -> to_mw (float_of_int m.writes *. m.cacti.write_energy_pj));
+      static_fu_mw = a.al_fu_mw;
+      static_reg_mw = reg_leak_mw;
+      static_mem_mw = mem_term (fun m -> m.cacti.leakage_mw);
+    },
+    a.al_area_um2 +. mem_term (fun m -> m.cacti.area_um2) )
+
+(* The energy oracle recomputes each term from its counts: the FU term
+   from the per-class issue counts, the memory terms from the device's
+   reads and writes. *)
+let check_energy r =
+  let agree name reported pj =
+    let expected = if r.seconds <= 0.0 then 0.0 else pj /. r.seconds *. 1e-9 in
+    if Float.abs (reported -. expected) > 1e-9 *. Float.max (Float.abs reported) (Float.abs expected)
+    then
+      raise
+        (Engine.Invariant_violation
+           (Printf.sprintf "energy oracle: %s is %g mW, its counters give %g mW" name reported
+              expected))
+  in
+  let count n pj = float_of_int n *. pj in
+  agree "dynamic_fu_mw" r.power.dynamic_fu_mw
+    (List.fold_left
+       (fun acc (cls, n) -> acc +. count n (Salam_hw.Profile.spec r.hw cls).dynamic_pj)
+       0.0 r.stats.Engine.issued_by_class);
+  let read_pj, write_pj =
+    match r.mem_report with
+    | Some m -> (count m.reads m.cacti.read_energy_pj, count m.writes m.cacti.write_energy_pj)
+    | None -> (0.0, 0.0)
+  in
+  agree "dynamic_mem_read_mw" r.power.dynamic_mem_read_mw read_pj;
+  agree "dynamic_mem_write_mw" r.power.dynamic_mem_write_mw write_pj
+
 let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?probe ?inspect
     (w : W.t) =
   let wall_start = Unix.gettimeofday () in
@@ -263,63 +306,48 @@ let simulate ?(config = Config.default) ?trace ?func ?(invocations = 1) ?from ?p
   let seconds =
     Salam_sim.Clock.seconds_of_cycles (Accelerator.clock acc) stats.Engine.cycles
   in
-  let acc_power = Accelerator.power acc ~elapsed_seconds:seconds in
-  let to_mw pj = if seconds <= 0.0 then 0.0 else pj *. 1e-12 /. seconds *. 1e3 in
-  let spm_read_mw, spm_write_mw, spm_leak, spm_area, spm_accesses =
-    match b.b_spm with
-    | Some s ->
-        let cacti = Salam_mem.Spm.cacti s in
-        let reads = Salam_mem.Spm.reads s and writes = Salam_mem.Spm.writes s in
-        ( to_mw (float_of_int reads *. cacti.Salam_hw.Cacti_lite.read_energy_pj),
-          to_mw (float_of_int writes *. cacti.Salam_hw.Cacti_lite.write_energy_pj),
-          cacti.Salam_hw.Cacti_lite.leakage_mw,
-          cacti.Salam_hw.Cacti_lite.area_um2,
-          Some (reads, writes) )
-    | None -> (0.0, 0.0, 0.0, 0.0, None)
+  let mem_report =
+    let open Salam_mem in
+    match (b.b_spm, b.b_cache) with
+    | Some s, _ -> Some { cacti = Spm.cacti s; reads = Spm.reads s; writes = Spm.writes s }
+    | None, Some c -> Some { cacti = Cache.cacti c; reads = Cache.reads c; writes = Cache.writes c }
+    | None, None -> None
   in
-  let cache_hm, cache_leak, cache_area =
-    match b.b_cache with
-    | Some c -> (Some (Salam_mem.Cache.hits c, Salam_mem.Cache.misses c),
-                 Salam_mem.Cache.leakage_mw c, Salam_mem.Cache.area_um2 c)
-    | None -> (None, 0.0, 0.0)
+  let dp = Accelerator.datapath acc in
+  let a = allocation dp in
+  let power, area_um2 =
+    power a stats ~reg_leak_mw:(Salam_cdfg.Datapath.reg_leakage_mw dp) mem_report ~seconds
   in
-  let a = allocation (Accelerator.datapath acc) in
   let engine = Accelerator.engine acc in
-  (* one of the two is 0: the sum is exactly the one that is not *)
-  let memory_area_um2 = spm_area +. cache_area in
-  {
-    name = w.W.name;
-    cycles = stats.Engine.cycles;
-    seconds;
-    correct;
-    ret = !ret;
-    bases;
-    stats;
-    power =
-      {
-        dynamic_fu_mw = acc_power.Accelerator.dynamic_fu_mw;
-        dynamic_reg_mw = acc_power.Accelerator.dynamic_reg_mw;
-        dynamic_spm_read_mw = spm_read_mw;
-        dynamic_spm_write_mw = spm_write_mw;
-        static_fu_mw = a.al_fu_mw;
-        static_reg_mw = acc_power.Accelerator.static_reg_mw;
-        static_spm_mw = spm_leak +. cache_leak;
-      };
-    area_um2 = a.al_area_um2 +. memory_area_um2;
-    fu_allocated = a.al_units;
-    fu_peak =
-      List.filter_map
-        (fun cls ->
-          match Engine.fu_peak engine cls with 0 -> None | n -> Some (cls, n))
-        Salam_hw.Fu.all;
-    memory_area_um2;
-    hw = config.Config.hw;
-    spm_accesses;
-    cache_hits_misses = cache_hm;
-    wall_seconds = Unix.gettimeofday () -. wall_start;
-    kernel_events = Salam_sim.Kernel.events_executed (System.kernel sys);
-    sim_stats = sim_stats_of b;
-  }
+  let r =
+    {
+      name = w.W.name;
+      cycles = stats.Engine.cycles;
+      seconds;
+      correct;
+      ret = !ret;
+      bases;
+      stats;
+      power;
+      area_um2;
+      fu_allocated = a.al_units;
+      fu_peak =
+        List.filter_map
+          (fun cls ->
+            match Engine.fu_peak engine cls with 0 -> None | n -> Some (cls, n))
+          Salam_hw.Fu.all;
+      mem_report;
+      hw = config.Config.hw;
+      spm_accesses = Option.map (fun s -> (Salam_mem.Spm.reads s, Salam_mem.Spm.writes s)) b.b_spm;
+      cache_hits_misses =
+        Option.map (fun c -> (Salam_mem.Cache.hits c, Salam_mem.Cache.misses c)) b.b_cache;
+      wall_seconds = Unix.gettimeofday () -. wall_start;
+      kernel_events = Salam_sim.Kernel.events_executed (System.kernel sys);
+      sim_stats = sim_stats_of b;
+    }
+  in
+  if config.Config.engine.Engine.check then check_energy r;
+  r
 
 (* A run under a tighter allocation, answered from a looser run's
    counters. Let loose >= tight for each class (the run's allocation
@@ -347,11 +375,15 @@ let derive ~config (w : W.t) r =
       (fun (cls, tight) -> units r.fu_peak cls <= tight && tight <= units r.fu_allocated cls)
       a.al_units
   then
+    let power, area_um2 =
+      power a r.stats ~reg_leak_mw:(Salam_cdfg.Datapath.reg_leakage_mw dp) r.mem_report
+        ~seconds:r.seconds
+    in
     Some
       {
         r with
-        power = { r.power with static_fu_mw = a.al_fu_mw };
-        area_um2 = a.al_area_um2 +. r.memory_area_um2;
+        power;
+        area_um2;
         fu_allocated = a.al_units;
         wall_seconds = Unix.gettimeofday () -. wall_start;
       }

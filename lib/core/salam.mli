@@ -42,23 +42,32 @@ module Config : sig
 
   val memory_name : t -> string
   (** ["spm"], ["cache"] or ["dram"]: the memory attachment's kind. *)
-
-  val with_spm_ports : t -> read:int -> write:int -> t
 end
 
 type power_breakdown = {
   dynamic_fu_mw : float;
   dynamic_reg_mw : float;
-  dynamic_spm_read_mw : float;
-  dynamic_spm_write_mw : float;
+  dynamic_mem_read_mw : float;
+  dynamic_mem_write_mw : float;
   static_fu_mw : float;
   static_reg_mw : float;
-  static_spm_mw : float;
+  static_mem_mw : float;
 }
-(** The seven components of the paper's Fig 4. SPM terms are zero for
-    cache or DRAM configurations (cache energy is reported separately). *)
+(** The seven components of the paper's Fig 4. The memory terms are the
+    SPM's or the cache's; zero on DRAM, whose energy is not modelled. *)
 
 val total_mw : power_breakdown -> float
+
+val datapath_mw : power_breakdown -> float
+(** The FU and register terms (Fig 11's datapath power). *)
+
+type mem_report = {
+  cacti : Salam_hw.Cacti_lite.result;
+  reads : int;  (** array accesses, in the Cacti record's words *)
+  writes : int;
+}
+(** What an SPM or a cache reports for power, through the same three
+    calls ([cacti], [reads], [writes]) on either. *)
 
 type result = {
   name : string;
@@ -79,7 +88,7 @@ type result = {
           issue found in use, itself included
           ({!Salam_engine.Engine.fu_peak}) — the allocation the run
           needed, and the witness {!derive} checks *)
-  memory_area_um2 : float;  (** the local memory's part of [area_um2] *)
+  mem_report : mem_report option;  (** the SPM's or the cache's; [None] on DRAM *)
   hw : Salam_hw.Profile.t;
       (** the profile this run elaborated under — occupancy and power
           derivations must use it, never a compiled-in default *)
@@ -129,7 +138,8 @@ val model_epoch : int
     it first, so a stored answer keys to the model that measured it;
     bump it with any change that moves a simulated figure (1: FU caps
     hold per cycle, not per tick; 2: an unpipelined op issued this cycle
-    counts once against its class's cap). A figure golden re-blessed
+    counts once against its class's cap; 3: a cache's array reads and
+    writes count in its dynamic memory power). A figure golden re-blessed
     without a bump fails the "figure goldens pinned to the model epoch"
     test. *)
 
@@ -180,10 +190,17 @@ val simulate :
     With [config.engine.check] on, the engine checks its timing
     invariants as it runs (see {!Salam_engine.Engine.config}) and, for a
     cache attachment, [simulate] checks {!Salam_mem.Cache.invariant_errors}
-    once the last invocation completes. Either failure raises
-    {!Salam_engine.Engine.Invariant_violation}; a cache violation names
-    the cache. Check mode is read-only: cycles, statistics and traces
-    match an unchecked run. *)
+    once the last invocation completes, then {!check_energy} on the
+    result. Each failure raises {!Salam_engine.Engine.Invariant_violation};
+    a cache violation names the cache. Check mode is read-only: cycles,
+    statistics and traces match an unchecked run. *)
+
+val check_energy : result -> unit
+(** The energy oracle: [dynamic_fu_mw] must equal [stats.issued_by_class]
+    times the profile's energies, and each dynamic memory term
+    [mem_report]'s reads or writes times its Cacti energy, to a relative
+    1e-9, or {!Salam_engine.Engine.Invariant_violation} names the term.
+    The register term is the engine's own counter, not recomputed. *)
 
 val derive : config:Config.t -> Salam_workloads.Workload.t -> result -> result option
 (** [derive ~config w r] answers [simulate ~config w] (with the

@@ -50,9 +50,7 @@ let of_result ~workload ~point (r : Salam.result) =
     cycles = r.Salam.cycles;
     seconds = r.Salam.seconds;
     total_mw = Salam.total_mw p;
-    datapath_mw =
-      p.Salam.dynamic_fu_mw +. p.Salam.dynamic_reg_mw +. p.Salam.static_fu_mw
-      +. p.Salam.static_reg_mw;
+    datapath_mw = Salam.datapath_mw p;
     area_um2 = r.Salam.area_um2;
     correct = r.Salam.correct;
     active_cycles = s.Engine.active_cycles;

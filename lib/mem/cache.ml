@@ -60,6 +60,8 @@ type t = {
   s_misses : Stats.scalar;
   s_writebacks : Stats.scalar;
   s_fragments : Stats.scalar;
+  s_array_reads : Stats.scalar;  (** 64-bit words, the unit of [cacti] *)
+  s_array_writes : Stats.scalar;
   mutable port : Port.t option;
 }
 
@@ -119,6 +121,12 @@ let emit_access t cat ~detail f extra =
 
 let is_write t f = t.frags.Req_table.op.(f) = Packet.Write
 
+(* a hit, or a waiter its line's fill completes: one word of its kind *)
+let count_word t f =
+  if is_write t f then Stats.incr t.s_array_writes else Stats.incr t.s_array_reads
+
+let line_words t = float_of_int (t.cfg.line_bytes / 8)
+
 (* Hit completions staged in this pass are scheduled before anything
    else is, so that they keep their place in the event order. *)
 let flush_hits t = Completion_queue.close t.hits ~cycles:t.cfg.hit_latency
@@ -167,6 +175,7 @@ and try_lookup t f =
   if way >= 0 then begin
     let line = set.(way) in
     Stats.incr t.s_hits;
+    count_word t f;
     emit_access t Trace.Cache_hit ~detail:(if is_write t f then "write" else "read") f [];
     touch t line;
     if is_write t f then line.dirty <- true;
@@ -219,6 +228,7 @@ and try_lookup t f =
         flush_hits t;
         if v.valid && v.dirty then begin
           Stats.incr t.s_writebacks;
+          Stats.add t.s_array_reads (line_words t);
           Port.send t.lower Packet.Write ~addr:v.tag ~size:t.cfg.line_bytes Port.no_completion 0
         end;
         v.valid <- false;
@@ -243,9 +253,11 @@ let fill t m =
   touch t v;
   t.m_used.(m) <- false;
   t.n_mshrs <- t.n_mshrs - 1;
+  Stats.add t.s_array_writes (line_words t);
   let f = ref t.m_head.(m) in
   while !f >= 0 do
     if is_write t !f then v.dirty <- true;
+    count_word t !f;
     Completion_queue.add t.hits t.frag_complete !f;
     f := t.f_next.(!f)
   done;
@@ -346,6 +358,8 @@ let create kernel clock stats cfg ~lower =
       s_misses = Stats.scalar group "misses";
       s_writebacks = Stats.scalar group "writebacks";
       s_fragments = Stats.scalar group "fragments";
+      s_array_reads = Stats.scalar group "array_reads";
+      s_array_writes = Stats.scalar group "array_writes";
       port = None;
     }
   in
@@ -390,10 +404,8 @@ let flush t =
         set)
     t.lines
 
-let energy_pj t =
-  let accesses = Stats.value t.s_hits +. Stats.value t.s_misses in
-  accesses *. t.cacti.Salam_hw.Cacti_lite.read_energy_pj
+let cacti t = t.cacti
 
-let leakage_mw t = t.cacti.Salam_hw.Cacti_lite.leakage_mw
+let reads t = int_of_float (Stats.value t.s_array_reads)
 
-let area_um2 t = t.cacti.Salam_hw.Cacti_lite.area_um2
+let writes t = int_of_float (Stats.value t.s_array_writes)

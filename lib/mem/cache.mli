@@ -48,8 +48,13 @@ val flush : t -> unit
 (** Invalidate everything (drop dirty lines silently — data is always in
     the backing store); used between host/accelerator hand-offs. *)
 
-val energy_pj : t -> float
+val cacti : t -> Salam_hw.Cacti_lite.result
+(** The SRAM model (64-bit words, [lookup_ports] read ports). *)
 
-val leakage_mw : t -> float
+val reads : t -> int
+(** Array reads in 64-bit words: one per read hit and per read waiter a
+    fill completes, [line_bytes / 8] per dirty line written back. *)
 
-val area_um2 : t -> float
+val writes : t -> int
+(** Array writes in 64-bit words: one per write hit and per write waiter
+    a fill completes, [line_bytes / 8] per line fill. *)

@@ -37,6 +37,7 @@ val create : Salam_sim.Kernel.t -> Salam_sim.Clock.t -> Salam_sim.Stats.group ->
 val port : t -> Port.t
 
 val reads : t -> int
+(** One per read access, in the words of {!cacti}. *)
 
 val writes : t -> int
 

@@ -156,10 +156,6 @@ let count sink = Queue.length sink.buf
 
 let dropped sink = sink.n_dropped
 
-let clear sink =
-  Queue.clear sink.buf;
-  sink.n_dropped <- 0
-
 (* Canonical order: by tick, ties broken by emission order. A component
    that finalises a cycle retroactively (the engine's stall accounting)
    emits with the cycle-start tick after later-tick events may already
@@ -175,13 +171,12 @@ let events sink =
 (* --- filtering --------------------------------------------------------- *)
 
 type filter = {
-  f_cats : category list option;
   f_comp : string option;  (** substring match on the component name *)
   f_from : int64 option;
   f_to : int64 option;
 }
 
-let no_filter = { f_cats = None; f_comp = None; f_from = None; f_to = None }
+let no_filter = { f_comp = None; f_from = None; f_to = None }
 
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -195,8 +190,7 @@ let contains_substring hay needle =
   end
 
 let matches f ev =
-  (match f.f_cats with None -> true | Some cs -> List.mem ev.cat cs)
-  && (match f.f_comp with None -> true | Some c -> contains_substring ev.comp c)
+  (match f.f_comp with None -> true | Some c -> contains_substring ev.comp c)
   && (match f.f_from with None -> true | Some t -> Int64.compare ev.tick t >= 0)
   && match f.f_to with None -> true | Some t -> Int64.compare ev.tick t <= 0
 

@@ -77,13 +77,10 @@ val count : sink -> int
 val dropped : sink -> int
 (** Events evicted from a ring-bounded sink so far. *)
 
-val clear : sink -> unit
-
 val events : sink -> event list
 (** Canonical order: by tick, emission order at equal ticks. *)
 
 type filter = {
-  f_cats : category list option;
   f_comp : string option;  (** substring match on the component name *)
   f_from : int64 option;
   f_to : int64 option;

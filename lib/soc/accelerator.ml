@@ -16,12 +16,6 @@ type t = {
   clock : Clock.t;
 }
 
-type power_report = {
-  static_reg_mw : float;
-  dynamic_fu_mw : float;
-  dynamic_reg_mw : float;
-}
-
 let decode_arg (p : Ast.var) raw =
   match p.ty with
   | Ty.F32 -> Bits.Float (Int32.float_of_bits (Int64.to_int32 raw))
@@ -84,12 +78,3 @@ let clock t = t.clock
 let add_ordered_range t ~base ~size = Engine.add_ordered_range (engine t) ~base ~size
 
 let stats t = Engine.stats (engine t)
-
-let power t ~elapsed_seconds =
-  let stats = Engine.stats (engine t) in
-  let to_mw pj = if elapsed_seconds <= 0.0 then 0.0 else pj *. 1e-12 /. elapsed_seconds *. 1e3 in
-  {
-    static_reg_mw = Datapath.reg_leakage_mw (datapath t);
-    dynamic_fu_mw = to_mw stats.Engine.dynamic_fu_energy_pj;
-    dynamic_reg_mw = to_mw stats.Engine.dynamic_reg_energy_pj;
-  }

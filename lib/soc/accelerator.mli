@@ -55,19 +55,3 @@ val add_ordered_range : t -> base:int64 -> size:int -> unit
     memory for this accelerator's engine. *)
 
 val stats : t -> Salam_engine.Engine.run_stats
-
-(** {2 Power and area} *)
-
-type power_report = {
-  static_reg_mw : float;
-  dynamic_fu_mw : float;
-  dynamic_reg_mw : float;
-}
-
-val power : t -> elapsed_seconds:float -> power_report
-(** The power terms that do not depend on the functional-unit
-    allocation, averaged over the elapsed window: register leakage from
-    the static datapath, dynamic power from the engine's energy
-    counters. The allocation's leakage and area are
-    {!Salam_cdfg.Datapath.fu_leakage_mw} and
-    {!Salam_cdfg.Datapath.static_area_um2} of {!datapath}. *)

@@ -3,8 +3,12 @@
    make the claim EXPERIMENTS.md states for the figure, and each fails
    on a planted perturbation of its golden. *)
 
+(* the goldens are copied next to the test executable, so any working
+   directory reads them *)
 let golden name =
-  In_channel.with_open_bin (Filename.concat "golden" (Filename.concat "figures" name))
+  In_channel.with_open_bin
+    (Filename.concat (Filename.dirname Sys.executable_name)
+       (Filename.concat "golden" (Filename.concat "figures" name)))
     In_channel.input_all
 
 (* the whitespace-separated words of each line from the one after the
@@ -430,6 +434,90 @@ let test_fig15c_gap () =
     (replace ~sub:"    2           37.5%       1.2%      37.5%         4773"
        ~by:"    2           45.0%       1.2%      30.0%         4773" text)
 
+(* Fig 13: (a) at each FU budget, more read ports never cost time and
+   always cost power (datapath+mem mW strictly rises); (b) every cache
+   row's memory power (datapath+mem less datapath) exceeds that cache's
+   Cacti leakage by more than the 0.01 mW the figure prints: a cache's
+   dynamic energy is counted. *)
+let fig13_claim text =
+  let rows = table ~header:"configuration" ~last:(( = ) "") text in
+  let spm =
+    List.filter_map
+      (function
+        | [ "SPM,"; budget; "FADD/FMUL,"; ports; "rd"; "ports"; time; _; total ] ->
+            Some (budget, (int_of_string ports, float_of_string time, float_of_string total))
+        | _ -> None)
+      rows
+  in
+  let cache =
+    List.filter_map
+      (function
+        | [ "cache"; size; _; datapath; total ] ->
+            let bytes = int_of_string (String.sub size 0 (String.length size - 1)) in
+            Some (size, bytes, float_of_string total -. float_of_string datapath)
+        | _ -> None)
+      rows
+  in
+  let rec rising budget = function
+    | (p1, t1, w1) :: ((p2, t2, w2) :: _ as rest) ->
+        if t2 > t1 then Error (Printf.sprintf "%s FUs: %d ports slower than %d" budget p2 p1)
+        else if w2 <= w1 then
+          Error (Printf.sprintf "%s FUs: %d ports draw no more than %d" budget p2 p1)
+        else rising budget rest
+    | _ -> Ok ()
+  in
+  let budgets = List.sort_uniq compare (List.map fst spm) in
+  let leakage bytes =
+    let cfg = Salam_mem.Cache.default_config ~name:"fig13" ~size:bytes in
+    (Salam_hw.Cacti_lite.evaluate
+       {
+         Salam_hw.Cacti_lite.capacity_bytes = bytes;
+         word_bits = 64;
+         read_ports = cfg.Salam_mem.Cache.lookup_ports;
+         write_ports = 1;
+       })
+      .Salam_hw.Cacti_lite.leakage_mw
+  in
+  if List.length spm <> 20 || List.length cache <> 3 then
+    Error (Printf.sprintf "%d SPM and %d cache rows" (List.length spm) (List.length cache))
+  else
+    match
+      List.find_map
+        (fun b ->
+          let sweep = List.sort compare (List.filter_map (fun (b', r) -> if b' = b then Some r else None) spm) in
+          match rising b sweep with Ok () -> None | Error e -> Some e)
+        budgets
+    with
+    | Some e -> Error e
+    | None -> (
+        match
+          List.find_opt (fun (_, bytes, mem) -> mem <= leakage bytes +. 0.01) cache
+        with
+        | Some (size, bytes, mem) ->
+            Error
+              (Printf.sprintf "cache %s: memory %.2f mW is its leakage (%.2f mW)" size mem
+                 (leakage bytes))
+        | None -> Ok ())
+
+let test_fig13 () =
+  let text = golden "fig13.out" in
+  holds "Fig 13 golden" fig13_claim text;
+  refused "Fig 13 with the cache rows at leakage only (model epoch 2)" fig13_claim
+    (edit_lines
+       [
+         ("cache 512B", fun _ -> "cache 512B                                19.78          35.48          35.49");
+         ("cache 2048B", fun _ -> "cache 2048B                               11.83          38.78          38.83");
+         ("cache 8192B", fun _ -> "cache 8192B                                9.80          40.48          40.69");
+       ]
+       text);
+  refused "Fig 13 with 4 and 8 ports' power swapped at 2 FUs" fig13_claim
+    (edit_lines
+       [
+         ("SPM, 2 FADD/FMUL, 4 rd", replace ~sub:"29.85" ~by:"34.11");
+         ("SPM, 2 FADD/FMUL, 8 rd", replace ~sub:"34.11" ~by:"29.85");
+       ]
+       text)
+
 let suite =
   [
     Alcotest.test_case "Fig 16 claim: private < shared SPM < streams" `Quick test_fig16;
@@ -446,4 +534,6 @@ let suite =
     Alcotest.test_case "known gap: Fig 15(c) scheduled mix is constant" `Quick test_fig15c_gap;
     Alcotest.test_case "Fig 4 claim: dynamic FU leads FP kernels, registers and SPM lead BFS, NW"
       `Quick test_fig4;
+    Alcotest.test_case "Fig 13 claim: ports cost power, not time; caches draw dynamic power" `Quick
+      test_fig13;
   ]

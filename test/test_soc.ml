@@ -18,15 +18,14 @@ let test_simulate_spm_configs () =
       check Alcotest.bool "cycles positive" true (Int64.compare r.Salam.cycles 0L > 0))
     (Salam_workloads.Suite.quick ())
 
+let cache_config =
+  {
+    Salam.Config.default with
+    Salam.Config.memory = Salam.Config.Cache { size = 4096; line_bytes = 64; ways = 4; hit_latency = 2 };
+  }
+
 let test_simulate_cache_config () =
-  let config =
-    {
-      Salam.Config.default with
-      Salam.Config.memory =
-        Salam.Config.Cache { size = 4096; line_bytes = 64; ways = 4; hit_latency = 2 };
-    }
-  in
-  let r = Salam.simulate ~config (Salam_workloads.Gemm.workload ~n:8 ()) in
+  let r = Salam.simulate ~config:cache_config (Salam_workloads.Gemm.workload ~n:8 ()) in
   check Alcotest.bool "correct with cache" true r.Salam.correct;
   match r.Salam.cache_hits_misses with
   | Some (hits, misses) ->
@@ -44,24 +43,28 @@ let test_simulate_spm_access_conservation () =
 let test_simulate_ports_affect_cycles () =
   let w = Salam_workloads.Gemm.workload ~n:8 ~unroll:4 () in
   let at ports =
-    (Salam.simulate ~config:(Salam.Config.with_spm_ports Salam.Config.default ~read:ports ~write:2) w).Salam.cycles
+    let memory = Salam.Config.Spm { read_ports = ports; write_ports = 2; banks = 2; latency = 1 } in
+    (Salam.simulate ~config:{ Salam.Config.default with Salam.Config.memory } w).Salam.cycles
   in
   check Alcotest.bool "more ports, no slower" true (Int64.compare (at 8) (at 1) <= 0)
 
 let test_power_breakdown_positive () =
-  let r = Salam.simulate (Salam_workloads.Stencil2d.workload ~rows:12 ~cols:12 ()) in
-  let p = r.Salam.power in
-  check Alcotest.bool "all seven components positive" true
-    (p.Salam.dynamic_fu_mw > 0.0 && p.Salam.dynamic_reg_mw > 0.0
-    && p.Salam.dynamic_spm_read_mw > 0.0
-    && p.Salam.dynamic_spm_write_mw > 0.0
-    && p.Salam.static_fu_mw > 0.0 && p.Salam.static_reg_mw > 0.0
-    && p.Salam.static_spm_mw > 0.0);
-  check (Alcotest.float 1e-9) "total is the sum"
-    (p.Salam.dynamic_fu_mw +. p.Salam.dynamic_reg_mw +. p.Salam.dynamic_spm_read_mw
-    +. p.Salam.dynamic_spm_write_mw +. p.Salam.static_fu_mw +. p.Salam.static_reg_mw
-    +. p.Salam.static_spm_mw)
-    (Salam.total_mw p)
+  let w = Salam_workloads.Stencil2d.workload ~rows:12 ~cols:12 () in
+  List.iter
+    (fun (kind, config) ->
+      let p = (Salam.simulate ~config w).Salam.power in
+      check Alcotest.bool (kind ^ ": all seven components positive") true
+        (p.Salam.dynamic_fu_mw > 0.0 && p.Salam.dynamic_reg_mw > 0.0
+        && p.Salam.dynamic_mem_read_mw > 0.0
+        && p.Salam.dynamic_mem_write_mw > 0.0
+        && p.Salam.static_fu_mw > 0.0 && p.Salam.static_reg_mw > 0.0
+        && p.Salam.static_mem_mw > 0.0);
+      check (Alcotest.float 1e-9) (kind ^ ": total is the sum")
+        (p.Salam.dynamic_fu_mw +. p.Salam.dynamic_reg_mw +. p.Salam.dynamic_mem_read_mw
+        +. p.Salam.dynamic_mem_write_mw +. p.Salam.static_fu_mw +. p.Salam.static_reg_mw
+        +. p.Salam.static_mem_mw)
+        (Salam.total_mw p))
+    [ ("spm", Salam.Config.default); ("cache", cache_config) ]
 
 (* the full bare-metal flow: host writes argument MMRs and the control
    register over the fabric; the accelerator decodes them, runs, and
@@ -276,6 +279,41 @@ let test_shared_spm_routes_via_xbar () =
   check Alcotest.bool "store completed" true !completed;
   check Alcotest.int "store landed in the shared SPM" 1 (Salam_mem.Spm.writes spm)
 
+(* The energy oracle, which simulate runs in check mode, over the quick
+   suite on every memory kind; and a result with one term planted
+   missing fails it, naming the term. *)
+let test_energy_oracle () =
+  let check_mode config =
+    { config with Salam.Config.engine = { Engine.default_config with Engine.check = true } }
+  in
+  let memories =
+    [
+      ("spm", Salam.Config.default); ("cache", cache_config);
+      ("dram", { Salam.Config.default with Salam.Config.memory = Salam.Config.Dram_direct });
+    ]
+  in
+  List.iter
+    (fun (kind, config) ->
+      List.iter
+        (fun w ->
+          let r = Salam.simulate ~config:(check_mode config) w in
+          Salam.check_energy r;
+          if kind <> "dram" then
+            check Alcotest.bool
+              (Printf.sprintf "%s on %s: both memory dynamic terms positive" w.W.name kind)
+              true
+              (r.Salam.power.Salam.dynamic_mem_read_mw > 0.0
+              && r.Salam.power.Salam.dynamic_mem_write_mw > 0.0))
+        (Salam_workloads.Suite.quick ()))
+    memories;
+  let r = Salam.simulate ~config:cache_config (Salam_workloads.Gemm.workload ~n:8 ()) in
+  let planted = { r with Salam.power = { r.Salam.power with Salam.dynamic_mem_write_mw = 0.0 } } in
+  match Salam.check_energy planted with
+  | () -> Alcotest.fail "a missing dynamic_mem_write_mw passed the energy oracle"
+  | exception Engine.Invariant_violation msg ->
+      check Alcotest.bool ("the violation names the term: " ^ msg) true
+        (String.starts_with ~prefix:"energy oracle: dynamic_mem_write_mw " msg)
+
 let suite =
   [
     Alcotest.test_case "simulate quick suite (SPM)" `Quick test_simulate_spm_configs;
@@ -294,4 +332,6 @@ let suite =
       test_stream_link_ordered_ranges;
     Alcotest.test_case "shared SPM reachable through local crossbar" `Quick
       test_shared_spm_routes_via_xbar;
+    Alcotest.test_case "energy oracle: quick suite x SPM/cache/DRAM, planted term refused" `Quick
+      test_energy_oracle;
   ]

@@ -28,9 +28,7 @@ let test_ring_bound () =
     List.map (fun (e : Trace.event) -> List.assoc "k" e.Trace.args) (Trace.events sink)
   in
   check Alcotest.bool "last four events survive" true
-    (ks = [ Trace.I 6L; Trace.I 7L; Trace.I 8L; Trace.I 9L ]);
-  Trace.clear sink;
-  check Alcotest.int "clear empties" 0 (Trace.count sink)
+    (ks = [ Trace.I 6L; Trace.I 7L; Trace.I 8L; Trace.I 9L ])
 
 let test_category_gating () =
   let sink = Trace.create ~categories:[ Trace.Cache_miss ] () in
@@ -74,12 +72,17 @@ let test_category_names_roundtrip () =
 (* --- filters ------------------------------------------------------------ *)
 
 let test_filters () =
+  let emit_three sink =
+    Trace.emit sink ~tick:5L ~comp:"eng.gemm" ~cat:Trace.Engine_issue [];
+    Trace.emit sink ~tick:15L ~comp:"eng.gemm" ~cat:Trace.Cache_miss [];
+    Trace.emit sink ~tick:25L ~comp:"l1" ~cat:Trace.Cache_miss []
+  in
   let sink = Trace.create () in
-  Trace.emit sink ~tick:5L ~comp:"eng.gemm" ~cat:Trace.Engine_issue [];
-  Trace.emit sink ~tick:15L ~comp:"eng.gemm" ~cat:Trace.Cache_miss [];
-  Trace.emit sink ~tick:25L ~comp:"l1" ~cat:Trace.Cache_miss [];
-  let by_cat = { Trace.no_filter with Trace.f_cats = Some [ Trace.Cache_miss ] } in
-  check Alcotest.int "category filter" 2 (List.length (Trace.filtered ~filter:by_cat sink));
+  emit_three sink;
+  (* categories are chosen when the sink is made, as salam_sim --category does *)
+  let by_cat = Trace.create ~categories:[ Trace.Cache_miss ] () in
+  emit_three by_cat;
+  check Alcotest.int "category filter" 2 (List.length (Trace.filtered by_cat));
   let by_comp = { Trace.no_filter with Trace.f_comp = Some "gemm" } in
   check Alcotest.int "component substring" 2
     (List.length (Trace.filtered ~filter:by_comp sink));
@@ -185,6 +188,12 @@ let test_stats_txt () =
 
 (* --- golden-trace regression -------------------------------------------- *)
 
+(* The goldens are copied next to the test executable, so any working
+   directory reads them. *)
+let test_dir = Filename.dirname Sys.executable_name
+
+let golden_dir = Filename.concat test_dir "golden"
+
 let read_lines path =
   let ic = open_in path in
   Fun.protect
@@ -211,7 +220,7 @@ let check_golden_sleeping name () =
              Salam_engine.Engine.per_cycle_categories)
     | _ -> true
   in
-  let golden = List.filter kept (read_lines (Filename.concat "golden" (name ^ ".trace"))) in
+  let golden = List.filter kept (read_lines (Filename.concat golden_dir (name ^ ".trace"))) in
   let current =
     String.split_on_char '\n' (String.trim (Check_trace.capture ~sleeping:true name))
   in
@@ -246,41 +255,45 @@ let test_golden_files_match_scenarios () =
       (fun f ->
         if Filename.check_suffix f ".trace" then Some (Filename.chop_suffix f ".trace")
         else None)
-      (Array.to_list (Sys.readdir "golden"))
+      (Array.to_list (Sys.readdir golden_dir))
   in
   check
     Alcotest.(list string)
     "golden/*.trace = scenario names"
     (List.sort compare Check_trace.names)
     (List.sort compare files);
-  check Alcotest.(list string) "golden/*.trace without one diff rule" [] (unruled "golden" ".trace");
+  check Alcotest.(list string) "golden/*.trace without one diff rule" [] (unruled golden_dir ".trace");
   check
     Alcotest.(list string)
     "golden/dune diffs exactly the scenarios' traces"
     (List.sort compare (List.map (fun n -> n ^ ".trace") Check_trace.names))
-    (List.sort compare (diffed (Filename.concat "golden" "dune")))
+    (List.sort compare (diffed (Filename.concat golden_dir "dune")))
 
 (* Every golden figure has one diff rule in golden/figures/dune; a .out
    file with no rule would otherwise go unchecked. *)
 let test_golden_figures_have_rules () =
   check Alcotest.(list string) "golden/figures/*.out without one diff rule" []
-    (unruled (Filename.concat "golden" "figures") ".out")
+    (unruled (Filename.concat golden_dir "figures") ".out")
 
 (* share/dune diffs the shipped database against its render. *)
 let test_shipped_db_has_rule () =
   check Alcotest.(list string) "share/dune diffs the shipped database" [ "salam-40nm.db" ]
-    (diffed (Filename.concat ".." (Filename.concat "share" "dune")))
+    (diffed (Filename.concat (Filename.dirname test_dir) (Filename.concat "share" "dune")))
 
 (* The figures' digest at each model epoch. Stored answers are keyed to
    the epoch ([Salam.model_epoch], hashed into every fingerprint), so a
    model change that moves a figure must bump it; re-blessing a figure
    without a bump fails here. A bump adds its row (epoch 2 moved no
-   figure). *)
+   figure; epoch 3 moved Fig 13's cache rows). *)
 let figure_digests =
-  [ (1, "219fb9ca9fbb620ddd6dea5c1cfa1d65"); (2, "219fb9ca9fbb620ddd6dea5c1cfa1d65") ]
+  [
+    (1, "219fb9ca9fbb620ddd6dea5c1cfa1d65");
+    (2, "219fb9ca9fbb620ddd6dea5c1cfa1d65");
+    (3, "7fd487d5b54bf299cb4662a7baff3493");
+  ]
 
 let test_golden_figures_pinned_to_epoch () =
-  let dir = Filename.concat "golden" "figures" in
+  let dir = Filename.concat golden_dir "figures" in
   let outs =
     List.sort compare
       (List.filter (fun f -> Filename.check_suffix f ".out") (Array.to_list (Sys.readdir dir)))

@@ -4,11 +4,14 @@
      dune exec bin/salam_dse.exe -- run --workload gemm --mem spm,cache \
          --ports 1,2,4,8,16 --fu 0,2,4,8 --cache-size 512,2048,8192
      dune exec bin/salam_dse.exe -- run --workload gemm --strategy pareto --rounds 4
-     dune exec bin/salam_dse.exe -- resume --workload gemm --store gemm.d
      dune exec bin/salam_dse.exe -- front --store gemm.d --csv front.csv
      dune exec bin/salam_dse.exe -- explain-config --store gemm.d 8f3a...
 
-   Exit status: 0 on success; 1 on bad arguments or a missing store;
+   A sweep against an existing --store answers every point already
+   measured from it and simulates only the rest, so rerunning an
+   interrupted [run] resumes it.
+
+   Exit status: 0 on success; 1 on bad arguments or a refused store;
    2 when any simulated point computed a wrong result. *)
 
 open Cmdliner
@@ -145,7 +148,7 @@ let default_unroll (target : Explore.target) ~cap = function
           let rec largest f = if trips mod f = 0 then f else largest (f - 1) in
           [ largest (min cap trips) ])
 
-let run_sweep ~require_store workload n store_path server mems ports write_ports banks fu
+let run_sweep workload n store_path server mems ports write_ports banks fu
     cache_sizes unrolls junrolls clocks cycle_times hw_db_paths strategy samples rounds seed
     domains csv quiet invocations fast_forward =
   let target = target_of ~workload ~n in
@@ -184,7 +187,6 @@ let run_sweep ~require_store workload n store_path server mems ports write_ports
          process only enumerates the space and renders the report *)
       if store_path <> None then
         die "--server and --store are mutually exclusive (the daemon owns the store)";
-      if require_store then die "resume works against a local --store, not --server";
       if domains <> None then die "--domains has no effect with --server (the daemon decides)";
       let spec = { Salam_served.Protocol.workload; gemm_n = n; invocations; fast_forward } in
       let run () =
@@ -217,16 +219,12 @@ let run_sweep ~require_store workload n store_path server mems ports write_ports
       let store =
         match store_path with
         | Some path ->
-            if require_store && not (Sys.file_exists path) then
-              die "resume: store %s does not exist (use `run` to start a sweep)" path;
             let s = open_store path in
             if Store_shard.repaired_bytes s > 0 then
               Printf.eprintf "[dse] store %s: dropped %d bytes of damaged tail, kept %d results\n"
                 path (Store_shard.repaired_bytes s) (Store_shard.size s);
             Some s
-        | None ->
-            if require_store then die "resume requires --store";
-            None
+        | None -> None
       in
       let report =
         match
@@ -442,9 +440,9 @@ let fast_forward_arg =
               every detailed simulation from that shared snapshot. Measurements cover the \
               post-roadmark epoch.")
 
-let sweep_term ~require_store =
+let sweep_term =
   Term.(
-    const (run_sweep ~require_store)
+    const run_sweep
     $ workload_arg $ n_arg $ store_arg $ server_arg $ mems_arg $ ports_arg $ write_ports_arg
     $ banks_arg $ fu_arg $ cache_sizes_arg $ unroll_arg $ junroll_arg $ clock_arg
     $ cycle_times_arg $ hw_db_arg
@@ -456,11 +454,7 @@ let run_cmd =
   let doc =
     "Run a sweep: enumerate the space, answer cached points from the store, simulate the rest."
   in
-  Cmd.v (Cmd.info "run" ~doc) (sweep_term ~require_store:false)
-
-let resume_cmd =
-  let doc = "Continue a sweep against an existing store (fails if the store is missing)." in
-  Cmd.v (Cmd.info "resume" ~doc) (sweep_term ~require_store:true)
+  Cmd.v (Cmd.info "run" ~doc) sweep_term
 
 let front_cmd =
   let store =
@@ -486,6 +480,6 @@ let explain_cmd =
 let cmd =
   let doc = "design-space exploration with persistent result caching and Pareto extraction" in
   Cmd.group (Cmd.info "salam_dse" ~version:"1.0.0" ~doc)
-    [ run_cmd; resume_cmd; front_cmd; explain_cmd ]
+    [ run_cmd; front_cmd; explain_cmd ]
 
 let () = exit (Cmd.eval cmd)

@@ -253,8 +253,8 @@ val default_domains : unit -> int
     simulation itself always runs on one sequential event kernel.
 
     The variable is read on each call, never at module initialisation:
-    a sweep reads it when it starts ([salam_dse run] and [resume] before
-    opening the store, [salam_served serve] before binding its socket,
+    a sweep reads it when it starts ([salam_dse run] before opening
+    the store, [salam_served serve] before binding its socket,
     each only when no explicit width is given). A set value that is
     not a positive integer raises
     [Invalid_argument "SALAM_DOMAINS: \"<value>\" is not a positive

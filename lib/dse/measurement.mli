@@ -52,22 +52,21 @@ val to_line : t -> string
     field once, in a fixed order, with no spaces. *)
 
 val of_line : string -> (t, string) result
-(** Decode one line. Keys may come in any order, with spaces between
-    tokens; unknown keys are ignored and the first value of a repeated
-    key wins. An error names the field and the reason: [missing field
-    "cycles"], [field "cycles" must be an integer], [field "read_ports"
-    is outside the int range]; a syntax error anywhere in the line wins
-    over them. A canonical line is read in one positional pass: each
-    field's head is checked where canonical order puts it and its value
-    read by its kind; a member anywhere else is read whole and looked up
-    by key. *)
+(** Decode one line: exactly the bytes {!to_line} writes, so
+    [of_line l = Ok m] implies [to_line m = l]. Each field is read where
+    {!to_line} puts it, by its kind. Any other spelling is refused: a
+    member out of order, a space, a repeated or unknown member, a
+    decimal float, an upper-case fingerprint, an escape the writer does
+    not write. An error names the field and the reason, or the offset:
+    [missing field "cycles" at offset 412], [field "cycles" must be an
+    integer], [field "read_ports" is outside the int range], [bad value
+    "1.5" at offset 530]. *)
 
-val of_cursor : ?other:(Jsonl.cursor -> unit) -> Jsonl.cursor -> (t, string) result
+val of_cursor : Jsonl.cursor -> (t, string) result
 (** {!of_line} of the members from the cursor to the end of the object,
-    for a line that carries other members too (a protocol reply reads
-    its envelope first, then hands the rest over in place). Each member
-    that is not a measurement field is handed to [other] as the cursor
-    reads it. Raises {!Jsonl.Syntax} on a syntax error. *)
+    for a line that carries other members first (a protocol reply reads
+    its envelope, then hands the rest over in place). Raises
+    {!Jsonl.Syntax} on a syntax error. *)
 
 val pp_row : Format.formatter -> t -> unit
 (** One aligned human-readable table row; pair with {!pp_header}. *)

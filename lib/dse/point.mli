@@ -88,11 +88,14 @@ val add_compact : Jsonl.sink -> t -> unit
 (** [to_compact p], written straight into the sink. *)
 
 val of_compact : string -> (t, string) result
-(** Inverse of {!to_compact}, in any key order. Loud [Error] naming the
-    key on an unknown or repeated key, a missing one, a value not
+(** Inverse of {!to_compact}: exactly the text it writes, so
+    [of_compact s = Ok p] implies [to_compact p = s]. Each key is read
+    where {!to_compact} puts it, in sorted order. Loud [Error] naming
+    the key (and the offset) on a key out of that order, missing,
+    repeated or unknown, on text after the last pair, on a value not
     spelled as {!to_compact} writes it (integers in plain decimal,
-    floats as [%h]), or a knob the memory kind ignores that is not 0:
-    every accepted string names exactly one point. *)
+    floats as [%h]), or on a knob the memory kind ignores that is
+    not 0. *)
 
 val of_compact_sub : string -> int -> int -> (t, string) result
 (** [of_compact_sub s off len]: {!of_compact} of the [len] bytes of [s]
@@ -114,9 +117,8 @@ val fingerprint_hex : int64 -> string
 (** Fixed-width lowercase hex (16 chars), the store's key format. *)
 
 val fingerprint_of_hex : string -> int64 option
-(** The 16-character text {!fingerprint_hex} writes, read back. Also
-    reads what [Int64.of_string ("0x" ^ s)] does for 16 characters:
-    upper-case digits, and underscores after the first digit. *)
+(** The 16 lowercase hex digits {!fingerprint_hex} writes, read back;
+    [None] for any other text (upper case included). *)
 
 val fingerprint_at : string -> int -> int -> int64 option
 (** [fingerprint_at s off len]: {!fingerprint_of_hex} of the [len] bytes

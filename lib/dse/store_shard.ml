@@ -4,13 +4,14 @@
 
    An entry is held as its line, the bytes a hit is answered with:
    [find_line] hands them out as they are, [find] and [entries] decode
-   them. Opening validates every line and keeps the canonical
-   re-encoding of any line that is not already canonical. *)
+   them. Opening validates every line: it must decode, so it is already
+   what [Measurement.to_line] writes, and its fingerprint must be its
+   own. *)
 
 type t = {
   path : string option;  (** the store directory; [None] = in-memory *)
   lock : Mutex.t;  (** guards every field below *)
-  index : (int64, string) Hashtbl.t;  (** fingerprint -> canonical line *)
+  index : (int64, string) Hashtbl.t;  (** fingerprint -> line *)
   mutable order : string list;  (** newest first *)
   mutable oc : out_channel option;
   repaired : int;
@@ -64,32 +65,42 @@ let in_memory () = make None
    leaves a final fragment that is a prefix of it or starts with it. *)
 let record_start = "{\"fp\":\""
 
-(* Index every measurement in [path] in [t], by its canonical line, and
-   return the bytes of damaged tail cut off the file. Only a final
-   line with no '\n' — what an interrupted append leaves — is repaired;
-   any other line that does not parse is refused, so a file that is not
-   a store is never wiped. *)
+(* Index every measurement in [path] in [t], by its line, and return
+   the bytes of damaged tail cut off the file. A line that decodes is
+   the one spelling [Measurement.to_line] writes, and must carry the
+   fingerprint of its own workload and point. Only what an interrupted
+   append leaves is repaired: a final line with no '\n' and no closing
+   '}' that starts as every line does. Any other line that does not
+   parse, or that another fingerprint keys, is refused, so a file that
+   is not a store is never wiped and a complete line is never cut. *)
 let load_file t path =
   if not (Sys.file_exists path) then 0
   else
     let contents = In_channel.with_open_bin path In_channel.input_all in
     let len = String.length contents in
-    let corrupt lineno e =
-      failwith (Printf.sprintf "Store_shard.open_: %s: line %d is corrupt (%s)" path lineno e)
+    let refuse lineno what =
+      failwith
+        (Printf.sprintf "Store_shard.open_: %s: line %d %s; the store is refused and left untouched"
+           path lineno what)
     in
-    (* a line kept verbatim must be exactly what [to_line] writes, so a
-       reordered, padded or extra-key line is never handed out as is *)
-    let keep_line line m =
-      let canonical = Measurement.to_line m in
-      ignore (remember t m.Measurement.fp (if String.equal canonical line then line else canonical))
+    let keep lineno line (m : Measurement.t) =
+      let fp = Point.fingerprint ~workload:m.workload m.point in
+      if fp <> m.fp then
+        refuse lineno
+          (Printf.sprintf
+             "has fp %s but its workload and point hash to %s: it is from another model epoch or \
+              is corrupt"
+             (Point.fingerprint_hex m.fp) (Point.fingerprint_hex fp));
+      ignore (remember t m.fp line)
     in
+    let corrupt lineno e = refuse lineno (Printf.sprintf "is corrupt (%s)" e) in
     let rec go start lineno =
       match String.index_from_opt contents start '\n' with
       | Some stop ->
           (if stop > start then
              let line = String.sub contents start (stop - start) in
              match Measurement.of_line line with
-             | Ok m -> keep_line line m
+             | Ok m -> keep lineno line m
              | Error e -> corrupt lineno e);
           go (stop + 1) (lineno + 1)
       | None when start = len -> 0
@@ -97,13 +108,15 @@ let load_file t path =
           let tail = String.sub contents start (len - start) in
           match Measurement.of_line tail with
           | Ok m ->
-              keep_line tail m;
+              keep lineno tail m;
               0
           | Error e ->
+              (* a line cut short has lost its closing '}' *)
               if
-                not
-                  (String.starts_with ~prefix:record_start tail
-                  || String.starts_with ~prefix:tail record_start)
+                String.ends_with ~suffix:"}" tail
+                || not
+                     (String.starts_with ~prefix:record_start tail
+                     || String.starts_with ~prefix:tail record_start)
               then corrupt lineno e;
               Out_channel.with_open_bin path (fun oc ->
                   Out_channel.output_substring oc contents 0 start);

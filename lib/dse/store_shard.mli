@@ -14,18 +14,21 @@
     refused with [Failure] naming the path and what was found; its bytes
     are left untouched.
 
-    Opening decodes and validates every line. A line equal to
-    {!Measurement.to_line} of its decoded value is kept as read; any
-    other valid line (reordered keys, spaces, an extra key) is held as
-    that re-encoding in memory, and the file keeps its bytes. Opening
-    also *repairs* a file whose last line was cut by an interrupted
-    append (it has no ['\n']): that fragment is dropped on disk, every
-    intact measurement survives, and the next sweep simply re-simulates
-    the lost point. Any other line that does not parse — mid-file
-    corruption, a CRLF file, a file that is not a store — raises
-    [Failure] naming the path and line and leaves the file untouched.
-    Appends are flushed line by line, so an interrupted run loses at
-    most the measurement being written.
+    Opening decodes and validates every line. A line must be exactly
+    what {!Measurement.to_line} writes ({!Measurement.of_line} reads
+    nothing else), so it is held as read; and its [fp] must be
+    {!Point.fingerprint} of its own [workload] and point, so a line is
+    never answered for a point it does not describe. Opening also
+    *repairs* a file whose last line was cut by an interrupted append
+    (it has no ['\n'], no closing ['}'], and does not decode): that
+    fragment is dropped on disk, every intact measurement survives, and
+    the next sweep simply re-simulates the lost point. Any other line that does not decode
+    (mid-file corruption, reordered keys, spaces, a decimal float, a
+    CRLF file, a file that is not a store) or whose [fp] is not its own
+    (a line from another model epoch, or a hand-edited knob) raises
+    [Failure] naming the path and the line, and leaves the file
+    untouched. Appends are flushed line by line, so an interrupted run
+    loses at most the measurement being written.
 
     A store is also the unit of sweep resumability: re-running a sweep
     against the same store answers every already-measured point from
@@ -38,8 +41,8 @@ type t
 val open_ : string -> t
 (** Open (or create) the store directory at the given path: a missing
     or empty directory becomes a new store. A regular file, a non-empty
-    directory without the one manifest, or a corrupt line raises
-    [Failure]. *)
+    directory without the one manifest, or a line refused as above
+    raises [Failure]. *)
 
 val in_memory : unit -> t
 (** A store with no backing file — for tests and one-shot servers. *)
@@ -47,8 +50,8 @@ val in_memory : unit -> t
 val path : t -> string option
 
 val find_line : t -> fp:int64 -> string option
-(** The canonical line ({!Measurement.to_line}) held for a fingerprint,
-    without decoding it. *)
+(** The line ({!Measurement.to_line}) held for a fingerprint, without
+    decoding it. *)
 
 val find : t -> fp:int64 -> Measurement.t option
 (** {!find_line}, decoded. *)

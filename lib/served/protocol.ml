@@ -340,286 +340,214 @@ let encode_response ~id resp =
 
 (* --- decoding ----------------------------------------------------------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
+(* Each decoder reads a line's members in the order its writer writes
+   them, each where that order puts it: [encode_request] for requests,
+   [splice] and [encode_response] for replies. *)
 
-(* A line's envelope keeps, per key it may carry, where the member's
-   value lies in the line; a value is only read when it is asked for.
-   The first value of a key wins, as a lookup by key would find it, and
-   other keys are left to the caller. *)
-type extent = { kind : Jsonl.kind; src : string; off : int; len : int }
+exception Refused of string
 
-type envelope = { keys : string array; slots : extent option array }
+let refuse fmt = Printf.ksprintf (fun e -> raise (Refused e)) fmt
 
-let envelope keys = { keys; slots = Array.make (Array.length keys) None }
+let head k = "\"" ^ k ^ "\":"
 
-(* key [i]'s slot takes the cursor's member unless it already has one *)
-let hold env i (c : Jsonl.cursor) =
-  if Option.is_none env.slots.(i) then
-    env.slots.(i) <- Some { kind = c.kind; src = c.src; off = c.off; len = c.len }
+let h_id = head "id"
+let h_op = head "op"
+let h_workload = head "workload"
+let h_gemm_n = head "gemm_n"
+let h_invocations = head "invocations"
+let h_fast_forward = head "fast_forward"
+let h_point = head "point"
+let h_points = head "points"
+let h_type = head "type"
+let h_index = head "index"
+let h_served = head "served"
+let h_error = head "error"
+let h_hits = head "hits"
+let h_sims = head "sims"
+let h_deduped = head "deduped"
+let h_misses = head "misses"
+let h_simulated = head "simulated"
+let h_inflight = head "inflight"
+let h_queue_depth = head "queue_depth"
+let h_store_size = head "store_size"
+let h_requests = head "requests"
 
-let take env (c : Jsonl.cursor) =
-  let i = Jsonl.find_key env.keys c.ksrc c.koff c.klen in
-  if i >= 0 then hold env i c
+(* the key a head names, for an error message *)
+let key h = String.sub h 1 (String.length h - 3)
 
-let heads keys = Array.map (fun k -> "\"" ^ k ^ "\":") keys
+(* the member whose head is [h], at the cursor *)
+let field c h =
+  if not (Jsonl.head c h) then refuse "missing field %S at offset %d" (key h) (Jsonl.offset c)
 
-(* The members a canonical line starts with, read by position: each
-   next member whose head is that of one of the first [upto] keys, in
-   [keys] order after the last one read, is read in place (a key
-   canonical lines may leave out is passed over). The first member that
-   is not ends it, and is left to {!take}. *)
-let read_heads env heads ~upto c =
-  let k = ref 0 in
-  while !k < upto do
-    let j = ref !k in
-    while !j < upto && not (Jsonl.head c heads.(!j)) do
-      incr j
-    done;
-    if !j < upto then begin
-      Jsonl.value c;
-      hold env !j c
-    end;
-    k := !j + 1
-  done
+(* the value of the integer member whose head is [h] *)
+let int_value (c : Jsonl.cursor) h =
+  if Jsonl.plain_int c then c.int
+  else begin
+    Jsonl.value c;
+    if c.kind <> Jsonl.Integer then refuse "field %S must be an integer" (key h);
+    match Jsonl.int_at c.src c.off c.len with
+    | n -> n
+    | exception Jsonl.Out_of_range -> refuse "field %S is outside the int range" (key h)
+  end
 
-(* Members are named by their place in the envelope's keys; an error
-   names the key. *)
-let name env i = env.keys.(i)
+let int c h =
+  field c h;
+  int_value c h
 
-(* string member [i] is [v], compared where it lies *)
-let is env i v =
-  match env.slots.(i) with
-  | Some { kind = Jsonl.String; src; off; len } -> Jsonl.key_is src off len v
-  | _ -> false
+let int64 (c : Jsonl.cursor) h =
+  field c h;
+  Jsonl.value c;
+  if c.kind <> Jsonl.Integer then refuse "field %S must be an integer" (key h);
+  Jsonl.int64_at c.src c.off c.len
 
-let str env i =
-  match env.slots.(i) with
-  | Some { kind = Jsonl.String; src; off; len } -> Some (String.sub src off len)
-  | _ -> None
+(* a string member, left where it lies: the [len] bytes of [c.src]
+   from [c.off] *)
+let string_at (c : Jsonl.cursor) h =
+  field c h;
+  Jsonl.value c;
+  if c.kind <> Jsonl.String then refuse "field %S must be a string" (key h)
 
-let int64 env i =
-  match env.slots.(i) with
-  | Some { kind = Jsonl.Integer; src; off; len } -> Some (Jsonl.int64_at src off len)
-  | _ -> None
+let text (c : Jsonl.cursor) h =
+  string_at c h;
+  String.sub c.src c.off c.len
 
-(* a string member, left where it lies *)
-let string_extent env i =
-  match env.slots.(i) with
-  | Some ({ kind = Jsonl.String; _ } as e) -> Ok e
-  | Some _ | None -> Error (Printf.sprintf "missing or non-string field %S" (name env i))
+let is (c : Jsonl.cursor) v = Jsonl.key_is c.src c.off c.len v
 
-let field_str env i = Result.map (fun e -> String.sub e.src e.off e.len) (string_extent env i)
-
-let field_int env i ~default =
-  match env.slots.(i) with
-  | None -> Ok default
-  | Some { kind = Jsonl.Integer; src; off; len } -> (
-      match Jsonl.int_at src off len with
-      | n -> Ok n
-      | exception Jsonl.Out_of_range ->
-          Error (Printf.sprintf "field %S is outside the int range" (name env i)))
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" (name env i))
-
-(* in the order [encode_request] writes them *)
-let request_keys =
-  [|
-    "id"; "op"; "workload"; "gemm_n"; "invocations"; "fast_forward"; "point"; "points";
-  |]
-
-let request_heads = heads request_keys
-
-(* request members by their place in [request_keys] *)
-module Rq = struct
-  let id = 0
-  let op = 1
-  let workload = 2
-  let gemm_n = 3
-  let invocations = 4
-  let fast_forward = 5
-  let point = 6
-  let points = 7
-end
-
-let decode_spec env =
-  let* workload = field_str env Rq.workload in
-  let* gemm_n = field_int env Rq.gemm_n ~default:default_spec.gemm_n in
-  let* invocations = field_int env Rq.invocations ~default:1 in
-  let* fast_forward =
-    match env.slots.(Rq.fast_forward) with
-    | None -> Ok None
-    | Some _ -> Result.map Option.some (field_int env Rq.fast_forward ~default:0)
+let spec c =
+  let workload = text c h_workload in
+  let gemm_n = int c h_gemm_n in
+  let invocations = int c h_invocations in
+  (* present exactly when the writer had one *)
+  let fast_forward =
+    if Jsonl.head c h_fast_forward then Some (int_value c h_fast_forward) else None
   in
-  if invocations < 1 then Error "invocations must be at least 1"
-  else if gemm_n < 1 then Error "gemm_n must be at least 1"
-  else
-    match fast_forward with
-    | Some k when k < 0 || k >= invocations ->
-        Error
-          (Printf.sprintf "fast_forward must satisfy 0 <= %d < invocations (%d)" k invocations)
-    | _ -> Ok { workload; gemm_n; invocations; fast_forward }
+  if invocations < 1 then refuse "field \"invocations\" must be at least 1";
+  if gemm_n < 1 then refuse "field \"gemm_n\" must be at least 1";
+  (match fast_forward with
+  | Some k when k < 0 || k >= invocations ->
+      refuse "field \"fast_forward\" must satisfy 0 <= %d < invocations (%d)" k invocations
+  | _ -> ());
+  { workload; gemm_n; invocations; fast_forward }
+
+let of_compact (c : Jsonl.cursor) off len =
+  match Point.of_compact_sub c.src off len with Ok p -> p | Error e -> raise (Refused e)
 
 (* the points of a "points" member: compact points separated by ';',
    each read in place *)
-let decode_points env =
-  let* { src; off; len; _ } = string_extent env Rq.points in
-  if len = 0 then Error "empty point list"
+let points (c : Jsonl.cursor) =
+  string_at c h_points;
+  if c.len = 0 then refuse "field \"points\" must not be empty";
+  let src = c.src and stop = c.off + c.len in
+  let rec go acc start =
+    let j = ref start in
+    while !j < stop && src.[!j] <> ';' do
+      incr j
+    done;
+    let acc = of_compact c start (!j - start) :: acc in
+    if !j = stop then List.rev acc else go acc (!j + 1)
+  in
+  go [] c.off
+
+let sim c =
+  let spec = spec c in
+  string_at c h_point;
+  let p = of_compact c c.off c.len in
+  Jsonl.close c;
+  Sim (spec, p)
+
+let sweep c =
+  let spec = spec c in
+  let ps = points c in
+  Jsonl.close c;
+  Sweep (spec, ps)
+
+let request c =
+  string_at c h_op;
+  if is c "sim" then match sim c with r -> r | exception Refused e -> refuse "sim: %s" e
+  else if is c "sweep" then match sweep c with r -> r | exception Refused e -> refuse "sweep: %s" e
   else
-    let stop = off + len in
-    let rec go acc start =
-      let j = ref start in
-      while !j < stop && src.[!j] <> ';' do
-        incr j
-      done;
-      match Point.of_compact_sub src start (!j - start) with
-      | Error e -> Error e
-      | Ok p -> if !j = stop then Ok (List.rev (p :: acc)) else go (p :: acc) (!j + 1)
+    let r =
+      if is c "ping" then Ping
+      else if is c "stats" then Stats
+      else if is c "shutdown" then Shutdown
+      else
+        refuse "field \"op\" must be ping, sim, sweep, stats or shutdown, not %S"
+          (String.sub c.src c.off c.len)
     in
-    go [] off
+    Jsonl.close c;
+    r
 
 let decode_request_sub src off len =
-  let env = envelope request_keys in
   let c = Jsonl.cursor_sub src off len in
+  (* an error reply echoes the id once it has been read, else 0 *)
+  let id = ref 0L in
   match
-    read_heads env request_heads ~upto:(Array.length request_keys) c;
-    while Jsonl.member c do
-      take env c
-    done
+    id := int64 c h_id;
+    request c
   with
-  | exception Jsonl.Syntax e -> Error (0L, Printf.sprintf "bad request line: %s" e)
-  | () -> (
-      (* an error reply echoes the id when one was parseable, else 0 *)
-      match int64 env Rq.id with
-      | None -> Error (0L, "missing integer field \"id\"")
-      | Some id -> (
-          let fail e = Error (id, e) in
-          let op = Rq.op in
-          if is env op "sim" then
-            match
-              let* spec = decode_spec env in
-              let* { src; off; len; _ } = string_extent env Rq.point in
-              let* p = Point.of_compact_sub src off len in
-              Ok (Sim (spec, p))
-            with
-            | Ok req -> Ok (id, req)
-            | Error e -> fail ("sim: " ^ e)
-          else if is env op "sweep" then
-            match
-              let* spec = decode_spec env in
-              let* ps = decode_points env in
-              Ok (Sweep (spec, ps))
-            with
-            | Ok req -> Ok (id, req)
-            | Error e -> fail ("sweep: " ^ e)
-          else if is env op "ping" then Ok (id, Ping)
-          else if is env op "stats" then Ok (id, Stats)
-          else if is env op "shutdown" then Ok (id, Shutdown)
-          else
-            match str env op with
-            | None -> fail "missing string field \"op\""
-            | Some op -> fail (Printf.sprintf "unknown op %S (ping|sim|sweep|stats|shutdown)" op)))
+  | r -> Ok (!id, r)
+  | exception Refused e -> Error (!id, e)
+  | exception Jsonl.Syntax e -> Error (!id, "bad request line: " ^ e)
 
 let decode_request line = decode_request_sub line 0 (String.length line)
 
-(* a measurement reply's envelope first, in the order [splice] writes
-   it *)
-let response_keys =
-  [|
-    "id"; "type"; "index"; "served"; "error"; "points"; "hits"; "sims"; "deduped"; "misses";
-    "simulated"; "inflight"; "queue_depth"; "store_size"; "requests";
-  |]
+let measurement what c =
+  match Measurement.of_cursor c with Ok m -> m | Error e -> refuse "%s: %s" what e
 
-let response_heads = heads response_keys
+let response c =
+  let id = int64 c h_id in
+  string_at c h_type;
+  let reply =
+    if is c "result" then
+      let served = text c h_served in
+      `Terminal (Result { served; m = measurement "result" c })
+    else if is c "point" then
+      let index = int c h_index in
+      let served = text c h_served in
+      `Interim (Sweep_point { index; served; m = measurement "point" c })
+    else begin
+      let r =
+        if is c "pong" then Pong
+        else if is c "stopping" then Stopping
+        else if is c "error" then Failed (text c h_error)
+        else if is c "done" then
+          let points = int c h_points in
+          let hits = int c h_hits in
+          let sims = int c h_sims in
+          let deduped = int c h_deduped in
+          Sweep_done { points; hits; sims; deduped }
+        else if is c "stats" then
+          let st_hits = int c h_hits in
+          let st_misses = int c h_misses in
+          let st_deduped = int c h_deduped in
+          let st_simulated = int c h_simulated in
+          let st_inflight = int c h_inflight in
+          let st_queue_depth = int c h_queue_depth in
+          let st_store_size = int c h_store_size in
+          let st_requests = int c h_requests in
+          Stats_reply
+            {
+              st_hits;
+              st_misses;
+              st_deduped;
+              st_simulated;
+              st_inflight;
+              st_queue_depth;
+              st_store_size;
+              st_requests;
+            }
+        else refuse "field \"type\" names no reply: %S" (String.sub c.src c.off c.len)
+      in
+      Jsonl.close c;
+      `Terminal r
+    end
+  in
+  (id, reply)
 
-(* reply members by their place in [response_keys] *)
-module Rs = struct
-  let id = 0
-  let type_ = 1
-  let index = 2
-  let served = 3
-  let error = 4
-  let points = 5
-  let hits = 6
-  let sims = 7
-  let deduped = 8
-  let misses = 9
-  let simulated = 10
-  let inflight = 11
-  let queue_depth = 12
-  let store_size = 13
-  let requests = 14
-end
-
-(* The envelope's members a reply starts with are read by position;
-   the measurement's positional pass then reads the rest in place and
-   hands the envelope's other members back. Envelope keys are not
-   measurement fields, so neither takes the other's members. A reply
-   that carries no measurement reads as one with every field
-   missing. *)
 let decode_response_sub src off len =
-  let env = envelope response_keys in
-  let c = Jsonl.cursor_sub src off len in
-  match
-    read_heads env response_heads ~upto:(Rs.served + 1) c;
-    Measurement.of_cursor ~other:(take env) c
-  with
-  | exception Jsonl.Syntax e -> Error (Printf.sprintf "bad response line: %s" e)
-  | measurement -> (
-      match int64 env Rs.id with
-      | None -> Error "response missing integer field \"id\""
-      | Some id -> (
-          let ty = Rs.type_ in
-          if is env ty "result" then
-            let* served = field_str env Rs.served in
-            match measurement with
-            | Ok m -> Ok (id, `Terminal (Result { served; m }))
-            | Error e -> Error ("result: " ^ e)
-          else if is env ty "point" then
-            let* served = field_str env Rs.served in
-            let* index = field_int env Rs.index ~default:(-1) in
-            if index < 0 then Error "point response missing \"index\""
-            else
-              match measurement with
-              | Ok m -> Ok (id, `Interim (Sweep_point { index; served; m }))
-              | Error e -> Error ("point: " ^ e)
-          else if is env ty "pong" then Ok (id, `Terminal Pong)
-          else if is env ty "stopping" then Ok (id, `Terminal Stopping)
-          else if is env ty "error" then
-            match str env Rs.error with
-            | Some e -> Ok (id, `Terminal (Failed e))
-            | None -> Error "error response missing \"error\""
-          else if is env ty "done" then
-            let* points = field_int env Rs.points ~default:(-1) in
-            let* hits = field_int env Rs.hits ~default:0 in
-            let* sims = field_int env Rs.sims ~default:0 in
-            let* deduped = field_int env Rs.deduped ~default:0 in
-            if points < 0 then Error "done response missing \"points\""
-            else Ok (id, `Terminal (Sweep_done { points; hits; sims; deduped }))
-          else if is env ty "stats" then
-            let* st_hits = field_int env Rs.hits ~default:0 in
-            let* st_misses = field_int env Rs.misses ~default:0 in
-            let* st_deduped = field_int env Rs.deduped ~default:0 in
-            let* st_simulated = field_int env Rs.simulated ~default:0 in
-            let* st_inflight = field_int env Rs.inflight ~default:0 in
-            let* st_queue_depth = field_int env Rs.queue_depth ~default:0 in
-            let* st_store_size = field_int env Rs.store_size ~default:0 in
-            let* st_requests = field_int env Rs.requests ~default:0 in
-            Ok
-              ( id,
-                `Terminal
-                  (Stats_reply
-                     {
-                       st_hits;
-                       st_misses;
-                       st_deduped;
-                       st_simulated;
-                       st_inflight;
-                       st_queue_depth;
-                       st_store_size;
-                       st_requests;
-                     }) )
-          else
-            match str env ty with
-            | None -> Error "response missing string field \"type\""
-            | Some ty -> Error (Printf.sprintf "unknown response type %S" ty)))
+  match response (Jsonl.cursor_sub src off len) with
+  | r -> Ok r
+  | exception Refused e -> Error e
+  | exception Jsonl.Syntax e -> Error ("bad response line: " ^ e)
 
 let decode_response line = decode_response_sub line 0 (String.length line)

@@ -6,35 +6,37 @@
     bit-exactly, which is what lets a served measurement equal a local
     one byte for byte.
 
-    Grammar (every value a scalar):
+    Grammar (every value a scalar; no spaces, members in this order):
     {v
-    request  := {"id":N, "op":"ping"|"stats"|"shutdown"}
-              | {"id":N, "op":"sim",   <spec>, "point":"k=v,..."}
-              | {"id":N, "op":"sweep", <spec>, "points":"k=v,...;k=v,..."}
-    spec     := "workload":S [,"gemm_n":N] [,"invocations":N]
-                [,"fast_forward":N]
-    response := {"id":N, "type":"pong"|"stopping"}
-              | {"id":N, "type":"error", "error":S}
-              | {"id":N, "type":"result", "served":S, <measurement fields>}
-              | {"id":N, "type":"point", "index":N, "served":S, <measurement fields>}
-              | {"id":N, "type":"done", "points":N, "hits":N, "sims":N, "deduped":N}
-              | {"id":N, "type":"stats", "hits":N, ...}
+    request  := {"id":N,"op":"ping"|"stats"|"shutdown"}
+              | {"id":N,"op":"sim",<spec>,"point":"k=v,..."}
+              | {"id":N,"op":"sweep",<spec>,"points":"k=v,...;k=v,..."}
+    spec     := "workload":S,"gemm_n":N,"invocations":N[,"fast_forward":N]
+    response := {"id":N,"type":"pong"|"stopping"}
+              | {"id":N,"type":"error","error":S}
+              | {"id":N,"type":"result","served":S,<measurement fields>}
+              | {"id":N,"type":"point","index":N,"served":S,<measurement fields>}
+              | {"id":N,"type":"done","points":N,"hits":N,"sims":N,"deduped":N}
+              | {"id":N,"type":"stats","hits":N,"misses":N,"deduped":N,
+                 "simulated":N,"inflight":N,"queue_depth":N,"store_size":N,
+                 "requests":N}
     v}
 
     Requests carry a client-chosen [id]; every response line echoes it.
     A sweep's [point] lines precede exactly one terminal line per
-    request; a request member outside the grammar is ignored. [served]
-    is ["hit"] (store-warm), ["sim"] (this request simulated it) or
-    ["dedup"] (another in-flight request simulated it). Malformed input
-    yields a loud [error] response, never a crash.
+    request. [served] is ["hit"] (store-warm), ["sim"] (this request
+    simulated it) or ["dedup"] (another in-flight request simulated it).
+    Malformed input yields a loud [error] response, never a crash.
 
     The measurement fields of a [result] or [point] line are the store's
-    canonical line ({!Salam_dse.Measurement.to_line}) spliced in after
-    the envelope ({!splice}), so the daemon answers a stored point
-    without encoding it, and {!decode_response} parses any line once.
-    Both decoders read members where canonical order puts them and fall
-    back to a lookup by key, member by member, so a line in any order
-    reads the same. *)
+    line ({!Salam_dse.Measurement.to_line}) spliced in after the
+    envelope ({!splice}), so the daemon answers a stored point without
+    encoding it, and {!decode_response} parses any line once. Each
+    decoder accepts exactly what its writer writes ({!encode_request},
+    {!splice}, {!encode_response}), reading every member where the
+    writer puts it: a line that decodes re-encodes to its own bytes. A
+    member out of order, a space, an unknown or repeated member is
+    refused, naming the field or the offset. *)
 
 type spec = {
   workload : string;  (** "gemm" or a suite workload name *)
@@ -130,10 +132,11 @@ val sweep_batches :
     own. An empty list is one empty run. *)
 
 val decode_request : string -> (int64 * request, int64 * string) result
-(** [Error (id, msg)] carries the request id when one was parseable
+(** [decode_request l = Ok (id, r)] implies [encode_request ~id r = l].
+    [Error (id, msg)] carries the request id once it has been read
     (else 0), so the error reply can still be routed. Points are read
-    by {!Salam_dse.Point.of_compact}, which refuses any text that does
-    not name exactly one point. *)
+    by {!Salam_dse.Point.of_compact}, which accepts only the text
+    {!Salam_dse.Point.to_compact} writes. *)
 
 val decode_request_sub : string -> int -> int -> (int64 * request, int64 * string) result
 (** [decode_request_sub s off len] is {!decode_request} of the [len]
@@ -152,11 +155,12 @@ val splice : id:int64 -> ?index:int -> served:string -> string -> string
 
 val decode_response :
   string -> (int64 * [ `Terminal of response | `Interim of response ], string) result
-(** [`Interim] is a [Sweep_point]; [`Terminal] ends the request. The
-    line is parsed once: the envelope [splice] writes is read by
-    position, and the rest of the line by
-    {!Salam_dse.Measurement.of_cursor}, which hands the envelope back
-    any of its members it meets; no member list is built. *)
+(** [`Interim] is a [Sweep_point]; [`Terminal] ends the request. A
+    line that decodes is what {!encode_response} writes for what it
+    decodes to ({!splice} for a measurement reply). The line is parsed
+    once: the envelope by position, and the rest of the line by
+    {!Salam_dse.Measurement.of_cursor}, in place; no member list is
+    built. *)
 
 val decode_response_sub :
   string ->

@@ -1,37 +1,45 @@
-(* Tests for the line codecs: the positional decoders against the
-   association-list decoders they replaced, JSON's number grammar,
-   integers outside OCaml's int range, errors that name the field, and
-   bit-exact round trips of measurements, request lines and compact
-   points whose cut, bit-flipped or reordered bytes are refused or
-   decode to what they say. *)
+(* Tests for the line codecs. Each reader accepts exactly what its one
+   writer writes: a line (or compact point) that decodes is the
+   writer's image of what it decodes to, whatever was done to it (cut
+   short, a bit flipped, or one targeted change: a space, members
+   swapped, a member repeated or unknown, a decimal float, an upper-case
+   or underscored fingerprint, an escape the writer does not write), and
+   every refusal names a field or an offset. Also: integers outside
+   OCaml's int range, errors that name the field, and bit-exact round
+   trips of measurements, request lines and compact points. *)
 
 module Point = Salam_dse.Point
 
-(* The library's codec, plus a member-list decoder on its generic
-   reader ([member]) and lookups: the oracles and the generators below
-   read lines this way, and the other codec tests use it as their
-   reference. *)
+(* The library's codec, plus a reader of lines whose keys are known, in
+   order, by the cursor's positional reads: the generators below and
+   the other codec tests read lines this way. *)
 module Jsonl = struct
   include Salam_dse.Jsonl
 
-  let value_of kind src off len =
-    match kind with
-    | Integer -> Int (int64_at src off len)
-    | Number -> Float (float_of_string (String.sub src off len))
+  let value_of (c : cursor) =
+    match c.kind with
+    | Integer -> Int (int64_at c.src c.off c.len)
     | True -> Bool true
     | False -> Bool false
-    | String -> Str (String.sub src off len)
+    | String -> Str (String.sub c.src c.off c.len)
 
-  (* every member, in line order, by the cursor's generic reader *)
-  let decode line =
+  (* the members [keys] name, in that order, and nothing else *)
+  let decode_keys keys line =
     let c = cursor line in
-    let fields = ref [] in
     match
-      while member c do
-        fields := (String.sub c.ksrc c.koff c.klen, value_of c.kind c.src c.off c.len) :: !fields
-      done
+      let fields =
+        List.map
+          (fun k ->
+            if not (head c (Printf.sprintf "\"%s\":" k)) then
+              raise (Syntax (Printf.sprintf "missing %S at offset %d" k (offset c)));
+            value c;
+            (k, value_of c))
+          keys
+      in
+      close c;
+      fields
     with
-    | () -> Ok (List.rev !fields)
+    | fields -> Ok fields
     | exception Syntax e -> Error e
 
   (* a float's "%h" text, read by the runtime and checked to render back
@@ -40,251 +48,13 @@ module Jsonl = struct
     match float_of_string_opt s with
     | Some f when String.equal (Printf.sprintf "%h" f) s -> Some f
     | Some _ | None -> None
-
-  let get_int fields k = match List.assoc_opt k fields with Some (Int i) -> Some i | _ -> None
-  let get_bool fields k = match List.assoc_opt k fields with Some (Bool b) -> Some b | _ -> None
-  let get_str fields k = match List.assoc_opt k fields with Some (Str s) -> Some s | _ -> None
 end
 
 module M = Salam_dse.Measurement
 module P = Salam_served.Protocol
 module Shard = Salam_dse.Store_shard
 
-(* --- the oracle ----------------------------------------------------- *)
-
-(* [Measurement.of_line] as it was before the positional decoder:
-   parse the line into an association list, then look every field up by
-   key, in canonical order, naming the first that is missing or of the
-   wrong kind with the decoder's words. Kept here only to check the
-   decoder that replaced it. *)
-let oracle_of_line line =
-  match Jsonl.decode line with
-  | Error e -> Error e
-  | Ok fields -> (
-      let exception Field of string in
-      let get k =
-        match List.assoc_opt k fields with
-        | Some v -> v
-        | None -> raise (Field (Printf.sprintf "missing field %S" k))
-      in
-      let bad k reason = raise (Field (Printf.sprintf "field %S %s" k reason)) in
-      let int k =
-        match get k with
-        | Jsonl.Int i when Int64.of_int (Int64.to_int i) = i -> Int64.to_int i
-        | Jsonl.Int _ -> bad k "is outside the int range"
-        | _ -> bad k "must be an integer"
-      in
-      let int64 k = match get k with Jsonl.Int i -> i | _ -> bad k "must be an integer" in
-      (* a float field holds a float's "%h" text, or a number (the
-         decimal spelling older stores hold); any other value is refused *)
-      let float k =
-        match get k with
-        | Jsonl.Str s -> (
-            match Jsonl.hex_text s with Some f -> f | None -> bad k "must be a number")
-        | Jsonl.Float f -> f
-        | Jsonl.Int i -> Int64.to_float i
-        | _ -> bad k "must be a number"
-      in
-      let str k = match get k with Jsonl.Str s -> s | _ -> bad k "must be a string" in
-      let bool k = match get k with Jsonl.Bool b -> b | _ -> bad k "must be a boolean" in
-      try
-        let fp =
-          match get "fp" with
-          | Jsonl.Str s when Point.fingerprint_of_hex s <> None ->
-              Option.get (Point.fingerprint_of_hex s)
-          | _ -> bad "fp" "must be a 16-digit hex fingerprint"
-        in
-        let workload = str "workload" in
-        let memory =
-          match get "memory" with
-          | Jsonl.Str s when Point.memory_kind_of_string s <> None ->
-              Option.get (Point.memory_kind_of_string s)
-          | _ -> bad "memory" "must be \"spm\", \"cache\" or \"dram\""
-        in
-        let read_ports = int "read_ports" in
-        let write_ports = int "write_ports" in
-        let banks = int "banks" in
-        let cache_bytes = int "cache_bytes" in
-        let fu_limit = int "fu_limit" in
-        let unroll = int "unroll" in
-        let junroll = int "junroll" in
-        let clock_mhz = float "clock_mhz" in
-        let node_nm = int "node_nm" in
-        let cycle_time_ns = float "cycle_time_ns" in
-        let hw_db = str "hw_db" in
-        let point =
-          {
-            Point.memory;
-            read_ports;
-            write_ports;
-            banks;
-            cache_bytes;
-            fu_limit;
-            unroll;
-            junroll;
-            clock_mhz;
-            node_nm;
-            cycle_time_ns;
-            hw_db;
-          }
-        in
-        let cycles = int64 "cycles" in
-        let seconds = float "seconds" in
-        let total_mw = float "total_mw" in
-        let datapath_mw = float "datapath_mw" in
-        let area_um2 = float "area_um2" in
-        let correct = bool "correct" in
-        let active_cycles = int "active_cycles" in
-        let issue_cycles = int "issue_cycles" in
-        let stall_cycles = int "stall_cycles" in
-        let stall_load_only = int "stall_load_only" in
-        let stall_load_compute = int "stall_load_compute" in
-        let stall_load_store_compute = int "stall_load_store_compute" in
-        let stall_other = int "stall_other" in
-        let cycles_with_load = int "cycles_with_load" in
-        let cycles_with_store = int "cycles_with_store" in
-        let cycles_with_load_and_store = int "cycles_with_load_and_store" in
-        let loads_issued = int "loads_issued" in
-        let stores_issued = int "stores_issued" in
-        let issued_fp = int "issued_fp" in
-        let issued_int = int "issued_int" in
-        let issued_mem = int "issued_mem" in
-        let fmul_occupancy = float "fmul_occupancy" in
-        let fmul_allocated = int "fmul_allocated" in
-        let spm_reads = int "spm_reads" in
-        let spm_writes = int "spm_writes" in
-        let cache_hits = int "cache_hits" in
-        let cache_misses = int "cache_misses" in
-        Ok
-          {
-            M.fp;
-            workload;
-            point;
-            cycles;
-            seconds;
-            total_mw;
-            datapath_mw;
-            area_um2;
-            correct;
-            active_cycles;
-            issue_cycles;
-            stall_cycles;
-            stall_load_only;
-            stall_load_compute;
-            stall_load_store_compute;
-            stall_other;
-            cycles_with_load;
-            cycles_with_store;
-            cycles_with_load_and_store;
-            loads_issued;
-            stores_issued;
-            issued_fp;
-            issued_int;
-            issued_mem;
-            fmul_occupancy;
-            fmul_allocated;
-            spm_reads;
-            spm_writes;
-            cache_hits;
-            cache_misses;
-          }
-      with Field e -> Error e)
-
-(* What [Protocol.decode_response] answers for a line whose first
-   "type" value is "result" or names no reply type, read off the member
-   list as above; [None] for the other reply types. *)
-let oracle_of_reply line =
-  match Jsonl.decode line with
-  | Error e -> Some (Error ("bad response line: " ^ e))
-  | Ok fields -> (
-      match Jsonl.get_int fields "id" with
-      | None -> Some (Error "response missing integer field \"id\"")
-      | Some id -> (
-          match Jsonl.get_str fields "type" with
-          | None -> Some (Error "response missing string field \"type\"")
-          | Some "result" -> (
-              match Jsonl.get_str fields "served" with
-              | None -> Some (Error "missing or non-string field \"served\"")
-              | Some served -> (
-                  match oracle_of_line line with
-                  | Ok m -> Some (Ok (id, served, m))
-                  | Error e -> Some (Error ("result: " ^ e))))
-          | Some ("pong" | "stopping" | "error" | "point" | "done" | "stats") -> None
-          | Some ty -> Some (Error (Printf.sprintf "unknown response type %S" ty))))
-
-(* What [Protocol.decode_request] answers, read off the member list:
-   the first value of each key, a sim's point and a sweep's points read
-   by [Point.of_compact]. *)
-let oracle_of_request line =
-  let ( let* ) = Result.bind in
-  match Jsonl.decode line with
-  | Error e -> Error (0L, "bad request line: " ^ e)
-  | Ok fields -> (
-      match Jsonl.get_int fields "id" with
-      | None -> Error (0L, "missing integer field \"id\"")
-      | Some id -> (
-          let int k ~default =
-            match List.assoc_opt k fields with
-            | None -> Ok default
-            | Some (Jsonl.Int i) when Int64.of_int (Int64.to_int i) = i -> Ok (Int64.to_int i)
-            | Some (Jsonl.Int _) -> Error (Printf.sprintf "field %S is outside the int range" k)
-            | Some _ -> Error (Printf.sprintf "field %S must be an integer" k)
-          in
-          let str k =
-            match Jsonl.get_str fields k with
-            | Some s -> Ok s
-            | None -> Error (Printf.sprintf "missing or non-string field %S" k)
-          in
-          let spec () =
-            let* workload = str "workload" in
-            let* gemm_n = int "gemm_n" ~default:16 in
-            let* invocations = int "invocations" ~default:1 in
-            let* fast_forward =
-              if List.mem_assoc "fast_forward" fields then
-                Result.map Option.some (int "fast_forward" ~default:0)
-              else Ok None
-            in
-            if invocations < 1 then Error "invocations must be at least 1"
-            else if gemm_n < 1 then Error "gemm_n must be at least 1"
-            else
-              match fast_forward with
-              | Some k when k < 0 || k >= invocations ->
-                  Error
-                    (Printf.sprintf "fast_forward must satisfy 0 <= %d < invocations (%d)" k
-                       invocations)
-              | _ -> Ok { P.workload; gemm_n; invocations; fast_forward }
-          in
-          let with_op op r =
-            match r with Ok req -> Ok (id, req) | Error e -> Error (id, op ^ ": " ^ e)
-          in
-          match Jsonl.get_str fields "op" with
-          | None -> Error (id, "missing string field \"op\"")
-          | Some "ping" -> Ok (id, P.Ping)
-          | Some "stats" -> Ok (id, P.Stats)
-          | Some "shutdown" -> Ok (id, P.Shutdown)
-          | Some "sim" ->
-              with_op "sim"
-                (let* spec = spec () in
-                 let* text = str "point" in
-                 let* p = Point.of_compact text in
-                 Ok (P.Sim (spec, p)))
-          | Some "sweep" ->
-              with_op "sweep"
-                (let* spec = spec () in
-                 let* text = str "points" in
-                 if text = "" then Error "empty point list"
-                 else
-                   let* ps =
-                     List.fold_left
-                       (fun acc t ->
-                         let* ps = acc in
-                         let* p = Point.of_compact t in
-                         Ok (p :: ps))
-                       (Ok []) (String.split_on_char ';' text)
-                   in
-                   Ok (P.Sweep (spec, List.rev ps)))
-          | Some op ->
-              Error (id, Printf.sprintf "unknown op %S (ping|sim|sweep|stats|shutdown)" op)))
+let contains = Test_store_shard.contains
 
 (* --- generators ----------------------------------------------------- *)
 
@@ -357,242 +127,241 @@ let gen_measurement : M.t QCheck.Gen.t =
     cache_misses = int ();
   }
 
-let gen_value =
-  QCheck.Gen.(
-    oneof
-      [
-        map (fun i -> Jsonl.Int (Int64.of_int i)) gen_int;
-        map (fun f -> Jsonl.Float f) gen_float;
-        map (fun b -> Jsonl.Bool b) bool;
-        map (fun s -> Jsonl.Str s) gen_text;
-      ])
-
-(* a key's and a value's text as the encoder writes them, cut out of
-   one-member objects {"k":true} and {"":v} *)
+(* a key's text as the encoder writes it, cut out of the one-member
+   object {"k":true} *)
 let key_text k =
   let s = Jsonl.encode [ (k, Jsonl.Bool true) ] in
   String.sub s 1 (String.length s - 7)
 
-let value_text v =
-  let s = Jsonl.encode [ ("", v) ] in
-  String.sub s 4 (String.length s - 5)
+(* The members of a line its writer wrote ('{', members joined by ',',
+   '}'), each as its text: a string's commas and escaped quotes stay
+   inside its member. *)
+let split_members line =
+  let body = String.sub line 1 (String.length line - 2) in
+  let parts = ref [] and start = ref 0 and in_string = ref false and i = ref 0 in
+  while !i < String.length body do
+    (match body.[!i] with
+    | '\\' when !in_string -> incr i
+    | '"' -> in_string := not !in_string
+    | ',' when not !in_string ->
+        parts := String.sub body !start (!i - !start) :: !parts;
+        start := !i + 1
+    | _ -> ());
+    incr i
+  done;
+  List.rev (String.sub body !start (String.length body - !start) :: !parts)
 
-let members_of line =
-  match Jsonl.decode line with
-  | Ok fields -> fields
-  | Error e -> failwith ("canonical line does not decode: " ^ e)
+let join members = "{" ^ String.concat "," members ^ "}"
 
-(* A valid but non-canonical rendering of a measurement line: members
-   shuffled, unknown keys and repeated keys (any value, any position)
-   inserted, a member sometimes dropped, and spaces around every token.
-   [envelope] members, when given, are shuffled in among them. *)
-let gen_mutated ?(envelope = []) m : string QCheck.Gen.t =
- fun st ->
-  let fields = members_of (M.to_line m) in
-  let keys = List.map fst fields in
-  let extra =
-    List.init (QCheck.Gen.int_range 0 3 st) (fun i ->
-        (Printf.sprintf "x_extra%d" i, gen_value st))
-  in
-  let repeats =
-    List.init (QCheck.Gen.int_range 0 3 st) (fun _ -> (QCheck.Gen.oneofl keys st, gen_value st))
-  in
-  let members = QCheck.Gen.shuffle_l (fields @ extra @ repeats @ envelope) st in
-  let members =
-    if QCheck.Gen.int_range 0 9 st = 0 then
-      let drop = QCheck.Gen.oneofl keys st in
-      List.filter (fun (k, _) -> k <> drop) members
-    else members
-  in
-  let ws () = QCheck.Gen.oneofl [ ""; " "; "\t"; "  " ] st in
-  let texts =
-    List.map
-      (fun (k, v) -> ws () ^ key_text k ^ ws () ^ ":" ^ ws () ^ value_text v ^ ws ())
-      members
-  in
-  ws () ^ "{" ^ String.concat "," texts ^ "}" ^ ws ()
+(* a member's key and value texts: keys hold no ':' *)
+let key_of m = String.sub m 0 (String.index m ':')
+let value_of m = String.sub m (String.index m ':' + 1) (String.length m - String.index m ':' - 1)
 
-let same a b = compare a b = 0
+let drop_member line key =
+  join (List.filter (fun m -> key_of m <> key_text key) (split_members line))
 
-(* [l] with [x] inserted before its [i]-th element, or without it *)
+let set_member = Test_store_shard.set_member
+
+(* [l] with [x] inserted before its [i]-th element *)
 let insert_at l i x = List.filteri (fun j _ -> j < i) l @ (x :: List.filteri (fun j _ -> j >= i) l)
-let remove_at l i = List.filteri (fun j _ -> j <> i) l
 
-(* [s] as a JSON string with its [i]-th byte written as a \u escape *)
-let escape_one s i =
-  let inner t =
-    let q = value_text (Jsonl.Str t) in
-    String.sub q 1 (String.length q - 2)
+(* [l] with its [i]-th and [j]-th elements swapped *)
+let swap l i j =
+  let a = List.nth l i and b = List.nth l j in
+  List.mapi (fun k x -> if k = i then b else if k = j then a else x) l
+
+(* two positions of a list of [n > 1]: adjacent half the time *)
+let gen_pair n st =
+  let i = QCheck.Gen.int_bound (n - 2) st in
+  if QCheck.Gen.bool st then (i, i + 1) else (i, i + 1 + QCheck.Gen.int_bound (n - 2 - i) st)
+
+(* a finite "%h" float, spelled as the decimal "%.17g" writes *)
+let decimal_of_hex text =
+  match Jsonl.hex_float_at text 0 (String.length text) with
+  | f when Float.is_finite f -> Some (Printf.sprintf "%.17g" f)
+  | _ -> None
+  | exception Jsonl.Not_a_float -> None
+
+(* A fingerprint's text in a spelling [fingerprint_hex] does not write:
+   upper case, or one digit after the first as '_' *)
+let gen_foreign_fp text st =
+  if QCheck.Gen.bool st && String.exists (fun c -> c >= 'a' && c <= 'f') text then
+    String.uppercase_ascii text
+  else
+    let i = 1 + QCheck.Gen.int_bound (String.length text - 2) st in
+    String.mapi (fun j c -> if j = i then '_' else c) text
+
+let unquote v = String.sub v 1 (String.length v - 2)
+
+(* a string value's text (quotes included) with an escape the writer
+   does not write: its first byte, when plain, as "\u00XX"; a control
+   character's escape in upper case; or a "\/" *)
+let gen_foreign_escape v st =
+  let inner = unquote v in
+  let n = String.length inner in
+  let upper =
+    List.find_opt
+      (fun i -> String.sub inner i 5 = "\\u001" && inner.[i + 5] >= 'a' && inner.[i + 5] <= 'f')
+      (List.init (max 0 (n - 5)) Fun.id)
   in
-  Printf.sprintf "\"%s\\u%04x%s\"" (inner (String.sub s 0 i)) (Char.code s.[i])
-    (inner (String.sub s (i + 1) (String.length s - i - 1)))
+  let quoted t = "\"" ^ t ^ "\"" in
+  match (QCheck.Gen.bool st, upper) with
+  | true, _ when n > 0 && inner.[0] >= ' ' && inner.[0] <> '"' && inner.[0] <> '\\' ->
+      quoted (Printf.sprintf "\\u%04x" (Char.code inner.[0]) ^ String.sub inner 1 (n - 1))
+  | false, Some i -> quoted (String.mapi (fun j c -> if j = i + 5 then Char.uppercase_ascii c else c) inner)
+  | _ -> quoted ("\\/" ^ inner)
 
-(* One change aimed at the decoder's per-member fallback, the rest of a
-   canonical [line] left as it is: one member moved out of canonical
-   order; spaces around one member's ':' and ','; an escape inside one
-   of the string members [escapable] names (in its key when its value
-   has no ASCII byte); a second value for a key, before or after its
-   canonical place; an unknown extra key; or, for a reply, "served"
-   placed before "type". *)
-let gen_targeted ?(reply = false) ~escapable line : string QCheck.Gen.t =
+(* One change to a line its writer wrote, the rest left as it is: a
+   space where the writer writes none, two members swapped, a member
+   repeated, an unknown member, a float as a decimal, the fingerprint
+   in upper case or with an underscore, or a string with an escape the
+   writer does not write. A change with nothing to act on in this line
+   swaps two members instead. *)
+let gen_targeted line : string QCheck.Gen.t =
  fun st ->
-  let fields = members_of line in
-  let n = List.length fields in
-  let text (k, v) = key_text k ^ ":" ^ value_text v in
-  let texts = List.map text fields in
-  let index_of k = Option.get (List.find_index (fun (k', _) -> k' = k) fields) in
-  let texts =
-    match QCheck.Gen.int_bound (if reply then 5 else 4) st with
-    | 0 ->
-        let a = QCheck.Gen.int_bound (n - 1) st in
-        insert_at (remove_at texts a) (QCheck.Gen.int_bound (n - 1) st) (List.nth texts a)
-    | 1 ->
-        let j = QCheck.Gen.int_bound (n - 1) st in
-        let ws () = QCheck.Gen.oneofl [ " "; "\t"; "  " ] st in
-        let k, v = List.nth fields j in
-        List.mapi
-          (fun i t ->
-            if i = j then ws () ^ key_text k ^ ws () ^ ":" ^ ws () ^ value_text v ^ ws () else t)
-          texts
-    | 2 -> (
-        match List.filter (fun k -> List.mem_assoc k fields) escapable with
-        | [] -> texts
-        | ks ->
-            let k = QCheck.Gen.oneofl ks st in
-            let j = index_of k in
-            let ascii s =
-              List.filter (fun i -> Char.code s.[i] < 0x80) (List.init (String.length s) Fun.id)
-            in
-            let t =
-              match List.assoc k fields with
-              | Jsonl.Str s when ascii s <> [] ->
-                  key_text k ^ ":" ^ escape_one s (QCheck.Gen.oneofl (ascii s) st)
-              | v ->
-                  escape_one k (QCheck.Gen.int_bound (String.length k - 1) st) ^ ":" ^ value_text v
-            in
-            List.mapi (fun i t' -> if i = j then t else t') texts)
-    | 3 ->
-        let j = QCheck.Gen.int_bound (n - 1) st in
-        let k, v = List.nth fields j in
-        let v = if QCheck.Gen.bool st then v else gen_value st in
-        let at =
-          if QCheck.Gen.bool st then QCheck.Gen.int_bound j st
-          else j + 1 + QCheck.Gen.int_bound (n - 1 - j) st
-        in
-        insert_at texts at (text (k, v))
-    | 4 -> insert_at texts (QCheck.Gen.int_bound n st) (text ("x_extra", gen_value st))
-    | _ ->
-        let served = index_of "served" in
-        insert_at (remove_at texts served) (index_of "type") (List.nth texts served)
+  let ms = split_members line in
+  let n = List.length ms in
+  let replace i m = join (List.mapi (fun j m' -> if j = i then m else m') ms) in
+  let swapped () =
+    let i, j = gen_pair n st in
+    join (swap ms i j)
   in
-  "{" ^ String.concat "," texts ^ "}"
-
-let measurement_escapable = [ "workload"; "hw_db" ]
-
-
-let show_result = function Ok m -> "Ok " ^ M.to_line m | Error e -> "Error " ^ e
-
-let qcheck_canonical_round_trip =
-  QCheck.Test.make ~name:"canonical lines decode like the oracle and round-trip byte for byte"
-    ~count:300
-    (QCheck.make ~print:M.to_line gen_measurement)
-    (fun m ->
-      let line = M.to_line m in
-      match (M.of_line line, oracle_of_line line) with
-      | Ok got, Ok want ->
-          same got m && same got want && String.equal (M.to_line got) line
-      | got, want ->
-          QCheck.Test.fail_reportf "decoder %s, oracle %s" (show_result got) (show_result want))
-
-(* a result reply's envelope members, and sometimes a second value (any
-   value) for one of its keys *)
-let gen_envelope st =
-  let base =
-    [
-      ("id", Jsonl.Int (QCheck.Gen.ui64 st));
-      ("type", Jsonl.Str "result");
-      ("served", Jsonl.Str (QCheck.Gen.oneofl [ "hit"; "sim"; "dedup" ] st));
-    ]
+  (* one member that [p] holds for, changed by [f] *)
+  let at_one p f =
+    match List.filter (fun i -> p (List.nth ms i)) (List.init n Fun.id) with
+    | [] -> swapped ()
+    | is ->
+        let i = QCheck.Gen.oneofl is st in
+        replace i (f (List.nth ms i))
   in
-  base
-  @ List.init (QCheck.Gen.int_range 0 2 st) (fun _ ->
-        (QCheck.Gen.oneofl [ "id"; "type"; "served" ] st, gen_value st))
+  let string_value m = (value_of m).[0] = '"' in
+  match QCheck.Gen.int_bound 6 st with
+  | 0 ->
+      let i = QCheck.Gen.int_bound (n - 1) st in
+      let m = List.nth ms i in
+      replace i
+        (QCheck.Gen.oneofl
+           [ " " ^ m; m ^ " "; key_of m ^ " :" ^ value_of m; key_of m ^ ": " ^ value_of m ]
+           st)
+  | 1 -> swapped ()
+  | 2 -> join (insert_at ms (QCheck.Gen.int_bound n st) (List.nth ms (QCheck.Gen.int_bound (n - 1) st)))
+  | 3 ->
+      let v = QCheck.Gen.oneofl [ "1"; "true"; "\"x\""; "\"0x1p+0\"" ] st in
+      join (insert_at ms (QCheck.Gen.int_bound n st) ("\"x_extra\":" ^ v))
+  | 4 ->
+      at_one
+        (fun m -> string_value m && decimal_of_hex (unquote (value_of m)) <> None)
+        (fun m -> key_of m ^ ":" ^ Option.get (decimal_of_hex (unquote (value_of m))))
+  | 5 ->
+      at_one
+        (fun m -> key_of m = "\"fp\"")
+        (fun m -> key_of m ^ ":\"" ^ gen_foreign_fp (unquote (value_of m)) st ^ "\"")
+  | _ -> at_one string_value (fun m -> key_of m ^ ":" ^ gen_foreign_escape (value_of m) st)
 
-(* Mutated store lines, and mutated reply lines with the envelope's
-   members before, between and after the measurement's, or lines with
-   one targeted change: the decoders give the oracle's exact value or
-   its exact error text. *)
-let qcheck_mutated_lines_agree =
-  QCheck.Test.make ~name:"mutated lines decode like the oracle" ~count:500
-    (QCheck.make ~print:(fun (l, r) -> l ^ "\n" ^ r)
-       QCheck.Gen.(
-         gen_measurement >>= fun m ->
-         let line = M.to_line m in
-         let reply st =
-           P.splice ~id:(ui64 st) ~served:(oneofl [ "hit"; "sim"; "dedup" ] st) line
-         in
-         pair
-           (oneof [ gen_mutated m; gen_targeted ~escapable:measurement_escapable line ])
-           (oneof
-              [
-                (gen_envelope >>= fun envelope -> gen_mutated ~envelope m);
-                (reply >>= fun r -> gen_targeted ~reply:true ~escapable:measurement_escapable r);
-              ])))
-    (fun (line, reply) ->
-      (match (M.of_line line, oracle_of_line line) with
-      | Ok got, Ok want -> same got want
-      | Error got, Error want ->
-          got = want || QCheck.Test.fail_reportf "decoder %S, oracle %S" got want
-      | got, want ->
-          QCheck.Test.fail_reportf "decoder %s, oracle %s" (show_result got) (show_result want))
-      &&
-      match (P.decode_response reply, oracle_of_reply reply) with
-      | _, None -> true
-      | Ok (id, `Terminal (P.Result { served; m })), Some (Ok (id', served', want)) ->
-          (id = id' && served = served' && same m want)
-          || QCheck.Test.fail_reportf "reply decoded as %Ld %s %s" id served (M.to_line m)
-      | Error got, Some (Error want) ->
-          got = want || QCheck.Test.fail_reportf "reply refused with %S, oracle %S" got want
-      | Ok _, Some _ -> QCheck.Test.fail_report "reply decoded, but not as the oracle reads it"
-      | Error e, Some (Ok _) -> QCheck.Test.fail_reportf "a good reply refused: %s" e)
+(* [line] with each pair of adjacent members swapped in turn *)
+let adjacent_swaps line =
+  let ms = split_members line in
+  List.init (List.length ms - 1) (fun i -> join (swap ms i (i + 1)))
+
+let adjacent_pair_swaps s =
+  let pairs = String.split_on_char ',' s in
+  List.init (List.length pairs - 1) (fun i -> String.concat "," (swap pairs i (i + 1)))
+
+(* One change to a compact point: two pairs swapped, a pair repeated, an
+   unknown pair, a space, a float as a decimal or in upper case. *)
+let gen_targeted_compact s : string QCheck.Gen.t =
+ fun st ->
+  let pairs = String.split_on_char ',' s in
+  let n = List.length pairs in
+  let rejoin ps = String.concat "," ps in
+  let value kv = String.sub kv (String.index kv '=' + 1) (String.length kv - String.index kv '=' - 1) in
+  let key kv = String.sub kv 0 (String.index kv '=') in
+  let floats = List.filter (fun i -> decimal_of_hex (value (List.nth pairs i)) <> None) (List.init n Fun.id) in
+  match QCheck.Gen.int_bound 4 st with
+  | 0 ->
+      let i, j = gen_pair n st in
+      rejoin (swap pairs i j)
+  | 1 -> rejoin (insert_at pairs (QCheck.Gen.int_bound n st) (List.nth pairs (QCheck.Gen.int_bound (n - 1) st)))
+  | 2 -> rejoin (insert_at pairs (QCheck.Gen.int_bound n st) "x_extra=1")
+  | 3 ->
+      let i = QCheck.Gen.int_bound (n - 1) st in
+      let kv = List.nth pairs i in
+      let spaced =
+        QCheck.Gen.oneofl [ " " ^ kv; kv ^ " "; key kv ^ " =" ^ value kv; key kv ^ "= " ^ value kv ] st
+      in
+      rejoin (List.mapi (fun j p -> if j = i then spaced else p) pairs)
+  | _ when floats = [] -> rejoin (swap pairs 0 1)
+  | _ ->
+      let i = QCheck.Gen.oneofl floats st in
+      let kv = List.nth pairs i in
+      let v =
+        if QCheck.Gen.bool st then Option.get (decimal_of_hex (value kv))
+        else String.uppercase_ascii (value kv)
+      in
+      rejoin (List.mapi (fun j p -> if j = i then key kv ^ "=" ^ v else p) pairs)
+
+(* --- the writer-image properties ------------------------------------ *)
+
+(* a refusal names a field or an offset *)
+let names e = contains e "field" || contains e " at offset "
+
+let refusal_named what l e =
+  names e || QCheck.Test.fail_reportf "%s %S refused without a field or an offset: %s" what l e
+
+(* [of_line l = Ok m] implies [to_line m = l] *)
+let store_image l =
+  match M.of_line l with
+  | Ok m -> String.equal (M.to_line m) l || QCheck.Test.fail_reportf "%S decoded as %s" l (M.to_line m)
+  | Error e -> refusal_named "store line" l e
+
+(* [decode_response l = Ok (id, r)] implies [encode_response ~id r = l]:
+   [splice] of its measurement's line for a result or a point *)
+let reply_image l =
+  match P.decode_response l with
+  | Ok (id, (`Terminal r | `Interim r)) ->
+      String.equal (P.encode_response ~id r) l
+      || QCheck.Test.fail_reportf "%S decoded as %s" l (P.encode_response ~id r)
+  | Error e -> refusal_named "reply" l e
+
+(* [decode_request l = Ok (id, r)] implies [encode_request ~id r = l] *)
+let request_image l =
+  match P.decode_request l with
+  | Ok (id, r) ->
+      String.equal (P.encode_request ~id r) l
+      || QCheck.Test.fail_reportf "%S decoded as %s" l (P.encode_request ~id r)
+  | Error (_, e) -> refusal_named "request" l e
+
+(* [of_compact s = Ok p] implies [to_compact p = s] *)
+let compact_image s =
+  match Point.of_compact s with
+  | Ok p ->
+      String.equal (Point.to_compact p) s
+      || QCheck.Test.fail_reportf "%S decoded as %s" s (Point.to_compact p)
+  | Error e -> refusal_named "compact point" s e
+
+(* a cut line is refused, at an offset *)
+let cut_refused what decode l =
+  match decode l with
+  | Ok () -> QCheck.Test.fail_reportf "the cut %s %S decoded" what l
+  | Error e -> contains e " at offset " || QCheck.Test.fail_reportf "the cut %S: %s" l e
+
 
 (* --- hand-written lines --------------------------------------------- *)
 
 let sample = Test_store_shard.synthetic 3
 
-(* The case that once set the property above apart (QCHECK_SEED
-   184354554): a float field holding a numeric string that is not a
-   float's "%h" text is refused by the decoder and the oracle. *)
+(* A float field holding a numeric string that is not a float's "%h"
+   text is refused by both readers of measurement fields: a store line's
+   and a reply's. *)
 let test_string_float_refused_by_both () =
-  let line =
-    Jsonl.encode
-      (List.map
-         (fun (k, v) -> if k = "clock_mhz" then (k, Jsonl.Str "91") else (k, v))
-         (members_of (M.to_line sample)))
-  in
+  let line = set_member (M.to_line sample) "clock_mhz" "\"91\"" in
+  let want = "field \"clock_mhz\" must be a number" in
   (match M.of_line line with
-  | Ok m -> Alcotest.failf "the decoder read \"91\" as %h" m.M.point.Point.clock_mhz
-  | Error _ -> ());
-  match oracle_of_line line with
-  | Ok _ -> Alcotest.fail "the oracle read \"91\" as a float"
-  | Error _ -> ()
-
-(* [line] with member [key]'s value text replaced by [text] (numeric and
-   boolean members only: their text holds no ',') *)
-let set_member line key text =
-  let tag = Printf.sprintf "\"%s\":" key in
-  let n = String.length tag in
-  let rec find i = if String.sub line i n = tag then i else find (i + 1) in
-  let start = find 0 + n in
-  let stop =
-    let rec go j = if line.[j] = ',' || line.[j] = '}' then j else go (j + 1) in
-    go start
-  in
-  String.sub line 0 start ^ text ^ String.sub line stop (String.length line - stop)
-
-let drop_member line key =
-  let fields = List.filter (fun (k, _) -> k <> key) (members_of line) in
-  Jsonl.encode fields
+  | Ok m -> Alcotest.failf "the store reader read \"91\" as %h" m.M.point.Point.clock_mhz
+  | Error e -> Alcotest.(check string) "store line" want e);
+  match P.decode_response (P.splice ~id:3L ~served:"hit" line) with
+  | Ok _ -> Alcotest.fail "the reply reader read \"91\" as a float"
+  | Error e -> Alcotest.(check string) "reply" ("result: " ^ want) e
 
 let rejects ?(prefix = false) ~what line want =
   match M.of_line line with
@@ -600,28 +369,29 @@ let rejects ?(prefix = false) ~what line want =
   | Error e when prefix -> Alcotest.(check bool) (what ^ ": " ^ e) true (String.starts_with ~prefix:want e)
   | Error e -> Alcotest.(check string) what want e
 
+(* A number token is a JSON integer as the writer spells it; anything
+   else, JSON's fractions, exponents and "-0" included (the writer
+   writes none), is refused at the offset after it. *)
 let test_number_grammar () =
   let bad tok =
-    match Jsonl.decode (Printf.sprintf "{\"x\":%s}" tok) with
+    match Jsonl.decode_keys [ "x" ] (Printf.sprintf "{\"x\":%s}" tok) with
     | Ok _ -> Alcotest.failf "accepted the number %s" tok
     | Error e ->
-        Alcotest.(check string) tok (Printf.sprintf "bad number %S at offset %d" tok (5 + String.length tok)) e
+        Alcotest.(check string) tok (Printf.sprintf "bad value %S at offset %d" tok (5 + String.length tok)) e
   in
-  List.iter bad [ "1_0.5"; "0x1p3"; "nan"; "inf"; "007"; "1."; ".5"; "+1"; "1e"; "-"; "1e+" ];
+  List.iter bad
+    [
+      "1_0.5"; "0x1p3"; "nan"; "inf"; "007"; "1."; ".5"; "+1"; "1e"; "-"; "1e+"; "1e-3"; "-1.5E+2";
+      "0.5"; "-0"; "-01"; "null";
+    ];
   let good tok want =
-    match Jsonl.decode (Printf.sprintf "{\"x\":%s}" tok) with
+    match Jsonl.decode_keys [ "x" ] (Printf.sprintf "{\"x\":%s}" tok) with
     | Ok [ ("x", got) ] -> Alcotest.(check bool) tok true (got = want)
     | Ok _ | Error _ -> Alcotest.failf "rejected the number %s" tok
   in
   good "0" (Jsonl.Int 0L);
   good "-42" (Jsonl.Int (-42L));
-  good "1e-3" (Jsonl.Float 1e-3);
-  good "-1.5E+2" (Jsonl.Float (-150.));
-  good "0.5" (Jsonl.Float 0.5);
-  match Jsonl.decode "{\"x\":-0}" with
-  | Ok [ ("x", Jsonl.Float f) ] ->
-      Alcotest.(check bool) "-0 keeps its sign" true (f = 0.0 && Float.sign_bit f)
-  | Ok _ | Error _ -> Alcotest.fail "-0 must decode as a negative-zero float"
+  good "-9223372036854775808" (Jsonl.Int Int64.min_int)
 
 let test_number_grammar_in_lines () =
   let line = M.to_line sample in
@@ -629,10 +399,9 @@ let test_number_grammar_in_lines () =
     match M.of_line (set_member line "seconds" tok) with
     | Ok m -> Alcotest.failf "\"seconds\":%s decoded as %h" tok m.M.seconds
     | Error e ->
-        Alcotest.(check bool) (tok ^ " named") true
-          (Test_store_shard.contains e (Printf.sprintf "bad number %S" tok))
+        Alcotest.(check bool) (tok ^ " named") true (contains e (Printf.sprintf "bad value %S" tok))
   in
-  List.iter refused [ "1_0.5"; "0x1p3"; "nan" ];
+  List.iter refused [ "1_0.5"; "0x1p3"; "nan"; "0.5" ];
   (* the "%h" strings the encoder writes for non-finite floats decode *)
   List.iter
     (fun (text, want) ->
@@ -669,24 +438,35 @@ let test_out_of_range_integers_refused () =
   rejects ~prefix:true ~what:"beyond int64" (set_member line "cycles" "9223372036854775808")
     "integer out of range at offset "
 
+(* where the member [key] starts in [line]: its ',' *)
+let offset_of line key =
+  let tag = Printf.sprintf ",\"%s\":" key in
+  let n = String.length tag in
+  let rec find i = if String.sub line i n = tag then i else find (i + 1) in
+  find 0
+
 let test_located_errors () =
   let line = M.to_line sample in
   rejects ~what:"string where an integer goes" (set_member line "cycles" "\"1973\"")
     "field \"cycles\" must be an integer";
-  rejects ~what:"absent" (drop_member line "cycles") "missing field \"cycles\"";
+  (* an absent field is named where it should have been: at the member
+     that came instead *)
+  let dropped = drop_member line "cycles" in
+  rejects ~what:"absent" dropped
+    (Printf.sprintf "missing field \"cycles\" at offset %d" (offset_of dropped "seconds"));
   rejects ~what:"number where a boolean goes" (set_member line "correct" "1")
     "field \"correct\" must be a boolean";
   rejects ~what:"boolean where a float goes" (set_member line "seconds" "true")
     "field \"seconds\" must be a number";
-  rejects ~what:"unknown memory kind"
-    (Jsonl.encode
-       (List.map
-          (fun (k, v) -> if k = "memory" then (k, Jsonl.Str "flash") else (k, v))
-          (members_of line)))
+  rejects ~what:"unknown memory kind" (set_member line "memory" "\"flash\"")
     "field \"memory\" must be \"spm\", \"cache\" or \"dram\"";
   (* the first field in line order that is wrong is the one named *)
   rejects ~what:"two wrong fields" (drop_member (set_member line "banks" "true") "cycles")
-    "field \"banks\" must be an integer"
+    "field \"banks\" must be an integer";
+  (* a member out of order is named as the field expected there *)
+  let swapped = Test_store_shard.swap_members line "cycles" "seconds" in
+  rejects ~what:"swapped" swapped
+    (Printf.sprintf "missing field \"cycles\" at offset %d" (offset_of swapped "seconds"))
 
 (* the message reaches the store's "line N is corrupt (...)" *)
 let test_store_names_the_field () =
@@ -702,17 +482,17 @@ let test_store_names_the_field () =
             Alcotest.failf "%s: store opened" what
         | exception Failure e ->
             Alcotest.(check bool) (what ^ ": " ^ e) true
-              (Test_store_shard.contains e (Printf.sprintf "line 2 is corrupt (%s)" want)));
+              (contains e (Printf.sprintf "line 2 is corrupt (%s" want)));
         Alcotest.(check string) (what ^ ": file untouched") contents
           (Test_store_shard.read_file path))
   in
   let line = M.to_line sample in
-  check ~what:"missing" (drop_member line "cycles") "missing field \"cycles\"";
+  check ~what:"missing" (drop_member line "cycles") "missing field \"cycles\" at offset ";
   check ~what:"out of range"
     (set_member line "read_ports" "9223372036854775807")
-    "field \"read_ports\" is outside the int range"
+    "field \"read_ports\" is outside the int range)"
 
-(* --- bit-exact round trips and mutated bytes ------------------------ *)
+(* --- bit-exact round trips and what each reader accepts ------------- *)
 
 (* bit for bit: floats compared by their bits, NaN payloads included *)
 let bit_equal a b =
@@ -783,86 +563,70 @@ let flipped st line =
 
 let gen_flips n line st = List.init n (fun _ -> flipped st line)
 
-let at_offset e = Test_store_shard.contains e " at offset "
 
-(* A measurement decoded from mutated bytes must be what those bytes
-   say: its own line decodes back to it, bit for bit, and the reference
-   decoder reads the same measurement out of the mutated bytes. When
-   the mutated bytes are canonical, its line is those bytes. *)
-let what_the_bytes_say line m =
-  let again = M.to_line m in
-  (match M.of_line again with
-  | Ok m' when bit_equal m m' -> ()
-  | Ok _ | Error _ -> QCheck.Test.fail_reportf "%s does not re-decode to itself" again);
-  match oracle_of_line line with
-  (* the reference reads "nan" with another payload *)
-  | Ok want when same want m -> true
-  | Ok want -> QCheck.Test.fail_reportf "the reference reads %s" (M.to_line want)
-  | Error e -> QCheck.Test.fail_reportf "the reference refuses it: %s" e
-
-let gen_line_and_flips =
+let gen_line_and_changes =
   QCheck.Gen.(
     gen_extreme_measurement >>= fun m ->
     let line = M.to_line m in
-    map (fun f -> (line, f)) (gen_flips 40 line))
+    map2 (fun f t -> (line, f @ t)) (gen_flips 40 line) (list_repeat 20 (gen_targeted line)))
 
+(* The store line reader: every cut refused at an offset, and every
+   flipped or changed line (each pair of adjacent members swapped among
+   them) refused naming a field or an offset, or decoded to the
+   measurement whose line it is. The reply, request and compact point
+   readers below are held to the same. *)
 let qcheck_mutated_store_lines =
   QCheck.Test.make ~name:"cut or bit-flipped store lines: an error or what the bytes say"
     ~count:60
-    (QCheck.make ~print:fst gen_line_and_flips)
-    (fun (line, flips) ->
-      List.for_all
-        (fun l ->
-          match M.of_line l with
-          | Ok m -> QCheck.Test.fail_reportf "the cut %S decoded as %s" l (M.to_line m)
-          | Error e -> at_offset e || QCheck.Test.fail_reportf "the cut %S: %s" l e)
-        (cuts line)
-      && List.for_all
-           (fun l -> match M.of_line l with Ok m -> what_the_bytes_say l m | Error _ -> true)
-           flips)
+    (QCheck.make ~print:fst gen_line_and_changes)
+    (fun (line, changed) ->
+      List.for_all (cut_refused "store line" (fun l -> Result.map ignore (M.of_line l))) (cuts line)
+      && List.for_all store_image ((line :: changed) @ adjacent_swaps line))
 
-(* a reply spliced around a measurement's line, canonical or with one
-   targeted change *)
+(* every reply the daemon writes, measurement replies spliced around a
+   measurement's line *)
+let gen_response : P.response QCheck.Gen.t =
+ fun st ->
+  let m () = gen_extreme_measurement st in
+  let served () = QCheck.Gen.oneofl [ "hit"; "sim"; "dedup" ] st in
+  let n () = QCheck.Gen.int_bound 1000 st in
+  match QCheck.Gen.int_bound 7 st with
+  | 0 -> P.Pong
+  | 1 -> P.Stopping
+  | 2 -> P.Failed (gen_text st)
+  | 3 -> P.Sweep_done { points = n (); hits = n (); sims = n (); deduped = n () }
+  | 4 ->
+      P.Stats_reply
+        {
+          P.st_hits = n ();
+          st_misses = n ();
+          st_deduped = n ();
+          st_simulated = n ();
+          st_inflight = n ();
+          st_queue_depth = n ();
+          st_store_size = n ();
+          st_requests = n ();
+        }
+  | 5 -> P.Sweep_point { index = n (); served = served (); m = m () }
+  | _ -> P.Result { served = served (); m = m () }
+
+(* a reply as the daemon writes it, or with one targeted change *)
 let gen_reply st =
-  let reply = P.splice ~id:7L ~served:"hit" (M.to_line (gen_extreme_measurement st)) in
-  if QCheck.Gen.bool st then reply
-  else gen_targeted ~reply:true ~escapable:measurement_escapable reply st
+  let reply = P.encode_response ~id:(QCheck.Gen.ui64 st) (gen_response st) in
+  if QCheck.Gen.bool st then reply else gen_targeted reply st
 
 let qcheck_mutated_reply_lines =
   QCheck.Test.make ~name:"cut or bit-flipped reply lines: an error or what the bytes say"
     ~count:60
     (QCheck.make ~print:fst
-       QCheck.Gen.(gen_reply >>= fun reply -> map (fun f -> (reply, f)) (gen_flips 40 reply)))
-    (fun (reply, flips) ->
+       QCheck.Gen.(
+         map (P.encode_response ~id:7L) gen_response >>= fun reply ->
+         map2 (fun f t -> (reply, f @ t)) (gen_flips 40 reply) (list_repeat 20 (gen_targeted reply))))
+    (fun (reply, changed) ->
       List.for_all
-        (fun l ->
-          match P.decode_response l with
-          | Ok _ -> QCheck.Test.fail_reportf "the cut %S decoded" l
-          | Error e -> at_offset e || QCheck.Test.fail_reportf "the cut %S: %s" l e)
+        (cut_refused "reply" (fun l -> Result.map ignore (P.decode_response l)))
         (cuts reply)
-      && List.for_all
-           (fun l ->
-             let got = P.decode_response l in
-             (match (got, oracle_of_reply l) with
-             | _, None -> true
-             | Ok (id, `Terminal (P.Result { served; m })), Some (Ok (id', served', m')) ->
-                 (id = id' && served = served' && same m m')
-                 || QCheck.Test.fail_reportf "%S decoded as %s" l (M.to_line m)
-             | Error e, Some (Error e') ->
-                 e = e' || QCheck.Test.fail_reportf "%S refused with %S, oracle %S" l e e'
-             | _, Some _ -> QCheck.Test.fail_reportf "%S: the decoder and the oracle disagree" l)
-             &&
-             match got with
-             | Ok (id, `Terminal (P.Result { served; m })) ->
-                 let fields = members_of l in
-                 Jsonl.get_int fields "id" = Some id
-                 && Jsonl.get_str fields "served" = Some served
-                 && what_the_bytes_say l m
-             | Ok _ -> QCheck.Test.fail_reportf "%S decoded as another reply" l
-             | Error _ -> true)
-           flips)
-
-(* --- request lines and compact points ------------------------------- *)
+      && List.for_all reply_image ((reply :: changed) @ adjacent_swaps reply))
 
 let gen_point : Point.t QCheck.Gen.t =
  fun st ->
@@ -914,56 +678,44 @@ let qcheck_request_round_trip =
       | Ok got -> bit_equal got (id, r) || QCheck.Test.fail_report "decoded another request"
       | Error (_, e) -> QCheck.Test.fail_reportf "refused its own line: %s" e)
 
-(* the point text a request line carries, as its first "point" or
-   "points" member *)
-let point_text fields =
-  match (Jsonl.get_str fields "point", Jsonl.get_str fields "points") with
-  | Some s, _ | None, Some s -> Some s
-  | None, None -> None
 
-(* a request line as the client writes it, or with one targeted change *)
+(* a request line as the client writes it, or with one targeted change:
+   to its members, or to the compact point it carries *)
 let gen_request_line st =
   let line = P.encode_request ~id:(gen_id st) (gen_request st) in
-  if QCheck.Gen.bool st then line
-  else gen_targeted ~escapable:[ "workload"; "point"; "points"; "op" ] line st
+  match QCheck.Gen.int_bound 3 st with
+  | 0 | 1 -> line
+  | 2 -> gen_targeted line st
+  | _ -> (
+      let ms = split_members line in
+      match List.find_index (fun m -> key_of m = "\"point\"" || key_of m = "\"points\"") ms with
+      | None -> gen_targeted line st
+      | Some i ->
+          let m = List.nth ms i in
+          let text = unquote (value_of m) in
+          (* a text with escapes is not a compact point as it stands *)
+          if String.contains text '\\' then gen_targeted line st
+          else
+            let first = List.hd (String.split_on_char ';' text) in
+            let changed = gen_targeted_compact first st in
+            let rest = String.sub text (String.length first) (String.length text - String.length first) in
+            join (List.mapi (fun j m' -> if j = i then key_of m ^ ":\"" ^ changed ^ rest ^ "\"" else m') ms))
 
 let qcheck_mutated_request_lines =
   QCheck.Test.make ~name:"cut or bit-flipped request lines: an error or what the bytes say"
     ~count:150
     (QCheck.make ~print:fst
-       QCheck.Gen.(gen_request_line >>= fun line -> map (fun f -> (line, f)) (gen_flips 30 line)))
-    (fun (line, flips) ->
+       QCheck.Gen.(
+         map2 (fun id r -> P.encode_request ~id r) gen_id gen_request >>= fun line ->
+         map2
+           (fun f t -> (line, f @ t))
+           (gen_flips 30 line)
+           (list_repeat 10 gen_request_line)))
+    (fun (line, changed) ->
       List.for_all
-        (fun l ->
-          match P.decode_request l with
-          | Ok _ -> QCheck.Test.fail_reportf "the cut %S decoded" l
-          | Error (_, e) -> at_offset e || QCheck.Test.fail_reportf "the cut %S: %s" l e)
+        (cut_refused "request" (fun l -> Result.map ignore (Result.map_error snd (P.decode_request l))))
         (cuts line)
-      && List.for_all
-           (fun l ->
-             let got = P.decode_request l in
-             (match (got, oracle_of_request l) with
-             | Ok a, Ok b -> same a b || QCheck.Test.fail_reportf "%S: not the oracle's request" l
-             | Error a, Error b ->
-                 same a b
-                 || QCheck.Test.fail_reportf "%S refused with %S, oracle %S" l (snd a) (snd b)
-             | _ -> QCheck.Test.fail_reportf "%S: the decoder and the oracle disagree" l)
-             &&
-             match got with
-             | Error _ -> true
-             | Ok (id, r) -> (
-                 let fields = members_of l in
-                 Jsonl.get_int fields "id" = Some id
-                 && (match P.decode_request (P.encode_request ~id r) with
-                    | Ok again -> bit_equal again (id, r)
-                    | Error _ -> false)
-                 &&
-                 match r with
-                 | P.Sim (_, p) -> point_text fields = Some (Point.to_compact p)
-                 | P.Sweep (_, ps) ->
-                     point_text fields = Some (String.concat ";" (List.map Point.to_compact ps))
-                 | P.Ping | P.Stats | P.Shutdown -> true))
-           (line :: flips))
+      && List.for_all request_image ((line :: changed) @ adjacent_swaps line))
 
 (* FNV-1a over [s], byte by byte: the fingerprint's definition *)
 let fnv_reference s =
@@ -1005,24 +757,25 @@ let qcheck_request_point_fingerprint =
       | Ok _ -> QCheck.Test.fail_report "decoded another request"
       | Error (_, e) -> QCheck.Test.fail_reportf "refused its own line: %s" e)
 
-(* The store's 16-character fingerprint text is read as
-   [Int64.of_string ("0x" ^ s)] reads it: either case, underscores after
-   the first digit. *)
+
+(* The store's fingerprint text is exactly the 16 lowercase hex digits
+   [fingerprint_hex] writes: upper case, underscores (which
+   [Int64.of_string] takes), signs and other lengths are refused. *)
 let qcheck_fingerprint_hex_language =
-  QCheck.Test.make ~name:"fingerprint_of_hex reads what Int64.of_string reads" ~count:1000
+  QCheck.Test.make ~name:"fingerprint_of_hex reads exactly what fingerprint_hex writes"
+    ~count:1000
     (QCheck.make ~print:(Printf.sprintf "%S")
        QCheck.Gen.(
          string_size
            ~gen:(frequency [ (8, oneofl (String.to_seq "0123456789abcdefABCDEF" |> List.of_seq)); (1, oneofl [ '_'; 'x'; '-'; '+'; 'g'; ' ' ]) ])
            (frequency [ (8, return 16); (1, int_range 0 20) ])))
     (fun s ->
-      let want =
-        if String.length s <> 16 then None
-        else try Some (Int64.of_string ("0x" ^ s)) with Failure _ -> None
-      in
-      Point.fingerprint_of_hex s = want
-      || QCheck.Test.fail_reportf "read as %s"
-           (match Point.fingerprint_of_hex s with Some h -> Printf.sprintf "%Lx" h | None -> "nothing"))
+      match Point.fingerprint_of_hex s with
+      | Some h -> String.equal (Point.fingerprint_hex h) s || QCheck.Test.fail_reportf "read as %Lx" h
+      | None ->
+          String.length s <> 16
+          || String.exists (fun c -> not (String.contains "0123456789abcdef" c)) s
+          || QCheck.Test.fail_report "refused")
 
 let qcheck_compact_round_trip =
   QCheck.Test.make ~name:"of_compact (to_compact p) = Ok p, bit for bit" ~count:500
@@ -1032,9 +785,10 @@ let qcheck_compact_round_trip =
       | Ok got -> bit_equal got p || QCheck.Test.fail_reportf "decoded %s" (Point.to_compact got)
       | Error e -> QCheck.Test.fail_reportf "refused its own text: %s" e)
 
+
 (* Every accepted compact text is the one [to_compact] writes for the
-   point it names, so a cut or flipped text is refused or names exactly
-   the point its bytes spell. *)
+   point it names, so a cut, flipped or changed text is refused or names
+   exactly the point its bytes spell. *)
 let qcheck_mutated_compact_points =
   QCheck.Test.make ~name:"cut or bit-flipped compact points: an error or the point the bytes spell"
     ~count:200
@@ -1042,16 +796,9 @@ let qcheck_mutated_compact_points =
        QCheck.Gen.(
          gen_point >>= fun p ->
          let s = Point.to_compact p in
-         map (fun f -> (s, f)) (gen_flips 30 s)))
-    (fun (s, flips) ->
-      List.for_all
-        (fun t ->
-          match Point.of_compact t with
-          | Ok p ->
-              String.equal (Point.to_compact p) t
-              || QCheck.Test.fail_reportf "%S decoded as %s" t (Point.to_compact p)
-          | Error _ -> true)
-        (cuts s @ flips))
+         map2 (fun f t -> (s, f @ t)) (gen_flips 30 s) (list_repeat 20 (gen_targeted_compact s))))
+    (fun (s, changed) ->
+      List.for_all compact_image (cuts s @ (s :: changed) @ adjacent_pair_swaps s))
 
 (* --- the one float spelling ------------------------------------------- *)
 
@@ -1088,17 +835,14 @@ let qcheck_float_spelling =
       || QCheck.Test.fail_reportf "read back as %h" back)
 
 (* a float field holding hex text that is not the one spelling is
-   refused, by the decoder and the oracle alike *)
+   refused *)
 let test_non_canonical_hex_refused () =
   let line = M.to_line sample in
   List.iter
     (fun text ->
-      let line = set_member line "seconds" (Printf.sprintf "\"%s\"" text) in
-      rejects ~what:text line "field \"seconds\" must be a number";
-      match oracle_of_line line with
-      | Ok _ -> Alcotest.failf "the oracle read %S" text
-      | Error e ->
-          Alcotest.(check string) ("oracle: " ^ text) "field \"seconds\" must be a number" e)
+      rejects ~what:text
+        (set_member line "seconds" (Printf.sprintf "\"%s\"" text))
+        "field \"seconds\" must be a number")
     [
       (* a trailing zero digit *)
       "0x1.80p+1";
@@ -1130,6 +874,7 @@ let test_non_canonical_hex_refused () =
       "-";
     ]
 
+
 (* --- lines read where they lie ------------------------------------- *)
 
 (* a line decoded in place, between other bytes, answers as the line
@@ -1151,8 +896,6 @@ let qcheck_rand seed t = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [|
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest qcheck_canonical_round_trip;
-    QCheck_alcotest.to_alcotest qcheck_mutated_lines_agree;
     Alcotest.test_case "a numeric string in a float field refused by both" `Quick
       test_string_float_refused_by_both;
     Alcotest.test_case "number tokens follow the JSON grammar" `Quick test_number_grammar;

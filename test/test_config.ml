@@ -95,7 +95,7 @@ let qcheck_render_float_reference =
 
 (* every number the shipped table carries, field values and cycle times *)
 let test_render_float_shipped () =
-  let text = In_channel.with_open_bin "../share/salam-40nm.db" In_channel.input_all in
+  let text = In_channel.with_open_bin (Test_dse.built "share/salam-40nm.db") In_channel.input_all in
   let floats =
     String.split_on_char '\n' text
     |> List.concat_map (String.split_on_char ' ')
@@ -366,7 +366,7 @@ let test_modes_5ns () =
 let test_salam_sim_cli_matches_point () =
   let sim args =
     let ic =
-      Unix.open_process_args_in "../bin/salam_sim.exe" (Array.of_list ("salam_sim" :: args))
+      Unix.open_process_args_in (Test_dse.bin "salam_sim") (Array.of_list ("salam_sim" :: args))
     in
     let out = In_channel.input_all ic in
     (match Unix.close_process_in ic with
@@ -439,7 +439,7 @@ let test_cli_startup_no_collection () =
     (fun name ->
       let status, _, report =
         Test_dse.run_cli ~env:[ "OCAMLRUNPARAM=v=0x400" ]
-          (Printf.sprintf "../bin/%s.exe" name)
+          (Test_dse.bin name)
           [ name; "--version" ]
       in
       Alcotest.(check bool) (name ^ " --version exits 0") true (status = Unix.WEXITED 0);

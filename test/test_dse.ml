@@ -10,6 +10,12 @@ module Store_shard = Salam_dse.Store_shard
 module Pareto = Salam_dse.Pareto
 module Dse = Salam_dse.Explore
 
+(* a file of the built tree, found from the test binary's own directory
+   so that the tests pass from any working directory *)
+let built path = Filename.concat (Filename.dirname Sys.executable_name) (Filename.concat ".." path)
+
+let bin name = built (Printf.sprintf "bin/%s.exe" name)
+
 let tiny_target = Dse.gemm_target ~n:8 ()
 
 let tiny_spaces =
@@ -106,7 +112,7 @@ let test_jsonl_roundtrip () =
       ("s", Jsonl.Str "quote\" slash\\ tab\t");
     ]
   in
-  match Jsonl.decode (Jsonl.encode fields) with
+  match Jsonl.decode_keys (List.map fst fields) (Jsonl.encode fields) with
   | Error e -> Alcotest.failf "decode failed: %s" e
   | Ok got ->
       (* a float comes back as its "%h" string *)
@@ -122,39 +128,51 @@ let test_jsonl_roundtrip () =
 
 let test_jsonl_rejects_garbage () =
   let bad s =
-    match Jsonl.decode s with Ok _ -> Alcotest.failf "accepted %S" s | Error _ -> ()
+    match Jsonl.decode_keys [ "a" ] s with Ok _ -> Alcotest.failf "accepted %S" s | Error _ -> ()
   in
   bad "";
-  bad "{\"a\": 1";
-  bad "{\"a\": {\"nested\": 1}}";
+  bad "{\"a\":1";
+  bad "{\"a\": 1}";
+  bad "{\"a\":{\"nested\":1}}";
+  bad "{\"a\":1,\"b\":2}";
+  bad "{\"a\":1} ";
   bad "not json at all"
 
-(* \u takes exactly four hex digits; OCaml literal syntax ("0_41",
-   "+041") must not sneak through, and the error names the offset *)
+(* A string holds only the escapes the writer writes: the short ones,
+   and "\u00" with two lowercase hex digits for any other control
+   character. \u takes exactly four hex digits (OCaml literal syntax,
+   "0_41" or "+041", must not sneak through), and the error names the
+   offset. *)
 let test_jsonl_unicode_escapes () =
   (* a one-field line whose string value is a \u escape with [digits] *)
   let line digits = "{\"s\":\"\\u" ^ digits ^ "\"}" in
   let decode_str s =
-    match Jsonl.decode s with
+    match Jsonl.decode_keys [ "s" ] s with
     | Ok [ ("s", Jsonl.Str v) ] -> v
     | Ok _ -> Alcotest.failf "unexpected fields for %S" s
     | Error e -> Alcotest.failf "rejected %S: %s" s e
   in
-  Alcotest.(check string) "0041" "A" (decode_str (line "0041"));
-  Alcotest.(check string) "upper-case hex" "J" (decode_str (line "004A"));
-  Alcotest.(check string) "non-ASCII" "?" (decode_str (line "00e9"));
-  Alcotest.(check string) "control char round-trip" "a\001b"
-    (decode_str (Jsonl.encode [ ("s", Jsonl.Str "a\001b") ]));
+  Alcotest.(check string) "001f" "\031" (decode_str (line "001f"));
+  List.iter
+    (fun s ->
+      Alcotest.(check string) (String.escaped s) s (decode_str (Jsonl.encode [ ("s", Jsonl.Str s) ])))
+    [ "a\001b"; "\"\\\n\r\t\000\031"; "\233" ];
   let rejects s want =
-    match Jsonl.decode s with
+    match Jsonl.decode_keys [ "s" ] s with
     | Ok _ -> Alcotest.failf "accepted %S" s
     | Error e -> Alcotest.(check string) s want e
   in
   (* the backslash is at offset 6, the 'u' at 7 *)
   List.iter
     (fun digits -> rejects (line digits) "bad \\u escape at offset 7")
-    [ "0_41"; "+041"; " 041"; "00g1"; "-001" ];
-  rejects "{\"s\":\"\\u004" "truncated \\u escape at offset 7"
+    [
+      "0_41"; "+041"; " 041"; "00g1"; "-001";
+      (* a byte the writer writes as it is, upper case, a short escape's byte *)
+      "0041"; "00e9"; "001F"; "000a"; "000d"; "0009";
+    ];
+  rejects "{\"s\":\"\\u004" "truncated \\u escape at offset 7";
+  rejects "{\"s\":\"\\/\"}" "bad escape '\\/' at offset 7";
+  rejects "{\"s\":\"a\tb\"}" "unescaped control character at offset 7"
 
 (* --- measurement round-trip --------------------------------------- *)
 
@@ -481,7 +499,7 @@ let test_cli_refuses_out_of_range_flags () =
       "salam_dse" :: "run" :: "--workload" :: "gemm" :: "--gemm-n" :: n :: "--quiet" :: args
     in
     let ((out, _, err) as proc) =
-      Unix.open_process_args_full "../bin/salam_dse.exe" (Array.of_list argv)
+      Unix.open_process_args_full (bin "salam_dse") (Array.of_list argv)
         (Unix.environment ())
     in
     let stdout = In_channel.input_all out in
@@ -501,7 +519,7 @@ let test_cli_refuses_out_of_range_flags () =
   refused ~n:"0" "--gemm-n" [];
   let accepted argv =
     let ic =
-      Unix.open_process_args_in "../bin/salam_dse.exe"
+      Unix.open_process_args_in (bin "salam_dse")
         (Array.of_list ("salam_dse" :: "run" :: argv @ [ "--ports"; "2"; "--fu"; "0"; "--quiet" ]))
     in
     let out = In_channel.input_all ic in
@@ -558,7 +576,7 @@ let check_refused ?env exe argv flag =
    before anything is simulated; an unknown --format is a usage error
    (Cmdliner's exit 124) *)
 let test_sim_cli_refuses_out_of_range_flags () =
-  let exe = "../bin/salam_sim.exe" in
+  let exe = (bin "salam_sim") in
   let argv args = "salam_sim" :: "run" :: "gemm" :: args in
   let refused flag args = check_refused exe (argv args) flag in
   refused "--clock" [ "--clock"; "0" ];
@@ -611,7 +629,7 @@ let check_bad_domains exe argv =
     [ "0"; "-3"; "lots" ]
 
 let test_cli_refuses_bad_domains () =
-  check_bad_domains "../bin/salam_dse.exe"
+  check_bad_domains (bin "salam_dse")
     [
       "salam_dse"; "run"; "--workload"; "gemm"; "--gemm-n"; "8"; "--unroll"; "2"; "--junroll";
       "2";
@@ -620,7 +638,7 @@ let test_cli_refuses_bad_domains () =
 (* run --help shows each list flag's default as the list its parser
    reads, not a placeholder *)
 let test_cli_help_shows_list_defaults () =
-  let status, stdout, _ = run_cli "../bin/salam_dse.exe" [ "salam_dse"; "run"; "--help=plain" ] in
+  let status, stdout, _ = run_cli (bin "salam_dse") [ "salam_dse"; "run"; "--help=plain" ] in
   Alcotest.(check bool) "--help=plain exits 0" true (status = Unix.WEXITED 0);
   List.iter
     (fun shown ->

@@ -89,47 +89,47 @@ let test_response_round_trips () =
       Alcotest.(check string) "measurement" (M.to_line m2) (M.to_line got)
   | _ -> Alcotest.fail "sweep point"
 
-let test_old_daemon_stats_decode () =
-  (* a daemon from when stores were sharded also reports its shard count *)
-  let line =
+(* A daemon from when stores were sharded also reported its shard
+   count: a reply this daemon does not write, refused where the member
+   it does not know stands. *)
+let test_old_daemon_stats_refused () =
+  let head =
     "{\"id\":7,\"type\":\"stats\",\"hits\":1,\"misses\":2,\"deduped\":3,\"simulated\":4,\
-     \"inflight\":5,\"queue_depth\":6,\"shards\":8,\"store_size\":9,\"requests\":10}"
+     \"inflight\":5,\"queue_depth\":6"
   in
+  let line = head ^ ",\"shards\":8,\"store_size\":9,\"requests\":10}" in
   match P.decode_response line with
-  | Ok (7L, `Terminal (P.Stats_reply st)) ->
-      Alcotest.(check (list int)) "every counter decoded"
-        [ 1; 2; 3; 4; 5; 6; 9; 10 ]
-        [
-          st.P.st_hits;
-          st.P.st_misses;
-          st.P.st_deduped;
-          st.P.st_simulated;
-          st.P.st_inflight;
-          st.P.st_queue_depth;
-          st.P.st_store_size;
-          st.P.st_requests;
-        ]
-  | Ok _ -> Alcotest.fail "wrong id or reply"
-  | Error e -> Alcotest.fail ("an older daemon's stats reply must decode: " ^ e)
+  | Ok _ -> Alcotest.fail "an older daemon's stats reply decoded"
+  | Error e ->
+      Alcotest.(check string) "the member named where it stands"
+        (Printf.sprintf "missing field \"store_size\" at offset %d" (String.length head))
+        e
 
 let test_malformed_requests_rejected () =
-  let expect_error ?id line =
+  let expect_error ?id ?names line =
     match P.decode_request line with
     | Ok _ -> Alcotest.fail ("accepted malformed request: " ^ line)
     | Error (got_id, e) ->
         Alcotest.(check bool) ("loud error for " ^ line) true (String.length e > 0);
+        Option.iter
+          (fun k -> Alcotest.(check bool) (e ^ " names " ^ k) true (Test_store_shard.contains e k))
+          names;
         Option.iter (fun id -> Alcotest.(check int64) "id recovered" id got_id) id
   in
   expect_error "not json at all";
   expect_error "{\"op\":\"ping\"}" (* missing id *);
   expect_error ~id:3L "{\"id\":3,\"nop\":\"ping\"}";
   expect_error ~id:3L "{\"id\":3,\"op\":\"warp\"}";
-  expect_error ~id:4L "{\"id\":4,\"op\":\"sim\",\"workload\":\"gemm\"}" (* no point *);
-  expect_error ~id:4L
-    "{\"id\":4,\"op\":\"sim\",\"workload\":\"gemm\",\"point\":\"banks=two\"}";
-  expect_error ~id:5L "{\"id\":5,\"op\":\"sweep\",\"workload\":\"gemm\",\"points\":\"\"}";
-  expect_error ~id:6L
-    "{\"id\":6,\"op\":\"sim\",\"workload\":\"gemm\",\"invocations\":0,\"point\":\"banks=2\"}";
+  let members = "\"workload\":\"gemm\",\"gemm_n\":8,\"invocations\":1" in
+  expect_error ~id:4L ~names:"point" (Printf.sprintf "{\"id\":4,\"op\":\"sim\",%s}" members);
+  expect_error ~id:4L ~names:"banks"
+    (Printf.sprintf "{\"id\":4,\"op\":\"sim\",%s,\"point\":\"banks=two\"}" members);
+  expect_error ~id:5L ~names:"points"
+    (Printf.sprintf "{\"id\":5,\"op\":\"sweep\",%s,\"points\":\"\"}" members);
+  expect_error ~id:6L ~names:"invocations"
+    (Printf.sprintf
+       "{\"id\":6,\"op\":\"sim\",\"workload\":\"gemm\",\"gemm_n\":8,\"invocations\":0,\"point\":%S}"
+       (Point.to_compact (point 2)));
   expect_error ~id:7L
     (P.encode_request ~id:7L (P.Sim ({ spec with P.fast_forward = Some 9 }, point 2)))
 
@@ -154,7 +154,9 @@ let test_ambiguous_points_rejected () =
       | Error e -> Alcotest.(check bool) (e ^ " names " ^ key) true (Test_store_shard.contains e key));
       match
         P.decode_request
-          (Printf.sprintf "{\"id\":9,\"op\":\"sim\",\"workload\":\"gemm\",\"point\":%S}" text)
+          (Printf.sprintf
+             "{\"id\":9,\"op\":\"sim\",\"workload\":\"gemm\",\"gemm_n\":16,\"invocations\":1,\"point\":%S}"
+             text)
       with
       | Ok _ -> Alcotest.failf "request for %s accepted" text
       | Error (id, e) ->
@@ -178,14 +180,18 @@ let test_out_of_range_request_integers () =
         Alcotest.(check int64) "id recovered" 4L id;
         Alcotest.(check bool) (e ^ " names " ^ field) true (Test_store_shard.contains e want)
   in
-  let sim member =
-    Printf.sprintf "{\"id\":4,\"op\":\"sim\",\"workload\":\"gemm\",%s,\"point\":%S}" member
-      (Point.to_compact (point 2))
+  let sim ?(gemm_n = "8") ?(invocations = "2") ?(fast_forward = "1") () =
+    Printf.sprintf
+      "{\"id\":4,\"op\":\"sim\",\"workload\":\"gemm\",\"gemm_n\":%s,\"invocations\":%s,\"fast_forward\":%s,\"point\":%S}"
+      gemm_n invocations fast_forward (Point.to_compact (point 2))
   in
-  names (sim "\"gemm_n\":4611686018427387904") "gemm_n";
-  names (sim "\"invocations\":9223372036854775807") "invocations";
-  names (sim "\"fast_forward\":-4611686018427387905") "fast_forward";
-  match P.decode_response "{\"id\":7,\"type\":\"done\",\"points\":9223372036854775807}" with
+  names (sim ~gemm_n:"4611686018427387904" ()) "gemm_n";
+  names (sim ~invocations:"9223372036854775807" ()) "invocations";
+  names (sim ~fast_forward:"-4611686018427387905" ()) "fast_forward";
+  match
+    P.decode_response
+      "{\"id\":7,\"type\":\"done\",\"points\":9223372036854775807,\"hits\":0,\"sims\":0,\"deduped\":0}"
+  with
   | Ok _ -> Alcotest.fail "a done reply with an out-of-range count decoded"
   | Error e ->
       Alcotest.(check string) "reply field named" "field \"points\" is outside the int range" e
@@ -645,10 +651,10 @@ let test_long_sweep_split () =
               | _ -> Alcotest.fail "a sweep ends in done")))
 
 (* An older client may still ask for a progress stream with
-   ["progress":true]. The daemon ignores the member: the request gets one
-   reply line, the same bytes as without it, and the next request on the
-   connection is answered next. *)
-let test_progress_member_ignored () =
+   ["progress":true], a member no client writes now: the request is
+   refused with its id, naming the offset, and the connection answers the
+   next requests as usual. *)
+let test_progress_member_refused () =
   let line = M.to_line (stored_for (point 2)) in
   let plain = P.encode_request ~id:5L (P.Sim (tiny_spec, point 2)) in
   let subscribed =
@@ -662,7 +668,12 @@ let test_progress_member_ignored () =
             raw_exchange socket [ subscribed; plain; P.encode_request ~id:6L P.Ping ]
           with
           | [ [ old_reply ]; [ reply ]; [ pong ] ] ->
-              Alcotest.(check string) "byte-identical to the plain request's reply" reply old_reply;
+              Alcotest.(check string) "the older request refused"
+                (P.encode_response ~id:5L
+                   (P.Failed
+                      (Printf.sprintf "bad request line: expected '}' at offset %d"
+                         (String.length plain - 1))))
+                old_reply;
               Alcotest.(check string) "the reply is the stored hit"
                 (P.splice ~id:5L ~served:"hit" line) reply;
               Alcotest.(check string) "the connection's next reply is the pong"
@@ -671,35 +682,25 @@ let test_progress_member_ignored () =
               Alcotest.failf "expected one line per request, got %s"
                 (String.concat "/" (List.map (fun r -> string_of_int (List.length r)) replies))))
 
-let test_non_canonical_line_answered_canonically () =
+(* A daemon opens its store as any other caller does: a line in
+   another spelling (keys reversed, an extra key, spaces) refuses the
+   store by path and line before the socket is bound, and the file keeps
+   its bytes. *)
+let test_non_canonical_line_refused () =
   let m = stored_for (point 4) in
-  (* the same measurement with its keys reversed, an extra key and
-     spaces around every token *)
-  let members =
-    match Test_codec.Jsonl.decode (M.to_line m) with
-    | Ok fields -> List.rev (("note", Salam_dse.Jsonl.Str "extra") :: fields)
-    | Error e -> Alcotest.fail e
-  in
-  let spaced =
-    "{ "
-    ^ String.concat " , "
-        (List.map
-           (fun (k, v) -> Test_codec.key_text k ^ " : " ^ Test_codec.value_text v)
-           members)
-    ^ " }"
-  in
+  let members = List.rev ("\"note\":\"extra\"" :: Test_codec.split_members (M.to_line m)) in
+  let spaced = "{ " ^ String.concat " , " members ^ " }" in
   with_store (spaced ^ "\n") (fun store ->
-      with_server ~store_dir:store (fun socket server ->
-          match raw_replies socket ~id:5L (P.Sim (tiny_spec, point 4)) with
-          | [ reply ] ->
-              Alcotest.(check string) "the reply carries to_line m"
-                (P.splice ~id:5L ~served:"hit" (M.to_line m))
-                reply;
-              Alcotest.(check bool) "no extra key echoed" false
-                (Test_store_shard.contains reply "note");
-              Alcotest.(check int) "answered as a hit" 1
-                (Server.stats_snapshot server).P.st_hits
-          | replies -> Alcotest.failf "expected one reply, got %d" (List.length replies));
+      let socket = fresh_socket () in
+      (match Server.start { Server.socket_path = socket; store_dir = Some store; workers = 1 } with
+      | exception Failure e ->
+          Alcotest.(check bool) (e ^ " names the store") true (Test_store_shard.contains e store);
+          Alcotest.(check bool) (e ^ " names the line") true (Test_store_shard.contains e "line 1 ")
+      | t ->
+          Server.stop t;
+          Server.wait t;
+          Alcotest.fail "the daemon opened the store");
+      Alcotest.(check bool) "no socket bound" false (Sys.file_exists socket);
       Alcotest.(check string) "store file untouched" (spaced ^ "\n")
         (Test_store_shard.read_file (Test_store_shard.lines_of store)))
 
@@ -935,7 +936,7 @@ let test_sigterm_stops_idle_daemon () =
   Sys.remove path;
   let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
   let pid =
-    Unix.create_process "../bin/salam_served.exe"
+    Unix.create_process (Test_dse.bin "salam_served")
       [| "salam_served"; "serve"; "--socket"; path |]
       Unix.stdin devnull devnull
   in
@@ -975,7 +976,7 @@ let test_sigterm_stops_idle_daemon () =
 let test_bad_domains_refused () =
   let path = Filename.temp_file "salam_served_domains" ".sock" in
   Sys.remove path;
-  Test_dse.check_bad_domains "../bin/salam_served.exe"
+  Test_dse.check_bad_domains (Test_dse.bin "salam_served")
     [ "salam_served"; "serve"; "--socket"; path ];
   Alcotest.(check bool) "no socket bound" false (Sys.file_exists path)
 
@@ -983,8 +984,8 @@ let suite =
   [
     Alcotest.test_case "request round-trips" `Quick test_request_round_trips;
     Alcotest.test_case "response round-trips" `Quick test_response_round_trips;
-    Alcotest.test_case "stats reply from an older daemon decodes" `Quick
-      test_old_daemon_stats_decode;
+    Alcotest.test_case "stats reply from an older daemon refused" `Quick
+      test_old_daemon_stats_refused;
     Alcotest.test_case "malformed requests rejected" `Quick test_malformed_requests_rejected;
     Alcotest.test_case "ambiguous compact points rejected" `Quick test_ambiguous_points_rejected;
     Alcotest.test_case "integers outside the int range refused" `Quick
@@ -997,10 +998,10 @@ let suite =
     Alcotest.test_case "persistence across restart" `Quick test_persistence_across_restart;
     Alcotest.test_case "hit reply is the envelope and the stored bytes" `Quick
       test_hit_reply_is_envelope_and_stored_bytes;
-    Alcotest.test_case "an older client's progress member is ignored" `Quick
-      test_progress_member_ignored;
-    Alcotest.test_case "non-canonical stored line answered canonically" `Quick
-      test_non_canonical_line_answered_canonically;
+    Alcotest.test_case "an older client's progress member is refused" `Quick
+      test_progress_member_refused;
+    Alcotest.test_case "non-canonical stored line refused at open" `Quick
+      test_non_canonical_line_refused;
     Alcotest.test_case "client names the bad field" `Quick test_client_names_the_bad_field;
     Alcotest.test_case "client refuses an over-long reply line" `Quick
       test_client_refuses_overlong_reply;

@@ -1,12 +1,17 @@
 (* Tests for the result store: its one layout and the refusal of the
    older ones, truncated-tail repair and the refusal of any other damage,
-   manifest discipline, and concurrent writers on the one lock. *)
+   of any spelling but the writer's and of a line whose fingerprint is
+   not its own, manifest discipline, and concurrent writers on the one
+   lock. *)
 
 module Point = Salam_dse.Point
 module M = Salam_dse.Measurement
 module Shard = Salam_dse.Store_shard
 
+(* a measurement whose fingerprint is its own: that of its workload and
+   point, as a store requires *)
 let synthetic ?(workload = "shardtest") tag =
+  let workload = Printf.sprintf "%s%d" workload tag in
   let point =
     Point.canonical
       {
@@ -18,7 +23,7 @@ let synthetic ?(workload = "shardtest") tag =
       }
   in
   {
-    M.fp = Point.fingerprint ~workload:(Printf.sprintf "%s%d" workload tag) point;
+    M.fp = Point.fingerprint ~workload point;
     workload;
     point;
     cycles = Int64.of_int (1000 + tag);
@@ -84,7 +89,8 @@ let write_store dir contents =
 
 let test_first_add_wins () =
   let a = synthetic 1 in
-  let clash = { (synthetic 2) with M.fp = a.M.fp } in
+  (* the same point measured with another result *)
+  let clash = { a with M.cycles = Int64.succ a.M.cycles } in
   let s = Shard.in_memory () in
   Shard.add s a;
   Shard.add s clash;
@@ -108,6 +114,31 @@ let test_in_memory_has_no_path () =
   Alcotest.(check bool) "no path" true (Shard.path s = None);
   Alcotest.(check int) "empty" 0 (Shard.size s);
   Shard.close s
+
+(* where member [key]'s value text lies in [line]: a string's text runs
+   to its closing quote, any other value's to the ',' or '}' after it *)
+let value_span line key =
+  let tag = Printf.sprintf "\"%s\":" key in
+  let n = String.length tag in
+  let rec find i = if String.sub line i n = tag then i else find (i + 1) in
+  let start = find 0 + n in
+  let stop =
+    if line.[start] = '"' then String.index_from line (start + 1) '"' + 1
+    else
+      let rec go j = if line.[j] = ',' || line.[j] = '}' then j else go (j + 1) in
+      go start
+  in
+  (start, stop)
+
+(* [line] with member [key]'s value text replaced by [text] *)
+let set_member line key text =
+  let start, stop = value_span line key in
+  String.sub line 0 start ^ text ^ String.sub line stop (String.length line - stop)
+
+(* member [key]'s text as the line writes it, its value included *)
+let member_text line key =
+  let start, stop = value_span line key in
+  Printf.sprintf "\"%s\":" key ^ String.sub line start (stop - start)
 
 (* --- repair and refusal ------------------------------------------- *)
 
@@ -182,10 +213,10 @@ let test_mid_file_corruption_refused () =
           Shard.close s;
           Alcotest.fail "mid-shard corruption must not be silently repaired")
 
-(* Only a final line with no '\n' is an interrupted append. A file whose
-   complete lines do not parse is some other file, or a store mangled
-   in transit; opening it must fail with the path and line, and leave
-   every byte where it was. *)
+(* Only a final line with no '\n' and no closing '}' is an interrupted
+   append. A file whose complete lines do not parse is some other file,
+   or a store mangled in transit; opening it must fail with the path and
+   line, and leave every byte where it was. *)
 let test_not_a_truncated_store_refused () =
   (* CRLF lines made from what a store writes, so that only the line
      ending is wrong *)
@@ -201,8 +232,12 @@ let test_not_a_truncated_store_refused () =
       (String.split_on_char '\n' (String.sub written 0 (String.length written - 1)))
     ^ "\r\n"
   in
+  (* a whole last line, its newline not yet written, with a bad value *)
+  let bad_last =
+    M.to_line (synthetic 0) ^ "\n" ^ set_member (M.to_line (synthetic 1)) "cycles" "\"1001\""
+  in
   List.iter
-    (fun (name, contents) ->
+    (fun (name, contents, line) ->
       with_temp_dir (fun dir ->
           write_store dir contents;
           let path = lines_of dir in
@@ -210,15 +245,16 @@ let test_not_a_truncated_store_refused () =
           | exception Failure e ->
               let names s = Alcotest.(check bool) (Printf.sprintf "%S names %s" e s) true in
               names "the path" (contains e path);
-              names "line 1" (contains e "line 1 ")
+              names line (contains e line)
           | s ->
               Shard.close s;
               Alcotest.failf "%s opened as a store" name);
           Alcotest.(check string) (name ^ " bytes unchanged") contents (read_file path)))
     [
-      ("csv", "point,cycles\ngemm,1973\nspmv,812\n");
-      ("crlf", crlf);
-      ("one line", "not a store, no newline");
+      ("csv", "point,cycles\ngemm,1973\nspmv,812\n", "line 1 ");
+      ("crlf", crlf, "line 1 ");
+      ("one line", "not a store, no newline", "line 1 ");
+      ("a complete last line with a bad value", bad_last, "line 2 ");
     ]
 
 (* --- manifest discipline ------------------------------------------ *)
@@ -327,69 +363,100 @@ let test_concurrent_writers () =
         expected;
       Shard.close s)
 
-(* [line] as stores wrote it before floats were hex: each finite
-   float's "%h" string as the bare number "%.17g" writes ("500" for
-   500.0, "-0" for -0.0); the non-finite floats' strings are kept *)
-let decimal_line line =
-  let module Jsonl = Salam_dse.Jsonl in
-  let c = Jsonl.cursor line and b = Buffer.create 1024 in
-  while Jsonl.member c do
-    Buffer.add_string b (if Buffer.length b = 0 then "{\"" else ",\"");
-    Buffer.add_substring b c.ksrc c.koff c.klen;
-    Buffer.add_string b "\":";
-    let text = String.sub c.src c.off c.len in
-    match (c.kind, float_of_string_opt text) with
-    | Jsonl.String, Some f when Float.is_finite f && Printf.sprintf "%h" f = text ->
-        Buffer.add_string b (Printf.sprintf "%.17g" f)
-    | Jsonl.String, _ -> Printf.bprintf b "\"%s\"" text
-    | _ -> Buffer.add_string b text
-  done;
-  Buffer.add_char b '}';
-  Buffer.contents b
+(* [line] with the members [a] and [b] (adjacent, [a] first) swapped *)
+let swap_members line a b =
+  let ta = member_text line a and tb = member_text line b in
+  let pair = ta ^ "," ^ tb in
+  let n = String.length pair in
+  let rec find i = if String.sub line i n = pair then i else find (i + 1) in
+  let i = find 0 in
+  String.sub line 0 i ^ tb ^ "," ^ ta ^ String.sub line (i + n) (String.length line - i - n)
 
-(* A store written in the decimal spelling opens without a change to
-   its file, and answers every lookup with the measurement it was
-   written from, bit for bit, handing out the line in hex. *)
-let test_decimal_store_answers () =
-  let bits (m : M.t) = Marshal.to_string m [ Marshal.No_sharing ] in
-  let m1 =
-    let m = synthetic 1 in
-    let point = { m.M.point with Point.clock_mhz = 500.0 } in
-    {
-      m with
-      M.point;
-      fp = Point.fingerprint ~workload:"legacy" point;
-      total_mw = -0.0;
-      seconds = 1.0 /. 3.0;
-    }
-  in
-  let m2 = { (synthetic 2) with M.area_um2 = 4.9e-324; datapath_mw = 0.1 +. 0.2 } in
-  let m3 = { (synthetic 3) with M.fmul_occupancy = Float.nan; seconds = Float.infinity } in
-  let ms = [ m1; m2; m3 ] in
-  let contents = String.concat "" (List.map (fun m -> decimal_line (M.to_line m) ^ "\n") ms) in
-  List.iter
-    (fun spelled -> Alcotest.(check bool) spelled true (contains contents spelled))
-    [ "\"clock_mhz\":500,"; "\"total_mw\":-0,"; "\"seconds\":0.33333333333333331,"; "\"nan\"" ];
+let float_fields =
+  [ "clock_mhz"; "cycle_time_ns"; "seconds"; "total_mw"; "datapath_mw"; "area_um2"; "fmul_occupancy" ]
+
+(* [line] as stores wrote it before floats were hex: each finite
+   float's "%h" string as the bare number "%.17g" writes *)
+let decimal_line m =
+  List.fold_left
+    (fun line (k, f) ->
+      if Float.is_finite f then set_member line k (Printf.sprintf "%.17g" f) else line)
+    (M.to_line m)
+    (List.combine float_fields
+       [
+         m.M.point.Point.clock_mhz; m.M.point.Point.cycle_time_ns; m.M.seconds; m.M.total_mw;
+         m.M.datapath_mw; m.M.area_um2; m.M.fmul_occupancy;
+       ])
+
+(* [contents] as a store's file, opened: refused with the path and
+   [want] named, its bytes left as they were *)
+let refused ~what contents want =
   with_temp_dir (fun dir ->
       write_store dir contents;
-      let s = Shard.open_ dir in
-      Alcotest.(check int) "all lines kept" 3 (Shard.size s);
-      Alcotest.(check int) "nothing repaired" 0 (Shard.repaired_bytes s);
-      List.iter
-        (fun (m : M.t) ->
-          (match Shard.find s ~fp:m.M.fp with
-          | Some got -> Alcotest.(check bool) "find: bit for bit" true (bits got = bits m)
-          | None -> Alcotest.fail "a decimal line does not answer");
-          Alcotest.(check (option string)) "find_line: the hex line" (Some (M.to_line m))
-            (Shard.find_line s ~fp:m.M.fp))
-        ms;
-      Shard.close s;
-      Alcotest.(check string) "file unchanged" contents (read_file (lines_of dir)))
+      let path = lines_of dir in
+      (match Shard.open_ dir with
+      | exception Failure e ->
+          let names s = Alcotest.(check bool) (Printf.sprintf "%s: %S names %s" what e s) true in
+          names "the path" (contains e path);
+          names want (contains e want)
+      | s ->
+          Shard.close s;
+          Alcotest.failf "%s: the store opened" what);
+      Alcotest.(check string) (what ^ ": bytes unchanged") contents (read_file path))
+
+(* A line in any spelling but the writer's cannot be what a lookup is
+   answered with: a store holding one (floats as decimals, as stores
+   wrote them before floats were hex; members swapped; a space; a
+   member repeated or unknown) is refused by path and line, and its
+   bytes are left as they were. *)
+let test_non_canonical_store_refused () =
+  let good = M.to_line (synthetic 4) in
+  let m =
+    let m = synthetic 1 in
+    { m with M.total_mw = -0.0; seconds = 1.0 /. 3.0; area_um2 = 4.9e-324 }
+  in
+  let line = M.to_line m in
+  let decimal = decimal_line m in
+  List.iter
+    (fun spelled -> Alcotest.(check bool) spelled true (contains decimal spelled))
+    [ "\"clock_mhz\":101,"; "\"total_mw\":-0,"; "\"seconds\":0.33333333333333331," ];
+  List.iter
+    (fun (what, bad) ->
+      Alcotest.(check bool) (what ^ ": not the line") false (String.equal bad line);
+      refused ~what (good ^ "\n" ^ bad ^ "\n") "line 2 ";
+      refused ~what:(what ^ ", last line") (good ^ "\n" ^ bad) "line 2 ")
+    [
+      ("decimal floats", decimal);
+      ("swapped members", swap_members line "cycles" "seconds");
+      ("a space", set_member line "banks" (" " ^ string_of_int m.M.point.Point.banks));
+      ("a repeated member", set_member line "banks" "3,\"banks\":3");
+      ("an unknown member", set_member line "correct" "true,\"note\":\"x\"");
+    ]
+
+(* A line whose point was altered by hand, its fp kept, would answer for
+   a point it does not describe: its fingerprint is checked against its
+   own workload and point, and the store refused by path and line. *)
+let test_foreign_fingerprint_refused () =
+  let m = synthetic 2 in
+  let line = M.to_line m in
+  let altered =
+    set_member line "banks" (string_of_int (m.M.point.Point.banks + 2))
+  in
+  (match M.of_line altered with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "the altered line must decode: %s" e);
+  let good = M.to_line (synthetic 5) in
+  refused ~what:"altered knob" (good ^ "\n" ^ altered ^ "\n") "line 2 ";
+  refused ~what:"altered knob, why" (altered ^ "\n") "another model epoch or is corrupt";
+  (* a line of another workload's identity, its point the same *)
+  refused ~what:"another workload"
+    (set_member line "workload" "\"shardtest99\"" ^ "\n")
+    "line 1 "
 
 let suite =
   [
-    Alcotest.test_case "a decimal-spelled store answers in hex, bytes untouched" `Quick
-      test_decimal_store_answers;
+    Alcotest.test_case "a non-canonical store refused by line, bytes untouched" `Quick
+      test_non_canonical_store_refused;
     Alcotest.test_case "duplicate fingerprint keeps the first add" `Quick test_first_add_wins;
     Alcotest.test_case "in-memory store" `Quick test_in_memory_has_no_path;
     Alcotest.test_case "truncated shard tail repaired" `Quick test_truncated_shard_tail_repaired;
@@ -402,4 +469,6 @@ let suite =
       test_older_layouts_refused;
     Alcotest.test_case "missing manifest refused" `Quick test_missing_manifest_refused;
     Alcotest.test_case "four domains add and find on one store" `Quick test_concurrent_writers;
+    Alcotest.test_case "a line whose fp is not its own refused" `Quick
+      test_foreign_fingerprint_refused;
   ]

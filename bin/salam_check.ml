@@ -23,63 +23,20 @@ let workloads = function
 let memory_conv =
   Arg.enum (List.map (fun k -> (Point.memory_kind_to_string k, k)) [ Point.Spm; Cache; Dram ])
 
-let mode_conv = Arg.enum [ ("dynamic", Engine.Dynamic); ("compiled", Engine.Compiled) ]
-
-let run_all ~suite ~config =
-  let workloads = workloads suite in
-  let reports = Check_oracle.check_all ~config workloads in
-  let failed = ref 0 in
+(* One oracle leg's output: a PASS/FAIL line per point, then the leg's
+   summary line. *)
+let run_leg reports ~summary =
+  let failed = List.filter (fun r -> Result.is_error r.Check_oracle.r_result) reports in
   List.iter
     (fun (r : Check_oracle.report) ->
       match r.Check_oracle.r_result with
-      | Ok () -> Printf.printf "PASS %s\n" r.Check_oracle.r_workload
-      | Error f ->
-          incr failed;
-          Printf.printf "FAIL %s: %s\n" r.Check_oracle.r_workload
-            (Check_oracle.failure_to_string f))
+      | Ok () -> Printf.printf "PASS %s\n" r.Check_oracle.r_subject
+      | Error msg -> Printf.printf "FAIL %s: %s\n" r.Check_oracle.r_subject msg)
     reports;
-  Printf.printf "%d/%d workloads agree (interpreter vs %s engine, invariants on)\n"
-    (List.length reports - !failed)
-    (List.length reports)
-    (Engine.mode_to_string config.Salam.Config.engine.Engine.mode);
-  !failed = 0
-
-let run_modes ~suite ~config =
-  let workloads = workloads suite in
-  let failed = ref 0 in
-  List.iter
-    (fun (w : Salam_workloads.Workload.t) ->
-      match Check_oracle.check_modes ~config w with
-      | Ok () -> Printf.printf "PASS %s\n" w.Salam_workloads.Workload.name
-      | Error f ->
-          incr failed;
-          Printf.printf "FAIL %s: %s\n" w.Salam_workloads.Workload.name
-            (Check_oracle.failure_to_string f))
-    workloads;
-  Printf.printf "%d/%d workloads bit-identical (compiled vs dynamic engine)\n"
-    (List.length workloads - !failed)
-    (List.length workloads);
-  !failed = 0
-
-let run_snapshot ~suite ~config =
-  let workloads = workloads suite in
-  (* one cnn_pipeline stage rides along: convolution exercises the
-     fast-forward path on a workload the DSE sweeps care about *)
-  let workloads = workloads @ [ Salam_workloads.Cnn.conv () ] in
-  let reports = Check_snapshot.check_all ~config workloads in
-  let failed = ref 0 in
-  List.iter
-    (fun (r : Check_snapshot.report) ->
-      match r.Check_snapshot.r_result with
-      | Ok () -> Printf.printf "PASS %s\n" (Check_snapshot.report_to_string r)
-      | Error _ ->
-          incr failed;
-          Printf.printf "FAIL %s\n" (Check_snapshot.report_to_string r))
-    reports;
-  Printf.printf "%d/%d fast-forward points bit-identical (snapshot oracle)\n"
-    (List.length reports - !failed)
-    (List.length reports);
-  !failed = 0
+  Printf.printf "%d/%d %s\n"
+    (List.length reports - List.length failed)
+    (List.length reports) summary;
+  failed = []
 
 let run_fuzz ~count ~config ~seed ~plant_bug =
   let mutate = if plant_bug then Some Check_fuzz.plant_float_bug else None in
@@ -112,7 +69,7 @@ let run_fuzz ~count ~config ~seed ~plant_bug =
    design point: --hw-db/--cycle-time select the characterization (and a
    cycle time pins the clock), so the oracles vouch for exactly what
    salam_sim and salam_dse would simulate. *)
-let main all modes snapshot fuzz suite memory seed plant_bug mode hw_db cycle_time =
+let main all modes snapshot fuzz suite memory seed plant_bug hw_db cycle_time =
   let fail msg =
     Printf.eprintf "%s\n" msg;
     exit 1
@@ -128,21 +85,26 @@ let main all modes snapshot fuzz suite memory seed plant_bug mode hw_db cycle_ti
     Printf.printf "hardware profile: %s\n" config.Salam.Config.hw.Salam_hw.Profile.profile_name;
   let ran = ref false in
   let ok = ref true in
-  if all then begin
-    ran := true;
-    let config =
-      { config with Salam.Config.engine = { config.Salam.Config.engine with Engine.mode } }
-    in
-    ok := run_all ~suite ~config && !ok
-  end;
-  if modes then begin
-    ran := true;
-    ok := run_modes ~suite ~config && !ok
-  end;
-  if snapshot then begin
-    ran := true;
-    ok := run_snapshot ~suite ~config && !ok
-  end;
+  let leg enabled reports ~summary =
+    if enabled then begin
+      ran := true;
+      ok := run_leg (reports ()) ~summary && !ok
+    end
+  in
+  leg all
+    (fun () -> Check_oracle.check_all ~config (workloads suite))
+    ~summary:
+      (Printf.sprintf "workloads agree (interpreter vs %s engine, invariants on)"
+         (Engine.mode_to_string config.Salam.Config.engine.Engine.mode));
+  leg modes
+    (fun () -> Check_oracle.check_all_modes ~config (workloads suite))
+    ~summary:"workloads bit-identical (compiled vs dynamic engine)";
+  (* one cnn_pipeline stage rides along: convolution exercises the
+     fast-forward path on a workload the DSE sweeps care about *)
+  leg snapshot
+    (fun () ->
+      Check_snapshot.check_all ~config (workloads suite @ [ Salam_workloads.Cnn.conv () ]))
+    ~summary:"fast-forward points bit-identical (snapshot oracle)";
   (match fuzz with
   | Some count when count > 0 ->
       ran := true;
@@ -199,12 +161,6 @@ let cmd =
                    uninterrupted runs must be bit-identical past the roadmark (memory, \
                    statistics, trace stream), in both engine modes.")
   in
-  let engine_mode =
-    Arg.(value & opt mode_conv Engine.Compiled
-         & info [ "engine-mode" ] ~docv:"MODE"
-             ~doc:"Engine scheduling implementation for the --all oracle leg: $(b,dynamic) \
-                   or $(b,compiled).")
-  in
   let hw_db =
     Arg.(value & opt (some file) None
          & info [ "hw-db" ] ~docv:"FILE"
@@ -224,6 +180,6 @@ let cmd =
     (Cmd.info "salam_check" ~version:"1.0.0" ~doc)
     Term.(
       const main $ all $ modes $ snapshot $ fuzz $ suite $ memory $ seed
-      $ plant_bug $ engine_mode $ hw_db $ cycle_time)
+      $ plant_bug $ hw_db $ cycle_time)
 
 let () = exit (Cmd.eval cmd)

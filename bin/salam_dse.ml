@@ -82,27 +82,22 @@ let spaces_of ~mems ~ports ~write_ports ~banks ~fu ~cache_sizes ~unrolls ~junrol
     (fun mem ->
       match mem with
       | Point.Spm ->
-          let derive, port_axes =
-            match (write_ports, banks) with
-            | None, None -> (Space.spm_balanced, [ Space.Read_ports ports ])
-            | wp, b ->
-                let wp_axis = match wp with Some l -> [ Space.Write_ports l ] | None -> [] in
-                let b_axis = match b with Some l -> [ Space.Banks l ] | None -> [] in
-                (Space.spm_balanced, Space.Read_ports ports :: (wp_axis @ b_axis))
-          in
           (* an explicit write-port/bank axis overrides the balanced
              derivation, which only fills the fields axes left alone *)
-          let derive =
+          let derive, extra_axes =
             match (write_ports, banks) with
-            | None, None -> derive
-            | Some _, Some _ -> Fun.id
-            | Some _, None ->
-                fun (p : Point.t) -> { p with Point.banks = 2 * p.Point.read_ports }
-            | None, Some _ ->
-                fun (p : Point.t) ->
-                  { p with Point.write_ports = max 1 (p.Point.read_ports / 2) }
+            | None, None -> (Space.spm_balanced, [])
+            | Some wp, Some b -> (Fun.id, [ Space.Write_ports wp; Space.Banks b ])
+            | Some wp, None ->
+                ( (fun (p : Point.t) -> { p with Point.banks = 2 * p.Point.read_ports }),
+                  [ Space.Write_ports wp ] )
+            | None, Some b ->
+                ( (fun (p : Point.t) ->
+                    { p with Point.write_ports = max 1 (p.Point.read_ports / 2) }),
+                  [ Space.Banks b ] )
           in
-          Space.create ~derive (Space.Memory [ Point.Spm ] :: port_axes @ common)
+          Space.create ~derive
+            ((Space.Memory [ Point.Spm ] :: Space.Read_ports ports :: extra_axes) @ common)
       | Point.Cache ->
           Space.create (Space.Memory [ Point.Cache ] :: Space.Cache_bytes cache_sizes :: common)
       | Point.Dram -> Space.create (Space.Memory [ Point.Dram ] :: common))

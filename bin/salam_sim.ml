@@ -52,14 +52,12 @@ let workload_conv =
 let memory_conv =
   Arg.enum (List.map (fun k -> (Point.memory_kind_to_string k, k)) [ Point.Spm; Cache; Dram ])
 
-let mode_conv = Arg.enum [ ("dynamic", Engine.Dynamic); ("compiled", Engine.Compiled) ]
-
 let format_conv = Arg.enum [ ("text", `Text); ("json", `Json); ("stats", `Stats) ]
 
 let category_conv =
   Arg.enum (List.map (fun c -> (Trace.category_to_string c, c)) Trace.all_categories)
 
-let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks fu_limit mode
+let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks fu_limit
     invocations fast_forward hw_db cycle_time trace format categories component from_tick
     to_tick =
   (* the flags that only shape the --trace file *)
@@ -125,9 +123,6 @@ let run_workload (w : W.t) clock_mhz memory cache_size ports write_ports banks f
           Some (Trace.create ?categories:(if categories = [] then None else Some categories) ())
     in
     let config = Point.to_config point in
-    let config =
-      { config with Salam.Config.engine = { config.Salam.Config.engine with Engine.mode } }
-    in
     let from =
       match fast_forward with
       | None -> None
@@ -202,15 +197,6 @@ let run_cmd =
     Arg.(
       value & opt int 0
       & info [ "fu" ] ~docv:"N" ~doc:"Cap double-precision FADD/FMUL units (0 = 1:1 map).")
-  in
-  let engine_mode =
-    Arg.(
-      value & opt mode_conv Engine.default_config.Engine.mode
-      & info [ "engine-mode" ] ~docv:"MODE"
-          ~doc:
-            "Engine scheduling implementation: $(b,compiled) replays the \
-             schedule-specialization pre-pass, $(b,dynamic) derives every decision at run \
-             time. Results are bit-identical.")
   in
   let invocations =
     Arg.(
@@ -290,7 +276,7 @@ let run_cmd =
     Term.(
       term_result
         (const run_workload $ wname $ clock $ memory $ cache_size $ ports $ write_ports
-       $ banks $ fu $ engine_mode $ invocations $ fast_forward $ hw_db $ cycle_time $ trace
+       $ banks $ fu $ invocations $ fast_forward $ hw_db $ cycle_time $ trace
        $ format $ categories $ component $ from_tick $ to_tick))
 
 let () =

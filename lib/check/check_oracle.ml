@@ -1,5 +1,6 @@
 open Salam_ir
 module W = Salam_workloads.Workload
+module Engine = Salam_engine.Engine
 
 type provenance = {
   p_block : string;
@@ -27,7 +28,7 @@ type failure =
   | Engine_golden_failed
   | Harness_error of string
 
-type report = { r_workload : string; r_result : (unit, failure) result }
+type report = { r_subject : string; r_result : (unit, string) result }
 
 let provenance_to_string = function
   | Some p ->
@@ -141,6 +142,29 @@ let first_divergence (w : W.t) ~interp_mem ~interp_bases ~engine_mem ~engine_bas
   in
   buffers 0 w.W.buffers
 
+let guard wrap f =
+  match f () with
+  | result -> result
+  | exception Interp.Trap msg -> Error (wrap ("interpreter trap: " ^ msg))
+  | exception Engine.Invariant_violation msg -> Error (wrap ("engine invariant violation: " ^ msg))
+  | exception Engine.Runtime_error msg -> Error (wrap ("engine runtime error: " ^ msg))
+  | exception Failure msg -> Error (wrap msg)
+  | exception Invalid_argument msg -> Error (wrap ("invalid argument: " ^ msg))
+
+let harness_error msg = Harness_error msg
+
+(* Engine side: the very system builder users run ([Salam.simulate]),
+   with the engine's (and the cache's) invariant checks forced on so
+   every run validates them while it executes. Returns the backing
+   store the run leaves behind with its result. *)
+let run_engine ~config ?func ?trace w =
+  let config =
+    { config with Salam.Config.engine = { config.Salam.Config.engine with Engine.check = true } }
+  in
+  let memory = ref None in
+  let r = Salam.simulate ~config ?func ?trace ~inspect:(fun m -> memory := Some m) w in
+  (Option.get !memory, r)
+
 let check_workload ?(config = Salam.Config.default) ?func ?engine_func ?trace (w : W.t) =
   (* [engine_func] substitutes a different function on the engine side
      only — how the fuzzer's planted-bug mode makes the two sides
@@ -149,27 +173,17 @@ let check_workload ?(config = Salam.Config.default) ?func ?engine_func ?trace (w
      timing-free, which is exactly why the oracle can vouch for a
      non-default characterization. *)
   let engine_func = match engine_func with Some f -> Some f | None -> func in
+  guard harness_error @@ fun () ->
+  let interp_mem, interp_bases, _iret, stores = run_interp ~seed:config.Salam.Config.seed ?func w in
+  let engine_mem, er = run_engine ~config ?func:engine_func ?trace w in
   match
-    let interp_mem, interp_bases, _iret, stores = run_interp ~seed:config.Salam.Config.seed ?func w in
-    let er = Check_harness.run_engine ~config ?func:engine_func ?trace w in
-    match
-      first_divergence w ~interp_mem ~interp_bases ~engine_mem:er.Check_harness.memory
-        ~engine_bases:er.Check_harness.bases ~stores
-    with
-    | Some d -> Error (Divergence d)
-    | None ->
-        if not (w.W.check interp_mem interp_bases) then Error Interp_golden_failed
-        else if not (w.W.check er.Check_harness.memory er.Check_harness.bases) then
-          Error Engine_golden_failed
-        else Ok ()
+    first_divergence w ~interp_mem ~interp_bases ~engine_mem ~engine_bases:er.Salam.bases ~stores
   with
-  | result -> result
-  | exception Interp.Trap msg -> Error (Harness_error ("interpreter trap: " ^ msg))
-  | exception Salam_engine.Engine.Invariant_violation msg ->
-      Error (Harness_error ("engine invariant violation: " ^ msg))
-  | exception Salam_engine.Engine.Runtime_error msg ->
-      Error (Harness_error ("engine runtime error: " ^ msg))
-  | exception Failure msg -> Error (Harness_error msg)
+  | Some d -> Error (Divergence d)
+  | None ->
+      if not (w.W.check interp_mem interp_bases) then Error Interp_golden_failed
+      else if not (w.W.check engine_mem er.Salam.bases) then Error Engine_golden_failed
+      else Ok ()
 
 (* Compiled-vs-dynamic differential: the schedule-specialization replay
    must be bit-identical to the fully dynamic engine — same store
@@ -178,56 +192,49 @@ let check_workload ?(config = Salam.Config.default) ?func ?engine_func ?trace (w
    still comes from an interpreter run: both engine modes are suspect,
    the functional semantics are not. *)
 let check_modes ?(config = Salam.Config.default) ?func ?trace (w : W.t) =
-  let module Engine = Salam_engine.Engine in
   let module Trace = Salam_obs.Trace in
   let in_mode mode =
     { config with Salam.Config.engine = { config.Salam.Config.engine with Engine.mode } }
   in
+  guard harness_error @@ fun () ->
+  let _, _, _, stores = run_interp ~seed:config.Salam.Config.seed ?func w in
+  let tr_dyn = Trace.create () in
+  let tr_cmp = match trace with Some tr -> tr | None -> Trace.create () in
+  let dmem, dr = run_engine ~config:(in_mode Engine.Dynamic) ?func ~trace:tr_dyn w in
+  let cmem, cr = run_engine ~config:(in_mode Engine.Compiled) ?func ~trace:tr_cmp w in
   match
-    let _, _, _, stores = run_interp ~seed:config.Salam.Config.seed ?func w in
-    let tr_dyn = Trace.create () in
-    let tr_cmp = match trace with Some tr -> tr | None -> Trace.create () in
-    let dr = Check_harness.run_engine ~config:(in_mode Engine.Dynamic) ?func ~trace:tr_dyn w in
-    let cr = Check_harness.run_engine ~config:(in_mode Engine.Compiled) ?func ~trace:tr_cmp w in
-    match
-      first_divergence w ~interp_mem:dr.Check_harness.memory
-        ~interp_bases:dr.Check_harness.bases ~engine_mem:cr.Check_harness.memory
-        ~engine_bases:cr.Check_harness.bases ~stores
-    with
-    | Some d -> Error (Mode_divergence d)
-    | None ->
-        let ds = dr.Check_harness.stats and cs = cr.Check_harness.stats in
-        if not (Int64.equal ds.Engine.cycles cs.Engine.cycles) then
-          Error
-            (Mode_mismatch
-               (Printf.sprintf "cycle counts differ: dynamic %Ld, compiled %Ld"
-                  ds.Engine.cycles cs.Engine.cycles))
-        else if ds <> cs then Error (Mode_mismatch "run statistics differ")
-        else if dr.Check_harness.ret <> cr.Check_harness.ret then
-          Error (Mode_mismatch "return values differ")
-        else if trace <> None then
-          (* an external (possibly ring-bounded) sink replaced ours on the
-             compiled run — its lines are not comparable to the unbounded
-             dynamic stream, and replay callers only want the event tail *)
-          Ok ()
-        else begin
-          (* every category describes simulated behaviour, so the two
-             modes must agree line for line *)
-          match Trace.first_divergence (Trace.to_lines tr_dyn) (Trace.to_lines tr_cmp) with
-          | Some d ->
-              Error (Mode_mismatch ("trace streams diverge: " ^ Trace.divergence_to_string d))
-          | None -> Ok ()
-        end
+    first_divergence w ~interp_mem:dmem ~interp_bases:dr.Salam.bases ~engine_mem:cmem
+      ~engine_bases:cr.Salam.bases ~stores
   with
-  | result -> result
-  | exception Interp.Trap msg -> Error (Harness_error ("interpreter trap: " ^ msg))
-  | exception Salam_engine.Engine.Invariant_violation msg ->
-      Error (Harness_error ("engine invariant violation: " ^ msg))
-  | exception Salam_engine.Engine.Runtime_error msg ->
-      Error (Harness_error ("engine runtime error: " ^ msg))
-  | exception Failure msg -> Error (Harness_error msg)
+  | Some d -> Error (Mode_divergence d)
+  | None ->
+      let ds = dr.Salam.stats and cs = cr.Salam.stats in
+      if not (Int64.equal ds.Engine.cycles cs.Engine.cycles) then
+        Error
+          (Mode_mismatch
+             (Printf.sprintf "cycle counts differ: dynamic %Ld, compiled %Ld" ds.Engine.cycles
+                cs.Engine.cycles))
+      else if ds <> cs then Error (Mode_mismatch "run statistics differ")
+      else if dr.Salam.ret <> cr.Salam.ret then Error (Mode_mismatch "return values differ")
+      else if trace <> None then
+        (* an external (possibly ring-bounded) sink replaced ours on the
+           compiled run — its lines are not comparable to the unbounded
+           dynamic stream, and replay callers only want the event tail *)
+        Ok ()
+      else begin
+        (* every category describes simulated behaviour, so the two
+           modes must agree line for line *)
+        match Trace.first_divergence (Trace.to_lines tr_dyn) (Trace.to_lines tr_cmp) with
+        | Some d -> Error (Mode_mismatch ("trace streams diverge: " ^ Trace.divergence_to_string d))
+        | None -> Ok ()
+      end
 
-let check_all ?config workloads =
+let reports leg workloads =
   List.map
-    (fun (w : W.t) -> { r_workload = w.W.name; r_result = check_workload ?config w })
+    (fun (w : W.t) ->
+      { r_subject = w.W.name; r_result = Result.map_error failure_to_string (leg w) })
     workloads
+
+let check_all ?config workloads = reports (fun w -> check_workload ?config w) workloads
+
+let check_all_modes ?config workloads = reports (fun w -> check_modes ?config w) workloads

@@ -37,11 +37,21 @@ type failure =
   | Interp_golden_failed
   | Engine_golden_failed
   | Harness_error of string
-      (** trap, engine or cache invariant violation, or located fault *)
+      (** anything {!guard} catches: a trap, an engine or cache invariant
+          violation, a located fault, [Failure] or [Invalid_argument] *)
 
-type report = { r_workload : string; r_result : (unit, failure) result }
+type report = { r_subject : string; r_result : (unit, string) result }
+(** One point of one oracle leg: what was checked (a workload name, or a
+    snapshot point) and the failure's message. Every leg's [check_all]
+    returns these. *)
 
 val failure_to_string : failure -> string
+
+val guard : (string -> 'e) -> (unit -> ('a, 'e) result) -> ('a, 'e) result
+(** [guard wrap f] runs [f], turning every way the checked system can
+    fail into [Error (wrap message)]: an interpreter trap, an engine or
+    cache invariant violation, a located runtime error, [Failure] and
+    [Invalid_argument]. Every oracle leg runs under it. *)
 
 val check_workload :
   ?config:Salam.Config.t ->
@@ -53,9 +63,9 @@ val check_workload :
 (** Run both sides from identical initial memory (the interpreter seeded
     with [config.seed]) and compare: buffers word-for-word, then both
     sides against the workload's golden model. The engine side is
-    {!Check_harness.run_engine} under [?config] (default
-    {!Salam.Config.default}): its memory attachment, engine mode, clock
-    and hardware profile. The interpreter is timing-free, so the oracle
+    {!Salam.simulate} under [?config] (default {!Salam.Config.default}:
+    its memory attachment, engine mode, clock and hardware profile) with
+    [engine.check] forced on, read back through [~inspect]. The interpreter is timing-free, so the oracle
     vouches for any loadable database row. [?func] substitutes a
     pre-compiled function on both sides (used by the fuzzer);
     [?engine_func] overrides the engine side only (used to plant bugs
@@ -78,3 +88,8 @@ val check_modes :
 
 val check_all :
   ?config:Salam.Config.t -> Salam_workloads.Workload.t list -> report list
+(** {!check_workload} on each workload, subject the workload's name. *)
+
+val check_all_modes :
+  ?config:Salam.Config.t -> Salam_workloads.Workload.t list -> report list
+(** {!check_modes} on each workload, subject the workload's name. *)

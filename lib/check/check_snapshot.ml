@@ -28,15 +28,6 @@ module Memory = Salam_ir.Memory
 module Trace = Salam_obs.Trace
 module Config = Salam.Config
 
-type report = {
-  r_workload : string;
-  r_memory : string;
-  r_mode : Engine.mode;
-  r_roadmark : int;
-  r_invocations : int;
-  r_result : (unit, string) result;
-}
-
 (* Energy accumulators and busy integrals are float sums: (a +. b) -. a
    is not exactly b, so delta comparisons get a relative tolerance. For
    values under 10^8 the tolerance is below 1, so the integer counters
@@ -89,98 +80,81 @@ let check_fast_forward ?(config = Config.default) ?func ?(roadmark = 1) ?(invoca
   let config =
     { config with Config.engine = { config.Config.engine with Engine.check = true } }
   in
-  match
-    let errs = ref [] in
-    let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-    let idem = idempotent ~seed:config.Config.seed ?func ~invocations w in
-    (* U: the uninterrupted reference, probed at the roadmark *)
-    let tr_u = Trace.create () in
-    let probe = ref None in
-    let mem_u = ref None in
-    let r_u =
-      Salam.simulate ~config ~trace:tr_u ?func ~invocations
-        ~probe:(roadmark, fun p -> probe := Some p)
-        ~inspect:(fun m -> mem_u := Some (Memory.snapshot m))
-        w
-    in
-    let p = match !probe with Some p -> p | None -> failwith "probe never fired" in
-    (* F: detailed capture at the roadmark, restore, finish *)
-    let capture_snap = Salam.capture ~config ?func ~invocations:roadmark w in
-    let tr_f = Trace.create () in
-    let mem_f = ref None in
-    let r_f =
-      Salam.simulate ~config ~trace:tr_f ?func ~invocations ~from:capture_snap
-        ~inspect:(fun m -> mem_f := Some (Memory.snapshot m))
-        w
-    in
-    (* W: interpreter warm-up to the same roadmark, restore, finish *)
-    let warm_snap = Salam.warm_up ~config ?func ~invocations:roadmark w in
-    let mem_w = ref None in
-    let r_w =
-      Salam.simulate ~config ?func ~invocations ~from:warm_snap
-        ~inspect:(fun m -> mem_w := Some (Memory.snapshot m))
-        w
-    in
-    let mem_u = Option.get !mem_u and mem_f = Option.get !mem_f and mem_w = Option.get !mem_w in
-    (* golden models: only meaningful when repeated invocations are *)
-    if idem then begin
-      if not r_u.Salam.correct then err "uninterrupted run fails the workload's golden model";
-      if not r_f.Salam.correct then err "capture round-trip fails the workload's golden model";
-      if not r_w.Salam.correct then err "warm-up round-trip fails the workload's golden model"
-    end;
-    (* final memory images: buffers, MMRs (status and return value) and
-       allocator state all live here *)
-    if not (Memory.snapshot_equal mem_u mem_f) then
-      err "final memory differs: uninterrupted vs capture round-trip";
-    if not (Memory.snapshot_equal mem_f mem_w) then
-      err "final memory differs: capture round-trip vs interpreter warm-up";
-    (* post-roadmark statistics, the engine's counters included *)
-    diff_sim_stats ~errs r_u.Salam.sim_stats p.Salam.pr_sim_stats r_f.Salam.sim_stats;
-    (* the two restored runs start from bit-identical state and must be
-       indistinguishable from each other, floats included *)
-    if r_f.Salam.sim_stats <> r_w.Salam.sim_stats then
-      err "capture-restored and warm-up-restored system statistics differ";
-    (* trace: F runs at the same absolute ticks as U past the roadmark,
-       so its stream must equal U's suffix with no normalization *)
-    let u_suffix = drop p.Salam.pr_trace_events (Trace.to_lines tr_u) in
-    (match Trace.first_divergence u_suffix (Trace.to_lines tr_f) with
-    | Some d -> err "trace streams diverge: %s" (Trace.divergence_to_string d)
-    | None -> ());
-    (* warm-up fidelity at the roadmark: the interpreter and the
-       detailed engine must reach byte-identical memory (the snapshots
-       as a whole differ only in tick) *)
-    if not (Memory.snapshot_equal capture_snap.Salam.snap_image warm_snap.Salam.snap_image) then
-      err "roadmark memory differs: detailed capture vs interpreter warm-up";
-    match List.rev !errs with [] -> Ok () | es -> Error (String.concat "; " es)
-  with
-  | result -> result
-  | exception Salam_ir.Interp.Trap msg -> Error ("interpreter trap: " ^ msg)
-  | exception Engine.Invariant_violation msg -> Error ("engine invariant violation: " ^ msg)
-  | exception Engine.Runtime_error msg -> Error ("engine runtime error: " ^ msg)
-  | exception Failure msg -> Error msg
-  | exception Invalid_argument msg -> Error ("invalid argument: " ^ msg)
+  Check_oracle.guard Fun.id @@ fun () ->
+  let errs = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
+  let idem = idempotent ~seed:config.Config.seed ?func ~invocations w in
+  (* U: the uninterrupted reference, probed at the roadmark *)
+  let tr_u = Trace.create () in
+  let probe = ref None in
+  let mem_u = ref None in
+  let r_u =
+    Salam.simulate ~config ~trace:tr_u ?func ~invocations
+      ~probe:(roadmark, fun p -> probe := Some p)
+      ~inspect:(fun m -> mem_u := Some (Memory.snapshot m))
+      w
+  in
+  let p = match !probe with Some p -> p | None -> failwith "probe never fired" in
+  (* F: detailed capture at the roadmark, restore, finish *)
+  let capture_snap = Salam.capture ~config ?func ~invocations:roadmark w in
+  let tr_f = Trace.create () in
+  let mem_f = ref None in
+  let r_f =
+    Salam.simulate ~config ~trace:tr_f ?func ~invocations ~from:capture_snap
+      ~inspect:(fun m -> mem_f := Some (Memory.snapshot m))
+      w
+  in
+  (* W: interpreter warm-up to the same roadmark, restore, finish *)
+  let warm_snap = Salam.warm_up ~config ?func ~invocations:roadmark w in
+  let mem_w = ref None in
+  let r_w =
+    Salam.simulate ~config ?func ~invocations ~from:warm_snap
+      ~inspect:(fun m -> mem_w := Some (Memory.snapshot m))
+      w
+  in
+  let mem_u = Option.get !mem_u and mem_f = Option.get !mem_f and mem_w = Option.get !mem_w in
+  (* golden models: only meaningful when repeated invocations are *)
+  if idem then begin
+    if not r_u.Salam.correct then err "uninterrupted run fails the workload's golden model";
+    if not r_f.Salam.correct then err "capture round-trip fails the workload's golden model";
+    if not r_w.Salam.correct then err "warm-up round-trip fails the workload's golden model"
+  end;
+  (* final memory images: buffers, MMRs (status and return value) and
+     allocator state all live here *)
+  if not (Memory.snapshot_equal mem_u mem_f) then
+    err "final memory differs: uninterrupted vs capture round-trip";
+  if not (Memory.snapshot_equal mem_f mem_w) then
+    err "final memory differs: capture round-trip vs interpreter warm-up";
+  (* post-roadmark statistics, the engine's counters included *)
+  diff_sim_stats ~errs r_u.Salam.sim_stats p.Salam.pr_sim_stats r_f.Salam.sim_stats;
+  (* the two restored runs start from bit-identical state and must be
+     indistinguishable from each other, floats included *)
+  if r_f.Salam.sim_stats <> r_w.Salam.sim_stats then
+    err "capture-restored and warm-up-restored system statistics differ";
+  (* trace: F runs at the same absolute ticks as U past the roadmark,
+     so its stream must equal U's suffix with no normalization *)
+  let u_suffix = drop p.Salam.pr_trace_events (Trace.to_lines tr_u) in
+  (match Trace.first_divergence u_suffix (Trace.to_lines tr_f) with
+  | Some d -> err "trace streams diverge: %s" (Trace.divergence_to_string d)
+  | None -> ());
+  (* warm-up fidelity at the roadmark: the interpreter and the
+     detailed engine must reach byte-identical memory (the snapshots
+     as a whole differ only in tick) *)
+  if not (Memory.snapshot_equal capture_snap.Salam.snap_image warm_snap.Salam.snap_image) then
+    err "roadmark memory differs: detailed capture vs interpreter warm-up";
+  match List.rev !errs with [] -> Ok () | es -> Error (String.concat "; " es)
 
-let check_workload ~config ?(roadmark = 1) ?(invocations = 2) (w : W.t) =
-  {
-    r_workload = w.W.name;
-    r_memory = Config.memory_name config;
-    r_mode = config.Config.engine.Engine.mode;
-    r_roadmark = roadmark;
-    r_invocations = invocations;
-    r_result = check_fast_forward ~config ~roadmark ~invocations w;
-  }
-
-let check_all ?(config = Config.default) ?roadmark ?invocations workloads =
+let check_all ?(config = Config.default) ?(roadmark = 1) ?(invocations = 2) workloads =
   List.concat_map
-    (fun w ->
+    (fun (w : W.t) ->
       List.map
         (fun mode ->
           let config = { config with Config.engine = { config.Config.engine with Engine.mode } } in
-          check_workload ~config ?roadmark ?invocations w)
+          {
+            Check_oracle.r_subject =
+              Printf.sprintf "%-14s %-5s %-8s ff@%d/%d" w.W.name (Config.memory_name config)
+                (Engine.mode_to_string mode) roadmark invocations;
+            r_result = check_fast_forward ~config ~roadmark ~invocations w;
+          })
         [ Engine.Dynamic; Engine.Compiled ])
     workloads
-
-let report_to_string r =
-  Printf.sprintf "%-14s %-5s %-8s ff@%d/%d %s" r.r_workload r.r_memory
-    (Engine.mode_to_string r.r_mode) r.r_roadmark r.r_invocations
-    (match r.r_result with Ok () -> "ok" | Error msg -> "FAIL: " ^ msg)

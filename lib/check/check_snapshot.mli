@@ -11,15 +11,6 @@
     same absolute ticks, and byte-equal roadmark memory between the
     warm-up and capture snapshots. *)
 
-type report = {
-  r_workload : string;
-  r_memory : string;  (** {!Salam.Config.memory_name} of the config *)
-  r_mode : Salam_engine.Engine.mode;
-  r_roadmark : int;  (** invocation count covered by the snapshot *)
-  r_invocations : int;  (** total schedule length *)
-  r_result : (unit, string) result;
-}
-
 val check_fast_forward :
   ?config:Salam.Config.t ->
   ?func:Salam_ir.Ast.func ->
@@ -33,15 +24,14 @@ val check_fast_forward :
     already-compiled kernel, bypassing the name-keyed compile cache —
     required for generated fuzz kernels. Raises [Invalid_argument]
     unless [1 <= roadmark < invocations]; every failure of the checked
-    system itself is reported as [Error]. *)
+    system itself is reported as [Error], through {!Check_oracle.guard}. *)
 
 val check_all :
   ?config:Salam.Config.t ->
   ?roadmark:int ->
   ?invocations:int ->
   Salam_workloads.Workload.t list ->
-  report list
+  Check_oracle.report list
 (** The matrix: every workload under [?config] in both engine modes,
-    the mode replacing the config's. *)
-
-val report_to_string : report -> string
+    the mode replacing the config's. A point's subject names the
+    workload, the memory attachment, the mode and [ff@roadmark/invocations]. *)

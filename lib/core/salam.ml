@@ -391,18 +391,6 @@ let derive ~config (w : W.t) r =
 
 (* --- snapshots: interpreter warm-up and detailed capture --------------- *)
 
-(* The MMR end-state a detailed invocation leaves behind: status DONE
-   plus the encoded return value. The functional warm-up must mirror it
-   or the restored system's memory-mapped words would betray how it got
-   to the roadmark. *)
-let mirror_mmr_end_state acc ret =
-  let comm = Accelerator.comm acc in
-  (match ret with
-  | Some v ->
-      Comm_interface.write_mmr comm Comm_interface.Layout.ret_value (Accelerator.encode_ret v)
-  | None -> ());
-  Comm_interface.write_mmr comm Comm_interface.Layout.status 2L
-
 let make_snapshot ~config ~invocations (w : W.t) b =
   let image, tick = System.snapshot b.b_sys in
   {
@@ -428,8 +416,11 @@ let warm_up ?(config = Config.default) ?func ~invocations (w : W.t) =
   let backing = System.backing b.b_sys in
   w.W.init (Salam_sim.Rng.create config.Config.seed) backing b.b_bases;
   let modul = { Salam_ir.Ast.funcs = [ func ]; globals = [] } in
+  (* each invocation leaves the MMR end state a detailed one leaves, or
+     the restored system's memory-mapped words would betray how it got
+     to the roadmark *)
   Salam_ir.Interp.run_each backing modul ~entry:func.Salam_ir.Ast.fname
-    ~args:(W.args w ~bases:b.b_bases) ~invocations (mirror_mmr_end_state b.b_acc);
+    ~args:(W.args w ~bases:b.b_bases) ~invocations (Accelerator.write_end_state b.b_acc);
   make_snapshot ~config ~invocations w b
 
 (* Detailed-engine path to the same roadmark: run [invocations] timed

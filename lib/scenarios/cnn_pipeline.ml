@@ -12,14 +12,6 @@ type outcome = {
   kernel_events : int;
 }
 
-let stages accs =
-  List.map
-    (fun acc -> (Accelerator.name acc, (Accelerator.stats acc).Engine.cycles))
-    accs
-
-let dynamic_instructions accs =
-  List.fold_left (fun n acc -> n + (Accelerator.stats acc).Engine.dynamic_instructions) 0 accs
-
 let acc_clock = 500.0
 
 let host_clock = 1200.0
@@ -129,12 +121,25 @@ let host_dma s ~src ~dst ~len k =
       Salam_mem.Dma.Block.start s.dma ~src ~dst ~len ~on_done:(fun () ->
           Host.delay_cycles s.host isr_cycles ~k))
 
-let finish s h w started =
+(* Run the scenario to quiescence, check the final tensor in DRAM
+   against the golden pipeline and read the outcome off the system and
+   its accelerators. *)
+let finish s ~scenario h w started accs =
   ignore (System.run s.sys);
   if not !started then failwith "cnn scenario did not complete";
   let out = Memory.read_f64_array (System.backing s.sys) s.dram_output (h / 2 * (w / 2)) in
   let expect = Salam_workloads.Cnn.golden_pipeline ~input:s.input ~weights:s.weights ~h ~w in
-  Array.for_all2 (fun a b -> abs_float (a -. b) <= 1e-9 *. (1.0 +. abs_float b)) out expect
+  let stats = List.map (fun acc -> (Accelerator.name acc, Accelerator.stats acc)) accs in
+  {
+    scenario;
+    total_us = System.elapsed_seconds s.sys *. 1e6;
+    correct =
+      Array.for_all2 (fun a b -> abs_float (a -. b) <= 1e-9 *. (1.0 +. abs_float b)) out expect;
+    stage_cycles = List.map (fun (name, st) -> (name, st.Engine.cycles)) stats;
+    dynamic_instructions =
+      List.fold_left (fun n (_, st) -> n + st.Engine.dynamic_instructions) 0 stats;
+    kernel_events = Salam_sim.Kernel.events_executed (System.kernel s.sys);
+  }
 
 let mk_acc s name ~engine_config kern =
   let func = Salam_workloads.Workload.compile_kernel kern in
@@ -194,15 +199,7 @@ let run_private_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?(engine_config = Engi
                           run_kernel s pool [ pool_in; pool_out ] (fun () ->
                               host_dma s ~src:pool_out ~dst:s.dram_output ~len:s.out_bytes
                                 (fun () -> done_ := true))))))));
-  let correct = finish s h w done_ in
-  {
-    scenario = "private-spm+dma";
-    total_us = System.elapsed_seconds s.sys *. 1e6;
-    correct;
-    stage_cycles = stages [ conv; relu; pool ];
-    dynamic_instructions = dynamic_instructions [ conv; relu; pool ];
-    kernel_events = Salam_sim.Kernel.events_executed (System.kernel s.sys);
-  }
+  finish s ~scenario:"private-spm+dma" h w done_ [ conv; relu; pool ]
 
 let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?(engine_config = Engine.default_config) ?trace
     () =
@@ -230,15 +227,7 @@ let run_shared_spm ?(h = 32) ?(w = 32) ?island_domains:_ ?(engine_config = Engin
                   run_kernel s pool [ relu_out; pool_out ] (fun () ->
                       host_dma s ~src:pool_out ~dst:s.dram_output ~len:s.out_bytes (fun () ->
                           done_ := true))))));
-  let correct = finish s h w done_ in
-  {
-    scenario = "shared-spm";
-    total_us = System.elapsed_seconds s.sys *. 1e6;
-    correct;
-    stage_cycles = stages [ conv; relu; pool ];
-    dynamic_instructions = dynamic_instructions [ conv; relu; pool ];
-    kernel_events = Salam_sim.Kernel.events_executed (System.kernel s.sys);
-  }
+  finish s ~scenario:"shared-spm" h w done_ [ conv; relu; pool ]
 
 let run_streams ?(h = 32) ?(w = 32) ?island_domains:_ ?(engine_config = Engine.default_config) ?trace
     () =
@@ -279,15 +268,7 @@ let run_streams ?(h = 32) ?(w = 32) ?island_domains:_ ?(engine_config = Engine.d
                   done_ := true));
           launch_kernel s relu [ c2r_pop; r2p_push ];
           launch_kernel s conv [ conv_in; conv_w; c2r_push ]));
-  let correct = finish s h w done_ in
-  {
-    scenario = "stream-buffers";
-    total_us = System.elapsed_seconds s.sys *. 1e6;
-    correct;
-    stage_cycles = stages [ conv; relu; pool ];
-    dynamic_instructions = dynamic_instructions [ conv; relu; pool ];
-    kernel_events = Salam_sim.Kernel.events_executed (System.kernel s.sys);
-  }
+  finish s ~scenario:"stream-buffers" h w done_ [ conv; relu; pool ]
 
 let run_all ?(h = 32) ?(w = 32) () =
   [ run_private_spm ~h ~w (); run_shared_spm ~h ~w (); run_streams ~h ~w () ]

@@ -23,18 +23,18 @@ let decode_arg (p : Ast.var) raw =
   | Ty.I1 | Ty.I8 | Ty.I16 | Ty.I32 | Ty.I64 | Ty.Ptr -> Bits.truncate p.ty (Bits.Int raw)
   | Ty.Void -> invalid_arg "Accelerator: void parameter"
 
-let encode_ret v =
-  match v with
-  | Bits.Int i -> i
-  | Bits.Float f -> Int64.bits_of_float f
+let write_end_state t ret =
+  (match ret with
+  | Some (Bits.Int i) -> Comm_interface.write_mmr t.comm Comm_interface.Layout.ret_value i
+  | Some (Bits.Float f) ->
+      Comm_interface.write_mmr t.comm Comm_interface.Layout.ret_value (Int64.bits_of_float f)
+  | None -> ());
+  Comm_interface.write_mmr t.comm Comm_interface.Layout.status 2L
 
 let launch t ~args ~on_done =
   Comm_interface.write_mmr t.comm Comm_interface.Layout.status 1L;
   Engine.start (Lazy.force t.engine) ~args ~on_finish:(fun ret ->
-      (match ret with
-      | Some v -> Comm_interface.write_mmr t.comm Comm_interface.Layout.ret_value (encode_ret v)
-      | None -> ());
-      Comm_interface.write_mmr t.comm Comm_interface.Layout.status 2L;
+      write_end_state t ret;
       Comm_interface.raise_interrupt t.comm;
       on_done ret)
 

@@ -34,10 +34,12 @@ val name : t -> string
 
 val comm : t -> Comm_interface.t
 
-val encode_ret : Salam_ir.Bits.t -> int64
-(** The bit pattern a finished run leaves in the return-value MMR
-    (floats as their IEEE bits). Exposed so the interpreter warm-up can
-    mirror a detailed invocation's MMR end-state exactly. *)
+val write_end_state : t -> Salam_ir.Bits.t option -> unit
+(** The MMR writes a finished run makes: the return value (if any, floats
+    as their IEEE bits) into the return-value MMR, then status done.
+    {!launch} makes them at completion; the interpreter warm-up makes
+    them after each functional invocation, so a warmed-up system's
+    memory-mapped words match a detailed run's. *)
 
 val engine : t -> Salam_engine.Engine.t
 
@@ -47,8 +49,8 @@ val clock : t -> Salam_sim.Clock.t
 
 val launch : t -> args:Salam_ir.Bits.t list -> on_done:(Salam_ir.Bits.t option -> unit) -> unit
 (** Start the engine directly. Sets the status MMR to running, and on
-    completion stores the return value (if any) in the return-value MMR,
-    sets status to done, raises the interrupt and calls [on_done]. *)
+    completion makes {!write_end_state}'s writes, raises the interrupt
+    and calls [on_done]. *)
 
 val add_ordered_range : t -> base:int64 -> size:int -> unit
 (** Mark a window (stream FIFO mapping) as strictly-ordered device

@@ -11,6 +11,11 @@ let check = Alcotest.check
 (* the default configuration under another memory attachment *)
 let with_memory memory = { Salam.Config.default with Salam.Config.memory }
 
+(* [config] with the engine's (and the cache's) invariant checks on, as
+   every oracle runs it *)
+let checked (config : Salam.Config.t) =
+  { config with Salam.Config.engine = { config.Salam.Config.engine with Engine.check = true } }
+
 let cache_config ~size ~ways =
   with_memory (Salam.Config.Cache { size; line_bytes = 64; ways; hit_latency = 2 })
 
@@ -148,7 +153,7 @@ let test_engine_located_division_fault () =
   in
   let func = Compile.kernel k in
   try
-    ignore (Check_harness.run_engine ~func w);
+    ignore (Salam.simulate ~config:(checked Salam.Config.default) ~func w);
     Alcotest.fail "expected a located engine runtime error"
   with Engine.Runtime_error msg ->
     let has needle =
@@ -162,10 +167,10 @@ let test_engine_located_division_fault () =
 
 let test_invariant_checker_runs_clean () =
   (* run a real workload with check=true through every memory kind; any
-     invariant violation raises out of run_engine *)
+     invariant violation raises out of the simulation *)
   let w = List.hd (Salam_workloads.Suite.quick ()) in
   List.iter
-    (fun config -> ignore (Check_harness.run_engine ~config w))
+    (fun config -> ignore (Salam.simulate ~config:(checked config) w))
     [ Salam.Config.default; cache_config ~size:2048 ~ways:2; dram_config ]
 
 (* LLVM phis are parallel copies. The loop header below holds
@@ -216,6 +221,22 @@ let test_phi_reads_earlier_phi () =
             (Check_oracle.failure_to_string f))
     [ Engine.Compiled; Engine.Dynamic ]
 
+(* Every leg runs under one guard: a workload whose set-up raises
+   [Invalid_argument] is a harness error naming the message, not an
+   exception out of the oracle. *)
+let test_guard_catches_invalid_argument () =
+  let w =
+    {
+      (List.hd (Salam_workloads.Suite.quick ())) with
+      W.init = (fun _ _ _ -> invalid_arg "init refuses this dataset");
+    }
+  in
+  match Check_oracle.check_workload w with
+  | Error (Check_oracle.Harness_error msg) ->
+      check Alcotest.string "names the message" "invalid argument: init refuses this dataset" msg
+  | Ok () -> Alcotest.fail "a failing init passed the oracle"
+  | Error f -> Alcotest.failf "unexpected failure: %s" (Check_oracle.failure_to_string f)
+
 let suite =
   [
     Alcotest.test_case "oracle agrees on quick suite" `Slow test_oracle_quick_suite;
@@ -227,4 +248,5 @@ let suite =
     Alcotest.test_case "engine locates division fault" `Quick test_engine_located_division_fault;
     Alcotest.test_case "invariant checker runs clean" `Quick test_invariant_checker_runs_clean;
     Alcotest.test_case "phi reads an earlier phi's old value" `Quick test_phi_reads_earlier_phi;
+    Alcotest.test_case "guard catches Invalid_argument" `Quick test_guard_catches_invalid_argument;
   ]

@@ -52,9 +52,9 @@ let test_ff_oracle_matrix () =
   check int "six points" 6 (List.length reports);
   List.iter
     (fun r ->
-      match r.Check_snapshot.r_result with
+      match r.Check_oracle.r_result with
       | Ok () -> ()
-      | Error msg -> fail (Check_snapshot.report_to_string r ^ ": " ^ msg))
+      | Error msg -> fail (r.Check_oracle.r_subject ^ ": " ^ msg))
     reports
 
 let test_warm_up_zero_matches_cold_run () =

@@ -91,6 +91,39 @@ let test_spm_bank_conflicts () =
   ignore (Kernel.run kernel);
   check Alcotest.bool "conflicts detected" true (stat stats "spm.bank_conflicts" > 0)
 
+(* The mappings the bank-mask fast path does not take: [Blocked] gives
+   each bank a contiguous run of words, and a cyclic mapping over a bank
+   count that is not a power of two takes the word index modulo the
+   count. Four reads over four ports, all arriving together: each read
+   that shares a bank with an older one waits and counts one conflict. *)
+let test_spm_bank_mappings () =
+  let conflicts ~banks ~partitioning ~stride =
+    let kernel, clock, stats = fresh () in
+    let spm =
+      Spm.create kernel clock stats
+        {
+          (Spm.default_config ~name:"spm" ~base:0L ~size:4096) with
+          Spm.read_ports = 4;
+          banks;
+          partitioning;
+        }
+    in
+    for k = 0 to 3 do
+      send (Spm.port spm) (req Packet.Read ~addr:(Int64.of_int (k * stride * 8)) ~size:8) ignore
+    done;
+    ignore (Kernel.run kernel);
+    check Alcotest.int "all served" 4 (Spm.reads spm);
+    stat stats "spm.bank_conflicts"
+  in
+  check Alcotest.int "blocked: consecutive words share bank 0" 3
+    (conflicts ~banks:4 ~partitioning:Spm.Blocked ~stride:1);
+  check Alcotest.int "cyclic, 4 banks: consecutive words spread" 0
+    (conflicts ~banks:4 ~partitioning:Spm.Cyclic ~stride:1);
+  check Alcotest.int "cyclic, 3 banks: words 3 apart share a bank" 3
+    (conflicts ~banks:3 ~partitioning:Spm.Cyclic ~stride:3);
+  check Alcotest.int "cyclic, 3 banks: 4 consecutive words wrap once" 1
+    (conflicts ~banks:3 ~partitioning:Spm.Cyclic ~stride:1)
+
 let test_spm_rejects_out_of_range () =
   let kernel, clock, stats = fresh () in
   let spm = Spm.create kernel clock stats (Spm.default_config ~name:"spm" ~base:4096L ~size:64) in
@@ -541,4 +574,5 @@ let suite =
     Alcotest.test_case "stream blocking" `Quick test_stream_blocking_full_and_empty;
     QCheck_alcotest.to_alcotest qcheck_stream_content_preserved;
     QCheck_alcotest.to_alcotest qcheck_spm_arbitration_matches_scan;
+    Alcotest.test_case "spm blocked and 3-bank mappings" `Quick test_spm_bank_mappings;
   ]
